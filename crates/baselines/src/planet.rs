@@ -23,13 +23,13 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use ts_datatable::{AttrType, DataTable, Labels, Task};
+use ts_datatable::{AttrType, Column, DataTable, Labels, MISSING_CAT};
 use ts_netsim::{NetModel, NetStats};
 use ts_splits::exact::ColumnSplit;
 use ts_splits::histogram::{
     best_cat_from_class_stats, best_cat_from_reg_stats, BinCuts, NumericHistogram,
 };
-use ts_splits::impurity::{ClassCounts, Impurity, LabelView, NodeStats, RegAgg};
+use ts_splits::impurity::{ClassCounts, Impurity, LabelAgg, LabelView, NodeStats, RegAgg};
 use ts_splits::SplitTest;
 use ts_tree::trainer::prediction_from_stats;
 use ts_tree::{DecisionTreeModel, Node, SplitInfo};
@@ -123,6 +123,33 @@ impl PlanetTrainer {
         table: &DataTable,
         candidates: &[usize],
     ) -> (DecisionTreeModel, PlanetStats) {
+        let n_classes = table.schema().task.n_classes().unwrap_or(0);
+        match table.labels() {
+            Labels::Class(ys) => {
+                let empty = ClassCounts::new(n_classes);
+                self.grow(table, candidates, ys, empty, best_cat_from_class_stats)
+            }
+            Labels::Real(ys) => self.grow(table, candidates, ys, RegAgg::default(), |pv, m, _| {
+                best_cat_from_reg_stats(pv, m)
+            }),
+        }
+    }
+
+    /// [`PlanetTrainer::train_tree`] over one label type: `empty` is the
+    /// zero aggregate every histogram slot starts from, `best_cat` the
+    /// merged-stats categorical selector of that label type.
+    fn grow<A>(
+        &self,
+        table: &DataTable,
+        candidates: &[usize],
+        ys: &[A::Label],
+        empty: A,
+        best_cat: impl Fn(&[A], &A, Impurity) -> Option<ColumnSplit>,
+    ) -> (DecisionTreeModel, PlanetStats)
+    where
+        A: LabelAgg + Send + Sync,
+        A::Label: Sync,
+    {
         let mut run = PlanetStats::default();
         let n = table.n_rows();
         let task = table.schema().task;
@@ -133,7 +160,7 @@ impl PlanetTrainer {
             .iter()
             .map(|&a| match table.schema().attr_type(a) {
                 AttrType::Numeric => {
-                    let ts_datatable::Column::Numeric(v) = table.column(a) else {
+                    let Column::Numeric(v) = table.column(a) else {
                         unreachable!()
                     };
                     // MLlib samples; we bin over all values (same candidates
@@ -172,7 +199,7 @@ impl PlanetTrainer {
                 .collect();
 
             // --- Map phase: per machine, histograms for (node, attr). ---
-            let per_machine: Vec<LevelHistograms> = self.pool.map(&ranges, |m, range| {
+            let per_machine: Vec<LevelHistograms<A>> = self.pool.map(&ranges, |m, range| {
                 if self.cfg.work_ns_per_unit > 0 {
                     let units = range.len() as u64 * candidates.len() as u64
                         / self.cfg.threads_per_machine.max(1) as u64;
@@ -184,9 +211,9 @@ impl PlanetTrainer {
                     &cuts,
                     &node_of_row,
                     range.clone(),
-                    frontier.len(),
                     &splittable,
-                    n_classes,
+                    ys,
+                    &empty,
                 );
                 // Executor m ships its histograms to the driver.
                 let bytes = h.wire_bytes();
@@ -203,7 +230,7 @@ impl PlanetTrainer {
                 .sum::<u64>();
 
             // --- Reduce phase at the driver: merge + pick best per node. ---
-            let mut merged = per_machine
+            let merged = per_machine
                 .into_iter()
                 .reduce(|mut a, b| {
                     a.merge(b);
@@ -218,7 +245,8 @@ impl PlanetTrainer {
                 }
                 let mut best: Option<(usize, ColumnSplit)> = None;
                 for (c_idx, &attr) in candidates.iter().enumerate() {
-                    let split = merged.best_split(f_idx, c_idx, &cuts, self.cfg.impurity);
+                    let split =
+                        merged.best_split(f_idx, c_idx, &cuts, self.cfg.impurity, &best_cat);
                     if let Some(s) = split {
                         let wins = match &best {
                             None => true,
@@ -267,17 +295,9 @@ impl PlanetTrainer {
                     split.n_right(),
                     depth + 1,
                 ));
-                let seen = match table.schema().attr_type(attr) {
-                    AttrType::Categorical { .. } => {
-                        let ts_datatable::Column::Categorical(codes) = table.column(attr) else {
-                            unreachable!()
-                        };
-                        // MLlib tracks per-node category presence through its
-                        // stats; we recover it from the merged histogram.
-                        Some(merged.seen_categories(f_idx, attr, candidates, codes))
-                    }
-                    AttrType::Numeric => None,
-                };
+                // MLlib tracks per-node category presence through its stats;
+                // we recover it from the merged histogram.
+                let seen = merged.seen_categories(f_idx, attr, candidates);
                 nodes[f.node].split = Some((
                     SplitInfo {
                         attr,
@@ -369,152 +389,99 @@ impl PlanetTrainer {
     }
 }
 
-/// Per-category classification stats: counts per category + missing rows.
-type CatClassStats = (Vec<ClassCounts>, ClassCounts);
-/// Per-category regression stats: aggregates per category + missing rows.
-type CatRegStats = (Vec<RegAgg>, RegAgg);
+/// Per-category stats of one label type: aggregates per category + missing
+/// rows.
+type CatStats<A> = (Vec<A>, A);
 /// A split decision applied to a frontier slot: `(left slot, right slot,
 /// test, missing_left, attr)`.
 type SlotDecision = (usize, usize, SplitTest, bool, usize);
+/// One statistics object per `[f_idx][c_idx]`, `None` until a row lands.
+type Table<T> = Vec<Vec<Option<T>>>;
 
 /// One machine's histograms for every (frontier node, candidate attr).
-struct LevelHistograms {
-    /// `numeric[f_idx][c_idx]`: histogram or `None` for categorical attrs.
-    numeric: Vec<Vec<Option<NumericHistogram>>>,
-    /// `cat_class[f_idx][c_idx]`: per-category class counts (classification).
-    cat_class: Vec<Vec<Option<CatClassStats>>>,
-    /// `cat_reg[f_idx][c_idx]`: per-category regression stats.
-    cat_reg: Vec<Vec<Option<CatRegStats>>>,
+struct LevelHistograms<A> {
+    /// Histograms of the numeric candidates.
+    numeric: Table<NumericHistogram<A>>,
+    /// Per-category stats of the categorical candidates.
+    cat: Table<CatStats<A>>,
 }
 
-impl LevelHistograms {
+/// Folds `from` into `into` slot by slot with `merge`; a slot only one side
+/// filled is kept as is.
+fn merge_table<T>(into: &mut Table<T>, from: Table<T>, merge: impl Fn(&mut T, &T)) {
+    for (a, b) in into.iter_mut().zip(from) {
+        for (x, y) in a.iter_mut().zip(b) {
+            match (x, y) {
+                (Some(x), Some(y)) => merge(x, &y),
+                (x @ None, y @ Some(_)) => *x = y,
+                _ => {}
+            }
+        }
+    }
+}
+
+impl<A: LabelAgg> LevelHistograms<A> {
     fn wire_bytes(&self) -> usize {
-        let mut b = 0;
-        for row in &self.numeric {
-            for h in row.iter().flatten() {
-                b += h.wire_bytes();
-            }
-        }
-        for row in &self.cat_class {
-            for (pv, _) in row.iter().flatten() {
-                b += (pv.len() + 1) * pv.first().map_or(8, |c| c.counts().len() * 8);
-            }
-        }
-        for row in &self.cat_reg {
-            for (pv, _) in row.iter().flatten() {
-                b += (pv.len() + 1) * 24;
-            }
-        }
-        b + 16
+        let numeric = self.numeric.iter().flatten().flatten();
+        let cat = self.cat.iter().flatten().flatten();
+        let numeric = numeric.map(NumericHistogram::wire_bytes);
+        let cat = cat.map(|(pv, missing)| (pv.len() + 1) * missing.wire_bytes());
+        numeric.chain(cat).sum::<usize>() + 16
     }
 
-    fn merge(&mut self, other: LevelHistograms) {
-        for (a, b) in self.numeric.iter_mut().zip(other.numeric) {
-            for (x, y) in a.iter_mut().zip(b) {
-                match (x, y) {
-                    (Some(x), Some(y)) => x.merge(&y),
-                    (x @ None, y @ Some(_)) => *x = y,
-                    _ => {}
-                }
+    fn merge(&mut self, other: Self) {
+        merge_table(&mut self.numeric, other.numeric, NumericHistogram::merge);
+        merge_table(&mut self.cat, other.cat, |(xp, xm), (yp, ym)| {
+            for (p, q) in xp.iter_mut().zip(yp) {
+                p.merge(q);
             }
-        }
-        for (a, b) in self.cat_class.iter_mut().zip(other.cat_class) {
-            for (x, y) in a.iter_mut().zip(b) {
-                match (x, y) {
-                    (Some((xp, xm)), Some((yp, ym))) => {
-                        for (p, q) in xp.iter_mut().zip(&yp) {
-                            p.merge(q);
-                        }
-                        xm.merge(&ym);
-                    }
-                    (x @ None, y @ Some(_)) => *x = y,
-                    _ => {}
-                }
-            }
-        }
-        for (a, b) in self.cat_reg.iter_mut().zip(other.cat_reg) {
-            for (x, y) in a.iter_mut().zip(b) {
-                match (x, y) {
-                    (Some((xp, xm)), Some((yp, ym))) => {
-                        for (p, q) in xp.iter_mut().zip(&yp) {
-                            p.merge(q);
-                        }
-                        xm.merge(&ym);
-                    }
-                    (x @ None, y @ Some(_)) => *x = y,
-                    _ => {}
-                }
-            }
-        }
+            xm.merge(ym);
+        });
     }
 
     fn best_split(
-        &mut self,
+        &self,
         f_idx: usize,
         c_idx: usize,
         cuts: &[Option<BinCuts>],
         imp: Impurity,
+        best_cat: impl Fn(&[A], &A, Impurity) -> Option<ColumnSplit>,
     ) -> Option<ColumnSplit> {
         if let Some(h) = &self.numeric[f_idx][c_idx] {
             return h.best_split(cuts[c_idx].as_ref()?, imp);
         }
-        if let Some((pv, missing)) = &self.cat_class[f_idx][c_idx] {
-            return best_cat_from_class_stats(pv, missing, imp);
-        }
-        if let Some((pv, missing)) = &self.cat_reg[f_idx][c_idx] {
-            return best_cat_from_reg_stats(pv, missing);
-        }
-        None
+        let (pv, missing) = self.cat[f_idx][c_idx].as_ref()?;
+        best_cat(pv, missing, imp)
     }
 
-    fn seen_categories(
-        &self,
-        f_idx: usize,
-        attr: usize,
-        candidates: &[usize],
-        _codes: &[u32],
-    ) -> Vec<u32> {
+    /// Categories with at least one row in the node (`None` for a numeric
+    /// attribute).
+    fn seen_categories(&self, f_idx: usize, attr: usize, candidates: &[usize]) -> Option<Vec<u32>> {
         let c_idx = candidates
             .iter()
             .position(|&a| a == attr)
             .expect("attr in candidates");
-        if let Some((pv, _)) = &self.cat_class[f_idx][c_idx] {
-            return pv
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.total() > 0)
-                .map(|(i, _)| i as u32)
-                .collect();
-        }
-        if let Some((pv, _)) = &self.cat_reg[f_idx][c_idx] {
-            return pv
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| a.n > 0)
-                .map(|(i, _)| i as u32)
-                .collect();
-        }
-        Vec::new()
+        let (pv, _) = self.cat[f_idx][c_idx].as_ref()?;
+        let seen = pv.iter().enumerate().filter(|(_, a)| a.n() > 0);
+        Some(seen.map(|(i, _)| i as u32).collect())
     }
 }
 
 /// Builds one machine's histograms: one scan over its row range.
 #[allow(clippy::too_many_arguments)]
-fn build_level_histograms(
+fn build_level_histograms<A: LabelAgg>(
     table: &DataTable,
     candidates: &[usize],
     cuts: &[Option<BinCuts>],
     node_of_row: &[u32],
     range: std::ops::Range<usize>,
-    n_frontier: usize,
     splittable: &[bool],
-    n_classes: u32,
-) -> LevelHistograms {
-    let task = table.schema().task;
+    ys: &[A::Label],
+    empty: &A,
+) -> LevelHistograms<A> {
     let mut h = LevelHistograms {
-        numeric: vec![vec![None; candidates.len()]; n_frontier],
-        cat_class: vec![vec![None; candidates.len()]; n_frontier],
-        cat_reg: vec![vec![None; candidates.len()]; n_frontier],
+        numeric: vec![vec![None; candidates.len()]; splittable.len()],
+        cat: vec![vec![None; candidates.len()]; splittable.len()],
     };
     // Initialise slots lazily per (node, attr) to keep memory tight.
     for row in range {
@@ -527,57 +494,24 @@ fn build_level_histograms(
             continue;
         }
         for (c_idx, &attr) in candidates.iter().enumerate() {
-            match (table.column(attr), table.labels(), task) {
-                (ts_datatable::Column::Numeric(v), labels, _) => {
-                    let hist = h.numeric[f_idx][c_idx].get_or_insert_with(|| {
-                        let nb = cuts[c_idx].as_ref().map_or(1, BinCuts::n_bins);
-                        match task {
-                            Task::Classification { .. } => {
-                                NumericHistogram::new_class(nb, n_classes)
-                            }
-                            Task::Regression => NumericHistogram::new_reg(nb),
-                        }
-                    });
+            match table.column(attr) {
+                Column::Numeric(v) => {
                     let cut = cuts[c_idx].as_ref().expect("numeric attr has cuts");
-                    match labels {
-                        Labels::Class(ys) => hist.add_class(cut, v[row], ys[row]),
-                        Labels::Real(ys) => hist.add_reg(cut, v[row], ys[row]),
-                    }
+                    h.numeric[f_idx][c_idx]
+                        .get_or_insert_with(|| NumericHistogram::new(cut.n_bins(), empty.clone()))
+                        .add(cut, v[row], ys[row]);
                 }
-                (ts_datatable::Column::Categorical(codes), Labels::Class(ys), _) => {
-                    let (pv, missing) = h.cat_class[f_idx][c_idx].get_or_insert_with(|| {
+                Column::Categorical(codes) => {
+                    let (pv, missing) = h.cat[f_idx][c_idx].get_or_insert_with(|| {
                         let AttrType::Categorical { n_values } = table.schema().attr_type(attr)
                         else {
                             unreachable!()
                         };
-                        (
-                            vec![ClassCounts::new(n_classes); n_values as usize],
-                            ClassCounts::new(n_classes),
-                        )
+                        (vec![empty.clone(); n_values as usize], empty.clone())
                     });
-                    let c = codes[row];
-                    if c == ts_datatable::MISSING_CAT {
-                        missing.add(ys[row]);
-                    } else {
-                        pv[c as usize].add(ys[row]);
-                    }
-                }
-                (ts_datatable::Column::Categorical(codes), Labels::Real(ys), _) => {
-                    let (pv, missing) = h.cat_reg[f_idx][c_idx].get_or_insert_with(|| {
-                        let AttrType::Categorical { n_values } = table.schema().attr_type(attr)
-                        else {
-                            unreachable!()
-                        };
-                        (
-                            vec![RegAgg::default(); n_values as usize],
-                            RegAgg::default(),
-                        )
-                    });
-                    let c = codes[row];
-                    if c == ts_datatable::MISSING_CAT {
-                        missing.add(ys[row]);
-                    } else {
-                        pv[c as usize].add(ys[row]);
+                    match codes[row] {
+                        MISSING_CAT => missing.add(ys[row]),
+                        c => pv[c as usize].add(ys[row]),
                     }
                 }
             }
@@ -591,6 +525,7 @@ mod tests {
     use super::*;
     use ts_datatable::metrics::{accuracy, rmse};
     use ts_datatable::synth::{generate, SynthSpec};
+    use ts_datatable::Task;
     use ts_tree::{train_tree, TrainParams};
 
     fn class_table(rows: usize, seed: u64) -> DataTable {

@@ -170,14 +170,62 @@ request tier (serve, see docs/SERVING.md):
   --report FILE         write the serving report (quantiles, QPS, sheds,
                         swaps) as JSON";
 
-/// Options that take no value.
-const FLAGS: &[&str] = &[
-    "quiet",
-    "verbose",
-    "reference",
-    "steal",
-    "adaptive-tau",
-    "fixed-batch",
+/// Every option the CLI accepts, with whether it takes a value; `Opts::parse`
+/// rejects any other name. A unit test keeps this list and the `--name`
+/// tokens of [`USAGE`] the same set.
+const OPTIONS: &[(&str, bool)] = &[
+    ("adaptive-tau", false),
+    ("arrival", true),
+    ("block-rows", true),
+    ("burst-off-qps", true),
+    ("burst-off-us", true),
+    ("burst-on-qps", true),
+    ("burst-on-us", true),
+    ("compers", true),
+    ("conns", true),
+    ("csv", true),
+    ("delay-prob", true),
+    ("dmax", true),
+    ("drop-prob", true),
+    ("dup-prob", true),
+    ("fault-seed", true),
+    ("fixed-batch", false),
+    ("heartbeat-misses", true),
+    ("heartbeat-ms", true),
+    ("hist-bins", true),
+    ("join-at", true),
+    ("join-count", true),
+    ("latency-budget-us", true),
+    ("max-batch", true),
+    ("metrics-json", true),
+    ("metrics-prom", true),
+    ("model", true),
+    ("out", true),
+    ("preempt-at", true),
+    ("preempt-grace-ms", true),
+    ("qps", true),
+    ("queue-cap", true),
+    ("quiet", false),
+    ("reference", false),
+    ("report", true),
+    ("requests", true),
+    ("seed", true),
+    ("serve-metrics", true),
+    ("splitter", true),
+    ("steal", false),
+    ("swap-at", true),
+    ("target", true),
+    ("task", true),
+    ("threads", true),
+    ("top", true),
+    ("trace-out", true),
+    ("trace-report", true),
+    ("tree", true),
+    ("trees", true),
+    ("verbose", false),
+    ("vote-k", true),
+    ("work-scale", true),
+    ("workers", true),
 ];
 
 /// Parsed `--key value` options (plus valueless flags).
@@ -191,12 +239,15 @@ impl Opts {
             let Some(name) = key.strip_prefix("--") else {
                 return Err(format!("expected --option, got {key:?}"));
             };
-            if FLAGS.contains(&name) {
-                map.insert(name.to_string(), "true".to_string());
-                continue;
-            }
-            let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-            map.insert(name.to_string(), value.clone());
+            let Some(&(_, takes_value)) = OPTIONS.iter().find(|(known, _)| *known == name) else {
+                return Err(format!("unknown option --{name}"));
+            };
+            let value = if takes_value {
+                it.next().ok_or_else(|| format!("--{name} needs a value"))?
+            } else {
+                "true"
+            };
+            map.insert(name.to_string(), value.to_string());
         }
         Ok(Opts(map))
     }
@@ -837,4 +888,24 @@ fn cmd_importance(opts: &Opts) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn options_table_and_usage_name_the_same_options() {
+        let table: BTreeSet<&str> = OPTIONS.iter().map(|&(name, _)| name).collect();
+        assert_eq!(table.len(), OPTIONS.len(), "duplicate entry in OPTIONS");
+        let is_name_char = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-';
+        let usage: BTreeSet<&str> = USAGE
+            .split("--")
+            .skip(1)
+            .map(|rest| rest.split(|c| !is_name_char(c)).next().unwrap_or(""))
+            .filter(|name| !name.is_empty())
+            .collect();
+        assert_eq!(table, usage);
+    }
 }

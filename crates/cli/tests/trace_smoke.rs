@@ -180,3 +180,16 @@ fn train_with_histogram_splitter_exports_its_byte_counter() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn train_rejects_a_misspelt_option_by_name() {
+    // `--tress 50` used to be stored and ignored: the run trained with the
+    // default tree count and exited 0.
+    let out = Command::new(env!("CARGO_BIN_EXE_treeserver"))
+        .args(["train", "--csv", "unused.csv", "--tress", "50"])
+        .output()
+        .expect("run treeserver");
+    assert!(!out.status.success(), "a misspelt option must fail the run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option --tress"), "{stderr}");
+}

@@ -56,8 +56,6 @@ pub struct ClusterConfig {
     pub n_pool: usize,
     /// The simulated link model.
     pub net: NetModel,
-    /// Idle-poll sleep of the master's main thread (the paper uses 100 µs).
-    pub poll_sleep: Duration,
     /// Directory the master flushes completed trees into (one JSON file per
     /// tree, written the moment the tree's last task result arrives — the
     /// paper's "a tree is flushed to disk by the master as soon as it
@@ -150,7 +148,6 @@ impl Default for ClusterConfig {
             tau_dfs: 80_000,
             n_pool: 200,
             net: NetModel::instant(),
-            poll_sleep: Duration::from_micros(100),
             model_dir: None,
             work_ns_per_unit: 0,
             faults: None,

@@ -204,7 +204,7 @@ pub struct Master {
     /// The plan queue `Bplan` (`ts-sched`): single-deque by default,
     /// per-worker deques with stealing when `cfg.steal` is set. Condvar-
     /// signalled either way — pushes, completions and steal requests wake
-    /// `θ_main` immediately (no blind `poll_sleep`).
+    /// `θ_main` immediately.
     plans: PlanQueue<PlanDesc>,
     /// Adaptive `τ_D`/`τ_dfs` (`cfg.adaptive_tau`); holds the statics
     /// until the `LatencyFeed` has enough samples of both task kinds.

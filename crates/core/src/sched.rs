@@ -22,8 +22,7 @@
 //!   length ties by the §VI `COMP` load column.
 //!
 //! Either way the queue is condvar-signalled: pushes, completions, steal
-//! requests and shutdown wake `θ_main` immediately instead of the seed's
-//! blind `poll_sleep`.
+//! requests and shutdown wake `θ_main` immediately.
 //!
 //! Changing *when* and *where* a plan is dispatched never changes the
 //! trained model: all task randomness derives from the scheduling-invariant
@@ -700,7 +699,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Condvar wakeup (satellite: no blind poll_sleep).
+    // Condvar wakeup.
     // ------------------------------------------------------------------
 
     #[test]
@@ -709,8 +708,8 @@ mod tests {
         let q2 = Arc::clone(&q);
         let start = Instant::now();
         let waiter = thread::spawn(move || {
-            // A poll-interval-sized timeout: the pop must return long
-            // before it elapses, woken by the push.
+            // The pop must return long before this timeout elapses, woken
+            // by the push.
             q2.next_timeout(Duration::from_secs(10), &[])
         });
         thread::sleep(Duration::from_millis(20));

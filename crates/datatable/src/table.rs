@@ -1,6 +1,6 @@
 //! The column-major data table and its target labels.
 
-use crate::column::{Column, Value, ValuesBuf};
+use crate::column::{Column, Value, ValuesBuf, MISSING_CAT};
 use crate::schema::{AttrType, Schema, Task};
 use tsjson::{Deserialize, Serialize};
 
@@ -84,7 +84,9 @@ impl DataTable {
     ///
     /// # Panics
     /// Panics if column counts/lengths/types or the label kind are
-    /// inconsistent with the schema. Construction is a load-time operation;
+    /// inconsistent with the schema, or a categorical code or class label
+    /// lies outside the schema's domain (the split kernels index per-value
+    /// tables with them unchecked). Construction is a load-time operation;
     /// failing fast here keeps the whole training pipeline panic-free.
     pub fn new(schema: Schema, columns: Vec<Column>, labels: Labels) -> Self {
         assert_eq!(
@@ -97,14 +99,18 @@ impl DataTable {
             assert_eq!(c.len(), n_rows, "column {i} length mismatch");
             match (c, schema.attr_type(i)) {
                 (Column::Numeric(_), AttrType::Numeric) => {}
-                (Column::Categorical(_), AttrType::Categorical { .. }) => {}
+                (Column::Categorical(v), AttrType::Categorical { n_values }) => assert!(
+                    v.iter().all(|&c| c < n_values || c == MISSING_CAT),
+                    "column {i} has a category code outside 0..{n_values}"
+                ),
                 _ => panic!("column {i} storage kind does not match schema type"),
             }
         }
         match (&labels, schema.task) {
-            (Labels::Class(v), Task::Classification { n_classes }) => {
-                debug_assert!(v.iter().all(|&y| y < n_classes), "class label out of range");
-            }
+            (Labels::Class(v), Task::Classification { n_classes }) => assert!(
+                v.iter().all(|&y| y < n_classes),
+                "class label outside 0..{n_classes}"
+            ),
             (Labels::Real(_), Task::Regression) => {}
             _ => panic!("label kind does not match schema task"),
         }
@@ -278,6 +284,31 @@ mod tests {
             schema,
             vec![Column::Categorical(vec![0])],
             Labels::Real(vec![1.0]),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "category code outside 0..3")]
+    fn out_of_range_category_code_panics() {
+        let schema = Schema::new(vec![AttrMeta::categorical("c", 3)], Task::Regression);
+        DataTable::new(
+            schema,
+            vec![Column::Categorical(vec![0, MISSING_CAT, 3])],
+            Labels::Real(vec![1.0, 2.0, 3.0]),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "class label outside 0..2")]
+    fn out_of_range_class_label_panics() {
+        let schema = Schema::new(
+            vec![AttrMeta::numeric("a")],
+            Task::Classification { n_classes: 2 },
+        );
+        DataTable::new(
+            schema,
+            vec![Column::Numeric(vec![0.0, 1.0])],
+            Labels::Class(vec![1, 2]),
         );
     }
 

@@ -1,9 +1,12 @@
-//! Exact best-split kernels (paper Appendix B).
+//! Exact best-split kernels (paper Appendix B): the boundary-scan core, the
+//! categorical selectors, and the *gathered* entry points.
 //!
-//! Each kernel takes one column's values *gathered over the node's rows*
-//! (aligned with the equally-gathered labels) and returns the best exact
-//! split-condition of that column, or `None` when no condition strictly
-//! reduces impurity.
+//! Each gathered kernel takes one column's values *gathered over the node's
+//! rows* (aligned with the equally-gathered labels) and returns the best
+//! exact split-condition of that column, or `None` when no condition
+//! strictly reduces impurity. They are the `NodeRows::All` case of the `_at`
+//! kernels in [`crate::sorted`], which every trainer calls; these wrappers
+//! remain as the reference of the oracle suites and the kernel bench.
 //!
 //! Missing values are excluded from the gain computation and routed to the
 //! majority child; the returned child statistics *include* the routed missing
@@ -15,7 +18,8 @@
 //! single-threaded subtree trainer pick identical splits.
 
 use crate::condition::SplitTest;
-use crate::impurity::{ClassCounts, Impurity, LabelView, NodeStats, RegAgg};
+use crate::impurity::{ClassCounts, Impurity, LabelAgg, LabelView, NodeStats, RegAgg};
+use crate::sorted::{best_cat_split_classification_at, best_cat_split_regression_at, NodeRows};
 use ts_datatable::{AttrType, ValuesBuf, MISSING_CAT};
 use tsjson::{Deserialize, Serialize};
 
@@ -83,36 +87,29 @@ pub(crate) fn boundary_threshold(a: f64, b: f64) -> f64 {
 
 /// Exact best `Ai <= v` split for a numeric column (Appendix B, Case 1):
 /// sort the present values, then one pass with `O(1)` incremental impurity.
+///
+/// The gather-sort arm of [`crate::sorted::best_numeric_split_at`] over
+/// `NodeRows::All`; kept public as the reference the oracle suites and the
+/// benches compare against.
 pub fn best_numeric_split(
     values: &[f64],
     labels: LabelView<'_>,
     imp: Impurity,
 ) -> Option<ColumnSplit> {
     assert_eq!(values.len(), labels.len(), "values/labels length mismatch");
-
-    // Split positions into present (to be sorted); missing rows are routed
-    // to the majority side after the boundary is chosen.
-    crate::sorted::with_present(values.len(), |present| {
-        for (i, &v) in values.iter().enumerate() {
-            if !v.is_nan() {
-                present.push((v, i as u32));
-            }
-        }
-        present.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let best = scan_presorted(present, labels, imp);
-        finish_numeric(best, present, values, labels)
-    })
+    crate::sorted::gather_sort_split(values, NodeRows::All(values.len()), labels, imp)
 }
 
-/// One boundary scan over presorted `(value, label index)` pairs with `O(1)`
-/// incremental impurity. Returns the best `(gain, threshold, boundary index)`
-/// under the strict within-column order, or `None`.
+/// Scan core 1 — one boundary scan over presorted `(value, label index)`
+/// pairs with `O(1)` incremental impurity. Returns the best `(gain,
+/// threshold, boundary index)` under the strict within-column order, or
+/// `None`.
 ///
 /// `present` must be sorted by `(value, index)` under `f64::total_cmp`; the
-/// `.1` side indexes `labels` directly — gathered *positions* on the legacy
-/// path, global *row ids* on the sorted-column path. The scan only compares
-/// values and accumulates labels, so both paths produce bit-identical gains
-/// when fed order-isomorphic sequences (see docs/PERF.md).
+/// `.1` side indexes `labels` directly. The scan only compares values and
+/// accumulates labels, so the gather-sort and presorted-filter paths produce
+/// bit-identical gains when fed order-isomorphic sequences (see
+/// docs/PERF.md).
 pub(crate) fn scan_presorted(
     present: &[(f64, u32)],
     labels: LabelView<'_>,
@@ -123,46 +120,40 @@ pub(crate) fn scan_presorted(
     }
     match labels {
         LabelView::Class(ys, k) => crate::sorted::with_class_pair(k, |left, right| {
-            for &(_, p) in present {
-                right.add(ys[p as usize]);
-            }
-            let total_w = right.weighted_impurity(imp);
-            let mut best: Option<(f64, f64, usize)> = None; // (gain, threshold, boundary idx)
-            for i in 0..present.len() - 1 {
-                left.add(ys[present[i].1 as usize]);
-                right.remove(ys[present[i].1 as usize]);
-                if present[i].0 < present[i + 1].0 {
-                    let gain = total_w - left.weighted_impurity(imp) - right.weighted_impurity(imp);
-                    let thr = boundary_threshold(present[i].0, present[i + 1].0);
-                    if challenger_gain_wins(gain, thr, &best) {
-                        best = Some((gain, thr, i));
-                    }
-                }
-            }
-            best
+            scan_boundaries(present, ys, left, right, imp)
         }),
         LabelView::Real(ys) => {
-            let mut right = RegAgg::default();
-            for &(_, p) in present {
-                right.add(ys[p as usize]);
-            }
-            let total_w = right.weighted_impurity();
-            let mut left = RegAgg::default();
-            let mut best: Option<(f64, f64, usize)> = None;
-            for i in 0..present.len() - 1 {
-                left.add(ys[present[i].1 as usize]);
-                right.remove(ys[present[i].1 as usize]);
-                if present[i].0 < present[i + 1].0 {
-                    let gain = total_w - left.weighted_impurity() - right.weighted_impurity();
-                    let thr = boundary_threshold(present[i].0, present[i + 1].0);
-                    if challenger_gain_wins(gain, thr, &best) {
-                        best = Some((gain, thr, i));
-                    }
-                }
-            }
-            best
+            let (mut left, mut right) = (RegAgg::default(), RegAgg::default());
+            scan_boundaries(present, ys, &mut left, &mut right, imp)
         }
     }
+}
+
+/// [`scan_presorted`] over one label type; `left` and `right` arrive empty.
+fn scan_boundaries<A: LabelAgg>(
+    present: &[(f64, u32)],
+    ys: &[A::Label],
+    left: &mut A,
+    right: &mut A,
+    imp: Impurity,
+) -> Option<(f64, f64, usize)> {
+    for &(_, p) in present {
+        right.add(ys[p as usize]);
+    }
+    let total_w = right.weighted_impurity(imp);
+    let mut best: Option<(f64, f64, usize)> = None; // (gain, threshold, boundary idx)
+    for i in 0..present.len() - 1 {
+        left.add(ys[present[i].1 as usize]);
+        right.remove(ys[present[i].1 as usize]);
+        if present[i].0 < present[i + 1].0 {
+            let gain = total_w - left.weighted_impurity(imp) - right.weighted_impurity(imp);
+            let thr = boundary_threshold(present[i].0, present[i + 1].0);
+            if challenger_gain_wins(gain, thr, &best) {
+                best = Some((gain, thr, i));
+            }
+        }
+    }
+    best
 }
 
 /// Strict within-column order: higher gain, then smaller threshold.
@@ -180,86 +171,10 @@ pub(crate) fn challenger_gain_wins(gain: f64, thr: f64, best: &Option<(f64, f64,
     }
 }
 
-/// Builds both children's label statistics in a single pass **in row
-/// order**, routing each position with `route` (`None` = missing, goes to
-/// the `missing_left` side).
-///
-/// Row-order accumulation matters: the subtree trainer computes a child
-/// node's statistics by scanning the child's rows in order, and the engine
-/// must produce bit-identical predictions for children that become leaves.
-/// Summing in any other order (e.g. the sorted scan order) differs in the
-/// last ULP for floating-point targets.
-fn child_stats_routed(
-    n: usize,
-    labels: LabelView<'_>,
-    missing_left: bool,
-    route: impl Fn(usize) -> Option<bool>,
-) -> (NodeStats, NodeStats) {
-    child_stats_routed_iter(0..n, labels, missing_left, route)
-}
-
-/// Generalisation of [`child_stats_routed`] over an explicit index sequence:
-/// the sorted-column engine accumulates over a node's (ascending) row ids
-/// against full-column labels, which visits the same labels in the same
-/// order as the legacy gathered scan — hence bit-identical child stats.
-pub(crate) fn child_stats_routed_iter(
-    indices: impl Iterator<Item = usize>,
-    labels: LabelView<'_>,
-    missing_left: bool,
-    route: impl Fn(usize) -> Option<bool>,
-) -> (NodeStats, NodeStats) {
-    let (mut left, mut right) = match labels {
-        LabelView::Class(_, k) => (
-            NodeStats::Class(ClassCounts::new(k)),
-            NodeStats::Class(ClassCounts::new(k)),
-        ),
-        LabelView::Real(_) => (
-            NodeStats::Reg(RegAgg::default()),
-            NodeStats::Reg(RegAgg::default()),
-        ),
-    };
-    for i in indices {
-        let goes_left = route(i).unwrap_or(missing_left);
-        let target = if goes_left { &mut left } else { &mut right };
-        match (target, labels) {
-            (NodeStats::Class(c), LabelView::Class(ys, _)) => c.add(ys[i]),
-            (NodeStats::Reg(a), LabelView::Real(ys)) => a.add(ys[i]),
-            _ => unreachable!("stats kind fixed above"),
-        }
-    }
-    (left, right)
-}
-
-fn finish_numeric(
-    best: Option<(f64, f64, usize)>,
-    present: &[(f64, u32)],
-    values: &[f64],
-    labels: LabelView<'_>,
-) -> Option<ColumnSplit> {
-    let (gain, thr, boundary) = best?;
-    // Present-row child sizes are exact integers from the scan position.
-    let n_left_present = boundary + 1;
-    let n_right_present = present.len() - n_left_present;
-    let missing_left = n_left_present >= n_right_present;
-    let (left, right) = child_stats_routed(values.len(), labels, missing_left, |i| {
-        if values[i].is_nan() {
-            None
-        } else {
-            Some(values[i] <= thr)
-        }
-    });
-    Some(ColumnSplit {
-        test: SplitTest::NumericLe(thr),
-        gain,
-        missing_left,
-        left,
-        right,
-    })
-}
-
 /// Exact best categorical split for classification (Appendix B, Case 3):
 /// one-vs-rest — the left set is a single category, `|Sl| = 1`, so only
 /// `O(|Si|)` conditions are checked. Ties break toward the smaller code.
+/// [`best_cat_split_classification_at`] over `NodeRows::All`.
 pub fn best_cat_split_classification(
     codes: &[u32],
     n_values: u32,
@@ -267,43 +182,14 @@ pub fn best_cat_split_classification(
     n_classes: u32,
     imp: Impurity,
 ) -> Option<ColumnSplit> {
-    assert_eq!(codes.len(), ys.len(), "codes/labels length mismatch");
-    let mut per_value: Vec<ClassCounts> = vec![ClassCounts::new(n_classes); n_values as usize];
-    let mut total = ClassCounts::new(n_classes);
-    for (&c, &y) in codes.iter().zip(ys) {
-        if c != MISSING_CAT {
-            per_value[c as usize].add(y);
-            total.add(y);
-        }
-    }
-    if total.total() < 2 {
-        return None;
-    }
-    let (gain, code) = best_one_vs_rest(&per_value, &total, imp)?;
-
-    let labels = LabelView::Class(ys, n_classes);
-    let n_left_present = per_value[code as usize].total();
-    let missing_left = n_left_present >= total.total() - n_left_present;
-    let (left, right) = child_stats_routed(codes.len(), labels, missing_left, |i| {
-        if codes[i] == MISSING_CAT {
-            None
-        } else {
-            Some(codes[i] == code)
-        }
-    });
-    Some(ColumnSplit {
-        test: SplitTest::CatIn(vec![code]),
-        gain,
-        missing_left,
-        left,
-        right,
-    })
+    let node = NodeRows::All(codes.len());
+    best_cat_split_classification_at(codes, n_values, node, ys, n_classes, imp)
 }
 
 /// One-vs-rest gain loop (Appendix B, Case 3) over per-category class
 /// counts: returns the best `(gain, singleton left code)`, ties toward the
-/// smaller code. Shared by the legacy gathered kernel and the sorted-column
-/// engine.
+/// smaller code. Shared by the exact engine and the merged-stats selector
+/// of [`crate::histogram`].
 pub(crate) fn best_one_vs_rest(
     per_value: &[ClassCounts],
     total: &ClassCounts,
@@ -333,45 +219,16 @@ pub(crate) fn best_one_vs_rest(
 /// Exact best categorical split for regression (Appendix B, Case 2 —
 /// Breiman et al.): group rows by category, sort groups by mean `Y`, and the
 /// optimal `Sl` is a prefix of that order, found in one pass.
+/// [`best_cat_split_regression_at`] over `NodeRows::All`.
 pub fn best_cat_split_regression(codes: &[u32], n_values: u32, ys: &[f64]) -> Option<ColumnSplit> {
-    assert_eq!(codes.len(), ys.len(), "codes/labels length mismatch");
-    let mut per_value: Vec<RegAgg> = vec![RegAgg::default(); n_values as usize];
-    let mut total = RegAgg::default();
-    for (&c, &y) in codes.iter().zip(ys) {
-        if c != MISSING_CAT {
-            per_value[c as usize].add(y);
-            total.add(y);
-        }
-    }
-    if total.n < 2 {
-        return None;
-    }
-    let (gain, left_set, n_left_present) = best_breiman_prefix(&per_value, &total)?;
-
-    let labels = LabelView::Real(ys);
-    let in_left = |c: u32| left_set.binary_search(&c).is_ok();
-    let missing_left = n_left_present >= total.n - n_left_present;
-    let (left, right) = child_stats_routed(codes.len(), labels, missing_left, |i| {
-        if codes[i] == MISSING_CAT {
-            None
-        } else {
-            Some(in_left(codes[i]))
-        }
-    });
-    Some(ColumnSplit {
-        test: SplitTest::CatIn(left_set),
-        gain,
-        missing_left,
-        left,
-        right,
-    })
+    best_cat_split_regression_at(codes, n_values, NodeRows::All(codes.len()), ys)
 }
 
 /// Breiman prefix scan (Appendix B, Case 2) over per-category regression
 /// aggregates: sorts present categories by mean (ties by code), finds the
 /// best prefix cut, and returns `(gain, sorted left set, left present
-/// count)`. Shared by the legacy gathered kernel and the sorted-column
-/// engine.
+/// count)`. Shared by the exact engine and the merged-stats selector of
+/// [`crate::histogram`].
 pub(crate) fn best_breiman_prefix(
     per_value: &[RegAgg],
     total: &RegAgg,

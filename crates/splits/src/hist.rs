@@ -15,10 +15,14 @@
 //!   recomputation over the same rows — e.g. the worker re-scoring the
 //!   attribute the master elected after top-k voting — reproduces the
 //!   nominated gain bit for bit.
-//! - Child statistics are accumulated in ascending row order via the same
-//!   shared core as the exact engine (`child_stats_routed_iter`), so leaves
-//!   grown under a histogram split carry bit-identical predictions to a
-//!   subtree trainer continuing from the same partition.
+//! - Child statistics are accumulated in ascending row order by the routine
+//!   the exact engine uses (`sorted::route_children`), so leaves grown under
+//!   a histogram split carry bit-identical predictions to a subtree trainer
+//!   continuing from the same partition.
+//! - The boundary scan itself (`best_bin_boundary`) is shared with the
+//!   mergeable PLANET histogram of [`crate::histogram`]: merged per-machine
+//!   statistics and this one-pass kernel choose the same bin
+//!   (`splits/tests/merge_equiv.rs`).
 //! - When the column has at most `bins` distinct present values, binning is
 //!   lossless ([`BinCuts::equi_depth`]) and the chosen boundary separates
 //!   exactly the rows the exact kernel separates: same gain (bitwise for
@@ -33,18 +37,53 @@
 
 use crate::condition::SplitTest;
 use crate::exact::ColumnSplit;
-use crate::impurity::{Impurity, LabelView, RegAgg};
+use crate::impurity::{Impurity, LabelAgg, LabelView, RegAgg};
 use crate::sorted::{
-    best_cat_split_classification_at, best_cat_split_regression_at, child_stats_at, with_cat_class,
+    best_cat_split_classification_at, best_cat_split_regression_at, route_children, with_cat_class,
     with_cat_reg, with_class_pair, NodeRows,
 };
 use ts_datatable::{AttrType, BinnedColumn, Column};
 
+/// Scan core 2 — one prefix scan over per-bin aggregates: folds `bins` into
+/// `total`, then sweeps the first `n_cuts` bin boundaries with a running
+/// `left` and returns the best `(gain, bin, n_left)`, earliest bin on ties.
+/// `left` and `total` arrive empty; `total` holds the present-row aggregate
+/// on return. Shared by the per-node engine kernel below and the mergeable
+/// [`crate::histogram::NumericHistogram`].
+pub(crate) fn best_bin_boundary<A: LabelAgg>(
+    bins: &[A],
+    n_cuts: usize,
+    left: &mut A,
+    total: &mut A,
+    imp: Impurity,
+) -> Option<(f64, usize, u64)> {
+    for b in bins {
+        total.merge(b);
+    }
+    if total.n() < 2 {
+        return None;
+    }
+    let total_w = total.weighted_impurity(imp);
+    let mut best: Option<(f64, usize, u64)> = None;
+    for (b, agg) in bins.iter().enumerate().take(n_cuts) {
+        left.merge(agg);
+        if left.n() == 0 || left.n() == total.n() {
+            continue;
+        }
+        let right = total.minus(left);
+        let gain = total_w - left.weighted_impurity(imp) - right.weighted_impurity(imp);
+        if gain > 0.0 && best.is_none_or(|(bg, ..)| gain > bg) {
+            best = Some((gain, b, left.n()));
+        }
+    }
+    best
+}
+
 /// Best bin-boundary split of a binned numeric column over a node's rows.
 ///
 /// One `O(|Ix|)` accumulation into pooled per-bin aggregates (missing rows
-/// land in the reserved trailing slot), then an `O(bins)` prefix scan over
-/// boundary candidates. Semantics mirror the mergeable
+/// land in the reserved trailing slot), then the shared `O(bins)` prefix
+/// scan over bin boundaries. Semantics mirror the mergeable
 /// [`crate::histogram::NumericHistogram::best_split`] baseline: threshold at
 /// the bin's upper cut, positive gain only, missing rows routed to the
 /// larger present side and included in the returned child stats.
@@ -54,108 +93,57 @@ pub fn best_hist_split_numeric_at(
     labels: LabelView<'_>,
     imp: Impurity,
 ) -> Option<ColumnSplit> {
-    let cuts = binned.cuts();
-    if cuts.cuts().is_empty() {
+    if binned.cuts().cuts().is_empty() {
         return None; // single overflow bin: no boundary to split at
     }
-    let n_slots = binned.n_bins() + 1; // + reserved missing slot
-    let missing_slot = binned.missing_bin();
+    let n_slots = binned.n_bins() as u32 + 1; // + reserved missing slot
     match labels {
-        LabelView::Class(ys, k) => with_cat_class(n_slots as u32, k, |slots, _spare| {
-            for r in node.iter() {
-                slots[binned.id(r as usize)].add(ys[r as usize]);
-            }
+        LabelView::Class(ys, k) => with_cat_class(n_slots, k, |slots, _spare| {
             with_class_pair(k, |left, total| {
-                for b in &slots[..missing_slot] {
-                    total.merge(b);
-                }
-                if total.total() < 2 {
-                    return None;
-                }
-                let total_w = total.weighted_impurity(imp);
-                let mut best: Option<(f64, usize)> = None;
-                let mut n_best_left = 0;
-                for (b, agg) in slots.iter().enumerate().take(cuts.cuts().len()) {
-                    left.merge(agg);
-                    if left.total() == 0 || left.total() == total.total() {
-                        continue;
-                    }
-                    let right = total.minus(left);
-                    let gain = total_w - left.weighted_impurity(imp) - right.weighted_impurity(imp);
-                    if gain > 0.0 && best.is_none_or(|(bg, _)| gain > bg) {
-                        best = Some((gain, b));
-                        n_best_left = left.total();
-                    }
-                }
-                let (gain, b) = best?;
-                let missing_left = n_best_left >= total.total() - n_best_left;
-                let (left, right) = child_stats_at(node, labels, missing_left, |i| {
-                    let s = binned.id(i);
-                    if s == missing_slot {
-                        None
-                    } else {
-                        Some(s <= b)
-                    }
-                });
-                Some(ColumnSplit {
-                    test: SplitTest::NumericLe(cuts.cuts()[b]),
-                    gain,
-                    missing_left,
-                    left,
-                    right,
-                })
+                hist_split_at(binned, node, ys, slots, left, total, imp)
             })
         }),
-        LabelView::Real(ys) => with_cat_reg(n_slots as u32, |slots, _spare| {
-            for r in node.iter() {
-                slots[binned.id(r as usize)].add(ys[r as usize]);
-            }
-            let mut total = RegAgg::default();
-            for b in &slots[..missing_slot] {
-                total.merge(b);
-            }
-            if total.n < 2 {
-                return None;
-            }
-            let total_w = total.weighted_impurity();
-            let mut left = RegAgg::default();
-            let mut best: Option<(f64, usize)> = None;
-            let mut n_best_left = 0;
-            for (b, agg) in slots.iter().enumerate().take(cuts.cuts().len()) {
-                left.merge(agg);
-                if left.n == 0 || left.n == total.n {
-                    continue;
-                }
-                let right = RegAgg {
-                    n: total.n - left.n,
-                    sum: total.sum - left.sum,
-                    sum_sq: total.sum_sq - left.sum_sq,
-                };
-                let gain = total_w - left.weighted_impurity() - right.weighted_impurity();
-                if gain > 0.0 && best.is_none_or(|(bg, _)| gain > bg) {
-                    best = Some((gain, b));
-                    n_best_left = left.n;
-                }
-            }
-            let (gain, b) = best?;
-            let missing_left = n_best_left >= total.n - n_best_left;
-            let (left, right) = child_stats_at(node, labels, missing_left, |i| {
-                let s = binned.id(i);
-                if s == missing_slot {
-                    None
-                } else {
-                    Some(s <= b)
-                }
-            });
-            Some(ColumnSplit {
-                test: SplitTest::NumericLe(cuts.cuts()[b]),
-                gain,
-                missing_left,
-                left,
-                right,
-            })
+        LabelView::Real(ys) => with_cat_reg(n_slots, |slots, _spare| {
+            let (mut left, mut total) = (RegAgg::default(), RegAgg::default());
+            hist_split_at(binned, node, ys, slots, &mut left, &mut total, imp)
         }),
     }
+}
+
+/// [`best_hist_split_numeric_at`] over one label type; `slots`, `left` and
+/// `total` arrive empty.
+fn hist_split_at<A: LabelAgg>(
+    binned: &BinnedColumn,
+    node: NodeRows<'_>,
+    ys: &[A::Label],
+    slots: &mut [A],
+    left: &mut A,
+    total: &mut A,
+    imp: Impurity,
+) -> Option<ColumnSplit> {
+    for r in node.iter() {
+        slots[binned.id(r as usize)].add(ys[r as usize]);
+    }
+    let cuts = binned.cuts().cuts();
+    let missing_slot = binned.missing_bin();
+    let (gain, b, n_left) =
+        best_bin_boundary(&slots[..missing_slot], cuts.len(), left, total, imp)?;
+    let missing_left = n_left >= total.n() - n_left;
+    let (left, right) = route_children(node, ys, total.empty_like(), missing_left, |i| {
+        let s = binned.id(i);
+        if s == missing_slot {
+            None
+        } else {
+            Some(s <= b)
+        }
+    });
+    Some(ColumnSplit {
+        test: SplitTest::NumericLe(cuts[b]),
+        gain,
+        missing_left,
+        left,
+        right,
+    })
 }
 
 /// A borrowed column ready for the histogram engine: numeric attributes go

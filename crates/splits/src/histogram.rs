@@ -9,15 +9,19 @@
 //! - [`NumericHistogram`]: per-bin label aggregates that machines build over
 //!   their row partitions and the master merges (this is exactly the object
 //!   whose transmission makes PLANET IO-bound), and
-//! - per-category statistics kernels for categorical attributes (MLlib
-//!   aggregates per-category stats and applies the same one-vs-rest /
-//!   Breiman selection the exact kernels use).
+//! - per-category statistics for categorical attributes (MLlib aggregates
+//!   per-category stats and applies one-vs-rest / Breiman selection).
+//!
+//! Nothing is scanned here: the merged statistics go through the engine's
+//! own cores — the bin prefix scan of [`crate::hist`] and the categorical
+//! selectors of [`crate::exact`] — so baseline and engine differ only in how
+//! the aggregates were built (`tests/merge_equiv.rs`).
 
 use crate::condition::SplitTest;
-use crate::exact::ColumnSplit;
-use crate::impurity::{ClassCounts, Impurity, NodeStats, RegAgg};
+use crate::exact::{best_breiman_prefix, best_one_vs_rest, ColumnSplit};
+use crate::hist::best_bin_boundary;
+use crate::impurity::{ClassCounts, Impurity, LabelAgg, RegAgg};
 use ts_datatable::MISSING_CAT;
-use tsjson::{Deserialize, Serialize};
 
 // `BinCuts` moved to `ts-datatable` when binning became a load-time column
 // index (`BinnedColumn`); re-exported here so kernel-side callers keep their
@@ -25,230 +29,135 @@ use tsjson::{Deserialize, Serialize};
 pub use ts_datatable::BinCuts;
 
 /// Per-bin label aggregates for one numeric attribute over one machine's
-/// share of a node's rows. Mergeable: the master folds every machine's
-/// histogram before selecting the best bucket boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum NumericHistogram {
-    /// Classification: per-bin class counts plus a missing-row aggregate.
-    Class {
-        /// One aggregate per bin.
-        bins: Vec<ClassCounts>,
-        /// Rows with a missing attribute value.
-        missing: ClassCounts,
-    },
-    /// Regression: per-bin `(n, sum, sum_sq)` plus a missing-row aggregate.
-    Reg {
-        /// One aggregate per bin.
-        bins: Vec<RegAgg>,
-        /// Rows with a missing attribute value.
-        missing: RegAgg,
-    },
+/// share of a node's rows, generic over the label aggregate (`ClassCounts`
+/// or `RegAgg`). Mergeable: the master folds every machine's histogram
+/// before selecting the best bucket boundary.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NumericHistogram<A> {
+    /// One aggregate per bin.
+    pub bins: Vec<A>,
+    /// Rows with a missing attribute value.
+    pub missing: A,
 }
 
-impl NumericHistogram {
-    /// Creates an empty classification histogram.
+/// The classification instantiation under the names the property suite
+/// (`tests/proptest_kernels.rs`) and the kernel bench call it by.
+impl NumericHistogram<ClassCounts> {
+    /// [`NumericHistogram::new`] over empty `n_classes`-class counts.
     pub fn new_class(n_bins: usize, n_classes: u32) -> Self {
-        NumericHistogram::Class {
-            bins: vec![ClassCounts::new(n_classes); n_bins],
-            missing: ClassCounts::new(n_classes),
-        }
+        Self::new(n_bins, ClassCounts::new(n_classes))
     }
 
-    /// Creates an empty regression histogram.
-    pub fn new_reg(n_bins: usize) -> Self {
-        NumericHistogram::Reg {
-            bins: vec![RegAgg::default(); n_bins],
-            missing: RegAgg::default(),
-        }
-    }
-
-    /// Adds one classification row.
+    /// [`NumericHistogram::add`].
     pub fn add_class(&mut self, cuts: &BinCuts, v: f64, y: u32) {
-        match self {
-            NumericHistogram::Class { bins, missing } => {
-                if v.is_nan() {
-                    missing.add(y);
-                } else {
-                    bins[cuts.bin_of(v)].add(y);
-                }
-            }
-            NumericHistogram::Reg { .. } => panic!("class row added to regression histogram"),
+        self.add(cuts, v, y);
+    }
+}
+
+impl<A: LabelAgg> NumericHistogram<A> {
+    /// Creates an empty histogram whose every slot is a copy of `empty`.
+    pub fn new(n_bins: usize, empty: A) -> Self {
+        NumericHistogram {
+            bins: vec![empty.clone(); n_bins],
+            missing: empty,
         }
     }
 
-    /// Adds one regression row.
-    pub fn add_reg(&mut self, cuts: &BinCuts, v: f64, y: f64) {
-        match self {
-            NumericHistogram::Reg { bins, missing } => {
-                if v.is_nan() {
-                    missing.add(y);
-                } else {
-                    bins[cuts.bin_of(v)].add(y);
-                }
-            }
-            NumericHistogram::Class { .. } => panic!("regression row added to class histogram"),
+    /// Adds one row.
+    pub fn add(&mut self, cuts: &BinCuts, v: f64, y: A::Label) {
+        if v.is_nan() {
+            self.missing.add(y);
+        } else {
+            self.bins[cuts.bin_of(v)].add(y);
         }
     }
 
     /// Merges another machine's histogram into this one.
-    pub fn merge(&mut self, other: &NumericHistogram) {
-        match (self, other) {
-            (
-                NumericHistogram::Class {
-                    bins: a,
-                    missing: ma,
-                },
-                NumericHistogram::Class {
-                    bins: b,
-                    missing: mb,
-                },
-            ) => {
-                assert_eq!(a.len(), b.len(), "bin count mismatch");
-                for (x, y) in a.iter_mut().zip(b) {
-                    x.merge(y);
-                }
-                ma.merge(mb);
-            }
-            (
-                NumericHistogram::Reg {
-                    bins: a,
-                    missing: ma,
-                },
-                NumericHistogram::Reg {
-                    bins: b,
-                    missing: mb,
-                },
-            ) => {
-                assert_eq!(a.len(), b.len(), "bin count mismatch");
-                for (x, y) in a.iter_mut().zip(b) {
-                    x.merge(y);
-                }
-                ma.merge(mb);
-            }
-            _ => panic!("cannot merge class and regression histograms"),
+    pub fn merge(&mut self, other: &Self) {
+        assert_eq!(self.bins.len(), other.bins.len(), "bin count mismatch");
+        for (x, y) in self.bins.iter_mut().zip(&other.bins) {
+            x.merge(y);
         }
+        self.missing.merge(&other.missing);
     }
 
     /// Approximate wire size in bytes (per-bin stats), what one machine sends
     /// to the master for one `(node, attribute)` pair.
     pub fn wire_bytes(&self) -> usize {
-        match self {
-            NumericHistogram::Class { bins, missing } => {
-                (bins.len() + 1) * missing.counts().len() * 8
-            }
-            NumericHistogram::Reg { bins, .. } => (bins.len() + 1) * 24,
-        }
+        (self.bins.len() + 1) * self.missing.wire_bytes()
     }
 
     /// Finds the best bucket-boundary split from the (merged) histogram —
-    /// PLANET considers exactly one candidate threshold per bucket.
+    /// PLANET considers exactly one candidate threshold per bucket. The same
+    /// prefix scan as the engine's per-node kernel
+    /// ([`crate::hist::best_hist_split_numeric_at`]).
     pub fn best_split(&self, cuts: &BinCuts, imp: Impurity) -> Option<ColumnSplit> {
-        if cuts.cuts().is_empty() {
+        let cuts = cuts.cuts();
+        if cuts.is_empty() {
             return None;
         }
-        match self {
-            NumericHistogram::Class { bins, missing } => {
-                let mut total = ClassCounts::new(missing.counts().len() as u32);
-                for b in bins {
-                    total.merge(b);
-                }
-                if total.total() < 2 {
-                    return None;
-                }
-                let total_w = total.weighted_impurity(imp);
-                let mut left = ClassCounts::new(missing.counts().len() as u32);
-                let mut best: Option<(f64, usize)> = None;
-                for (b, agg) in bins.iter().enumerate().take(cuts.cuts().len()) {
-                    left.merge(agg);
-                    if left.total() == 0 || left.total() == total.total() {
-                        continue;
-                    }
-                    let right = total.minus(&left);
-                    let gain = total_w - left.weighted_impurity(imp) - right.weighted_impurity(imp);
-                    if gain > 0.0 && best.is_none_or(|(bg, _)| gain > bg) {
-                        best = Some((gain, b));
-                    }
-                }
-                let (gain, b) = best?;
-                let mut l = ClassCounts::new(missing.counts().len() as u32);
-                for agg in &bins[..=b] {
-                    l.merge(agg);
-                }
-                let mut r = total.minus(&l);
-                let missing_left = l.total() >= r.total();
-                if missing.total() > 0 {
-                    if missing_left {
-                        l.merge(missing);
-                    } else {
-                        r.merge(missing);
-                    }
-                }
-                Some(ColumnSplit {
-                    test: SplitTest::NumericLe(cuts.cuts()[b]),
-                    gain,
-                    missing_left,
-                    left: NodeStats::Class(l),
-                    right: NodeStats::Class(r),
-                })
-            }
-            NumericHistogram::Reg { bins, missing } => {
-                let mut total = RegAgg::default();
-                for b in bins {
-                    total.merge(b);
-                }
-                if total.n < 2 {
-                    return None;
-                }
-                let total_w = total.weighted_impurity();
-                let mut left = RegAgg::default();
-                let mut best: Option<(f64, usize)> = None;
-                for (b, agg) in bins.iter().enumerate().take(cuts.cuts().len()) {
-                    left.merge(agg);
-                    if left.n == 0 || left.n == total.n {
-                        continue;
-                    }
-                    let right = RegAgg {
-                        n: total.n - left.n,
-                        sum: total.sum - left.sum,
-                        sum_sq: total.sum_sq - left.sum_sq,
-                    };
-                    let gain = total_w - left.weighted_impurity() - right.weighted_impurity();
-                    if gain > 0.0 && best.is_none_or(|(bg, _)| gain > bg) {
-                        best = Some((gain, b));
-                    }
-                }
-                let (gain, b) = best?;
-                let mut l = RegAgg::default();
-                for agg in &bins[..=b] {
-                    l.merge(agg);
-                }
-                let mut r = RegAgg {
-                    n: total.n - l.n,
-                    sum: total.sum - l.sum,
-                    sum_sq: total.sum_sq - l.sum_sq,
-                };
-                let missing_left = l.n >= r.n;
-                if missing.n > 0 {
-                    if missing_left {
-                        l.merge(missing);
-                    } else {
-                        r.merge(missing);
-                    }
-                }
-                Some(ColumnSplit {
-                    test: SplitTest::NumericLe(cuts.cuts()[b]),
-                    gain,
-                    missing_left,
-                    left: NodeStats::Reg(l),
-                    right: NodeStats::Reg(r),
-                })
-            }
-        }
+        let (mut left, mut total) = (self.missing.empty_like(), self.missing.empty_like());
+        let (gain, b, _) = best_bin_boundary(&self.bins, cuts.len(), &mut left, &mut total, imp)?;
+        // The scan's running `left` has moved past the winner: re-sum its prefix.
+        let mut left = self.missing.empty_like();
+        self.bins[..=b].iter().for_each(|agg| left.merge(agg));
+        let test = SplitTest::NumericLe(cuts[b]);
+        Some(split_from_stats(test, gain, left, &total, &self.missing))
     }
 }
 
-/// Best one-vs-rest categorical split from merged per-category class counts
-/// (what MLlib computes after aggregating category stats across machines).
+/// Assembles a split from merged statistics: `left` holds the present rows
+/// of the left child, the right child is the rest of `total`, and the
+/// `missing` rows join the larger present side.
+fn split_from_stats<A: LabelAgg>(
+    test: SplitTest,
+    gain: f64,
+    mut left: A,
+    total: &A,
+    missing: &A,
+) -> ColumnSplit {
+    let mut right = total.minus(&left);
+    let missing_left = left.n() >= right.n();
+    if missing.n() > 0 {
+        if missing_left {
+            left.merge(missing);
+        } else {
+            right.merge(missing);
+        }
+    }
+    ColumnSplit {
+        test,
+        gain,
+        missing_left,
+        left: left.into(),
+        right: right.into(),
+    }
+}
+
+/// Best categorical split from merged per-category statistics (what MLlib
+/// computes after aggregating category stats across machines): totals the
+/// present categories, lets `select` — one of the exact engine's selectors —
+/// pick `(gain, sorted left set)`, and routes `missing` to the larger side.
+fn best_cat_from_stats<A: LabelAgg>(
+    per_value: &[A],
+    missing: &A,
+    select: impl FnOnce(&[A], &A) -> Option<(f64, Vec<u32>)>,
+) -> Option<ColumnSplit> {
+    let mut total = missing.empty_like();
+    per_value.iter().for_each(|v| total.merge(v));
+    if total.n() < 2 {
+        return None;
+    }
+    let (gain, left_set) = select(per_value, &total)?;
+    let mut left = missing.empty_like();
+    left_set
+        .iter()
+        .for_each(|&c| left.merge(&per_value[c as usize]));
+    let test = SplitTest::CatIn(left_set);
+    Some(split_from_stats(test, gain, left, &total, missing))
+}
+
+/// Best one-vs-rest categorical split from merged per-category class counts.
 /// `per_value[c]` holds the class counts of category `c`; `missing` holds the
 /// rows with a missing value.
 pub fn best_cat_from_class_stats(
@@ -256,114 +165,32 @@ pub fn best_cat_from_class_stats(
     missing: &ClassCounts,
     imp: Impurity,
 ) -> Option<ColumnSplit> {
-    let n_classes = missing.counts().len() as u32;
-    let mut total = ClassCounts::new(n_classes);
-    for v in per_value {
-        total.merge(v);
-    }
-    if total.total() < 2 {
-        return None;
-    }
-    let total_w = total.weighted_impurity(imp);
-    let mut best: Option<(f64, u32)> = None;
-    for (code, counts) in per_value.iter().enumerate() {
-        if counts.total() == 0 || counts.total() == total.total() {
-            continue;
-        }
-        let rest = total.minus(counts);
-        let gain = total_w - counts.weighted_impurity(imp) - rest.weighted_impurity(imp);
-        if gain > 0.0
-            && best.is_none_or(|(bg, bc)| match gain.total_cmp(&bg) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Less => false,
-                std::cmp::Ordering::Equal => (code as u32) < bc,
-            })
-        {
-            best = Some((gain, code as u32));
-        }
-    }
-    let (gain, code) = best?;
-    let mut l = per_value[code as usize].clone();
-    let mut r = total.minus(&l);
-    let missing_left = l.total() >= r.total();
-    if missing.total() > 0 {
-        if missing_left {
-            l.merge(missing);
-        } else {
-            r.merge(missing);
-        }
-    }
-    Some(ColumnSplit {
-        test: SplitTest::CatIn(vec![code]),
-        gain,
-        missing_left,
-        left: NodeStats::Class(l),
-        right: NodeStats::Class(r),
+    best_cat_from_stats(per_value, missing, |pv, total| {
+        best_one_vs_rest(pv, total, imp).map(|(gain, code)| (gain, vec![code]))
     })
 }
 
 /// Best Breiman-prefix categorical split from merged per-category regression
 /// aggregates.
 pub fn best_cat_from_reg_stats(per_value: &[RegAgg], missing: &RegAgg) -> Option<ColumnSplit> {
-    let mut total = RegAgg::default();
-    for v in per_value {
-        total.merge(v);
-    }
-    if total.n < 2 {
-        return None;
-    }
-    let total_w = total.weighted_impurity();
-    let mut groups: Vec<(u32, RegAgg)> = per_value
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.n > 0)
-        .map(|(c, a)| (c as u32, *a))
-        .collect();
-    if groups.len() < 2 {
-        return None;
-    }
-    groups.sort_unstable_by(|a, b| a.1.mean().total_cmp(&b.1.mean()).then(a.0.cmp(&b.0)));
-    let mut left = RegAgg::default();
-    let mut best: Option<(f64, usize)> = None;
-    for (i, (_, agg)) in groups.iter().enumerate().take(groups.len() - 1) {
-        left.merge(agg);
-        let right = RegAgg {
-            n: total.n - left.n,
-            sum: total.sum - left.sum,
-            sum_sq: total.sum_sq - left.sum_sq,
-        };
-        let gain = total_w - left.weighted_impurity() - right.weighted_impurity();
-        if gain > 0.0 && best.is_none_or(|(bg, _)| gain > bg) {
-            best = Some((gain, i + 1));
-        }
-    }
-    let (gain, prefix) = best?;
-    let mut left_set: Vec<u32> = groups[..prefix].iter().map(|&(c, _)| c).collect();
-    left_set.sort_unstable();
-    let mut l = RegAgg::default();
-    for &(_, a) in &groups[..prefix] {
-        l.merge(&a);
-    }
-    let mut r = RegAgg {
-        n: total.n - l.n,
-        sum: total.sum - l.sum,
-        sum_sq: total.sum_sq - l.sum_sq,
-    };
-    let missing_left = l.n >= r.n;
-    if missing.n > 0 {
-        if missing_left {
-            l.merge(missing);
-        } else {
-            r.merge(missing);
-        }
-    }
-    Some(ColumnSplit {
-        test: SplitTest::CatIn(left_set),
-        gain,
-        missing_left,
-        left: NodeStats::Reg(l),
-        right: NodeStats::Reg(r),
+    best_cat_from_stats(per_value, missing, |pv, total| {
+        best_breiman_prefix(pv, total).map(|(gain, left_set, _)| (gain, left_set))
     })
+}
+
+/// Per-category aggregates (`per_value`, `missing`) of one machine's rows;
+/// every slot starts as a copy of `empty`.
+fn cat_stats<A: LabelAgg>(codes: &[u32], ys: &[A::Label], n_values: u32, empty: A) -> (Vec<A>, A) {
+    let mut per_value = vec![empty.clone(); n_values as usize];
+    let mut missing = empty;
+    for (&c, &y) in codes.iter().zip(ys) {
+        if c == MISSING_CAT {
+            missing.add(y);
+        } else {
+            per_value[c as usize].add(y);
+        }
+    }
+    (per_value, missing)
 }
 
 /// Builds per-category class counts for one machine's rows (to be merged at
@@ -374,30 +201,12 @@ pub fn cat_class_stats(
     n_values: u32,
     n_classes: u32,
 ) -> (Vec<ClassCounts>, ClassCounts) {
-    let mut per_value = vec![ClassCounts::new(n_classes); n_values as usize];
-    let mut missing = ClassCounts::new(n_classes);
-    for (&c, &y) in codes.iter().zip(ys) {
-        if c == MISSING_CAT {
-            missing.add(y);
-        } else {
-            per_value[c as usize].add(y);
-        }
-    }
-    (per_value, missing)
+    cat_stats(codes, ys, n_values, ClassCounts::new(n_classes))
 }
 
 /// Builds per-category regression aggregates for one machine's rows.
 pub fn cat_reg_stats(codes: &[u32], ys: &[f64], n_values: u32) -> (Vec<RegAgg>, RegAgg) {
-    let mut per_value = vec![RegAgg::default(); n_values as usize];
-    let mut missing = RegAgg::default();
-    for (&c, &y) in codes.iter().zip(ys) {
-        if c == MISSING_CAT {
-            missing.add(y);
-        } else {
-            per_value[c as usize].add(y);
-        }
-    }
-    (per_value, missing)
+    cat_stats(codes, ys, n_values, RegAgg::default())
 }
 
 #[cfg(test)]
@@ -471,9 +280,9 @@ mod tests {
         let values = [1.0, 2.0, 3.0, 4.0, f64::NAN];
         let ys = [0.0, 0.0, 10.0, 10.0, 5.0];
         let cuts = BinCuts::equi_depth(&values, 4);
-        let mut h = NumericHistogram::new_reg(cuts.n_bins());
+        let mut h = NumericHistogram::new(cuts.n_bins(), RegAgg::default());
         for (&v, &y) in values.iter().zip(&ys) {
-            h.add_reg(&cuts, v, y);
+            h.add(&cuts, v, y);
         }
         let s = h.best_split(&cuts, Impurity::Variance).unwrap();
         assert_eq!(s.n_left() + s.n_right(), 5, "missing row routed to a child");
@@ -515,12 +324,5 @@ mod tests {
                 _ => panic!("regression existence disagrees"),
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "class row added")]
-    fn histogram_kind_mismatch_panics() {
-        let cuts = BinCuts::from_cuts(vec![1.0]);
-        NumericHistogram::new_reg(2).add_class(&cuts, 0.5, 1);
     }
 }

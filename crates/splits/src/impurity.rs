@@ -53,6 +53,106 @@ impl<'a> LabelView<'a> {
     }
 }
 
+/// An incremental label aggregate over a row set — the one parameter the
+/// scan cores of this crate are generic over ([`ClassCounts`] for
+/// classification, [`RegAgg`] for regression). Every kernel is written once
+/// against this trait and monomorphised per label type.
+pub trait LabelAgg: Clone + Into<NodeStats> {
+    /// One row's label.
+    type Label: Copy;
+
+    /// Adds one label.
+    fn add(&mut self, y: Self::Label);
+    /// Removes one label previously added.
+    fn remove(&mut self, y: Self::Label);
+    /// Merges another aggregate into this one.
+    fn merge(&mut self, other: &Self);
+    /// Returns `self - other` for an `other` contained in `self`.
+    fn minus(&self, other: &Self) -> Self;
+    /// An empty aggregate of the same shape (class count).
+    fn empty_like(&self) -> Self;
+    /// Rows aggregated.
+    fn n(&self) -> u64;
+    /// `impurity * n` under `kind` (regression ignores `kind`: always variance).
+    fn weighted_impurity(&self, kind: Impurity) -> f64;
+    /// Bytes this aggregate occupies in a modeled histogram transfer.
+    fn wire_bytes(&self) -> usize;
+}
+
+impl LabelAgg for ClassCounts {
+    type Label = u32;
+
+    fn add(&mut self, y: u32) {
+        ClassCounts::add(self, y);
+    }
+    fn remove(&mut self, y: u32) {
+        ClassCounts::remove(self, y);
+    }
+    fn merge(&mut self, other: &Self) {
+        ClassCounts::merge(self, other);
+    }
+    fn minus(&self, other: &Self) -> Self {
+        ClassCounts::minus(self, other)
+    }
+    fn empty_like(&self) -> Self {
+        ClassCounts::new(self.counts.len() as u32)
+    }
+    fn n(&self) -> u64 {
+        self.total
+    }
+    fn weighted_impurity(&self, kind: Impurity) -> f64 {
+        ClassCounts::weighted_impurity(self, kind)
+    }
+    fn wire_bytes(&self) -> usize {
+        self.counts.len() * 8
+    }
+}
+
+impl LabelAgg for RegAgg {
+    type Label = f64;
+
+    fn add(&mut self, y: f64) {
+        RegAgg::add(self, y);
+    }
+    fn remove(&mut self, y: f64) {
+        RegAgg::remove(self, y);
+    }
+    fn merge(&mut self, other: &Self) {
+        RegAgg::merge(self, other);
+    }
+    fn minus(&self, other: &Self) -> Self {
+        RegAgg {
+            n: self.n - other.n,
+            sum: self.sum - other.sum,
+            sum_sq: self.sum_sq - other.sum_sq,
+        }
+    }
+    fn empty_like(&self) -> Self {
+        RegAgg::default()
+    }
+    fn n(&self) -> u64 {
+        self.n
+    }
+    fn weighted_impurity(&self, _kind: Impurity) -> f64 {
+        RegAgg::weighted_impurity(self)
+    }
+    fn wire_bytes(&self) -> usize {
+        24
+    }
+}
+
+impl From<ClassCounts> for NodeStats {
+    fn from(c: ClassCounts) -> Self {
+        NodeStats::Class(c)
+    }
+}
+
+impl From<RegAgg> for NodeStats {
+    fn from(a: RegAgg) -> Self {
+        NodeStats::Reg(a)
+    }
+}
+
 /// Incremental class-count aggregate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClassCounts {

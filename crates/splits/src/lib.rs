@@ -3,29 +3,45 @@
 //! This crate implements Appendix B of the paper — the per-column algorithms
 //! that find the best split-condition of a single attribute over the rows
 //! `Dx` of a tree node — plus the approximate machinery used by the
-//! baselines:
+//! baselines.
 //!
-//! - [`impurity`]: Gini index, entropy and variance, with incremental
-//!   (add/remove one label) aggregates so a sorted scan finds the best
-//!   numeric threshold in one pass with `O(1)` incremental cost.
-//! - [`exact`]: exact best splits — *Case 1* (ordinal `Ai <= v` via sorted
-//!   scan), *Case 2* (categorical regression via Breiman's
-//!   sort-groups-by-mean), *Case 3* (categorical classification via
-//!   one-vs-rest singleton subsets `|Sl| = 1`).
+//! # Three scan cores, one label parameter
+//!
+//! Every kernel is written once against [`impurity::LabelAgg`] — the
+//! incremental label aggregate implemented by `ClassCounts` (Gini, entropy)
+//! and `RegAgg` (variance) — and monomorphised per label type. Each split
+//! family has exactly one scan:
+//!
+//! | core | what it scans | instantiated by |
+//! |---|---|---|
+//! | 1. boundary scan (`exact::scan_presorted`) | presorted `(value, row)` pairs, `O(1)` incremental impurity per boundary (*Case 1*) | [`sorted::best_numeric_split_at`] on both its presorted-filter and gather-sort arms (engine column-tasks, subtree trainer, Yggdrasil) and, through the gather-sort arm, [`exact::best_numeric_split`] |
+//! | 2. bin prefix scan (`hist::best_bin_boundary`) | per-bin aggregates, one candidate per bin edge | [`hist::best_hist_split_numeric_at`] (the `--splitter hist` engine) and [`histogram::NumericHistogram::best_split`] (PLANET) |
+//! | 3. per-category accumulation (`sorted::accumulate_categories`) | a node's rows into per-category aggregates, feeding the selectors `exact::best_one_vs_rest` (*Case 3*) and `exact::best_breiman_prefix` (*Case 2*) | [`sorted::best_cat_split_classification_at`] / [`sorted::best_cat_split_regression_at`] and their `NodeRows::All` wrappers in [`exact`]; the selectors alone also serve [`histogram::best_cat_from_class_stats`] / [`histogram::best_cat_from_reg_stats`] |
+//!
+//! Child statistics come from one routine too (`sorted::child_stats_at`),
+//! always accumulated in ascending row order.
+//!
+//! # Modules
+//!
+//! - [`impurity`]: the impurity functions, `LabelAgg` and its two
+//!   aggregates, `NodeStats`.
+//! - [`sorted`]: the sorted-column split engine — `NodeRows`, `RowBitmap`,
+//!   the thread-local scratch arena and the `_at` kernels every trainer
+//!   calls (docs/PERF.md).
+//! - [`exact`]: `ColumnSplit`, core 1 and the categorical selectors, plus
+//!   the *gathered* kernels. Those take a column already gathered over the
+//!   node's rows and are thin `NodeRows::All` calls into [`sorted`]; they
+//!   stay public because the oracle suites and `micro_splits` use them as
+//!   the reference the engine is compared against.
+//! - [`hist`]: core 2 and the distributed histogram split engine over
+//!   load-time `BinnedColumn` indices (docs/HISTOGRAM.md).
+//! - [`histogram`]: the mergeable PLANET/MLlib statistics (`maxBins`).
 //! - [`condition`]: the split-condition type shared by every trainer, and
 //!   row partitioning (how a delegate worker splits `Ix` into `Ixl`/`Ixr`).
-//! - [`histogram`]: equi-depth binning and mergeable histograms — the
-//!   PLANET/MLlib approximation (`maxBins`).
-//! - [`hist`]: the distributed histogram split engine — allocation-free
-//!   per-node per-bin kernels over load-time `BinnedColumn` indices, used
-//!   by the engine's `--splitter hist` mode (docs/HISTOGRAM.md).
 //! - [`sketch`]: a mergeable weighted quantile sketch — the XGBoost
 //!   approximation.
 //! - [`random`]: the completely-random splits used by extra-trees
 //!   (Appendix F).
-//! - [`sorted`]: the sorted-column split engine — presorted per-column
-//!   indices, row bitmaps and a thread-local scratch arena that turn the
-//!   exact numeric kernel into an allocation-free linear scan (docs/PERF.md).
 //!
 //! All kernels are deterministic, with explicit total-order tie-breaking, so
 //! the distributed engine and the single-threaded trainer produce *identical*

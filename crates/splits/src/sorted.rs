@@ -11,20 +11,21 @@
 //!
 //! # Determinism contract
 //!
-//! Both paths feed the *same* shared scan cores in [`crate::exact`]
-//! (`scan_presorted`, `best_one_vs_rest`, `best_breiman_prefix`,
-//! `child_stats_routed_iter`) and therefore pick byte-identical splits:
+//! Both numeric arms — the presorted filter and the gather-sort fallback —
+//! feed the one boundary scan (`crate::exact::scan_presorted`), and every
+//! kernel here builds child statistics with the one `child_stats_at`, so
+//! they pick byte-identical splits:
 //!
 //! - Node row sets are always **ascending** (they start as `0..n` and every
 //!   partition preserves input order), so the map from gathered position to
 //!   row id is order-preserving. Filtering the presorted `(value, row)`
 //!   order by node membership yields a sequence order-isomorphic to the
-//!   legacy gather-then-sort sequence — identical values, identical label
+//!   gather-then-sort sequence — identical values, identical label
 //!   sequence, hence bit-identical incremental gains.
 //! - Child statistics are accumulated over the node's rows in ascending
-//!   order on both paths, so floating-point sums agree to the last ULP.
+//!   order on both arms, so floating-point sums agree to the last ULP.
 //!
-//! Because the two paths are byte-identical, the per-node [`NumericPath`]
+//! Because the two arms are byte-identical, the per-node [`NumericPath`]
 //! heuristic (scan the full presorted order vs. gather+sort the subset when
 //! the node is small) affects performance only, never the model.
 //!
@@ -35,10 +36,8 @@
 //! into the obs metrics registry as `split_kernel_*` / `split_pool_*`.
 
 use crate::condition::SplitTest;
-use crate::exact::{
-    best_breiman_prefix, best_one_vs_rest, child_stats_routed_iter, scan_presorted, ColumnSplit,
-};
-use crate::impurity::{ClassCounts, Impurity, LabelView, NodeStats, RegAgg};
+use crate::exact::{best_breiman_prefix, best_one_vs_rest, scan_presorted, ColumnSplit};
+use crate::impurity::{ClassCounts, Impurity, LabelAgg, LabelView, NodeStats, RegAgg};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use ts_datatable::{AttrType, Column, SortedColumn, ValuesBuf, MISSING_CAT};
@@ -380,8 +379,8 @@ fn sorted_scan_pays(n_node: usize, n_present_total: usize) -> bool {
 }
 
 /// Exact best `Ai <= v` split of a full numeric column over a node's rows,
-/// using the presorted index — the sorted-engine counterpart of
-/// [`crate::exact::best_numeric_split`] (which takes gathered values).
+/// using the presorted index ([`crate::exact::best_numeric_split`] is its
+/// gather-sort arm over gathered values).
 ///
 /// `values` and `labels` span the full column store; `index` is the
 /// column's [`SortedColumn`]; `mask` must contain exactly the node's rows
@@ -419,65 +418,105 @@ pub fn best_numeric_split_at_path(
             mask.is_some() && sorted_scan_pays(rows.len(), order.len())
         }
     };
-    if use_sorted {
-        NUMERIC_SORTED_SCANS.fetch_add(1, Relaxed);
-        // The index caches the presorted *values* next to the row order, so
-        // both arms below stream two parallel arrays sequentially — no
-        // random access into the full column on the hot path.
-        let svals = index.numeric_values();
-        with_present(node.len(), |present| {
-            match node {
-                NodeRows::All(n) => {
-                    debug_assert_eq!(n, values.len(), "All(n) must span the whole column");
-                    present.extend(svals.iter().copied().zip(order.iter().copied()));
-                }
-                NodeRows::Subset(_) => {
-                    let mask = mask.expect("sorted scan over a row subset requires the node mask");
-                    for (&v, &r) in svals.iter().zip(order) {
-                        if mask.contains(r) {
-                            present.push((v, r));
-                        }
+    if !use_sorted {
+        NUMERIC_GATHER_SCANS.fetch_add(1, Relaxed);
+        return gather_sort_split(values, node, labels, imp);
+    }
+    NUMERIC_SORTED_SCANS.fetch_add(1, Relaxed);
+    // The index caches the presorted *values* next to the row order, so
+    // both arms below stream two parallel arrays sequentially — no
+    // random access into the full column on the hot path.
+    let svals = index.numeric_values();
+    with_present(node.len(), |present| {
+        match node {
+            NodeRows::All(n) => {
+                debug_assert_eq!(n, values.len(), "All(n) must span the whole column");
+                present.extend(svals.iter().copied().zip(order.iter().copied()));
+            }
+            NodeRows::Subset(_) => {
+                let mask = mask.expect("sorted scan over a row subset requires the node mask");
+                for (&v, &r) in svals.iter().zip(order) {
+                    if mask.contains(r) {
+                        present.push((v, r));
                     }
                 }
             }
-            let best = scan_presorted(present, labels, imp);
-            finish_numeric_at(best, present.len(), values, node, labels)
-        })
-    } else {
-        NUMERIC_GATHER_SCANS.fetch_add(1, Relaxed);
-        with_present(node.len(), |present| {
-            for r in node.iter() {
-                let v = values[r as usize];
-                if !v.is_nan() {
-                    present.push((v, r));
-                }
-            }
-            present.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let best = scan_presorted(present, labels, imp);
-            finish_numeric_at(best, present.len(), values, node, labels)
-        })
-    }
+        }
+        let best = scan_presorted(present, labels, imp);
+        finish_numeric_at(best, present.len(), values, node, labels)
+    })
 }
 
-/// Child stats over a node's rows: same accumulation order as
-/// `child_stats_routed_iter` over `node.iter()`, but dispatched per node
-/// shape so the whole-column case runs on a plain range instead of a
-/// chained iterator (measurably cheaper on 100k-row columns).
+/// The gather+sort arm: collects the node's present `(value, row)` pairs
+/// into the pooled buffer, sorts them and runs the shared boundary scan.
+/// With `NodeRows::All` this is the whole of the public gathered kernel
+/// [`crate::exact::best_numeric_split`].
+pub(crate) fn gather_sort_split(
+    values: &[f64],
+    node: NodeRows<'_>,
+    labels: LabelView<'_>,
+    imp: Impurity,
+) -> Option<ColumnSplit> {
+    with_present(node.len(), |present| {
+        for r in node.iter() {
+            let v = values[r as usize];
+            if !v.is_nan() {
+                present.push((v, r));
+            }
+        }
+        present.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let best = scan_presorted(present, labels, imp);
+        finish_numeric_at(best, present.len(), values, node, labels)
+    })
+}
+
+/// Builds both children's label statistics in a single pass over the
+/// node's rows **in ascending row order**, routing each row with `route`
+/// (`None` = missing, goes to the `missing_left` side).
+///
+/// Row-order accumulation matters: the subtree trainer computes a child
+/// node's statistics by scanning the child's rows in order, and the engine
+/// must produce bit-identical predictions for children that become leaves.
+/// Summing in any other order (e.g. the sorted scan order) differs in the
+/// last ULP for floating-point targets.
 pub(crate) fn child_stats_at(
     node: NodeRows<'_>,
     labels: LabelView<'_>,
     missing_left: bool,
     route: impl Fn(usize) -> Option<bool>,
 ) -> (NodeStats, NodeStats) {
-    match node {
-        NodeRows::All(n) => child_stats_routed_iter(0..n, labels, missing_left, route),
-        NodeRows::Subset(rows) => child_stats_routed_iter(
-            rows.iter().map(|&r| r as usize),
-            labels,
-            missing_left,
-            route,
-        ),
+    match labels {
+        LabelView::Class(ys, k) => {
+            route_children(node, ys, ClassCounts::new(k), missing_left, route)
+        }
+        LabelView::Real(ys) => route_children(node, ys, RegAgg::default(), missing_left, route),
     }
+}
+
+/// [`child_stats_at`] over one label type. Dispatched per node shape so the
+/// whole-column case runs on a plain range instead of a chained iterator
+/// (measurably cheaper on 100k-row columns).
+pub(crate) fn route_children<A: LabelAgg>(
+    node: NodeRows<'_>,
+    ys: &[A::Label],
+    empty: A,
+    missing_left: bool,
+    route: impl Fn(usize) -> Option<bool>,
+) -> (NodeStats, NodeStats) {
+    // Indexed by `goes_left`, not branched on it: the routing outcome of a
+    // balanced split is a coin flip, and a mispredicted branch per row costs
+    // more than the add it guards.
+    let mut children = [empty.clone(), empty]; // [right, left]
+    let mut put = |i: usize| {
+        let goes_left = route(i).unwrap_or(missing_left);
+        children[usize::from(goes_left)].add(ys[i]);
+    };
+    match node {
+        NodeRows::All(n) => (0..n).for_each(&mut put),
+        NodeRows::Subset(rows) => rows.iter().for_each(|&r| put(r as usize)),
+    }
+    let [right, left] = children;
+    (left.into(), right.into())
 }
 
 fn finish_numeric_at(
@@ -512,10 +551,70 @@ fn finish_numeric_at(
 // Categorical kernels
 // ---------------------------------------------------------------------------
 
-/// Exact one-vs-rest categorical split of a full column over a node's rows —
-/// the sorted-engine counterpart of
-/// [`crate::exact::best_cat_split_classification`]. Aggregates come from the
-/// scratch arena instead of fresh allocations.
+/// Scan core 3 — accumulates a node's present rows into per-category
+/// aggregates (`per_value[code]`) plus their `total`, in ascending row
+/// order. Returns whether at least two present rows were seen (fewer cannot
+/// be split).
+fn accumulate_categories<A: LabelAgg>(
+    codes: &[u32],
+    node: NodeRows<'_>,
+    ys: &[A::Label],
+    per_value: &mut [A],
+    total: &mut A,
+) -> bool {
+    assert_eq!(codes.len(), ys.len(), "codes/labels length mismatch");
+    debug_assert_ascending(&node);
+    let mut put = |c: u32, y: A::Label| {
+        if c != MISSING_CAT {
+            per_value[c as usize].add(y);
+            total.add(y);
+        }
+    };
+    match node {
+        // Whole column: zip the parallel slices directly — the generic row
+        // iterator costs a bounds check and a chain dispatch per row.
+        NodeRows::All(n) => {
+            debug_assert_eq!(n, codes.len(), "All(n) must span the whole column");
+            codes.iter().zip(ys).for_each(|(&c, &y)| put(c, y));
+        }
+        NodeRows::Subset(rows) => rows
+            .iter()
+            .for_each(|&r| put(codes[r as usize], ys[r as usize])),
+    }
+    total.n() >= 2
+}
+
+/// Routes the node's rows by membership in `left_set` as decided by
+/// `in_left(left_set, code)` (missing codes go to the `missing_left` side)
+/// and assembles the categorical split.
+fn finish_cat_at(
+    codes: &[u32],
+    node: NodeRows<'_>,
+    labels: LabelView<'_>,
+    gain: f64,
+    left_set: Vec<u32>,
+    missing_left: bool,
+    in_left: impl Fn(&[u32], u32) -> bool,
+) -> ColumnSplit {
+    let (left, right) = child_stats_at(node, labels, missing_left, |i| {
+        if codes[i] == MISSING_CAT {
+            None
+        } else {
+            Some(in_left(&left_set, codes[i]))
+        }
+    });
+    ColumnSplit {
+        test: SplitTest::CatIn(left_set),
+        gain,
+        missing_left,
+        left,
+        right,
+    }
+}
+
+/// Exact one-vs-rest categorical split (Appendix B, Case 3) of a full column
+/// over a node's rows. Aggregates come from the scratch arena instead of
+/// fresh allocations.
 pub fn best_cat_split_classification_at(
     codes: &[u32],
     n_values: u32,
@@ -524,112 +623,52 @@ pub fn best_cat_split_classification_at(
     n_classes: u32,
     imp: Impurity,
 ) -> Option<ColumnSplit> {
-    assert_eq!(codes.len(), ys.len(), "codes/labels length mismatch");
-    debug_assert_ascending(&node);
     with_cat_class(n_values, n_classes, |per_value, total| {
-        match node {
-            // Whole column: zip the parallel slices directly — the generic
-            // row iterator costs a bounds check and a chain dispatch per row.
-            NodeRows::All(n) => {
-                debug_assert_eq!(n, codes.len(), "All(n) must span the whole column");
-                for (&c, &y) in codes.iter().zip(ys) {
-                    if c != MISSING_CAT {
-                        per_value[c as usize].add(y);
-                        total.add(y);
-                    }
-                }
-            }
-            NodeRows::Subset(rows) => {
-                for &r in rows {
-                    let c = codes[r as usize];
-                    if c != MISSING_CAT {
-                        per_value[c as usize].add(ys[r as usize]);
-                        total.add(ys[r as usize]);
-                    }
-                }
-            }
-        }
-        if total.total() < 2 {
+        if !accumulate_categories(codes, node, ys, per_value, total) {
             return None;
         }
         let (gain, code) = best_one_vs_rest(per_value, total, imp)?;
-
         let labels = LabelView::Class(ys, n_classes);
-        let n_left_present = per_value[code as usize].total();
-        let missing_left = n_left_present >= total.total() - n_left_present;
-        let (left, right) = child_stats_at(node, labels, missing_left, |i| {
-            if codes[i] == MISSING_CAT {
-                None
-            } else {
-                Some(codes[i] == code)
-            }
-        });
-        Some(ColumnSplit {
-            test: SplitTest::CatIn(vec![code]),
+        let n_left = per_value[code as usize].total();
+        let missing_left = n_left >= total.total() - n_left;
+        let in_left = |_: &[u32], c| c == code;
+        Some(finish_cat_at(
+            codes,
+            node,
+            labels,
             gain,
+            vec![code],
             missing_left,
-            left,
-            right,
-        })
+            in_left,
+        ))
     })
 }
 
-/// Exact Breiman categorical regression split of a full column over a
-/// node's rows — the sorted-engine counterpart of
-/// [`crate::exact::best_cat_split_regression`].
+/// Exact Breiman categorical regression split (Appendix B, Case 2) of a full
+/// column over a node's rows.
 pub fn best_cat_split_regression_at(
     codes: &[u32],
     n_values: u32,
     node: NodeRows<'_>,
     ys: &[f64],
 ) -> Option<ColumnSplit> {
-    assert_eq!(codes.len(), ys.len(), "codes/labels length mismatch");
-    debug_assert_ascending(&node);
     with_cat_reg(n_values, |per_value, total| {
-        match node {
-            // Whole column: zip the parallel slices directly (see the
-            // classification kernel above).
-            NodeRows::All(n) => {
-                debug_assert_eq!(n, codes.len(), "All(n) must span the whole column");
-                for (&c, &y) in codes.iter().zip(ys) {
-                    if c != MISSING_CAT {
-                        per_value[c as usize].add(y);
-                        total.add(y);
-                    }
-                }
-            }
-            NodeRows::Subset(rows) => {
-                for &r in rows {
-                    let c = codes[r as usize];
-                    if c != MISSING_CAT {
-                        per_value[c as usize].add(ys[r as usize]);
-                        total.add(ys[r as usize]);
-                    }
-                }
-            }
-        }
-        if total.n < 2 {
+        if !accumulate_categories(codes, node, ys, per_value, total) {
             return None;
         }
-        let (gain, left_set, n_left_present) = best_breiman_prefix(per_value, total)?;
-
+        let (gain, left_set, n_left) = best_breiman_prefix(per_value, total)?;
         let labels = LabelView::Real(ys);
-        let in_left = |c: u32| left_set.binary_search(&c).is_ok();
-        let missing_left = n_left_present >= total.n - n_left_present;
-        let (left, right) = child_stats_at(node, labels, missing_left, |i| {
-            if codes[i] == MISSING_CAT {
-                None
-            } else {
-                Some(in_left(codes[i]))
-            }
-        });
-        Some(ColumnSplit {
-            test: SplitTest::CatIn(left_set),
+        let missing_left = n_left >= total.n - n_left;
+        let in_left = |set: &[u32], c| set.binary_search(&c).is_ok();
+        Some(finish_cat_at(
+            codes,
+            node,
+            labels,
             gain,
+            left_set,
             missing_left,
-            left,
-            right,
-        })
+            in_left,
+        ))
     })
 }
 
@@ -642,11 +681,7 @@ pub fn distinct_categories_at(codes: &[u32], node: NodeRows<'_>, n_values: u32) 
         for r in node.iter() {
             let c = codes[r as usize];
             if c != MISSING_CAT {
-                let ci = c as usize;
-                if ci >= seen.len() {
-                    seen.resize(ci + 1, false);
-                }
-                seen[ci] = true;
+                seen[c as usize] = true;
             }
         }
         seen.iter()
