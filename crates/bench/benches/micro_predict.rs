@@ -11,6 +11,13 @@
 //! and the worst case are recorded alongside; the deep single tree is
 //! the adversarial case (longest serial chains, no fill amortisation
 //! across trees) and runs well below the ensemble cases.
+//!
+//! The `forest40/*` rows are the engine's *service line*: the cost of one
+//! scoring call as a function of its batch, on a 40-tree forest —
+//! `forest40/batch{1,32,1024}` are measured calls, `forest40/overhead_us`
+//! and `forest40/per_row_ns` the least-squares line through the calls of
+//! 1, 2, 4 … 1024 rows. The front tier's `ServiceModel` assumes such a
+//! line (docs/SERVING.md, "The cost of a call").
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -42,6 +49,16 @@ fn time_us(mut f: impl FnMut()) -> f64 {
         best = best.min(t0.elapsed().as_secs_f64() * 1e6 / iters as f64);
     }
     best
+}
+
+/// Intercept and slope of the least-squares line through `(xs, ys)`.
+fn least_squares(xs: &[f64], ys: &[f64]) -> (f64, f64) {
+    let n = xs.len() as f64;
+    let (mx, my) = (xs.iter().sum::<f64>() / n, ys.iter().sum::<f64>() / n);
+    let sxx: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
+    let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| (x - mx) * (y - my)).sum();
+    let slope = sxy / sxx;
+    (my - slope * mx, slope)
 }
 
 fn report(name: &str, per_iter_us: f64) {
@@ -261,6 +278,66 @@ fn main() {
             c1_us,
             cm_us,
         ));
+    }
+
+    // The service line: one call's cost against its batch size, for the
+    // forest the request tier would put behind a `ServiceModel`.
+    {
+        let t = class_table(rows, 4);
+        let n_trees = 40;
+        let trees: Vec<DecisionTreeModel> = (0..n_trees)
+            .map(|i| {
+                train_tree(
+                    &t,
+                    &(0..t.n_attrs()).collect::<Vec<_>>(),
+                    &TrainParams {
+                        dmax: 8,
+                        ..TrainParams::for_task(t.schema().task)
+                    },
+                    i as u64,
+                )
+            })
+            .collect();
+        let compiled = CompiledModel::from_forest(&ForestModel::new(trees, t.schema().task))
+            .with_options(one_t);
+        let (mut batch_rows, mut call_us) = (Vec::new(), Vec::new());
+        for batch in (0..=10).map(|p| 1usize << p) {
+            let sub = t.select_rows(&(0..batch as u32).collect::<Vec<_>>());
+            let us = time_us(|| {
+                black_box(compiled.predict_labels(black_box(&sub)));
+            });
+            if matches!(batch, 1 | 32 | 1024) {
+                report(&format!("forest{n_trees}/batch{batch}"), us);
+                out.push(
+                    &format!("forest{n_trees}/batch{batch}"),
+                    us * 1e-6,
+                    batch,
+                    n_trees,
+                    None,
+                );
+            }
+            batch_rows.push(batch as f64);
+            call_us.push(us);
+        }
+        let (overhead_us, per_row_us) = least_squares(&batch_rows, &call_us);
+        println!(
+            "forest{n_trees} service line: {overhead_us:.2} us per call + {:.0} ns per row",
+            per_row_us * 1e3
+        );
+        out.push(
+            &format!("forest{n_trees}/overhead_us"),
+            0.0,
+            0,
+            n_trees,
+            Some(overhead_us),
+        );
+        out.push(
+            &format!("forest{n_trees}/per_row_ns"),
+            0.0,
+            0,
+            n_trees,
+            Some(per_row_us * 1e3),
+        );
     }
 
     // Headline: the three archetypes served back-to-back. The aggregate

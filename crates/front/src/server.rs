@@ -450,13 +450,21 @@ impl FrontServer {
             table: Arc::clone(&self.table),
             stats: Arc::clone(&self.stats),
             recorder: self.recorder.clone(),
-            swaps,
+            swaps: swaps.into(),
             queue: VecDeque::new(),
             in_flight: VecDeque::new(),
+            rows: Vec::new(),
+            spare_members: Vec::new(),
             busy_until: 0,
             target: self.cfg.max_batch,
             batch_seq: 0,
-            report: FrontReport::default(),
+            // Every arrival ends as at most one response: reserving them
+            // once spares the log its doubling copies and the moment both
+            // copies are live.
+            report: FrontReport {
+                responses: Vec::with_capacity(arrivals.len()),
+                ..FrontReport::default()
+            },
         };
 
         let mut i = 0usize;
@@ -502,9 +510,15 @@ struct RunState {
     table: Arc<DataTable>,
     stats: Arc<FrontStats>,
     recorder: Option<Arc<Recorder>>,
-    swaps: Vec<SwapEntry>,
+    /// Scheduled swaps not yet applied, earliest first.
+    swaps: VecDeque<SwapEntry>,
     queue: VecDeque<Pending>,
     in_flight: VecDeque<Flight>,
+    /// Scratch for the row ids of the batch being cut, reused across cuts.
+    rows: Vec<u32>,
+    /// Emptied [`Flight::members`] buffers of completed batches, handed to
+    /// the next cuts so a steady stream allocates none.
+    spare_members: Vec<Vec<(u64, u64)>>,
     busy_until: u64,
     target: usize,
     batch_seq: u32,
@@ -596,8 +610,8 @@ impl RunState {
     fn cut(&mut self, now: u64, trigger: Trigger) {
         // Apply every swap scheduled at or before this boundary — the only
         // place the active model can change, hence per-batch atomicity.
-        while self.swaps.first().is_some_and(|s| s.at_ns <= now) {
-            let entry = self.swaps.remove(0);
+        while self.swaps.front().is_some_and(|s| s.at_ns <= now) {
+            let entry = self.swaps.pop_front().expect("front was just seen");
             let epoch = self.registry.publish((entry.supply)());
             self.stats.swaps.inc();
             self.report.swaps.push(SwapRecord { at_ns: now, epoch });
@@ -605,13 +619,13 @@ impl RunState {
 
         let k = self.queue.len().min(self.target);
         debug_assert!(k > 0, "cut on an empty queue");
-        let members: Vec<Pending> = self.queue.drain(..k).collect();
-        let rows: Vec<u32> = members.iter().map(|p| p.row).collect();
+        self.rows.clear();
+        self.rows.extend(self.queue.iter().take(k).map(|p| p.row));
 
         // One atomic registry read per batch; `model` is held for the
         // whole score, so a concurrent publish cannot tear it.
         let (epoch, model) = self.registry.active();
-        let sub = self.table.select_rows(&rows);
+        let sub = self.table.select_rows(&self.rows);
         let scores: Vec<Score> = match self.table.schema().task {
             Task::Classification { .. } => model
                 .predict_labels(&sub)
@@ -645,14 +659,13 @@ impl RunState {
             }
         }
 
-        let mut flight = Flight {
-            done_ns: done,
-            members: Vec::with_capacity(k),
-        };
-        for (p, score) in members.iter().zip(scores) {
+        let mut members = self.spare_members.pop().unwrap_or_default();
+        debug_assert_eq!(scores.len(), k);
+        for score in scores {
+            let p = self.queue.pop_front().expect("k <= queue length");
             let span = p.id + 1;
             self.record(Event::SpanActive { span, node: 0 });
-            flight.members.push((span, p.admit_ns));
+            members.push((span, p.admit_ns));
             self.report.responses.push(Response {
                 id: p.id,
                 conn: p.conn,
@@ -666,18 +679,22 @@ impl RunState {
                 score,
             });
         }
-        self.in_flight.push_back(flight);
+        self.in_flight.push_back(Flight {
+            done_ns: done,
+            members,
+        });
     }
 
     fn on_completion(&mut self, now: u64) {
-        let flight = self.in_flight.pop_front().expect("completion event");
+        let mut flight = self.in_flight.pop_front().expect("completion event");
         debug_assert_eq!(flight.done_ns, now);
-        for (span, admit_ns) in &flight.members {
+        for (span, admit_ns) in flight.members.drain(..) {
             let latency = now - admit_ns;
             self.stats.latency_us.observe(latency / 1_000);
             self.stats.feed.record_request(latency);
-            self.record(Event::SpanClose { span: *span });
+            self.record(Event::SpanClose { span });
         }
+        self.spare_members.push(flight.members);
         if self.cfg.adaptive_batch {
             self.resize_target();
         }
@@ -693,7 +710,7 @@ impl RunState {
     /// overheads than admission accounted for, voiding the latency
     /// invariant. Growth is always safe — bigger batches only amortise.
     fn resize_target(&mut self) {
-        let p95 = self.stats.feed.snapshot().request.p95_ns;
+        let p95 = self.stats.feed.request().p95_ns;
         if p95.saturating_mul(4) > self.budget.saturating_mul(3) {
             self.target = (self.target * 2).min(self.cfg.max_batch);
         } else if p95.saturating_mul(4) < self.budget && self.queue.is_empty() {

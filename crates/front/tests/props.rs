@@ -8,7 +8,13 @@
 //! (b) *replay determinism*: same-seed runs produce byte-identical
 //!     canonical response logs;
 //! (c) *swap monotonicity*: under hot swaps, the epochs observed by each
-//!     connection are monotone non-decreasing.
+//!     connection are monotone non-decreasing;
+//! (d) *feed quantiles*: the selection-based rolling p50/p95 the batcher
+//!     reads equal the order statistics of a full sort.
+//!
+//! Two fixed cases also pin the canonical response log itself (FNV-1a 64
+//! of `FrontReport::log_bytes`), so a change to the loop that moves one
+//! batch boundary, epoch tag or score shows as a changed hash.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -17,9 +23,11 @@ use std::time::Duration;
 use ts_datatable::synth::{generate, SynthSpec};
 use ts_datatable::{DataTable, Task};
 use ts_front::{ArrivalPlan, FrontConfig, FrontReport, FrontServer, ModelRegistry, ServiceModel};
+use ts_obs::{KindLatency, LatencyFeed};
 use ts_serve::CompiledModel;
 use ts_tree::{train_tree, DecisionTreeModel, ForestModel, TrainParams};
 use tscheck::prelude::*;
+use tsrand::{Rng, SeedableRng, StdRng};
 
 fn synth(seed: u64) -> DataTable {
     generate(&SynthSpec {
@@ -78,8 +86,6 @@ fn plan_for(seed: u64) -> ArrivalPlan {
 /// One seeded end-to-end run: tight queue + budget so sheds actually
 /// happen, plus `n_swaps` scheduled hot swaps.
 fn run(seed: u64, n_swaps: usize) -> (FrontReport, usize) {
-    let table = Arc::new(synth(seed));
-    let registry = Arc::new(ModelRegistry::new(forest(&table, seed)));
     let cfg = FrontConfig {
         latency_budget: Duration::from_micros(600),
         max_batch: 16,
@@ -91,6 +97,18 @@ fn run(seed: u64, n_swaps: usize) -> (FrontReport, usize) {
         },
         ..FrontConfig::default()
     };
+    run_with(seed, plan_for(seed), cfg, n_swaps)
+}
+
+/// [`run`] with the plan and the config spelled out.
+fn run_with(
+    seed: u64,
+    plan: ArrivalPlan,
+    cfg: FrontConfig,
+    n_swaps: usize,
+) -> (FrontReport, usize) {
+    let table = Arc::new(synth(seed));
+    let registry = Arc::new(ModelRegistry::new(forest(&table, seed)));
     let mut server = FrontServer::new(cfg, registry, Arc::clone(&table));
     for i in 0..n_swaps {
         let table = Arc::clone(&table);
@@ -101,7 +119,7 @@ fn run(seed: u64, n_swaps: usize) -> (FrontReport, usize) {
             forest(&table, s)
         });
     }
-    let arrivals = plan_for(seed).generate(900, table.n_rows() as u32, 6, seed);
+    let arrivals = plan.generate(900, table.n_rows() as u32, 6, seed);
     let n = arrivals.len();
     (server.run(&arrivals), n)
 }
@@ -162,3 +180,125 @@ proptest! {
         prop_assert!(seen.len() >= 2, "run crosses at least one swap (saw {:?})", seen);
     }
 }
+
+/// The p50/p95 a full sort of `window` gives — the definition the feed's
+/// selection must reproduce.
+fn sorted_quantiles(window: &[u64]) -> KindLatency {
+    let mut sorted = window.to_vec();
+    sorted.sort_unstable();
+    let at = |q: f64| {
+        let idx = ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
+        sorted[idx]
+    };
+    KindLatency {
+        count: sorted.len() as u64,
+        p50_ns: at(0.5),
+        p95_ns: at(0.95),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// (d) Feed quantiles: at the window lengths where the two quantile
+    /// indices coincide, differ by one, and sit in a full or almost full
+    /// window, with few distinct values (ties) or many, the single-kind
+    /// read and the snapshot both equal the sort-based values — also once
+    /// the window has rolled.
+    #[test]
+    fn feed_quantiles_equal_the_sorted_order_statistics(
+        len in prop_oneof![Just(1usize), Just(2usize), Just(3usize), Just(511usize), Just(512usize)],
+        distinct in prop_oneof![Just(2u64), Just(7u64), Just(1u64 << 40)],
+        rolled in 0usize..40,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let feed = LatencyFeed::default();
+        // A full window drops its oldest sample per record: the last `len`
+        // samples are what it holds either way.
+        let rolled = if len == 512 { rolled } else { 0 };
+        let samples: Vec<u64> = (0..len + rolled).map(|_| rng.gen_range(0..distinct)).collect();
+        for &v in &samples {
+            feed.record_request(v);
+            feed.record_column(v);
+        }
+        let expected = sorted_quantiles(&samples[rolled..]);
+        prop_assert_eq!(feed.request(), expected);
+        let snap = feed.snapshot();
+        prop_assert_eq!(snap.request, expected);
+        prop_assert_eq!(snap.column, expected);
+        prop_assert_eq!(snap.subtree, KindLatency::default());
+    }
+}
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Golden replay, Poisson: a budget loose enough that the rolling p95
+/// drops under a quarter of it, so the adaptive target halves until the
+/// stream overruns it and doubles back — every one of those decisions is
+/// a read of the feed's p95 — and one hot swap lands mid-stream.
+#[test]
+fn golden_log_poisson_adaptive_with_hot_swap() {
+    let cfg = FrontConfig {
+        latency_budget: Duration::from_micros(1_200),
+        min_batch: 1,
+        max_batch: 16,
+        queue_cap: 24,
+        adaptive_batch: true,
+        service: ServiceModel {
+            batch_overhead_ns: 20_000,
+            per_row_ns: 6_000,
+        },
+    };
+    let (report, n) = run_with(20_221, ArrivalPlan::Poisson { qps: 120_000.0 }, cfg, 1);
+    assert_eq!(report.responses.len() + report.sheds.len(), n);
+    assert_eq!(report.swaps.len(), 1, "the swap was applied");
+    let epochs: BTreeSet<u32> = report.responses.iter().map(|r| r.epoch).collect();
+    assert!(epochs.len() >= 2, "responses on both sides of the swap");
+    let sizes: BTreeSet<u32> = report.responses.iter().map(|r| r.batch_rows).collect();
+    assert!(
+        [1, 2, 4, 8, 16].iter().all(|s| sizes.contains(s)),
+        "the adaptive target moved over its whole range: {sizes:?}"
+    );
+    assert_eq!(fnv1a64(&report.log_bytes()), GOLDEN_POISSON);
+}
+
+/// Golden replay, bursty: quiet phases leave stragglers that only the
+/// deadline trigger flushes.
+#[test]
+fn golden_log_bursty_with_deadline_flushes() {
+    let cfg = FrontConfig {
+        latency_budget: Duration::from_micros(800),
+        min_batch: 2,
+        max_batch: 12,
+        queue_cap: 48,
+        adaptive_batch: true,
+        service: ServiceModel {
+            batch_overhead_ns: 15_000,
+            per_row_ns: 4_000,
+        },
+    };
+    let plan = ArrivalPlan::Bursty {
+        on_qps: 400_000.0,
+        off_qps: 4_000.0,
+        on: Duration::from_millis(1),
+        off: Duration::from_millis(2),
+    };
+    let (report, n) = run_with(977, plan, cfg, 0);
+    assert_eq!(report.responses.len() + report.sheds.len(), n);
+    assert!(
+        report.deadline_flushes >= 3,
+        "stragglers flushed on deadline"
+    );
+    assert!(report.full_flushes >= 3, "bursts flushed on size");
+    assert_eq!(fnv1a64(&report.log_bytes()), GOLDEN_BURSTY);
+}
+
+/// Computed at the parent commit (057f6ba), before the feed read p95 by
+/// selection and before the cut path reused its buffers.
+const GOLDEN_POISSON: u64 = 0xf9a0_341a_bb5d_3761;
+const GOLDEN_BURSTY: u64 = 0xe109_493c_0eb7_e768;

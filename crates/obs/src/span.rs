@@ -139,21 +139,36 @@ fn push_window(win: &Mutex<VecDeque<u64>>, v: u64) {
     w.push_back(v);
 }
 
+/// Index of the `q`-quantile among `len >= 1` sorted samples.
+fn quantile_index(q: f64, len: usize) -> usize {
+    ((q * (len - 1) as f64).round() as usize).min(len - 1)
+}
+
+/// The window's p50 and p95 — the values a full sort would put at
+/// [`quantile_index`] — found by selection: p95 first, then p50 inside the
+/// part selection left below it. The lock is held only for the copy.
 fn window_quantiles(win: &Mutex<VecDeque<u64>>) -> KindLatency {
-    let w = win.lock().unwrap_or_else(|e| e.into_inner());
-    if w.is_empty() {
+    let mut samples: Vec<u64> = {
+        let w = win.lock().unwrap_or_else(|e| e.into_inner());
+        w.iter().copied().collect()
+    };
+    if samples.is_empty() {
         return KindLatency::default();
     }
-    let mut sorted: Vec<u64> = w.iter().copied().collect();
-    sorted.sort_unstable();
-    let at = |q: f64| {
-        let idx = ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
-        sorted[idx]
+    let (i50, i95) = (
+        quantile_index(0.5, samples.len()),
+        quantile_index(0.95, samples.len()),
+    );
+    let (below, &mut p95_ns, _) = samples.select_nth_unstable(i95);
+    let p50_ns = if i50 == i95 {
+        p95_ns
+    } else {
+        *below.select_nth_unstable(i50).1
     };
     KindLatency {
-        count: sorted.len() as u64,
-        p50_ns: at(0.5),
-        p95_ns: at(0.95),
+        count: samples.len() as u64,
+        p50_ns,
+        p95_ns,
     }
 }
 
@@ -173,12 +188,19 @@ impl LatencyFeed {
         push_window(&self.request_ns, latency_ns);
     }
 
+    /// Rolling p50/p95 of serving-request spans alone: what the front
+    /// tier's batcher reads after every batch, without touching the two
+    /// training windows.
+    pub fn request(&self) -> KindLatency {
+        window_quantiles(&self.request_ns)
+    }
+
     /// Rolling p50/p95 of every kind right now.
     pub fn snapshot(&self) -> LatencyFeedSnapshot {
         LatencyFeedSnapshot {
             column: window_quantiles(&self.column_ns),
             subtree: window_quantiles(&self.subtree_ns),
-            request: window_quantiles(&self.request_ns),
+            request: self.request(),
         }
     }
 }

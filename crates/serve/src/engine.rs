@@ -37,7 +37,8 @@ enum Combine {
 }
 
 /// Serving knobs. The defaults serve whole tables single-threaded in
-/// 4096-row blocks with no depth cap.
+/// 2048-row blocks ([`ts_tree::compiled::DEFAULT_BLOCK_ROWS`]) with no
+/// depth cap.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
     /// Rows per evaluation block. Each block's terminal-node ids should
@@ -161,14 +162,11 @@ impl CompiledModel {
     /// forests and for logistic boosted models (`margin > 0`).
     pub fn predict_labels(&self, table: &DataTable) -> Vec<u32> {
         self.timed(table, |m| match m.combine {
-            Combine::Single => {
-                let tree = &m.trees[0];
-                m.map_blocks(table, 1, |nodes, out| {
-                    for (o, &n) in out.iter_mut().zip(nodes) {
-                        *o = tree.label_of(n);
-                    }
-                })
-            }
+            Combine::Single => m.fold_blocks(table, 1, 0u32, |tree, nodes, out| {
+                for (o, &n) in out.iter_mut().zip(nodes) {
+                    *o = tree.label_of(n);
+                }
+            }),
             Combine::Bagged => {
                 let k = m.n_classes();
                 m.pmf_blocks(table).chunks(k.max(1)).map(argmax).collect()
@@ -191,14 +189,11 @@ impl CompiledModel {
     /// forests and squared-error boosted models.
     pub fn predict_values(&self, table: &DataTable) -> Vec<f64> {
         self.timed(table, |m| match m.combine {
-            Combine::Single => {
-                let tree = &m.trees[0];
-                m.map_blocks(table, 1, |nodes, out| {
-                    for (o, &n) in out.iter_mut().zip(nodes) {
-                        *o = tree.value_of(n);
-                    }
-                })
-            }
+            Combine::Single => m.fold_blocks(table, 1, 0f64, |tree, nodes, out| {
+                for (o, &n) in out.iter_mut().zip(nodes) {
+                    *o = tree.value_of(n);
+                }
+            }),
             Combine::Bagged => {
                 if m.trees.is_empty() {
                     return vec![0.0; table.n_rows()];
@@ -227,9 +222,8 @@ impl CompiledModel {
     pub fn predict_pmf_flat(&self, table: &DataTable) -> Vec<f32> {
         self.timed(table, |m| match m.combine {
             Combine::Single => {
-                let tree = &m.trees[0];
                 let k = m.n_classes();
-                m.map_blocks(table, k, |nodes, out| {
+                m.fold_blocks(table, k, 0f32, |tree, nodes, out| {
                     for (dst, &n) in out.chunks_exact_mut(k).zip(nodes) {
                         dst.copy_from_slice(tree.pmf_of(n));
                     }
@@ -284,51 +278,18 @@ impl CompiledModel {
         }
     }
 
-    /// Fans row blocks out over `tspar`, writing each block's results
-    /// straight into one preallocated `width`-per-row output buffer — no
-    /// per-block `Vec`s and no concatenation copy. Each worker owns a
-    /// contiguous span of whole blocks and reuses one [`BlockImage`] and
-    /// one node buffer across them. `f` receives the terminal node ids of
-    /// the block's rows (for `self.trees[0]` — the single-tree path) and
-    /// the block's output slice.
-    fn map_blocks<T: Copy + Default + Send>(
-        &self,
-        table: &DataTable,
-        width: usize,
-        f: impl Fn(&[u32], &mut [T]) + Sync,
-    ) -> Vec<T> {
-        let view = TableView::of(table);
-        let mut out = vec![T::default(); view.n_rows() * width];
-        if out.is_empty() {
-            return out;
-        }
-        let block = self.opts.block_rows.max(1);
-        let n_blocks = view.n_rows().div_ceil(block);
-        let span = n_blocks.div_ceil(self.effective_threads().min(n_blocks)) * block;
-        let mut spans: Vec<&mut [T]> = out.chunks_mut(span * width).collect();
-        let tree = &self.trees[0];
-        tspar::par_for_each_mut(&mut spans, self.opts.threads, |s, chunk| {
-            let mut nodes = vec![0u32; block];
-            let mut img = view.image();
-            let mut first = s * span;
-            for blk in chunk.chunks_mut(block * width) {
-                let len = blk.len() / width;
-                img.fill(first, len);
-                tree.terminal_nodes_into(&img, self.opts.max_depth, &mut nodes[..len]);
-                f(&nodes[..len], blk);
-                first += len;
-            }
-        });
-        drop(spans);
-        out
-    }
-
-    /// Per-block multi-tree fold: for each block, runs every member tree
-    /// over the block's rows and folds into the block's slice of one
-    /// preallocated `width`-per-row accumulator seeded with `init`, in
-    /// tree order — the reference fold order. As in [`Self::map_blocks`],
-    /// each worker walks a span of blocks with reused buffers, and each
-    /// block's image is filled once and walked by every member tree.
+    /// The one block loop every `predict_*` runs. Row blocks fan out over
+    /// `tspar`; each worker owns a contiguous span of whole blocks of one
+    /// preallocated `width`-per-row accumulator seeded with `init` — no
+    /// per-block `Vec`s and no concatenation copy — and reuses one
+    /// [`BlockImage`](ts_tree::compiled::BlockImage) and one node buffer
+    /// across them, both sized by the rows it scores (a block is never
+    /// wider than the table): nothing a call allocates or touches grows
+    /// with `block_rows` or with the model. For each block the image is
+    /// filled once, then every member tree walks it and `fold` folds the
+    /// tree's terminal node ids into the block's slice, in tree order —
+    /// the reference fold order. (A single tree is the one-member case:
+    /// its "fold" writes the node's payload.)
     fn fold_blocks<A: Clone + Send>(
         &self,
         table: &DataTable,
@@ -341,7 +302,8 @@ impl CompiledModel {
         if out.is_empty() {
             return out;
         }
-        let block = self.opts.block_rows.max(1);
+        // Never wider than the table: a one-row call sets up one row.
+        let block = self.opts.block_rows.clamp(1, view.n_rows());
         let n_blocks = view.n_rows().div_ceil(block);
         let span = n_blocks.div_ceil(self.effective_threads().min(n_blocks)) * block;
         let mut spans: Vec<&mut [A]> = out.chunks_mut(span * width).collect();

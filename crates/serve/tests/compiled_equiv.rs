@@ -358,3 +358,335 @@ fn stats_survive_zero_and_one_row_batches() {
     assert!(sum.rows_per_sec.is_finite());
     assert!((sum.mean_batch_rows - 1.0 / 3.0).abs() < 1e-12);
 }
+
+/// Serving a table whose schema drifted from the training schema: columns
+/// permuted, dropped, re-typed or appended. Each member tree decides for
+/// itself — from its feature signature — whether the table lets it take
+/// the lockstep walk; whatever it decides, the engine must do what the
+/// reference traversal does: the same bits for a row that never reaches a
+/// split the table cannot answer, the same panic for a row that does.
+mod schema_drift {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use ts_datatable::{AttrMeta, AttrType, Column, Schema, MISSING_CAT};
+    use ts_tree::{Node, Prediction, SplitInfo};
+
+    /// One edit of the served table's columns; indices wrap.
+    #[derive(Debug, Clone, Copy)]
+    enum Drift {
+        Swap(usize, usize),
+        DropLast(usize),
+        Retype(usize),
+        Append,
+    }
+
+    fn drift() -> impl Strategy<Value = Drift> {
+        prop_oneof![
+            (0usize..8, 0usize..8).prop_map(|(i, j)| Drift::Swap(i, j)),
+            (0usize..8).prop_map(Drift::DropLast),
+            (0usize..8).prop_map(Drift::Retype),
+            Just(Drift::Append),
+        ]
+    }
+
+    fn is_numeric(meta: &AttrMeta) -> bool {
+        meta.ty == AttrType::Numeric
+    }
+
+    /// `eval` with `drifts` applied to its columns, in order. A re-typed
+    /// or appended column is synthetic and has no missing values; a
+    /// column that ends up where the training schema has the other kind
+    /// has its missing values filled in, because that is the one case the
+    /// engine's per-row fallback and the reference are known to differ on
+    /// (the fallback checks the column's kind before the value, the
+    /// reference reports a missing value before it looks at the kind).
+    fn drifted(eval: &DataTable, drifts: &[Drift]) -> DataTable {
+        let n_rows = eval.n_rows();
+        let trained: Vec<bool> = eval.schema().attrs.iter().map(is_numeric).collect();
+        let mut cols: Vec<(AttrMeta, Column)> = eval
+            .schema()
+            .attrs
+            .iter()
+            .cloned()
+            .zip(eval.columns().iter().cloned())
+            .collect();
+        let synthetic = |numeric: bool, name: String| {
+            if numeric {
+                let values = (0..n_rows).map(|r| (r % 7) as f64 * 0.37 - 1.0).collect();
+                (AttrMeta::numeric(name), Column::Numeric(values))
+            } else {
+                let codes = (0..n_rows).map(|r| (r % 3) as u32).collect();
+                (AttrMeta::categorical(name, 3), Column::Categorical(codes))
+            }
+        };
+        for &d in drifts {
+            let n = cols.len();
+            match d {
+                Drift::Append => cols.push(synthetic(true, format!("extra{n}"))),
+                _ if n == 0 => {}
+                Drift::Swap(i, j) => cols.swap(i % n, j % n),
+                Drift::DropLast(k) => cols.truncate(n - 1 - k % n),
+                Drift::Retype(i) => {
+                    let (meta, _) = &cols[i % n];
+                    cols[i % n] = synthetic(!is_numeric(meta), format!("{}_retyped", meta.name));
+                }
+            }
+        }
+        for ((meta, col), &was_numeric) in cols.iter_mut().zip(&trained) {
+            if is_numeric(meta) != was_numeric {
+                match col {
+                    Column::Numeric(v) => {
+                        v.iter_mut().filter(|x| x.is_nan()).for_each(|x| *x = 0.25)
+                    }
+                    Column::Categorical(v) => v
+                        .iter_mut()
+                        .filter(|c| **c == MISSING_CAT)
+                        .for_each(|c| *c = 0),
+                }
+            }
+        }
+        let (attrs, columns) = cols.into_iter().unzip();
+        DataTable::new(
+            Schema::new(attrs, eval.schema().task),
+            columns,
+            eval.labels().clone(),
+        )
+    }
+
+    /// What scoring did: the output bits, or the panic's message.
+    fn outcome(score: impl FnOnce() -> Vec<u64>) -> Result<Vec<u64>, String> {
+        catch_unwind(AssertUnwindSafe(score)).map_err(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .expect("a panic with a message")
+        })
+    }
+
+    /// The differential check for one model on one served table:
+    /// `reference` and `fast` both map a table to its output bits.
+    ///
+    /// Row by row (one-row tables), both sides must agree on the outcome,
+    /// message included. The rows the reference can score are then scored
+    /// together — 1 row, a block remainder either side of the 16-row
+    /// lockstep chunk, and all of them across several 64-row blocks — and
+    /// must come out bit-equal. Returns `(rows scored, rows that panicked)`.
+    fn assert_same_outcomes(
+        served: &DataTable,
+        reference: impl Fn(&DataTable) -> Vec<u64>,
+        fast: impl Fn(&DataTable) -> Vec<u64>,
+    ) -> (usize, usize) {
+        let mut scored_rows: Vec<u32> = Vec::new();
+        let mut scored_bits: Vec<Vec<u64>> = Vec::new();
+        for r in 0..served.n_rows() as u32 {
+            let one = served.select_rows(&[r]);
+            let expected = outcome(|| reference(&one));
+            assert_eq!(outcome(|| fast(&one)), expected, "row {r} alone");
+            if let Ok(bits) = expected {
+                scored_rows.push(r);
+                scored_bits.push(bits);
+            }
+        }
+        for n in [1, 15, 16, 17, scored_rows.len()] {
+            let n = n.min(scored_rows.len());
+            let expected: Vec<u64> = scored_bits[..n].concat();
+            assert_eq!(
+                fast(&served.select_rows(&scored_rows[..n])),
+                expected,
+                "the first {n} scorable rows together"
+            );
+        }
+        (scored_rows.len(), served.n_rows() - scored_rows.len())
+    }
+
+    fn f64_bits(v: Vec<f64>) -> Vec<u64> {
+        v.into_iter().map(f64::to_bits).collect()
+    }
+
+    /// Row-major output bits of a classification forest: each row's PMF,
+    /// then its label.
+    fn pmf_and_label_bits(pmf: Vec<f32>, labels: Vec<u32>) -> Vec<u64> {
+        let k = pmf.len() / labels.len().max(1);
+        let mut bits = Vec::with_capacity(pmf.len() + labels.len());
+        for (r, &label) in labels.iter().enumerate() {
+            bits.extend(
+                pmf[r * k..(r + 1) * k]
+                    .iter()
+                    .map(|x| u64::from(x.to_bits())),
+            );
+            bits.push(u64::from(label));
+        }
+        bits
+    }
+
+    /// Forest PMFs and labels, reference and compiled (64-row blocks, so
+    /// the 257-row table spans five).
+    fn forest_outcomes(forest: &ForestModel, served: &DataTable) -> (usize, usize) {
+        let compiled = CompiledModel::from_forest(forest).with_options(opts(64, 1));
+        assert_same_outcomes(
+            served,
+            |t| {
+                pmf_and_label_bits(
+                    forest
+                        .predict_pmf_reference(t)
+                        .into_iter()
+                        .flatten()
+                        .collect(),
+                    forest.predict_labels_reference(t),
+                )
+            },
+            |t| pmf_and_label_bits(compiled.predict_pmf_flat(t), compiled.predict_labels(t)),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// A bagged forest whose members saw different column subsets, so
+        /// a drift can leave some members consistent and others not.
+        #[test]
+        fn forest_on_a_drifted_table_does_what_the_reference_does(
+            (seed, numeric, categorical) in shape(),
+            drifts in tscheck::collection::vec(drift(), 0..3),
+        ) {
+            let task = Task::Classification { n_classes: 3 };
+            let (train, eval) = table_pair(seed, numeric, categorical, task);
+            let m = train.n_attrs();
+            let trees: Vec<DecisionTreeModel> = (0..4usize)
+                .map(|i| {
+                    let candidates: Vec<usize> = (0..m).filter(|a| (a + i) % 3 != 0 || m == 1).collect();
+                    train_tree(
+                        &train,
+                        &candidates,
+                        &TrainParams { dmax: 5, ..TrainParams::for_task(task) },
+                        seed ^ i as u64,
+                    )
+                })
+                .collect();
+            let forest = ForestModel::new(trees, task);
+            let served = drifted(&eval, &drifts);
+            let (scored, panicked) = forest_outcomes(&forest, &served);
+            if drifts.is_empty() {
+                prop_assert_eq!((scored, panicked), (eval.n_rows(), 0));
+            }
+        }
+
+        /// A boosted ensemble: margins.
+        #[test]
+        fn gbt_on_a_drifted_table_does_what_the_reference_does(
+            (seed, numeric, categorical) in shape(),
+            drifts in tscheck::collection::vec(drift(), 0..3),
+        ) {
+            let (train, eval) = table_pair(seed, numeric, categorical, Task::Regression);
+            let trees: Vec<DecisionTreeModel> = (0..4)
+                .map(|i| {
+                    train_tree(
+                        &train,
+                        &(0..train.n_attrs()).collect::<Vec<_>>(),
+                        &TrainParams { dmax: 4, ..TrainParams::for_task(Task::Regression) },
+                        seed.wrapping_mul(31) ^ i as u64,
+                    )
+                })
+                .collect();
+            let gbt = treeserver::GbtModel {
+                trees,
+                base: 0.125,
+                eta: 0.3,
+                objective: treeserver::GbtObjective::SquaredError,
+            };
+            let compiled = CompiledModel::from_gbt(&gbt).with_options(opts(64, 1));
+            assert_same_outcomes(
+                &drifted(&eval, &drifts),
+                |t| f64_bits(gbt.predict_margins_reference(t)),
+                |t| f64_bits(compiled.predict_margins(t)),
+            );
+        }
+    }
+
+    fn leaf(label: u32, depth: u32) -> Node {
+        let mut pmf = vec![0.0; 3];
+        pmf[label as usize] = 1.0;
+        Node::leaf(Prediction::Class { label, pmf }, 1, depth)
+    }
+
+    fn split(attr: usize, test: ts_splits::SplitTest, left: usize, depth: u32) -> Node {
+        Node {
+            split: Some((
+                SplitInfo {
+                    attr,
+                    test,
+                    gain: 1.0,
+                    missing_left: true,
+                    seen: None,
+                },
+                left,
+                left + 1,
+            )),
+            ..leaf(0, depth)
+        }
+    }
+
+    /// The case the per-tree verdict exists for: a forest in which *one*
+    /// member is inconsistent with the table. That member alone takes the
+    /// per-row walk; rows it routes away from its offending split score
+    /// exactly as the reference scores them, and the first row routed into
+    /// it panics with the reference's message.
+    #[test]
+    fn one_inconsistent_member_panics_only_for_the_rows_that_reach_it() {
+        let task = Task::Classification { n_classes: 3 };
+        let (_, eval) = table_pair(41, 2, 1, task);
+        // Reads columns 0 and 1 only: consistent whatever column 2 is.
+        let steady = DecisionTreeModel::new(
+            vec![
+                split(0, ts_splits::SplitTest::NumericLe(0.0), 1, 0),
+                leaf(1, 1),
+                split(1, ts_splits::SplitTest::NumericLe(0.5), 3, 1),
+                leaf(2, 2),
+                leaf(0, 2),
+            ],
+            task,
+        );
+        // x0 <= 0.2 is a leaf; only the other rows reach the split on the
+        // categorical column 2.
+        let drifting = DecisionTreeModel::new(
+            vec![
+                split(0, ts_splits::SplitTest::NumericLe(0.2), 1, 0),
+                leaf(2, 1),
+                split(2, ts_splits::SplitTest::cat_in(vec![0, 2]), 3, 1),
+                leaf(0, 2),
+                leaf(1, 2),
+            ],
+            task,
+        );
+        let forest = ForestModel::new(vec![steady.clone(), drifting, steady], task);
+
+        assert_eq!(
+            forest_outcomes(&forest, &eval),
+            (eval.n_rows(), 0),
+            "as trained"
+        );
+
+        let served = drifted(&eval, &[Drift::Retype(2)]);
+        let (scored, panicked) = forest_outcomes(&forest, &served);
+        assert!(
+            scored >= 17 && panicked >= 17,
+            "{scored} rows scored, {panicked} panicked"
+        );
+        let first_bad = (0..served.n_rows() as u32)
+            .find(|&r| {
+                let x0 = served.value(r as usize, 0);
+                matches!(x0, ts_datatable::Value::Num(x) if x > 0.2)
+            })
+            .expect("a row routed to the drifting split");
+        let compiled = CompiledModel::from_forest(&forest);
+        assert_eq!(
+            outcome(|| compiled
+                .predict_labels(&served.select_rows(&[first_bad]))
+                .into_iter()
+                .map(u64::from)
+                .collect()),
+            Err("categorical split applied to numeric value".to_string())
+        );
+    }
+}

@@ -30,6 +30,7 @@
 //! the same arithmetic expressions as the reference implementation.
 
 use crate::model::{DecisionTreeModel, Prediction};
+use std::collections::BTreeSet;
 use ts_datatable::{Column, DataTable, Task, MISSING_CAT};
 use ts_splits::SplitTest;
 
@@ -51,7 +52,8 @@ const NO_SEEN: u32 = u32::MAX;
 /// Default row-block size for the whole-table helpers: big enough to
 /// amortise per-block setup, small enough that the block's
 /// [`BlockImage`] stays L2-resident while the walk re-reads it
-/// `levels × trees` times (2048 rows × 10 columns ≈ 160 KiB).
+/// `levels × trees` times (2048 rows × 8 B per cell: 160 KiB at 10
+/// columns, 480 KiB at the ledger table's 30).
 pub const DEFAULT_BLOCK_ROWS: usize = 2048;
 
 /// Rows walked in lockstep by the uncapped traversal. One row's walk is a
@@ -308,6 +310,12 @@ pub struct CompiledTree {
     /// that suffice for any row (the interleaved walk runs exactly this
     /// many level iterations).
     max_node_depth: u32,
+    /// The feature signature: the sorted, de-duplicated `(feature id,
+    /// is-categorical)` pairs of the split nodes (leaves are exempt). The
+    /// fast path's precondition is a statement about exactly these pairs,
+    /// so a call checks them — not the nodes — against the table
+    /// ([`Self::schema_consistent`]).
+    signature: Vec<(u32, u32)>,
     payload: Payload,
     task: Task,
 }
@@ -345,6 +353,7 @@ impl CompiledTree {
             seen_mask: vec![0; n],
             pool: Vec::new(),
             max_node_depth: 0,
+            signature: Vec::new(),
             payload: match model.task {
                 Task::Classification { n_classes } => Payload::Class {
                     k: n_classes as usize,
@@ -355,6 +364,7 @@ impl CompiledTree {
             },
             task: model.task,
         };
+        let mut signature = BTreeSet::new();
         for (new, &arena) in order.iter().enumerate() {
             let node = &model.nodes[arena];
             t.depth.push(node.depth);
@@ -372,6 +382,7 @@ impl CompiledTree {
                     let feat = info.attr as u32;
                     debug_assert!(feat <= FEAT_MASK, "feature id overflows the packed layout");
                     let left = new_of[*l];
+                    signature.insert((feat, u32::from(matches!(info.test, SplitTest::CatIn(_)))));
                     match &info.test {
                         SplitTest::NumericLe(v) => t.hot.push(HotNode::new(
                             (KIND_NUM << KIND_SHIFT) | feat,
@@ -420,6 +431,7 @@ impl CompiledTree {
                 _ => panic!("node prediction kind does not match the tree's task"),
             }
         }
+        t.signature = signature.into_iter().collect();
         t
     }
 
@@ -475,10 +487,13 @@ impl CompiledTree {
     /// their stop condition.
     ///
     /// The fast path requires every split's feature id to resolve to a
-    /// column of the split's kind; that is checked once per call
-    /// ([`Self::schema_consistent`]). A mismatched table falls back to the
-    /// per-row lazy walk, which panics only when a row actually reaches
-    /// the offending node — the reference traversal's exact behaviour.
+    /// column of the split's kind; that is checked once per call against
+    /// the tree's feature signature ([`Self::schema_consistent`]), so the
+    /// check costs O(distinct features), not O(nodes) — a call's cost
+    /// follows the rows it scores, not the size of the model. A mismatched
+    /// table falls back to the per-row lazy walk, which panics only when a
+    /// row actually reaches the offending node — the reference traversal's
+    /// exact behaviour.
     pub fn terminal_nodes_into(&self, img: &BlockImage<'_, '_>, max_depth: u32, out: &mut [u32]) {
         assert_eq!(out.len(), img.len);
         if max_depth != u32::MAX || !self.schema_consistent(img.view) {
@@ -585,11 +600,23 @@ impl CompiledTree {
 
     /// True when every split node's feature id resolves to a column of the
     /// split's kind in this view — the precondition for [`Self::step`]'s
-    /// unchecked column loads. Leaves are exempt (their feature id is a
+    /// unchecked column loads. `compile` recorded each split's `(feature
+    /// id, kind)` in the signature, so checking the signature's pairs is
+    /// checking every split. Leaves are exempt (their feature id is a
     /// placeholder; the reference walk never reads a value at a leaf), but
     /// a tree with any split guarantees `n_cols >= 1` so the placeholder
     /// load stays in bounds.
     fn schema_consistent(&self, view: &TableView<'_>) -> bool {
+        self.signature
+            .iter()
+            .all(|&(feat, cat)| view.col_cat.get(feat as usize) == Some(&cat))
+    }
+
+    /// The predicate [`Self::schema_consistent`] stands for, evaluated the
+    /// long way over every node: the oracle the signature is tested
+    /// against.
+    #[cfg(test)]
+    fn every_split_consistent(&self, view: &TableView<'_>) -> bool {
         self.hot.iter().all(|h| {
             let feat = (h.kind_feat() & FEAT_MASK) as usize;
             match h.kind_feat() >> KIND_SHIFT {
@@ -834,7 +861,10 @@ fn bits_lo(set: &[u32]) -> u64 {
 mod tests {
     use super::*;
     use crate::model::{Node, SplitInfo};
+    use crate::trainer::{train_tree, TrainParams};
+    use ts_datatable::synth::{generate, SynthSpec};
     use ts_datatable::{AttrMeta, Labels, Schema, Value};
+    use tscheck::prelude::*;
 
     fn mixed_tree() -> DecisionTreeModel {
         let nodes = vec![
@@ -1013,6 +1043,129 @@ mod tests {
                 assert_eq!(t.value(3, 0), Value::Missing);
             }
             ColView::Cat(_) => panic!("attr 0 is numeric"),
+        }
+    }
+
+    /// A one-row table whose column `i` is categorical iff bit `i` of
+    /// `cat_bits` is set: the verdict depends on a table's column kinds
+    /// and on nothing else.
+    fn table_of_kinds(n_cols: usize, cat_bits: u32) -> DataTable {
+        let is_cat = |i: usize| cat_bits >> i & 1 == 1;
+        DataTable::new(
+            Schema::new(
+                (0..n_cols)
+                    .map(|i| {
+                        if is_cat(i) {
+                            AttrMeta::categorical(format!("c{i}"), 2)
+                        } else {
+                            AttrMeta::numeric(format!("x{i}"))
+                        }
+                    })
+                    .collect(),
+                Task::Regression,
+            ),
+            (0..n_cols)
+                .map(|i| {
+                    if is_cat(i) {
+                        Column::Categorical(vec![0])
+                    } else {
+                        Column::Numeric(vec![0.0])
+                    }
+                })
+                .collect(),
+            Labels::Real(vec![0.0]),
+        )
+    }
+
+    /// Both verdicts of `tree` on every table shape of up to `max_cols`
+    /// columns; returns how many shapes were consistent.
+    fn assert_signature_matches_oracle(tree: &CompiledTree, max_cols: usize) -> usize {
+        let mut consistent = 0;
+        for n_cols in 0..=max_cols {
+            for cat_bits in 0..1u32 << n_cols {
+                let t = table_of_kinds(n_cols, cat_bits);
+                let view = TableView::of(&t);
+                let verdict = tree.schema_consistent(&view);
+                assert_eq!(
+                    verdict,
+                    tree.every_split_consistent(&view),
+                    "{n_cols} columns, categorical mask {cat_bits:#b}, signature {:?}",
+                    tree.signature
+                );
+                consistent += usize::from(verdict);
+            }
+        }
+        consistent
+    }
+
+    #[test]
+    fn signature_lists_each_split_feature_once() {
+        let tree = CompiledTree::compile(&mixed_tree());
+        assert_eq!(tree.signature, vec![(0, 0), (1, 1)]);
+        // Consistent exactly with [num, cat] and [num, cat, anything].
+        assert_eq!(assert_signature_matches_oracle(&tree, 3), 3);
+
+        // A feature split on as both kinds fits no table at all, and a
+        // lone leaf fits every table — the empty one included.
+        let mut model = mixed_tree();
+        model.nodes[2].split.as_mut().unwrap().0.attr = 0;
+        let both = CompiledTree::compile(&model);
+        assert_eq!(both.signature, vec![(0, 0), (0, 1)]);
+        assert_eq!(assert_signature_matches_oracle(&both, 3), 0);
+        let leaf = CompiledTree::compile(&DecisionTreeModel::new(
+            vec![Node::leaf(Prediction::Real(1.0), 1, 0)],
+            Task::Regression,
+        ));
+        assert_eq!(leaf.signature, vec![]);
+        assert_eq!(assert_signature_matches_oracle(&leaf, 3), 1 + 2 + 4 + 8);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// The signature verdict is the every-node verdict, for each member
+        /// tree of random forests (classification) and boosted ensembles
+        /// (regression), on every table whose columns are the training
+        /// schema's permuted, dropped, re-typed or extended: all
+        /// `2^0 + … + 2^(m+1)` kind vectors of up to `m + 1` columns.
+        #[test]
+        fn signature_verdict_equals_the_every_node_verdict(
+            (seed, numeric, categorical) in (0u64..5_000, 1usize..4, 0usize..3),
+            boosted in any::<bool>(),
+        ) {
+            let task = if boosted {
+                Task::Regression
+            } else {
+                Task::Classification { n_classes: 3 }
+            };
+            let train = generate(&SynthSpec {
+                rows: 300,
+                numeric,
+                categorical,
+                cat_cardinality: 4,
+                task,
+                missing_rate: 0.05,
+                noise: 0.1,
+                concept_depth: 4,
+                seed,
+                ..Default::default()
+            });
+            let m = train.n_attrs();
+            for i in 0..4usize {
+                // Members see different column subsets, as bagged trees do.
+                let candidates: Vec<usize> = (0..m).filter(|a| (a + i) % 3 != 0 || m == 1).collect();
+                let model = train_tree(
+                    &train,
+                    &candidates,
+                    &TrainParams { dmax: 5, ..TrainParams::for_task(task) },
+                    seed ^ i as u64,
+                );
+                let tree = CompiledTree::compile(&model);
+                prop_assert!(tree.signature.windows(2).all(|w| w[0] < w[1]), "sorted, no duplicates");
+                prop_assert!(tree.signature.len() <= candidates.len());
+                // The training schema itself is among the shapes.
+                prop_assert!(assert_signature_matches_oracle(&tree, m + 1) >= 1);
+            }
         }
     }
 }
