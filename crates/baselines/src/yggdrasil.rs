@@ -13,14 +13,15 @@
 //! Because the split kernels are the shared exact ones, the produced model
 //! is bit-identical to the local exact trainer — asserted in tests.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use ts_datatable::{AttrType, DataTable, SortedColumn};
 use ts_netsim::{NetModel, NetStats};
 use ts_splits::exact::ColumnSplit;
 use ts_splits::impurity::{Impurity, LabelView, NodeStats};
 use ts_splits::partition_rows;
-use ts_splits::sorted::{best_split_at, distinct_categories_at, ColumnRef, NodeRows, RowBitmap};
+use ts_splits::sorted::{
+    best_split_in, distinct_categories_at, ColumnRef, NodeOrders, NodeRows, Segments,
+};
 use ts_tree::trainer::prediction_from_stats;
 use ts_tree::{DecisionTreeModel, Node, SplitInfo};
 
@@ -92,67 +93,65 @@ impl YggdrasilTrainer {
         // Column -> machine (round-robin, no replication in Yggdrasil).
         let machine_of_col = |attr: usize| 1 + attr % self.cfg.n_machines;
 
-        // Each machine presorts its columns once per tree; every level then
-        // reuses the shared sorted-column engine (`ts_splits::sorted`), so
-        // the model stays bit-identical to the local exact trainer.
-        let sorted: HashMap<usize, SortedColumn> = candidates
+        // Each machine presorts its columns once per tree (`sorted[i]`
+        // indexes `candidates[i]`) and keeps the orders partitioned by open
+        // node, as the local exact trainer does: every node of a level scans
+        // its own segments with the shared engine (`ts_splits::sorted`), so
+        // the model stays bit-identical to that trainer.
+        let sorted: Vec<SortedColumn> = candidates
             .iter()
-            .map(|&a| (a, SortedColumn::build(table.column(a))))
+            .map(|&a| SortedColumn::build(table.column(a)))
             .collect();
+        let mut orders = NodeOrders::new(&sorted, n);
         let view = LabelView::of(table.labels(), n_classes);
-        let mut mask = RowBitmap::with_rows(n);
 
         let root_rows: Vec<u32> = (0..n as u32).collect();
         let root_stats = NodeStats::from_view(view);
         let mut nodes = vec![Node::leaf(prediction_from_stats(&root_stats), n as u64, 0)];
-        // Frontier: (arena node, rows, stats).
-        let mut frontier: Vec<(usize, Vec<u32>, NodeStats)> = vec![(0, root_rows, root_stats)];
+        // Frontier: (arena node, rows, segments of the orders, stats).
+        let mut frontier: Vec<(usize, Vec<u32>, Segments, NodeStats)> =
+            vec![(0, root_rows, orders.root(), root_stats)];
         let mut depth = 0u32;
 
         while !frontier.is_empty() && depth < self.cfg.dmax {
             run.levels += 1;
             let mut next = Vec::new();
             let mut level_bitvector_bytes = 0u64;
-            for (node, rows, stats) in frontier {
+            for (node, rows, segs, stats) in frontier {
                 if stats.n() <= self.cfg.tau_leaf || stats.is_pure() {
                     continue;
                 }
                 // Every machine evaluates its own columns exactly and sends
                 // its best condition to the master. Node rows are strictly
                 // ascending (the root is 0..n and partitions preserve
-                // order), so the engine's node mask is valid here.
+                // order), as the engine requires.
                 let whole = rows.len() == n;
+                let node_rows = if whole {
+                    NodeRows::All(n)
+                } else {
+                    NodeRows::Subset(&rows)
+                };
                 let mut best: Option<(usize, ColumnSplit)> = None;
-                {
-                    let (node, mask_ref) = if whole {
-                        (NodeRows::All(n), None)
-                    } else {
-                        mask.insert_all(&rows);
-                        (NodeRows::Subset(&rows), Some(&mask))
-                    };
-                    for &attr in candidates {
-                        let cref = ColumnRef::of_column(
-                            table.column(attr),
-                            &sorted[&attr],
-                            table.schema().attr_type(attr),
-                        );
-                        if let Some(s) =
-                            best_split_at(cref, node, mask_ref, view, self.cfg.impurity)
-                        {
-                            let wins = match &best {
-                                None => true,
-                                Some((battr, bs)) => {
-                                    ColumnSplit::challenger_wins(&s, attr, bs, *battr)
-                                }
-                            };
-                            if wins {
-                                best = Some((attr, s));
+                for (i, &attr) in candidates.iter().enumerate() {
+                    let cref = ColumnRef::of_column(
+                        table.column(attr),
+                        &sorted[i],
+                        table.schema().attr_type(attr),
+                    );
+                    let segment = orders.segment(i, &segs);
+                    if let Some(s) =
+                        best_split_in(cref, segment, node_rows, view, self.cfg.impurity)
+                    {
+                        let wins = match &best {
+                            None => true,
+                            Some((bi, bs)) => {
+                                ColumnSplit::challenger_wins(&s, attr, bs, candidates[*bi])
                             }
+                        };
+                        if wins {
+                            best = Some((i, s));
                         }
                     }
-                }
-                if !whole {
-                    mask.remove_all(&rows);
                 }
                 // Condition messages: one per machine holding candidates.
                 let senders: std::collections::HashSet<usize> =
@@ -161,7 +160,8 @@ impl YggdrasilTrainer {
                     self.stats.record_send(m, 0, 32);
                     run.condition_bytes += 32;
                 }
-                let Some((attr, split)) = best else { continue };
+                let Some((col, split)) = best else { continue };
+                let attr = candidates[col];
 
                 // The winning machine computes the row→child bits for this
                 // node; the MASTER then broadcasts them to every machine
@@ -177,9 +177,10 @@ impl YggdrasilTrainer {
                 // Grow the tree (identical structure to the exact trainer).
                 let (l_rows, r_rows) =
                     partition_rows(table.column(attr), &rows, &split.test, split.missing_left);
+                let (l_segs, r_segs) = orders.split(&segs, &l_rows);
                 let seen = match table.schema().attr_type(attr) {
                     AttrType::Categorical { n_values } => Some(if whole {
-                        sorted[&attr].distinct().to_vec()
+                        sorted[col].distinct().to_vec()
                     } else {
                         let codes = table
                             .column(attr)
@@ -212,8 +213,8 @@ impl YggdrasilTrainer {
                     l_idx,
                     r_idx,
                 ));
-                next.push((l_idx, l_rows, split.left.clone()));
-                next.push((r_idx, r_rows, split.right.clone()));
+                next.push((l_idx, l_rows, l_segs, split.left.clone()));
+                next.push((r_idx, r_rows, r_segs, split.right.clone()));
             }
             run.master_broadcast_bytes += level_bitvector_bytes;
             let delay = self.cfg.net.delay_for(level_bitvector_bytes as usize);

@@ -357,10 +357,23 @@ impl Worker {
     }
 
     /// Hands a provisioned task to the comper pool, keeping the ready
-    /// backlog counter in step (the hunger signal for work stealing).
+    /// backlog counter in step (the hunger signal for work stealing). A
+    /// subtree-task's trace span gets its "ready" mark here: its dataset is
+    /// assembled, and what follows until a comper picks it up is queue wait.
     fn push_ready(&self, task: ReadyTask) {
         if !matches!(task, ReadyTask::Stop) {
             self.ready_backlog.fetch_add(1, Ordering::AcqRel);
+        }
+        #[cfg(feature = "obs")]
+        if let ReadyTask::Subtree { plan, .. } = &task {
+            obs_event!(
+                self.stats,
+                self.id,
+                ts_obs::Event::SpanReady {
+                    span: plan.ctx.span.0,
+                    node: self.id as u32,
+                }
+            );
         }
         let _ = self.ready_tx.send(task);
     }
@@ -1480,14 +1493,20 @@ impl Worker {
         let log = 64 - n_ix.max(2).leading_zeros() as u64;
         self.model_work(n_ix * plan.col_sources.len() as u64 * log);
         // Assemble Dx: columns in plan order (sorted by attr id), gathering
-        // locally-held columns now.
+        // locally-held columns now. Over `RowSet::All` a local column's copy
+        // is the resident column, so its resident presorted index is the
+        // copy's index too and is shared instead of sorted again.
         let store = self.columns.read();
+        let sorted_store = self.sorted.read();
         let mut attrs = Vec::with_capacity(plan.col_sources.len());
         let mut types = Vec::with_capacity(plan.col_sources.len());
         let mut columns = Vec::with_capacity(plan.col_sources.len());
+        let mut sorted = Vec::with_capacity(plan.col_sources.len());
         let mut local_bytes = 0usize;
+        let mut index_bytes = 0usize;
         for &(attr, holder) in &plan.col_sources {
-            let buf = if holder == self.id {
+            let local = holder == self.id;
+            let buf = if local {
                 let col = store.get(&attr).expect("local column must be held");
                 let b = ix.gather(col, self.n_rows);
                 local_bytes += b.payload_bytes();
@@ -1495,17 +1514,25 @@ impl Worker {
             } else {
                 remote_bufs.remove(&attr).expect("remote column buffered")
             };
+            sorted.push(if local && matches!(ix, RowSet::All) {
+                Arc::clone(sorted_store.get(&attr).expect("sorted index must be held"))
+            } else {
+                let index = SortedColumn::build_buf(&buf);
+                index_bytes += index.payload_bytes();
+                Arc::new(index)
+            });
             attrs.push(attr);
             types.push(self.attr_types[attr]);
             columns.push(buf);
         }
+        drop(sorted_store);
         drop(store);
-        self.stats.mem_alloc(self.id, local_bytes);
         let labels = {
             let y = self.labels.read().clone();
             ix.gather_labels(&y, self.n_rows)
         };
-        let data = LocalDataset::new(attrs, types, columns, labels, self.current_task());
+        let task = self.current_task();
+        let data = LocalDataset::with_indexes(attrs, types, columns, sorted, labels, task);
 
         let params = TrainParams {
             impurity: plan.params.impurity,
@@ -1521,10 +1548,18 @@ impl Worker {
             // loop must not oversubscribe it.
             threads: 1,
         };
+        // On top of the gathered buffers the task holds the indexes it built
+        // and, for exact training, the trainer's copy of the numeric orders.
+        let order_bytes = match params.mode {
+            TrainMode::Exact => data.order_bytes(),
+            TrainMode::ExtraTrees => 0,
+        };
+        let task_bytes = local_bytes + index_bytes + order_bytes;
+        self.stats.mem_alloc(self.id, task_bytes);
         let subtree = train_subtree(&data, &params, plan.depth, plan.seed);
         drop(data);
         self.stats
-            .mem_free(self.id, local_bytes + remote_bytes + ix_bytes(&ix));
+            .mem_free(self.id, task_bytes + remote_bytes + ix_bytes(&ix));
 
         Some(TaskMsg::SubtreeResult {
             task: plan.task,

@@ -296,6 +296,47 @@ fn report_collects_cpu_and_memory() {
 }
 
 #[test]
+fn subtree_task_memory_counts_indexes_and_orders() {
+    // tau_d >= rows on one worker: the job is a single subtree-task over
+    // every row, whose column copies share the worker's resident indexes.
+    // On top of the resident data the task holds its copies of the columns
+    // and the trainer's order copy (4 B per row per numeric column).
+    let t = table(4_000, 6, 0, 31);
+    let cluster = Cluster::launch(small_cfg(1, 1, 4_000), &t);
+    let resident = cluster.report().per_node[1].mem_peak;
+    let _ = cluster.train(JobSpec::decision_tree(t.schema().task));
+    let peak = cluster.report().per_node[1].mem_peak;
+    cluster.shutdown();
+    let column_bytes: u64 = (0..t.n_attrs())
+        .map(|a| t.column(a).payload_bytes() as u64)
+        .sum();
+    let order_bytes = 4 * 4_000 * 6;
+    assert!(
+        peak >= resident + column_bytes + order_bytes,
+        "peak {peak} < resident {resident} + columns {column_bytes} + orders {order_bytes}"
+    );
+
+    // A subtree-task below the root gathers a row subset and has to build
+    // that subset's indexes (12 B per row per numeric column) as well. With
+    // tau_d just under the table, the root is a column-task and its larger
+    // child is the biggest subtree-task.
+    let cluster = Cluster::launch(small_cfg(1, 1, 3_999), &t);
+    let resident = cluster.report().per_node[1].mem_peak;
+    let model = cluster
+        .train(JobSpec::decision_tree(t.schema().task))
+        .into_tree();
+    let peak = cluster.report().per_node[1].mem_peak;
+    cluster.shutdown();
+    let (_, l, r) = model.nodes[0].split.as_ref().expect("the root splits");
+    let rows = model.nodes[*l].n_rows.max(model.nodes[*r].n_rows);
+    let per_row = 6 * (8 + 12 + 4);
+    assert!(
+        peak >= resident + rows * per_row,
+        "peak {peak} < resident {resident} + {rows} rows x {per_row} B (data + index + order)"
+    );
+}
+
+#[test]
 fn launch_from_dfs_trains_identically() {
     let dir = std::env::temp_dir().join(format!("ts-core-dfs-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

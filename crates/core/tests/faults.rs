@@ -318,7 +318,11 @@ fn silent_crash_is_detected_by_heartbeats_and_recovered() {
     let plan = lossy_plan(0xDEAD_BEA7).with_crash_at_delegation(3);
     let mut cfg = faulty_cfg(Some(plan));
     cfg.heartbeat_interval = Duration::from_millis(5);
-    cfg.heartbeat_miss_threshold = 10; // 50 ms lease: fast detection in tests
+    // A 250 ms lease. 50 ms was short enough for a healthy worker starved
+    // of CPU by a busy host to be suspected as well, after which "no live
+    // worker can accept a new replica"; the crashed one is silent for good,
+    // so the longer lease still detects it.
+    cfg.heartbeat_miss_threshold = 50;
     cfg.obs = ts_obs::ObsConfig::enabled();
     let cluster = Cluster::launch(cfg, &t);
     let model = cluster

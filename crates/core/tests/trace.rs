@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use treeserver::obs::{ObsConfig, SpanKind};
+use treeserver::obs::{ObsConfig, Phase, SpanKind};
 use treeserver::{Cluster, ClusterConfig, JobSpec};
 use ts_datatable::synth::{generate, SynthSpec};
 use ts_datatable::DataTable;
@@ -158,5 +158,58 @@ fn trace_report_survives_multiple_jobs_and_names_the_latest() {
     assert_eq!(report.job, 1, "job ids are 0-based and sequential");
     assert_eq!(report.phase_sum_ns(), report.wall_ns);
     assert!(report.spans_total > 1, "a tree run opens plan + task spans");
+    cluster.shutdown();
+}
+
+#[test]
+fn subtree_tasks_behind_one_comper_are_queueing_not_gathering() {
+    // tau_d >= rows makes every tree one subtree-task; the single worker
+    // holds every column, so each dataset is assembled the moment the plan
+    // arrives and the trees then wait in line for the one comper.
+    let t = table(3_000, 21);
+    let cfg = ClusterConfig {
+        n_workers: 1,
+        compers_per_worker: 1,
+        replication: 1,
+        tau_d: 3_000,
+        tau_dfs: 12_000,
+        obs: ObsConfig::enabled(),
+        ..Default::default()
+    };
+    let cluster = Cluster::launch(cfg, &t);
+    let result = cluster.train(JobSpec::random_forest(t.schema().task, 8).with_seed(3));
+    assert!(result.failure().is_none());
+
+    let dag = cluster.obs().expect("obs enabled").span_dag();
+    let subtrees: Vec<_> = dag
+        .spans()
+        .filter(|s| s.kind == SpanKind::SubtreeTask)
+        .collect();
+    assert_eq!(subtrees.len(), 8, "one subtree-task per tree");
+    for s in &subtrees {
+        let (recv, ready, active) = (
+            s.recv_ns.unwrap(),
+            s.ready_ns.unwrap(),
+            s.active_ns.unwrap(),
+        );
+        assert!(
+            recv <= ready && ready <= active,
+            "marks out of order: {s:?}"
+        );
+    }
+
+    // The critical path ends in the tree trained last: it waited for the
+    // seven before it, and that wait must not be booked as data assembly.
+    let report = cluster.trace_report().expect("the job finished");
+    assert_eq!(report.phase_sum_ns(), report.wall_ns);
+    let (gather, queueing, compute) = (
+        report.phase_ns(Phase::Gather),
+        report.phase_ns(Phase::Queueing),
+        report.phase_ns(Phase::Compute),
+    );
+    assert!(
+        queueing > 10 * gather && queueing > compute,
+        "gather {gather} ns, queueing {queueing} ns, compute {compute} ns"
+    );
     cluster.shutdown();
 }

@@ -152,7 +152,7 @@ pub(crate) fn export(mut events: Vec<TimedEvent>) -> String {
                 let tid = span_subjects.get(&span).copied().unwrap_or(0) + 1;
                 e.flow('f', ev.ts_ns, node, tid, span);
             }
-            Event::SpanActive { .. } => {}
+            Event::SpanReady { .. } | Event::SpanActive { .. } => {}
             Event::SpanClose { span } => {
                 if let Some(start) = open_plans.remove(&span) {
                     let subject = match start.event {

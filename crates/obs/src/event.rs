@@ -45,6 +45,15 @@ pub enum Event {
         /// The receiving machine.
         node: u32,
     },
+    /// The span's work has everything it needs and entered its machine's
+    /// ready queue: a subtree-task's dataset is assembled (all `ReqCols` /
+    /// `ReqIx` answered). Separates data assembly from waiting for a comper.
+    SpanReady {
+        /// The span.
+        span: u64,
+        /// The machine holding the ready work.
+        node: u32,
+    },
     /// Work on the span left its queue and started executing (a comper
     /// picked the task up; the master popped the plan for assignment).
     SpanActive {

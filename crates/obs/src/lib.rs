@@ -245,7 +245,7 @@ impl Recorder {
         match *event {
             Event::SpanOpen { .. } => h.spans_opened.inc(),
             Event::SpanClose { .. } => h.spans_closed.inc(),
-            Event::SpanRecv { .. } | Event::SpanActive { .. } => {}
+            Event::SpanRecv { .. } | Event::SpanReady { .. } | Event::SpanActive { .. } => {}
             Event::JobSubmitted { .. } => h.jobs_submitted.inc(),
             Event::JobFinished { .. } => h.jobs_finished.inc(),
             Event::ColumnTaskDispatched { .. } => h.column_tasks_dispatched.inc(),

@@ -1,8 +1,8 @@
 //! Span-DAG reconstruction and critical-path analysis over recorded events.
 //!
-//! The engine records four span lifecycle marks ([`Event::SpanOpen`] /
-//! [`Event::SpanRecv`] / [`Event::SpanActive`] / [`Event::SpanClose`])
-//! plus per-task [`Event::TaskComputed`] compute marks. This module folds
+//! The engine records five span lifecycle marks ([`Event::SpanOpen`] /
+//! [`Event::SpanRecv`] / [`Event::SpanReady`] / [`Event::SpanActive`] /
+//! [`Event::SpanClose`]) plus per-task [`Event::TaskComputed`] compute marks. This module folds
 //! them back into a [`SpanDag`] — every span's begin/end and its
 //! queue/network intervals — and derives a [`TraceReport`]:
 //!
@@ -34,7 +34,7 @@ pub enum Phase {
     /// Frames in flight (plan dispatch, result return), including pacing
     /// and fault-injected delay.
     Network,
-    /// A column task sat in a worker's ready queue waiting for a comper.
+    /// A task sat in a worker's ready queue waiting for a comper.
     Queueing,
     /// Split kernels / subtree training on a comper.
     Compute,
@@ -84,6 +84,8 @@ pub struct SpanInfo {
     pub close_ns: Option<u64>,
     /// Earliest `SpanRecv` (first machine to receive the work).
     pub recv_ns: Option<u64>,
+    /// Earliest `SpanReady` (work fully provisioned, queued for a comper).
+    pub ready_ns: Option<u64>,
     /// Earliest `SpanActive` (work started executing).
     pub active_ns: Option<u64>,
     /// Latest `TaskComputed` for the subject task (compute finished).
@@ -129,6 +131,7 @@ impl SpanDag {
                     open_ns: te.ts_ns,
                     close_ns: None,
                     recv_ns: None,
+                    ready_ns: None,
                     active_ns: None,
                     computed_ns: None,
                     recv_nodes: Vec::new(),
@@ -151,6 +154,11 @@ impl SpanDag {
                         if let Err(at) = s.recv_nodes.binary_search(&node) {
                             s.recv_nodes.insert(at, node);
                         }
+                    }
+                }
+                Event::SpanReady { span, .. } => {
+                    if let Some(s) = spans.get_mut(&span) {
+                        s.ready_ns = Some(s.ready_ns.map_or(te.ts_ns, |r| r.min(te.ts_ns)));
                     }
                 }
                 Event::SpanActive { span, .. } => {
@@ -304,10 +312,13 @@ fn decompose(span: &SpanInfo, lo: u64, hi: u64, out: &mut Vec<Segment>) {
             (span.computed_ns, Phase::Compute),
             (Some(u64::MAX), Phase::Network),
         ],
-        // recv -> active covers the ReqCols/ReqIx dataset assembly.
+        // recv -> ready is the ReqCols/ReqIx dataset assembly; ready ->
+        // active is the wait for a comper behind the worker's other tasks.
+        // Without a ready mark the whole stretch counts as queueing.
         SpanKind::SubtreeTask => &[
             (span.recv_ns, Phase::Network),
-            (span.active_ns, Phase::Gather),
+            (span.ready_ns, Phase::Gather),
+            (span.active_ns, Phase::Queueing),
             (span.computed_ns, Phase::Compute),
             (Some(u64::MAX), Phase::Network),
         ],
@@ -650,6 +661,53 @@ mod tests {
         assert_eq!(report.phase_ns(Phase::Queueing), 100);
         assert_eq!(report.phase_ns(Phase::Compute), 500);
         assert_eq!(report.phase_ns(Phase::Gather), 0);
+    }
+
+    #[test]
+    fn subtree_ready_mark_separates_gather_from_queueing() {
+        // job(1) -> plan(2) -> subtree task(3): received at 300, dataset
+        // assembled at 350, picked up by a comper only at 800.
+        let mut events = vec![
+            open(0, 1, 1, 0, SpanKind::Job, 7),
+            open(100, 1, 2, 1, SpanKind::Plan, 40),
+            te(150, 0, Event::SpanActive { span: 2, node: 0 }),
+            open(160, 1, 3, 2, SpanKind::SubtreeTask, 40),
+            te(200, 0, Event::SpanClose { span: 2 }),
+            te(300, 2, Event::SpanRecv { span: 3, node: 2 }),
+            te(350, 2, Event::SpanReady { span: 3, node: 2 }),
+            te(800, 2, Event::SpanActive { span: 3, node: 2 }),
+            te(
+                900,
+                2,
+                Event::TaskComputed {
+                    task: 40,
+                    node: 2,
+                    busy_ns: 100,
+                },
+            ),
+            te(1_000, 0, Event::SpanClose { span: 3 }),
+            te(1_200, 0, Event::SpanClose { span: 1 }),
+        ];
+        let report = TraceReport::from_events(&events).unwrap();
+        assert_eq!(
+            SpanDag::from_events(&events).span(3).unwrap().ready_ns,
+            Some(350)
+        );
+        assert_eq!(report.phase_ns(Phase::Gather), 50);
+        assert_eq!(report.phase_ns(Phase::Queueing), 450);
+        assert_eq!(report.phase_ns(Phase::Compute), 100);
+        assert_eq!(report.phase_sum_ns(), report.wall_ns);
+        for w in report.critical_path.windows(2) {
+            assert_eq!(w[0].end_ns, w[1].start_ns, "segments must be contiguous");
+        }
+
+        // A log without the ready mark still tiles; the unexplained stretch
+        // is queueing, never gather.
+        events.retain(|e| !matches!(e.event, Event::SpanReady { .. }));
+        let report = TraceReport::from_events(&events).unwrap();
+        assert_eq!(report.phase_ns(Phase::Gather), 0);
+        assert_eq!(report.phase_ns(Phase::Queueing), 500);
+        assert_eq!(report.phase_sum_ns(), report.wall_ns);
     }
 
     #[test]

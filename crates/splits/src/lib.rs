@@ -14,7 +14,7 @@
 //!
 //! | core | what it scans | instantiated by |
 //! |---|---|---|
-//! | 1. boundary scan (`exact::scan_presorted`) | presorted `(value, row)` pairs, `O(1)` incremental impurity per boundary (*Case 1*) | [`sorted::best_numeric_split_at`] on both its presorted-filter and gather-sort arms (engine column-tasks, subtree trainer, Yggdrasil) and, through the gather-sort arm, [`exact::best_numeric_split`] |
+//! | 1. boundary scan (`exact::scan_presorted`) | presorted `(value, row)` pairs, `O(1)` incremental impurity per boundary (*Case 1*) | [`sorted::best_numeric_split_in`] over a node's own segment of a [`sorted::NodeOrders`] (subtree trainer, Yggdrasil); [`sorted::best_numeric_split_at`] on both its presorted-filter and gather-sort arms (engine column-tasks) and, through the gather-sort arm, [`exact::best_numeric_split`] |
 //! | 2. bin prefix scan (`hist::best_bin_boundary`) | per-bin aggregates, one candidate per bin edge | [`hist::best_hist_split_numeric_at`] (the `--splitter hist` engine) and [`histogram::NumericHistogram::best_split`] (PLANET) |
 //! | 3. per-category accumulation (`sorted::accumulate_categories`) | a node's rows into per-category aggregates, feeding the selectors `exact::best_one_vs_rest` (*Case 3*) and `exact::best_breiman_prefix` (*Case 2*) | [`sorted::best_cat_split_classification_at`] / [`sorted::best_cat_split_regression_at`] and their `NodeRows::All` wrappers in [`exact`]; the selectors alone also serve [`histogram::best_cat_from_class_stats`] / [`histogram::best_cat_from_reg_stats`] |
 //!
@@ -26,8 +26,9 @@
 //! - [`impurity`]: the impurity functions, `LabelAgg` and its two
 //!   aggregates, `NodeStats`.
 //! - [`sorted`]: the sorted-column split engine — `NodeRows`, `RowBitmap`,
-//!   the thread-local scratch arena and the `_at` kernels every trainer
-//!   calls (docs/PERF.md).
+//!   the thread-local scratch arena, the `_at` kernels of the column-tasks,
+//!   and `NodeOrders` (a node-partitioned copy of the presorted orders)
+//!   with the `_in` entries the whole-subtree trainers call (docs/PERF.md).
 //! - [`exact`]: `ColumnSplit`, core 1 and the categorical selectors, plus
 //!   the *gathered* kernels. Those take a column already gathered over the
 //!   node's rows and are thin `NodeRows::All` calls into [`sorted`]; they
@@ -61,4 +62,7 @@ pub use condition::{partition_positions, partition_rows, partition_rows_buf, Spl
 pub use exact::{best_split_for_column, ColumnSplit};
 pub use hist::{best_hist_split_at, top_k_candidates, HistCandidate, HistColumnRef};
 pub use impurity::{Impurity, LabelView, NodeStats};
-pub use sorted::{best_split_at, kernel_counters, ColumnRef, KernelCounters, NodeRows, RowBitmap};
+pub use sorted::{
+    best_split_at, best_split_in, kernel_counters, ColumnRef, KernelCounters, NodeOrders, NodeRows,
+    RowBitmap,
+};

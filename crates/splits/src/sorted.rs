@@ -3,31 +3,45 @@
 //! The legacy exact path gathers a column over the node's rows and re-sorts
 //! it for every node: `O(|Dx| log |Dx|)` per node *per candidate column*,
 //! with fresh allocations throughout. This module pays the sort once — the
-//! [`SortedColumn`] index built at column-load time — and turns each node's
-//! split search into a filtered linear scan over presorted order, gated by a
-//! reusable [`RowBitmap`] node-membership mask. All transient buffers come
-//! from a thread-local scratch arena, so the steady-state hot path allocates
-//! nothing.
+//! [`SortedColumn`] index built at column-load time — and gives each node
+//! its presorted sequence in one of two ways:
+//!
+//! - a **column-task** sees one node of a resident column at a time, so
+//!   [`best_numeric_split_at`] filters the whole presorted order through a
+//!   reusable [`RowBitmap`] node-membership mask (or re-sorts the node's
+//!   rows when the node is small against the column, [`NumericPath`]);
+//! - a trainer that grows a **whole subtree** keeps a [`NodeOrders`] — a
+//!   copy of the orders in which every open node owns a contiguous segment,
+//!   stable-partitioned at each split — and [`best_numeric_split_in`] scans
+//!   the node's own segment: `O(rows)` per column per tree level, nothing
+//!   per node but its own rows.
+//!
+//! All transient buffers come from a thread-local scratch arena, so the
+//! steady-state hot path allocates nothing.
 //!
 //! # Determinism contract
 //!
-//! Both numeric arms — the presorted filter and the gather-sort fallback —
-//! feed the one boundary scan (`crate::exact::scan_presorted`), and every
-//! kernel here builds child statistics with the one `child_stats_at`, so
-//! they pick byte-identical splits:
+//! All three sources — the presorted filter, the gather-sort fallback and a
+//! node's partitioned segment — feed the one boundary scan
+//! (`crate::exact::scan_presorted`), and every kernel here builds child
+//! statistics with the one `child_stats_at`, so they pick byte-identical
+//! splits:
 //!
 //! - Node row sets are always **ascending** (they start as `0..n` and every
 //!   partition preserves input order), so the map from gathered position to
 //!   row id is order-preserving. Filtering the presorted `(value, row)`
 //!   order by node membership yields a sequence order-isomorphic to the
 //!   gather-then-sort sequence — identical values, identical label
-//!   sequence, hence bit-identical incremental gains.
+//!   sequence, hence bit-identical incremental gains. A stable partition of
+//!   the presorted order by child membership *is* that filter, applied once
+//!   per split instead of once per scan.
 //! - Child statistics are accumulated over the node's rows in ascending
 //!   order on both arms, so floating-point sums agree to the last ULP.
 //!
-//! Because the two arms are byte-identical, the per-node [`NumericPath`]
-//! heuristic (scan the full presorted order vs. gather+sort the subset when
-//! the node is small) affects performance only, never the model.
+//! Because the sources are byte-identical, which one a caller uses — and
+//! the column-task's per-node [`NumericPath`] heuristic (scan the full
+//! presorted order vs. gather+sort the subset when the node is small) —
+//! affects performance only, never the model.
 //!
 //! # Observability
 //!
@@ -39,6 +53,7 @@ use crate::condition::SplitTest;
 use crate::exact::{best_breiman_prefix, best_one_vs_rest, scan_presorted, ColumnSplit};
 use crate::impurity::{ClassCounts, Impurity, LabelAgg, LabelView, NodeStats, RegAgg};
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use ts_datatable::{AttrType, Column, SortedColumn, ValuesBuf, MISSING_CAT};
 
@@ -62,7 +77,9 @@ fn pool_miss() {
 /// Snapshot of the process-wide kernel-path and scratch-pool counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelCounters {
-    /// Numeric kernels answered by the filtered presorted scan.
+    /// Numeric kernels answered from a presorted sequence: the
+    /// mask-filtered whole-column scan or a node's own [`NodeOrders`]
+    /// segment.
     pub numeric_sorted_scans: u64,
     /// Numeric kernels answered by the legacy gather+sort fallback.
     pub numeric_gather_scans: u64,
@@ -470,6 +487,29 @@ pub(crate) fn gather_sort_split(
     })
 }
 
+/// Exact best `Ai <= v` split of a numeric column over a node that already
+/// owns its presorted sequence: `segment` holds the node's present rows of
+/// this column in `(value, row)` order — a [`NodeOrders`] segment. No mask,
+/// no sort, no pass over rows outside the node; the boundary scan and the
+/// child statistics are the ones [`best_numeric_split_at`] runs, over the
+/// same sequence, so the split is byte-identical to both of its arms.
+pub fn best_numeric_split_in(
+    values: &[f64],
+    segment: &[u32],
+    node: NodeRows<'_>,
+    labels: LabelView<'_>,
+    imp: Impurity,
+) -> Option<ColumnSplit> {
+    assert_eq!(values.len(), labels.len(), "values/labels length mismatch");
+    debug_assert_ascending(&node);
+    NUMERIC_SORTED_SCANS.fetch_add(1, Relaxed);
+    with_present(segment.len(), |present| {
+        present.extend(segment.iter().map(|&r| (values[r as usize], r)));
+        let best = scan_presorted(present, labels, imp);
+        finish_numeric_at(best, present.len(), values, node, labels)
+    })
+}
+
 /// Builds both children's label statistics in a single pass over the
 /// node's rows **in ascending row order**, routing each row with `route`
 /// (`None` = missing, goes to the `missing_left` side).
@@ -693,6 +733,111 @@ pub fn distinct_categories_at(codes: &[u32], node: NodeRows<'_>, n_values: u32) 
 }
 
 // ---------------------------------------------------------------------------
+// Node-partitioned presorted order
+// ---------------------------------------------------------------------------
+
+/// One node's segment bounds in a [`NodeOrders`], one range per column.
+/// Lengths differ between columns: a segment holds the node's *present*
+/// rows of its column only.
+pub type Segments = Vec<Range<usize>>;
+
+/// A private, node-partitioned copy of a dataset's presorted orders — how a
+/// trainer that grows a whole (sub)tree locally hands every node its sorted
+/// sequence without filtering or sorting anything per node.
+///
+/// Per numeric column it holds one `u32` copy of
+/// [`SortedColumn::numeric_order`] (nothing for categorical columns) in
+/// which every open node owns a contiguous segment: the root owns the whole
+/// order, and [`NodeOrders::split`] stable-partitions a node's segment into
+/// its children's. A stable partition keeps the `(value, row)` order inside
+/// each side, so a segment is exactly the sequence the mask-filtered scan
+/// and the gather+sort arm of [`best_numeric_split_at`] would produce for
+/// that node — the sort is paid once per column, then `O(|node|)` per column
+/// per split. Segments of different nodes are disjoint, so the nodes may be
+/// grown in any order (pre-order recursion, level by level).
+#[derive(Debug, Clone)]
+pub struct NodeOrders {
+    /// Per column, the partitioned order (empty for categorical columns).
+    orders: Vec<Vec<u32>>,
+    /// The splitting node's rows that go left, set for the span of a split.
+    side: RowBitmap,
+    /// Parking space for a segment's right-going rows, shared by all columns.
+    scratch: Vec<u32>,
+}
+
+impl NodeOrders {
+    /// Copies the numeric orders of a dataset's `indexes` (one per column,
+    /// over `n_rows` rows).
+    pub fn new<'a>(indexes: impl IntoIterator<Item = &'a SortedColumn>, n_rows: usize) -> Self {
+        let orders: Vec<Vec<u32>> = indexes
+            .into_iter()
+            .map(|index| match index {
+                SortedColumn::Numeric { order, .. } => order.clone(),
+                SortedColumn::Categorical { .. } => Vec::new(),
+            })
+            .collect();
+        let longest = orders.iter().map(Vec::len).max().unwrap_or(0);
+        NodeOrders {
+            orders,
+            side: RowBitmap::with_rows(n_rows),
+            scratch: vec![0; longest],
+        }
+    }
+
+    /// The root node's segments: every column's whole order.
+    pub fn root(&self) -> Segments {
+        self.orders.iter().map(|o| 0..o.len()).collect()
+    }
+
+    /// The presorted present rows of column `col` for the node owning `segs`.
+    pub fn segment(&self, col: usize, segs: &[Range<usize>]) -> &[u32] {
+        &self.orders[col][segs[col].clone()]
+    }
+
+    /// Splits the node owning `segs` into its children: every column's
+    /// segment is stable-partitioned so the rows in `left_rows` come first,
+    /// both sides keeping their relative order. Returns the `(left, right)`
+    /// children's segments. Rows of the node missing from `left_rows` go
+    /// right; rows of other nodes are not touched.
+    pub fn split(&mut self, segs: &[Range<usize>], left_rows: &[u32]) -> (Segments, Segments) {
+        assert_eq!(segs.len(), self.orders.len(), "one segment per column");
+        self.side.insert_all(left_rows);
+        let (mut left, mut right) = (
+            Vec::with_capacity(segs.len()),
+            Vec::with_capacity(segs.len()),
+        );
+        for (order, seg) in self.orders.iter_mut().zip(segs) {
+            let n_left = stable_partition(&mut order[seg.clone()], &self.side, &mut self.scratch);
+            let mid = seg.start + n_left;
+            left.push(seg.start..mid);
+            right.push(mid..seg.end);
+        }
+        self.side.remove_all(left_rows);
+        (left, right)
+    }
+}
+
+/// Moves the rows of `seg` that are in `left` to its front, preserving the
+/// relative order of both groups; returns how many went left. Every row is
+/// written to both destinations and only the cursors depend on its side —
+/// the side of a row under a good split is a coin flip, and a mispredicted
+/// branch per row costs more than the spare store.
+fn stable_partition(seg: &mut [u32], left: &RowBitmap, scratch: &mut [u32]) -> usize {
+    let scratch = &mut scratch[..seg.len()];
+    let (mut n_left, mut n_right) = (0, 0);
+    for i in 0..seg.len() {
+        let row = seg[i];
+        let goes_left = usize::from(left.contains(row));
+        seg[n_left] = row;
+        scratch[n_right] = row;
+        n_left += goes_left;
+        n_right += 1 - goes_left;
+    }
+    seg[n_left..].copy_from_slice(&scratch[..n_right]);
+    n_left
+}
+
+// ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
 
@@ -741,9 +886,10 @@ impl<'a> ColumnRef<'a> {
 
 /// Sorted-engine counterpart of [`crate::exact::best_split_for_column`]:
 /// finds the same split without gathering, given the full column, its
-/// presorted index and the node's row set. The single entry point used by
-/// the subtree trainer, the distributed column-tasks and the Yggdrasil
-/// baseline — which is what keeps them byte-identical.
+/// presorted index and the node's row set, filtering the whole presorted
+/// order by `mask` (or re-sorting a small node). The entry point of the
+/// distributed column-tasks, which see one node of a resident column at a
+/// time; trainers that grow a whole subtree use [`best_split_in`].
 pub fn best_split_at(
     col: ColumnRef<'_>,
     node: NodeRows<'_>,
@@ -751,16 +897,50 @@ pub fn best_split_at(
     labels: LabelView<'_>,
     imp: Impurity,
 ) -> Option<ColumnSplit> {
-    match (col, labels) {
-        (ColumnRef::Numeric { values, index }, _) => {
+    match col {
+        ColumnRef::Numeric { values, index } => {
             best_numeric_split_at(values, index, node, mask, labels, imp)
         }
-        (ColumnRef::Categorical { codes, n_values }, LabelView::Class(ys, k)) => {
+        ColumnRef::Categorical { codes, n_values } => {
+            best_cat_split_at(codes, n_values, node, labels, imp)
+        }
+    }
+}
+
+/// [`best_split_at`] for a node that owns its presorted sequence: `segment`
+/// is the node's [`NodeOrders::segment`] of this column (ignored for
+/// categorical columns, which need no value order). The entry point of the
+/// subtree trainer and the Yggdrasil baseline; same scan cores, same child
+/// statistics, hence the same bytes as [`best_split_at`].
+pub fn best_split_in(
+    col: ColumnRef<'_>,
+    segment: &[u32],
+    node: NodeRows<'_>,
+    labels: LabelView<'_>,
+    imp: Impurity,
+) -> Option<ColumnSplit> {
+    match col {
+        ColumnRef::Numeric { values, .. } => {
+            best_numeric_split_in(values, segment, node, labels, imp)
+        }
+        ColumnRef::Categorical { codes, n_values } => {
+            best_cat_split_at(codes, n_values, node, labels, imp)
+        }
+    }
+}
+
+fn best_cat_split_at(
+    codes: &[u32],
+    n_values: u32,
+    node: NodeRows<'_>,
+    labels: LabelView<'_>,
+    imp: Impurity,
+) -> Option<ColumnSplit> {
+    match labels {
+        LabelView::Class(ys, k) => {
             best_cat_split_classification_at(codes, n_values, node, ys, k, imp)
         }
-        (ColumnRef::Categorical { codes, n_values }, LabelView::Real(ys)) => {
-            best_cat_split_regression_at(codes, n_values, node, ys)
-        }
+        LabelView::Real(ys) => best_cat_split_regression_at(codes, n_values, node, ys),
     }
 }
 
@@ -987,5 +1167,112 @@ mod tests {
             best_numeric_split_at(&nan, &idx2, NodeRows::All(2), None, labels, Impurity::Gini),
             None
         );
+    }
+
+    /// Two numeric columns (the second with rows 1 and 4 missing) and a
+    /// categorical one over six rows.
+    fn small_orders() -> (Vec<SortedColumn>, NodeOrders) {
+        let indexes = vec![
+            SortedColumn::from_numeric(&[5.0, 1.0, 3.0, 1.0, 4.0, 2.0]),
+            SortedColumn::from_numeric(&[0.5, f64::NAN, 0.1, 0.9, f64::NAN, 0.1]),
+            SortedColumn::from_categorical(&[0, 1, 0, 2, 1, 0]),
+        ];
+        let orders = NodeOrders::new(&indexes, 6);
+        (indexes, orders)
+    }
+
+    #[test]
+    fn root_segments_are_the_presorted_orders() {
+        let (indexes, orders) = small_orders();
+        let root = orders.root();
+        assert_eq!(orders.segment(0, &root), indexes[0].numeric_order());
+        assert_eq!(orders.segment(0, &root), [1, 3, 5, 2, 4, 0]);
+        assert_eq!(orders.segment(1, &root), [2, 5, 0, 3]);
+        assert!(orders.segment(2, &root).is_empty());
+    }
+
+    #[test]
+    fn split_is_stable_on_both_sides_and_counts_present_rows_per_column() {
+        let (_, mut orders) = small_orders();
+        let root = orders.root();
+        let (left, right) = orders.split(&root, &[0, 3, 4]);
+        // Both sides keep the (value, row) order they had in the parent.
+        assert_eq!(orders.segment(0, &left), [3, 4, 0]);
+        assert_eq!(orders.segment(0, &right), [1, 5, 2]);
+        // Rows 1 and 4 are missing from column 1: its segments are shorter,
+        // and not the same length on the two sides.
+        assert_eq!(orders.segment(1, &left), [0, 3]);
+        assert_eq!(orders.segment(1, &right), [2, 5]);
+        assert_eq!((left[0].len(), left[1].len(), left[2].len()), (3, 2, 0));
+        assert_eq!((right[0].len(), right[1].len()), (3, 2));
+
+        // Splitting a child leaves its sibling's segments alone.
+        let (ll, lr) = orders.split(&left, &[4]);
+        assert_eq!(orders.segment(0, &ll), [4]);
+        assert_eq!(orders.segment(0, &lr), [3, 0]);
+        assert!(orders.segment(1, &ll).is_empty());
+        assert_eq!(orders.segment(1, &lr), [0, 3]);
+        assert_eq!(orders.segment(0, &right), [1, 5, 2]);
+        assert_eq!(orders.segment(1, &right), [2, 5]);
+    }
+
+    #[test]
+    fn split_with_an_empty_side_or_a_single_row() {
+        let (_, mut orders) = small_orders();
+        let root = orders.root();
+        let (left, right) = orders.split(&root, &[]);
+        assert!(left.iter().all(|seg| seg.is_empty()));
+        assert_eq!(right, root);
+        assert_eq!(orders.segment(0, &right), [1, 3, 5, 2, 4, 0]);
+        let (left, right) = orders.split(&root, &[0, 1, 2, 3, 4, 5]);
+        assert_eq!(left, root);
+        assert!(right.iter().all(|seg| seg.is_empty()));
+        assert_eq!(orders.segment(1, &left), [2, 5, 0, 3]);
+
+        // A one-row node, reached by two splits, splits into itself + nothing.
+        let (_, rest) = orders.split(&root, &[0, 1, 2, 3, 4]);
+        assert_eq!(orders.segment(0, &rest), [5]);
+        let (l, r) = orders.split(&rest, &[5]);
+        assert_eq!(orders.segment(0, &l), [5]);
+        assert_eq!(orders.segment(1, &l), [5]);
+        assert!(orders.segment(0, &r).is_empty());
+        // The side flags are cleared after every split.
+        let (l, _) = orders.split(&root, &[]);
+        assert!(l.iter().all(|seg| seg.is_empty()));
+    }
+
+    #[test]
+    fn segment_kernel_matches_mask_and_gather_arms() {
+        let values = [3.0, 1.0, f64::NAN, 2.0, 2.0, 10.0, -4.0, 5.5];
+        let ys = [10.0, 20.0, 5.0, 20.0, 30.0, 1.0, 2.0, 8.0];
+        let labels = LabelView::Real(&ys);
+        let index = SortedColumn::from_numeric(&values);
+        let mut orders = NodeOrders::new([&index], values.len());
+        let rows = [0u32, 1, 3, 4, 6, 7];
+        let (node_segs, _) = orders.split(&orders.root(), &rows);
+        let before = kernel_counters();
+        let in_segment = best_numeric_split_in(
+            &values,
+            orders.segment(0, &node_segs),
+            NodeRows::Subset(&rows),
+            labels,
+            Impurity::Variance,
+        );
+        assert!(kernel_counters().numeric_sorted_scans > before.numeric_sorted_scans);
+        assert!(in_segment.is_some());
+        let mut mask = RowBitmap::with_rows(values.len());
+        mask.insert_all(&rows);
+        for path in [NumericPath::SortedScan, NumericPath::GatherSort] {
+            let at = best_numeric_split_at_path(
+                path,
+                &values,
+                &index,
+                NodeRows::Subset(&rows),
+                Some(&mask),
+                labels,
+                Impurity::Variance,
+            );
+            assert_eq!(in_segment, at, "path {path:?}");
+        }
     }
 }

@@ -5,6 +5,7 @@
 //! locally, and assembles this structure (paper §III/IV). The same structure
 //! backs whole-table single-machine training (the fairness experiment).
 
+use std::sync::Arc;
 use ts_datatable::{AttrType, DataTable, Labels, SortedColumn, Task, ValuesBuf};
 
 /// A gathered, self-contained slice of the training data: a set of columns
@@ -17,9 +18,12 @@ pub struct LocalDataset {
     pub types: Vec<AttrType>,
     /// Gathered values of each local column, all aligned on the same rows.
     pub columns: Vec<ValuesBuf>,
-    /// Presorted index of each local column, built once at construction and
-    /// shared by every node of the subtree (see `ts_splits::sorted`).
-    pub sorted: Vec<SortedColumn>,
+    /// Presorted index of each local column, over positions within the
+    /// dataset: built once at construction — or shared with the store the
+    /// column was copied from, when the dataset spans all of its rows — and
+    /// the source of the trainer's node-partitioned orders (see
+    /// `ts_splits::sorted::NodeOrders`).
+    pub sorted: Vec<Arc<SortedColumn>>,
     /// Gathered labels, aligned with the columns.
     pub labels: Labels,
     /// The prediction task.
@@ -27,7 +31,7 @@ pub struct LocalDataset {
 }
 
 impl LocalDataset {
-    /// Builds a dataset, validating alignment.
+    /// Builds a dataset, validating alignment and presorting every column.
     ///
     /// # Panics
     /// Panics if the parallel vectors disagree in length or any column is
@@ -39,13 +43,36 @@ impl LocalDataset {
         labels: Labels,
         task: Task,
     ) -> Self {
+        let sorted = columns
+            .iter()
+            .map(|c| Arc::new(SortedColumn::build_buf(c)))
+            .collect();
+        Self::with_indexes(attrs, types, columns, sorted, labels, task)
+    }
+
+    /// [`LocalDataset::new`] over columns whose presorted indexes already
+    /// exist: `sorted[i]` must be the index `SortedColumn::build_buf` would
+    /// build for `columns[i]`. A worker whose subtree-task covers every row
+    /// passes its resident indexes here instead of sorting the copies again.
+    ///
+    /// # Panics
+    /// Panics if the parallel vectors disagree in length or any column is
+    /// not aligned with the labels.
+    pub fn with_indexes(
+        attrs: Vec<usize>,
+        types: Vec<AttrType>,
+        columns: Vec<ValuesBuf>,
+        sorted: Vec<Arc<SortedColumn>>,
+        labels: Labels,
+        task: Task,
+    ) -> Self {
         assert_eq!(attrs.len(), types.len(), "attrs/types length mismatch");
         assert_eq!(attrs.len(), columns.len(), "attrs/columns length mismatch");
+        assert_eq!(attrs.len(), sorted.len(), "attrs/indexes length mismatch");
         let n = labels.len();
         for (i, c) in columns.iter().enumerate() {
             assert_eq!(c.len(), n, "column {i} not aligned with labels");
         }
-        let sorted = columns.iter().map(SortedColumn::build_buf).collect();
         LocalDataset {
             attrs,
             types,
@@ -85,13 +112,30 @@ impl LocalDataset {
         self.columns.len()
     }
 
-    /// Total payload bytes (for the engine's task-memory accounting).
+    /// Bytes of the gathered data: column values plus labels. The presorted
+    /// indexes (`SortedColumn::payload_bytes`, where the dataset built them
+    /// rather than sharing a store's) and the exact trainer's working copy
+    /// ([`LocalDataset::order_bytes`]) come on top; the engine's task-memory
+    /// accounting charges all three.
     pub fn payload_bytes(&self) -> usize {
         self.columns
             .iter()
             .map(ValuesBuf::payload_bytes)
             .sum::<usize>()
             + self.labels.payload_bytes()
+    }
+
+    /// Bytes `train_subtree` allocates in `TrainMode::Exact` for its
+    /// node-partitioned copy of the numeric orders: 4 per present row per
+    /// numeric column.
+    pub fn order_bytes(&self) -> usize {
+        self.sorted
+            .iter()
+            .map(|index| match index.as_ref() {
+                SortedColumn::Numeric { order, .. } => std::mem::size_of_val(order.as_slice()),
+                SortedColumn::Categorical { .. } => 0,
+            })
+            .sum()
     }
 }
 
@@ -150,5 +194,43 @@ mod tests {
             Task::Regression,
         );
         assert_eq!(d.payload_bytes(), 16 + 16);
+    }
+
+    #[test]
+    fn order_bytes_count_present_rows_of_numeric_columns() {
+        let d = LocalDataset::new(
+            vec![0, 1],
+            vec![AttrType::Numeric, AttrType::Categorical { n_values: 3 }],
+            vec![
+                ValuesBuf::Numeric(vec![1.0, f64::NAN, 2.0]),
+                ValuesBuf::Categorical(vec![0, 1, 2]),
+            ],
+            Labels::Real(vec![1.0, 2.0, 3.0]),
+            Task::Regression,
+        );
+        assert_eq!(d.order_bytes(), 2 * 4);
+    }
+
+    #[test]
+    fn with_indexes_shares_the_given_indexes() {
+        let values = ValuesBuf::Numeric(vec![3.0, 1.0, 2.0]);
+        let index = Arc::new(SortedColumn::build_buf(&values));
+        let d = LocalDataset::with_indexes(
+            vec![4],
+            vec![AttrType::Numeric],
+            vec![values],
+            vec![Arc::clone(&index)],
+            Labels::Real(vec![1.0, 2.0, 3.0]),
+            Task::Regression,
+        );
+        assert!(Arc::ptr_eq(&d.sorted[0], &index));
+        let rebuilt = LocalDataset::new(
+            d.attrs.clone(),
+            d.types.clone(),
+            d.columns.clone(),
+            d.labels.clone(),
+            d.task,
+        );
+        assert_eq!(d, rebuilt);
     }
 }

@@ -2,20 +2,30 @@
 //!
 //! This is the code a subtree-task runs on its key worker: given the
 //! materialised `Dx` ([`LocalDataset`]), build the entire subtree `∆x` with
-//! no further communication (paper §III). It uses exactly the same split
-//! kernels ([`ts_splits::exact`]) and the same cross-column comparison as
+//! no further communication (paper §III). It uses exactly the same scan
+//! cores ([`ts_splits::sorted`]) and the same cross-column comparison as
 //! the distributed column-task path, so the engine's trees are bit-identical
 //! to single-machine training — the exactness guarantee the paper
 //! distinguishes TreeServer from PLANET/MLlib by.
+//!
+//! A node gets its sorted sequence one way: the dataset's presorted orders
+//! are copied once per subtree into a [`NodeOrders`], every node owns a
+//! contiguous segment of each copy, and choosing a split stable-partitions
+//! the node's segments into its children's — `O(rows)` per column per tree
+//! level, no per-node sort and no pass over rows outside the node
+//! (docs/PERF.md).
 
 use crate::dataset::LocalDataset;
 use crate::model::{DecisionTreeModel, Node, Prediction, SplitInfo};
+use std::ops::Range;
 use ts_datatable::{AttrType, Task};
 use ts_splits::condition::partition_rows_buf;
 use ts_splits::exact::ColumnSplit;
 use ts_splits::impurity::{Impurity, LabelView, NodeStats};
 use ts_splits::random::random_split_for_column;
-use ts_splits::sorted::{best_split_at, distinct_categories_at, ColumnRef, NodeRows, RowBitmap};
+use ts_splits::sorted::{
+    best_split_in, distinct_categories_at, ColumnRef, NodeOrders, NodeRows, Segments,
+};
 use tsrand::rngs::StdRng;
 use tsrand::seq::SliceRandom;
 use tsrand::SeedableRng;
@@ -120,6 +130,14 @@ pub fn train_subtree(
     assert!(data.n_rows() > 0, "cannot train on an empty dataset");
     let mut rng = StdRng::seed_from_u64(seed);
     let n_classes = data.task.n_classes().unwrap_or(0);
+    // Random splits draw their thresholds from the rng, not from a sorted
+    // order: extra-trees get an order over no columns.
+    let indexes: &[_] = match params.mode {
+        TrainMode::Exact => &data.sorted,
+        TrainMode::ExtraTrees => &[],
+    };
+    let orders = NodeOrders::new(indexes.iter().map(|index| index.as_ref()), data.n_rows());
+    let root = orders.root();
     let mut builder = Builder {
         data,
         params,
@@ -127,10 +145,10 @@ pub fn train_subtree(
         nodes: Vec::new(),
         rng: &mut rng,
         view: LabelView::of(&data.labels, n_classes),
-        mask: RowBitmap::with_rows(data.n_rows()),
+        orders,
     };
     let all: Vec<u32> = (0..data.n_rows() as u32).collect();
-    builder.build(all, 0);
+    builder.build(all, root, 0);
     DecisionTreeModel::new(builder.nodes, data.task)
 }
 
@@ -143,15 +161,16 @@ struct Builder<'a> {
     /// Full-dataset label view; per-node stats are accumulated through it by
     /// position, which avoids the per-node label gather of the legacy path.
     view: LabelView<'a>,
-    /// Reusable node-membership mask for the sorted scans — set to the
-    /// node's rows for the span of its column loop, then cleared.
-    mask: RowBitmap,
+    /// The node-partitioned presorted orders: read-only during a node's
+    /// column loop, partitioned once its split is chosen.
+    orders: NodeOrders,
 }
 
 impl Builder<'_> {
-    /// Builds the node over `positions` (row positions within the dataset)
-    /// at relative depth `depth`; returns its arena index.
-    fn build(&mut self, positions: Vec<u32>, depth: u32) -> usize {
+    /// Builds the node over `positions` (ascending row positions within the
+    /// dataset), which owns the segments `segs` of the presorted orders, at
+    /// relative depth `depth`; returns its arena index.
+    fn build(&mut self, positions: Vec<u32>, segs: Segments, depth: u32) -> usize {
         let n = positions.len() as u64;
         let stats =
             NodeStats::from_view_positions(self.view, positions.iter().map(|&p| p as usize));
@@ -164,7 +183,7 @@ impl Builder<'_> {
         let chosen = if must_leaf {
             None
         } else {
-            self.choose_split(&positions)
+            self.choose_split(&positions, &segs)
         };
 
         let id = self.nodes.len();
@@ -196,7 +215,8 @@ impl Builder<'_> {
         );
         debug_assert_eq!(left_positions.len() as u64, split.n_left());
         debug_assert_eq!(right_positions.len() as u64, split.n_right());
-        drop(positions);
+        let (left_segs, right_segs) = self.orders.split(&segs, &left_positions);
+        drop((positions, segs));
 
         // Reserve the parent slot, then grow children (pre-order arena).
         self.nodes.push(Node::leaf(prediction, n, depth));
@@ -207,32 +227,34 @@ impl Builder<'_> {
             missing_left: split.missing_left,
             seen,
         };
-        let l = self.build(left_positions, depth + 1);
-        let r = self.build(right_positions, depth + 1);
+        let l = self.build(left_positions, left_segs, depth + 1);
+        let r = self.build(right_positions, right_segs, depth + 1);
         self.nodes[id].split = Some((info, l, r));
         id
     }
 
     /// Picks the split for a node; returns `(local column index, split)` or
     /// `None` when no column can split.
-    fn choose_split(&mut self, positions: &[u32]) -> Option<(usize, ColumnSplit)> {
+    fn choose_split(
+        &mut self,
+        positions: &[u32],
+        segs: &[Range<usize>],
+    ) -> Option<(usize, ColumnSplit)> {
         match self.params.mode {
             TrainMode::Exact => {
                 let data = self.data;
                 let view = self.view;
                 let imp = self.params.impurity;
-                let whole = positions.len() == data.n_rows();
-                let node = if whole {
+                let orders = &self.orders;
+                let node = if positions.len() == data.n_rows() {
                     NodeRows::All(data.n_rows())
                 } else {
-                    self.mask.insert_all(positions);
                     NodeRows::Subset(positions)
                 };
-                let mask = if whole { None } else { Some(&self.mask) };
 
                 let eval = |i: usize| {
                     let col = ColumnRef::of_buf(&data.columns[i], &data.sorted[i], data.types[i]);
-                    best_split_at(col, node, mask, view, imp)
+                    best_split_in(col, orders.segment(i, segs), node, view, imp)
                 };
                 let threads = self.params.threads;
                 let results: Vec<Option<ColumnSplit>> =
@@ -241,9 +263,6 @@ impl Builder<'_> {
                     } else {
                         (0..data.n_cols()).map(eval).collect()
                     };
-                if !whole {
-                    self.mask.remove_all(positions);
-                }
 
                 // Fold in column order — the same strict total order as the
                 // sequential loop, regardless of which thread found what.
@@ -385,6 +404,21 @@ mod tests {
             let par = train_tree(&t, &c, &TrainParams { threads, ..base }, 0);
             assert_eq!(seq, par, "threads={threads} must not change the tree");
         }
+    }
+
+    #[test]
+    fn exact_training_never_gathers_or_sorts_a_node() {
+        // No test of this crate runs a kernel that ticks the gather counter,
+        // so it must stand still across the call; every numeric search of
+        // the tree ticks the presorted one.
+        let t = learnable_table(3_000, 13);
+        let c: Vec<usize> = (0..t.n_attrs()).collect();
+        let before = ts_splits::kernel_counters();
+        let model = train_tree(&t, &c, &TrainParams::for_task(t.schema().task), 0);
+        let after = ts_splits::kernel_counters();
+        assert_eq!(after.numeric_gather_scans, before.numeric_gather_scans);
+        let searched = (model.n_nodes() - model.n_leaves()) as u64 * 5;
+        assert!(after.numeric_sorted_scans - before.numeric_sorted_scans >= searched);
     }
 
     #[test]
