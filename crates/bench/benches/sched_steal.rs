@@ -1,20 +1,23 @@
 //! `ts-sched` acceptance bench: work stealing under skewed worker load.
 //!
-//! Trains the same exact single-tree job on a cluster where one worker's
-//! modeled compute is 4× slower than its peers (a straggler machine), with
-//! the static single-deque scheduler vs the per-worker-deque stealing
-//! scheduler, and on a uniform cluster as the no-regression control.
+//! Trains the same exact single-tree job on a uniform cluster and on one
+//! where one worker's modeled compute is 4× slower than its peers (a
+//! straggler machine), and reports how much of the straggler's slowdown the
+//! scheduler lets through.
 //!
 //! The dataset is deliberately narrow (few columns) with a heavy modeled
 //! cost per row-attribute touch, so the timed region is dominated by the
 //! *modeled* compute — which overlaps across comper threads even on a
 //! small host — rather than by real split kernels serializing on the CPU.
 //!
-//! Shape to reproduce: on the skewed cluster the stealing scheduler should
-//! be measurably faster (idle fast workers drain the straggler's deque);
-//! on the uniform cluster it must be no worse than the single deque. The
-//! models are bit-identical either way — that is `sched_equiv.rs`'s job,
-//! this bench only times the schedulers.
+//! Shape to reproduce: the cluster's capacity drops from 4 to 3.25 worker
+//! units, so a scheduler that wasted nothing would slow down by 4 / 3.25 =
+//! 1.23×; one that handed the straggler a full quarter of the work would
+//! slow down by 4×. Idle fast workers draining the straggler's deque keep
+//! the measured ratio near the first bound (`docs/SCHEDULING.md` quotes
+//! the single-deque scheduler this one replaced for comparison). The models
+//! are bit-identical either way — that is `sched_equiv.rs`'s job, this
+//! bench only times the scheduler.
 
 use treeserver::{ClusterConfig, JobSpec};
 use ts_bench::*;
@@ -28,7 +31,7 @@ const SCHED_WORK_NS: u64 = 1_500;
 
 fn main() {
     print_header(
-        "ts-sched: work stealing vs single deque under skewed load",
+        "ts-sched: work stealing under skewed load",
         &format!(
             "4 workers x 4 compers; straggler {SKEW}x slower; \
              this bench overrides compute to {SCHED_WORK_NS} ns/unit"
@@ -59,14 +62,10 @@ fn main() {
         cfg.work_scale = vec![SKEW, 1.0, 1.0, 1.0];
         cfg
     };
-    let stealing = |mut cfg: ClusterConfig| {
-        cfg.steal = true;
-        cfg
-    };
 
     println!(
         "{:<28} {:>10} {:>10} {:>10}",
-        "Scheduler", "rows", "secs", "metric"
+        "Cluster", "rows", "secs", "metric"
     );
     // Warm up allocator/page cache once so the first timed row is not a
     // cold-start outlier, then keep the best of 2 reps per config.
@@ -86,15 +85,14 @@ fn main() {
         r.secs
     };
 
-    let uni_single = run("uniform/single_deque", base_cfg());
-    let uni_steal = run("uniform/stealing", stealing(base_cfg()));
-    let skew_single = run("skewed/single_deque", skewed(base_cfg()));
-    let skew_steal = run("skewed/stealing", stealing(skewed(base_cfg())));
+    let uniform = run("uniform", base_cfg());
+    let skewed = run("skewed", skewed(base_cfg()));
 
+    // Three workers at full speed plus one at 1/SKEW of it.
+    let ideal = 4.0 / (3.0 + 1.0 / SKEW);
     println!(
-        "\nuniform: stealing/single = {:.2}x; skewed: stealing speedup = {:.2}x",
-        uni_steal / uni_single.max(1e-9),
-        skew_single / skew_steal.max(1e-9),
+        "\nskewed/uniform = {:.2}x (capacity bound {ideal:.2}x)",
+        skewed / uniform.max(1e-9),
     );
     report.write();
 }

@@ -55,7 +55,7 @@ usage:
   treeserver train      --csv FILE --target COL --task class|reg
                         [--model dt|rf|etc|gbt] [--trees N] [--dmax D]
                         [--workers W] [--compers C] [--seed S] [--out FILE]
-                        [--steal] [--adaptive-tau]
+                        [--adaptive-tau]
                         [--splitter exact|hist] [--hist-bins N] [--vote-k K]
                         [--fault-seed S] [--drop-prob P] [--delay-prob P]
                         [--dup-prob P] [--heartbeat-ms N] [--heartbeat-misses N]
@@ -89,10 +89,6 @@ split engine (train, see docs/HISTOGRAM.md):
   --vote-k K            candidates each worker nominates per task (default 2)
 
 scheduling (train):
-  --steal               per-worker plan deques with work stealing: idle
-                        workers advertise hunger and the master re-routes
-                        queued plans from the most-loaded peer (models are
-                        bit-identical either way; see docs/SCHEDULING.md)
   --adaptive-tau        adapt the tau_D / tau_dfs thresholds from the rolling
                         task-latency feed instead of the static defaults
                         (enables observability; changes which tasks run as
@@ -212,7 +208,6 @@ const OPTIONS: &[(&str, bool)] = &[
     ("seed", true),
     ("serve-metrics", true),
     ("splitter", true),
-    ("steal", false),
     ("swap-at", true),
     ("target", true),
     ("task", true),
@@ -356,7 +351,6 @@ fn cluster_config(opts: &Opts, n_rows: usize) -> Result<ClusterConfig, String> {
         replication: 2.min(workers),
         tau_d: (n_rows as u64 / 20).max(256),
         tau_dfs: (n_rows as u64 / 5).max(1_024),
-        steal: opts.flag("steal"),
         adaptive_tau: opts.flag("adaptive-tau"),
         work_scale,
         faults: fault_plan(opts, workers)?,

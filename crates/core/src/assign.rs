@@ -46,11 +46,6 @@ impl LoadMatrix {
         self.rows[node][dim]
     }
 
-    /// Number of machines the matrix tracks.
-    pub fn n_nodes(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Adds workload to a cell.
     pub fn add(&mut self, node: NodeId, dim: usize, amount: u64) {
         self.rows[node][dim] += amount;

@@ -143,7 +143,6 @@ struct ElasticCtx {
     task: Task,
     compers_per_worker: usize,
     heartbeat_interval: Duration,
-    steal: bool,
     /// Bin budget when the cluster runs the histogram splitter: joiners
     /// must build the same bin indices the launch roster did.
     hist_bins: Option<usize>,
@@ -182,7 +181,6 @@ impl ElasticCtx {
             slot.task_rx,
             slot.data_rx,
             self.heartbeat_interval,
-            self.steal,
             self.hist_bins,
         );
         self.joined_handles.lock().extend(handles);
@@ -314,7 +312,6 @@ impl Cluster {
                 task_rxs_opt[w].take().expect("receiver taken once"),
                 data_rxs_opt[w].take().expect("receiver taken once"),
                 cfg.heartbeat_interval,
-                cfg.steal,
                 cfg.splitter.hist_bins(),
             ));
         }
@@ -367,7 +364,6 @@ impl Cluster {
             task: table.schema().task,
             compers_per_worker: cfg.compers_per_worker,
             heartbeat_interval: cfg.heartbeat_interval,
-            steal: cfg.steal,
             hist_bins: cfg.splitter.hist_bins(),
             work_ns: (1..=cfg.total_worker_slots())
                 .map(|w| (w, work_ns_for(w)))

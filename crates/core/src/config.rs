@@ -99,19 +99,6 @@ pub struct ClusterConfig {
     /// compiled in (the field itself is always present, so configs are
     /// feature-independent).
     pub obs: ts_obs::ObsConfig,
-    /// Work-stealing scheduler (`ts-sched`, see `docs/SCHEDULING.md`): the
-    /// master keeps one plan deque per worker (keyed by the parent worker
-    /// of each plan), bounds in-flight dispatch per worker so column-task
-    /// communication overlaps subtree compute, and idle workers steal from
-    /// the tail of the most-loaded peer's deque. Off by default: the
-    /// single-deque scheduler is the paper-exact seed behaviour, and
-    /// `sched_equiv` proves both produce byte-identical models.
-    pub steal: bool,
-    /// Per-worker in-flight plan cap in stealing mode (0 = auto:
-    /// `2 * compers_per_worker + 2` — enough queued work to keep every
-    /// comper busy while the next tasks' column/`Ix` fetches are in
-    /// flight). Ignored when `steal` is off.
-    pub steal_capacity: usize,
     /// Adapt `τ_D`/`τ_dfs` at runtime from the rolling p50/p95 column- vs
     /// subtree-task latencies in the obs `LatencyFeed` (requires
     /// `obs.enabled`; without a recorder the thresholds silently stay at
@@ -120,8 +107,8 @@ pub struct ClusterConfig {
     pub adaptive_tau: bool,
     /// Per-worker compute-speed heterogeneity: multiplier applied to
     /// `work_ns_per_unit` for each worker (index 0 = worker 1). `> 1.0`
-    /// slows a worker down — the skewed-load scenario the stealing
-    /// scheduler rebalances. Empty = homogeneous.
+    /// slows a worker down — the skewed-load scenario the scheduler's
+    /// stealing rebalances (`docs/SCHEDULING.md`). Empty = homogeneous.
     pub work_scale: Vec<f64>,
     /// Spare worker slots provisioned for mid-training joins (`ts-elastic`,
     /// see `docs/ELASTICITY.md`). The fabric, load matrix and recorder are
@@ -155,8 +142,6 @@ impl Default for ClusterConfig {
             heartbeat_interval: Duration::from_millis(20),
             heartbeat_miss_threshold: 25,
             obs: ts_obs::ObsConfig::default(),
-            steal: false,
-            steal_capacity: 0,
             adaptive_tau: false,
             work_scale: Vec::new(),
             join_capacity: 0,
@@ -219,15 +204,6 @@ impl ClusterConfig {
         self.n_workers + self.join_capacity
     }
 
-    /// The effective per-worker in-flight plan cap in stealing mode.
-    pub fn effective_steal_capacity(&self) -> usize {
-        if self.steal_capacity == 0 {
-            2 * self.compers_per_worker + 2
-        } else {
-            self.steal_capacity
-        }
-    }
-
     /// `work_ns_per_unit` for one worker, after heterogeneity scaling
     /// (`worker` is the 1-based fabric node id).
     pub fn worker_work_ns(&self, worker: usize) -> u64 {
@@ -254,6 +230,8 @@ mod tests {
         // The default heartbeat lease is generous: ~500 ms before a worker
         // is declared dead.
         assert!(c.heartbeat_interval * c.heartbeat_miss_threshold >= Duration::from_millis(400));
+        assert!(!c.adaptive_tau, "adaptive τ must default off");
+        assert!(c.work_scale.is_empty());
         c.validate();
     }
 
@@ -284,24 +262,6 @@ mod tests {
             ..Default::default()
         }
         .validate();
-    }
-
-    #[test]
-    fn scheduler_knobs_default_off_and_cap_autosizes() {
-        let c = ClusterConfig::default();
-        assert!(!c.steal, "stealing must default to the seed scheduler");
-        assert!(!c.adaptive_tau, "adaptive τ must default off");
-        assert!(c.work_scale.is_empty());
-        // Auto cap: room for every comper plus a pipelined fetch margin.
-        assert_eq!(c.effective_steal_capacity(), 2 * c.compers_per_worker + 2);
-        assert_eq!(
-            ClusterConfig {
-                steal_capacity: 7,
-                ..Default::default()
-            }
-            .effective_steal_capacity(),
-            7
-        );
     }
 
     #[test]

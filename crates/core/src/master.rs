@@ -201,9 +201,9 @@ pub struct Master {
     data_task: Mutex<Task>,
     workers: Mutex<Vec<NodeId>>,
     colmap: Mutex<ColumnMap>,
-    /// The plan queue `Bplan` (`ts-sched`): single-deque by default,
-    /// per-worker deques with stealing when `cfg.steal` is set. Condvar-
-    /// signalled either way — pushes, completions and steal requests wake
+    /// The plan queue `Bplan` (`ts-sched`): per-worker affinity deques plus
+    /// a global one, bounded in-flight dispatch, stealing for idle workers.
+    /// Condvar-signalled — pushes, completions and steal requests wake
     /// `θ_main` immediately.
     plans: PlanQueue<PlanDesc>,
     /// Adaptive `τ_D`/`τ_dfs` (`cfg.adaptive_tau`); holds the statics
@@ -267,11 +267,10 @@ impl Master {
                 )
             })
             .collect();
-        let plans = if cfg.steal {
-            PlanQueue::new_stealing(cfg.effective_steal_capacity())
-        } else {
-            PlanQueue::new_single()
-        };
+        // Per-worker in-flight window: enough dispatched work to keep every
+        // comper busy while the next tasks' column/`Ix` fetches are in
+        // flight; the rest waits master-side, where it can be re-routed.
+        let plans = PlanQueue::new(2 * cfg.compers_per_worker + 2);
         plans.set_workers(&workers);
         let tau = Mutex::new(TauController::new(cfg.tau_d, cfg.tau_dfs));
         Arc::new(Master {
@@ -448,9 +447,9 @@ impl Master {
     #[cfg(not(feature = "obs"))]
     fn maybe_update_tau(&self) {}
 
-    /// Inserts a plan into `Bplan` per the hybrid BFS/DFS rule. In steal
-    /// mode the plan lands on its parent worker's deque (§VI affinity);
-    /// roots go to the shared global deque.
+    /// Inserts a plan into `Bplan` per the hybrid BFS/DFS rule. The plan
+    /// lands on its parent worker's deque (§VI affinity); roots go to the
+    /// shared global deque.
     fn enqueue_plan(&self, desc: PlanDesc) {
         let (_, tau_dfs) = self.current_tau();
         let head = desc.n_rows <= tau_dfs;
@@ -507,15 +506,11 @@ impl Master {
             // completion or steal request wakes the condvar immediately.
             let timeout = (self.cfg.heartbeat_interval / 2)
                 .clamp(Duration::from_millis(1), Duration::from_millis(50));
-            // Steal victims are ranked by §VI COMP load; snapshot it before
-            // blocking on the queue (never hold both locks at once).
-            let comp: Vec<u64> = if self.plans.stealing() {
-                let mw = self.mwork.lock();
-                (0..mw.n_nodes()).map(|n| mw.get(n, COMP)).collect()
-            } else {
-                Vec::new()
-            };
-            if let Some((d, steal)) = self.plans.next_timeout(timeout, &comp) {
+            // Steal victims of equal deque length are ranked by §VI COMP
+            // load. The queue reads it under its own lock, so `mwork` must
+            // never be held across a `plans` call.
+            let comp = |w: NodeId| self.mwork.lock().get(w, COMP);
+            if let Some((d, steal)) = self.plans.next_timeout(timeout, comp) {
                 self.assign_plan(d, steal);
             }
         }
@@ -758,8 +753,11 @@ impl Master {
             );
         }
 
-        let mut msgs: Vec<(NodeId, TaskMsg)> = Vec::new();
-        if desc.n_rows <= tau_d {
+        // Each arm decides who computes what and returns: the task-table
+        // kind, the §VI charges, the workers the task touches, the number of
+        // `Ix` requesters the parent's delegate will serve, and the plan
+        // frames. Recording and shipping them is the same for every arm.
+        let (kind, charges, mut touches, quota, plans) = if desc.n_rows <= tau_d {
             // Subtree-task.
             let asg = {
                 let mut mwork = self.mwork.lock();
@@ -775,158 +773,83 @@ impl Master {
             };
             let mut touches: Vec<NodeId> = vec![asg.key_worker];
             touches.extend(asg.col_sources.iter().map(|&(_, w)| w));
-            touches.extend(parent_worker);
-            touches.sort_unstable();
-            touches.dedup();
-            self.ttask.lock().insert(
-                desc.task,
-                MasterTask {
-                    tree: desc.tree,
-                    node: desc.node,
-                    n_rows: desc.n_rows,
-                    depth: desc.depth,
-                    path: desc.path,
-                    charges: asg.charges.clone(),
-                    touches,
-                    kind: TaskKind::Subtree,
-                    trace: desc.trace,
-                    span: task_span,
-                    #[cfg(feature = "obs")]
-                    started_ns,
-                },
-            );
-            if let ParentRef::Node {
-                worker,
-                task: ptask,
-                side,
-            } = desc.parent
-            {
-                msgs.push((
-                    worker,
-                    TaskMsg::ServeQuota {
-                        task: ptask,
-                        side,
-                        quota: asg.ix_requesters.len() as u32,
-                    },
-                ));
-            }
-            self.plans.note_dispatched(&[asg.key_worker]);
-            msgs.push((
-                asg.key_worker,
-                TaskMsg::SubtreePlan(SubtreePlan {
-                    task: desc.task,
-                    tree: desc.tree,
-                    col_sources: asg.col_sources,
-                    parent: desc.parent,
-                    n_rows: desc.n_rows,
-                    depth: desc.depth,
-                    params,
-                    seed: mix_seed(tree_seed, desc.path),
-                    ctx,
-                }),
-            ));
-        } else if params.extra_trees {
-            // Extra-trees column-task: one randomly chosen worker resamples
-            // among the columns it holds (round-robin placement makes this
-            // distributionally equivalent to uniform attribute sampling;
-            // see DESIGN.md).
-            let mut rng = StdRng::seed_from_u64(mix_seed(tree_seed, desc.path));
-            // Only workers that actually hold columns can resample; with
-            // more workers than attribute replicas, some hold none.
-            let (w, cols) = {
-                let colmap = self.colmap.lock();
-                let eligible: Vec<NodeId> = workers
-                    .iter()
-                    .copied()
-                    .filter(|&w| !colmap.columns_of(w).is_empty())
-                    .collect();
-                assert!(!eligible.is_empty(), "no worker holds any column");
-                let w = eligible[rng.gen_range(0..eligible.len())];
-                (w, colmap.columns_of(w))
-            };
-            let charges = vec![(w, [desc.n_rows, 0, 0])];
-            self.mwork.lock().apply(&charges);
-            self.plans.note_dispatched(&[w]);
-            let mut touches: Vec<NodeId> = vec![w];
-            touches.extend(parent_worker);
-            touches.sort_unstable();
-            touches.dedup();
-            self.ttask.lock().insert(
-                desc.task,
-                MasterTask {
-                    tree: desc.tree,
-                    node: desc.node,
-                    n_rows: desc.n_rows,
-                    depth: desc.depth,
-                    path: desc.path,
-                    charges,
-                    touches,
-                    kind: TaskKind::Column {
-                        pending: 1,
-                        involved: vec![w],
-                        best: None,
-                        node_stats: None,
-                    },
-                    trace: desc.trace,
-                    span: task_span,
-                    #[cfg(feature = "obs")]
-                    started_ns,
-                },
-            );
-            if let ParentRef::Node {
-                worker,
-                task: ptask,
-                side,
-            } = desc.parent
-            {
-                msgs.push((
-                    worker,
-                    TaskMsg::ServeQuota {
-                        task: ptask,
-                        side,
-                        quota: 1,
-                    },
-                ));
-            }
-            msgs.push((
-                w,
-                TaskMsg::ColumnPlan(ColumnPlan {
-                    task: desc.task,
-                    tree: desc.tree,
-                    cols,
-                    parent: desc.parent,
-                    n_rows: desc.n_rows,
-                    depth: desc.depth,
-                    params,
-                    random_seed: Some(rng.gen()),
-                    hist: None,
-                    ctx,
-                }),
-            ));
+            let plan = TaskMsg::SubtreePlan(SubtreePlan {
+                task: desc.task,
+                tree: desc.tree,
+                col_sources: asg.col_sources,
+                parent: desc.parent,
+                n_rows: desc.n_rows,
+                depth: desc.depth,
+                params,
+                seed: mix_seed(tree_seed, desc.path),
+                ctx,
+            });
+            (
+                TaskKind::Subtree,
+                asg.charges,
+                touches,
+                asg.ix_requesters.len(),
+                vec![(asg.key_worker, plan)],
+            )
         } else {
-            // Column-task, sharded over column holders. The shard layout is
-            // identical for both splitters; only the scoring mode and the
-            // result protocol differ (exact full results vs histogram
-            // nominations, `docs/HISTOGRAM.md`).
-            let asg = {
+            // Column-task: one shard per involved worker.
+            let (shards, charges, random_seed, hist) = if params.extra_trees {
+                // Extra-trees: one randomly chosen worker resamples among
+                // the columns it holds (round-robin placement makes this
+                // distributionally equivalent to uniform attribute sampling;
+                // see DESIGN.md).
+                let mut rng = StdRng::seed_from_u64(mix_seed(tree_seed, desc.path));
+                // Only workers that actually hold columns can resample; with
+                // more workers than attribute replicas, some hold none.
+                let shard = {
+                    let colmap = self.colmap.lock();
+                    let eligible: Vec<NodeId> = workers
+                        .iter()
+                        .copied()
+                        .filter(|&w| !colmap.columns_of(w).is_empty())
+                        .collect();
+                    assert!(!eligible.is_empty(), "no worker holds any column");
+                    let w = eligible[rng.gen_range(0..eligible.len())];
+                    (w, colmap.columns_of(w))
+                };
+                let charges = vec![(shard.0, [desc.n_rows, 0, 0])];
+                self.mwork.lock().apply(&charges);
+                (vec![shard], charges, Some(rng.gen()), None)
+            } else {
+                // Sharded over column holders. The shard layout is identical
+                // for both splitters; only the scoring mode and the result
+                // protocol differ (exact full results vs histogram
+                // nominations, `docs/HISTOGRAM.md`).
                 let mut mwork = self.mwork.lock();
                 let colmap = self.colmap.lock();
-                assign_column_task(&mut mwork, &colmap, &candidates, desc.n_rows, parent_worker)
+                let asg = assign_column_task(
+                    &mut mwork,
+                    &colmap,
+                    &candidates,
+                    desc.n_rows,
+                    parent_worker,
+                );
+                let hist = match self.cfg.splitter {
+                    crate::config::Splitter::Exact => None,
+                    crate::config::Splitter::Histogram { bins, vote_k } => {
+                        Some(crate::messages::HistPlanConf {
+                            bins: bins as u32,
+                            vote_k: vote_k as u32,
+                            want_stats: false,
+                        })
+                    }
+                };
+                (asg.shards, asg.charges, None, hist)
             };
-            let involved: Vec<NodeId> = asg.shards.iter().map(|&(w, _)| w).collect();
-            self.plans.note_dispatched(&involved);
-            let mut touches = involved.clone();
-            touches.extend(parent_worker);
-            touches.sort_unstable();
-            touches.dedup();
-            let kind = match self.cfg.splitter {
-                crate::config::Splitter::Exact => TaskKind::Column {
+            let involved: Vec<NodeId> = shards.iter().map(|&(w, _)| w).collect();
+            let kind = match hist {
+                None => TaskKind::Column {
                     pending: involved.len(),
                     involved: involved.clone(),
                     best: None,
                     node_stats: None,
                 },
-                crate::config::Splitter::Histogram { .. } => TaskKind::Hist {
+                Some(_) => TaskKind::Hist {
                     pending: involved.len(),
                     involved: involved.clone(),
                     cands: Vec::new(),
@@ -935,54 +858,9 @@ impl Master {
                     fetched: None,
                 },
             };
-            self.ttask.lock().insert(
-                desc.task,
-                MasterTask {
-                    tree: desc.tree,
-                    node: desc.node,
-                    n_rows: desc.n_rows,
-                    depth: desc.depth,
-                    path: desc.path,
-                    charges: asg.charges.clone(),
-                    touches,
-                    kind,
-                    trace: desc.trace,
-                    span: task_span,
-                    #[cfg(feature = "obs")]
-                    started_ns,
-                },
-            );
-            if let ParentRef::Node {
-                worker,
-                task: ptask,
-                side,
-            } = desc.parent
-            {
-                msgs.push((
-                    worker,
-                    TaskMsg::ServeQuota {
-                        task: ptask,
-                        side,
-                        quota: involved.len() as u32,
-                    },
-                ));
-            }
-            for (i, (w, cols)) in asg.shards.into_iter().enumerate() {
-                // In histogram mode exactly one shard (the first, in the
-                // assignment's deterministic order) carries node stats.
-                let hist = match self.cfg.splitter {
-                    crate::config::Splitter::Exact => None,
-                    crate::config::Splitter::Histogram { bins, vote_k } => {
-                        Some(crate::messages::HistPlanConf {
-                            bins: bins as u32,
-                            vote_k: vote_k as u32,
-                            want_stats: i == 0,
-                        })
-                    }
-                };
-                msgs.push((
-                    w,
-                    TaskMsg::ColumnPlan(ColumnPlan {
+            let plans = (shards.into_iter().enumerate())
+                .map(|(i, (w, cols))| {
+                    let plan = TaskMsg::ColumnPlan(ColumnPlan {
                         task: desc.task,
                         tree: desc.tree,
                         cols,
@@ -990,13 +868,62 @@ impl Master {
                         n_rows: desc.n_rows,
                         depth: desc.depth,
                         params,
-                        random_seed: None,
-                        hist,
+                        random_seed,
+                        // In histogram mode exactly one shard (the first, in
+                        // the assignment's deterministic order) carries node
+                        // stats.
+                        hist: hist.map(|h| crate::messages::HistPlanConf {
+                            want_stats: i == 0,
+                            ..h
+                        }),
                         ctx,
-                    }),
-                ));
-            }
-        }
+                    });
+                    (w, plan)
+                })
+                .collect();
+            let quota = involved.len();
+            (kind, charges, involved, quota, plans)
+        };
+
+        // One in-flight charge per worker that owes a result: the plan
+        // frames' destinations. Charged before anything is sent, so a fast
+        // result can never be released ahead of its charge.
+        let dispatched: Vec<NodeId> = plans.iter().map(|&(w, _)| w).collect();
+        self.plans.note_dispatched(&dispatched);
+        touches.extend(parent_worker);
+        touches.sort_unstable();
+        touches.dedup();
+        self.ttask.lock().insert(
+            desc.task,
+            MasterTask {
+                tree: desc.tree,
+                node: desc.node,
+                n_rows: desc.n_rows,
+                depth: desc.depth,
+                path: desc.path,
+                charges,
+                touches,
+                kind,
+                trace: desc.trace,
+                span: task_span,
+                #[cfg(feature = "obs")]
+                started_ns,
+            },
+        );
+        // The parent's delegate learns how many `Ix` requests to serve
+        // before the plans that will make them go out.
+        let quota_frame = match desc.parent {
+            ParentRef::Root => None,
+            ParentRef::Node { worker, task, side } => Some((
+                worker,
+                TaskMsg::ServeQuota {
+                    task,
+                    side,
+                    quota: quota as u32,
+                },
+            )),
+        };
+        let msgs = quota_frame.into_iter().chain(plans);
         for (to, msg) in msgs {
             let delegated_subtree = matches!(msg, TaskMsg::SubtreePlan(_));
             #[cfg(feature = "obs")]
@@ -1248,13 +1175,10 @@ impl Master {
         );
         self.workers.lock().retain(|&w| w != worker);
         let live = self.workers.lock().clone();
-        // Reclaim the leaver's queued plans; they re-enter on the global
-        // deque (their affinity points at a machine that is leaving).
-        let reclaimed = self.plans.drain_worker(worker);
-        self.plans.set_workers(&live);
-        for d in reclaimed {
-            self.plans.push(d, None, false);
-        }
+        // The leaver's queued plans re-enter on the global deque (their
+        // affinity points at a machine that is leaving), and any steal
+        // request it already posted is forgotten.
+        self.plans.retire_worker(worker, &live);
 
         // Column handoff. Two cases per held column:
         //  - another holder exists → the leaver stops being a holder now;
@@ -1337,8 +1261,6 @@ impl Master {
             },
         );
         let _ = self.fabric.send(0, worker, TaskMsg::Drain);
-        // A steal request from the leaver may already be queued; forget it.
-        self.plans.notify();
     }
 
     /// The draining worker reports its task queue idle. Departure still
@@ -2196,8 +2118,8 @@ mod tests {
         m.enqueue_plan(mk(3, 50)); // small -> head
         m.enqueue_plan(mk(4, 20)); // small -> head (before 3)
         let mut order: Vec<u64> = Vec::new();
-        while let Some((p, steal)) = m.plans.try_next(&[]) {
-            assert!(steal.is_none(), "single mode never steals");
+        while let Some((p, steal)) = m.plans.try_next(|_| 0) {
+            assert!(steal.is_none(), "nobody is hungry: no steal");
             order.push(p.task.0);
         }
         assert_eq!(order, vec![4, 3, 1, 2]);
@@ -2353,14 +2275,13 @@ mod tests {
 
     #[test]
     fn stolen_plan_sends_donate_to_the_thief_before_any_plan_traffic() {
-        // Steal-mode master over 3 workers. A child plan parked on worker
-        // 1's deque is stolen by hungry worker 2; the thief's first frame
-        // must be the Donate carrying the stolen task.
+        // Three workers. A child plan parked on worker 1's deque is stolen
+        // by hungry worker 2; the thief's first frame must be the Donate
+        // carrying the stolen task.
         let stats = NetStats::new(4);
         let (fabric, rxs) = Fabric::new(4, NetModel::instant(), stats);
         let cfg = ClusterConfig {
             n_workers: 3,
-            steal: true,
             ..ClusterConfig::default()
         };
         let colmap = crate::assign::ColumnMap::round_robin(4, 3, 2);
@@ -2379,7 +2300,7 @@ mod tests {
         m.admit_trees();
         // Drain the root from the global deque: nobody is hungry yet, so
         // this is a plain pop, not a steal.
-        let (root, steal) = m.plans.try_next(&[]).expect("root plan queued");
+        let (root, steal) = m.plans.try_next(|_| 0).expect("root plan queued");
         assert!(steal.is_none(), "global pop is not a steal");
         // Park a child on worker 1's deque, then let worker 2 go hungry.
         m.enqueue_plan(PlanDesc {
@@ -2398,7 +2319,7 @@ mod tests {
             span: 0,
         });
         m.on_steal_request(2);
-        let (stolen, steal) = m.plans.try_next(&[]).expect("stolen child");
+        let (stolen, steal) = m.plans.try_next(|_| 0).expect("stolen child");
         assert_eq!(stolen.task, TaskId(99));
         assert_eq!(
             steal,
@@ -2416,6 +2337,38 @@ mod tests {
             }
             other => panic!("thief's first frame was {other:?}, not Donate"),
         }
+    }
+
+    #[test]
+    fn dispatch_window_is_two_plans_per_comper_plus_two() {
+        // `test_master` runs the default 2 compers per worker: 6 plans in
+        // flight per worker, the 7th waits in the master's backlog.
+        let (m, _rxs) = test_master(1_000, 100);
+        let child = |task: u64| PlanDesc {
+            task: TaskId(task),
+            tree: TreeId(0),
+            node: 0,
+            parent: ParentRef::Node {
+                worker: 1,
+                task: TaskId(0),
+                side: Side::Left,
+            },
+            n_rows: 50,
+            depth: 1,
+            path: 2,
+            trace: 0,
+            span: 0,
+        };
+        for t in 1..=7 {
+            m.enqueue_plan(child(t));
+        }
+        for _ in 0..6 {
+            assert!(m.plans.try_next(|_| 0).is_some(), "inside the window");
+            m.plans.note_dispatched(&[1]);
+        }
+        assert!(m.plans.try_next(|_| 0).is_none(), "window full");
+        m.plans.note_completed(1);
+        assert!(m.plans.try_next(|_| 0).is_some(), "a result reopens it");
     }
 
     #[test]

@@ -265,13 +265,13 @@ pub enum TaskMsg {
         /// The beating worker.
         worker: NodeId,
     },
-    /// Worker → master: the worker's ready queue ran dry (`ts-sched`,
-    /// stealing mode only). The scheduler serves this worker next — from
-    /// its own deque if non-empty, otherwise by stealing from the tail of
-    /// the most-loaded peer's deque. Rate-limited worker-side: at most one
-    /// outstanding request, acked by `Donate` or implicitly by any new
-    /// plan. Purely an accelerator — a lost request costs latency, never
-    /// progress (the capacity-based dispatch feeds idle workers anyway).
+    /// Worker → master: the worker's ready queue ran dry (`ts-sched`).
+    /// The scheduler serves this worker next — from its own deque if
+    /// non-empty, then the global deque, otherwise by stealing from the
+    /// tail of the most-loaded peer's deque. Rate-limited worker-side: at
+    /// most one outstanding request, acked by `Donate` or implicitly by any
+    /// new plan. Purely an accelerator — a lost request costs latency,
+    /// never progress (capacity-based dispatch feeds idle workers anyway).
     StealRequest {
         /// The idle worker.
         worker: NodeId,

@@ -1,34 +1,33 @@
 //! ts-sched: the master's plan queue and the adaptive-τ controller.
 //!
-//! Two schedulers share one type, [`PlanQueue`]:
+//! [`PlanQueue`] is the paper's plan buffer `Bplan` (§III, Fig. 4/5) kept
+//! as one deque per worker — keyed by each plan's *parent worker*, the
+//! machine already holding the task's row set `Ix` (the §VI cost model's
+//! affinity) — plus a global deque for root plans. Inside every deque the
+//! hybrid BFS/DFS rule is the paper's: small tasks (`|Dx| <= τ_dfs`) go to
+//! the head, big ones to the tail, and pops take the head.
 //!
-//! - **Single-deque** (default): the paper-exact seed behaviour. One global
-//!   deque; the hybrid BFS/DFS rule pushes small tasks to the head and big
-//!   ones to the tail, `θ_main` pops the head. Byte-identical models and
-//!   scheduling order to the pre-`ts-sched` engine.
-//! - **Stealing** ([`PlanQueue::new_stealing`]): one deque per worker,
-//!   keyed by each plan's *parent worker* (the machine already holding the
-//!   task's row set `Ix` — the §VI cost model's affinity), plus a global
-//!   deque for root plans. Dispatch is throttled to a per-worker in-flight
-//!   cap, so the queue holds a master-side backlog: up to `cap` plans per
-//!   worker are in flight (their column/`Ix` fetches overlapping the
-//!   compers' current compute) while the rest wait where the scheduler can
-//!   still re-route them. An idle worker (it sent a `StealRequest` frame)
-//!   is served its own deque first, then the global deque, and otherwise
-//!   **steals from the tail** of the most-loaded peer's deque — tails hold
-//!   the big breadth-first tasks, so small depth-first tasks stay with the
-//!   worker whose delegate already holds their `Ix` (the steal-order
-//!   heuristic that preserves §VI affinity). Victim choice breaks deque-
-//!   length ties by the §VI `COMP` load column.
+//! Dispatch is throttled to a per-worker in-flight window, so the queue
+//! holds a master-side backlog: up to `cap` plans per worker are in flight
+//! (their column/`Ix` fetches overlapping the compers' current compute)
+//! while the rest wait where the scheduler can still re-route them. An
+//! idle worker (it sent a `StealRequest` frame) is served its own deque
+//! first, then the global deque, and otherwise **steals from the tail** of
+//! the most-loaded peer's deque — tails hold the big breadth-first tasks,
+//! so small depth-first tasks stay with the worker whose delegate already
+//! holds their `Ix` (the steal-order heuristic that preserves §VI
+//! affinity). Victim choice breaks deque-length ties by the §VI `COMP`
+//! load column.
 //!
-//! Either way the queue is condvar-signalled: pushes, completions, steal
-//! requests and shutdown wake `θ_main` immediately.
+//! The queue is condvar-signalled: pushes, completions, steal requests and
+//! shutdown wake `θ_main` immediately.
 //!
 //! Changing *when* and *where* a plan is dispatched never changes the
 //! trained model: all task randomness derives from the scheduling-invariant
 //! root path (`mix_seed(tree_seed, path)`) and result folding is a total
-//! order — `core/tests/sched_equiv.rs` locks this down against the
-//! single-deque scheduler. The one exception is the τ_D boundary itself:
+//! order — `core/tests/sched_equiv.rs` locks this down against the local
+//! trainer and against fingerprints pinned from the single-deque scheduler
+//! this queue replaced. The one exception is the τ_D boundary itself:
 //! extra-trees resampling differs between column- and subtree-tasks, so
 //! only *static*-τ runs are comparable for extra-trees models.
 //!
@@ -57,18 +56,19 @@ pub struct StealInfo {
 /// Consecutive empty-handed waits (with plans still queued) before the
 /// failsafe force-pops past the in-flight cap. Normal operation never gets
 /// here — every result arrival frees capacity and wakes the queue — but a
-/// lost completion must degrade to the single-deque behaviour, not a hang.
+/// lost completion must degrade to unthrottled dispatch, not a hang.
 const STALL_STRIKES: u32 = 32;
 
 struct Inner<T> {
-    /// The live worker roster (capacity checks; set by the master at
-    /// launch and after crash recovery). Empty = unknown = no gating.
+    /// The live worker roster (capacity checks for global plans, and who
+    /// may post hunger; set by the master at launch and on every
+    /// membership change). Empty = unknown = no gating.
     workers: Vec<NodeId>,
-    /// Root plans and (in single mode) everything else.
+    /// Root plans, and plans reclaimed from a retired worker.
     global: VecDeque<T>,
-    /// Per-worker affinity deques (stealing mode only).
+    /// Per-worker affinity deques.
     deques: BTreeMap<NodeId, VecDeque<T>>,
-    /// Plans dispatched and not yet completed, per worker (stealing mode).
+    /// Plans dispatched and not yet completed, per worker.
     outstanding: BTreeMap<NodeId, u64>,
     /// Workers whose `StealRequest` is pending, in arrival order.
     hungry: VecDeque<NodeId>,
@@ -79,67 +79,47 @@ struct Inner<T> {
 }
 
 impl<T> Inner<T> {
-    fn empty() -> Inner<T> {
-        Inner {
-            workers: Vec::new(),
-            global: VecDeque::new(),
-            deques: BTreeMap::new(),
-            outstanding: BTreeMap::new(),
-            hungry: VecDeque::new(),
-            len: 0,
-            stalls: 0,
-        }
-    }
-
     fn outstanding_of(&self, w: NodeId) -> u64 {
         self.outstanding.get(&w).copied().unwrap_or(0)
     }
 }
 
-/// The master's plan queue (see the module docs for the two modes).
+/// The master's plan queue (see the module docs).
 ///
 /// Generic over the plan payload so scheduler policy is unit-testable
 /// without dragging in the master's private plan descriptor.
 pub struct PlanQueue<T> {
-    steal: bool,
-    /// Per-worker in-flight cap (stealing mode; `u64::MAX` = unbounded).
+    /// Per-worker in-flight cap.
     cap: u64,
     inner: Mutex<Inner<T>>,
     cv: Condvar,
 }
 
 impl<T> PlanQueue<T> {
-    /// The seed scheduler: one global deque, no throttling, no stealing.
-    pub fn new_single() -> PlanQueue<T> {
+    /// An empty queue that keeps at most `cap >= 1` plans in flight per
+    /// worker.
+    pub fn new(cap: usize) -> PlanQueue<T> {
+        assert!(cap >= 1, "the in-flight cap must be positive");
         PlanQueue {
-            steal: false,
-            cap: u64::MAX,
-            inner: Mutex::new(Inner::empty()),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// The stealing scheduler with a per-worker in-flight cap (`cap >= 1`).
-    pub fn new_stealing(cap: usize) -> PlanQueue<T> {
-        assert!(cap >= 1, "stealing needs a positive in-flight cap");
-        PlanQueue {
-            steal: true,
             cap: cap as u64,
-            inner: Mutex::new(Inner::empty()),
+            inner: Mutex::new(Inner {
+                workers: Vec::new(),
+                global: VecDeque::new(),
+                deques: BTreeMap::new(),
+                outstanding: BTreeMap::new(),
+                hungry: VecDeque::new(),
+                len: 0,
+                stalls: 0,
+            }),
             cv: Condvar::new(),
         }
     }
 
-    /// Sets the live worker roster (capacity checks for global plans).
-    /// Called at launch and after crash recovery shrinks the cluster.
+    /// Sets the live worker roster. Called at launch, when a worker joins
+    /// and after crash recovery shrinks the cluster.
     pub fn set_workers(&self, workers: &[NodeId]) {
         self.inner.lock().workers = workers.to_vec();
         self.cv.notify_all();
-    }
-
-    /// Whether this queue runs the stealing scheduler.
-    pub fn stealing(&self) -> bool {
-        self.steal
     }
 
     /// Queues a plan and wakes the assignment loop. `affinity` is the plan's
@@ -149,8 +129,8 @@ impl<T> PlanQueue<T> {
     pub fn push(&self, item: T, affinity: Option<NodeId>, dfs: bool) -> usize {
         let mut inner = self.inner.lock();
         let q = match affinity {
-            Some(w) if self.steal => inner.deques.entry(w).or_default(),
-            _ => &mut inner.global,
+            Some(w) => inner.deques.entry(w).or_default(),
+            None => &mut inner.global,
         };
         if dfs {
             q.push_front(item);
@@ -166,24 +146,23 @@ impl<T> PlanQueue<T> {
     }
 
     /// Records a worker's `StealRequest`: its compers ran dry, so the next
-    /// pop serves it first (stealing if its own deque is empty). No-op in
-    /// single mode. Duplicate pending requests collapse.
+    /// pop serves it first (stealing if its own deque is empty). Duplicate
+    /// pending requests collapse. A request from outside the roster — a
+    /// worker declared dead that is in fact still running, or one already
+    /// retired by a drain — is dropped: it will never be assigned the plan
+    /// a steal on its behalf would take off a live worker's deque.
     pub fn mark_hungry(&self, worker: NodeId) {
-        if self.steal {
-            let mut inner = self.inner.lock();
-            if !inner.hungry.contains(&worker) {
-                inner.hungry.push_back(worker);
-            }
-            drop(inner);
+        let mut inner = self.inner.lock();
+        let on_roster = inner.workers.is_empty() || inner.workers.contains(&worker);
+        if on_roster && !inner.hungry.contains(&worker) {
+            inner.hungry.push_back(worker);
         }
+        drop(inner);
         self.cv.notify_all();
     }
 
     /// Charges one in-flight plan to each involved worker at dispatch.
     pub fn note_dispatched(&self, workers: &[NodeId]) {
-        if !self.steal {
-            return;
-        }
         let mut inner = self.inner.lock();
         for &w in workers {
             *inner.outstanding.entry(w).or_insert(0) += 1;
@@ -193,9 +172,6 @@ impl<T> PlanQueue<T> {
     /// Releases one in-flight charge when a worker's result arrives
     /// (saturating: recovery resets charges that results may still chase).
     pub fn note_completed(&self, worker: NodeId) {
-        if !self.steal {
-            return;
-        }
         let mut inner = self.inner.lock();
         if let Some(o) = inner.outstanding.get_mut(&worker) {
             *o = o.saturating_sub(1);
@@ -217,26 +193,23 @@ impl<T> PlanQueue<T> {
             .any(pred)
     }
 
-    /// Removes a worker's affinity deque and returns its queued plans so
-    /// the caller can re-queue them elsewhere (graceful drain, `ts-elastic`).
-    /// Also forgets the worker's in-flight accounting and any pending steal
-    /// request — the worker is leaving, nothing will complete or be served.
-    /// The caller is expected to follow up with [`PlanQueue::set_workers`]
-    /// for the shrunken roster. No-op (empty vec) in single mode, where
-    /// plans carry no affinity.
-    pub fn drain_worker(&self, worker: NodeId) -> Vec<T> {
+    /// Takes `worker` out of scheduling (graceful drain, `ts-elastic`) and
+    /// installs the shrunken roster `live`. The leaver's queued plans move,
+    /// in order, to the tail of the global deque — their affinity points at
+    /// a machine that is leaving — and its in-flight accounting and any
+    /// pending steal request are forgotten: nothing more will be dispatched
+    /// to it or served on its behalf.
+    pub fn retire_worker(&self, worker: NodeId, live: &[NodeId]) {
         let mut inner = self.inner.lock();
-        let drained: Vec<T> = inner
-            .deques
-            .remove(&worker)
-            .map(Vec::from)
-            .unwrap_or_default();
-        inner.len -= drained.len();
+        if let Some(q) = inner.deques.remove(&worker) {
+            inner.global.extend(q);
+        }
         inner.outstanding.remove(&worker);
         inner.hungry.retain(|&w| w != worker);
+        inner.workers = live.to_vec();
+        inner.stalls = 0;
         drop(inner);
         self.cv.notify_all();
-        drained
     }
 
     /// Drops every queued plan and resets in-flight accounting and pending
@@ -269,21 +242,25 @@ impl<T> PlanQueue<T> {
         self.cv.notify_all();
     }
 
-    /// Pops the next assignable plan without blocking. `comp` is a snapshot
-    /// of the §VI `COMP` load column indexed by node id (used only to break
-    /// steal-victim ties; pass `&[]` to fall back to ids).
-    pub fn try_next(&self, comp: &[u64]) -> Option<(T, Option<StealInfo>)> {
+    /// Pops the next assignable plan without blocking. `comp` reads one
+    /// worker's cell of the §VI `COMP` load column; it is called under the
+    /// queue lock, and only when a steal has to break a deque-length tie.
+    pub fn try_next(&self, comp: impl Fn(NodeId) -> u64) -> Option<(T, Option<StealInfo>)> {
         let mut inner = self.inner.lock();
-        self.pop_locked(&mut inner, comp, false)
+        self.pop_locked(&mut inner, &comp, false)
     }
 
     /// Pops the next assignable plan, waiting up to `timeout` for one to
     /// become available (push, freed capacity, steal request and shutdown
     /// all notify). Returns `None` on timeout — the caller's loop re-checks
     /// shutdown/heartbeats and calls again.
-    pub fn next_timeout(&self, timeout: Duration, comp: &[u64]) -> Option<(T, Option<StealInfo>)> {
+    pub fn next_timeout(
+        &self,
+        timeout: Duration,
+        comp: impl Fn(NodeId) -> u64,
+    ) -> Option<(T, Option<StealInfo>)> {
         let mut inner = self.inner.lock();
-        if let Some(popped) = self.pop_locked(&mut inner, comp, false) {
+        if let Some(popped) = self.pop_locked(&mut inner, &comp, false) {
             return Some(popped);
         }
         let (mut inner, timed_out) = self.cv.wait_timeout(inner, timeout);
@@ -295,7 +272,7 @@ impl<T> PlanQueue<T> {
         } else {
             false
         };
-        let popped = self.pop_locked(&mut inner, comp, force);
+        let popped = self.pop_locked(&mut inner, &comp, force);
         if popped.is_some() {
             inner.stalls = 0;
         }
@@ -306,14 +283,9 @@ impl<T> PlanQueue<T> {
     fn pop_locked(
         &self,
         inner: &mut Inner<T>,
-        comp: &[u64],
+        comp: &impl Fn(NodeId) -> u64,
         force: bool,
     ) -> Option<(T, Option<StealInfo>)> {
-        if !self.steal {
-            let item = inner.global.pop_front()?;
-            inner.len -= 1;
-            return Some((item, None));
-        }
         // 1. The oldest pending steal request (one pop per call): own
         // deque, then the global deque, then steal from the most-loaded
         // peer's tail.
@@ -326,7 +298,6 @@ impl<T> PlanQueue<T> {
                 inner.len -= 1;
                 return Some((item, None));
             }
-            let comp_of = |w: NodeId| comp.get(w).copied().unwrap_or(0);
             let victim = inner
                 .deques
                 .iter()
@@ -336,7 +307,7 @@ impl<T> PlanQueue<T> {
                 .max_by(|&(&a, qa), &(&b, qb)| {
                     qa.len()
                         .cmp(&qb.len())
-                        .then(comp_of(a).cmp(&comp_of(b)))
+                        .then_with(|| comp(a).cmp(&comp(b)))
                         .then(b.cmp(&a))
                 })
                 .map(|(&w, _)| w);
@@ -517,71 +488,62 @@ mod tests {
     use ts_obs::KindLatency;
 
     // ------------------------------------------------------------------
-    // PlanQueue: single mode reproduces the seed scheduler.
+    // PlanQueue.
     // ------------------------------------------------------------------
 
+    /// No `COMP` information: steal-victim ties fall through to node ids.
+    fn no_comp(_: NodeId) -> u64 {
+        0
+    }
+
     #[test]
-    fn single_mode_is_the_hybrid_seed_deque() {
-        let q: PlanQueue<u64> = PlanQueue::new_single();
-        q.push(1, None, false); // big -> tail
-        q.push(2, Some(1), false); // affinity ignored in single mode
-        q.push(3, None, true); // small -> head
-        q.push(4, Some(2), true); // small -> head (before 3)
-        let mut order = Vec::new();
-        while let Some((t, steal)) = q.try_next(&[]) {
-            assert!(steal.is_none(), "single mode never steals");
-            order.push(t);
+    fn hybrid_rule_orders_an_affinity_deque_like_the_global_one() {
+        for affinity in [None, Some(1)] {
+            let q: PlanQueue<u64> = PlanQueue::new(8);
+            q.push(1, affinity, false); // big -> tail
+            q.push(2, affinity, false); // big -> tail (after 1)
+            q.push(3, affinity, true); // small -> head
+            q.push(4, affinity, true); // small -> head (before 3)
+            let order: Vec<u64> = std::iter::from_fn(|| q.try_next(no_comp))
+                .map(|(t, _)| t)
+                .collect();
+            assert_eq!(order, vec![4, 3, 1, 2], "affinity {affinity:?}");
         }
-        assert_eq!(order, vec![4, 3, 1, 2]);
-        assert!(q.is_empty());
     }
-
-    #[test]
-    fn single_mode_ignores_capacity_and_hunger() {
-        let q: PlanQueue<u64> = PlanQueue::new_single();
-        q.note_dispatched(&[1, 1, 1, 1]);
-        q.mark_hungry(2);
-        q.push(7, None, false);
-        assert_eq!(q.try_next(&[]).map(|(t, _)| t), Some(7));
-    }
-
-    // ------------------------------------------------------------------
-    // PlanQueue: stealing mode.
-    // ------------------------------------------------------------------
 
     #[test]
     fn affinity_pop_prefers_least_loaded_worker() {
-        let q: PlanQueue<u64> = PlanQueue::new_stealing(4);
+        let q: PlanQueue<u64> = PlanQueue::new(4);
         q.push(10, Some(1), false);
         q.push(20, Some(2), false);
         q.note_dispatched(&[1]); // worker 1 now has 1 in flight
                                  // Worker 2 is idle-est, so its deque pops first.
-        assert_eq!(q.try_next(&[]).map(|(t, _)| t), Some(20));
-        assert_eq!(q.try_next(&[]).map(|(t, _)| t), Some(10));
+        assert_eq!(q.try_next(no_comp).map(|(t, _)| t), Some(20));
+        assert_eq!(q.try_next(no_comp).map(|(t, _)| t), Some(10));
     }
 
     #[test]
     fn capacity_throttles_until_completion() {
-        let q: PlanQueue<u64> = PlanQueue::new_stealing(2);
+        let q: PlanQueue<u64> = PlanQueue::new(2);
         q.push(1, Some(1), false);
         q.note_dispatched(&[1]);
         q.note_dispatched(&[1]); // worker 1 at cap
-        assert!(q.try_next(&[]).is_none(), "worker 1 is at capacity");
+        assert!(q.try_next(no_comp).is_none(), "worker 1 is at capacity");
         assert_eq!(q.len(), 1, "plan stays queued");
         q.note_completed(1);
-        assert_eq!(q.try_next(&[]).map(|(t, _)| t), Some(1));
+        assert_eq!(q.try_next(no_comp).map(|(t, _)| t), Some(1));
     }
 
     #[test]
     fn hungry_worker_steals_from_longest_tail() {
-        let q: PlanQueue<u64> = PlanQueue::new_stealing(8);
+        let q: PlanQueue<u64> = PlanQueue::new(8);
         // Worker 1's deque: head [11, 12, 13] tail — 13 is the BFS tail.
         q.push(11, Some(1), false);
         q.push(12, Some(1), false);
         q.push(13, Some(1), false);
         q.push(21, Some(2), false);
         q.mark_hungry(3);
-        let (t, steal) = q.try_next(&[]).expect("plan available");
+        let (t, steal) = q.try_next(no_comp).expect("plan available");
         assert_eq!(t, 13, "steals the tail of the longest deque");
         assert_eq!(
             steal,
@@ -591,30 +553,30 @@ mod tests {
             })
         );
         // Hunger is consumed: the next pop is a normal affinity pop.
-        let (_, steal) = q.try_next(&[]).expect("plan available");
+        let (_, steal) = q.try_next(no_comp).expect("plan available");
         assert!(steal.is_none());
     }
 
     #[test]
     fn hungry_worker_drains_own_deque_before_stealing() {
-        let q: PlanQueue<u64> = PlanQueue::new_stealing(8);
+        let q: PlanQueue<u64> = PlanQueue::new(8);
         q.push(11, Some(1), false);
         q.push(31, Some(3), false);
         q.mark_hungry(3);
-        let (t, steal) = q.try_next(&[]).expect("plan available");
+        let (t, steal) = q.try_next(no_comp).expect("plan available");
         assert_eq!(t, 31, "own deque first");
         assert!(steal.is_none(), "serving your own deque is not a steal");
     }
 
     #[test]
     fn steal_victim_ties_break_by_comp_load() {
-        let q: PlanQueue<u64> = PlanQueue::new_stealing(8);
+        let q: PlanQueue<u64> = PlanQueue::new(8);
         q.push(11, Some(1), false);
         q.push(21, Some(2), false);
         q.mark_hungry(3);
         // Equal deque lengths; worker 2 carries more §VI COMP load.
         let comp = [0, 5, 50];
-        let (t, steal) = q.try_next(&comp).expect("plan available");
+        let (t, steal) = q.try_next(|w| comp[w]).expect("plan available");
         assert_eq!(t, 21);
         assert_eq!(
             steal,
@@ -627,13 +589,13 @@ mod tests {
 
     #[test]
     fn unserved_hunger_survives_until_work_arrives() {
-        let q: PlanQueue<u64> = PlanQueue::new_stealing(8);
+        let q: PlanQueue<u64> = PlanQueue::new(8);
         q.mark_hungry(2);
-        assert!(q.try_next(&[]).is_none());
+        assert!(q.try_next(no_comp).is_none());
         // Work for worker 1 arrives; the pending request from worker 2
         // grabs it (steal) before worker 1's ordinary affinity pop.
         q.push(11, Some(1), false);
-        let (t, steal) = q.try_next(&[]).expect("plan available");
+        let (t, steal) = q.try_next(no_comp).expect("plan available");
         assert_eq!(t, 11);
         assert_eq!(
             steal,
@@ -646,56 +608,80 @@ mod tests {
 
     #[test]
     fn drain_worker_reclaims_queued_plans() {
-        let q: PlanQueue<u64> = PlanQueue::new_stealing(1);
+        let q: PlanQueue<u64> = PlanQueue::new(1);
         q.set_workers(&[1, 2]);
         q.push(11, Some(1), false);
         q.push(12, Some(1), false);
         q.push(21, Some(2), false);
         q.note_dispatched(&[1]); // at cap: would block worker 1 forever
         q.mark_hungry(1);
-        let drained = q.drain_worker(1);
-        assert_eq!(drained, vec![11, 12], "queued plans come back in order");
-        assert_eq!(q.len(), 1, "only worker 2's plan remains");
-        // The drained worker's hunger and accounting are gone: the next pop
-        // is worker 2's ordinary affinity pop, not a steal for worker 1.
-        let (t, steal) = q.try_next(&[]).expect("plan available");
+        q.retire_worker(1, &[2]);
+        assert_eq!(q.len(), 3, "the leaver's plans stay queued");
+        // The retired worker's hunger and accounting are gone: the next pop
+        // is worker 2's ordinary affinity pop, not a steal for worker 1 ...
+        let (t, steal) = q.try_next(no_comp).expect("plan available");
         assert_eq!(t, 21);
         assert!(steal.is_none());
-        // Draining an unknown worker is a harmless no-op.
-        assert!(q.drain_worker(9).is_empty());
-        // Single mode has no affinity deques to drain.
-        let s: PlanQueue<u64> = PlanQueue::new_single();
-        s.push(1, Some(1), false);
-        assert!(s.drain_worker(1).is_empty());
-        assert_eq!(s.len(), 1);
+        // ... and the reclaimed plans follow from the global tail, in order.
+        assert_eq!(q.try_next(no_comp), Some((11, None)));
+        assert_eq!(q.try_next(no_comp), Some((12, None)));
+        // Retiring an unknown worker is a harmless no-op.
+        q.retire_worker(9, &[2]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn hunger_from_outside_the_roster_is_dropped() {
+        let q: PlanQueue<u64> = PlanQueue::new(8);
+        q.set_workers(&[1, 2]);
+        // Worker 3 was declared dead (or already left by drain) but is
+        // still running and posts a request: it must steal nothing.
+        q.mark_hungry(3);
+        q.push(11, Some(1), false);
+        assert_eq!(q.try_next(no_comp), Some((11, None)));
+        // A roster worker's request still survives an empty queue.
+        q.mark_hungry(2);
+        assert!(q.try_next(no_comp).is_none());
+        q.push(12, Some(1), false);
+        let thief_2 = Some(StealInfo {
+            victim: 1,
+            thief: 2,
+        });
+        assert_eq!(q.try_next(no_comp), Some((12, thief_2)));
+        // A request posted while on the roster is forgotten on retirement.
+        q.mark_hungry(2);
+        q.retire_worker(2, &[1]);
+        q.push(13, Some(1), false);
+        assert_eq!(q.try_next(no_comp), Some((13, None)));
     }
 
     #[test]
     fn clear_resets_queues_hunger_and_accounting() {
-        let q: PlanQueue<u64> = PlanQueue::new_stealing(1);
+        let q: PlanQueue<u64> = PlanQueue::new(1);
         q.push(1, Some(1), false);
         q.push(2, None, false);
         q.note_dispatched(&[1]);
         q.mark_hungry(2);
         q.clear();
         assert!(q.is_empty());
-        // Capacity was reset too: worker 1 can be dispatched to again.
+        // Capacity was reset too: worker 1 can be dispatched to again, and
+        // worker 2's request is forgotten — a plain pop, not a steal.
         q.push(3, Some(1), false);
-        assert_eq!(q.try_next(&[]).map(|(t, _)| t), Some(3));
+        assert_eq!(q.try_next(no_comp), Some((3, None)));
     }
 
     #[test]
     fn global_plans_flow_when_capacity_exists() {
-        let q: PlanQueue<u64> = PlanQueue::new_stealing(1);
+        let q: PlanQueue<u64> = PlanQueue::new(1);
         q.set_workers(&[1, 2]);
         q.push(1, None, false);
         q.push(2, None, false);
-        assert_eq!(q.try_next(&[]).map(|(t, _)| t), Some(1));
+        assert_eq!(q.try_next(no_comp).map(|(t, _)| t), Some(1));
         q.note_dispatched(&[1]);
         q.note_dispatched(&[2]);
-        assert!(q.try_next(&[]).is_none(), "every worker at capacity");
+        assert!(q.try_next(no_comp).is_none(), "every worker at capacity");
         q.note_completed(2);
-        assert_eq!(q.try_next(&[]).map(|(t, _)| t), Some(2));
+        assert_eq!(q.try_next(no_comp).map(|(t, _)| t), Some(2));
     }
 
     // ------------------------------------------------------------------
@@ -704,13 +690,13 @@ mod tests {
 
     #[test]
     fn push_wakes_a_waiting_pop_immediately() {
-        let q: Arc<PlanQueue<u64>> = Arc::new(PlanQueue::new_single());
+        let q: Arc<PlanQueue<u64>> = Arc::new(PlanQueue::new(1));
         let q2 = Arc::clone(&q);
         let start = Instant::now();
         let waiter = thread::spawn(move || {
             // The pop must return long before this timeout elapses, woken
             // by the push.
-            q2.next_timeout(Duration::from_secs(10), &[])
+            q2.next_timeout(Duration::from_secs(10), no_comp)
         });
         thread::sleep(Duration::from_millis(20));
         q.push(99, None, true);
@@ -724,12 +710,12 @@ mod tests {
 
     #[test]
     fn completion_wakes_a_capacity_blocked_pop() {
-        let q: Arc<PlanQueue<u64>> = Arc::new(PlanQueue::new_stealing(1));
+        let q: Arc<PlanQueue<u64>> = Arc::new(PlanQueue::new(1));
         q.push(5, Some(1), false);
         q.note_dispatched(&[1]);
         let q2 = Arc::clone(&q);
         let start = Instant::now();
-        let waiter = thread::spawn(move || q2.next_timeout(Duration::from_secs(10), &[]));
+        let waiter = thread::spawn(move || q2.next_timeout(Duration::from_secs(10), no_comp));
         thread::sleep(Duration::from_millis(20));
         q.note_completed(1);
         assert_eq!(waiter.join().unwrap().map(|(t, _)| t), Some(5));
@@ -738,12 +724,12 @@ mod tests {
 
     #[test]
     fn stall_failsafe_force_pops_past_the_cap() {
-        let q: PlanQueue<u64> = PlanQueue::new_stealing(1);
+        let q: PlanQueue<u64> = PlanQueue::new(1);
         q.push(5, Some(1), false);
         q.note_dispatched(&[1]); // capacity never freed (lost completion)
         let mut got = None;
         for _ in 0..(STALL_STRIKES + 1) {
-            if let Some((t, _)) = q.next_timeout(Duration::from_millis(1), &[]) {
+            if let Some((t, _)) = q.next_timeout(Duration::from_millis(1), no_comp) {
                 got = Some(t);
                 break;
             }

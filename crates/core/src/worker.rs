@@ -191,9 +191,6 @@ pub struct Worker {
     /// Cleared on `Shutdown`; stops the heartbeat thread, so a silenced
     /// worker also goes silent on the liveness plane.
     alive: AtomicBool,
-    /// Whether this worker advertises hunger to the master (`ts-sched`
-    /// work stealing, `ClusterConfig::steal`).
-    steal: bool,
     /// Ready tasks enqueued for the comper pool minus tasks picked up —
     /// the signal for "my compute backlog ran dry". Signed because the
     /// comper-side decrement can observe the send before the increment.
@@ -231,7 +228,6 @@ impl Worker {
         task_rx: FabricReceiver<TaskMsg>,
         data_rx: FabricReceiver<DataMsg>,
         heartbeat_interval: Duration,
-        steal: bool,
         hist_bins: Option<usize>,
     ) -> Vec<std::thread::JoinHandle<()>> {
         let (ready_tx, ready_rx) = tschan::unbounded();
@@ -279,7 +275,6 @@ impl Worker {
             fabric_data,
             stats,
             alive: AtomicBool::new(true),
-            steal,
             ready_backlog: AtomicI64::new(0),
             steal_outstanding: AtomicBool::new(false),
             draining: AtomicBool::new(false),
@@ -383,7 +378,7 @@ impl Worker {
     /// the master. The request is an accelerator — if it (or its Donate)
     /// is lost, the flag is cleared by the next plan that arrives anyway.
     fn maybe_request_steal(&self) {
-        if !self.steal || !self.alive.load(Ordering::Acquire) {
+        if !self.alive.load(Ordering::Acquire) {
             return;
         }
         // A draining worker must wind down, not attract more work (the
@@ -536,7 +531,7 @@ impl Worker {
                     let _ = self.fabric_data.send(self.id, self.id, DataMsg::Shutdown);
                     break;
                 }
-                TaskMsg::Donate { ctx, .. } => {
+                TaskMsg::Donate { ctx: _ctx, .. } => {
                     // The master answered our steal request: the stolen
                     // task's plan follows on this same FIFO channel. The
                     // SpanRecv here is the steal edge in the span DAG.
@@ -544,7 +539,7 @@ impl Worker {
                         self.stats,
                         self.id,
                         ts_obs::Event::SpanRecv {
-                            span: ctx.span.0,
+                            span: _ctx.span.0,
                             node: self.id as u32,
                         }
                     );

@@ -165,7 +165,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
 
     /// Scheduler-invariant property (`ts-sched`): across fault seeds and
-    /// worker counts, with work stealing on and a lossy message plan,
+    /// worker counts, under a lossy message plan,
     /// every planned task is executed **exactly once** — the multiset of
     /// dispatch events equals the multiset of worker-side executions
     /// equals the multiset of folded results, per `(task, node)` — and
@@ -180,7 +180,6 @@ proptest! {
         let mut cfg = faulty_cfg(Some(lossy_plan(fault_seed)));
         cfg.n_workers = n_workers;
         cfg.replication = 2.min(n_workers);
-        cfg.steal = true;
         cfg.obs = ts_obs::ObsConfig::enabled();
         let cluster = Cluster::launch(cfg, &t);
         let model = cluster
@@ -381,7 +380,7 @@ fn silent_crash_is_detected_by_heartbeats_and_recovered() {
 // Elastic membership (`ts-elastic`, docs/ELASTICITY.md): mid-training
 // join/leave, spot preemption with grace windows, incremental column
 // rebalancing. The CI `elastic-matrix` job sweeps these tests under fixed
-// `TS_SEED`s with `TS_STEAL` both on and off.
+// `TS_SEED`s.
 // ----------------------------------------------------------------------
 
 /// Fault-plan seed for the elastic tests, overridable by the CI matrix.
@@ -390,11 +389,6 @@ fn env_seed(default: u64) -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(default)
-}
-
-/// Work-stealing toggle for the elastic tests (`TS_STEAL=1`).
-fn env_steal() -> bool {
-    std::env::var("TS_STEAL").is_ok_and(|s| s == "1" || s.eq_ignore_ascii_case("true"))
 }
 
 /// Satellite regression for the lease detector: an *announced* preemption
@@ -407,7 +401,6 @@ fn env_steal() -> bool {
 fn graceful_preemption_drains_without_crash_recovery() {
     let t = table(17);
     let mut cfg = faulty_cfg(None);
-    cfg.steal = env_steal();
     // Stretch the run so the preemption lands mid-training.
     cfg.work_ns_per_unit = 1_000;
     cfg.obs = ts_obs::ObsConfig::enabled();
@@ -467,7 +460,6 @@ fn cluster_doubling_mid_run_beats_static_half_size() {
         // Compute-dominated: the modeled work makes capacity the
         // bottleneck, so extra machines translate into wall time.
         work_ns_per_unit: 4_000,
-        steal: env_steal(),
         ..Default::default()
     };
     let run = |faults: Option<FaultPlan>| {
@@ -515,7 +507,6 @@ proptest! {
             .with_preemption(Duration::from_millis(20), 2, Duration::from_secs(30));
         let mut cfg = faulty_cfg(Some(plan));
         cfg.work_ns_per_unit = 500; // long enough for both events to land mid-run
-        cfg.steal = env_steal();
         cfg.obs = ts_obs::ObsConfig::enabled();
         let cluster = Cluster::launch(cfg, &t);
         let model = cluster

@@ -5,7 +5,9 @@
 //! bounded accuracy loss for a leaner split plane. These tests pin down
 //!
 //! 1. per-path determinism — same seed, same config → byte-identical
-//!    models, with and without work stealing and under mid-run joins;
+//!    models, on uniform and skewed (stealing) clusters, under mid-run
+//!    joins, and across history (a fingerprint pinned from the parent of
+//!    the commit that deleted the single-deque scheduler);
 //! 2. the lossy divergence bound against the exact oracle at the default
 //!    bin budget; and
 //! 3. the wire-byte win the mode exists for, measured by the split-plane
@@ -28,12 +30,6 @@ fn env_seed(default: u64) -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(default)
-}
-
-/// Work-stealing toggle for the matrix (`TS_STEAL=1`): the differential
-/// contracts must hold with the stealing scheduler both off and on.
-fn env_steal() -> bool {
-    std::env::var("TS_STEAL").is_ok_and(|s| s == "1" || s.eq_ignore_ascii_case("true"))
 }
 
 /// A Covtype-shaped table: many classes make the per-shard `NodeStats`
@@ -76,10 +72,8 @@ fn train_tree(cfg: ClusterConfig, t: &DataTable) -> ts_tree::DecisionTreeModel {
 fn same_seed_replay_is_byte_identical_per_path() {
     let t = covtype_like(env_seed(11));
     for splitter in [Splitter::Exact, HIST] {
-        let mut c = cfg(splitter);
-        c.steal = env_steal();
-        let a = train_tree(c.clone(), &t);
-        let b = train_tree(c, &t);
+        let a = train_tree(cfg(splitter), &t);
+        let b = train_tree(cfg(splitter), &t);
         assert_eq!(a, b, "{splitter:?}: same-seed replay diverged");
     }
 }
@@ -109,12 +103,22 @@ fn hist_models_are_steal_invariant() {
     let t = covtype_like(7);
     let base = train_tree(cfg(HIST), &t);
     let mut scfg = cfg(HIST);
-    scfg.steal = true;
     scfg.work_ns_per_unit = 5;
     scfg.work_scale = vec![3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
     let stolen = train_tree(scfg, &t);
     assert_eq!(stolen, base, "stealing changed a histogram-trained model");
+    assert_eq!(
+        tscheck::fnv1a(&base.to_json()),
+        SINGLE_DEQUE_FINGERPRINT,
+        "the model moved away from the single-deque scheduler's"
+    );
 }
+
+/// FNV-1a over the canonical model's JSON, as printed for this test's
+/// uniform cluster by commit 5339513 running its single-deque scheduler —
+/// the last commit that had one. Not to be regenerated from the code under
+/// test.
+const SINGLE_DEQUE_FINGERPRINT: u64 = 18_221_085_991_014_566_300;
 
 #[test]
 fn hist_models_survive_mid_run_joins_unchanged() {
@@ -122,10 +126,8 @@ fn hist_models_survive_mid_run_joins_unchanged() {
     // indices the launch roster built at load (`install_columns`); per-attr
     // gains — and therefore the election — are holder-independent.
     let t = covtype_like(3);
-    let mut bcfg = cfg(HIST);
-    bcfg.steal = env_steal();
-    let mut jcfg = bcfg.clone();
-    let base = train_tree(bcfg, &t);
+    let base = train_tree(cfg(HIST), &t);
+    let mut jcfg = cfg(HIST);
     jcfg.work_ns_per_unit = 500; // long enough for the join to land mid-run
     jcfg.faults =
         Some(FaultPlan::new(env_seed(0xB135)).with_worker_join(Duration::from_millis(8), 1));

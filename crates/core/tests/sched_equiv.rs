@@ -1,18 +1,21 @@
 //! Scheduler-equivalence golden suite (`ts-sched`): work stealing and
-//! adaptive τ are *scheduling* changes, so the models they produce must be
-//! bit-identical to the static single-deque scheduler over the same golden
-//! seed × dataset matrix as `golden.rs`.
+//! adaptive τ are *scheduling* changes, so the models they produce must not
+//! depend on them, over the same golden seed × dataset matrix as
+//! `golden.rs`.
 //!
 //! Exact training is scheduling-order-invariant by construction (every
-//! random choice derives from the stable root-path id), so the exact
-//! trainers are compared under every knob combination. Extra-trees forests
-//! additionally depend on *which* tasks run as subtree-tasks — the τ_D
-//! boundary — so they are only compared under static τ (stealing changes
-//! who runs a task, never which kind of task it is).
+//! random choice derives from the stable root-path id), so exact trees are
+//! compared with the local trainer — `golden.rs`'s oracle — under every
+//! knob combination. Extra-trees forests have no local oracle and depend on
+//! *which* tasks run as subtree-tasks — the τ_D boundary — so they are
+//! compared between a uniform and a skewed cluster under static τ (stealing
+//! changes who runs a task, never which kind of task it is) and with a
+//! fingerprint pinned from the single-deque scheduler this one replaced.
 
 use treeserver::{Cluster, ClusterConfig, JobSpec};
 use ts_datatable::synth::{generate, SynthSpec};
 use ts_datatable::{DataTable, Task};
+use ts_tree::{train_tree, TrainParams};
 
 const SEEDS: [u64; 3] = [11, 42, 977];
 
@@ -49,12 +52,20 @@ fn train_dt(cfg: ClusterConfig, t: &DataTable) -> ts_tree::DecisionTreeModel {
     model.canonicalize()
 }
 
-/// A steal-mode config with mildly heterogeneous workers: worker 1 runs at
-/// a third of the speed of its peers, so stealing genuinely happens while
-/// the model must not notice.
+/// The exact single-machine trainer on the same job: the oracle.
+fn local_dt(t: &DataTable) -> ts_tree::DecisionTreeModel {
+    let params = TrainParams {
+        dmax: 8,
+        ..TrainParams::for_task(t.schema().task)
+    };
+    train_tree(t, &(0..t.n_attrs()).collect::<Vec<_>>(), &params, 0).canonicalize()
+}
+
+/// Mildly heterogeneous workers: worker 1 runs at a third of the speed of
+/// its peers, so stealing genuinely happens while the model must not
+/// notice.
 fn steal_cfg() -> ClusterConfig {
     ClusterConfig {
-        steal: true,
         work_ns_per_unit: 5,
         work_scale: vec![3.0, 1.0, 1.0, 1.0],
         ..ClusterConfig::default()
@@ -65,7 +76,7 @@ fn steal_cfg() -> ClusterConfig {
 fn stealing_produces_bit_identical_trees() {
     for seed in SEEDS {
         for t in datasets(seed) {
-            let baseline = train_dt(ClusterConfig::default(), &t);
+            let baseline = local_dt(&t);
             let stolen = train_dt(steal_cfg(), &t);
             assert_eq!(
                 stolen,
@@ -81,7 +92,7 @@ fn stealing_produces_bit_identical_trees() {
 fn adaptive_tau_with_stealing_produces_bit_identical_trees() {
     for seed in SEEDS {
         for t in datasets(seed) {
-            let baseline = train_dt(ClusterConfig::default(), &t);
+            let baseline = local_dt(&t);
             let mut cfg = steal_cfg();
             cfg.adaptive_tau = true;
             // The controller reads the rolling latency feed off the
@@ -103,7 +114,7 @@ fn adaptive_tau_with_stealing_produces_bit_identical_trees() {
 fn stealing_preserves_extra_trees_forests_under_static_tau() {
     // Extra-trees randomness derives from stable path ids, but which arm
     // (column vs subtree) draws it depends on τ_D — so this comparison is
-    // only valid with τ static, which steal-only mode keeps.
+    // only valid with τ static.
     let t = datasets(SEEDS[0]).into_iter().next().unwrap();
     let spec = || {
         JobSpec::extra_trees(t.schema().task, 6)
@@ -119,9 +130,18 @@ fn stealing_preserves_extra_trees_forests_under_static_tau() {
     let canon = |f: ts_tree::ForestModel| -> Vec<ts_tree::DecisionTreeModel> {
         f.trees.iter().map(|m| m.canonicalize()).collect()
     };
+    let (stolen, baseline) = (canon(stolen), canon(baseline));
+    assert_eq!(stolen, baseline, "stealing changed an extra-trees forest");
+    let json: String = baseline.iter().map(|m| m.to_json()).collect();
     assert_eq!(
-        canon(stolen),
-        canon(baseline),
-        "stealing changed an extra-trees forest"
+        tscheck::fnv1a(&json),
+        SINGLE_DEQUE_FINGERPRINT,
+        "the forest moved away from the single-deque scheduler's"
     );
 }
+
+/// FNV-1a over the concatenated JSON of the canonical trees, as printed
+/// for this test's uniform cluster by commit 5339513 running its
+/// single-deque scheduler — the last commit that had one. Not to be
+/// regenerated from the code under test.
+const SINGLE_DEQUE_FINGERPRINT: u64 = 16_691_585_054_867_170_655;

@@ -161,11 +161,11 @@ fn trace_report_survives_multiple_jobs_and_names_the_latest() {
     cluster.shutdown();
 }
 
-#[test]
-fn subtree_tasks_behind_one_comper_are_queueing_not_gathering() {
-    // tau_d >= rows makes every tree one subtree-task; the single worker
-    // holds every column, so each dataset is assembled the moment the plan
-    // arrives and the trees then wait in line for the one comper.
+/// A traced forest on one worker with one comper. tau_d >= rows makes
+/// every tree one subtree-task; the single worker holds every column, so
+/// each dataset is assembled the moment the plan arrives and the trees then
+/// wait in line for the one comper.
+fn one_comper_forest(trees: usize) -> Cluster {
     let t = table(3_000, 21);
     let cfg = ClusterConfig {
         n_workers: 1,
@@ -177,8 +177,14 @@ fn subtree_tasks_behind_one_comper_are_queueing_not_gathering() {
         ..Default::default()
     };
     let cluster = Cluster::launch(cfg, &t);
-    let result = cluster.train(JobSpec::random_forest(t.schema().task, 8).with_seed(3));
+    let result = cluster.train(JobSpec::random_forest(t.schema().task, trees).with_seed(3));
     assert!(result.failure().is_none());
+    cluster
+}
+
+#[test]
+fn subtree_tasks_behind_one_comper_are_queueing_not_gathering() {
+    let cluster = one_comper_forest(8);
 
     let dag = cluster.obs().expect("obs enabled").span_dag();
     let subtrees: Vec<_> = dag
@@ -210,6 +216,30 @@ fn subtree_tasks_behind_one_comper_are_queueing_not_gathering() {
     assert!(
         queueing > 10 * gather && queueing > compute,
         "gather {gather} ns, queueing {queueing} ns, compute {compute} ns"
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn backlog_past_the_dispatch_window_is_scheduling_not_queueing() {
+    // One comper means 2·1 + 2 = 4 plans in flight: of 24 trees the one
+    // trained last spends most of the job in the master's deque (its plan
+    // span's open → active stretch, Scheduling) and only its last three
+    // places in line in the worker's ready queue (Queueing).
+    let cluster = one_comper_forest(24);
+    let report = cluster.trace_report().expect("the job finished");
+    assert_eq!(
+        report.phase_sum_ns(),
+        report.wall_ns,
+        "the five phases must still tile the wall clock exactly"
+    );
+    let (scheduling, queueing) = (
+        report.phase_ns(Phase::Scheduling),
+        report.phase_ns(Phase::Queueing),
+    );
+    assert!(
+        queueing > 0 && scheduling > queueing,
+        "scheduling {scheduling} ns, queueing {queueing} ns"
     );
     cluster.shutdown();
 }

@@ -400,7 +400,9 @@ fn mix(a: u64, b: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn fnv1a(s: &str) -> u64 {
+/// 64-bit FNV-1a: names a test's seed stream here, and fingerprints
+/// canonical model JSON in the differential suites that pin one.
+pub fn fnv1a(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.bytes() {
         h ^= b as u64;
