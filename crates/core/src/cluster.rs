@@ -26,7 +26,10 @@ pub struct ClusterReport {
     pub avg_cpu_percent: f64,
     /// Average send throughput per worker in Mbit/s.
     pub avg_send_mbps: f64,
-    /// Master outbound bytes (the §V bottleneck under scrutiny).
+    /// Master outbound bytes (the §V bottleneck under scrutiny). A
+    /// `Cluster::report` leaves the header-only `Donate` steal acks out:
+    /// their number follows thread timing, and without them the figure
+    /// repeats for a fixed job. `per_node[0].sent_bytes` counts every byte.
     pub master_sent_bytes: u64,
     /// Split-phase bytes that differ *by splitter mode* (requires `obs`):
     /// full `ColumnResult` payloads received by the master in exact mode.
@@ -639,7 +642,11 @@ impl Cluster {
     pub fn report(&self) -> ClusterReport {
         #[cfg(feature = "obs")]
         self.sync_kernel_counters();
-        ClusterReport::from_stats(&self.stats, self.launched.elapsed())
+        let mut report = ClusterReport::from_stats(&self.stats, self.launched.elapsed());
+        report.master_sent_bytes = report
+            .master_sent_bytes
+            .saturating_sub(self.master.steal_ack_bytes());
+        report
     }
 
     /// Stops every machine and returns the final report. All submitted jobs
@@ -686,6 +693,39 @@ mod tests {
         let empty = ClusterReport::from_stats(&NetStats::new(0), Duration::ZERO);
         assert_eq!(empty.master_sent_bytes, 0);
         assert!(empty.avg_peak_mem_bytes.is_finite());
+    }
+
+    #[test]
+    fn master_sent_bytes_repeats_whatever_the_steal_count() {
+        // Replication 1 pins every column to one holder, so the frames the
+        // job makes the master send are a function of the job. What differs
+        // between two runs of this skewed cluster is how many steals — and
+        // header-only `Donate` acks — thread timing produces (7 to 58 seen).
+        let t = ts_datatable::synth::generate(&ts_datatable::synth::SynthSpec {
+            rows: 4_000,
+            numeric: 4,
+            categorical: 1,
+            seed: 5,
+            ..Default::default()
+        });
+        let run = || {
+            let cfg = ClusterConfig {
+                n_workers: 2,
+                compers_per_worker: 1,
+                replication: 1,
+                tau_d: 500,
+                work_ns_per_unit: 5,
+                work_scale: vec![4.0, 1.0],
+                ..ClusterConfig::default()
+            };
+            let cluster = Cluster::launch(cfg, &t);
+            let spec = JobSpec::random_forest(t.schema().task, 6).with_dmax(6);
+            cluster.train(spec.with_seed(9));
+            let r = cluster.shutdown();
+            assert!(r.master_sent_bytes <= r.per_node[0].sent_bytes);
+            r.master_sent_bytes
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]

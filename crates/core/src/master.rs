@@ -31,9 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use ts_datatable::Task;
-#[cfg(feature = "obs")]
-use ts_netsim::WireSized;
-use ts_netsim::{Fabric, FabricReceiver, NodeId};
+use ts_netsim::{Fabric, FabricReceiver, NodeId, WireSized};
 use ts_obs::{SpanId, TraceCtx};
 use ts_splits::exact::ColumnSplit;
 use ts_splits::impurity::NodeStats;
@@ -224,6 +222,10 @@ pub struct Master {
     /// `crash_at_delegation` trigger (global so the trigger is independent
     /// of which worker happens to be picked as key worker).
     delegations: AtomicU64,
+    /// Bytes of `Donate` acks sent so far. How many steals a job sees
+    /// follows thread timing, not the job, so `Cluster::report` keeps them
+    /// out of `master_sent_bytes`, which then repeats for a fixed job.
+    steal_ack_bytes: AtomicU64,
     shutdown: AtomicBool,
     fabric: Fabric<TaskMsg>,
     /// Liveness leases per worker, refreshed by `Heartbeat` messages and
@@ -241,6 +243,11 @@ pub struct Master {
     /// Distinguishes join/drain migrations from crash re-replication when
     /// a `ReplicateDone` arrives.
     migrations: Mutex<HashMap<(usize, NodeId), NodeId>>,
+    /// Held by `θ_recv` across one message and by the drain check: folding
+    /// a result takes the task out of the task table before it queues the
+    /// child plans, and a check in between would let the winner's worker
+    /// depart with `Ix` still to serve.
+    folding: Mutex<()>,
 }
 
 impl Master {
@@ -295,6 +302,7 @@ impl Master {
             next_task: AtomicU64::new(0),
             next_span: AtomicU64::new(1),
             delegations: AtomicU64::new(0),
+            steal_ack_bytes: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             fabric,
             last_hb: Mutex::new(leases),
@@ -302,6 +310,7 @@ impl Master {
             degraded: Mutex::new(None),
             draining: Mutex::new(HashMap::new()),
             migrations: Mutex::new(HashMap::new()),
+            folding: Mutex::new(()),
         })
     }
 
@@ -385,6 +394,11 @@ impl Master {
     /// The currently live workers.
     pub fn live_workers(&self) -> Vec<NodeId> {
         self.workers.lock().clone()
+    }
+
+    /// Bytes of steal acks (`Donate` frames) the master has sent.
+    pub fn steal_ack_bytes(&self) -> u64 {
+        self.steal_ack_bytes.load(Ordering::Relaxed)
     }
 
     /// Requests shutdown: `θ_main` notifies workers and both loops exit.
@@ -485,6 +499,8 @@ impl Master {
 
     /// The master's main thread.
     pub fn main_loop(self: Arc<Self>) {
+        // The §VI COMP column as of the current pop (reused; see below).
+        let mut comp: Vec<u64> = Vec::new();
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
                 let mut workers = self.workers.lock().clone();
@@ -499,6 +515,7 @@ impl Master {
                 return;
             }
             self.check_heartbeats();
+            self.maybe_finish_drains();
             self.admit_trees();
             self.maybe_update_tau();
             // Bound the wait so the heartbeat detector and shutdown flag
@@ -507,10 +524,10 @@ impl Master {
             let timeout = (self.cfg.heartbeat_interval / 2)
                 .clamp(Duration::from_millis(1), Duration::from_millis(50));
             // Steal victims of equal deque length are ranked by §VI COMP
-            // load. The queue reads it under its own lock, so `mwork` must
-            // never be held across a `plans` call.
-            let comp = |w: NodeId| self.mwork.lock().get(w, COMP);
-            if let Some((d, steal)) = self.plans.next_timeout(timeout, comp) {
+            // load. The queue gets a copy taken before the pop, so its lock
+            // and `mwork` are never held together.
+            self.mwork.lock().copy_column(COMP, &mut comp);
+            if let Some((d, steal)) = self.plans.next_timeout(timeout, &comp) {
                 self.assign_plan(d, steal);
             }
         }
@@ -572,11 +589,8 @@ impl Master {
             self.recover_or_degrade(w);
         }
         // Elastic drains piggyback on the same sweep: escalate leavers that
-        // blew their grace window, and re-check departure conditions that
-        // have no direct trigger (a queued plan of the leaver's finally
-        // dispatched and completed).
+        // blew their grace window.
         self.escalate_expired_drains(now);
-        self.maybe_finish_drains();
     }
 
     /// A drain that outlives its grace window stops being graceful: the
@@ -742,15 +756,14 @@ impl Master {
                     thief: info.thief as u32,
                 }
             );
-            let _ = self.fabric.send(
-                0,
-                info.thief,
-                TaskMsg::Donate {
-                    task: desc.task,
-                    victim: info.victim,
-                    ctx,
-                },
-            );
+            let ack = TaskMsg::Donate {
+                task: desc.task,
+                victim: info.victim,
+                ctx,
+            };
+            self.steal_ack_bytes
+                .fetch_add(ack.wire_bytes() as u64, Ordering::Relaxed);
+            let _ = self.fabric.send(0, info.thief, ack);
         }
 
         // Each arm decides who computes what and returns: the task-table
@@ -1007,6 +1020,7 @@ impl Master {
     /// The master's receiving thread.
     pub fn recv_loop(self: Arc<Self>, rx: FabricReceiver<TaskMsg>) {
         while let Ok(msg) = rx.recv() {
+            let _folding = self.folding.lock();
             #[cfg(feature = "obs")]
             self.count_split_plane_bytes(&msg);
             match msg {
@@ -1270,7 +1284,8 @@ impl Master {
         if let Some(st) = self.draining.lock().get_mut(&worker) {
             st.goodbye = true;
         }
-        self.maybe_finish_drains();
+        // Departure is decided on θ_main; wake it.
+        self.plans.notify();
     }
 
     /// Replicated columns landed at `worker`. Join/drain migrations are
@@ -1317,7 +1332,7 @@ impl Master {
                 }
             );
         }
-        self.maybe_finish_drains();
+        self.plans.notify();
     }
 
     /// Finalises every drain whose conditions are all met: `Goodbye`
@@ -1326,12 +1341,17 @@ impl Master {
     /// Finalisation retires the lease and sends the final `Shutdown`; the
     /// leaver exits through the ordinary shutdown cascade — zero crash
     /// recovery, zero tree revocation.
+    ///
+    /// Runs on `θ_main` only, every loop turn, and between two messages of
+    /// `θ_recv`: a plan is then in the queue or in the task table, never in
+    /// either thread's hands.
     fn maybe_finish_drains(&self) {
+        if self.draining.lock().is_empty() {
+            return;
+        }
+        let _folding = self.folding.lock();
         let ready: Vec<NodeId> = {
             let draining = self.draining.lock();
-            if draining.is_empty() {
-                return;
-            }
             let ttask = self.ttask.lock();
             draining
                 .iter()
@@ -2118,7 +2138,7 @@ mod tests {
         m.enqueue_plan(mk(3, 50)); // small -> head
         m.enqueue_plan(mk(4, 20)); // small -> head (before 3)
         let mut order: Vec<u64> = Vec::new();
-        while let Some((p, steal)) = m.plans.try_next(|_| 0) {
+        while let Some((p, steal)) = m.plans.try_next(&[]) {
             assert!(steal.is_none(), "nobody is hungry: no steal");
             order.push(p.task.0);
         }
@@ -2300,7 +2320,7 @@ mod tests {
         m.admit_trees();
         // Drain the root from the global deque: nobody is hungry yet, so
         // this is a plain pop, not a steal.
-        let (root, steal) = m.plans.try_next(|_| 0).expect("root plan queued");
+        let (root, steal) = m.plans.try_next(&[]).expect("root plan queued");
         assert!(steal.is_none(), "global pop is not a steal");
         // Park a child on worker 1's deque, then let worker 2 go hungry.
         m.enqueue_plan(PlanDesc {
@@ -2319,7 +2339,7 @@ mod tests {
             span: 0,
         });
         m.on_steal_request(2);
-        let (stolen, steal) = m.plans.try_next(|_| 0).expect("stolen child");
+        let (stolen, steal) = m.plans.try_next(&[]).expect("stolen child");
         assert_eq!(stolen.task, TaskId(99));
         assert_eq!(
             steal,
@@ -2341,9 +2361,10 @@ mod tests {
 
     #[test]
     fn dispatch_window_is_two_plans_per_comper_plus_two() {
-        // `test_master` runs the default 2 compers per worker: 6 plans in
-        // flight per worker, the 7th waits in the master's backlog.
+        // Two plans per comper plus two in flight per worker; the next one
+        // waits in the master's backlog.
         let (m, _rxs) = test_master(1_000, 100);
+        let window = 2 * m.cfg.compers_per_worker as u64 + 2;
         let child = |task: u64| PlanDesc {
             task: TaskId(task),
             tree: TreeId(0),
@@ -2359,16 +2380,36 @@ mod tests {
             trace: 0,
             span: 0,
         };
-        for t in 1..=7 {
+        for t in 1..=window + 1 {
             m.enqueue_plan(child(t));
         }
-        for _ in 0..6 {
-            assert!(m.plans.try_next(|_| 0).is_some(), "inside the window");
+        for _ in 0..window {
+            assert!(m.plans.try_next(&[]).is_some(), "inside the window");
             m.plans.note_dispatched(&[1]);
         }
-        assert!(m.plans.try_next(|_| 0).is_none(), "window full");
+        assert!(m.plans.try_next(&[]).is_none(), "window full");
         m.plans.note_completed(1);
-        assert!(m.plans.try_next(|_| 0).is_some(), "a result reopens it");
+        assert!(m.plans.try_next(&[]).is_some(), "a result reopens it");
+    }
+
+    #[test]
+    fn drain_gate_waits_for_a_fold_in_progress() {
+        // θ_recv takes a finished task out of the table before it queues
+        // the child plans; read in between, the gate would find nothing
+        // that names the leaver. It waits for the message to end instead.
+        let (m, _rxs) = test_master(1_000, 100);
+        m.begin_drain(2, Duration::from_secs(30));
+        m.on_goodbye(2);
+        let fold = m.folding.lock(); // θ_recv is inside a message
+        let gate = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || m.maybe_finish_drains())
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(m.is_draining(2), "the gate was read in mid-fold");
+        drop(fold);
+        gate.join().unwrap();
+        assert!(!m.is_draining(2), "every condition holds: it departs");
     }
 
     #[test]

@@ -242,25 +242,23 @@ impl<T> PlanQueue<T> {
         self.cv.notify_all();
     }
 
-    /// Pops the next assignable plan without blocking. `comp` reads one
-    /// worker's cell of the §VI `COMP` load column; it is called under the
-    /// queue lock, and only when a steal has to break a deque-length tie.
-    pub fn try_next(&self, comp: impl Fn(NodeId) -> u64) -> Option<(T, Option<StealInfo>)> {
+    /// Pops the next assignable plan without blocking. `comp` is a copy of
+    /// the §VI `COMP` load column indexed by node id (a worker it does not
+    /// cover counts as unloaded); it is only read when a steal has to break
+    /// a deque-length tie. A copy, so the queue never takes another lock
+    /// while it holds its own.
+    pub fn try_next(&self, comp: &[u64]) -> Option<(T, Option<StealInfo>)> {
         let mut inner = self.inner.lock();
-        self.pop_locked(&mut inner, &comp, false)
+        self.pop_locked(&mut inner, comp, false)
     }
 
     /// Pops the next assignable plan, waiting up to `timeout` for one to
     /// become available (push, freed capacity, steal request and shutdown
     /// all notify). Returns `None` on timeout — the caller's loop re-checks
     /// shutdown/heartbeats and calls again.
-    pub fn next_timeout(
-        &self,
-        timeout: Duration,
-        comp: impl Fn(NodeId) -> u64,
-    ) -> Option<(T, Option<StealInfo>)> {
+    pub fn next_timeout(&self, timeout: Duration, comp: &[u64]) -> Option<(T, Option<StealInfo>)> {
         let mut inner = self.inner.lock();
-        if let Some(popped) = self.pop_locked(&mut inner, &comp, false) {
+        if let Some(popped) = self.pop_locked(&mut inner, comp, false) {
             return Some(popped);
         }
         let (mut inner, timed_out) = self.cv.wait_timeout(inner, timeout);
@@ -272,7 +270,7 @@ impl<T> PlanQueue<T> {
         } else {
             false
         };
-        let popped = self.pop_locked(&mut inner, &comp, force);
+        let popped = self.pop_locked(&mut inner, comp, force);
         if popped.is_some() {
             inner.stalls = 0;
         }
@@ -283,7 +281,7 @@ impl<T> PlanQueue<T> {
     fn pop_locked(
         &self,
         inner: &mut Inner<T>,
-        comp: &impl Fn(NodeId) -> u64,
+        comp: &[u64],
         force: bool,
     ) -> Option<(T, Option<StealInfo>)> {
         // 1. The oldest pending steal request (one pop per call): own
@@ -298,6 +296,7 @@ impl<T> PlanQueue<T> {
                 inner.len -= 1;
                 return Some((item, None));
             }
+            let comp_of = |w: NodeId| comp.get(w).copied().unwrap_or(0);
             let victim = inner
                 .deques
                 .iter()
@@ -307,7 +306,7 @@ impl<T> PlanQueue<T> {
                 .max_by(|&(&a, qa), &(&b, qb)| {
                     qa.len()
                         .cmp(&qb.len())
-                        .then_with(|| comp(a).cmp(&comp(b)))
+                        .then_with(|| comp_of(a).cmp(&comp_of(b)))
                         .then(b.cmp(&a))
                 })
                 .map(|(&w, _)| w);
@@ -491,11 +490,6 @@ mod tests {
     // PlanQueue.
     // ------------------------------------------------------------------
 
-    /// No `COMP` information: steal-victim ties fall through to node ids.
-    fn no_comp(_: NodeId) -> u64 {
-        0
-    }
-
     #[test]
     fn hybrid_rule_orders_an_affinity_deque_like_the_global_one() {
         for affinity in [None, Some(1)] {
@@ -504,7 +498,7 @@ mod tests {
             q.push(2, affinity, false); // big -> tail (after 1)
             q.push(3, affinity, true); // small -> head
             q.push(4, affinity, true); // small -> head (before 3)
-            let order: Vec<u64> = std::iter::from_fn(|| q.try_next(no_comp))
+            let order: Vec<u64> = std::iter::from_fn(|| q.try_next(&[]))
                 .map(|(t, _)| t)
                 .collect();
             assert_eq!(order, vec![4, 3, 1, 2], "affinity {affinity:?}");
@@ -518,8 +512,8 @@ mod tests {
         q.push(20, Some(2), false);
         q.note_dispatched(&[1]); // worker 1 now has 1 in flight
                                  // Worker 2 is idle-est, so its deque pops first.
-        assert_eq!(q.try_next(no_comp).map(|(t, _)| t), Some(20));
-        assert_eq!(q.try_next(no_comp).map(|(t, _)| t), Some(10));
+        assert_eq!(q.try_next(&[]).map(|(t, _)| t), Some(20));
+        assert_eq!(q.try_next(&[]).map(|(t, _)| t), Some(10));
     }
 
     #[test]
@@ -528,10 +522,10 @@ mod tests {
         q.push(1, Some(1), false);
         q.note_dispatched(&[1]);
         q.note_dispatched(&[1]); // worker 1 at cap
-        assert!(q.try_next(no_comp).is_none(), "worker 1 is at capacity");
+        assert!(q.try_next(&[]).is_none(), "worker 1 is at capacity");
         assert_eq!(q.len(), 1, "plan stays queued");
         q.note_completed(1);
-        assert_eq!(q.try_next(no_comp).map(|(t, _)| t), Some(1));
+        assert_eq!(q.try_next(&[]).map(|(t, _)| t), Some(1));
     }
 
     #[test]
@@ -543,7 +537,7 @@ mod tests {
         q.push(13, Some(1), false);
         q.push(21, Some(2), false);
         q.mark_hungry(3);
-        let (t, steal) = q.try_next(no_comp).expect("plan available");
+        let (t, steal) = q.try_next(&[]).expect("plan available");
         assert_eq!(t, 13, "steals the tail of the longest deque");
         assert_eq!(
             steal,
@@ -553,7 +547,7 @@ mod tests {
             })
         );
         // Hunger is consumed: the next pop is a normal affinity pop.
-        let (_, steal) = q.try_next(no_comp).expect("plan available");
+        let (_, steal) = q.try_next(&[]).expect("plan available");
         assert!(steal.is_none());
     }
 
@@ -563,7 +557,7 @@ mod tests {
         q.push(11, Some(1), false);
         q.push(31, Some(3), false);
         q.mark_hungry(3);
-        let (t, steal) = q.try_next(no_comp).expect("plan available");
+        let (t, steal) = q.try_next(&[]).expect("plan available");
         assert_eq!(t, 31, "own deque first");
         assert!(steal.is_none(), "serving your own deque is not a steal");
     }
@@ -575,8 +569,7 @@ mod tests {
         q.push(21, Some(2), false);
         q.mark_hungry(3);
         // Equal deque lengths; worker 2 carries more §VI COMP load.
-        let comp = [0, 5, 50];
-        let (t, steal) = q.try_next(|w| comp[w]).expect("plan available");
+        let (t, steal) = q.try_next(&[0, 5, 50]).expect("plan available");
         assert_eq!(t, 21);
         assert_eq!(
             steal,
@@ -591,11 +584,11 @@ mod tests {
     fn unserved_hunger_survives_until_work_arrives() {
         let q: PlanQueue<u64> = PlanQueue::new(8);
         q.mark_hungry(2);
-        assert!(q.try_next(no_comp).is_none());
+        assert!(q.try_next(&[]).is_none());
         // Work for worker 1 arrives; the pending request from worker 2
         // grabs it (steal) before worker 1's ordinary affinity pop.
         q.push(11, Some(1), false);
-        let (t, steal) = q.try_next(no_comp).expect("plan available");
+        let (t, steal) = q.try_next(&[]).expect("plan available");
         assert_eq!(t, 11);
         assert_eq!(
             steal,
@@ -619,12 +612,12 @@ mod tests {
         assert_eq!(q.len(), 3, "the leaver's plans stay queued");
         // The retired worker's hunger and accounting are gone: the next pop
         // is worker 2's ordinary affinity pop, not a steal for worker 1 ...
-        let (t, steal) = q.try_next(no_comp).expect("plan available");
+        let (t, steal) = q.try_next(&[]).expect("plan available");
         assert_eq!(t, 21);
         assert!(steal.is_none());
         // ... and the reclaimed plans follow from the global tail, in order.
-        assert_eq!(q.try_next(no_comp), Some((11, None)));
-        assert_eq!(q.try_next(no_comp), Some((12, None)));
+        assert_eq!(q.try_next(&[]), Some((11, None)));
+        assert_eq!(q.try_next(&[]), Some((12, None)));
         // Retiring an unknown worker is a harmless no-op.
         q.retire_worker(9, &[2]);
         assert!(q.is_empty());
@@ -638,21 +631,21 @@ mod tests {
         // still running and posts a request: it must steal nothing.
         q.mark_hungry(3);
         q.push(11, Some(1), false);
-        assert_eq!(q.try_next(no_comp), Some((11, None)));
+        assert_eq!(q.try_next(&[]), Some((11, None)));
         // A roster worker's request still survives an empty queue.
         q.mark_hungry(2);
-        assert!(q.try_next(no_comp).is_none());
+        assert!(q.try_next(&[]).is_none());
         q.push(12, Some(1), false);
         let thief_2 = Some(StealInfo {
             victim: 1,
             thief: 2,
         });
-        assert_eq!(q.try_next(no_comp), Some((12, thief_2)));
+        assert_eq!(q.try_next(&[]), Some((12, thief_2)));
         // A request posted while on the roster is forgotten on retirement.
         q.mark_hungry(2);
         q.retire_worker(2, &[1]);
         q.push(13, Some(1), false);
-        assert_eq!(q.try_next(no_comp), Some((13, None)));
+        assert_eq!(q.try_next(&[]), Some((13, None)));
     }
 
     #[test]
@@ -667,7 +660,7 @@ mod tests {
         // Capacity was reset too: worker 1 can be dispatched to again, and
         // worker 2's request is forgotten — a plain pop, not a steal.
         q.push(3, Some(1), false);
-        assert_eq!(q.try_next(no_comp), Some((3, None)));
+        assert_eq!(q.try_next(&[]), Some((3, None)));
     }
 
     #[test]
@@ -676,12 +669,12 @@ mod tests {
         q.set_workers(&[1, 2]);
         q.push(1, None, false);
         q.push(2, None, false);
-        assert_eq!(q.try_next(no_comp).map(|(t, _)| t), Some(1));
+        assert_eq!(q.try_next(&[]).map(|(t, _)| t), Some(1));
         q.note_dispatched(&[1]);
         q.note_dispatched(&[2]);
-        assert!(q.try_next(no_comp).is_none(), "every worker at capacity");
+        assert!(q.try_next(&[]).is_none(), "every worker at capacity");
         q.note_completed(2);
-        assert_eq!(q.try_next(no_comp).map(|(t, _)| t), Some(2));
+        assert_eq!(q.try_next(&[]).map(|(t, _)| t), Some(2));
     }
 
     // ------------------------------------------------------------------
@@ -696,7 +689,7 @@ mod tests {
         let waiter = thread::spawn(move || {
             // The pop must return long before this timeout elapses, woken
             // by the push.
-            q2.next_timeout(Duration::from_secs(10), no_comp)
+            q2.next_timeout(Duration::from_secs(10), &[])
         });
         thread::sleep(Duration::from_millis(20));
         q.push(99, None, true);
@@ -715,7 +708,7 @@ mod tests {
         q.note_dispatched(&[1]);
         let q2 = Arc::clone(&q);
         let start = Instant::now();
-        let waiter = thread::spawn(move || q2.next_timeout(Duration::from_secs(10), no_comp));
+        let waiter = thread::spawn(move || q2.next_timeout(Duration::from_secs(10), &[]));
         thread::sleep(Duration::from_millis(20));
         q.note_completed(1);
         assert_eq!(waiter.join().unwrap().map(|(t, _)| t), Some(5));
@@ -729,7 +722,7 @@ mod tests {
         q.note_dispatched(&[1]); // capacity never freed (lost completion)
         let mut got = None;
         for _ in 0..(STALL_STRIKES + 1) {
-            if let Some((t, _)) = q.next_timeout(Duration::from_millis(1), no_comp) {
+            if let Some((t, _)) = q.next_timeout(Duration::from_millis(1), &[]) {
                 got = Some(t);
                 break;
             }
