@@ -4,9 +4,10 @@
 //! Plain timed loops (median of repeated runs) like the table benches, so
 //! the workspace needs no external benchmark harness.
 //!
-//! The exact kernels are timed on **both** engine paths — the legacy
-//! gather+sort kernels and the sorted-column engine's presorted-index scans
-//! (`ts_splits::sorted`) — and the per-size speedup is printed alongside.
+//! The exact kernels are timed against their reference — the gather+sort
+//! kernels of `ts_splits::exact` beside the sorted-column engine's
+//! presorted-index kernels (`ts_splits::sorted`) — and the per-size speedup
+//! is printed alongside.
 //! All timings are also recorded into `BENCH_splits.json` (see
 //! `ts_bench::BenchReport`), which CI uploads as an artifact.
 
@@ -23,8 +24,7 @@ use ts_splits::histogram::{BinCuts, NumericHistogram};
 use ts_splits::impurity::{Impurity, LabelView};
 use ts_splits::sketch::QuantileSketch;
 use ts_splits::sorted::{
-    best_cat_split_classification_at, best_cat_split_regression_at, best_numeric_split_at_path,
-    NodeRows, NumericPath,
+    best_cat_split_classification_at, best_cat_split_regression_at, best_numeric_split_at, NodeRows,
 };
 use tsrand::prelude::*;
 
@@ -96,8 +96,8 @@ fn main() {
     );
     let mut out = BenchReport::new("splits");
 
-    // Exact numeric splits, classification: legacy gather+sort vs the
-    // sorted-column engine's filtered scan over a prebuilt index.
+    // Exact numeric splits, classification: reference gather+sort vs the
+    // sorted-column engine's rank selection over a prebuilt index.
     for n in [1_000usize, 10_000, 100_000] {
         let (values, ys) = data(n, 1);
         let index = SortedColumn::from_numeric(&values);
@@ -109,8 +109,7 @@ fn main() {
             ));
         });
         let sorted_us = time_us(|| {
-            black_box(best_numeric_split_at_path(
-                NumericPath::SortedScan,
+            black_box(best_numeric_split_at(
                 black_box(&values),
                 &index,
                 NodeRows::All(n),
@@ -145,8 +144,7 @@ fn main() {
             ));
         });
         let sorted_us = time_us(|| {
-            black_box(best_numeric_split_at_path(
-                NumericPath::SortedScan,
+            black_box(best_numeric_split_at(
                 black_box(&values),
                 &index,
                 NodeRows::All(n),

@@ -622,11 +622,6 @@ impl Cluster {
             cur.numeric_sorted_scans,
         );
         sync(
-            "split_kernel_gather_scans",
-            self.kernel_base.numeric_gather_scans,
-            cur.numeric_gather_scans,
-        );
-        sync(
             "split_scratch_pool_hits",
             self.kernel_base.pool_hits,
             cur.pool_hits,

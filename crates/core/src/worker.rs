@@ -36,9 +36,7 @@ use ts_splits::hist::{best_hist_split_at, top_k_candidates, HistCandidate, HistC
 use ts_splits::impurity::Impurity;
 use ts_splits::impurity::{LabelView, NodeStats};
 use ts_splits::random::random_split_for_column;
-use ts_splits::sorted::{
-    best_split_at, distinct_categories_at, with_node_mask, ColumnRef, NodeRows, RowBitmap,
-};
+use ts_splits::sorted::{best_split_at, distinct_categories_at, ColumnRef, NodeRows};
 use ts_splits::{partition_rows, SplitTest};
 use ts_tree::{train_subtree, LocalDataset, TrainMode, TrainParams};
 use tschan::sync::{Mutex, RwLock};
@@ -1151,15 +1149,13 @@ impl Worker {
 
     /// Runs the exact-split engine over each assigned column for one node,
     /// folding the winners with the canonical tie-break (challenger order is
-    /// `plan.cols` order, the same on both kernel paths).
-    #[allow(clippy::too_many_arguments)]
+    /// `plan.cols` order).
     fn best_exact_split(
         &self,
         store: &HashMap<usize, Arc<Column>>,
         sorted_store: &HashMap<usize, Arc<SortedColumn>>,
         cols: &[usize],
         node: NodeRows<'_>,
-        mask: Option<&RowBitmap>,
         view: LabelView<'_>,
         imp: Impurity,
     ) -> Option<(usize, ColumnSplit)> {
@@ -1168,7 +1164,7 @@ impl Worker {
             let col = store.get(&attr).expect("assigned column must be held");
             let index = sorted_store.get(&attr).expect("sorted index must be held");
             let cref = ColumnRef::of_column(col, index, self.attr_types[attr]);
-            if let Some(s) = best_split_at(cref, node, mask, view, imp) {
+            if let Some(s) = best_split_at(cref, node, view, imp) {
                 let wins = match &best {
                     None => true,
                     Some((battr, bs)) => ColumnSplit::challenger_wins(&s, attr, bs, *battr),
@@ -1225,28 +1221,12 @@ impl Worker {
             // resident columns — no per-task gather. `Ix` is always strictly
             // ascending, so the engine's scans visit rows in the same order
             // a gather-then-scan would (see `ts_splits::sorted`).
-            best = match &ix {
-                RowSet::All => self.best_exact_split(
-                    &store,
-                    &sorted_store,
-                    &plan.cols,
-                    NodeRows::All(self.n_rows),
-                    None,
-                    view,
-                    plan.params.impurity,
-                ),
-                RowSet::Ids(v) => with_node_mask(self.n_rows, v, |mask| {
-                    self.best_exact_split(
-                        &store,
-                        &sorted_store,
-                        &plan.cols,
-                        NodeRows::Subset(v),
-                        Some(mask),
-                        view,
-                        plan.params.impurity,
-                    )
-                }),
+            let node = match &ix {
+                RowSet::All => NodeRows::All(self.n_rows),
+                RowSet::Ids(v) => NodeRows::Subset(v),
             };
+            let imp = plan.params.impurity;
+            best = self.best_exact_split(&store, &sorted_store, &plan.cols, node, view, imp);
         }
 
         let best_full = best.map(|(attr, split)| {

@@ -317,7 +317,8 @@ fn subtree_task_memory_counts_indexes_and_orders() {
     );
 
     // A subtree-task below the root gathers a row subset and has to build
-    // that subset's indexes (12 B per row per numeric column) as well. With
+    // that subset's indexes (order + rank, 8 B per row per numeric column)
+    // as well. With
     // tau_d just under the table, the root is a column-task and its larger
     // child is the biggest subtree-task.
     let cluster = Cluster::launch(small_cfg(1, 1, 3_999), &t);
@@ -329,7 +330,7 @@ fn subtree_task_memory_counts_indexes_and_orders() {
     cluster.shutdown();
     let (_, l, r) = model.nodes[0].split.as_ref().expect("the root splits");
     let rows = model.nodes[*l].n_rows.max(model.nodes[*r].n_rows);
-    let per_row = 6 * (8 + 12 + 4);
+    let per_row = 6 * (8 + 8 + 4);
     assert!(
         peak >= resident + rows * per_row,
         "peak {peak} < resident {resident} + {rows} rows x {per_row} B (data + index + order)"

@@ -191,8 +191,7 @@ fn kernel_counters_surface_in_metrics() {
     let cluster = traced_forest(2, 4);
     let rec = cluster.obs().expect("recorder attached").clone();
     let snap = rec.metrics();
-    let scans =
-        snap.counter("split_kernel_sorted_scans") + snap.counter("split_kernel_gather_scans");
+    let scans = snap.counter("split_kernel_sorted_scans");
     assert!(scans > 0, "exact training must run numeric split kernels");
     let hits_then = snap.counter("split_scratch_pool_hits");
     let again = cluster.obs().expect("recorder attached").metrics();

@@ -31,5 +31,5 @@ pub mod table;
 pub use binned::{BinCuts, BinnedColumn};
 pub use column::{Column, Value, ValuesBuf, MISSING_CAT};
 pub use schema::{AttrMeta, AttrType, Schema, Task};
-pub use sorted::SortedColumn;
+pub use sorted::{SortedColumn, MISSING_RANK};
 pub use table::{DataTable, Labels};

@@ -2,19 +2,23 @@
 //!
 //! The exact numeric kernel's dominant cost is re-sorting a column's values
 //! for every node (`O(|Dx| log |Dx|)` per node per candidate column). Paying
-//! the sort **once per column** at load time turns each node's scan into a
-//! filtered linear pass over the presorted order — the structure the exact
+//! the sort **once per column** at load time lets every node read its own
+//! sorted sequence off the index in `O(|Dx|)` — the structure the exact
 //! distributed Random Forest literature builds on (see PAPERS.md) and the
-//! hot-path optimization of docs/PERF.md.
+//! hot-path optimization of docs/PERF.md. The index is read-only and shared
+//! by every tree and node; it holds the order and its inverse, 8 bytes per
+//! row.
 //!
 //! Determinism contract: the numeric order sorts by `(value, row id)` with
-//! `f64::total_cmp`, exactly the comparator the legacy gather+sort kernel
-//! uses on `(value, gathered position)`. Because node row sets are always
-//! ascending, filtering this order by node membership yields the *same*
-//! sequence the legacy kernel produces, so both paths pick byte-identical
-//! splits.
+//! `f64::total_cmp`, exactly the order a stable sort of the node's gathered
+//! values produces. Because node row sets are always ascending, the node's
+//! rows taken in rank order are the *same* sequence the gather+sort
+//! reference kernel scans, so both pick byte-identical splits.
 
 use crate::column::{Column, ValuesBuf, MISSING_CAT};
+
+/// The [`SortedColumn::numeric_rank`] of a row whose value is missing.
+pub const MISSING_RANK: u32 = u32::MAX;
 
 /// A per-column index built once when a column enters a store (worker column
 /// load, `LocalDataset` assembly) and shared by every node's split search.
@@ -26,11 +30,11 @@ pub enum SortedColumn {
     Numeric {
         /// Presorted present-row ids.
         order: Vec<u32>,
-        /// The rows' values in the same order. Redundant with gathering
-        /// `column[order[i]]`, but that gather is a random-access pass the
-        /// whole-column scan would otherwise repeat per node per column —
-        /// caching it keeps the hot scan fully sequential.
-        values: Vec<f64>,
+        /// The inverse of `order` over *every* row: `rank[row]` is the row's
+        /// position in `order`, [`MISSING_RANK`] for a missing value. A node
+        /// finds where each of its rows sits in the sorted sequence by
+        /// reading its own rows' ranks — no pass over the rest of the column.
+        rank: Vec<u32>,
     },
     /// Categorical column: the sorted distinct set of present codes. The
     /// one-vs-rest / Breiman kernels need no value order, but the distinct
@@ -70,11 +74,11 @@ impl SortedColumn {
                 .total_cmp(&values[b as usize])
                 .then(a.cmp(&b))
         });
-        let sorted_values = order.iter().map(|&r| values[r as usize]).collect();
-        SortedColumn::Numeric {
-            order,
-            values: sorted_values,
+        let mut rank = vec![MISSING_RANK; values.len()];
+        for (position, &r) in order.iter().enumerate() {
+            rank[r as usize] = position as u32;
         }
+        SortedColumn::Numeric { order, rank }
     }
 
     /// Distinct-code index over a categorical slice.
@@ -103,16 +107,16 @@ impl SortedColumn {
         }
     }
 
-    /// The present rows' values in presorted order (parallel to
-    /// [`Self::numeric_order`]).
+    /// Every row's position in [`Self::numeric_order`], [`MISSING_RANK`] for
+    /// the rows it leaves out.
     ///
     /// # Panics
     /// Panics when called on a categorical index.
-    pub fn numeric_values(&self) -> &[f64] {
+    pub fn numeric_rank(&self) -> &[u32] {
         match self {
-            SortedColumn::Numeric { values, .. } => values,
+            SortedColumn::Numeric { rank, .. } => rank,
             SortedColumn::Categorical { .. } => {
-                panic!("numeric_values on a categorical sorted index")
+                panic!("numeric_rank on a categorical sorted index")
             }
         }
     }
@@ -131,8 +135,8 @@ impl SortedColumn {
     /// In-memory size of the index payload (for memory accounting).
     pub fn payload_bytes(&self) -> usize {
         match self {
-            SortedColumn::Numeric { order, values } => {
-                order.len() * std::mem::size_of::<u32>() + values.len() * std::mem::size_of::<f64>()
+            SortedColumn::Numeric { order, rank } => {
+                (order.len() + rank.len()) * std::mem::size_of::<u32>()
             }
             SortedColumn::Categorical { distinct } => distinct.len() * std::mem::size_of::<u32>(),
         }
@@ -148,14 +152,16 @@ mod tests {
         let s = SortedColumn::from_numeric(&[3.0, 1.0, 2.0, 1.0]);
         // Value 1.0 appears at rows 1 and 3; the tie breaks by row id.
         assert_eq!(s.numeric_order(), &[1, 3, 2, 0]);
+        assert_eq!(s.numeric_rank(), &[3, 0, 2, 1]);
     }
 
     #[test]
     fn numeric_order_excludes_missing() {
         let s = SortedColumn::from_numeric(&[f64::NAN, 5.0, f64::NAN, 4.0]);
         assert_eq!(s.numeric_order(), &[3, 1]);
-        assert_eq!(s.numeric_values(), &[4.0, 5.0]);
-        assert_eq!(s.payload_bytes(), 2 * 4 + 2 * 8);
+        assert_eq!(s.numeric_rank(), &[MISSING_RANK, 1, MISSING_RANK, 0]);
+        // The rank spans the missing rows too.
+        assert_eq!(s.payload_bytes(), 2 * 4 + 4 * 4);
     }
 
     #[test]

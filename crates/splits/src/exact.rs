@@ -4,9 +4,10 @@
 //! Each gathered kernel takes one column's values *gathered over the node's
 //! rows* (aligned with the equally-gathered labels) and returns the best
 //! exact split-condition of that column, or `None` when no condition
-//! strictly reduces impurity. They are the `NodeRows::All` case of the `_at`
-//! kernels in [`crate::sorted`], which every trainer calls; these wrappers
-//! remain as the reference of the oracle suites and the kernel bench.
+//! strictly reduces impurity. They are the `NodeRows::All` case of the
+//! kernels in [`crate::sorted`] that every trainer calls — the numeric one
+//! sorting its gathered node where the trainers read a presorted index —
+//! and remain as the reference of the oracle suites and the kernel bench.
 //!
 //! Missing values are excluded from the gain computation and routed to the
 //! majority child; the returned child statistics *include* the routed missing
@@ -18,8 +19,14 @@
 //! single-threaded subtree trainer pick identical splits.
 
 use crate::condition::SplitTest;
-use crate::impurity::{ClassCounts, Impurity, LabelAgg, LabelView, NodeStats, RegAgg};
-use crate::sorted::{best_cat_split_classification_at, best_cat_split_regression_at, NodeRows};
+use crate::impurity::{
+    BoundarySide, ClassCounts, EntropyCounts, GiniCounts, Impurity, LabelAgg, LabelView, NodeStats,
+    RegAgg,
+};
+use crate::sorted::{
+    best_cat_split_classification_at, best_cat_split_regression_at, numeric_split, with_class_pair,
+    NodeRows, Sequence,
+};
 use ts_datatable::{AttrType, ValuesBuf, MISSING_CAT};
 use tsjson::{Deserialize, Serialize};
 
@@ -88,72 +95,118 @@ pub(crate) fn boundary_threshold(a: f64, b: f64) -> f64 {
 /// Exact best `Ai <= v` split for a numeric column (Appendix B, Case 1):
 /// sort the present values, then one pass with `O(1)` incremental impurity.
 ///
-/// The gather-sort arm of [`crate::sorted::best_numeric_split_at`] over
-/// `NodeRows::All`; kept public as the reference the oracle suites and the
-/// benches compare against.
+/// The gather-and-sort source of the engine's one numeric kernel
+/// (`sorted::numeric_split`) over `NodeRows::All`. No trainer calls it; it is
+/// public as the reference the oracle suites and the benches compare the
+/// presorted engine against.
 pub fn best_numeric_split(
     values: &[f64],
     labels: LabelView<'_>,
     imp: Impurity,
 ) -> Option<ColumnSplit> {
-    assert_eq!(values.len(), labels.len(), "values/labels length mismatch");
-    crate::sorted::gather_sort_split(values, NodeRows::All(values.len()), labels, imp)
+    let node = NodeRows::All(values.len());
+    numeric_split(Sequence::GatherSort, values, node, labels, imp)
 }
 
-/// Scan core 1 — one boundary scan over presorted `(value, label index)`
-/// pairs with `O(1)` incremental impurity. Returns the best `(gain,
-/// threshold, boundary index)` under the strict within-column order, or
-/// `None`.
+/// Scan core 1 — one boundary scan over a node's present `(value, label)`
+/// pairs in `(value, row)` order, with `O(1)` incremental impurity per
+/// boundary. Returns the best `(gain, threshold, boundary index)` under the
+/// strict within-column order, or `None`; `on_best` sees the left side each
+/// time a boundary takes the lead, so the last call holds the side at the
+/// returned boundary.
 ///
-/// `present` must be sorted by `(value, index)` under `f64::total_cmp`; the
-/// `.1` side indexes `labels` directly. The scan only compares values and
-/// accumulates labels, so the gather-sort and presorted-filter paths produce
-/// bit-identical gains when fed order-isomorphic sequences (see
-/// docs/PERF.md).
-pub(crate) fn scan_presorted(
-    present: &[(f64, u32)],
-    labels: LabelView<'_>,
-    imp: Impurity,
+/// `left` and `right` arrive empty; on return `left` holds every present row
+/// but the last and `right` the last. The scan compares values and
+/// accumulates labels in sequence order and nothing else, so any two sources
+/// of the same sequence — rank selection, a partitioned segment, a stable
+/// sort of the gathered node — produce bit-identical gains (docs/PERF.md).
+pub(crate) fn scan_boundaries<S: BoundarySide>(
+    present: &[(f64, S::Label)],
+    left: &mut S,
+    right: &mut S,
+    mut on_best: impl FnMut(&S),
 ) -> Option<(f64, f64, usize)> {
     if present.len() < 2 {
         return None;
     }
-    match labels {
-        LabelView::Class(ys, k) => crate::sorted::with_class_pair(k, |left, right| {
-            scan_boundaries(present, ys, left, right, imp)
-        }),
-        LabelView::Real(ys) => {
-            let (mut left, mut right) = (RegAgg::default(), RegAgg::default());
-            scan_boundaries(present, ys, &mut left, &mut right, imp)
-        }
+    for &(_, y) in present {
+        right.add(y);
     }
-}
-
-/// [`scan_presorted`] over one label type; `left` and `right` arrive empty.
-fn scan_boundaries<A: LabelAgg>(
-    present: &[(f64, u32)],
-    ys: &[A::Label],
-    left: &mut A,
-    right: &mut A,
-    imp: Impurity,
-) -> Option<(f64, f64, usize)> {
-    for &(_, p) in present {
-        right.add(ys[p as usize]);
-    }
-    let total_w = right.weighted_impurity(imp);
+    let total_w = right.weighted_impurity();
     let mut best: Option<(f64, f64, usize)> = None; // (gain, threshold, boundary idx)
-    for i in 0..present.len() - 1 {
-        left.add(ys[present[i].1 as usize]);
-        right.remove(ys[present[i].1 as usize]);
-        if present[i].0 < present[i + 1].0 {
-            let gain = total_w - left.weighted_impurity(imp) - right.weighted_impurity(imp);
-            let thr = boundary_threshold(present[i].0, present[i + 1].0);
+    for (i, pair) in present.windows(2).enumerate() {
+        let ((value, y), (next, _)) = (pair[0], pair[1]);
+        left.add(y);
+        right.remove(y);
+        if value < next {
+            let gain = total_w - left.weighted_impurity() - right.weighted_impurity();
+            let thr = boundary_threshold(value, next);
             if challenger_gain_wins(gain, thr, &best) {
                 best = Some((gain, thr, i));
+                on_best(left);
             }
         }
     }
     best
+}
+
+/// [`scan_boundaries`] over class labels: the best `(gain, threshold)` and
+/// the class counts of the present rows on each side of it, `(left, right)`.
+/// Counts are integers, so reading them off the scan at the winning boundary
+/// equals re-counting the children's rows in any order.
+pub(crate) fn scan_class(
+    present: &[(f64, u32)],
+    n_classes: u32,
+    imp: Impurity,
+) -> Option<(f64, f64, ClassCounts, ClassCounts)> {
+    with_class_pair(n_classes, |below, above| {
+        let mut left: Option<ClassCounts> = None;
+        let mut keep = |side: &ClassCounts| match &mut left {
+            Some(kept) => kept.copy_from(side),
+            None => left = Some(side.clone()),
+        };
+        let (gain, thr, _) = match imp {
+            Impurity::Gini => {
+                let (mut below, mut above) = (GiniCounts::new(below), GiniCounts::new(above));
+                scan_boundaries(present, &mut below, &mut above, |side| keep(side.counts()))
+            }
+            Impurity::Entropy => {
+                let (mut below, mut above) = (EntropyCounts(below), EntropyCounts(above));
+                scan_boundaries(present, &mut below, &mut above, |side| keep(side.0))
+            }
+            Impurity::Variance => panic!("variance impurity applied to class labels"),
+        }?;
+        let left = left.expect("the scan kept the side of its best boundary");
+        below.merge(above);
+        let right = below.minus(&left);
+        Some((gain, thr, left, right))
+    })
+}
+
+/// Assembles a split from its children's present rows: the `missing` rows
+/// join the larger present side (the left on a tie) and are counted in it.
+pub(crate) fn split_from_children<A: LabelAgg>(
+    test: SplitTest,
+    gain: f64,
+    mut left: A,
+    mut right: A,
+    missing: &A,
+) -> ColumnSplit {
+    let missing_left = left.n() >= right.n();
+    if missing.n() > 0 {
+        if missing_left {
+            left.merge(missing);
+        } else {
+            right.merge(missing);
+        }
+    }
+    ColumnSplit {
+        test,
+        gain,
+        missing_left,
+        left: left.into(),
+        right: right.into(),
+    }
 }
 
 /// Strict within-column order: higher gain, then smaller threshold.
@@ -188,11 +241,12 @@ pub fn best_cat_split_classification(
 
 /// One-vs-rest gain loop (Appendix B, Case 3) over per-category class
 /// counts: returns the best `(gain, singleton left code)`, ties toward the
-/// smaller code. Shared by the exact engine and the merged-stats selector
-/// of [`crate::histogram`].
+/// smaller code. `rest` is scratch sized for the same classes. Shared by the
+/// exact engine and the merged-stats selector of [`crate::histogram`].
 pub(crate) fn best_one_vs_rest(
     per_value: &[ClassCounts],
     total: &ClassCounts,
+    rest: &mut ClassCounts,
     imp: Impurity,
 ) -> Option<(f64, u32)> {
     let total_w = total.weighted_impurity(imp);
@@ -201,7 +255,7 @@ pub(crate) fn best_one_vs_rest(
         if counts.total() == 0 || counts.total() == total.total() {
             continue;
         }
-        let rest = total.minus(counts);
+        rest.set_minus(total, counts);
         let gain = total_w - counts.weighted_impurity(imp) - rest.weighted_impurity(imp);
         if gain > 0.0
             && best.is_none_or(|(bg, bc)| match gain.total_cmp(&bg) {
@@ -506,6 +560,180 @@ mod tests {
                 }
                 (None, None) => {}
                 (f, bg) => panic!("disagree on existence: fast={f:?} exhaustive={bg:?}"),
+            }
+        }
+    }
+
+    /// Class counts scored the way `ClassCounts::weighted_impurity` scored
+    /// them up to commit ab733cd: in `f64`, over every class, per call.
+    struct FloatCounts(Vec<u64>, Impurity);
+
+    impl BoundarySide for FloatCounts {
+        type Label = u32;
+        fn add(&mut self, y: u32) {
+            self.0[y as usize] += 1;
+        }
+        fn remove(&mut self, y: u32) {
+            self.0[y as usize] -= 1;
+        }
+        fn weighted_impurity(&self) -> f64 {
+            let total: u64 = self.0.iter().sum();
+            let n = total as f64;
+            if total == 0 {
+                return 0.0;
+            }
+            match self.1 {
+                Impurity::Gini => {
+                    let ssq: f64 = self.0.iter().map(|&c| (c as f64) * (c as f64)).sum();
+                    n - ssq / n
+                }
+                Impurity::Entropy => {
+                    let sum_clogc: f64 = self
+                        .0
+                        .iter()
+                        .filter(|&&c| c > 0)
+                        .map(|&c| (c as f64) * (c as f64).log2())
+                        .sum();
+                    n * n.log2() - sum_clogc
+                }
+                Impurity::Variance => unreachable!(),
+            }
+        }
+    }
+
+    /// The boundary scan as commit ab733cd ran it, kept as the oracle of the
+    /// core that replaced it: `(value, row)` pairs, every label fetched
+    /// through its row id, class impurity recomputed over all classes in
+    /// `f64` at every boundary.
+    fn float_scan_oracle<S: BoundarySide>(
+        present: &[(f64, u32)],
+        ys: &[S::Label],
+        left: &mut S,
+        right: &mut S,
+    ) -> Option<(f64, f64, usize)> {
+        if present.len() < 2 {
+            return None;
+        }
+        for &(_, p) in present {
+            right.add(ys[p as usize]);
+        }
+        let total_w = right.weighted_impurity();
+        let mut best: Option<(f64, f64, usize)> = None;
+        for i in 0..present.len() - 1 {
+            left.add(ys[present[i].1 as usize]);
+            right.remove(ys[present[i].1 as usize]);
+            if present[i].0 < present[i + 1].0 {
+                let gain = total_w - left.weighted_impurity() - right.weighted_impurity();
+                let thr = boundary_threshold(present[i].0, present[i + 1].0);
+                if challenger_gain_wins(gain, thr, &best) {
+                    best = Some((gain, thr, i));
+                }
+            }
+        }
+        best
+    }
+
+    fn bits(best: Option<(f64, f64, usize)>) -> Option<(u64, u64, usize)> {
+        best.map(|(gain, thr, boundary)| (gain.to_bits(), thr.to_bits(), boundary))
+    }
+
+    mod against_the_float_scan {
+        use super::*;
+        use tscheck::prelude::*;
+
+        const K: u32 = 5;
+
+        /// Continuous values, a coarse grid for long tie runs, both zeros,
+        /// both infinities and missing values.
+        fn awkward_values(n: usize) -> impl Strategy<Value = Vec<f64>> {
+            tscheck::collection::vec(
+                prop_oneof![
+                    8 => -40.0..40.0f64,
+                    6 => (-20..20i32).prop_map(|q| f64::from(q) / 4.0),
+                    2 => Just(f64::NAN),
+                    1 => Just(f64::INFINITY),
+                    1 => Just(f64::NEG_INFINITY),
+                    1 => Just(0.0f64),
+                    1 => Just(-0.0f64),
+                ],
+                n,
+            )
+        }
+
+        /// The column's present rows in `(value, row)` order.
+        fn presorted(values: &[f64]) -> Vec<(f64, u32)> {
+            let mut present: Vec<(f64, u32)> = values
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| !v.is_nan())
+                .map(|(r, &v)| (v, r as u32))
+                .collect();
+            present.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            present
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+            /// Gini on running integer sums of squares and entropy both pick
+            /// the boundary, threshold and gain bits of the float scan, and
+            /// the counts handed back are the children's.
+            #[test]
+            fn class_scan_has_the_bits_of_the_float_scan(
+                (values, noise) in (5_000usize..6_000).prop_flat_map(|n| {
+                    (awkward_values(n), tscheck::collection::vec(0u32..K, n))
+                })
+            ) {
+                let ys: Vec<u32> = values
+                    .iter()
+                    .zip(&noise)
+                    .map(|(&v, &y)| (y + u32::from(v > 2.5) + u32::from(v > -11.0)) % K)
+                    .collect();
+                let present = presorted(&values);
+                let labelled: Vec<(f64, u32)> =
+                    present.iter().map(|&(v, r)| (v, ys[r as usize])).collect();
+                for imp in [Impurity::Gini, Impurity::Entropy] {
+                    let k = K as usize;
+                    let (mut l, mut r) =
+                        (FloatCounts(vec![0; k], imp), FloatCounts(vec![0; k], imp));
+                    let want = float_scan_oracle(&present, &ys, &mut l, &mut r);
+                    prop_assert!(want.is_some());
+                    let (gain, thr, left, right) = scan_class(&labelled, K, imp).unwrap();
+                    let boundary = left.total() as usize - 1;
+                    prop_assert_eq!(bits(Some((gain, thr, boundary))), bits(want), "{:?}", imp);
+                    let (below, above) = labelled.split_at(boundary + 1);
+                    let count = |side: &[(f64, u32)]| {
+                        let mut c = ClassCounts::new(K);
+                        side.iter().for_each(|&(_, y)| c.add(y));
+                        c
+                    };
+                    prop_assert_eq!(left, count(below));
+                    prop_assert_eq!(right, count(above));
+                }
+            }
+
+            /// Variance: same float operations in the same order, labels read
+            /// from the buffer instead of through the row id.
+            #[test]
+            fn real_scan_has_the_bits_of_the_float_scan(
+                (values, noise) in (5_000usize..6_000).prop_flat_map(|n| {
+                    (awkward_values(n), tscheck::collection::vec(-10.0..10.0f64, n))
+                })
+            ) {
+                let ys: Vec<f64> = values
+                    .iter()
+                    .zip(&noise)
+                    .map(|(&v, &y)| if v > 2.5 { y + 6.0 } else { y })
+                    .collect();
+                let present = presorted(&values);
+                let labelled: Vec<(f64, f64)> =
+                    present.iter().map(|&(v, r)| (v, ys[r as usize])).collect();
+                let (mut l, mut r) = (RegAgg::default(), RegAgg::default());
+                let want = float_scan_oracle(&present, &ys, &mut l, &mut r);
+                prop_assert!(want.is_some());
+                let (mut l, mut r) = (RegAgg::default(), RegAgg::default());
+                let got = scan_boundaries(&labelled, &mut l, &mut r, |_| {});
+                prop_assert_eq!(bits(got), bits(want));
             }
         }
     }

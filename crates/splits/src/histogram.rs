@@ -18,7 +18,7 @@
 //! the aggregates were built (`tests/merge_equiv.rs`).
 
 use crate::condition::SplitTest;
-use crate::exact::{best_breiman_prefix, best_one_vs_rest, ColumnSplit};
+use crate::exact::{best_breiman_prefix, best_one_vs_rest, split_from_children, ColumnSplit};
 use crate::hist::best_bin_boundary;
 use crate::impurity::{ClassCounts, Impurity, LabelAgg, RegAgg};
 use ts_datatable::MISSING_CAT;
@@ -102,35 +102,8 @@ impl<A: LabelAgg> NumericHistogram<A> {
         let mut left = self.missing.empty_like();
         self.bins[..=b].iter().for_each(|agg| left.merge(agg));
         let test = SplitTest::NumericLe(cuts[b]);
-        Some(split_from_stats(test, gain, left, &total, &self.missing))
-    }
-}
-
-/// Assembles a split from merged statistics: `left` holds the present rows
-/// of the left child, the right child is the rest of `total`, and the
-/// `missing` rows join the larger present side.
-fn split_from_stats<A: LabelAgg>(
-    test: SplitTest,
-    gain: f64,
-    mut left: A,
-    total: &A,
-    missing: &A,
-) -> ColumnSplit {
-    let mut right = total.minus(&left);
-    let missing_left = left.n() >= right.n();
-    if missing.n() > 0 {
-        if missing_left {
-            left.merge(missing);
-        } else {
-            right.merge(missing);
-        }
-    }
-    ColumnSplit {
-        test,
-        gain,
-        missing_left,
-        left: left.into(),
-        right: right.into(),
+        let right = total.minus(&left);
+        Some(split_from_children(test, gain, left, right, &self.missing))
     }
 }
 
@@ -154,7 +127,8 @@ fn best_cat_from_stats<A: LabelAgg>(
         .iter()
         .for_each(|&c| left.merge(&per_value[c as usize]));
     let test = SplitTest::CatIn(left_set);
-    Some(split_from_stats(test, gain, left, &total, missing))
+    let right = total.minus(&left);
+    Some(split_from_children(test, gain, left, right, missing))
 }
 
 /// Best one-vs-rest categorical split from merged per-category class counts.
@@ -166,7 +140,8 @@ pub fn best_cat_from_class_stats(
     imp: Impurity,
 ) -> Option<ColumnSplit> {
     best_cat_from_stats(per_value, missing, |pv, total| {
-        best_one_vs_rest(pv, total, imp).map(|(gain, code)| (gain, vec![code]))
+        best_one_vs_rest(pv, total, &mut total.empty_like(), imp)
+            .map(|(gain, code)| (gain, vec![code]))
     })
 }
 

@@ -153,6 +153,115 @@ impl From<RegAgg> for NodeStats {
     }
 }
 
+/// One side of the numeric boundary scan (`exact::scan_boundaries`): a label
+/// aggregate bound to one impurity function, with `O(1)` add/remove of a
+/// label. Narrower than [`LabelAgg`] so that an implementation can carry
+/// running state the wire-format aggregates must not ([`GiniCounts`]).
+pub(crate) trait BoundarySide {
+    /// One row's label.
+    type Label: Copy;
+
+    /// Adds one label.
+    fn add(&mut self, y: Self::Label);
+    /// Removes one label previously added.
+    fn remove(&mut self, y: Self::Label);
+    /// `impurity * n` of the side.
+    fn weighted_impurity(&self) -> f64;
+}
+
+/// `gini * n` of `n` rows whose class counts square-sum to `sum_sq`:
+/// `n * (1 - sum p_i^2) = n - (sum c_i^2) / n`.
+///
+/// The one definition of weighted Gini in this crate, and an exact one:
+/// `sum c_i^2` is an integer no larger than `n^2`, so `u64` holds it for any
+/// table with `u32` row ids, and the single `u64 -> f64` conversion here is
+/// the only rounding before the division. The float sum of `c_i^2` over the
+/// classes that this replaces holds the same integer — every term and every
+/// partial sum stays below `2^52` — as long as `n < 2^26`, so below 67
+/// million rows per node the two have identical bits whatever the class
+/// order; above, this form is the correctly rounded one.
+pub(crate) fn gini_weighted(n: u64, sum_sq: u64) -> f64 {
+    if n == 0 {
+        return 0.0;
+    }
+    let n = n as f64;
+    n - sum_sq as f64 / n
+}
+
+/// Borrowed [`ClassCounts`] with a running `sum c_i^2`, which makes the Gini
+/// of a scan side `O(1)` per boundary instead of `O(classes)`: moving one
+/// label changes one count `c` by one and the sum by `2c + 1`.
+pub(crate) struct GiniCounts<'a> {
+    counts: &'a mut ClassCounts,
+    sum_sq: u64,
+}
+
+impl<'a> GiniCounts<'a> {
+    /// Wraps `counts`, which may already hold rows.
+    pub(crate) fn new(counts: &'a mut ClassCounts) -> Self {
+        let sum_sq = counts.sum_sq();
+        GiniCounts { counts, sum_sq }
+    }
+
+    /// The class counts so far.
+    pub(crate) fn counts(&self) -> &ClassCounts {
+        self.counts
+    }
+}
+
+impl BoundarySide for GiniCounts<'_> {
+    type Label = u32;
+
+    fn add(&mut self, y: u32) {
+        let c = &mut self.counts.counts[y as usize];
+        self.sum_sq += 2 * *c + 1;
+        *c += 1;
+        self.counts.total += 1;
+    }
+    fn remove(&mut self, y: u32) {
+        let c = &mut self.counts.counts[y as usize];
+        debug_assert!(*c > 0);
+        self.sum_sq -= 2 * *c - 1;
+        *c -= 1;
+        self.counts.total -= 1;
+    }
+    fn weighted_impurity(&self) -> f64 {
+        gini_weighted(self.counts.total, self.sum_sq)
+    }
+}
+
+/// Borrowed [`ClassCounts`] scored by entropy, `O(classes)` per boundary:
+/// `sum c log2 c` has no exact incremental form.
+pub(crate) struct EntropyCounts<'a>(pub(crate) &'a mut ClassCounts);
+
+impl BoundarySide for EntropyCounts<'_> {
+    type Label = u32;
+
+    fn add(&mut self, y: u32) {
+        self.0.add(y);
+    }
+    fn remove(&mut self, y: u32) {
+        self.0.remove(y);
+    }
+    fn weighted_impurity(&self) -> f64 {
+        self.0.weighted_impurity(Impurity::Entropy)
+    }
+}
+
+impl BoundarySide for RegAgg {
+    type Label = f64;
+
+    fn add(&mut self, y: f64) {
+        RegAgg::add(self, y);
+    }
+    fn remove(&mut self, y: f64) {
+        RegAgg::remove(self, y);
+    }
+    fn weighted_impurity(&self) -> f64 {
+        RegAgg::weighted_impurity(self)
+    }
+}
+
 /// Incremental class-count aggregate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClassCounts {
@@ -196,20 +305,31 @@ impl ClassCounts {
     /// # Panics
     /// Debug-asserts that `other` is contained in `self`.
     pub fn minus(&self, other: &ClassCounts) -> ClassCounts {
-        debug_assert_eq!(self.counts.len(), other.counts.len());
-        let counts: Vec<u64> = self
-            .counts
-            .iter()
-            .zip(&other.counts)
-            .map(|(&a, &b)| {
-                debug_assert!(a >= b);
-                a - b
-            })
-            .collect();
-        ClassCounts {
-            counts,
-            total: self.total - other.total,
+        let mut out = ClassCounts::new(self.counts.len() as u32);
+        out.set_minus(self, other);
+        out
+    }
+
+    /// Overwrites `self` with `a - b` elementwise, keeping the allocation
+    /// (`self` must be sized for the same classes).
+    ///
+    /// # Panics
+    /// Debug-asserts that `b` is contained in `a`.
+    pub fn set_minus(&mut self, a: &ClassCounts, b: &ClassCounts) {
+        debug_assert_eq!(a.counts.len(), b.counts.len());
+        debug_assert_eq!(self.counts.len(), a.counts.len());
+        for ((out, &a), &b) in self.counts.iter_mut().zip(&a.counts).zip(&b.counts) {
+            debug_assert!(a >= b);
+            *out = a - b;
         }
+        self.total = a.total - b.total;
+    }
+
+    /// Overwrites `self` with `other`'s counts, keeping the allocation
+    /// (`self` must be sized for the same classes).
+    pub fn copy_from(&mut self, other: &ClassCounts) {
+        self.counts.copy_from_slice(&other.counts);
+        self.total = other.total;
     }
 
     /// Resets to the empty state, keeping the allocation (scratch-pool reuse).
@@ -243,11 +363,7 @@ impl ClassCounts {
             return 0.0;
         }
         match kind {
-            Impurity::Gini => {
-                // n * (1 - sum p_i^2) = n - (sum c_i^2)/n
-                let ssq: f64 = self.counts.iter().map(|&c| (c as f64) * (c as f64)).sum();
-                n - ssq / n
-            }
+            Impurity::Gini => gini_weighted(self.total, self.sum_sq()),
             Impurity::Entropy => {
                 // n * (-sum p log2 p) = n log2 n - sum c log2 c
                 let sum_clogc: f64 = self
@@ -260,6 +376,11 @@ impl ClassCounts {
             }
             Impurity::Variance => panic!("variance impurity applied to class labels"),
         }
+    }
+
+    /// `sum c_i^2` over the classes, exact (see [`gini_weighted`]).
+    fn sum_sq(&self) -> u64 {
+        self.counts.iter().map(|&c| c * c).sum()
     }
 
     /// Whether all rows share one label (or the set is empty).
@@ -438,6 +559,120 @@ mod tests {
         c.add(1);
         // p = (3/4, 1/4); gini = 1 - 9/16 - 1/16 = 6/16; weighted = 4 * 6/16 = 1.5
         assert!((c.weighted_impurity(Impurity::Gini) - 1.5).abs() < 1e-12);
+    }
+
+    /// Weighted Gini as this crate computed it up to commit ab733cd: the
+    /// squares summed in `f64`, class by class.
+    fn float_gini(counts: &[u64]) -> f64 {
+        let n = counts.iter().sum::<u64>() as f64;
+        let ssq: f64 = counts.iter().map(|&c| (c as f64) * (c as f64)).sum();
+        n - ssq / n
+    }
+
+    fn counts_of(counts: &[u64]) -> ClassCounts {
+        ClassCounts {
+            counts: counts.to_vec(),
+            total: counts.iter().sum(),
+        }
+    }
+
+    mod exact_gini {
+        use super::*;
+        use tscheck::prelude::*;
+
+        proptest! {
+            /// Below 2^26 rows the integer sum of squares and the float one
+            /// are the same number, so weighted Gini has the same bits —
+            /// through `ClassCounts` and through a `GiniCounts` that reached
+            /// the counts one label at a time.
+            #[test]
+            fn integer_gini_has_the_bits_of_the_float_sum(
+                counts in (1usize..12).prop_flat_map(|k| {
+                    let cap = ((1u64 << 26) - 1) / k as u64;
+                    tscheck::collection::vec(
+                        prop_oneof![3 => 0..=cap, 2 => 0..=1_000u64, 1 => Just(0u64), 1 => Just(cap)],
+                        k,
+                    )
+                })
+            ) {
+                let total: u64 = counts.iter().sum();
+                prop_assert!(total < 1 << 26);
+                if total == 0 {
+                    return Ok(());
+                }
+                let want = float_gini(&counts).to_bits();
+                let sum_sq: u64 = counts.iter().map(|&c| c * c).sum();
+                prop_assert_eq!(gini_weighted(total, sum_sq).to_bits(), want);
+                let mut held = counts_of(&counts);
+                prop_assert_eq!(held.weighted_impurity(Impurity::Gini).to_bits(), want);
+                // Move a few labels out and back in: the running sum follows.
+                let mut running = GiniCounts::new(&mut held);
+                let class = counts.iter().position(|&c| c > 0).unwrap() as u32;
+                let moved = counts[class as usize].min(3);
+                (0..moved).for_each(|_| running.remove(class));
+                (0..moved).for_each(|_| running.add(class));
+                prop_assert_eq!(running.weighted_impurity().to_bits(), want);
+            }
+        }
+    }
+
+    #[test]
+    fn running_gini_follows_every_add_and_remove() {
+        let mut counts = ClassCounts::new(3);
+        let mut running = GiniCounts::new(&mut counts);
+        let mut mirror = vec![0u64; 3];
+        for (step, y) in [0u32, 1, 1, 2, 0, 1, 2, 2, 2, 0].into_iter().enumerate() {
+            running.add(y);
+            mirror[y as usize] += 1;
+            if step % 3 == 2 {
+                running.remove(y);
+                mirror[y as usize] -= 1;
+            }
+            assert_eq!(
+                running.weighted_impurity().to_bits(),
+                float_gini(&mirror).to_bits()
+            );
+            assert_eq!(running.counts().counts(), mirror);
+        }
+    }
+
+    /// From 2^26 rows per node on, the float sum of squares can round where
+    /// the integer one cannot: the two forms of weighted Gini may part in the
+    /// last bits, the integer one being the correctly rounded. Models of such
+    /// nodes are not byte-comparable with those of commits up to ab733cd.
+    #[test]
+    fn at_two_to_the_26_rows_the_float_sum_starts_to_round() {
+        // Just under the bound: still the same bits.
+        let under = [(1u64 << 26) - 4, 1, 1, 1];
+        assert_eq!(
+            counts_of(&under)
+                .weighted_impurity(Impurity::Gini)
+                .to_bits(),
+            float_gini(&under).to_bits()
+        );
+        // 2^27 + 3 rows: (2^27)^2 = 2^54 has an ulp of 4, so the float sum
+        // drops each of the three 1s while the integer sum keeps all three.
+        let over = [1u64 << 27, 1, 1, 1];
+        let sum_sq: u64 = over.iter().map(|&c| c * c).sum();
+        assert_eq!(sum_sq, (1 << 54) + 3);
+        let float_ssq: f64 = over.iter().map(|&c| (c as f64) * (c as f64)).sum();
+        assert_eq!(float_ssq, (1u64 << 54) as f64);
+        assert_eq!(sum_sq as f64, ((1u64 << 54) + 4) as f64);
+        assert_ne!(
+            counts_of(&over).weighted_impurity(Impurity::Gini).to_bits(),
+            float_gini(&over).to_bits()
+        );
+    }
+
+    #[test]
+    fn set_minus_and_copy_from_reuse_the_allocation() {
+        let (a, b) = (counts_of(&[5, 3, 2]), counts_of(&[1, 3, 0]));
+        let mut out = ClassCounts::new(3);
+        out.set_minus(&a, &b);
+        assert_eq!(out, counts_of(&[4, 0, 2]));
+        assert_eq!(out, a.minus(&b));
+        out.copy_from(&b);
+        assert_eq!(out, b);
     }
 
     #[test]

@@ -7,28 +7,34 @@
 //!
 //! # Three scan cores, one label parameter
 //!
-//! Every kernel is written once against [`impurity::LabelAgg`] — the
-//! incremental label aggregate implemented by `ClassCounts` (Gini, entropy)
-//! and `RegAgg` (variance) — and monomorphised per label type. Each split
-//! family has exactly one scan:
+//! Every kernel is written once, generic over the label type —
+//! [`impurity::LabelAgg`], the incremental aggregate implemented by
+//! `ClassCounts` (Gini, entropy) and `RegAgg` (variance), or for the numeric
+//! boundary scan its narrower per-impurity form `impurity::BoundarySide` —
+//! and monomorphised. Each split family has exactly one scan:
 //!
 //! | core | what it scans | instantiated by |
 //! |---|---|---|
-//! | 1. boundary scan (`exact::scan_presorted`) | presorted `(value, row)` pairs, `O(1)` incremental impurity per boundary (*Case 1*) | [`sorted::best_numeric_split_in`] over a node's own segment of a [`sorted::NodeOrders`] (subtree trainer, Yggdrasil); [`sorted::best_numeric_split_at`] on both its presorted-filter and gather-sort arms (engine column-tasks) and, through the gather-sort arm, [`exact::best_numeric_split`] |
+//! | 1. boundary scan (`exact::scan_boundaries`) | a node's present `(value, label)` pairs in `(value, row)` order, `O(1)` incremental impurity per boundary (*Case 1*) — Gini on running integer sums of squares, exactly | the one numeric kernel `sorted::numeric_split`, whose sequence comes from rank selection on the resident index ([`sorted::best_numeric_split_at`], engine column-tasks), from a node's own segment of a [`sorted::NodeOrders`] ([`sorted::best_numeric_split_in`]; subtree trainer, Yggdrasil) or from gather + sort ([`exact::best_numeric_split`], the reference) |
 //! | 2. bin prefix scan (`hist::best_bin_boundary`) | per-bin aggregates, one candidate per bin edge | [`hist::best_hist_split_numeric_at`] (the `--splitter hist` engine) and [`histogram::NumericHistogram::best_split`] (PLANET) |
 //! | 3. per-category accumulation (`sorted::accumulate_categories`) | a node's rows into per-category aggregates, feeding the selectors `exact::best_one_vs_rest` (*Case 3*) and `exact::best_breiman_prefix` (*Case 2*) | [`sorted::best_cat_split_classification_at`] / [`sorted::best_cat_split_regression_at`] and their `NodeRows::All` wrappers in [`exact`]; the selectors alone also serve [`histogram::best_cat_from_class_stats`] / [`histogram::best_cat_from_reg_stats`] |
 //!
-//! Child statistics come from one routine too (`sorted::child_stats_at`),
-//! always accumulated in ascending row order.
+//! Children are assembled in one of two ways, by label type: class counts
+//! are integers, so the exact kernels read them off the scan that chose the
+//! split (`exact::split_from_children`, shared with the merged-statistics
+//! selectors of [`histogram`]); regression sums are floats, so they are
+//! accumulated over the node's rows in ascending row order
+//! (`sorted::route_children`, shared with [`hist`]).
 //!
 //! # Modules
 //!
 //! - [`impurity`]: the impurity functions, `LabelAgg` and its two
 //!   aggregates, `NodeStats`.
-//! - [`sorted`]: the sorted-column split engine — `NodeRows`, `RowBitmap`,
-//!   the thread-local scratch arena, the `_at` kernels of the column-tasks,
-//!   and `NodeOrders` (a node-partitioned copy of the presorted orders)
-//!   with the `_in` entries the whole-subtree trainers call (docs/PERF.md).
+//! - [`sorted`]: the sorted-column split engine — `NodeRows`, the
+//!   thread-local scratch arena, the numeric kernel with its rank selection
+//!   and the `_at` entries of the column-tasks, and `NodeOrders` (a
+//!   node-partitioned copy of the presorted orders) with the `_in` entries
+//!   the whole-subtree trainers call (docs/PERF.md).
 //! - [`exact`]: `ColumnSplit`, core 1 and the categorical selectors, plus
 //!   the *gathered* kernels. Those take a column already gathered over the
 //!   node's rows and are thin `NodeRows::All` calls into [`sorted`]; they

@@ -1,68 +1,75 @@
 //! The sorted-column split engine (docs/PERF.md).
 //!
-//! The legacy exact path gathers a column over the node's rows and re-sorts
-//! it for every node: `O(|Dx| log |Dx|)` per node *per candidate column*,
-//! with fresh allocations throughout. This module pays the sort once — the
-//! [`SortedColumn`] index built at column-load time — and gives each node
-//! its presorted sequence in one of two ways:
+//! The textbook exact path gathers a column over the node's rows and
+//! re-sorts it for every node: `O(|Dx| log |Dx|)` per node *per candidate
+//! column*, with fresh allocations throughout. This module pays the sort
+//! once — the [`SortedColumn`] index built at column-load time — and gives
+//! each node its presorted `(value, label)` sequence in `O(|Dx|)`:
 //!
 //! - a **column-task** sees one node of a resident column at a time, so
-//!   [`best_numeric_split_at`] filters the whole presorted order through a
-//!   reusable [`RowBitmap`] node-membership mask (or re-sorts the node's
-//!   rows when the node is small against the column, [`NumericPath`]);
+//!   [`best_numeric_split_at`] selects the node **by rank**: it sets bit
+//!   `rank[r]` for each of the node's rows in a pooled bitmap over the
+//!   positions of the presorted order, prefix-popcounts the bitmap's
+//!   `n / 64` words, and scatters each row's `(value, label)` to the number
+//!   of set bits below its own — its place in the node's sorted sequence.
+//!   `O(|Ix| + n / 64)`, sequential reads of `rank`, values and labels,
+//!   nothing per row outside the node. At the root the rank *is* the place;
 //! - a trainer that grows a **whole subtree** keeps a [`NodeOrders`] — a
 //!   copy of the orders in which every open node owns a contiguous segment,
-//!   stable-partitioned at each split — and [`best_numeric_split_in`] scans
-//!   the node's own segment: `O(rows)` per column per tree level, nothing
-//!   per node but its own rows.
+//!   stable-partitioned at each split — and [`best_numeric_split_in`] reads
+//!   the node's own segment: `O(rows)` per column per tree level;
+//! - the reference [`crate::exact::best_numeric_split`] gathers the node
+//!   and sorts it.
 //!
-//! All transient buffers come from a thread-local scratch arena, so the
-//! steady-state hot path allocates nothing.
+//! All three are sources of one kernel (`numeric_split`), which runs the
+//! one boundary scan (`crate::exact::scan_boundaries`) over the pooled
+//! buffer. The buffers, the bitmap and its prefix counts (`n / 8 + n / 16`
+//! bytes per thread for the longest column seen) come from a thread-local
+//! scratch arena, so the steady-state hot path allocates nothing but the
+//! split it returns.
 //!
 //! # Determinism contract
 //!
-//! All three sources — the presorted filter, the gather-sort fallback and a
-//! node's partitioned segment — feed the one boundary scan
-//! (`crate::exact::scan_presorted`), and every kernel here builds child
-//! statistics with the one `child_stats_at`, so they pick byte-identical
-//! splits:
-//!
 //! - Node row sets are always **ascending** (they start as `0..n` and every
-//!   partition preserves input order), so the map from gathered position to
-//!   row id is order-preserving. Filtering the presorted `(value, row)`
-//!   order by node membership yields a sequence order-isomorphic to the
-//!   gather-then-sort sequence — identical values, identical label
-//!   sequence, hence bit-identical incremental gains. A stable partition of
-//!   the presorted order by child membership *is* that filter, applied once
-//!   per split instead of once per scan.
-//! - Child statistics are accumulated over the node's rows in ascending
-//!   order on both arms, so floating-point sums agree to the last ULP.
+//!   partition preserves input order), so a stable sort of the gathered node
+//!   by value is a sort by `(value, row)` — the order of the index. The
+//!   node's rows taken in rank order, its partitioned segment and the sorted
+//!   gather are therefore the *same* sequence of values and labels, hence
+//!   bit-identical incremental gains. A stable partition of the presorted
+//!   order by child membership keeps that order on both sides.
+//! - Class-label children are read off the scan: the counts on each side of
+//!   the winning boundary plus the node's missing rows. Counts are integers,
+//!   so they equal a recount of the child's rows in any order.
+//! - Regression children are accumulated over the node's rows in ascending
+//!   row order (`route_children`), the order in which a subtree trainer sums
+//!   a child it continues from, so floating-point sums — and the predictions
+//!   of children that become leaves — agree to the last ULP.
 //!
-//! Because the sources are byte-identical, which one a caller uses — and
-//! the column-task's per-node [`NumericPath`] heuristic (scan the full
-//! presorted order vs. gather+sort the subset when the node is small) —
-//! affects performance only, never the model.
+//! Which source a caller uses affects cost only, never the model.
 //!
 //! # Observability
 //!
-//! Relaxed global counters record which numeric path ran and how often the
-//! scratch arena was reused ([`kernel_counters`]); the cluster folds them
+//! Relaxed global counters record how many numeric kernels ran and how often
+//! the scratch arena was reused ([`kernel_counters`]); the cluster folds them
 //! into the obs metrics registry as `split_kernel_*` / `split_pool_*`.
 
 use crate::condition::SplitTest;
-use crate::exact::{best_breiman_prefix, best_one_vs_rest, scan_presorted, ColumnSplit};
+use crate::exact::{
+    best_breiman_prefix, best_one_vs_rest, scan_boundaries, scan_class, split_from_children,
+    ColumnSplit,
+};
 use crate::impurity::{ClassCounts, Impurity, LabelAgg, LabelView, NodeStats, RegAgg};
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use ts_datatable::{AttrType, Column, SortedColumn, ValuesBuf, MISSING_CAT};
+use std::thread::LocalKey;
+use ts_datatable::{AttrType, Column, SortedColumn, ValuesBuf, MISSING_CAT, MISSING_RANK};
 
 // ---------------------------------------------------------------------------
 // Kernel/pool counters
 // ---------------------------------------------------------------------------
 
 static NUMERIC_SORTED_SCANS: AtomicU64 = AtomicU64::new(0);
-static NUMERIC_GATHER_SCANS: AtomicU64 = AtomicU64::new(0);
 static POOL_HITS: AtomicU64 = AtomicU64::new(0);
 static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
 
@@ -77,11 +84,14 @@ fn pool_miss() {
 /// Snapshot of the process-wide kernel-path and scratch-pool counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelCounters {
-    /// Numeric kernels answered from a presorted sequence: the
-    /// mask-filtered whole-column scan or a node's own [`NodeOrders`]
-    /// segment.
+    /// Numeric kernels answered from a presorted sequence: a column-task's
+    /// rank selection or a node's own [`NodeOrders`] segment.
     pub numeric_sorted_scans: u64,
-    /// Numeric kernels answered by the legacy gather+sort fallback.
+    // The engine has no gather+sort arm any more, so this reads 0. Kept
+    // because `ledger/` reports it as `splits.gather_scans` and may not
+    // change in a PR that claims a gain; the follow-up `benchmark` PR that
+    // retires that row drops the field.
+    #[doc(hidden)]
     pub numeric_gather_scans: u64,
     /// Scratch-arena borrows served from an adequately-sized pooled buffer.
     pub pool_hits: u64,
@@ -93,7 +103,7 @@ pub struct KernelCounters {
 pub fn kernel_counters() -> KernelCounters {
     KernelCounters {
         numeric_sorted_scans: NUMERIC_SORTED_SCANS.load(Relaxed),
-        numeric_gather_scans: NUMERIC_GATHER_SCANS.load(Relaxed),
+        numeric_gather_scans: 0,
         pool_hits: POOL_HITS.load(Relaxed),
         pool_misses: POOL_MISSES.load(Relaxed),
     }
@@ -105,11 +115,10 @@ pub fn kernel_counters() -> KernelCounters {
 
 /// A dense row-membership bitmap over global row ids.
 ///
-/// The engine's sorted scan walks the full presorted order and keeps the
-/// rows belonging to the current node; this mask answers that membership
-/// test in `O(1)`. Callers reuse one bitmap across nodes: `insert_all` the
-/// node's rows, run every candidate column, then `remove_all` the same rows
-/// (cheaper than re-zeroing the whole map for small nodes).
+/// [`NodeOrders::split`] marks the rows going left with one and tests every
+/// row of the node's segments against it in `O(1)`. A bitmap is reused
+/// across nodes: `insert_all` the rows, use it, then `remove_all` the same
+/// rows (cheaper than re-zeroing the whole map for small nodes).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RowBitmap {
     words: Vec<u64>,
@@ -233,7 +242,10 @@ fn debug_assert_ascending(node: &NodeRows<'_>) {
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    static PRESENT: Cell<Vec<(f64, u32)>> = const { Cell::new(Vec::new()) };
+    static PRESENT_CLASS: Cell<Vec<(f64, u32)>> = const { Cell::new(Vec::new()) };
+    static PRESENT_REAL: Cell<Vec<(f64, f64)>> = const { Cell::new(Vec::new()) };
+    static RANK_BITS: Cell<RankBits> =
+        const { Cell::new(RankBits { words: Vec::new(), before: Vec::new() }) };
     static CLASS_PAIR: Cell<Vec<ClassCounts>> = const { Cell::new(Vec::new()) };
     static CAT_CLASS: Cell<Vec<ClassCounts>> = const { Cell::new(Vec::new()) };
     static CAT_REG: Cell<Vec<RegAgg>> = const { Cell::new(Vec::new()) };
@@ -241,21 +253,69 @@ thread_local! {
     static MASK: Cell<RowBitmap> = const { Cell::new(RowBitmap { words: Vec::new() }) };
 }
 
-/// Borrows the pooled `(value, index)` gather buffer, cleared, with at least
-/// `min_cap` capacity. The buffer is taken out of the cell for the duration
-/// of `f`, so nested borrows degrade to a pool miss instead of panicking.
-pub(crate) fn with_present<R>(min_cap: usize, f: impl FnOnce(&mut Vec<(f64, u32)>) -> R) -> R {
-    PRESENT.with(|cell| {
+/// A label type with a pooled `(value, label)` scan buffer on every thread.
+pub(crate) trait ScanLabel: Copy + Default + 'static {
+    /// This thread's buffer for the label type.
+    fn pool() -> &'static LocalKey<Cell<Vec<(f64, Self)>>>;
+}
+
+impl ScanLabel for u32 {
+    fn pool() -> &'static LocalKey<Cell<Vec<(f64, u32)>>> {
+        &PRESENT_CLASS
+    }
+}
+
+impl ScanLabel for f64 {
+    fn pool() -> &'static LocalKey<Cell<Vec<(f64, f64)>>> {
+        &PRESENT_REAL
+    }
+}
+
+/// Borrows `len` slots of the pooled `(value, label)` scan buffer. Their
+/// contents are whatever the previous borrower left — every source writes
+/// each slot it reports before the scan reads it — so a reused buffer is
+/// not cleared. The buffer is taken out of the cell for the duration of
+/// `f`, so nested borrows degrade to a pool miss instead of panicking.
+fn with_present<L: ScanLabel, R>(len: usize, f: impl FnOnce(&mut [(f64, L)]) -> R) -> R {
+    L::pool().with(|cell| {
         let mut buf = cell.take();
-        buf.clear();
-        if buf.capacity() >= min_cap {
+        if buf.len() >= len {
             pool_hit();
         } else {
             pool_miss();
-            buf.reserve(min_cap);
+            buf.resize(len, (0.0, L::default()));
         }
-        let r = f(&mut buf);
+        let r = f(&mut buf[..len]);
         cell.set(buf);
+        r
+    })
+}
+
+/// Scratch of the rank selection: one bit per position of a column's
+/// presorted order and, per 64-bit word, the number of bits set before it.
+/// `words` is all-zero between borrows.
+#[derive(Default)]
+struct RankBits {
+    words: Vec<u64>,
+    before: Vec<u32>,
+}
+
+/// Borrows this thread's rank bitmap, zeroed, and its prefix counts
+/// (unspecified contents), both sized for `n_positions`.
+fn with_rank_bits<R>(n_positions: usize, f: impl FnOnce(&mut [u64], &mut [u32]) -> R) -> R {
+    RANK_BITS.with(|cell| {
+        let mut bits = cell.take();
+        let n_words = n_positions.div_ceil(64);
+        if bits.words.len() >= n_words {
+            pool_hit();
+        } else {
+            pool_miss();
+            bits.words.resize(n_words, 0);
+            bits.before.resize(n_words, 0);
+        }
+        let r = f(&mut bits.words[..n_words], &mut bits.before[..n_words]);
+        bits.words[..n_words].fill(0);
+        cell.set(bits);
         r
     })
 }
@@ -295,7 +355,7 @@ pub(crate) fn with_cat_class<R>(
         let want = n_values as usize + 1;
         if !buf.is_empty() && buf[0].n_classes() == k as usize && buf.capacity() >= want {
             pool_hit();
-            buf.resize(want, ClassCounts::new(k));
+            buf.resize_with(want, || ClassCounts::new(k));
             for c in buf.iter_mut() {
                 c.reset();
             }
@@ -348,9 +408,12 @@ pub(crate) fn with_seen<R>(min_len: usize, f: impl FnOnce(&mut Vec<bool>) -> R) 
 }
 
 /// Borrows this thread's pooled node-membership bitmap with the given rows
-/// set, running `f` against it and clearing the rows again afterwards. This
-/// is what the worker's comper loop uses — one bitmap per comper thread,
-/// reused across every column-task it executes.
+/// set, running `f` against it and clearing the rows again afterwards.
+// No kernel reads a node mask any more (see `best_numeric_split_at`). Kept
+// because `ledger/`'s kernel probe wraps its node scan in it and may not
+// change in a PR that claims a gain; the follow-up `benchmark` PR that drops
+// the probe's mask argument deletes this, `MASK` and the argument.
+#[doc(hidden)]
 pub fn with_node_mask<R>(n_rows: usize, rows: &[u32], f: impl FnOnce(&RowBitmap) -> R) -> R {
     MASK.with(|cell| {
         let mut bm = cell.take();
@@ -372,127 +435,186 @@ pub fn with_node_mask<R>(n_rows: usize, rows: &[u32], f: impl FnOnce(&RowBitmap)
 // Numeric kernel
 // ---------------------------------------------------------------------------
 
-/// Which numeric implementation to run. Both produce byte-identical splits;
-/// this only affects cost. Exposed so the equivalence suite and the benches
-/// can exercise each path explicitly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NumericPath {
-    /// Pick per node: sorted scan when the filtered pass over the full
-    /// presorted order is cheaper than re-sorting the subset.
-    Auto,
-    /// Filtered linear scan over the presorted order (needs the mask for
-    /// subsets).
-    SortedScan,
-    /// Legacy gather+sort of the node's rows (pooled buffers, no `O(n)`
-    /// full-order pass).
+/// Where a node's present rows of a numeric column, in `(value, row)` order,
+/// come from. All three yield the same sequence (module docs), so the choice
+/// is the caller's data structure, not a tuning knob.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Sequence<'a> {
+    /// The column's resident index: select the node's rows by rank.
+    Rank(&'a SortedColumn),
+    /// The node's own [`NodeOrders`] segment of the column.
+    Segment(&'a [u32]),
+    /// Neither: gather the node's present rows and sort them (the reference).
     GatherSort,
 }
 
-/// Whether the filtered presorted scan (cost `n_present_total`) beats
-/// gather+sort of the node (cost ~`n_node * (log2(n_node) + 2)`).
-fn sorted_scan_pays(n_node: usize, n_present_total: usize) -> bool {
-    let log2 = n_node.max(2).ilog2() as usize;
-    n_present_total <= n_node.saturating_mul(log2 + 2)
+impl Sequence<'_> {
+    /// Writes the sequence's `(value, label)` pairs to the front of
+    /// `present` (at least `node.len()` slots) and returns their number.
+    fn fill<L: Copy>(
+        self,
+        values: &[f64],
+        node: NodeRows<'_>,
+        ys: &[L],
+        present: &mut [(f64, L)],
+    ) -> usize {
+        match self {
+            Sequence::Rank(index) => select_by_rank(values, index, node, ys, present),
+            Sequence::Segment(segment) => {
+                for (slot, &r) in present[..segment.len()].iter_mut().zip(segment) {
+                    *slot = (values[r as usize], ys[r as usize]);
+                }
+                segment.len()
+            }
+            Sequence::GatherSort => {
+                let mut n = 0;
+                for r in node.iter() {
+                    let v = values[r as usize];
+                    if !v.is_nan() {
+                        present[n] = (v, ys[r as usize]);
+                        n += 1;
+                    }
+                }
+                // Stable, over rows gathered in ascending order: `(value, row)`.
+                present[..n].sort_by(|a, b| a.0.total_cmp(&b.0));
+                n
+            }
+        }
+    }
 }
 
-/// Exact best `Ai <= v` split of a full numeric column over a node's rows,
-/// using the presorted index ([`crate::exact::best_numeric_split`] is its
-/// gather-sort arm over gathered values).
+/// Rank selection: scatters the `(value, label)` of each of the node's
+/// present rows to its place in the node's sorted sequence.
 ///
-/// `values` and `labels` span the full column store; `index` is the
-/// column's [`SortedColumn`]; `mask` must contain exactly the node's rows
-/// whenever `node` is a subset (it is ignored for [`NodeRows::All`], and
-/// its absence forces the gather fallback).
-pub fn best_numeric_split_at(
+/// At the root that place is the row's rank. For a subset it is the number
+/// of the node's rows ranked below it: set bit `rank[r]` for every row, count
+/// the set bits before each 64-bit word once, and a row's place is its word's
+/// count plus the set bits below its own in that word. The bitmap spans the
+/// column's presorted order, so the cost is `O(|node| + n / 64)`.
+fn select_by_rank<L: Copy>(
     values: &[f64],
     index: &SortedColumn,
     node: NodeRows<'_>,
-    mask: Option<&RowBitmap>,
-    labels: LabelView<'_>,
-    imp: Impurity,
-) -> Option<ColumnSplit> {
-    best_numeric_split_at_path(NumericPath::Auto, values, index, node, mask, labels, imp)
+    ys: &[L],
+    present: &mut [(f64, L)],
+) -> usize {
+    let rank = index.numeric_rank();
+    let n_positions = index.numeric_order().len();
+    assert_eq!(rank.len(), values.len(), "index/values length mismatch");
+    match node {
+        NodeRows::All(n) => {
+            debug_assert_eq!(n, values.len(), "All(n) must span the whole column");
+            let present = &mut present[..n_positions];
+            for ((&place, &v), &y) in rank.iter().zip(values).zip(ys) {
+                if place != MISSING_RANK {
+                    present[place as usize] = (v, y);
+                }
+            }
+            n_positions
+        }
+        NodeRows::Subset(rows) => with_rank_bits(n_positions, |words, before| {
+            for &r in rows {
+                let p = rank[r as usize];
+                if p != MISSING_RANK {
+                    words[(p >> 6) as usize] |= 1 << (p & 63);
+                }
+            }
+            let mut n_present = 0;
+            for (word, before) in words.iter().zip(before.iter_mut()) {
+                *before = n_present;
+                n_present += word.count_ones();
+            }
+            let present = &mut present[..n_present as usize];
+            for &r in rows {
+                let p = rank[r as usize];
+                if p != MISSING_RANK {
+                    let w = (p >> 6) as usize;
+                    let below = words[w] & ((1 << (p & 63)) - 1);
+                    let place = before[w] + below.count_ones();
+                    present[place as usize] = (values[r as usize], ys[r as usize]);
+                }
+            }
+            n_present as usize
+        }),
+    }
 }
 
-/// [`best_numeric_split_at`] with an explicit path choice (tests/benches).
-pub fn best_numeric_split_at_path(
-    path: NumericPath,
+/// The exact numeric kernel: the best `Ai <= v` split of a column over a
+/// node's rows, reading the node's sorted sequence from `sequence`.
+///
+/// `values` and `labels` span the full column store. Missing rows take no
+/// part in the scan and join the larger child afterwards.
+pub(crate) fn numeric_split(
+    sequence: Sequence<'_>,
     values: &[f64],
-    index: &SortedColumn,
     node: NodeRows<'_>,
-    mask: Option<&RowBitmap>,
     labels: LabelView<'_>,
     imp: Impurity,
 ) -> Option<ColumnSplit> {
     assert_eq!(values.len(), labels.len(), "values/labels length mismatch");
     debug_assert_ascending(&node);
-    let order = index.numeric_order();
-    let use_sorted = match (path, &node) {
-        (NumericPath::SortedScan, _) => true,
-        (NumericPath::GatherSort, _) => false,
-        (NumericPath::Auto, NodeRows::All(_)) => true,
-        (NumericPath::Auto, NodeRows::Subset(rows)) => {
-            mask.is_some() && sorted_scan_pays(rows.len(), order.len())
-        }
-    };
-    if !use_sorted {
-        NUMERIC_GATHER_SCANS.fetch_add(1, Relaxed);
-        return gather_sort_split(values, node, labels, imp);
-    }
-    NUMERIC_SORTED_SCANS.fetch_add(1, Relaxed);
-    // The index caches the presorted *values* next to the row order, so
-    // both arms below stream two parallel arrays sequentially — no
-    // random access into the full column on the hot path.
-    let svals = index.numeric_values();
-    with_present(node.len(), |present| {
-        match node {
-            NodeRows::All(n) => {
-                debug_assert_eq!(n, values.len(), "All(n) must span the whole column");
-                present.extend(svals.iter().copied().zip(order.iter().copied()));
-            }
-            NodeRows::Subset(_) => {
-                let mask = mask.expect("sorted scan over a row subset requires the node mask");
-                for (&v, &r) in svals.iter().zip(order) {
-                    if mask.contains(r) {
-                        present.push((v, r));
-                    }
+    match labels {
+        LabelView::Class(ys, k) => with_present(node.len(), |present| {
+            let n_present = sequence.fill(values, node, ys, present);
+            let (gain, thr, left, right) = scan_class(&present[..n_present], k, imp)?;
+            let missing = missing_class_counts(node, n_present, ys, k, |i| values[i].is_nan());
+            let test = SplitTest::NumericLe(thr);
+            Some(split_from_children(test, gain, left, right, &missing))
+        }),
+        LabelView::Real(ys) => with_present(node.len(), |present| {
+            let n_present = sequence.fill(values, node, ys, present);
+            let (mut below, mut above) = (RegAgg::default(), RegAgg::default());
+            let (gain, thr, boundary) =
+                scan_boundaries(&present[..n_present], &mut below, &mut above, |_| {})?;
+            let missing_left = boundary + 1 >= n_present - (boundary + 1);
+            let (left, right) = route_children(node, ys, RegAgg::default(), missing_left, |i| {
+                let v = values[i];
+                if v.is_nan() {
+                    None
+                } else {
+                    Some(v <= thr)
                 }
-            }
-        }
-        let best = scan_presorted(present, labels, imp);
-        finish_numeric_at(best, present.len(), values, node, labels)
-    })
+            });
+            Some(ColumnSplit {
+                test: SplitTest::NumericLe(thr),
+                gain,
+                missing_left,
+                left,
+                right,
+            })
+        }),
+    }
 }
 
-/// The gather+sort arm: collects the node's present `(value, row)` pairs
-/// into the pooled buffer, sorts them and runs the shared boundary scan.
-/// With `NodeRows::All` this is the whole of the public gathered kernel
-/// [`crate::exact::best_numeric_split`].
-pub(crate) fn gather_sort_split(
+/// Exact best `Ai <= v` split of a full numeric column over a node's rows,
+/// selecting the node from the column's presorted `index` by rank — the
+/// column-task kernel. `O(|node| + n / 64)` whatever the node's share of the
+/// column.
+///
+/// `values` and `labels` span the full column store; `index` is the
+/// column's [`SortedColumn`].
+// `_mask` is not read: rank selection needs no row-membership mask. The
+// parameter stays because `ledger/`'s kernel probe passes one and may not
+// change in a PR that claims a gain; the follow-up `benchmark` PR drops it
+// together with `with_node_mask`.
+pub fn best_numeric_split_at(
     values: &[f64],
+    index: &SortedColumn,
     node: NodeRows<'_>,
+    _mask: Option<&RowBitmap>,
     labels: LabelView<'_>,
     imp: Impurity,
 ) -> Option<ColumnSplit> {
-    with_present(node.len(), |present| {
-        for r in node.iter() {
-            let v = values[r as usize];
-            if !v.is_nan() {
-                present.push((v, r));
-            }
-        }
-        present.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let best = scan_presorted(present, labels, imp);
-        finish_numeric_at(best, present.len(), values, node, labels)
-    })
+    NUMERIC_SORTED_SCANS.fetch_add(1, Relaxed);
+    numeric_split(Sequence::Rank(index), values, node, labels, imp)
 }
 
 /// Exact best `Ai <= v` split of a numeric column over a node that already
 /// owns its presorted sequence: `segment` holds the node's present rows of
-/// this column in `(value, row)` order — a [`NodeOrders`] segment. No mask,
-/// no sort, no pass over rows outside the node; the boundary scan and the
-/// child statistics are the ones [`best_numeric_split_at`] runs, over the
-/// same sequence, so the split is byte-identical to both of its arms.
+/// this column in `(value, row)` order — a [`NodeOrders`] segment. No
+/// bitmap, no sort, no pass over rows outside the node; the same kernel
+/// over the same sequence as [`best_numeric_split_at`], so the split is
+/// byte-identical.
 pub fn best_numeric_split_in(
     values: &[f64],
     segment: &[u32],
@@ -500,42 +622,41 @@ pub fn best_numeric_split_in(
     labels: LabelView<'_>,
     imp: Impurity,
 ) -> Option<ColumnSplit> {
-    assert_eq!(values.len(), labels.len(), "values/labels length mismatch");
-    debug_assert_ascending(&node);
     NUMERIC_SORTED_SCANS.fetch_add(1, Relaxed);
-    with_present(segment.len(), |present| {
-        present.extend(segment.iter().map(|&r| (values[r as usize], r)));
-        let best = scan_presorted(present, labels, imp);
-        finish_numeric_at(best, present.len(), values, node, labels)
-    })
+    numeric_split(Sequence::Segment(segment), values, node, labels, imp)
+}
+
+/// Class counts of the node's rows whose value `is_missing` — the rows a
+/// class-label kernel adds to the children it read off its own counts. A
+/// node with `n_present` present rows and no others is not walked.
+fn missing_class_counts(
+    node: NodeRows<'_>,
+    n_present: usize,
+    ys: &[u32],
+    n_classes: u32,
+    is_missing: impl Fn(usize) -> bool,
+) -> ClassCounts {
+    let mut missing = ClassCounts::new(n_classes);
+    if n_present < node.len() {
+        node.iter()
+            .filter(|&r| is_missing(r as usize))
+            .for_each(|r| missing.add(ys[r as usize]));
+    }
+    missing
 }
 
 /// Builds both children's label statistics in a single pass over the
 /// node's rows **in ascending row order**, routing each row with `route`
 /// (`None` = missing, goes to the `missing_left` side).
 ///
-/// Row-order accumulation matters: the subtree trainer computes a child
-/// node's statistics by scanning the child's rows in order, and the engine
-/// must produce bit-identical predictions for children that become leaves.
-/// Summing in any other order (e.g. the sorted scan order) differs in the
-/// last ULP for floating-point targets.
-pub(crate) fn child_stats_at(
-    node: NodeRows<'_>,
-    labels: LabelView<'_>,
-    missing_left: bool,
-    route: impl Fn(usize) -> Option<bool>,
-) -> (NodeStats, NodeStats) {
-    match labels {
-        LabelView::Class(ys, k) => {
-            route_children(node, ys, ClassCounts::new(k), missing_left, route)
-        }
-        LabelView::Real(ys) => route_children(node, ys, RegAgg::default(), missing_left, route),
-    }
-}
-
-/// [`child_stats_at`] over one label type. Dispatched per node shape so the
-/// whole-column case runs on a plain range instead of a chained iterator
-/// (measurably cheaper on 100k-row columns).
+/// Row-order accumulation matters for floating-point targets: the subtree
+/// trainer computes a child node's statistics by scanning the child's rows
+/// in order, and the engine must produce bit-identical predictions for
+/// children that become leaves. Summing in any other order (e.g. the sorted
+/// scan order) differs in the last ULP. Class-label kernels that hold the
+/// children's counts already do not need the pass. Dispatched per node shape
+/// so the whole-column case runs on a plain range instead of a chained
+/// iterator (measurably cheaper on 100k-row columns).
 pub(crate) fn route_children<A: LabelAgg>(
     node: NodeRows<'_>,
     ys: &[A::Label],
@@ -557,34 +678,6 @@ pub(crate) fn route_children<A: LabelAgg>(
     }
     let [right, left] = children;
     (left.into(), right.into())
-}
-
-fn finish_numeric_at(
-    best: Option<(f64, f64, usize)>,
-    n_present: usize,
-    values: &[f64],
-    node: NodeRows<'_>,
-    labels: LabelView<'_>,
-) -> Option<ColumnSplit> {
-    let (gain, thr, boundary) = best?;
-    let n_left_present = boundary + 1;
-    let n_right_present = n_present - n_left_present;
-    let missing_left = n_left_present >= n_right_present;
-    let (left, right) = child_stats_at(node, labels, missing_left, |i| {
-        let v = values[i];
-        if v.is_nan() {
-            None
-        } else {
-            Some(v <= thr)
-        }
-    });
-    Some(ColumnSplit {
-        test: SplitTest::NumericLe(thr),
-        gain,
-        missing_left,
-        left,
-        right,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -624,37 +717,11 @@ fn accumulate_categories<A: LabelAgg>(
     total.n() >= 2
 }
 
-/// Routes the node's rows by membership in `left_set` as decided by
-/// `in_left(left_set, code)` (missing codes go to the `missing_left` side)
-/// and assembles the categorical split.
-fn finish_cat_at(
-    codes: &[u32],
-    node: NodeRows<'_>,
-    labels: LabelView<'_>,
-    gain: f64,
-    left_set: Vec<u32>,
-    missing_left: bool,
-    in_left: impl Fn(&[u32], u32) -> bool,
-) -> ColumnSplit {
-    let (left, right) = child_stats_at(node, labels, missing_left, |i| {
-        if codes[i] == MISSING_CAT {
-            None
-        } else {
-            Some(in_left(&left_set, codes[i]))
-        }
-    });
-    ColumnSplit {
-        test: SplitTest::CatIn(left_set),
-        gain,
-        missing_left,
-        left,
-        right,
-    }
-}
-
 /// Exact one-vs-rest categorical split (Appendix B, Case 3) of a full column
 /// over a node's rows. Aggregates come from the scratch arena instead of
-/// fresh allocations.
+/// fresh allocations, and the children are the winning category's counts
+/// and the rest of the total — integers, so no second pass over the rows —
+/// plus the node's missing rows.
 pub fn best_cat_split_classification_at(
     codes: &[u32],
     n_values: u32,
@@ -667,25 +734,22 @@ pub fn best_cat_split_classification_at(
         if !accumulate_categories(codes, node, ys, per_value, total) {
             return None;
         }
-        let (gain, code) = best_one_vs_rest(per_value, total, imp)?;
-        let labels = LabelView::Class(ys, n_classes);
-        let n_left = per_value[code as usize].total();
-        let missing_left = n_left >= total.total() - n_left;
-        let in_left = |_: &[u32], c| c == code;
-        Some(finish_cat_at(
-            codes,
-            node,
-            labels,
-            gain,
-            vec![code],
-            missing_left,
-            in_left,
-        ))
+        let (gain, code) = with_class_pair(n_classes, |rest, _| {
+            best_one_vs_rest(per_value, total, rest, imp)
+        })?;
+        let left = per_value[code as usize].clone();
+        let right = total.minus(&left);
+        let n_present = total.total() as usize;
+        let missing =
+            missing_class_counts(node, n_present, ys, n_classes, |i| codes[i] == MISSING_CAT);
+        let test = SplitTest::CatIn(vec![code]);
+        Some(split_from_children(test, gain, left, right, &missing))
     })
 }
 
 /// Exact Breiman categorical regression split (Appendix B, Case 2) of a full
-/// column over a node's rows.
+/// column over a node's rows. The children's float sums are accumulated in
+/// ascending row order (`route_children`).
 pub fn best_cat_split_regression_at(
     codes: &[u32],
     n_values: u32,
@@ -697,18 +761,21 @@ pub fn best_cat_split_regression_at(
             return None;
         }
         let (gain, left_set, n_left) = best_breiman_prefix(per_value, total)?;
-        let labels = LabelView::Real(ys);
         let missing_left = n_left >= total.n - n_left;
-        let in_left = |set: &[u32], c| set.binary_search(&c).is_ok();
-        Some(finish_cat_at(
-            codes,
-            node,
-            labels,
+        let (left, right) = route_children(node, ys, RegAgg::default(), missing_left, |i| {
+            if codes[i] == MISSING_CAT {
+                None
+            } else {
+                Some(left_set.binary_search(&codes[i]).is_ok())
+            }
+        });
+        Some(ColumnSplit {
+            test: SplitTest::CatIn(left_set),
             gain,
-            left_set,
             missing_left,
-            in_left,
-        ))
+            left,
+            right,
+        })
     })
 }
 
@@ -750,10 +817,10 @@ pub type Segments = Vec<Range<usize>>;
 /// which every open node owns a contiguous segment: the root owns the whole
 /// order, and [`NodeOrders::split`] stable-partitions a node's segment into
 /// its children's. A stable partition keeps the `(value, row)` order inside
-/// each side, so a segment is exactly the sequence the mask-filtered scan
-/// and the gather+sort arm of [`best_numeric_split_at`] would produce for
-/// that node — the sort is paid once per column, then `O(|node|)` per column
-/// per split. Segments of different nodes are disjoint, so the nodes may be
+/// each side, so a segment is exactly the sequence the rank selection of
+/// [`best_numeric_split_at`] and a sort of the gathered node would produce
+/// for that node — the sort is paid once per column, then `O(|node|)` per
+/// column per split. Segments of different nodes are disjoint, so the nodes may be
 /// grown in any order (pre-order recursion, level by level).
 #[derive(Debug, Clone)]
 pub struct NodeOrders {
@@ -886,20 +953,19 @@ impl<'a> ColumnRef<'a> {
 
 /// Sorted-engine counterpart of [`crate::exact::best_split_for_column`]:
 /// finds the same split without gathering, given the full column, its
-/// presorted index and the node's row set, filtering the whole presorted
-/// order by `mask` (or re-sorting a small node). The entry point of the
-/// distributed column-tasks, which see one node of a resident column at a
-/// time; trainers that grow a whole subtree use [`best_split_in`].
+/// presorted index and the node's row set, which it selects from the index
+/// by rank. The entry point of the distributed column-tasks, which see one
+/// node of a resident column at a time; trainers that grow a whole subtree
+/// use [`best_split_in`].
 pub fn best_split_at(
     col: ColumnRef<'_>,
     node: NodeRows<'_>,
-    mask: Option<&RowBitmap>,
     labels: LabelView<'_>,
     imp: Impurity,
 ) -> Option<ColumnSplit> {
     match col {
         ColumnRef::Numeric { values, index } => {
-            best_numeric_split_at(values, index, node, mask, labels, imp)
+            best_numeric_split_at(values, index, node, None, labels, imp)
         }
         ColumnRef::Categorical { codes, n_values } => {
             best_cat_split_at(codes, n_values, node, labels, imp)
@@ -995,22 +1061,9 @@ mod tests {
         let labels = LabelView::Class(&ys, 2);
         let legacy = best_numeric_split(&values, labels, Impurity::Gini);
         let index = SortedColumn::from_numeric(&values);
-        for path in [
-            NumericPath::Auto,
-            NumericPath::SortedScan,
-            NumericPath::GatherSort,
-        ] {
-            let engine = best_numeric_split_at_path(
-                path,
-                &values,
-                &index,
-                NodeRows::All(values.len()),
-                None,
-                labels,
-                Impurity::Gini,
-            );
-            assert_eq!(engine, legacy, "path {path:?}");
-        }
+        let node = NodeRows::All(values.len());
+        let engine = best_numeric_split_at(&values, &index, node, None, labels, Impurity::Gini);
+        assert_eq!(engine, legacy);
     }
 
     #[test]
@@ -1023,25 +1076,61 @@ mod tests {
         let legacy = best_numeric_split(&gathered, LabelView::Real(&ys_g), Impurity::Variance);
 
         let index = SortedColumn::from_numeric(&values);
-        let mut mask = RowBitmap::with_rows(values.len());
-        mask.insert_all(&rows);
-        for path in [NumericPath::SortedScan, NumericPath::GatherSort] {
-            let engine = best_numeric_split_at_path(
-                path,
-                &values,
-                &index,
-                NodeRows::Subset(&rows),
-                Some(&mask),
-                LabelView::Real(&ys),
-                Impurity::Variance,
-            )
-            .unwrap();
-            let legacy = legacy.clone().unwrap();
-            assert_eq!(engine.test, legacy.test, "path {path:?}");
-            assert_eq!(engine.gain.to_bits(), legacy.gain.to_bits());
-            assert_eq!(engine.missing_left, legacy.missing_left);
-            assert_eq!(engine.left, legacy.left);
-            assert_eq!(engine.right, legacy.right);
+        let engine = best_numeric_split_at(
+            &values,
+            &index,
+            NodeRows::Subset(&rows),
+            None,
+            LabelView::Real(&ys),
+            Impurity::Variance,
+        )
+        .unwrap();
+        let legacy = legacy.unwrap();
+        assert_eq!(engine.test, legacy.test);
+        assert_eq!(engine.gain.to_bits(), legacy.gain.to_bits());
+        assert_eq!(engine.missing_left, legacy.missing_left);
+        assert_eq!(engine.left, legacy.left);
+        assert_eq!(engine.right, legacy.right);
+    }
+
+    #[test]
+    fn rank_selection_writes_the_nodes_sorted_sequence() {
+        // 189 present rows: three bitmap words, the last one partly used.
+        // Eleven distinct values, so ties are ordered by row; the label of a
+        // row is its id, so the sequence shows which row landed where.
+        let n = 200usize;
+        let values: Vec<f64> = (0..n)
+            .map(|r| match r % 19 {
+                7 => f64::NAN,
+                _ => ((r * 37) % 11) as f64,
+            })
+            .collect();
+        let ys: Vec<u32> = (0..n as u32).collect();
+        let index = SortedColumn::from_numeric(&values);
+        let expect = |rows: &[u32]| -> Vec<(f64, u32)> {
+            index
+                .numeric_order()
+                .iter()
+                .filter(|r| rows.contains(r))
+                .map(|&r| (values[r as usize], r))
+                .collect()
+        };
+        let all: Vec<u32> = (0..n as u32).collect();
+        let mut present = vec![(0.0, 0u32); n];
+        let got = select_by_rank(&values, &index, NodeRows::All(n), &ys, &mut present);
+        assert_eq!(got, 189);
+        assert_eq!(present[..got], expect(&all)[..]);
+        for rows in [
+            (0..n as u32).step_by(3).collect::<Vec<u32>>(),
+            vec![n as u32 - 1],
+            vec![0, 63, 64, 65, 127, 128, n as u32 - 1],
+            vec![7, 26],
+            vec![],
+        ] {
+            let got = select_by_rank(&values, &index, NodeRows::Subset(&rows), &ys, &mut present);
+            assert_eq!(present[..got], expect(&rows)[..], "rows {rows:?}");
+            // The pooled bitmap comes back zeroed for the next borrower.
+            with_rank_bits(n, |words, _| assert!(words.iter().all(|&w| w == 0)));
         }
     }
 
@@ -1100,36 +1189,37 @@ mod tests {
     }
 
     #[test]
-    fn counters_tick_per_path() {
+    fn one_engine_call_ticks_the_sorted_counter_once_and_the_gather_one_never() {
         let values = [1.0, 2.0, 3.0, 4.0];
         let ys = [0u32, 0, 1, 1];
         let labels = LabelView::Class(&ys, 2);
         let index = SortedColumn::from_numeric(&values);
-        let before = kernel_counters();
-        best_numeric_split_at_path(
-            NumericPath::SortedScan,
-            &values,
-            &index,
-            NodeRows::All(4),
-            None,
-            labels,
-            Impurity::Gini,
-        );
-        best_numeric_split_at_path(
-            NumericPath::GatherSort,
-            &values,
-            &index,
-            NodeRows::All(4),
-            None,
-            labels,
-            Impurity::Gini,
-        );
-        let after = kernel_counters();
-        // Other tests may tick concurrently; assert monotone growth by at
-        // least our own contribution.
-        assert!(after.numeric_sorted_scans > before.numeric_sorted_scans);
-        assert!(after.numeric_gather_scans > before.numeric_gather_scans);
-        assert!(after.pool_hits + after.pool_misses >= before.pool_hits + before.pool_misses + 2);
+        // Other tests tick the process-wide counters concurrently, so a
+        // call's own contribution is the smallest increase seen around one.
+        let ticks_per_call = |call: &dyn Fn()| {
+            (0..200)
+                .map(|_| {
+                    let before = kernel_counters();
+                    call();
+                    let after = kernel_counters();
+                    assert_eq!(after.numeric_gather_scans, 0);
+                    assert!(
+                        after.pool_hits + after.pool_misses > before.pool_hits + before.pool_misses
+                    );
+                    after.numeric_sorted_scans - before.numeric_sorted_scans
+                })
+                .min()
+        };
+        let node = NodeRows::Subset(&[0, 2, 3]);
+        let engine = || {
+            best_numeric_split_at(&values, &index, node, None, labels, Impurity::Gini);
+        };
+        assert_eq!(ticks_per_call(&engine), Some(1));
+        // The reference kernel is not the engine: it ticks neither.
+        let reference = || {
+            best_numeric_split(&values, labels, Impurity::Gini);
+        };
+        assert_eq!(ticks_per_call(&reference), Some(0));
     }
 
     #[test]
@@ -1148,16 +1238,9 @@ mod tests {
         let ys = [0u32, 1];
         let labels = LabelView::Class(&ys, 2);
         let index = SortedColumn::from_numeric(&values);
-        let mask = RowBitmap::with_rows(2);
+        let none = NodeRows::Subset(&[]);
         assert_eq!(
-            best_numeric_split_at(
-                &values,
-                &index,
-                NodeRows::Subset(&[]),
-                Some(&mask),
-                labels,
-                Impurity::Gini
-            ),
+            best_numeric_split_at(&values, &index, none, None, labels, Impurity::Gini),
             None
         );
         // All-missing column: empty order, nothing to split.
@@ -1242,7 +1325,7 @@ mod tests {
     }
 
     #[test]
-    fn segment_kernel_matches_mask_and_gather_arms() {
+    fn segment_kernel_matches_rank_selection_and_the_gathered_reference() {
         let values = [3.0, 1.0, f64::NAN, 2.0, 2.0, 10.0, -4.0, 5.5];
         let ys = [10.0, 20.0, 5.0, 20.0, 30.0, 1.0, 2.0, 8.0];
         let labels = LabelView::Real(&ys);
@@ -1260,19 +1343,16 @@ mod tests {
         );
         assert!(kernel_counters().numeric_sorted_scans > before.numeric_sorted_scans);
         assert!(in_segment.is_some());
-        let mut mask = RowBitmap::with_rows(values.len());
-        mask.insert_all(&rows);
-        for path in [NumericPath::SortedScan, NumericPath::GatherSort] {
-            let at = best_numeric_split_at_path(
-                path,
-                &values,
-                &index,
-                NodeRows::Subset(&rows),
-                Some(&mask),
-                labels,
-                Impurity::Variance,
-            );
-            assert_eq!(in_segment, at, "path {path:?}");
-        }
+        let node = NodeRows::Subset(&rows);
+        let at = best_numeric_split_at(&values, &index, node, None, labels, Impurity::Variance);
+        assert_eq!(in_segment, at);
+        let gathered = numeric_split(
+            Sequence::GatherSort,
+            &values,
+            node,
+            labels,
+            Impurity::Variance,
+        );
+        assert_eq!(in_segment, gathered);
     }
 }

@@ -1,12 +1,12 @@
 //! Kernel-equivalence property suite (satellite of the sorted-column split
 //! engine): for random columns, labels, and node row subsets, the engine's
 //! indexed kernels must pick **byte-identical** splits to the legacy
-//! gathered kernels — on both explicit numeric paths, not just the one the
-//! `Auto` heuristic would take. Gains are compared bitwise: both paths feed
-//! the same integer/float accumulations in the same row order, so there is
-//! no tolerance to hide behind. Deterministic edge-case tests cover ties,
+//! gathered kernels. Gains are compared bitwise: both feed the same
+//! integer/float accumulations in the same row order, so there is no
+//! tolerance to hide behind. Deterministic edge-case tests cover ties,
 //! duplicates, NaN/missing routing, single-distinct, all-missing, and empty
-//! subsets.
+//! subsets, and a sweep takes one column through every node size from the
+//! whole column down to one row.
 
 use ts_datatable::{SortedColumn, MISSING_CAT};
 use ts_splits::exact::{
@@ -15,8 +15,8 @@ use ts_splits::exact::{
 };
 use ts_splits::impurity::{Impurity, LabelView};
 use ts_splits::sorted::{
-    best_cat_split_classification_at, best_cat_split_regression_at, best_numeric_split_at_path,
-    distinct_categories_at, with_node_mask, NodeRows, NumericPath,
+    best_cat_split_classification_at, best_cat_split_regression_at, best_numeric_split_at,
+    distinct_categories_at, NodeRows,
 };
 use tscheck::prelude::*;
 
@@ -78,8 +78,8 @@ fn keep_mask(n: usize) -> impl Strategy<Value = Vec<bool>> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Numeric classification over random subsets: both explicit engine
-    /// paths equal the legacy gather kernel, for Gini and entropy.
+    /// Numeric classification over random subsets: the engine equals the
+    /// legacy gather kernel, for Gini and entropy.
     #[test]
     fn numeric_class_subset_equivalence(
         (values, ys, keep) in (2usize..120).prop_flat_map(|n| {
@@ -101,20 +101,15 @@ proptest! {
             } else {
                 best_numeric_split(&gathered_vals, LabelView::Class(&legacy_view_data, K), imp)
             };
-            for path in [NumericPath::SortedScan, NumericPath::GatherSort] {
-                let sorted = with_node_mask(values.len(), &rows, |mask| {
-                    best_numeric_split_at_path(
-                        path,
-                        &values,
-                        &index,
-                        NodeRows::Subset(&rows),
-                        Some(mask),
-                        LabelView::Class(&ys, K),
-                        imp,
-                    )
-                });
-                assert_same_split(&legacy, &sorted)?;
-            }
+            let sorted = best_numeric_split_at(
+                &values,
+                &index,
+                NodeRows::Subset(&rows),
+                None,
+                LabelView::Class(&ys, K),
+                imp,
+            );
+            assert_same_split(&legacy, &sorted)?;
         }
     }
 
@@ -134,34 +129,26 @@ proptest! {
             LabelView::Real(&gys),
             Impurity::Variance,
         );
-        for path in [NumericPath::SortedScan, NumericPath::GatherSort] {
-            let sorted = with_node_mask(values.len(), &rows, |mask| {
-                best_numeric_split_at_path(
-                    path,
-                    &values,
-                    &index,
-                    NodeRows::Subset(&rows),
-                    Some(mask),
-                    LabelView::Real(&ys),
-                    Impurity::Variance,
-                )
-            });
-            assert_same_split(&legacy, &sorted)?;
-        }
+        let sorted = best_numeric_split_at(
+            &values,
+            &index,
+            NodeRows::Subset(&rows),
+            None,
+            LabelView::Real(&ys),
+            Impurity::Variance,
+        );
+        assert_same_split(&legacy, &sorted)?;
         // Full column: All(n) against the legacy kernel on the raw values.
         let full_legacy = best_numeric_split(&values, LabelView::Real(&ys), Impurity::Variance);
-        for path in [NumericPath::SortedScan, NumericPath::GatherSort] {
-            let full_sorted = best_numeric_split_at_path(
-                path,
-                &values,
-                &index,
-                NodeRows::All(values.len()),
-                None,
-                LabelView::Real(&ys),
-                Impurity::Variance,
-            );
-            assert_same_split(&full_legacy, &full_sorted)?;
-        }
+        let full_sorted = best_numeric_split_at(
+            &values,
+            &index,
+            NodeRows::All(values.len()),
+            None,
+            LabelView::Real(&ys),
+            Impurity::Variance,
+        );
+        assert_same_split(&full_legacy, &full_sorted)?;
     }
 
     /// One-vs-rest categorical classification over random subsets.
@@ -215,36 +202,27 @@ proptest! {
     }
 }
 
-/// Runs every numeric kernel variant over one column/labels/subset triple
-/// and asserts all agree with the legacy gathered kernel.
+/// Runs the engine's numeric kernel over one column/labels/subset triple
+/// and asserts it agrees with the legacy gathered kernel.
 fn check_numeric_class(values: &[f64], ys: &[u32], rows: &[u32], imp: Impurity) {
     let index = SortedColumn::from_numeric(values);
     let gys: Vec<u32> = rows.iter().map(|&r| ys[r as usize]).collect();
     let legacy = best_numeric_split(&gather_f(values, rows), LabelView::Class(&gys, K), imp);
-    for path in [
-        NumericPath::Auto,
-        NumericPath::SortedScan,
-        NumericPath::GatherSort,
-    ] {
-        let sorted = with_node_mask(values.len(), rows, |mask| {
-            best_numeric_split_at_path(
-                path,
-                values,
-                &index,
-                NodeRows::Subset(rows),
-                Some(mask),
-                LabelView::Class(ys, K),
-                imp,
-            )
-        });
-        assert_eq!(legacy, sorted, "path {path:?} diverged");
-    }
+    let sorted = best_numeric_split_at(
+        values,
+        &index,
+        NodeRows::Subset(rows),
+        None,
+        LabelView::Class(ys, K),
+        imp,
+    );
+    assert_eq!(legacy, sorted, "engine diverged");
 }
 
 #[test]
 fn ties_and_duplicates_pick_the_same_boundary() {
     // Heavy duplicates force tie-breaks on both the value ordering (by row
-    // id) and the boundary midpoint; all paths must land on the same split.
+    // id) and the boundary midpoint; both must land on the same split.
     let values = [2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 3.0, 3.0, 2.0, 1.0];
     let ys = [0, 1, 0, 1, 0, 1, 2, 2, 0, 1];
     let rows: Vec<u32> = (0..values.len() as u32).collect();
@@ -270,8 +248,7 @@ fn single_distinct_value_yields_no_split() {
     check_numeric_class(&values, &ys, &[0, 2, 3, 5], Impurity::Gini);
     let index = SortedColumn::from_numeric(&values);
     assert_eq!(
-        best_numeric_split_at_path(
-            NumericPath::SortedScan,
+        best_numeric_split_at(
             &values,
             &index,
             NodeRows::All(6),
@@ -322,4 +299,73 @@ fn empty_subset_yields_no_split() {
         best_cat_split_regression_at(&codes, NV, NodeRows::Subset(&[]), &reals),
         None
     );
+}
+
+/// One 10 007-row column with ties, a NaN in every eleventh row and an
+/// all-NaN stretch, taken through every node size the engine meets — the
+/// whole column (as `All` and as a subset), every 2nd … 128th row, two rows,
+/// one row, rows that are all missing in the column, and nodes at the last
+/// row id and at the top of the presorted order, whose bit sits in the last
+/// word of the rank bitmap — under all three impurities.
+#[test]
+fn node_size_sweep_matches_the_gathered_reference() {
+    let n = 10_007usize;
+    let values: Vec<f64> = (0..n)
+        .map(|r| {
+            if r % 11 == 3 || (4_000..4_100).contains(&r) {
+                f64::NAN
+            } else {
+                ((r * 7_919) % 1_013) as f64 / 8.0 - 60.0
+            }
+        })
+        .collect();
+    let class: Vec<u32> = (0..n)
+        .map(|r| (((r * 31) % 97) as u32 + u32::from(values[r] > 5.0)) % K)
+        .collect();
+    let real: Vec<f64> = (0..n)
+        .map(|r| ((r * 13) % 29) as f64 - if values[r] > -10.0 { 7.5 } else { 0.0 })
+        .collect();
+    let index = SortedColumn::from_numeric(&values);
+
+    let mut nodes: Vec<Vec<u32>> = (0..8)
+        .map(|shift| (0..n as u32).step_by(1 << shift).collect())
+        .collect();
+    nodes.push(vec![17, 9_000]);
+    nodes.push(vec![5_000]);
+    nodes.push((4_000..4_100).collect()); // all missing in the column
+    nodes.push(vec![3, 4_050, n as u32 - 1]); // one present row, the last id
+    nodes.push(vec![n as u32 - 2, n as u32 - 1]);
+    let mut top: Vec<u32> = index
+        .numeric_order()
+        .iter()
+        .rev()
+        .take(5)
+        .copied()
+        .collect();
+    top.sort_unstable();
+    nodes.push(top);
+
+    let check = |node: NodeRows<'_>, rows: &[u32]| {
+        let gathered = gather_f(&values, rows);
+        let (gclass, greal) = (gather_u(&class, rows), gather_f(&real, rows));
+        for imp in [Impurity::Gini, Impurity::Entropy] {
+            let legacy = best_numeric_split(&gathered, LabelView::Class(&gclass, K), imp);
+            let view = LabelView::Class(&class, K);
+            let sorted = best_numeric_split_at(&values, &index, node, None, view, imp);
+            assert_eq!(legacy, sorted, "{} rows, {imp:?}", rows.len());
+        }
+        let legacy = best_numeric_split(&gathered, LabelView::Real(&greal), Impurity::Variance);
+        let view = LabelView::Real(&real);
+        let sorted = best_numeric_split_at(&values, &index, node, None, view, Impurity::Variance);
+        assert_eq!(legacy, sorted, "{} rows, variance", rows.len());
+        legacy.is_some()
+    };
+    assert!(check(NodeRows::All(n), &nodes[0]));
+    let mut split = 0;
+    for rows in &nodes {
+        split += usize::from(check(NodeRows::Subset(rows), rows));
+    }
+    // The strided nodes, the two-row node and the top-of-order node split;
+    // the one-row, one-present-row and all-missing nodes cannot.
+    assert!(split >= 9, "{split} of {} nodes split", nodes.len());
 }
