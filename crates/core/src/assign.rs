@@ -46,13 +46,6 @@ impl LoadMatrix {
         self.rows[node][dim]
     }
 
-    /// Copies one column (a cell per machine, by node id) into `out`,
-    /// reusing its storage.
-    pub fn copy_column(&self, dim: usize, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(self.rows.iter().map(|r| r[dim]));
-    }
-
     /// Adds workload to a cell.
     pub fn add(&mut self, node: NodeId, dim: usize, amount: u64) {
         self.rows[node][dim] += amount;

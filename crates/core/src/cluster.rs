@@ -204,16 +204,19 @@ impl ElasticCtx {
 /// # let _ = (model, report);
 /// ```
 pub struct Cluster {
-    master: Arc<Master>,
+    /// The master's whole state behind its one lock. Calls that can queue
+    /// work go through [`Master::call`], so the master thread picks it up
+    /// at once; the rest just take the lock.
+    master: Arc<Mutex<Master>>,
     stats: Arc<NetStats>,
     fabric_task: Fabric<TaskMsg>,
     fabric_data: Fabric<DataMsg>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    handles: Vec<std::thread::JoinHandle<()>>,
     pending: Mutex<HashMap<JobHandle, Receiver<JobResult>>>,
     /// Retransmission drivers of the reliable fabrics (present only when the
     /// fault plan injects message-level faults); stopped after the machine
     /// threads have joined.
-    retry_drivers: Mutex<Vec<RetryDriver>>,
+    retry_drivers: Vec<RetryDriver>,
     task_kind: Task,
     n_rows: usize,
     launched: Instant,
@@ -327,24 +330,16 @@ impl Cluster {
             colmap,
             fabric_task.clone(),
         );
-        master.init_load_matrix(n_nodes);
-        {
-            let m = Arc::clone(&master);
-            handles.push(
-                std::thread::Builder::new()
-                    .name("master-main".into())
-                    .spawn(move || m.main_loop())
-                    .expect("spawn master main"),
-            );
-        }
+        let tick = master.tick();
+        let master = Arc::new(Mutex::new(master));
         {
             let m = Arc::clone(&master);
             let rx = task_rxs_opt[0].take().expect("master receiver");
             handles.push(
                 std::thread::Builder::new()
-                    .name("master-recv".into())
-                    .spawn(move || m.recv_loop(rx))
-                    .expect("spawn master recv"),
+                    .name("master".into())
+                    .spawn(move || Master::run(&m, rx, tick))
+                    .expect("spawn master"),
             );
         }
         // The master has no data-plane loop (§V: it never relays Ix);
@@ -410,7 +405,8 @@ impl Cluster {
                             }
                             if let Some((at, victim, grace_ns)) = preempt_ev {
                                 if now >= at {
-                                    m.begin_drain(victim, Duration::from_nanos(grace_ns));
+                                    let grace = Duration::from_nanos(grace_ns);
+                                    Master::call(&m, |m| m.begin_drain(victim, grace));
                                     preempt_ev = None;
                                 }
                             }
@@ -428,9 +424,9 @@ impl Cluster {
             stats,
             fabric_task,
             fabric_data,
-            handles: Mutex::new(handles),
+            handles,
             pending: Mutex::new(HashMap::new()),
-            retry_drivers: Mutex::new(retry_drivers),
+            retry_drivers,
             task_kind: table.schema().task,
             n_rows: table.n_rows(),
             launched: Instant::now(),
@@ -459,17 +455,17 @@ impl Cluster {
     /// unannounced variant.
     pub fn preempt_worker(&self, worker: NodeId, grace: Duration) {
         assert!(worker >= 1, "cannot preempt the master");
-        self.master.begin_drain(worker, grace);
+        Master::call(&self.master, |m| m.begin_drain(worker, grace));
     }
 
     /// Whether `worker` is currently mid-drain.
     pub fn is_draining(&self, worker: NodeId) -> bool {
-        self.master.is_draining(worker)
+        self.master.lock().is_draining(worker)
     }
 
     /// The currently live workers (roster order).
     pub fn live_workers(&self) -> Vec<NodeId> {
-        self.master.live_workers()
+        self.master.lock().live_workers().to_vec()
     }
 
     /// Launches a cluster whose workers load their columns from a dataset in
@@ -486,7 +482,7 @@ impl Cluster {
 
     /// Submits a job without blocking.
     pub fn submit(&self, spec: JobSpec) -> JobHandle {
-        let (handle, rx) = self.master.submit(spec);
+        let (handle, rx) = Master::call(&self.master, |m| m.submit(spec));
         self.pending.lock().insert(handle, rx);
         handle
     }
@@ -535,17 +531,12 @@ impl Cluster {
             self.n_rows,
             "label column length must match the table's row count"
         );
-        let workers = self.master.live_workers();
-        for w in workers {
-            let _ = self.fabric_task.send(
-                0,
-                w,
-                TaskMsg::LoadLabels {
-                    labels: labels.clone(),
-                },
-            );
+        let mut m = self.master.lock();
+        for &w in m.live_workers() {
+            let labels = labels.clone();
+            let _ = self.fabric_task.send(0, w, TaskMsg::LoadLabels { labels });
         }
-        self.master.set_data_task(match labels {
+        m.set_data_task(match labels {
             ts_datatable::Labels::Real(_) => Task::Regression,
             ts_datatable::Labels::Class(_) => self.task_kind,
         });
@@ -562,9 +553,11 @@ impl Cluster {
     /// the structured reason.
     pub fn kill_worker(&self, worker: NodeId) {
         assert!(worker >= 1, "cannot kill the master");
-        let _ = self.fabric_task.send(0, worker, TaskMsg::Shutdown);
-        let _ = self.fabric_data.send(0, worker, DataMsg::Shutdown);
-        self.master.recover_or_degrade(worker);
+        Master::call(&self.master, |m| {
+            let _ = self.fabric_task.send(0, worker, TaskMsg::Shutdown);
+            let _ = self.fabric_data.send(0, worker, DataMsg::Shutdown);
+            m.recover_or_degrade(worker);
+        });
     }
 
     /// Live statistics handle.
@@ -638,9 +631,8 @@ impl Cluster {
         #[cfg(feature = "obs")]
         self.sync_kernel_counters();
         let mut report = ClusterReport::from_stats(&self.stats, self.launched.elapsed());
-        report.master_sent_bytes = report
-            .master_sent_bytes
-            .saturating_sub(self.master.steal_ack_bytes());
+        let steal_acks = self.master.lock().steal_ack_bytes();
+        report.master_sent_bytes = report.master_sent_bytes.saturating_sub(steal_acks);
         report
     }
 
@@ -653,8 +645,8 @@ impl Cluster {
         );
         let report = self.report();
         self.orch_stop.store(true, Ordering::Release);
-        self.master.request_shutdown();
-        for h in self.handles.lock().drain(..) {
+        self.master.lock().shutdown();
+        for h in self.handles {
             let _ = h.join();
         }
         for h in self.elastic.joined_handles.lock().drain(..) {
@@ -662,7 +654,7 @@ impl Cluster {
         }
         // Machine threads are gone; any frames still in flight can only
         // target dropped receivers, so the retry threads stop cleanly.
-        for d in self.retry_drivers.lock().drain(..) {
+        for d in self.retry_drivers {
             d.stop();
         }
         report

@@ -1,25 +1,45 @@
 //! The master machine: tree/task scheduling, result folding, load-balanced
 //! assignment, and fault recovery.
 //!
-//! Two threads, as in the paper (§IV, Fig. 14(a)):
+//! [`Master`] is a plain state machine: it owns the roster, the column
+//! map, the plan queue `Bplan`, the task table `Ttask`, the load matrix
+//! `M_work`, the job registry, the leases and the drain/migration ledgers
+//! as ordinary fields, every handler takes `&mut self`, and frames go out
+//! through `fabric.send` in program order. The cluster keeps it behind one
+//! lock, and one `master` thread ([`Master::run`]) drives it. The paper's
+//! two master loops (§IV, Fig. 14(a)) are the two phases of one step:
 //!
-//! - `θ_main` ([`Master::main_loop`]): admits trees into the active pool
-//!   (at most `n_pool` at a time), pops plans from the head of the deque
-//!   `Bplan`, runs the §VI greedy assignment against `M_work`, and ships
-//!   plans (plus delegate serve-quotas) to workers.
-//! - `θ_recv` ([`Master::recv_loop`]): folds column-task results into the
-//!   task table `Ttask`, picks the overall best split, confirms the winner
-//!   (making it the delegate worker), types the child tasks from the
-//!   returned `|Ixl|`/`|Ixr|` counters, grafts completed subtrees, and
-//!   tracks per-tree progress (Appendix C's `T_prog`) to flush finished
-//!   trees and complete jobs.
+//! - `θ_recv` ([`Master::step`]): folds one message — a column-task result
+//!   into the task table `Ttask` (picking the overall best split,
+//!   confirming the winner as delegate worker, typing the child tasks from
+//!   the returned `|Ixl|`/`|Ixr|` counters), a completed subtree into its
+//!   tree, per-tree progress (Appendix C's `T_prog`) into finished trees
+//!   and completed jobs — or counts an idle tick; then runs the
+//!   self-throttled lease, drain-deadline and τ sweeps.
+//! - `θ_main` ([`Master::pump`]): retires drains whose conditions all hold,
+//!   admits trees into the active pool (at most `n_pool` at a time), and
+//!   pops plans from `Bplan`, running the §VI greedy assignment against
+//!   `M_work` and shipping each plan (plus delegate serve-quotas), until
+//!   nothing more is dispatchable.
+//!
+//! Every step ends with `pump`, so a plan is dispatched in the step that
+//! made it dispatchable and nothing waits on a condition. Everyone else —
+//! `Cluster::submit`, `preempt_worker`, `kill_worker`, the membership
+//! orchestrator — comes in through [`Master::call`]: the same lock, the
+//! handler, and a loop-back frame left in the master's own mailbox, so the
+//! step that dispatches what the call queued starts now rather than a tick
+//! from now. Dispatch itself stays on the master thread (see `call` for
+//! why). And because sends happen under the lock, the ordering rules of
+//! `docs/PROTOCOL.md` ("Confirm before quota", "Donate before plan
+//! traffic", "charge before send", "a task leaves the table in the step
+//! its children enter the queue") are program order.
 //!
 //! Hybrid scheduling (§III, Fig. 4/5): a new task goes to the **head** of
 //! `Bplan` when `|Dx| <= τ_dfs` (depth-first — reaches CPU-bound
 //! subtree-tasks quickly) and to the **tail** otherwise (breadth-first —
 //! generates parallelism early).
 
-use crate::assign::{assign_column_task, assign_subtree, ColumnMap, LoadMatrix, COMP};
+use crate::assign::{assign_column_task, assign_subtree, ColumnMap, LoadMatrix};
 use crate::config::ClusterConfig;
 use crate::ids::{ParentRef, Side, TaskId, TreeId};
 use crate::job::{JobHandle, JobKind, JobResult, JobSpec, TreeSpec};
@@ -27,8 +47,6 @@ use crate::messages::{ColumnPlan, ColumnTaskBest, SubtreePlan, TaskMsg};
 use crate::recovery::RecoveryError;
 use crate::sched::{PlanQueue, StealInfo, TauController};
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 use ts_datatable::Task;
 use ts_netsim::{Fabric, FabricReceiver, NodeId, WireSized};
@@ -60,9 +78,19 @@ struct PlanDesc {
     /// The trace (job span id) this plan belongs to.
     trace: u64,
     /// The plan's own span, opened when the plan is created; `SpanActive`
-    /// when `θ_main` pops it, closed when its dispatch sends are done.
+    /// when `pump` pops it, closed when its dispatch sends are done.
     #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     span: u64,
+}
+
+impl PlanDesc {
+    /// The worker holding the parent's `Ix` (`None` for a root).
+    fn parent_worker(&self) -> Option<NodeId> {
+        match self.parent {
+            ParentRef::Root => None,
+            ParentRef::Node { worker, .. } => Some(worker),
+        }
+    }
 }
 
 /// SplitMix64 finaliser: decorrelates path-derived seeds.
@@ -190,64 +218,68 @@ struct HbLease {
     reported: u64,
 }
 
-/// Shared master state; the two master threads and the `Cluster` handle all
-/// hold an `Arc<Master>`.
+impl HbLease {
+    /// A lease renewed at `now`, with nothing missed.
+    fn fresh(now: u64) -> HbLease {
+        HbLease {
+            last_ns: now,
+            reported: 0,
+        }
+    }
+}
+
+/// The master's whole state. One owner: the cluster shares it behind one
+/// `Mutex`, and every method here runs with that lock held.
 pub struct Master {
     cfg: ClusterConfig,
     n_rows: usize,
     n_attrs: usize,
-    data_task: Mutex<Task>,
-    workers: Mutex<Vec<NodeId>>,
-    colmap: Mutex<ColumnMap>,
+    /// The current prediction task (boosting rounds may retarget it).
+    data_task: Task,
+    /// The live roster, sorted.
+    workers: Vec<NodeId>,
+    colmap: ColumnMap,
     /// The plan queue `Bplan` (`ts-sched`): per-worker affinity deques plus
     /// a global one, bounded in-flight dispatch, stealing for idle workers.
-    /// Condvar-signalled — pushes, completions and steal requests wake
-    /// `θ_main` immediately.
     plans: PlanQueue<PlanDesc>,
     /// Adaptive `τ_D`/`τ_dfs` (`cfg.adaptive_tau`); holds the statics
     /// until the `LatencyFeed` has enough samples of both task kinds.
-    tau: Mutex<TauController>,
+    tau: TauController,
     /// Clock reading of the last controller update (throttles feed
     /// snapshots to about twice per heartbeat interval).
     #[cfg_attr(not(feature = "obs"), allow(dead_code))]
-    last_tau_update: AtomicU64,
-    ttask: Mutex<HashMap<TaskId, MasterTask>>,
-    mwork: Mutex<LoadMatrix>,
-    registry: Mutex<Registry>,
-    next_task: AtomicU64,
+    last_tau_update: u64,
+    ttask: HashMap<TaskId, MasterTask>,
+    mwork: LoadMatrix,
+    registry: Registry,
+    next_task: u64,
     /// Span-id allocator for ts-trace. Master-allocated so ids are unique
     /// cluster-wide; starts at 1 because 0 means "no span".
-    next_span: AtomicU64,
+    next_span: u64,
     /// Cluster-wide count of subtree delegations, driving the fault plan's
     /// `crash_at_delegation` trigger (global so the trigger is independent
     /// of which worker happens to be picked as key worker).
-    delegations: AtomicU64,
+    delegations: u64,
     /// Bytes of `Donate` acks sent so far. How many steals a job sees
-    /// follows thread timing, not the job, so `Cluster::report` keeps them
+    /// follows worker timing, not the job, so `Cluster::report` keeps them
     /// out of `master_sent_bytes`, which then repeats for a fixed job.
-    steal_ack_bytes: AtomicU64,
-    shutdown: AtomicBool,
+    steal_ack_bytes: u64,
     fabric: Fabric<TaskMsg>,
     /// Liveness leases per worker, refreshed by `Heartbeat` messages and
-    /// swept by `check_heartbeats` on the main loop.
-    last_hb: Mutex<HashMap<NodeId, HbLease>>,
+    /// swept by `check_heartbeats`.
+    last_hb: HashMap<NodeId, HbLease>,
     /// Clock reading of the last detector sweep (throttles the sweep to
     /// roughly twice per heartbeat interval).
-    last_hb_sweep: AtomicU64,
+    last_hb_sweep: u64,
     /// Set once recovery proved impossible: every pending and future job
     /// fails with this reason instead of training.
-    degraded: Mutex<Option<RecoveryError>>,
+    degraded: Option<RecoveryError>,
     /// Workers mid-drain, keyed by node id (`ts-elastic` preemption).
-    draining: Mutex<HashMap<NodeId, DrainState>>,
+    draining: HashMap<NodeId, DrainState>,
     /// In-flight elastic migrations: `(attr, destination) → source`.
     /// Distinguishes join/drain migrations from crash re-replication when
     /// a `ReplicateDone` arrives.
-    migrations: Mutex<HashMap<(usize, NodeId), NodeId>>,
-    /// Held by `θ_recv` across one message and by the drain check: folding
-    /// a result takes the task out of the task table before it queues the
-    /// child plans, and a check in between would let the winner's worker
-    /// depart with `Ix` still to serve.
-    folding: Mutex<()>,
+    migrations: HashMap<(usize, NodeId), NodeId>,
 }
 
 impl Master {
@@ -259,88 +291,147 @@ impl Master {
         data_task: Task,
         colmap: ColumnMap,
         fabric: Fabric<TaskMsg>,
-    ) -> Arc<Master> {
+    ) -> Master {
         let workers: Vec<NodeId> = (1..=cfg.n_workers).collect();
         let now = fabric.clock().now_ns();
-        let leases: HashMap<NodeId, HbLease> = workers
-            .iter()
-            .map(|&w| {
-                (
-                    w,
-                    HbLease {
-                        last_ns: now,
-                        reported: 0,
-                    },
-                )
-            })
+        let last_hb = (workers.iter())
+            .map(|&w| (w, HbLease::fresh(now)))
             .collect();
         // Per-worker in-flight window: enough dispatched work to keep every
         // comper busy while the next tasks' column/`Ix` fetches are in
         // flight; the rest waits master-side, where it can be re-routed.
-        let plans = PlanQueue::new(2 * cfg.compers_per_worker + 2);
+        let mut plans = PlanQueue::new(2 * cfg.compers_per_worker + 2);
         plans.set_workers(&workers);
-        let tau = Mutex::new(TauController::new(cfg.tau_d, cfg.tau_dfs));
-        Arc::new(Master {
-            cfg,
+        Master {
             n_rows,
             n_attrs,
-            data_task: Mutex::new(data_task),
-            workers: Mutex::new(workers),
-            colmap: Mutex::new(colmap),
+            data_task,
+            workers,
+            colmap,
             plans,
-            tau,
-            last_tau_update: AtomicU64::new(0),
-            ttask: Mutex::new(HashMap::new()),
-            mwork: Mutex::new(LoadMatrix::new(0)),
-            registry: Mutex::new(Registry {
+            tau: TauController::new(cfg.tau_d, cfg.tau_dfs),
+            last_tau_update: 0,
+            ttask: HashMap::new(),
+            // One row per machine the fabric provisions: master, launch
+            // roster, spare slots.
+            mwork: LoadMatrix::new(cfg.total_worker_slots() + 1),
+            registry: Registry {
                 jobs: HashMap::new(),
                 queue: VecDeque::new(),
                 active: HashMap::new(),
                 next_tree: 0,
                 next_job: 0,
-            }),
-            next_task: AtomicU64::new(0),
-            next_span: AtomicU64::new(1),
-            delegations: AtomicU64::new(0),
-            steal_ack_bytes: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
+            },
+            next_task: 0,
+            next_span: 1,
+            delegations: 0,
+            steal_ack_bytes: 0,
             fabric,
-            last_hb: Mutex::new(leases),
-            last_hb_sweep: AtomicU64::new(0),
-            degraded: Mutex::new(None),
-            draining: Mutex::new(HashMap::new()),
-            migrations: Mutex::new(HashMap::new()),
-            folding: Mutex::new(()),
-        })
+            last_hb,
+            last_hb_sweep: 0,
+            degraded: None,
+            draining: HashMap::new(),
+            migrations: HashMap::new(),
+            cfg,
+        }
     }
 
-    /// Initialises the load matrix once the cluster size is known.
-    pub fn init_load_matrix(&self, n_nodes: usize) {
-        *self.mwork.lock() = LoadMatrix::new(n_nodes);
+    // ------------------------------------------------------------------
+    // The driver: one lock, one thread, one step.
+    // ------------------------------------------------------------------
+
+    /// A call from outside the master thread: runs the handler `f` on the
+    /// locked master, then posts a loop-back heartbeat from node 0 — the
+    /// master itself, which holds no lease, so all the frame does is make
+    /// the master thread take a step, and with it a `pump`, now.
+    ///
+    /// The caller does not `pump` itself. `pump` admits trees, and the
+    /// arena a tree's nodes grow in would then be born in the *caller's*
+    /// malloc arena — for a client, the process's main heap — where the
+    /// model's buffers, freed once the client has its copy, leave holes
+    /// under everything allocated since: measured as +5 % peak RSS on the
+    /// ledger's serving set-up (CHANGES.md, PR 20).
+    pub fn call<R>(shared: &Mutex<Master>, f: impl FnOnce(&mut Master) -> R) -> R {
+        let mut m = shared.lock();
+        let out = f(&mut m);
+        let _ = m.fabric.send(0, 0, TaskMsg::Heartbeat { worker: 0 });
+        out
     }
+
+    /// How long the master thread waits for a message before it takes an
+    /// idle step, so the lease and drain-deadline sweeps keep running on a
+    /// silent cluster.
+    pub fn tick(&self) -> Duration {
+        (self.cfg.heartbeat_interval / 2).clamp(Duration::from_millis(1), Duration::from_millis(50))
+    }
+
+    /// The master thread: one step per message or idle tick, until the
+    /// loop-back `Shutdown` that [`Master::shutdown`] sends arrives.
+    pub fn run(shared: &Mutex<Master>, rx: FabricReceiver<TaskMsg>, tick: Duration) {
+        loop {
+            let msg = match rx.recv_timeout(tick) {
+                Ok(Some(TaskMsg::Shutdown)) | Err(_) => return,
+                Ok(msg) => msg,
+            };
+            let mut m = shared.lock();
+            m.step(msg);
+            m.pump();
+        }
+    }
+
+    /// `θ_recv`: folds one message (`None`: the tick brought none), then
+    /// runs the self-throttled sweeps — leases, drain deadlines, τ.
+    pub fn step(&mut self, msg: Option<TaskMsg>) {
+        match msg {
+            Some(msg) => self.handle(msg),
+            None => self.plans.note_idle_tick(),
+        }
+        self.check_heartbeats();
+        self.maybe_update_tau();
+    }
+
+    /// `θ_main`: retires ready drains, admits trees, and assigns plans
+    /// until nothing more is dispatchable.
+    pub fn pump(&mut self) {
+        self.retire_ready_drains();
+        self.admit_trees();
+        while let Some((plan, steal)) = self.plans.try_next(&self.mwork) {
+            self.assign_plan(plan, steal);
+        }
+    }
+
+    /// Tells every machine to stop — the roster, the draining workers (off
+    /// the roster but alive, serving their data plane) and, by loop-back,
+    /// the master thread itself.
+    pub fn shutdown(&self) {
+        let machines = (self.workers.iter()).chain(self.draining.keys());
+        for &w in machines.chain(&[0]) {
+            let _ = self.fabric.send(0, w, TaskMsg::Shutdown);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Client calls (`Cluster` makes them under the lock; the ones that can
+    // queue work, through `Master::call`).
+    // ------------------------------------------------------------------
 
     /// Submits a job; returns the handle and the result channel.
     ///
     /// On a degraded cluster (recovery proved impossible) the job fails
     /// immediately with the stored reason.
-    pub fn submit(&self, spec: JobSpec) -> (JobHandle, Receiver<JobResult>) {
+    pub fn submit(&mut self, spec: JobSpec) -> (JobHandle, Receiver<JobResult>) {
         let trees = spec.expand(self.n_attrs);
         let (tx, rx) = tschan::bounded(1);
-        if let Some(err) = self.degraded.lock().clone() {
-            let mut reg = self.registry.lock();
-            let job_id = reg.next_job;
-            reg.next_job += 1;
-            drop(reg);
-            let _ = tx.send(JobResult::Failed(err));
+        let job_id = self.registry.next_job;
+        self.registry.next_job += 1;
+        if let Some(err) = &self.degraded {
+            let _ = tx.send(JobResult::Failed(err.clone()));
             return (JobHandle(job_id), rx);
         }
         // The job's root span doubles as the trace id: every descendant
         // span (plans, tasks) carries it across the fabric.
         let job_span = self.new_span();
-        let mut reg = self.registry.lock();
-        let job_id = reg.next_job;
-        reg.next_job += 1;
-        reg.jobs.insert(
+        self.registry.jobs.insert(
             job_id,
             JobState {
                 total: trees.len(),
@@ -352,16 +443,13 @@ impl Master {
             },
         );
         for (index, spec) in trees.into_iter().enumerate() {
-            reg.queue.push_back(QueuedTree {
+            self.registry.queue.push_back(QueuedTree {
                 job: job_id,
                 index,
                 spec,
                 trace: job_span,
             });
         }
-        drop(reg);
-        // Wake θ_main so admission does not wait out a queue timeout.
-        self.plans.notify();
         obs_event!(
             self.fabric.stats(),
             0,
@@ -381,43 +469,43 @@ impl Master {
         (JobHandle(job_id), rx)
     }
 
-    /// The current prediction task (boosting rounds may retarget it).
-    pub fn data_task(&self) -> Task {
-        *self.data_task.lock()
-    }
-
     /// Retargets the prediction task (see `Cluster::update_labels`).
-    pub fn set_data_task(&self, task: Task) {
-        *self.data_task.lock() = task;
+    pub fn set_data_task(&mut self, task: Task) {
+        self.data_task = task;
     }
 
     /// The currently live workers.
-    pub fn live_workers(&self) -> Vec<NodeId> {
-        self.workers.lock().clone()
+    pub fn live_workers(&self) -> &[NodeId] {
+        &self.workers
     }
 
     /// Bytes of steal acks (`Donate` frames) the master has sent.
     pub fn steal_ack_bytes(&self) -> u64 {
-        self.steal_ack_bytes.load(Ordering::Relaxed)
+        self.steal_ack_bytes
     }
 
-    /// Requests shutdown: `θ_main` notifies workers and both loops exit.
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake θ_main if it is blocked on an empty plan queue.
-        self.plans.notify();
+    /// Whether a worker is currently mid-drain.
+    pub fn is_draining(&self, worker: NodeId) -> bool {
+        self.draining.contains_key(&worker)
     }
 
-    fn new_task(&self) -> TaskId {
-        TaskId(self.next_task.fetch_add(1, Ordering::Relaxed))
+    /// The degradation reason, if recovery has failed.
+    pub fn degraded_reason(&self) -> Option<RecoveryError> {
+        self.degraded.clone()
     }
 
-    fn new_span(&self) -> u64 {
-        self.next_span.fetch_add(1, Ordering::Relaxed)
+    fn new_task(&mut self) -> TaskId {
+        self.next_task += 1;
+        TaskId(self.next_task - 1)
+    }
+
+    fn new_span(&mut self) -> u64 {
+        self.next_span += 1;
+        self.next_span - 1
     }
 
     fn placeholder_pred(&self) -> Prediction {
-        match self.data_task() {
+        match self.data_task {
             Task::Classification { n_classes } => Prediction::Class {
                 label: 0,
                 pmf: vec![0.0; n_classes as usize],
@@ -430,8 +518,7 @@ impl Master {
     /// `cfg.adaptive_tau` is set, the static configuration otherwise.
     fn current_tau(&self) -> (u64, u64) {
         if self.cfg.adaptive_tau {
-            let tau = self.tau.lock();
-            (tau.tau_d(), tau.tau_dfs())
+            (self.tau.tau_d(), self.tau.tau_dfs())
         } else {
             (self.cfg.tau_d, self.cfg.tau_dfs)
         }
@@ -441,7 +528,7 @@ impl Master {
     /// about twice per heartbeat interval. No-op unless `cfg.adaptive_tau`
     /// is set and a recorder is attached (the feed lives on the recorder).
     #[cfg(feature = "obs")]
-    fn maybe_update_tau(&self) {
+    fn maybe_update_tau(&mut self) {
         if !self.cfg.adaptive_tau {
             return;
         }
@@ -450,27 +537,23 @@ impl Master {
         };
         let interval = (self.cfg.heartbeat_interval.as_nanos() as u64).max(2);
         let now = self.fabric.clock().now_ns();
-        let last = self.last_tau_update.load(Ordering::Relaxed);
-        if now.saturating_sub(last) < interval / 2 {
+        if now.saturating_sub(self.last_tau_update) < interval / 2 {
             return;
         }
-        self.last_tau_update.store(now, Ordering::Relaxed);
-        self.tau.lock().update(&rec.latency_feed().snapshot());
+        self.last_tau_update = now;
+        self.tau.update(&rec.latency_feed().snapshot());
     }
 
     #[cfg(not(feature = "obs"))]
-    fn maybe_update_tau(&self) {}
+    fn maybe_update_tau(&mut self) {}
 
     /// Inserts a plan into `Bplan` per the hybrid BFS/DFS rule. The plan
     /// lands on its parent worker's deque (§VI affinity); roots go to the
     /// shared global deque.
-    fn enqueue_plan(&self, desc: PlanDesc) {
+    fn enqueue_plan(&mut self, desc: PlanDesc) {
         let (_, tau_dfs) = self.current_tau();
         let head = desc.n_rows <= tau_dfs;
-        let affinity = match desc.parent {
-            ParentRef::Root => None,
-            ParentRef::Node { worker, .. } => Some(worker),
-        };
+        let affinity = desc.parent_worker();
         #[cfg(feature = "obs")]
         let (depth, rows) = (desc.depth, desc.n_rows);
         let _qlen = self.plans.push(desc, affinity, head);
@@ -493,202 +576,139 @@ impl Master {
         }
     }
 
-    // ------------------------------------------------------------------
-    // θ_main: admission + assignment.
-    // ------------------------------------------------------------------
-
-    /// The master's main thread.
-    pub fn main_loop(self: Arc<Self>) {
-        // The §VI COMP column as of the current pop (reused; see below).
-        let mut comp: Vec<u64> = Vec::new();
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                let mut workers = self.workers.lock().clone();
-                // Draining workers left the roster but are still alive
-                // (serving their data plane): they need the Shutdown too.
-                workers.extend(self.draining.lock().keys().copied());
-                for w in workers {
-                    let _ = self.fabric.send(0, w, TaskMsg::Shutdown);
-                }
-                // Wake θ_recv so it can exit.
-                let _ = self.fabric.send(0, 0, TaskMsg::Shutdown);
-                return;
+    /// Starts (or, after a revocation, restarts) a tree: a fresh id, one
+    /// placeholder root node, and the root plan — hanging directly off the
+    /// job span — on the global deque.
+    fn start_tree(&mut self, job: u64, index: usize, trace: u64, spec: TreeSpec) {
+        let tree = TreeId(self.registry.next_tree);
+        self.registry.next_tree += 1;
+        let root = PlanDesc {
+            task: self.new_task(),
+            tree,
+            node: 0,
+            parent: ParentRef::Root,
+            n_rows: self.n_rows as u64,
+            depth: 0,
+            path: 1,
+            trace,
+            span: self.new_span(),
+        };
+        self.registry.active.insert(
+            tree,
+            ActiveTree {
+                job,
+                index,
+                trace,
+                spec,
+                nodes: vec![Node::leaf(self.placeholder_pred(), 0, 0)],
+                pending: 1,
+            },
+        );
+        obs_event!(
+            self.fabric.stats(),
+            0,
+            ts_obs::Event::SpanOpen {
+                trace,
+                span: root.span,
+                parent: trace,
+                kind: ts_obs::SpanKind::Plan,
+                subject: root.task.0,
             }
-            self.check_heartbeats();
-            self.maybe_finish_drains();
-            self.admit_trees();
-            self.maybe_update_tau();
-            // Bound the wait so the heartbeat detector and shutdown flag
-            // keep being polled even while the queue is idle; any push,
-            // completion or steal request wakes the condvar immediately.
-            let timeout = (self.cfg.heartbeat_interval / 2)
-                .clamp(Duration::from_millis(1), Duration::from_millis(50));
-            // Steal victims of equal deque length are ranked by §VI COMP
-            // load. The queue gets a copy taken before the pop, so its lock
-            // and `mwork` are never held together.
-            self.mwork.lock().copy_column(COMP, &mut comp);
-            if let Some((d, steal)) = self.plans.next_timeout(timeout, &comp) {
-                self.assign_plan(d, steal);
-            }
-        }
+        );
+        self.enqueue_plan(root);
     }
 
-    /// Lease-based failure detector (run on `θ_main`): a worker whose last
-    /// heartbeat is older than `heartbeat_interval * heartbeat_miss_threshold`
-    /// is declared dead and handed to the normal crash-recovery path. The
-    /// sweep is throttled to about twice per heartbeat interval.
+    // ------------------------------------------------------------------
+    // The lease sweep, and θ_main: admission + assignment.
+    // ------------------------------------------------------------------
+
+    /// Lease-based failure detector: a worker whose last heartbeat is older
+    /// than `heartbeat_interval * heartbeat_miss_threshold` is declared
+    /// dead and handed to the normal crash-recovery path. The sweep is
+    /// throttled to about twice per heartbeat interval.
     ///
     /// A false positive (e.g. a heavily descheduled but healthy worker) is
     /// survivable: recovery revokes and restarts in-flight trees, which
-    /// preserves the trained model; the declared-dead worker's late results
-    /// refer to revoked trees and are silently dropped.
-    fn check_heartbeats(&self) {
+    /// preserves the trained model, and fences the declared-dead worker
+    /// with a `Shutdown`; its late results refer to revoked trees and are
+    /// silently dropped.
+    fn check_heartbeats(&mut self) {
         let interval = (self.cfg.heartbeat_interval.as_nanos() as u64).max(1);
         let now = self.fabric.clock().now_ns();
-        let last = self.last_hb_sweep.load(Ordering::Relaxed);
-        if now.saturating_sub(last) < interval / 2 {
+        if now.saturating_sub(self.last_hb_sweep) < interval / 2 {
             return;
         }
-        self.last_hb_sweep.store(now, Ordering::Relaxed);
-        if self.degraded.lock().is_some() {
+        self.last_hb_sweep = now;
+        if self.degraded.is_some() {
             return;
         }
         let threshold = u64::from(self.cfg.heartbeat_miss_threshold);
         let mut suspects: Vec<NodeId> = Vec::new();
-        {
-            let live = self.workers.lock().clone();
-            let mut hb = self.last_hb.lock();
-            for &w in &live {
-                let lease = hb.entry(w).or_insert(HbLease {
-                    last_ns: now,
-                    reported: 0,
-                });
-                let missed = now.saturating_sub(lease.last_ns) / interval;
-                if missed > lease.reported {
-                    lease.reported = missed;
-                    obs_event!(
-                        self.fabric.stats(),
-                        0,
-                        ts_obs::Event::HeartbeatMissed {
-                            worker: w as u32,
-                            missed,
-                        }
-                    );
-                }
-                if missed >= threshold {
-                    suspects.push(w);
-                }
+        for &w in &self.workers {
+            let lease = self.last_hb.entry(w).or_insert_with(|| HbLease::fresh(now));
+            let missed = now.saturating_sub(lease.last_ns) / interval;
+            if missed > lease.reported {
+                lease.reported = missed;
+                obs_event!(
+                    self.fabric.stats(),
+                    0,
+                    ts_obs::Event::HeartbeatMissed {
+                        worker: w as u32,
+                        missed,
+                    }
+                );
+            }
+            if missed >= threshold {
+                suspects.push(w);
             }
         }
         for w in suspects {
-            obs_event!(
-                self.fabric.stats(),
-                0,
-                ts_obs::Event::WorkerSuspected { worker: w as u32 }
-            );
-            self.recover_or_degrade(w);
+            self.suspect(w);
         }
-        // Elastic drains piggyback on the same sweep: escalate leavers that
-        // blew their grace window.
-        self.escalate_expired_drains(now);
-    }
-
-    /// A drain that outlives its grace window stops being graceful: the
-    /// leaver is re-listed and handed to ordinary crash recovery, exactly
-    /// as if it had gone silent (spot preemption fired before the handoff
-    /// finished).
-    fn escalate_expired_drains(&self, now: u64) {
-        let expired: Vec<NodeId> = {
-            let draining = self.draining.lock();
-            draining
-                .iter()
-                .filter(|&(_, st)| now >= st.deadline_ns)
-                .map(|(&w, _)| w)
-                .collect()
-        };
+        // Elastic drains piggyback on the same sweep: a drain that
+        // outlived its grace window stops being graceful. Its outbound
+        // handoffs die with it (survivor-sourced re-replications stay
+        // useful and complete normally), and the leaver is re-listed so
+        // the crash path accepts it — exactly as if it had gone silent
+        // (spot preemption fired before the handoff finished).
+        let expired: Vec<NodeId> = (self.draining.iter())
+            .filter(|&(_, st)| now >= st.deadline_ns)
+            .map(|(&w, _)| w)
+            .collect();
         for w in expired {
-            self.draining.lock().remove(&w);
-            // Its outbound handoffs die with it; survivor-sourced
-            // re-replications stay useful and complete normally.
-            self.migrations.lock().retain(|_, &mut from| from != w);
-            // Re-list the worker so the crash path's dedupe accepts it.
-            {
-                let mut workers = self.workers.lock();
-                if !workers.contains(&w) {
-                    workers.push(w);
-                    workers.sort_unstable();
-                }
-            }
-            obs_event!(
-                self.fabric.stats(),
-                0,
-                ts_obs::Event::WorkerSuspected { worker: w as u32 }
-            );
-            self.recover_or_degrade(w);
+            self.draining.remove(&w);
+            self.migrations.retain(|_, &mut from| from != w);
+            self.workers.push(w);
+            self.workers.sort_unstable();
+            self.suspect(w);
         }
     }
 
-    /// Refreshes a worker's liveness lease (`θ_recv`, on every heartbeat).
-    /// Heartbeats from already-declared-dead workers carry no lease and are
-    /// ignored.
-    fn on_heartbeat(&self, worker: NodeId) {
-        let now = self.fabric.clock().now_ns();
-        if let Some(lease) = self.last_hb.lock().get_mut(&worker) {
-            lease.last_ns = now;
-            lease.reported = 0;
+    /// Declares `w` dead and runs crash recovery for it.
+    fn suspect(&mut self, w: NodeId) {
+        obs_event!(
+            self.fabric.stats(),
+            0,
+            ts_obs::Event::WorkerSuspected { worker: w as u32 }
+        );
+        self.recover_or_degrade(w);
+    }
+
+    /// Refreshes a worker's liveness lease. Heartbeats from
+    /// already-declared-dead workers carry no lease and are ignored.
+    fn on_heartbeat(&mut self, worker: NodeId) {
+        if let Some(lease) = self.last_hb.get_mut(&worker) {
+            *lease = HbLease::fresh(self.fabric.clock().now_ns());
         }
     }
 
     /// Admits queued trees while the active pool has room (`n_pool`).
-    fn admit_trees(&self) {
-        loop {
-            let root = {
-                let mut reg = self.registry.lock();
-                if reg.active.len() >= self.cfg.n_pool {
-                    return;
-                }
-                let Some(q) = reg.queue.pop_front() else {
-                    return;
-                };
-                let tree = TreeId(reg.next_tree);
-                reg.next_tree += 1;
-                let trace = q.trace;
-                reg.active.insert(
-                    tree,
-                    ActiveTree {
-                        job: q.job,
-                        index: q.index,
-                        trace,
-                        spec: q.spec,
-                        nodes: vec![Node::leaf(self.placeholder_pred(), 0, 0)],
-                        pending: 1,
-                    },
-                );
-                PlanDesc {
-                    task: self.new_task(),
-                    tree,
-                    node: 0,
-                    parent: ParentRef::Root,
-                    n_rows: self.n_rows as u64,
-                    depth: 0,
-                    path: 1,
-                    trace,
-                    span: self.new_span(),
-                }
+    fn admit_trees(&mut self) {
+        while self.registry.active.len() < self.cfg.n_pool {
+            let Some(q) = self.registry.queue.pop_front() else {
+                return;
             };
-            // Root plans hang directly off the job span.
-            obs_event!(
-                self.fabric.stats(),
-                0,
-                ts_obs::Event::SpanOpen {
-                    trace: root.trace,
-                    span: root.span,
-                    parent: root.trace,
-                    kind: ts_obs::SpanKind::Plan,
-                    subject: root.task.0,
-                }
-            );
-            self.enqueue_plan(root);
+            self.start_tree(q.job, q.index, q.trace, q.spec);
         }
     }
 
@@ -696,21 +716,15 @@ impl Master {
     /// stolen (`steal`), the thief is told first via a `Donate` frame so
     /// its pending steal request is acknowledged before (or with) the
     /// plan traffic it produced.
-    fn assign_plan(&self, desc: PlanDesc, steal: Option<StealInfo>) {
+    fn assign_plan(&mut self, desc: PlanDesc, steal: Option<StealInfo>) {
         // Fetch the tree's spec; a missing tree was revoked by recovery.
-        let (candidates, params, tree_seed) = {
-            let reg = self.registry.lock();
-            match reg.active.get(&desc.tree) {
-                Some(t) => (t.spec.candidates.clone(), t.spec.params, t.spec.seed),
-                None => return,
-            }
+        let Some(t) = self.registry.active.get(&desc.tree) else {
+            return;
         };
-        let workers = self.workers.lock().clone();
+        let (candidates, params, tree_seed) =
+            (t.spec.candidates.clone(), t.spec.params, t.spec.seed);
         let (tau_d, _) = self.current_tau();
-        let parent_worker = match desc.parent {
-            ParentRef::Root => None,
-            ParentRef::Node { worker, .. } => Some(worker),
-        };
+        let parent_worker = desc.parent_worker();
         // The plan span leaves the queue: open→active is queue wait,
         // active→close is assignment + dispatch sends.
         obs_event!(
@@ -722,7 +736,7 @@ impl Master {
             }
         );
         // The task span: carried by every plan/result frame of this task,
-        // closed by θ_recv when the folded result is final.
+        // closed when the folded result is final.
         let task_span = self.new_span();
         let ctx = TraceCtx::new(desc.trace, SpanId(task_span));
         obs_event!(
@@ -761,8 +775,7 @@ impl Master {
                 victim: info.victim,
                 ctx,
             };
-            self.steal_ack_bytes
-                .fetch_add(ack.wire_bytes() as u64, Ordering::Relaxed);
+            self.steal_ack_bytes += ack.wire_bytes() as u64;
             let _ = self.fabric.send(0, info.thief, ack);
         }
 
@@ -772,18 +785,14 @@ impl Master {
         // frames. Recording and shipping them is the same for every arm.
         let (kind, charges, mut touches, quota, plans) = if desc.n_rows <= tau_d {
             // Subtree-task.
-            let asg = {
-                let mut mwork = self.mwork.lock();
-                let colmap = self.colmap.lock();
-                assign_subtree(
-                    &mut mwork,
-                    &colmap,
-                    &workers,
-                    &candidates,
-                    desc.n_rows,
-                    parent_worker,
-                )
-            };
+            let asg = assign_subtree(
+                &mut self.mwork,
+                &self.colmap,
+                &self.workers,
+                &candidates,
+                desc.n_rows,
+                parent_worker,
+            );
             let mut touches: Vec<NodeId> = vec![asg.key_worker];
             touches.extend(asg.col_sources.iter().map(|&(_, w)| w));
             let plan = TaskMsg::SubtreePlan(SubtreePlan {
@@ -814,30 +823,23 @@ impl Master {
                 let mut rng = StdRng::seed_from_u64(mix_seed(tree_seed, desc.path));
                 // Only workers that actually hold columns can resample; with
                 // more workers than attribute replicas, some hold none.
-                let shard = {
-                    let colmap = self.colmap.lock();
-                    let eligible: Vec<NodeId> = workers
-                        .iter()
-                        .copied()
-                        .filter(|&w| !colmap.columns_of(w).is_empty())
-                        .collect();
-                    assert!(!eligible.is_empty(), "no worker holds any column");
-                    let w = eligible[rng.gen_range(0..eligible.len())];
-                    (w, colmap.columns_of(w))
-                };
-                let charges = vec![(shard.0, [desc.n_rows, 0, 0])];
-                self.mwork.lock().apply(&charges);
+                let eligible: Vec<NodeId> = (self.workers.iter().copied())
+                    .filter(|&w| !self.colmap.columns_of(w).is_empty())
+                    .collect();
+                assert!(!eligible.is_empty(), "no worker holds any column");
+                let w = eligible[rng.gen_range(0..eligible.len())];
+                let charges = vec![(w, [desc.n_rows, 0, 0])];
+                self.mwork.apply(&charges);
+                let shard = (w, self.colmap.columns_of(w));
                 (vec![shard], charges, Some(rng.gen()), None)
             } else {
                 // Sharded over column holders. The shard layout is identical
                 // for both splitters; only the scoring mode and the result
                 // protocol differ (exact full results vs histogram
                 // nominations, `docs/HISTOGRAM.md`).
-                let mut mwork = self.mwork.lock();
-                let colmap = self.colmap.lock();
                 let asg = assign_column_task(
-                    &mut mwork,
-                    &colmap,
+                    &mut self.mwork,
+                    &self.colmap,
                     &candidates,
                     desc.n_rows,
                     parent_worker,
@@ -906,7 +908,7 @@ impl Master {
         touches.extend(parent_worker);
         touches.sort_unstable();
         touches.dedup();
-        self.ttask.lock().insert(
+        self.ttask.insert(
             desc.task,
             MasterTask {
                 tree: desc.tree,
@@ -968,7 +970,7 @@ impl Master {
             }
         }
         // Dispatch done: the plan span ends here; the task span stays open
-        // until θ_recv folds the final result.
+        // until the final result is folded.
         obs_event!(
             self.fabric.stats(),
             0,
@@ -984,22 +986,13 @@ impl Master {
     /// scheduler: the worker simply goes dark, and the heartbeat detector
     /// (`check_heartbeats`) must *discover* it and run recovery.
     /// `Cluster::kill_worker` remains the externally-announced variant.
-    fn note_delegation(&self, key_worker: NodeId) {
-        let nth = self.delegations.fetch_add(1, Ordering::Relaxed) + 1;
-        let Some(at) = self
-            .cfg
-            .faults
-            .as_ref()
-            .and_then(|p| p.crash_at_delegation())
-        else {
-            return;
-        };
-        if nth != at {
-            return;
-        }
+    fn note_delegation(&mut self, key_worker: NodeId) {
+        self.delegations += 1;
+        let nth = self.delegations;
+        let at = (self.cfg.faults.as_ref()).and_then(|p| p.crash_at_delegation());
         // Re-replication needs a surviving replica; with one worker left the
         // injection is skipped rather than aborting training.
-        if self.workers.lock().len() <= 1 {
+        if at != Some(nth) || self.workers.len() <= 1 {
             return;
         }
         obs_event!(
@@ -1017,46 +1010,52 @@ impl Master {
     // θ_recv: results.
     // ------------------------------------------------------------------
 
-    /// The master's receiving thread.
-    pub fn recv_loop(self: Arc<Self>, rx: FabricReceiver<TaskMsg>) {
-        while let Ok(msg) = rx.recv() {
-            let _folding = self.folding.lock();
-            #[cfg(feature = "obs")]
-            self.count_split_plane_bytes(&msg);
-            match msg {
-                TaskMsg::Heartbeat { worker } => self.on_heartbeat(worker),
-                TaskMsg::ColumnResult {
-                    task,
-                    worker,
-                    best,
-                    node_stats,
-                    ..
-                } => self.on_column_result(task, worker, best, node_stats),
-                TaskMsg::HistNominate {
-                    task,
-                    worker,
-                    cands,
-                    node_stats,
-                    ..
-                } => self.on_hist_nominate(task, worker, cands, node_stats),
-                TaskMsg::HistBest {
-                    task, worker, best, ..
-                } => self.on_hist_best(task, worker, best),
-                TaskMsg::SubtreeResult {
-                    task,
-                    worker,
-                    subtree,
-                    ..
-                } => self.on_subtree_result(task, worker, subtree),
-                TaskMsg::ReplicateDone { attrs, worker, .. } => {
-                    self.on_replicate_done(attrs, worker)
+    /// Folds one worker message into the master's state.
+    fn handle(&mut self, msg: TaskMsg) {
+        #[cfg(feature = "obs")]
+        self.count_split_plane_bytes(&msg);
+        match msg {
+            TaskMsg::Heartbeat { worker } => self.on_heartbeat(worker),
+            TaskMsg::ColumnResult {
+                task,
+                worker,
+                best,
+                node_stats,
+                ..
+            } => self.on_column_result(task, worker, best, node_stats),
+            TaskMsg::HistNominate {
+                task,
+                worker,
+                cands,
+                node_stats,
+                ..
+            } => self.on_hist_nominate(task, worker, cands, node_stats),
+            TaskMsg::HistBest {
+                task, worker, best, ..
+            } => self.on_hist_best(task, worker, best),
+            TaskMsg::SubtreeResult {
+                task,
+                worker,
+                subtree,
+                ..
+            } => self.on_subtree_result(task, worker, subtree),
+            TaskMsg::ReplicateDone { attrs, worker, .. } => self.on_replicate_done(attrs, worker),
+            // A worker's compute pool ran dry: queue it for the stealing
+            // pop. Requests are accelerators, not obligations — losing one
+            // costs latency, never progress (the next completion
+            // re-triggers). The `StealRequested` event is recorded at the
+            // origin (the worker), so the counter sees each request once.
+            TaskMsg::StealRequest { worker } => self.plans.mark_hungry(worker),
+            TaskMsg::Hello { worker } => self.on_hello(worker),
+            // The draining worker reports its task queue idle. Departure
+            // still waits on column handoffs and on in-flight tasks that
+            // reference the leaver on the data plane (`retire_ready_drains`).
+            TaskMsg::Goodbye { worker } => {
+                if let Some(st) = self.draining.get_mut(&worker) {
+                    st.goodbye = true;
                 }
-                TaskMsg::Shutdown => return,
-                TaskMsg::StealRequest { worker } => self.on_steal_request(worker),
-                TaskMsg::Hello { worker } => self.on_hello(worker),
-                TaskMsg::Goodbye { worker } => self.on_goodbye(worker),
-                _ => unreachable!("worker-bound message delivered to the master"),
             }
+            _ => unreachable!("worker-bound message delivered to the master"),
         }
     }
 
@@ -1084,18 +1083,25 @@ impl Master {
         }
     }
 
-    /// A worker's compute pool ran dry: queue it for the stealing pop and
-    /// wake `θ_main`. Requests are accelerators, not obligations — losing
-    /// one costs latency, never progress (the next completion re-triggers).
-    /// The `StealRequested` event is recorded at the origin (the worker),
-    /// not here, so the counter sees each request exactly once.
-    fn on_steal_request(&self, worker: NodeId) {
-        self.plans.mark_hungry(worker);
-    }
-
     // ------------------------------------------------------------------
     // Elastic membership (`ts-elastic`, see `docs/ELASTICITY.md`).
     // ------------------------------------------------------------------
+
+    /// Sends one `ReplicateTo` per `(source, destination)` pair, in pair
+    /// order. Each handoff gets its own migration span, which rides every
+    /// frame of it (ReplicateTo → ReplicateCols → ReplicateDone), so
+    /// retries and duplicate drops attribute to it.
+    fn send_migrations(&mut self, by_pair: HashMap<(NodeId, NodeId), Vec<usize>>) {
+        let mut pairs: Vec<((NodeId, NodeId), Vec<usize>)> = by_pair.into_iter().collect();
+        pairs.sort_unstable_by_key(|&(k, _)| k);
+        for ((src, to), attrs) in pairs {
+            let span = self.new_span();
+            let ctx = TraceCtx::new(span, SpanId(span));
+            let _ = self
+                .fabric
+                .send(0, src, TaskMsg::ReplicateTo { attrs, to, ctx });
+        }
+    }
 
     /// A pre-provisioned spare slot handshakes in: add it to the roster,
     /// arm its heartbeat lease, register its affinity deque, ack with
@@ -1104,28 +1110,20 @@ impl Master {
     /// so column tasks never target data still in flight — but subtree
     /// tasks can pick it as key worker immediately (they fetch columns
     /// remotely anyway).
-    fn on_hello(&self, worker: NodeId) {
-        if self.degraded.lock().is_some() || self.draining.lock().contains_key(&worker) {
+    fn on_hello(&mut self, worker: NodeId) {
+        // A degraded cluster admits nobody; a draining node is on its way
+        // out; a roster member's Hello is a duplicate.
+        if self.degraded.is_some()
+            || self.draining.contains_key(&worker)
+            || self.workers.contains(&worker)
+        {
             return;
         }
-        {
-            let mut workers = self.workers.lock();
-            if workers.contains(&worker) {
-                return; // duplicate Hello
-            }
-            workers.push(worker);
-            workers.sort_unstable();
-        }
+        self.workers.push(worker);
+        self.workers.sort_unstable();
         let now = self.fabric.clock().now_ns();
-        self.last_hb.lock().insert(
-            worker,
-            HbLease {
-                last_ns: now,
-                reported: 0,
-            },
-        );
-        let live = self.workers.lock().clone();
-        self.plans.set_workers(&live);
+        self.last_hb.insert(worker, HbLease::fresh(now));
+        self.plans.set_workers(&self.workers);
         obs_event!(
             self.fabric.stats(),
             0,
@@ -1135,33 +1133,13 @@ impl Master {
         );
         let _ = self.fabric.send(0, worker, TaskMsg::Welcome { worker });
 
-        // Plan the join top-up and route one ReplicateTo per source. The
-        // migration span rides every frame of the handoff (ReplicateTo →
-        // ReplicateCols → ReplicateDone), so retries and duplicate drops
-        // attribute to it.
-        let plan = self.colmap.lock().add_worker(worker, self.cfg.replication);
-        let mut by_source: HashMap<NodeId, Vec<usize>> = HashMap::new();
-        {
-            let mut migs = self.migrations.lock();
-            for &(attr, src) in &plan {
-                migs.insert((attr, worker), src);
-                by_source.entry(src).or_default().push(attr);
-            }
+        // Plan the join top-up and route one ReplicateTo per source.
+        let mut by_pair: HashMap<(NodeId, NodeId), Vec<usize>> = HashMap::new();
+        for (attr, src) in self.colmap.add_worker(worker, self.cfg.replication) {
+            self.migrations.insert((attr, worker), src);
+            by_pair.entry((src, worker)).or_default().push(attr);
         }
-        let mut by_source: Vec<(NodeId, Vec<usize>)> = by_source.into_iter().collect();
-        by_source.sort_unstable_by_key(|&(s, _)| s);
-        for (src, attrs) in by_source {
-            let span = self.new_span();
-            let _ = self.fabric.send(
-                0,
-                src,
-                TaskMsg::ReplicateTo {
-                    attrs,
-                    to: worker,
-                    ctx: TraceCtx::new(span, SpanId(span)),
-                },
-            );
-        }
+        self.send_migrations(by_pair);
     }
 
     /// Starts a graceful drain of `worker` ahead of an announced preemption
@@ -1169,15 +1147,13 @@ impl Master {
     /// immediately (so the lease sweep and the assigner both skip it), its
     /// queued plans are reclaimed onto the global deque, its columns are
     /// handed off, and a `Drain` frame tells it to finish up and `Goodbye`.
-    pub fn begin_drain(&self, worker: NodeId, grace: Duration) {
-        if self.degraded.lock().is_some()
-            || self.draining.lock().contains_key(&worker)
-            || !self.workers.lock().contains(&worker)
-        {
-            return;
-        }
+    pub fn begin_drain(&mut self, worker: NodeId, grace: Duration) {
         // Never drain the last worker: there is nowhere to hand off to.
-        if self.workers.lock().len() <= 1 {
+        if self.degraded.is_some()
+            || self.draining.contains_key(&worker)
+            || !self.workers.contains(&worker)
+            || self.workers.len() <= 1
+        {
             return;
         }
         obs_event!(
@@ -1187,12 +1163,11 @@ impl Master {
                 node: worker as u32
             }
         );
-        self.workers.lock().retain(|&w| w != worker);
-        let live = self.workers.lock().clone();
+        self.workers.retain(|&w| w != worker);
         // The leaver's queued plans re-enter on the global deque (their
         // affinity points at a machine that is leaving), and any steal
         // request it already posted is forgotten.
-        self.plans.retire_worker(worker, &live);
+        self.plans.retire_worker(worker, &self.workers);
 
         // Column handoff. Two cases per held column:
         //  - another holder exists → the leaver stops being a holder now;
@@ -1202,74 +1177,39 @@ impl Master {
         //  - the leaver is the sole holder → it keeps serving the column
         //    and copies it to a live non-holder itself; the handoff
         //    completing is what retires it as holder (`migrating` set).
-        let mut sends: Vec<(NodeId, Vec<usize>, NodeId)> = Vec::new(); // (src, attrs, to)
         let mut migrating: BTreeSet<usize> = BTreeSet::new();
-        {
-            let mut colmap = self.colmap.lock();
-            let mut migs = self.migrations.lock();
-            let mut load: HashMap<NodeId, usize> = live
-                .iter()
-                .map(|&w| (w, colmap.columns_of(w).len()))
-                .collect();
-            let mut by_pair: HashMap<(NodeId, NodeId), Vec<usize>> = HashMap::new();
-            for attr in colmap.columns_of(worker) {
-                if colmap.drop_holder(attr, worker) {
-                    // Survivors still hold it; top the replication back up
-                    // if the departure cut below k and a target exists.
-                    if colmap.holders(attr).len() < self.cfg.replication {
-                        let src = colmap.holders(attr)[0];
-                        if let Some(&target) = live
-                            .iter()
-                            .filter(|&&w| !colmap.holders(attr).contains(&w))
-                            .min_by_key(|&&w| (load[&w], w))
-                        {
-                            *load.get_mut(&target).expect("live") += 1;
-                            migs.insert((attr, target), src);
-                            by_pair.entry((src, target)).or_default().push(attr);
-                        }
-                    }
-                } else {
-                    // Sole holder: the leaver hands the column off itself.
-                    let Some(&target) = live
-                        .iter()
-                        .filter(|&&w| !colmap.holders(attr).contains(&w))
-                        .min_by_key(|&&w| (load[&w], w))
-                    else {
-                        continue; // no live target; escalation will decide
-                    };
-                    *load.get_mut(&target).expect("live") += 1;
-                    migs.insert((attr, target), worker);
-                    migrating.insert(attr);
-                    by_pair.entry((worker, target)).or_default().push(attr);
-                }
+        let mut by_pair: HashMap<(NodeId, NodeId), Vec<usize>> = HashMap::new();
+        let mut load: HashMap<NodeId, usize> = (self.workers.iter())
+            .map(|&w| (w, self.colmap.columns_of(w).len()))
+            .collect();
+        for attr in self.colmap.columns_of(worker) {
+            let handed_over = self.colmap.drop_holder(attr, worker);
+            let holders = self.colmap.holders(attr);
+            // Survivors hold it: top the replication back up only if the
+            // departure cut below k.
+            if handed_over && holders.len() >= self.cfg.replication {
+                continue;
             }
-            let mut pairs: Vec<((NodeId, NodeId), Vec<usize>)> = by_pair.into_iter().collect();
-            pairs.sort_unstable_by_key(|&(k, _)| k);
-            for ((src, to), attrs) in pairs {
-                sends.push((src, attrs, to));
+            let Some(&target) = (self.workers.iter())
+                .filter(|&w| !holders.contains(w))
+                .min_by_key(|&&w| (load[&w], w))
+            else {
+                continue; // no live target; escalation will decide
+            };
+            let src = if handed_over { holders[0] } else { worker };
+            if !handed_over {
+                migrating.insert(attr);
             }
+            *load.get_mut(&target).expect("live") += 1;
+            self.migrations.insert((attr, target), src);
+            by_pair.entry((src, target)).or_default().push(attr);
         }
-        for (src, attrs, to) in sends {
-            let span = self.new_span();
-            let _ = self.fabric.send(
-                0,
-                src,
-                TaskMsg::ReplicateTo {
-                    attrs,
-                    to,
-                    ctx: TraceCtx::new(span, SpanId(span)),
-                },
-            );
-        }
-        let deadline_ns = self
-            .fabric
-            .clock()
-            .now_ns()
-            .saturating_add(grace.as_nanos() as u64);
-        self.draining.lock().insert(
+        self.send_migrations(by_pair);
+        let now = self.fabric.clock().now_ns();
+        self.draining.insert(
             worker,
             DrainState {
-                deadline_ns,
+                deadline_ns: now.saturating_add(grace.as_nanos() as u64),
                 migrating,
                 goodbye: false,
             },
@@ -1277,50 +1217,33 @@ impl Master {
         let _ = self.fabric.send(0, worker, TaskMsg::Drain);
     }
 
-    /// The draining worker reports its task queue idle. Departure still
-    /// waits on column handoffs and on in-flight tasks that reference the
-    /// leaver on the data plane.
-    fn on_goodbye(&self, worker: NodeId) {
-        if let Some(st) = self.draining.lock().get_mut(&worker) {
-            st.goodbye = true;
-        }
-        // Departure is decided on θ_main; wake it.
-        self.plans.notify();
-    }
-
     /// Replicated columns landed at `worker`. Join/drain migrations are
     /// recognised by the `(attr, destination)` key recorded when the
     /// `ReplicateTo` went out; anything else is crash re-replication and
     /// keeps the `WorkerRecovered` semantics.
-    fn on_replicate_done(&self, attrs: Vec<usize>, worker: NodeId) {
+    fn on_replicate_done(&mut self, attrs: Vec<usize>, worker: NodeId) {
         let mut any_recovery = false;
-        {
-            let mut colmap = self.colmap.lock();
-            let mut migs = self.migrations.lock();
-            let mut draining = self.draining.lock();
-            for &a in &attrs {
-                colmap.add_holder(a, worker);
-                match migs.remove(&(a, worker)) {
-                    Some(from) => {
-                        obs_event!(
-                            self.fabric.stats(),
-                            0,
-                            ts_obs::Event::ColumnMigrated {
-                                attr: a as u32,
-                                from: from as u32,
-                                to: worker as u32,
-                            }
-                        );
-                        if let Some(st) = draining.get_mut(&from) {
-                            // Pre-departure handoff: the leaver stops being
-                            // this column's holder the moment the copy is
-                            // servable elsewhere.
-                            colmap.drop_holder(a, from);
-                            st.migrating.remove(&a);
-                        }
-                    }
-                    None => any_recovery = true,
+        for a in attrs {
+            self.colmap.add_holder(a, worker);
+            let Some(from) = self.migrations.remove(&(a, worker)) else {
+                any_recovery = true;
+                continue;
+            };
+            obs_event!(
+                self.fabric.stats(),
+                0,
+                ts_obs::Event::ColumnMigrated {
+                    attr: a as u32,
+                    from: from as u32,
+                    to: worker as u32,
                 }
+            );
+            if let Some(st) = self.draining.get_mut(&from) {
+                // Pre-departure handoff: the leaver stops being this
+                // column's holder the moment the copy is servable
+                // elsewhere.
+                self.colmap.drop_holder(a, from);
+                st.migrating.remove(&a);
             }
         }
         if any_recovery {
@@ -1332,7 +1255,6 @@ impl Master {
                 }
             );
         }
-        self.plans.notify();
     }
 
     /// Finalises every drain whose conditions are all met: `Goodbye`
@@ -1342,35 +1264,20 @@ impl Master {
     /// leaver exits through the ordinary shutdown cascade — zero crash
     /// recovery, zero tree revocation.
     ///
-    /// Runs on `θ_main` only, every loop turn, and between two messages of
-    /// `θ_recv`: a plan is then in the queue or in the task table, never in
-    /// either thread's hands.
-    fn maybe_finish_drains(&self) {
-        if self.draining.lock().is_empty() {
-            return;
-        }
-        let _folding = self.folding.lock();
-        let ready: Vec<NodeId> = {
-            let draining = self.draining.lock();
-            let ttask = self.ttask.lock();
-            draining
-                .iter()
-                .filter(|&(_, st)| st.goodbye && st.migrating.is_empty())
-                .filter(|&(w, _)| !ttask.values().any(|t| t.touches.contains(w)))
-                .map(|(&w, _)| w)
-                .collect()
-        };
+    /// Runs at the head of every `pump`, i.e. between two steps: a handler
+    /// that takes a task out of the table has queued its child plans by
+    /// then, so a plan is always in the queue or in the table when the
+    /// gate reads them.
+    fn retire_ready_drains(&mut self) {
+        let ready: Vec<NodeId> = (self.draining.iter())
+            .filter(|&(_, st)| st.goodbye && st.migrating.is_empty())
+            .map(|(&w, _)| w)
+            .filter(|w| !self.ttask.values().any(|t| t.touches.contains(w)))
+            .filter(|&w| !self.plans.any_match(|d| d.parent_worker() == Some(w)))
+            .collect();
         for w in ready {
-            let parented = self.plans.any_match(
-                |d: &PlanDesc| matches!(d.parent, ParentRef::Node { worker, .. } if worker == w),
-            );
-            if parented {
-                continue;
-            }
-            if self.draining.lock().remove(&w).is_none() {
-                continue;
-            }
-            self.last_hb.lock().remove(&w);
+            self.draining.remove(&w);
+            self.last_hb.remove(&w);
             obs_event!(
                 self.fabric.stats(),
                 0,
@@ -1383,76 +1290,60 @@ impl Master {
         }
     }
 
-    /// Whether a worker is currently mid-drain (test and cluster helper).
-    pub fn is_draining(&self, worker: NodeId) -> bool {
-        self.draining.lock().contains_key(&worker)
-    }
-
     fn on_column_result(
-        &self,
+        &mut self,
         task: TaskId,
         worker: NodeId,
         best: Option<ColumnTaskBest>,
         node_stats: NodeStats,
     ) {
-        let finished = {
-            let mut ttask = self.ttask.lock();
-            let Some(entry) = ttask.get_mut(&task) else {
-                return; // revoked
-            };
-            obs_event!(
-                self.fabric.stats(),
-                0,
-                ts_obs::Event::ColumnTaskCompleted {
-                    task: task.0,
-                    node: worker as u32,
-                    latency_ns: self
-                        .fabric
-                        .clock()
-                        .now_ns()
-                        .saturating_sub(entry.started_ns),
-                }
-            );
-            let TaskKind::Column {
-                pending,
-                best: stored,
-                node_stats: stats_slot,
-                ..
-            } = &mut entry.kind
-            else {
-                unreachable!("column result for a subtree task");
-            };
-            *pending -= 1;
-            if let Some(b) = best {
-                let replace = match stored {
-                    None => true,
-                    Some((_, incumbent)) => ColumnSplit::challenger_wins(
-                        &b.split,
-                        b.attr,
-                        &incumbent.split,
-                        incumbent.attr,
-                    ),
-                };
-                if replace {
-                    *stored = Some((worker, b));
-                }
-            }
-            if stats_slot.is_none() {
-                *stats_slot = Some(node_stats);
-            }
-            if *pending == 0 {
-                ttask.remove(&task)
-            } else {
-                None
-            }
+        let Some(entry) = self.ttask.get_mut(&task) else {
+            return; // revoked
         };
+        obs_event!(
+            self.fabric.stats(),
+            0,
+            ts_obs::Event::ColumnTaskCompleted {
+                task: task.0,
+                node: worker as u32,
+                latency_ns: self
+                    .fabric
+                    .clock()
+                    .now_ns()
+                    .saturating_sub(entry.started_ns),
+            }
+        );
+        let TaskKind::Column {
+            pending,
+            best: stored,
+            node_stats: stats_slot,
+            ..
+        } = &mut entry.kind
+        else {
+            unreachable!("column result for a subtree task");
+        };
+        *pending -= 1;
+        if let Some(b) = best {
+            let replace = match stored {
+                None => true,
+                Some((_, incumbent)) => {
+                    ColumnSplit::challenger_wins(&b.split, b.attr, &incumbent.split, incumbent.attr)
+                }
+            };
+            if replace {
+                *stored = Some((worker, b));
+            }
+        }
+        if stats_slot.is_none() {
+            *stats_slot = Some(node_stats);
+        }
+        let finished = *pending == 0;
         // One shard of this worker's outstanding work came back (stale
         // results of revoked tasks returned above and never reach this —
         // the queue's accounting was reset when the tasks were revoked).
         self.plans.note_completed(worker);
-        if let Some(entry) = finished {
-            self.mwork.lock().deduct(&entry.charges);
-            self.finalize_column_task(task, entry);
+        if finished {
+            self.finalize_column_task(task);
         }
     }
 
@@ -1463,142 +1354,114 @@ impl Master {
     /// `(gain desc, attr asc, worker asc)` and fetches the single full
     /// split it needs from the nominating worker.
     fn on_hist_nominate(
-        &self,
+        &mut self,
         task: TaskId,
         worker: NodeId,
         noms: Vec<(usize, f64)>,
         stats: Option<NodeStats>,
     ) {
-        enum Outcome {
-            Wait,
-            Leaf(Box<MasterTask>),
-            Fetch(NodeId, usize, TraceCtx),
-        }
-        let outcome = {
-            let mut ttask = self.ttask.lock();
-            let Some(entry) = ttask.get_mut(&task) else {
-                return; // revoked
-            };
-            obs_event!(
-                self.fabric.stats(),
-                0,
-                ts_obs::Event::ColumnTaskCompleted {
-                    task: task.0,
-                    node: worker as u32,
-                    latency_ns: self
-                        .fabric
-                        .clock()
-                        .now_ns()
-                        .saturating_sub(entry.started_ns),
-                }
-            );
-            let TaskKind::Hist {
-                pending,
-                cands,
-                node_stats,
-                fetched,
-                ..
-            } = &mut entry.kind
-            else {
-                unreachable!("hist nomination for a non-hist task");
-            };
-            *pending -= 1;
-            cands.extend(noms.into_iter().map(|(attr, gain)| (gain, attr, worker)));
-            if node_stats.is_none() {
-                *node_stats = stats;
-            }
-            if *pending > 0 {
-                Outcome::Wait
-            } else {
-                // All shards voted. Leaf conditions short-circuit the fetch
-                // round-trip entirely; so does an empty candidate set.
-                let params = {
-                    let reg = self.registry.lock();
-                    reg.active.get(&entry.tree).map(|t| t.spec.params)
-                };
-                let must_leaf = match (&params, &node_stats) {
-                    (Some(p), Some(ns)) => {
-                        entry.depth >= p.dmax || entry.n_rows <= p.tau_leaf || ns.is_pure()
-                    }
-                    _ => true, // revoked tree: finalize handles the drops
-                };
-                let elected = if must_leaf {
-                    None
-                } else {
-                    // Election: total order over (gain desc, attr asc,
-                    // worker asc) — deterministic whatever the nomination
-                    // arrival order, which is what keeps same-seed replays
-                    // byte-identical under stealing and elastic membership.
-                    cands
-                        .iter()
-                        .copied()
-                        .max_by(|&(ga, aa, wa), &(gb, ab, wb)| {
-                            ga.total_cmp(&gb).then(ab.cmp(&aa)).then(wb.cmp(&wa))
-                        })
-                        .map(|(_, attr, w)| (w, attr))
-                };
-                match elected {
-                    None => Outcome::Leaf(Box::new(ttask.remove(&task).expect("present"))),
-                    Some((w, attr)) => {
-                        *fetched = Some(w);
-                        Outcome::Fetch(w, attr, TraceCtx::new(entry.trace, SpanId(entry.span)))
-                    }
-                }
-            }
+        let Some(entry) = self.ttask.get_mut(&task) else {
+            return; // revoked
         };
+        obs_event!(
+            self.fabric.stats(),
+            0,
+            ts_obs::Event::ColumnTaskCompleted {
+                task: task.0,
+                node: worker as u32,
+                latency_ns: self
+                    .fabric
+                    .clock()
+                    .now_ns()
+                    .saturating_sub(entry.started_ns),
+            }
+        );
+        let TaskKind::Hist {
+            pending,
+            cands,
+            node_stats,
+            fetched,
+            ..
+        } = &mut entry.kind
+        else {
+            unreachable!("hist nomination for a non-hist task");
+        };
+        *pending -= 1;
+        cands.extend(noms.into_iter().map(|(attr, gain)| (gain, attr, worker)));
+        if node_stats.is_none() {
+            *node_stats = stats;
+        }
         // One shard of this worker's outstanding work came back (mirrors
         // the exact path's per-shard queue accounting).
         self.plans.note_completed(worker);
-        match outcome {
-            Outcome::Wait => {}
-            Outcome::Leaf(entry) => {
-                self.mwork.lock().deduct(&entry.charges);
-                self.finalize_column_task(task, *entry);
-            }
-            Outcome::Fetch(w, attr, ctx) => {
-                let msg = TaskMsg::HistFetch { task, attr, ctx };
-                #[cfg(feature = "obs")]
-                if let Some(rec) = self.fabric.stats().recorder() {
-                    rec.registry()
-                        .counter("hist_bytes_sent")
-                        .add(ts_netsim::WireSized::wire_bytes(&msg) as u64);
-                }
-                let _ = self.fabric.send(0, w, msg);
-            }
+        if *pending > 0 {
+            return;
         }
+        // All shards voted. Leaf conditions short-circuit the fetch
+        // round-trip entirely; so does an empty candidate set.
+        let params = self.registry.active.get(&entry.tree).map(|t| t.spec.params);
+        let must_leaf = match (&params, &node_stats) {
+            (Some(p), Some(ns)) => {
+                entry.depth >= p.dmax || entry.n_rows <= p.tau_leaf || ns.is_pure()
+            }
+            _ => true, // revoked tree: finalize handles the drops
+        };
+        // Election: total order over (gain desc, attr asc, worker asc) —
+        // deterministic whatever the nomination arrival order, which is
+        // what keeps same-seed replays byte-identical under stealing and
+        // elastic membership.
+        let elected = (cands.iter().copied())
+            .max_by(|&(ga, aa, wa), &(gb, ab, wb)| {
+                ga.total_cmp(&gb).then(ab.cmp(&aa)).then(wb.cmp(&wa))
+            })
+            .filter(|_| !must_leaf);
+        let Some((_, attr, w)) = elected else {
+            return self.finalize_column_task(task);
+        };
+        *fetched = Some(w);
+        let ctx = TraceCtx::new(entry.trace, SpanId(entry.span));
+        let msg = TaskMsg::HistFetch { task, attr, ctx };
+        #[cfg(feature = "obs")]
+        if let Some(rec) = self.fabric.stats().recorder() {
+            rec.registry()
+                .counter("hist_bytes_sent")
+                .add(msg.wire_bytes() as u64);
+        }
+        let _ = self.fabric.send(0, w, msg);
     }
 
     /// The elected worker answered the `HistFetch` with its full split:
     /// the task is complete — finalize exactly like an exact column task.
-    fn on_hist_best(&self, task: TaskId, worker: NodeId, best: Option<ColumnTaskBest>) {
-        let entry = {
-            let mut ttask = self.ttask.lock();
-            let Some(entry) = ttask.get_mut(&task) else {
-                return; // revoked
-            };
-            let TaskKind::Hist {
-                fetched,
-                best: slot,
-                ..
-            } = &mut entry.kind
-            else {
-                unreachable!("hist best for a non-hist task");
-            };
-            assert_eq!(
-                *fetched,
-                Some(worker),
-                "HistBest from a worker that was not fetched"
-            );
-            *slot = best.map(|b| (worker, b));
-            ttask.remove(&task).expect("present")
+    fn on_hist_best(&mut self, task: TaskId, worker: NodeId, best: Option<ColumnTaskBest>) {
+        let Some(entry) = self.ttask.get_mut(&task) else {
+            return; // revoked
         };
-        self.mwork.lock().deduct(&entry.charges);
-        self.finalize_column_task(task, entry);
+        let TaskKind::Hist {
+            fetched,
+            best: slot,
+            ..
+        } = &mut entry.kind
+        else {
+            unreachable!("hist best for a non-hist task");
+        };
+        assert_eq!(
+            *fetched,
+            Some(worker),
+            "HistBest from a worker that was not fetched"
+        );
+        *slot = best.map(|b| (worker, b));
+        self.finalize_column_task(task);
     }
 
-    /// All shards of a column-task have reported: pick the winner, update
-    /// the tree, spawn child tasks (or leaves), and notify the workers.
-    fn finalize_column_task(&self, task: TaskId, entry: MasterTask) {
+    /// All shards of a column-task have reported: take it out of the task
+    /// table, pick the winner, update the tree, spawn child tasks (or
+    /// leaves), and notify the workers.
+    fn finalize_column_task(&mut self, task: TaskId) {
+        let entry = self
+            .ttask
+            .remove(&task)
+            .expect("finalized task is in the table");
+        self.mwork.deduct(&entry.charges);
         // The last shard has been folded: the task span is complete,
         // whatever the outcome (leaf, winner, or revoked tree).
         obs_event!(
@@ -1606,60 +1469,49 @@ impl Master {
             0,
             ts_obs::Event::SpanClose { span: entry.span }
         );
-        let (involved, best, node_stats) = match entry.kind {
-            TaskKind::Column {
-                involved,
-                best,
-                node_stats,
-                ..
-            } => (involved, best, node_stats),
-            // A finished hist election carries the fetched full split in
-            // the same shape; the shared winner/leaf logic below is what
-            // keeps both splitters' control flow (ConfirmBest first, then
-            // drops and quotas) identical.
-            TaskKind::Hist {
-                involved,
-                best,
-                node_stats,
-                ..
-            } => (involved, best, node_stats),
-            TaskKind::Subtree => unreachable!(),
+        // A finished hist election carries the fetched full split in the
+        // same shape as an exact task; the shared winner/leaf logic below
+        // is what keeps both splitters' control flow (ConfirmBest first,
+        // then drops and quotas) identical.
+        let (TaskKind::Column {
+            involved,
+            best,
+            node_stats,
+            ..
+        }
+        | TaskKind::Hist {
+            involved,
+            best,
+            node_stats,
+            ..
+        }) = entry.kind
+        else {
+            unreachable!("subtree tasks are not finalized here");
         };
         let node_stats = node_stats.expect("at least one shard reported");
-        let params = {
-            let reg = self.registry.lock();
-            reg.active.get(&entry.tree).map(|t| t.spec.params)
-        };
-        let Some(params) = params else {
-            // Tree revoked while results were in flight: just tell the
-            // workers to drop their task objects (outside any lock — sends
-            // sleep under the link model).
-            for w in involved {
-                let _ = self.fabric.send(0, w, TaskMsg::DropTask { task });
+        let drop_all = |fabric: &Fabric<TaskMsg>| {
+            for &w in &involved {
+                let _ = fabric.send(0, w, TaskMsg::DropTask { task });
             }
-            return;
         };
+        let Some(tree) = self.registry.active.get_mut(&entry.tree) else {
+            // Tree revoked while results were in flight: just tell the
+            // workers to drop their task objects.
+            return drop_all(&self.fabric);
+        };
+        let params = tree.spec.params;
 
         // Leaf conditions at this node itself (relevant for root tasks; for
         // child tasks the parent's finalize already filtered these).
         let must_leaf =
             entry.depth >= params.dmax || entry.n_rows <= params.tau_leaf || node_stats.is_pure();
-
-        let Some((winner, best)) = (if must_leaf { None } else { best }) else {
+        let node_pred = prediction_from_stats(&node_stats);
+        let Some((winner, best)) = best.filter(|_| !must_leaf) else {
             // Leaf: fill the node's prediction and drop all task objects.
-            let pred = prediction_from_stats(&node_stats);
-            let done_tree = {
-                let mut reg = self.registry.lock();
-                let Some(tree) = reg.active.get_mut(&entry.tree) else {
-                    return;
-                };
-                tree.nodes[entry.node] = Node::leaf(pred, entry.n_rows, entry.depth);
-                tree.pending -= 1;
-                tree.pending == 0
-            };
-            for w in involved {
-                let _ = self.fabric.send(0, w, TaskMsg::DropTask { task });
-            }
+            tree.nodes[entry.node] = Node::leaf(node_pred, entry.n_rows, entry.depth);
+            tree.pending -= 1;
+            let done_tree = tree.pending == 0;
+            drop_all(&self.fabric);
             if done_tree {
                 self.finish_tree(entry.tree);
             }
@@ -1676,108 +1528,77 @@ impl Master {
             }
         );
 
-        // Winner path: update the tree, create children.
-        let mut quota_zero_sides: Vec<Side> = Vec::new();
-        let mut child_plans: Vec<PlanDesc> = Vec::new();
-        let done_tree = {
-            let mut reg = self.registry.lock();
-            let Some(tree) = reg.active.get_mut(&entry.tree) else {
-                // Revoked mid-flight: release the lock before the paced sends.
-                drop(reg);
-                for w in involved {
-                    let _ = self.fabric.send(0, w, TaskMsg::DropTask { task });
-                }
-                return;
-            };
-            let node_pred = prediction_from_stats(&node_stats);
-            let l_idx = tree.nodes.len();
-            let r_idx = l_idx + 1;
-            let child_depth = entry.depth + 1;
-            tree.nodes.push(Node::leaf(
-                prediction_from_stats(&best.split.left),
-                best.split.n_left(),
-                child_depth,
-            ));
-            tree.nodes.push(Node::leaf(
-                prediction_from_stats(&best.split.right),
-                best.split.n_right(),
-                child_depth,
-            ));
-            tree.nodes[entry.node] = Node {
-                split: Some((
-                    SplitInfo {
-                        attr: best.attr,
-                        test: best.split.test.clone(),
-                        gain: best.split.gain,
-                        missing_left: best.split.missing_left,
-                        seen: best.seen.clone(),
-                    },
-                    l_idx,
-                    r_idx,
-                )),
-                prediction: node_pred,
-                n_rows: entry.n_rows,
-                depth: entry.depth,
-            };
-
-            let mut n_child_tasks = 0u64;
-            for (side, stats, child_node) in [
-                (Side::Left, &best.split.left, l_idx),
-                (Side::Right, &best.split.right, r_idx),
-            ] {
-                let n_child = stats.n();
-                let child_leaf =
-                    child_depth >= params.dmax || n_child <= params.tau_leaf || stats.is_pure();
-                if child_leaf {
-                    quota_zero_sides.push(side);
-                } else {
-                    n_child_tasks += 1;
-                    child_plans.push(PlanDesc {
-                        task: self.new_task(),
-                        tree: entry.tree,
-                        node: child_node,
-                        parent: ParentRef::Node {
-                            worker: winner,
-                            task,
-                            side,
-                        },
-                        n_rows: n_child,
-                        depth: child_depth,
-                        path: match side {
-                            Side::Left => entry.path.wrapping_shl(1),
-                            Side::Right => entry.path.wrapping_shl(1) | 1,
-                        },
-                        trace: entry.trace,
-                        span: self.new_span(),
-                    });
-                }
-            }
-            tree.pending = tree.pending - 1 + n_child_tasks;
-            tree.pending == 0
+        // Winner path: update the tree, type the children.
+        let l_idx = tree.nodes.len();
+        let r_idx = l_idx + 1;
+        let child_depth = entry.depth + 1;
+        let sides = [
+            (Side::Left, &best.split.left, l_idx),
+            (Side::Right, &best.split.right, r_idx),
+        ];
+        for (_, stats, _) in sides {
+            let leaf = Node::leaf(prediction_from_stats(stats), stats.n(), child_depth);
+            tree.nodes.push(leaf);
+        }
+        tree.nodes[entry.node] = Node {
+            split: Some((
+                SplitInfo {
+                    attr: best.attr,
+                    test: best.split.test.clone(),
+                    gain: best.split.gain,
+                    missing_left: best.split.missing_left,
+                    seen: best.seen.clone(),
+                },
+                l_idx,
+                r_idx,
+            )),
+            prediction: node_pred,
+            n_rows: entry.n_rows,
+            depth: entry.depth,
         };
+        // A side that is already a leaf needs no task; the rest become
+        // child plans.
+        let (leaves, children): (Vec<_>, Vec<_>) = sides.into_iter().partition(|&(_, stats, _)| {
+            child_depth >= params.dmax || stats.n() <= params.tau_leaf || stats.is_pure()
+        });
+        tree.pending = tree.pending - 1 + children.len() as u64;
+        let done_tree = tree.pending == 0;
 
         // Notify workers. ConfirmBest must reach the winner before any
-        // ServeQuota for this task does; both ride the same FIFO channel, so
-        // sending ConfirmBest first (and only then enqueueing child plans
-        // that trigger θ_main quotas) guarantees the order.
+        // ServeQuota for this task does; both ride the same FIFO channel,
+        // and the quotas go out when `pump` assigns the child plans queued
+        // below — later in this same step.
         let _ = self.fabric.send(0, winner, TaskMsg::ConfirmBest { task });
         for w in involved {
             if w != winner {
                 let _ = self.fabric.send(0, w, TaskMsg::DropTask { task });
             }
         }
-        for side in quota_zero_sides {
-            let _ = self.fabric.send(
-                0,
-                winner,
-                TaskMsg::ServeQuota {
+        for (side, _, _) in leaves {
+            let quota = 0;
+            let _ = self
+                .fabric
+                .send(0, winner, TaskMsg::ServeQuota { task, side, quota });
+        }
+        for (side, stats, node) in children {
+            let plan = PlanDesc {
+                task: self.new_task(),
+                tree: entry.tree,
+                node,
+                parent: ParentRef::Node {
+                    worker: winner,
                     task,
                     side,
-                    quota: 0,
                 },
-            );
-        }
-        for plan in child_plans {
+                n_rows: stats.n(),
+                depth: child_depth,
+                path: match side {
+                    Side::Left => entry.path.wrapping_shl(1),
+                    Side::Right => entry.path.wrapping_shl(1) | 1,
+                },
+                trace: entry.trace,
+                span: self.new_span(),
+            };
             // Child plans are causally parented to the column task whose
             // winning split spawned them — this is the job→plan→task→plan
             // chain the critical-path walk follows.
@@ -1800,12 +1621,12 @@ impl Master {
     }
 
     #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
-    fn on_subtree_result(&self, task: TaskId, worker: NodeId, subtree: DecisionTreeModel) {
-        let Some(entry) = self.ttask.lock().remove(&task) else {
+    fn on_subtree_result(&mut self, task: TaskId, worker: NodeId, subtree: DecisionTreeModel) {
+        let Some(entry) = self.ttask.remove(&task) else {
             return; // revoked
         };
         self.plans.note_completed(worker);
-        self.mwork.lock().deduct(&entry.charges);
+        self.mwork.deduct(&entry.charges);
         obs_event!(
             self.fabric.stats(),
             0,
@@ -1825,27 +1646,23 @@ impl Master {
             0,
             ts_obs::Event::SpanClose { span: entry.span }
         );
-        let done_tree = {
-            let mut reg = self.registry.lock();
-            let Some(tree) = reg.active.get_mut(&entry.tree) else {
-                return;
-            };
-            graft_nodes(&mut tree.nodes, entry.node, subtree);
-            tree.pending -= 1;
-            tree.pending == 0
+        let Some(tree) = self.registry.active.get_mut(&entry.tree) else {
+            return;
         };
-        if done_tree {
+        graft_nodes(&mut tree.nodes, entry.node, subtree);
+        tree.pending -= 1;
+        if tree.pending == 0 {
             self.finish_tree(entry.tree);
         }
     }
 
     /// Flushes a completed tree into its job; completes the job when its
     /// last tree lands.
-    fn finish_tree(&self, tree_id: TreeId) {
-        let mut reg = self.registry.lock();
+    fn finish_tree(&mut self, tree_id: TreeId) {
+        let reg = &mut self.registry;
         let tree = reg.active.remove(&tree_id).expect("tree just completed");
         debug_assert_eq!(tree.pending, 0);
-        let model = DecisionTreeModel::new(tree.nodes, self.data_task());
+        let model = DecisionTreeModel::new(tree.nodes, self.data_task);
         if let Some(dir) = &self.cfg.model_dir {
             // Flush the finished tree immediately (paper §III); failures are
             // reported but do not abort training.
@@ -1859,52 +1676,52 @@ impl Master {
         let job = reg.jobs.get_mut(&tree.job).expect("job exists");
         job.models[tree.index] = Some(model);
         job.done += 1;
-        if job.done == job.total {
-            let job = reg.jobs.remove(&tree.job).expect("just present");
-            let models: Vec<DecisionTreeModel> = job
-                .models
-                .into_iter()
-                .map(|m| m.expect("all trees done"))
-                .collect();
-            let result = match job.kind {
-                JobKind::DecisionTree => {
-                    JobResult::Tree(models.into_iter().next().expect("one tree"))
-                }
-                JobKind::RandomForest { .. } | JobKind::ExtraTrees { .. } => {
-                    JobResult::Forest(ts_tree::ForestModel::new(models, self.data_task()))
-                }
-            };
-            // Record before notifying: `Cluster::wait` returns on the send,
-            // and observers may snapshot the rings immediately after.
-            obs_event!(
-                self.fabric.stats(),
-                0,
-                ts_obs::Event::SpanClose { span: job.span }
-            );
-            obs_event!(
-                self.fabric.stats(),
-                0,
-                ts_obs::Event::JobFinished { job: tree.job }
-            );
-            #[cfg(feature = "obs")]
-            if let Some(rec) = self.fabric.stats().recorder() {
-                if rec.log_latency_feed() {
-                    let feed = rec.latency_feed().snapshot();
-                    eprintln!(
-                        "treeserver: job {} latency feed: column p50={}ns p95={}ns (n={}), \
-                         subtree p50={}ns p95={}ns (n={})",
-                        tree.job,
-                        feed.column.p50_ns,
-                        feed.column.p95_ns,
-                        feed.column.count,
-                        feed.subtree.p50_ns,
-                        feed.subtree.p95_ns,
-                        feed.subtree.count,
-                    );
-                }
-            }
-            let _ = job.notify.send(result);
+        if job.done < job.total {
+            return;
         }
+        let job = reg.jobs.remove(&tree.job).expect("just present");
+        let models: Vec<DecisionTreeModel> = job
+            .models
+            .into_iter()
+            .map(|m| m.expect("all trees done"))
+            .collect();
+        let result = match job.kind {
+            JobKind::DecisionTree => JobResult::Tree(models.into_iter().next().expect("one tree")),
+            JobKind::RandomForest { .. } | JobKind::ExtraTrees { .. } => {
+                JobResult::Forest(ts_tree::ForestModel::new(models, self.data_task))
+            }
+        };
+        // Record before notifying: `Cluster::wait` returns on the send,
+        // and observers may snapshot the rings immediately after.
+        obs_event!(
+            self.fabric.stats(),
+            0,
+            ts_obs::Event::SpanClose { span: job.span }
+        );
+        obs_event!(
+            self.fabric.stats(),
+            0,
+            ts_obs::Event::JobFinished { job: tree.job }
+        );
+        #[cfg(feature = "obs")]
+        if let Some(rec) = self.fabric.stats().recorder() {
+            if rec.log_latency_feed() {
+                let feed = rec.latency_feed().snapshot();
+                eprintln!(
+                    "treeserver: job {} latency feed: column p50={}ns p95={}ns (n={}), \
+                     subtree p50={}ns p95={}ns (n={})",
+                    tree.job,
+                    feed.column.p50_ns,
+                    feed.column.p95_ns,
+                    feed.column.count,
+                    feed.subtree.p50_ns,
+                    feed.subtree.p95_ns,
+                    feed.subtree.count,
+                );
+            }
+        }
+        // A one-slot mailbox, sent to once: it cannot block under the lock.
+        let _ = job.notify.send(result);
     }
 
     // ------------------------------------------------------------------
@@ -1913,9 +1730,10 @@ impl Master {
 
     /// Runs crash recovery for `dead`; if recovery is impossible, fails
     /// every pending (and future) job with the structured reason instead of
-    /// panicking. Safe to call from both the heartbeat detector and
-    /// `Cluster::kill_worker` — duplicate declarations are ignored.
-    pub fn recover_or_degrade(&self, dead: NodeId) {
+    /// panicking. Called by the heartbeat detector, the drain-deadline
+    /// sweep and `Cluster::kill_worker` — duplicate declarations are
+    /// ignored.
+    pub fn recover_or_degrade(&mut self, dead: NodeId) {
         if let Err(e) = self.handle_worker_crash(dead) {
             self.fail_all_jobs(e);
         }
@@ -1928,10 +1746,10 @@ impl Master {
     /// Errors when no trainable cluster can be restored (last replica of a
     /// column died, no replication target, or no workers left); the caller
     /// should then fail all jobs — see [`Master::recover_or_degrade`].
-    pub fn handle_worker_crash(&self, dead: NodeId) -> Result<(), RecoveryError> {
+    pub fn handle_worker_crash(&mut self, dead: NodeId) -> Result<(), RecoveryError> {
         // Deduplicate: the detector and an explicit kill may both declare
         // the same worker dead; a degraded cluster has nothing to recover.
-        if self.degraded.lock().is_some() || !self.workers.lock().contains(&dead) {
+        if self.degraded.is_some() || !self.workers.contains(&dead) {
             return Ok(());
         }
         obs_event!(
@@ -1940,124 +1758,73 @@ impl Master {
             ts_obs::Event::WorkerCrashed { node: dead as u32 }
         );
         // 1. Membership: drop the worker from scheduling, liveness tracking
-        // and the reliable fabric's retransmission table.
-        self.workers.lock().retain(|&w| w != dead);
-        self.last_hb.lock().remove(&dead);
+        // and the reliable fabric's retransmission table — then fence it.
+        // "Dead" is a verdict, not a fact: a worker that blew its grace
+        // window or merely missed its lease is still running, and nothing
+        // else would ever tell it to stop (`Cluster::shutdown` only
+        // notifies the roster). A truly dead node's receiver is gone, so
+        // the frame is dropped on the first transmit error.
+        self.workers.retain(|&w| w != dead);
+        self.last_hb.remove(&dead);
         self.fabric.forget_destination(dead);
+        let _ = self.fabric.send(0, dead, TaskMsg::Shutdown);
         // Elastic migrations headed for the dead worker will never land.
-        self.migrations.lock().retain(|&(_, to), _| to != dead);
-        let live = self.workers.lock().clone();
-        if live.is_empty() {
+        self.migrations.retain(|&(_, to), _| to != dead);
+        if self.workers.is_empty() {
             return Err(RecoveryError::NoWorkersLeft { dead });
         }
 
         // 2. Column re-replication planning. Columns down to a single
         // surviving replica are scheduled first — another crash would lose
-        // them for good.
+        // them for good. The holder list is updated when ReplicateDone
+        // arrives.
         let mut transfer: HashMap<NodeId, (NodeId, Vec<usize>)> = HashMap::new();
-        {
-            let mut colmap = self.colmap.lock();
-            let mut lost = colmap.remove_worker(dead)?;
-            lost.sort_by_key(|&a| (colmap.holders(a).len(), a));
-            let mut load: HashMap<NodeId, usize> = live
-                .iter()
-                .map(|&w| (w, colmap.columns_of(w).len()))
-                .collect();
-            for attr in lost {
-                let source = colmap.holders(attr)[0];
-                let Some(&target) = live
-                    .iter()
-                    .filter(|&&w| !colmap.holders(attr).contains(&w))
-                    .min_by_key(|&&w| (load[&w], w))
-                else {
-                    return Err(RecoveryError::NoReplicationTarget { attr });
-                };
-                *load.get_mut(&target).expect("live") += 1;
-                transfer
-                    .entry(source)
-                    .or_insert((target, Vec::new()))
-                    .1
-                    .push(attr);
-                // The holder list is updated when ReplicateDone arrives.
-            }
+        let mut lost = self.colmap.remove_worker(dead)?;
+        lost.sort_by_key(|&a| (self.colmap.holders(a).len(), a));
+        let mut load: HashMap<NodeId, usize> = (self.workers.iter())
+            .map(|&w| (w, self.colmap.columns_of(w).len()))
+            .collect();
+        for attr in lost {
+            let holders = self.colmap.holders(attr);
+            let Some(&target) = (self.workers.iter())
+                .filter(|&w| !holders.contains(w))
+                .min_by_key(|&&w| (load[&w], w))
+            else {
+                return Err(RecoveryError::NoReplicationTarget { attr });
+            };
+            *load.get_mut(&target).expect("live") += 1;
+            let (_, attrs) = transfer.entry(holders[0]).or_insert((target, Vec::new()));
+            attrs.push(attr);
         }
 
         // 3. Revoke all in-flight trees and restart them under fresh ids.
-        let mut revoked: Vec<TreeId> = Vec::new();
-        let mut new_roots: Vec<PlanDesc> = Vec::new();
-        {
-            let mut reg = self.registry.lock();
-            let old: Vec<TreeId> = reg.active.keys().copied().collect();
-            for tid in old {
-                let t = reg.active.remove(&tid).expect("present");
-                revoked.push(tid);
-                let new_id = TreeId(reg.next_tree);
-                reg.next_tree += 1;
-                let trace = t.trace;
-                reg.active.insert(
-                    new_id,
-                    ActiveTree {
-                        job: t.job,
-                        index: t.index,
-                        trace,
-                        spec: t.spec,
-                        nodes: vec![Node::leaf(self.placeholder_pred(), 0, 0)],
-                        pending: 1,
-                    },
-                );
-                new_roots.push(PlanDesc {
-                    task: self.new_task(),
-                    tree: new_id,
-                    node: 0,
-                    parent: ParentRef::Root,
-                    n_rows: self.n_rows as u64,
-                    depth: 0,
-                    path: 1,
-                    trace,
-                    span: self.new_span(),
-                });
-            }
-        }
-        self.ttask.lock().clear();
-        self.mwork.lock().clear();
-        // Reset the queue wholesale — deques, hunger, and the per-worker
+        // The queue is reset wholesale — deques, hunger, and the per-worker
         // outstanding counts (results for revoked tasks must not undercount
-        // the fresh dispatches) — and install the surviving roster.
+        // the fresh dispatches) — and the surviving roster installed. The
+        // restarted roots hang off the job span again, like the originals;
+        // the revoked subtrees' spans simply never close.
+        let revoked: Vec<(TreeId, ActiveTree)> = self.registry.active.drain().collect();
+        self.ttask.clear();
+        self.mwork.clear();
         self.plans.clear();
-        self.plans.set_workers(&live);
-        for root in new_roots {
-            // Restarted roots hang off the job span again, like the
-            // originals; the revoked subtrees' spans simply never close.
-            obs_event!(
-                self.fabric.stats(),
-                0,
-                ts_obs::Event::SpanOpen {
-                    trace: root.trace,
-                    span: root.span,
-                    parent: root.trace,
-                    kind: ts_obs::SpanKind::Plan,
-                    subject: root.task.0,
-                }
-            );
-            self.enqueue_plan(root);
+        self.plans.set_workers(&self.workers);
+        let mut revoked_ids: Vec<TreeId> = Vec::new();
+        for (tid, t) in revoked {
+            revoked_ids.push(tid);
+            self.start_tree(t.job, t.index, t.trace, t.spec);
         }
 
         // 4. Notify workers.
-        for &w in &live {
-            for &tid in &revoked {
-                let _ = self.fabric.send(0, w, TaskMsg::RevokeTree { tree: tid });
+        for &w in &self.workers {
+            for &tree in &revoked_ids {
+                let _ = self.fabric.send(0, w, TaskMsg::RevokeTree { tree });
             }
         }
-        for (source, (target, attrs)) in transfer {
-            let _ = self.fabric.send(
-                0,
-                source,
-                TaskMsg::ReplicateTo {
-                    attrs,
-                    to: target,
-                    ctx: TraceCtx::NONE,
-                },
-            );
+        for (source, (to, attrs)) in transfer {
+            let ctx = TraceCtx::NONE;
+            let _ = self
+                .fabric
+                .send(0, source, TaskMsg::ReplicateTo { attrs, to, ctx });
         }
         Ok(())
     }
@@ -2065,63 +1832,145 @@ impl Master {
     /// Graceful degradation: records the terminal reason, clears all
     /// scheduling state, and fails every pending job (active and queued)
     /// with a diagnosable report. Subsequent submits fail immediately.
-    fn fail_all_jobs(&self, err: RecoveryError) {
+    fn fail_all_jobs(&mut self, err: RecoveryError) {
         eprintln!("treeserver: cluster degraded, failing all jobs: {err}");
-        *self.degraded.lock() = Some(err.clone());
-        let jobs: Vec<JobState> = {
-            let mut reg = self.registry.lock();
-            reg.active.clear();
-            reg.queue.clear();
-            reg.jobs.drain().map(|(_, j)| j).collect()
-        };
-        self.ttask.lock().clear();
-        self.mwork.lock().clear();
+        self.registry.active.clear();
+        self.registry.queue.clear();
+        self.ttask.clear();
+        self.mwork.clear();
         self.plans.clear();
-        for j in jobs {
+        for (_, j) in self.registry.jobs.drain() {
             let _ = j.notify.send(JobResult::Failed(err.clone()));
         }
-    }
-
-    /// The degradation reason, if recovery has failed.
-    pub fn degraded_reason(&self) -> Option<RecoveryError> {
-        self.degraded.lock().clone()
+        self.degraded = Some(err);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ts_netsim::{Fabric, NetModel, NetStats};
+    use ts_netsim::{NetModel, NetStats, SimClock};
+    use ts_splits::condition::SplitTest;
+    use ts_splits::impurity::ClassCounts;
 
-    fn test_master(
-        n_rows: usize,
-        tau_dfs: u64,
-    ) -> (Arc<Master>, Vec<ts_netsim::FabricReceiver<TaskMsg>>) {
-        let stats = NetStats::new(3);
-        let (fabric, rxs) = Fabric::new(3, NetModel::instant(), stats);
+    const TASK: Task = Task::Classification { n_classes: 2 };
+
+    /// A master on instant links and a virtual clock at 0, over 4 columns
+    /// placed round-robin, plus every machine's inbox (index = node id).
+    /// Nothing here spawns a thread: tests call handlers, `step` and `pump`
+    /// directly and read what the workers would have received.
+    fn master_of(cfg: ClusterConfig, n_rows: usize) -> (Master, Vec<FabricReceiver<TaskMsg>>) {
+        let n_nodes = cfg.total_worker_slots() + 1;
+        let clock = SimClock::virtual_at(0);
+        let (fabric, rxs) = Fabric::new_faulty(
+            n_nodes,
+            NetModel::instant(),
+            NetStats::new(n_nodes),
+            None,
+            clock,
+        );
+        let colmap = ColumnMap::round_robin(4, cfg.n_workers, cfg.replication);
+        (Master::new(cfg, n_rows, 4, TASK, colmap, fabric), rxs)
+    }
+
+    fn test_master(n_rows: usize, tau_dfs: u64) -> (Master, Vec<FabricReceiver<TaskMsg>>) {
         let cfg = ClusterConfig {
             n_workers: 2,
             tau_dfs,
             ..ClusterConfig::default()
         };
-        let colmap = crate::assign::ColumnMap::round_robin(4, 2, 2);
-        let m = Master::new(
-            cfg,
-            n_rows,
-            4,
-            Task::Classification { n_classes: 2 },
-            colmap,
-            fabric,
-        );
-        m.init_load_matrix(3);
-        (m, rxs)
+        master_of(cfg, n_rows)
+    }
+
+    /// Three workers, `τ_D = 100`: with 150 rows the root is a column task
+    /// and children of at most 100 rows are subtree tasks.
+    fn three_workers() -> ClusterConfig {
+        ClusterConfig {
+            n_workers: 3,
+            tau_d: 100,
+            ..ClusterConfig::default()
+        }
+    }
+
+    /// Everything a machine has been sent since the last look.
+    fn inbox(rx: &FabricReceiver<TaskMsg>) -> Vec<TaskMsg> {
+        rx.try_iter().collect()
+    }
+
+    /// The `(worker, task)` pairs of the plan frames in `frames[w]`.
+    fn plans_in(frames: &[Vec<TaskMsg>]) -> Vec<(NodeId, TaskId)> {
+        let mut out = Vec::new();
+        for (w, msgs) in frames.iter().enumerate() {
+            for m in msgs {
+                match m {
+                    TaskMsg::ColumnPlan(p) => out.push((w, p.task)),
+                    TaskMsg::SubtreePlan(p) => out.push((w, p.task)),
+                    _ => {}
+                }
+            }
+        }
+        out
+    }
+
+    /// One master step and its pump, as `Master::run` takes them.
+    fn deliver(m: &mut Master, msg: TaskMsg) {
+        m.step(Some(msg));
+        m.pump();
+    }
+
+    /// Label statistics of `zeros` class-0 and `ones` class-1 rows.
+    fn stats(zeros: u64, ones: u64) -> NodeStats {
+        let mut c = ClassCounts::new(2);
+        (0..zeros).for_each(|_| c.add(0));
+        (0..ones).for_each(|_| c.add(1));
+        NodeStats::Class(c)
+    }
+
+    fn split(attr: usize, gain: f64, left: NodeStats, right: NodeStats) -> Option<ColumnTaskBest> {
+        Some(ColumnTaskBest {
+            attr,
+            split: ColumnSplit {
+                test: SplitTest::NumericLe(0.5),
+                gain,
+                missing_left: false,
+                left,
+                right,
+            },
+            seen: None,
+        })
+    }
+
+    fn column_result(
+        task: TaskId,
+        worker: NodeId,
+        best: Option<ColumnTaskBest>,
+        node_stats: NodeStats,
+    ) -> TaskMsg {
+        let ctx = TraceCtx::NONE;
+        TaskMsg::ColumnResult {
+            task,
+            worker,
+            best,
+            node_stats,
+            ctx,
+        }
+    }
+
+    fn subtree_result(task: TaskId, worker: NodeId) -> TaskMsg {
+        let leaf = Node::leaf(prediction_from_stats(&stats(1, 0)), 1, 0);
+        TaskMsg::SubtreeResult {
+            task,
+            worker,
+            subtree: DecisionTreeModel::new(vec![leaf], TASK),
+            ctx: TraceCtx::NONE,
+        }
     }
 
     #[test]
     fn enqueue_respects_hybrid_bfs_dfs_rule() {
         // Fig. 5: |Dx| > tau_dfs appends (breadth-first tail), smaller
         // pushes to the head (depth-first).
-        let (m, _rxs) = test_master(1_000, 100);
+        let (mut m, _rxs) = test_master(1_000, 100);
         let mk = |task: u64, n_rows: u64| PlanDesc {
             task: TaskId(task),
             tree: TreeId(0),
@@ -2138,7 +1987,7 @@ mod tests {
         m.enqueue_plan(mk(3, 50)); // small -> head
         m.enqueue_plan(mk(4, 20)); // small -> head (before 3)
         let mut order: Vec<u64> = Vec::new();
-        while let Some((p, steal)) = m.plans.try_next(&[]) {
+        while let Some((p, steal)) = m.plans.try_next(&m.mwork) {
             assert!(steal.is_none(), "nobody is hungry: no steal");
             order.push(p.task.0);
         }
@@ -2147,59 +1996,26 @@ mod tests {
 
     #[test]
     fn submit_expands_trees_into_the_queue() {
-        let (m, _rxs) = test_master(1_000, 100);
-        let (h1, _rx1) = m.submit(JobSpec::random_forest(
-            Task::Classification { n_classes: 2 },
-            5,
-        ));
-        let (h2, _rx2) = m.submit(JobSpec::decision_tree(Task::Classification {
-            n_classes: 2,
-        }));
+        let (mut m, _rxs) = test_master(1_000, 100);
+        let (h1, _rx1) = m.submit(JobSpec::random_forest(TASK, 5));
+        let (h2, _rx2) = m.submit(JobSpec::decision_tree(TASK));
         assert_ne!(h1, h2);
-        let reg = m.registry.lock();
-        assert_eq!(reg.queue.len(), 6, "5 forest trees + 1 decision tree");
-        assert_eq!(reg.jobs.len(), 2);
+        assert_eq!(
+            m.registry.queue.len(),
+            6,
+            "5 forest trees + 1 decision tree"
+        );
+        assert_eq!(m.registry.jobs.len(), 2);
     }
 
     #[test]
     fn admit_respects_npool() {
-        let (m, _rxs) = test_master(10, 1_000);
-        {
-            let mut reg = m.registry.lock();
-            reg.jobs.insert(
-                0,
-                JobState {
-                    total: 10,
-                    done: 0,
-                    models: vec![None; 10],
-                    kind: JobKind::RandomForest {
-                        n_trees: 10,
-                        col_fraction: -1.0,
-                    },
-                    notify: tschan::bounded(1).0,
-                    span: 0,
-                },
-            );
-            for index in 0..10 {
-                reg.queue.push_back(QueuedTree {
-                    job: 0,
-                    index,
-                    spec: JobSpec::random_forest(Task::Classification { n_classes: 2 }, 10)
-                        .expand(4)
-                        .remove(index),
-                    trace: 0,
-                });
-            }
-        }
-        // Shrink the pool and admit.
-        let mut m2 = Arc::try_unwrap(m).ok().expect("sole owner");
-        m2.cfg.n_pool = 3;
-        let m = Arc::new(m2);
+        let (mut m, _rxs) = test_master(10, 1_000);
+        m.cfg.n_pool = 3;
+        let (_h, _rx) = m.submit(JobSpec::random_forest(TASK, 10));
         m.admit_trees();
-        let reg = m.registry.lock();
-        assert_eq!(reg.active.len(), 3, "pool capped at 3");
-        assert_eq!(reg.queue.len(), 7);
-        drop(reg);
+        assert_eq!(m.registry.active.len(), 3, "pool capped at 3");
+        assert_eq!(m.registry.queue.len(), 7);
         assert_eq!(m.plans.len(), 3, "one root plan per admitted tree");
     }
 
@@ -2224,50 +2040,32 @@ mod tests {
 
     #[test]
     fn heartbeat_refreshes_lease_and_fresh_workers_are_not_suspected() {
-        let (m, _rxs) = test_master(10, 100);
+        let (mut m, _rxs) = test_master(10, 100);
         m.on_heartbeat(1);
         m.on_heartbeat(2);
         m.check_heartbeats();
-        assert_eq!(m.live_workers(), vec![1, 2]);
-        assert!(m.degraded.lock().is_none());
+        assert_eq!(m.live_workers(), [1, 2]);
+        assert!(m.degraded.is_none());
+    }
+
+    /// A 1 ms heartbeat with a 3 ms lease, for detector tests: the silence
+    /// is an `advance` of the virtual clock, not a real sleep, so the
+    /// verdict is deterministic no matter how loaded the test host is.
+    fn short_lease(n_workers: usize) -> ClusterConfig {
+        ClusterConfig {
+            n_workers,
+            heartbeat_interval: Duration::from_millis(1),
+            heartbeat_miss_threshold: 3,
+            ..ClusterConfig::default()
+        }
     }
 
     #[test]
     fn silent_worker_is_suspected_and_impossible_recovery_degrades_cleanly() {
-        // Runs on a virtual clock: the 10 ms of silence is an `advance`,
-        // not a real sleep, so the detector's verdict is deterministic no
-        // matter how heavily the test host is loaded.
-        let stats = NetStats::new(3);
-        let (fabric, _rxs) = Fabric::new_faulty(
-            3,
-            NetModel::instant(),
-            stats,
-            None,
-            ts_netsim::SimClock::virtual_at(0),
-        );
-        let cfg = ClusterConfig {
-            n_workers: 2,
-            heartbeat_interval: std::time::Duration::from_millis(1),
-            heartbeat_miss_threshold: 3,
-            ..ClusterConfig::default()
-        };
-        let colmap = crate::assign::ColumnMap::round_robin(4, 2, 2);
-        let m = Master::new(
-            cfg,
-            1_000,
-            4,
-            Task::Classification { n_classes: 2 },
-            colmap,
-            fabric,
-        );
-        m.init_load_matrix(3);
-        let (_h, rx) = m.submit(JobSpec::decision_tree(Task::Classification {
-            n_classes: 2,
-        }));
+        let (mut m, _rxs) = master_of(short_lease(2), 1_000);
+        let (_h, rx) = m.submit(JobSpec::decision_tree(TASK));
         // Worker 2 keeps beating; worker 1 goes silent past the 3 ms lease.
-        m.fabric
-            .clock()
-            .advance(std::time::Duration::from_millis(10));
+        m.fabric.clock().advance(Duration::from_millis(10));
         m.on_heartbeat(2);
         m.check_heartbeats();
         // 2 workers at replication 2: every live worker already holds the
@@ -2284,9 +2082,7 @@ mod tests {
         );
         assert!(m.degraded_reason().is_some());
         // Later submissions fail immediately with the same reason.
-        let (_h2, rx2) = m.submit(JobSpec::decision_tree(Task::Classification {
-            n_classes: 2,
-        }));
+        let (_h2, rx2) = m.submit(JobSpec::decision_tree(TASK));
         assert!(matches!(
             rx2.recv().expect("immediate failure"),
             JobResult::Failed(_)
@@ -2294,33 +2090,35 @@ mod tests {
     }
 
     #[test]
+    fn suspected_worker_is_fenced_with_a_shutdown() {
+        // "Dead" is a verdict: worker 3 only missed its lease. It must be
+        // told to stop, or it runs on past `Cluster::shutdown` — which
+        // notifies the roster it is no longer on — and is joined forever.
+        let (mut m, rxs) = master_of(short_lease(3), 1_000);
+        m.fabric.clock().advance(Duration::from_millis(10));
+        m.on_heartbeat(1);
+        m.on_heartbeat(2);
+        m.step(None); // an idle tick runs the sweep
+        assert_eq!(m.live_workers(), [1, 2], "worker 3 declared dead");
+        assert!(m.degraded_reason().is_none(), "its columns had replicas");
+        assert!(matches!(inbox(&rxs[3]).last(), Some(TaskMsg::Shutdown)));
+    }
+
+    #[test]
     fn stolen_plan_sends_donate_to_the_thief_before_any_plan_traffic() {
         // Three workers. A child plan parked on worker 1's deque is stolen
         // by hungry worker 2; the thief's first frame must be the Donate
         // carrying the stolen task.
-        let stats = NetStats::new(4);
-        let (fabric, rxs) = Fabric::new(4, NetModel::instant(), stats);
         let cfg = ClusterConfig {
             n_workers: 3,
             ..ClusterConfig::default()
         };
-        let colmap = crate::assign::ColumnMap::round_robin(4, 3, 2);
-        let m = Master::new(
-            cfg,
-            1_000,
-            4,
-            Task::Classification { n_classes: 2 },
-            colmap,
-            fabric,
-        );
-        m.init_load_matrix(4);
-        let (_h, _rx) = m.submit(JobSpec::decision_tree(Task::Classification {
-            n_classes: 2,
-        }));
+        let (mut m, rxs) = master_of(cfg, 1_000);
+        let (_h, _rx) = m.submit(JobSpec::decision_tree(TASK));
         m.admit_trees();
         // Drain the root from the global deque: nobody is hungry yet, so
         // this is a plain pop, not a steal.
-        let (root, steal) = m.plans.try_next(&[]).expect("root plan queued");
+        let (root, steal) = m.plans.try_next(&m.mwork).expect("root plan queued");
         assert!(steal.is_none(), "global pop is not a steal");
         // Park a child on worker 1's deque, then let worker 2 go hungry.
         m.enqueue_plan(PlanDesc {
@@ -2338,8 +2136,8 @@ mod tests {
             trace: root.trace,
             span: 0,
         });
-        m.on_steal_request(2);
-        let (stolen, steal) = m.plans.try_next(&[]).expect("stolen child");
+        m.step(Some(TaskMsg::StealRequest { worker: 2 }));
+        let (stolen, steal) = m.plans.try_next(&m.mwork).expect("stolen child");
         assert_eq!(stolen.task, TaskId(99));
         assert_eq!(
             steal,
@@ -2363,7 +2161,7 @@ mod tests {
     fn dispatch_window_is_two_plans_per_comper_plus_two() {
         // Two plans per comper plus two in flight per worker; the next one
         // waits in the master's backlog.
-        let (m, _rxs) = test_master(1_000, 100);
+        let (mut m, _rxs) = test_master(1_000, 100);
         let window = 2 * m.cfg.compers_per_worker as u64 + 2;
         let child = |task: u64| PlanDesc {
             task: TaskId(task),
@@ -2384,37 +2182,66 @@ mod tests {
             m.enqueue_plan(child(t));
         }
         for _ in 0..window {
-            assert!(m.plans.try_next(&[]).is_some(), "inside the window");
+            assert!(m.plans.try_next(&m.mwork).is_some(), "inside the window");
             m.plans.note_dispatched(&[1]);
         }
-        assert!(m.plans.try_next(&[]).is_none(), "window full");
+        assert!(m.plans.try_next(&m.mwork).is_none(), "window full");
         m.plans.note_completed(1);
-        assert!(m.plans.try_next(&[]).is_some(), "a result reopens it");
+        assert!(m.plans.try_next(&m.mwork).is_some(), "a result reopens it");
+    }
+
+    /// One worker with one comper (a window of 4 plans), and a six-tree
+    /// forest of one-shard column tasks to submit to it.
+    fn one_narrow_worker() -> (Master, Vec<FabricReceiver<TaskMsg>>, JobSpec) {
+        let cfg = ClusterConfig {
+            n_workers: 1,
+            compers_per_worker: 1,
+            replication: 1,
+            tau_d: 100,
+            ..ClusterConfig::default()
+        };
+        let (m, rxs) = master_of(cfg, 1_000);
+        (m, rxs, JobSpec::random_forest(TASK, 6))
     }
 
     #[test]
-    fn drain_gate_waits_for_a_fold_in_progress() {
-        // θ_recv takes a finished task out of the table before it queues
-        // the child plans; read in between, the gate would find nothing
-        // that names the leaver. It waits for the message to end instead.
-        let (m, _rxs) = test_master(1_000, 100);
-        m.begin_drain(2, Duration::from_secs(30));
-        m.on_goodbye(2);
-        let fold = m.folding.lock(); // θ_recv is inside a message
-        let gate = {
-            let m = Arc::clone(&m);
-            std::thread::spawn(move || m.maybe_finish_drains())
-        };
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(m.is_draining(2), "the gate was read in mid-fold");
-        drop(fold);
-        gate.join().unwrap();
-        assert!(!m.is_draining(2), "every condition holds: it departs");
+    fn a_submit_call_is_dispatched_by_the_step_it_posts() {
+        // Nothing waits on the queue, so nothing is signalled: the call
+        // leaves a frame in the master's own mailbox, and the step that
+        // frame starts dispatches the root plans, up to the window.
+        let (m, rxs, forest) = one_narrow_worker();
+        let shared = Mutex::new(m);
+        let (_h, _rx) = Master::call(&shared, |m| m.submit(forest));
+        let mut posted = inbox(&rxs[0]);
+        assert!(matches!(posted[..], [TaskMsg::Heartbeat { worker: 0 }]));
+        let mut m = shared.lock();
+        deliver(&mut m, posted.remove(0));
+        let sent = plans_in(&[Vec::new(), inbox(&rxs[1])]);
+        assert_eq!(sent.len(), 4, "a full window of root plans went out");
+        assert_eq!(m.plans.len(), 2, "the rest is backlog");
+    }
+
+    #[test]
+    fn a_result_that_frees_a_full_window_dispatches_the_backlog_in_the_same_step() {
+        let (mut m, rxs, forest) = one_narrow_worker();
+        let (_h, _rx) = m.submit(forest);
+        m.pump();
+        let sent = plans_in(&[Vec::new(), inbox(&rxs[1])]);
+        let leaf = column_result(sent[0].1, 1, None, stats(500, 500));
+        deliver(&mut m, leaf);
+        let frames = inbox(&rxs[1]);
+        assert!(matches!(frames[0], TaskMsg::DropTask { task } if task == sent[0].1));
+        assert_eq!(
+            plans_in(&[Vec::new(), frames]).len(),
+            1,
+            "one slot, one plan"
+        );
+        assert_eq!(m.plans.len(), 1);
     }
 
     #[test]
     fn duplicate_crash_declarations_are_ignored() {
-        let (m, _rxs) = test_master(10, 100);
+        let (mut m, _rxs) = test_master(10, 100);
         // First declaration fails recovery (no replication target) and
         // degrades; the second must be a no-op, not a second degradation.
         m.recover_or_degrade(1);
@@ -2423,5 +2250,180 @@ mod tests {
         m.recover_or_degrade(1);
         m.recover_or_degrade(2);
         assert_eq!(m.degraded_reason(), first);
+    }
+
+    // ------------------------------------------------------------------
+    // Composed scenarios: several handlers in sequence, no threads.
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn a_draining_winner_cannot_depart_while_its_children_need_ix() {
+        let (mut m, rxs) = master_of(three_workers(), 150);
+        let (_h, done) = m.submit(JobSpec::decision_tree(TASK));
+        m.pump();
+        let frames: Vec<_> = rxs.iter().map(inbox).collect();
+        let shards = plans_in(&frames);
+        let (leaver, root) = *shards.last().expect("the root went out as a column task");
+        m.begin_drain(leaver, Duration::from_secs(30));
+
+        // The leaver's shard reports last and wins. The handler takes the
+        // root out of the task table and queues both children, parented to
+        // the leaver, before it returns: there is no moment when neither
+        // the table nor the queue names it.
+        for &(w, _) in shards.iter().filter(|&&(w, _)| w != leaver) {
+            deliver(&mut m, column_result(root, w, None, stats(75, 75)));
+        }
+        let best = split(0, 0.3, stats(50, 40), stats(25, 35));
+        m.step(Some(column_result(root, leaver, best, stats(75, 75))));
+        m.step(Some(TaskMsg::Goodbye { worker: leaver }));
+        assert!(m.ttask.is_empty());
+        assert_eq!(m.plans.len(), 2);
+        m.pump(); // the gate reads the queue, then the children dispatch
+        assert!(m.is_draining(leaver), "its children still need Ix from it");
+        let frames = inbox(&rxs[leaver]);
+        assert!(
+            matches!(
+                frames[..],
+                [
+                    TaskMsg::Drain,
+                    TaskMsg::ConfirmBest { .. },
+                    TaskMsg::ServeQuota { .. },
+                    TaskMsg::ServeQuota { .. }
+                ]
+            ),
+            "Drain, then Confirm before quota; got {frames:?}"
+        );
+
+        // Both children fold; only then is the leaver released.
+        let frames: Vec<_> = rxs.iter().map(inbox).collect();
+        let children = plans_in(&frames);
+        assert_eq!(children.len(), 2);
+        deliver(&mut m, subtree_result(children[0].1, children[0].0));
+        assert!(m.is_draining(leaver), "one child is still in flight");
+        deliver(&mut m, subtree_result(children[1].1, children[1].0));
+        assert!(!m.is_draining(leaver));
+        assert!(matches!(inbox(&rxs[leaver])[..], [TaskMsg::Shutdown]));
+        assert!(matches!(done.recv(), Ok(JobResult::Tree(_))));
+    }
+
+    #[test]
+    fn draining_the_elected_worker_waits_for_its_hist_best() {
+        let cfg = ClusterConfig {
+            splitter: crate::config::Splitter::Histogram {
+                bins: 32,
+                vote_k: 2,
+            },
+            ..three_workers()
+        };
+        let (mut m, rxs) = master_of(cfg, 150);
+        let (_h, done) = m.submit(JobSpec::decision_tree(TASK));
+        m.pump();
+        let frames: Vec<_> = rxs.iter().map(inbox).collect();
+        let shards = plans_in(&frames);
+        let (elected, root) = *shards.last().expect("the root went out as a column task");
+        for &(worker, task) in &shards {
+            let gain = if worker == elected { 0.4 } else { 0.1 };
+            let msg = TaskMsg::HistNominate {
+                task,
+                worker,
+                cands: vec![(worker, gain)],
+                node_stats: Some(stats(75, 75)),
+                ctx: TraceCtx::NONE,
+            };
+            deliver(&mut m, msg);
+        }
+        let fetch = inbox(&rxs[elected]);
+        assert!(matches!(fetch[..], [TaskMsg::HistFetch { attr, .. }] if attr == elected));
+
+        // The preemption lands between the fetch and its answer. The task
+        // is still in the table and touches the leaver: the gate holds.
+        m.begin_drain(elected, Duration::from_secs(30));
+        deliver(&mut m, TaskMsg::Goodbye { worker: elected });
+        assert!(m.is_draining(elected), "a fetch is outstanding to it");
+
+        // The answer folds (both children pure: the tree is done) and the
+        // same step's pump releases the leaver.
+        let msg = TaskMsg::HistBest {
+            task: root,
+            worker: elected,
+            best: split(elected, 0.4, stats(75, 0), stats(0, 75)),
+            ctx: TraceCtx::NONE,
+        };
+        deliver(&mut m, msg);
+        assert!(!m.is_draining(elected));
+        assert!(matches!(
+            inbox(&rxs[elected]).last(),
+            Some(TaskMsg::Shutdown)
+        ));
+        assert!(matches!(done.recv(), Ok(JobResult::Tree(_))));
+    }
+
+    #[test]
+    fn stale_results_of_a_revoked_task_change_nothing() {
+        let (mut m, rxs) = master_of(three_workers(), 150);
+        let (_h, _done) = m.submit(JobSpec::decision_tree(TASK));
+        m.pump();
+        let frames: Vec<_> = rxs.iter().map(inbox).collect();
+        let (_, stale) = plans_in(&frames)[0];
+        // Worker 3 crashes: the tree is revoked and restarted under fresh
+        // ids, and the queue's in-flight counts start over.
+        m.recover_or_degrade(3);
+        m.pump();
+        let in_flight = |m: &Master| [1, 2].map(|w| m.plans.outstanding_of(w));
+        let before = (in_flight(&m), m.ttask.len(), m.plans.len());
+        assert_eq!(
+            before.0.iter().sum::<u64>(),
+            2,
+            "the restarted root: 2 shards"
+        );
+        rxs.iter().for_each(|rx| drop(inbox(rx)));
+
+        let best = split(0, 0.3, stats(50, 40), stats(25, 35));
+        deliver(&mut m, column_result(stale, 1, best.clone(), stats(75, 75)));
+        let msg = TaskMsg::HistBest {
+            task: stale,
+            worker: 2,
+            best,
+            ctx: TraceCtx::NONE,
+        };
+        deliver(&mut m, msg);
+        assert_eq!((in_flight(&m), m.ttask.len(), m.plans.len()), before);
+        assert!(!m.ttask.contains_key(&stale));
+        assert!(
+            rxs.iter().all(|rx| inbox(rx).is_empty()),
+            "and sends nothing"
+        );
+    }
+
+    #[test]
+    fn duplicate_hello_and_hello_from_a_draining_node_are_no_ops() {
+        let cfg = ClusterConfig {
+            join_capacity: 1,
+            ..three_workers()
+        };
+        let (mut m, rxs) = master_of(cfg, 150);
+        deliver(&mut m, TaskMsg::Hello { worker: 4 });
+        assert_eq!(m.live_workers(), [1, 2, 3, 4]);
+        assert!(matches!(
+            inbox(&rxs[4])[..],
+            [TaskMsg::Welcome { worker: 4 }]
+        ));
+        let migrations = m.migrations.len();
+        assert!(migrations > 0, "the joiner is owed its share of columns");
+        rxs.iter().for_each(|rx| drop(inbox(rx)));
+
+        // A retransmitted Hello: no second Welcome, no second migration.
+        deliver(&mut m, TaskMsg::Hello { worker: 4 });
+        assert_eq!(m.live_workers(), [1, 2, 3, 4]);
+        assert_eq!(m.migrations.len(), migrations);
+        assert!(rxs.iter().all(|rx| inbox(rx).is_empty()));
+
+        // A leaver cannot talk its way back onto the roster.
+        m.begin_drain(2, Duration::from_secs(30));
+        rxs.iter().for_each(|rx| drop(inbox(rx)));
+        deliver(&mut m, TaskMsg::Hello { worker: 2 });
+        assert_eq!(m.live_workers(), [1, 3, 4]);
+        assert!(m.is_draining(2));
+        assert!(rxs.iter().all(|rx| inbox(rx).is_empty()));
     }
 }

@@ -19,8 +19,12 @@
 //! affinity). Victim choice breaks deque-length ties by the §VI `COMP`
 //! load column.
 //!
-//! The queue is condvar-signalled: pushes, completions, steal requests and
-//! shutdown wake `θ_main` immediately.
+//! The queue is a plain struct the master owns: nothing waits on it, so
+//! nothing is signalled. Whatever makes a plan dispatchable — a push, a
+//! completion, a steal request, a membership change — happens inside a
+//! master step, or in a `Cluster` call that posts the master a frame and
+//! so starts one, and every step closes with a `pump` that pops until
+//! nothing more can go out (`docs/SCHEDULING.md`, "Liveness").
 //!
 //! Changing *when* and *where* a plan is dispatched never changes the
 //! trained model: all task randomness derives from the scheduling-invariant
@@ -37,11 +41,10 @@
 //! the static configuration, and falls back to the statics whenever the
 //! feed is too thin to trust.
 
+use crate::assign::{LoadMatrix, COMP};
 use std::collections::{BTreeMap, VecDeque};
-use std::time::Duration;
 use ts_netsim::NodeId;
 use ts_obs::LatencyFeedSnapshot;
-use tschan::sync::{Condvar, Mutex};
 
 /// A steal performed by the scheduler: `thief` asked, `victim`'s deque
 /// gave up its tail plan.
@@ -53,13 +56,20 @@ pub struct StealInfo {
     pub thief: NodeId,
 }
 
-/// Consecutive empty-handed waits (with plans still queued) before the
-/// failsafe force-pops past the in-flight cap. Normal operation never gets
-/// here — every result arrival frees capacity and wakes the queue — but a
-/// lost completion must degrade to unthrottled dispatch, not a hang.
+/// Consecutive idle ticks (the master heard nothing for a whole tick) that
+/// found plans queued before the failsafe force-pops past the in-flight cap.
+/// Normal operation never gets here — every result arrival frees capacity
+/// in the step that dispatches against it — but a lost completion must
+/// degrade to unthrottled dispatch, not a hang.
 const STALL_STRIKES: u32 = 32;
 
-struct Inner<T> {
+/// The master's plan queue (see the module docs).
+///
+/// Generic over the plan payload so scheduler policy is unit-testable
+/// without dragging in the master's private plan descriptor.
+pub struct PlanQueue<T> {
+    /// Per-worker in-flight cap.
+    cap: u64,
     /// The live worker roster (capacity checks for global plans, and who
     /// may post hunger; set by the master at launch and on every
     /// membership change). Empty = unknown = no gating.
@@ -74,25 +84,8 @@ struct Inner<T> {
     hungry: VecDeque<NodeId>,
     /// Total queued plans across all deques.
     len: usize,
-    /// Consecutive timed-out waits that found plans but no capacity.
+    /// Consecutive idle ticks that found plans queued.
     stalls: u32,
-}
-
-impl<T> Inner<T> {
-    fn outstanding_of(&self, w: NodeId) -> u64 {
-        self.outstanding.get(&w).copied().unwrap_or(0)
-    }
-}
-
-/// The master's plan queue (see the module docs).
-///
-/// Generic over the plan payload so scheduler policy is unit-testable
-/// without dragging in the master's private plan descriptor.
-pub struct PlanQueue<T> {
-    /// Per-worker in-flight cap.
-    cap: u64,
-    inner: Mutex<Inner<T>>,
-    cv: Condvar,
 }
 
 impl<T> PlanQueue<T> {
@@ -102,47 +95,44 @@ impl<T> PlanQueue<T> {
         assert!(cap >= 1, "the in-flight cap must be positive");
         PlanQueue {
             cap: cap as u64,
-            inner: Mutex::new(Inner {
-                workers: Vec::new(),
-                global: VecDeque::new(),
-                deques: BTreeMap::new(),
-                outstanding: BTreeMap::new(),
-                hungry: VecDeque::new(),
-                len: 0,
-                stalls: 0,
-            }),
-            cv: Condvar::new(),
+            workers: Vec::new(),
+            global: VecDeque::new(),
+            deques: BTreeMap::new(),
+            outstanding: BTreeMap::new(),
+            hungry: VecDeque::new(),
+            len: 0,
+            stalls: 0,
         }
+    }
+
+    /// Plans dispatched to `w` and not yet completed.
+    pub fn outstanding_of(&self, w: NodeId) -> u64 {
+        self.outstanding.get(&w).copied().unwrap_or(0)
     }
 
     /// Sets the live worker roster. Called at launch, when a worker joins
     /// and after crash recovery shrinks the cluster.
-    pub fn set_workers(&self, workers: &[NodeId]) {
-        self.inner.lock().workers = workers.to_vec();
-        self.cv.notify_all();
+    pub fn set_workers(&mut self, workers: &[NodeId]) {
+        self.workers = workers.to_vec();
     }
 
-    /// Queues a plan and wakes the assignment loop. `affinity` is the plan's
-    /// parent worker (`None` for roots); `dfs` is the hybrid rule's verdict
-    /// (`|Dx| <= τ_dfs` → head). Returns the total queue length after the
-    /// push, for the `BplanPush` observability event.
-    pub fn push(&self, item: T, affinity: Option<NodeId>, dfs: bool) -> usize {
-        let mut inner = self.inner.lock();
+    /// Queues a plan. `affinity` is the plan's parent worker (`None` for
+    /// roots); `dfs` is the hybrid rule's verdict (`|Dx| <= τ_dfs` → head).
+    /// Returns the total queue length after the push, for the `BplanPush`
+    /// observability event.
+    pub fn push(&mut self, item: T, affinity: Option<NodeId>, dfs: bool) -> usize {
         let q = match affinity {
-            Some(w) => inner.deques.entry(w).or_default(),
-            None => &mut inner.global,
+            Some(w) => self.deques.entry(w).or_default(),
+            None => &mut self.global,
         };
         if dfs {
             q.push_front(item);
         } else {
             q.push_back(item);
         }
-        inner.len += 1;
-        inner.stalls = 0;
-        let len = inner.len;
-        drop(inner);
-        self.cv.notify_all();
-        len
+        self.len += 1;
+        self.stalls = 0;
+        self.len
     }
 
     /// Records a worker's `StealRequest`: its compers ran dry, so the next
@@ -151,45 +141,45 @@ impl<T> PlanQueue<T> {
     /// worker declared dead that is in fact still running, or one already
     /// retired by a drain — is dropped: it will never be assigned the plan
     /// a steal on its behalf would take off a live worker's deque.
-    pub fn mark_hungry(&self, worker: NodeId) {
-        let mut inner = self.inner.lock();
-        let on_roster = inner.workers.is_empty() || inner.workers.contains(&worker);
-        if on_roster && !inner.hungry.contains(&worker) {
-            inner.hungry.push_back(worker);
+    pub fn mark_hungry(&mut self, worker: NodeId) {
+        let on_roster = self.workers.is_empty() || self.workers.contains(&worker);
+        if on_roster && !self.hungry.contains(&worker) {
+            self.hungry.push_back(worker);
         }
-        drop(inner);
-        self.cv.notify_all();
     }
 
     /// Charges one in-flight plan to each involved worker at dispatch.
-    pub fn note_dispatched(&self, workers: &[NodeId]) {
-        let mut inner = self.inner.lock();
+    pub fn note_dispatched(&mut self, workers: &[NodeId]) {
         for &w in workers {
-            *inner.outstanding.entry(w).or_insert(0) += 1;
+            *self.outstanding.entry(w).or_insert(0) += 1;
         }
     }
 
     /// Releases one in-flight charge when a worker's result arrives
     /// (saturating: recovery resets charges that results may still chase).
-    pub fn note_completed(&self, worker: NodeId) {
-        let mut inner = self.inner.lock();
-        if let Some(o) = inner.outstanding.get_mut(&worker) {
+    pub fn note_completed(&mut self, worker: NodeId) {
+        if let Some(o) = self.outstanding.get_mut(&worker) {
             *o = o.saturating_sub(1);
         }
-        inner.stalls = 0;
-        drop(inner);
-        self.cv.notify_all();
+        self.stalls = 0;
+    }
+
+    /// The master heard nothing for a whole tick. With plans still queued
+    /// that is a strike (the pump before it left them undispatchable);
+    /// [`STALL_STRIKES`] in a row make the next pop ignore the cap.
+    pub fn note_idle_tick(&mut self) {
+        if self.len > 0 {
+            self.stalls += 1;
+        }
     }
 
     /// Whether any queued plan (global or affinity) matches `pred`. Used by
     /// the drain state machine to hold a leaver's departure while queued
     /// plans still reference it as their `Ix` parent.
     pub fn any_match(&self, pred: impl Fn(&T) -> bool) -> bool {
-        let inner = self.inner.lock();
-        inner
-            .global
+        self.global
             .iter()
-            .chain(inner.deques.values().flatten())
+            .chain(self.deques.values().flatten())
             .any(pred)
     }
 
@@ -199,105 +189,64 @@ impl<T> PlanQueue<T> {
     /// a machine that is leaving — and its in-flight accounting and any
     /// pending steal request are forgotten: nothing more will be dispatched
     /// to it or served on its behalf.
-    pub fn retire_worker(&self, worker: NodeId, live: &[NodeId]) {
-        let mut inner = self.inner.lock();
-        if let Some(q) = inner.deques.remove(&worker) {
-            inner.global.extend(q);
+    pub fn retire_worker(&mut self, worker: NodeId, live: &[NodeId]) {
+        if let Some(q) = self.deques.remove(&worker) {
+            self.global.extend(q);
         }
-        inner.outstanding.remove(&worker);
-        inner.hungry.retain(|&w| w != worker);
-        inner.workers = live.to_vec();
-        inner.stalls = 0;
-        drop(inner);
-        self.cv.notify_all();
+        self.outstanding.remove(&worker);
+        self.hungry.retain(|&w| w != worker);
+        self.workers = live.to_vec();
+        self.stalls = 0;
     }
 
     /// Drops every queued plan and resets in-flight accounting and pending
     /// steal requests (fault recovery revoked all in-flight work).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.global.clear();
-        inner.deques.clear();
-        inner.outstanding.clear();
-        inner.hungry.clear();
-        inner.len = 0;
-        inner.stalls = 0;
-        drop(inner);
-        self.cv.notify_all();
+    pub fn clear(&mut self) {
+        self.global.clear();
+        self.deques.clear();
+        self.outstanding.clear();
+        self.hungry.clear();
+        self.len = 0;
+        self.stalls = 0;
     }
 
     /// Total queued plans.
     pub fn len(&self) -> usize {
-        self.inner.lock().len
+        self.len
     }
 
     /// Whether no plan is queued.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
-    /// Wakes the assignment loop without queueing anything (job submission,
-    /// shutdown).
-    pub fn notify(&self) {
-        self.cv.notify_all();
-    }
-
-    /// Pops the next assignable plan without blocking. `comp` is a copy of
-    /// the §VI `COMP` load column indexed by node id (a worker it does not
-    /// cover counts as unloaded); it is only read when a steal has to break
-    /// a deque-length tie. A copy, so the queue never takes another lock
-    /// while it holds its own.
-    pub fn try_next(&self, comp: &[u64]) -> Option<(T, Option<StealInfo>)> {
-        let mut inner = self.inner.lock();
-        self.pop_locked(&mut inner, comp, false)
-    }
-
-    /// Pops the next assignable plan, waiting up to `timeout` for one to
-    /// become available (push, freed capacity, steal request and shutdown
-    /// all notify). Returns `None` on timeout — the caller's loop re-checks
-    /// shutdown/heartbeats and calls again.
-    pub fn next_timeout(&self, timeout: Duration, comp: &[u64]) -> Option<(T, Option<StealInfo>)> {
-        let mut inner = self.inner.lock();
-        if let Some(popped) = self.pop_locked(&mut inner, comp, false) {
-            return Some(popped);
-        }
-        let (mut inner, timed_out) = self.cv.wait_timeout(inner, timeout);
-        let force = if timed_out && inner.len > 0 {
-            // Plans are queued but nothing was assignable for a full wait:
-            // count a strike; too many in a row trips the failsafe.
-            inner.stalls += 1;
-            inner.stalls >= STALL_STRIKES
-        } else {
-            false
-        };
-        let popped = self.pop_locked(&mut inner, comp, force);
+    /// Pops the next assignable plan, or `None` when nothing can go out
+    /// right now. `load` is the master's §VI workload matrix; only its
+    /// `COMP` column is read, and only when a steal has to break a
+    /// deque-length tie.
+    pub fn try_next(&mut self, load: &LoadMatrix) -> Option<(T, Option<StealInfo>)> {
+        // The failsafe ignores the in-flight cap, for this one pop.
+        let popped = self.pop(load, self.stalls >= STALL_STRIKES);
         if popped.is_some() {
-            inner.stalls = 0;
+            self.len -= 1;
+            self.stalls = 0;
         }
         popped
     }
 
     /// The scheduling policy. `force` ignores the in-flight cap (failsafe).
-    fn pop_locked(
-        &self,
-        inner: &mut Inner<T>,
-        comp: &[u64],
-        force: bool,
-    ) -> Option<(T, Option<StealInfo>)> {
+    fn pop(&mut self, load: &LoadMatrix, force: bool) -> Option<(T, Option<StealInfo>)> {
         // 1. The oldest pending steal request (one pop per call): own
         // deque, then the global deque, then steal from the most-loaded
         // peer's tail.
-        if let Some(h) = inner.hungry.pop_front() {
-            if let Some(item) = inner.deques.get_mut(&h).and_then(VecDeque::pop_front) {
-                inner.len -= 1;
+        if let Some(h) = self.hungry.pop_front() {
+            if let Some(item) = self.deques.get_mut(&h).and_then(VecDeque::pop_front) {
                 return Some((item, None));
             }
-            if let Some(item) = inner.global.pop_front() {
-                inner.len -= 1;
+            if let Some(item) = self.global.pop_front() {
                 return Some((item, None));
             }
-            let comp_of = |w: NodeId| comp.get(w).copied().unwrap_or(0);
-            let victim = inner
+            let victim = self
                 .deques
                 .iter()
                 .filter(|&(&w, q)| w != h && !q.is_empty())
@@ -306,18 +255,17 @@ impl<T> PlanQueue<T> {
                 .max_by(|&(&a, qa), &(&b, qb)| {
                     qa.len()
                         .cmp(&qb.len())
-                        .then_with(|| comp_of(a).cmp(&comp_of(b)))
+                        .then_with(|| load.get(a, COMP).cmp(&load.get(b, COMP)))
                         .then(b.cmp(&a))
                 })
                 .map(|(&w, _)| w);
             match victim {
                 Some(v) => {
-                    let item = inner
+                    let item = self
                         .deques
                         .get_mut(&v)
                         .and_then(VecDeque::pop_back)
                         .expect("victim deque checked non-empty");
-                    inner.len -= 1;
                     return Some((
                         item,
                         Some(StealInfo {
@@ -329,43 +277,33 @@ impl<T> PlanQueue<T> {
                 None => {
                     // Nothing queued anywhere: keep the request pending so
                     // the next push serves this worker first.
-                    inner.hungry.push_front(h);
+                    self.hungry.push_front(h);
                 }
             }
         }
         // 2. Affinity dispatch under the in-flight cap: the least-loaded
         // worker with queued plans and spare capacity.
-        let candidate = inner
+        let candidate = self
             .deques
             .iter()
-            .filter(|&(&w, q)| !q.is_empty() && (force || inner.outstanding_of(w) < self.cap))
-            .min_by_key(|&(&w, _)| (inner.outstanding_of(w), w))
+            .filter(|&(&w, q)| !q.is_empty() && (force || self.outstanding_of(w) < self.cap))
+            .min_by_key(|&(&w, _)| (self.outstanding_of(w), w))
             .map(|(&w, _)| w);
         if let Some(w) = candidate {
-            let item = inner
+            let item = self
                 .deques
                 .get_mut(&w)
                 .and_then(VecDeque::pop_front)
                 .expect("candidate deque checked non-empty");
-            inner.len -= 1;
             return Some((item, None));
         }
         // 3. Root/global plans, as long as someone has spare capacity (the
         // assignment itself picks the workers).
-        if !inner.global.is_empty() {
-            let spare = force
-                || inner.workers.is_empty()
-                || inner
-                    .workers
-                    .iter()
-                    .any(|&w| inner.outstanding_of(w) < self.cap);
-            if spare {
-                let item = inner.global.pop_front().expect("checked non-empty");
-                inner.len -= 1;
-                return Some((item, None));
-            }
-        }
-        None
+        let spare = force
+            || self.workers.is_empty()
+            || (self.workers.iter()).any(|&w| self.outstanding_of(w) < self.cap);
+        let item = if spare { self.global.pop_front() } else { None };
+        item.map(|item| (item, None))
     }
 }
 
@@ -481,10 +419,12 @@ impl TauController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::thread;
-    use std::time::Instant;
     use ts_obs::KindLatency;
+
+    /// A pop against an all-idle cluster (no `COMP` load to break ties).
+    fn pop(q: &mut PlanQueue<u64>) -> Option<(u64, Option<StealInfo>)> {
+        q.try_next(&LoadMatrix::new(4))
+    }
 
     // ------------------------------------------------------------------
     // PlanQueue.
@@ -493,51 +433,49 @@ mod tests {
     #[test]
     fn hybrid_rule_orders_an_affinity_deque_like_the_global_one() {
         for affinity in [None, Some(1)] {
-            let q: PlanQueue<u64> = PlanQueue::new(8);
+            let mut q: PlanQueue<u64> = PlanQueue::new(8);
             q.push(1, affinity, false); // big -> tail
             q.push(2, affinity, false); // big -> tail (after 1)
             q.push(3, affinity, true); // small -> head
             q.push(4, affinity, true); // small -> head (before 3)
-            let order: Vec<u64> = std::iter::from_fn(|| q.try_next(&[]))
-                .map(|(t, _)| t)
-                .collect();
+            let order: Vec<u64> = std::iter::from_fn(|| pop(&mut q)).map(|(t, _)| t).collect();
             assert_eq!(order, vec![4, 3, 1, 2], "affinity {affinity:?}");
         }
     }
 
     #[test]
     fn affinity_pop_prefers_least_loaded_worker() {
-        let q: PlanQueue<u64> = PlanQueue::new(4);
+        let mut q: PlanQueue<u64> = PlanQueue::new(4);
         q.push(10, Some(1), false);
         q.push(20, Some(2), false);
         q.note_dispatched(&[1]); // worker 1 now has 1 in flight
                                  // Worker 2 is idle-est, so its deque pops first.
-        assert_eq!(q.try_next(&[]).map(|(t, _)| t), Some(20));
-        assert_eq!(q.try_next(&[]).map(|(t, _)| t), Some(10));
+        assert_eq!(pop(&mut q).map(|(t, _)| t), Some(20));
+        assert_eq!(pop(&mut q).map(|(t, _)| t), Some(10));
     }
 
     #[test]
     fn capacity_throttles_until_completion() {
-        let q: PlanQueue<u64> = PlanQueue::new(2);
+        let mut q: PlanQueue<u64> = PlanQueue::new(2);
         q.push(1, Some(1), false);
         q.note_dispatched(&[1]);
         q.note_dispatched(&[1]); // worker 1 at cap
-        assert!(q.try_next(&[]).is_none(), "worker 1 is at capacity");
+        assert!(pop(&mut q).is_none(), "worker 1 is at capacity");
         assert_eq!(q.len(), 1, "plan stays queued");
         q.note_completed(1);
-        assert_eq!(q.try_next(&[]).map(|(t, _)| t), Some(1));
+        assert_eq!(pop(&mut q).map(|(t, _)| t), Some(1));
     }
 
     #[test]
     fn hungry_worker_steals_from_longest_tail() {
-        let q: PlanQueue<u64> = PlanQueue::new(8);
+        let mut q: PlanQueue<u64> = PlanQueue::new(8);
         // Worker 1's deque: head [11, 12, 13] tail — 13 is the BFS tail.
         q.push(11, Some(1), false);
         q.push(12, Some(1), false);
         q.push(13, Some(1), false);
         q.push(21, Some(2), false);
         q.mark_hungry(3);
-        let (t, steal) = q.try_next(&[]).expect("plan available");
+        let (t, steal) = pop(&mut q).expect("plan available");
         assert_eq!(t, 13, "steals the tail of the longest deque");
         assert_eq!(
             steal,
@@ -547,29 +485,32 @@ mod tests {
             })
         );
         // Hunger is consumed: the next pop is a normal affinity pop.
-        let (_, steal) = q.try_next(&[]).expect("plan available");
+        let (_, steal) = pop(&mut q).expect("plan available");
         assert!(steal.is_none());
     }
 
     #[test]
     fn hungry_worker_drains_own_deque_before_stealing() {
-        let q: PlanQueue<u64> = PlanQueue::new(8);
+        let mut q: PlanQueue<u64> = PlanQueue::new(8);
         q.push(11, Some(1), false);
         q.push(31, Some(3), false);
         q.mark_hungry(3);
-        let (t, steal) = q.try_next(&[]).expect("plan available");
+        let (t, steal) = pop(&mut q).expect("plan available");
         assert_eq!(t, 31, "own deque first");
         assert!(steal.is_none(), "serving your own deque is not a steal");
     }
 
     #[test]
     fn steal_victim_ties_break_by_comp_load() {
-        let q: PlanQueue<u64> = PlanQueue::new(8);
+        let mut q: PlanQueue<u64> = PlanQueue::new(8);
         q.push(11, Some(1), false);
         q.push(21, Some(2), false);
         q.mark_hungry(3);
         // Equal deque lengths; worker 2 carries more §VI COMP load.
-        let (t, steal) = q.try_next(&[0, 5, 50]).expect("plan available");
+        let mut load = LoadMatrix::new(4);
+        load.add(1, COMP, 5);
+        load.add(2, COMP, 50);
+        let (t, steal) = q.try_next(&load).expect("plan available");
         assert_eq!(t, 21);
         assert_eq!(
             steal,
@@ -582,13 +523,13 @@ mod tests {
 
     #[test]
     fn unserved_hunger_survives_until_work_arrives() {
-        let q: PlanQueue<u64> = PlanQueue::new(8);
+        let mut q: PlanQueue<u64> = PlanQueue::new(8);
         q.mark_hungry(2);
-        assert!(q.try_next(&[]).is_none());
+        assert!(pop(&mut q).is_none());
         // Work for worker 1 arrives; the pending request from worker 2
         // grabs it (steal) before worker 1's ordinary affinity pop.
         q.push(11, Some(1), false);
-        let (t, steal) = q.try_next(&[]).expect("plan available");
+        let (t, steal) = pop(&mut q).expect("plan available");
         assert_eq!(t, 11);
         assert_eq!(
             steal,
@@ -601,7 +542,7 @@ mod tests {
 
     #[test]
     fn drain_worker_reclaims_queued_plans() {
-        let q: PlanQueue<u64> = PlanQueue::new(1);
+        let mut q: PlanQueue<u64> = PlanQueue::new(1);
         q.set_workers(&[1, 2]);
         q.push(11, Some(1), false);
         q.push(12, Some(1), false);
@@ -612,12 +553,12 @@ mod tests {
         assert_eq!(q.len(), 3, "the leaver's plans stay queued");
         // The retired worker's hunger and accounting are gone: the next pop
         // is worker 2's ordinary affinity pop, not a steal for worker 1 ...
-        let (t, steal) = q.try_next(&[]).expect("plan available");
+        let (t, steal) = pop(&mut q).expect("plan available");
         assert_eq!(t, 21);
         assert!(steal.is_none());
         // ... and the reclaimed plans follow from the global tail, in order.
-        assert_eq!(q.try_next(&[]), Some((11, None)));
-        assert_eq!(q.try_next(&[]), Some((12, None)));
+        assert_eq!(pop(&mut q), Some((11, None)));
+        assert_eq!(pop(&mut q), Some((12, None)));
         // Retiring an unknown worker is a harmless no-op.
         q.retire_worker(9, &[2]);
         assert!(q.is_empty());
@@ -625,32 +566,32 @@ mod tests {
 
     #[test]
     fn hunger_from_outside_the_roster_is_dropped() {
-        let q: PlanQueue<u64> = PlanQueue::new(8);
+        let mut q: PlanQueue<u64> = PlanQueue::new(8);
         q.set_workers(&[1, 2]);
         // Worker 3 was declared dead (or already left by drain) but is
         // still running and posts a request: it must steal nothing.
         q.mark_hungry(3);
         q.push(11, Some(1), false);
-        assert_eq!(q.try_next(&[]), Some((11, None)));
+        assert_eq!(pop(&mut q), Some((11, None)));
         // A roster worker's request still survives an empty queue.
         q.mark_hungry(2);
-        assert!(q.try_next(&[]).is_none());
+        assert!(pop(&mut q).is_none());
         q.push(12, Some(1), false);
         let thief_2 = Some(StealInfo {
             victim: 1,
             thief: 2,
         });
-        assert_eq!(q.try_next(&[]), Some((12, thief_2)));
+        assert_eq!(pop(&mut q), Some((12, thief_2)));
         // A request posted while on the roster is forgotten on retirement.
         q.mark_hungry(2);
         q.retire_worker(2, &[1]);
         q.push(13, Some(1), false);
-        assert_eq!(q.try_next(&[]), Some((13, None)));
+        assert_eq!(pop(&mut q), Some((13, None)));
     }
 
     #[test]
     fn clear_resets_queues_hunger_and_accounting() {
-        let q: PlanQueue<u64> = PlanQueue::new(1);
+        let mut q: PlanQueue<u64> = PlanQueue::new(1);
         q.push(1, Some(1), false);
         q.push(2, None, false);
         q.note_dispatched(&[1]);
@@ -660,74 +601,34 @@ mod tests {
         // Capacity was reset too: worker 1 can be dispatched to again, and
         // worker 2's request is forgotten — a plain pop, not a steal.
         q.push(3, Some(1), false);
-        assert_eq!(q.try_next(&[]), Some((3, None)));
+        assert_eq!(pop(&mut q), Some((3, None)));
     }
 
     #[test]
     fn global_plans_flow_when_capacity_exists() {
-        let q: PlanQueue<u64> = PlanQueue::new(1);
+        let mut q: PlanQueue<u64> = PlanQueue::new(1);
         q.set_workers(&[1, 2]);
         q.push(1, None, false);
         q.push(2, None, false);
-        assert_eq!(q.try_next(&[]).map(|(t, _)| t), Some(1));
+        assert_eq!(pop(&mut q).map(|(t, _)| t), Some(1));
         q.note_dispatched(&[1]);
         q.note_dispatched(&[2]);
-        assert!(q.try_next(&[]).is_none(), "every worker at capacity");
+        assert!(pop(&mut q).is_none(), "every worker at capacity");
         q.note_completed(2);
-        assert_eq!(q.try_next(&[]).map(|(t, _)| t), Some(2));
-    }
-
-    // ------------------------------------------------------------------
-    // Condvar wakeup.
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn push_wakes_a_waiting_pop_immediately() {
-        let q: Arc<PlanQueue<u64>> = Arc::new(PlanQueue::new(1));
-        let q2 = Arc::clone(&q);
-        let start = Instant::now();
-        let waiter = thread::spawn(move || {
-            // The pop must return long before this timeout elapses, woken
-            // by the push.
-            q2.next_timeout(Duration::from_secs(10), &[])
-        });
-        thread::sleep(Duration::from_millis(20));
-        q.push(99, None, true);
-        let got = waiter.join().unwrap();
-        assert_eq!(got.map(|(t, _)| t), Some(99));
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "pop waited out the timeout instead of being woken"
-        );
-    }
-
-    #[test]
-    fn completion_wakes_a_capacity_blocked_pop() {
-        let q: Arc<PlanQueue<u64>> = Arc::new(PlanQueue::new(1));
-        q.push(5, Some(1), false);
-        q.note_dispatched(&[1]);
-        let q2 = Arc::clone(&q);
-        let start = Instant::now();
-        let waiter = thread::spawn(move || q2.next_timeout(Duration::from_secs(10), &[]));
-        thread::sleep(Duration::from_millis(20));
-        q.note_completed(1);
-        assert_eq!(waiter.join().unwrap().map(|(t, _)| t), Some(5));
-        assert!(start.elapsed() < Duration::from_secs(5));
+        assert_eq!(pop(&mut q).map(|(t, _)| t), Some(2));
     }
 
     #[test]
     fn stall_failsafe_force_pops_past_the_cap() {
-        let q: PlanQueue<u64> = PlanQueue::new(1);
+        let mut q: PlanQueue<u64> = PlanQueue::new(1);
         q.push(5, Some(1), false);
         q.note_dispatched(&[1]); // capacity never freed (lost completion)
-        let mut got = None;
-        for _ in 0..(STALL_STRIKES + 1) {
-            if let Some((t, _)) = q.next_timeout(Duration::from_millis(1), &[]) {
-                got = Some(t);
-                break;
-            }
+        for _ in 1..STALL_STRIKES {
+            q.note_idle_tick();
+            assert!(pop(&mut q).is_none(), "still throttled");
         }
-        assert_eq!(got, Some(5), "failsafe must eventually dispatch");
+        q.note_idle_tick();
+        assert_eq!(pop(&mut q), Some((5, None)), "failsafe must dispatch");
     }
 
     // ------------------------------------------------------------------

@@ -444,6 +444,64 @@ fn graceful_preemption_drains_without_crash_recovery() {
     );
 }
 
+/// A drain that blows its grace window escalates to crash recovery — and
+/// the escalated worker is *alive*: it was only slow to leave. Recovery
+/// must fence it with a `Shutdown`, or it runs on off the roster, where
+/// `Cluster::shutdown` never reaches it, and is joined forever. The model
+/// must still be the exact trainer's.
+#[test]
+fn blown_grace_window_escalates_and_the_cluster_still_shuts_down() {
+    let t = table(17);
+    let params = TrainParams {
+        dmax: 10,
+        ..TrainParams::for_task(t.schema().task)
+    };
+    let reference = train_tree(&t, &(0..t.n_attrs()).collect::<Vec<_>>(), &params, 0);
+
+    let mut cfg = faulty_cfg(None);
+    // Stretch the run so the preemption lands mid-training, and make the
+    // victim slow: its shard of the root task takes over 100 ms, so 10 ms
+    // in it is nowhere near `Goodbye` and many sweeps will see the blown
+    // deadline first.
+    cfg.work_ns_per_unit = 1_000;
+    cfg.work_scale = vec![1.0, 1.0, 40.0, 1.0];
+    #[cfg(feature = "obs")]
+    {
+        cfg.obs = ts_obs::ObsConfig::enabled();
+    }
+    let cluster = Cluster::launch(cfg, &t);
+    let h = cluster.submit(JobSpec::decision_tree(t.schema().task));
+    std::thread::sleep(Duration::from_millis(10));
+    // No grace at all: the next sweep escalates.
+    cluster.preempt_worker(3, Duration::ZERO);
+    let model = cluster.wait(h).into_tree();
+    assert_eq!(cluster.live_workers(), vec![1, 2, 4]);
+    #[cfg(feature = "obs")]
+    {
+        let m = cluster.obs().expect("obs enabled").metrics();
+        assert_eq!(m.counter("workers_departed"), 0, "the drain cannot finish");
+        assert_eq!(m.counter("workers_crashed"), 1, "it escalates instead");
+    }
+
+    // `shutdown` joins every machine thread; a worker nobody told to stop
+    // would hang it, so it runs under a watchdog.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let watchdog = std::thread::spawn(move || {
+        cluster.shutdown();
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(20)).is_ok(),
+        "shutdown hung: the escalated worker was never told to stop"
+    );
+    watchdog.join().expect("shutdown returned");
+    assert_eq!(
+        model.canonicalize(),
+        reference.canonicalize(),
+        "escalated-drain recovery diverged from the exact trainer"
+    );
+}
+
 /// The tentpole acceptance scenario: a 2-worker cluster doubles to 4 early
 /// in a compute-bound run via scripted joins. The doubled run must beat the
 /// static half-size run on wall clock AND produce the byte-identical model

@@ -904,6 +904,24 @@ impl<M: WireSized + Clone> FabricReceiver<M> {
         }
     }
 
+    /// [`FabricReceiver::recv`] that gives up after `timeout` (wall time):
+    /// `Ok(None)` when no application message became ready that long.
+    /// Frames that produce none — acks, duplicates, out-of-order data —
+    /// are processed and the wait goes on to the same deadline.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<M>, RecvError> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(m) = self.state.lock().ready.pop_front() {
+                return Ok(Some(m));
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.rx.recv_timeout(left)? {
+                Some(pkt) => self.process(pkt),
+                None => return Ok(None),
+            }
+        }
+    }
+
     /// Takes the next application message if one can be produced without
     /// blocking.
     pub fn try_recv(&self) -> Option<M> {
@@ -1286,6 +1304,40 @@ mod tests {
         // logical messages (n data frames + dups; acks land on node 1).
         assert!(stats.snapshot(0).sent_msgs > n as u64);
         driver.unwrap().stop();
+    }
+
+    #[test]
+    fn recv_timeout_reorders_late_frames_and_sleeps_through_acks() {
+        // Drive the reliable receiver by hand. The plan only switches the
+        // protocol on (every frame "delayed" by zero); the test pushes the
+        // frames in the order it wants them seen.
+        let plan = FaultPlan::new(5).with_message_delays(1.0, Duration::ZERO);
+        let (f, r, _driver, _stats) = reliable(2, plan);
+        let data = |seq: u64| Packet::Data {
+            from: 0,
+            seq,
+            payload: Msg(vec![seq as u8]),
+        };
+        // Frame 1 overtakes frame 0, which lands 20 ms into the wait: both
+        // come out, in send order.
+        f.push(1, data(1)).unwrap();
+        let late = {
+            let f = f.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                f.push(1, data(0)).unwrap();
+            })
+        };
+        let long = Duration::from_secs(10);
+        assert_eq!(r[1].recv_timeout(long), Ok(Some(Msg(vec![0]))));
+        assert_eq!(r[1].recv_timeout(long), Ok(Some(Msg(vec![1]))));
+        late.join().unwrap();
+        // An ack wakes the channel but is no application message: the wait
+        // runs to its deadline.
+        f.push(1, Packet::Ack { from: 0, seq: 9 }).unwrap();
+        let start = Instant::now();
+        assert_eq!(r[1].recv_timeout(Duration::from_millis(30)), Ok(None));
+        assert!(start.elapsed() >= Duration::from_millis(30));
     }
 
     #[test]

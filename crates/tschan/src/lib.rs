@@ -4,8 +4,8 @@
 //! A dependency-free replacement for the narrow `crossbeam_channel` subset
 //! the simulated cluster uses: `unbounded`, `bounded`, cloneable `Sender`
 //! **and** `Receiver` (worker comper pools share one receiver), blocking
-//! `send`/`recv` with disconnect errors, and `try_iter`. No `select!`, no
-//! timeouts — the engine does not use them.
+//! `send`/`recv` with disconnect errors, `recv_timeout` (the master's tick)
+//! and `try_iter`. No `select!` — the engine does not use it.
 //!
 //! Disconnect semantics match crossbeam: `send` fails once every receiver
 //! is gone; `recv` drains remaining messages and only then fails once every
@@ -13,6 +13,7 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 pub mod sync;
 
@@ -165,6 +166,29 @@ impl<T> Receiver<T> {
         }
     }
 
+    /// [`Receiver::recv`] that gives up after `timeout`: `Ok(None)` when the
+    /// channel stayed empty that long. A message already queued is returned
+    /// even with a zero timeout.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<T>, RecvError> {
+        let deadline = Instant::now() + timeout;
+        let mut st = self.shared.state.lock().unwrap();
+        loop {
+            if let Some(msg) = st.queue.pop_front() {
+                drop(st);
+                self.shared.not_full.notify_one();
+                return Ok(Some(msg));
+            }
+            if st.senders == 0 {
+                return Err(RecvError);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Ok(None);
+            }
+            st = self.shared.not_empty.wait_timeout(st, left).unwrap().0;
+        }
+    }
+
     /// Drains whatever is currently queued without blocking.
     pub fn try_iter(&self) -> TryIter<'_, T> {
         TryIter { receiver: self }
@@ -216,7 +240,6 @@ impl<T> Iterator for TryIter<'_, T> {
 mod tests {
     use super::*;
     use std::thread;
-    use std::time::Duration;
 
     #[test]
     fn fifo_within_a_channel() {
@@ -281,6 +304,43 @@ mod tests {
         s.send(2).unwrap();
         assert_eq!(r.try_iter().collect::<Vec<_>>(), vec![1, 2]);
         assert_eq!(r.try_iter().count(), 0);
+    }
+
+    #[test]
+    fn recv_timeout_returns_a_message_that_beats_the_deadline() {
+        let (s, r) = unbounded();
+        let t = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(20));
+            s.send(7).unwrap();
+            s // keep the channel connected until joined
+        });
+        assert_eq!(r.recv_timeout(Duration::from_secs(10)), Ok(Some(7)));
+        drop(t.join().unwrap());
+    }
+
+    #[test]
+    fn recv_timeout_gives_up_at_the_deadline() {
+        let (_s, r) = unbounded::<u32>();
+        let start = Instant::now();
+        assert_eq!(r.recv_timeout(Duration::from_millis(20)), Ok(None));
+        assert!(start.elapsed() >= Duration::from_millis(20));
+    }
+
+    #[test]
+    fn recv_timeout_fails_once_empty_and_disconnected() {
+        let (s, r) = unbounded();
+        s.send(1).unwrap();
+        drop(s);
+        assert_eq!(r.recv_timeout(Duration::from_secs(10)), Ok(Some(1)));
+        assert_eq!(r.recv_timeout(Duration::from_secs(10)), Err(RecvError));
+    }
+
+    #[test]
+    fn recv_timeout_of_zero_still_takes_a_queued_message() {
+        let (s, r) = unbounded();
+        s.send(1).unwrap();
+        assert_eq!(r.recv_timeout(Duration::ZERO), Ok(Some(1)));
+        assert_eq!(r.recv_timeout(Duration::ZERO), Ok(None));
     }
 
     #[test]
