@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use ts_datatable::{AttrType, DataTable, SortedColumn};
 use ts_netsim::{NetModel, NetStats};
-use ts_splits::exact::ColumnSplit;
+use ts_splits::exact::SplitCandidate;
 use ts_splits::impurity::{Impurity, LabelView, NodeStats};
 use ts_splits::partition_rows;
 use ts_splits::sorted::{
@@ -131,21 +131,24 @@ impl YggdrasilTrainer {
                 } else {
                     NodeRows::Subset(&rows)
                 };
-                let mut best: Option<(usize, ColumnSplit)> = None;
-                for (i, &attr) in candidates.iter().enumerate() {
-                    let cref = ColumnRef::of_column(
+                let cref = |i: usize| {
+                    let attr = candidates[i];
+                    ColumnRef::of_column(
                         table.column(attr),
                         &sorted[i],
                         table.schema().attr_type(attr),
-                    );
+                    )
+                };
+                let mut best: Option<(usize, SplitCandidate)> = None;
+                for (i, &attr) in candidates.iter().enumerate() {
                     let segment = orders.segment(i, &segs);
                     if let Some(s) =
-                        best_split_in(cref, segment, node_rows, view, self.cfg.impurity)
+                        best_split_in(cref(i), segment, node_rows, view, self.cfg.impurity)
                     {
                         let wins = match &best {
                             None => true,
                             Some((bi, bs)) => {
-                                ColumnSplit::challenger_wins(&s, attr, bs, candidates[*bi])
+                                SplitCandidate::challenger_wins(&s, attr, bs, candidates[*bi])
                             }
                         };
                         if wins {
@@ -153,6 +156,8 @@ impl YggdrasilTrainer {
                         }
                     }
                 }
+                // Regression children are summed once, for the node's winner.
+                let best = best.map(|(i, s)| (i, s.finish(cref(i), node_rows, view)));
                 // Condition messages: one per machine holding candidates.
                 let senders: std::collections::HashSet<usize> =
                     candidates.iter().map(|&a| machine_of_col(a)).collect();

@@ -412,6 +412,42 @@ mod tests {
         assert_eq!(before, after);
     }
 
+    /// FNV-1a 64 of the JSON of 5-round models (trees already canonical), as
+    /// printed by commit 1ca5a9f — the last one before the boundary scan was
+    /// rewritten. Boosting rounds depend on each other, so one ulp in one
+    /// leaf moves every later tree: these pin all five. Not to be
+    /// regenerated from the code under test.
+    const SQUARED_ERROR_FINGERPRINT: u64 = 0xe14e_86b5_1909_2335;
+    const LOGISTIC_FINGERPRINT: u64 = 0x83b7_681e_888a_a6c7;
+
+    #[test]
+    fn five_round_models_keep_the_bytes_of_the_two_sided_scan() {
+        for (task, seed, want) in [
+            (Task::Regression, 31, SQUARED_ERROR_FINGERPRINT),
+            (
+                Task::Classification { n_classes: 2 },
+                37,
+                LOGISTIC_FINGERPRINT,
+            ),
+        ] {
+            let t = generate(&SynthSpec {
+                rows: 1_500,
+                numeric: 5,
+                categorical: 2,
+                cat_cardinality: 6,
+                missing_rate: 0.02,
+                task,
+                noise: 0.05,
+                concept_depth: 4,
+                seed,
+                ..Default::default()
+            });
+            let m = train_gbt(cfg(), &t, GbtConfig::for_task(task).with_rounds(5));
+            let got = tscheck::fnv1a(&tsjson::to_string(&m).unwrap());
+            assert_eq!(got, want, "{task:?}: got {got:#018x}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "supports 2 classes")]
     fn gbt_rejects_multiclass() {

@@ -52,7 +52,7 @@ use ts_datatable::Task;
 use ts_netsim::{Fabric, FabricReceiver, NodeId, WireSized};
 use ts_obs::{SpanId, TraceCtx};
 use ts_splits::exact::ColumnSplit;
-use ts_splits::impurity::NodeStats;
+use ts_splits::impurity::{Impurity, NodeStats};
 use ts_tree::{
     graft_nodes, trainer::prediction_from_stats, DecisionTreeModel, Node, Prediction, SplitInfo,
 };
@@ -426,6 +426,15 @@ impl Master {
         self.registry.next_job += 1;
         if let Some(err) = &self.degraded {
             let _ = tx.send(JobResult::Failed(err.clone()));
+            return (JobHandle(job_id), rx);
+        }
+        // Regression kernels score by variance whatever the spec says, but
+        // class counts have no variance: a comper would panic on the first
+        // task and the job would never complete.
+        let (impurity, task) = (spec.impurity, self.data_task);
+        if impurity == Impurity::Variance && matches!(task, Task::Classification { .. }) {
+            let mismatch = RecoveryError::ImpurityMismatch { impurity, task };
+            let _ = tx.send(JobResult::Failed(mismatch));
             return (JobHandle(job_id), rx);
         }
         // The job's root span doubles as the trace id: every descendant

@@ -16,7 +16,9 @@
 //! crash path — and can then fail with one of these.
 
 use std::fmt;
+use ts_datatable::Task;
 use ts_netsim::NodeId;
+use ts_splits::Impurity;
 
 /// Column index into the schema (same index space as `ColumnMap`).
 pub type AttrId = usize;
@@ -49,6 +51,16 @@ pub enum RecoveryError {
         /// The column that could not be re-replicated.
         attr: AttrId,
     },
+    /// Not a lost resource but a job no worker could compute: its impurity
+    /// function is not defined on the loaded table's labels (variance on
+    /// class labels). `Master::submit` refuses it before anything is
+    /// dispatched; the cluster stays healthy.
+    ImpurityMismatch {
+        /// The job's impurity function.
+        impurity: Impurity,
+        /// The task of the table the cluster holds.
+        task: Task,
+    },
 }
 
 impl fmt::Display for RecoveryError {
@@ -66,6 +78,10 @@ impl fmt::Display for RecoveryError {
                 f,
                 "no live worker can accept a new replica of column {attr} \
                  (replication exceeds live workers)"
+            ),
+            RecoveryError::ImpurityMismatch { impurity, task } => write!(
+                f,
+                "impurity {impurity:?} is not defined on the labels of the loaded table ({task:?})"
             ),
         }
     }

@@ -31,7 +31,7 @@ use std::time::Duration;
 use ts_datatable::{AttrType, BinnedColumn, Column, Labels, SortedColumn, Task, ValuesBuf};
 use ts_netsim::{BusyGuard, Fabric, FabricReceiver, NetStats, NodeId};
 use ts_obs::TraceCtx;
-use ts_splits::exact::ColumnSplit;
+use ts_splits::exact::{ColumnSplit, SplitCandidate};
 use ts_splits::hist::{best_hist_split_at, top_k_candidates, HistCandidate, HistColumnRef};
 use ts_splits::impurity::Impurity;
 use ts_splits::impurity::{LabelView, NodeStats};
@@ -1159,22 +1159,25 @@ impl Worker {
         view: LabelView<'_>,
         imp: Impurity,
     ) -> Option<(usize, ColumnSplit)> {
-        let mut best: Option<(usize, ColumnSplit)> = None;
-        for &attr in cols {
+        let cref = |attr: usize| {
             let col = store.get(&attr).expect("assigned column must be held");
             let index = sorted_store.get(&attr).expect("sorted index must be held");
-            let cref = ColumnRef::of_column(col, index, self.attr_types[attr]);
-            if let Some(s) = best_split_at(cref, node, view, imp) {
+            ColumnRef::of_column(col, index, self.attr_types[attr])
+        };
+        let mut best: Option<(usize, SplitCandidate)> = None;
+        for &attr in cols {
+            if let Some(s) = best_split_at(cref(attr), node, view, imp) {
                 let wins = match &best {
                     None => true,
-                    Some((battr, bs)) => ColumnSplit::challenger_wins(&s, attr, bs, *battr),
+                    Some((battr, bs)) => SplitCandidate::challenger_wins(&s, attr, bs, *battr),
                 };
                 if wins {
                     best = Some((attr, s));
                 }
             }
         }
-        best
+        // Regression children are summed here, once, for the winner.
+        best.map(|(attr, s)| (attr, s.finish(cref(attr), node, view)))
     }
 
     fn compute_column_task(&self, plan: ColumnPlan, ix: RowSet) -> Option<TaskMsg> {

@@ -1,9 +1,10 @@
 //! Engine edge cases: degenerate datasets, extreme thresholds, tiny
 //! clusters — anything that can make the task machinery trip over itself.
 
-use treeserver::{Cluster, ClusterConfig, JobSpec};
+use treeserver::{Cluster, ClusterConfig, JobResult, JobSpec, RecoveryError};
 use ts_datatable::synth::{generate, SynthSpec};
 use ts_datatable::{AttrMeta, Column, DataTable, Labels, Schema, Task};
+use ts_splits::Impurity;
 
 fn tiny_cfg() -> ClusterConfig {
     ClusterConfig {
@@ -339,4 +340,49 @@ fn extra_trees_survive_column_less_workers() {
     for (i, tree) in f.trees.iter().enumerate() {
         assert!(tree.n_nodes() > 1, "tree {i} degenerated to a single leaf");
     }
+}
+
+/// Variance is not defined on class labels. The master refuses such a job
+/// when it is submitted — up to commit 1ca5a9f a comper panicked on its
+/// first column-task and `train` never returned — and the cluster goes on
+/// to train a valid job and shuts down.
+#[test]
+fn variance_on_class_labels_fails_the_job_not_the_cluster() {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let task = Task::Classification { n_classes: 3 };
+        let t = generate(&SynthSpec {
+            rows: 300,
+            numeric: 3,
+            categorical: 1,
+            task,
+            seed: 41,
+            ..Default::default()
+        });
+        let cluster = Cluster::launch(tiny_cfg(), &t);
+        let started = std::time::Instant::now();
+        let refused = cluster.train(JobSpec::decision_tree(task).with_impurity(Impurity::Variance));
+        let took = started.elapsed();
+        let tree = cluster.train(JobSpec::decision_tree(task)).into_tree();
+        cluster.shutdown();
+        let _ = done_tx.send((refused, took, tree));
+    });
+    let (refused, took, tree) = done_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the mismatched job or the shutdown after it hung");
+    match refused {
+        JobResult::Failed(RecoveryError::ImpurityMismatch { impurity, task }) => {
+            assert_eq!(impurity, Impurity::Variance);
+            assert_eq!(task, Task::Classification { n_classes: 3 });
+        }
+        other => panic!("expected an impurity mismatch, got {other:?}"),
+    }
+    assert!(
+        took < std::time::Duration::from_secs(1),
+        "refusal took {took:?}"
+    );
+    assert!(
+        tree.n_nodes() > 1,
+        "the cluster trains a valid job afterwards"
+    );
 }

@@ -17,17 +17,22 @@
 //! Determinism: every kernel and [`ColumnSplit::challenger_wins`] define a
 //! strict total order on candidate splits, so the distributed engine and the
 //! single-threaded subtree trainer pick identical splits.
+//!
+//! Work follows need (docs/PERF.md, "What a boundary costs"): a boundary
+//! costs a gain and a comparison, a column its winner's threshold and class
+//! counts, and a node one pass for the float children of a regression split
+//! — [`SplitCandidate::finish`], on the column that won the node's fold.
 
 use crate::condition::SplitTest;
 use crate::impurity::{
-    BoundarySide, ClassCounts, EntropyCounts, GiniCounts, Impurity, LabelAgg, LabelView, NodeStats,
+    BoundaryScan, ClassCounts, EntropyScan, GiniScan, Impurity, LabelAgg, LabelView, NodeStats,
     RegAgg,
 };
 use crate::sorted::{
-    best_cat_split_classification_at, best_cat_split_regression_at, numeric_split, with_class_pair,
-    NodeRows, Sequence,
+    best_cat_split_classification_at, best_cat_split_regression_at, numeric_split, numeric_value,
+    route_children, with_class_pair, ColumnRef, NodeRows, Sequence,
 };
-use ts_datatable::{AttrType, ValuesBuf, MISSING_CAT};
+use ts_datatable::{AttrType, Value, ValuesBuf, MISSING_CAT};
 use tsjson::{Deserialize, Serialize};
 
 /// The best split found for one column, with exact child statistics.
@@ -78,6 +83,95 @@ impl ColumnSplit {
     }
 }
 
+/// A column's best split as [`crate::sorted::best_split_at`] and
+/// [`crate::sorted::best_split_in`] return it: what the fold over a node's
+/// columns compares, with the children only where choosing the split had
+/// them anyway (integer class counts, read off the scan). Regression
+/// children are float sums over the node's rows in ascending row order, a
+/// pass only the fold's winner needs: [`SplitCandidate::finish`] makes it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SplitCandidate {
+    /// The split; its children are empty while `unrouted`.
+    split: ColumnSplit,
+    pub(crate) unrouted: bool,
+}
+
+impl SplitCandidate {
+    /// A regression split whose children wait for [`SplitCandidate::finish`].
+    pub(crate) fn unrouted(test: SplitTest, gain: f64, missing_left: bool) -> Self {
+        let empty = || NodeStats::Reg(RegAgg::default());
+        let (left, right) = (empty(), empty());
+        SplitCandidate {
+            split: ColumnSplit {
+                test,
+                gain,
+                missing_left,
+                left,
+                right,
+            },
+            unrouted: true,
+        }
+    }
+
+    /// [`ColumnSplit::challenger_wins`] on candidates, so that folding
+    /// candidates and finishing the winner picks the split that folding
+    /// finished splits picks.
+    pub fn challenger_wins(
+        challenger: &SplitCandidate,
+        challenger_attr: usize,
+        incumbent: &SplitCandidate,
+        incumbent_attr: usize,
+    ) -> bool {
+        let (challenger, incumbent) = (&challenger.split, &incumbent.split);
+        ColumnSplit::challenger_wins(challenger, challenger_attr, incumbent, incumbent_attr)
+    }
+
+    /// The finished split. `col`, `node` and `labels` are the ones the
+    /// candidate was found with; they are read only if the children are
+    /// still to be summed.
+    pub fn finish(
+        self,
+        col: ColumnRef<'_>,
+        node: NodeRows<'_>,
+        labels: LabelView<'_>,
+    ) -> ColumnSplit {
+        match col {
+            // The common case, its column kind decided outside the row loop.
+            ColumnRef::Numeric { values, .. } => {
+                self.finish_by(node, labels, |row| numeric_value(values[row]))
+            }
+            ColumnRef::Categorical { .. } => self.finish_by(node, labels, |row| col.value(row)),
+        }
+    }
+
+    /// [`SplitCandidate::finish`] reading the column through `value`.
+    pub(crate) fn finish_by(
+        mut self,
+        node: NodeRows<'_>,
+        labels: LabelView<'_>,
+        value: impl Fn(usize) -> Value,
+    ) -> ColumnSplit {
+        if self.unrouted {
+            let LabelView::Real(ys) = labels else {
+                panic!("class-label kernels count their children");
+            };
+            let (test, missing_left) = (&self.split.test, self.split.missing_left);
+            (self.split.left, self.split.right) =
+                route_children(node, ys, RegAgg::default(), missing_left, |row| {
+                    test.goes_left(value(row))
+                });
+        }
+        self.split
+    }
+}
+
+impl From<ColumnSplit> for SplitCandidate {
+    fn from(split: ColumnSplit) -> Self {
+        let unrouted = false;
+        SplitCandidate { split, unrouted }
+    }
+}
+
 /// Picks the threshold for a boundary between adjacent sorted values `a < b`.
 ///
 /// Uses the midpoint, falling back to `a` when rounding would land on `b`
@@ -105,81 +199,77 @@ pub fn best_numeric_split(
     imp: Impurity,
 ) -> Option<ColumnSplit> {
     let node = NodeRows::All(values.len());
-    numeric_split(Sequence::GatherSort, values, node, labels, imp)
+    let best = numeric_split(Sequence::GatherSort, values, node, labels, imp)?;
+    Some(best.finish_by(node, labels, |row| numeric_value(values[row])))
 }
 
 /// Scan core 1 — one boundary scan over a node's present `(value, label)`
 /// pairs in `(value, row)` order, with `O(1)` incremental impurity per
-/// boundary. Returns the best `(gain, threshold, boundary index)` under the
-/// strict within-column order, or `None`; `on_best` sees the left side each
-/// time a boundary takes the lead, so the last call holds the side at the
-/// returned boundary.
+/// boundary. Returns the best `(gain, threshold, boundary index)` — the
+/// highest finite positive gain, the earliest boundary among equals — or
+/// `None`. `node_w` is the node's `impurity * n`, and `scan` arrives with
+/// every label of `present` right of the boundary.
 ///
-/// `left` and `right` arrive empty; on return `left` holds every present row
-/// but the last and `right` the last. The scan compares values and
-/// accumulates labels in sequence order and nothing else, so any two sources
-/// of the same sequence — rank selection, a partitioned segment, a stable
-/// sort of the gathered node — produce bit-identical gains (docs/PERF.md).
-pub(crate) fn scan_boundaries<S: BoundarySide>(
+/// Thresholds increase strictly along the scan (`boundary_threshold` lies in
+/// `[a, b)` and the next boundary starts at or after `b`), so "higher gain,
+/// then smaller threshold" is "strictly higher gain than any boundary
+/// before": no tie-break, and the threshold is computed for the winner alone.
+///
+/// The scan compares values and accumulates labels in sequence order and
+/// nothing else, so any two sources of the same sequence — rank selection, a
+/// partitioned segment, a stable sort of the gathered node — produce
+/// bit-identical gains (docs/PERF.md).
+pub(crate) fn scan_boundaries<S: BoundaryScan>(
     present: &[(f64, S::Label)],
-    left: &mut S,
-    right: &mut S,
-    mut on_best: impl FnMut(&S),
+    node_w: f64,
+    mut scan: S,
 ) -> Option<(f64, f64, usize)> {
-    if present.len() < 2 {
+    if !node_w.is_finite() {
+        // No gain would be finite. With a finite `node_w`, a gain above zero
+        // is: the sides are never negative infinity.
         return None;
     }
-    for &(_, y) in present {
-        right.add(y);
-    }
-    let total_w = right.weighted_impurity();
-    let mut best: Option<(f64, f64, usize)> = None; // (gain, threshold, boundary idx)
+    let (mut best_gain, mut best_i) = (0.0, None);
     for (i, pair) in present.windows(2).enumerate() {
         let ((value, y), (next, _)) = (pair[0], pair[1]);
-        left.add(y);
-        right.remove(y);
+        scan.shift(y);
         if value < next {
-            let gain = total_w - left.weighted_impurity() - right.weighted_impurity();
-            let thr = boundary_threshold(value, next);
-            if challenger_gain_wins(gain, thr, &best) {
-                best = Some((gain, thr, i));
-                on_best(left);
+            let (left_w, right_w) = scan.sides();
+            let gain = node_w - left_w - right_w;
+            if gain > best_gain {
+                (best_gain, best_i) = (gain, Some(i));
             }
         }
     }
-    best
+    let i = best_i?;
+    let thr = boundary_threshold(present[i].0, present[i + 1].0);
+    Some((best_gain, thr, i))
 }
 
 /// [`scan_boundaries`] over class labels: the best `(gain, threshold)` and
 /// the class counts of the present rows on each side of it, `(left, right)`.
-/// Counts are integers, so reading them off the scan at the winning boundary
-/// equals re-counting the children's rows in any order.
+/// Counts are integers, so counting the rows up to the winning boundary once
+/// more equals re-counting the children's rows in any order.
 pub(crate) fn scan_class(
     present: &[(f64, u32)],
     n_classes: u32,
     imp: Impurity,
 ) -> Option<(f64, f64, ClassCounts, ClassCounts)> {
-    with_class_pair(n_classes, |below, above| {
-        let mut left: Option<ClassCounts> = None;
-        let mut keep = |side: &ClassCounts| match &mut left {
-            Some(kept) => kept.copy_from(side),
-            None => left = Some(side.clone()),
-        };
-        let (gain, thr, _) = match imp {
-            Impurity::Gini => {
-                let (mut below, mut above) = (GiniCounts::new(below), GiniCounts::new(above));
-                scan_boundaries(present, &mut below, &mut above, |side| keep(side.counts()))
-            }
-            Impurity::Entropy => {
-                let (mut below, mut above) = (EntropyCounts(below), EntropyCounts(above));
-                scan_boundaries(present, &mut below, &mut above, |side| keep(side.0))
-            }
-            Impurity::Variance => panic!("variance impurity applied to class labels"),
+    with_class_pair(n_classes, |left, node| {
+        for &(_, y) in present {
+            node.add(y);
+        }
+        let node_w = node.weighted_impurity(imp);
+        let (gain, thr, boundary) = match imp {
+            Impurity::Gini => scan_boundaries(present, node_w, GiniScan::new(left, node)),
+            Impurity::Entropy => scan_boundaries(present, node_w, EntropyScan { left, node }),
+            Impurity::Variance => unreachable!("`weighted_impurity` refuses class labels"),
         }?;
-        let left = left.expect("the scan kept the side of its best boundary");
-        below.merge(above);
-        let right = below.minus(&left);
-        Some((gain, thr, left, right))
+        left.reset();
+        for &(_, y) in &present[..=boundary] {
+            left.add(y);
+        }
+        Some((gain, thr, left.clone(), node.minus(left)))
     })
 }
 
@@ -206,21 +296,6 @@ pub(crate) fn split_from_children<A: LabelAgg>(
         missing_left,
         left: left.into(),
         right: right.into(),
-    }
-}
-
-/// Strict within-column order: higher gain, then smaller threshold.
-pub(crate) fn challenger_gain_wins(gain: f64, thr: f64, best: &Option<(f64, f64, usize)>) -> bool {
-    if gain <= 0.0 || !gain.is_finite() {
-        return false;
-    }
-    match best {
-        None => true,
-        Some((bg, bt, _)) => match gain.total_cmp(bg) {
-            std::cmp::Ordering::Greater => true,
-            std::cmp::Ordering::Less => false,
-            std::cmp::Ordering::Equal => thr < *bt,
-        },
     }
 }
 
@@ -376,6 +451,8 @@ pub fn distinct_categories(codes: &[u32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::impurity::two_sided::{BoundarySide, GiniCounts};
+    use crate::impurity::VarianceScan;
 
     fn class_view(ys: &[u32]) -> LabelView<'_> {
         LabelView::Class(ys, 2)
@@ -601,10 +678,30 @@ mod tests {
         }
     }
 
-    /// The boundary scan as commit ab733cd ran it, kept as the oracle of the
-    /// core that replaced it: `(value, row)` pairs, every label fetched
-    /// through its row id, class impurity recomputed over all classes in
-    /// `f64` at every boundary.
+    /// Strict within-column order: higher gain, then smaller threshold. The
+    /// scan itself keeps the first of equal gains and never looks at a
+    /// threshold; the oracle keeps this, so that agreeing with it shows the
+    /// threshold arm decides nothing.
+    fn challenger_gain_wins(gain: f64, thr: f64, best: &Option<(f64, f64, usize)>) -> bool {
+        if gain <= 0.0 || !gain.is_finite() {
+            return false;
+        }
+        match best {
+            None => true,
+            Some((bg, bt, _)) => match gain.total_cmp(bg) {
+                std::cmp::Ordering::Greater => true,
+                std::cmp::Ordering::Less => false,
+                std::cmp::Ordering::Equal => thr < *bt,
+            },
+        }
+    }
+
+    /// The boundary scan as commits up to 1ca5a9f ran it, kept as the oracle
+    /// of the core that replaced it: both sides maintained, a threshold and
+    /// a tie-break at every boundary, `(value, row)` pairs with every label
+    /// fetched through its row id. Over [`FloatCounts`] it is the scan of
+    /// ab733cd (class impurity recomputed over all classes in `f64` at every
+    /// boundary), over [`GiniCounts`] that of 1ca5a9f.
     fn float_scan_oracle<S: BoundarySide>(
         present: &[(f64, u32)],
         ys: &[S::Label],
@@ -631,6 +728,14 @@ mod tests {
             }
         }
         best
+    }
+
+    /// The boundary scan under variance, as `numeric_split` runs it.
+    fn variance_scan(present: &[(f64, f64)]) -> Option<(f64, f64, usize)> {
+        let mut targets = RegAgg::default();
+        present.iter().for_each(|&(_, y)| targets.add(y));
+        let node_w = targets.weighted_impurity();
+        scan_boundaries(present, node_w, VarianceScan::new(targets))
     }
 
     fn bits(best: Option<(f64, f64, usize)>) -> Option<(u64, u64, usize)> {
@@ -731,9 +836,55 @@ mod tests {
                 let (mut l, mut r) = (RegAgg::default(), RegAgg::default());
                 let want = float_scan_oracle(&present, &ys, &mut l, &mut r);
                 prop_assert!(want.is_some());
-                let (mut l, mut r) = (RegAgg::default(), RegAgg::default());
-                let got = scan_boundaries(&labelled, &mut l, &mut r, |_| {});
+                let got = variance_scan(&labelled);
                 prop_assert_eq!(bits(got), bits(want));
+            }
+        }
+
+        proptest! {
+            /// Small nodes of 2 to 9 classes, where boundaries of exactly
+            /// equal gain are common: the one-sided scans pick the boundary,
+            /// threshold and gain bits of the two-sided integer scan and of
+            /// the float scan — whose tie-break looks at thresholds — and
+            /// hand back the children's counts; `None` where they say `None`.
+            #[test]
+            fn one_sided_scans_have_the_bits_of_the_two_sided_scan(
+                (k, values, ys) in (2u32..=9, 0usize..24).prop_flat_map(|(k, n)| {
+                    (Just(k), awkward_values(n), tscheck::collection::vec(0..k, n))
+                })
+            ) {
+                let present = presorted(&values);
+                let labelled: Vec<(f64, u32)> =
+                    present.iter().map(|&(v, r)| (v, ys[r as usize])).collect();
+                let count = |side: &[(f64, u32)]| {
+                    let mut c = ClassCounts::new(k);
+                    side.iter().for_each(|&(_, y)| c.add(y));
+                    c
+                };
+                let (mut l, mut r) = (ClassCounts::new(k), ClassCounts::new(k));
+                let two_sided = float_scan_oracle(
+                    &present,
+                    &ys,
+                    &mut GiniCounts::new(&mut l),
+                    &mut GiniCounts::new(&mut r),
+                );
+                for imp in [Impurity::Gini, Impurity::Entropy] {
+                    let floats = |imp| FloatCounts(vec![0; k as usize], imp);
+                    let want = float_scan_oracle(&present, &ys, &mut floats(imp), &mut floats(imp));
+                    if imp == Impurity::Gini {
+                        prop_assert_eq!(bits(two_sided), bits(want));
+                    }
+                    let got = scan_class(&labelled, k, imp);
+                    let found = got.as_ref().map(|(gain, thr, left, _)| {
+                        (*gain, *thr, left.total() as usize - 1)
+                    });
+                    prop_assert_eq!(bits(found), bits(want), "{:?}", imp);
+                    if let Some((_, _, left, right)) = got {
+                        let (below, above) = labelled.split_at(left.total() as usize);
+                        prop_assert_eq!(left, count(below));
+                        prop_assert_eq!(right, count(above));
+                    }
+                }
             }
         }
     }
@@ -768,6 +919,52 @@ mod tests {
         assert!(ColumnSplit::challenger_wins(&s, 1, &s, 2));
         assert!(!ColumnSplit::challenger_wins(&s, 2, &s, 1));
         assert!(!ColumnSplit::challenger_wins(&s, 2, &s, 2));
+    }
+
+    #[test]
+    fn equal_gains_go_to_the_earliest_boundary() {
+        // Labels 0 1 0 1 over four distinct values: the first and the last
+        // boundary each cut off one pure row, (2 - 0) - (3 - 5/3) against
+        // (2 - (3 - 5/3)) - 0 — the same bits — and the middle one gains 0.
+        let present = [(1.0, 0u32), (2.0, 1), (3.0, 0), (4.0, 1)];
+        for imp in [Impurity::Gini, Impurity::Entropy] {
+            let (gain, thr, left, right) = scan_class(&present, 2, imp).unwrap();
+            assert!(gain > 0.0);
+            assert_eq!(
+                (thr, left.counts(), right.counts()),
+                (1.5, &[1, 0][..], &[1, 2][..])
+            );
+        }
+        let reals = [(1.0, 0.0), (2.0, 1.0), (3.0, 0.0), (4.0, 1.0)];
+        let (_, thr, boundary) = variance_scan(&reals).unwrap();
+        assert_eq!((thr, boundary), (1.5, 0));
+    }
+
+    /// Targets whose sums of squares overflow, or that are not numbers at
+    /// all: the scan refuses non-finite gains once, on the node's impurity,
+    /// where the two-sided scan tested every boundary — with the same result.
+    #[test]
+    fn targets_that_overflow_split_as_the_two_sided_scan_splits_them() {
+        let (inf, nan, big) = (f64::INFINITY, f64::NAN, 1e200);
+        for ys in [
+            // Node impurity and every gain +inf: squares overflow, sums cancel.
+            [big, -big, big, -big, 1.0],
+            [big, -big, big, 3.0, 1.0],
+            [1.0, 2.0, 3.0, big, big],
+            [1.0, 2.0, 50.0, 60.0, 1e154],
+            [inf, 1.0, 2.0, 3.0, 4.0],
+            [1.0, 2.0, -inf, 3.0, inf],
+            [1.0, nan, 2.0, 30.0, 40.0],
+            [1e308, 1e308, -1e308, 5.0, 6.0],
+        ] {
+            let present: Vec<(f64, u32)> = (0..ys.len()).map(|r| (r as f64, r as u32)).collect();
+            let (mut l, mut r) = (RegAgg::default(), RegAgg::default());
+            let want = float_scan_oracle(&present, &ys, &mut l, &mut r);
+            let labelled: Vec<(f64, f64)> =
+                ys.iter().enumerate().map(|(r, &y)| (r as f64, y)).collect();
+            let got = variance_scan(&labelled);
+            assert_eq!(bits(got), bits(want), "{ys:?}");
+        }
     }
 
     #[test]

@@ -2,8 +2,13 @@
 //!
 //! The paper evaluates node splits with Gini index or entropy for
 //! classification and variance for regression (§II). The aggregates here
-//! support `O(1)` add/remove of one label so the sorted-scan kernels find the
-//! best threshold in one pass (Appendix B, Case 1).
+//! ([`ClassCounts`], [`RegAgg`]) support `O(1)` add/remove of one label; the
+//! numeric boundary scan (Appendix B, Case 1) runs on the narrower
+//! `BoundaryScan` states built over them — one per impurity function, each
+//! keeping only what a boundary's gain needs: `GiniScan` updates the left
+//! side's integers and reads the right side off an identity, `EntropyScan`
+//! counts the left side and subtracts, `VarianceScan` keeps both float sums
+//! because their bits depend on the order of their operations.
 
 use ts_datatable::Labels;
 use tsjson::{Deserialize, Serialize};
@@ -153,20 +158,20 @@ impl From<RegAgg> for NodeStats {
     }
 }
 
-/// One side of the numeric boundary scan (`exact::scan_boundaries`): a label
-/// aggregate bound to one impurity function, with `O(1)` add/remove of a
-/// label. Narrower than [`LabelAgg`] so that an implementation can carry
-/// running state the wire-format aggregates must not ([`GiniCounts`]).
-pub(crate) trait BoundarySide {
+/// The state of the numeric boundary scan (`exact::scan_boundaries`) under
+/// one impurity function. It starts with every label of the node right of
+/// the boundary; `shift` is the scan's per-row cost and `sides` its
+/// per-boundary cost (docs/PERF.md, "What a boundary costs").
+pub(crate) trait BoundaryScan {
     /// One row's label.
     type Label: Copy;
 
-    /// Adds one label.
-    fn add(&mut self, y: Self::Label);
-    /// Removes one label previously added.
-    fn remove(&mut self, y: Self::Label);
-    /// `impurity * n` of the side.
-    fn weighted_impurity(&self) -> f64;
+    /// Moves one of the node's labels to the left of the boundary.
+    fn shift(&mut self, y: Self::Label);
+    /// `impurity * n` left and right of the boundary, neither side empty.
+    /// Never NaN or negative infinity, whatever the labels: the scan relies
+    /// on a finite node impurity making every positive gain finite.
+    fn sides(&self) -> (f64, f64);
 }
 
 /// `gini * n` of `n` rows whose class counts square-sum to `sum_sq`:
@@ -184,82 +189,154 @@ pub(crate) fn gini_weighted(n: u64, sum_sq: u64) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    let n = n as f64;
+    gini_weighted_of(n as f64, sum_sq)
+}
+
+/// [`gini_weighted`] of `n > 0` rows counted in a float (exact below `2^53`).
+fn gini_weighted_of(n: f64, sum_sq: u64) -> f64 {
     n - sum_sq as f64 / n
 }
 
-/// Borrowed [`ClassCounts`] with a running `sum c_i^2`, which makes the Gini
-/// of a scan side `O(1)` per boundary instead of `O(classes)`: moving one
-/// label changes one count `c` by one and the sum by `2c + 1`.
-pub(crate) struct GiniCounts<'a> {
-    counts: &'a mut ClassCounts,
-    sum_sq: u64,
+/// The right side's `sum (T_c - L_c)^2` from the node's `node_sq = sum
+/// T_c^2`, the left side's `left_sq = sum L_c^2` and `cross = sum T_c L_c`.
+/// Inputs and result are at most `n^2 < 2^64` for `u32` row ids, but
+/// `node_sq + left_sq` and `2 cross` can pass `2^64`: the arithmetic wraps,
+/// exact modulo `2^64` and hence exact.
+pub(crate) fn right_sum_sq(node_sq: u64, left_sq: u64, cross: u64) -> u64 {
+    let twice_cross = cross.wrapping_mul(2);
+    node_sq.wrapping_add(left_sq).wrapping_sub(twice_cross)
 }
 
-impl<'a> GiniCounts<'a> {
-    /// Wraps `counts`, which may already hold rows.
-    pub(crate) fn new(counts: &'a mut ClassCounts) -> Self {
-        let sum_sq = counts.sum_sq();
-        GiniCounts { counts, sum_sq }
-    }
+/// Gini scan on the left side alone: with the node's class counts `T` fixed,
+/// moving a label `y` left changes `l = L[y]` by one, `sum L_c^2` by
+/// `2l + 1` and `sum T_c L_c` by `T[y]`, and the right side is read off
+/// those ([`right_sum_sq`]) — integers, so both sides' Gini is exact. Row
+/// counts are floats (counting by `1.0` is exact below `2^53`), which spares
+/// a boundary two integer conversions.
+pub(crate) struct GiniScan<'a> {
+    left: &'a mut [u64],
+    node: &'a [u64],
+    n_left: f64,
+    n: f64,
+    node_sq: u64,
+    left_sq: u64,
+    cross: u64,
+}
 
-    /// The class counts so far.
-    pub(crate) fn counts(&self) -> &ClassCounts {
-        self.counts
+impl<'a> GiniScan<'a> {
+    /// A scan of the node counted in `node`. `left`, empty on entry, is
+    /// scratch: the scan writes the left side's counts but not their total
+    /// to it, so it is to be `reset` before another use.
+    pub(crate) fn new(left: &'a mut ClassCounts, node: &'a ClassCounts) -> Self {
+        GiniScan {
+            left: &mut left.counts,
+            node: &node.counts,
+            n_left: 0.0,
+            n: node.total as f64,
+            node_sq: node.sum_sq(),
+            left_sq: 0,
+            cross: 0,
+        }
     }
 }
 
-impl BoundarySide for GiniCounts<'_> {
+impl BoundaryScan for GiniScan<'_> {
     type Label = u32;
 
-    fn add(&mut self, y: u32) {
-        let c = &mut self.counts.counts[y as usize];
-        self.sum_sq += 2 * *c + 1;
-        *c += 1;
-        self.counts.total += 1;
+    fn shift(&mut self, y: u32) {
+        let l = &mut self.left[y as usize];
+        self.left_sq += 2 * *l + 1;
+        *l += 1;
+        self.n_left += 1.0;
+        self.cross += self.node[y as usize];
     }
-    fn remove(&mut self, y: u32) {
-        let c = &mut self.counts.counts[y as usize];
-        debug_assert!(*c > 0);
-        self.sum_sq -= 2 * *c - 1;
-        *c -= 1;
-        self.counts.total -= 1;
-    }
-    fn weighted_impurity(&self) -> f64 {
-        gini_weighted(self.counts.total, self.sum_sq)
+    fn sides(&self) -> (f64, f64) {
+        let right_sq = right_sum_sq(self.node_sq, self.left_sq, self.cross);
+        let left_w = gini_weighted_of(self.n_left, self.left_sq);
+        (left_w, gini_weighted_of(self.n - self.n_left, right_sq))
     }
 }
 
-/// Borrowed [`ClassCounts`] scored by entropy, `O(classes)` per boundary:
-/// `sum c log2 c` has no exact incremental form.
-pub(crate) struct EntropyCounts<'a>(pub(crate) &'a mut ClassCounts);
+/// Entropy scan: `O(classes)` per boundary (`sum c log2 c` has no exact
+/// incremental form) but one count per row — the right side is `node - left`
+/// class by class, where a boundary asks. `left` is empty on entry.
+pub(crate) struct EntropyScan<'a> {
+    pub(crate) left: &'a mut ClassCounts,
+    pub(crate) node: &'a ClassCounts,
+}
 
-impl BoundarySide for EntropyCounts<'_> {
+impl BoundaryScan for EntropyScan<'_> {
     type Label = u32;
 
-    fn add(&mut self, y: u32) {
-        self.0.add(y);
+    fn shift(&mut self, y: u32) {
+        self.left.add(y);
     }
-    fn remove(&mut self, y: u32) {
-        self.0.remove(y);
-    }
-    fn weighted_impurity(&self) -> f64 {
-        self.0.weighted_impurity(Impurity::Entropy)
+    fn sides(&self) -> (f64, f64) {
+        let right = self.node.counts.iter().zip(&self.left.counts);
+        let right_w =
+            entropy_weighted(self.node.total - self.left.total, right.map(|(t, l)| t - l));
+        (self.left.weighted_impurity(Impurity::Entropy), right_w)
     }
 }
 
-impl BoundarySide for RegAgg {
+/// `entropy * n` of `n` rows with the given class counts:
+/// `n * (-sum p log2 p) = n log2 n - sum c log2 c`, summed in class order.
+fn entropy_weighted(n: u64, counts: impl Iterator<Item = u64>) -> f64 {
+    if n == 0 {
+        return 0.0;
+    }
+    let n = n as f64;
+    let c_log_c = |c: u64| (c as f64) * (c as f64).log2();
+    n * n.log2() - counts.filter(|&c| c > 0).map(c_log_c).sum::<f64>()
+}
+
+/// Variance scan. Float sums depend on the order of their operations, so the
+/// right side is not derived from the left: each label is added on the left
+/// and removed on the right, as the scan always did. Row counts are floats,
+/// as in [`GiniScan`].
+pub(crate) struct VarianceScan {
+    left: RegAgg,
+    right: RegAgg,
+    n_left: f64,
+    n: f64,
+}
+
+impl VarianceScan {
+    /// A scan of the node whose targets sum to `node`.
+    pub(crate) fn new(node: RegAgg) -> Self {
+        let (left, n) = (RegAgg::default(), node.n as f64);
+        VarianceScan {
+            left,
+            right: node,
+            n_left: 0.0,
+            n,
+        }
+    }
+}
+
+impl BoundaryScan for VarianceScan {
     type Label = f64;
 
-    fn add(&mut self, y: f64) {
-        RegAgg::add(self, y);
+    fn shift(&mut self, y: f64) {
+        self.left.add(y);
+        self.right.remove(y);
+        self.n_left += 1.0;
     }
-    fn remove(&mut self, y: f64) {
-        RegAgg::remove(self, y);
+    fn sides(&self) -> (f64, f64) {
+        let (left, right) = (&self.left, &self.right);
+        let left_w = variance_weighted_of(self.n_left, left.sum, left.sum_sq);
+        let n_right = self.n - self.n_left;
+        (
+            left_w,
+            variance_weighted_of(n_right, right.sum, right.sum_sq),
+        )
     }
-    fn weighted_impurity(&self) -> f64 {
-        RegAgg::weighted_impurity(self)
-    }
+}
+
+/// `variance * n` of `n > 0` targets with the given sums, clamped at 0
+/// against floating-point cancellation (and so never NaN).
+fn variance_weighted_of(n: f64, sum: f64, sum_sq: f64) -> f64 {
+    (sum_sq - sum * sum / n).max(0.0)
 }
 
 /// Incremental class-count aggregate.
@@ -325,13 +402,6 @@ impl ClassCounts {
         self.total = a.total - b.total;
     }
 
-    /// Overwrites `self` with `other`'s counts, keeping the allocation
-    /// (`self` must be sized for the same classes).
-    pub fn copy_from(&mut self, other: &ClassCounts) {
-        self.counts.copy_from_slice(&other.counts);
-        self.total = other.total;
-    }
-
     /// Resets to the empty state, keeping the allocation (scratch-pool reuse).
     pub fn reset(&mut self) {
         self.counts.fill(0);
@@ -358,22 +428,9 @@ impl ClassCounts {
     /// Working with the weighted form avoids divisions in the scan loop and
     /// makes gains from different columns directly comparable.
     pub fn weighted_impurity(&self, kind: Impurity) -> f64 {
-        let n = self.total as f64;
-        if self.total == 0 {
-            return 0.0;
-        }
         match kind {
             Impurity::Gini => gini_weighted(self.total, self.sum_sq()),
-            Impurity::Entropy => {
-                // n * (-sum p log2 p) = n log2 n - sum c log2 c
-                let sum_clogc: f64 = self
-                    .counts
-                    .iter()
-                    .filter(|&&c| c > 0)
-                    .map(|&c| (c as f64) * (c as f64).log2())
-                    .sum();
-                n * n.log2() - sum_clogc
-            }
+            Impurity::Entropy => entropy_weighted(self.total, self.counts.iter().copied()),
             Impurity::Variance => panic!("variance impurity applied to class labels"),
         }
     }
@@ -452,7 +509,7 @@ impl RegAgg {
         if self.n == 0 {
             return 0.0;
         }
-        (self.sum_sq - self.sum * self.sum / self.n as f64).max(0.0)
+        variance_weighted_of(self.n as f64, self.sum, self.sum_sq)
     }
 }
 
@@ -546,8 +603,86 @@ impl NodeStats {
     }
 }
 
+/// The boundary scan's state as it was kept up to commit 1ca5a9f — both
+/// sides maintained, a label added on one and removed on the other — as the
+/// oracle of the one-sided [`BoundaryScan`]s.
+#[cfg(test)]
+pub(crate) mod two_sided {
+    use super::{gini_weighted, ClassCounts, RegAgg};
+
+    /// One side of the two-sided scan: a label aggregate bound to one
+    /// impurity function, with `O(1)` add/remove of a label.
+    pub(crate) trait BoundarySide {
+        /// One row's label.
+        type Label: Copy;
+
+        /// Adds one label.
+        fn add(&mut self, y: Self::Label);
+        /// Removes one label previously added.
+        fn remove(&mut self, y: Self::Label);
+        /// `impurity * n` of the side.
+        fn weighted_impurity(&self) -> f64;
+    }
+
+    /// Borrowed [`ClassCounts`] with a running `sum c_i^2`: moving one label
+    /// changes one count `c` by one and the sum by `2c + 1`.
+    pub(crate) struct GiniCounts<'a> {
+        counts: &'a mut ClassCounts,
+        sum_sq: u64,
+    }
+
+    impl<'a> GiniCounts<'a> {
+        /// Wraps `counts`, which may already hold rows.
+        pub(crate) fn new(counts: &'a mut ClassCounts) -> Self {
+            let sum_sq = counts.sum_sq();
+            GiniCounts { counts, sum_sq }
+        }
+
+        /// The class counts so far.
+        pub(crate) fn counts(&self) -> &ClassCounts {
+            self.counts
+        }
+    }
+
+    impl BoundarySide for GiniCounts<'_> {
+        type Label = u32;
+
+        fn add(&mut self, y: u32) {
+            let c = &mut self.counts.counts[y as usize];
+            self.sum_sq += 2 * *c + 1;
+            *c += 1;
+            self.counts.total += 1;
+        }
+        fn remove(&mut self, y: u32) {
+            let c = &mut self.counts.counts[y as usize];
+            debug_assert!(*c > 0);
+            self.sum_sq -= 2 * *c - 1;
+            *c -= 1;
+            self.counts.total -= 1;
+        }
+        fn weighted_impurity(&self) -> f64 {
+            gini_weighted(self.counts.total, self.sum_sq)
+        }
+    }
+
+    impl BoundarySide for RegAgg {
+        type Label = f64;
+
+        fn add(&mut self, y: f64) {
+            RegAgg::add(self, y);
+        }
+        fn remove(&mut self, y: f64) {
+            RegAgg::remove(self, y);
+        }
+        fn weighted_impurity(&self) -> f64 {
+            RegAgg::weighted_impurity(self)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::two_sided::{BoundarySide, GiniCounts};
     use super::*;
 
     #[test]
@@ -665,14 +800,47 @@ mod tests {
     }
 
     #[test]
-    fn set_minus_and_copy_from_reuse_the_allocation() {
+    fn set_minus_reuses_the_allocation() {
         let (a, b) = (counts_of(&[5, 3, 2]), counts_of(&[1, 3, 0]));
         let mut out = ClassCounts::new(3);
         out.set_minus(&a, &b);
         assert_eq!(out, counts_of(&[4, 0, 2]));
         assert_eq!(out, a.minus(&b));
-        out.copy_from(&b);
-        assert_eq!(out, b);
+    }
+
+    /// The identity the one-sided Gini scan reads its right side from, at
+    /// the top of its range: 2^32 - 1 rows, where `node_sq + left_sq` and
+    /// `2 cross` both pass 2^64 and the result does not.
+    #[test]
+    fn right_sum_of_squares_is_exact_through_a_wrapping_intermediate() {
+        let n = u64::from(u32::MAX);
+        for (node, left) in [
+            // Nearly everything in one class, nearly all of it moved left.
+            (vec![n - 3, 1, 1, 1], vec![n - 4, 1, 0, 1]),
+            (vec![n - 3, 1, 1, 1], vec![1, 0, 0, 0]),
+            (vec![n], vec![n - 1]),
+            (vec![n / 2, n - n / 2], vec![n / 2, n / 2]),
+            (vec![n / 3, n / 3, n - 2 * (n / 3)], vec![n / 3, 7, 0]),
+        ] {
+            assert_eq!(node.iter().sum::<u64>(), n);
+            let sq = |counts: &[u64]| -> u128 {
+                counts.iter().map(|&c| u128::from(c) * u128::from(c)).sum()
+            };
+            let (node_sq, left_sq) = (sq(&node), sq(&left));
+            let cross: u128 = node
+                .iter()
+                .zip(&left)
+                .map(|(&t, &l)| u128::from(t) * u128::from(l))
+                .sum();
+            let right: Vec<u64> = node.iter().zip(&left).map(|(t, l)| t - l).collect();
+            let want = sq(&right);
+            assert!(want <= u128::from(u64::MAX) && node_sq <= u128::from(u64::MAX));
+            let got = right_sum_sq(node_sq as u64, left_sq as u64, cross as u64);
+            assert_eq!(u128::from(got), want, "{node:?} - {left:?}");
+        }
+        // The first case is one where the plain sum would have overflowed.
+        let big = (n - 3) * (n - 3);
+        assert!(big.checked_add((n - 4) * (n - 4)).is_none());
     }
 
     #[test]

@@ -10,12 +10,12 @@
 //! Every kernel is written once, generic over the label type —
 //! [`impurity::LabelAgg`], the incremental aggregate implemented by
 //! `ClassCounts` (Gini, entropy) and `RegAgg` (variance), or for the numeric
-//! boundary scan its narrower per-impurity form `impurity::BoundarySide` —
+//! boundary scan the per-impurity scan state `impurity::BoundaryScan` —
 //! and monomorphised. Each split family has exactly one scan:
 //!
 //! | core | what it scans | instantiated by |
 //! |---|---|---|
-//! | 1. boundary scan (`exact::scan_boundaries`) | a node's present `(value, label)` pairs in `(value, row)` order, `O(1)` incremental impurity per boundary (*Case 1*) — Gini on running integer sums of squares, exactly | the one numeric kernel `sorted::numeric_split`, whose sequence comes from rank selection on the resident index ([`sorted::best_numeric_split_at`], engine column-tasks), from a node's own segment of a [`sorted::NodeOrders`] ([`sorted::best_numeric_split_in`]; subtree trainer, Yggdrasil) or from gather + sort ([`exact::best_numeric_split`], the reference) |
+//! | 1. boundary scan (`exact::scan_boundaries`) | a node's present `(value, label)` pairs in `(value, row)` order, `O(1)` incremental impurity per boundary (*Case 1*): one label moved left per row, a gain and a comparison per boundary, the threshold and the class counts for the winner only — Gini exactly, on the left side's running integers with the right side read off `ΣR² = ΣT² + ΣL² − 2 ΣTL` | the one numeric kernel `sorted::numeric_split`, whose sequence comes from rank selection on the resident index ([`sorted::best_split_at`], engine column-tasks; finished at once by [`sorted::best_numeric_split_at`]), from a node's own segment of a [`sorted::NodeOrders`] ([`sorted::best_split_in`]; subtree trainer, Yggdrasil) or from gather + sort ([`exact::best_numeric_split`], the reference) |
 //! | 2. bin prefix scan (`hist::best_bin_boundary`) | per-bin aggregates, one candidate per bin edge | [`hist::best_hist_split_numeric_at`] (the `--splitter hist` engine) and [`histogram::NumericHistogram::best_split`] (PLANET) |
 //! | 3. per-category accumulation (`sorted::accumulate_categories`) | a node's rows into per-category aggregates, feeding the selectors `exact::best_one_vs_rest` (*Case 3*) and `exact::best_breiman_prefix` (*Case 2*) | [`sorted::best_cat_split_classification_at`] / [`sorted::best_cat_split_regression_at`] and their `NodeRows::All` wrappers in [`exact`]; the selectors alone also serve [`histogram::best_cat_from_class_stats`] / [`histogram::best_cat_from_reg_stats`] |
 //!
@@ -24,7 +24,9 @@
 //! split (`exact::split_from_children`, shared with the merged-statistics
 //! selectors of [`histogram`]); regression sums are floats, so they are
 //! accumulated over the node's rows in ascending row order
-//! (`sorted::route_children`, shared with [`hist`]).
+//! (`sorted::route_children`, shared with [`hist`]) — by
+//! [`SplitCandidate::finish`], which a trainer calls once per node for the
+//! column that won its fold, not once per column.
 //!
 //! # Modules
 //!
@@ -33,13 +35,14 @@
 //! - [`sorted`]: the sorted-column split engine — `NodeRows`, the
 //!   thread-local scratch arena, the numeric kernel with its rank selection
 //!   and the `_at` entries of the column-tasks, and `NodeOrders` (a
-//!   node-partitioned copy of the presorted orders) with the `_in` entries
-//!   the whole-subtree trainers call (docs/PERF.md).
-//! - [`exact`]: `ColumnSplit`, core 1 and the categorical selectors, plus
-//!   the *gathered* kernels. Those take a column already gathered over the
-//!   node's rows and are thin `NodeRows::All` calls into [`sorted`]; they
-//!   stay public because the oracle suites and `micro_splits` use them as
-//!   the reference the engine is compared against.
+//!   node-partitioned copy of the presorted orders) with `best_split_in`,
+//!   the entry the whole-subtree trainers call (docs/PERF.md).
+//! - [`exact`]: `ColumnSplit`, `SplitCandidate`, core 1 and the categorical
+//!   selectors, plus the *gathered* kernels. Those take a column already
+//!   gathered over the node's rows and are thin `NodeRows::All` calls into
+//!   [`sorted`]; they stay public because the oracle suites and
+//!   `micro_splits` use them as the reference the engine is compared
+//!   against.
 //! - [`hist`]: core 2 and the distributed histogram split engine over
 //!   load-time `BinnedColumn` indices (docs/HISTOGRAM.md).
 //! - [`histogram`]: the mergeable PLANET/MLlib statistics (`maxBins`).
@@ -65,7 +68,7 @@ pub mod sketch;
 pub mod sorted;
 
 pub use condition::{partition_positions, partition_rows, partition_rows_buf, SplitTest};
-pub use exact::{best_split_for_column, ColumnSplit};
+pub use exact::{best_split_for_column, ColumnSplit, SplitCandidate};
 pub use hist::{best_hist_split_at, top_k_candidates, HistCandidate, HistColumnRef};
 pub use impurity::{Impurity, LabelView, NodeStats};
 pub use sorted::{

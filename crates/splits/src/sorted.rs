@@ -7,7 +7,7 @@
 //! each node its presorted `(value, label)` sequence in `O(|Dx|)`:
 //!
 //! - a **column-task** sees one node of a resident column at a time, so
-//!   [`best_numeric_split_at`] selects the node **by rank**: it sets bit
+//!   [`best_split_at`] selects the node **by rank**: it sets bit
 //!   `rank[r]` for each of the node's rows in a pooled bitmap over the
 //!   positions of the presorted order, prefix-popcounts the bitmap's
 //!   `n / 64` words, and scatters each row's `(value, label)` to the number
@@ -16,8 +16,8 @@
 //!   nothing per row outside the node. At the root the rank *is* the place;
 //! - a trainer that grows a **whole subtree** keeps a [`NodeOrders`] — a
 //!   copy of the orders in which every open node owns a contiguous segment,
-//!   stable-partitioned at each split — and [`best_numeric_split_in`] reads
-//!   the node's own segment: `O(rows)` per column per tree level;
+//!   stable-partitioned at each split — and [`best_split_in`] reads the
+//!   node's own segment: `O(rows)` per column per tree level;
 //! - the reference [`crate::exact::best_numeric_split`] gathers the node
 //!   and sorts it.
 //!
@@ -43,7 +43,9 @@
 //! - Regression children are accumulated over the node's rows in ascending
 //!   row order (`route_children`), the order in which a subtree trainer sums
 //!   a child it continues from, so floating-point sums — and the predictions
-//!   of children that become leaves — agree to the last ULP.
+//!   of children that become leaves — agree to the last ULP. The pass is
+//!   made once per node, by [`SplitCandidate::finish`] on the column that
+//!   won the node's fold.
 //!
 //! Which source a caller uses affects cost only, never the model.
 //!
@@ -56,14 +58,16 @@
 use crate::condition::SplitTest;
 use crate::exact::{
     best_breiman_prefix, best_one_vs_rest, scan_boundaries, scan_class, split_from_children,
-    ColumnSplit,
+    ColumnSplit, SplitCandidate,
 };
-use crate::impurity::{ClassCounts, Impurity, LabelAgg, LabelView, NodeStats, RegAgg};
+use crate::impurity::{
+    ClassCounts, Impurity, LabelAgg, LabelView, NodeStats, RegAgg, VarianceScan,
+};
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::thread::LocalKey;
-use ts_datatable::{AttrType, Column, SortedColumn, ValuesBuf, MISSING_CAT, MISSING_RANK};
+use ts_datatable::{AttrType, Column, SortedColumn, Value, ValuesBuf, MISSING_CAT, MISSING_RANK};
 
 // ---------------------------------------------------------------------------
 // Kernel/pool counters
@@ -543,53 +547,46 @@ fn select_by_rank<L: Copy>(
 /// node's rows, reading the node's sorted sequence from `sequence`.
 ///
 /// `values` and `labels` span the full column store. Missing rows take no
-/// part in the scan and join the larger child afterwards.
+/// part in the scan and join the larger child afterwards. Class children
+/// come with the candidate; regression children wait for its `finish`.
 pub(crate) fn numeric_split(
     sequence: Sequence<'_>,
     values: &[f64],
     node: NodeRows<'_>,
     labels: LabelView<'_>,
     imp: Impurity,
-) -> Option<ColumnSplit> {
+) -> Option<SplitCandidate> {
     assert_eq!(values.len(), labels.len(), "values/labels length mismatch");
     debug_assert_ascending(&node);
+    if !matches!(sequence, Sequence::GatherSort) {
+        NUMERIC_SORTED_SCANS.fetch_add(1, Relaxed);
+    }
     match labels {
         LabelView::Class(ys, k) => with_present(node.len(), |present| {
             let n_present = sequence.fill(values, node, ys, present);
             let (gain, thr, left, right) = scan_class(&present[..n_present], k, imp)?;
             let missing = missing_class_counts(node, n_present, ys, k, |i| values[i].is_nan());
             let test = SplitTest::NumericLe(thr);
-            Some(split_from_children(test, gain, left, right, &missing))
+            Some(split_from_children(test, gain, left, right, &missing).into())
         }),
         LabelView::Real(ys) => with_present(node.len(), |present| {
             let n_present = sequence.fill(values, node, ys, present);
-            let (mut below, mut above) = (RegAgg::default(), RegAgg::default());
-            let (gain, thr, boundary) =
-                scan_boundaries(&present[..n_present], &mut below, &mut above, |_| {})?;
+            let present = &present[..n_present];
+            let mut targets = RegAgg::default();
+            present.iter().for_each(|&(_, y)| targets.add(y));
+            let (node_w, scan) = (targets.weighted_impurity(), VarianceScan::new(targets));
+            let (gain, thr, boundary) = scan_boundaries(present, node_w, scan)?;
             let missing_left = boundary + 1 >= n_present - (boundary + 1);
-            let (left, right) = route_children(node, ys, RegAgg::default(), missing_left, |i| {
-                let v = values[i];
-                if v.is_nan() {
-                    None
-                } else {
-                    Some(v <= thr)
-                }
-            });
-            Some(ColumnSplit {
-                test: SplitTest::NumericLe(thr),
-                gain,
-                missing_left,
-                left,
-                right,
-            })
+            let test = SplitTest::NumericLe(thr);
+            Some(SplitCandidate::unrouted(test, gain, missing_left))
         }),
     }
 }
 
 /// Exact best `Ai <= v` split of a full numeric column over a node's rows,
 /// selecting the node from the column's presorted `index` by rank — the
-/// column-task kernel. `O(|node| + n / 64)` whatever the node's share of the
-/// column.
+/// column-task kernel, finished. `O(|node| + n / 64)` whatever the node's
+/// share of the column.
 ///
 /// `values` and `labels` span the full column store; `index` is the
 /// column's [`SortedColumn`].
@@ -605,25 +602,8 @@ pub fn best_numeric_split_at(
     labels: LabelView<'_>,
     imp: Impurity,
 ) -> Option<ColumnSplit> {
-    NUMERIC_SORTED_SCANS.fetch_add(1, Relaxed);
-    numeric_split(Sequence::Rank(index), values, node, labels, imp)
-}
-
-/// Exact best `Ai <= v` split of a numeric column over a node that already
-/// owns its presorted sequence: `segment` holds the node's present rows of
-/// this column in `(value, row)` order — a [`NodeOrders`] segment. No
-/// bitmap, no sort, no pass over rows outside the node; the same kernel
-/// over the same sequence as [`best_numeric_split_at`], so the split is
-/// byte-identical.
-pub fn best_numeric_split_in(
-    values: &[f64],
-    segment: &[u32],
-    node: NodeRows<'_>,
-    labels: LabelView<'_>,
-    imp: Impurity,
-) -> Option<ColumnSplit> {
-    NUMERIC_SORTED_SCANS.fetch_add(1, Relaxed);
-    numeric_split(Sequence::Segment(segment), values, node, labels, imp)
+    let col = ColumnRef::Numeric { values, index };
+    Some(best_split_at(col, node, labels, imp)?.finish(col, node, labels))
 }
 
 /// Class counts of the node's rows whose value `is_missing` — the rows a
@@ -756,27 +736,12 @@ pub fn best_cat_split_regression_at(
     node: NodeRows<'_>,
     ys: &[f64],
 ) -> Option<ColumnSplit> {
-    with_cat_reg(n_values, |per_value, total| {
-        if !accumulate_categories(codes, node, ys, per_value, total) {
-            return None;
-        }
-        let (gain, left_set, n_left) = best_breiman_prefix(per_value, total)?;
-        let missing_left = n_left >= total.n - n_left;
-        let (left, right) = route_children(node, ys, RegAgg::default(), missing_left, |i| {
-            if codes[i] == MISSING_CAT {
-                None
-            } else {
-                Some(left_set.binary_search(&codes[i]).is_ok())
-            }
-        });
-        Some(ColumnSplit {
-            test: SplitTest::CatIn(left_set),
-            gain,
-            missing_left,
-            left,
-            right,
-        })
-    })
+    let (col, labels) = (
+        ColumnRef::Categorical { codes, n_values },
+        LabelView::Real(ys),
+    );
+    let best = best_split_at(col, node, labels, Impurity::Variance)?;
+    Some(best.finish(col, node, labels))
 }
 
 /// Distinct category codes of a full column restricted to a node's rows —
@@ -927,7 +892,27 @@ pub enum ColumnRef<'a> {
     },
 }
 
+/// A numeric cell as a [`Value`]: NaN is the missing value.
+pub(crate) fn numeric_value(x: f64) -> Value {
+    if x.is_nan() {
+        Value::Missing
+    } else {
+        Value::Num(x)
+    }
+}
+
 impl<'a> ColumnRef<'a> {
+    /// The value of `row`.
+    pub(crate) fn value(&self, row: usize) -> Value {
+        match *self {
+            ColumnRef::Numeric { values, .. } => numeric_value(values[row]),
+            ColumnRef::Categorical { codes, .. } => match codes[row] {
+                MISSING_CAT => Value::Missing,
+                code => Value::Cat(code),
+            },
+        }
+    }
+
     /// Pairs a stored [`Column`] with its index (worker column store).
     pub fn of_column(col: &'a Column, index: &'a SortedColumn, ty: AttrType) -> Self {
         match (col, ty) {
@@ -956,16 +941,17 @@ impl<'a> ColumnRef<'a> {
 /// presorted index and the node's row set, which it selects from the index
 /// by rank. The entry point of the distributed column-tasks, which see one
 /// node of a resident column at a time; trainers that grow a whole subtree
-/// use [`best_split_in`].
+/// use [`best_split_in`]. The caller folds its columns' candidates with
+/// [`SplitCandidate::challenger_wins`] and finishes the winner.
 pub fn best_split_at(
     col: ColumnRef<'_>,
     node: NodeRows<'_>,
     labels: LabelView<'_>,
     imp: Impurity,
-) -> Option<ColumnSplit> {
+) -> Option<SplitCandidate> {
     match col {
         ColumnRef::Numeric { values, index } => {
-            best_numeric_split_at(values, index, node, None, labels, imp)
+            numeric_split(Sequence::Rank(index), values, node, labels, imp)
         }
         ColumnRef::Categorical { codes, n_values } => {
             best_cat_split_at(codes, n_values, node, labels, imp)
@@ -974,20 +960,22 @@ pub fn best_split_at(
 }
 
 /// [`best_split_at`] for a node that owns its presorted sequence: `segment`
-/// is the node's [`NodeOrders::segment`] of this column (ignored for
-/// categorical columns, which need no value order). The entry point of the
-/// subtree trainer and the Yggdrasil baseline; same scan cores, same child
-/// statistics, hence the same bytes as [`best_split_at`].
+/// is the node's [`NodeOrders::segment`] of this column — its present rows
+/// in `(value, row)` order, so no bitmap, no sort and no pass over rows
+/// outside the node — and is ignored for categorical columns, which need no
+/// value order. The entry point of the subtree trainer and the Yggdrasil
+/// baseline; same kernel over the same sequence, hence the same bytes as
+/// [`best_split_at`].
 pub fn best_split_in(
     col: ColumnRef<'_>,
     segment: &[u32],
     node: NodeRows<'_>,
     labels: LabelView<'_>,
     imp: Impurity,
-) -> Option<ColumnSplit> {
+) -> Option<SplitCandidate> {
     match col {
         ColumnRef::Numeric { values, .. } => {
-            best_numeric_split_in(values, segment, node, labels, imp)
+            numeric_split(Sequence::Segment(segment), values, node, labels, imp)
         }
         ColumnRef::Categorical { codes, n_values } => {
             best_cat_split_at(codes, n_values, node, labels, imp)
@@ -1001,12 +989,20 @@ fn best_cat_split_at(
     node: NodeRows<'_>,
     labels: LabelView<'_>,
     imp: Impurity,
-) -> Option<ColumnSplit> {
+) -> Option<SplitCandidate> {
     match labels {
         LabelView::Class(ys, k) => {
-            best_cat_split_classification_at(codes, n_values, node, ys, k, imp)
+            best_cat_split_classification_at(codes, n_values, node, ys, k, imp).map(Into::into)
         }
-        LabelView::Real(ys) => best_cat_split_regression_at(codes, n_values, node, ys),
+        LabelView::Real(ys) => with_cat_reg(n_values, |per_value, total| {
+            if !accumulate_categories(codes, node, ys, per_value, total) {
+                return None;
+            }
+            let (gain, left_set, n_left) = best_breiman_prefix(per_value, total)?;
+            let missing_left = n_left >= total.n - n_left;
+            let test = SplitTest::CatIn(left_set);
+            Some(SplitCandidate::unrouted(test, gain, missing_left))
+        }),
     }
 }
 
@@ -1330,21 +1326,20 @@ mod tests {
         let ys = [10.0, 20.0, 5.0, 20.0, 30.0, 1.0, 2.0, 8.0];
         let labels = LabelView::Real(&ys);
         let index = SortedColumn::from_numeric(&values);
+        let col = ColumnRef::Numeric {
+            values: &values,
+            index: &index,
+        };
         let mut orders = NodeOrders::new([&index], values.len());
         let rows = [0u32, 1, 3, 4, 6, 7];
+        let node = NodeRows::Subset(&rows);
         let (node_segs, _) = orders.split(&orders.root(), &rows);
         let before = kernel_counters();
-        let in_segment = best_numeric_split_in(
-            &values,
-            orders.segment(0, &node_segs),
-            NodeRows::Subset(&rows),
-            labels,
-            Impurity::Variance,
-        );
+        let segment = orders.segment(0, &node_segs);
+        let in_segment = best_split_in(col, segment, node, labels, Impurity::Variance);
         assert!(kernel_counters().numeric_sorted_scans > before.numeric_sorted_scans);
         assert!(in_segment.is_some());
-        let node = NodeRows::Subset(&rows);
-        let at = best_numeric_split_at(&values, &index, node, None, labels, Impurity::Variance);
+        let at = best_split_at(col, node, labels, Impurity::Variance);
         assert_eq!(in_segment, at);
         let gathered = numeric_split(
             Sequence::GatherSort,
@@ -1354,5 +1349,61 @@ mod tests {
             Impurity::Variance,
         );
         assert_eq!(in_segment, gathered);
+        let finished = in_segment.map(|c| c.finish(col, node, labels));
+        let kernel = best_numeric_split_at(&values, &index, node, None, labels, Impurity::Variance);
+        assert_eq!(finished, kernel);
+    }
+
+    /// A regression node folds its columns' candidates and routes its rows
+    /// for the winner alone: no candidate carries children, the loser is
+    /// dropped as it came, and the winner finishes into the split its kernel
+    /// returns on its own.
+    #[test]
+    fn regression_children_are_routed_for_the_folds_winner_only() {
+        let ys = [1.0, 1.5, 9.0, 9.5, 1.2, 9.1];
+        let labels = LabelView::Real(&ys);
+        let values = [0.0, 1.0, 5.0, 6.0, f64::NAN, 7.0];
+        let index = SortedColumn::from_numeric(&values);
+        let codes = [0u32, 1, 0, 1, 2, MISSING_CAT];
+        let cols = [
+            ColumnRef::Categorical {
+                codes: &codes,
+                n_values: 3,
+            },
+            ColumnRef::Numeric {
+                values: &values,
+                index: &index,
+            },
+        ];
+        for rows in [vec![0u32, 1, 2, 3, 4, 5], vec![0, 2, 3, 4, 5]] {
+            let node = match rows.len() {
+                6 => NodeRows::All(6),
+                _ => NodeRows::Subset(&rows),
+            };
+            let mut best: Option<(usize, SplitCandidate)> = None;
+            for (attr, &col) in cols.iter().enumerate() {
+                let candidate = best_split_at(col, node, labels, Impurity::Variance).unwrap();
+                assert!(candidate.unrouted, "column {attr} routed the node");
+                if best.as_ref().is_none_or(|(battr, b)| {
+                    SplitCandidate::challenger_wins(&candidate, attr, b, *battr)
+                }) {
+                    best = Some((attr, candidate));
+                }
+            }
+            let (attr, winner) = best.unwrap();
+            assert_eq!(attr, 1, "the numeric column separates the targets");
+            let split = winner.finish(cols[attr], node, labels);
+            let kernel =
+                best_numeric_split_at(&values, &index, node, None, labels, Impurity::Variance);
+            assert_eq!(Some(&split), kernel.as_ref());
+            assert_eq!(split.n_left() + split.n_right(), rows.len() as u64);
+            // Class labels: the children come with the candidate.
+            let classes = [0u32, 0, 1, 1, 0, 1];
+            let by_class = LabelView::Class(&classes, 2);
+            for &col in &cols {
+                let candidate = best_split_at(col, node, by_class, Impurity::Gini).unwrap();
+                assert!(!candidate.unrouted);
+            }
+        }
     }
 }

@@ -20,7 +20,7 @@ use crate::model::{DecisionTreeModel, Node, Prediction, SplitInfo};
 use std::ops::Range;
 use ts_datatable::{AttrType, Task};
 use ts_splits::condition::partition_rows_buf;
-use ts_splits::exact::ColumnSplit;
+use ts_splits::exact::{ColumnSplit, SplitCandidate};
 use ts_splits::impurity::{Impurity, LabelView, NodeStats};
 use ts_splits::random::random_split_for_column;
 use ts_splits::sorted::{
@@ -252,12 +252,12 @@ impl Builder<'_> {
                     NodeRows::Subset(positions)
                 };
 
-                let eval = |i: usize| {
-                    let col = ColumnRef::of_buf(&data.columns[i], &data.sorted[i], data.types[i]);
-                    best_split_in(col, orders.segment(i, segs), node, view, imp)
-                };
+                let col =
+                    |i: usize| ColumnRef::of_buf(&data.columns[i], &data.sorted[i], data.types[i]);
+                let eval =
+                    |i: usize| best_split_in(col(i), orders.segment(i, segs), node, view, imp);
                 let threads = self.params.threads;
-                let results: Vec<Option<ColumnSplit>> =
+                let results: Vec<Option<SplitCandidate>> =
                     if threads != 1 && data.n_cols() > 1 && positions.len() >= PAR_COLS_MIN_ROWS {
                         tspar::par_map_range(data.n_cols(), threads, eval)
                     } else {
@@ -266,12 +266,12 @@ impl Builder<'_> {
 
                 // Fold in column order — the same strict total order as the
                 // sequential loop, regardless of which thread found what.
-                let mut best: Option<(usize, ColumnSplit)> = None;
+                let mut best: Option<(usize, SplitCandidate)> = None;
                 for (i, s) in results.into_iter().enumerate() {
                     let Some(s) = s else { continue };
                     let wins = match &best {
                         None => true,
-                        Some((bi, bs)) => ColumnSplit::challenger_wins(
+                        Some((bi, bs)) => SplitCandidate::challenger_wins(
                             &s,
                             self.data.attrs[i],
                             bs,
@@ -282,7 +282,8 @@ impl Builder<'_> {
                         best = Some((i, s));
                     }
                 }
-                best
+                // Regression children are summed here, once, for the winner.
+                best.map(|(i, s)| (i, s.finish(col(i), node, view)))
             }
             TrainMode::ExtraTrees => {
                 // Resample columns in random order until one can split; a

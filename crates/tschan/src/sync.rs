@@ -1,12 +1,10 @@
-//! `Mutex`/`RwLock`/`Condvar` wrappers with the `parking_lot` calling
-//! convention the engine uses: `.lock()`, `.read()` and `.write()` return
-//! guards directly, and `Condvar::wait_timeout` returns `(guard, timed_out)`.
+//! `Mutex`/`RwLock` wrappers with the `parking_lot` calling convention the
+//! engine uses: `.lock()`, `.read()` and `.write()` return guards directly.
 //!
 //! Backed by `std::sync`; a poisoned lock panics, which matches how the
 //! engine treated `parking_lot` (no poison handling anywhere).
 
 use std::sync::{self, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
-use std::time::Duration;
 
 /// Mutual exclusion without a poison `Result` at every call site.
 #[derive(Debug, Default)]
@@ -72,51 +70,6 @@ impl<T: ?Sized> RwLock<T> {
     }
 }
 
-/// Condition variable composing with [`Mutex`]: the guards our `Mutex`
-/// hands out *are* `std::sync::MutexGuard`s, so std's condvar works on
-/// them unchanged — this wrapper only strips the poison `Result`.
-#[derive(Debug, Default)]
-pub struct Condvar {
-    inner: sync::Condvar,
-}
-
-impl Condvar {
-    pub fn new() -> Condvar {
-        Condvar {
-            inner: sync::Condvar::new(),
-        }
-    }
-
-    /// Blocks until notified. Spurious wakeups are possible, as with std.
-    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        self.inner
-            .wait(guard)
-            .expect("tschan::sync::Condvar mutex poisoned")
-    }
-
-    /// Blocks until notified or `dur` elapses. Returns the reacquired
-    /// guard and whether the wait timed out (no notification arrived).
-    pub fn wait_timeout<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        dur: Duration,
-    ) -> (MutexGuard<'a, T>, bool) {
-        let (guard, res) = self
-            .inner
-            .wait_timeout(guard, dur)
-            .expect("tschan::sync::Condvar mutex poisoned");
-        (guard, res.timed_out())
-    }
-
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,39 +93,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*m.lock(), 8_000);
-    }
-
-    #[test]
-    fn condvar_wakes_waiter_before_timeout() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let waiter = thread::spawn(move || {
-            let (lock, cv) = &*p2;
-            let mut done = lock.lock();
-            let mut timed_out = false;
-            while !*done {
-                let (g, t) = cv.wait_timeout(done, Duration::from_secs(5));
-                done = g;
-                timed_out = t;
-            }
-            timed_out
-        });
-        thread::sleep(Duration::from_millis(5));
-        {
-            let (lock, cv) = &*pair;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
-        // The waiter saw the flag via notification, not the 5 s timeout.
-        assert!(!waiter.join().unwrap());
-    }
-
-    #[test]
-    fn condvar_wait_timeout_reports_timeout() {
-        let lock = Mutex::new(());
-        let cv = Condvar::new();
-        let (_g, timed_out) = cv.wait_timeout(lock.lock(), Duration::from_millis(1));
-        assert!(timed_out);
     }
 
     #[test]
