@@ -72,6 +72,14 @@ impl RowSet {
         self.len(n) == 0
     }
 
+    /// This row set as the split kernels take a node's rows.
+    pub fn as_node_rows(&self, n: usize) -> ts_splits::NodeRows<'_> {
+        match self {
+            RowSet::All => ts_splits::NodeRows::All(n),
+            RowSet::Ids(v) => ts_splits::NodeRows::Subset(v),
+        }
+    }
+
     /// Materialises the ids (allocates for `All`).
     pub fn to_ids(&self, n: usize) -> Arc<Vec<u32>> {
         match self {

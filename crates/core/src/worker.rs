@@ -234,12 +234,17 @@ impl Worker {
             .iter()
             .map(|(&attr, col)| (attr, Arc::new(SortedColumn::build(col))))
             .collect();
+        // A numeric column is binned off the presorted order it was just given.
         let binned: HashMap<usize, Arc<BinnedColumn>> = match hist_bins {
             Some(bins) => columns
                 .iter()
                 .filter_map(|(&attr, col)| {
-                    col.as_numeric()
-                        .map(|v| (attr, Arc::new(BinnedColumn::build(v, bins))))
+                    let binned = BinnedColumn::from_order(
+                        col.as_numeric()?,
+                        sorted[&attr].numeric_order(),
+                        bins,
+                    );
+                    Some((attr, Arc::new(binned)))
                 })
                 .collect(),
             None => HashMap::new(),
@@ -456,14 +461,13 @@ impl Worker {
         let mut binned = self.binned.write();
         for (attr, col) in columns {
             self.stats.mem_alloc(self.id, col.payload_bytes());
-            sorted.insert(attr, Arc::new(SortedColumn::build(&col)));
-            if let Some(bins) = self.hist_bins {
-                if let Some(v) = col.as_numeric() {
-                    let b = BinnedColumn::build(v, bins);
-                    self.stats.mem_alloc(self.id, b.payload_bytes());
-                    binned.insert(attr, Arc::new(b));
-                }
+            let index = SortedColumn::build(&col);
+            if let (Some(bins), Some(v)) = (self.hist_bins, col.as_numeric()) {
+                let b = BinnedColumn::from_order(v, index.numeric_order(), bins);
+                self.stats.mem_alloc(self.id, b.payload_bytes());
+                binned.insert(attr, Arc::new(b));
             }
+            sorted.insert(attr, Arc::new(index));
             store.insert(attr, Arc::new(col));
         }
     }
@@ -1224,10 +1228,7 @@ impl Worker {
             // resident columns — no per-task gather. `Ix` is always strictly
             // ascending, so the engine's scans visit rows in the same order
             // a gather-then-scan would (see `ts_splits::sorted`).
-            let node = match &ix {
-                RowSet::All => NodeRows::All(self.n_rows),
-                RowSet::Ids(v) => NodeRows::Subset(v),
-            };
+            let node = ix.as_node_rows(self.n_rows);
             let imp = plan.params.impurity;
             best = self.best_exact_split(&store, &sorted_store, &plan.cols, node, view, imp);
         }
@@ -1290,26 +1291,24 @@ impl Worker {
         })
     }
 
-    /// One column through the histogram engine over a node's rows.
-    fn hist_split_for(
+    /// One column through the histogram engine over a node's rows: its best
+    /// split as a candidate, whose gain is all a nomination reads.
+    fn hist_candidate_for(
         &self,
         store: &HashMap<usize, Arc<Column>>,
         binned_store: &HashMap<usize, Arc<BinnedColumn>>,
         attr: usize,
-        ix: &RowSet,
+        node: NodeRows<'_>,
         view: LabelView<'_>,
         imp: Impurity,
-    ) -> Option<ColumnSplit> {
+    ) -> Option<SplitCandidate> {
         let col = store.get(&attr).expect("assigned column must be held");
         let cref = HistColumnRef::of_column(
             col,
             binned_store.get(&attr).map(|b| &**b),
             self.attr_types[attr],
         );
-        match ix {
-            RowSet::All => best_hist_split_at(cref, NodeRows::All(self.n_rows), view, imp),
-            RowSet::Ids(v) => best_hist_split_at(cref, NodeRows::Subset(v), view, imp),
-        }
+        best_hist_split_at(cref, node, view, imp)
     }
 
     /// Histogram-mode column task (`--splitter hist`): score every assigned
@@ -1339,23 +1338,15 @@ impl Worker {
         let cands = {
             let store = self.columns.read();
             let binned_store = self.binned.read();
-            let mut cands = Vec::with_capacity(plan.cols.len());
-            for &attr in &plan.cols {
-                if let Some(split) = self.hist_split_for(
-                    &store,
-                    &binned_store,
+            let (node, imp) = (ix.as_node_rows(self.n_rows), plan.params.impurity);
+            let gain_of = |attr: usize| {
+                let best = self.hist_candidate_for(&store, &binned_store, attr, node, view, imp)?;
+                Some(HistCandidate {
                     attr,
-                    &ix,
-                    view,
-                    plan.params.impurity,
-                ) {
-                    cands.push(HistCandidate {
-                        attr,
-                        gain: split.gain,
-                    });
-                }
-            }
-            cands
+                    gain: best.gain(),
+                })
+            };
+            plan.cols.iter().filter_map(|&attr| gain_of(attr)).collect()
         };
         let cands = top_k_candidates(cands, conf.vote_k as usize);
         // Keep Ix until the verdict — before sending, so HistFetch (or
@@ -1407,19 +1398,20 @@ impl Worker {
             let y = self.labels.read().clone();
             let view = LabelView::of(&y, self.n_classes());
             let store = self.columns.read();
-            let binned_store = self.binned.read();
-            let split = self.hist_split_for(&store, &binned_store, attr, &ix, view, imp);
-            split.map(|split| {
+            let sorted_store = self.sorted.read();
+            let node = ix.as_node_rows(self.n_rows);
+            let best = self.hist_candidate_for(&store, &self.binned.read(), attr, node, view, imp);
+            best.map(|best| {
+                // The one pass over the node's rows a regression split's
+                // children cost, for the elected column alone. The condition
+                // tests `v <= cuts[b]`, so routing by value is routing by bin.
+                let col = store.get(&attr).expect("elected column must be held");
+                let index = sorted_store.get(&attr).expect("sorted index must be held");
+                let cref = ColumnRef::of_column(col, index, self.attr_types[attr]);
+                let split = best.finish(cref, node, view);
                 let seen = match self.attr_types[attr] {
                     AttrType::Categorical { n_values } => match &ix {
-                        RowSet::All => Some(
-                            self.sorted
-                                .read()
-                                .get(&attr)
-                                .expect("sorted index must be held")
-                                .distinct()
-                                .to_vec(),
-                        ),
+                        RowSet::All => Some(index.distinct().to_vec()),
                         RowSet::Ids(v) => {
                             let codes = store
                                 .get(&attr)

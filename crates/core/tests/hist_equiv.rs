@@ -18,6 +18,7 @@ use treeserver::{Cluster, ClusterConfig, FaultPlan, JobSpec, Splitter};
 use ts_datatable::metrics::accuracy;
 use ts_datatable::synth::{generate, SynthSpec};
 use ts_datatable::{DataTable, Task};
+use ts_splits::Impurity;
 
 const HIST: Splitter = Splitter::Histogram {
     bins: 64,
@@ -161,3 +162,63 @@ fn hist_mode_at_least_halves_split_plane_bytes() {
         exact.split_bytes_sent
     );
 }
+
+/// The histogram kernels beyond the 7-class Gini job above: every impurity,
+/// both label types, both bin-id widths, categorical columns and missing
+/// values. FNV-1a over the canonical model's JSON, as printed by commit
+/// 04bb51a — the last one whose kernels counted rows into one `ClassCounts`
+/// per slot and routed the node for every column. Not to be regenerated from
+/// the code under test.
+#[test]
+fn hist_models_keep_the_fingerprints_of_the_per_slot_class_counts() {
+    let wide = Splitter::Histogram {
+        bins: 300, // more than 256 slots: `u16` bin ids
+        vote_k: 2,
+    };
+    let regression = generate(&SynthSpec {
+        rows: 12_000,
+        numeric: 6,
+        categorical: 3,
+        cat_cardinality: 6,
+        task: Task::Regression,
+        noise: 0.05,
+        concept_depth: 6,
+        seed: 13,
+        ..Default::default()
+    });
+    let three_class = generate(&SynthSpec {
+        rows: 12_000,
+        numeric: 5,
+        categorical: 3,
+        cat_cardinality: 9,
+        task: Task::Classification { n_classes: 3 },
+        missing_rate: 0.05,
+        noise: 0.05,
+        concept_depth: 6,
+        seed: 17,
+        ..Default::default()
+    });
+    let covtype = covtype_like(7);
+    let cases = [
+        ("entropy", &covtype, HIST, Some(Impurity::Entropy), ENTROPY),
+        ("variance", &regression, HIST, None, VARIANCE),
+        ("3 classes", &three_class, HIST, None, THREE_CLASS),
+        ("300 bins", &covtype, wide, None, WIDE_IDS),
+    ];
+    for (name, table, splitter, impurity, pinned) in cases {
+        let mut job = JobSpec::decision_tree(table.schema().task).with_dmax(8);
+        if let Some(impurity) = impurity {
+            job = job.with_impurity(impurity);
+        }
+        let cluster = Cluster::launch(cfg(splitter), table);
+        let model = cluster.train(job).into_tree().canonicalize();
+        cluster.shutdown();
+        assert!(model.n_nodes() > 15, "{name}: the job grew no tree to pin");
+        assert_eq!(tscheck::fnv1a(&model.to_json()), pinned, "{name}");
+    }
+}
+
+const ENTROPY: u64 = 14_587_479_489_878_793_741;
+const VARIANCE: u64 = 16_442_303_561_131_723_637;
+const THREE_CLASS: u64 = 16_941_523_784_851_449_909;
+const WIDE_IDS: u64 = 10_824_584_490_525_278_837;

@@ -19,6 +19,7 @@
 //! built alongside [`crate::sorted::SortedColumn`]; `ts-splits` re-exports
 //! it for the kernels and baselines.
 
+use crate::sorted::presorted_rows;
 use tsjson::{Deserialize, Serialize};
 
 /// Candidate split thresholds for one numeric attribute.
@@ -45,20 +46,26 @@ impl BinCuts {
     /// engages above that, and always deduplicates, so cuts are strictly
     /// increasing for any input.
     pub fn equi_depth(values: &[f64], max_bins: usize) -> BinCuts {
-        assert!(max_bins >= 2, "need at least two bins");
         let mut sorted: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
         sorted.sort_unstable_by(f64::total_cmp);
-        if sorted.is_empty() {
+        Self::of_sorted(sorted.len(), |i| sorted[i], max_bins)
+    }
+
+    /// [`Self::equi_depth`] of a column whose `n` present values are at hand
+    /// in `total_cmp` order, position by position — a sorted copy, or the
+    /// column read through its presorted index.
+    fn of_sorted(n: usize, sorted: impl Fn(usize) -> f64, max_bins: usize) -> BinCuts {
+        assert!(max_bins >= 2, "need at least two bins");
+        if n == 0 {
             return BinCuts { cuts: Vec::new() };
         }
-        let n = sorted.len();
 
         // Lossless fast path: few distinct values. The plain quantile sweep
         // can miss rare values entirely on skewed data (every quantile index
         // lands inside the dominant run), producing no usable cut even
         // though an exact split exists.
         let mut distinct: Vec<f64> = Vec::new();
-        for &v in &sorted {
+        for v in (0..n).map(&sorted) {
             if distinct.last().is_none_or(|&last| v > last) {
                 distinct.push(v);
             }
@@ -77,8 +84,8 @@ impl BinCuts {
             if idx == 0 || idx >= n {
                 continue;
             }
-            let c = sorted[idx - 1];
-            if cuts.last().is_none_or(|&last| c > last) && c < sorted[n - 1] {
+            let c = sorted(idx - 1);
+            if cuts.last().is_none_or(|&last| c > last) && c < sorted(n - 1) {
                 cuts.push(c);
             }
         }
@@ -146,8 +153,44 @@ pub enum BinIds {
 impl BinnedColumn {
     /// Bins a full numeric column with fresh equi-depth cuts.
     pub fn build(values: &[f64], max_bins: usize) -> Self {
-        let cuts = BinCuts::equi_depth(values, max_bins);
-        Self::with_cuts(values, cuts)
+        Self::from_order(values, &presorted_rows(values), max_bins)
+    }
+
+    /// [`Self::build`] for a column whose presorted `order`
+    /// ([`crate::SortedColumn::numeric_order`]) is at hand, as it is wherever
+    /// a store indexes a column: the cuts are read off the order — the same
+    /// values in the same order as a fresh sort, hence the same cuts — and
+    /// the ids assigned by walking it, a bin's rows being a run of the order.
+    pub fn from_order(values: &[f64], order: &[u32], max_bins: usize) -> Self {
+        let value_at = |position: usize| values[order[position] as usize];
+        let cuts = BinCuts::of_sorted(order.len(), value_at, max_bins);
+        // Every row starts in the missing slot; `narrow` stores an id.
+        fn walk<T: Copy>(
+            values: &[f64],
+            order: &[u32],
+            cuts: &[f64],
+            narrow: impl Fn(usize) -> T,
+        ) -> Vec<T> {
+            let mut ids = vec![narrow(cuts.len() + 1); values.len()];
+            let mut bin = 0;
+            for &row in order {
+                while bin < cuts.len() && cuts[bin] < values[row as usize] {
+                    bin += 1;
+                }
+                ids[row as usize] = narrow(bin);
+            }
+            ids
+        }
+        let ids = if cuts.n_bins() <= u8::MAX as usize {
+            BinIds::U8(walk(values, order, &cuts.cuts, |id| id as u8))
+        } else {
+            assert!(
+                cuts.n_bins() <= u16::MAX as usize,
+                "bin count exceeds u16 id range"
+            );
+            BinIds::U16(walk(values, order, &cuts.cuts, |id| id as u16))
+        };
+        BinnedColumn { cuts, ids }
     }
 
     /// Bins a full numeric column against existing cuts.
@@ -217,6 +260,12 @@ impl BinnedColumn {
     /// Whether the column has no rows.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Every row's slot id, at the width they are stored in — for a kernel
+    /// to match on once, outside its row loop.
+    pub fn ids(&self) -> &BinIds {
+        &self.ids
     }
 
     /// The slot id of one row (a real bin, or [`Self::missing_bin`]).
@@ -331,6 +380,32 @@ mod tests {
             BinnedColumn::with_cuts(&values, BinCuts::from_cuts(vec![1.0])).ids,
             BinIds::U8(_)
         ));
+    }
+
+    mod off_the_presorted_order {
+        use super::*;
+        use tscheck::prelude::*;
+
+        proptest! {
+            /// Cuts read off the presorted order and ids assigned by walking
+            /// it are the cuts of a fresh sort and the ids of a binary search
+            /// per row — the way `build` worked before it had the order.
+            #[test]
+            fn build_bins_as_a_sort_and_a_search_per_row_do(
+                values in tscheck::collection::vec(prop_oneof![
+                    6 => -50.0..50.0f64,
+                    4 => (-6..6i32).prop_map(|q| f64::from(q) / 2.0),
+                    1 => Just(0.0f64),
+                    1 => Just(-0.0f64),
+                    1 => Just(f64::INFINITY),
+                    1 => Just(f64::NAN),
+                ], 0..600),
+                max_bins in prop_oneof![Just(2usize), Just(3), Just(16), Just(64), Just(256), Just(300)],
+            ) {
+                let searched = BinnedColumn::with_cuts(&values, BinCuts::equi_depth(&values, max_bins));
+                prop_assert_eq!(BinnedColumn::build(&values, max_bins), searched);
+            }
+        }
     }
 
     #[test]

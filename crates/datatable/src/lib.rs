@@ -28,8 +28,8 @@ pub mod sorted;
 pub mod synth;
 pub mod table;
 
-pub use binned::{BinCuts, BinnedColumn};
+pub use binned::{BinCuts, BinIds, BinnedColumn};
 pub use column::{Column, Value, ValuesBuf, MISSING_CAT};
 pub use schema::{AttrMeta, AttrType, Schema, Task};
 pub use sorted::{SortedColumn, MISSING_RANK};
-pub use table::{DataTable, Labels};
+pub use table::{DataTable, Labels, TableError};

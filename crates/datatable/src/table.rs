@@ -70,7 +70,7 @@ impl Labels {
 /// Invariants: `columns.len() == schema.n_attrs()`, every column and the
 /// labels have exactly `n_rows` entries, the label representation matches
 /// `schema.task`, and each column's storage kind matches its declared
-/// [`AttrType`]. [`DataTable::new`] checks all of these.
+/// [`AttrType`]. [`DataTable::try_new`] checks all of these.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DataTable {
     schema: Schema,
@@ -79,47 +79,158 @@ pub struct DataTable {
     n_rows: usize,
 }
 
+/// Why columns and labels do not make a [`DataTable`] under a schema.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TableError {
+    /// The number of columns is not the schema's number of attributes.
+    ColumnCount {
+        /// Columns given.
+        found: usize,
+        /// Attributes the schema declares.
+        expected: usize,
+    },
+    /// A column's length is not the labels'.
+    ColumnLength {
+        /// The column's attribute id.
+        attr: usize,
+        /// Its length.
+        found: usize,
+        /// The number of labels.
+        expected: usize,
+    },
+    /// A column's storage kind is not its attribute's declared type.
+    ColumnKind {
+        /// The column's attribute id.
+        attr: usize,
+    },
+    /// A categorical code outside its attribute's domain.
+    CategoryCode {
+        /// The column's attribute id.
+        attr: usize,
+        /// The offending code.
+        code: u32,
+        /// The attribute's domain size.
+        n_values: u32,
+    },
+    /// A class label outside the task's classes.
+    ClassLabel {
+        /// The offending label.
+        label: u32,
+        /// The task's class count.
+        n_classes: u32,
+    },
+    /// The label representation is not the one the schema's task takes.
+    LabelKind,
+}
+
+impl std::fmt::Display for TableError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            TableError::ColumnCount { found, expected } => {
+                write!(
+                    f,
+                    "column count must match schema: {found} columns for {expected} attributes"
+                )
+            }
+            TableError::ColumnLength {
+                attr,
+                found,
+                expected,
+            } => write!(
+                f,
+                "column {attr} length mismatch: {found} values for {expected} labels"
+            ),
+            TableError::ColumnKind { attr } => {
+                write!(f, "column {attr} storage kind does not match schema type")
+            }
+            TableError::CategoryCode {
+                attr,
+                code,
+                n_values,
+            } => write!(
+                f,
+                "column {attr} has a category code outside 0..{n_values}: {code}"
+            ),
+            TableError::ClassLabel { label, n_classes } => {
+                write!(f, "class label outside 0..{n_classes}: {label}")
+            }
+            TableError::LabelKind => write!(f, "label kind does not match schema task"),
+        }
+    }
+}
+
+impl std::error::Error for TableError {}
+
 impl DataTable {
-    /// Builds a table, validating all structural invariants.
+    /// Builds a table from parts the program made itself.
     ///
     /// # Panics
-    /// Panics if column counts/lengths/types or the label kind are
-    /// inconsistent with the schema, or a categorical code or class label
-    /// lies outside the schema's domain (the split kernels index per-value
-    /// tables with them unchecked). Construction is a load-time operation;
-    /// failing fast here keeps the whole training pipeline panic-free.
+    /// Panics where [`DataTable::try_new`] returns an error.
     pub fn new(schema: Schema, columns: Vec<Column>, labels: Labels) -> Self {
-        assert_eq!(
-            columns.len(),
-            schema.n_attrs(),
-            "column count must match schema"
-        );
+        match Self::try_new(schema, columns, labels) {
+            Ok(table) => table,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Builds a table, validating all structural invariants: how data from
+    /// outside the program (a file, a socket) becomes a table.
+    ///
+    /// Fails if column counts/lengths/types or the label kind are
+    /// inconsistent with the schema, or a categorical code or class label
+    /// lies outside the schema's domain. The split kernels rely on the last
+    /// two without checking: they count a row at `slot * n_classes + label`
+    /// of a flat histogram, where an out-of-range code or label is not an
+    /// index out of bounds but a count in somebody else's slot.
+    pub fn try_new(
+        schema: Schema,
+        columns: Vec<Column>,
+        labels: Labels,
+    ) -> Result<Self, TableError> {
+        if columns.len() != schema.n_attrs() {
+            return Err(TableError::ColumnCount {
+                found: columns.len(),
+                expected: schema.n_attrs(),
+            });
+        }
         let n_rows = labels.len();
-        for (i, c) in columns.iter().enumerate() {
-            assert_eq!(c.len(), n_rows, "column {i} length mismatch");
-            match (c, schema.attr_type(i)) {
+        for (attr, c) in columns.iter().enumerate() {
+            if c.len() != n_rows {
+                return Err(TableError::ColumnLength {
+                    attr,
+                    found: c.len(),
+                    expected: n_rows,
+                });
+            }
+            match (c, schema.attr_type(attr)) {
                 (Column::Numeric(_), AttrType::Numeric) => {}
-                (Column::Categorical(v), AttrType::Categorical { n_values }) => assert!(
-                    v.iter().all(|&c| c < n_values || c == MISSING_CAT),
-                    "column {i} has a category code outside 0..{n_values}"
-                ),
-                _ => panic!("column {i} storage kind does not match schema type"),
+                (Column::Categorical(v), AttrType::Categorical { n_values }) => {
+                    if let Some(&code) = v.iter().find(|&&c| c >= n_values && c != MISSING_CAT) {
+                        return Err(TableError::CategoryCode {
+                            attr,
+                            code,
+                            n_values,
+                        });
+                    }
+                }
+                _ => return Err(TableError::ColumnKind { attr }),
             }
         }
         match (&labels, schema.task) {
-            (Labels::Class(v), Task::Classification { n_classes }) => assert!(
-                v.iter().all(|&y| y < n_classes),
-                "class label outside 0..{n_classes}"
-            ),
+            (Labels::Class(v), Task::Classification { n_classes }) => {
+                if let Some(&label) = v.iter().find(|&&y| y >= n_classes) {
+                    return Err(TableError::ClassLabel { label, n_classes });
+                }
+            }
             (Labels::Real(_), Task::Regression) => {}
-            _ => panic!("label kind does not match schema task"),
+            _ => return Err(TableError::LabelKind),
         }
-        DataTable {
+        Ok(DataTable {
             schema,
             columns,
             labels,
             n_rows,
-        }
+        })
     }
 
     /// The schema.

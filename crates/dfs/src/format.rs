@@ -22,6 +22,9 @@ pub enum FormatError {
     BadMagic(u8),
     /// Unknown column/label type tag.
     BadTag(u8),
+    /// A column or the labels change storage kind from one row-group's file
+    /// to the next.
+    KindChanged,
 }
 
 impl std::fmt::Display for FormatError {
@@ -30,6 +33,7 @@ impl std::fmt::Display for FormatError {
             FormatError::Truncated => write!(f, "file truncated"),
             FormatError::BadMagic(m) => write!(f, "bad magic byte {m:#x}"),
             FormatError::BadTag(t) => write!(f, "bad type tag {t}"),
+            FormatError::KindChanged => write!(f, "storage kind changed between row-groups"),
         }
     }
 }

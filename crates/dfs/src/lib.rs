@@ -33,7 +33,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use ts_datatable::{Column, DataTable, Labels, Schema};
+use ts_datatable::{Column, DataTable, Labels, Schema, TableError};
 use tsjson::{Deserialize, Serialize};
 
 /// Configuration of the simulated DFS.
@@ -106,6 +106,9 @@ pub enum DfsError {
     Format(FormatError),
     /// Metadata JSON failed to parse.
     Meta(tsjson::Error),
+    /// The files parse, but their contents are not a table under the
+    /// dataset's schema.
+    Table(TableError),
 }
 
 impl std::fmt::Display for DfsError {
@@ -114,6 +117,7 @@ impl std::fmt::Display for DfsError {
             DfsError::Io(e) => write!(f, "dfs io error: {e}"),
             DfsError::Format(e) => write!(f, "dfs format error: {e}"),
             DfsError::Meta(e) => write!(f, "dfs metadata error: {e}"),
+            DfsError::Table(e) => write!(f, "dfs dataset does not match its schema: {e}"),
         }
     }
 }
@@ -129,6 +133,12 @@ impl From<io::Error> for DfsError {
 impl From<FormatError> for DfsError {
     fn from(e: FormatError) -> Self {
         DfsError::Format(e)
+    }
+}
+
+impl From<TableError> for DfsError {
+    fn from(e: TableError) -> Self {
+        DfsError::Table(e)
     }
 }
 
@@ -261,7 +271,7 @@ impl DfsTable {
                 acc = cell;
             } else {
                 for (a, c) in acc.iter_mut().zip(cell) {
-                    append_column(a, c);
+                    append_column(a, c)?;
                 }
             }
         }
@@ -287,7 +297,7 @@ impl DfsTable {
             let l = self.load_labels_row_group(r)?;
             acc = Some(match acc {
                 None => l,
-                Some(a) => append_labels(a, l),
+                Some(a) => append_labels(a, l)?,
             });
         }
         Ok(acc.expect("dataset has at least one row-group"))
@@ -300,36 +310,40 @@ impl DfsTable {
         Ok(read_labels(&bytes)?)
     }
 
-    /// Reconstructs the whole table (tests, small jobs).
+    /// Reconstructs the whole table (tests, small jobs). Files whose contents
+    /// disagree with the schema — a column of the wrong kind or length, a
+    /// categorical code or class label outside its domain — are an error
+    /// here, where they enter, not a panic or a miscount in a kernel.
     pub fn load_all(&self) -> Result<DataTable, DfsError> {
         let mut cols: Vec<Column> = Vec::with_capacity(self.meta.schema.n_attrs());
         for g in 0..self.meta.n_col_groups() {
             cols.extend(self.load_column_group(g)?);
         }
         let labels = self.load_labels()?;
-        Ok(DataTable::new(self.meta.schema.clone(), cols, labels))
+        Ok(DataTable::try_new(self.meta.schema.clone(), cols, labels)?)
     }
 }
 
-fn append_column(acc: &mut Column, more: Column) {
+fn append_column(acc: &mut Column, more: Column) -> Result<(), FormatError> {
     match (acc, more) {
         (Column::Numeric(a), Column::Numeric(b)) => a.extend(b),
         (Column::Categorical(a), Column::Categorical(b)) => a.extend(b),
-        _ => panic!("column kind changed between row-groups"),
+        _ => return Err(FormatError::KindChanged),
     }
+    Ok(())
 }
 
-fn append_labels(acc: Labels, more: Labels) -> Labels {
+fn append_labels(acc: Labels, more: Labels) -> Result<Labels, FormatError> {
     match (acc, more) {
         (Labels::Class(mut a), Labels::Class(b)) => {
             a.extend(b);
-            Labels::Class(a)
+            Ok(Labels::Class(a))
         }
         (Labels::Real(mut a), Labels::Real(b)) => {
             a.extend(b);
-            Labels::Real(a)
+            Ok(Labels::Real(a))
         }
-        _ => panic!("label kind changed between row-groups"),
+        _ => Err(FormatError::KindChanged),
     }
 }
 
@@ -469,6 +483,101 @@ mod tests {
     fn open_missing_dataset_errors() {
         let dfs = Dfs::new(DfsConfig::local(tmpdir("missing"))).unwrap();
         assert!(matches!(dfs.open("nope"), Err(DfsError::Io(_))));
+    }
+
+    /// A dataset whose files parse but hold what the schema rules out loads
+    /// as an error: one cell (or the labels) of a good dataset is overwritten
+    /// per case, through the format's own writers.
+    #[test]
+    fn a_corrupted_cell_loads_as_an_error_not_a_panic() {
+        use ts_datatable::{AttrMeta, Task, MISSING_CAT};
+        let schema = Schema::new(
+            vec![AttrMeta::numeric("x"), AttrMeta::categorical("c", 3)],
+            Task::Classification { n_classes: 2 },
+        );
+        let good = DataTable::new(
+            schema,
+            vec![
+                Column::Numeric(vec![0.5, f64::NAN, 2.0, 3.5]),
+                Column::Categorical(vec![0, 2, MISSING_CAT, 1]),
+            ],
+            Labels::Class(vec![0, 1, 1, 0]),
+        );
+        // Two row-groups of two rows, one column-group: files cg0_rg{0,1}.
+        let numeric = |v: &[f64]| Column::Numeric(v.to_vec());
+        let codes = |c: &[u32]| Column::Categorical(c.to_vec());
+        type Check = fn(&DfsError) -> bool;
+        let cases: [(&str, &str, Vec<u8>, Check); 6] = [
+            (
+                "code",
+                "cg0_rg1.bin",
+                write_columns(&[numeric(&[2.0, 3.5]), codes(&[MISSING_CAT, 3])]),
+                |e| {
+                    let code = TableError::CategoryCode {
+                        attr: 1,
+                        code: 3,
+                        n_values: 3,
+                    };
+                    matches!(e, DfsError::Table(t) if *t == code)
+                },
+            ),
+            (
+                "label",
+                "labels_rg0.bin",
+                write_labels(&Labels::Class(vec![0, 2])),
+                |e| {
+                    let label = TableError::ClassLabel {
+                        label: 2,
+                        n_classes: 2,
+                    };
+                    matches!(e, DfsError::Table(t) if *t == label)
+                },
+            ),
+            (
+                "kind",
+                "cg0_rg0.bin",
+                write_columns(&[codes(&[0, 1]), codes(&[0, 2])]),
+                |e| matches!(e, DfsError::Format(FormatError::KindChanged)),
+            ),
+            (
+                "short",
+                "cg0_rg1.bin",
+                write_columns(&[numeric(&[2.0]), codes(&[MISSING_CAT])]),
+                |e| matches!(e, DfsError::Table(TableError::ColumnLength { attr: 0, .. })),
+            ),
+            (
+                "narrow",
+                "cg0_rg0.bin",
+                write_columns(&[numeric(&[0.5, f64::NAN])]),
+                |e| matches!(e, DfsError::Table(TableError::ColumnCount { found: 1, .. })),
+            ),
+            (
+                "targets",
+                "labels_rg1.bin",
+                write_labels(&Labels::Real(vec![1.0, 0.0])),
+                |e| matches!(e, DfsError::Format(FormatError::KindChanged)),
+            ),
+        ];
+        for (tag, file, bytes, is_expected) in cases {
+            let root = tmpdir(&format!("corrupt-{tag}"));
+            let dfs = Dfs::new(DfsConfig::local(&root)).unwrap();
+            dfs.put_table("d", &good, 2, 2).unwrap();
+            assert!(dfs.open("d").unwrap().load_all().is_ok());
+            std::fs::write(root.join("d").join(file), bytes).unwrap();
+            let err = dfs.open("d").unwrap().load_all().unwrap_err();
+            assert!(is_expected(&err), "{tag}: {err}");
+        }
+        // One row-group, so the wrong kind meets the schema, not a sibling.
+        let root = tmpdir("corrupt-schema-kind");
+        let dfs = Dfs::new(DfsConfig::local(&root)).unwrap();
+        dfs.put_table("d", &good, 2, 4).unwrap();
+        let all_codes = write_columns(&[codes(&[0, 1, 0, 1]), codes(&[0, 2, 1, 1])]);
+        std::fs::write(root.join("d").join("cg0_rg0.bin"), all_codes).unwrap();
+        let err = dfs.open("d").unwrap().load_all().unwrap_err();
+        assert!(
+            matches!(err, DfsError::Table(TableError::ColumnKind { attr: 0 })),
+            "{err}"
+        );
     }
 
     #[test]

@@ -25,8 +25,8 @@
 
 use crate::condition::SplitTest;
 use crate::impurity::{
-    BoundaryScan, ClassCounts, EntropyScan, GiniScan, Impurity, LabelAgg, LabelView, NodeStats,
-    RegAgg,
+    class_weighted, BoundaryScan, ClassCounts, EntropyScan, GiniScan, Impurity, LabelAgg,
+    LabelView, NodeStats, RegAgg,
 };
 use crate::sorted::{
     best_cat_split_classification_at, best_cat_split_regression_at, numeric_split, numeric_value,
@@ -111,6 +111,11 @@ impl SplitCandidate {
             },
             unrouted: true,
         }
+    }
+
+    /// The candidate's impurity gain — all a histogram nomination reads.
+    pub fn gain(&self) -> f64 {
+        self.split.gain
     }
 
     /// [`ColumnSplit::challenger_wins`] on candidates, so that folding
@@ -299,6 +304,31 @@ pub(crate) fn split_from_children<A: LabelAgg>(
     }
 }
 
+/// Assembles a split from a histogram: the left child's present rows are
+/// the sum of `left_slots`, the right child's the rest of `total`, and the
+/// `missing` slot joins the larger side ([`split_from_children`]). How every
+/// kernel that chose its split on a histogram gets its children — the class
+/// kernels of the engine, whose counts are integers and so equal a recount of
+/// the child's rows in any order, and the merged statistics of
+/// [`crate::histogram`] for both label types.
+pub(crate) fn split_from_slots<'a, A: LabelAgg>(
+    test: SplitTest,
+    gain: f64,
+    left_slots: impl Iterator<Item = &'a A::Slot>,
+    total: &A,
+    missing: &A::Slot,
+) -> ColumnSplit
+where
+    A::Slot: 'a,
+{
+    let mut left = total.empty_like();
+    left_slots.for_each(|slot| left.merge_slot(slot));
+    let right = total.minus(&left);
+    let mut missing_rows = total.empty_like();
+    missing_rows.merge_slot(missing);
+    split_from_children(test, gain, left, right, &missing_rows)
+}
+
 /// Exact best categorical split for classification (Appendix B, Case 3):
 /// one-vs-rest — the left set is a single category, `|Sl| = 1`, so only
 /// `O(|Si|)` conditions are checked. Ties break toward the smaller code.
@@ -315,23 +345,26 @@ pub fn best_cat_split_classification(
 }
 
 /// One-vs-rest gain loop (Appendix B, Case 3) over per-category class
-/// counts: returns the best `(gain, singleton left code)`, ties toward the
-/// smaller code. `rest` is scratch sized for the same classes. Shared by the
-/// exact engine and the merged-stats selector of [`crate::histogram`].
-pub(crate) fn best_one_vs_rest(
-    per_value: &[ClassCounts],
+/// counts, one `[u64]` slot per category: returns the best `(gain, singleton
+/// left code)`, ties toward the smaller code. `total` is the sum of the
+/// slots. Reads the slots and allocates nothing. Shared by the exact engine
+/// (strides of its flat histogram) and the merged-stats selector of
+/// [`crate::histogram`] ([`ClassCounts::counts`]).
+pub(crate) fn best_one_vs_rest<'a>(
+    per_value: impl Iterator<Item = &'a [u64]>,
     total: &ClassCounts,
-    rest: &mut ClassCounts,
     imp: Impurity,
 ) -> Option<(f64, u32)> {
     let total_w = total.weighted_impurity(imp);
     let mut best: Option<(f64, u32)> = None;
-    for (code, counts) in per_value.iter().enumerate() {
-        if counts.total() == 0 || counts.total() == total.total() {
+    for (code, counts) in per_value.enumerate() {
+        let n: u64 = counts.iter().sum();
+        if n == 0 || n == total.total() {
             continue;
         }
-        rest.set_minus(total, counts);
-        let gain = total_w - counts.weighted_impurity(imp) - rest.weighted_impurity(imp);
+        let gain = total_w
+            - class_weighted(imp, n, counts.iter().copied())
+            - total.weighted_impurity_minus(counts, imp);
         if gain > 0.0
             && best.is_none_or(|(bg, bc)| match gain.total_cmp(&bg) {
                 std::cmp::Ordering::Greater => true,

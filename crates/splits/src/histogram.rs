@@ -18,7 +18,7 @@
 //! the aggregates were built (`tests/merge_equiv.rs`).
 
 use crate::condition::SplitTest;
-use crate::exact::{best_breiman_prefix, best_one_vs_rest, split_from_children, ColumnSplit};
+use crate::exact::{best_breiman_prefix, best_one_vs_rest, split_from_slots, ColumnSplit};
 use crate::hist::best_bin_boundary;
 use crate::impurity::{ClassCounts, Impurity, LabelAgg, RegAgg};
 use ts_datatable::MISSING_CAT;
@@ -97,13 +97,17 @@ impl<A: LabelAgg> NumericHistogram<A> {
             return None;
         }
         let (mut left, mut total) = (self.missing.empty_like(), self.missing.empty_like());
-        let (gain, b, _) = best_bin_boundary(&self.bins, cuts.len(), &mut left, &mut total, imp)?;
-        // The scan's running `left` has moved past the winner: re-sum its prefix.
-        let mut left = self.missing.empty_like();
-        self.bins[..=b].iter().for_each(|agg| left.merge(agg));
+        let bins = self.bins.iter().map(A::slot);
+        let (gain, b, _) = best_bin_boundary(bins.clone(), cuts.len(), &mut left, &mut total, imp)?;
         let test = SplitTest::NumericLe(cuts[b]);
-        let right = total.minus(&left);
-        Some(split_from_children(test, gain, left, right, &self.missing))
+        let left = bins.take(b + 1);
+        Some(split_from_slots(
+            test,
+            gain,
+            left,
+            &total,
+            self.missing.slot(),
+        ))
     }
 }
 
@@ -122,13 +126,15 @@ fn best_cat_from_stats<A: LabelAgg>(
         return None;
     }
     let (gain, left_set) = select(per_value, &total)?;
-    let mut left = missing.empty_like();
-    left_set
-        .iter()
-        .for_each(|&c| left.merge(&per_value[c as usize]));
-    let test = SplitTest::CatIn(left_set);
-    let right = total.minus(&left);
-    Some(split_from_children(test, gain, left, right, missing))
+    let left_slots = left_set.iter().map(|&c| per_value[c as usize].slot());
+    let test = SplitTest::CatIn(left_set.clone());
+    Some(split_from_slots(
+        test,
+        gain,
+        left_slots,
+        &total,
+        missing.slot(),
+    ))
 }
 
 /// Best one-vs-rest categorical split from merged per-category class counts.
@@ -140,7 +146,7 @@ pub fn best_cat_from_class_stats(
     imp: Impurity,
 ) -> Option<ColumnSplit> {
     best_cat_from_stats(per_value, missing, |pv, total| {
-        best_one_vs_rest(pv, total, &mut total.empty_like(), imp)
+        best_one_vs_rest(pv.iter().map(ClassCounts::counts), total, imp)
             .map(|(gain, code)| (gain, vec![code]))
     })
 }

@@ -65,15 +65,29 @@ impl<'a> LabelView<'a> {
 pub trait LabelAgg: Clone + Into<NodeStats> {
     /// One row's label.
     type Label: Copy;
+    /// What a histogram holds per slot, and what the scans over slots read:
+    /// the per-class counts (`[u64]`, a stride of the flat class histogram
+    /// or [`ClassCounts::counts`]), or the regression aggregate itself.
+    type Slot: ?Sized;
 
     /// Adds one label.
     fn add(&mut self, y: Self::Label);
     /// Removes one label previously added.
     fn remove(&mut self, y: Self::Label);
+    /// This aggregate as a histogram slot.
+    fn slot(&self) -> &Self::Slot;
+    /// Merges one histogram slot into this aggregate.
+    fn merge_slot(&mut self, slot: &Self::Slot);
     /// Merges another aggregate into this one.
-    fn merge(&mut self, other: &Self);
+    fn merge(&mut self, other: &Self) {
+        self.merge_slot(other.slot());
+    }
     /// Returns `self - other` for an `other` contained in `self`.
     fn minus(&self, other: &Self) -> Self;
+    /// `impurity * n` under `kind` of this aggregate less the rows of `slot`
+    /// — `minus` then `weighted_impurity`, bit for bit, without building the
+    /// difference.
+    fn weighted_impurity_minus(&self, slot: &Self::Slot, kind: Impurity) -> f64;
     /// An empty aggregate of the same shape (class count).
     fn empty_like(&self) -> Self;
     /// Rows aggregated.
@@ -86,6 +100,7 @@ pub trait LabelAgg: Clone + Into<NodeStats> {
 
 impl LabelAgg for ClassCounts {
     type Label = u32;
+    type Slot = [u64];
 
     fn add(&mut self, y: u32) {
         ClassCounts::add(self, y);
@@ -93,11 +108,23 @@ impl LabelAgg for ClassCounts {
     fn remove(&mut self, y: u32) {
         ClassCounts::remove(self, y);
     }
-    fn merge(&mut self, other: &Self) {
-        ClassCounts::merge(self, other);
+    fn slot(&self) -> &[u64] {
+        &self.counts
+    }
+    fn merge_slot(&mut self, slot: &[u64]) {
+        debug_assert_eq!(self.counts.len(), slot.len());
+        for (a, b) in self.counts.iter_mut().zip(slot) {
+            *a += b;
+            self.total += b;
+        }
     }
     fn minus(&self, other: &Self) -> Self {
         ClassCounts::minus(self, other)
+    }
+    fn weighted_impurity_minus(&self, slot: &[u64], kind: Impurity) -> f64 {
+        debug_assert_eq!(self.counts.len(), slot.len());
+        let rest = self.counts.iter().zip(slot).map(|(a, b)| a - b);
+        class_weighted(kind, self.total - slot.iter().sum::<u64>(), rest)
     }
     fn empty_like(&self) -> Self {
         ClassCounts::new(self.counts.len() as u32)
@@ -115,6 +142,7 @@ impl LabelAgg for ClassCounts {
 
 impl LabelAgg for RegAgg {
     type Label = f64;
+    type Slot = RegAgg;
 
     fn add(&mut self, y: f64) {
         RegAgg::add(self, y);
@@ -122,8 +150,11 @@ impl LabelAgg for RegAgg {
     fn remove(&mut self, y: f64) {
         RegAgg::remove(self, y);
     }
-    fn merge(&mut self, other: &Self) {
-        RegAgg::merge(self, other);
+    fn slot(&self) -> &RegAgg {
+        self
+    }
+    fn merge_slot(&mut self, slot: &RegAgg) {
+        RegAgg::merge(self, slot);
     }
     fn minus(&self, other: &Self) -> Self {
         RegAgg {
@@ -131,6 +162,9 @@ impl LabelAgg for RegAgg {
             sum: self.sum - other.sum,
             sum_sq: self.sum_sq - other.sum_sq,
         }
+    }
+    fn weighted_impurity_minus(&self, slot: &RegAgg, _kind: Impurity) -> f64 {
+        RegAgg::weighted_impurity(&self.minus(slot))
     }
     fn empty_like(&self) -> Self {
         RegAgg::default()
@@ -276,6 +310,17 @@ impl BoundaryScan for EntropyScan<'_> {
         let right_w =
             entropy_weighted(self.node.total - self.left.total, right.map(|(t, l)| t - l));
         (self.left.weighted_impurity(Impurity::Entropy), right_w)
+    }
+}
+
+/// `impurity * n` of `n` rows with the given class counts — the one place a
+/// class impurity is chosen by `kind`, whether the counts are a
+/// [`ClassCounts`], a histogram slot or a difference of two.
+pub(crate) fn class_weighted(kind: Impurity, n: u64, counts: impl Iterator<Item = u64>) -> f64 {
+    match kind {
+        Impurity::Gini => gini_weighted(n, counts.map(|c| c * c).sum()),
+        Impurity::Entropy => entropy_weighted(n, counts),
+        Impurity::Variance => panic!("variance impurity applied to class labels"),
     }
 }
 
@@ -428,11 +473,7 @@ impl ClassCounts {
     /// Working with the weighted form avoids divisions in the scan loop and
     /// makes gains from different columns directly comparable.
     pub fn weighted_impurity(&self, kind: Impurity) -> f64 {
-        match kind {
-            Impurity::Gini => gini_weighted(self.total, self.sum_sq()),
-            Impurity::Entropy => entropy_weighted(self.total, self.counts.iter().copied()),
-            Impurity::Variance => panic!("variance impurity applied to class labels"),
-        }
+        class_weighted(kind, self.total, self.counts.iter().copied())
     }
 
     /// `sum c_i^2` over the classes, exact (see [`gini_weighted`]).

@@ -16,17 +16,18 @@
 //! | core | what it scans | instantiated by |
 //! |---|---|---|
 //! | 1. boundary scan (`exact::scan_boundaries`) | a node's present `(value, label)` pairs in `(value, row)` order, `O(1)` incremental impurity per boundary (*Case 1*): one label moved left per row, a gain and a comparison per boundary, the threshold and the class counts for the winner only — Gini exactly, on the left side's running integers with the right side read off `ΣR² = ΣT² + ΣL² − 2 ΣTL` | the one numeric kernel `sorted::numeric_split`, whose sequence comes from rank selection on the resident index ([`sorted::best_split_at`], engine column-tasks; finished at once by [`sorted::best_numeric_split_at`]), from a node's own segment of a [`sorted::NodeOrders`] ([`sorted::best_split_in`]; subtree trainer, Yggdrasil) or from gather + sort ([`exact::best_numeric_split`], the reference) |
-//! | 2. bin prefix scan (`hist::best_bin_boundary`) | per-bin aggregates, one candidate per bin edge | [`hist::best_hist_split_numeric_at`] (the `--splitter hist` engine) and [`histogram::NumericHistogram::best_split`] (PLANET) |
-//! | 3. per-category accumulation (`sorted::accumulate_categories`) | a node's rows into per-category aggregates, feeding the selectors `exact::best_one_vs_rest` (*Case 3*) and `exact::best_breiman_prefix` (*Case 2*) | [`sorted::best_cat_split_classification_at`] / [`sorted::best_cat_split_regression_at`] and their `NodeRows::All` wrappers in [`exact`]; the selectors alone also serve [`histogram::best_cat_from_class_stats`] / [`histogram::best_cat_from_reg_stats`] |
+//! | 2. bin prefix scan (`hist::best_bin_boundary`) | a histogram's bins as slot views (`[u64]` class counts or a `RegAgg`), one candidate per bin edge, nothing allocated: the right side's impurity is read off the total and the running left | `hist::best_hist_split_at` (the `--splitter hist` engine: rows counted into one flat pooled histogram, `hist[bin * n_classes + y] += 1`; finished at once by [`hist::best_hist_split_numeric_at`]) and [`histogram::NumericHistogram::best_split`] (PLANET, over `ClassCounts::counts`) |
+//! | 3. per-category accumulation (`sorted::visit_rows`) | a node's rows into a slot per category — class labels into the same flat histogram, missing rows in its trailing slot — feeding the selectors `exact::best_one_vs_rest` (*Case 3*, over `[u64]` slot views) and `exact::best_breiman_prefix` (*Case 2*) | [`sorted::best_cat_split_classification_at`] / [`sorted::best_cat_split_regression_at`] and their `NodeRows::All` wrappers in [`exact`]; the selectors alone also serve [`histogram::best_cat_from_class_stats`] / [`histogram::best_cat_from_reg_stats`] |
 //!
 //! Children are assembled in one of two ways, by label type: class counts
-//! are integers, so the exact kernels read them off the scan that chose the
-//! split (`exact::split_from_children`, shared with the merged-statistics
-//! selectors of [`histogram`]); regression sums are floats, so they are
-//! accumulated over the node's rows in ascending row order
-//! (`sorted::route_children`, shared with [`hist`]) — by
-//! [`SplitCandidate::finish`], which a trainer calls once per node for the
-//! column that won its fold, not once per column.
+//! are integers, so every class kernel reads them off what chose the split —
+//! the boundary scan (`exact::split_from_children`) or the histogram's slots
+//! (`exact::split_from_slots`, shared with the merged-statistics selectors
+//! of [`histogram`]) — and passes over the node's rows once; regression sums
+//! are floats, so they are accumulated over the node's rows in ascending row
+//! order (`sorted::route_children`) — by [`SplitCandidate::finish`], which a
+//! trainer calls once per node for the column that won its fold and a
+//! histogram worker once per election, not once per column.
 //!
 //! # Modules
 //!

@@ -28,6 +28,14 @@
 //! scratch arena, so the steady-state hot path allocates nothing but the
 //! split it returns.
 //!
+//! A categorical column needs no value order: one pass (`visit_rows`) counts
+//! the node's rows into a slot per category and the selectors of
+//! [`crate::exact`] read the slots. Class labels go into the arena's flat
+//! histogram — `hist[code * n_classes + y] += 1`, missing rows in the
+//! reserved trailing slot, one `u64` buffer whatever the domain — which the
+//! histogram engine ([`crate::hist`]) fills with a binned column's bins the
+//! same way; regression targets into a `RegAgg` per category.
+//!
 //! # Determinism contract
 //!
 //! - Node row sets are always **ascending** (they start as `0..n` and every
@@ -58,7 +66,7 @@
 use crate::condition::SplitTest;
 use crate::exact::{
     best_breiman_prefix, best_one_vs_rest, scan_boundaries, scan_class, split_from_children,
-    ColumnSplit, SplitCandidate,
+    split_from_slots, ColumnSplit, SplitCandidate,
 };
 use crate::impurity::{
     ClassCounts, Impurity, LabelAgg, LabelView, NodeStats, RegAgg, VarianceScan,
@@ -251,7 +259,7 @@ thread_local! {
     static RANK_BITS: Cell<RankBits> =
         const { Cell::new(RankBits { words: Vec::new(), before: Vec::new() }) };
     static CLASS_PAIR: Cell<Vec<ClassCounts>> = const { Cell::new(Vec::new()) };
-    static CAT_CLASS: Cell<Vec<ClassCounts>> = const { Cell::new(Vec::new()) };
+    static CLASS_HIST: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
     static CAT_REG: Cell<Vec<RegAgg>> = const { Cell::new(Vec::new()) };
     static SEEN: Cell<Vec<bool>> = const { Cell::new(Vec::new()) };
     static MASK: Cell<RowBitmap> = const { Cell::new(RowBitmap { words: Vec::new() }) };
@@ -347,28 +355,26 @@ pub(crate) fn with_class_pair<R>(
     })
 }
 
-/// Borrows the pooled per-category class counts (`per_value`, length
-/// `n_values`) plus a `total` aggregate, all reset to empty.
-pub(crate) fn with_cat_class<R>(
-    n_values: u32,
-    k: u32,
-    f: impl FnOnce(&mut [ClassCounts], &mut ClassCounts) -> R,
+/// Borrows this thread's flat class histogram, zeroed: `n_slots` slots of
+/// `n_classes` counters each, slot-major, so a row counts as
+/// `hist[slot * n_classes + y] += 1` — one buffer whatever the slots are
+/// (a binned column's bins, a categorical column's codes) and however many.
+pub(crate) fn with_class_hist<R>(
+    n_slots: usize,
+    n_classes: u32,
+    f: impl FnOnce(&mut [u64]) -> R,
 ) -> R {
-    CAT_CLASS.with(|cell| {
+    CLASS_HIST.with(|cell| {
         let mut buf = cell.take();
-        let want = n_values as usize + 1;
-        if !buf.is_empty() && buf[0].n_classes() == k as usize && buf.capacity() >= want {
+        let len = n_slots * n_classes as usize;
+        if buf.len() >= len {
             pool_hit();
-            buf.resize_with(want, || ClassCounts::new(k));
-            for c in buf.iter_mut() {
-                c.reset();
-            }
         } else {
             pool_miss();
-            buf = vec![ClassCounts::new(k); want];
+            buf.resize(len, 0);
         }
-        let (total, per_value) = buf.split_last_mut().expect("buffer is non-empty");
-        let r = f(per_value, total);
+        buf[..len].fill(0);
+        let r = f(&mut buf[..len]);
         cell.set(buf);
         r
     })
@@ -664,44 +670,35 @@ pub(crate) fn route_children<A: LabelAgg>(
 // Categorical kernels
 // ---------------------------------------------------------------------------
 
-/// Scan core 3 — accumulates a node's present rows into per-category
-/// aggregates (`per_value[code]`) plus their `total`, in ascending row
-/// order. Returns whether at least two present rows were seen (fewer cannot
-/// be split).
-fn accumulate_categories<A: LabelAgg>(
-    codes: &[u32],
+/// Scan core 3's row loop, and the histogram engine's — visits a node's rows
+/// in ascending order, handing `put` each row's slot id (its category code,
+/// its bin id) and label, for `put` to count into its histogram.
+pub(crate) fn visit_rows<I: Copy, L: Copy>(
+    ids: &[I],
     node: NodeRows<'_>,
-    ys: &[A::Label],
-    per_value: &mut [A],
-    total: &mut A,
-) -> bool {
-    assert_eq!(codes.len(), ys.len(), "codes/labels length mismatch");
+    ys: &[L],
+    mut put: impl FnMut(I, L),
+) {
+    assert_eq!(ids.len(), ys.len(), "column/labels length mismatch");
     debug_assert_ascending(&node);
-    let mut put = |c: u32, y: A::Label| {
-        if c != MISSING_CAT {
-            per_value[c as usize].add(y);
-            total.add(y);
-        }
-    };
     match node {
         // Whole column: zip the parallel slices directly — the generic row
         // iterator costs a bounds check and a chain dispatch per row.
         NodeRows::All(n) => {
-            debug_assert_eq!(n, codes.len(), "All(n) must span the whole column");
-            codes.iter().zip(ys).for_each(|(&c, &y)| put(c, y));
+            debug_assert_eq!(n, ids.len(), "All(n) must span the whole column");
+            ids.iter().zip(ys).for_each(|(&id, &y)| put(id, y));
         }
         NodeRows::Subset(rows) => rows
             .iter()
-            .for_each(|&r| put(codes[r as usize], ys[r as usize])),
+            .for_each(|&r| put(ids[r as usize], ys[r as usize])),
     }
-    total.n() >= 2
 }
 
 /// Exact one-vs-rest categorical split (Appendix B, Case 3) of a full column
-/// over a node's rows. Aggregates come from the scratch arena instead of
-/// fresh allocations, and the children are the winning category's counts
-/// and the rest of the total — integers, so no second pass over the rows —
-/// plus the node's missing rows.
+/// over a node's rows: one pass counts the rows into the pooled flat
+/// histogram, a slot per category and the reserved trailing one for missing
+/// rows, and the children are the winning category's slot, the rest of the
+/// total and the missing slot — integers, so no second pass over the rows.
 pub fn best_cat_split_classification_at(
     codes: &[u32],
     n_values: u32,
@@ -710,20 +707,27 @@ pub fn best_cat_split_classification_at(
     n_classes: u32,
     imp: Impurity,
 ) -> Option<ColumnSplit> {
-    with_cat_class(n_values, n_classes, |per_value, total| {
-        if !accumulate_categories(codes, node, ys, per_value, total) {
-            return None;
-        }
-        let (gain, code) = with_class_pair(n_classes, |rest, _| {
-            best_one_vs_rest(per_value, total, rest, imp)
-        })?;
-        let left = per_value[code as usize].clone();
-        let right = total.minus(&left);
-        let n_present = total.total() as usize;
-        let missing =
-            missing_class_counts(node, n_present, ys, n_classes, |i| codes[i] == MISSING_CAT);
-        let test = SplitTest::CatIn(vec![code]);
-        Some(split_from_children(test, gain, left, right, &missing))
+    if node.len() < 2 {
+        return None;
+    }
+    with_class_hist(n_values as usize + 1, n_classes, |hist| {
+        let k = n_classes as usize;
+        // `MISSING_CAT` is `u32::MAX`: `min` sends it to the trailing slot.
+        visit_rows(codes, node, ys, |code, y| {
+            hist[code.min(n_values) as usize * k + y as usize] += 1;
+        });
+        let (per_value, missing) = hist.split_at(n_values as usize * k);
+        with_class_pair(n_classes, |total, _| {
+            let slots = per_value.chunks_exact(k);
+            slots.clone().for_each(|slot| total.merge_slot(slot));
+            if total.total() < 2 {
+                return None;
+            }
+            let (gain, code) = best_one_vs_rest(slots.clone(), total, imp)?;
+            let test = SplitTest::CatIn(vec![code]);
+            let winner = slots.skip(code as usize).take(1);
+            Some(split_from_slots(test, gain, winner, &*total, missing))
+        })
     })
 }
 
@@ -983,7 +987,10 @@ pub fn best_split_in(
     }
 }
 
-fn best_cat_split_at(
+/// The categorical kernels: one-vs-rest for class labels, Breiman's prefix
+/// for regression. Already histogram-shaped — a slot per category — so the
+/// histogram engine ([`crate::hist`]) calls them as they are.
+pub(crate) fn best_cat_split_at(
     codes: &[u32],
     n_values: u32,
     node: NodeRows<'_>,
@@ -995,7 +1002,13 @@ fn best_cat_split_at(
             best_cat_split_classification_at(codes, n_values, node, ys, k, imp).map(Into::into)
         }
         LabelView::Real(ys) => with_cat_reg(n_values, |per_value, total| {
-            if !accumulate_categories(codes, node, ys, per_value, total) {
+            visit_rows(codes, node, ys, |code, y| {
+                if code != MISSING_CAT {
+                    per_value[code as usize].add(y);
+                    total.add(y);
+                }
+            });
+            if total.n < 2 {
                 return None;
             }
             let (gain, left_set, n_left) = best_breiman_prefix(per_value, total)?;
