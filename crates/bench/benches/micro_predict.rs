@@ -18,15 +18,30 @@
 //! and `forest40/per_row_ns` the least-squares line through the calls of
 //! 1, 2, 4 … 1024 rows. The front tier's `ServiceModel` assumes such a
 //! line (docs/SERVING.md, "The cost of a call").
+//!
+//! `forest40` has 8 + 2 columns and offers every column to every tree, so
+//! it says nothing about trees that mix split kinds, and its 2 % missing
+//! cells cannot be told from its clean ones. The `ledger40_m{0,2}/*` rows
+//! are the ledger's serving forest (`ledger/src/workloads.rs`: 24 numeric
+//! and 6 categorical columns of cardinality 12, 40 trees of depth 10 on √m
+//! columns each — most of them mixing numeric and categorical splits) on
+//! a clean table and on one with 2 % missing cells, where stopped rows
+//! re-take the traversal step's stop path at every remaining level.
+//! `requests32` scores 32 scattered rows through the row-id entry the
+//! request tier uses, so it times the image's gather fill as well, and
+//! `{fill,walk,fold}_ns_per_row` split a bulk pass into its three layers.
 
 use std::hint::black_box;
 use std::time::Instant;
-use treeserver::{GbtModel, GbtObjective};
+use treeserver::{GbtModel, GbtObjective, JobSpec};
 use ts_bench::{env_scale, print_header, BenchReport};
 use ts_datatable::synth::{generate, SynthSpec};
 use ts_datatable::{DataTable, Task};
 use ts_serve::{CompiledModel, ServeOptions};
-use ts_tree::{train_tree, DecisionTreeModel, ForestModel, TrainParams};
+use ts_tree::compiled::{add_pmf_rows, DEFAULT_BLOCK_ROWS};
+use ts_tree::{
+    train_tree, CompiledTree, DecisionTreeModel, ForestModel, Rows, TableView, TrainParams,
+};
 
 fn time_us(mut f: impl FnMut()) -> f64 {
     let mut iters = 1u32;
@@ -59,6 +74,44 @@ fn least_squares(xs: &[f64], ys: &[f64]) -> (f64, f64) {
     let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| (x - mx) * (y - my)).sum();
     let slope = sxy / sxx;
     (my - slope * mx, slope)
+}
+
+/// Where a bulk pass spends its time, in ns per row: the engine's block
+/// loop rebuilt from its three public pieces — image fill, the 40 lockstep
+/// walks, the 40 PMF folds — with a timer around each.
+fn phase_split_ns_per_row(trees: &[CompiledTree], t: &DataTable) -> [f64; 3] {
+    let view = TableView::of(t);
+    let mut img = view.image();
+    let block = DEFAULT_BLOCK_ROWS;
+    let mut nodes = vec![0u32; block];
+    let k = trees[0].pmf_rows().0;
+    let mut acc = vec![0f32; block * k];
+    let mut best = [f64::INFINITY; 3];
+    for _ in 0..5 {
+        let mut secs = [0f64; 3];
+        let mut first = 0;
+        while first < t.n_rows() {
+            let len = block.min(t.n_rows() - first);
+            let t0 = Instant::now();
+            img.fill(Rows::Span { first, len });
+            secs[0] += t0.elapsed().as_secs_f64();
+            for tree in trees {
+                let t0 = Instant::now();
+                tree.terminal_nodes_into(&img, u32::MAX, &mut nodes[..len]);
+                let t1 = Instant::now();
+                let (k, pmf) = tree.pmf_rows();
+                add_pmf_rows(k, pmf, &nodes[..len], &mut acc[..len * k]);
+                secs[1] += (t1 - t0).as_secs_f64();
+                secs[2] += t1.elapsed().as_secs_f64();
+            }
+            black_box(&mut acc);
+            first += len;
+        }
+        for (b, s) in best.iter_mut().zip(secs) {
+            *b = b.min(s * 1e9 / t.n_rows() as f64);
+        }
+    }
+    best
 }
 
 fn report(name: &str, per_iter_us: f64) {
@@ -338,6 +391,75 @@ fn main() {
             n_trees,
             Some(per_row_us * 1e3),
         );
+    }
+
+    // The ledger's serving forest, without and with missing cells.
+    for (tag, missing_rate) in [("m0", 0.0), ("m2", 0.02)] {
+        let task = Task::Classification { n_classes: 3 };
+        let t = generate(&SynthSpec {
+            rows,
+            numeric: 24,
+            categorical: 6,
+            cat_cardinality: 12,
+            task,
+            missing_rate,
+            noise: 0.05,
+            concept_depth: 6,
+            latent: 5,
+            seed: 16,
+        });
+        let specs = JobSpec::random_forest(task, 40)
+            .with_seed(16)
+            .expand(t.n_attrs());
+        let trees: Vec<DecisionTreeModel> = specs
+            .iter()
+            .map(|spec| {
+                train_tree(
+                    &t,
+                    &spec.candidates,
+                    &TrainParams {
+                        dmax: 10,
+                        ..TrainParams::for_task(task)
+                    },
+                    spec.seed,
+                )
+            })
+            .collect();
+        let n_trees = trees.len();
+        let base = format!("ledger{n_trees}_{tag}");
+        let members: Vec<CompiledTree> = trees.iter().map(CompiledTree::compile).collect();
+        let phases = phase_split_ns_per_row(&members, &t);
+        for (phase, ns) in ["fill", "walk", "fold"].iter().zip(phases) {
+            println!(
+                "{:<48} {ns:>12.1} ns/row",
+                format!("{base}/{phase}_ns_per_row")
+            );
+            out.push(
+                &format!("{base}/{phase}_ns_per_row"),
+                0.0,
+                rows,
+                n_trees,
+                Some(ns),
+            );
+        }
+        let compiled =
+            CompiledModel::from_forest(&ForestModel::new(trees, task)).with_options(one_t);
+        let mut row = |name: &str, batch: usize, us: f64| {
+            report(&format!("{base}/{name}"), us);
+            out.push(&format!("{base}/{name}"), us * 1e-6, batch, n_trees, None);
+        };
+        for batch in [1usize, 32, 1024] {
+            let sub = t.select_rows(&(0..batch as u32).collect::<Vec<_>>());
+            let us = time_us(|| {
+                black_box(compiled.predict_labels(black_box(&sub)));
+            });
+            row(&format!("batch{batch}"), batch, us);
+        }
+        let scattered: Vec<u32> = (0..32).map(|i| (i * 7919 + 13) % rows as u32).collect();
+        let us = time_us(|| {
+            black_box(compiled.predict_labels_rows(&t, Rows::Ids(black_box(&scattered))));
+        });
+        row("requests32", 32, us);
     }
 
     // Headline: the three archetypes served back-to-back. The aggregate

@@ -60,7 +60,7 @@ use std::time::Duration;
 use ts_datatable::{DataTable, Task};
 use ts_netsim::SimClock;
 use ts_obs::{Event, ObsConfig, Recorder, SpanKind};
-use ts_serve::CompiledModel;
+use ts_serve::{CompiledModel, Rows};
 
 use crate::arrival::Arrival;
 use crate::registry::ModelRegistry;
@@ -624,16 +624,18 @@ impl RunState {
 
         // One atomic registry read per batch; `model` is held for the
         // whole score, so a concurrent publish cannot tear it.
+        // The batch is scored where its rows lie: the engine images the
+        // listed rows straight from the request table.
         let (epoch, model) = self.registry.active();
-        let sub = self.table.select_rows(&self.rows);
+        let rows = Rows::Ids(&self.rows);
         let scores: Vec<Score> = match self.table.schema().task {
             Task::Classification { .. } => model
-                .predict_labels(&sub)
+                .predict_labels_rows(&self.table, rows)
                 .into_iter()
                 .map(Score::Label)
                 .collect(),
             Task::Regression => model
-                .predict_values(&sub)
+                .predict_values_rows(&self.table, rows)
                 .into_iter()
                 .map(Score::Value)
                 .collect(),

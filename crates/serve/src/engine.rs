@@ -16,8 +16,9 @@ use std::sync::Arc;
 use std::time::Instant;
 use treeserver::{GbtModel, GbtObjective};
 use ts_datatable::{DataTable, Task};
+use ts_tree::compiled::add_pmf_rows;
 use ts_tree::forest::argmax;
-use ts_tree::{CompiledTree, DecisionTreeModel, ForestModel, TableView};
+use ts_tree::{CompiledTree, DecisionTreeModel, ForestModel, Rows, TableView};
 
 use crate::stats::ServeStats;
 
@@ -161,15 +162,23 @@ impl CompiledModel {
     /// Class labels for every row. Defined for classification trees and
     /// forests and for logistic boosted models (`margin > 0`).
     pub fn predict_labels(&self, table: &DataTable) -> Vec<u32> {
-        self.timed(table, |m| match m.combine {
-            Combine::Single => m.fold_blocks(table, 1, 0u32, |tree, nodes, out| {
-                for (o, &n) in out.iter_mut().zip(nodes) {
-                    *o = tree.label_of(n);
-                }
-            }),
+        self.predict_labels_rows(table, Rows::all(table))
+    }
+
+    /// [`Self::predict_labels`] of `rows` of `table`, in `rows`' order —
+    /// what scoring `table.select_rows(ids)` returns, without building
+    /// that table: a request batch is imaged from the rows where they lie.
+    pub fn predict_labels_rows(&self, table: &DataTable, rows: Rows<'_>) -> Vec<u32> {
+        self.timed(rows, |m| match m.combine {
+            Combine::Single => {
+                m.fold_blocks(table, rows, 1, 0u32, |tree| write_payload(tree.labels()))
+            }
             Combine::Bagged => {
                 let k = m.n_classes();
-                m.pmf_blocks(table).chunks(k.max(1)).map(argmax).collect()
+                m.pmf_blocks(table, rows)
+                    .chunks(k.max(1))
+                    .map(argmax)
+                    .collect()
             }
             Combine::Additive { objective, .. } => {
                 assert_eq!(
@@ -177,7 +186,7 @@ impl CompiledModel {
                     GbtObjective::Logistic,
                     "labels from a squared-error boosted model"
                 );
-                m.margin_blocks(table)
+                m.margin_blocks(table, rows)
                     .into_iter()
                     .map(|v| u32::from(v > 0.0))
                     .collect()
@@ -188,18 +197,21 @@ impl CompiledModel {
     /// Regression values for every row. Defined for regression trees and
     /// forests and squared-error boosted models.
     pub fn predict_values(&self, table: &DataTable) -> Vec<f64> {
-        self.timed(table, |m| match m.combine {
-            Combine::Single => m.fold_blocks(table, 1, 0f64, |tree, nodes, out| {
-                for (o, &n) in out.iter_mut().zip(nodes) {
-                    *o = tree.value_of(n);
-                }
-            }),
+        self.predict_values_rows(table, Rows::all(table))
+    }
+
+    /// [`Self::predict_values`] of `rows` of `table`, in `rows`' order.
+    pub fn predict_values_rows(&self, table: &DataTable, rows: Rows<'_>) -> Vec<f64> {
+        self.timed(rows, |m| match m.combine {
+            Combine::Single => {
+                m.fold_blocks(table, rows, 1, 0f64, |tree| write_payload(tree.values()))
+            }
             Combine::Bagged => {
                 if m.trees.is_empty() {
-                    return vec![0.0; table.n_rows()];
+                    return vec![0.0; rows.len()];
                 }
                 let n_trees = m.trees.len() as f64;
-                let mut acc = m.value_sum_blocks(table);
+                let mut acc = m.value_sum_blocks(table, rows);
                 for a in &mut acc {
                     *a /= n_trees;
                 }
@@ -211,7 +223,7 @@ impl CompiledModel {
                     GbtObjective::SquaredError,
                     "values from a logistic boosted model"
                 );
-                m.margin_blocks(table)
+                m.margin_blocks(table, rows)
             }
         })
     }
@@ -220,16 +232,24 @@ impl CompiledModel {
     /// buffer. A single tree reports its terminal node's PMF; a forest the
     /// average over member trees.
     pub fn predict_pmf_flat(&self, table: &DataTable) -> Vec<f32> {
-        self.timed(table, |m| match m.combine {
+        self.predict_pmf_flat_rows(table, Rows::all(table))
+    }
+
+    /// [`Self::predict_pmf_flat`] of `rows` of `table`, in `rows`' order.
+    pub fn predict_pmf_flat_rows(&self, table: &DataTable, rows: Rows<'_>) -> Vec<f32> {
+        self.timed(rows, |m| match m.combine {
             Combine::Single => {
                 let k = m.n_classes();
-                m.fold_blocks(table, k, 0f32, |tree, nodes, out| {
-                    for (dst, &n) in out.chunks_exact_mut(k).zip(nodes) {
-                        dst.copy_from_slice(tree.pmf_of(n));
+                m.fold_blocks(table, rows, k, 0f32, |tree| {
+                    let (k, pmf) = tree.pmf_rows();
+                    move |nodes, out| {
+                        for (dst, &n) in out.chunks_exact_mut(k).zip(nodes) {
+                            dst.copy_from_slice(&pmf[n as usize * k..(n as usize + 1) * k]);
+                        }
                     }
                 })
             }
-            Combine::Bagged => m.pmf_blocks(table),
+            Combine::Bagged => m.pmf_blocks(table, rows),
             Combine::Additive { .. } => panic!("PMFs from a boosted model"),
         })
     }
@@ -245,11 +265,16 @@ impl CompiledModel {
 
     /// Raw boosted margins (`base + η · Σ tree(x)`); additive models only.
     pub fn predict_margins(&self, table: &DataTable) -> Vec<f64> {
+        self.predict_margins_rows(table, Rows::all(table))
+    }
+
+    /// [`Self::predict_margins`] of `rows` of `table`, in `rows`' order.
+    pub fn predict_margins_rows(&self, table: &DataTable, rows: Rows<'_>) -> Vec<f64> {
         assert!(
             matches!(self.combine, Combine::Additive { .. }),
             "margins are only defined for boosted models"
         );
-        self.timed(table, |m| m.margin_blocks(table))
+        self.timed(rows, |m| m.margin_blocks(table, rows))
     }
 
     /// PMF width; panics on regression models.
@@ -260,63 +285,73 @@ impl CompiledModel {
     }
 
     /// Times `f` and records one batch into the attached stats, if any.
-    fn timed<T>(&self, table: &DataTable, f: impl FnOnce(&Self) -> T) -> T {
+    fn timed<T>(&self, rows: Rows<'_>, f: impl FnOnce(&Self) -> T) -> T {
         let start = Instant::now();
         let out = f(self);
         if let Some(stats) = &self.stats {
-            stats.record_batch(table.n_rows(), start.elapsed());
+            stats.record_batch(rows.len(), start.elapsed());
         }
         out
     }
 
-    /// Resolved worker count (`0` = machine parallelism, like `tspar`).
-    fn effective_threads(&self) -> usize {
-        if self.opts.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.opts.threads
-        }
-    }
-
-    /// The one block loop every `predict_*` runs. Row blocks fan out over
-    /// `tspar`; each worker owns a contiguous span of whole blocks of one
-    /// preallocated `width`-per-row accumulator seeded with `init` — no
-    /// per-block `Vec`s and no concatenation copy — and reuses one
+    /// The one block loop every `predict_*` runs, over the `rows` of
+    /// `table` the call scores. Row blocks fan out over `tspar`; each
+    /// worker owns a contiguous span of whole blocks of one preallocated
+    /// `width`-per-row accumulator seeded with `init` — no per-block
+    /// `Vec`s and no concatenation copy — and reuses one
     /// [`BlockImage`](ts_tree::compiled::BlockImage) and one node buffer
     /// across them, both sized by the rows it scores (a block is never
-    /// wider than the table): nothing a call allocates or touches grows
-    /// with `block_rows` or with the model. For each block the image is
-    /// filled once, then every member tree walks it and `fold` folds the
-    /// tree's terminal node ids into the block's slice, in tree order —
-    /// the reference fold order. (A single tree is the one-member case:
-    /// its "fold" writes the node's payload.)
-    fn fold_blocks<A: Clone + Send>(
-        &self,
+    /// wider than the call): nothing a call allocates or touches grows
+    /// with `block_rows`, with the model, or with the table the rows are
+    /// picked from. For each block the image is filled once, then every
+    /// member tree walks it and folds its terminal node ids into the
+    /// block's slice, in tree order — the reference fold order. `fold_of`
+    /// is called once per tree per block and returns that tree's fold, so
+    /// whatever the fold reads of the tree (its payload slice, its width)
+    /// is resolved there, not once per row. (A single tree is the
+    /// one-member case: its "fold" writes the node's payload.)
+    fn fold_blocks<'t, A, F>(
+        &'t self,
         table: &DataTable,
+        rows: Rows<'_>,
         width: usize,
         init: A,
-        fold: impl Fn(&CompiledTree, &[u32], &mut [A]) + Sync,
-    ) -> Vec<A> {
+        fold_of: impl Fn(&'t CompiledTree) -> F + Sync,
+    ) -> Vec<A>
+    where
+        A: Clone + Send,
+        F: FnMut(&[u32], &mut [A]),
+    {
         let view = TableView::of(table);
-        let mut out = vec![init; view.n_rows() * width];
+        let mut out = vec![init; rows.len() * width];
         if out.is_empty() {
             return out;
         }
-        // Never wider than the table: a one-row call sets up one row.
-        let block = self.opts.block_rows.clamp(1, view.n_rows());
-        let n_blocks = view.n_rows().div_ceil(block);
-        let span = n_blocks.div_ceil(self.effective_threads().min(n_blocks)) * block;
+        // Never wider than the call: a one-row call sets up one row.
+        let block = self.opts.block_rows.clamp(1, rows.len());
+        let n_blocks = rows.len().div_ceil(block);
+        // The worker count is resolved here, once, and handed to `tspar`
+        // resolved: `threads: 0` asks the OS (`available_parallelism`
+        // reads cgroup files, ≈ 11 µs), and only a call with more than
+        // one block has any use for the answer.
+        let threads = match self.opts.threads {
+            _ if n_blocks == 1 => 1,
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            t => t,
+        }
+        .min(n_blocks);
+        let span = n_blocks.div_ceil(threads) * block;
         let mut spans: Vec<&mut [A]> = out.chunks_mut(span * width).collect();
-        tspar::par_for_each_mut(&mut spans, self.opts.threads, |s, chunk| {
+        tspar::par_for_each_mut(&mut spans, threads, |s, chunk| {
             let mut nodes = vec![0u32; block];
             let mut img = view.image();
             let mut first = s * span;
             for blk in chunk.chunks_mut(block * width) {
                 let len = blk.len() / width;
-                img.fill(first, len);
+                img.fill(rows.slice(first, len));
                 for tree in &self.trees {
                     tree.terminal_nodes_into(&img, self.opts.max_depth, &mut nodes[..len]);
-                    fold(tree, &nodes[..len], blk);
+                    fold_of(tree)(&nodes[..len], blk);
                 }
                 first += len;
             }
@@ -325,28 +360,20 @@ impl CompiledModel {
         out
     }
 
-    /// Sum of member-tree PMFs per row (row-major, unnormalised).
-    fn pmf_sum_blocks(&self, table: &DataTable) -> Vec<f32> {
-        let k = self.n_classes();
-        self.fold_blocks(table, k, 0f32, |tree, nodes, acc| {
-            for (i, &node) in nodes.iter().enumerate() {
-                for (a, b) in acc[i * k..(i + 1) * k].iter_mut().zip(tree.pmf_of(node)) {
-                    *a += b;
-                }
-            }
-        })
-    }
-
     /// Averaged forest PMFs, row-major. A zero-tree forest serves the
     /// uninformed uniform prior, matching `ForestModel::predict_pmf`.
-    fn pmf_blocks(&self, table: &DataTable) -> Vec<f32> {
+    fn pmf_blocks(&self, table: &DataTable, rows: Rows<'_>) -> Vec<f32> {
         let k = self.n_classes();
         if self.trees.is_empty() {
             let p = if k == 0 { 0.0 } else { 1.0 / k as f32 };
-            return vec![p; table.n_rows() * k];
+            return vec![p; rows.len() * k];
         }
         let inv = 1.0 / self.trees.len() as f32;
-        let mut acc = self.pmf_sum_blocks(table);
+        // Sum of member-tree PMFs per row, then the average.
+        let mut acc = self.fold_blocks(table, rows, k, 0f32, |tree| {
+            let (k, pmf) = tree.pmf_rows();
+            move |nodes, acc| add_pmf_rows(k, pmf, nodes, acc)
+        });
         for a in &mut acc {
             *a *= inv;
         }
@@ -354,23 +381,39 @@ impl CompiledModel {
     }
 
     /// Sum of member-tree values per row.
-    fn value_sum_blocks(&self, table: &DataTable) -> Vec<f64> {
-        self.fold_blocks(table, 1, 0f64, |tree, nodes, acc| {
-            for (i, &node) in nodes.iter().enumerate() {
-                acc[i] += tree.value_of(node);
+    fn value_sum_blocks(&self, table: &DataTable, rows: Rows<'_>) -> Vec<f64> {
+        self.fold_blocks(table, rows, 1, 0f64, |tree| {
+            let values = tree.values();
+            move |nodes, acc| {
+                for (a, &node) in acc.iter_mut().zip(nodes) {
+                    *a += values[node as usize];
+                }
             }
         })
     }
 
     /// Boosted margins per row.
-    fn margin_blocks(&self, table: &DataTable) -> Vec<f64> {
+    fn margin_blocks(&self, table: &DataTable, rows: Rows<'_>) -> Vec<f64> {
         let Combine::Additive { base, eta, .. } = self.combine else {
             unreachable!("caller checked the combine kind");
         };
-        self.fold_blocks(table, 1, base, |tree, nodes, acc| {
-            for (i, &node) in nodes.iter().enumerate() {
-                acc[i] += eta * tree.value_of(node);
+        self.fold_blocks(table, rows, 1, base, |tree| {
+            let values = tree.values();
+            move |nodes, acc| {
+                for (a, &node) in acc.iter_mut().zip(nodes) {
+                    *a += eta * values[node as usize];
+                }
             }
         })
+    }
+}
+
+/// A single tree's "fold": each row's output is its terminal node's entry
+/// of `payload` (written, not added — `0.0 + v` is not `v` for `-0.0`).
+fn write_payload<T: Copy>(payload: &[T]) -> impl FnMut(&[u32], &mut [T]) + '_ {
+    move |nodes, out| {
+        for (o, &n) in out.iter_mut().zip(nodes) {
+            *o = payload[n as usize];
+        }
     }
 }

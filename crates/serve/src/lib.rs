@@ -21,3 +21,4 @@ pub mod stats;
 
 pub use engine::{CompiledModel, ServeOptions};
 pub use stats::{BatchSpan, ServeStats};
+pub use ts_tree::Rows;

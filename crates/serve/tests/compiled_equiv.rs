@@ -16,15 +16,30 @@ use ts_serve::{CompiledModel, ServeOptions};
 use ts_tree::{train_tree, DecisionTreeModel, ForestModel, TrainParams};
 use tscheck::prelude::*;
 
+/// Categorical cardinalities `(training, evaluation)` of [`table_pair`]'s
+/// two tables. Two seeds in three draw small codes, which the engine's
+/// one-hot image cells express; every third draws codes past 64, which
+/// they cannot: left-sets, seen-sets and rows then hold codes the
+/// traversal step resolves against the pool, missing cells among them
+/// ([`big_code_seeds_reach_the_pool_path`] checks that they do).
+fn cardinalities(seed: u64) -> (u32, u32) {
+    if seed.is_multiple_of(3) {
+        (80, 96) // codes 80..96 are unseen by the trained model
+    } else {
+        (4, 9) // codes 4..9 are unseen by the trained model
+    }
+}
+
 /// Training table + a shifted evaluation table over the same schema. The
 /// evaluation table's categorical columns run over a larger code range
 /// (unseen values) and both carry missing entries.
 fn table_pair(seed: u64, numeric: usize, categorical: usize, task: Task) -> (DataTable, DataTable) {
+    let (train_cardinality, eval_cardinality) = cardinalities(seed);
     let train = generate(&SynthSpec {
         rows: 400,
         numeric,
         categorical,
-        cat_cardinality: 4,
+        cat_cardinality: train_cardinality,
         task,
         missing_rate: 0.05,
         noise: 0.1,
@@ -36,7 +51,7 @@ fn table_pair(seed: u64, numeric: usize, categorical: usize, task: Task) -> (Dat
         rows: 257, // deliberately not a multiple of any block size below
         numeric,
         categorical,
-        cat_cardinality: 9, // codes 4..9 are unseen by the trained model
+        cat_cardinality: eval_cardinality,
         task,
         missing_rate: 0.2,
         noise: 0.1,
@@ -254,6 +269,227 @@ proptest! {
             compiled.predict_labels(&eval),
             model.predict_labels_reference(&eval)
         );
+    }
+}
+
+/// The big-code seeds of [`cardinalities`] do what they are there for: on
+/// each, walking the evaluation rows through a trained tree the reference
+/// way meets every case the one-hot image leaves to the pool — a code
+/// ≥ 64 routed by a left-set that holds codes ≥ 64, a code ≥ 64 the node
+/// never saw, and a missing categorical cell — and the engine agrees with
+/// the reference on all of them.
+#[test]
+fn big_code_seeds_reach_the_pool_path() {
+    use ts_datatable::Value;
+    use ts_splits::SplitTest;
+    let task = Task::Classification { n_classes: 3 };
+    for seed in [0u64, 3, 6, 9] {
+        assert_eq!(cardinalities(seed), (80, 96));
+        let (train, eval) = table_pair(seed, 1, 2, task);
+        let model = train_tree(
+            &train,
+            &(0..train.n_attrs()).collect::<Vec<_>>(),
+            &TrainParams {
+                dmax: 6,
+                ..TrainParams::for_task(task)
+            },
+            seed,
+        );
+        let (mut routed, mut unseen, mut missing) = (0, 0, 0);
+        for r in 0..eval.n_rows() {
+            let mut i = 0;
+            while let Some((split, l, right)) = &model.nodes[i].split {
+                let SplitTest::CatIn(set) = &split.test else {
+                    match split.test.goes_left(eval.value(r, split.attr)) {
+                        None => break,
+                        Some(left) => i = if left { *l } else { *right },
+                    }
+                    continue;
+                };
+                let big_set = set.iter().any(|&c| c >= 64);
+                match eval.value(r, split.attr) {
+                    Value::Cat(c)
+                        if split
+                            .seen
+                            .as_ref()
+                            .is_some_and(|s| s.binary_search(&c).is_err()) =>
+                    {
+                        unseen += usize::from(c >= 64);
+                        break;
+                    }
+                    Value::Cat(c) => {
+                        routed += usize::from(c >= 64 && big_set);
+                        i = if set.binary_search(&c).is_ok() {
+                            *l
+                        } else {
+                            *right
+                        };
+                    }
+                    _ => {
+                        missing += 1;
+                        break;
+                    }
+                }
+            }
+        }
+        assert!(
+            routed > 0 && unseen > 0 && missing > 0,
+            "seed {seed}: {routed} big codes routed, {unseen} unseen, {missing} missing"
+        );
+        let compiled = CompiledModel::from_tree(&model).with_options(opts(64, 1));
+        assert_eq!(
+            compiled.predict_labels(&eval),
+            model.predict_labels_reference(&eval),
+            "seed {seed}"
+        );
+    }
+}
+
+/// The row-id entry (`predict_*_rows(table, Rows::Ids(ids))`, what the
+/// request tier calls) against the copy it replaced: scoring the listed
+/// rows where they lie equals scoring `table.select_rows(ids)`, bit for
+/// bit, for every output kind — whatever the list looks like (repeats,
+/// descending, out of block order, empty, one row, a lockstep chunk and a
+/// remainder, several blocks) and however the blocks fan out.
+mod row_ids {
+    use super::*;
+    use ts_serve::Rows;
+
+    /// Id lists over a 257-row table: lengths 0, 1, 17 and past several
+    /// 16-row blocks, drawn with repeats in no order, plus the same list
+    /// sorted descending.
+    fn id_lists() -> impl Strategy<Value = Vec<Vec<u32>>> {
+        tscheck::collection::vec(0u32..257, 40..120).prop_map(|ids| {
+            let mut descending = ids.clone();
+            descending.sort_unstable_by(|a, b| b.cmp(a));
+            vec![
+                Vec::new(),
+                ids[..1].to_vec(),
+                ids[..17].to_vec(),
+                descending,
+                ids,
+            ]
+        })
+    }
+
+    /// Blocks shorter than most lists, at one thread and at three.
+    const GRID: &[(usize, usize)] = &[(16, 1), (16, 3), (4096, 1)];
+
+    fn members(train: &DataTable, task: Task, seed: u64) -> Vec<DecisionTreeModel> {
+        (0..4)
+            .map(|i| {
+                train_tree(
+                    train,
+                    &(0..train.n_attrs()).collect::<Vec<_>>(),
+                    &TrainParams {
+                        dmax: 5,
+                        ..TrainParams::for_task(task)
+                    },
+                    seed ^ i,
+                )
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+        /// Labels and PMFs: a single tree (also under a depth cap, the
+        /// per-row walk) and a bagged forest.
+        #[test]
+        fn labels_and_pmfs_of_listed_rows(
+            (seed, numeric, categorical) in shape(),
+            lists in id_lists(),
+        ) {
+            let task = Task::Classification { n_classes: 3 };
+            let (train, eval) = table_pair(seed, numeric, categorical, task);
+            let trees = members(&train, task, seed);
+            let forest = ForestModel::new(trees.clone(), task);
+            for &(block, threads) in GRID {
+                let models = [
+                    CompiledModel::from_tree(&trees[0]).with_options(opts(block, threads)),
+                    CompiledModel::from_tree(&trees[0])
+                        .with_options(opts(block, threads).with_max_depth(2)),
+                    CompiledModel::from_forest(&forest).with_options(opts(block, threads)),
+                ];
+                for (m, model) in models.iter().enumerate() {
+                    for ids in &lists {
+                        let copied = eval.select_rows(ids);
+                        let what = format!(
+                            "model {m} block={block} threads={threads} {} ids",
+                            ids.len()
+                        );
+                        prop_assert_eq!(
+                            model.predict_labels_rows(&eval, Rows::Ids(ids)),
+                            model.predict_labels(&copied),
+                            "{}", what
+                        );
+                        assert_bits_f32(
+                            &model.predict_pmf_flat_rows(&eval, Rows::Ids(ids)),
+                            &model.predict_pmf_flat(&copied),
+                            &what,
+                        );
+                    }
+                }
+            }
+        }
+
+        /// Values and margins: a single regression tree, a bagged forest
+        /// and a boosted ensemble.
+        #[test]
+        fn values_and_margins_of_listed_rows(
+            (seed, numeric, categorical) in shape(),
+            lists in id_lists(),
+        ) {
+            let (train, eval) = table_pair(seed, numeric, categorical, Task::Regression);
+            let trees = members(&train, Task::Regression, seed);
+            let forest = ForestModel::new(trees.clone(), Task::Regression);
+            let gbt = treeserver::GbtModel {
+                trees: trees.clone(),
+                base: 0.125,
+                eta: 0.3,
+                objective: treeserver::GbtObjective::SquaredError,
+            };
+            for &(block, threads) in GRID {
+                let models = [
+                    CompiledModel::from_tree(&trees[0]).with_options(opts(block, threads)),
+                    CompiledModel::from_forest(&forest).with_options(opts(block, threads)),
+                    CompiledModel::from_gbt(&gbt).with_options(opts(block, threads)),
+                ];
+                for (m, model) in models.iter().enumerate() {
+                    for ids in &lists {
+                        let copied = eval.select_rows(ids);
+                        let what = format!(
+                            "model {m} block={block} threads={threads} {} ids",
+                            ids.len()
+                        );
+                        assert_bits_f64(
+                            &model.predict_values_rows(&eval, Rows::Ids(ids)),
+                            &model.predict_values(&copied),
+                            &what,
+                        );
+                    }
+                }
+                let boosted = &models[2];
+                for ids in &lists {
+                    assert_bits_f64(
+                        &boosted.predict_margins_rows(&eval, Rows::Ids(ids)),
+                        &boosted.predict_margins(&eval.select_rows(ids)),
+                        &format!("margins block={block} threads={threads} {} ids", ids.len()),
+                    );
+                }
+            }
+        }
+    }
+
+    /// A listed row past the table's end is a panic, not a wild read.
+    #[test]
+    #[should_panic]
+    fn a_row_id_past_the_table_panics() {
+        let task = Task::Classification { n_classes: 3 };
+        let (train, eval) = table_pair(5, 2, 1, task);
+        let model = train_tree(&train, &[0, 1, 2], &TrainParams::for_task(task), 5);
+        CompiledModel::from_tree(&model).predict_labels_rows(&eval, Rows::Ids(&[3, 257]));
     }
 }
 

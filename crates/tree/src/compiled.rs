@@ -10,11 +10,12 @@
 //!
 //! - nodes renumbered **breadth-first** so each level is contiguous and
 //!   siblings are adjacent (`right = left + 1` — the right-child pointer
-//!   disappears and numeric descent is branchless: `left + (x > thr)`);
-//! - the hot per-node fields packed into one 16-byte record (split kind +
-//!   feature id in a `u32`, left-child id, `f64` threshold), so each
-//!   traversal step touches a single cache line of tree data plus one raw
-//!   column value;
+//!   disappears and descent is an add: `left + (outcome)`);
+//! - the hot per-node fields packed into one 32-byte, 32-byte-aligned
+//!   record `{feature, left, mask, thr, seen}` that is the **same
+//!   computation for every node kind** — `next = left + ((w & mask) > thr)`
+//!   — so a traversal step never branches on what kind of node it is at
+//!   (see [`HotNode`]);
 //! - all categorical sets concatenated in one pool, and all node payloads
 //!   (labels, PMF rows, means) in contiguous buffers indexed by node id.
 //!
@@ -24,27 +25,15 @@
 //! The compiled path is **bit-for-bit identical** to the reference
 //! traversal (`crates/serve/tests/compiled_equiv.rs` enforces this): the
 //! Appendix-D stopping rules — depth cap, missing value, unseen categorical
-//! code — are evaluated in the same order with the same comparisons, and
-//! every consumer that aggregates over trees (forest PMF averaging, GBT
-//! margin accumulation) folds per-row results in the same tree order with
-//! the same arithmetic expressions as the reference implementation.
+//! code — stop a row at the node the reference stops it at, and every
+//! consumer that aggregates over trees (forest PMF averaging, GBT margin
+//! accumulation) folds per-row results in the same tree order with the
+//! same arithmetic expressions as the reference implementation.
 
 use crate::model::{DecisionTreeModel, Prediction};
 use std::collections::BTreeSet;
 use ts_datatable::{Column, DataTable, Task, MISSING_CAT};
 use ts_splits::SplitTest;
-
-/// Node kind tags, stored in the top two bits of [`HotNode::kind_feat`].
-/// Bit 31 means "categorical" — `kind_feat >> 31` is the branchless
-/// is-categorical predicate the fast path selects on.
-const KIND_LEAF: u32 = 0;
-const KIND_NUM: u32 = 1;
-/// Categorical split whose left-set and seen-set fit 64-bit masks.
-const KIND_CAT: u32 = 2;
-/// Categorical split with codes ≥ 64; always resolved via the pool.
-const KIND_CAT_BIG: u32 = 3;
-const KIND_SHIFT: u32 = 30;
-const FEAT_MASK: u32 = (1 << KIND_SHIFT) - 1;
 
 /// Sentinel for "no seen-set recorded" in [`CompiledTree::seen_range`].
 const NO_SEEN: u32 = u32::MAX;
@@ -61,38 +50,76 @@ pub const DEFAULT_BLOCK_ROWS: usize = 2048;
 /// pipeline fed. Raising it further mostly adds register pressure.
 const INTERLEAVE: usize = 16;
 
-/// The 16 bytes of tree data a traversal step reads.
+/// The 32 bytes of tree data a traversal step reads — one record, one
+/// computation, whatever the node is. With `w` the row's [`BlockImage`]
+/// cell at `feature`:
+///
+/// ```text
+/// stop  =  w & seen == 0
+/// next  =  left + ((w & mask) > thr)
+/// ```
+///
+/// | node        | `mask`      | `thr`            | `seen`             | `left`     |
+/// |-------------|-------------|------------------|--------------------|------------|
+/// | numeric     | `!0`        | [`sort_key`] ≥ 1 | `!0`               | left child |
+/// | categorical | `!left_set` | `0`              | seen-set (or `!0`) | left child |
+/// | leaf        | `0`         | `!0`             | `!0`               | itself     |
+///
+/// A numeric cell is its threshold-ordered key, so `(w & !0) > thr` is
+/// `x > threshold`; a categorical cell is the one-hot bit of its code, so
+/// `(w & !left_set) > 0` is "code not in the left-set"; a leaf's masked
+/// cell is `0`, never above `!0`, so it stays where it is. The image
+/// encodes every missing value as `0` (and every categorical code the
+/// one-hot cell cannot express), which no mask intersects: one
+/// never-taken test covers a missing value of either kind and a code
+/// unseen in training.
+///
+/// The node's kind is not stored; it follows from the operands
+/// ([`HotNode::kind`]) and only the stop path, the depth-capped walk and
+/// the tests ask for it. `align(32)` keeps a record inside one cache line.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, align(32))]
 struct HotNode {
-    /// [`Self::kind_feat`] in the low half and [`Self::left`] in the high
-    /// half, packed so a step fetches both with a single 8-byte load.
-    kf_left: u64,
-    /// [`KIND_NUM`] and [`KIND_LEAF`]: the threshold as a [`sort_key`]
-    /// (leaves use the `+∞` key, so the numeric step computation
-    /// self-loops). [`KIND_CAT`]: the left-set as a 64-bit mask.
-    aux: u64,
+    /// Column whose cell the step reads. A leaf carries its **parent's**
+    /// feature: a row that reached the leaf got past the parent, so that
+    /// cell is one it has already read and (pool-path rows aside) not a
+    /// missing one — a finished row never trips the stop test on some
+    /// unrelated column's missing value.
+    feature: u32,
+    /// Left-child node id; the right child is always `left + 1`. Leaves
+    /// store their **own** id, turning the leaf step into a self-loop.
+    left: u32,
+    mask: u64,
+    thr: u64,
+    seen: u64,
+}
+
+/// What a node is, recovered from its [`HotNode`] operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Leaf,
+    Num,
+    Cat,
 }
 
 impl HotNode {
-    fn new(kind_feat: u32, left: u32, aux: u64) -> HotNode {
-        HotNode {
-            kf_left: u64::from(kind_feat) | u64::from(left) << 32,
-            aux,
+    /// `thr == 0` is the categorical mark: [`numeric_thr`] is never below
+    /// 1 and a leaf's is `!0`.
+    #[inline(always)]
+    fn is_cat(&self) -> bool {
+        self.thr == 0
+    }
+
+    /// The kind of the node with id `id` (children come after their
+    /// parent, so only a leaf points at itself).
+    fn kind(&self, id: u32) -> Kind {
+        if self.left == id {
+            Kind::Leaf
+        } else if self.is_cat() {
+            Kind::Cat
+        } else {
+            Kind::Num
         }
-    }
-
-    /// Split kind in the top 2 bits, feature id in the low 30.
-    #[inline(always)]
-    fn kind_feat(self) -> u32 {
-        self.kf_left as u32
-    }
-
-    /// Left-child node id; the right child is always `left + 1`. Leaves
-    /// store their **own** id here, turning the leaf step into a
-    /// self-loop with no leaf branch on the fast path.
-    #[inline(always)]
-    fn left(self) -> u32 {
-        (self.kf_left >> 32) as u32
     }
 }
 
@@ -106,16 +133,102 @@ impl HotNode {
 /// `thr` is not `-0.0` (the one pair IEEE treats as equal but the keys
 /// order); `compile` normalises `-0.0` thresholds to `+0.0`, which is
 /// decision-preserving since `x > -0.0 ⟺ x > +0.0` for all `x`.
+///
+/// No non-NaN pattern maps to `0` (only the all-ones NaN does): the keys
+/// of `-∞ … +∞` span `0x000F_FFFF_FFFF_FFFF ..= 0xFFF0_0000_0000_0000`,
+/// which leaves `0` free to mean "missing" in the image.
 #[inline(always)]
 const fn sort_key(bits: u64) -> u64 {
     bits ^ ((((bits as i64) >> 63) as u64) | 1 << 63)
 }
 
-/// Key of `+∞` — the top of the non-NaN key range. The unified image maps
-/// every NaN cell (either sign) to [`KEY_MISSING`]`> KEY_POS_INF`, so the
-/// traversal step detects a missing numeric value with a single compare.
-const KEY_POS_INF: u64 = sort_key(f64::INFINITY.to_bits());
-const KEY_MISSING: u64 = u64::MAX;
+/// The image cell of a numeric value: its [`sort_key`], or `0` for a NaN
+/// of either sign — without a data branch.
+#[inline(always)]
+const fn numeric_cell(x: f64) -> u64 {
+    let b = x.to_bits();
+    let nan = (b & !(1 << 63) > f64::INFINITY.to_bits()) as u64;
+    sort_key(b) & nan.wrapping_sub(1)
+}
+
+/// The image cell of a categorical code: its one-hot bit, or `0` for a
+/// code the 64-bit cell cannot express — ≥ 64, [`MISSING_CAT`] included
+/// (a real code < 64 never encodes to zero).
+#[inline(always)]
+const fn categorical_cell(code: u32) -> u64 {
+    1u64.wrapping_shl(code) & ((code < 64) as u64).wrapping_neg()
+}
+
+/// The `thr` operand of `x <= v`: `v`'s key, with a `-0.0` threshold
+/// normalised to `+0.0` (`v + 0.0`; see [`sort_key`]). `x <= NaN` holds
+/// for no `x`, so a NaN threshold becomes the key below every cell's —
+/// which also keeps `thr == 0` exclusive to categorical nodes.
+fn numeric_thr(v: f64) -> u64 {
+    if v.is_nan() {
+        1
+    } else {
+        sort_key((v + 0.0).to_bits())
+    }
+}
+
+/// The rows a call scores, in output order.
+#[derive(Debug, Clone, Copy)]
+pub enum Rows<'a> {
+    /// The contiguous rows `[first, first + len)`.
+    Span {
+        /// First row.
+        first: usize,
+        /// Number of rows.
+        len: usize,
+    },
+    /// The listed rows, in list order; repeats are scored once each.
+    Ids(&'a [u32]),
+}
+
+impl<'a> Rows<'a> {
+    /// Every row of `table`.
+    pub fn all(table: &DataTable) -> Rows<'static> {
+        Rows::Span {
+            first: 0,
+            len: table.n_rows(),
+        }
+    }
+
+    /// Number of rows scored.
+    pub fn len(&self) -> usize {
+        match *self {
+            Rows::Span { len, .. } => len,
+            Rows::Ids(ids) => ids.len(),
+        }
+    }
+
+    /// True when no row is scored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `len` rows from position `at` on.
+    pub fn slice(&self, at: usize, len: usize) -> Rows<'a> {
+        match *self {
+            Rows::Span { first, len: all } => {
+                assert!(at + len <= all);
+                Rows::Span {
+                    first: first + at,
+                    len,
+                }
+            }
+            Rows::Ids(ids) => Rows::Ids(&ids[at..at + len]),
+        }
+    }
+
+    /// The table row at position `i`.
+    fn row(&self, i: usize) -> usize {
+        match *self {
+            Rows::Span { first, .. } => first + i,
+            Rows::Ids(ids) => ids[i] as usize,
+        }
+    }
+}
 
 /// A [`DataTable`] prepared for traversal: borrowed raw column slices plus
 /// a per-column kind vector. Traversal reads cells through a
@@ -172,19 +285,15 @@ impl<'a> TableView<'a> {
     pub fn image<'v>(&'v self) -> BlockImage<'v, 'a> {
         BlockImage {
             view: self,
-            first_row: 0,
-            len: 0,
+            rows: Rows::Span { first: 0, len: 0 },
             cells: Vec::new(),
         }
     }
 }
 
-/// The unified `u64` image of one row block of a [`TableView`]:
-/// [`sort_key`]s for numeric cells (NaNs canonicalised to
-/// [`KEY_MISSING`]), one-hot bits (`1 << code`) for categorical cells —
-/// codes the 64-bit mask can't express (missing, or ≥ 64) encode to
-/// zero — row-major.
-/// It lets the fast traversal step load any column with one untyped
+/// The unified `u64` image of one row block of a [`TableView`], row-major:
+/// [`numeric_cell`]s and [`categorical_cell`]s, `0` wherever the value is
+/// missing. It lets the traversal step load any column with one untyped
 /// 8-byte read instead of dispatching on the column kind.
 ///
 /// Imaging **per block** rather than per table keeps the walk's working
@@ -195,25 +304,28 @@ impl<'a> TableView<'a> {
 /// allocation total.
 pub struct BlockImage<'v, 'a> {
     view: &'v TableView<'a>,
-    first_row: usize,
-    len: usize,
+    rows: Rows<'v>,
     cells: Vec<u64>,
 }
 
 impl<'v, 'a> BlockImage<'v, 'a> {
-    /// Rebuilds this image over rows `[first_row, first_row + len)` of
-    /// its view. One linear pass: the numeric key transform runs once per
-    /// cell here instead of `levels × trees` times in the walk.
-    pub fn fill(&mut self, first_row: usize, len: usize) {
-        assert!(first_row + len <= self.view.n_rows);
+    /// Rebuilds this image over `rows` of its view — a span, or a request
+    /// batch's scattered row ids imaged straight from the table they lie
+    /// in. One pass: the cell transform runs once per cell here instead of
+    /// `levels × trees` times in the walk.
+    pub fn fill(&mut self, rows: Rows<'v>) {
         let n_cols = self.view.cols.len();
-        self.first_row = first_row;
-        self.len = len;
+        let len = rows.len();
+        // (Listed rows are checked where they are gathered.)
+        if let Rows::Span { first, len } = rows {
+            assert!(first + len <= self.view.n_rows);
+        }
+        self.rows = rows;
         self.cells.clear();
         self.cells.reserve(n_cols * len);
         // Column-outer fill within L1-sized row tiles: each inner loop is
         // monomorphic and branch-free (no per-cell kind dispatch), reading
-        // its source column sequentially; writing through
+        // its source column in row order; writing through
         // `spare_capacity_mut` skips a `vec![0; ..]` memset. The tile
         // bounds how often a destination cache line is revisited — the
         // column passes of one tile all hit the same ~32 KB of image, so
@@ -221,31 +333,21 @@ impl<'v, 'a> BlockImage<'v, 'a> {
         let spare = &mut self.cells.spare_capacity_mut()[..n_cols * len];
         let tile = (4096 / n_cols.max(1)).max(64);
         for (t, chunk) in spare.chunks_mut(tile * n_cols.max(1)).enumerate() {
-            let r0 = first_row + t * tile;
-            let rows = chunk.len() / n_cols.max(1);
+            let tile_rows = rows.slice(t * tile, chunk.len() / n_cols.max(1));
             for (ci, col) in self.view.cols.iter().enumerate() {
                 let dst = chunk[ci..].iter_mut().step_by(n_cols.max(1));
-                match col {
-                    ColView::Num(v) => {
-                        for (d, x) in dst.zip(&v[r0..r0 + rows]) {
-                            let b = x.to_bits();
-                            // Either-sign NaN canonicalises to
-                            // KEY_MISSING without a data branch
-                            // (`KEY_MISSING * 1` is all-ones, `* 0` a
-                            // no-op mask).
-                            let nan = u64::from(b & !(1 << 63) > f64::INFINITY.to_bits());
-                            d.write(sort_key(b) | (KEY_MISSING * nan));
-                        }
+                match (col, tile_rows) {
+                    (ColView::Num(v), Rows::Span { first, len }) => {
+                        write_cells(dst, v[first..first + len].iter().copied(), numeric_cell)
                     }
-                    ColView::Cat(v) => {
-                        for (d, &code) in dst.zip(&v[r0..r0 + rows]) {
-                            // One-hot: the step tests set membership with
-                            // a single AND. Codes the mask can't express —
-                            // ≥ 64, including MISSING_CAT — encode to
-                            // zero, the step's escape marker (a real code
-                            // < 64 never encodes to zero).
-                            d.write(1u64.wrapping_shl(code) & u64::from(code < 64).wrapping_neg());
-                        }
+                    (ColView::Num(v), Rows::Ids(ids)) => {
+                        write_cells(dst, ids.iter().map(|&r| v[r as usize]), numeric_cell)
+                    }
+                    (ColView::Cat(v), Rows::Span { first, len }) => {
+                        write_cells(dst, v[first..first + len].iter().copied(), categorical_cell)
+                    }
+                    (ColView::Cat(v), Rows::Ids(ids)) => {
+                        write_cells(dst, ids.iter().map(|&r| v[r as usize]), categorical_cell)
                     }
                 }
             }
@@ -255,19 +357,27 @@ impl<'v, 'a> BlockImage<'v, 'a> {
         unsafe { self.cells.set_len(n_cols * len) };
     }
 
-    /// First row of the imaged block.
-    pub fn first_row(&self) -> usize {
-        self.first_row
-    }
-
     /// Number of imaged rows.
     pub fn len(&self) -> usize {
-        self.len
+        self.rows.len()
     }
 
     /// True when the imaged block is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rows.is_empty()
+    }
+}
+
+/// One column pass of one tile of [`BlockImage::fill`]: `cell` of each
+/// source value into the column's strided destination cells.
+#[inline(always)]
+fn write_cells<'d, T>(
+    dst: impl Iterator<Item = &'d mut std::mem::MaybeUninit<u64>>,
+    src: impl Iterator<Item = T>,
+    cell: impl Fn(T) -> u64,
+) {
+    for (d, x) in dst.zip(src) {
+        d.write(cell(x));
     }
 }
 
@@ -301,9 +411,6 @@ pub struct CompiledTree {
     /// `[start, end)` into `pool` for a categorical node's seen-set, or
     /// `(NO_SEEN, NO_SEEN)` when the node recorded none.
     seen_range: Vec<(u32, u32)>,
-    /// Per-node seen-set as a 64-bit mask ([`KIND_CAT`] nodes; all-ones
-    /// when no seen-set was recorded, so the unseen check never fires).
-    seen_mask: Vec<u64>,
     /// All categorical sets, concatenated (each slice stays sorted).
     pool: Vec<u32>,
     /// Depth of the deepest reachable node = number of traversal steps
@@ -311,10 +418,10 @@ pub struct CompiledTree {
     /// many level iterations).
     max_node_depth: u32,
     /// The feature signature: the sorted, de-duplicated `(feature id,
-    /// is-categorical)` pairs of the split nodes (leaves are exempt). The
-    /// fast path's precondition is a statement about exactly these pairs,
-    /// so a call checks them — not the nodes — against the table
-    /// ([`Self::schema_consistent`]).
+    /// is-categorical)` pairs of the split nodes (a leaf reads its
+    /// parent's column, so it adds none). The fast path's precondition is
+    /// a statement about exactly these pairs, so a call checks them — not
+    /// the nodes — against the table ([`Self::schema_consistent`]).
     signature: Vec<(u32, u32)>,
     payload: Payload,
     task: Task,
@@ -350,7 +457,6 @@ impl CompiledTree {
             depth: Vec::with_capacity(n),
             set_range: vec![(0, 0); n],
             seen_range: vec![(NO_SEEN, NO_SEEN); n],
-            seen_mask: vec![0; n],
             pool: Vec::new(),
             max_node_depth: 0,
             signature: Vec::new(),
@@ -365,59 +471,58 @@ impl CompiledTree {
             task: model.task,
         };
         let mut signature = BTreeSet::new();
+        // Feature of each node's parent (BFS order: set before it is
+        // read); the root has none and, as a leaf, is never stepped.
+        let mut parent_feature = vec![0u32; n];
         for (new, &arena) in order.iter().enumerate() {
             let node = &model.nodes[arena];
             t.depth.push(node.depth);
             t.max_node_depth = t.max_node_depth.max(node.depth);
-            match &node.split {
-                // Leaf: a numeric-style self-loop (the `+∞` key never
-                // sends a row right, `left = self` keeps it in place), so
-                // the fast path needs no leaf branch at all.
-                None => t.hot.push(HotNode::new(
-                    KIND_LEAF << KIND_SHIFT,
-                    new as u32,
-                    KEY_POS_INF,
-                )),
+            t.hot.push(match &node.split {
+                None => HotNode {
+                    feature: parent_feature[new],
+                    left: new as u32,
+                    mask: 0,
+                    thr: u64::MAX,
+                    seen: u64::MAX,
+                },
                 Some((info, l, _)) => {
-                    let feat = info.attr as u32;
-                    debug_assert!(feat <= FEAT_MASK, "feature id overflows the packed layout");
+                    let feature = info.attr as u32;
                     let left = new_of[*l];
-                    signature.insert((feat, u32::from(matches!(info.test, SplitTest::CatIn(_)))));
+                    parent_feature[left as usize] = feature;
+                    parent_feature[left as usize + 1] = feature;
+                    signature
+                        .insert((feature, u32::from(matches!(info.test, SplitTest::CatIn(_)))));
                     match &info.test {
-                        SplitTest::NumericLe(v) => t.hot.push(HotNode::new(
-                            (KIND_NUM << KIND_SHIFT) | feat,
+                        SplitTest::NumericLe(v) => HotNode {
+                            feature,
                             left,
-                            // `v + 0.0` normalises a -0.0 threshold to
-                            // +0.0 (see `sort_key`); every other value is
-                            // unchanged.
-                            sort_key((*v + 0.0).to_bits()),
-                        )),
+                            mask: u64::MAX,
+                            thr: numeric_thr(*v),
+                            seen: u64::MAX,
+                        },
                         SplitTest::CatIn(set) => {
                             t.set_range[new] = push_pool(&mut t.pool, set);
-                            let mut big = set.iter().any(|&c| c >= 64);
                             if let Some(seen) = &info.seen {
                                 t.seen_range[new] = push_pool(&mut t.pool, seen);
-                                big |= seen.iter().any(|&c| c >= 64);
                             }
-                            // Masks hold the `< 64` part of each set; the
-                            // fast step only consults them for row codes
-                            // the one-hot image can express (< 64), so
-                            // they are exact even for KIND_CAT_BIG nodes
-                            // — codes ≥ 64 escape to the pool path.
-                            t.seen_mask[new] = match &info.seen {
-                                None => u64::MAX,
-                                Some(seen) => bits_lo(seen),
-                            };
-                            let kind = if big { KIND_CAT_BIG } else { KIND_CAT };
-                            t.hot.push(HotNode::new(
-                                (kind << KIND_SHIFT) | feat,
+                            // The operands hold the `< 64` part of each
+                            // set; the step only consults them for row
+                            // codes the one-hot cell can express (< 64),
+                            // so they are exact whatever the sets hold —
+                            // codes ≥ 64 image to zero and are resolved
+                            // against the pool.
+                            HotNode {
+                                feature,
                                 left,
-                                bits_lo(set),
-                            ));
+                                mask: !bits_lo(set),
+                                thr: 0,
+                                seen: info.seen.as_deref().map_or(u64::MAX, bits_lo),
+                            }
                         }
                     }
                 }
-            }
+            });
             match (&mut t.payload, &node.prediction) {
                 (Payload::Class { k, labels, pmf }, Prediction::Class { label, pmf: p }) => {
                     labels.push(*label);
@@ -445,30 +550,28 @@ impl CompiledTree {
         self.task
     }
 
-    /// The majority label at `node` (classification payloads).
-    pub fn label_of(&self, node: u32) -> u32 {
+    /// The majority label of every node (classification payloads).
+    pub fn labels(&self) -> &[u32] {
         match &self.payload {
-            Payload::Class { labels, .. } => labels[node as usize],
-            Payload::Real(_) => panic!("label_of on a regression tree"),
+            Payload::Class { labels, .. } => labels,
+            Payload::Real(_) => panic!("labels of a regression tree"),
         }
     }
 
-    /// The PMF row at `node` (classification payloads).
-    pub fn pmf_of(&self, node: u32) -> &[f32] {
+    /// The PMF width `k` and every node's PMF row, node-major: node `n`'s
+    /// row is `pmf[n * k..(n + 1) * k]` (classification payloads).
+    pub fn pmf_rows(&self) -> (usize, &[f32]) {
         match &self.payload {
-            Payload::Class { k, pmf, .. } => {
-                let o = node as usize * k;
-                &pmf[o..o + k]
-            }
-            Payload::Real(_) => panic!("pmf_of on a regression tree"),
+            Payload::Class { k, pmf, .. } => (*k, pmf),
+            Payload::Real(_) => panic!("PMFs of a regression tree"),
         }
     }
 
-    /// The mean target at `node` (regression payloads).
-    pub fn value_of(&self, node: u32) -> f64 {
+    /// The mean target of every node (regression payloads).
+    pub fn values(&self) -> &[f64] {
         match &self.payload {
-            Payload::Real(values) => values[node as usize],
-            Payload::Class { .. } => panic!("value_of on a classification tree"),
+            Payload::Real(values) => values,
+            Payload::Class { .. } => panic!("values of a classification tree"),
         }
     }
 
@@ -495,10 +598,10 @@ impl CompiledTree {
     /// row actually reaches the offending node — the reference traversal's
     /// exact behaviour.
     pub fn terminal_nodes_into(&self, img: &BlockImage<'_, '_>, max_depth: u32, out: &mut [u32]) {
-        assert_eq!(out.len(), img.len);
+        assert_eq!(out.len(), img.len());
         if max_depth != u32::MAX || !self.schema_consistent(img.view) {
             for (i, slot) in out.iter_mut().enumerate() {
-                *slot = self.walk_row_capped(img.view, img.first_row + i, max_depth);
+                *slot = self.walk_row_capped(img.view, img.rows.row(i), max_depth);
             }
             return;
         }
@@ -602,10 +705,10 @@ impl CompiledTree {
     /// split's kind in this view — the precondition for [`Self::step`]'s
     /// unchecked column loads. `compile` recorded each split's `(feature
     /// id, kind)` in the signature, so checking the signature's pairs is
-    /// checking every split. Leaves are exempt (their feature id is a
-    /// placeholder; the reference walk never reads a value at a leaf), but
-    /// a tree with any split guarantees `n_cols >= 1` so the placeholder
-    /// load stays in bounds.
+    /// checking every split; a leaf reads its parent's column, which is
+    /// one of them (the kind of cell it finds there is immaterial: its
+    /// mask is empty). A lone root leaf reads nothing at all — the walk
+    /// runs `max_node_depth = 0` steps — so it fits every table.
     fn schema_consistent(&self, view: &TableView<'_>) -> bool {
         self.signature
             .iter()
@@ -617,12 +720,12 @@ impl CompiledTree {
     /// against.
     #[cfg(test)]
     fn every_split_consistent(&self, view: &TableView<'_>) -> bool {
-        self.hot.iter().all(|h| {
-            let feat = (h.kind_feat() & FEAT_MASK) as usize;
-            match h.kind_feat() >> KIND_SHIFT {
-                KIND_LEAF => true,
-                KIND_NUM => feat < view.col_cat.len() && view.col_cat[feat] == 0,
-                _ => feat < view.col_cat.len() && view.col_cat[feat] == 1,
+        self.hot.iter().enumerate().all(|(id, h)| {
+            let feat = h.feature as usize;
+            match h.kind(id as u32) {
+                Kind::Leaf => true,
+                Kind::Num => feat < view.col_cat.len() && view.col_cat[feat] == 0,
+                Kind::Cat => feat < view.col_cat.len() && view.col_cat[feat] == 1,
             }
         })
     }
@@ -634,74 +737,54 @@ impl CompiledTree {
     /// step re-derives the same stop, so callers may apply it any number
     /// of extra times.
     ///
-    /// The numeric path (splits and the leaf self-loop) is the unbranched
-    /// spine: one 16-byte node load, one untyped column load, an
-    /// integer-domain NaN test and [`sort_key`] compare, one add — no
-    /// float ops at all. Categorical nodes branch off on the sign bit of
-    /// `kind_feat`; pool-resolved cases are outlined in
-    /// [`Self::cat_pool_step`].
+    /// The step is the same instructions at every node ([`HotNode`]): one
+    /// 32-byte record, one untyped cell load, two ANDs, a compare, an add
+    /// — no branch on the node's kind, no float ops. Its one branch is the
+    /// stop test, never taken on clean data. The stop returns `n`
+    /// **inline**: a stopped row re-takes this path at every remaining
+    /// level, and as a call it would spill the sixteen lanes each time.
+    /// Only a zero cell at a categorical split — a missing value or a code
+    /// ≥ 64, which the image cannot tell apart — leaves for the outlined
+    /// pool path.
     ///
     /// # Safety (of the internal unchecked indexing)
     /// - `n` is always a valid node id: it starts at 0 and every
     ///   transition returns either `n` itself or a child id baked in by
     ///   `compile`, all `< n_nodes`.
-    /// - column loads are in bounds: the caller verified
+    /// - cell loads are in bounds: the caller verified
     ///   [`Self::schema_consistent`] (every split's feature id `< n_cols`,
-    ///   leaf placeholders covered by `n_cols >= 1`) and
-    ///   `base = row * n_cols` for a block-local `row < img.len()`, with
-    ///   `unified` holding `img.len() * n_cols` cells.
+    ///   every stepped leaf carrying a split's) and `base = row * n_cols`
+    ///   for a block-local `row < img.len()`, with `unified` holding
+    ///   `img.len() * n_cols` cells.
     #[inline(always)]
     fn step(&self, img: &BlockImage<'_, '_>, unified: &[u64], base: usize, n: u32) -> u32 {
-        let h = unsafe { *self.hot.get_unchecked(n as usize) };
-        let kf = h.kind_feat();
-        let w = unsafe { *unified.get_unchecked(base + (kf & FEAT_MASK) as usize) };
-        // Branching on the node kind (and on each rare stop outcome) is
-        // deliberate: every mask-selected variant measured slower on all
-        // tree shapes — the extra select uops cost more than the kind
-        // branch's mispredicts, and predicted-not-taken stop branches let
-        // the core speculate straight down the serial load chain instead
-        // of waiting on cmov inputs.
-        if kf >> 31 != 0 {
-            // A zero cell is a code the one-hot image can't express
-            // (missing, or ≥ 64), resolved on the outlined
-            // reference-order path; almost never taken.
-            if w == 0 {
-                return self.cat_slow_step(img, base, n);
+        let h = unsafe { self.hot.get_unchecked(n as usize) };
+        let w = unsafe { *unified.get_unchecked(base + h.feature as usize) };
+        if w & h.seen == 0 {
+            if w == 0 && h.is_cat() {
+                return self.cat_pool_step(img, base, n);
             }
-            // SAFETY: `n` is a valid node id (see above); `seen_mask`
-            // has one entry per node.
-            let seen = unsafe { *self.seen_mask.get_unchecked(n as usize) };
-            if w & seen == 0 {
-                return n; // code unseen at training time: stop here
-            }
-            return h.left() + u32::from(w & h.aux == 0);
+            return n; // missing value, or a code unseen in training
         }
-        if w > KEY_POS_INF {
-            return n; // missing numeric value: stop here
-        }
-        h.left() + u32::from(w > h.aux)
+        h.left + u32::from(w & h.mask > h.thr)
     }
 
-    /// Pool-resolved categorical step for codes the one-hot image encodes
-    /// as zero — missing values and codes ≥ 64 — in the reference order:
-    /// missing, then unseen, then set membership. Re-reads the true code
-    /// from the source column (the image dropped it).
+    /// The categorical step for a cell the image encodes as zero — a
+    /// missing value or a code ≥ 64 — resolved against the pool in the
+    /// reference order: missing, then unseen, then set membership.
+    /// Re-reads the true code from the source column (the image dropped
+    /// it).
     #[cold]
-    fn cat_slow_step(&self, img: &BlockImage<'_, '_>, base: usize, n: u32) -> u32 {
-        let n_cols = img.view.cols.len();
-        let row = img.first_row + base / n_cols;
-        let feat = (self.hot[n as usize].kind_feat() & FEAT_MASK) as usize;
-        let ColView::Cat(v) = &img.view.cols[feat] else {
+    fn cat_pool_step(&self, img: &BlockImage<'_, '_>, base: usize, n: u32) -> u32 {
+        let row = img.rows.row(base / img.view.cols.len());
+        let ColView::Cat(v) = &img.view.cols[self.hot[n as usize].feature as usize] else {
             unreachable!("schema_consistent checked: categorical split, categorical column");
         };
         let c = v[row];
         if c == MISSING_CAT {
             return n; // missing value: stop here
         }
-        match self.cat_child(n, c) {
-            Some(next) => next,
-            None => n, // unseen during training: stop here
-        }
+        self.cat_child(n, c).unwrap_or(n) // unseen in training: stop here
     }
 
     /// One row's walk under an Appendix-D depth cap. The cap is tested
@@ -710,23 +793,23 @@ impl CompiledTree {
         let mut n = 0u32;
         loop {
             let h = self.hot[n as usize];
-            let kind = h.kind_feat() >> KIND_SHIFT;
-            if kind == KIND_LEAF || self.depth[n as usize] >= max_depth {
+            let kind = h.kind(n);
+            if kind == Kind::Leaf || self.depth[n as usize] >= max_depth {
                 return n;
             }
-            match &view.cols[(h.kind_feat() & FEAT_MASK) as usize] {
+            match &view.cols[h.feature as usize] {
                 ColView::Num(v) => {
-                    if kind != KIND_NUM {
+                    if kind != Kind::Num {
                         panic!("categorical split applied to numeric value");
                     }
-                    let x = v[row];
-                    if x.is_nan() {
+                    let w = numeric_cell(v[row]);
+                    if w == 0 {
                         return n;
                     }
-                    n = h.left() + u32::from(sort_key(x.to_bits()) > h.aux);
+                    n = h.left + u32::from(w > h.thr);
                 }
                 ColView::Cat(v) => {
-                    if kind != KIND_CAT && kind != KIND_CAT_BIG {
+                    if kind != Kind::Cat {
                         panic!("numeric split applied to categorical value");
                     }
                     let c = v[row];
@@ -756,15 +839,16 @@ impl CompiledTree {
         }
         let (a, b) = self.set_range[node as usize];
         let in_set = self.pool[a as usize..b as usize].binary_search(&c).is_ok();
-        Some(self.hot[node as usize].left() + u32::from(!in_set))
+        Some(self.hot[node as usize].left + u32::from(!in_set))
     }
 
     /// Class labels for every row of `table` (single-threaded block loop).
     pub fn predict_labels_table(&self, table: &DataTable) -> Vec<u32> {
         let view = TableView::of(table);
+        let labels = self.labels();
         let mut out = Vec::with_capacity(view.n_rows());
-        self.for_each_block(&view, u32::MAX, |nodes, _| {
-            out.extend(nodes.iter().map(|&n| self.label_of(n)));
+        self.for_each_block(&view, |nodes, _| {
+            out.extend(nodes.iter().map(|&n| labels[n as usize]));
         });
         out
     }
@@ -772,9 +856,10 @@ impl CompiledTree {
     /// Regression values for every row of `table`.
     pub fn predict_values_table(&self, table: &DataTable) -> Vec<f64> {
         let view = TableView::of(table);
+        let values = self.values();
         let mut out = Vec::with_capacity(view.n_rows());
-        self.for_each_block(&view, u32::MAX, |nodes, _| {
-            out.extend(nodes.iter().map(|&n| self.value_of(n)));
+        self.for_each_block(&view, |nodes, _| {
+            out.extend(nodes.iter().map(|&n| values[n as usize]));
         });
         out
     }
@@ -783,27 +868,25 @@ impl CompiledTree {
     /// `r`, `acc[r*k + c] += pmf[c]` — the same per-row operation order as
     /// the reference forest averaging.
     pub fn accumulate_pmf_table(&self, view: &TableView<'_>, acc: &mut [f32]) {
-        let Payload::Class { k, .. } = &self.payload else {
-            panic!("accumulate_pmf_table on a regression tree");
-        };
-        let k = *k;
+        let (k, pmf) = self.pmf_rows();
         debug_assert_eq!(acc.len(), view.n_rows() * k);
-        self.for_each_block(view, u32::MAX, |nodes, first| {
-            for (i, &node) in nodes.iter().enumerate() {
-                let dst = &mut acc[(first + i) * k..(first + i + 1) * k];
-                for (a, b) in dst.iter_mut().zip(self.pmf_of(node)) {
-                    *a += b;
-                }
-            }
+        self.for_each_block(view, |nodes, first| {
+            add_pmf_rows(
+                k,
+                pmf,
+                nodes,
+                &mut acc[first * k..(first + nodes.len()) * k],
+            );
         });
     }
 
     /// Adds this tree's value into a per-row accumulator (`acc[r] += v`).
     pub fn accumulate_values_table(&self, view: &TableView<'_>, acc: &mut [f64]) {
         debug_assert_eq!(acc.len(), view.n_rows());
-        self.for_each_block(view, u32::MAX, |nodes, first| {
-            for (i, &node) in nodes.iter().enumerate() {
-                acc[first + i] += self.value_of(node);
+        let values = self.values();
+        self.for_each_block(view, |nodes, first| {
+            for (a, &node) in acc[first..].iter_mut().zip(nodes) {
+                *a += values[node as usize];
             }
         });
     }
@@ -812,9 +895,10 @@ impl CompiledTree {
     /// same expression the reference margin accumulation evaluates.
     pub fn add_margins_table(&self, view: &TableView<'_>, eta: f64, out: &mut [f64]) {
         debug_assert_eq!(out.len(), view.n_rows());
-        self.for_each_block(view, u32::MAX, |nodes, first| {
-            for (i, &node) in nodes.iter().enumerate() {
-                out[first + i] += eta * self.value_of(node);
+        let values = self.values();
+        self.for_each_block(view, |nodes, first| {
+            for (o, &node) in out[first..].iter_mut().zip(nodes) {
+                *o += eta * values[node as usize];
             }
         });
     }
@@ -822,22 +906,45 @@ impl CompiledTree {
     /// Runs `f(terminal_nodes, first_row)` over the table in
     /// [`DEFAULT_BLOCK_ROWS`]-sized blocks, reusing one scratch buffer and
     /// one [`BlockImage`].
-    fn for_each_block(
-        &self,
-        view: &TableView<'_>,
-        max_depth: u32,
-        mut f: impl FnMut(&[u32], usize),
-    ) {
+    fn for_each_block(&self, view: &TableView<'_>, mut f: impl FnMut(&[u32], usize)) {
         let n = view.n_rows();
         let mut nodes = vec![0u32; DEFAULT_BLOCK_ROWS.min(n)];
         let mut img = view.image();
         let mut first = 0;
         while first < n {
             let len = DEFAULT_BLOCK_ROWS.min(n - first);
-            img.fill(first, len);
-            self.terminal_nodes_into(&img, max_depth, &mut nodes[..len]);
+            img.fill(Rows::Span { first, len });
+            self.terminal_nodes_into(&img, u32::MAX, &mut nodes[..len]);
             f(&nodes[..len], first);
             first += len;
+        }
+    }
+}
+
+/// `acc[i*k + c] += pmf[nodes[i]*k + c]`: one tree's PMF rows folded into
+/// a block's `k`-wide row-major accumulator, in class order.
+pub fn add_pmf_rows(k: usize, pmf: &[f32], nodes: &[u32], acc: &mut [f32]) {
+    debug_assert_eq!(acc.len(), nodes.len() * k);
+    // The trip count as a constant lets the common widths unroll.
+    match k {
+        2 => add_pmf_rows_k::<2>(pmf, nodes, acc),
+        3 => add_pmf_rows_k::<3>(pmf, nodes, acc),
+        _ => {
+            for (dst, &node) in acc.chunks_exact_mut(k.max(1)).zip(nodes) {
+                let src = &pmf[node as usize * k..(node as usize + 1) * k];
+                for (a, b) in dst.iter_mut().zip(src) {
+                    *a += b;
+                }
+            }
+        }
+    }
+}
+
+fn add_pmf_rows_k<const K: usize>(pmf: &[f32], nodes: &[u32], acc: &mut [f32]) {
+    for (dst, &node) in acc.chunks_exact_mut(K).zip(nodes) {
+        let src = &pmf[node as usize * K..(node as usize + 1) * K];
+        for c in 0..K {
+            dst[c] += src[c];
         }
     }
 }
@@ -865,6 +972,17 @@ mod tests {
     use ts_datatable::synth::{generate, SynthSpec};
     use ts_datatable::{AttrMeta, Labels, Schema, Value};
     use tscheck::prelude::*;
+
+    impl CompiledTree {
+        fn label_of(&self, node: u32) -> u32 {
+            self.labels()[node as usize]
+        }
+
+        fn pmf_of(&self, node: u32) -> &[f32] {
+            let (k, pmf) = self.pmf_rows();
+            &pmf[node as usize * k..(node as usize + 1) * k]
+        }
+    }
 
     fn mixed_tree() -> DecisionTreeModel {
         let nodes = vec![
@@ -957,7 +1075,7 @@ mod tests {
         let t = table();
         let view = TableView::of(&t);
         let mut img = view.image();
-        img.fill(0, t.n_rows());
+        img.fill(Rows::all(&t));
         for cap in [0, 1, 2, u32::MAX] {
             let mut nodes = vec![0u32; t.n_rows()];
             compiled.terminal_nodes_into(&img, cap, &mut nodes);
@@ -978,15 +1096,141 @@ mod tests {
         let compiled = CompiledTree::compile(&mixed_tree());
         assert_eq!(compiled.n_nodes(), 5);
         for (id, h) in compiled.hot.iter().enumerate() {
-            if h.kind_feat() >> KIND_SHIFT == KIND_LEAF {
-                // Leaves self-loop: the +∞ key and left = self.
-                assert_eq!(h.left() as usize, id);
-                assert_eq!(h.aux, sort_key(f64::INFINITY.to_bits()));
+            if h.kind(id as u32) == Kind::Leaf {
+                // Leaves self-loop: an empty mask never exceeds `thr`,
+                // and left = self.
+                assert_eq!(h.left as usize, id);
+                assert_eq!((h.mask, h.thr), (0, u64::MAX));
             } else {
                 // Children ids were allocated as a pair.
-                assert!(h.left() as usize + 1 < compiled.n_nodes());
-                assert!(h.left() as usize > id, "children come after the parent");
+                assert!(h.left as usize + 1 < compiled.n_nodes());
+                assert!(h.left as usize > id, "children come after the parent");
             }
+        }
+    }
+
+    /// A categorical root whose left-set is the single code 70 over a
+    /// numeric chain three levels deep on its right: the left child is a
+    /// leaf at depth 1 that only the pool path can reach, and a row parked
+    /// there sits through two more levels of the walk.
+    fn big_code_tree() -> DecisionTreeModel {
+        let leaf = |label: u32, depth| {
+            let mut pmf = vec![0.0; 2];
+            pmf[label as usize] = 1.0;
+            Node::leaf(Prediction::Class { label, pmf }, 1, depth)
+        };
+        let split = |attr, test, left: usize, depth| Node {
+            split: Some((
+                SplitInfo {
+                    attr,
+                    test,
+                    gain: 1.0,
+                    missing_left: true,
+                    seen: None,
+                },
+                left,
+                left + 1,
+            )),
+            ..leaf(0, depth)
+        };
+        DecisionTreeModel::new(
+            vec![
+                split(0, SplitTest::cat_in(vec![70]), 1, 0),
+                leaf(1, 1),
+                split(1, SplitTest::NumericLe(0.0), 3, 1),
+                leaf(0, 2),
+                split(1, SplitTest::NumericLe(1.0), 5, 2),
+                leaf(1, 3),
+                leaf(0, 3),
+            ],
+            Task::Classification { n_classes: 2 },
+        )
+    }
+
+    #[test]
+    fn leaf_reached_through_the_pool_path_stays_put() {
+        let model = big_code_tree();
+        let compiled = CompiledTree::compile(&model);
+        assert_eq!(compiled.max_node_depth, 3);
+        // The leaf reads its parent's column, where these rows' cells
+        // image to zero: the stop test fires at every remaining level and
+        // must leave the row where it is — not send it back to the pool.
+        assert_eq!(compiled.hot[1].feature, 0);
+        assert_eq!(compiled.hot[1].kind(1), Kind::Leaf);
+
+        // 35 rows: two lockstep chunks and a remainder. Every third row
+        // holds code 70 (→ the depth-1 leaf, id 1), every third code 65
+        // (≥ 64 but not in the left-set → the numeric chain), the rest a
+        // missing cell (→ stops at the root).
+        let n = 35;
+        let codes: Vec<u32> = (0..n).map(|r| [70, 65, MISSING_CAT][r % 3]).collect();
+        let xs: Vec<f64> = (0..n).map(|r| (r % 5) as f64 - 1.5).collect();
+        let t = DataTable::new(
+            Schema::new(
+                vec![AttrMeta::categorical("c", 96), AttrMeta::numeric("x")],
+                model.task,
+            ),
+            vec![Column::Categorical(codes.clone()), Column::Numeric(xs)],
+            Labels::Class(vec![0; n]),
+        );
+        let view = TableView::of(&t);
+        let mut img = view.image();
+        // The whole table, and a scattered list: the pool path re-reads
+        // the code from the source column through the list's ids.
+        let ids: Vec<u32> = (0..n as u32).rev().chain([0, 0, 33]).collect();
+        for rows in [Rows::all(&t), Rows::Ids(&ids)] {
+            img.fill(rows);
+            let mut nodes = vec![u32::MAX; rows.len()];
+            compiled.terminal_nodes_into(&img, u32::MAX, &mut nodes);
+            for (i, &node) in nodes.iter().enumerate() {
+                let r = rows.row(i);
+                match codes[r] {
+                    70 => assert_eq!(node, 1, "row {r} parks at the pool-reached leaf"),
+                    65 => assert!(node >= 3, "row {r} went down the numeric chain"),
+                    _ => assert_eq!(node, 0, "row {r} stops at the root"),
+                }
+                let reference = model.predict_row(&t, r, u32::MAX);
+                assert_eq!(compiled.pmf_of(node), reference.pmf(), "row {r}");
+            }
+        }
+    }
+
+    /// The image's "missing" cell is `0`: a key no number maps to, the
+    /// cell of a NaN of either sign.
+    #[test]
+    fn zero_is_no_numbers_key_and_every_nans_cell() {
+        for x in [
+            0.0,
+            -0.0,
+            f64::from_bits(1), // smallest subnormals
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_ne!(sort_key(x.to_bits()), 0, "{x:e}");
+            assert_eq!(numeric_cell(x), sort_key(x.to_bits()), "{x:e}");
+            assert!(numeric_thr(x) >= 1, "{x:e}");
+        }
+        assert!(numeric_cell(f64::NEG_INFINITY) > numeric_thr(f64::NAN));
+        for bits in [
+            f64::NAN.to_bits(),
+            f64::NAN.to_bits() | 1 << 63,
+            0x7FF0_0000_0000_0001, // signalling, smallest payload
+            0xFFF0_0000_0000_0001,
+            u64::MAX, // the one pattern whose key is 0
+            u64::MAX >> 1,
+        ] {
+            assert!(f64::from_bits(bits).is_nan());
+            assert_eq!(numeric_cell(f64::from_bits(bits)), 0, "{bits:#x}");
+        }
+        for code in [0, 1, 63] {
+            assert_eq!(categorical_cell(code), 1 << code);
+        }
+        for code in [64, 65, 70, 127, 128, MISSING_CAT - 1, MISSING_CAT] {
+            assert_eq!(categorical_cell(code), 0, "{code}");
         }
     }
 
@@ -1118,6 +1362,24 @@ mod tests {
         ));
         assert_eq!(leaf.signature, vec![]);
         assert_eq!(assert_signature_matches_oracle(&leaf, 3), 1 + 2 + 4 + 8);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 4096, ..ProptestConfig::default() })]
+
+        /// Over arbitrary bit patterns: a non-NaN's cell is its key and
+        /// never `0`; a NaN's cell is `0`; and keys order as the numbers
+        /// do, so `cell > thr` is `x > threshold`.
+        #[test]
+        fn numeric_cells_are_nonzero_keys_in_ieee_order(a in any::<u64>(), b in any::<u64>()) {
+            let (x, y) = (f64::from_bits(a), f64::from_bits(b));
+            prop_assert_eq!(numeric_cell(x) == 0, x.is_nan());
+            if !x.is_nan() {
+                prop_assert_eq!(numeric_cell(x), sort_key(a));
+                // `!(x <= y)`, spelt out: a NaN threshold sends every row right.
+                prop_assert_eq!(numeric_cell(x) > numeric_thr(y), x > y || y.is_nan());
+            }
+        }
     }
 
     proptest! {

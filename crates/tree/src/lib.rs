@@ -30,7 +30,7 @@ pub mod forest;
 pub mod model;
 pub mod trainer;
 
-pub use compiled::{ColView, CompiledTree, TableView};
+pub use compiled::{ColView, CompiledTree, Rows, TableView};
 pub use dataset::LocalDataset;
 pub use forest::ForestModel;
 pub use model::{graft_nodes, DecisionTreeModel, Node, Prediction, SplitInfo};

@@ -3,7 +3,7 @@
 
 use ts_datatable::synth::{generate, SynthSpec};
 use ts_datatable::{AttrMeta, Column, DataTable, Labels, Schema, Task, MISSING_CAT};
-use ts_tree::{train_tree, CompiledTree, ForestModel, TableView, TrainParams};
+use ts_tree::{train_tree, CompiledTree, ForestModel, Rows, TableView, TrainParams};
 
 fn trained_classifier() -> (ts_tree::DecisionTreeModel, DataTable) {
     let t = generate(&SynthSpec {
@@ -90,7 +90,7 @@ fn all_missing_column_stops_at_first_test_on_it() {
     let compiled = CompiledTree::compile(&m);
     let view = TableView::of(&all_missing);
     let mut img = view.image();
-    img.fill(0, n);
+    img.fill(Rows::all(&all_missing));
     let mut nodes = vec![0u32; n];
     compiled.terminal_nodes_into(&img, u32::MAX, &mut nodes);
     assert!(nodes.iter().all(|&id| id == 0), "all rows stop at the root");
