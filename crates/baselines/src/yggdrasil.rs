@@ -142,9 +142,8 @@ impl YggdrasilTrainer {
                 let mut best: Option<(usize, SplitCandidate)> = None;
                 for (i, &attr) in candidates.iter().enumerate() {
                     let segment = orders.segment(i, &segs);
-                    if let Some(s) =
-                        best_split_in(cref(i), segment, node_rows, view, self.cfg.impurity)
-                    {
+                    let imp = self.cfg.impurity;
+                    if let Some(s) = best_split_in(cref(i), segment, node_rows, &stats, view, imp) {
                         let wins = match &best {
                             None => true,
                             Some((bi, bs)) => {

@@ -16,7 +16,8 @@ use std::time::Instant;
 use treeserver::{Cluster, JobSpec, Splitter};
 use ts_bench::{print_header, ts_config, BenchReport};
 use ts_datatable::synth::{generate, SynthSpec};
-use ts_datatable::{SortedColumn, Task};
+use ts_datatable::{Column, SortedColumn, Task};
+use ts_splits::condition::{partition_rows, SplitTest};
 use ts_splits::exact::{
     best_cat_split_classification, best_cat_split_regression, best_numeric_split,
 };
@@ -26,6 +27,7 @@ use ts_splits::sketch::QuantileSketch;
 use ts_splits::sorted::{
     best_cat_split_classification_at, best_cat_split_regression_at, best_numeric_split_at, NodeRows,
 };
+use ts_tree::{train_subtree, LocalDataset, TrainParams};
 use tsrand::prelude::*;
 
 fn data(n: usize, seed: u64) -> (Vec<f64>, Vec<u32>) {
@@ -239,6 +241,78 @@ fn main() {
         });
         report("quantile_sketch_build_100k", us);
         out.push("quantile_sketch_build_100k", us * 1e-6, 100_000, 0, None);
+    }
+
+    // The node step besides the scan (docs/PERF.md, "What a node costs
+    // besides its scan"): the row partition a chosen split costs, over the
+    // whole column and over every eighth row of it, ns per row in `metric`.
+    {
+        let n = 100_000usize;
+        let (values, _) = data(n, 6);
+        let (codes, _, _) = cat_data(n, 12, 7);
+        let dense: Vec<u32> = (0..n as u32).collect();
+        let sparse: Vec<u32> = (0..n as u32).step_by(8).collect();
+        let cases = [
+            (
+                "numeric",
+                Column::Numeric(values),
+                SplitTest::NumericLe(3.0),
+            ),
+            (
+                "categorical",
+                Column::Categorical(codes),
+                SplitTest::cat_in(vec![1, 4, 6, 7, 9, 10]),
+            ),
+        ];
+        for (kind, col, test) in &cases {
+            for (shape, ix) in [("dense", &dense), ("sparse", &sparse)] {
+                let us = time_us(|| {
+                    black_box(partition_rows(col, black_box(ix), test, true));
+                });
+                let name = format!("partition/{kind}/{shape}");
+                let ns_per_row = us * 1e3 / ix.len() as f64;
+                println!("{name:<48} {us:>12.1} us/iter {ns_per_row:>8.2} ns/row");
+                out.push(&name, us * 1e-6, ix.len(), 0, Some(ns_per_row));
+            }
+        }
+    }
+
+    // One tree of the ledger's `subtree_forest` shape through the exact
+    // trainer: scan, fill, row partition, segment partition and leaves — the
+    // whole of a subtree-task but its column gather.
+    {
+        let table = generate(&SynthSpec {
+            rows: 20_000,
+            numeric: 24,
+            categorical: 6,
+            cat_cardinality: 12,
+            task: Task::Classification { n_classes: 3 },
+            noise: 0.05,
+            concept_depth: 6,
+            latent: 5,
+            seed: 16,
+            ..Default::default()
+        });
+        let job = JobSpec::random_forest(table.schema().task, 40)
+            .with_dmax(10)
+            .with_seed(16);
+        let tree = &job.expand(table.n_attrs())[0];
+        let data = LocalDataset::from_table(&table, &tree.candidates);
+        let params = TrainParams {
+            dmax: 10,
+            ..TrainParams::for_task(table.schema().task)
+        };
+        let us = time_us(|| {
+            black_box(train_subtree(&data, &params, 0, tree.seed));
+        });
+        report("train_subtree/ledger_forest", us);
+        out.push(
+            "train_subtree/ledger_forest",
+            us * 1e-6,
+            table.n_rows(),
+            1,
+            None,
+        );
     }
 
     // Cluster-level split plane: the exact engine ships a full per-column

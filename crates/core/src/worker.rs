@@ -210,24 +210,20 @@ pub struct Worker {
 }
 
 impl Worker {
-    /// Creates a worker holding `columns` (attr id → column) plus the full
-    /// label column, and spawns its threads. Returns the join handles.
+    /// The worker's state, indexes built, and the receiving end of its ready
+    /// queue — no thread yet, so a test can drive the handlers one by one.
     #[allow(clippy::too_many_arguments)]
-    pub fn spawn(
+    fn new(
         id: NodeId,
         work_ns_per_unit: u64,
         columns: HashMap<usize, Arc<Column>>,
         labels: Arc<Labels>,
         attr_types: Arc<Vec<AttrType>>,
         task: Task,
-        compers: usize,
         fabric_task: Fabric<TaskMsg>,
         fabric_data: Fabric<DataMsg>,
-        task_rx: FabricReceiver<TaskMsg>,
-        data_rx: FabricReceiver<DataMsg>,
-        heartbeat_interval: Duration,
         hist_bins: Option<usize>,
-    ) -> Vec<std::thread::JoinHandle<()>> {
+    ) -> (Arc<Worker>, Receiver<ReadyTask>) {
         let (ready_tx, ready_rx) = tschan::unbounded();
         let stats = Arc::clone(fabric_task.stats());
         let sorted: HashMap<usize, Arc<SortedColumn>> = columns
@@ -284,6 +280,38 @@ impl Worker {
             goodbye_sent: AtomicBool::new(false),
             computing: AtomicI64::new(0),
         });
+        (worker, ready_rx)
+    }
+
+    /// Creates a worker holding `columns` (attr id → column) plus the full
+    /// label column, and spawns its threads. Returns the join handles.
+    #[allow(clippy::too_many_arguments)]
+    pub fn spawn(
+        id: NodeId,
+        work_ns_per_unit: u64,
+        columns: HashMap<usize, Arc<Column>>,
+        labels: Arc<Labels>,
+        attr_types: Arc<Vec<AttrType>>,
+        task: Task,
+        compers: usize,
+        fabric_task: Fabric<TaskMsg>,
+        fabric_data: Fabric<DataMsg>,
+        task_rx: FabricReceiver<TaskMsg>,
+        data_rx: FabricReceiver<DataMsg>,
+        heartbeat_interval: Duration,
+        hist_bins: Option<usize>,
+    ) -> Vec<std::thread::JoinHandle<()>> {
+        let (worker, ready_rx) = Worker::new(
+            id,
+            work_ns_per_unit,
+            columns,
+            labels,
+            attr_types,
+            task,
+            fabric_task,
+            fabric_data,
+            hist_bins,
+        );
 
         let mut handles = Vec::new();
         {
@@ -695,25 +723,49 @@ impl Worker {
         );
     }
 
+    /// The master confirmed this worker's condition as the node's best:
+    /// become the node's delegate. The verdict is taken out and the delegate
+    /// entry put in under the state lock, but `Ix` — up to the whole table's
+    /// rows — is partitioned between the two with the lock free, so the data
+    /// loop and the compers do not wait on the one hop between a node and
+    /// its children.
     fn on_confirm_best(&self, task: TaskId) {
+        let Some(av) = self.state.lock().awaiting.remove(&task) else {
+            return; // revoked while the verdict was in flight
+        };
+        let sides = self.partition_ix(&av);
+        self.install_delegate(task, av, sides);
+    }
+
+    /// Splits a confirmed task's `Ix` by its winning condition.
+    fn partition_ix(&self, av: &AwaitingVerdict) -> (Vec<u32>, Vec<u32>) {
+        let (attr, test, missing_left) = av
+            .winning
+            .as_ref()
+            .expect("master confirmed a worker that reported no split");
+        let col = Arc::clone(
+            self.columns
+                .read()
+                .get(attr)
+                .expect("delegate must hold its winning column"),
+        );
+        partition_rows(&col, &av.ix.to_ids(self.n_rows), test, *missing_left)
+    }
+
+    /// Registers the delegate entry of `task` and answers the `Ix` requests
+    /// that arrived before it: while the verdict was on its way or while
+    /// `Ix` was being partitioned, a request finds no entry and parks.
+    fn install_delegate(&self, task: TaskId, av: AwaitingVerdict, (l, r): (Vec<u32>, Vec<u32>)) {
+        self.stats.mem_free(self.id, ix_bytes(&av.ix));
         let mut responses: Vec<(NodeId, DataMsg)> = Vec::new();
         {
             let mut st = self.state.lock();
-            let Some(av) = st.awaiting.remove(&task) else {
-                return; // revoked while the verdict was in flight
-            };
-            let (attr, test, missing_left) = av
-                .winning
-                .expect("master confirmed a worker that reported no split");
-            let col = Arc::clone(
-                self.columns
-                    .read()
-                    .get(&attr)
-                    .expect("delegate must hold its winning column"),
-            );
-            let ids = av.ix.to_ids(self.n_rows);
-            let (l, r) = partition_rows(&col, &ids, &test, missing_left);
-            self.stats.mem_free(self.id, ix_bytes(&av.ix));
+            if st.revoked.contains(&av.tree) {
+                // Revoked since the verdict was taken out: the revocation
+                // dropped the tree's parked requests and saw no entry to
+                // drop, so none may appear now.
+                return;
+            }
             self.stats.mem_alloc(self.id, (l.len() + r.len()) * 4);
             st.delegates.insert(
                 task,
@@ -724,7 +776,6 @@ impl Worker {
                     served: [0, 0],
                 },
             );
-            // Replay any Ix requests that raced ahead of the verdict.
             if let Some(parked) = st.parked.remove(&task) {
                 for (_tree, side, requester, for_task, ctx) in parked {
                     if let Some(resp) = self.serve_ix(&mut st, task, side, for_task, ctx) {
@@ -799,25 +850,7 @@ impl Worker {
                     for_task,
                     tree,
                     ctx,
-                } => {
-                    let response = {
-                        let mut st = self.state.lock();
-                        if st.delegates.contains_key(&parent_task) {
-                            self.serve_ix(&mut st, parent_task, side, for_task, ctx)
-                        } else if st.revoked.contains(&tree) {
-                            None // requester's task was revoked too
-                        } else {
-                            st.parked
-                                .entry(parent_task)
-                                .or_default()
-                                .push((tree, side, requester, for_task, ctx));
-                            None
-                        }
-                    };
-                    if let Some(resp) = response {
-                        let _ = self.fabric_data.send(self.id, requester, resp);
-                    }
-                }
+                } => self.on_req_ix(parent_task, (tree, side, requester, for_task, ctx)),
                 DataMsg::RespIx { for_task, rows, .. } => self.on_resp_ix(for_task, rows),
                 DataMsg::ReqCols {
                     for_task,
@@ -848,6 +881,26 @@ impl Worker {
                     );
                 }
             }
+        }
+    }
+
+    /// Serves one side of a delegate's `Ix`, or parks the request until the
+    /// delegate entry exists.
+    fn on_req_ix(&self, parent_task: TaskId, req: ParkedIxReq) {
+        let (tree, side, requester, for_task, ctx) = req;
+        let response = {
+            let mut st = self.state.lock();
+            if st.delegates.contains_key(&parent_task) {
+                self.serve_ix(&mut st, parent_task, side, for_task, ctx)
+            } else if st.revoked.contains(&tree) {
+                None // requester's task was revoked too
+            } else {
+                st.parked.entry(parent_task).or_default().push(req);
+                None
+            }
+        };
+        if let Some(resp) = response {
+            let _ = self.fabric_data.send(self.id, requester, resp);
         }
     }
 
@@ -1154,12 +1207,14 @@ impl Worker {
     /// Runs the exact-split engine over each assigned column for one node,
     /// folding the winners with the canonical tie-break (challenger order is
     /// `plan.cols` order).
+    #[allow(clippy::too_many_arguments)]
     fn best_exact_split(
         &self,
         store: &HashMap<usize, Arc<Column>>,
         sorted_store: &HashMap<usize, Arc<SortedColumn>>,
         cols: &[usize],
         node: NodeRows<'_>,
+        stats: &NodeStats,
         view: LabelView<'_>,
         imp: Impurity,
     ) -> Option<(usize, ColumnSplit)> {
@@ -1170,7 +1225,7 @@ impl Worker {
         };
         let mut best: Option<(usize, SplitCandidate)> = None;
         for &attr in cols {
-            if let Some(s) = best_split_at(cref(attr), node, view, imp) {
+            if let Some(s) = best_split_at(cref(attr), node, stats, view, imp) {
                 let wins = match &best {
                     None => true,
                     Some((battr, bs)) => SplitCandidate::challenger_wins(&s, attr, bs, *battr),
@@ -1197,10 +1252,9 @@ impl Worker {
         }
         let y = self.labels.read().clone();
         let view = LabelView::of(&y, self.n_classes());
-        let node_stats = match &ix {
-            RowSet::All => NodeStats::from_view(view),
-            RowSet::Ids(v) => NodeStats::from_view_positions(view, v.iter().map(|&r| r as usize)),
-        };
+        // Counted once per task: the master's leaf checks read it, and so
+        // does the scan of every assigned column.
+        let node_stats = ix.as_node_rows(self.n_rows).stats(view);
 
         let store = self.columns.read();
         let sorted_store = self.sorted.read();
@@ -1230,7 +1284,15 @@ impl Worker {
             // a gather-then-scan would (see `ts_splits::sorted`).
             let node = ix.as_node_rows(self.n_rows);
             let imp = plan.params.impurity;
-            best = self.best_exact_split(&store, &sorted_store, &plan.cols, node, view, imp);
+            best = self.best_exact_split(
+                &store,
+                &sorted_store,
+                &plan.cols,
+                node,
+                &node_stats,
+                view,
+                imp,
+            );
         }
 
         let best_full = best.map(|(attr, split)| {
@@ -1325,16 +1387,9 @@ impl Worker {
         let view = LabelView::of(&y, self.n_classes());
         // Only the designated stats shard ships node stats: one copy per
         // task is enough for the master's leaf checks.
-        let node_stats = if conf.want_stats {
-            Some(match &ix {
-                RowSet::All => NodeStats::from_view(view),
-                RowSet::Ids(v) => {
-                    NodeStats::from_view_positions(view, v.iter().map(|&r| r as usize))
-                }
-            })
-        } else {
-            None
-        };
+        let node_stats = conf
+            .want_stats
+            .then(|| ix.as_node_rows(self.n_rows).stats(view));
         let cands = {
             let store = self.columns.read();
             let binned_store = self.binned.read();
@@ -1551,6 +1606,99 @@ mod tests {
             quota: [None, None],
             served: [0, 0],
         }
+    }
+
+    const ME: NodeId = 1;
+    const REQUESTER: NodeId = 2;
+    const TREE: TreeId = TreeId(1);
+    const TASK: TaskId = TaskId(10);
+
+    /// A worker of no threads — its handlers are called here, one by one —
+    /// that holds column 0 of a six-row table and has reported `x <= 2.5`
+    /// for `TASK` over all rows; with it, the data-plane inbox of the
+    /// machine that asks for the children's rows.
+    fn worker_awaiting_a_verdict() -> (Arc<Worker>, FabricReceiver<DataMsg>) {
+        let stats = ts_netsim::NetStats::new(3);
+        let net = ts_netsim::NetModel::instant();
+        let (fabric_task, _task_rxs) = Fabric::<TaskMsg>::new(3, net, Arc::clone(&stats));
+        let (fabric_data, mut data_rxs) = Fabric::<DataMsg>::new(3, net, stats);
+        let column = Column::Numeric(vec![1.0, 4.0, 2.0, 5.0, f64::NAN, 3.0]);
+        let (worker, _ready) = Worker::new(
+            ME,
+            0,
+            HashMap::from([(0, Arc::new(column))]),
+            Arc::new(Labels::Class(vec![0, 1, 0, 1, 0, 1])),
+            Arc::new(vec![AttrType::Numeric]),
+            Task::Classification { n_classes: 2 },
+            fabric_task,
+            fabric_data,
+            None,
+        );
+        worker.state.lock().awaiting.insert(
+            TASK,
+            AwaitingVerdict {
+                tree: TREE,
+                ix: RowSet::All,
+                imp: Impurity::Gini,
+                winning: Some((0, SplitTest::NumericLe(2.5), true)),
+            },
+        );
+        (worker, data_rxs.swap_remove(REQUESTER))
+    }
+
+    /// `ConfirmBest` as `on_confirm_best` runs it, stopped between taking
+    /// the verdict out and registering the delegate entry — where `Ix` is
+    /// partitioned with the state lock free — to let `in_the_gap` happen.
+    fn confirm_best_with(worker: &Worker, in_the_gap: impl FnOnce()) {
+        let av = worker.state.lock().awaiting.remove(&TASK).expect("verdict");
+        let sides = worker.partition_ix(&av);
+        in_the_gap();
+        worker.install_delegate(TASK, av, sides);
+    }
+
+    fn ask_for_the_left_rows(worker: &Worker) {
+        let req = (TREE, Side::Left, REQUESTER, TaskId(11), TraceCtx::NONE);
+        worker.on_req_ix(TASK, req);
+    }
+
+    #[test]
+    fn ix_request_in_the_partition_gap_parks_and_is_replayed() {
+        let (worker, requester_rx) = worker_awaiting_a_verdict();
+        confirm_best_with(&worker, || {
+            ask_for_the_left_rows(&worker);
+            assert!(requester_rx.try_recv().is_none(), "no entry yet: parked");
+            assert_eq!(worker.state.lock().parked[&TASK].len(), 1);
+        });
+        match requester_rx.try_recv() {
+            // Rows 0 and 2 pass the test; row 4 is missing and goes left.
+            Some(DataMsg::RespIx { for_task, rows, .. }) => {
+                assert_eq!((for_task, rows), (TaskId(11), vec![0, 2, 4]));
+            }
+            other => panic!("expected the parked request's answer, got {other:?}"),
+        }
+        let st = worker.state.lock();
+        assert!(st.parked.is_empty() && st.awaiting.is_empty());
+        assert_eq!(st.delegates[&TASK].served, [1, 0]);
+    }
+
+    #[test]
+    fn revoke_in_the_partition_gap_leaves_no_delegate_entry() {
+        let (worker, requester_rx) = worker_awaiting_a_verdict();
+        confirm_best_with(&worker, || {
+            ask_for_the_left_rows(&worker);
+            worker.on_revoke_tree(TREE);
+        });
+        let st = worker.state.lock();
+        assert!(
+            st.delegates.is_empty(),
+            "a revoked tree got a delegate entry"
+        );
+        assert!(st.parked.is_empty() && st.awaiting.is_empty());
+        assert!(requester_rx.try_recv().is_none());
+        // A later request for the dead tree is dropped, not parked for ever.
+        drop(st);
+        ask_for_the_left_rows(&worker);
+        assert!(worker.state.lock().parked.is_empty());
     }
 
     #[test]

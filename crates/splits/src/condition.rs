@@ -6,7 +6,8 @@
 //! column's condition as the overall best: splitting `Ix` into `Ixl`/`Ixr`
 //! with its locally-held column (paper §V).
 
-use ts_datatable::{Column, Value};
+use crate::exact::ColumnSplit;
+use ts_datatable::{Column, Value, ValuesBuf, MISSING_CAT};
 use tsjson::{Deserialize, Serialize};
 
 /// The test applied at an internal node.
@@ -60,77 +61,118 @@ impl SplitTest {
 /// test, preserving the input order (so sorted `Ix` stays sorted and every
 /// machine observes the same canonical order). Missing values go to the side
 /// indicated by `missing_left`.
+///
+/// # Panics
+/// Panics when the test's kind is not the column's.
 pub fn partition_rows(
     col: &Column,
     ix: &[u32],
     test: &SplitTest,
     missing_left: bool,
 ) -> (Vec<u32>, Vec<u32>) {
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    for &r in ix {
-        let go_left = test
-            .goes_left(col.value(r as usize))
-            .unwrap_or(missing_left);
-        if go_left {
-            left.push(r);
-        } else {
-            right.push(r);
-        }
-    }
+    let cells = match col {
+        Column::Numeric(xs) => Cells::Numeric(xs),
+        Column::Categorical(codes) => Cells::Categorical(codes),
+    };
+    // The caller holds no child counts: either side may take every row.
+    let (mut left, mut right) = partition_cells(cells, ix, test, missing_left, [ix.len(); 2]);
+    left.shrink_to_fit();
+    right.shrink_to_fit();
     (left, right)
 }
 
-/// Like [`partition_rows`] but over a full [`ts_datatable::ValuesBuf`]
-/// indexed by row ids: the sorted-column trainer partitions a node's row set
-/// directly against the full column instead of re-gathering it first.
+/// [`partition_rows`] by a finished `split` over a full
+/// [`ts_datatable::ValuesBuf`] indexed by row ids: the sorted-column trainer
+/// partitions a node's row set directly against the full column instead of
+/// re-gathering it first, into buffers sized from the split's child counts.
 /// Preserves input order, so ascending row sets stay ascending.
+///
+/// # Panics
+/// Panics when the split's kind is not the buffer's, or when `split` is not
+/// a split of `ix` over `values` — more rows on a side than it counted.
 pub fn partition_rows_buf(
-    values: &ts_datatable::ValuesBuf,
+    values: &ValuesBuf,
+    ix: &[u32],
+    split: &ColumnSplit,
+) -> (Vec<u32>, Vec<u32>) {
+    let cells = match values {
+        ValuesBuf::Numeric(xs) => Cells::Numeric(xs),
+        ValuesBuf::Categorical(codes) => Cells::Categorical(codes),
+    };
+    let sizes = [split.n_left() as usize, split.n_right() as usize];
+    partition_cells(cells, ix, &split.test, split.missing_left, sizes)
+}
+
+/// A column's cells, whichever container holds them.
+enum Cells<'a> {
+    Numeric(&'a [f64]),
+    Categorical(&'a [u32]),
+}
+
+/// The row partition behind [`partition_rows`] and [`partition_rows_buf`]:
+/// column kind and test are matched here, once, and each row's side is a
+/// value — `(x <= t) | (x.is_nan() & missing_left)`, or a lookup in a
+/// membership table of the `CatIn` set with one trailing `false` slot that
+/// every code above the set's maximum (`MISSING_CAT` among them) clamps to.
+fn partition_cells(
+    cells: Cells<'_>,
     ix: &[u32],
     test: &SplitTest,
     missing_left: bool,
+    sizes: [usize; 2],
 ) -> (Vec<u32>, Vec<u32>) {
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    for &r in ix {
-        let go_left = test
-            .goes_left(values.value(r as usize))
-            .unwrap_or(missing_left);
-        if go_left {
-            left.push(r);
-        } else {
-            right.push(r);
+    match (cells, test) {
+        (Cells::Numeric(xs), SplitTest::NumericLe(t)) => partition_by(ix, sizes, |row| {
+            let x = xs[row];
+            (x <= *t) | (x.is_nan() & missing_left)
+        }),
+        (Cells::Categorical(codes), SplitTest::CatIn(set)) => {
+            let above = set.iter().max().map_or(0, |&max| max as usize + 1);
+            let mut in_set = vec![false; above + 1];
+            set.iter().for_each(|&code| in_set[code as usize] = true);
+            partition_by(ix, sizes, |row| {
+                let code = codes[row];
+                in_set[(code as usize).min(above)] | ((code == MISSING_CAT) & missing_left)
+            })
+        }
+        (Cells::Categorical(_), SplitTest::NumericLe(_)) => {
+            panic!("numeric split applied to categorical value")
+        }
+        (Cells::Numeric(_), SplitTest::CatIn(_)) => {
+            panic!("categorical split applied to numeric value")
         }
     }
-    (left, right)
 }
 
-/// Like [`partition_rows`] but over *positions* of an already-gathered values
-/// buffer (used inside subtree-tasks, where data is local and indexed by
-/// position within `Dx` rather than by global row id).
-pub fn partition_positions(
-    values: &ts_datatable::ValuesBuf,
-    test: &SplitTest,
-    missing_left: bool,
+/// Stable two-way partition of `ix` by `goes_left(row)` into buffers of
+/// `sizes = [left, right]` rows. Every row is written to both destinations
+/// and only the cursors depend on its side — the side of a row under a good
+/// split is a coin flip, and a mispredicted branch per row costs more than
+/// the spare store (as `sorted::stable_partition` does for the segments).
+fn partition_by(
+    ix: &[u32],
+    sizes: [usize; 2],
+    goes_left: impl Fn(usize) -> bool,
 ) -> (Vec<u32>, Vec<u32>) {
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    for i in 0..values.len() {
-        let go_left = test.goes_left(values.value(i)).unwrap_or(missing_left);
-        if go_left {
-            left.push(i as u32);
-        } else {
-            right.push(i as u32);
-        }
+    // One slot more than the side's rows: the row after a side's last is
+    // still stored there, and then overwritten or cut off.
+    let (mut left, mut right) = (vec![0; sizes[0] + 1], vec![0; sizes[1] + 1]);
+    let (mut n_left, mut n_right) = (0, 0);
+    for &row in ix {
+        let side = usize::from(goes_left(row as usize));
+        left[n_left] = row;
+        right[n_right] = row;
+        n_left += side;
+        n_right += 1 - side;
     }
+    left.truncate(n_left);
+    right.truncate(n_right);
     (left, right)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ts_datatable::{ValuesBuf, MISSING_CAT};
 
     #[test]
     fn numeric_test_boundaries() {
@@ -173,14 +215,6 @@ mod tests {
         let (l, r) = partition_rows(&col, &[4, 2, 1], &SplitTest::cat_in(vec![1]), false);
         assert_eq!(l, vec![1]);
         assert_eq!(r, vec![4, 2]);
-    }
-
-    #[test]
-    fn partition_positions_over_buffer() {
-        let buf = ValuesBuf::Numeric(vec![10.0, 20.0, 30.0]);
-        let (l, r) = partition_positions(&buf, &SplitTest::NumericLe(15.0), true);
-        assert_eq!(l, vec![0]);
-        assert_eq!(r, vec![1, 2]);
     }
 
     #[test]

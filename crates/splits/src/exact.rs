@@ -204,7 +204,8 @@ pub fn best_numeric_split(
     imp: Impurity,
 ) -> Option<ColumnSplit> {
     let node = NodeRows::All(values.len());
-    let best = numeric_split(Sequence::GatherSort, values, node, labels, imp)?;
+    let stats = NodeStats::from_view(labels);
+    let best = numeric_split(Sequence::GatherSort, values, node, &stats, labels, imp)?;
     Some(best.finish_by(node, labels, |row| numeric_value(values[row])))
 }
 
@@ -213,7 +214,8 @@ pub fn best_numeric_split(
 /// boundary. Returns the best `(gain, threshold, boundary index)` — the
 /// highest finite positive gain, the earliest boundary among equals — or
 /// `None`. `node_w` is the node's `impurity * n`, and `scan` arrives with
-/// every label of `present` right of the boundary.
+/// every label of `present` right of the boundary; it is told to `keep` each
+/// boundary that becomes the best, so what it kept last is the winner's.
 ///
 /// Thresholds increase strictly along the scan (`boundary_threshold` lies in
 /// `[a, b)` and the next boundary starts at or after `b`), so "higher gain,
@@ -243,6 +245,7 @@ pub(crate) fn scan_boundaries<S: BoundaryScan>(
             let gain = node_w - left_w - right_w;
             if gain > best_gain {
                 (best_gain, best_i) = (gain, Some(i));
+                scan.keep();
             }
         }
     }
@@ -253,28 +256,32 @@ pub(crate) fn scan_boundaries<S: BoundaryScan>(
 
 /// [`scan_boundaries`] over class labels: the best `(gain, threshold)` and
 /// the class counts of the present rows on each side of it, `(left, right)`.
-/// Counts are integers, so counting the rows up to the winning boundary once
-/// more equals re-counting the children's rows in any order.
+/// `node` counts the labels of `present` — handed in, not counted here: the
+/// caller has the node's totals from whoever created the node. The left
+/// counts are the ones the scan held at the winning boundary and the right
+/// ones the rest of `node`; counts are integers, so both equal a recount of
+/// the children's rows in any order.
 pub(crate) fn scan_class(
     present: &[(f64, u32)],
-    n_classes: u32,
+    node: &ClassCounts,
     imp: Impurity,
 ) -> Option<(f64, f64, ClassCounts, ClassCounts)> {
-    with_class_pair(n_classes, |left, node| {
-        for &(_, y) in present {
-            node.add(y);
-        }
+    debug_assert!(
+        {
+            let mut recount = node.empty_like();
+            present.iter().for_each(|&(_, y)| recount.add(y));
+            recount == *node
+        },
+        "the totals handed to the scan must count the node's present rows"
+    );
+    with_class_pair(node.n_classes() as u32, |left, best| {
         let node_w = node.weighted_impurity(imp);
-        let (gain, thr, boundary) = match imp {
-            Impurity::Gini => scan_boundaries(present, node_w, GiniScan::new(left, node)),
-            Impurity::Entropy => scan_boundaries(present, node_w, EntropyScan { left, node }),
+        let (gain, thr, _) = match imp {
+            Impurity::Gini => scan_boundaries(present, node_w, GiniScan::new(left, best, node)),
+            Impurity::Entropy => scan_boundaries(present, node_w, EntropyScan { left, best, node }),
             Impurity::Variance => unreachable!("`weighted_impurity` refuses class labels"),
         }?;
-        left.reset();
-        for &(_, y) in &present[..=boundary] {
-            left.add(y);
-        }
-        Some((gain, thr, left.clone(), node.minus(left)))
+        Some((gain, thr, best.clone(), node.minus(best)))
     })
 }
 
@@ -489,6 +496,13 @@ mod tests {
 
     fn class_view(ys: &[u32]) -> LabelView<'_> {
         LabelView::Class(ys, 2)
+    }
+
+    /// The class counts of a run of the scan buffer.
+    fn count_of(side: &[(f64, u32)], n_classes: u32) -> ClassCounts {
+        let mut c = ClassCounts::new(n_classes);
+        side.iter().for_each(|&(_, y)| c.add(y));
+        c
     }
 
     #[test]
@@ -836,15 +850,12 @@ mod tests {
                         (FloatCounts(vec![0; k], imp), FloatCounts(vec![0; k], imp));
                     let want = float_scan_oracle(&present, &ys, &mut l, &mut r);
                     prop_assert!(want.is_some());
-                    let (gain, thr, left, right) = scan_class(&labelled, K, imp).unwrap();
+                    let count = |side: &[(f64, u32)]| count_of(side, K);
+                    let (gain, thr, left, right) =
+                        scan_class(&labelled, &count(&labelled), imp).unwrap();
                     let boundary = left.total() as usize - 1;
                     prop_assert_eq!(bits(Some((gain, thr, boundary))), bits(want), "{:?}", imp);
                     let (below, above) = labelled.split_at(boundary + 1);
-                    let count = |side: &[(f64, u32)]| {
-                        let mut c = ClassCounts::new(K);
-                        side.iter().for_each(|&(_, y)| c.add(y));
-                        c
-                    };
                     prop_assert_eq!(left, count(below));
                     prop_assert_eq!(right, count(above));
                 }
@@ -889,11 +900,7 @@ mod tests {
                 let present = presorted(&values);
                 let labelled: Vec<(f64, u32)> =
                     present.iter().map(|&(v, r)| (v, ys[r as usize])).collect();
-                let count = |side: &[(f64, u32)]| {
-                    let mut c = ClassCounts::new(k);
-                    side.iter().for_each(|&(_, y)| c.add(y));
-                    c
-                };
+                let count = |side: &[(f64, u32)]| count_of(side, k);
                 let (mut l, mut r) = (ClassCounts::new(k), ClassCounts::new(k));
                 let two_sided = float_scan_oracle(
                     &present,
@@ -907,7 +914,7 @@ mod tests {
                     if imp == Impurity::Gini {
                         prop_assert_eq!(bits(two_sided), bits(want));
                     }
-                    let got = scan_class(&labelled, k, imp);
+                    let got = scan_class(&labelled, &count(&labelled), imp);
                     let found = got.as_ref().map(|(gain, thr, left, _)| {
                         (*gain, *thr, left.total() as usize - 1)
                     });
@@ -961,7 +968,8 @@ mod tests {
         // (2 - (3 - 5/3)) - 0 — the same bits — and the middle one gains 0.
         let present = [(1.0, 0u32), (2.0, 1), (3.0, 0), (4.0, 1)];
         for imp in [Impurity::Gini, Impurity::Entropy] {
-            let (gain, thr, left, right) = scan_class(&present, 2, imp).unwrap();
+            let (gain, thr, left, right) =
+                scan_class(&present, &count_of(&present, 2), imp).unwrap();
             assert!(gain > 0.0);
             assert_eq!(
                 (thr, left.counts(), right.counts()),

@@ -8,7 +8,10 @@
 //! keeping only what a boundary's gain needs: `GiniScan` updates the left
 //! side's integers and reads the right side off an identity, `EntropyScan`
 //! counts the left side and subtracts, `VarianceScan` keeps both float sums
-//! because their bits depend on the order of their operations.
+//! because their bits depend on the order of their operations. The class
+//! scans start from node totals their caller already holds and keep the left
+//! counts of the best boundary so far, so a node's labels are counted once —
+//! by whoever created the node — and a column's winner is not recounted.
 
 use ts_datatable::Labels;
 use tsjson::{Deserialize, Serialize};
@@ -194,8 +197,9 @@ impl From<RegAgg> for NodeStats {
 
 /// The state of the numeric boundary scan (`exact::scan_boundaries`) under
 /// one impurity function. It starts with every label of the node right of
-/// the boundary; `shift` is the scan's per-row cost and `sides` its
-/// per-boundary cost (docs/PERF.md, "What a boundary costs").
+/// the boundary; `shift` is the scan's per-row cost, `sides` its
+/// per-boundary cost and `keep` what a new best boundary costs (docs/PERF.md,
+/// "What a boundary costs").
 pub(crate) trait BoundaryScan {
     /// One row's label.
     type Label: Copy;
@@ -206,6 +210,9 @@ pub(crate) trait BoundaryScan {
     /// Never NaN or negative infinity, whatever the labels: the scan relies
     /// on a finite node impurity making every positive gain finite.
     fn sides(&self) -> (f64, f64);
+    /// The boundary just scored is the best so far: keeps of the left side
+    /// whatever the split's children are read from.
+    fn keep(&mut self);
 }
 
 /// `gini * n` of `n` rows whose class counts square-sum to `sum_sq`:
@@ -249,6 +256,7 @@ pub(crate) fn right_sum_sq(node_sq: u64, left_sq: u64, cross: u64) -> u64 {
 /// a boundary two integer conversions.
 pub(crate) struct GiniScan<'a> {
     left: &'a mut [u64],
+    best: &'a mut ClassCounts,
     node: &'a [u64],
     n_left: f64,
     n: f64,
@@ -258,12 +266,18 @@ pub(crate) struct GiniScan<'a> {
 }
 
 impl<'a> GiniScan<'a> {
-    /// A scan of the node counted in `node`. `left`, empty on entry, is
-    /// scratch: the scan writes the left side's counts but not their total
-    /// to it, so it is to be `reset` before another use.
-    pub(crate) fn new(left: &'a mut ClassCounts, node: &'a ClassCounts) -> Self {
+    /// A scan of the node counted in `node`, leaving the left side of its
+    /// best boundary in `best`. `left`, empty on entry, is scratch: the scan
+    /// writes the left side's counts but not their total to it, so it is to
+    /// be `reset` before another use.
+    pub(crate) fn new(
+        left: &'a mut ClassCounts,
+        best: &'a mut ClassCounts,
+        node: &'a ClassCounts,
+    ) -> Self {
         GiniScan {
             left: &mut left.counts,
+            best,
             node: &node.counts,
             n_left: 0.0,
             n: node.total as f64,
@@ -289,13 +303,19 @@ impl BoundaryScan for GiniScan<'_> {
         let left_w = gini_weighted_of(self.n_left, self.left_sq);
         (left_w, gini_weighted_of(self.n - self.n_left, right_sq))
     }
+    fn keep(&mut self) {
+        self.best.counts.copy_from_slice(self.left);
+        self.best.total = self.n_left as u64;
+    }
 }
 
 /// Entropy scan: `O(classes)` per boundary (`sum c log2 c` has no exact
 /// incremental form) but one count per row — the right side is `node - left`
-/// class by class, where a boundary asks. `left` is empty on entry.
+/// class by class, where a boundary asks. `left` is empty on entry; `best`
+/// receives the left side of the best boundary.
 pub(crate) struct EntropyScan<'a> {
     pub(crate) left: &'a mut ClassCounts,
+    pub(crate) best: &'a mut ClassCounts,
     pub(crate) node: &'a ClassCounts,
 }
 
@@ -310,6 +330,10 @@ impl BoundaryScan for EntropyScan<'_> {
         let right_w =
             entropy_weighted(self.node.total - self.left.total, right.map(|(t, l)| t - l));
         (self.left.weighted_impurity(Impurity::Entropy), right_w)
+    }
+    fn keep(&mut self) {
+        self.best.counts.copy_from_slice(&self.left.counts);
+        self.best.total = self.left.total;
     }
 }
 
@@ -376,6 +400,10 @@ impl BoundaryScan for VarianceScan {
             variance_weighted_of(n_right, right.sum, right.sum_sq),
         )
     }
+    /// Nothing: regression children are summed in row order for the node's
+    /// winner ([`crate::exact::SplitCandidate::finish`]), not read off the
+    /// value-ordered scan.
+    fn keep(&mut self) {}
 }
 
 /// `variance * n` of `n > 0` targets with the given sums, clamped at 0

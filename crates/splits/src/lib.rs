@@ -68,7 +68,7 @@ pub mod random;
 pub mod sketch;
 pub mod sorted;
 
-pub use condition::{partition_positions, partition_rows, partition_rows_buf, SplitTest};
+pub use condition::{partition_rows, partition_rows_buf, SplitTest};
 pub use exact::{best_split_for_column, ColumnSplit, SplitCandidate};
 pub use hist::{best_hist_split_at, top_k_candidates, HistCandidate, HistColumnRef};
 pub use impurity::{Impurity, LabelView, NodeStats};

@@ -7,7 +7,8 @@
 
 use crate::condition::SplitTest;
 use crate::exact::ColumnSplit;
-use crate::impurity::{LabelView, NodeStats};
+use crate::impurity::{ClassCounts, LabelView, RegAgg};
+use crate::sorted::{route_children, NodeRows};
 use ts_datatable::{ValuesBuf, MISSING_CAT};
 use tsrand::Rng;
 
@@ -33,13 +34,8 @@ pub fn random_numeric_split<R: Rng>(
         return None;
     }
     let thr = rng.gen_range(min..max);
-    build_split(
-        SplitTest::NumericLe(thr),
-        values
-            .iter()
-            .map(|&v| if v.is_nan() { None } else { Some(v <= thr) }),
-        labels,
-    )
+    let side = |i: usize| (!values[i].is_nan()).then(|| values[i] <= thr);
+    build_split(SplitTest::NumericLe(thr), values.len(), side, labels)
 }
 
 /// Draws a random one-category split: picks one of the categories present in
@@ -56,17 +52,8 @@ pub fn random_cat_split<R: Rng>(
         return None;
     }
     let pick = present[rng.gen_range(0..present.len())];
-    build_split(
-        SplitTest::CatIn(vec![pick]),
-        codes.iter().map(|&c| {
-            if c == MISSING_CAT {
-                None
-            } else {
-                Some(c == pick)
-            }
-        }),
-        labels,
-    )
+    let side = |i: usize| (codes[i] != MISSING_CAT).then(|| codes[i] == pick);
+    build_split(SplitTest::CatIn(vec![pick]), codes.len(), side, labels)
 }
 
 /// Draws a random split for a gathered buffer, dispatching on its kind.
@@ -81,39 +68,37 @@ pub fn random_split_for_column<R: Rng>(
     }
 }
 
-/// Assembles child stats for a fixed test; `sides` yields `Some(goes_left)`
-/// per position or `None` for missing.
+/// Assembles child stats for a fixed test over `n` gathered positions;
+/// `side` yields `Some(goes_left)` for a position or `None` for a missing
+/// value. The children are accumulated in ascending position order, missing
+/// rows where they stand (`route_children`) — the sums a recount of each
+/// child's rows gives, to the last bit, like every other kernel's children.
 fn build_split(
     test: SplitTest,
-    sides: impl Iterator<Item = Option<bool>>,
+    n: usize,
+    side: impl Fn(usize) -> Option<bool>,
     labels: LabelView<'_>,
 ) -> Option<ColumnSplit> {
-    let mut left_pos = Vec::new();
-    let mut right_pos = Vec::new();
-    let mut missing_pos = Vec::new();
-    for (i, side) in sides.enumerate() {
-        match side {
-            Some(true) => left_pos.push(i),
-            Some(false) => right_pos.push(i),
-            None => missing_pos.push(i),
+    let (mut n_left, mut n_right) = (0u64, 0u64);
+    for i in 0..n {
+        match side(i) {
+            Some(true) => n_left += 1,
+            Some(false) => n_right += 1,
+            None => {}
         }
     }
-    if left_pos.is_empty() || right_pos.is_empty() {
+    if n_left == 0 || n_right == 0 {
         return None;
     }
-    let mut left = NodeStats::from_view_positions(labels, left_pos.iter().copied());
-    let mut right = NodeStats::from_view_positions(labels, right_pos.iter().copied());
-    let missing_left = left.n() >= right.n();
-    if !missing_pos.is_empty() {
-        let ms = NodeStats::from_view_positions(labels, missing_pos.iter().copied());
-        if missing_left {
-            left.merge(&ms);
-        } else {
-            right.merge(&ms);
+    let missing_left = n_left >= n_right;
+    let node = NodeRows::All(n);
+    let (left, right) = match labels {
+        LabelView::Class(ys, k) => {
+            route_children(node, ys, ClassCounts::new(k), missing_left, side)
         }
-    }
-    // Gain is not used for selection in extra-trees; report the true
-    // impurity decrease anyway (may be ~0) so diagnostics stay meaningful.
+        LabelView::Real(ys) => route_children(node, ys, RegAgg::default(), missing_left, side),
+    };
+    // Gain is not used for selection in extra-trees.
     Some(ColumnSplit {
         test,
         gain: 0.0,

@@ -45,9 +45,26 @@
 //!   gather are therefore the *same* sequence of values and labels, hence
 //!   bit-identical incremental gains. A stable partition of the presorted
 //!   order by child membership keeps that order on both sides.
+//! - Class totals are **handed down**, not counted: [`best_split_at`] and
+//!   [`best_split_in`] take the node's [`NodeStats`], the scan of a numeric
+//!   column starts from those class counts less the counts of the node's rows
+//!   missing from the column, and keeps the left counts of its best boundary
+//!   as it goes. Counts are integers: the totals of a node are the same
+//!   number whoever counted them and in whatever order, so a node's rows are
+//!   counted once — by the root of a subtree, by a column-task once for all
+//!   its columns — and every node below inherits the counts of the split
+//!   that made it.
 //! - Class-label children are read off the scan: the counts on each side of
-//!   the winning boundary plus the node's missing rows. Counts are integers,
-//!   so they equal a recount of the child's rows in any order.
+//!   the winning boundary plus the node's missing rows. They equal a recount
+//!   of the child's rows in any order, for the same reason.
+//! - Regression totals are **not** handed down. The node's `impurity * n` a
+//!   variance scan starts from is the sum of the column's *present* targets
+//!   in *value* order, and every gain of the scan carries that order in its
+//!   last bits; the node's statistics are sums over *all* its rows in *row*
+//!   order. Deriving one from the other (`total - missing`) is exact for
+//!   integers and one rounding off for floats, and the models are compared
+//!   by their bytes — so the regression arm keeps its pass over the scan
+//!   buffer and ignores the statistics it is handed.
 //! - Regression children are accumulated over the node's rows in ascending
 //!   row order (`route_children`), the order in which a subtree trainer sums
 //!   a child it continues from, so floating-point sums — and the predictions
@@ -235,6 +252,20 @@ impl<'a> NodeRows<'a> {
             NodeRows::Subset(s) => (0, s),
         };
         (0..n).chain(slice.iter().copied())
+    }
+
+    /// Label statistics of the node, accumulated in ascending row order —
+    /// the count a node's creator makes once and hands to the engine.
+    pub fn stats(&self, labels: LabelView<'_>) -> NodeStats {
+        match *self {
+            NodeRows::All(n) => {
+                debug_assert_eq!(n, labels.len(), "All(n) must span the whole column");
+                NodeStats::from_view(labels)
+            }
+            NodeRows::Subset(rows) => {
+                NodeStats::from_view_positions(labels, rows.iter().map(|&r| r as usize))
+            }
+        }
     }
 }
 
@@ -552,26 +583,43 @@ fn select_by_rank<L: Copy>(
 /// The exact numeric kernel: the best `Ai <= v` split of a column over a
 /// node's rows, reading the node's sorted sequence from `sequence`.
 ///
-/// `values` and `labels` span the full column store. Missing rows take no
-/// part in the scan and join the larger child afterwards. Class children
-/// come with the candidate; regression children wait for its `finish`.
+/// `values` and `labels` span the full column store; `stats` are the node's
+/// label statistics. Missing rows take no part in the scan and join the
+/// larger child afterwards. Class labels are not counted here: the scan
+/// starts from the node's totals less its missing rows' (integers, so
+/// order-free), and the children come with the candidate. Regression sums its
+/// present targets in value order — the order is part of the bits of every
+/// gain — and its children wait for the candidate's `finish`.
 pub(crate) fn numeric_split(
     sequence: Sequence<'_>,
     values: &[f64],
     node: NodeRows<'_>,
+    stats: &NodeStats,
     labels: LabelView<'_>,
     imp: Impurity,
 ) -> Option<SplitCandidate> {
     assert_eq!(values.len(), labels.len(), "values/labels length mismatch");
     debug_assert_ascending(&node);
+    debug_assert_eq!(stats.n(), node.len() as u64, "statistics of another node");
     if !matches!(sequence, Sequence::GatherSort) {
         NUMERIC_SORTED_SCANS.fetch_add(1, Relaxed);
     }
     match labels {
         LabelView::Class(ys, k) => with_present(node.len(), |present| {
+            let NodeStats::Class(totals) = stats else {
+                panic!("class labels scanned with regression statistics");
+            };
             let n_present = sequence.fill(values, node, ys, present);
-            let (gain, thr, left, right) = scan_class(&present[..n_present], k, imp)?;
+            if n_present < 2 {
+                return None;
+            }
+            let present = &present[..n_present];
             let missing = missing_class_counts(node, n_present, ys, k, |i| values[i].is_nan());
+            let (gain, thr, left, right) = if missing.total() == 0 {
+                scan_class(present, totals, imp)?
+            } else {
+                scan_class(present, &totals.minus(&missing), imp)?
+            };
             let test = SplitTest::NumericLe(thr);
             Some(split_from_children(test, gain, left, right, &missing).into())
         }),
@@ -609,7 +657,8 @@ pub fn best_numeric_split_at(
     imp: Impurity,
 ) -> Option<ColumnSplit> {
     let col = ColumnRef::Numeric { values, index };
-    Some(best_split_at(col, node, labels, imp)?.finish(col, node, labels))
+    let stats = node.stats(labels);
+    Some(best_split_at(col, node, &stats, labels, imp)?.finish(col, node, labels))
 }
 
 /// Class counts of the node's rows whose value `is_missing` — the rows a
@@ -744,7 +793,7 @@ pub fn best_cat_split_regression_at(
         ColumnRef::Categorical { codes, n_values },
         LabelView::Real(ys),
     );
-    let best = best_split_at(col, node, labels, Impurity::Variance)?;
+    let best = best_cat_split_at(codes, n_values, node, labels, Impurity::Variance)?;
     Some(best.finish(col, node, labels))
 }
 
@@ -945,17 +994,20 @@ impl<'a> ColumnRef<'a> {
 /// presorted index and the node's row set, which it selects from the index
 /// by rank. The entry point of the distributed column-tasks, which see one
 /// node of a resident column at a time; trainers that grow a whole subtree
-/// use [`best_split_in`]. The caller folds its columns' candidates with
+/// use [`best_split_in`]. `stats` are the node's label statistics
+/// ([`NodeRows::stats`]), counted once per node by the caller, whatever the
+/// number of its columns. The caller folds its columns' candidates with
 /// [`SplitCandidate::challenger_wins`] and finishes the winner.
 pub fn best_split_at(
     col: ColumnRef<'_>,
     node: NodeRows<'_>,
+    stats: &NodeStats,
     labels: LabelView<'_>,
     imp: Impurity,
 ) -> Option<SplitCandidate> {
     match col {
         ColumnRef::Numeric { values, index } => {
-            numeric_split(Sequence::Rank(index), values, node, labels, imp)
+            numeric_split(Sequence::Rank(index), values, node, stats, labels, imp)
         }
         ColumnRef::Categorical { codes, n_values } => {
             best_cat_split_at(codes, n_values, node, labels, imp)
@@ -967,19 +1019,21 @@ pub fn best_split_at(
 /// is the node's [`NodeOrders::segment`] of this column — its present rows
 /// in `(value, row)` order, so no bitmap, no sort and no pass over rows
 /// outside the node — and is ignored for categorical columns, which need no
-/// value order. The entry point of the subtree trainer and the Yggdrasil
+/// value order. The entry point of the subtree trainer, which hands each
+/// node the statistics its parent's split came with, and of the Yggdrasil
 /// baseline; same kernel over the same sequence, hence the same bytes as
 /// [`best_split_at`].
 pub fn best_split_in(
     col: ColumnRef<'_>,
     segment: &[u32],
     node: NodeRows<'_>,
+    stats: &NodeStats,
     labels: LabelView<'_>,
     imp: Impurity,
 ) -> Option<SplitCandidate> {
     match col {
         ColumnRef::Numeric { values, .. } => {
-            numeric_split(Sequence::Segment(segment), values, node, labels, imp)
+            numeric_split(Sequence::Segment(segment), values, node, stats, labels, imp)
         }
         ColumnRef::Categorical { codes, n_values } => {
             best_cat_split_at(codes, n_values, node, labels, imp)
@@ -1349,15 +1403,17 @@ mod tests {
         let (node_segs, _) = orders.split(&orders.root(), &rows);
         let before = kernel_counters();
         let segment = orders.segment(0, &node_segs);
-        let in_segment = best_split_in(col, segment, node, labels, Impurity::Variance);
+        let stats = node.stats(labels);
+        let in_segment = best_split_in(col, segment, node, &stats, labels, Impurity::Variance);
         assert!(kernel_counters().numeric_sorted_scans > before.numeric_sorted_scans);
         assert!(in_segment.is_some());
-        let at = best_split_at(col, node, labels, Impurity::Variance);
+        let at = best_split_at(col, node, &stats, labels, Impurity::Variance);
         assert_eq!(in_segment, at);
         let gathered = numeric_split(
             Sequence::GatherSort,
             &values,
             node,
+            &stats,
             labels,
             Impurity::Variance,
         );
@@ -1395,7 +1451,9 @@ mod tests {
             };
             let mut best: Option<(usize, SplitCandidate)> = None;
             for (attr, &col) in cols.iter().enumerate() {
-                let candidate = best_split_at(col, node, labels, Impurity::Variance).unwrap();
+                let candidate =
+                    best_split_at(col, node, &node.stats(labels), labels, Impurity::Variance)
+                        .unwrap();
                 assert!(candidate.unrouted, "column {attr} routed the node");
                 if best.as_ref().is_none_or(|(battr, b)| {
                     SplitCandidate::challenger_wins(&candidate, attr, b, *battr)
@@ -1414,7 +1472,8 @@ mod tests {
             let classes = [0u32, 0, 1, 1, 0, 1];
             let by_class = LabelView::Class(&classes, 2);
             for &col in &cols {
-                let candidate = best_split_at(col, node, by_class, Impurity::Gini).unwrap();
+                let stats = node.stats(by_class);
+                let candidate = best_split_at(col, node, &stats, by_class, Impurity::Gini).unwrap();
                 assert!(!candidate.unrouted);
             }
         }

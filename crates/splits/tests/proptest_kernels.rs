@@ -1,11 +1,11 @@
 //! Property-based tests for the split kernels: the invariants that make
 //! "exact training" exact, checked over randomised inputs.
 
-use ts_datatable::Column;
-use ts_splits::condition::partition_rows;
-use ts_splits::exact::{best_numeric_split, best_split_for_column};
+use ts_datatable::{Column, ValuesBuf, MISSING_CAT};
+use ts_splits::condition::{partition_rows, partition_rows_buf};
+use ts_splits::exact::{best_numeric_split, best_split_for_column, ColumnSplit};
 use ts_splits::histogram::{BinCuts, NumericHistogram};
-use ts_splits::impurity::{Impurity, LabelView, NodeStats};
+use ts_splits::impurity::{Impurity, LabelView, NodeStats, RegAgg};
 use ts_splits::sketch::QuantileSketch;
 use ts_splits::SplitTest;
 use tscheck::prelude::*;
@@ -19,7 +19,98 @@ fn class_data() -> impl Strategy<Value = (Vec<f64>, Vec<u32>)> {
     })
 }
 
+/// The row partition as it was written up to commit cc275d2 — a `Value` built
+/// and matched per row, a branch into two pushes — kept as the reference of
+/// the branch-free one.
+fn push_loop_partition(
+    col: &Column,
+    ix: &[u32],
+    test: &SplitTest,
+    missing_left: bool,
+) -> (Vec<u32>, Vec<u32>) {
+    let (mut left, mut right) = (Vec::new(), Vec::new());
+    for &r in ix {
+        if test
+            .goes_left(col.value(r as usize))
+            .unwrap_or(missing_left)
+        {
+            left.push(r);
+        } else {
+            right.push(r);
+        }
+    }
+    (left, right)
+}
+
+/// A column with missing cells and a test of its kind: thresholds inside,
+/// at the edge of and outside the values; `CatIn` sets that are empty, that
+/// stop below the column's largest code, and that hold every code.
+fn column_and_test() -> impl Strategy<Value = (Column, SplitTest)> {
+    let numeric = (
+        tscheck::collection::vec(
+            prop_oneof![6 => -10.0..10.0f64, 2 => (-4..4i32).prop_map(f64::from), 1 => Just(f64::NAN)],
+            1..200,
+        ),
+        prop_oneof![6 => -10.0..10.0f64, 1 => Just(-11.0f64), 1 => Just(11.0f64), 1 => Just(3.0f64)],
+    )
+        .prop_map(|(xs, t)| (Column::Numeric(xs), SplitTest::NumericLe(t)));
+    let categorical = (1u32..12).prop_flat_map(|n_values| {
+        (
+            tscheck::collection::vec(
+                prop_oneof![8 => 0..n_values, 1 => Just(MISSING_CAT)],
+                1..200,
+            ),
+            tscheck::collection::vec(0..n_values, 0..6),
+            any::<bool>(),
+        )
+            .prop_map(move |(codes, set, whole_domain)| {
+                let set = if whole_domain {
+                    (0..n_values).collect()
+                } else {
+                    set
+                };
+                (Column::Categorical(codes), SplitTest::cat_in(set))
+            })
+    });
+    prop_oneof![numeric, categorical]
+}
+
 proptest! {
+    /// The branch-free partition routes every row as the push loop did, over
+    /// the whole column and over a sparse ascending subset, whichever side
+    /// missing cells go to — empty sides included — and sized either way:
+    /// for any outcome (`partition_rows`) or from a split's child counts
+    /// (`partition_rows_buf`).
+    #[test]
+    fn branch_free_partition_equals_the_push_loop(
+        (col, test) in column_and_test(),
+        missing_left in any::<bool>(),
+        keep in tscheck::collection::vec(any::<bool>(), 200),
+    ) {
+        let all: Vec<u32> = (0..col.len() as u32).collect();
+        let sparse: Vec<u32> = all.iter().copied().filter(|&r| keep[r as usize]).collect();
+        let buf = match &col {
+            Column::Numeric(xs) => ValuesBuf::Numeric(xs.clone()),
+            Column::Categorical(codes) => ValuesBuf::Categorical(codes.clone()),
+        };
+        for ix in [&all, &sparse, &Vec::new()] {
+            let want = push_loop_partition(&col, ix, &test, missing_left);
+            prop_assert_eq!(&partition_rows(&col, ix, &test, missing_left), &want);
+            let counted = |rows: &[u32]| {
+                let n = rows.len() as u64;
+                NodeStats::Reg(RegAgg { n, ..RegAgg::default() })
+            };
+            let split = ColumnSplit {
+                test: test.clone(),
+                gain: 0.0,
+                missing_left,
+                left: counted(&want.0),
+                right: counted(&want.1),
+            };
+            prop_assert_eq!(&partition_rows_buf(&buf, ix, &split), &want);
+        }
+    }
+
     /// The split's child counts partition the rows and gain is positive;
     /// recomputing impurities from the returned children reproduces the gain
     /// over the present rows.

@@ -13,10 +13,10 @@ use ts_splits::exact::{
     best_cat_split_classification, best_cat_split_regression, best_numeric_split,
     distinct_categories, ColumnSplit,
 };
-use ts_splits::impurity::{Impurity, LabelView};
+use ts_splits::impurity::{Impurity, LabelView, NodeStats};
 use ts_splits::sorted::{
     best_cat_split_classification_at, best_cat_split_regression_at, best_numeric_split_at,
-    distinct_categories_at, NodeRows,
+    best_split_at, best_split_in, distinct_categories_at, ColumnRef, NodeOrders, NodeRows,
 };
 use tscheck::prelude::*;
 
@@ -200,6 +200,81 @@ proptest! {
         let sorted = distinct_categories_at(&codes, NodeRows::Subset(&rows), NV);
         prop_assert_eq!(legacy, sorted);
     }
+
+    /// The two engine entry points take the node's class totals from their
+    /// caller instead of counting them: with the totals of the node handed
+    /// in, rank selection and the node's own segment both return the
+    /// gathered reference's candidate — gain bits, threshold, missing side
+    /// and both children — for 2 to 9 classes, under Gini and entropy, over
+    /// the whole column and a subset, whether none, a twentieth or all of
+    /// the node's rows miss the column's value.
+    #[test]
+    fn handed_down_totals_equivalence(
+        (k, missing, xs, ys, keep) in (2u32..=9, 0usize..3, 2usize..160).prop_flat_map(|(k, missing, n)| {
+            let xs = tscheck::collection::vec(
+                prop_oneof![3 => -40.0..40.0f64, 2 => (-6..6i32).prop_map(f64::from)],
+                n,
+            );
+            (Just(k), Just(missing), xs, tscheck::collection::vec(0..k, n), keep_mask(n))
+        }),
+        holes in tscheck::collection::vec(0u32..20, 160),
+    ) {
+        let values: Vec<f64> = xs
+            .iter()
+            .zip(&holes)
+            .map(|(&x, &hole)| match missing {
+                0 => x,
+                1 if hole > 0 => x,
+                _ => f64::NAN,
+            })
+            .collect();
+        let index = SortedColumn::from_numeric(&values);
+        let col = ColumnRef::Numeric { values: &values, index: &index };
+        let labels = LabelView::Class(&ys, k);
+        let all: Vec<u32> = (0..values.len() as u32).collect();
+        let subset = ascending_rows(&keep);
+        for (rows, node) in [
+            (&all, NodeRows::All(values.len())),
+            (&subset, NodeRows::Subset(&subset)),
+        ] {
+            let gys = gather_u(&ys, rows);
+            let stats = node.stats(labels);
+            prop_assert_eq!(&stats, &NodeStats::from_view(LabelView::Class(&gys, k)));
+            let mut orders = NodeOrders::new([&index], values.len());
+            let (segs, _) = orders.split(&orders.root(), rows);
+            for imp in [Impurity::Gini, Impurity::Entropy] {
+                let reference =
+                    best_numeric_split(&gather_f(&values, rows), LabelView::Class(&gys, k), imp);
+                prop_assert!(missing < 2 || reference.is_none());
+                let at = best_split_at(col, node, &stats, labels, imp)
+                    .map(|c| c.finish(col, node, labels));
+                assert_same_split(&reference, &at)?;
+                let within = best_split_in(col, orders.segment(0, &segs), node, &stats, labels, imp)
+                    .map(|c| c.finish(col, node, labels));
+                assert_same_split(&reference, &within)?;
+            }
+        }
+    }
+}
+
+/// The totals are the caller's word: debug builds check them against the
+/// scan buffer, so a caller that hands in another node's counts — here one
+/// label moved from class 0 to class 1, the total unchanged — is caught.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "totals handed to the scan")]
+fn wrong_totals_trip_the_debug_assertion() {
+    let values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+    let ys = [0u32, 0, 1, 1, 2, 2];
+    let wrong = [1u32, 0, 1, 1, 2, 2];
+    let index = SortedColumn::from_numeric(&values);
+    let col = ColumnRef::Numeric {
+        values: &values,
+        index: &index,
+    };
+    let node = NodeRows::All(values.len());
+    let stats = node.stats(LabelView::Class(&wrong, K));
+    best_split_at(col, node, &stats, LabelView::Class(&ys, K), Impurity::Gini);
 }
 
 /// Runs the engine's numeric kernel over one column/labels/subset triple

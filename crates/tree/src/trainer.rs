@@ -14,6 +14,19 @@
 //! the node's segments into its children's — `O(rows)` per column per tree
 //! level, no per-node sort and no pass over rows outside the node
 //! (docs/PERF.md).
+//!
+//! A node's rows are touched once per column and once more to be handed to
+//! its children; whatever else is known about the node is handed over, not
+//! recomputed (docs/PERF.md, "What a node costs besides its scan"):
+//!
+//! - only the root counts its labels. Every other node's statistics are the
+//!   `left` / `right` of the split that made it — class counts read off the
+//!   scan, regression sums routed in ascending row order, either way the
+//!   bits a recount of the node's rows gives (debug builds make the recount
+//!   and compare) — and the scans of the node's columns start from them;
+//! - a split whose children are both leaves by the trainer's own rule
+//!   (`dmax` reached, at most `tau_leaf` rows, pure) pushes two leaves from
+//!   those statistics and partitions nothing: no row of a leaf is read again.
 
 use crate::dataset::LocalDataset;
 use crate::model::{DecisionTreeModel, Node, Prediction, SplitInfo};
@@ -148,7 +161,10 @@ pub fn train_subtree(
         orders,
     };
     let all: Vec<u32> = (0..data.n_rows() as u32).collect();
-    builder.build(all, root, 0);
+    // The one count of the subtree: every other node's statistics come with
+    // the split that created it.
+    let stats = NodeStats::from_view(builder.view);
+    builder.build(all, root, stats, 0);
     DecisionTreeModel::new(builder.nodes, data.task)
 }
 
@@ -167,28 +183,52 @@ struct Builder<'a> {
 }
 
 impl Builder<'_> {
+    /// Whether a node with these statistics at relative depth `depth` is a
+    /// leaf whatever its columns hold — the rule the master applies to a
+    /// column-task's children too.
+    fn must_leaf(&self, stats: &NodeStats, depth: u32) -> bool {
+        self.base_depth.saturating_add(depth) >= self.params.dmax
+            || stats.n() <= self.params.tau_leaf
+            || stats.is_pure()
+    }
+
+    /// Pushes a leaf with these statistics; returns its arena index.
+    fn leaf(&mut self, stats: &NodeStats, depth: u32) -> usize {
+        let leaf = Node::leaf(prediction_from_stats(stats), stats.n(), depth);
+        self.nodes.push(leaf);
+        self.nodes.len() - 1
+    }
+
+    /// The statistics of `positions`, counted: what a node's inherited
+    /// statistics are checked against in debug builds.
+    fn recount(&self, positions: &[u32]) -> NodeStats {
+        NodeRows::Subset(positions).stats(self.view)
+    }
+
     /// Builds the node over `positions` (ascending row positions within the
-    /// dataset), which owns the segments `segs` of the presorted orders, at
-    /// relative depth `depth`; returns its arena index.
-    fn build(&mut self, positions: Vec<u32>, segs: Segments, depth: u32) -> usize {
-        let n = positions.len() as u64;
-        let stats =
-            NodeStats::from_view_positions(self.view, positions.iter().map(|&p| p as usize));
-        let prediction = prediction_from_stats(&stats);
-
-        let abs_depth = self.base_depth.saturating_add(depth);
-        let must_leaf =
-            abs_depth >= self.params.dmax || n <= self.params.tau_leaf || stats.is_pure();
-
-        let chosen = if must_leaf {
+    /// dataset), which owns the segments `segs` of the presorted orders and
+    /// has the label statistics `stats`, at relative depth `depth`; returns
+    /// its arena index.
+    fn build(
+        &mut self,
+        positions: Vec<u32>,
+        segs: Segments,
+        stats: NodeStats,
+        depth: u32,
+    ) -> usize {
+        debug_assert_eq!(
+            stats,
+            self.recount(&positions),
+            "a node's inherited statistics must equal a recount of its rows"
+        );
+        let chosen = if self.must_leaf(&stats, depth) {
             None
         } else {
-            self.choose_split(&positions, &segs)
+            self.choose_split(&positions, &segs, &stats)
         };
-
-        let id = self.nodes.len();
+        // Pre-order arena: the node, then its left subtree, then its right.
+        let id = self.leaf(&stats, depth);
         let Some((col_idx, split)) = chosen else {
-            self.nodes.push(Node::leaf(prediction, n, depth));
             return id;
         };
 
@@ -207,19 +247,34 @@ impl Builder<'_> {
             }
             AttrType::Numeric => None,
         };
-        let (left_positions, right_positions) = partition_rows_buf(
-            &self.data.columns[col_idx],
-            &positions,
-            &split.test,
-            split.missing_left,
-        );
-        debug_assert_eq!(left_positions.len() as u64, split.n_left());
-        debug_assert_eq!(right_positions.len() as u64, split.n_right());
-        let (left_segs, right_segs) = self.orders.split(&segs, &left_positions);
-        drop((positions, segs));
-
-        // Reserve the parent slot, then grow children (pre-order arena).
-        self.nodes.push(Node::leaf(prediction, n, depth));
+        let column = &self.data.columns[col_idx];
+        let (l, r) = if self.must_leaf(&split.left, depth + 1)
+            && self.must_leaf(&split.right, depth + 1)
+        {
+            // Nothing below reads the children's rows or segments: they are
+            // their statistics, which the split came with.
+            debug_assert!(
+                {
+                    let (left, right) = partition_rows_buf(column, &positions, &split);
+                    self.recount(&left) == split.left && self.recount(&right) == split.right
+                },
+                "a split's child statistics must equal a recount of the child's rows"
+            );
+            (
+                self.leaf(&split.left, depth + 1),
+                self.leaf(&split.right, depth + 1),
+            )
+        } else {
+            let (left_positions, right_positions) = partition_rows_buf(column, &positions, &split);
+            debug_assert_eq!(left_positions.len() as u64, split.n_left());
+            debug_assert_eq!(right_positions.len() as u64, split.n_right());
+            let (left_segs, right_segs) = self.orders.split(&segs, &left_positions);
+            drop((positions, segs));
+            (
+                self.build(left_positions, left_segs, split.left, depth + 1),
+                self.build(right_positions, right_segs, split.right, depth + 1),
+            )
+        };
         let info = SplitInfo {
             attr: self.data.attrs[col_idx],
             test: split.test,
@@ -227,8 +282,6 @@ impl Builder<'_> {
             missing_left: split.missing_left,
             seen,
         };
-        let l = self.build(left_positions, left_segs, depth + 1);
-        let r = self.build(right_positions, right_segs, depth + 1);
         self.nodes[id].split = Some((info, l, r));
         id
     }
@@ -239,6 +292,7 @@ impl Builder<'_> {
         &mut self,
         positions: &[u32],
         segs: &[Range<usize>],
+        stats: &NodeStats,
     ) -> Option<(usize, ColumnSplit)> {
         match self.params.mode {
             TrainMode::Exact => {
@@ -254,8 +308,9 @@ impl Builder<'_> {
 
                 let col =
                     |i: usize| ColumnRef::of_buf(&data.columns[i], &data.sorted[i], data.types[i]);
-                let eval =
-                    |i: usize| best_split_in(col(i), orders.segment(i, segs), node, view, imp);
+                let eval = |i: usize| {
+                    best_split_in(col(i), orders.segment(i, segs), node, stats, view, imp)
+                };
                 let threads = self.params.threads;
                 let results: Vec<Option<SplitCandidate>> =
                     if threads != 1 && data.n_cols() > 1 && positions.len() >= PAR_COLS_MIN_ROWS {

@@ -336,3 +336,135 @@ fn subtree_below_the_root_fingerprint_is_pinned() {
     assert!(model.n_nodes() > 100, "{} nodes", model.n_nodes());
     assert_eq!(fingerprint(&model), SUBTREE_FINGERPRINT);
 }
+
+/// Fingerprints of the trees `node_step_trees` grows, one row per
+/// `(mode, labels)` and one column per `(dmax, tau_leaf)`, then of the two
+/// noise-free trees. Printed by this file's tests run against commit cc275d2
+/// — the last one whose trainer counted every node's labels itself,
+/// partitioned the rows of every split and recounted each column's winner.
+/// They are not to be regenerated from the code under test.
+const NODE_STEP_FINGERPRINTS: [[u64; 8]; 4] = [
+    [
+        8_214_485_207_617_723_460,
+        8_214_485_207_617_723_460,
+        5_443_626_246_183_438_701,
+        5_443_626_246_183_438_701,
+        15_109_318_736_675_208_370,
+        8_254_546_151_378_453_587,
+        2_581_105_586_835_278_219,
+        1_515_197_271_968_465_822,
+    ],
+    [
+        8_908_733_097_032_172_843,
+        8_908_733_097_032_172_843,
+        16_939_614_413_099_360_275,
+        16_939_614_413_099_360_275,
+        16_710_179_167_699_445_287,
+        17_856_593_061_052_721_436,
+        2_263_291_425_349_563_071,
+        7_943_304_357_870_970_721,
+    ],
+    [
+        11_299_616_949_678_918_335,
+        11_299_616_949_678_918_335,
+        5_757_448_991_396_646_625,
+        10_166_358_554_423_610_027,
+        7_800_129_934_338_291_738,
+        11_737_504_013_474_445_274,
+        11_237_234_048_582_752_649,
+        9_991_835_823_261_250_759,
+    ],
+    [
+        9_608_519_382_544_154_325,
+        9_608_519_382_544_154_325,
+        14_398_956_460_538_769_178,
+        4_868_690_749_394_233_791,
+        14_287_098_745_641_545_393,
+        6_615_037_121_430_461_413,
+        7_060_754_054_174_328_023,
+        17_600_204_290_492_521_298,
+    ],
+];
+const PURE_LEAVES_FINGERPRINTS: [u64; 2] = [5_006_497_861_724_039_161, 8_511_758_343_945_726_758];
+
+fn node_step_table(task: Task, noise: f64) -> DataTable {
+    generate(&SynthSpec {
+        rows: 400,
+        numeric: 5,
+        categorical: 2,
+        cat_cardinality: 5,
+        task,
+        missing_rate: 0.05,
+        noise,
+        concept_depth: 4,
+        seed: 44,
+        ..Default::default()
+    })
+}
+
+/// Shallow trees over a table with 5 % missing cells: `dmax` 1–4 cuts the
+/// tree where both children of a split are leaves by depth, `tau_leaf` 50
+/// where they are by size, and every child that is a leaf takes its
+/// prediction from the statistics its parent's split came with — class
+/// counts read off the scan, regression sums routed in row order, and the
+/// random splits' of extra-trees.
+#[test]
+fn node_step_fingerprints_are_pinned() {
+    use ts_tree::TrainMode;
+    let mut got = [[0u64; 8]; 4];
+    let cases = [
+        (TrainMode::Exact, Task::Classification { n_classes: 3 }),
+        (TrainMode::Exact, Task::Regression),
+        (TrainMode::ExtraTrees, Task::Classification { n_classes: 3 }),
+        (TrainMode::ExtraTrees, Task::Regression),
+    ];
+    for (row, (mode, task)) in cases.into_iter().enumerate() {
+        let t = node_step_table(task, 0.1);
+        let all: Vec<usize> = (0..t.n_attrs()).collect();
+        for dmax in 1..=4u32 {
+            for (j, tau_leaf) in [1u64, 50].into_iter().enumerate() {
+                let params = TrainParams {
+                    dmax,
+                    tau_leaf,
+                    mode,
+                    ..TrainParams::for_task(task)
+                };
+                let model = train_tree(&t, &all, &params, 7);
+                assert!(model.max_depth() <= dmax);
+                got[row][(dmax as usize - 1) * 2 + j] = fingerprint(&model);
+            }
+        }
+    }
+    assert_eq!(got, NODE_STEP_FINGERPRINTS);
+}
+
+/// A noise-free concept grown to purity: splits whose children are both
+/// pure sit at every depth, so purity — not `dmax`, not `tau_leaf` — is what
+/// makes the pair of leaves.
+#[test]
+fn pure_leaves_fingerprints_are_pinned() {
+    use ts_tree::TrainMode;
+    let t = node_step_table(Task::Classification { n_classes: 3 }, 0.0);
+    let all: Vec<usize> = (0..t.n_attrs()).collect();
+    let got = [TrainMode::Exact, TrainMode::ExtraTrees].map(|mode| {
+        let params = TrainParams {
+            dmax: 30,
+            mode,
+            ..TrainParams::default()
+        };
+        let model = train_tree(&t, &all, &params, 7);
+        let pure_pairs = model
+            .nodes
+            .iter()
+            .filter_map(|n| n.split.as_ref())
+            .filter(|(_, l, r)| {
+                let leaf = |i: &usize| model.nodes[*i].is_leaf() && model.nodes[*i].n_rows > 1;
+                leaf(l) && leaf(r)
+            })
+            .count();
+        assert!(pure_pairs >= 1, "{mode:?}: no split into two pure leaves");
+        assert!(model.max_depth() < 30);
+        fingerprint(&model)
+    });
+    assert_eq!(got, PURE_LEAVES_FINGERPRINTS);
+}
