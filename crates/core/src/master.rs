@@ -991,7 +991,7 @@ impl Master {
     /// crash trigger on the n-th one: the key worker that just received the
     /// plan is silenced with a task-channel `Shutdown` (the worker cascades
     /// it into its own data loop and heartbeat thread — see
-    /// `Worker::task_loop`). Nothing here announces the crash to the
+    /// `Machine::task_loop` in `worker.rs`). Nothing here announces the crash to the
     /// scheduler: the worker simply goes dark, and the heartbeat detector
     /// (`check_heartbeats`) must *discover* it and run recovery.
     /// `Cluster::kill_worker` remains the externally-announced variant.

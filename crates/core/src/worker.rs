@@ -9,7 +9,9 @@
 //!   `Ix` requests against its delegate table, column requests against its
 //!   column store, and responses that complete its own pending tasks, and
 //! - a pool of **compers** pulling ready tasks from `Btask` and sending
-//!   results straight to the master.
+//!   results straight to the master,
+//!
+//! plus a heartbeat thread beaconing liveness until `Shutdown`.
 //!
 //! A column-task's row set `Ix` survives the result send in the *awaiting
 //! verdict* table; when the master confirms this worker's split as the
@@ -19,13 +21,19 @@
 //! quotas are met. `Ix` requests that race ahead of `ConfirmBest` are parked
 //! and replayed.
 //!
-//! Lock discipline: the state mutex is never held across a fabric send
-//! (sends sleep under the link model).
+//! One owner, one lock: `Worker` holds every table, the pipeline counters,
+//! the resident columns and the labels as plain fields, and every handler
+//! takes `&mut self` and *returns* what it wants done — frames to send and
+//! tasks made ready (`Out`). The threads (`Machine`) share the worker behind
+//! one mutex and each runs `recv → lock → handle → unlock → send`, so no
+//! frame is sent with the lock held (sends sleep under the link model). A
+//! computation — a comper's task, `ConfirmBest`'s partition, `HistFetch`'s
+//! recount — takes a `Snapshot` of `Arc` handles under the lock and runs
+//! with the lock free.
 
 use crate::ids::{ParentRef, RowSet, Side, TaskId, TreeId};
 use crate::messages::{ColumnPlan, ColumnTaskBest, DataMsg, HistPlanConf, SubtreePlan, TaskMsg};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 use ts_datatable::{AttrType, BinnedColumn, Column, Labels, SortedColumn, Task, ValuesBuf};
@@ -39,7 +47,7 @@ use ts_splits::random::random_split_for_column;
 use ts_splits::sorted::{best_split_at, distinct_categories_at, ColumnRef, NodeRows};
 use ts_splits::{partition_rows, SplitTest};
 use ts_tree::{train_subtree, LocalDataset, TrainMode, TrainParams};
-use tschan::sync::{Mutex, RwLock};
+use tschan::sync::Mutex;
 use tschan::{Receiver, Sender};
 use tsrand::rngs::StdRng;
 use tsrand::seq::SliceRandom;
@@ -51,6 +59,11 @@ fn ix_bytes(ix: &RowSet) -> usize {
         RowSet::All => 0,
         RowSet::Ids(v) => v.len() * 4,
     }
+}
+
+/// Accounted bytes of gathered column buffers.
+fn bufs_bytes<'a>(bufs: impl IntoIterator<Item = &'a ValuesBuf>) -> usize {
+    bufs.into_iter().map(ValuesBuf::payload_bytes).sum()
 }
 
 /// A task whose data is complete, ready for a comper.
@@ -73,12 +86,7 @@ enum PendingTask {
     /// Column-task waiting for `Ix`.
     Column { plan: ColumnPlan },
     /// Subtree-task (on its key worker) waiting for `Ix` and/or columns.
-    Subtree {
-        plan: SubtreePlan,
-        ix: Option<RowSet>,
-        remote_bufs: HashMap<usize, ValuesBuf>,
-        remote_needed: usize,
-    },
+    Subtree(Provisioning),
     /// A `ReqCols` we must serve once we learn `Ix`.
     Serve {
         tree: TreeId,
@@ -90,15 +98,40 @@ enum PendingTask {
     },
 }
 
+/// A subtree-task's dataset as it arrives on its key worker.
+struct Provisioning {
+    plan: SubtreePlan,
+    ix: Option<RowSet>,
+    /// Buffers received from remote holders, keyed by attribute.
+    remote_bufs: HashMap<usize, ValuesBuf>,
+    remote_needed: usize,
+}
+
 impl PendingTask {
     fn tree(&self) -> TreeId {
         match self {
             PendingTask::Column { plan } => plan.tree,
-            PendingTask::Subtree { plan, .. } => plan.tree,
+            PendingTask::Subtree(p) => p.plan.tree,
             PendingTask::Serve { tree, .. } => *tree,
         }
     }
+
+    /// Bytes charged to the machine for what has arrived so far: a
+    /// subtree-task's `Ix` and remote buffers (a column-task's `Ix` is
+    /// charged when it arrives, which also makes the task ready).
+    fn charged_bytes(&self) -> usize {
+        match self {
+            PendingTask::Subtree(p) => {
+                p.ix.as_ref().map_or(0, ix_bytes) + bufs_bytes(p.remote_bufs.values())
+            }
+            PendingTask::Column { .. } | PendingTask::Serve { .. } => 0,
+        }
+    }
 }
+
+/// The condition a delegate partitions `Ix` by: attribute, test, and the
+/// side missing values take.
+type Winning = (usize, SplitTest, bool);
 
 /// A computed column-task whose `Ix` (and winning condition) must survive
 /// until the master's verdict.
@@ -108,7 +141,13 @@ struct AwaitingVerdict {
     /// The task's impurity criterion, kept so a histogram `HistFetch`
     /// recount after the plan is gone uses the same criterion bit for bit.
     imp: Impurity,
-    winning: Option<(usize, SplitTest, bool)>,
+    /// Unknown for a histogram nomination until the master elects an
+    /// attribute and `HistFetch` recounts it.
+    winning: Option<Winning>,
+}
+
+fn winning(best: &ColumnTaskBest) -> Winning {
+    (best.attr, best.split.test.clone(), best.split.missing_left)
 }
 
 /// Delegate-worker state for one confirmed task (paper §V).
@@ -153,7 +192,130 @@ impl DelegateEntry {
 /// attributed to the requesting task's span.
 type ParkedIxReq = (TreeId, Side, NodeId, TaskId, TraceCtx);
 
-struct WorkerState {
+/// One held column with the indexes built over it when it arrived (load or
+/// replication), shared by every task over it.
+#[derive(Clone)]
+struct Held {
+    column: Arc<Column>,
+    sorted: Arc<SortedColumn>,
+    /// Quantized bin index of a numeric column in histogram mode.
+    binned: Option<Arc<BinnedColumn>>,
+}
+
+impl Held {
+    /// Presorts the column — and, in histogram mode, bins a numeric column
+    /// off the presorted order it was just given.
+    fn build(column: Arc<Column>, hist_bins: Option<usize>) -> Held {
+        let sorted = SortedColumn::build(&column);
+        let binned = match (hist_bins, column.as_numeric()) {
+            (Some(bins), Some(v)) => Some(Arc::new(BinnedColumn::from_order(
+                v,
+                sorted.numeric_order(),
+                bins,
+            ))),
+            _ => None,
+        };
+        Held {
+            column,
+            sorted: Arc::new(sorted),
+            binned,
+        }
+    }
+
+    /// Accounted bytes: the column, plus its compact bin ids in histogram
+    /// mode ("most memory is used to hold data columns", Table III).
+    fn bytes(&self) -> usize {
+        self.column.payload_bytes() + self.binned.as_ref().map_or(0, |b| b.payload_bytes())
+    }
+}
+
+/// The held column `attr`: the master only assigns a worker columns it
+/// holds, and a holder is only asked for columns it was listed for.
+fn held(data: &HashMap<usize, Held>, attr: usize) -> &Held {
+    data.get(&attr).expect("worker must hold the column")
+}
+
+/// What a worker is, fixed at spawn; the worker, its threads and every
+/// snapshot carry a copy.
+#[derive(Clone)]
+struct Env {
+    id: NodeId,
+    n_rows: usize,
+    work_ns_per_unit: u64,
+    task: Task,
+    attr_types: Arc<Vec<AttrType>>,
+    /// Bin budget for histogram mode; `None` disables bin-index building.
+    hist_bins: Option<usize>,
+    stats: Arc<NetStats>,
+}
+
+impl Env {
+    fn alloc(&self, bytes: usize) {
+        self.stats.mem_alloc(self.id, bytes);
+    }
+
+    fn free(&self, bytes: usize) {
+        self.stats.mem_free(self.id, bytes);
+    }
+
+    fn n_classes(&self) -> u32 {
+        self.task.n_classes().unwrap_or(0)
+    }
+
+    /// Sleeps for the modeled compute cost of `units` row-attribute touches
+    /// (no-op when the work model is off). See `ClusterConfig::work_ns_per_unit`.
+    fn model_work(&self, units: u64) {
+        if self.work_ns_per_unit > 0 {
+            std::thread::sleep(Duration::from_nanos(
+                units.saturating_mul(self.work_ns_per_unit),
+            ));
+        }
+    }
+}
+
+/// What a handler leaves for its thread to do once the lock is dropped:
+/// tasks for the comper pool, then frames to send, in order.
+#[derive(Default)]
+struct Out {
+    ready: Vec<ReadyTask>,
+    frames: Vec<Frame>,
+}
+
+/// One frame a handler wants sent.
+enum Frame {
+    /// To the master, on the task plane.
+    Master(TaskMsg),
+    /// To a worker, on the data plane.
+    Peer(NodeId, DataMsg),
+    /// To a worker, on the data plane, with a payload copied out of held
+    /// columns by the sending thread once the lock is dropped.
+    Copied(NodeId, Box<dyn FnOnce() -> DataMsg>),
+}
+
+impl Out {
+    fn of(frame: Frame) -> Out {
+        Out {
+            frames: vec![frame],
+            ..Out::default()
+        }
+    }
+
+    fn master(&mut self, msg: TaskMsg) {
+        self.frames.push(Frame::Master(msg));
+    }
+
+    fn peer(&mut self, to: NodeId, msg: DataMsg) {
+        self.frames.push(Frame::Peer(to, msg));
+    }
+}
+
+/// One worker machine's state.
+pub struct Worker {
+    env: Env,
+    labels: Arc<Labels>,
+    /// Every held column by attribute. Copy-on-write, so a snapshot is one
+    /// `Arc` clone and an install never waits for a comper.
+    data: Arc<HashMap<usize, Held>>,
     tasks: HashMap<TaskId, PendingTask>,
     awaiting: HashMap<TaskId, AwaitingVerdict>,
     delegates: HashMap<TaskId, DelegateEntry>,
@@ -162,127 +324,29 @@ struct WorkerState {
     parked: HashMap<TaskId, Vec<ParkedIxReq>>,
     /// Trees revoked by fault recovery: results for them are suppressed.
     revoked: HashSet<TreeId>,
-}
-
-/// One worker machine.
-pub struct Worker {
-    id: NodeId,
-    work_ns_per_unit: u64,
-    n_rows: usize,
-    task: Task,
-    labels: RwLock<Arc<Labels>>,
-    attr_types: Arc<Vec<AttrType>>,
-    columns: RwLock<HashMap<usize, Arc<Column>>>,
-    /// Presorted index per held column, built once when the column arrives
-    /// (load or replication) and shared by every column-task over it.
-    sorted: RwLock<HashMap<usize, Arc<SortedColumn>>>,
-    /// Quantized bin index per held *numeric* column (`--splitter hist`),
-    /// built alongside the sorted index; absent in exact mode.
-    binned: RwLock<HashMap<usize, Arc<BinnedColumn>>>,
-    /// Bin budget for histogram mode; `None` disables bin-index building.
-    hist_bins: Option<usize>,
-    state: Mutex<WorkerState>,
-    ready_tx: Sender<ReadyTask>,
-    fabric_task: Fabric<TaskMsg>,
-    fabric_data: Fabric<DataMsg>,
-    stats: Arc<NetStats>,
-    /// Cleared on `Shutdown`; stops the heartbeat thread, so a silenced
-    /// worker also goes silent on the liveness plane.
-    alive: AtomicBool,
-    /// Ready tasks enqueued for the comper pool minus tasks picked up —
-    /// the signal for "my compute backlog ran dry". Signed because the
-    /// comper-side decrement can observe the send before the increment.
-    ready_backlog: AtomicI64,
+    /// Tasks made ready for the comper pool and not yet picked up — the
+    /// hunger signal for work stealing.
+    ready_backlog: usize,
+    /// Tasks on a comper, picked up and not yet resulted; the drain's
+    /// "pipeline dry" check needs it alongside `ready_backlog`.
+    computing: usize,
     /// One outstanding `StealRequest` at a time; cleared when the master
     /// answers with any plan or an explicit `Donate`.
-    steal_outstanding: AtomicBool,
+    steal_outstanding: bool,
     /// Set by the master's `Drain` frame (`ts-elastic`): stop advertising
     /// hunger, finish what is queued, and report `Goodbye` when the local
     /// compute pipeline runs dry. The worker stays fully alive — serving
     /// its data plane and heartbeating — until the master's final
     /// `Shutdown`.
-    draining: AtomicBool,
+    draining: bool,
     /// `Goodbye` is sent exactly once per drain.
-    goodbye_sent: AtomicBool,
-    /// Tasks currently on a comper (picked up but not yet resulted); the
-    /// drain's "pipeline dry" check needs it alongside `ready_backlog`.
-    computing: AtomicI64,
+    goodbye_sent: bool,
+    /// Cleared on `Shutdown`: a silenced machine neither asks for work nor
+    /// says goodbye.
+    alive: bool,
 }
 
 impl Worker {
-    /// The worker's state, indexes built, and the receiving end of its ready
-    /// queue — no thread yet, so a test can drive the handlers one by one.
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        id: NodeId,
-        work_ns_per_unit: u64,
-        columns: HashMap<usize, Arc<Column>>,
-        labels: Arc<Labels>,
-        attr_types: Arc<Vec<AttrType>>,
-        task: Task,
-        fabric_task: Fabric<TaskMsg>,
-        fabric_data: Fabric<DataMsg>,
-        hist_bins: Option<usize>,
-    ) -> (Arc<Worker>, Receiver<ReadyTask>) {
-        let (ready_tx, ready_rx) = tschan::unbounded();
-        let stats = Arc::clone(fabric_task.stats());
-        let sorted: HashMap<usize, Arc<SortedColumn>> = columns
-            .iter()
-            .map(|(&attr, col)| (attr, Arc::new(SortedColumn::build(col))))
-            .collect();
-        // A numeric column is binned off the presorted order it was just given.
-        let binned: HashMap<usize, Arc<BinnedColumn>> = match hist_bins {
-            Some(bins) => columns
-                .iter()
-                .filter_map(|(&attr, col)| {
-                    let binned = BinnedColumn::from_order(
-                        col.as_numeric()?,
-                        sorted[&attr].numeric_order(),
-                        bins,
-                    );
-                    Some((attr, Arc::new(binned)))
-                })
-                .collect(),
-            None => HashMap::new(),
-        };
-        // The resident column data is the memory baseline of the machine
-        // ("most memory is used to hold data columns", Table III discussion);
-        // histogram mode adds its compact bin ids on top.
-        let col_bytes: usize = columns.values().map(|c| c.payload_bytes()).sum();
-        let bin_bytes: usize = binned.values().map(|b| b.payload_bytes()).sum();
-        stats.mem_alloc(id, col_bytes + labels.payload_bytes() + bin_bytes);
-        let worker = Arc::new(Worker {
-            id,
-            work_ns_per_unit,
-            n_rows: labels.len(),
-            task,
-            labels: RwLock::new(labels),
-            attr_types,
-            columns: RwLock::new(columns),
-            sorted: RwLock::new(sorted),
-            binned: RwLock::new(binned),
-            hist_bins,
-            state: Mutex::new(WorkerState {
-                tasks: HashMap::new(),
-                awaiting: HashMap::new(),
-                delegates: HashMap::new(),
-                parked: HashMap::new(),
-                revoked: HashSet::new(),
-            }),
-            ready_tx,
-            fabric_task,
-            fabric_data,
-            stats,
-            alive: AtomicBool::new(true),
-            ready_backlog: AtomicI64::new(0),
-            steal_outstanding: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            goodbye_sent: AtomicBool::new(false),
-            computing: AtomicI64::new(0),
-        });
-        (worker, ready_rx)
-    }
-
     /// Creates a worker holding `columns` (attr id → column) plus the full
     /// label column, and spawns its threads. Returns the join handles.
     #[allow(clippy::too_many_arguments)]
@@ -301,141 +365,102 @@ impl Worker {
         heartbeat_interval: Duration,
         hist_bins: Option<usize>,
     ) -> Vec<std::thread::JoinHandle<()>> {
-        let (worker, ready_rx) = Worker::new(
+        let env = Env {
             id,
+            n_rows: labels.len(),
             work_ns_per_unit,
-            columns,
-            labels,
-            attr_types,
             task,
-            fabric_task,
-            fabric_data,
+            attr_types,
             hist_bins,
-        );
-
-        let mut handles = Vec::new();
-        {
-            let w = Arc::clone(&worker);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("worker{id}-task"))
-                    .spawn(move || w.task_loop(task_rx, compers))
-                    .expect("spawn task loop"),
-            );
+            stats: Arc::clone(fabric_task.stats()),
+        };
+        let (machine, ready_rx) = Machine::new(env, columns, labels, fabric_task, fabric_data);
+        // The task loop holds the heartbeat's only sender and drops it at
+        // `Shutdown`, which ends the heartbeat's wait at once.
+        let (heartbeat, stop) = tschan::unbounded::<()>();
+        fn thread(name: String, f: impl FnOnce() + Send + 'static) -> std::thread::JoinHandle<()> {
+            (std::thread::Builder::new().name(name).spawn(f)).expect("spawn worker thread")
         }
-        {
-            let w = Arc::clone(&worker);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("worker{id}-data"))
-                    .spawn(move || w.data_loop(data_rx))
-                    .expect("spawn data loop"),
-            );
-        }
+        let m = machine.clone();
+        let mut handles = vec![thread(format!("worker{id}-task"), move || {
+            m.task_loop(task_rx, compers, heartbeat)
+        })];
+        let m = machine.clone();
+        handles.push(thread(format!("worker{id}-data"), move || {
+            m.data_loop(data_rx)
+        }));
         for c in 0..compers {
-            let w = Arc::clone(&worker);
-            let rx = ready_rx.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("worker{id}-comper{c}"))
-                    .spawn(move || w.comper_loop(rx))
-                    .expect("spawn comper"),
-            );
+            let (m, rx) = (machine.clone(), ready_rx.clone());
+            handles.push(thread(format!("worker{id}-comper{c}"), move || {
+                m.comper_loop(rx)
+            }));
         }
-        {
-            let w = Arc::clone(&worker);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("worker{id}-hb"))
-                    .spawn(move || w.heartbeat_loop(heartbeat_interval))
-                    .expect("spawn heartbeat"),
-            );
-        }
+        let fabric = machine.fabric_task;
+        handles.push(thread(format!("worker{id}-hb"), move || {
+            heartbeat_loop(fabric, id, heartbeat_interval, stop)
+        }));
         handles
     }
 
-    /// Liveness beacon: one unreliable `Heartbeat` to the master per
-    /// interval until shutdown. Unreliable on purpose — a heartbeat that a
-    /// fault plan drops must stay lost (that is the signal the detector
-    /// reads), and beacons must not queue behind the ordered-delivery
-    /// buffer of the reliable protocol.
-    fn heartbeat_loop(self: Arc<Self>, interval: Duration) {
-        // Sleep in small chunks so shutdown never waits a full interval.
-        let chunk = interval
-            .min(Duration::from_millis(2))
-            .max(Duration::from_micros(100));
-        let mut elapsed = Duration::ZERO;
-        while self.alive.load(Ordering::Acquire) {
-            std::thread::sleep(chunk);
-            elapsed += chunk;
-            if elapsed >= interval {
-                elapsed = Duration::ZERO;
-                if !self.alive.load(Ordering::Acquire) {
-                    break;
-                }
-                let _ = self.fabric_task.send_unreliable(
-                    self.id,
-                    0,
-                    TaskMsg::Heartbeat { worker: self.id },
-                );
-            }
+    fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            env: self.env.clone(),
+            labels: Arc::clone(&self.labels),
+            data: Arc::clone(&self.data),
+        }
+    }
+
+    /// Installs freshly-received columns with their indexes, so column-tasks
+    /// always find a column and its indexes together under one attr id.
+    fn install(&mut self, columns: Vec<(usize, Held)>) {
+        let data = Arc::make_mut(&mut self.data);
+        for (attr, h) in columns {
+            self.env.alloc(h.bytes());
+            data.insert(attr, h);
         }
     }
 
     /// Hands a provisioned task to the comper pool, keeping the ready
-    /// backlog counter in step (the hunger signal for work stealing). A
-    /// subtree-task's trace span gets its "ready" mark here: its dataset is
-    /// assembled, and what follows until a comper picks it up is queue wait.
-    fn push_ready(&self, task: ReadyTask) {
-        if !matches!(task, ReadyTask::Stop) {
-            self.ready_backlog.fetch_add(1, Ordering::AcqRel);
-        }
+    /// backlog in step. A subtree-task's trace span gets its "ready" mark
+    /// here: its dataset is assembled, and what follows until a comper picks
+    /// it up is queue wait.
+    fn make_ready(&mut self, task: ReadyTask, out: &mut Out) {
+        self.ready_backlog += 1;
         #[cfg(feature = "obs")]
         if let ReadyTask::Subtree { plan, .. } = &task {
             obs_event!(
-                self.stats,
-                self.id,
+                self.env.stats,
+                self.env.id,
                 ts_obs::Event::SpanReady {
                     span: plan.ctx.span.0,
-                    node: self.id as u32,
+                    node: self.env.id as u32,
                 }
             );
         }
-        let _ = self.ready_tx.send(task);
+        out.ready.push(task);
     }
 
-    /// Called by a comper that just finished a task: when the ready
-    /// backlog is empty and no request is in flight, advertise hunger to
-    /// the master. The request is an accelerator — if it (or its Donate)
-    /// is lost, the flag is cleared by the next plan that arrives anyway.
-    fn maybe_request_steal(&self) {
-        if !self.alive.load(Ordering::Acquire) {
-            return;
-        }
+    /// When the ready backlog is empty and no request is in flight,
+    /// advertise hunger to the master. The request is an accelerator — if
+    /// it (or its Donate) is lost, the latch is cleared by the next plan
+    /// that arrives anyway.
+    fn maybe_request_steal(&mut self, out: &mut Out) {
         // A draining worker must wind down, not attract more work (the
         // master forgot its deque anyway).
-        if self.draining.load(Ordering::Acquire) {
+        if !self.alive || self.draining || self.ready_backlog > 0 || self.steal_outstanding {
             return;
         }
-        if self.ready_backlog.load(Ordering::Acquire) > 0 {
-            return;
-        }
-        if self
-            .steal_outstanding
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            obs_event!(
-                self.stats,
-                self.id,
-                ts_obs::Event::StealRequested {
-                    worker: self.id as u32
-                }
-            );
-            let _ = self
-                .fabric_task
-                .send(self.id, 0, TaskMsg::StealRequest { worker: self.id });
-        }
+        self.steal_outstanding = true;
+        obs_event!(
+            self.env.stats,
+            self.env.id,
+            ts_obs::Event::StealRequested {
+                worker: self.env.id as u32
+            }
+        );
+        out.master(TaskMsg::StealRequest {
+            worker: self.env.id,
+        });
     }
 
     /// Drain progress check: once the ready queue and the comper pipeline
@@ -444,377 +469,295 @@ impl Worker {
     /// parked for `Ix`/columns and the delegate table are in-flight state
     /// the *master* tracks (`touches`), and the worker keeps serving its
     /// data plane until the final `Shutdown` arrives.
-    fn maybe_goodbye(&self) {
-        if !self.draining.load(Ordering::Acquire)
-            || !self.alive.load(Ordering::Acquire)
-            || self.ready_backlog.load(Ordering::Acquire) > 0
-            || self.computing.load(Ordering::Acquire) > 0
+    fn maybe_goodbye(&mut self, out: &mut Out) {
+        if self.draining
+            && self.alive
+            && !self.goodbye_sent
+            && self.ready_backlog == 0
+            && self.computing == 0
         {
-            return;
-        }
-        if self
-            .goodbye_sent
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            let _ = self
-                .fabric_task
-                .send(self.id, 0, TaskMsg::Goodbye { worker: self.id });
-        }
-    }
-
-    fn n_classes(&self) -> u32 {
-        self.task.n_classes().unwrap_or(0)
-    }
-
-    /// The effective prediction task: boosting rounds swap in real-valued
-    /// pseudo-targets, turning every tree into a regression tree regardless
-    /// of the table's original task.
-    fn current_task(&self) -> Task {
-        match &**self.labels.read() {
-            Labels::Real(_) => Task::Regression,
-            Labels::Class(_) => self.task,
+            self.goodbye_sent = true;
+            out.master(TaskMsg::Goodbye {
+                worker: self.env.id,
+            });
         }
     }
 
     // ------------------------------------------------------------------
-    /// Installs freshly-received columns (initial load or replication):
-    /// accounts their memory and builds the presorted index — plus, in
-    /// histogram mode, the bin index for numeric columns — alongside, so
-    /// column-tasks always find all of them under the same attr id. Lock
-    /// order is columns-then-sorted-then-binned everywhere.
-    fn install_columns(&self, columns: Vec<(usize, Column)>) {
-        let mut store = self.columns.write();
-        let mut sorted = self.sorted.write();
-        let mut binned = self.binned.write();
-        for (attr, col) in columns {
-            self.stats.mem_alloc(self.id, col.payload_bytes());
-            let index = SortedColumn::build(&col);
-            if let (Some(bins), Some(v)) = (self.hist_bins, col.as_numeric()) {
-                let b = BinnedColumn::from_order(v, index.numeric_order(), bins);
-                self.stats.mem_alloc(self.id, b.payload_bytes());
-                binned.insert(attr, Arc::new(b));
+    // Task plane (worker θ_main): plans and control messages from master.
+    // ------------------------------------------------------------------
+
+    /// A task-plane frame. `ConfirmBest`, `HistFetch` and `LoadColumns`
+    /// compute outside the lock and come in through their halves instead
+    /// (`Machine::on_task`).
+    fn on_task(&mut self, msg: TaskMsg) -> Out {
+        let mut out = Out::default();
+        match msg {
+            TaskMsg::ColumnPlan(plan) => self.on_column_plan(plan, &mut out),
+            TaskMsg::SubtreePlan(plan) => self.on_subtree_plan(plan, &mut out),
+            TaskMsg::DropTask { task } => {
+                if let Some(av) = self.awaiting.remove(&task) {
+                    self.env.free(ix_bytes(&av.ix));
+                }
             }
-            sorted.insert(attr, Arc::new(index));
-            store.insert(attr, Arc::new(col));
-        }
-    }
-
-    // Task loop (worker θ_main): plans and control messages from master.
-    // ------------------------------------------------------------------
-    fn task_loop(self: Arc<Self>, rx: FabricReceiver<TaskMsg>, compers: usize) {
-        while let Ok(msg) = rx.recv() {
-            match msg {
-                TaskMsg::ColumnPlan(plan) => self.on_column_plan(plan),
-                TaskMsg::SubtreePlan(plan) => self.on_subtree_plan(plan),
-                TaskMsg::ConfirmBest { task } => self.on_confirm_best(task),
-                TaskMsg::HistFetch { task, attr, ctx } => self.on_hist_fetch(task, attr, ctx),
-                TaskMsg::DropTask { task } => self.on_drop_task(task),
-                TaskMsg::ServeQuota { task, side, quota } => self.on_serve_quota(task, side, quota),
-                TaskMsg::RevokeTree { tree } => self.on_revoke_tree(tree),
-                TaskMsg::LoadColumns { columns } => self.install_columns(columns),
-                TaskMsg::LoadLabels { labels } => {
-                    // Boosting support: the client distributes a fresh target
-                    // column between rounds (the cluster is quiesced — the
-                    // caller waits for the previous round's job first).
-                    assert_eq!(labels.len(), self.n_rows, "label column length");
-                    *self.labels.write() = Arc::new(labels);
-                }
-                TaskMsg::ReplicateTo { attrs, to, ctx } => {
-                    let columns: Vec<(usize, Column)> = {
-                        let store = self.columns.read();
-                        attrs
-                            .iter()
-                            .map(|a| {
-                                (
-                                    *a,
-                                    (**store.get(a).expect("replica source holds column")).clone(),
-                                )
-                            })
-                            .collect()
-                    };
-                    // The migration span rides the bulk transfer and its
-                    // eventual ReplicateDone, so retries stay attributed.
-                    let _ =
-                        self.fabric_data
-                            .send(self.id, to, DataMsg::ReplicateCols { columns, ctx });
-                }
-                TaskMsg::Welcome { .. } => {
-                    // Join handshake ack. Nothing to set up here: columns
-                    // arrive via `ReplicateCols` on the data plane, and the
-                    // heartbeat thread has been beating since spawn.
-                }
-                TaskMsg::Drain => {
-                    self.draining.store(true, Ordering::Release);
-                    // Maybe the pipeline is already dry.
-                    self.maybe_goodbye();
-                }
-                TaskMsg::Shutdown => {
-                    // Silence the heartbeat first: from the master's point
-                    // of view this machine is now dark.
-                    self.alive.store(false, Ordering::Release);
-                    for _ in 0..compers {
-                        let _ = self.ready_tx.send(ReadyTask::Stop);
+            TaskMsg::ServeQuota { task, side, quota } => self.on_serve_quota(task, side, quota),
+            TaskMsg::RevokeTree { tree } => self.on_revoke_tree(tree),
+            TaskMsg::LoadLabels { labels } => {
+                // Boosting support: the client distributes a fresh target
+                // column between rounds (the cluster is quiesced — the
+                // caller waits for the previous round's job first).
+                assert_eq!(labels.len(), self.env.n_rows, "label column length");
+                self.labels = Arc::new(labels);
+            }
+            TaskMsg::ReplicateTo { attrs, to, ctx } => {
+                let held: Vec<_> = (attrs.into_iter())
+                    .map(|a| (a, Arc::clone(&held(&self.data, a).column)))
+                    .collect();
+                // The migration span rides the bulk transfer and its
+                // eventual ReplicateDone, so retries stay attributed.
+                let copy = move || {
+                    let columns = held.into_iter().map(|(a, c)| (a, Column::clone(&c)));
+                    let columns = columns.collect();
+                    DataMsg::ReplicateCols { columns, ctx }
+                };
+                out.frames.push(Frame::Copied(to, Box::new(copy)));
+            }
+            TaskMsg::Welcome { .. } => {
+                // Join handshake ack. Nothing to set up here: columns
+                // arrive via `ReplicateCols` on the data plane, and the
+                // heartbeat thread has been beating since spawn.
+            }
+            TaskMsg::Drain => {
+                self.draining = true;
+                // Maybe the pipeline is already dry.
+                self.maybe_goodbye(&mut out);
+            }
+            TaskMsg::Shutdown => self.alive = false,
+            TaskMsg::Donate { ctx: _ctx, .. } => {
+                // The master answered our steal request: the stolen
+                // task's plan follows on this same FIFO channel. The
+                // SpanRecv here is the steal edge in the span DAG.
+                obs_event!(
+                    self.env.stats,
+                    self.env.id,
+                    ts_obs::Event::SpanRecv {
+                        span: _ctx.span.0,
+                        node: self.env.id as u32,
                     }
-                    // Stop the data loop too (self-send is free and FIFO,
-                    // so queued data messages drain first).
-                    let _ = self.fabric_data.send(self.id, self.id, DataMsg::Shutdown);
-                    break;
-                }
-                TaskMsg::Donate { ctx: _ctx, .. } => {
-                    // The master answered our steal request: the stolen
-                    // task's plan follows on this same FIFO channel. The
-                    // SpanRecv here is the steal edge in the span DAG.
-                    obs_event!(
-                        self.stats,
-                        self.id,
-                        ts_obs::Event::SpanRecv {
-                            span: _ctx.span.0,
-                            node: self.id as u32,
-                        }
-                    );
-                    self.steal_outstanding.store(false, Ordering::Release);
-                }
-                // Master-only messages never reach workers.
-                TaskMsg::ColumnResult { .. }
-                | TaskMsg::HistNominate { .. }
-                | TaskMsg::HistBest { .. }
-                | TaskMsg::SubtreeResult { .. }
-                | TaskMsg::ReplicateDone { .. }
-                | TaskMsg::StealRequest { .. }
-                | TaskMsg::Hello { .. }
-                | TaskMsg::Goodbye { .. }
-                | TaskMsg::Heartbeat { .. } => {
-                    unreachable!("master-bound message delivered to a worker")
-                }
+                );
+                self.steal_outstanding = false;
+            }
+            TaskMsg::ConfirmBest { .. }
+            | TaskMsg::HistFetch { .. }
+            | TaskMsg::LoadColumns { .. } => {
+                unreachable!("computed outside the lock by Machine::on_task")
+            }
+            // Master-only messages never reach workers.
+            TaskMsg::ColumnResult { .. }
+            | TaskMsg::HistNominate { .. }
+            | TaskMsg::HistBest { .. }
+            | TaskMsg::SubtreeResult { .. }
+            | TaskMsg::ReplicateDone { .. }
+            | TaskMsg::StealRequest { .. }
+            | TaskMsg::Hello { .. }
+            | TaskMsg::Goodbye { .. }
+            | TaskMsg::Heartbeat { .. } => {
+                unreachable!("master-bound message delivered to a worker")
             }
         }
+        out
     }
 
-    fn on_column_plan(&self, plan: ColumnPlan) {
-        // Any plan arriving means the master is feeding us again — a lost
-        // steal request (or Donate) must not wedge the hunger signal.
-        self.steal_outstanding.store(false, Ordering::Release);
-        // Cross-machine causality: the master's task span is now live here.
+    /// A plan arrived: the master is feeding us again — a lost steal request
+    /// (or Donate) must not wedge the hunger signal — and the master's task
+    /// span is now live here (cross-machine causality).
+    fn plan_arrived(&mut self, _ctx: TraceCtx) {
+        self.steal_outstanding = false;
         obs_event!(
-            self.stats,
-            self.id,
+            self.env.stats,
+            self.env.id,
             ts_obs::Event::SpanRecv {
-                span: plan.ctx.span.0,
-                node: self.id as u32,
+                span: _ctx.span.0,
+                node: self.env.id as u32,
             }
         );
+    }
+
+    fn on_column_plan(&mut self, plan: ColumnPlan, out: &mut Out) {
+        self.plan_arrived(plan.ctx);
         match plan.parent {
             ParentRef::Root => {
-                self.push_ready(ReadyTask::Column {
+                let ready = ReadyTask::Column {
                     plan,
                     ix: RowSet::All,
-                });
+                };
+                self.make_ready(ready, out);
             }
-            ParentRef::Node {
-                worker,
-                task: ptask,
-                side,
-            } => {
-                let task = plan.task;
-                let tree = plan.tree;
-                let ctx = plan.ctx;
-                self.state
-                    .lock()
-                    .tasks
-                    .insert(task, PendingTask::Column { plan });
-                self.request_ix(worker, ptask, side, task, tree, ctx);
+            parent => {
+                self.ask_for_ix(parent, plan.task, plan.tree, plan.ctx, out);
+                self.tasks.insert(plan.task, PendingTask::Column { plan });
             }
         }
     }
 
-    fn on_subtree_plan(&self, plan: SubtreePlan) {
-        self.steal_outstanding.store(false, Ordering::Release);
-        obs_event!(
-            self.stats,
-            self.id,
-            ts_obs::Event::SpanRecv {
-                span: plan.ctx.span.0,
-                node: self.id as u32,
-            }
-        );
-        let task = plan.task;
-        let me = self.id;
-        let ctx = plan.ctx;
-        // Group remote column requests by holder.
-        let mut by_holder: HashMap<NodeId, Vec<usize>> = HashMap::new();
-        let mut remote_needed = 0usize;
+    fn on_subtree_plan(&mut self, plan: SubtreePlan, out: &mut Out) {
+        self.plan_arrived(plan.ctx);
+        let (me, task, tree, parent, ctx) =
+            (self.env.id, plan.task, plan.tree, plan.parent, plan.ctx);
+        // One column request per remote holder, in holder order.
+        let mut by_holder: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
         for &(attr, holder) in &plan.col_sources {
             if holder != me {
                 by_holder.entry(holder).or_default().push(attr);
-                remote_needed += 1;
             }
         }
-        let parent = plan.parent;
-        let tree = plan.tree;
-        let ix = match parent {
-            ParentRef::Root => Some(RowSet::All),
-            ParentRef::Node { .. } => None,
+        let remote_needed = by_holder.values().map(Vec::len).sum();
+        let ix = matches!(parent, ParentRef::Root).then_some(RowSet::All);
+        let p = Provisioning {
+            plan,
+            ix,
+            remote_bufs: HashMap::new(),
+            remote_needed,
         };
-        if ix.is_some() && remote_needed == 0 {
-            self.push_ready(ReadyTask::Subtree {
-                plan,
-                ix: RowSet::All,
-                remote_bufs: HashMap::new(),
-            });
-        } else {
-            self.state.lock().tasks.insert(
-                task,
-                PendingTask::Subtree {
-                    plan,
-                    ix,
-                    remote_bufs: HashMap::new(),
-                    remote_needed,
-                },
-            );
+        self.provision(task, p, out);
+        for (holder, attrs) in by_holder {
+            let req = DataMsg::ReqCols {
+                for_task: task,
+                attrs,
+                key_worker: me,
+                parent,
+                tree,
+                ctx,
+            };
+            out.peer(holder, req);
         }
-        // Fire the data requests after registering the entry.
-        let mut holders: Vec<(NodeId, Vec<usize>)> = by_holder.into_iter().collect();
-        holders.sort_unstable_by_key(|&(h, _)| h);
-        for (holder, attrs) in holders {
-            let _ = self.fabric_data.send(
-                me,
-                holder,
-                DataMsg::ReqCols {
-                    for_task: task,
-                    attrs,
-                    key_worker: me,
-                    parent,
-                    tree,
-                    ctx,
-                },
-            );
-        }
-        if let ParentRef::Node {
-            worker,
-            task: ptask,
-            side,
-        } = parent
-        {
-            self.request_ix(worker, ptask, side, task, tree, ctx);
-        }
+        self.ask_for_ix(parent, task, tree, ctx, out);
     }
 
-    fn request_ix(
+    /// Asks the parent worker for `for_task`'s half of its parent's rows; a
+    /// root task's rows are implicit.
+    fn ask_for_ix(
         &self,
-        parent_worker: NodeId,
-        ptask: TaskId,
-        side: Side,
+        parent: ParentRef,
         for_task: TaskId,
         tree: TreeId,
         ctx: TraceCtx,
+        out: &mut Out,
     ) {
-        let _ = self.fabric_data.send(
-            self.id,
-            parent_worker,
-            DataMsg::ReqIx {
-                parent_task: ptask,
+        if let ParentRef::Node { worker, task, side } = parent {
+            let req = DataMsg::ReqIx {
+                parent_task: task,
                 side,
-                requester: self.id,
+                requester: self.env.id,
                 for_task,
                 tree,
                 ctx,
-            },
-        );
+            };
+            out.peer(worker, req);
+        }
     }
 
-    /// The master confirmed this worker's condition as the node's best:
-    /// become the node's delegate. The verdict is taken out and the delegate
-    /// entry put in under the state lock, but `Ix` — up to the whole table's
-    /// rows — is partitioned between the two with the lock free, so the data
-    /// loop and the compers do not wait on the one hop between a node and
-    /// its children.
-    fn on_confirm_best(&self, task: TaskId) {
-        let Some(av) = self.state.lock().awaiting.remove(&task) else {
-            return; // revoked while the verdict was in flight
+    /// `ConfirmBest`, first half: the master confirmed this worker's
+    /// condition as the node's best, so the verdict leaves the table, with a
+    /// snapshot to partition `Ix` on — up to the whole table's rows, with the
+    /// lock free, so the data loop and the compers do not wait on the one
+    /// hop between a node and its children. `None`: revoked while the
+    /// verdict was in flight.
+    fn take_verdict(&mut self, task: TaskId) -> Option<(AwaitingVerdict, Snapshot)> {
+        let av = self.awaiting.remove(&task)?;
+        Some((av, self.snapshot()))
+    }
+
+    /// `ConfirmBest`, second half: registers the delegate entry of `task`
+    /// and answers the `Ix` requests that arrived before it — while the
+    /// verdict was on its way or while `Ix` was being partitioned, a request
+    /// finds no entry and parks.
+    fn install_delegate(
+        &mut self,
+        task: TaskId,
+        av: AwaitingVerdict,
+        (l, r): (Vec<u32>, Vec<u32>),
+    ) -> Out {
+        let mut out = Out::default();
+        self.env.free(ix_bytes(&av.ix));
+        if self.revoked.contains(&av.tree) {
+            // Revoked since the verdict was taken out: the revocation
+            // dropped the tree's parked requests and saw no entry to
+            // drop, so none may appear now.
+            return out;
+        }
+        self.env.alloc((l.len() + r.len()) * 4);
+        let entry = DelegateEntry {
+            tree: av.tree,
+            sides: [Some(l), Some(r)],
+            quota: [None, None],
+            served: [0, 0],
         };
-        let sides = self.partition_ix(&av);
-        self.install_delegate(task, av, sides);
-    }
-
-    /// Splits a confirmed task's `Ix` by its winning condition.
-    fn partition_ix(&self, av: &AwaitingVerdict) -> (Vec<u32>, Vec<u32>) {
-        let (attr, test, missing_left) = av
-            .winning
-            .as_ref()
-            .expect("master confirmed a worker that reported no split");
-        let col = Arc::clone(
-            self.columns
-                .read()
-                .get(attr)
-                .expect("delegate must hold its winning column"),
-        );
-        partition_rows(&col, &av.ix.to_ids(self.n_rows), test, *missing_left)
-    }
-
-    /// Registers the delegate entry of `task` and answers the `Ix` requests
-    /// that arrived before it: while the verdict was on its way or while
-    /// `Ix` was being partitioned, a request finds no entry and parks.
-    fn install_delegate(&self, task: TaskId, av: AwaitingVerdict, (l, r): (Vec<u32>, Vec<u32>)) {
-        self.stats.mem_free(self.id, ix_bytes(&av.ix));
-        let mut responses: Vec<(NodeId, DataMsg)> = Vec::new();
+        self.delegates.insert(task, entry);
+        for (_tree, side, requester, for_task, ctx) in self.parked.remove(&task).unwrap_or_default()
         {
-            let mut st = self.state.lock();
-            if st.revoked.contains(&av.tree) {
-                // Revoked since the verdict was taken out: the revocation
-                // dropped the tree's parked requests and saw no entry to
-                // drop, so none may appear now.
-                return;
-            }
-            self.stats.mem_alloc(self.id, (l.len() + r.len()) * 4);
-            st.delegates.insert(
-                task,
-                DelegateEntry {
-                    tree: av.tree,
-                    sides: [Some(l), Some(r)],
-                    quota: [None, None],
-                    served: [0, 0],
-                },
-            );
-            if let Some(parked) = st.parked.remove(&task) {
-                for (_tree, side, requester, for_task, ctx) in parked {
-                    if let Some(resp) = self.serve_ix(&mut st, task, side, for_task, ctx) {
-                        responses.push((requester, resp));
-                    }
-                }
+            if let Some(resp) = self.serve_ix(task, side, for_task, ctx) {
+                out.peer(requester, resp);
             }
         }
-        for (to, msg) in responses {
-            let _ = self.fabric_data.send(self.id, to, msg);
-        }
+        out
     }
 
-    fn on_drop_task(&self, task: TaskId) {
-        let mut st = self.state.lock();
-        if let Some(av) = st.awaiting.remove(&task) {
-            self.stats.mem_free(self.id, ix_bytes(&av.ix));
-        }
+    /// `HistFetch`, first half: the master elected one of our nominated
+    /// attributes; the retained `Ix` and criterion, with a snapshot to
+    /// recount on. `None`: revoked while the election was in flight.
+    fn fetch_inputs(&self, task: TaskId) -> Option<(RowSet, Impurity, Snapshot)> {
+        let av = self.awaiting.get(&task)?;
+        Some((av.ix.clone(), av.imp, self.snapshot()))
     }
 
-    fn on_serve_quota(&self, task: TaskId, side: Side, quota: u32) {
-        let mut st = self.state.lock();
-        if let Some(entry) = st.delegates.get_mut(&task) {
+    /// `HistFetch`, second half: remember the recounted winning condition
+    /// for the `ConfirmBest` that follows on this same FIFO edge, and ship
+    /// the full result.
+    fn set_hist_winner(
+        &mut self,
+        task: TaskId,
+        best: Option<ColumnTaskBest>,
+        ctx: TraceCtx,
+    ) -> Out {
+        let Some(av) = self.awaiting.get_mut(&task) else {
+            return Out::default(); // revoked during the recount: the master forgot us too
+        };
+        av.winning = best.as_ref().map(winning);
+        let worker = self.env.id;
+        Out::of(Frame::Master(TaskMsg::HistBest {
+            task,
+            worker,
+            best,
+            ctx,
+        }))
+    }
+
+    fn on_serve_quota(&mut self, task: TaskId, side: Side, quota: u32) {
+        if let Some(entry) = self.delegates.get_mut(&task) {
             entry.quota[DelegateEntry::side_idx(side)] = Some(quota);
             let freed = entry.release_satisfied();
-            self.stats.mem_free(self.id, freed);
-            if entry.done() {
-                st.delegates.remove(&task);
+            let done = entry.done();
+            self.env.free(freed);
+            if done {
+                self.delegates.remove(&task);
             }
         }
         // A quota for an unknown task means the tree was revoked meanwhile.
     }
 
-    fn on_revoke_tree(&self, tree: TreeId) {
-        let mut st = self.state.lock();
-        st.revoked.insert(tree);
-        st.tasks.retain(|_, t| t.tree() != tree);
+    fn on_revoke_tree(&mut self, tree: TreeId) {
+        self.revoked.insert(tree);
         let mut freed = 0usize;
-        st.awaiting.retain(|_, a| {
+        self.tasks.retain(|_, t| {
+            if t.tree() == tree {
+                freed += t.charged_bytes();
+                false
+            } else {
+                true
+            }
+        });
+        self.awaiting.retain(|_, a| {
             if a.tree == tree {
                 freed += ix_bytes(&a.ix);
                 false
@@ -822,7 +765,7 @@ impl Worker {
                 true
             }
         });
-        st.delegates.retain(|_, d| {
+        self.delegates.retain(|_, d| {
             if d.tree == tree {
                 freed += d.sides.iter().flatten().map(|s| s.len() * 4).sum::<usize>();
                 false
@@ -830,104 +773,119 @@ impl Worker {
                 true
             }
         });
-        for reqs in st.parked.values_mut() {
+        for reqs in self.parked.values_mut() {
             reqs.retain(|&(t, _, _, _, _)| t != tree);
         }
-        st.parked.retain(|_, reqs| !reqs.is_empty());
-        self.stats.mem_free(self.id, freed);
+        self.parked.retain(|_, reqs| !reqs.is_empty());
+        self.env.free(freed);
     }
 
     // ------------------------------------------------------------------
-    // Data loop (worker θ_recv): worker↔worker data plane.
+    // Data plane (worker θ_recv): worker↔worker data.
     // ------------------------------------------------------------------
-    fn data_loop(self: Arc<Self>, rx: FabricReceiver<DataMsg>) {
-        while let Ok(msg) = rx.recv() {
-            match msg {
-                DataMsg::ReqIx {
-                    parent_task,
-                    side,
-                    requester,
-                    for_task,
-                    tree,
-                    ctx,
-                } => self.on_req_ix(parent_task, (tree, side, requester, for_task, ctx)),
-                DataMsg::RespIx { for_task, rows, .. } => self.on_resp_ix(for_task, rows),
-                DataMsg::ReqCols {
-                    for_task,
-                    attrs,
-                    key_worker,
-                    parent,
-                    tree,
-                    ctx,
-                } => self.on_req_cols(for_task, attrs, key_worker, parent, tree, ctx),
-                DataMsg::RespCols {
-                    for_task,
-                    attrs,
-                    bufs,
-                    ..
-                } => self.on_resp_cols(for_task, attrs, bufs),
-                DataMsg::Shutdown => break,
-                DataMsg::ReplicateCols { columns, ctx } => {
-                    let attrs: Vec<usize> = columns.iter().map(|&(a, _)| a).collect();
-                    self.install_columns(columns);
-                    let _ = self.fabric_task.send(
-                        self.id,
-                        0,
-                        TaskMsg::ReplicateDone {
-                            attrs,
-                            worker: self.id,
-                            ctx,
-                        },
-                    );
+
+    /// A data-plane frame. `ReplicateCols` builds its indexes outside the
+    /// lock and comes in through `on_replicated` (`Machine::on_data`).
+    fn on_data(&mut self, msg: DataMsg) -> Out {
+        let mut out = Out::default();
+        match msg {
+            DataMsg::ReqIx {
+                parent_task,
+                side,
+                requester,
+                for_task,
+                tree,
+                ctx,
+            } => self.on_req_ix(
+                parent_task,
+                (tree, side, requester, for_task, ctx),
+                &mut out,
+            ),
+            DataMsg::RespIx { for_task, rows, .. } => self.on_resp_ix(for_task, rows, &mut out),
+            DataMsg::ReqCols {
+                for_task,
+                attrs,
+                key_worker,
+                parent: ParentRef::Root,
+                ctx,
+                ..
+            } => self.send_cols(for_task, attrs, key_worker, RowSet::All, ctx, &mut out),
+            DataMsg::ReqCols {
+                for_task,
+                attrs,
+                key_worker,
+                parent,
+                tree,
+                ctx,
+            } => {
+                if !self.revoked.contains(&tree) {
+                    let serve = PendingTask::Serve {
+                        tree,
+                        attrs,
+                        key_worker,
+                        ctx,
+                    };
+                    self.tasks.insert(for_task, serve);
+                    self.ask_for_ix(parent, for_task, tree, ctx, &mut out);
                 }
             }
+            DataMsg::RespCols {
+                for_task,
+                attrs,
+                bufs,
+                ..
+            } => self.on_resp_cols(for_task, attrs, bufs, &mut out),
+            DataMsg::ReplicateCols { .. } | DataMsg::Shutdown => {
+                unreachable!("handled by Machine::on_data and the data loop")
+            }
         }
+        out
+    }
+
+    /// The replicated columns are installed: the master may now list this
+    /// worker as their holder.
+    fn on_replicated(&mut self, columns: Vec<(usize, Held)>, ctx: TraceCtx) -> Out {
+        let attrs = columns.iter().map(|&(a, _)| a).collect();
+        self.install(columns);
+        let worker = self.env.id;
+        Out::of(Frame::Master(TaskMsg::ReplicateDone { attrs, worker, ctx }))
     }
 
     /// Serves one side of a delegate's `Ix`, or parks the request until the
     /// delegate entry exists.
-    fn on_req_ix(&self, parent_task: TaskId, req: ParkedIxReq) {
+    fn on_req_ix(&mut self, parent_task: TaskId, req: ParkedIxReq, out: &mut Out) {
         let (tree, side, requester, for_task, ctx) = req;
-        let response = {
-            let mut st = self.state.lock();
-            if st.delegates.contains_key(&parent_task) {
-                self.serve_ix(&mut st, parent_task, side, for_task, ctx)
-            } else if st.revoked.contains(&tree) {
-                None // requester's task was revoked too
-            } else {
-                st.parked.entry(parent_task).or_default().push(req);
-                None
+        if self.delegates.contains_key(&parent_task) {
+            if let Some(resp) = self.serve_ix(parent_task, side, for_task, ctx) {
+                out.peer(requester, resp);
             }
-        };
-        if let Some(resp) = response {
-            let _ = self.fabric_data.send(self.id, requester, resp);
+        } else if !self.revoked.contains(&tree) {
+            // (A revoked tree's requester was revoked too.)
+            self.parked.entry(parent_task).or_default().push(req);
         }
     }
 
     /// Builds the `RespIx` for one request against the delegate table and
-    /// updates serve counters. Caller sends the message after unlocking.
+    /// updates serve counters.
     fn serve_ix(
-        &self,
-        st: &mut WorkerState,
+        &mut self,
         parent_task: TaskId,
         side: Side,
         for_task: TaskId,
         ctx: TraceCtx,
     ) -> Option<DataMsg> {
         let idx = DelegateEntry::side_idx(side);
-        let (rows, done, freed) = {
-            let entry = st.delegates.get_mut(&parent_task)?;
-            let rows = entry.sides[idx]
-                .as_ref()
-                .expect("side requested after release — master quota was wrong")
-                .clone();
-            entry.served[idx] += 1;
-            let freed = entry.release_satisfied();
-            (rows, entry.done(), freed)
-        };
-        self.stats.mem_free(self.id, freed);
+        let entry = self.delegates.get_mut(&parent_task)?;
+        let rows = entry.sides[idx]
+            .as_ref()
+            .expect("side requested after release — master quota was wrong")
+            .clone();
+        entry.served[idx] += 1;
+        let freed = entry.release_satisfied();
+        let done = entry.done();
+        self.env.free(freed);
         if done {
-            st.delegates.remove(&parent_task);
+            self.delegates.remove(&parent_task);
         }
         Some(DataMsg::RespIx {
             for_task,
@@ -936,296 +894,258 @@ impl Worker {
         })
     }
 
-    fn on_resp_ix(&self, for_task: TaskId, rows: Vec<u32>) {
+    fn on_resp_ix(&mut self, for_task: TaskId, rows: Vec<u32>, out: &mut Out) {
         let ix = RowSet::Ids(Arc::new(rows));
-        enum Next {
-            Nothing,
-            Serve {
-                attrs: Vec<usize>,
-                key: NodeId,
-                ctx: TraceCtx,
-            },
-        }
-        let next = {
-            let mut st = self.state.lock();
-            match st.tasks.get(&for_task) {
-                None => return, // revoked
-                Some(PendingTask::Column { .. }) => {
-                    let Some(PendingTask::Column { plan }) = st.tasks.remove(&for_task) else {
-                        unreachable!()
-                    };
-                    self.stats.mem_alloc(self.id, ix_bytes(&ix));
-                    self.push_ready(ReadyTask::Column {
-                        plan,
-                        ix: ix.clone(),
-                    });
-                    Next::Nothing
-                }
-                Some(PendingTask::Subtree { .. }) => {
-                    self.stats.mem_alloc(self.id, ix_bytes(&ix));
-                    let complete = {
-                        let Some(PendingTask::Subtree {
-                            ix: slot,
-                            remote_bufs,
-                            remote_needed,
-                            ..
-                        }) = st.tasks.get_mut(&for_task)
-                        else {
-                            unreachable!()
-                        };
-                        *slot = Some(ix.clone());
-                        remote_bufs.len() == *remote_needed
-                    };
-                    if complete {
-                        self.promote_subtree(&mut st, for_task);
-                    }
-                    Next::Nothing
-                }
-                Some(PendingTask::Serve { .. }) => {
-                    let Some(PendingTask::Serve {
-                        attrs,
-                        key_worker,
-                        ctx,
-                        ..
-                    }) = st.tasks.remove(&for_task)
-                    else {
-                        unreachable!()
-                    };
-                    Next::Serve {
-                        attrs,
-                        key: key_worker,
-                        ctx,
-                    }
-                }
+        match self.tasks.remove(&for_task) {
+            None => {} // revoked
+            Some(PendingTask::Column { plan }) => {
+                self.env.alloc(ix_bytes(&ix));
+                self.make_ready(ReadyTask::Column { plan, ix }, out);
             }
-        };
-        if let Next::Serve { attrs, key, ctx } = next {
-            self.send_cols(for_task, &attrs, key, &ix, ctx);
+            Some(PendingTask::Subtree(mut p)) => {
+                self.env.alloc(ix_bytes(&ix));
+                p.ix = Some(ix);
+                self.provision(for_task, p, out);
+            }
+            Some(PendingTask::Serve {
+                attrs,
+                key_worker,
+                ctx,
+                ..
+            }) => self.send_cols(for_task, attrs, key_worker, ix, ctx, out),
         }
     }
 
-    fn on_req_cols(
-        &self,
-        for_task: TaskId,
-        attrs: Vec<usize>,
-        key_worker: NodeId,
-        parent: ParentRef,
-        tree: TreeId,
-        ctx: TraceCtx,
-    ) {
-        match parent {
-            ParentRef::Root => self.send_cols(for_task, &attrs, key_worker, &RowSet::All, ctx),
-            ParentRef::Node {
-                worker,
-                task: ptask,
-                side,
-            } => {
-                {
-                    let mut st = self.state.lock();
-                    if st.revoked.contains(&tree) {
-                        return;
-                    }
-                    st.tasks.insert(
-                        for_task,
-                        PendingTask::Serve {
-                            tree,
-                            attrs,
-                            key_worker,
-                            ctx,
-                        },
-                    );
-                }
-                self.request_ix(worker, ptask, side, for_task, tree, ctx);
-            }
-        }
-    }
-
+    /// Answers a `ReqCols` over `ix`; the columns are gathered once the lock
+    /// is dropped.
     fn send_cols(
         &self,
         for_task: TaskId,
-        attrs: &[usize],
-        key_worker: NodeId,
-        ix: &RowSet,
+        attrs: Vec<usize>,
+        to: NodeId,
+        ix: RowSet,
         ctx: TraceCtx,
+        out: &mut Out,
     ) {
-        let bufs: Vec<ValuesBuf> = {
-            let store = self.columns.read();
-            attrs
-                .iter()
-                .map(|a| {
-                    let col = store.get(a).expect("holder must have its column");
-                    ix.gather(col, self.n_rows)
-                })
-                .collect()
-        };
-        let _ = self.fabric_data.send(
-            self.id,
-            key_worker,
+        let cols: Vec<_> = (attrs.iter())
+            .map(|&a| Arc::clone(&held(&self.data, a).column))
+            .collect();
+        let n = self.env.n_rows;
+        let gather = move || {
+            let bufs = cols.iter().map(|c| ix.gather(c, n)).collect();
             DataMsg::RespCols {
                 for_task,
-                attrs: attrs.to_vec(),
+                attrs,
                 bufs,
                 ctx,
-            },
-        );
+            }
+        };
+        out.frames.push(Frame::Copied(to, Box::new(gather)));
     }
 
-    fn on_resp_cols(&self, for_task: TaskId, attrs: Vec<usize>, bufs: Vec<ValuesBuf>) {
-        let mut st = self.state.lock();
-        let complete = {
-            let Some(PendingTask::Subtree {
+    fn on_resp_cols(
+        &mut self,
+        for_task: TaskId,
+        attrs: Vec<usize>,
+        bufs: Vec<ValuesBuf>,
+        out: &mut Out,
+    ) {
+        let Some(PendingTask::Subtree(mut p)) = self.tasks.remove(&for_task) else {
+            return; // revoked
+        };
+        self.env.alloc(bufs_bytes(&bufs));
+        p.remote_bufs.extend(attrs.into_iter().zip(bufs));
+        self.provision(for_task, p, out);
+    }
+
+    /// Keeps a subtree-task in the task table until `Ix` and every remote
+    /// column are in, then hands it to the compers.
+    fn provision(&mut self, task: TaskId, p: Provisioning, out: &mut Out) {
+        match p {
+            Provisioning {
+                plan,
+                ix: Some(ix),
                 remote_bufs,
                 remote_needed,
-                ix,
-                ..
-            }) = st.tasks.get_mut(&for_task)
-            else {
-                return; // revoked
-            };
-            let bytes: usize = bufs.iter().map(ValuesBuf::payload_bytes).sum();
-            self.stats.mem_alloc(self.id, bytes);
-            for (a, b) in attrs.into_iter().zip(bufs) {
-                remote_bufs.insert(a, b);
+            } if remote_bufs.len() == remote_needed => {
+                let ready = ReadyTask::Subtree {
+                    plan,
+                    ix,
+                    remote_bufs,
+                };
+                self.make_ready(ready, out);
             }
-            ix.is_some() && remote_bufs.len() == *remote_needed
-        };
-        if complete {
-            self.promote_subtree(&mut st, for_task);
+            p => {
+                self.tasks.insert(task, PendingTask::Subtree(p));
+            }
         }
-    }
-
-    /// Moves a fully-provisioned subtree task from the task table to `Btask`.
-    fn promote_subtree(&self, st: &mut WorkerState, task: TaskId) {
-        let Some(PendingTask::Subtree {
-            plan,
-            ix,
-            remote_bufs,
-            ..
-        }) = st.tasks.remove(&task)
-        else {
-            unreachable!("promote_subtree on a non-subtree task");
-        };
-        self.push_ready(ReadyTask::Subtree {
-            plan,
-            ix: ix.expect("ix present when promoting"),
-            remote_bufs,
-        });
     }
 
     // ------------------------------------------------------------------
     // Compers.
     // ------------------------------------------------------------------
-    fn comper_loop(self: Arc<Self>, rx: Receiver<ReadyTask>) {
-        while let Ok(task) = rx.recv() {
-            if !matches!(task, ReadyTask::Stop) {
-                self.ready_backlog.fetch_sub(1, Ordering::AcqRel);
-                self.computing.fetch_add(1, Ordering::AcqRel);
-            }
-            match task {
-                ReadyTask::Stop => break,
-                ReadyTask::Column { plan, ix } => {
-                    // A comper picked the task up: queue wait ends here.
-                    obs_event!(
-                        self.stats,
-                        self.id,
-                        ts_obs::Event::SpanActive {
-                            span: plan.ctx.span.0,
-                            node: self.id as u32,
-                        }
-                    );
-                    #[cfg(feature = "obs")]
-                    let (task_id, t0) = (plan.task.0, std::time::Instant::now());
-                    let msg = {
-                        let _busy = BusyGuard::start(&self.stats, self.id);
-                        self.compute_column_task(plan, ix)
-                    };
-                    obs_event!(
-                        self.stats,
-                        self.id,
-                        ts_obs::Event::TaskComputed {
-                            task: task_id,
-                            node: self.id as u32,
-                            busy_ns: t0.elapsed().as_nanos() as u64,
-                        }
-                    );
-                    if let Some(msg) = msg {
-                        let _ = self.fabric_task.send(self.id, 0, msg);
-                    }
-                    self.computing.fetch_sub(1, Ordering::AcqRel);
-                    self.maybe_request_steal();
-                    self.maybe_goodbye();
-                }
-                ReadyTask::Subtree {
-                    plan,
-                    ix,
-                    remote_bufs,
-                } => {
-                    obs_event!(
-                        self.stats,
-                        self.id,
-                        ts_obs::Event::SpanActive {
-                            span: plan.ctx.span.0,
-                            node: self.id as u32,
-                        }
-                    );
-                    #[cfg(feature = "obs")]
-                    let (task_id, t0) = (plan.task.0, std::time::Instant::now());
-                    let msg = {
-                        let _busy = BusyGuard::start(&self.stats, self.id);
-                        self.compute_subtree_task(plan, ix, remote_bufs)
-                    };
-                    obs_event!(
-                        self.stats,
-                        self.id,
-                        ts_obs::Event::TaskComputed {
-                            task: task_id,
-                            node: self.id as u32,
-                            busy_ns: t0.elapsed().as_nanos() as u64,
-                        }
-                    );
-                    if let Some(msg) = msg {
-                        let _ = self.fabric_task.send(self.id, 0, msg);
-                    }
-                    self.computing.fetch_sub(1, Ordering::AcqRel);
-                    self.maybe_request_steal();
-                    self.maybe_goodbye();
-                }
-            }
+
+    /// A comper picked a task up: it leaves the backlog for the pipeline,
+    /// and the comper gets the snapshot it computes on.
+    fn start(&mut self) -> Snapshot {
+        self.ready_backlog -= 1;
+        self.computing += 1;
+        self.snapshot()
+    }
+
+    /// Whether a subtree-task a comper picked up is still wanted; a revoked
+    /// tree's buffers are freed instead.
+    fn wants_subtree(
+        &self,
+        tree: TreeId,
+        ix: &RowSet,
+        remote_bufs: &HashMap<usize, ValuesBuf>,
+    ) -> bool {
+        if !self.revoked.contains(&tree) {
+            return true;
+        }
+        self.env
+            .free(ix_bytes(ix) + bufs_bytes(remote_bufs.values()));
+        false
+    }
+
+    /// Keeps `Ix` (and the reported winning condition) of a computed
+    /// column-task until the master's verdict — before its result goes out,
+    /// so `ConfirmBest`, `HistFetch` and `DropTask` can never miss it.
+    fn finish_column(&mut self, plan: &ColumnPlan, ix: RowSet, msg: TaskMsg) -> Out {
+        if self.revoked.contains(&plan.tree) {
+            self.env.free(ix_bytes(&ix));
+            return Out::default();
+        }
+        // A histogram nomination wins no condition until `HistFetch`.
+        let winning = match &msg {
+            TaskMsg::ColumnResult { best, .. } => best.as_ref().map(winning),
+            _ => None,
+        };
+        let av = AwaitingVerdict {
+            tree: plan.tree,
+            ix,
+            imp: plan.params.impurity,
+            winning,
+        };
+        self.awaiting.insert(plan.task, av);
+        Out::of(Frame::Master(msg))
+    }
+
+    /// A comper sent its result: the pipeline shrinks, and if that left
+    /// the worker idle it asks for work — or, draining, says goodbye.
+    fn idle(&mut self) -> Out {
+        let mut out = Out::default();
+        self.computing -= 1;
+        self.maybe_request_steal(&mut out);
+        self.maybe_goodbye(&mut out);
+        out
+    }
+}
+
+/// The part of a worker a computation reads, taken under the lock as `Arc`
+/// handles, so the computation itself runs with the lock free.
+struct Snapshot {
+    env: Env,
+    labels: Arc<Labels>,
+    data: Arc<HashMap<usize, Held>>,
+}
+
+impl Snapshot {
+    fn held(&self, attr: usize) -> &Held {
+        held(&self.data, attr)
+    }
+
+    fn column_ref(&self, attr: usize) -> ColumnRef<'_> {
+        let h = self.held(attr);
+        ColumnRef::of_column(&h.column, &h.sorted, self.env.attr_types[attr])
+    }
+
+    fn view(&self) -> LabelView<'_> {
+        LabelView::of(&self.labels, self.env.n_classes())
+    }
+
+    /// The effective prediction task: boosting rounds swap in real-valued
+    /// pseudo-targets, turning every tree into a regression tree regardless
+    /// of the table's original task.
+    fn current_task(&self) -> Task {
+        match &*self.labels {
+            Labels::Real(_) => Task::Regression,
+            Labels::Class(_) => self.env.task,
         }
     }
 
-    /// Sleeps for the modeled compute cost of `units` row-attribute touches
-    /// (no-op when the work model is off). See `ClusterConfig::work_ns_per_unit`.
-    fn model_work(&self, units: u64) {
-        if self.work_ns_per_unit > 0 {
-            std::thread::sleep(std::time::Duration::from_nanos(
-                units.saturating_mul(self.work_ns_per_unit),
-            ));
-        }
+    /// Runs a comper's computation as this machine's busy time, traced from
+    /// pick-up (queue wait ends here) to result.
+    fn timed<R>(&self, _task: TaskId, _ctx: TraceCtx, f: impl FnOnce() -> R) -> R {
+        obs_event!(
+            self.env.stats,
+            self.env.id,
+            ts_obs::Event::SpanActive {
+                span: _ctx.span.0,
+                node: self.env.id as u32,
+            }
+        );
+        #[cfg(feature = "obs")]
+        let t0 = std::time::Instant::now();
+        let r = {
+            let _busy = BusyGuard::start(&self.env.stats, self.env.id);
+            f()
+        };
+        obs_event!(
+            self.env.stats,
+            self.env.id,
+            ts_obs::Event::TaskComputed {
+                task: _task.0,
+                node: self.env.id as u32,
+                busy_ns: t0.elapsed().as_nanos() as u64,
+            }
+        );
+        r
+    }
+
+    /// Splits a confirmed task's `Ix` by its winning condition.
+    fn partition_ix(&self, av: &AwaitingVerdict) -> (Vec<u32>, Vec<u32>) {
+        let (attr, test, missing_left) = av
+            .winning
+            .as_ref()
+            .expect("master confirmed a worker that reported no split");
+        let col = &self.held(*attr).column;
+        partition_rows(col, &av.ix.to_ids(self.env.n_rows), test, *missing_left)
+    }
+
+    /// The category codes a categorical split attribute takes in the node:
+    /// the whole-column set is precomputed on the sorted index; subsets scan
+    /// the node's rows only.
+    fn seen(&self, attr: usize, ix: &RowSet) -> Option<Vec<u32>> {
+        let AttrType::Categorical { n_values } = self.env.attr_types[attr] else {
+            return None;
+        };
+        let h = self.held(attr);
+        Some(match ix {
+            RowSet::All => h.sorted.distinct().to_vec(),
+            RowSet::Ids(v) => {
+                let codes = (h.column.as_categorical())
+                    .expect("categorical winner must be a categorical column");
+                distinct_categories_at(codes, NodeRows::Subset(v), n_values)
+            }
+        })
     }
 
     /// Runs the exact-split engine over each assigned column for one node,
     /// folding the winners with the canonical tie-break (challenger order is
     /// `plan.cols` order).
-    #[allow(clippy::too_many_arguments)]
     fn best_exact_split(
         &self,
-        store: &HashMap<usize, Arc<Column>>,
-        sorted_store: &HashMap<usize, Arc<SortedColumn>>,
         cols: &[usize],
         node: NodeRows<'_>,
         stats: &NodeStats,
         view: LabelView<'_>,
         imp: Impurity,
     ) -> Option<(usize, ColumnSplit)> {
-        let cref = |attr: usize| {
-            let col = store.get(&attr).expect("assigned column must be held");
-            let index = sorted_store.get(&attr).expect("sorted index must be held");
-            ColumnRef::of_column(col, index, self.attr_types[attr])
-        };
         let mut best: Option<(usize, SplitCandidate)> = None;
         for &attr in cols {
-            if let Some(s) = best_split_at(cref(attr), node, stats, view, imp) {
+            if let Some(s) = best_split_at(self.column_ref(attr), node, stats, view, imp) {
                 let wins = match &best {
                     None => true,
                     Some((battr, bs)) => SplitCandidate::challenger_wins(&s, attr, bs, *battr),
@@ -1236,293 +1156,146 @@ impl Worker {
             }
         }
         // Regression children are summed here, once, for the winner.
-        best.map(|(attr, s)| (attr, s.finish(cref(attr), node, view)))
+        best.map(|(attr, s)| (attr, s.finish(self.column_ref(attr), node, view)))
     }
 
-    fn compute_column_task(&self, plan: ColumnPlan, ix: RowSet) -> Option<TaskMsg> {
+    /// A column-task's result frame for the master.
+    fn column_task(&self, plan: &ColumnPlan, ix: &RowSet) -> TaskMsg {
+        let n = self.env.n_rows;
         // Both split engines touch every (row, column) pair of the task once,
         // so the modeled compute charge is identical — the histogram path's
         // savings are wire bytes and the extra tree level of candidates the
         // master never has to rank, not scan work.
-        self.model_work(ix.len(self.n_rows) as u64 * plan.cols.len() as u64);
+        self.env
+            .model_work(ix.len(n) as u64 * plan.cols.len() as u64);
         if plan.random_seed.is_none() {
             if let Some(conf) = plan.hist {
-                return self.compute_hist_column_task(plan, ix, conf);
+                return self.hist_column_task(plan, ix, conf);
             }
         }
-        let y = self.labels.read().clone();
-        let view = LabelView::of(&y, self.n_classes());
+        let view = self.view();
+        let node = ix.as_node_rows(n);
         // Counted once per task: the master's leaf checks read it, and so
         // does the scan of every assigned column.
-        let node_stats = ix.as_node_rows(self.n_rows).stats(view);
-
-        let store = self.columns.read();
-        let sorted_store = self.sorted.read();
-        let mut best: Option<(usize, ColumnSplit)> = None;
-        if let Some(seed) = plan.random_seed {
-            // Extra-trees: try this worker's columns in seeded random order,
-            // accepting the first random split that separates anything.
-            // Random splits draw from the gathered node buffer, so this arm
-            // keeps the gather path (and a gathered label view to match).
-            let labels = ix.gather_labels(&y, self.n_rows);
-            let gathered_view = LabelView::of(&labels, self.n_classes());
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut order = plan.cols.clone();
-            order.shuffle(&mut rng);
-            for attr in order {
-                let col = store.get(&attr).expect("assigned column must be held");
-                let buf = ix.gather(col, self.n_rows);
-                if let Some(s) = random_split_for_column(&buf, gathered_view, &mut rng) {
-                    best = Some((attr, s));
-                    break;
-                }
+        let node_stats = node.stats(view);
+        let best = match plan.random_seed {
+            Some(seed) => {
+                // Extra-trees: try this worker's columns in seeded random
+                // order, accepting the first random split that separates
+                // anything. Random splits draw from the gathered node
+                // buffer, so this arm keeps the gather path (and a gathered
+                // label view to match).
+                let labels = ix.gather_labels(&self.labels, n);
+                let gathered_view = LabelView::of(&labels, self.env.n_classes());
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut order = plan.cols.clone();
+                order.shuffle(&mut rng);
+                order.into_iter().find_map(|attr| {
+                    let buf = ix.gather(&self.held(attr).column, n);
+                    random_split_for_column(&buf, gathered_view, &mut rng).map(|s| (attr, s))
+                })
             }
-        } else {
             // Exact splits: run the sorted-column engine over the full
             // resident columns — no per-task gather. `Ix` is always strictly
             // ascending, so the engine's scans visit rows in the same order
             // a gather-then-scan would (see `ts_splits::sorted`).
-            let node = ix.as_node_rows(self.n_rows);
-            let imp = plan.params.impurity;
-            best = self.best_exact_split(
-                &store,
-                &sorted_store,
-                &plan.cols,
-                node,
-                &node_stats,
-                view,
-                imp,
-            );
-        }
-
-        let best_full = best.map(|(attr, split)| {
-            let seen = match self.attr_types[attr] {
-                AttrType::Categorical { n_values } => match &ix {
-                    // The whole-column category set is precomputed on the
-                    // sorted index; subsets scan the node's rows only.
-                    RowSet::All => Some(
-                        sorted_store
-                            .get(&attr)
-                            .expect("sorted index must be held")
-                            .distinct()
-                            .to_vec(),
-                    ),
-                    RowSet::Ids(v) => {
-                        let codes = store
-                            .get(&attr)
-                            .expect("held")
-                            .as_categorical()
-                            .expect("categorical winner must be a categorical column");
-                        Some(distinct_categories_at(codes, NodeRows::Subset(v), n_values))
-                    }
-                },
-                AttrType::Numeric => None,
-            };
-            (attr, split, seen)
-        });
-        drop(sorted_store);
-        drop(store);
-
-        // Keep Ix (and the winning condition) until the master's verdict —
-        // *before* sending the result, so ConfirmBest can never miss it.
-        {
-            let mut st = self.state.lock();
-            if st.revoked.contains(&plan.tree) {
-                self.stats.mem_free(self.id, ix_bytes(&ix));
-                return None;
+            None => {
+                self.best_exact_split(&plan.cols, node, &node_stats, view, plan.params.impurity)
             }
-            st.awaiting.insert(
-                plan.task,
-                AwaitingVerdict {
-                    tree: plan.tree,
-                    ix,
-                    imp: plan.params.impurity,
-                    winning: best_full
-                        .as_ref()
-                        .map(|(a, s, _)| (*a, s.test.clone(), s.missing_left)),
-                },
-            );
-        }
-        let best = best_full.map(|(attr, split, seen)| ColumnTaskBest { attr, split, seen });
-        Some(TaskMsg::ColumnResult {
+        };
+        let best = best.map(|(attr, split)| ColumnTaskBest {
+            attr,
+            split,
+            seen: self.seen(attr, ix),
+        });
+        TaskMsg::ColumnResult {
             task: plan.task,
-            worker: self.id,
+            worker: self.env.id,
             best,
             node_stats,
             ctx: plan.ctx,
-        })
+        }
     }
 
     /// One column through the histogram engine over a node's rows: its best
     /// split as a candidate, whose gain is all a nomination reads.
-    fn hist_candidate_for(
+    fn hist_candidate(
         &self,
-        store: &HashMap<usize, Arc<Column>>,
-        binned_store: &HashMap<usize, Arc<BinnedColumn>>,
         attr: usize,
         node: NodeRows<'_>,
         view: LabelView<'_>,
         imp: Impurity,
     ) -> Option<SplitCandidate> {
-        let col = store.get(&attr).expect("assigned column must be held");
-        let cref = HistColumnRef::of_column(
-            col,
-            binned_store.get(&attr).map(|b| &**b),
-            self.attr_types[attr],
-        );
+        let h = self.held(attr);
+        let cref =
+            HistColumnRef::of_column(&h.column, h.binned.as_deref(), self.env.attr_types[attr]);
         best_hist_split_at(cref, node, view, imp)
     }
 
     /// Histogram-mode column task (`--splitter hist`): score every assigned
-    /// column with the quantized kernel, nominate the local top `vote_k`
-    /// candidate gains, and park `Ix` awaiting the master's election. The
-    /// full split of the elected attribute is shipped only on `HistFetch`.
-    fn compute_hist_column_task(
-        &self,
-        plan: ColumnPlan,
-        ix: RowSet,
-        conf: HistPlanConf,
-    ) -> Option<TaskMsg> {
-        let y = self.labels.read().clone();
-        let view = LabelView::of(&y, self.n_classes());
+    /// column with the quantized kernel and nominate the local top `vote_k`
+    /// candidate gains. The full split of the elected attribute is shipped
+    /// only on `HistFetch`.
+    fn hist_column_task(&self, plan: &ColumnPlan, ix: &RowSet, conf: HistPlanConf) -> TaskMsg {
+        let view = self.view();
+        let (node, imp) = (ix.as_node_rows(self.env.n_rows), plan.params.impurity);
         // Only the designated stats shard ships node stats: one copy per
         // task is enough for the master's leaf checks.
-        let node_stats = conf
-            .want_stats
-            .then(|| ix.as_node_rows(self.n_rows).stats(view));
-        let cands = {
-            let store = self.columns.read();
-            let binned_store = self.binned.read();
-            let (node, imp) = (ix.as_node_rows(self.n_rows), plan.params.impurity);
-            let gain_of = |attr: usize| {
-                let best = self.hist_candidate_for(&store, &binned_store, attr, node, view, imp)?;
-                Some(HistCandidate {
-                    attr,
-                    gain: best.gain(),
-                })
-            };
-            plan.cols.iter().filter_map(|&attr| gain_of(attr)).collect()
-        };
+        let node_stats = conf.want_stats.then(|| node.stats(view));
+        let cands = (plan.cols.iter())
+            .filter_map(|&attr| {
+                let gain = self.hist_candidate(attr, node, view, imp)?.gain();
+                Some(HistCandidate { attr, gain })
+            })
+            .collect();
         let cands = top_k_candidates(cands, conf.vote_k as usize);
-        // Keep Ix until the verdict — before sending, so HistFetch (or
-        // DropTask) can never miss it. The winning condition is unknown
-        // until the master elects an attribute.
-        {
-            let mut st = self.state.lock();
-            if st.revoked.contains(&plan.tree) {
-                self.stats.mem_free(self.id, ix_bytes(&ix));
-                return None;
-            }
-            st.awaiting.insert(
-                plan.task,
-                AwaitingVerdict {
-                    tree: plan.tree,
-                    ix,
-                    imp: plan.params.impurity,
-                    winning: None,
-                },
-            );
-        }
-        Some(TaskMsg::HistNominate {
+        TaskMsg::HistNominate {
             task: plan.task,
-            worker: self.id,
+            worker: self.env.id,
             cands: cands.into_iter().map(|c| (c.attr, c.gain)).collect(),
             node_stats,
             ctx: plan.ctx,
+        }
+    }
+
+    /// Recomputes the elected attribute's full split over the retained `Ix`
+    /// — same kernel, same rows, same criterion: the gain is bit-identical
+    /// to the nominated one.
+    fn hist_recount(&self, ix: &RowSet, imp: Impurity, attr: usize) -> Option<ColumnTaskBest> {
+        let _busy = BusyGuard::start(&self.env.stats, self.env.id);
+        // The recount is real extra compute the histogram path pays: one
+        // column's share of the task's modeled work, a second time.
+        self.env.model_work(ix.len(self.env.n_rows) as u64);
+        let (view, node) = (self.view(), ix.as_node_rows(self.env.n_rows));
+        let best = self.hist_candidate(attr, node, view, imp)?;
+        // The one pass over the node's rows a regression split's children
+        // cost, for the elected column alone. The condition tests
+        // `v <= cuts[b]`, so routing by value is routing by bin.
+        let split = best.finish(self.column_ref(attr), node, view);
+        Some(ColumnTaskBest {
+            attr,
+            split,
+            seen: self.seen(attr, ix),
         })
     }
 
-    /// The master elected one of our nominated attributes: recompute its
-    /// full split over the retained `Ix` (same kernel, same rows, same
-    /// criterion — the gain is bit-identical to the nominated one), remember
-    /// the winning condition for the `ConfirmBest` that follows on this same
-    /// FIFO edge, and ship the full result.
-    fn on_hist_fetch(&self, task: TaskId, attr: usize, ctx: TraceCtx) {
-        let (ix, imp) = {
-            let st = self.state.lock();
-            match st.awaiting.get(&task) {
-                Some(av) => (av.ix.clone(), av.imp),
-                None => return, // tree revoked while the election was in flight
-            }
-        };
-        let best_full = {
-            let _busy = BusyGuard::start(&self.stats, self.id);
-            // The recount is real extra compute the histogram path pays:
-            // one column's share of the task's modeled work, a second time.
-            self.model_work(ix.len(self.n_rows) as u64);
-            let y = self.labels.read().clone();
-            let view = LabelView::of(&y, self.n_classes());
-            let store = self.columns.read();
-            let sorted_store = self.sorted.read();
-            let node = ix.as_node_rows(self.n_rows);
-            let best = self.hist_candidate_for(&store, &self.binned.read(), attr, node, view, imp);
-            best.map(|best| {
-                // The one pass over the node's rows a regression split's
-                // children cost, for the elected column alone. The condition
-                // tests `v <= cuts[b]`, so routing by value is routing by bin.
-                let col = store.get(&attr).expect("elected column must be held");
-                let index = sorted_store.get(&attr).expect("sorted index must be held");
-                let cref = ColumnRef::of_column(col, index, self.attr_types[attr]);
-                let split = best.finish(cref, node, view);
-                let seen = match self.attr_types[attr] {
-                    AttrType::Categorical { n_values } => match &ix {
-                        RowSet::All => Some(index.distinct().to_vec()),
-                        RowSet::Ids(v) => {
-                            let codes = store
-                                .get(&attr)
-                                .expect("held")
-                                .as_categorical()
-                                .expect("categorical winner must be a categorical column");
-                            Some(distinct_categories_at(codes, NodeRows::Subset(v), n_values))
-                        }
-                    },
-                    AttrType::Numeric => None,
-                };
-                (split, seen)
-            })
-        };
-        {
-            let mut st = self.state.lock();
-            let Some(av) = st.awaiting.get_mut(&task) else {
-                return; // revoked during the recount: the master forgot us too
-            };
-            av.winning = best_full
-                .as_ref()
-                .map(|(s, _)| (attr, s.test.clone(), s.missing_left));
-        }
-        let best = best_full.map(|(split, seen)| ColumnTaskBest { attr, split, seen });
-        let _ = self.fabric_task.send(
-            self.id,
-            0,
-            TaskMsg::HistBest {
-                task,
-                worker: self.id,
-                best,
-                ctx,
-            },
-        );
-    }
-
-    fn compute_subtree_task(
+    /// A subtree-task's result frame for the master.
+    fn subtree_task(
         &self,
         plan: SubtreePlan,
         ix: RowSet,
         mut remote_bufs: HashMap<usize, ValuesBuf>,
-    ) -> Option<TaskMsg> {
-        let remote_bytes: usize = remote_bufs.values().map(ValuesBuf::payload_bytes).sum();
-        if self.state.lock().revoked.contains(&plan.tree) {
-            self.stats.mem_free(self.id, ix_bytes(&ix) + remote_bytes);
-            return None;
-        }
-        let n_ix = ix.len(self.n_rows) as u64;
+    ) -> TaskMsg {
+        let n = self.env.n_rows;
+        let remote_bytes = bufs_bytes(remote_bufs.values());
+        let n_ix = ix.len(n) as u64;
         let log = 64 - n_ix.max(2).leading_zeros() as u64;
-        self.model_work(n_ix * plan.col_sources.len() as u64 * log);
+        self.env
+            .model_work(n_ix * plan.col_sources.len() as u64 * log);
         // Assemble Dx: columns in plan order (sorted by attr id), gathering
         // locally-held columns now. Over `RowSet::All` a local column's copy
         // is the resident column, so its resident presorted index is the
         // copy's index too and is shared instead of sorted again.
-        let store = self.columns.read();
-        let sorted_store = self.sorted.read();
         let mut attrs = Vec::with_capacity(plan.col_sources.len());
         let mut types = Vec::with_capacity(plan.col_sources.len());
         let mut columns = Vec::with_capacity(plan.col_sources.len());
@@ -1530,34 +1303,28 @@ impl Worker {
         let mut local_bytes = 0usize;
         let mut index_bytes = 0usize;
         for &(attr, holder) in &plan.col_sources {
-            let local = holder == self.id;
+            let local = holder == self.env.id;
             let buf = if local {
-                let col = store.get(&attr).expect("local column must be held");
-                let b = ix.gather(col, self.n_rows);
+                let b = ix.gather(&self.held(attr).column, n);
                 local_bytes += b.payload_bytes();
                 b
             } else {
                 remote_bufs.remove(&attr).expect("remote column buffered")
             };
             sorted.push(if local && matches!(ix, RowSet::All) {
-                Arc::clone(sorted_store.get(&attr).expect("sorted index must be held"))
+                Arc::clone(&self.held(attr).sorted)
             } else {
                 let index = SortedColumn::build_buf(&buf);
                 index_bytes += index.payload_bytes();
                 Arc::new(index)
             });
             attrs.push(attr);
-            types.push(self.attr_types[attr]);
+            types.push(self.env.attr_types[attr]);
             columns.push(buf);
         }
-        drop(sorted_store);
-        drop(store);
-        let labels = {
-            let y = self.labels.read().clone();
-            ix.gather_labels(&y, self.n_rows)
-        };
-        let task = self.current_task();
-        let data = LocalDataset::with_indexes(attrs, types, columns, sorted, labels, task);
+        let labels = ix.gather_labels(&self.labels, n);
+        let data =
+            LocalDataset::with_indexes(attrs, types, columns, sorted, labels, self.current_task());
 
         let params = TrainParams {
             impurity: plan.params.impurity,
@@ -1580,18 +1347,221 @@ impl Worker {
             TrainMode::ExtraTrees => 0,
         };
         let task_bytes = local_bytes + index_bytes + order_bytes;
-        self.stats.mem_alloc(self.id, task_bytes);
+        self.env.alloc(task_bytes);
         let subtree = train_subtree(&data, &params, plan.depth, plan.seed);
         drop(data);
-        self.stats
-            .mem_free(self.id, task_bytes + remote_bytes + ix_bytes(&ix));
+        self.env.free(task_bytes + remote_bytes + ix_bytes(&ix));
 
-        Some(TaskMsg::SubtreeResult {
+        TaskMsg::SubtreeResult {
             task: plan.task,
-            worker: self.id,
+            worker: self.env.id,
             subtree,
             ctx: plan.ctx,
-        })
+        }
+    }
+}
+
+/// What a worker's threads share — the worker behind its one lock — and
+/// the ends they send on. Handlers return their frames; only a `Machine`
+/// sends, and only with the lock dropped.
+#[derive(Clone)]
+struct Machine {
+    worker: Arc<Mutex<Worker>>,
+    env: Env,
+    fabric_task: Fabric<TaskMsg>,
+    fabric_data: Fabric<DataMsg>,
+    ready_tx: Sender<ReadyTask>,
+}
+
+impl Machine {
+    /// The worker, indexes built, and the receiving end of its ready queue —
+    /// no thread yet, so a test can drive the handlers one by one.
+    fn new(
+        env: Env,
+        columns: HashMap<usize, Arc<Column>>,
+        labels: Arc<Labels>,
+        fabric_task: Fabric<TaskMsg>,
+        fabric_data: Fabric<DataMsg>,
+    ) -> (Machine, Receiver<ReadyTask>) {
+        let data: HashMap<usize, Held> = (columns.into_iter())
+            .map(|(attr, col)| (attr, Held::build(col, env.hist_bins)))
+            .collect();
+        // The resident data is the memory baseline of the machine.
+        env.alloc(data.values().map(Held::bytes).sum::<usize>() + labels.payload_bytes());
+        let worker = Worker {
+            env: env.clone(),
+            labels,
+            data: Arc::new(data),
+            tasks: HashMap::new(),
+            awaiting: HashMap::new(),
+            delegates: HashMap::new(),
+            parked: HashMap::new(),
+            revoked: HashSet::new(),
+            ready_backlog: 0,
+            computing: 0,
+            steal_outstanding: false,
+            draining: false,
+            goodbye_sent: false,
+            alive: true,
+        };
+        let (ready_tx, ready_rx) = tschan::unbounded();
+        let machine = Machine {
+            worker: Arc::new(Mutex::new(worker)),
+            env,
+            fabric_task,
+            fabric_data,
+            ready_tx,
+        };
+        (machine, ready_rx)
+    }
+
+    /// Sends what a handler returned: ready tasks to the compers, then its
+    /// frames in order.
+    fn deliver(&self, out: Out) {
+        let me = self.env.id;
+        for task in out.ready {
+            let _ = self.ready_tx.send(task);
+        }
+        for frame in out.frames {
+            let _ = match frame {
+                Frame::Master(msg) => self.fabric_task.send(me, 0, msg),
+                Frame::Peer(to, msg) => self.fabric_data.send(me, to, msg),
+                Frame::Copied(to, copy) => self.fabric_data.send(me, to, copy()),
+            };
+        }
+    }
+
+    fn build(&self, columns: Vec<(usize, Column)>) -> Vec<(usize, Held)> {
+        (columns.into_iter())
+            .map(|(attr, col)| (attr, Held::build(Arc::new(col), self.env.hist_bins)))
+            .collect()
+    }
+
+    /// One task-plane frame, as the task loop handles it. `ConfirmBest` and
+    /// `HistFetch` take what they compute on, compute with the lock free and
+    /// install the result; `LoadColumns` builds its indexes before it locks.
+    fn on_task(&self, msg: TaskMsg) -> Out {
+        match msg {
+            TaskMsg::ConfirmBest { task } => {
+                let Some((av, snap)) = self.worker.lock().take_verdict(task) else {
+                    return Out::default();
+                };
+                let sides = snap.partition_ix(&av);
+                self.worker.lock().install_delegate(task, av, sides)
+            }
+            TaskMsg::HistFetch { task, attr, ctx } => {
+                let Some((ix, imp, snap)) = self.worker.lock().fetch_inputs(task) else {
+                    return Out::default();
+                };
+                let best = snap.hist_recount(&ix, imp, attr);
+                self.worker.lock().set_hist_winner(task, best, ctx)
+            }
+            TaskMsg::LoadColumns { columns } => {
+                let columns = self.build(columns);
+                self.worker.lock().install(columns);
+                Out::default()
+            }
+            msg => self.worker.lock().on_task(msg),
+        }
+    }
+
+    /// One data-plane frame, as the data loop handles it.
+    fn on_data(&self, msg: DataMsg) -> Out {
+        match msg {
+            DataMsg::ReplicateCols { columns, ctx } => {
+                let columns = self.build(columns);
+                self.worker.lock().on_replicated(columns, ctx)
+            }
+            msg => self.worker.lock().on_data(msg),
+        }
+    }
+
+    /// One comper computation: pick-up, compute with the lock free, and —
+    /// for a column-task — keep `Ix` for the verdict. The result frame is
+    /// returned, not sent.
+    fn compute(&self, task: ReadyTask) -> Out {
+        match task {
+            ReadyTask::Column { plan, ix } => {
+                let snap = self.worker.lock().start();
+                let msg = snap.timed(plan.task, plan.ctx, || snap.column_task(&plan, &ix));
+                self.worker.lock().finish_column(&plan, ix, msg)
+            }
+            ReadyTask::Subtree {
+                plan,
+                ix,
+                remote_bufs,
+            } => {
+                let (snap, wanted) = {
+                    let mut w = self.worker.lock();
+                    (w.start(), w.wants_subtree(plan.tree, &ix, &remote_bufs))
+                };
+                let (task, ctx) = (plan.task, plan.ctx);
+                let msg = snap.timed(task, ctx, || {
+                    wanted.then(|| snap.subtree_task(plan, ix, remote_bufs))
+                });
+                msg.map_or_else(Out::default, |msg| Out::of(Frame::Master(msg)))
+            }
+            ReadyTask::Stop => unreachable!("the comper loop stops on Stop"),
+        }
+    }
+
+    /// Worker `θ_main`: plans and control messages from the master.
+    fn task_loop(self, rx: FabricReceiver<TaskMsg>, compers: usize, heartbeat: Sender<()>) {
+        while let Ok(msg) = rx.recv() {
+            let shutdown = matches!(msg, TaskMsg::Shutdown);
+            let out = self.on_task(msg);
+            self.deliver(out);
+            if shutdown {
+                // Silence the heartbeat first: from the master's point of
+                // view this machine is now dark.
+                drop(heartbeat);
+                for _ in 0..compers {
+                    let _ = self.ready_tx.send(ReadyTask::Stop);
+                }
+                // Stop the data loop too (self-send is free and FIFO, so
+                // queued data messages drain first).
+                let _ = self
+                    .fabric_data
+                    .send(self.env.id, self.env.id, DataMsg::Shutdown);
+                return;
+            }
+        }
+    }
+
+    /// Worker `θ_recv`: the worker↔worker data plane.
+    fn data_loop(self, rx: FabricReceiver<DataMsg>) {
+        while let Ok(msg) = rx.recv() {
+            if matches!(msg, DataMsg::Shutdown) {
+                return;
+            }
+            let out = self.on_data(msg);
+            self.deliver(out);
+        }
+    }
+
+    /// A comper: the result goes out before the pipeline shrinks, so a
+    /// drain's `Goodbye` always follows every result.
+    fn comper_loop(self, rx: Receiver<ReadyTask>) {
+        while let Ok(task) = rx.recv() {
+            if matches!(task, ReadyTask::Stop) {
+                return;
+            }
+            let out = self.compute(task);
+            self.deliver(out);
+            let out = self.worker.lock().idle();
+            self.deliver(out);
+        }
+    }
+}
+
+/// Liveness beacon: one unreliable `Heartbeat` to the master per interval
+/// until the task loop drops the stop channel's sender at `Shutdown`.
+/// Unreliable on purpose — a heartbeat that a fault plan drops must stay
+/// lost (that is the signal the detector reads), and beacons must not queue
+/// behind the ordered-delivery buffer of the reliable protocol.
+fn heartbeat_loop(fabric: Fabric<TaskMsg>, id: NodeId, interval: Duration, stop: Receiver<()>) {
+    while let Ok(None) = stop.recv_timeout(interval) {
+        let _ = fabric.send_unreliable(id, 0, TaskMsg::Heartbeat { worker: id });
     }
 }
 
@@ -1610,31 +1580,139 @@ mod tests {
 
     const ME: NodeId = 1;
     const REQUESTER: NodeId = 2;
+    const PEER: NodeId = 3;
     const TREE: TreeId = TreeId(1);
     const TASK: TaskId = TaskId(10);
+    const PARAMS: crate::messages::TreeParams = crate::messages::TreeParams {
+        impurity: Impurity::Gini,
+        dmax: 4,
+        tau_leaf: 1,
+        extra_trees: false,
+    };
 
-    /// A worker of no threads — its handlers are called here, one by one —
-    /// that holds column 0 of a six-row table and has reported `x <= 2.5`
-    /// for `TASK` over all rows; with it, the data-plane inbox of the
-    /// machine that asks for the children's rows.
-    fn worker_awaiting_a_verdict() -> (Arc<Worker>, FabricReceiver<DataMsg>) {
-        let stats = ts_netsim::NetStats::new(3);
+    /// A worker of no threads — its handlers are called here, one by one,
+    /// and what they return is read back — holding `columns` as attributes
+    /// 0, 1, … of a two-class table labelled `labels`; the table has three
+    /// numeric attributes, those it does not hold are held by peers.
+    fn worker_of(columns: Vec<Column>, labels: Vec<u32>, hist_bins: Option<usize>) -> Machine {
+        let stats = ts_netsim::NetStats::new(4);
         let net = ts_netsim::NetModel::instant();
-        let (fabric_task, _task_rxs) = Fabric::<TaskMsg>::new(3, net, Arc::clone(&stats));
-        let (fabric_data, mut data_rxs) = Fabric::<DataMsg>::new(3, net, stats);
+        let (fabric_task, _) = Fabric::<TaskMsg>::new(4, net, Arc::clone(&stats));
+        let (fabric_data, _) = Fabric::<DataMsg>::new(4, net, Arc::clone(&stats));
+        let env = Env {
+            id: ME,
+            n_rows: labels.len(),
+            work_ns_per_unit: 0,
+            task: Task::Classification { n_classes: 2 },
+            attr_types: Arc::new(vec![AttrType::Numeric; 3]),
+            hist_bins,
+            stats,
+        };
+        let columns = columns.into_iter().map(Arc::new).enumerate().collect();
+        let labels = Arc::new(Labels::Class(labels));
+        Machine::new(env, columns, labels, fabric_task, fabric_data).0
+    }
+
+    /// Eight rows: attribute 0 separates the classes at 4.5; attribute 1
+    /// separates them less well, and differently.
+    fn eight_row_worker(hist_bins: Option<usize>) -> Machine {
+        let x0 = Column::Numeric((1..=8).map(f64::from).collect());
+        let x1 = Column::Numeric(vec![1.0, 5.0, 2.0, 6.0, 3.0, 7.0, 8.0, 4.0]);
+        worker_of(vec![x0, x1], vec![0, 0, 0, 0, 1, 1, 1, 1], hist_bins)
+    }
+
+    fn root_column_plan(task: u64, hist: Option<HistPlanConf>) -> TaskMsg {
+        column_plan(task, ParentRef::Root, hist)
+    }
+
+    fn column_plan(task: u64, parent: ParentRef, hist: Option<HistPlanConf>) -> TaskMsg {
+        TaskMsg::ColumnPlan(ColumnPlan {
+            task: TaskId(task),
+            tree: TREE,
+            cols: vec![0, 1],
+            parent,
+            n_rows: 8,
+            depth: 0,
+            params: PARAMS,
+            random_seed: None,
+            hist,
+            ctx: TraceCtx::NONE,
+        })
+    }
+
+    /// A subtree-task keyed on `ME` that needs attribute 1 from `REQUESTER`,
+    /// attribute 2 from `PEER`, and its rows from a parent worker.
+    fn child_subtree_plan(task: u64, tree: TreeId) -> TaskMsg {
+        TaskMsg::SubtreePlan(SubtreePlan {
+            task: TaskId(task),
+            tree,
+            col_sources: vec![(0, ME), (1, REQUESTER), (2, PEER)],
+            parent: ParentRef::Node {
+                worker: PEER,
+                task: TASK,
+                side: Side::Left,
+            },
+            n_rows: 4,
+            depth: 1,
+            params: PARAMS,
+            seed: 0,
+            ctx: TraceCtx::NONE,
+        })
+    }
+
+    fn rows_arrive(m: &Machine, task: u64, rows: Vec<u32>) -> Out {
+        m.on_data(DataMsg::RespIx {
+            for_task: TaskId(task),
+            rows,
+            ctx: TraceCtx::NONE,
+        })
+    }
+
+    fn column_arrives(m: &Machine, task: u64, attr: usize, values: Vec<f64>) -> Out {
+        m.on_data(DataMsg::RespCols {
+            for_task: TaskId(task),
+            attrs: vec![attr],
+            bufs: vec![ValuesBuf::Numeric(values)],
+            ctx: TraceCtx::NONE,
+        })
+    }
+
+    /// The task-plane frames of `out`, in order.
+    fn to_master(out: Out) -> Vec<TaskMsg> {
+        (out.frames.into_iter())
+            .map(|f| match f {
+                Frame::Master(msg) => msg,
+                _ => panic!("expected only task-plane frames"),
+            })
+            .collect()
+    }
+
+    /// The `RespIx` rows `out` sends to `REQUESTER`, if any.
+    fn rows_for_requester(out: &Out) -> Option<&[u32]> {
+        match &out.frames[..] {
+            [] => None,
+            [Frame::Peer(REQUESTER, DataMsg::RespIx { rows, .. })] => Some(rows),
+            _ => panic!("expected one RespIx to the requester"),
+        }
+    }
+
+    fn ask_for_the_left_rows(m: &Machine) -> Out {
+        m.on_data(DataMsg::ReqIx {
+            parent_task: TASK,
+            side: Side::Left,
+            requester: REQUESTER,
+            for_task: TaskId(11),
+            tree: TREE,
+            ctx: TraceCtx::NONE,
+        })
+    }
+
+    /// A worker that holds column 0 of a six-row table and has reported
+    /// `x <= 2.5` for `TASK` over all rows.
+    fn worker_awaiting_a_verdict() -> Machine {
         let column = Column::Numeric(vec![1.0, 4.0, 2.0, 5.0, f64::NAN, 3.0]);
-        let (worker, _ready) = Worker::new(
-            ME,
-            0,
-            HashMap::from([(0, Arc::new(column))]),
-            Arc::new(Labels::Class(vec![0, 1, 0, 1, 0, 1])),
-            Arc::new(vec![AttrType::Numeric]),
-            Task::Classification { n_classes: 2 },
-            fabric_task,
-            fabric_data,
-            None,
-        );
-        worker.state.lock().awaiting.insert(
+        let m = worker_of(vec![column], vec![0, 1, 0, 1, 0, 1], None);
+        m.worker.lock().awaiting.insert(
             TASK,
             AwaitingVerdict {
                 tree: TREE,
@@ -1643,62 +1721,229 @@ mod tests {
                 winning: Some((0, SplitTest::NumericLe(2.5), true)),
             },
         );
-        (worker, data_rxs.swap_remove(REQUESTER))
+        m
     }
 
-    /// `ConfirmBest` as `on_confirm_best` runs it, stopped between taking
+    /// `ConfirmBest` as `Machine::on_task` runs it, stopped between taking
     /// the verdict out and registering the delegate entry — where `Ix` is
-    /// partitioned with the state lock free — to let `in_the_gap` happen.
-    fn confirm_best_with(worker: &Worker, in_the_gap: impl FnOnce()) {
-        let av = worker.state.lock().awaiting.remove(&TASK).expect("verdict");
-        let sides = worker.partition_ix(&av);
+    /// partitioned with the lock free — to let `in_the_gap` happen.
+    fn confirm_best_with(m: &Machine, in_the_gap: impl FnOnce()) -> Out {
+        let (av, snap) = m.worker.lock().take_verdict(TASK).expect("verdict");
+        let sides = snap.partition_ix(&av);
         in_the_gap();
-        worker.install_delegate(TASK, av, sides);
-    }
-
-    fn ask_for_the_left_rows(worker: &Worker) {
-        let req = (TREE, Side::Left, REQUESTER, TaskId(11), TraceCtx::NONE);
-        worker.on_req_ix(TASK, req);
+        m.worker.lock().install_delegate(TASK, av, sides)
     }
 
     #[test]
     fn ix_request_in_the_partition_gap_parks_and_is_replayed() {
-        let (worker, requester_rx) = worker_awaiting_a_verdict();
-        confirm_best_with(&worker, || {
-            ask_for_the_left_rows(&worker);
-            assert!(requester_rx.try_recv().is_none(), "no entry yet: parked");
-            assert_eq!(worker.state.lock().parked[&TASK].len(), 1);
+        let m = worker_awaiting_a_verdict();
+        let out = confirm_best_with(&m, || {
+            let out = ask_for_the_left_rows(&m);
+            assert!(rows_for_requester(&out).is_none(), "no entry yet: parked");
+            assert_eq!(m.worker.lock().parked[&TASK].len(), 1);
         });
-        match requester_rx.try_recv() {
-            // Rows 0 and 2 pass the test; row 4 is missing and goes left.
-            Some(DataMsg::RespIx { for_task, rows, .. }) => {
-                assert_eq!((for_task, rows), (TaskId(11), vec![0, 2, 4]));
-            }
-            other => panic!("expected the parked request's answer, got {other:?}"),
-        }
-        let st = worker.state.lock();
-        assert!(st.parked.is_empty() && st.awaiting.is_empty());
-        assert_eq!(st.delegates[&TASK].served, [1, 0]);
+        // Rows 0 and 2 pass the test; row 4 is missing and goes left.
+        assert_eq!(rows_for_requester(&out), Some(&[0, 2, 4][..]));
+        let w = m.worker.lock();
+        assert!(w.parked.is_empty() && w.awaiting.is_empty());
+        assert_eq!(w.delegates[&TASK].served, [1, 0]);
     }
 
     #[test]
     fn revoke_in_the_partition_gap_leaves_no_delegate_entry() {
-        let (worker, requester_rx) = worker_awaiting_a_verdict();
-        confirm_best_with(&worker, || {
-            ask_for_the_left_rows(&worker);
-            worker.on_revoke_tree(TREE);
+        let m = worker_awaiting_a_verdict();
+        let out = confirm_best_with(&m, || {
+            ask_for_the_left_rows(&m);
+            m.on_task(TaskMsg::RevokeTree { tree: TREE });
         });
-        let st = worker.state.lock();
-        assert!(
-            st.delegates.is_empty(),
-            "a revoked tree got a delegate entry"
-        );
-        assert!(st.parked.is_empty() && st.awaiting.is_empty());
-        assert!(requester_rx.try_recv().is_none());
+        assert!(out.frames.is_empty());
+        {
+            let w = m.worker.lock();
+            assert!(
+                w.delegates.is_empty(),
+                "a revoked tree got a delegate entry"
+            );
+            assert!(w.parked.is_empty() && w.awaiting.is_empty());
+        }
         // A later request for the dead tree is dropped, not parked for ever.
-        drop(st);
-        ask_for_the_left_rows(&worker);
-        assert!(worker.state.lock().parked.is_empty());
+        assert!(ask_for_the_left_rows(&m).frames.is_empty());
+        assert!(m.worker.lock().parked.is_empty());
+    }
+
+    #[test]
+    fn one_steal_request_until_a_plan_or_a_donate_clears_the_latch() {
+        let m = eight_row_worker(None);
+        let is_steal = |out: Out| match &to_master(out)[..] {
+            [] => false,
+            [TaskMsg::StealRequest { worker: ME }] => true,
+            other => panic!("expected a StealRequest or nothing, got {other:?}"),
+        };
+        // Four compers pick up four tasks and compute them: the backlog is
+        // empty, the pipeline is four deep.
+        let ready: Vec<ReadyTask> = (1..=4)
+            .flat_map(|t| m.on_task(root_column_plan(t, None)).ready)
+            .collect();
+        for task in ready {
+            assert!(matches!(
+                to_master(m.compute(task))[..],
+                [TaskMsg::ColumnResult { .. }]
+            ));
+        }
+        assert!(
+            is_steal(m.worker.lock().idle()),
+            "the first idle comper asks"
+        );
+        assert!(!is_steal(m.worker.lock().idle()), "one request outstanding");
+        let donate = TaskMsg::Donate {
+            task: TaskId(9),
+            victim: PEER,
+            ctx: TraceCtx::NONE,
+        };
+        assert!(m.on_task(donate).frames.is_empty());
+        assert!(
+            is_steal(m.worker.lock().idle()),
+            "the Donate cleared the latch"
+        );
+        let ready = m.on_task(root_column_plan(5, None)).ready;
+        for task in ready {
+            m.compute(task);
+        }
+        assert!(
+            is_steal(m.worker.lock().idle()),
+            "the plan cleared the latch"
+        );
+        assert!(!is_steal(m.worker.lock().idle()), "one request outstanding");
+    }
+
+    #[test]
+    fn drain_sends_exactly_one_goodbye() {
+        let is_goodbye = |msgs: Vec<TaskMsg>| match &msgs[..] {
+            [] => false,
+            [TaskMsg::Goodbye { worker: ME }] => true,
+            other => panic!("expected a Goodbye or nothing, got {other:?}"),
+        };
+        // The pipeline is already dry when the Drain arrives.
+        let m = eight_row_worker(None);
+        assert!(is_goodbye(to_master(m.on_task(TaskMsg::Drain))));
+        assert!(!is_goodbye(to_master(m.on_task(TaskMsg::Drain))));
+
+        // Two tasks are queued: the Goodbye follows the last result.
+        let m = eight_row_worker(None);
+        let mut ready: Vec<ReadyTask> = (1..=2)
+            .flat_map(|t| m.on_task(root_column_plan(t, None)).ready)
+            .collect();
+        assert!(!is_goodbye(to_master(m.on_task(TaskMsg::Drain))));
+        let second = ready.pop().expect("two ready tasks");
+        assert!(matches!(
+            to_master(m.compute(ready.remove(0)))[..],
+            [TaskMsg::ColumnResult { .. }]
+        ));
+        assert!(
+            !is_goodbye(to_master(m.worker.lock().idle())),
+            "one task still queued"
+        );
+        assert!(matches!(
+            to_master(m.compute(second))[..],
+            [TaskMsg::ColumnResult { .. }]
+        ));
+        assert!(is_goodbye(to_master(m.worker.lock().idle())));
+        assert!(!is_goodbye(to_master(m.on_task(TaskMsg::Drain))));
+    }
+
+    #[test]
+    fn hist_fetch_then_confirm_best_partitions_by_the_recounted_winner() {
+        let m = eight_row_worker(Some(4));
+        let conf = HistPlanConf {
+            bins: 4,
+            vote_k: 2,
+            want_stats: true,
+        };
+        let ready = m.on_task(root_column_plan(TASK.0, Some(conf))).ready;
+        let task = ready
+            .into_iter()
+            .next()
+            .expect("a root plan is ready at once");
+        match &to_master(m.compute(task))[..] {
+            [TaskMsg::HistNominate { cands, .. }] => assert_eq!(cands.len(), 2),
+            other => panic!("expected a nomination, got {other:?}"),
+        }
+        assert!(m.worker.lock().awaiting[&TASK].winning.is_none());
+        // The master elects attribute 1 — not the one that splits best.
+        let fetch = TaskMsg::HistFetch {
+            task: TASK,
+            attr: 1,
+            ctx: TraceCtx::NONE,
+        };
+        let best = match to_master(m.on_task(fetch)).pop() {
+            Some(TaskMsg::HistBest {
+                best: Some(best), ..
+            }) => best,
+            other => panic!("expected the elected split, got {other:?}"),
+        };
+        assert_eq!(best.attr, 1);
+        assert!(m
+            .on_task(TaskMsg::ConfirmBest { task: TASK })
+            .frames
+            .is_empty());
+        let all: Vec<u32> = (0..8).collect();
+        let x = |attr: usize| m.worker.lock().data[&attr].column.clone();
+        let (left, _) = partition_rows(&x(1), &all, &best.split.test, best.split.missing_left);
+        let (left_by_0, _) = partition_rows(&x(0), &all, &best.split.test, best.split.missing_left);
+        assert_ne!(
+            left, left_by_0,
+            "the attributes must disagree for the test to mean anything"
+        );
+        assert_eq!(
+            rows_for_requester(&ask_for_the_left_rows(&m)),
+            Some(&left[..])
+        );
+    }
+
+    #[test]
+    fn ix_and_columns_arriving_after_a_revoke_promote_nothing() {
+        let m = eight_row_worker(None);
+        let parent = ParentRef::Node {
+            worker: PEER,
+            task: TASK,
+            side: Side::Right,
+        };
+        assert!(m.on_task(column_plan(21, parent, None)).ready.is_empty());
+        assert!(m.on_task(child_subtree_plan(20, TREE)).ready.is_empty());
+        m.on_task(TaskMsg::RevokeTree { tree: TREE });
+        for out in [
+            rows_arrive(&m, 20, vec![0, 1, 2, 3]),
+            rows_arrive(&m, 21, vec![4, 5, 6, 7]),
+            column_arrives(&m, 20, 1, vec![1.0, 5.0, 2.0, 6.0]),
+            column_arrives(&m, 20, 2, vec![0.0; 4]),
+        ] {
+            assert!(out.ready.is_empty() && out.frames.is_empty());
+        }
+        let w = m.worker.lock();
+        assert!(w.tasks.is_empty());
+        assert_eq!(w.ready_backlog, 0);
+    }
+
+    #[test]
+    fn revoking_a_half_provisioned_subtree_task_frees_its_buffers() {
+        let m = eight_row_worker(None);
+        let peak = || m.env.stats.snapshot(ME).mem_peak;
+        // `Ix` and one of the two remote columns arrive; the task waits on.
+        let provision = |task: u64, tree: TreeId| {
+            m.on_task(child_subtree_plan(task, tree));
+            assert!(rows_arrive(&m, task, vec![0, 1, 2, 3]).ready.is_empty());
+            assert!(column_arrives(&m, task, 1, vec![1.0, 5.0, 2.0, 6.0])
+                .ready
+                .is_empty());
+        };
+        provision(20, TreeId(1));
+        let first = peak();
+        m.on_task(TaskMsg::RevokeTree { tree: TreeId(1) });
+        provision(21, TreeId(2));
+        assert_eq!(
+            peak(),
+            first,
+            "the revoked task's Ix and column stayed charged"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Multi-producer multi-consumer channels over `std::sync`, plus the lock
-//! wrappers in [`sync`].
+//! wrapper in [`sync`].
 //!
 //! A dependency-free replacement for the narrow `crossbeam_channel` subset
 //! the simulated cluster uses: `unbounded`, `bounded`, cloneable `Sender`

@@ -1,10 +1,10 @@
-//! `Mutex`/`RwLock` wrappers with the `parking_lot` calling convention the
-//! engine uses: `.lock()`, `.read()` and `.write()` return guards directly.
+//! A `Mutex` wrapper with the `parking_lot` calling convention the engine
+//! uses: `.lock()` returns the guard directly.
 //!
 //! Backed by `std::sync`; a poisoned lock panics, which matches how the
 //! engine treated `parking_lot` (no poison handling anywhere).
 
-use std::sync::{self, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{self, MutexGuard};
 
 /// Mutual exclusion without a poison `Result` at every call site.
 #[derive(Debug, Default)]
@@ -36,40 +36,6 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-/// Reader-writer lock without a poison `Result` at every call site.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    pub fn new(value: T) -> RwLock<T> {
-        RwLock {
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .expect("tschan::sync::RwLock poisoned")
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.inner.read().expect("tschan::sync::RwLock poisoned")
-    }
-
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.inner.write().expect("tschan::sync::RwLock poisoned")
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().expect("tschan::sync::RwLock poisoned")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,14 +59,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*m.lock(), 8_000);
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(vec![1, 2, 3]);
-        assert_eq!(l.read().len(), 3);
-        l.write().push(4);
-        assert_eq!(*l.read(), vec![1, 2, 3, 4]);
-        assert_eq!(l.into_inner(), vec![1, 2, 3, 4]);
     }
 }
