@@ -328,17 +328,18 @@ impl Cluster {
             table.n_attrs(),
             table.schema().task,
             colmap,
-            fabric_task.clone(),
+            Arc::clone(&stats),
+            fabric_task.clock().now_ns(),
         );
-        let tick = master.tick();
         let master = Arc::new(Mutex::new(master));
         {
             let m = Arc::clone(&master);
+            let fabric = fabric_task.clone();
             let rx = task_rxs_opt[0].take().expect("master receiver");
             handles.push(
                 std::thread::Builder::new()
                     .name("master".into())
-                    .spawn(move || Master::run(&m, rx, tick))
+                    .spawn(move || Master::run(&m, &fabric, rx))
                     .expect("spawn master"),
             );
         }
@@ -406,7 +407,7 @@ impl Cluster {
                             if let Some((at, victim, grace_ns)) = preempt_ev {
                                 if now >= at {
                                     let grace = Duration::from_nanos(grace_ns);
-                                    Master::call(&m, |m| m.begin_drain(victim, grace));
+                                    Master::call(&m, &ft, |m| m.begin_drain(now, victim, grace));
                                     preempt_ev = None;
                                 }
                             }
@@ -455,7 +456,10 @@ impl Cluster {
     /// unannounced variant.
     pub fn preempt_worker(&self, worker: NodeId, grace: Duration) {
         assert!(worker >= 1, "cannot preempt the master");
-        Master::call(&self.master, |m| m.begin_drain(worker, grace));
+        let now = self.fabric_task.clock().now_ns();
+        Master::call(&self.master, &self.fabric_task, |m| {
+            m.begin_drain(now, worker, grace)
+        });
     }
 
     /// Whether `worker` is currently mid-drain.
@@ -482,7 +486,7 @@ impl Cluster {
 
     /// Submits a job without blocking.
     pub fn submit(&self, spec: JobSpec) -> JobHandle {
-        let (handle, rx) = Master::call(&self.master, |m| m.submit(spec));
+        let (handle, rx) = Master::call(&self.master, &self.fabric_task, |m| m.submit(spec));
         self.pending.lock().insert(handle, rx);
         handle
     }
@@ -531,15 +535,19 @@ impl Cluster {
             self.n_rows,
             "label column length must match the table's row count"
         );
-        let mut m = self.master.lock();
-        for &w in m.live_workers() {
+        let workers = {
+            let mut m = self.master.lock();
+            m.set_data_task(match labels {
+                ts_datatable::Labels::Real(_) => Task::Regression,
+                ts_datatable::Labels::Class(_) => self.task_kind,
+            });
+            m.live_workers().to_vec()
+        };
+        // Sent with the master's lock dropped: the broadcast is paced.
+        for w in workers {
             let labels = labels.clone();
             let _ = self.fabric_task.send(0, w, TaskMsg::LoadLabels { labels });
         }
-        m.set_data_task(match labels {
-            ts_datatable::Labels::Real(_) => Task::Regression,
-            ts_datatable::Labels::Class(_) => self.task_kind,
-        });
     }
 
     /// Simulates an *announced* worker crash: the worker stops processing
@@ -553,10 +561,10 @@ impl Cluster {
     /// the structured reason.
     pub fn kill_worker(&self, worker: NodeId) {
         assert!(worker >= 1, "cannot kill the master");
-        Master::call(&self.master, |m| {
-            let _ = self.fabric_task.send(0, worker, TaskMsg::Shutdown);
-            let _ = self.fabric_data.send(0, worker, DataMsg::Shutdown);
-            m.recover_or_degrade(worker);
+        let _ = self.fabric_task.send(0, worker, TaskMsg::Shutdown);
+        let _ = self.fabric_data.send(0, worker, DataMsg::Shutdown);
+        Master::call(&self.master, &self.fabric_task, |m| {
+            m.recover_or_degrade(worker)
         });
     }
 
@@ -645,7 +653,7 @@ impl Cluster {
         );
         let report = self.report();
         self.orch_stop.store(true, Ordering::Release);
-        self.master.lock().shutdown();
+        Master::call(&self.master, &self.fabric_task, Master::shutdown);
         for h in self.handles {
             let _ = h.join();
         }

@@ -1,13 +1,16 @@
 //! The master machine: tree/task scheduling, result folding, load-balanced
 //! assignment, and fault recovery.
 //!
-//! [`Master`] is a plain state machine: it owns the roster, the column
-//! map, the plan queue `Bplan`, the task table `Ttask`, the load matrix
-//! `M_work`, the job registry, the leases and the drain/migration ledgers
-//! as ordinary fields, every handler takes `&mut self`, and frames go out
-//! through `fabric.send` in program order. The cluster keeps it behind one
-//! lock, and one `master` thread ([`Master::run`]) drives it. The paper's
-//! two master loops (§IV, Fig. 14(a)) are the two phases of one step:
+//! [`Master`] is a plain state machine, a function of (state, `now`,
+//! message) to effects: it owns the roster, the column map, the plan queue
+//! `Bplan`, the task table `Ttask`, the load matrix `M_work`, the job
+//! registry, the leases and the drain/migration ledgers as ordinary fields,
+//! every handler takes `&mut self` and the time it is given, and frames and
+//! job notifications join one outbox in program order. It holds no fabric
+//! and reads no clock. The cluster keeps it behind one lock; one `master`
+//! thread ([`Master::run`]) drives it and alone delivers the outbox, with
+//! the lock dropped. The paper's two master loops (§IV, Fig. 14(a)) are the
+//! two phases of one step:
 //!
 //! - `θ_recv` ([`Master::step`]): folds one message — a column-task result
 //!   into the task table `Ttask` (picking the overall best split,
@@ -29,10 +32,11 @@
 //! handler, and a loop-back frame left in the master's own mailbox, so the
 //! step that dispatches what the call queued starts now rather than a tick
 //! from now. Dispatch itself stays on the master thread (see `call` for
-//! why). And because sends happen under the lock, the ordering rules of
-//! `docs/PROTOCOL.md` ("Confirm before quota", "Donate before plan
-//! traffic", "charge before send", "a task leaves the table in the step
-//! its children enter the queue") are program order.
+//! why). And because one thread delivers the one outbox in order, the
+//! ordering rules of `docs/PROTOCOL.md` ("Confirm before quota", "Donate
+//! before plan traffic", "charge before send", "a task leaves the table in
+//! the step its children enter the queue") are program order, while no
+//! paced send sleeps with the lock held.
 //!
 //! Hybrid scheduling (§III, Fig. 4/5): a new task goes to the **head** of
 //! `Bplan` when `|Dx| <= τ_dfs` (depth-first — reaches CPU-bound
@@ -46,10 +50,11 @@ use crate::job::{JobHandle, JobKind, JobResult, JobSpec, TreeSpec};
 use crate::messages::{ColumnPlan, ColumnTaskBest, SubtreePlan, TaskMsg};
 use crate::recovery::RecoveryError;
 use crate::sched::{PlanQueue, StealInfo, TauController};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::sync::Arc;
 use std::time::Duration;
 use ts_datatable::Task;
-use ts_netsim::{Fabric, FabricReceiver, NodeId, WireSized};
+use ts_netsim::{Fabric, FabricReceiver, NetStats, NodeId, WireSized};
 use ts_obs::{SpanId, TraceCtx};
 use ts_splits::exact::ColumnSplit;
 use ts_splits::impurity::{Impurity, NodeStats};
@@ -78,7 +83,7 @@ struct PlanDesc {
     /// The trace (job span id) this plan belongs to.
     trace: u64,
     /// The plan's own span, opened when the plan is created; `SpanActive`
-    /// when `pump` pops it, closed when its dispatch sends are done.
+    /// when `pump` pops it, closed when its frames are in the outbox.
     #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     span: u64,
 }
@@ -120,10 +125,10 @@ struct MasterTask {
     /// The task's span (the one its plan/result frames carry).
     #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     span: u64,
-    /// Dispatch clock reading (`Fabric::clock`), for the master-side
+    /// The `now` of the step that dispatched it, for the master-side
     /// task-latency histograms; virtual time under `SimClock::virtual_at`,
     /// so seeded replays measure identical latencies.
-    #[cfg(feature = "obs")]
+    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     started_ns: u64,
 }
 
@@ -228,6 +233,17 @@ impl HbLease {
     }
 }
 
+/// One thing a handler leaves in the outbox for the master thread to do
+/// once the lock is dropped.
+enum Effect {
+    /// A frame from the master to a machine on the task plane.
+    Send(NodeId, TaskMsg),
+    /// A job's result for the client waiting on it. It stays behind every
+    /// frame pushed before it, so a client back from `wait` finds every
+    /// byte of its job already sent and counted.
+    Notify(Sender<JobResult>, JobResult),
+}
+
 /// The master's whole state. One owner: the cluster shares it behind one
 /// `Mutex`, and every method here runs with that lock held.
 pub struct Master {
@@ -264,7 +280,13 @@ pub struct Master {
     /// follows worker timing, not the job, so `Cluster::report` keeps them
     /// out of `master_sent_bytes`, which then repeats for a fixed job.
     steal_ack_bytes: u64,
-    fabric: Fabric<TaskMsg>,
+    /// Where obs events are recorded, in place (the recorder lives on the
+    /// cluster's shared statistics).
+    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
+    stats: Arc<NetStats>,
+    /// Frames and job notifications in the order the handlers made them;
+    /// only the master thread delivers them ([`Master::run`]).
+    out: Vec<Effect>,
     /// Liveness leases per worker, refreshed by `Heartbeat` messages and
     /// swept by `check_heartbeats`.
     last_hb: HashMap<NodeId, HbLease>,
@@ -283,17 +305,18 @@ pub struct Master {
 }
 
 impl Master {
-    /// Creates the master state.
+    /// Creates the master state at time `now`, recording obs events to
+    /// `stats`' recorder.
     pub fn new(
         cfg: ClusterConfig,
         n_rows: usize,
         n_attrs: usize,
         data_task: Task,
         colmap: ColumnMap,
-        fabric: Fabric<TaskMsg>,
+        stats: Arc<NetStats>,
+        now: u64,
     ) -> Master {
         let workers: Vec<NodeId> = (1..=cfg.n_workers).collect();
-        let now = fabric.clock().now_ns();
         let last_hb = (workers.iter())
             .map(|&w| (w, HbLease::fresh(now)))
             .collect();
@@ -326,7 +349,8 @@ impl Master {
             next_span: 1,
             delegations: 0,
             steal_ack_bytes: 0,
-            fabric,
+            stats,
+            out: Vec::new(),
             last_hb,
             last_hb_sweep: 0,
             degraded: None,
@@ -343,7 +367,10 @@ impl Master {
     /// A call from outside the master thread: runs the handler `f` on the
     /// locked master, then posts a loop-back heartbeat from node 0 — the
     /// master itself, which holds no lease, so all the frame does is make
-    /// the master thread take a step, and with it a `pump`, now.
+    /// the master thread take a step, and with it a `pump`, now. What `f`
+    /// leaves in the outbox stays there: the master thread delivers it
+    /// ahead of whatever that step adds, the order one lock held across
+    /// both would give.
     ///
     /// The caller does not `pump` itself. `pump` admits trees, and the
     /// arena a tree's nodes grow in would then be born in the *caller's*
@@ -351,68 +378,90 @@ impl Master {
     /// model's buffers, freed once the client has its copy, leave holes
     /// under everything allocated since: measured as +5 % peak RSS on the
     /// ledger's serving set-up (CHANGES.md, PR 20).
-    pub fn call<R>(shared: &Mutex<Master>, f: impl FnOnce(&mut Master) -> R) -> R {
-        let mut m = shared.lock();
-        let out = f(&mut m);
-        let _ = m.fabric.send(0, 0, TaskMsg::Heartbeat { worker: 0 });
+    pub fn call<R>(
+        shared: &Mutex<Master>,
+        fabric: &Fabric<TaskMsg>,
+        f: impl FnOnce(&mut Master) -> R,
+    ) -> R {
+        let out = f(&mut shared.lock());
+        let _ = fabric.send(0, 0, TaskMsg::Heartbeat { worker: 0 });
         out
     }
 
-    /// How long the master thread waits for a message before it takes an
-    /// idle step, so the lease and drain-deadline sweeps keep running on a
-    /// silent cluster.
-    pub fn tick(&self) -> Duration {
-        (self.cfg.heartbeat_interval / 2).clamp(Duration::from_millis(1), Duration::from_millis(50))
+    /// The master thread: one turn per message or idle tick, until the
+    /// loop-back `Shutdown` that [`Master::shutdown`] leaves arrives. The
+    /// tick is half a heartbeat interval, so the lease and drain-deadline
+    /// sweeps keep running on a silent cluster.
+    pub fn run(shared: &Mutex<Master>, fabric: &Fabric<TaskMsg>, rx: FabricReceiver<TaskMsg>) {
+        let half_beat = shared.lock().cfg.heartbeat_interval / 2;
+        let tick = half_beat.clamp(Duration::from_millis(1), Duration::from_millis(50));
+        loop {
+            match rx.recv_timeout(tick) {
+                Ok(Some(TaskMsg::Shutdown)) | Err(_) => return,
+                Ok(msg) => Master::turn(shared, fabric, msg),
+            }
+        }
     }
 
-    /// The master thread: one step per message or idle tick, until the
-    /// loop-back `Shutdown` that [`Master::shutdown`] sends arrives.
-    pub fn run(shared: &Mutex<Master>, rx: FabricReceiver<TaskMsg>, tick: Duration) {
-        loop {
-            let msg = match rx.recv_timeout(tick) {
-                Ok(Some(TaskMsg::Shutdown)) | Err(_) => return,
-                Ok(msg) => msg,
-            };
+    /// One turn of the master thread: the clock read once, a step and its
+    /// pump under the lock, then — the lock dropped — the whole outbox
+    /// delivered in order, beginning with whatever `call`s left in it.
+    fn turn(shared: &Mutex<Master>, fabric: &Fabric<TaskMsg>, msg: Option<TaskMsg>) {
+        let now = fabric.clock().now_ns();
+        let effects = {
             let mut m = shared.lock();
-            m.step(msg);
-            m.pump();
+            m.step(now, msg);
+            m.pump(now);
+            std::mem::take(&mut m.out)
+        };
+        for effect in effects {
+            let _ = match effect {
+                Effect::Send(to, msg) => fabric.send(0, to, msg).ok(),
+                Effect::Notify(client, result) => client.send(result).ok(),
+            };
         }
     }
 
     /// `θ_recv`: folds one message (`None`: the tick brought none), then
     /// runs the self-throttled sweeps — leases, drain deadlines, τ.
-    pub fn step(&mut self, msg: Option<TaskMsg>) {
+    pub fn step(&mut self, now: u64, msg: Option<TaskMsg>) {
         match msg {
-            Some(msg) => self.handle(msg),
+            Some(msg) => self.handle(now, msg),
             None => self.plans.note_idle_tick(),
         }
-        self.check_heartbeats();
-        self.maybe_update_tau();
+        self.check_heartbeats(now);
+        self.maybe_update_tau(now);
     }
 
     /// `θ_main`: retires ready drains, admits trees, and assigns plans
     /// until nothing more is dispatchable.
-    pub fn pump(&mut self) {
+    pub fn pump(&mut self, now: u64) {
         self.retire_ready_drains();
         self.admit_trees();
         while let Some((plan, steal)) = self.plans.try_next(&self.mwork) {
-            self.assign_plan(plan, steal);
+            self.assign_plan(now, plan, steal);
         }
     }
 
     /// Tells every machine to stop — the roster, the draining workers (off
     /// the roster but alive, serving their data plane) and, by loop-back,
-    /// the master thread itself.
-    pub fn shutdown(&self) {
+    /// the master thread itself. Made through [`Master::call`].
+    pub fn shutdown(&mut self) {
         let machines = (self.workers.iter()).chain(self.draining.keys());
-        for &w in machines.chain(&[0]) {
-            let _ = self.fabric.send(0, w, TaskMsg::Shutdown);
-        }
+        let stops = machines
+            .chain(&[0])
+            .map(|&w| Effect::Send(w, TaskMsg::Shutdown));
+        self.out.extend(stops);
+    }
+
+    /// Leaves a frame to `to` in the outbox.
+    fn send(&mut self, to: NodeId, msg: TaskMsg) {
+        self.out.push(Effect::Send(to, msg));
     }
 
     // ------------------------------------------------------------------
     // Client calls (`Cluster` makes them under the lock; the ones that can
-    // queue work, through `Master::call`).
+    // queue work or send, through `Master::call`).
     // ------------------------------------------------------------------
 
     /// Submits a job; returns the handle and the result channel.
@@ -424,17 +473,16 @@ impl Master {
         let (tx, rx) = tschan::bounded(1);
         let job_id = self.registry.next_job;
         self.registry.next_job += 1;
-        if let Some(err) = &self.degraded {
-            let _ = tx.send(JobResult::Failed(err.clone()));
-            return (JobHandle(job_id), rx);
-        }
         // Regression kernels score by variance whatever the spec says, but
         // class counts have no variance: a comper would panic on the first
         // task and the job would never complete.
         let (impurity, task) = (spec.impurity, self.data_task);
-        if impurity == Impurity::Variance && matches!(task, Task::Classification { .. }) {
-            let mismatch = RecoveryError::ImpurityMismatch { impurity, task };
-            let _ = tx.send(JobResult::Failed(mismatch));
+        let mismatch =
+            impurity == Impurity::Variance && matches!(task, Task::Classification { .. });
+        let refused = (self.degraded.clone())
+            .or_else(|| mismatch.then_some(RecoveryError::ImpurityMismatch { impurity, task }));
+        if let Some(err) = refused {
+            self.out.push(Effect::Notify(tx, JobResult::Failed(err)));
             return (JobHandle(job_id), rx);
         }
         // The job's root span doubles as the trace id: every descendant
@@ -459,13 +507,9 @@ impl Master {
                 trace: job_span,
             });
         }
+        obs_event!(self.stats, 0, ts_obs::Event::JobSubmitted { job: job_id });
         obs_event!(
-            self.fabric.stats(),
-            0,
-            ts_obs::Event::JobSubmitted { job: job_id }
-        );
-        obs_event!(
-            self.fabric.stats(),
+            self.stats,
             0,
             ts_obs::Event::SpanOpen {
                 trace: job_span,
@@ -537,15 +581,14 @@ impl Master {
     /// about twice per heartbeat interval. No-op unless `cfg.adaptive_tau`
     /// is set and a recorder is attached (the feed lives on the recorder).
     #[cfg(feature = "obs")]
-    fn maybe_update_tau(&mut self) {
+    fn maybe_update_tau(&mut self, now: u64) {
         if !self.cfg.adaptive_tau {
             return;
         }
-        let Some(rec) = self.fabric.stats().recorder() else {
+        let Some(rec) = self.stats.recorder() else {
             return;
         };
         let interval = (self.cfg.heartbeat_interval.as_nanos() as u64).max(2);
-        let now = self.fabric.clock().now_ns();
         if now.saturating_sub(self.last_tau_update) < interval / 2 {
             return;
         }
@@ -554,7 +597,7 @@ impl Master {
     }
 
     #[cfg(not(feature = "obs"))]
-    fn maybe_update_tau(&mut self) {}
+    fn maybe_update_tau(&mut self, _now: u64) {}
 
     /// Inserts a plan into `Bplan` per the hybrid BFS/DFS rule. The plan
     /// lands on its parent worker's deque (§VI affinity); roots go to the
@@ -569,7 +612,7 @@ impl Master {
         #[cfg(feature = "obs")]
         {
             obs_event!(
-                self.fabric.stats(),
+                self.stats,
                 0,
                 ts_obs::Event::BplanPush {
                     end: if head {
@@ -614,7 +657,7 @@ impl Master {
             },
         );
         obs_event!(
-            self.fabric.stats(),
+            self.stats,
             0,
             ts_obs::Event::SpanOpen {
                 trace,
@@ -641,9 +684,8 @@ impl Master {
     /// preserves the trained model, and fences the declared-dead worker
     /// with a `Shutdown`; its late results refer to revoked trees and are
     /// silently dropped.
-    fn check_heartbeats(&mut self) {
+    fn check_heartbeats(&mut self, now: u64) {
         let interval = (self.cfg.heartbeat_interval.as_nanos() as u64).max(1);
-        let now = self.fabric.clock().now_ns();
         if now.saturating_sub(self.last_hb_sweep) < interval / 2 {
             return;
         }
@@ -659,7 +701,7 @@ impl Master {
             if missed > lease.reported {
                 lease.reported = missed;
                 obs_event!(
-                    self.fabric.stats(),
+                    self.stats,
                     0,
                     ts_obs::Event::HeartbeatMissed {
                         worker: w as u32,
@@ -696,18 +738,18 @@ impl Master {
     /// Declares `w` dead and runs crash recovery for it.
     fn suspect(&mut self, w: NodeId) {
         obs_event!(
-            self.fabric.stats(),
+            self.stats,
             0,
             ts_obs::Event::WorkerSuspected { worker: w as u32 }
         );
         self.recover_or_degrade(w);
     }
 
-    /// Refreshes a worker's liveness lease. Heartbeats from
+    /// Renews a worker's liveness lease at `now`. Heartbeats from
     /// already-declared-dead workers carry no lease and are ignored.
-    fn on_heartbeat(&mut self, worker: NodeId) {
+    fn on_heartbeat(&mut self, now: u64, worker: NodeId) {
         if let Some(lease) = self.last_hb.get_mut(&worker) {
-            *lease = HbLease::fresh(self.fabric.clock().now_ns());
+            *lease = HbLease::fresh(now);
         }
     }
 
@@ -725,7 +767,7 @@ impl Master {
     /// stolen (`steal`), the thief is told first via a `Donate` frame so
     /// its pending steal request is acknowledged before (or with) the
     /// plan traffic it produced.
-    fn assign_plan(&mut self, desc: PlanDesc, steal: Option<StealInfo>) {
+    fn assign_plan(&mut self, now: u64, desc: PlanDesc, steal: Option<StealInfo>) {
         // Fetch the tree's spec; a missing tree was revoked by recovery.
         let Some(t) = self.registry.active.get(&desc.tree) else {
             return;
@@ -735,9 +777,9 @@ impl Master {
         let (tau_d, _) = self.current_tau();
         let parent_worker = desc.parent_worker();
         // The plan span leaves the queue: open→active is queue wait,
-        // active→close is assignment + dispatch sends.
+        // active→close is assignment; the frames go out after the step.
         obs_event!(
-            self.fabric.stats(),
+            self.stats,
             0,
             ts_obs::Event::SpanActive {
                 span: desc.span,
@@ -749,7 +791,7 @@ impl Master {
         let task_span = self.new_span();
         let ctx = TraceCtx::new(desc.trace, SpanId(task_span));
         obs_event!(
-            self.fabric.stats(),
+            self.stats,
             0,
             ts_obs::Event::SpanOpen {
                 trace: desc.trace,
@@ -763,15 +805,13 @@ impl Master {
                 subject: desc.task.0,
             }
         );
-        #[cfg(feature = "obs")]
-        let started_ns = self.fabric.clock().now_ns();
 
         // Acknowledge a stolen plan before any of its traffic: the Donate
         // frame clears the thief's outstanding steal request and carries the
         // task span, which draws the steal edge in the span DAG.
         if let Some(info) = steal {
             obs_event!(
-                self.fabric.stats(),
+                self.stats,
                 0,
                 ts_obs::Event::PlanStolen {
                     task: desc.task.0,
@@ -785,7 +825,7 @@ impl Master {
                 ctx,
             };
             self.steal_ack_bytes += ack.wire_bytes() as u64;
-            let _ = self.fabric.send(0, info.thief, ack);
+            self.send(info.thief, ack);
         }
 
         // Each arm decides who computes what and returns: the task-table
@@ -930,8 +970,7 @@ impl Master {
                 kind,
                 trace: desc.trace,
                 span: task_span,
-                #[cfg(feature = "obs")]
-                started_ns,
+                started_ns: now,
             },
         );
         // The parent's delegate learns how many `Ix` requests to serve
@@ -951,7 +990,7 @@ impl Master {
         for (to, msg) in msgs {
             let delegated_subtree = matches!(msg, TaskMsg::SubtreePlan(_));
             #[cfg(feature = "obs")]
-            if let Some(rec) = self.fabric.stats().recorder() {
+            if let Some(rec) = self.stats.recorder() {
                 match &msg {
                     TaskMsg::ColumnPlan(p) => rec.record(
                         0,
@@ -973,18 +1012,14 @@ impl Master {
                     _ => {}
                 }
             }
-            let _ = self.fabric.send(0, to, msg);
+            self.send(to, msg);
             if delegated_subtree {
                 self.note_delegation(to);
             }
         }
         // Dispatch done: the plan span ends here; the task span stays open
         // until the final result is folded.
-        obs_event!(
-            self.fabric.stats(),
-            0,
-            ts_obs::Event::SpanClose { span: desc.span }
-        );
+        obs_event!(self.stats, 0, ts_obs::Event::SpanClose { span: desc.span });
     }
 
     /// Counts cluster-wide subtree delegations and fires the fault plan's
@@ -1005,14 +1040,14 @@ impl Master {
             return;
         }
         obs_event!(
-            self.fabric.stats(),
+            self.stats,
             0,
             ts_obs::Event::CrashInjected {
                 node: key_worker as u32,
                 at_delegation: nth
             }
         );
-        let _ = self.fabric.send(0, key_worker, TaskMsg::Shutdown);
+        self.send(key_worker, TaskMsg::Shutdown);
     }
 
     // ------------------------------------------------------------------
@@ -1020,25 +1055,25 @@ impl Master {
     // ------------------------------------------------------------------
 
     /// Folds one worker message into the master's state.
-    fn handle(&mut self, msg: TaskMsg) {
+    fn handle(&mut self, now: u64, msg: TaskMsg) {
         #[cfg(feature = "obs")]
         self.count_split_plane_bytes(&msg);
         match msg {
-            TaskMsg::Heartbeat { worker } => self.on_heartbeat(worker),
+            TaskMsg::Heartbeat { worker } => self.on_heartbeat(now, worker),
             TaskMsg::ColumnResult {
                 task,
                 worker,
                 best,
                 node_stats,
                 ..
-            } => self.on_column_result(task, worker, best, node_stats),
+            } => self.on_column_result(now, task, worker, best, node_stats),
             TaskMsg::HistNominate {
                 task,
                 worker,
                 cands,
                 node_stats,
                 ..
-            } => self.on_hist_nominate(task, worker, cands, node_stats),
+            } => self.on_hist_nominate(now, task, worker, cands, node_stats),
             TaskMsg::HistBest {
                 task, worker, best, ..
             } => self.on_hist_best(task, worker, best),
@@ -1047,7 +1082,7 @@ impl Master {
                 worker,
                 subtree,
                 ..
-            } => self.on_subtree_result(task, worker, subtree),
+            } => self.on_subtree_result(now, task, worker, subtree),
             TaskMsg::ReplicateDone { attrs, worker, .. } => self.on_replicate_done(attrs, worker),
             // A worker's compute pool ran dry: queue it for the stealing
             // pop. Requests are accelerators, not obligations — losing one
@@ -1055,7 +1090,7 @@ impl Master {
             // re-triggers). The `StealRequested` event is recorded at the
             // origin (the worker), so the counter sees each request once.
             TaskMsg::StealRequest { worker } => self.plans.mark_hungry(worker),
-            TaskMsg::Hello { worker } => self.on_hello(worker),
+            TaskMsg::Hello { worker } => self.on_hello(now, worker),
             // The draining worker reports its task queue idle. Departure
             // still waits on column handoffs and on in-flight tasks that
             // reference the leaver on the data plane (`retire_ready_drains`).
@@ -1076,7 +1111,7 @@ impl Master {
     /// changes (`docs/HISTOGRAM.md`).
     #[cfg(feature = "obs")]
     fn count_split_plane_bytes(&self, msg: &TaskMsg) {
-        let Some(rec) = self.fabric.stats().recorder() else {
+        let Some(rec) = self.stats.recorder() else {
             return;
         };
         match msg {
@@ -1100,15 +1135,11 @@ impl Master {
     /// order. Each handoff gets its own migration span, which rides every
     /// frame of it (ReplicateTo → ReplicateCols → ReplicateDone), so
     /// retries and duplicate drops attribute to it.
-    fn send_migrations(&mut self, by_pair: HashMap<(NodeId, NodeId), Vec<usize>>) {
-        let mut pairs: Vec<((NodeId, NodeId), Vec<usize>)> = by_pair.into_iter().collect();
-        pairs.sort_unstable_by_key(|&(k, _)| k);
-        for ((src, to), attrs) in pairs {
+    fn send_migrations(&mut self, by_pair: BTreeMap<(NodeId, NodeId), Vec<usize>>) {
+        for ((src, to), attrs) in by_pair {
             let span = self.new_span();
             let ctx = TraceCtx::new(span, SpanId(span));
-            let _ = self
-                .fabric
-                .send(0, src, TaskMsg::ReplicateTo { attrs, to, ctx });
+            self.send(src, TaskMsg::ReplicateTo { attrs, to, ctx });
         }
     }
 
@@ -1119,7 +1150,7 @@ impl Master {
     /// so column tasks never target data still in flight — but subtree
     /// tasks can pick it as key worker immediately (they fetch columns
     /// remotely anyway).
-    fn on_hello(&mut self, worker: NodeId) {
+    fn on_hello(&mut self, now: u64, worker: NodeId) {
         // A degraded cluster admits nobody; a draining node is on its way
         // out; a roster member's Hello is a duplicate.
         if self.degraded.is_some()
@@ -1130,20 +1161,19 @@ impl Master {
         }
         self.workers.push(worker);
         self.workers.sort_unstable();
-        let now = self.fabric.clock().now_ns();
         self.last_hb.insert(worker, HbLease::fresh(now));
         self.plans.set_workers(&self.workers);
         obs_event!(
-            self.fabric.stats(),
+            self.stats,
             0,
             ts_obs::Event::WorkerJoined {
                 node: worker as u32
             }
         );
-        let _ = self.fabric.send(0, worker, TaskMsg::Welcome { worker });
+        self.send(worker, TaskMsg::Welcome { worker });
 
         // Plan the join top-up and route one ReplicateTo per source.
-        let mut by_pair: HashMap<(NodeId, NodeId), Vec<usize>> = HashMap::new();
+        let mut by_pair: BTreeMap<(NodeId, NodeId), Vec<usize>> = BTreeMap::new();
         for (attr, src) in self.colmap.add_worker(worker, self.cfg.replication) {
             self.migrations.insert((attr, worker), src);
             by_pair.entry((src, worker)).or_default().push(attr);
@@ -1152,11 +1182,11 @@ impl Master {
     }
 
     /// Starts a graceful drain of `worker` ahead of an announced preemption
-    /// with the given grace window. The leaver is removed from scheduling
+    /// with the given grace window, counted from `now`. The leaver is removed from scheduling
     /// immediately (so the lease sweep and the assigner both skip it), its
     /// queued plans are reclaimed onto the global deque, its columns are
     /// handed off, and a `Drain` frame tells it to finish up and `Goodbye`.
-    pub fn begin_drain(&mut self, worker: NodeId, grace: Duration) {
+    pub fn begin_drain(&mut self, now: u64, worker: NodeId, grace: Duration) {
         // Never drain the last worker: there is nowhere to hand off to.
         if self.degraded.is_some()
             || self.draining.contains_key(&worker)
@@ -1166,7 +1196,7 @@ impl Master {
             return;
         }
         obs_event!(
-            self.fabric.stats(),
+            self.stats,
             0,
             ts_obs::Event::WorkerDraining {
                 node: worker as u32
@@ -1187,7 +1217,7 @@ impl Master {
         //    and copies it to a live non-holder itself; the handoff
         //    completing is what retires it as holder (`migrating` set).
         let mut migrating: BTreeSet<usize> = BTreeSet::new();
-        let mut by_pair: HashMap<(NodeId, NodeId), Vec<usize>> = HashMap::new();
+        let mut by_pair: BTreeMap<(NodeId, NodeId), Vec<usize>> = BTreeMap::new();
         let mut load: HashMap<NodeId, usize> = (self.workers.iter())
             .map(|&w| (w, self.colmap.columns_of(w).len()))
             .collect();
@@ -1214,7 +1244,6 @@ impl Master {
             by_pair.entry((src, target)).or_default().push(attr);
         }
         self.send_migrations(by_pair);
-        let now = self.fabric.clock().now_ns();
         self.draining.insert(
             worker,
             DrainState {
@@ -1223,7 +1252,7 @@ impl Master {
                 goodbye: false,
             },
         );
-        let _ = self.fabric.send(0, worker, TaskMsg::Drain);
+        self.send(worker, TaskMsg::Drain);
     }
 
     /// Replicated columns landed at `worker`. Join/drain migrations are
@@ -1239,7 +1268,7 @@ impl Master {
                 continue;
             };
             obs_event!(
-                self.fabric.stats(),
+                self.stats,
                 0,
                 ts_obs::Event::ColumnMigrated {
                     attr: a as u32,
@@ -1257,7 +1286,7 @@ impl Master {
         }
         if any_recovery {
             obs_event!(
-                self.fabric.stats(),
+                self.stats,
                 0,
                 ts_obs::Event::WorkerRecovered {
                     node: worker as u32
@@ -1288,19 +1317,21 @@ impl Master {
             self.draining.remove(&w);
             self.last_hb.remove(&w);
             obs_event!(
-                self.fabric.stats(),
+                self.stats,
                 0,
                 ts_obs::Event::WorkerDeparted { node: w as u32 }
             );
             // The leaver holds no columns by now (handoffs retired them),
             // so the reliable Shutdown is the last frame it will ever see;
             // it acks and exits through the normal cascade.
-            let _ = self.fabric.send(0, w, TaskMsg::Shutdown);
+            self.send(w, TaskMsg::Shutdown);
         }
     }
 
+    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
     fn on_column_result(
         &mut self,
+        now: u64,
         task: TaskId,
         worker: NodeId,
         best: Option<ColumnTaskBest>,
@@ -1310,16 +1341,12 @@ impl Master {
             return; // revoked
         };
         obs_event!(
-            self.fabric.stats(),
+            self.stats,
             0,
             ts_obs::Event::ColumnTaskCompleted {
                 task: task.0,
                 node: worker as u32,
-                latency_ns: self
-                    .fabric
-                    .clock()
-                    .now_ns()
-                    .saturating_sub(entry.started_ns),
+                latency_ns: now.saturating_sub(entry.started_ns),
             }
         );
         let TaskKind::Column {
@@ -1362,8 +1389,10 @@ impl Master {
     /// immediately, or the master elects the globally best candidate by
     /// `(gain desc, attr asc, worker asc)` and fetches the single full
     /// split it needs from the nominating worker.
+    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
     fn on_hist_nominate(
         &mut self,
+        now: u64,
         task: TaskId,
         worker: NodeId,
         noms: Vec<(usize, f64)>,
@@ -1373,16 +1402,12 @@ impl Master {
             return; // revoked
         };
         obs_event!(
-            self.fabric.stats(),
+            self.stats,
             0,
             ts_obs::Event::ColumnTaskCompleted {
                 task: task.0,
                 node: worker as u32,
-                latency_ns: self
-                    .fabric
-                    .clock()
-                    .now_ns()
-                    .saturating_sub(entry.started_ns),
+                latency_ns: now.saturating_sub(entry.started_ns),
             }
         );
         let TaskKind::Hist {
@@ -1431,12 +1456,12 @@ impl Master {
         let ctx = TraceCtx::new(entry.trace, SpanId(entry.span));
         let msg = TaskMsg::HistFetch { task, attr, ctx };
         #[cfg(feature = "obs")]
-        if let Some(rec) = self.fabric.stats().recorder() {
+        if let Some(rec) = self.stats.recorder() {
             rec.registry()
                 .counter("hist_bytes_sent")
                 .add(msg.wire_bytes() as u64);
         }
-        let _ = self.fabric.send(0, w, msg);
+        self.send(w, msg);
     }
 
     /// The elected worker answered the `HistFetch` with its full split:
@@ -1473,11 +1498,7 @@ impl Master {
         self.mwork.deduct(&entry.charges);
         // The last shard has been folded: the task span is complete,
         // whatever the outcome (leaf, winner, or revoked tree).
-        obs_event!(
-            self.fabric.stats(),
-            0,
-            ts_obs::Event::SpanClose { span: entry.span }
-        );
+        obs_event!(self.stats, 0, ts_obs::Event::SpanClose { span: entry.span });
         // A finished hist election carries the fetched full split in the
         // same shape as an exact task; the shared winner/leaf logic below
         // is what keeps both splitters' control flow (ConfirmBest first,
@@ -1498,15 +1519,15 @@ impl Master {
             unreachable!("subtree tasks are not finalized here");
         };
         let node_stats = node_stats.expect("at least one shard reported");
-        let drop_all = |fabric: &Fabric<TaskMsg>| {
-            for &w in &involved {
-                let _ = fabric.send(0, w, TaskMsg::DropTask { task });
-            }
+        // Every shard but the winner's (if any) drops its task object.
+        let drop_all_but = |out: &mut Vec<Effect>, winner: Option<NodeId>| {
+            let losers = involved.iter().filter(|&&w| Some(w) != winner);
+            out.extend(losers.map(|&w| Effect::Send(w, TaskMsg::DropTask { task })));
         };
         let Some(tree) = self.registry.active.get_mut(&entry.tree) else {
             // Tree revoked while results were in flight: just tell the
             // workers to drop their task objects.
-            return drop_all(&self.fabric);
+            return drop_all_but(&mut self.out, None);
         };
         let params = tree.spec.params;
 
@@ -1520,14 +1541,14 @@ impl Master {
             tree.nodes[entry.node] = Node::leaf(node_pred, entry.n_rows, entry.depth);
             tree.pending -= 1;
             let done_tree = tree.pending == 0;
-            drop_all(&self.fabric);
+            drop_all_but(&mut self.out, None);
             if done_tree {
                 self.finish_tree(entry.tree);
             }
             return;
         };
         obs_event!(
-            self.fabric.stats(),
+            self.stats,
             0,
             ts_obs::Event::SplitChosen {
                 task: task.0,
@@ -1577,17 +1598,11 @@ impl Master {
         // ServeQuota for this task does; both ride the same FIFO channel,
         // and the quotas go out when `pump` assigns the child plans queued
         // below — later in this same step.
-        let _ = self.fabric.send(0, winner, TaskMsg::ConfirmBest { task });
-        for w in involved {
-            if w != winner {
-                let _ = self.fabric.send(0, w, TaskMsg::DropTask { task });
-            }
-        }
+        self.send(winner, TaskMsg::ConfirmBest { task });
+        drop_all_but(&mut self.out, Some(winner));
         for (side, _, _) in leaves {
             let quota = 0;
-            let _ = self
-                .fabric
-                .send(0, winner, TaskMsg::ServeQuota { task, side, quota });
+            self.send(winner, TaskMsg::ServeQuota { task, side, quota });
         }
         for (side, stats, node) in children {
             let plan = PlanDesc {
@@ -1612,7 +1627,7 @@ impl Master {
             // winning split spawned them — this is the job→plan→task→plan
             // chain the critical-path walk follows.
             obs_event!(
-                self.fabric.stats(),
+                self.stats,
                 0,
                 ts_obs::Event::SpanOpen {
                     trace: plan.trace,
@@ -1630,31 +1645,23 @@ impl Master {
     }
 
     #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
-    fn on_subtree_result(&mut self, task: TaskId, worker: NodeId, subtree: DecisionTreeModel) {
+    fn on_subtree_result(&mut self, now: u64, task: TaskId, w: NodeId, subtree: DecisionTreeModel) {
         let Some(entry) = self.ttask.remove(&task) else {
             return; // revoked
         };
-        self.plans.note_completed(worker);
+        self.plans.note_completed(w);
         self.mwork.deduct(&entry.charges);
         obs_event!(
-            self.fabric.stats(),
+            self.stats,
             0,
             ts_obs::Event::SubtreeTaskBuilt {
                 task: task.0,
-                node: worker as u32,
+                node: w as u32,
                 nodes: subtree.n_nodes() as u32,
-                latency_ns: self
-                    .fabric
-                    .clock()
-                    .now_ns()
-                    .saturating_sub(entry.started_ns),
+                latency_ns: now.saturating_sub(entry.started_ns),
             }
         );
-        obs_event!(
-            self.fabric.stats(),
-            0,
-            ts_obs::Event::SpanClose { span: entry.span }
-        );
+        obs_event!(self.stats, 0, ts_obs::Event::SpanClose { span: entry.span });
         let Some(tree) = self.registry.active.get_mut(&entry.tree) else {
             return;
         };
@@ -1702,18 +1709,10 @@ impl Master {
         };
         // Record before notifying: `Cluster::wait` returns on the send,
         // and observers may snapshot the rings immediately after.
-        obs_event!(
-            self.fabric.stats(),
-            0,
-            ts_obs::Event::SpanClose { span: job.span }
-        );
-        obs_event!(
-            self.fabric.stats(),
-            0,
-            ts_obs::Event::JobFinished { job: tree.job }
-        );
+        obs_event!(self.stats, 0, ts_obs::Event::SpanClose { span: job.span });
+        obs_event!(self.stats, 0, ts_obs::Event::JobFinished { job: tree.job });
         #[cfg(feature = "obs")]
-        if let Some(rec) = self.fabric.stats().recorder() {
+        if let Some(rec) = self.stats.recorder() {
             if rec.log_latency_feed() {
                 let feed = rec.latency_feed().snapshot();
                 eprintln!(
@@ -1729,8 +1728,8 @@ impl Master {
                 );
             }
         }
-        // A one-slot mailbox, sent to once: it cannot block under the lock.
-        let _ = job.notify.send(result);
+        // Behind every frame of the job in the outbox.
+        self.out.push(Effect::Notify(job.notify, result));
     }
 
     // ------------------------------------------------------------------
@@ -1762,21 +1761,22 @@ impl Master {
             return Ok(());
         }
         obs_event!(
-            self.fabric.stats(),
+            self.stats,
             0,
             ts_obs::Event::WorkerCrashed { node: dead as u32 }
         );
-        // 1. Membership: drop the worker from scheduling, liveness tracking
-        // and the reliable fabric's retransmission table — then fence it.
-        // "Dead" is a verdict, not a fact: a worker that blew its grace
-        // window or merely missed its lease is still running, and nothing
-        // else would ever tell it to stop (`Cluster::shutdown` only
-        // notifies the roster). A truly dead node's receiver is gone, so
-        // the frame is dropped on the first transmit error.
+        // 1. Membership: drop the worker from scheduling and liveness
+        // tracking — then fence it. "Dead" is a verdict, not a fact: a
+        // worker that blew its grace window or merely missed its lease is
+        // still running, and nothing else would ever tell it to stop
+        // (`Cluster::shutdown` only notifies the roster). The fence takes
+        // the next sequence number on the edge after every earlier frame,
+        // which stay in flight until delivered, so a live worker gets it in
+        // order; to a truly dead node each frame leaves the retransmission
+        // table at its first delivered transmission, which fails.
         self.workers.retain(|&w| w != dead);
         self.last_hb.remove(&dead);
-        self.fabric.forget_destination(dead);
-        let _ = self.fabric.send(0, dead, TaskMsg::Shutdown);
+        self.send(dead, TaskMsg::Shutdown);
         // Elastic migrations headed for the dead worker will never land.
         self.migrations.retain(|&(_, to), _| to != dead);
         if self.workers.is_empty() {
@@ -1786,8 +1786,8 @@ impl Master {
         // 2. Column re-replication planning. Columns down to a single
         // surviving replica are scheduled first — another crash would lose
         // them for good. The holder list is updated when ReplicateDone
-        // arrives.
-        let mut transfer: HashMap<NodeId, (NodeId, Vec<usize>)> = HashMap::new();
+        // arrives. One `ReplicateTo` per `(source, target)` pair.
+        let mut transfer: BTreeMap<(NodeId, NodeId), Vec<usize>> = BTreeMap::new();
         let mut lost = self.colmap.remove_worker(dead)?;
         lost.sort_by_key(|&a| (self.colmap.holders(a).len(), a));
         let mut load: HashMap<NodeId, usize> = (self.workers.iter())
@@ -1802,8 +1802,7 @@ impl Master {
                 return Err(RecoveryError::NoReplicationTarget { attr });
             };
             *load.get_mut(&target).expect("live") += 1;
-            let (_, attrs) = transfer.entry(holders[0]).or_insert((target, Vec::new()));
-            attrs.push(attr);
+            transfer.entry((holders[0], target)).or_default().push(attr);
         }
 
         // 3. Revoke all in-flight trees and restart them under fresh ids.
@@ -1823,17 +1822,15 @@ impl Master {
             self.start_tree(t.job, t.index, t.trace, t.spec);
         }
 
-        // 4. Notify workers.
+        // 4. Notify workers: revocations, then the transfers in pair order.
         for &w in &self.workers {
             for &tree in &revoked_ids {
-                let _ = self.fabric.send(0, w, TaskMsg::RevokeTree { tree });
+                self.out.push(Effect::Send(w, TaskMsg::RevokeTree { tree }));
             }
         }
-        for (source, (to, attrs)) in transfer {
+        for ((source, to), attrs) in transfer {
             let ctx = TraceCtx::NONE;
-            let _ = self
-                .fabric
-                .send(0, source, TaskMsg::ReplicateTo { attrs, to, ctx });
+            self.send(source, TaskMsg::ReplicateTo { attrs, to, ctx });
         }
         Ok(())
     }
@@ -1849,7 +1846,8 @@ impl Master {
         self.mwork.clear();
         self.plans.clear();
         for (_, j) in self.registry.jobs.drain() {
-            let _ = j.notify.send(JobResult::Failed(err.clone()));
+            let failed = JobResult::Failed(err.clone());
+            self.out.push(Effect::Notify(j.notify, failed));
         }
         self.degraded = Some(err);
     }
@@ -1858,37 +1856,28 @@ impl Master {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ts_netsim::{NetModel, NetStats, SimClock};
+    use ts_netsim::{NetModel, SimClock};
     use ts_splits::condition::SplitTest;
     use ts_splits::impurity::ClassCounts;
 
     const TASK: Task = Task::Classification { n_classes: 2 };
 
-    /// A master on instant links and a virtual clock at 0, over 4 columns
-    /// placed round-robin, plus every machine's inbox (index = node id).
-    /// Nothing here spawns a thread: tests call handlers, `step` and `pump`
-    /// directly and read what the workers would have received.
-    fn master_of(cfg: ClusterConfig, n_rows: usize) -> (Master, Vec<FabricReceiver<TaskMsg>>) {
-        let n_nodes = cfg.total_worker_slots() + 1;
-        let clock = SimClock::virtual_at(0);
-        let (fabric, rxs) = Fabric::new_faulty(
-            n_nodes,
-            NetModel::instant(),
-            NetStats::new(n_nodes),
-            None,
-            clock,
-        );
-        let colmap = ColumnMap::round_robin(4, cfg.n_workers, cfg.replication);
-        (Master::new(cfg, n_rows, 4, TASK, colmap, fabric), rxs)
+    /// A master at time 0 over `n_cols` columns placed round-robin. It has
+    /// no fabric and spawns no thread: tests call handlers, `step` and
+    /// `pump` at explicit times and read the outbox back ([`inboxes`]).
+    fn master_of(cfg: ClusterConfig, n_rows: usize, n_cols: usize) -> Master {
+        let stats = NetStats::new(cfg.total_worker_slots() + 1);
+        let colmap = ColumnMap::round_robin(n_cols, cfg.n_workers, cfg.replication);
+        Master::new(cfg, n_rows, n_cols, TASK, colmap, stats, 0)
     }
 
-    fn test_master(n_rows: usize, tau_dfs: u64) -> (Master, Vec<FabricReceiver<TaskMsg>>) {
+    fn test_master(n_rows: usize, tau_dfs: u64) -> Master {
         let cfg = ClusterConfig {
             n_workers: 2,
             tau_dfs,
             ..ClusterConfig::default()
         };
-        master_of(cfg, n_rows)
+        master_of(cfg, n_rows, 4)
     }
 
     /// Three workers, `τ_D = 100`: with 150 rows the root is a column task
@@ -1901,9 +1890,38 @@ mod tests {
         }
     }
 
-    /// Everything a machine has been sent since the last look.
+    /// Takes the outbox as the machines would see it: one inbox per machine
+    /// (index = node id), and each job result handed to its client.
+    fn inboxes(m: &mut Master) -> Vec<Vec<TaskMsg>> {
+        let mut boxes = vec![Vec::new(); m.cfg.total_worker_slots() + 1];
+        for effect in std::mem::take(&mut m.out) {
+            match effect {
+                Effect::Send(to, msg) => boxes[to].push(msg),
+                Effect::Notify(client, result) => {
+                    let _ = client.send(result);
+                }
+            }
+        }
+        boxes
+    }
+
+    /// A fabric on instant links and a virtual clock for `m`'s machines,
+    /// with every machine's receiver: what `Master::call` and
+    /// `Master::turn` take.
+    fn fabric_for(m: &Master) -> (Fabric<TaskMsg>, Vec<FabricReceiver<TaskMsg>>) {
+        let n = m.cfg.total_worker_slots() + 1;
+        let clock = SimClock::virtual_at(0);
+        Fabric::new_faulty(n, NetModel::instant(), NetStats::new(n), None, clock)
+    }
+
+    /// Everything a machine has been delivered since the last look.
     fn inbox(rx: &FabricReceiver<TaskMsg>) -> Vec<TaskMsg> {
         rx.try_iter().collect()
+    }
+
+    /// The job result a client holds, if one was delivered.
+    fn result_of(client: &Receiver<JobResult>) -> Option<JobResult> {
+        client.try_iter().next()
     }
 
     /// The `(worker, task)` pairs of the plan frames in `frames[w]`.
@@ -1921,10 +1939,11 @@ mod tests {
         out
     }
 
-    /// One master step and its pump, as `Master::run` takes them.
+    /// One master step and its pump at time 0, as `Master::turn` takes
+    /// them.
     fn deliver(m: &mut Master, msg: TaskMsg) {
-        m.step(Some(msg));
-        m.pump();
+        m.step(0, Some(msg));
+        m.pump(0);
     }
 
     /// Label statistics of `zeros` class-0 and `ones` class-1 rows.
@@ -1979,7 +1998,7 @@ mod tests {
     fn enqueue_respects_hybrid_bfs_dfs_rule() {
         // Fig. 5: |Dx| > tau_dfs appends (breadth-first tail), smaller
         // pushes to the head (depth-first).
-        let (mut m, _rxs) = test_master(1_000, 100);
+        let mut m = test_master(1_000, 100);
         let mk = |task: u64, n_rows: u64| PlanDesc {
             task: TaskId(task),
             tree: TreeId(0),
@@ -2005,7 +2024,7 @@ mod tests {
 
     #[test]
     fn submit_expands_trees_into_the_queue() {
-        let (mut m, _rxs) = test_master(1_000, 100);
+        let mut m = test_master(1_000, 100);
         let (h1, _rx1) = m.submit(JobSpec::random_forest(TASK, 5));
         let (h2, _rx2) = m.submit(JobSpec::decision_tree(TASK));
         assert_ne!(h1, h2);
@@ -2019,7 +2038,7 @@ mod tests {
 
     #[test]
     fn admit_respects_npool() {
-        let (mut m, _rxs) = test_master(10, 1_000);
+        let mut m = test_master(10, 1_000);
         m.cfg.n_pool = 3;
         let (_h, _rx) = m.submit(JobSpec::random_forest(TASK, 10));
         m.admit_trees();
@@ -2040,7 +2059,7 @@ mod tests {
 
     #[test]
     fn placeholder_matches_task_kind() {
-        let (m, _rxs) = test_master(10, 100);
+        let m = test_master(10, 100);
         match m.placeholder_pred() {
             Prediction::Class { pmf, .. } => assert_eq!(pmf.len(), 2),
             Prediction::Real(_) => panic!("classification master"),
@@ -2049,17 +2068,17 @@ mod tests {
 
     #[test]
     fn heartbeat_refreshes_lease_and_fresh_workers_are_not_suspected() {
-        let (mut m, _rxs) = test_master(10, 100);
-        m.on_heartbeat(1);
-        m.on_heartbeat(2);
-        m.check_heartbeats();
+        let mut m = test_master(10, 100);
+        m.on_heartbeat(0, 1);
+        m.on_heartbeat(0, 2);
+        m.check_heartbeats(0);
         assert_eq!(m.live_workers(), [1, 2]);
         assert!(m.degraded.is_none());
     }
 
     /// A 1 ms heartbeat with a 3 ms lease, for detector tests: the silence
-    /// is an `advance` of the virtual clock, not a real sleep, so the
-    /// verdict is deterministic no matter how loaded the test host is.
+    /// is a later `now`, not a real sleep, so the verdict is deterministic
+    /// no matter how loaded the test host is.
     fn short_lease(n_workers: usize) -> ClusterConfig {
         ClusterConfig {
             n_workers,
@@ -2069,19 +2088,22 @@ mod tests {
         }
     }
 
+    /// 10 ms: well past a `short_lease`.
+    const LATER: u64 = 10_000_000;
+
     #[test]
     fn silent_worker_is_suspected_and_impossible_recovery_degrades_cleanly() {
-        let (mut m, _rxs) = master_of(short_lease(2), 1_000);
+        let mut m = master_of(short_lease(2), 1_000, 4);
         let (_h, rx) = m.submit(JobSpec::decision_tree(TASK));
         // Worker 2 keeps beating; worker 1 goes silent past the 3 ms lease.
-        m.fabric.clock().advance(Duration::from_millis(10));
-        m.on_heartbeat(2);
-        m.check_heartbeats();
+        m.on_heartbeat(LATER, 2);
+        m.check_heartbeats(LATER);
         // 2 workers at replication 2: every live worker already holds the
         // dead worker's columns, so no re-replication target exists and the
         // job must fail with the structured reason rather than panic.
         assert!(!m.live_workers().contains(&1), "worker 1 declared dead");
-        let res = rx.recv().expect("failure notification");
+        inboxes(&mut m);
+        let res = result_of(&rx).expect("failure notification");
         assert!(
             matches!(
                 res,
@@ -2090,12 +2112,10 @@ mod tests {
             "unexpected result: {res:?}"
         );
         assert!(m.degraded_reason().is_some());
-        // Later submissions fail immediately with the same reason.
+        // Later submissions fail at once with the same reason.
         let (_h2, rx2) = m.submit(JobSpec::decision_tree(TASK));
-        assert!(matches!(
-            rx2.recv().expect("immediate failure"),
-            JobResult::Failed(_)
-        ));
+        inboxes(&mut m);
+        assert!(matches!(result_of(&rx2), Some(JobResult::Failed(_))));
     }
 
     #[test]
@@ -2103,14 +2123,13 @@ mod tests {
         // "Dead" is a verdict: worker 3 only missed its lease. It must be
         // told to stop, or it runs on past `Cluster::shutdown` — which
         // notifies the roster it is no longer on — and is joined forever.
-        let (mut m, rxs) = master_of(short_lease(3), 1_000);
-        m.fabric.clock().advance(Duration::from_millis(10));
-        m.on_heartbeat(1);
-        m.on_heartbeat(2);
-        m.step(None); // an idle tick runs the sweep
+        let mut m = master_of(short_lease(3), 1_000, 4);
+        m.on_heartbeat(LATER, 1);
+        m.on_heartbeat(LATER, 2);
+        m.step(LATER, None); // an idle tick runs the sweep
         assert_eq!(m.live_workers(), [1, 2], "worker 3 declared dead");
         assert!(m.degraded_reason().is_none(), "its columns had replicas");
-        assert!(matches!(inbox(&rxs[3]).last(), Some(TaskMsg::Shutdown)));
+        assert!(matches!(inboxes(&mut m)[3].last(), Some(TaskMsg::Shutdown)));
     }
 
     #[test]
@@ -2122,7 +2141,7 @@ mod tests {
             n_workers: 3,
             ..ClusterConfig::default()
         };
-        let (mut m, rxs) = master_of(cfg, 1_000);
+        let mut m = master_of(cfg, 1_000, 4);
         let (_h, _rx) = m.submit(JobSpec::decision_tree(TASK));
         m.admit_trees();
         // Drain the root from the global deque: nobody is hungry yet, so
@@ -2145,7 +2164,7 @@ mod tests {
             trace: root.trace,
             span: 0,
         });
-        m.step(Some(TaskMsg::StealRequest { worker: 2 }));
+        m.step(0, Some(TaskMsg::StealRequest { worker: 2 }));
         let (stolen, steal) = m.plans.try_next(&m.mwork).expect("stolen child");
         assert_eq!(stolen.task, TaskId(99));
         assert_eq!(
@@ -2155,12 +2174,11 @@ mod tests {
                 thief: 2
             })
         );
-        m.assign_plan(stolen, steal);
-        let first = rxs[2].try_recv().expect("thief was messaged");
-        match first {
-            TaskMsg::Donate { task, victim, .. } => {
-                assert_eq!(task, TaskId(99));
-                assert_eq!(victim, 1);
+        m.assign_plan(0, stolen, steal);
+        match inboxes(&mut m)[2].first() {
+            Some(TaskMsg::Donate { task, victim, .. }) => {
+                assert_eq!(*task, TaskId(99));
+                assert_eq!(*victim, 1);
             }
             other => panic!("thief's first frame was {other:?}, not Donate"),
         }
@@ -2170,7 +2188,7 @@ mod tests {
     fn dispatch_window_is_two_plans_per_comper_plus_two() {
         // Two plans per comper plus two in flight per worker; the next one
         // waits in the master's backlog.
-        let (mut m, _rxs) = test_master(1_000, 100);
+        let mut m = test_master(1_000, 100);
         let window = 2 * m.cfg.compers_per_worker as u64 + 2;
         let child = |task: u64| PlanDesc {
             task: TaskId(task),
@@ -2201,7 +2219,7 @@ mod tests {
 
     /// One worker with one comper (a window of 4 plans), and a six-tree
     /// forest of one-shard column tasks to submit to it.
-    fn one_narrow_worker() -> (Master, Vec<FabricReceiver<TaskMsg>>, JobSpec) {
+    fn one_narrow_worker() -> (Master, JobSpec) {
         let cfg = ClusterConfig {
             n_workers: 1,
             compers_per_worker: 1,
@@ -2209,36 +2227,67 @@ mod tests {
             tau_d: 100,
             ..ClusterConfig::default()
         };
-        let (m, rxs) = master_of(cfg, 1_000);
-        (m, rxs, JobSpec::random_forest(TASK, 6))
+        (master_of(cfg, 1_000, 4), JobSpec::random_forest(TASK, 6))
     }
 
     #[test]
     fn a_submit_call_is_dispatched_by_the_step_it_posts() {
         // Nothing waits on the queue, so nothing is signalled: the call
-        // leaves a frame in the master's own mailbox, and the step that
+        // leaves a frame in the master's own mailbox, and the turn that
         // frame starts dispatches the root plans, up to the window.
-        let (m, rxs, forest) = one_narrow_worker();
+        let (m, forest) = one_narrow_worker();
+        let (fabric, rxs) = fabric_for(&m);
         let shared = Mutex::new(m);
-        let (_h, _rx) = Master::call(&shared, |m| m.submit(forest));
+        let (_h, _rx) = Master::call(&shared, &fabric, |m| m.submit(forest));
         let mut posted = inbox(&rxs[0]);
         assert!(matches!(posted[..], [TaskMsg::Heartbeat { worker: 0 }]));
-        let mut m = shared.lock();
-        deliver(&mut m, posted.remove(0));
+        Master::turn(&shared, &fabric, Some(posted.remove(0)));
         let sent = plans_in(&[Vec::new(), inbox(&rxs[1])]);
         assert_eq!(sent.len(), 4, "a full window of root plans went out");
-        assert_eq!(m.plans.len(), 2, "the rest is backlog");
+        assert_eq!(shared.lock().plans.len(), 2, "the rest is backlog");
+    }
+
+    #[test]
+    fn a_calls_frames_go_out_ahead_of_those_of_the_step_its_loop_back_starts() {
+        // A submit and a drain of worker 3, each through `call`. Neither
+        // delivers anything: the drain's handoffs and its `Drain` wait in
+        // the outbox, and the first turn sends them ahead of the root
+        // shards its pump dispatches — to worker 1 and 2 both, since each
+        // is the source of one handoff and holds one shard.
+        let m = master_of(three_workers(), 150, 4);
+        let (fabric, rxs) = fabric_for(&m);
+        let shared = Mutex::new(m);
+        let job = JobSpec::decision_tree(TASK);
+        let (_h, _done) = Master::call(&shared, &fabric, |m| m.submit(job));
+        let grace = Duration::from_secs(30);
+        Master::call(&shared, &fabric, |m| m.begin_drain(0, 3, grace));
+        assert!(rxs[1..].iter().all(|rx| inbox(rx).is_empty()));
+        let loop_back = inbox(&rxs[0]).into_iter().next();
+        assert!(matches!(loop_back, Some(TaskMsg::Heartbeat { worker: 0 })));
+        Master::turn(&shared, &fabric, loop_back);
+        let frames: Vec<_> = rxs.iter().map(inbox).collect();
+        assert!(matches!(frames[3][..], [TaskMsg::Drain]), "{:?}", frames[3]);
+        for w in [1, 2] {
+            assert!(
+                matches!(
+                    frames[w][..],
+                    [TaskMsg::ReplicateTo { .. }, TaskMsg::ColumnPlan(_)]
+                ),
+                "worker {w} got {:?}",
+                frames[w]
+            );
+        }
     }
 
     #[test]
     fn a_result_that_frees_a_full_window_dispatches_the_backlog_in_the_same_step() {
-        let (mut m, rxs, forest) = one_narrow_worker();
+        let (mut m, forest) = one_narrow_worker();
         let (_h, _rx) = m.submit(forest);
-        m.pump();
-        let sent = plans_in(&[Vec::new(), inbox(&rxs[1])]);
+        m.pump(0);
+        let sent = plans_in(&inboxes(&mut m));
         let leaf = column_result(sent[0].1, 1, None, stats(500, 500));
         deliver(&mut m, leaf);
-        let frames = inbox(&rxs[1]);
+        let frames = inboxes(&mut m).remove(1);
         assert!(matches!(frames[0], TaskMsg::DropTask { task } if task == sent[0].1));
         assert_eq!(
             plans_in(&[Vec::new(), frames]).len(),
@@ -2249,8 +2298,40 @@ mod tests {
     }
 
     #[test]
+    fn a_jobs_result_follows_the_frames_of_the_step_that_finished_it() {
+        // The last shard of the root reports a split into two pure children:
+        // the tree and the job finish in that step. The client's result
+        // comes out after the step's ConfirmBest, DropTasks and quotas, so a
+        // client back from `wait` finds every frame of its job sent.
+        let mut m = master_of(three_workers(), 150, 4);
+        let (_h, _done) = m.submit(JobSpec::decision_tree(TASK));
+        m.pump(0);
+        let shards = plans_in(&inboxes(&mut m));
+        let (winner, root) = shards[0];
+        for &(w, _) in &shards[1..] {
+            deliver(&mut m, column_result(root, w, None, stats(75, 75)));
+        }
+        assert!(m.out.is_empty(), "nothing goes out before the last shard");
+        let best = split(0, 0.5, stats(75, 0), stats(0, 75));
+        deliver(&mut m, column_result(root, winner, best, stats(75, 75)));
+        let order: Vec<&str> = (m.out.iter())
+            .map(|e| match e {
+                Effect::Send(_, TaskMsg::ConfirmBest { .. }) => "confirm",
+                Effect::Send(_, TaskMsg::DropTask { .. }) => "drop",
+                Effect::Send(_, TaskMsg::ServeQuota { .. }) => "quota",
+                Effect::Send(..) => "other",
+                Effect::Notify(_, JobResult::Tree(_)) => "tree",
+                Effect::Notify(..) => "other result",
+            })
+            .collect();
+        let drops = vec!["drop"; shards.len() - 1];
+        let expect = [&["confirm"][..], &drops, &["quota", "quota", "tree"]].concat();
+        assert_eq!(order, expect);
+    }
+
+    #[test]
     fn duplicate_crash_declarations_are_ignored() {
-        let (mut m, _rxs) = test_master(10, 100);
+        let mut m = test_master(10, 100);
         // First declaration fails recovery (no replication target) and
         // degrades; the second must be a no-op, not a second degradation.
         m.recover_or_degrade(1);
@@ -2261,19 +2342,94 @@ mod tests {
         assert_eq!(m.degraded_reason(), first);
     }
 
+    #[test]
+    fn crash_re_replication_sends_each_column_to_the_target_chosen_for_it() {
+        // Eight workers, replication 2, sixteen columns round-robin: worker
+        // 3 holds columns 1 and 9 (with worker 2) and 2 and 10 (with
+        // worker 4). Every survivor holds four columns, so the planner
+        // tops up the least loaded non-holder each time — workers 1, 2, 4
+        // and 5 — and each pair gets its own `ReplicateTo`, in pair order.
+        // Keyed by source alone, 9 and 10 would follow 1 and 2 to workers
+        // 1 and 2 (six columns each, workers 4 and 5 still four).
+        let cfg = ClusterConfig {
+            n_workers: 8,
+            replication: 2,
+            ..ClusterConfig::default()
+        };
+        let mut m = master_of(cfg, 1_000, 16);
+        m.recover_or_degrade(3);
+        assert!(m.degraded_reason().is_none());
+        let transfers: Vec<(NodeId, NodeId, Vec<usize>)> = (m.out.iter())
+            .filter_map(|e| match e {
+                Effect::Send(src, TaskMsg::ReplicateTo { attrs, to, .. }) => {
+                    Some((*src, *to, attrs.clone()))
+                }
+                _ => None,
+            })
+            .collect();
+        let expect = [
+            (2, 1, vec![1]),
+            (2, 4, vec![9]),
+            (4, 2, vec![2]),
+            (4, 5, vec![10]),
+        ];
+        assert_eq!(transfers, expect);
+    }
+
+    #[test]
+    fn a_drain_is_fenced_and_recovered_at_its_deadline_not_before() {
+        // A drain of a worker that holds a root shard: its in-flight task
+        // keeps it from departing, so only the grace window decides. The
+        // lease is a second long, so nobody else is suspected meanwhile.
+        let grace = Duration::from_millis(10);
+        let deadline = grace.as_nanos() as u64;
+        let drained_until = |at: u64| {
+            let cfg = ClusterConfig {
+                heartbeat_interval: Duration::from_millis(1),
+                heartbeat_miss_threshold: 1_000,
+                ..three_workers()
+            };
+            let mut m = master_of(cfg, 150, 4);
+            let (_h, _done) = m.submit(JobSpec::decision_tree(TASK));
+            m.pump(0);
+            let (leaver, _) = *plans_in(&inboxes(&mut m)).last().expect("root shards");
+            m.begin_drain(0, leaver, grace);
+            inboxes(&mut m);
+            m.step(at, None);
+            m.pump(at);
+            (m, leaver)
+        };
+
+        let (m, leaver) = drained_until(deadline - 1);
+        assert!(m.is_draining(leaver), "still inside its grace window");
+        assert!(m.out.is_empty(), "nothing fenced, revoked or restarted");
+
+        let (mut m, leaver) = drained_until(deadline);
+        assert!(!m.is_draining(leaver));
+        assert!(!m.live_workers().contains(&leaver));
+        assert!(m.degraded_reason().is_none(), "every column had a survivor");
+        let frames = inboxes(&mut m);
+        assert!(matches!(frames[leaver][..], [TaskMsg::Shutdown]), "fenced");
+        for &w in m.live_workers() {
+            assert!(matches!(frames[w][0], TaskMsg::RevokeTree { .. }), "{w}");
+        }
+        let restarted = plans_in(&frames);
+        assert!(!restarted.is_empty(), "the tree starts over");
+        assert!(restarted.iter().all(|&(w, _)| w != leaver));
+    }
+
     // ------------------------------------------------------------------
     // Composed scenarios: several handlers in sequence, no threads.
     // ------------------------------------------------------------------
 
     #[test]
     fn a_draining_winner_cannot_depart_while_its_children_need_ix() {
-        let (mut m, rxs) = master_of(three_workers(), 150);
+        let mut m = master_of(three_workers(), 150, 4);
         let (_h, done) = m.submit(JobSpec::decision_tree(TASK));
-        m.pump();
-        let frames: Vec<_> = rxs.iter().map(inbox).collect();
-        let shards = plans_in(&frames);
+        m.pump(0);
+        let shards = plans_in(&inboxes(&mut m));
         let (leaver, root) = *shards.last().expect("the root went out as a column task");
-        m.begin_drain(leaver, Duration::from_secs(30));
+        m.begin_drain(0, leaver, Duration::from_secs(30));
 
         // The leaver's shard reports last and wins. The handler takes the
         // root out of the task table and queues both children, parented to
@@ -2283,16 +2439,16 @@ mod tests {
             deliver(&mut m, column_result(root, w, None, stats(75, 75)));
         }
         let best = split(0, 0.3, stats(50, 40), stats(25, 35));
-        m.step(Some(column_result(root, leaver, best, stats(75, 75))));
-        m.step(Some(TaskMsg::Goodbye { worker: leaver }));
+        m.step(0, Some(column_result(root, leaver, best, stats(75, 75))));
+        m.step(0, Some(TaskMsg::Goodbye { worker: leaver }));
         assert!(m.ttask.is_empty());
         assert_eq!(m.plans.len(), 2);
-        m.pump(); // the gate reads the queue, then the children dispatch
+        m.pump(0); // the gate reads the queue, then the children dispatch
         assert!(m.is_draining(leaver), "its children still need Ix from it");
-        let frames = inbox(&rxs[leaver]);
+        let frames = inboxes(&mut m);
         assert!(
             matches!(
-                frames[..],
+                frames[leaver][..],
                 [
                     TaskMsg::Drain,
                     TaskMsg::ConfirmBest { .. },
@@ -2300,19 +2456,19 @@ mod tests {
                     TaskMsg::ServeQuota { .. }
                 ]
             ),
-            "Drain, then Confirm before quota; got {frames:?}"
+            "Drain, then Confirm before quota; got {:?}",
+            frames[leaver]
         );
 
         // Both children fold; only then is the leaver released.
-        let frames: Vec<_> = rxs.iter().map(inbox).collect();
         let children = plans_in(&frames);
         assert_eq!(children.len(), 2);
         deliver(&mut m, subtree_result(children[0].1, children[0].0));
         assert!(m.is_draining(leaver), "one child is still in flight");
         deliver(&mut m, subtree_result(children[1].1, children[1].0));
         assert!(!m.is_draining(leaver));
-        assert!(matches!(inbox(&rxs[leaver])[..], [TaskMsg::Shutdown]));
-        assert!(matches!(done.recv(), Ok(JobResult::Tree(_))));
+        assert!(matches!(inboxes(&mut m)[leaver][..], [TaskMsg::Shutdown]));
+        assert!(matches!(result_of(&done), Some(JobResult::Tree(_))));
     }
 
     #[test]
@@ -2324,11 +2480,10 @@ mod tests {
             },
             ..three_workers()
         };
-        let (mut m, rxs) = master_of(cfg, 150);
+        let mut m = master_of(cfg, 150, 4);
         let (_h, done) = m.submit(JobSpec::decision_tree(TASK));
-        m.pump();
-        let frames: Vec<_> = rxs.iter().map(inbox).collect();
-        let shards = plans_in(&frames);
+        m.pump(0);
+        let shards = plans_in(&inboxes(&mut m));
         let (elected, root) = *shards.last().expect("the root went out as a column task");
         for &(worker, task) in &shards {
             let gain = if worker == elected { 0.4 } else { 0.1 };
@@ -2341,12 +2496,12 @@ mod tests {
             };
             deliver(&mut m, msg);
         }
-        let fetch = inbox(&rxs[elected]);
+        let fetch = inboxes(&mut m).remove(elected);
         assert!(matches!(fetch[..], [TaskMsg::HistFetch { attr, .. }] if attr == elected));
 
         // The preemption lands between the fetch and its answer. The task
         // is still in the table and touches the leaver: the gate holds.
-        m.begin_drain(elected, Duration::from_secs(30));
+        m.begin_drain(0, elected, Duration::from_secs(30));
         deliver(&mut m, TaskMsg::Goodbye { worker: elected });
         assert!(m.is_draining(elected), "a fetch is outstanding to it");
 
@@ -2361,23 +2516,22 @@ mod tests {
         deliver(&mut m, msg);
         assert!(!m.is_draining(elected));
         assert!(matches!(
-            inbox(&rxs[elected]).last(),
+            inboxes(&mut m)[elected].last(),
             Some(TaskMsg::Shutdown)
         ));
-        assert!(matches!(done.recv(), Ok(JobResult::Tree(_))));
+        assert!(matches!(result_of(&done), Some(JobResult::Tree(_))));
     }
 
     #[test]
     fn stale_results_of_a_revoked_task_change_nothing() {
-        let (mut m, rxs) = master_of(three_workers(), 150);
+        let mut m = master_of(three_workers(), 150, 4);
         let (_h, _done) = m.submit(JobSpec::decision_tree(TASK));
-        m.pump();
-        let frames: Vec<_> = rxs.iter().map(inbox).collect();
-        let (_, stale) = plans_in(&frames)[0];
+        m.pump(0);
+        let (_, stale) = plans_in(&inboxes(&mut m))[0];
         // Worker 3 crashes: the tree is revoked and restarted under fresh
         // ids, and the queue's in-flight counts start over.
         m.recover_or_degrade(3);
-        m.pump();
+        m.pump(0);
         let in_flight = |m: &Master| [1, 2].map(|w| m.plans.outstanding_of(w));
         let before = (in_flight(&m), m.ttask.len(), m.plans.len());
         assert_eq!(
@@ -2385,7 +2539,7 @@ mod tests {
             2,
             "the restarted root: 2 shards"
         );
-        rxs.iter().for_each(|rx| drop(inbox(rx)));
+        inboxes(&mut m);
 
         let best = split(0, 0.3, stats(50, 40), stats(25, 35));
         deliver(&mut m, column_result(stale, 1, best.clone(), stats(75, 75)));
@@ -2398,10 +2552,7 @@ mod tests {
         deliver(&mut m, msg);
         assert_eq!((in_flight(&m), m.ttask.len(), m.plans.len()), before);
         assert!(!m.ttask.contains_key(&stale));
-        assert!(
-            rxs.iter().all(|rx| inbox(rx).is_empty()),
-            "and sends nothing"
-        );
+        assert!(m.out.is_empty(), "and sends nothing");
     }
 
     #[test]
@@ -2410,29 +2561,28 @@ mod tests {
             join_capacity: 1,
             ..three_workers()
         };
-        let (mut m, rxs) = master_of(cfg, 150);
+        let mut m = master_of(cfg, 150, 4);
         deliver(&mut m, TaskMsg::Hello { worker: 4 });
         assert_eq!(m.live_workers(), [1, 2, 3, 4]);
         assert!(matches!(
-            inbox(&rxs[4])[..],
+            inboxes(&mut m)[4][..],
             [TaskMsg::Welcome { worker: 4 }]
         ));
         let migrations = m.migrations.len();
         assert!(migrations > 0, "the joiner is owed its share of columns");
-        rxs.iter().for_each(|rx| drop(inbox(rx)));
 
         // A retransmitted Hello: no second Welcome, no second migration.
         deliver(&mut m, TaskMsg::Hello { worker: 4 });
         assert_eq!(m.live_workers(), [1, 2, 3, 4]);
         assert_eq!(m.migrations.len(), migrations);
-        assert!(rxs.iter().all(|rx| inbox(rx).is_empty()));
+        assert!(m.out.is_empty());
 
         // A leaver cannot talk its way back onto the roster.
-        m.begin_drain(2, Duration::from_secs(30));
-        rxs.iter().for_each(|rx| drop(inbox(rx)));
+        m.begin_drain(0, 2, Duration::from_secs(30));
+        inboxes(&mut m);
         deliver(&mut m, TaskMsg::Hello { worker: 2 });
         assert_eq!(m.live_workers(), [1, 3, 4]);
         assert!(m.is_draining(2));
-        assert!(rxs.iter().all(|rx| inbox(rx).is_empty()));
+        assert!(m.out.is_empty());
     }
 }

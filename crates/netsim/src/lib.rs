@@ -802,15 +802,6 @@ impl<M: WireSized + Clone> Fabric<M> {
         }
     }
 
-    /// Drops every in-flight frame addressed to `to`. The engine calls this
-    /// when it declares a machine dead, so the retry driver stops
-    /// retransmitting into the void.
-    pub fn forget_destination(&self, to: NodeId) {
-        if let Some(rel) = &self.reliable {
-            rel.inflight.lock().retain(|&(_, t, _), _| t != to);
-        }
-    }
-
     /// Number of reliable frames currently awaiting acknowledgement
     /// (0 on a raw fabric).
     pub fn inflight_frames(&self) -> usize {
@@ -1360,18 +1351,43 @@ mod tests {
         assert_eq!(f.inflight_frames(), 0);
     }
 
+    /// A plan on a lossy edge `0 → 1` whose first transmission is dropped
+    /// and whose second gets through.
+    fn first_frame_lost() -> FaultPlan {
+        (0..)
+            .map(|seed| FaultPlan::new(seed).with_message_drops(0.5))
+            .find(|p| {
+                p.decide(0, 1, 0) == FaultDecision::Drop
+                    && p.decide(0, 1, 1) == FaultDecision::Deliver
+            })
+            .expect("some seed drops the first frame only")
+    }
+
     #[test]
-    fn forget_destination_clears_inflight() {
-        let plan = FaultPlan::new(3).with_message_drops(1.0);
-        let (f, _r, driver, _stats) = reliable(3, plan);
-        // Everything drops, so frames stay in flight until forgotten.
+    fn a_frame_sent_after_a_lost_one_reaches_a_live_receiver_in_order() {
+        // The shape of a fence after a lost frame: the second frame arrives
+        // first and waits in the reorder buffer until the first one's
+        // retransmission fills the gap.
+        let (f, r, driver, _stats) = reliable(2, first_frame_lost());
+        f.send(0, 1, Msg(vec![0])).unwrap();
         f.send(0, 1, Msg(vec![1])).unwrap();
-        f.send(0, 2, Msg(vec![2])).unwrap();
-        assert_eq!(f.inflight_frames(), 2);
-        f.forget_destination(1);
-        assert_eq!(f.inflight_frames(), 1);
-        f.forget_destination(2);
-        assert_eq!(f.inflight_frames(), 0);
+        assert_eq!(drain(&r[1], 2), [Msg(vec![0]), Msg(vec![1])]);
+        driver.unwrap().stop();
+    }
+
+    #[test]
+    fn a_frame_to_a_dropped_receiver_leaves_the_inflight_table() {
+        // The first transmission is lost, so `send` cannot see that the
+        // receiver is gone; the first retransmission that is not lost fails
+        // to push, and the frame leaves the table for good.
+        let (f, r, driver, _stats) = reliable(2, first_frame_lost());
+        drop(r.into_iter().nth(1));
+        f.send(0, 1, Msg(vec![0])).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while f.inflight_frames() > 0 {
+            assert!(Instant::now() < deadline, "the frame is retried forever");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         driver.unwrap().stop();
     }
 

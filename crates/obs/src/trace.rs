@@ -301,7 +301,8 @@ fn decompose(span: &SpanInfo, lo: u64, hi: u64, out: &mut Vec<Segment>) {
         // A job's own (non-child) time is master bookkeeping.
         SpanKind::Job => &[(Some(u64::MAX), Phase::Scheduling)],
         // enqueue -> popped for assignment = queue wait; popped -> closed
-        // (dispatch sends done) = outbound network.
+        // (the plan's frames queued for the sending thread) = outbound
+        // network. Their transmission falls in the task's open -> recv.
         SpanKind::Plan => &[
             (span.active_ns, Phase::Scheduling),
             (Some(u64::MAX), Phase::Network),
