@@ -6,7 +6,7 @@ use crate::config::ClusterConfig;
 use crate::job::{JobHandle, JobResult, JobSpec};
 use crate::master::Master;
 use crate::messages::{DataMsg, TaskMsg};
-use crate::worker::Worker;
+use crate::worker::{residents, Worker};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -272,17 +272,14 @@ impl Cluster {
         let retry_drivers: Vec<RetryDriver> = task_driver.into_iter().chain(data_driver).collect();
 
         let colmap = ColumnMap::round_robin(table.n_attrs(), cfg.n_workers, cfg.replication);
-        let labels = Arc::new(table.labels().clone());
+        // The workers hold the client's table by reference, not by copy.
+        let labels = table.shared_labels();
         let attr_types = Arc::new(
             (0..table.n_attrs())
                 .map(|a| table.schema().attr_type(a))
                 .collect::<Vec<_>>(),
         );
-        let shared_cols: Vec<Arc<ts_datatable::Column>> = table
-            .columns()
-            .iter()
-            .map(|c| Arc::new(c.clone()))
-            .collect();
+        let residents = residents(table, &colmap, cfg.n_workers, cfg.splitter.hist_bins());
 
         let mut handles = Vec::new();
         // Receivers must be taken in reverse so indices stay valid.
@@ -300,15 +297,11 @@ impl Cluster {
             let plan_scale = cfg.faults.as_ref().map_or(1.0, |p| p.work_scale(w));
             (cfg.worker_work_ns(w) as f64 * plan_scale).round() as u64
         };
-        for w in 1..=cfg.n_workers {
-            let mut cols = HashMap::new();
-            for a in colmap.columns_of(w) {
-                cols.insert(a, Arc::clone(&shared_cols[a]));
-            }
+        for (w, held) in (1..).zip(residents) {
             handles.extend(Worker::spawn(
                 w,
                 work_ns_for(w),
-                cols,
+                held,
                 Arc::clone(&labels),
                 Arc::clone(&attr_types),
                 table.schema().task,
@@ -543,9 +536,11 @@ impl Cluster {
             });
             m.live_workers().to_vec()
         };
-        // Sent with the master's lock dropped: the broadcast is paced.
+        // One shared column for every worker. Sent with the master's lock
+        // dropped: the broadcast is paced.
+        let labels = Arc::new(labels.clone());
         for w in workers {
-            let labels = labels.clone();
+            let labels = Arc::clone(&labels);
             let _ = self.fabric_task.send(0, w, TaskMsg::LoadLabels { labels });
         }
     }
@@ -721,6 +716,40 @@ mod tests {
             r.master_sent_bytes
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn each_holder_is_charged_its_columns_bins_and_labels_at_launch() {
+        // Three workers at replication 2 hold attributes {0, 2, 3}, {0, 1,
+        // 3} and {1, 2}. Each is charged, in full, what it holds: 8 B a row
+        // per numeric column (attributes 0–2), 4 B per categorical one (3),
+        // a numeric column's bin ids (1 B a row at 16 bins) and its fifteen
+        // 8 B cuts, and 4 B a row of labels — though all of it is one shared
+        // copy. Worker 1: 8 000 + 8 000 + 4 000 + 2 × 1 120 + 4 000. These
+        // are the numbers of a launch that copied every column per holder.
+        let t = ts_datatable::synth::generate(&ts_datatable::synth::SynthSpec {
+            rows: 1_000,
+            numeric: 3,
+            categorical: 1,
+            seed: 3,
+            ..Default::default()
+        });
+        let cfg = ClusterConfig {
+            n_workers: 3,
+            compers_per_worker: 1,
+            replication: 2,
+            splitter: crate::config::Splitter::Histogram {
+                bins: 16,
+                vote_k: 2,
+            },
+            ..ClusterConfig::default()
+        };
+        let cluster = Cluster::launch(cfg, &t);
+        let peaks: Vec<u64> = (1..=3)
+            .map(|w| cluster.stats().snapshot(w).mem_peak)
+            .collect();
+        cluster.shutdown();
+        assert_eq!(peaks, [26_240, 26_240, 22_240]);
     }
 
     #[test]

@@ -255,13 +255,18 @@ pub fn train_gbt_on(cluster: &Cluster, table: &DataTable, cfg: GbtConfig) -> Gbt
     }
 }
 
-/// The regression view: same columns, residuals as `Y`. Public so callers
-/// that launch their own cluster (e.g. the CLI, which needs the cluster
-/// handle for reports and trace export) can prepare the launch table the
-/// same way [`train_gbt`] does.
+/// The regression view: the same column storage, residuals as `Y`. Public
+/// so callers that launch their own cluster (e.g. the CLI, which needs the
+/// cluster handle for reports and trace export) can prepare the launch
+/// table the same way [`train_gbt`] does.
+///
+/// # Panics
+/// Panics unless there is one residual per row.
 pub fn regression_view(table: &DataTable, residuals: Vec<f64>) -> DataTable {
-    let schema = ts_datatable::Schema::new(table.schema().attrs.clone(), Task::Regression);
-    DataTable::new(schema, table.columns().to_vec(), Labels::Real(residuals))
+    match table.relabel(Task::Regression, Labels::Real(residuals)) {
+        Ok(view) => view,
+        Err(e) => panic!("{e}"),
+    }
 }
 
 #[cfg(test)]

@@ -88,13 +88,15 @@ impl RowSet {
         }
     }
 
-    /// Gathers a column over this row set.
+    /// Gathers a column over this row set: over `All`, a copy of its values.
     pub fn gather(&self, col: &Column, n: usize) -> ValuesBuf {
         match self {
             RowSet::All => {
                 debug_assert_eq!(col.len(), n);
-                let all: Vec<u32> = (0..n as u32).collect();
-                col.gather(&all)
+                match col {
+                    Column::Numeric(v) => ValuesBuf::Numeric(v.clone()),
+                    Column::Categorical(c) => ValuesBuf::Categorical(c.clone()),
+                }
             }
             RowSet::Ids(v) => col.gather(v),
         }
@@ -140,5 +142,10 @@ mod tests {
         );
         let r = RowSet::Ids(Arc::new(vec![2, 0]));
         assert_eq!(r.gather(&col, 3), ValuesBuf::Numeric(vec![3.0, 1.0]));
+        let codes = Column::Categorical(vec![4, ts_datatable::MISSING_CAT, 0]);
+        assert_eq!(
+            RowSet::All.gather(&codes, 3),
+            ValuesBuf::Categorical(vec![4, ts_datatable::MISSING_CAT, 0])
+        );
     }
 }

@@ -253,10 +253,11 @@ pub enum TaskMsg {
     },
     /// Client → worker: replace the full target column (boosting rounds
     /// re-label between trees; `Y` is replicated on every machine, so the
-    /// update is a broadcast).
+    /// update is a broadcast). Every worker installs the one shared column
+    /// as it is; each frame is still priced as a full copy on the wire.
     LoadLabels {
         /// The new target values (must match the table's row count).
-        labels: ts_datatable::Labels,
+        labels: std::sync::Arc<ts_datatable::Labels>,
     },
     /// Worker → master: liveness beacon. Sent unreliably on a fixed
     /// interval; the master's lease detector declares a worker dead after

@@ -32,4 +32,4 @@ pub use binned::{BinCuts, BinIds, BinnedColumn};
 pub use column::{Column, Value, ValuesBuf, MISSING_CAT};
 pub use schema::{AttrMeta, AttrType, Schema, Task};
 pub use sorted::{SortedColumn, MISSING_RANK};
-pub use table::{DataTable, Labels, TableError};
+pub use table::{DataTable, Labels, SharedColumn, TableError};

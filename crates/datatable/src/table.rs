@@ -2,6 +2,7 @@
 
 use crate::column::{Column, Value, ValuesBuf, MISSING_CAT};
 use crate::schema::{AttrType, Schema, Task};
+use std::sync::Arc;
 use tsjson::{Deserialize, Serialize};
 
 /// The target column `Y`.
@@ -71,12 +72,45 @@ impl Labels {
 /// labels have exactly `n_rows` entries, the label representation matches
 /// `schema.task`, and each column's storage kind matches its declared
 /// [`AttrType`]. [`DataTable::try_new`] checks all of these.
+///
+/// Columns and labels live in shared, immutable storage: a clone, a
+/// [`DataTable::relabel`] view and every [`SharedColumn`] handed out read
+/// the same bytes, so a cluster launched over a table holds it by reference
+/// rather than by copy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DataTable {
     schema: Schema,
-    columns: Vec<Column>,
-    labels: Labels,
+    columns: Arc<Vec<Column>>,
+    labels: Arc<Labels>,
     n_rows: usize,
+}
+
+/// One attribute column of shared column storage: the storage's `Arc` and
+/// the column's index in it, dereferencing to the [`Column`]. A table's
+/// column handed to a worker is the table's own bytes; a column that is
+/// made elsewhere (received, loaded) is wrapped as storage of one.
+#[derive(Clone)]
+pub struct SharedColumn {
+    columns: Arc<Vec<Column>>,
+    index: usize,
+}
+
+impl SharedColumn {
+    /// Wraps a column nobody else holds.
+    pub fn owned(column: Column) -> SharedColumn {
+        SharedColumn {
+            columns: Arc::new(vec![column]),
+            index: 0,
+        }
+    }
+}
+
+impl std::ops::Deref for SharedColumn {
+    type Target = Column;
+
+    fn deref(&self) -> &Column {
+        &self.columns[self.index]
+    }
 }
 
 /// Why columns and labels do not make a [`DataTable`] under a schema.
@@ -187,49 +221,26 @@ impl DataTable {
         columns: Vec<Column>,
         labels: Labels,
     ) -> Result<Self, TableError> {
-        if columns.len() != schema.n_attrs() {
-            return Err(TableError::ColumnCount {
-                found: columns.len(),
-                expected: schema.n_attrs(),
-            });
-        }
-        let n_rows = labels.len();
-        for (attr, c) in columns.iter().enumerate() {
-            if c.len() != n_rows {
-                return Err(TableError::ColumnLength {
-                    attr,
-                    found: c.len(),
-                    expected: n_rows,
-                });
-            }
-            match (c, schema.attr_type(attr)) {
-                (Column::Numeric(_), AttrType::Numeric) => {}
-                (Column::Categorical(v), AttrType::Categorical { n_values }) => {
-                    if let Some(&code) = v.iter().find(|&&c| c >= n_values && c != MISSING_CAT) {
-                        return Err(TableError::CategoryCode {
-                            attr,
-                            code,
-                            n_values,
-                        });
-                    }
-                }
-                _ => return Err(TableError::ColumnKind { attr }),
-            }
-        }
-        match (&labels, schema.task) {
-            (Labels::Class(v), Task::Classification { n_classes }) => {
-                if let Some(&label) = v.iter().find(|&&y| y >= n_classes) {
-                    return Err(TableError::ClassLabel { label, n_classes });
-                }
-            }
-            (Labels::Real(_), Task::Regression) => {}
-            _ => return Err(TableError::LabelKind),
-        }
+        validate(&schema, &columns, &labels)?;
         Ok(DataTable {
             schema,
-            columns,
-            labels,
-            n_rows,
+            columns: Arc::new(columns),
+            n_rows: labels.len(),
+            labels: Arc::new(labels),
+        })
+    }
+
+    /// This table's columns under new labels for a new task: the column
+    /// storage is shared, not copied, and the result is validated like
+    /// [`DataTable::try_new`]'s.
+    pub fn relabel(&self, task: Task, labels: Labels) -> Result<DataTable, TableError> {
+        let schema = Schema::new(self.schema.attrs.clone(), task);
+        validate(&schema, &self.columns, &labels)?;
+        Ok(DataTable {
+            schema,
+            columns: Arc::clone(&self.columns),
+            n_rows: labels.len(),
+            labels: Arc::new(labels),
         })
     }
 
@@ -253,6 +264,16 @@ impl DataTable {
         &self.columns[attr]
     }
 
+    /// The attribute column with id `attr` as a handle on this table's
+    /// storage, for a holder that outlives the borrow.
+    pub fn shared_column(&self, attr: usize) -> SharedColumn {
+        assert!(attr < self.columns.len(), "attribute {attr} out of range");
+        SharedColumn {
+            columns: Arc::clone(&self.columns),
+            index: attr,
+        }
+    }
+
     /// All attribute columns.
     pub fn columns(&self) -> &[Column] {
         &self.columns
@@ -261,6 +282,11 @@ impl DataTable {
     /// The target labels.
     pub fn labels(&self) -> &Labels {
         &self.labels
+    }
+
+    /// The target labels as a handle on this table's storage.
+    pub fn shared_labels(&self) -> Arc<Labels> {
+        Arc::clone(&self.labels)
     }
 
     /// The value of attribute `attr` in row `row`.
@@ -312,6 +338,49 @@ impl DataTable {
             .sum::<usize>()
             + self.labels.payload_bytes()
     }
+}
+
+/// The structural invariants of a [`DataTable`] (see [`DataTable::try_new`]).
+fn validate(schema: &Schema, columns: &[Column], labels: &Labels) -> Result<(), TableError> {
+    if columns.len() != schema.n_attrs() {
+        return Err(TableError::ColumnCount {
+            found: columns.len(),
+            expected: schema.n_attrs(),
+        });
+    }
+    let n_rows = labels.len();
+    for (attr, c) in columns.iter().enumerate() {
+        if c.len() != n_rows {
+            return Err(TableError::ColumnLength {
+                attr,
+                found: c.len(),
+                expected: n_rows,
+            });
+        }
+        match (c, schema.attr_type(attr)) {
+            (Column::Numeric(_), AttrType::Numeric) => {}
+            (Column::Categorical(v), AttrType::Categorical { n_values }) => {
+                if let Some(&code) = v.iter().find(|&&c| c >= n_values && c != MISSING_CAT) {
+                    return Err(TableError::CategoryCode {
+                        attr,
+                        code,
+                        n_values,
+                    });
+                }
+            }
+            _ => return Err(TableError::ColumnKind { attr }),
+        }
+    }
+    match (labels, schema.task) {
+        (Labels::Class(v), Task::Classification { n_classes }) => {
+            if let Some(&label) = v.iter().find(|&&y| y >= n_classes) {
+                return Err(TableError::ClassLabel { label, n_classes });
+            }
+        }
+        (Labels::Real(_), Task::Regression) => {}
+        _ => return Err(TableError::LabelKind),
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -431,6 +500,82 @@ mod tests {
             schema,
             vec![Column::Numeric(vec![0.0])],
             Labels::Class(vec![0]),
+        );
+    }
+
+    /// `small_table()` as JSON when the table owned its vectors outright.
+    const FIG1_JSON: &str = concat!(
+        r#"{"schema":{"attrs":[{"name":"Age","ty":"Numeric"},"#,
+        r#"{"name":"Education","ty":{"Categorical":{"n_values":5}}},"#,
+        r#"{"name":"HomeOwner","ty":{"Categorical":{"n_values":2}}},"#,
+        r#"{"name":"Income","ty":"Numeric"}],"task":{"Classification":{"n_classes":2}}},"#,
+        r#""columns":[{"Numeric":[24.0,28.0,44.0,32.0,36.0,48.0,37.0,42.0,54.0,47.0]},"#,
+        r#"{"Categorical":[2,3,2,1,4,2,1,2,1,4]},{"Categorical":[0,1,1,1,0,1,0,0,0,1]},"#,
+        r#"{"Numeric":[5000.0,7500.0,5500.0,6000.0,10000.0,6500.0,3000.0,6000.0,4000.0,8000.0]}],"#,
+        r#""labels":{"Class":[0,0,0,1,0,0,1,0,1,0]},"n_rows":10}"#,
+    );
+
+    /// The first numeric column's values, by address.
+    fn age_ptr(t: &DataTable) -> *const f64 {
+        t.column(0).as_numeric().expect("numeric").as_ptr()
+    }
+
+    #[test]
+    fn clone_and_shared_handles_read_the_tables_storage() {
+        let t = small_table();
+        let c = t.clone();
+        assert_eq!(c, t);
+        assert_eq!(age_ptr(&c), age_ptr(&t), "a clone copied the columns");
+        assert!(Arc::ptr_eq(&c.shared_labels(), &t.shared_labels()));
+        let age = t.shared_column(0);
+        assert_eq!(age.as_numeric().expect("numeric").as_ptr(), age_ptr(&t));
+        assert_eq!(*t.shared_column(1), *t.column(1));
+        let owned = SharedColumn::owned(Column::Numeric(vec![1.0]));
+        assert_eq!(*owned, Column::Numeric(vec![1.0]));
+    }
+
+    #[test]
+    fn serde_round_trip_keeps_the_json_and_equality() {
+        let t = small_table();
+        let json = tsjson::to_string(&t).expect("table serializes");
+        // The shared storage serialises as the plain vectors it holds: the
+        // JSON of a table whose fields were the vectors themselves.
+        assert_eq!(json, FIG1_JSON);
+        let back: DataTable = tsjson::from_str(&json).expect("table deserializes");
+        assert_eq!(back, t);
+        assert_ne!(age_ptr(&back), age_ptr(&t), "equality is by value");
+    }
+
+    #[test]
+    fn relabel_shares_the_columns_and_validates_the_labels() {
+        let t = small_table();
+        let targets: Vec<f64> = (0..10).map(f64::from).collect();
+        let view = t
+            .relabel(Task::Regression, Labels::Real(targets.clone()))
+            .expect("valid view");
+        assert_eq!(age_ptr(&view), age_ptr(&t), "relabel copied the columns");
+        assert_eq!(view.schema().task, Task::Regression);
+        assert_eq!(view.schema().attrs, t.schema().attrs);
+        assert_eq!(view.labels(), &Labels::Real(targets));
+        assert_eq!(
+            t.relabel(Task::Regression, Labels::Class(vec![0; 10])),
+            Err(TableError::LabelKind)
+        );
+        assert_eq!(
+            t.relabel(Task::Regression, Labels::Real(vec![0.0; 9])),
+            Err(TableError::ColumnLength {
+                attr: 0,
+                found: 10,
+                expected: 9
+            })
+        );
+        let three = Task::Classification { n_classes: 3 };
+        assert_eq!(
+            t.relabel(three, Labels::Class(vec![3; 10])),
+            Err(TableError::ClassLabel {
+                label: 3,
+                n_classes: 3
+            })
         );
     }
 
