@@ -16,6 +16,7 @@ use treeserver::{train_gbt_on, Cluster, ClusterConfig, GbtConfig, JobResult, Job
 use ts_datatable::csv::{parse_csv, TaskKind};
 use ts_datatable::metrics::{accuracy, rmse};
 use ts_datatable::{DataTable, Task};
+use ts_serve::ServeOptions;
 
 mod model_file;
 use model_file::ModelFile;
@@ -23,13 +24,13 @@ use model_file::ModelFile;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
     let opts = match Opts::parse(rest) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}\n\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
@@ -138,7 +139,7 @@ observability (train):
 serving (predict):
   --threads N           threads for the compiled batch evaluator (0 = all
                         cores; default 0)
-  --block-rows N        rows per evaluation block (default 4096)
+  --block-rows N        rows per evaluation block (default {block_rows})
   --reference           score with the per-row reference traversal instead
                         of the compiled engine (bit-identical, much slower)
   --serve-metrics FILE  write serving counters/latency histograms as JSON
@@ -165,6 +166,14 @@ request tier (serve, see docs/SERVING.md):
                         publishes it at a batch boundary, zero downtime
   --report FILE         write the serving report (quantiles, QPS, sheds,
                         swaps) as JSON";
+
+/// [`USAGE`] with the library's serving defaults filled in.
+fn usage() -> String {
+    USAGE.replace(
+        "{block_rows}",
+        &ServeOptions::default().block_rows.to_string(),
+    )
+}
 
 /// Every option the CLI accepts, with whether it takes a value; `Opts::parse`
 /// rejects any other name. A unit test keeps this list and the `--name`
@@ -564,10 +573,11 @@ fn cmd_train(opts: &Opts) -> Result<(), String> {
     }
 
     // Training-set fit as a quick sanity line.
+    let compiled = model.compile();
     match task {
         Task::Classification { .. } => {
             let acc = accuracy(
-                &model.predict_labels(&table)?,
+                &compiled.predict_labels(&table),
                 table.labels().as_class().unwrap(),
             );
             if !quiet {
@@ -576,7 +586,7 @@ fn cmd_train(opts: &Opts) -> Result<(), String> {
         }
         Task::Regression => {
             let r = rmse(
-                &model.predict_values(&table)?,
+                &compiled.predict_values(&table),
                 table.labels().as_real().unwrap(),
             );
             if !quiet {
@@ -603,9 +613,10 @@ fn cmd_predict(opts: &Opts) -> Result<(), String> {
     let reference = opts.flag("reference");
 
     let stats = std::sync::Arc::new(ts_serve::ServeStats::new());
-    let serve_opts = ts_serve::ServeOptions::default()
+    let defaults = ServeOptions::default();
+    let serve_opts = defaults
         .with_threads(opts.num("threads", 0usize)?)
-        .with_block_rows(opts.num("block-rows", 4096usize)?.max(1));
+        .with_block_rows(opts.num("block-rows", defaults.block_rows)?.max(1));
     let compiled = model
         .compile()
         .with_options(serve_opts)

@@ -58,24 +58,6 @@ impl ModelFile {
         }
     }
 
-    /// Class predictions over a table (compiled batched path).
-    pub fn predict_labels(&self, table: &DataTable) -> Result<Vec<u32>, String> {
-        match self {
-            ModelFile::Tree(m) => Ok(m.predict_labels(table)),
-            ModelFile::Forest(m) => Ok(m.predict_labels(table)),
-            ModelFile::Gbt(m) => Ok(m.predict_labels(table)),
-        }
-    }
-
-    /// Value predictions over a table (compiled batched path).
-    pub fn predict_values(&self, table: &DataTable) -> Result<Vec<f64>, String> {
-        match self {
-            ModelFile::Tree(m) => Ok(m.predict_values(table)),
-            ModelFile::Forest(m) => Ok(m.predict_values(table)),
-            ModelFile::Gbt(m) => Ok(m.predict_values(table)),
-        }
-    }
-
     /// Class predictions on the per-row reference traversal (`--reference`).
     pub fn predict_labels_reference(&self, table: &DataTable) -> Result<Vec<u32>, String> {
         match self {
@@ -180,16 +162,16 @@ mod tests {
         for mf in [ModelFile::Tree(tree.clone()), ModelFile::Forest(forest)] {
             let parsed = ModelFile::from_json(&mf.to_json()).unwrap();
             assert_eq!(
-                parsed.predict_labels(&table).unwrap(),
-                mf.predict_labels(&table).unwrap()
+                parsed.compile().predict_labels(&table),
+                mf.compile().predict_labels(&table)
             );
         }
         let (gbt, reg_table) = sample_gbt();
         let mf = ModelFile::Gbt(gbt);
         let parsed = ModelFile::from_json(&mf.to_json()).unwrap();
         assert_eq!(
-            parsed.predict_values(&reg_table).unwrap(),
-            mf.predict_values(&reg_table).unwrap()
+            parsed.compile().predict_values(&reg_table),
+            mf.compile().predict_values(&reg_table)
         );
     }
 

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ts_datatable::{AttrType, DataTable, Labels, Task};
-use ts_netsim::{Fabric, FabricReceiver, NetStats, NodeId, RetryDriver};
+use ts_netsim::{Fabric, FabricReceiver, NetStats, NodeId, RetryConfig, RetryDriver};
 use tschan::sync::Mutex;
 use tschan::Receiver;
 
@@ -259,7 +259,7 @@ impl Cluster {
             Arc::clone(&stats),
             cfg.faults.clone(),
             ts_netsim::SimClock::wall(),
-            cfg.retry,
+            RetryConfig::default(),
         );
         let (fabric_data, mut data_rxs, data_driver) = Fabric::<DataMsg>::new_reliable(
             n_nodes,
@@ -267,7 +267,7 @@ impl Cluster {
             Arc::clone(&stats),
             cfg.faults.clone(),
             ts_netsim::SimClock::wall(),
-            cfg.retry,
+            RetryConfig::default(),
         );
         let retry_drivers: Vec<RetryDriver> = task_driver.into_iter().chain(data_driver).collect();
 

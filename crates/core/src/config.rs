@@ -1,7 +1,7 @@
 //! Cluster and system configuration.
 
 use std::time::Duration;
-use ts_netsim::{NetModel, RetryConfig};
+use ts_netsim::NetModel;
 
 /// Split-finding strategy of the distributed engine (`docs/HISTOGRAM.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,9 +81,6 @@ pub struct ClusterConfig {
     /// worker right after the n-th subtree delegation cluster-wide; the
     /// heartbeat detector then discovers the crash and runs recovery.
     pub faults: Option<ts_netsim::FaultPlan>,
-    /// Retransmission timing of the reliable fabric (only used when
-    /// `faults` injects message-level faults).
-    pub retry: RetryConfig,
     /// How often each worker sends a liveness heartbeat to the master.
     pub heartbeat_interval: Duration,
     /// Consecutive missed heartbeat intervals before the master declares a
@@ -138,7 +135,6 @@ impl Default for ClusterConfig {
             model_dir: None,
             work_ns_per_unit: 0,
             faults: None,
-            retry: RetryConfig::default(),
             heartbeat_interval: Duration::from_millis(20),
             heartbeat_miss_threshold: 25,
             obs: ts_obs::ObsConfig::default(),

@@ -27,7 +27,7 @@ use crate::config::ClusterConfig;
 use crate::job::JobSpec;
 use ts_datatable::{DataTable, Labels, Task};
 use ts_splits::Impurity;
-use ts_tree::DecisionTreeModel;
+use ts_tree::{CompiledEnsemble, DecisionTreeModel, Rows, ServeOptions};
 use tsjson::{Deserialize, Serialize};
 
 /// Loss to optimise.
@@ -118,12 +118,11 @@ impl GbtModel {
     /// as the reference loop, so the result is bit-identical to
     /// [`predict_margins_reference`](Self::predict_margins_reference).
     pub fn predict_margins(&self, table: &DataTable) -> Vec<f64> {
-        let view = ts_tree::TableView::of(table);
-        let mut m = vec![self.base; table.n_rows()];
-        for t in &self.trees {
-            ts_tree::CompiledTree::compile(t).add_margins_table(&view, self.eta, &mut m);
-        }
-        m
+        CompiledEnsemble::additive(&self.trees, self.base, self.eta).values(
+            table,
+            Rows::all(table),
+            &ServeOptions::default(),
+        )
     }
 
     /// Reference per-row traversal for [`predict_margins`](Self::predict_margins).
@@ -235,9 +234,10 @@ pub fn train_gbt_on(cluster: &Cluster, table: &DataTable, cfg: GbtConfig) -> Gbt
         let tree = cluster.train(tree_spec()).into_tree().canonicalize();
         // Batched margin update; same per-row addition as the per-row walk,
         // so gradients (and hence the whole model) are unchanged.
-        ts_tree::CompiledTree::compile(&tree).add_margins_table(
-            &ts_tree::TableView::of(table),
-            cfg.eta,
+        CompiledEnsemble::additive(std::slice::from_ref(&tree), base, cfg.eta).add_margins(
+            table,
+            Rows::all(table),
+            &ServeOptions::default(),
             &mut margins,
         );
         trees.push(tree);

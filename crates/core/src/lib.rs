@@ -86,4 +86,4 @@ pub use ids::{ParentRef, RowSet, Side, TaskId, TreeId};
 pub use job::{JobHandle, JobKind, JobResult, JobSpec};
 pub use recovery::{AttrId, RecoveryError};
 pub use sched::{PlanQueue, StealInfo, TauController};
-pub use ts_netsim::{FaultPlan, NetModel, RetryConfig};
+pub use ts_netsim::{FaultPlan, NetModel};

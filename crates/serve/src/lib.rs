@@ -19,6 +19,7 @@
 pub mod engine;
 pub mod stats;
 
-pub use engine::{CompiledModel, ServeOptions};
+pub use engine::CompiledModel;
 pub use stats::{BatchSpan, ServeStats};
 pub use ts_tree::Rows;
+pub use ts_tree::ServeOptions;

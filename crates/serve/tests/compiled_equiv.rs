@@ -549,6 +549,34 @@ fn nan_adjacent_thresholds_route_identically() {
     assert_bits_f32(&fast, &slow, "nan-adjacent pmf");
 }
 
+/// A regression forest averages from the additive identity: two trees of
+/// one `-0.0` leaf each average to `-0.0` on the reference, whose `sum`
+/// starts from `-0.0`; an average started from `0.0` gives `+0.0`.
+#[test]
+fn forest_of_negative_zero_leaves_averages_to_negative_zero() {
+    let (_, eval) = table_pair(3, 2, 1, Task::Regression);
+    let leaf = DecisionTreeModel::new(
+        vec![ts_tree::Node::leaf(ts_tree::Prediction::Real(-0.0), 1, 0)],
+        Task::Regression,
+    );
+    let forest = ForestModel::new(vec![leaf.clone(), leaf], Task::Regression);
+    let reference = forest.predict_values_reference(&eval);
+    assert!(reference.iter().all(|v| v.to_bits() == (-0.0f64).to_bits()));
+    for &(block, threads) in GRID {
+        let compiled = CompiledModel::from_forest(&forest).with_options(opts(block, threads));
+        assert_bits_f64(
+            &compiled.predict_values(&eval),
+            &reference,
+            &format!("-0.0 forest block={block} threads={threads}"),
+        );
+    }
+    assert_bits_f64(
+        &forest.predict_values(&eval),
+        &reference,
+        "ForestModel::predict_values",
+    );
+}
+
 /// The serving stats sink observes every predict call.
 #[test]
 fn stats_count_batches_and_rows() {
@@ -604,7 +632,7 @@ fn stats_survive_zero_and_one_row_batches() {
 mod schema_drift {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use ts_datatable::{AttrMeta, AttrType, Column, Schema, MISSING_CAT};
+    use ts_datatable::{AttrMeta, AttrType, Column, Schema};
     use ts_tree::{Node, Prediction, SplitInfo};
 
     /// One edit of the served table's columns; indices wrap.
@@ -630,15 +658,9 @@ mod schema_drift {
     }
 
     /// `eval` with `drifts` applied to its columns, in order. A re-typed
-    /// or appended column is synthetic and has no missing values; a
-    /// column that ends up where the training schema has the other kind
-    /// has its missing values filled in, because that is the one case the
-    /// engine's per-row fallback and the reference are known to differ on
-    /// (the fallback checks the column's kind before the value, the
-    /// reference reports a missing value before it looks at the kind).
+    /// or appended column is synthetic and has no missing values.
     fn drifted(eval: &DataTable, drifts: &[Drift]) -> DataTable {
         let n_rows = eval.n_rows();
-        let trained: Vec<bool> = eval.schema().attrs.iter().map(is_numeric).collect();
         let mut cols: Vec<(AttrMeta, Column)> = eval
             .schema()
             .attrs
@@ -665,19 +687,6 @@ mod schema_drift {
                 Drift::Retype(i) => {
                     let (meta, _) = &cols[i % n];
                     cols[i % n] = synthetic(!is_numeric(meta), format!("{}_retyped", meta.name));
-                }
-            }
-        }
-        for ((meta, col), &was_numeric) in cols.iter_mut().zip(&trained) {
-            if is_numeric(meta) != was_numeric {
-                match col {
-                    Column::Numeric(v) => {
-                        v.iter_mut().filter(|x| x.is_nan()).for_each(|x| *x = 0.25)
-                    }
-                    Column::Categorical(v) => v
-                        .iter_mut()
-                        .filter(|c| **c == MISSING_CAT)
-                        .for_each(|c| *c = 0),
                 }
             }
         }

@@ -19,8 +19,12 @@
 //! - all categorical sets concatenated in one pool, and all node payloads
 //!   (labels, PMF rows, means) in contiguous buffers indexed by node id.
 //!
-//! Whole tables are scored in row blocks ([`DEFAULT_BLOCK_ROWS`]); within a
-//! block each row's walk runs entirely in registers.
+//! Tables are scored in row blocks ([`DEFAULT_BLOCK_ROWS`]); within a
+//! block each row's walk runs entirely in registers. A
+//! [`CompiledEnsemble`] holds a model's compiled members and its rule —
+//! one tree, a bagged forest, a boosted sum — and its one block loop is
+//! where every batched prediction runs: the model types' whole-table
+//! methods, GBT training's margin update, and `ts-serve`.
 //!
 //! The compiled path is **bit-for-bit identical** to the reference
 //! traversal (`crates/serve/tests/compiled_equiv.rs` enforces this): the
@@ -30,6 +34,7 @@
 //! accumulation) folds per-row results in the same tree order with the
 //! same arithmetic expressions as the reference implementation.
 
+use crate::forest::{argmax, uniform_pmf};
 use crate::model::{DecisionTreeModel, Prediction};
 use std::collections::BTreeSet;
 use ts_datatable::{Column, DataTable, Task, MISSING_CAT};
@@ -38,7 +43,7 @@ use ts_splits::SplitTest;
 /// Sentinel for "no seen-set recorded" in [`CompiledTree::seen_range`].
 const NO_SEEN: u32 = u32::MAX;
 
-/// Default row-block size for the whole-table helpers: big enough to
+/// Default row-block size ([`ServeOptions::default`]): big enough to
 /// amortise per-block setup, small enough that the block's
 /// [`BlockImage`] stays L2-resident while the walk re-reads it
 /// `levels × trees` times (2048 rows × 8 B per cell: 160 KiB at 10
@@ -273,11 +278,6 @@ impl<'a> TableView<'a> {
             col_cat,
             n_rows,
         }
-    }
-
-    /// Number of rows.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
     }
 
     /// An empty [`BlockImage`] over this view; [`BlockImage::fill`] it
@@ -788,7 +788,8 @@ impl CompiledTree {
     }
 
     /// One row's walk under an Appendix-D depth cap. The cap is tested
-    /// after the leaf check, exactly like the reference traversal.
+    /// after the leaf check, and a missing value before the column's kind,
+    /// exactly like the reference traversal.
     fn walk_row_capped(&self, view: &TableView<'_>, row: usize, max_depth: u32) -> u32 {
         let mut n = 0u32;
         loop {
@@ -799,22 +800,22 @@ impl CompiledTree {
             }
             match &view.cols[h.feature as usize] {
                 ColView::Num(v) => {
-                    if kind != Kind::Num {
-                        panic!("categorical split applied to numeric value");
-                    }
                     let w = numeric_cell(v[row]);
                     if w == 0 {
                         return n;
                     }
+                    if kind != Kind::Num {
+                        panic!("categorical split applied to numeric value");
+                    }
                     n = h.left + u32::from(w > h.thr);
                 }
                 ColView::Cat(v) => {
-                    if kind != Kind::Cat {
-                        panic!("numeric split applied to categorical value");
-                    }
                     let c = v[row];
                     if c == MISSING_CAT {
                         return n;
+                    }
+                    if kind != Kind::Cat {
+                        panic!("numeric split applied to categorical value");
                     }
                     match self.cat_child(n, c) {
                         Some(next) => n = next,
@@ -841,83 +842,299 @@ impl CompiledTree {
         let in_set = self.pool[a as usize..b as usize].binary_search(&c).is_ok();
         Some(self.hot[node as usize].left + u32::from(!in_set))
     }
+}
 
-    /// Class labels for every row of `table` (single-threaded block loop).
-    pub fn predict_labels_table(&self, table: &DataTable) -> Vec<u32> {
-        let view = TableView::of(table);
-        let labels = self.labels();
-        let mut out = Vec::with_capacity(view.n_rows());
-        self.for_each_block(&view, |nodes, _| {
-            out.extend(nodes.iter().map(|&n| labels[n as usize]));
-        });
-        out
-    }
+/// Serving knobs. The defaults score single-threaded in
+/// [`DEFAULT_BLOCK_ROWS`]-row blocks with no depth cap.
+#[derive(Debug, Clone, Copy)]
+pub struct ServeOptions {
+    /// Rows per evaluation block. Each block's terminal-node ids should
+    /// stay cache-resident; 1024–8192 is a good range.
+    pub block_rows: usize,
+    /// `tspar` thread count for the block fan-out; `0` = machine
+    /// parallelism, `1` = sequential.
+    pub threads: usize,
+    /// Appendix-D depth cap applied during traversal (`u32::MAX` = none).
+    pub max_depth: u32,
+}
 
-    /// Regression values for every row of `table`.
-    pub fn predict_values_table(&self, table: &DataTable) -> Vec<f64> {
-        let view = TableView::of(table);
-        let values = self.values();
-        let mut out = Vec::with_capacity(view.n_rows());
-        self.for_each_block(&view, |nodes, _| {
-            out.extend(nodes.iter().map(|&n| values[n as usize]));
-        });
-        out
-    }
-
-    /// Adds this tree's PMF into a row-major accumulator: for every row
-    /// `r`, `acc[r*k + c] += pmf[c]` — the same per-row operation order as
-    /// the reference forest averaging.
-    pub fn accumulate_pmf_table(&self, view: &TableView<'_>, acc: &mut [f32]) {
-        let (k, pmf) = self.pmf_rows();
-        debug_assert_eq!(acc.len(), view.n_rows() * k);
-        self.for_each_block(view, |nodes, first| {
-            add_pmf_rows(
-                k,
-                pmf,
-                nodes,
-                &mut acc[first * k..(first + nodes.len()) * k],
-            );
-        });
-    }
-
-    /// Adds this tree's value into a per-row accumulator (`acc[r] += v`).
-    pub fn accumulate_values_table(&self, view: &TableView<'_>, acc: &mut [f64]) {
-        debug_assert_eq!(acc.len(), view.n_rows());
-        let values = self.values();
-        self.for_each_block(view, |nodes, first| {
-            for (a, &node) in acc[first..].iter_mut().zip(nodes) {
-                *a += values[node as usize];
-            }
-        });
-    }
-
-    /// GBT margin update: `out[r] += eta * value(r)` for every row — the
-    /// same expression the reference margin accumulation evaluates.
-    pub fn add_margins_table(&self, view: &TableView<'_>, eta: f64, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), view.n_rows());
-        let values = self.values();
-        self.for_each_block(view, |nodes, first| {
-            for (o, &node) in out[first..].iter_mut().zip(nodes) {
-                *o += eta * values[node as usize];
-            }
-        });
-    }
-
-    /// Runs `f(terminal_nodes, first_row)` over the table in
-    /// [`DEFAULT_BLOCK_ROWS`]-sized blocks, reusing one scratch buffer and
-    /// one [`BlockImage`].
-    fn for_each_block(&self, view: &TableView<'_>, mut f: impl FnMut(&[u32], usize)) {
-        let n = view.n_rows();
-        let mut nodes = vec![0u32; DEFAULT_BLOCK_ROWS.min(n)];
-        let mut img = view.image();
-        let mut first = 0;
-        while first < n {
-            let len = DEFAULT_BLOCK_ROWS.min(n - first);
-            img.fill(Rows::Span { first, len });
-            self.terminal_nodes_into(&img, u32::MAX, &mut nodes[..len]);
-            f(&nodes[..len], first);
-            first += len;
+impl Default for ServeOptions {
+    fn default() -> Self {
+        ServeOptions {
+            block_rows: DEFAULT_BLOCK_ROWS,
+            threads: 1,
+            max_depth: u32::MAX,
         }
+    }
+}
+
+impl ServeOptions {
+    /// Builder: block size.
+    pub fn with_block_rows(mut self, block_rows: usize) -> Self {
+        self.block_rows = block_rows;
+        self
+    }
+
+    /// Builder: thread count (0 = machine parallelism).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
+    }
+
+    /// Builder: depth cap.
+    pub fn with_max_depth(mut self, max_depth: u32) -> Self {
+        self.max_depth = max_depth;
+        self
+    }
+}
+
+/// How the members of a [`CompiledEnsemble`] combine into a prediction.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Combine {
+    /// One tree: its terminal node's payload is the prediction.
+    Single,
+    /// Bagged forest (§VII): the mean of the members' PMFs or values.
+    Bagged,
+    /// Boosted additive model: `base + η · Σ tree(x)`.
+    Additive { base: f64, eta: f64 },
+}
+
+/// Compiled member trees and the rule that combines them: one tree, a
+/// bagged forest, or a boosted sum. Every batched prediction runs through
+/// its one block loop (`fold_blocks`); per row, trees fold in
+/// tree order with the reference's arithmetic expressions, so the outputs
+/// are the reference's bit for bit.
+#[derive(Debug, Clone)]
+pub struct CompiledEnsemble {
+    trees: Vec<CompiledTree>,
+    combine: Combine,
+    task: Task,
+}
+
+impl CompiledEnsemble {
+    fn new(trees: &[DecisionTreeModel], combine: Combine, task: Task) -> CompiledEnsemble {
+        CompiledEnsemble {
+            trees: trees.iter().map(CompiledTree::compile).collect(),
+            combine,
+            task,
+        }
+    }
+
+    /// One tree.
+    pub fn single(model: &DecisionTreeModel) -> CompiledEnsemble {
+        Self::new(std::slice::from_ref(model), Combine::Single, model.task)
+    }
+
+    /// A bagged forest of `trees` over `task`.
+    pub fn bagged(trees: &[DecisionTreeModel], task: Task) -> CompiledEnsemble {
+        Self::new(trees, Combine::Bagged, task)
+    }
+
+    /// A boosted sum `base + η · Σ tree(x)` of regression `trees`.
+    pub fn additive(trees: &[DecisionTreeModel], base: f64, eta: f64) -> CompiledEnsemble {
+        Self::new(trees, Combine::Additive { base, eta }, Task::Regression)
+    }
+
+    /// The task of the member trees.
+    pub fn task(&self) -> Task {
+        self.task
+    }
+
+    /// The compiled members, in tree order.
+    pub fn trees(&self) -> &[CompiledTree] {
+        &self.trees
+    }
+
+    /// PMF width; panics on regression ensembles.
+    fn n_classes(&self) -> usize {
+        self.task
+            .n_classes()
+            .expect("PMF prediction requires a classification model") as usize
+    }
+
+    /// Class labels of `rows` of `table`: a tree's terminal labels, or the
+    /// argmax of a forest's averaged PMF (ties toward the smaller class).
+    /// A boosted sum's label depends on its loss, which it does not know.
+    pub fn labels(&self, table: &DataTable, rows: Rows<'_>, opts: &ServeOptions) -> Vec<u32> {
+        match self.combine {
+            Combine::Single => self.write_payload(table, rows, opts, 1, self.trees[0].labels()),
+            Combine::Bagged => {
+                let k = self.n_classes();
+                self.pmf(table, rows, opts)
+                    .chunks(k.max(1))
+                    .map(argmax)
+                    .collect()
+            }
+            Combine::Additive { .. } => panic!("labels of a boosted model follow its loss"),
+        }
+    }
+
+    /// Class PMFs of `rows` of `table`, row-major: a tree's terminal PMF,
+    /// or the mean of a forest's — the uniform prior for a forest of no
+    /// trees.
+    pub fn pmf(&self, table: &DataTable, rows: Rows<'_>, opts: &ServeOptions) -> Vec<f32> {
+        match self.combine {
+            Combine::Single => {
+                let (k, pmf) = self.trees[0].pmf_rows();
+                self.write_payload(table, rows, opts, k, pmf)
+            }
+            Combine::Bagged => {
+                let k = self.n_classes();
+                if self.trees.is_empty() {
+                    return uniform_pmf(k).repeat(rows.len());
+                }
+                let mut acc = vec![0.0; rows.len() * k];
+                self.fold_blocks(table, rows, opts, &mut acc, |tree| {
+                    let (k, pmf) = tree.pmf_rows();
+                    move |nodes, acc| add_pmf_rows(k, pmf, nodes, acc)
+                });
+                let inv = 1.0 / self.trees.len() as f32;
+                for a in &mut acc {
+                    *a *= inv;
+                }
+                acc
+            }
+            Combine::Additive { .. } => panic!("PMFs from a boosted model"),
+        }
+    }
+
+    /// Values of `rows` of `table`: a tree's terminal mean, the mean of a
+    /// forest's (`0.0` for a forest of no trees), or a boosted sum's margin.
+    pub fn values(&self, table: &DataTable, rows: Rows<'_>, opts: &ServeOptions) -> Vec<f64> {
+        match self.combine {
+            Combine::Single => self.write_payload(table, rows, opts, 1, self.trees[0].values()),
+            Combine::Bagged if self.trees.is_empty() => vec![0.0; rows.len()],
+            Combine::Bagged => {
+                // `-0.0` is the additive identity (`-0.0 + v` is `v` bit
+                // for bit, `0.0 + -0.0` is not); the reference's `sum`
+                // starts from it too.
+                let mut acc = vec![-0.0; rows.len()];
+                self.fold_blocks(table, rows, opts, &mut acc, |tree| {
+                    let values = tree.values();
+                    move |nodes, acc| {
+                        for (a, &node) in acc.iter_mut().zip(nodes) {
+                            *a += values[node as usize];
+                        }
+                    }
+                });
+                let n_trees = self.trees.len() as f64;
+                for a in &mut acc {
+                    *a /= n_trees;
+                }
+                acc
+            }
+            Combine::Additive { base, .. } => {
+                let mut margins = vec![base; rows.len()];
+                self.add_margins(table, rows, opts, &mut margins);
+                margins
+            }
+        }
+    }
+
+    /// Adds `η · Σ tree(x)` of a boosted sum to the running `margins` of
+    /// `rows` of `table`, in place: [`Self::values`] is this from `base`,
+    /// and GBT training folds each round's tree in with it.
+    pub fn add_margins(
+        &self,
+        table: &DataTable,
+        rows: Rows<'_>,
+        opts: &ServeOptions,
+        margins: &mut [f64],
+    ) {
+        let Combine::Additive { eta, .. } = self.combine else {
+            panic!("margins are only defined for boosted models");
+        };
+        self.fold_blocks(table, rows, opts, margins, |tree| {
+            let values = tree.values();
+            move |nodes, acc| {
+                for (a, &node) in acc.iter_mut().zip(nodes) {
+                    *a += eta * values[node as usize];
+                }
+            }
+        });
+    }
+
+    /// The single-tree rule: each row's `k` entries are its terminal
+    /// node's row of `payload` — written, not added (`0.0 + v` is not `v`
+    /// for `-0.0`).
+    fn write_payload<T: Copy + Default + Send + Sync>(
+        &self,
+        table: &DataTable,
+        rows: Rows<'_>,
+        opts: &ServeOptions,
+        k: usize,
+        payload: &[T],
+    ) -> Vec<T> {
+        let mut out = vec![T::default(); rows.len() * k];
+        self.fold_blocks(table, rows, opts, &mut out, |_| {
+            move |nodes: &[u32], out: &mut [T]| {
+                for (dst, &n) in out.chunks_exact_mut(k).zip(nodes) {
+                    dst.copy_from_slice(&payload[n as usize * k..][..k]);
+                }
+            }
+        });
+        out
+    }
+
+    /// The one block loop, over the `rows` of `table` a call scores, into
+    /// `acc`: `acc.len() / rows.len()` entries per row, in `rows`' order.
+    /// Row blocks fan out over `tspar`; each worker owns a contiguous span
+    /// of whole blocks of `acc` and reuses one [`BlockImage`] and one node
+    /// buffer across them, both sized by the rows it scores (a block is
+    /// never wider than the call): nothing a call allocates or touches
+    /// grows with `block_rows`, with the model, or with the table the rows
+    /// are picked from. For each block the image is filled once, then
+    /// every member tree walks it and folds its terminal node ids into the
+    /// block's slice, in tree order — the reference fold order. `fold_of`
+    /// is called once per tree per block and returns that tree's fold, so
+    /// whatever the fold reads of the tree (its payload slice, its width)
+    /// is resolved there, not once per row.
+    fn fold_blocks<'t, A, F>(
+        &'t self,
+        table: &DataTable,
+        rows: Rows<'_>,
+        opts: &ServeOptions,
+        acc: &mut [A],
+        fold_of: impl Fn(&'t CompiledTree) -> F + Sync,
+    ) where
+        A: Send,
+        F: FnMut(&[u32], &mut [A]),
+    {
+        if acc.is_empty() {
+            return;
+        }
+        let width = acc.len() / rows.len();
+        assert_eq!(acc.len(), rows.len() * width, "accumulator width");
+        let view = TableView::of(table);
+        // Never wider than the call: a one-row call sets up one row.
+        let block = opts.block_rows.clamp(1, rows.len());
+        let n_blocks = rows.len().div_ceil(block);
+        // The worker count is resolved here, once, and handed to `tspar`
+        // resolved: `threads: 0` asks the OS (`available_parallelism`
+        // reads cgroup files, ≈ 11 µs), and only a call with more than
+        // one block has any use for the answer.
+        let threads = match opts.threads {
+            _ if n_blocks == 1 => 1,
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            t => t,
+        }
+        .min(n_blocks);
+        let span = n_blocks.div_ceil(threads) * block;
+        let mut spans: Vec<&mut [A]> = acc.chunks_mut(span * width).collect();
+        tspar::par_for_each_mut(&mut spans, threads, |s, chunk| {
+            let mut nodes = vec![0u32; block];
+            let mut img = view.image();
+            let mut first = s * span;
+            for blk in chunk.chunks_mut(block * width) {
+                let len = blk.len() / width;
+                img.fill(rows.slice(first, len));
+                for tree in &self.trees {
+                    tree.terminal_nodes_into(&img, opts.max_depth, &mut nodes[..len]);
+                    fold_of(tree)(&nodes[..len], blk);
+                }
+                first += len;
+            }
+        });
     }
 }
 
@@ -1234,20 +1451,24 @@ mod tests {
         }
     }
 
+    /// A single tree's labels for every row of `t`, through the shared
+    /// block loop.
+    fn labels_of(model: &DecisionTreeModel, t: &DataTable) -> Vec<u32> {
+        CompiledEnsemble::single(model).labels(t, Rows::all(t), &ServeOptions::default())
+    }
+
     #[test]
     fn batch_labels_match_reference_loop() {
         let model = mixed_tree();
-        let compiled = CompiledTree::compile(&model);
         let t = table();
         let reference: Vec<u32> = (0..t.n_rows())
             .map(|r| model.predict_row(&t, r, u32::MAX).label())
             .collect();
-        assert_eq!(compiled.predict_labels_table(&t), reference);
+        assert_eq!(labels_of(&model, &t), reference);
     }
 
     #[test]
     fn empty_table_scores_to_empty() {
-        let compiled = CompiledTree::compile(&mixed_tree());
         let t = DataTable::new(
             Schema::new(
                 vec![AttrMeta::numeric("age"), AttrMeta::categorical("edu", 6)],
@@ -1256,24 +1477,37 @@ mod tests {
             vec![Column::Numeric(vec![]), Column::Categorical(vec![])],
             Labels::Class(vec![]),
         );
-        assert_eq!(compiled.predict_labels_table(&t), Vec::<u32>::new());
+        assert_eq!(labels_of(&mixed_tree(), &t), Vec::<u32>::new());
+    }
+
+    /// `mixed_tree`'s columns swapped, so attr 0 (numeric split) is
+    /// categorical and attr 1 (categorical split) numeric.
+    fn swapped_table(edu: Vec<u32>, age: Vec<f64>) -> DataTable {
+        let n = edu.len();
+        DataTable::new(
+            Schema::new(
+                vec![AttrMeta::categorical("edu", 6), AttrMeta::numeric("age")],
+                Task::Classification { n_classes: 2 },
+            ),
+            vec![Column::Categorical(edu), Column::Numeric(age)],
+            Labels::Class(vec![0; n]),
+        )
     }
 
     #[test]
     #[should_panic(expected = "numeric split applied to categorical value")]
     fn type_mismatch_panics_like_reference() {
+        labels_of(&mixed_tree(), &swapped_table(vec![2], vec![30.0]));
+    }
+
+    /// A missing cell stops the row at the node that reads it whatever
+    /// the column's kind, as in the reference: the kind is only looked at
+    /// for a value that is there.
+    #[test]
+    fn missing_value_stops_before_the_kind_check() {
         let model = mixed_tree();
-        let compiled = CompiledTree::compile(&model);
-        // Swap the columns so attr 0 (numeric split) is categorical.
-        let t = DataTable::new(
-            Schema::new(
-                vec![AttrMeta::categorical("edu", 6), AttrMeta::numeric("age")],
-                Task::Classification { n_classes: 2 },
-            ),
-            vec![Column::Categorical(vec![2]), Column::Numeric(vec![30.0])],
-            Labels::Class(vec![0]),
-        );
-        compiled.predict_labels_table(&t);
+        let t = swapped_table(vec![MISSING_CAT], vec![f64::NAN]);
+        assert_eq!(labels_of(&model, &t), model.predict_labels_reference(&t));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! returned by all its trees" (§VII). `ForestModel` implements exactly that,
 //! plus plain label/value prediction for the evaluation tables.
 
-use crate::compiled::{CompiledTree, TableView};
+use crate::compiled::{CompiledEnsemble, Rows, ServeOptions};
 use crate::model::{DecisionTreeModel, Prediction};
 use ts_datatable::{DataTable, Task};
 use tsjson::{Deserialize, Serialize};
@@ -48,8 +48,8 @@ impl ForestModel {
     }
 
     /// The averaged PMF vector for one row (classification forests). This
-    /// is the per-row reference path; the whole-table methods below run the
-    /// compiled engine and are bit-identical to it.
+    /// is the per-row reference path; the whole-table methods below run
+    /// [`CompiledEnsemble`] and are bit-identical to it.
     pub fn predict_pmf_row(&self, table: &DataTable, row: usize) -> Vec<f32> {
         let k = self.n_classes();
         if self.trees.is_empty() {
@@ -83,54 +83,29 @@ impl ForestModel {
     }
 
     /// Averaged PMFs for every row, row-major in one flat buffer
-    /// (`n_rows * n_classes`); the allocation-friendly form `ts-serve` and
-    /// the deep-forest feature extraction build on.
+    /// (`n_rows * n_classes`); the allocation-friendly form the deep-forest
+    /// feature extraction builds on.
     pub fn predict_pmf_flat(&self, table: &DataTable) -> Vec<f32> {
-        let k = self.n_classes();
-        let n = table.n_rows();
-        if self.trees.is_empty() {
-            let u = uniform_pmf(k);
-            return (0..n).flat_map(|_| u.iter().copied()).collect();
-        }
-        let view = TableView::of(table);
-        let mut acc = vec![0f32; n * k];
-        for t in &self.trees {
-            CompiledTree::compile(t).accumulate_pmf_table(&view, &mut acc);
-        }
-        let inv = 1.0 / self.trees.len() as f32;
-        for a in &mut acc {
-            *a *= inv;
-        }
-        acc
+        self.compiled()
+            .pmf(table, Rows::all(table), &ServeOptions::default())
     }
 
     /// Majority-vote labels from the averaged PMFs (ties toward the smaller
     /// class id), on the compiled batched path.
     pub fn predict_labels(&self, table: &DataTable) -> Vec<u32> {
-        let k = self.n_classes();
-        self.predict_pmf_flat(table)
-            .chunks(k.max(1))
-            .map(argmax)
-            .collect()
+        self.compiled()
+            .labels(table, Rows::all(table), &ServeOptions::default())
     }
 
     /// Mean of per-tree regression predictions for every row, on the
     /// compiled batched path.
     pub fn predict_values(&self, table: &DataTable) -> Vec<f64> {
-        let n = table.n_rows();
-        if self.trees.is_empty() {
-            return vec![0.0; n];
-        }
-        let view = TableView::of(table);
-        let mut acc = vec![0f64; n];
-        for t in &self.trees {
-            CompiledTree::compile(t).accumulate_values_table(&view, &mut acc);
-        }
-        let inv_n = self.trees.len() as f64;
-        for a in &mut acc {
-            *a /= inv_n;
-        }
-        acc
+        self.compiled()
+            .values(table, Rows::all(table), &ServeOptions::default())
+    }
+
+    fn compiled(&self) -> CompiledEnsemble {
+        CompiledEnsemble::bagged(&self.trees, self.task)
     }
 
     /// Reference traversal for [`predict_pmf`](Self::predict_pmf): one
@@ -196,7 +171,7 @@ impl ForestModel {
 }
 
 /// The uninformed prior a zero-tree classification forest predicts with.
-fn uniform_pmf(k: usize) -> Vec<f32> {
+pub(crate) fn uniform_pmf(k: usize) -> Vec<f32> {
     if k == 0 {
         return Vec::new();
     }

@@ -17,12 +17,14 @@
 //! - [`forest`]: bagged forests ([`ForestModel`]) whose prediction averages
 //!   per-tree PMF vectors (classification) or means (regression), exactly
 //!   the k-D re-representation deep forest consumes;
-//! - [`compiled`]: the flat structure-of-arrays compilation of a tree and
-//!   the batched breadth-per-level evaluator. All whole-table prediction
-//!   methods delegate to it (bit-identically — see docs/SERVING.md); the
-//!   per-row `predict_with`/`predict_row` walk stays the reference
-//!   traversal, and `ts-serve` layers batch parallelism and observability
-//!   on top.
+//! - [`compiled`]: the flat structure-of-arrays compilation of a tree, the
+//!   batched evaluator over it, and [`CompiledEnsemble`] — the one block
+//!   loop and the three ensemble rules (one tree, bagged mean, boosted
+//!   sum). Every whole-table prediction method, GBT training's margin
+//!   update and `ts-serve` run through it (bit-identically — see
+//!   docs/SERVING.md); the per-row `predict_with`/`predict_row` walk stays
+//!   the reference traversal, and `ts-serve` adds serving options, the
+//!   GBT loss and latency metrics on top.
 
 pub mod compiled;
 pub mod dataset;
@@ -30,7 +32,7 @@ pub mod forest;
 pub mod model;
 pub mod trainer;
 
-pub use compiled::{ColView, CompiledTree, Rows, TableView};
+pub use compiled::{ColView, CompiledEnsemble, CompiledTree, Rows, ServeOptions, TableView};
 pub use dataset::LocalDataset;
 pub use forest::ForestModel;
 pub use model::{graft_nodes, DecisionTreeModel, Node, Prediction, SplitInfo};

@@ -1,5 +1,6 @@
 //! The decision-tree model: arena nodes, prediction, and subtree grafting.
 
+use crate::compiled::{CompiledEnsemble, Rows, ServeOptions};
 use ts_datatable::{DataTable, Task, Value};
 use ts_splits::SplitTest;
 use tsjson::{Deserialize, Serialize};
@@ -200,14 +201,14 @@ impl DecisionTreeModel {
     /// compiled batched path — bit-identical to
     /// [`predict_labels_reference`](Self::predict_labels_reference).
     pub fn predict_labels(&self, table: &DataTable) -> Vec<u32> {
-        crate::compiled::CompiledTree::compile(self).predict_labels_table(table)
+        CompiledEnsemble::single(self).labels(table, Rows::all(table), &ServeOptions::default())
     }
 
     /// Predicts values for every row (regression trees) on the compiled
     /// batched path — bit-identical to
     /// [`predict_values_reference`](Self::predict_values_reference).
     pub fn predict_values(&self, table: &DataTable) -> Vec<f64> {
-        crate::compiled::CompiledTree::compile(self).predict_values_table(table)
+        CompiledEnsemble::single(self).values(table, Rows::all(table), &ServeOptions::default())
     }
 
     /// Reference traversal for [`predict_labels`](Self::predict_labels):
