@@ -94,10 +94,11 @@ impl YggdrasilTrainer {
         let machine_of_col = |attr: usize| 1 + attr % self.cfg.n_machines;
 
         // Each machine presorts its columns once per tree (`sorted[i]`
-        // indexes `candidates[i]`) and keeps the orders partitioned by open
-        // node, as the local exact trainer does: every node of a level scans
-        // its own segments with the shared engine (`ts_splits::sorted`), so
-        // the model stays bit-identical to that trainer.
+        // indexes `candidates[i]`) and keeps the orders, inverted from the
+        // ranks, partitioned by open node, as the local exact trainer does:
+        // every node of a level scans its own segments with the shared
+        // engine (`ts_splits::sorted`), so the model stays bit-identical to
+        // that trainer.
         let sorted: Vec<SortedColumn> = candidates
             .iter()
             .map(|&a| SortedColumn::build(table.column(a)))

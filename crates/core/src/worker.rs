@@ -208,16 +208,14 @@ pub(crate) struct Held {
 
 impl Held {
     /// Presorts the column — and, in histogram mode, bins a numeric column
-    /// off the presorted order it was just given.
+    /// off the same sort.
     fn build(column: SharedColumn, hist_bins: Option<usize>) -> Held {
-        let sorted = SortedColumn::build(&column);
-        let binned = match (hist_bins, column.as_numeric()) {
-            (Some(bins), Some(v)) => Some(Arc::new(BinnedColumn::from_order(
-                v,
-                sorted.numeric_order(),
-                bins,
-            ))),
-            _ => None,
+        let (sorted, binned) = match (hist_bins, column.as_numeric()) {
+            (Some(bins), Some(v)) => {
+                let (sorted, binned) = SortedColumn::from_numeric_binned(v, bins);
+                (sorted, Some(Arc::new(binned)))
+            }
+            _ => (SortedColumn::build(&column), None),
         };
         Held {
             column,
@@ -1376,7 +1374,7 @@ impl Snapshot {
             threads: 1,
         };
         // On top of the gathered buffers the task holds the indexes it built
-        // and, for exact training, the trainer's copy of the numeric orders.
+        // and, for exact training, the trainer's numeric orders.
         let order_bytes = match params.mode {
             TrainMode::Exact => data.order_bytes(),
             TrainMode::ExtraTrees => 0,
@@ -1721,6 +1719,8 @@ mod tests {
                 Arc::ptr_eq(&x.sorted, &y.sorted),
                 "column {a} is presorted twice"
             );
+            // The rank alone: 4 B a row, no order beside it.
+            assert_eq!(x.sorted.payload_bytes(), 4 * table.n_rows(), "column {a}");
             let (bx, by) = (x.binned.as_ref(), y.binned.as_ref());
             assert!(
                 Arc::ptr_eq(bx.expect("binned"), by.expect("binned")),

@@ -300,7 +300,7 @@ fn subtree_task_memory_counts_indexes_and_orders() {
     // tau_d >= rows on one worker: the job is a single subtree-task over
     // every row, whose column copies share the worker's resident indexes.
     // On top of the resident data the task holds its copies of the columns
-    // and the trainer's order copy (4 B per row per numeric column).
+    // and the trainer's orders (4 B per row per numeric column).
     let t = table(4_000, 6, 0, 31);
     let cluster = Cluster::launch(small_cfg(1, 1, 4_000), &t);
     let resident = cluster.report().per_node[1].mem_peak;
@@ -317,10 +317,9 @@ fn subtree_task_memory_counts_indexes_and_orders() {
     );
 
     // A subtree-task below the root gathers a row subset and has to build
-    // that subset's indexes (order + rank, 8 B per row per numeric column)
-    // as well. With
-    // tau_d just under the table, the root is a column-task and its larger
-    // child is the biggest subtree-task.
+    // that subset's indexes (the rank, 4 B per row per numeric column) as
+    // well. With tau_d just under the table, the root is a column-task and
+    // its larger child is the biggest subtree-task.
     let cluster = Cluster::launch(small_cfg(1, 1, 3_999), &t);
     let resident = cluster.report().per_node[1].mem_peak;
     let model = cluster
@@ -330,7 +329,7 @@ fn subtree_task_memory_counts_indexes_and_orders() {
     cluster.shutdown();
     let (_, l, r) = model.nodes[0].split.as_ref().expect("the root splits");
     let rows = model.nodes[*l].n_rows.max(model.nodes[*r].n_rows);
-    let per_row = 6 * (8 + 8 + 4);
+    let per_row = 6 * (8 + 4 + 4);
     assert!(
         peak >= resident + rows * per_row,
         "peak {peak} < resident {resident} + {rows} rows x {per_row} B (data + index + order)"

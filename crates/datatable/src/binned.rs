@@ -19,7 +19,7 @@
 //! built alongside [`crate::sorted::SortedColumn`]; `ts-splits` re-exports
 //! it for the kernels and baselines.
 
-use crate::sorted::presorted_rows;
+use crate::sorted::{presorted_records, record_row};
 use tsjson::{Deserialize, Serialize};
 
 /// Candidate split thresholds for one numeric attribute.
@@ -53,7 +53,7 @@ impl BinCuts {
 
     /// [`Self::equi_depth`] of a column whose `n` present values are at hand
     /// in `total_cmp` order, position by position — a sorted copy, or the
-    /// column read through its presorted index.
+    /// column read through its presorted records.
     fn of_sorted(n: usize, sorted: impl Fn(usize) -> f64, max_bins: usize) -> BinCuts {
         assert!(max_bins >= 2, "need at least two bins");
         if n == 0 {
@@ -153,42 +153,58 @@ pub enum BinIds {
 impl BinnedColumn {
     /// Bins a full numeric column with fresh equi-depth cuts.
     pub fn build(values: &[f64], max_bins: usize) -> Self {
-        Self::from_order(values, &presorted_rows(values), max_bins)
+        Self::from_records(values, &presorted_records(values), max_bins, Vec::new())
     }
 
-    /// [`Self::build`] for a column whose presorted `order`
-    /// ([`crate::SortedColumn::numeric_order`]) is at hand, as it is wherever
-    /// a store indexes a column: the cuts are read off the order — the same
-    /// values in the same order as a fresh sort, hence the same cuts — and
-    /// the ids assigned by walking it, a bin's rows being a run of the order.
-    pub fn from_order(values: &[f64], order: &[u32], max_bins: usize) -> Self {
-        let value_at = |position: usize| values[order[position] as usize];
-        let cuts = BinCuts::of_sorted(order.len(), value_at, max_bins);
+    /// [`Self::build`] off the column's presorted `records`, as a store that
+    /// also indexes the column has them at hand
+    /// ([`crate::SortedColumn::from_numeric_binned`]): the cuts are read off
+    /// the records — the same values in the same order as a fresh sort,
+    /// hence the same cuts — and the ids assigned by walking them, a bin's
+    /// rows being a run of the order. `u8_ids` is where `u8` ids go: a
+    /// caller that knows they will fit can allocate it before it sorts.
+    pub(crate) fn from_records(
+        values: &[f64],
+        records: &[u64],
+        max_bins: usize,
+        u8_ids: Vec<u8>,
+    ) -> Self {
+        let value_at = |position: usize| values[record_row(records[position])];
+        let cuts = BinCuts::of_sorted(records.len(), value_at, max_bins);
         // Every row starts in the missing slot; `narrow` stores an id.
         fn walk<T: Copy>(
             values: &[f64],
-            order: &[u32],
+            records: &[u64],
             cuts: &[f64],
             narrow: impl Fn(usize) -> T,
+            mut ids: Vec<T>,
         ) -> Vec<T> {
-            let mut ids = vec![narrow(cuts.len() + 1); values.len()];
+            ids.clear();
+            ids.resize(values.len(), narrow(cuts.len() + 1));
             let mut bin = 0;
-            for &row in order {
-                while bin < cuts.len() && cuts[bin] < values[row as usize] {
+            for &record in records {
+                let row = record_row(record);
+                while bin < cuts.len() && cuts[bin] < values[row] {
                     bin += 1;
                 }
-                ids[row as usize] = narrow(bin);
+                ids[row] = narrow(bin);
             }
             ids
         }
         let ids = if cuts.n_bins() <= u8::MAX as usize {
-            BinIds::U8(walk(values, order, &cuts.cuts, |id| id as u8))
+            BinIds::U8(walk(values, records, &cuts.cuts, |id| id as u8, u8_ids))
         } else {
             assert!(
                 cuts.n_bins() <= u16::MAX as usize,
                 "bin count exceeds u16 id range"
             );
-            BinIds::U16(walk(values, order, &cuts.cuts, |id| id as u16))
+            BinIds::U16(walk(
+                values,
+                records,
+                &cuts.cuts,
+                |id| id as u16,
+                Vec::new(),
+            ))
         };
         BinnedColumn { cuts, ids }
     }
@@ -384,12 +400,14 @@ mod tests {
 
     mod off_the_presorted_order {
         use super::*;
+        use crate::SortedColumn;
         use tscheck::prelude::*;
 
         proptest! {
             /// Cuts read off the presorted order and ids assigned by walking
             /// it are the cuts of a fresh sort and the ids of a binary search
-            /// per row — the way `build` worked before it had the order.
+            /// per row — the way `build` worked before it had the order —
+            /// whether or not the rank is built off the same sort.
             #[test]
             fn build_bins_as_a_sort_and_a_search_per_row_do(
                 values in tscheck::collection::vec(prop_oneof![
@@ -403,7 +421,11 @@ mod tests {
                 max_bins in prop_oneof![Just(2usize), Just(3), Just(16), Just(64), Just(256), Just(300)],
             ) {
                 let searched = BinnedColumn::with_cuts(&values, BinCuts::equi_depth(&values, max_bins));
-                prop_assert_eq!(BinnedColumn::build(&values, max_bins), searched);
+                prop_assert_eq!(BinnedColumn::build(&values, max_bins), searched.clone());
+                // Binned beside the rank, off the one sort, as a store does.
+                let (sorted, binned) = SortedColumn::from_numeric_binned(&values, max_bins);
+                prop_assert_eq!(binned, searched);
+                prop_assert_eq!(sorted, SortedColumn::from_numeric(&values));
             }
         }
     }

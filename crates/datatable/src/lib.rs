@@ -6,7 +6,7 @@
 //! - a column-major [`DataTable`] with numeric and categorical attributes,
 //!   explicit missing values and a separate target column ([`Labels`]),
 //! - schema types ([`Schema`], [`AttrMeta`], [`AttrType`], [`Task`]),
-//! - per-column load-time indices: presorted row orders ([`sorted`]) for the
+//! - per-column load-time indices: presorted row ranks ([`sorted`]) for the
 //!   exact split engine and quantized bin ids ([`binned`]) for the histogram
 //!   split path,
 //! - a small CSV reader/writer with schema inference ([`csv`]),

@@ -6,8 +6,11 @@
 //! sorted sequence off the index in `O(|Dx|)` — the structure the exact
 //! distributed Random Forest literature builds on (see PAPERS.md) and the
 //! hot-path optimization of docs/PERF.md. The index is read-only and shared
-//! by every tree and node; it holds the order and its inverse, 8 bytes per
-//! row.
+//! by every tree and node; it holds every row's rank in the sorted order,
+//! 4 bytes per row, and not the order itself: a node selects its rows by
+//! rank, and a trainer that partitions the order by node
+//! (`ts_splits::sorted::NodeOrders`) derives its private copy by inverting
+//! the rank.
 //!
 //! Determinism contract: the numeric order sorts by `(value, row id)` with
 //! `f64::total_cmp`, exactly the order a stable sort of the node's gathered
@@ -15,6 +18,7 @@
 //! rows taken in rank order are the *same* sequence the gather+sort
 //! reference kernel scans, so both pick byte-identical splits.
 
+use crate::binned::BinnedColumn;
 use crate::column::{Column, ValuesBuf, MISSING_CAT};
 
 /// The [`SortedColumn::numeric_rank`] of a row whose value is missing.
@@ -24,17 +28,19 @@ pub const MISSING_RANK: u32 = u32::MAX;
 /// load, `LocalDataset` assembly) and shared by every node's split search.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SortedColumn {
-    /// Numeric column: row ids of all *present* (non-NaN) rows, sorted by
-    /// `(value, row id)`. Missing rows are segregated out entirely — the
-    /// kernels route them to the majority side after the boundary is chosen.
+    /// Numeric column: where every *present* (non-NaN) row sits in the
+    /// `(value, row id)` order of the present rows. Missing rows have no
+    /// place — the kernels route them to the majority side after the
+    /// boundary is chosen.
     Numeric {
-        /// Presorted present-row ids.
-        order: Vec<u32>,
-        /// The inverse of `order` over *every* row: `rank[row]` is the row's
-        /// position in `order`, [`MISSING_RANK`] for a missing value. A node
-        /// finds where each of its rows sits in the sorted sequence by
-        /// reading its own rows' ranks — no pass over the rest of the column.
+        /// `rank[row]` is the row's position in the order, [`MISSING_RANK`]
+        /// for a missing value. A node finds where each of its rows sits in
+        /// the sorted sequence by reading its own rows' ranks — no pass over
+        /// the rest of the column.
         rank: Vec<u32>,
+        /// The number of present rows: the positions `rank` takes are
+        /// `0..present`, each once.
+        present: usize,
     },
     /// Categorical column: the sorted distinct set of present codes. The
     /// one-vs-rest / Breiman kernels need no value order, but the distinct
@@ -47,17 +53,19 @@ pub enum SortedColumn {
 }
 
 /// The present (non-NaN) rows of `values` in `(value, row)` order under
-/// `f64::total_cmp`.
+/// `f64::total_cmp`, one `u64` record per row whose low 32 bits are the row
+/// id ([`record_row`]).
 ///
 /// One integer sort instead of a comparison sort that loads two values per
-/// comparison: each row becomes a `u64` record — the high 32 bits of its
-/// value's place in the total order (sign, exponent, 20 mantissa bits) above
-/// its row id — the records are sorted as integers, and only the runs that
-/// share a high half, already in row order, are finished by the full
-/// `(value, row)` comparison. A run of one value is in order as it stands;
-/// a column whose values differ only below the 20th mantissa bit degrades to
-/// the comparison sort it always was. Eight bytes per row while it sorts.
-pub(crate) fn presorted_rows(values: &[f64]) -> Vec<u32> {
+/// comparison: each row's record holds the high 32 bits of its value's place
+/// in the total order (sign, exponent, 20 mantissa bits) above its row id —
+/// the records are sorted as integers, and only the runs that share a high
+/// half, already in row order, are finished by the full `(value, row)`
+/// comparison. A run of one value is in order as it stands; a column whose
+/// values differ only below the 20th mantissa bit degrades to the comparison
+/// sort it always was. The records are the only order an index build
+/// holds: the rank and the bins are both read off them.
+pub(crate) fn presorted_records(values: &[f64]) -> Vec<u64> {
     let high_key = |v: f64| {
         // `total_cmp`'s monotone map of the bits: a negative value has every
         // bit flipped, a positive one its sign bit.
@@ -75,32 +83,18 @@ pub(crate) fn presorted_rows(values: &[f64]) -> Vec<u32> {
     for run in records.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
         if run.len() > 1 {
             run.sort_unstable_by(|&a, &b| {
-                let (a, b) = (a as u32, b as u32);
-                values[a as usize]
-                    .total_cmp(&values[b as usize])
-                    .then(a.cmp(&b))
+                let (a, b) = (record_row(a), record_row(b));
+                values[a].total_cmp(&values[b]).then(a.cmp(&b))
             });
         }
     }
-    // An order takes 4 bytes a row where its records took 8. The row ids are
-    // packed in place, two to a record's place from the front, and the upper
-    // half of the buffer released before the order is allocated: building an
-    // index holds no more than the finished index does. (Unpacked, the
-    // records next to the order read +2.1 % `peak_rss_mb` on a 200 000-row
-    // table, docs/PERF.md.)
-    let n = records.len();
-    for i in 0..n {
-        let row = records[i] & u64::from(u32::MAX);
-        records[i / 2] = match i % 2 {
-            0 => row,
-            _ => records[i / 2] | row << 32,
-        };
-    }
-    records.truncate(n.div_ceil(2));
-    records.shrink_to_fit();
-    (0..n)
-        .map(|i| (records[i / 2] >> (i % 2 * 32)) as u32)
-        .collect()
+    records
+}
+
+/// The row id of a [`presorted_records`] record.
+#[inline]
+pub(crate) fn record_row(record: u64) -> usize {
+    record as u32 as usize
 }
 
 impl SortedColumn {
@@ -123,15 +117,46 @@ impl SortedColumn {
 
     /// Presorted index over a numeric slice.
     pub fn from_numeric(values: &[f64]) -> Self {
-        let order = presorted_rows(values);
-        let mut rank = vec![MISSING_RANK; values.len()];
-        for (position, &r) in order.iter().enumerate() {
-            rank[r as usize] = position as u32;
-        }
-        SortedColumn::Numeric { order, rank }
+        let rank = vec![MISSING_RANK; values.len()];
+        Self::ranked(rank, &presorted_records(values))
     }
 
-    /// Distinct-code index over a categorical slice.
+    /// [`Self::from_numeric`] and [`BinnedColumn::build`] of one column off
+    /// one sort: a store that bins its numeric columns (histogram mode)
+    /// indexes and bins each of them with this.
+    pub fn from_numeric_binned(values: &[f64], max_bins: usize) -> (Self, BinnedColumn) {
+        let rank = vec![MISSING_RANK; values.len()];
+        // At most `max_bins` bins: below 256 the ids are `u8`, known now.
+        let u8_ids = if max_bins <= u8::MAX as usize {
+            Vec::with_capacity(values.len())
+        } else {
+            Vec::new()
+        };
+        let records = presorted_records(values);
+        let binned = BinnedColumn::from_records(values, &records, max_bins, u8_ids);
+        (Self::ranked(rank, &records), binned)
+    }
+
+    /// The index whose order is `records`, written into `rank` (every row
+    /// [`MISSING_RANK`]). Callers allocate what the index keeps — the rank,
+    /// and the bin ids where they can — before they sort: the buffers that
+    /// stay before the one that goes. The other way round, the freed records
+    /// left holes below what stayed, glibc trimmed the main heap when the
+    /// cluster over the table shut down, and a process that then loaded its
+    /// next table faulted its pages in anew: `setup_s` read 12 % higher on
+    /// `coltask_exact` and up to 20 % on `coltask_hist` (docs/PERF.md).
+    fn ranked(mut rank: Vec<u32>, records: &[u64]) -> Self {
+        for (position, &record) in records.iter().enumerate() {
+            rank[record_row(record)] = position as u32;
+        }
+        SortedColumn::Numeric {
+            rank,
+            present: records.len(),
+        }
+    }
+
+    /// Distinct-code index over a categorical slice, holding the distinct
+    /// set at its own size rather than the capacity of every present code.
     pub fn from_categorical(codes: &[u32]) -> Self {
         let mut distinct: Vec<u32> = codes
             .iter()
@@ -140,33 +165,35 @@ impl SortedColumn {
             .collect();
         distinct.sort_unstable();
         distinct.dedup();
+        distinct.shrink_to_fit();
         SortedColumn::Categorical { distinct }
     }
 
-    /// The presorted present-row order of a numeric index.
+    /// Every row's position in the `(value, row)` order of a numeric
+    /// index's present rows, [`MISSING_RANK`] for the rows it leaves out.
     ///
     /// # Panics
     /// Panics when called on a categorical index — the caller dispatched on
     /// the wrong attribute type.
-    pub fn numeric_order(&self) -> &[u32] {
-        match self {
-            SortedColumn::Numeric { order, .. } => order,
-            SortedColumn::Categorical { .. } => {
-                panic!("numeric_order on a categorical sorted index")
-            }
-        }
-    }
-
-    /// Every row's position in [`Self::numeric_order`], [`MISSING_RANK`] for
-    /// the rows it leaves out.
-    ///
-    /// # Panics
-    /// Panics when called on a categorical index.
     pub fn numeric_rank(&self) -> &[u32] {
         match self {
             SortedColumn::Numeric { rank, .. } => rank,
             SortedColumn::Categorical { .. } => {
                 panic!("numeric_rank on a categorical sorted index")
+            }
+        }
+    }
+
+    /// The number of present rows of a numeric index — the length of its
+    /// order, whose positions [`Self::numeric_rank`] hands out.
+    ///
+    /// # Panics
+    /// Panics when called on a categorical index.
+    pub fn numeric_present(&self) -> usize {
+        match self {
+            SortedColumn::Numeric { present, .. } => *present,
+            SortedColumn::Categorical { .. } => {
+                panic!("numeric_present on a categorical sorted index")
             }
         }
     }
@@ -185,10 +212,8 @@ impl SortedColumn {
     /// In-memory size of the index payload (for memory accounting).
     pub fn payload_bytes(&self) -> usize {
         match self {
-            SortedColumn::Numeric { order, rank } => {
-                (order.len() + rank.len()) * std::mem::size_of::<u32>()
-            }
-            SortedColumn::Categorical { distinct } => distinct.len() * std::mem::size_of::<u32>(),
+            SortedColumn::Numeric { rank, .. } => std::mem::size_of_val(rank.as_slice()),
+            SortedColumn::Categorical { distinct } => std::mem::size_of_val(distinct.as_slice()),
         }
     }
 }
@@ -201,24 +226,25 @@ mod tests {
     fn numeric_order_sorted_by_value_then_row() {
         let s = SortedColumn::from_numeric(&[3.0, 1.0, 2.0, 1.0]);
         // Value 1.0 appears at rows 1 and 3; the tie breaks by row id.
-        assert_eq!(s.numeric_order(), &[1, 3, 2, 0]);
         assert_eq!(s.numeric_rank(), &[3, 0, 2, 1]);
+        assert_eq!(s.numeric_present(), 4);
     }
 
     #[test]
     fn numeric_order_excludes_missing() {
         let s = SortedColumn::from_numeric(&[f64::NAN, 5.0, f64::NAN, 4.0]);
-        assert_eq!(s.numeric_order(), &[3, 1]);
         assert_eq!(s.numeric_rank(), &[MISSING_RANK, 1, MISSING_RANK, 0]);
-        // The rank spans the missing rows too.
-        assert_eq!(s.payload_bytes(), 2 * 4 + 4 * 4);
+        assert_eq!(s.numeric_present(), 2);
+        // The rank spans the missing rows too, and is all the index holds.
+        assert_eq!(s.payload_bytes(), 4 * 4);
     }
 
     #[test]
     fn numeric_order_total_order_on_specials() {
         // total_cmp puts -inf first and +inf last; NaN rows are dropped.
         let s = SortedColumn::from_numeric(&[f64::INFINITY, 0.0, f64::NEG_INFINITY, f64::NAN]);
-        assert_eq!(s.numeric_order(), &[2, 1, 0]);
+        assert_eq!(s.numeric_rank(), &[2, 1, 0, MISSING_RANK]);
+        assert_eq!(s.numeric_present(), 3);
     }
 
     mod integer_sort {
@@ -260,7 +286,11 @@ mod tests {
                 want.sort_unstable_by(|&a, &b| {
                     values[a as usize].total_cmp(&values[b as usize]).then(a.cmp(&b))
                 });
-                prop_assert_eq!(presorted_rows(&values), want);
+                let rows: Vec<u32> = presorted_records(&values)
+                    .into_iter()
+                    .map(|record| record_row(record) as u32)
+                    .collect();
+                prop_assert_eq!(rows, want);
             }
         }
     }
@@ -271,19 +301,26 @@ mod tests {
         assert_eq!(s.distinct(), &[0, 1, 3]);
         let empty = SortedColumn::from_categorical(&[MISSING_CAT]);
         assert!(empty.distinct().is_empty());
+        // 20 000 present codes, five distinct: the index holds five.
+        let codes: Vec<u32> = (0..20_000).map(|r| [4, 9, 2, 9, 7, 0][r % 6]).collect();
+        let SortedColumn::Categorical { distinct } = SortedColumn::from_categorical(&codes) else {
+            panic!("categorical codes make a categorical index")
+        };
+        assert_eq!(distinct, [0, 2, 4, 7, 9]);
+        assert_eq!(distinct.capacity(), distinct.len());
     }
 
     #[test]
     fn build_dispatches_on_column_kind() {
         let num = SortedColumn::build(&Column::Numeric(vec![2.0, 1.0]));
-        assert_eq!(num.numeric_order(), &[1, 0]);
+        assert_eq!(num.numeric_rank(), &[1, 0]);
         let cat = SortedColumn::build_buf(&ValuesBuf::Categorical(vec![7, 7, 2]));
         assert_eq!(cat.distinct(), &[2, 7]);
     }
 
     #[test]
     #[should_panic(expected = "categorical sorted index")]
-    fn numeric_order_on_categorical_panics() {
-        SortedColumn::from_categorical(&[0]).numeric_order();
+    fn numeric_rank_on_categorical_panics() {
+        SortedColumn::from_categorical(&[0]).numeric_rank();
     }
 }

@@ -35,9 +35,10 @@
 //!   aggregates, `NodeStats`.
 //! - [`sorted`]: the sorted-column split engine — `NodeRows`, the
 //!   thread-local scratch arena, the numeric kernel with its rank selection
-//!   and the `_at` entries of the column-tasks, and `NodeOrders` (a
-//!   node-partitioned copy of the presorted orders) with `best_split_in`,
-//!   the entry the whole-subtree trainers call (docs/PERF.md).
+//!   and the `_at` entries of the column-tasks, and `NodeOrders` (the
+//!   presorted orders, inverted from the ranks and partitioned by node) with
+//!   `best_split_in`, the entry the whole-subtree trainers call
+//!   (docs/PERF.md).
 //! - [`exact`]: `ColumnSplit`, `SplitCandidate`, core 1 and the categorical
 //!   selectors, plus the *gathered* kernels. Those take a column already
 //!   gathered over the node's rows and are thin `NodeRows::All` calls into

@@ -14,10 +14,11 @@
 //!   of set bits below its own — its place in the node's sorted sequence.
 //!   `O(|Ix| + n / 64)`, sequential reads of `rank`, values and labels,
 //!   nothing per row outside the node. At the root the rank *is* the place;
-//! - a trainer that grows a **whole subtree** keeps a [`NodeOrders`] — a
-//!   copy of the orders in which every open node owns a contiguous segment,
-//!   stable-partitioned at each split — and [`best_split_in`] reads the
-//!   node's own segment: `O(rows)` per column per tree level;
+//! - a trainer that grows a **whole subtree** keeps a [`NodeOrders`] — the
+//!   orders, derived by inverting the ranks, in which every open node owns a
+//!   contiguous segment, stable-partitioned at each split — and
+//!   [`best_split_in`] reads the node's own segment: `O(rows)` per column
+//!   per tree level;
 //! - the reference [`crate::exact::best_numeric_split`] gathers the node
 //!   and sorts it.
 //!
@@ -540,7 +541,7 @@ fn select_by_rank<L: Copy>(
     present: &mut [(f64, L)],
 ) -> usize {
     let rank = index.numeric_rank();
-    let n_positions = index.numeric_order().len();
+    let n_positions = index.numeric_present();
     assert_eq!(rank.len(), values.len(), "index/values length mismatch");
     match node {
         NodeRows::All(n) => {
@@ -826,12 +827,13 @@ pub fn distinct_categories_at(codes: &[u32], node: NodeRows<'_>, n_values: u32) 
 /// rows of its column only.
 pub type Segments = Vec<Range<usize>>;
 
-/// A private, node-partitioned copy of a dataset's presorted orders — how a
+/// A private, node-partitioned set of a dataset's presorted orders — how a
 /// trainer that grows a whole (sub)tree locally hands every node its sorted
 /// sequence without filtering or sorting anything per node.
 ///
-/// Per numeric column it holds one `u32` copy of
-/// [`SortedColumn::numeric_order`] (nothing for categorical columns) in
+/// Per numeric column it holds the column's presorted order of present rows
+/// (nothing for categorical columns), derived from the index by inverting
+/// [`SortedColumn::numeric_rank`] — the index keeps no order of its own — in
 /// which every open node owns a contiguous segment: the root owns the whole
 /// order, and [`NodeOrders::split`] stable-partitions a node's segment into
 /// its children's. A stable partition keeps the `(value, row)` order inside
@@ -851,13 +853,21 @@ pub struct NodeOrders {
 }
 
 impl NodeOrders {
-    /// Copies the numeric orders of a dataset's `indexes` (one per column,
-    /// over `n_rows` rows).
+    /// The numeric orders of a dataset's `indexes` (one per column, over
+    /// `n_rows` rows): each row goes to the position its rank names.
     pub fn new<'a>(indexes: impl IntoIterator<Item = &'a SortedColumn>, n_rows: usize) -> Self {
         let orders: Vec<Vec<u32>> = indexes
             .into_iter()
             .map(|index| match index {
-                SortedColumn::Numeric { order, .. } => order.clone(),
+                SortedColumn::Numeric { rank, present } => {
+                    let mut order = vec![0; *present];
+                    for (row, &place) in (0..).zip(rank) {
+                        if place != MISSING_RANK {
+                            order[place as usize] = row;
+                        }
+                    }
+                    order
+                }
                 SortedColumn::Categorical { .. } => Vec::new(),
             })
             .collect();
@@ -1171,12 +1181,12 @@ mod tests {
         let ys: Vec<u32> = (0..n as u32).collect();
         let index = SortedColumn::from_numeric(&values);
         let expect = |rows: &[u32]| -> Vec<(f64, u32)> {
-            index
-                .numeric_order()
-                .iter()
-                .filter(|r| rows.contains(r))
+            let mut pairs: Vec<(f64, u32)> = (rows.iter())
+                .filter(|&&r| !values[r as usize].is_nan())
                 .map(|&r| (values[r as usize], r))
-                .collect()
+                .collect();
+            pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+            pairs
         };
         let all: Vec<u32> = (0..n as u32).collect();
         let mut present = vec![(0.0, 0u32); n];
@@ -1329,9 +1339,8 @@ mod tests {
 
     #[test]
     fn root_segments_are_the_presorted_orders() {
-        let (indexes, orders) = small_orders();
+        let (_, orders) = small_orders();
         let root = orders.root();
-        assert_eq!(orders.segment(0, &root), indexes[0].numeric_order());
         assert_eq!(orders.segment(0, &root), [1, 3, 5, 2, 4, 0]);
         assert_eq!(orders.segment(1, &root), [2, 5, 0, 3]);
         assert!(orders.segment(2, &root).is_empty());

@@ -8,7 +8,7 @@
 //! subsets, and a sweep takes one column through every node size from the
 //! whole column down to one row.
 
-use ts_datatable::{SortedColumn, MISSING_CAT};
+use ts_datatable::{SortedColumn, MISSING_CAT, MISSING_RANK};
 use ts_splits::exact::{
     best_cat_split_classification, best_cat_split_regression, best_numeric_split,
     distinct_categories, ColumnSplit,
@@ -207,12 +207,23 @@ proptest! {
     /// gathered reference's candidate — gain bits, threshold, missing side
     /// and both children — for 2 to 9 classes, under Gini and entropy, over
     /// the whole column and a subset, whether none, a twentieth or all of
-    /// the node's rows miss the column's value.
+    /// the node's rows miss the column's value. The values take ties, NaN,
+    /// both zeros and both infinities, and the order [`NodeOrders`] derives
+    /// from the index's rank is, at the root and in the node's segment, the
+    /// stable sort of the node's present rows.
     #[test]
     fn handed_down_totals_equivalence(
         (k, missing, xs, ys, keep) in (2u32..=9, 0usize..3, 2usize..160).prop_flat_map(|(k, missing, n)| {
             let xs = tscheck::collection::vec(
-                prop_oneof![3 => -40.0..40.0f64, 2 => (-6..6i32).prop_map(f64::from)],
+                prop_oneof![
+                    12 => -40.0..40.0f64,
+                    8 => (-6..6i32).prop_map(f64::from),
+                    1 => Just(f64::NAN),
+                    1 => Just(0.0),
+                    1 => Just(-0.0),
+                    1 => Just(f64::INFINITY),
+                    1 => Just(f64::NEG_INFINITY),
+                ],
                 n,
             );
             (Just(k), Just(missing), xs, tscheck::collection::vec(0..k, n), keep_mask(n))
@@ -241,7 +252,15 @@ proptest! {
             let stats = node.stats(labels);
             prop_assert_eq!(&stats, &NodeStats::from_view(LabelView::Class(&gys, k)));
             let mut orders = NodeOrders::new([&index], values.len());
+            let stable_sort = |rows: &[u32]| {
+                let mut present: Vec<u32> =
+                    rows.iter().copied().filter(|&r| !values[r as usize].is_nan()).collect();
+                present.sort_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
+                present
+            };
+            prop_assert_eq!(orders.segment(0, &orders.root()), &stable_sort(&all)[..]);
             let (segs, _) = orders.split(&orders.root(), rows);
+            prop_assert_eq!(orders.segment(0, &segs), &stable_sort(rows)[..]);
             for imp in [Impurity::Gini, Impurity::Entropy] {
                 let reference =
                     best_numeric_split(&gather_f(&values, rows), LabelView::Class(&gys, k), imp);
@@ -410,14 +429,14 @@ fn node_size_sweep_matches_the_gathered_reference() {
     nodes.push((4_000..4_100).collect()); // all missing in the column
     nodes.push(vec![3, 4_050, n as u32 - 1]); // one present row, the last id
     nodes.push(vec![n as u32 - 2, n as u32 - 1]);
-    let mut top: Vec<u32> = index
-        .numeric_order()
-        .iter()
-        .rev()
-        .take(5)
-        .copied()
+    // The five rows ranked highest.
+    let first = index.numeric_present() as u32 - 5;
+    let top: Vec<u32> = (0..n as u32)
+        .filter(|&r| {
+            let place = index.numeric_rank()[r as usize];
+            place != MISSING_RANK && place >= first
+        })
         .collect();
-    top.sort_unstable();
     nodes.push(top);
 
     let check = |node: NodeRows<'_>, rows: &[u32]| {

@@ -113,9 +113,9 @@ impl LocalDataset {
     }
 
     /// Bytes of the gathered data: column values plus labels. The presorted
-    /// indexes (`SortedColumn::payload_bytes` — order and rank, 8 per row of
-    /// a numeric column — where the dataset built them rather than sharing a
-    /// store's) and the exact trainer's working copy
+    /// indexes (`SortedColumn::payload_bytes` — the rank, 4 per row of a
+    /// numeric column — where the dataset built them rather than sharing a
+    /// store's) and the exact trainer's working orders
     /// ([`LocalDataset::order_bytes`]) come on top; the engine's task-memory
     /// accounting charges all three.
     pub fn payload_bytes(&self) -> usize {
@@ -127,13 +127,13 @@ impl LocalDataset {
     }
 
     /// Bytes `train_subtree` allocates in `TrainMode::Exact` for its
-    /// node-partitioned copy of the numeric orders: 4 per present row per
-    /// numeric column (the copy takes the order, not the rank).
+    /// node-partitioned numeric orders, derived from the ranks: 4 per
+    /// present row per numeric column.
     pub fn order_bytes(&self) -> usize {
         self.sorted
             .iter()
             .map(|index| match index.as_ref() {
-                SortedColumn::Numeric { order, .. } => std::mem::size_of_val(order.as_slice()),
+                SortedColumn::Numeric { present, .. } => present * std::mem::size_of::<u32>(),
                 SortedColumn::Categorical { .. } => 0,
             })
             .sum()

@@ -9,11 +9,11 @@
 //! distinguishes TreeServer from PLANET/MLlib by.
 //!
 //! A node gets its sorted sequence one way: the dataset's presorted orders
-//! are copied once per subtree into a [`NodeOrders`], every node owns a
-//! contiguous segment of each copy, and choosing a split stable-partitions
-//! the node's segments into its children's — `O(rows)` per column per tree
-//! level, no per-node sort and no pass over rows outside the node
-//! (docs/PERF.md).
+//! are derived from its ranks once per subtree into a [`NodeOrders`], every
+//! node owns a contiguous segment of each order, and choosing a split
+//! stable-partitions the node's segments into its children's — `O(rows)`
+//! per column per tree level, no per-node sort and no pass over rows
+//! outside the node (docs/PERF.md).
 //!
 //! A node's rows are touched once per column and once more to be handed to
 //! its children; whatever else is known about the node is handed over, not
