@@ -96,11 +96,12 @@ scheduling (train):
                         subtrees, so extra-trees forests may differ)
 
 reliability (train):
-  --drop-prob P         drop each message with probability P (seeded; the
-                        acked/retried fabric still delivers exactly once)
+  --drop-prob P         drop each transmission with probability P, P < 1
+                        (seeded; the sender waits 10 ms and sends again, so
+                        every message still arrives once, in order)
   --delay-prob P        delay each message with probability P (up to 5 ms)
-  --dup-prob P          duplicate each message with probability P (the
-                        receiver's dedup drops the copy)
+  --dup-prob P          duplicate each message with probability P (both
+                        copies are charged and paced; one is delivered)
   --fault-seed S        seed of the fault plan (default: --seed)
   --heartbeat-ms N      worker liveness heartbeat interval (default 20)
   --heartbeat-misses N  missed intervals before a worker is declared dead
@@ -371,19 +372,20 @@ fn cluster_config(opts: &Opts, n_rows: usize) -> Result<ClusterConfig, String> {
 
 /// Builds a seeded fault plan from the reliability knobs (`--drop-prob` /
 /// `--delay-prob` / `--dup-prob`) and the elasticity knobs (`--join-at` /
-/// `--preempt-at`). Returns `None` when no knob is set, which keeps the
-/// fabric on the raw (unacked) fast path; a membership knob alone is enough
-/// to produce a plan (with zero message-fault probabilities).
+/// `--preempt-at`). Returns `None` when no knob is set; a membership knob
+/// alone is enough to produce a plan (with zero message-fault
+/// probabilities).
 fn fault_plan(opts: &Opts, workers: usize) -> Result<Option<treeserver::FaultPlan>, String> {
     use std::time::Duration;
     let drop = opts.num("drop-prob", 0.0f64)?;
     let delay = opts.num("delay-prob", 0.0f64)?;
     let dup = opts.num("dup-prob", 0.0f64)?;
-    for (name, p) in [
-        ("drop-prob", drop),
-        ("delay-prob", delay),
-        ("dup-prob", dup),
-    ] {
+    // A dropped message is sent again, so a certain drop is a partition on
+    // which training never finishes.
+    if !(0.0..1.0).contains(&drop) {
+        return Err(format!("--drop-prob must be in [0, 1), got {drop}"));
+    }
+    for (name, p) in [("delay-prob", delay), ("dup-prob", dup)] {
         if !(0.0..=1.0).contains(&p) {
             return Err(format!("--{name} must be in 0..=1, got {p}"));
         }

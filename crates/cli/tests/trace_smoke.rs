@@ -193,3 +193,21 @@ fn train_rejects_a_misspelt_option_by_name() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown option --tress"), "{stderr}");
 }
+
+#[test]
+fn train_rejects_a_certain_drop_by_name() {
+    // A dropped message is sent again, so `--drop-prob 1` would never
+    // finish a send; it used to fail only once every heartbeat was lost.
+    let dir = std::env::temp_dir().join(format!("ts-drop-one-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mk temp dir");
+    let csv = write_csv(&dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_treeserver"))
+        .args(["train", "--csv", csv.to_str().unwrap()])
+        .args(["--target", "label", "--task", "class", "--drop-prob", "1"])
+        .output()
+        .expect("run treeserver");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(!out.status.success(), "a certain drop must fail the run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--drop-prob must be in [0, 1)"), "{stderr}");
+}

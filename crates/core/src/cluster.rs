@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ts_datatable::{AttrType, DataTable, Labels, Task};
-use ts_netsim::{Fabric, FabricReceiver, NetStats, NodeId, RetryConfig, RetryDriver};
+use ts_netsim::{Fabric, FabricReceiver, NetStats, NodeId};
 use tschan::sync::Mutex;
 use tschan::Receiver;
 
@@ -213,10 +213,6 @@ pub struct Cluster {
     fabric_data: Fabric<DataMsg>,
     handles: Vec<std::thread::JoinHandle<()>>,
     pending: Mutex<HashMap<JobHandle, Receiver<JobResult>>>,
-    /// Retransmission drivers of the reliable fabrics (present only when the
-    /// fault plan injects message-level faults); stopped after the machine
-    /// threads have joined.
-    retry_drivers: Vec<RetryDriver>,
     task_kind: Task,
     n_rows: usize,
     launched: Instant,
@@ -250,26 +246,20 @@ impl Cluster {
         if cfg.obs.enabled {
             stats.set_recorder(Arc::new(ts_obs::Recorder::new(n_nodes, &cfg.obs)));
         }
-        // With a fault plan that drops/delays/duplicates messages, both
-        // planes run the reliable (acked + retried) protocol; otherwise
-        // these are plain raw fabrics with zero overhead.
-        let (fabric_task, mut task_rxs, task_driver) = Fabric::<TaskMsg>::new_reliable(
+        let (fabric_task, mut task_rxs) = Fabric::<TaskMsg>::new_faulty(
             n_nodes,
             cfg.net,
             Arc::clone(&stats),
             cfg.faults.clone(),
             ts_netsim::SimClock::wall(),
-            RetryConfig::default(),
         );
-        let (fabric_data, mut data_rxs, data_driver) = Fabric::<DataMsg>::new_reliable(
+        let (fabric_data, mut data_rxs) = Fabric::<DataMsg>::new_faulty(
             n_nodes,
             cfg.net,
             Arc::clone(&stats),
             cfg.faults.clone(),
             ts_netsim::SimClock::wall(),
-            RetryConfig::default(),
         );
-        let retry_drivers: Vec<RetryDriver> = task_driver.into_iter().chain(data_driver).collect();
 
         let colmap = ColumnMap::round_robin(table.n_attrs(), cfg.n_workers, cfg.replication);
         // The workers hold the client's table by reference, not by copy.
@@ -420,7 +410,6 @@ impl Cluster {
             fabric_data,
             handles,
             pending: Mutex::new(HashMap::new()),
-            retry_drivers,
             task_kind: table.schema().task,
             n_rows: table.n_rows(),
             launched: Instant::now(),
@@ -654,11 +643,6 @@ impl Cluster {
         }
         for h in self.elastic.joined_handles.lock().drain(..) {
             let _ = h.join();
-        }
-        // Machine threads are gone; any frames still in flight can only
-        // target dropped receivers, so the retry threads stop cleanly.
-        for d in self.retry_drivers {
-            d.stop();
         }
         report
     }

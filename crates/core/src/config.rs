@@ -74,12 +74,13 @@ pub struct ClusterConfig {
     /// substitution (DESIGN.md §2).
     pub work_ns_per_unit: u64,
     /// Seeded fault injection (see `docs/TESTING.md`). `None` runs a
-    /// fault-free cluster. With a plan that drops/delays/duplicates
-    /// messages, both fabrics run the reliable (acked + retried) protocol,
-    /// so training still terminates with the fault-free model. A
-    /// `with_crash_at_delegation` trigger makes the master silence a key
-    /// worker right after the n-th subtree delegation cluster-wide; the
-    /// heartbeat detector then discovers the crash and runs recovery.
+    /// fault-free cluster. Message drops, delays and duplicates cost their
+    /// sender time and bytes but never reach a handler (see
+    /// `ts_netsim::Fabric::send`), so training still terminates with the
+    /// fault-free model. A `with_crash_at_delegation` trigger makes the
+    /// master silence a key worker right after the n-th subtree delegation
+    /// cluster-wide; the heartbeat detector then discovers the crash and
+    /// runs recovery.
     pub faults: Option<ts_netsim::FaultPlan>,
     /// How often each worker sends a liveness heartbeat to the master.
     pub heartbeat_interval: Duration,

@@ -395,31 +395,45 @@ impl Master {
     pub fn run(shared: &Mutex<Master>, fabric: &Fabric<TaskMsg>, rx: FabricReceiver<TaskMsg>) {
         let half_beat = shared.lock().cfg.heartbeat_interval / 2;
         let tick = half_beat.clamp(Duration::from_millis(1), Duration::from_millis(50));
+        let mut deaf_ns = 0;
         loop {
             match rx.recv_timeout(tick) {
                 Ok(Some(TaskMsg::Shutdown)) | Err(_) => return,
-                Ok(msg) => Master::turn(shared, fabric, msg),
+                Ok(msg) => deaf_ns = Master::turn(shared, fabric, msg, deaf_ns),
             }
         }
     }
 
-    /// One turn of the master thread: the clock read once, a step and its
-    /// pump under the lock, then — the lock dropped — the whole outbox
+    /// One turn of the master thread: a step and its pump at one clock
+    /// reading, under the lock, then — the lock dropped — the whole outbox
     /// delivered in order, beginning with whatever `call`s left in it.
-    fn turn(shared: &Mutex<Master>, fabric: &Fabric<TaskMsg>, msg: Option<TaskMsg>) {
+    ///
+    /// Returns how long the delivery took, for the next turn to excuse
+    /// every lease (`deaf_ns`): a send sleeps its sender — the link model,
+    /// and one retransmission timeout per lost copy — and heartbeats that
+    /// arrive meanwhile wait unread in the master's mailbox.
+    fn turn(
+        shared: &Mutex<Master>,
+        fabric: &Fabric<TaskMsg>,
+        msg: Option<TaskMsg>,
+        deaf_ns: u64,
+    ) -> u64 {
         let now = fabric.clock().now_ns();
         let effects = {
             let mut m = shared.lock();
+            m.excuse_leases(deaf_ns);
             m.step(now, msg);
             m.pump(now);
             std::mem::take(&mut m.out)
         };
+        let delivering = fabric.clock().now_ns();
         for effect in effects {
             let _ = match effect {
                 Effect::Send(to, msg) => fabric.send(0, to, msg).ok(),
                 Effect::Notify(client, result) => client.send(result).ok(),
             };
         }
+        fabric.clock().now_ns() - delivering
     }
 
     /// `θ_recv`: folds one message (`None`: the tick brought none), then
@@ -743,6 +757,14 @@ impl Master {
             ts_obs::Event::WorkerSuspected { worker: w as u32 }
         );
         self.recover_or_degrade(w);
+    }
+
+    /// Moves every lease `deaf_ns` later: time the master spent not reading
+    /// its mailbox is not a worker's to miss.
+    fn excuse_leases(&mut self, deaf_ns: u64) {
+        for lease in self.last_hb.values_mut() {
+            lease.last_ns += deaf_ns;
+        }
     }
 
     /// Renews a worker's liveness lease at `now`. Heartbeats from
@@ -1322,8 +1344,8 @@ impl Master {
                 ts_obs::Event::WorkerDeparted { node: w as u32 }
             );
             // The leaver holds no columns by now (handoffs retired them),
-            // so the reliable Shutdown is the last frame it will ever see;
-            // it acks and exits through the normal cascade.
+            // so the Shutdown is the last frame it will ever see; it exits
+            // through the normal cascade.
             self.send(w, TaskMsg::Shutdown);
         }
     }
@@ -1769,11 +1791,9 @@ impl Master {
         // tracking — then fence it. "Dead" is a verdict, not a fact: a
         // worker that blew its grace window or merely missed its lease is
         // still running, and nothing else would ever tell it to stop
-        // (`Cluster::shutdown` only notifies the roster). The fence takes
-        // the next sequence number on the edge after every earlier frame,
-        // which stay in flight until delivered, so a live worker gets it in
-        // order; to a truly dead node each frame leaves the retransmission
-        // table at its first delivered transmission, which fails.
+        // (`Cluster::shutdown` only notifies the roster). Every earlier
+        // frame to it was pushed before its send returned, so a live worker
+        // gets the fence behind them; to a truly dead node the send fails.
         self.workers.retain(|&w| w != dead);
         self.last_hb.remove(&dead);
         self.send(dead, TaskMsg::Shutdown);
@@ -2133,6 +2153,27 @@ mod tests {
     }
 
     #[test]
+    fn a_lease_does_not_run_while_the_master_delivers() {
+        // Every frame costs its sender 10 ms on the wire, more than a
+        // 3 ms lease: the turn that sends the root shards reads no
+        // heartbeat meanwhile, so the next turn's sweep must not count
+        // that time against the workers.
+        let m = master_of(short_lease(3), 1_000, 4);
+        let n = m.cfg.total_worker_slots() + 1;
+        let link = NetModel::slow(f64::INFINITY, Duration::from_millis(10));
+        let clock = SimClock::virtual_at(0);
+        let (fabric, rxs) = Fabric::new_faulty(n, link, NetStats::new(n), None, clock);
+        let shared = Mutex::new(m);
+        let job = JobSpec::decision_tree(TASK);
+        let (_h, _done) = Master::call(&shared, &fabric, |m| m.submit(job));
+        let loop_back = inbox(&rxs[0]).into_iter().next();
+        let deaf_ns = Master::turn(&shared, &fabric, loop_back, 0);
+        assert!(deaf_ns >= 10_000_000, "the shards took {deaf_ns} ns");
+        Master::turn(&shared, &fabric, None, deaf_ns);
+        assert_eq!(shared.lock().live_workers(), [1, 2, 3]);
+    }
+
+    #[test]
     fn stolen_plan_sends_donate_to_the_thief_before_any_plan_traffic() {
         // Three workers. A child plan parked on worker 1's deque is stolen
         // by hungry worker 2; the thief's first frame must be the Donate
@@ -2241,7 +2282,7 @@ mod tests {
         let (_h, _rx) = Master::call(&shared, &fabric, |m| m.submit(forest));
         let mut posted = inbox(&rxs[0]);
         assert!(matches!(posted[..], [TaskMsg::Heartbeat { worker: 0 }]));
-        Master::turn(&shared, &fabric, Some(posted.remove(0)));
+        Master::turn(&shared, &fabric, Some(posted.remove(0)), 0);
         let sent = plans_in(&[Vec::new(), inbox(&rxs[1])]);
         assert_eq!(sent.len(), 4, "a full window of root plans went out");
         assert_eq!(shared.lock().plans.len(), 2, "the rest is backlog");
@@ -2264,7 +2305,7 @@ mod tests {
         assert!(rxs[1..].iter().all(|rx| inbox(rx).is_empty()));
         let loop_back = inbox(&rxs[0]).into_iter().next();
         assert!(matches!(loop_back, Some(TaskMsg::Heartbeat { worker: 0 })));
-        Master::turn(&shared, &fabric, loop_back);
+        Master::turn(&shared, &fabric, loop_back, 0);
         let frames: Vec<_> = rxs.iter().map(inbox).collect();
         assert!(matches!(frames[3][..], [TaskMsg::Drain]), "{:?}", frames[3]);
         for w in [1, 2] {
@@ -2571,7 +2612,7 @@ mod tests {
         let migrations = m.migrations.len();
         assert!(migrations > 0, "the joiner is owed its share of columns");
 
-        // A retransmitted Hello: no second Welcome, no second migration.
+        // A repeated Hello: no second Welcome, no second migration.
         deliver(&mut m, TaskMsg::Hello { worker: 4 });
         assert_eq!(m.live_workers(), [1, 2, 3, 4]);
         assert_eq!(m.migrations.len(), migrations);

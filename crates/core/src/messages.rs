@@ -15,8 +15,8 @@
 //! [`TraceCtx`] — the id of the master-allocated span that originated the
 //! work — as a plain (never feature-gated) field: context propagation is
 //! part of the wire protocol, so a worker can causally parent its events
-//! to the master's delegation across machines, and the reliable fabric
-//! can attribute retransmissions and duplicate drops to the same span
+//! to the master's delegation across machines, and the fabric can
+//! attribute retransmissions and duplicates to the same span
 //! (see `docs/PROTOCOL.md` and `docs/OBSERVABILITY.md`). The context is
 //! carried out in plans, copied by workers into their data-plane requests,
 //! and echoed back on results. It does not count toward `wire_bytes`: two

@@ -1589,8 +1589,7 @@ impl Machine {
 /// Liveness beacon: one unreliable `Heartbeat` to the master per interval
 /// until the task loop drops the stop channel's sender at `Shutdown`.
 /// Unreliable on purpose — a heartbeat that a fault plan drops must stay
-/// lost (that is the signal the detector reads), and beacons must not queue
-/// behind the ordered-delivery buffer of the reliable protocol.
+/// lost: that is the signal the detector reads.
 fn heartbeat_loop(fabric: Fabric<TaskMsg>, id: NodeId, interval: Duration, stop: Receiver<()>) {
     while let Ok(None) = stop.recv_timeout(interval) {
         let _ = fabric.send_unreliable(id, 0, TaskMsg::Heartbeat { worker: id });

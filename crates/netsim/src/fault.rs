@@ -125,24 +125,25 @@ impl SimClock {
 pub enum FaultDecision {
     /// Deliver normally.
     Deliver,
-    /// Silently lose the message. The reliable fabric recovers lost frames
-    /// by retransmitting until acknowledged, so a training cluster survives
-    /// drops; on a raw (unreliable) fabric the message is simply gone.
+    /// Lose this transmission in transit. The sender is charged for it,
+    /// waits one retransmission timeout and transmits again (a fresh
+    /// decision); an unreliable send (heartbeats) stays lost.
     Drop,
-    /// Deliver after an extra delay (sender-side, so per-channel FIFO order
-    /// is preserved and protocol invariants hold).
+    /// Deliver after an extra delay, slept by the sender, so per-edge FIFO
+    /// order is preserved.
     Delay(Duration),
-    /// Deliver the message twice back-to-back, exercising receiver-side
-    /// dedup (a retransmit whose original also arrived looks the same).
+    /// Put the message on the wire twice: the sender is charged and paced
+    /// for both copies, the receiver sees one.
     Duplicate,
 }
 
 /// A seeded fault-injection plan.
 ///
-/// Message faults (drops, delays) are decided edge-locally: each
-/// `(from, to)` channel numbers its messages `0, 1, 2, ...` and the decision
-/// for message `seq` is `decide(seed, from, to, seq)` — deterministic no
-/// matter how threads interleave. Worker crashes are keyed on the global
+/// Message faults (drops, delays, duplicates) are decided edge-locally:
+/// each `(from, to)` channel numbers its transmissions `0, 1, 2, ...` (a
+/// retransmission takes the next number) and the decision for transmission
+/// `seq` is `decide(seed, from, to, seq)` — with one sending thread per
+/// edge, deterministic no matter how threads interleave. Worker crashes are keyed on the global
 /// subtree-delegation count, which the (single-threaded) master dispatch
 /// loop advances, so the crash point is equally reproducible.
 #[derive(Debug, Clone, PartialEq)]
@@ -205,9 +206,15 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Drops each remote message independently with probability `prob`.
+    /// Drops each remote transmission independently with probability
+    /// `prob`. A dropped send is retransmitted, so `prob` must stay below 1:
+    /// a link that drops everything is a partition, on which a send never
+    /// returns.
     pub fn with_message_drops(mut self, prob: f64) -> FaultPlan {
-        assert!((0.0..=1.0).contains(&prob), "probability out of range");
+        assert!(
+            (0.0..1.0).contains(&prob),
+            "drop probability must be in [0, 1): a certain drop is a partition"
+        );
         self.drop_prob = prob;
         self
     }
@@ -474,6 +481,12 @@ mod tests {
         let a: Vec<_> = (0..512).map(|s| dup.decide(0, 3, s)).collect();
         let b: Vec<_> = (0..512).map(|s| dup.decide(0, 3, s)).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "a certain drop is a partition")]
+    fn a_drop_probability_of_one_is_refused() {
+        let _ = FaultPlan::new(1).with_message_drops(1.0);
     }
 
     #[test]

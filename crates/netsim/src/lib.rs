@@ -14,6 +14,15 @@
 //!    master-outbound bottleneck of §V and the send-throughput saturation of
 //!    Table VI at laptop scale.
 //!
+//! A [`FaultPlan`] can drop, delay or duplicate transmissions, but every
+//! such fault is timing and bytes at the sender, never a lost, doubled or
+//! reordered message at the receiver: a dropped copy is charged and sent
+//! again after a fixed retransmission timeout, a duplicate is charged and
+//! paced twice and delivered once, a delay is slept (see [`Fabric::send`]).
+//! The paper's cluster talks over TCP, so its handlers never see a message
+//! fault either; its fault tolerance is column replicas and task
+//! revocation.
+//!
 //! The paper's two channel types ("Task Comm." master↔workers and "Data
 //! Comm." worker↔worker, Fig. 6) map to two [`Fabric`] instances sharing one
 //! [`NetStats`].
@@ -27,11 +36,9 @@ mod fault;
 pub use fault::{FaultDecision, FaultPlan, SimClock};
 
 use fault::FaultState;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tschan::sync::Mutex;
 use tschan::{unbounded, Receiver, RecvError, Sender};
 
 /// Identifies a machine in the simulated cluster. The engine uses `0` for
@@ -43,10 +50,11 @@ pub trait WireSized {
     /// Approximate serialized size in bytes.
     fn wire_bytes(&self) -> usize;
 
-    /// The causal span context the message carries, if any. The reliable
-    /// fabric reads it to attribute retransmissions and duplicate drops to
-    /// the originating span; defaults to [`TraceCtx::NONE`] for payloads
-    /// outside any trace (heartbeats, raw test messages).
+    /// The causal span context the message carries, if any. The fabric
+    /// reads it to attribute retransmissions and duplicates to the
+    /// originating span; defaults to
+    /// [`TraceCtx::NONE`](ts_obs::TraceCtx::NONE) for payloads outside any
+    /// trace (heartbeats, raw test messages).
     fn trace_ctx(&self) -> ts_obs::TraceCtx {
         ts_obs::TraceCtx::NONE
     }
@@ -306,145 +314,20 @@ impl Drop for BusyGuard<'_> {
     }
 }
 
-/// Tuning of the reliable fabric's retransmission machinery. All timers
-/// read the fabric's [`SimClock`], so a seeded run's retries replay
-/// deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryConfig {
-    /// Initial retransmission timeout: how long an unacknowledged frame
-    /// waits before its first retry.
-    pub rto: Duration,
-    /// Cap on the exponential backoff (`rto * 2^attempt`, saturated here).
-    pub max_rto: Duration,
-    /// Scan granularity of the [`RetryDriver`] thread.
-    pub tick: Duration,
-}
-
-impl Default for RetryConfig {
-    fn default() -> Self {
-        RetryConfig {
-            rto: Duration::from_millis(10),
-            max_rto: Duration::from_millis(160),
-            tick: Duration::from_millis(1),
-        }
-    }
-}
-
-impl RetryConfig {
-    /// The backoff before retransmission `attempt` (1-based).
-    fn backoff(&self, attempt: u32) -> Duration {
-        let shift = attempt.saturating_sub(1).min(16);
-        self.rto
-            .saturating_mul(1u32 << shift)
-            .min(self.max_rto.max(self.rto))
-    }
-}
-
-/// The frame a fabric channel actually carries.
-#[derive(Debug, Clone)]
-enum Packet<M> {
-    /// A frame outside the reliable protocol: local sends, every send on a
-    /// fabric without message faults, and explicitly unreliable sends such
-    /// as heartbeats (see [`Fabric::send_unreliable`]).
-    Raw(M),
-    /// Reliable frame `seq` on the `(from, to)` edge; retransmitted until
-    /// acknowledged, delivered to the application exactly once in order.
-    Data { from: NodeId, seq: u64, payload: M },
-    /// Acknowledges the reliable frame `seq` that the machine receiving
-    /// this packet sent to `from` earlier.
-    Ack { from: NodeId, seq: u64 },
-}
-
-/// Reliable-protocol overhead: an 8-byte sequence header on data frames and
-/// a fixed-size ack control frame.
-const SEQ_HDR_BYTES: usize = 8;
-const ACK_BYTES: usize = 16;
-
-impl<M: WireSized> WireSized for Packet<M> {
-    fn wire_bytes(&self) -> usize {
-        match self {
-            Packet::Raw(m) => m.wire_bytes(),
-            Packet::Data { payload, .. } => payload.wire_bytes() + SEQ_HDR_BYTES,
-            Packet::Ack { .. } => ACK_BYTES,
-        }
-    }
-}
-
-/// One reliable frame awaiting acknowledgement.
-struct InFlight<M> {
-    msg: M,
-    attempt: u32,
-    due_ns: u64,
-}
-
-/// Shared state of a reliable fabric: per-edge sequence counters plus the
-/// table of unacknowledged frames the [`RetryDriver`] retransmits from.
-struct ReliableState<M> {
-    n: usize,
-    next_seq: Vec<AtomicU64>,
-    inflight: Mutex<HashMap<(NodeId, NodeId, u64), InFlight<M>>>,
-    cfg: RetryConfig,
-}
-
-impl<M> ReliableState<M> {
-    fn new(n: usize, cfg: RetryConfig) -> ReliableState<M> {
-        ReliableState {
-            n,
-            next_seq: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
-            inflight: Mutex::new(HashMap::new()),
-            cfg,
-        }
-    }
-
-    /// Takes the next reliable sequence number of the `(from, to)` edge.
-    /// Distinct from [`FaultState`]'s counters, which number *physical*
-    /// transmissions: a retransmitted frame keeps its reliable `seq` but
-    /// gets a fresh fault decision.
-    fn take_seq(&self, from: NodeId, to: NodeId) -> u64 {
-        self.next_seq[from * self.n + to].fetch_add(1, Ordering::Relaxed)
-    }
-}
-
-/// Handle to the background thread that retransmits unacknowledged frames
-/// of one reliable fabric. Stops (and joins) on [`RetryDriver::stop`] or
-/// drop.
-pub struct RetryDriver {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl RetryDriver {
-    /// Signals the driver thread and waits for it to exit. In-flight frames
-    /// are no longer retransmitted afterwards.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for RetryDriver {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
+/// How long a sender waits before it sends a lost frame again. Constant: a
+/// simulated link has no congestion to back off from.
+const RTO: Duration = Duration::from_millis(10);
 
 /// One typed message plane connecting all machines (the engine instantiates
 /// one for task communication and one for data communication, per Fig. 6).
 ///
 /// Cloneable; all clones share channels, stats and the link model.
 pub struct Fabric<M> {
-    senders: Vec<Sender<Packet<M>>>,
+    senders: Vec<Sender<M>>,
     model: NetModel,
     stats: Arc<NetStats>,
     clock: SimClock,
     faults: Option<Arc<FaultState>>,
-    reliable: Option<Arc<ReliableState<M>>>,
     /// Per-sender outbound-delay multipliers from the fault plan's
     /// heterogeneity script (all 1.0 without one). Kept outside
     /// [`FaultState`] so link heterogeneity applies even when the plan has
@@ -460,7 +343,6 @@ impl<M> Clone for Fabric<M> {
             stats: Arc::clone(&self.stats),
             clock: self.clock.clone(),
             faults: self.faults.clone(),
-            reliable: self.reliable.clone(),
             bw_scale: Arc::clone(&self.bw_scale),
         }
     }
@@ -482,7 +364,7 @@ impl std::fmt::Display for Disconnected {
 
 impl std::error::Error for Disconnected {}
 
-impl<M: WireSized + Clone> Fabric<M> {
+impl<M: WireSized> Fabric<M> {
     /// Creates a fabric over `n` machines sharing `stats`; returns the
     /// cloneable handle plus one receiver per machine.
     pub fn new(
@@ -494,9 +376,8 @@ impl<M: WireSized + Clone> Fabric<M> {
     }
 
     /// [`Fabric::new`] plus a fault plan and a time base. Passing
-    /// `plan: None` and a wall clock is exactly `new`. The fabric is **raw**:
-    /// injected drops really lose messages (no retries) — fabric-level
-    /// tests use this; the engine wants [`Fabric::new_reliable`].
+    /// `plan: None` and a wall clock is exactly `new`. The plan's message
+    /// faults cost time and bytes at the sender only (see [`Fabric::send`]).
     pub fn new_faulty(
         n: usize,
         model: NetModel,
@@ -504,54 +385,13 @@ impl<M: WireSized + Clone> Fabric<M> {
         plan: Option<FaultPlan>,
         clock: SimClock,
     ) -> (Fabric<M>, Vec<FabricReceiver<M>>) {
-        Self::build(n, model, stats, plan, clock, None)
-    }
-
-    /// A fabric that tolerates its own fault plan: when `plan` enables any
-    /// message fault, every remote [`Fabric::send`] becomes a
-    /// sequence-numbered frame that is acknowledged by the receiver,
-    /// retransmitted with exponential backoff until acked, deduplicated and
-    /// reordered back into per-edge FIFO order on delivery. The returned
-    /// [`RetryDriver`] (present exactly when the plan has message faults)
-    /// owns the retransmission thread and must be kept alive for the
-    /// fabric's lifetime.
-    ///
-    /// Without message faults this is exactly [`Fabric::new_faulty`]: plain
-    /// frames, no acks, no overhead.
-    pub fn new_reliable(
-        n: usize,
-        model: NetModel,
-        stats: Arc<NetStats>,
-        plan: Option<FaultPlan>,
-        clock: SimClock,
-        retry: RetryConfig,
-    ) -> (Fabric<M>, Vec<FabricReceiver<M>>, Option<RetryDriver>)
-    where
-        M: Send + 'static,
-    {
-        let reliable = plan.as_ref().is_some_and(|p| p.affects_messages());
-        let (fabric, receivers) =
-            Self::build(n, model, stats, plan, clock, reliable.then_some(retry));
-        let driver = reliable.then(|| fabric.spawn_retry_driver());
-        (fabric, receivers, driver)
-    }
-
-    fn build(
-        n: usize,
-        model: NetModel,
-        stats: Arc<NetStats>,
-        plan: Option<FaultPlan>,
-        clock: SimClock,
-        retry: Option<RetryConfig>,
-    ) -> (Fabric<M>, Vec<FabricReceiver<M>>) {
         assert_eq!(stats.n_nodes(), n, "stats sized for a different cluster");
-        let mut senders = Vec::with_capacity(n);
-        let mut raw_rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (s, r) = unbounded();
-            senders.push(s);
-            raw_rxs.push(r);
-        }
+        let (senders, receivers) = (0..n)
+            .map(|node| {
+                let (s, rx) = unbounded();
+                (s, FabricReceiver { node, rx })
+            })
+            .unzip();
         let bw_scale = Arc::new(
             (0..n)
                 .map(|m| plan.as_ref().map_or(1.0, |p| p.bandwidth_scale(m)))
@@ -560,254 +400,141 @@ impl<M: WireSized + Clone> Fabric<M> {
         let faults = plan
             .filter(|p| p.affects_messages())
             .map(|p| Arc::new(FaultState::new(p, n)));
-        let reliable = retry.map(|cfg| Arc::new(ReliableState::new(n, cfg)));
         let fabric = Fabric {
             senders,
             model,
             stats,
             clock,
             faults,
-            reliable,
             bw_scale,
         };
-        let receivers = raw_rxs
-            .into_iter()
-            .enumerate()
-            .map(|(node, rx)| FabricReceiver::new(node, n, rx, fabric.clone()))
-            .collect();
         (fabric, receivers)
     }
 
-    /// Sends `msg` from `from` to `to`.
+    /// Sends `msg` from `from` to `to` and delivers it exactly once.
     ///
     /// Local sends (`from == to`) are free: no accounting, no pacing —
     /// mirroring the paper's "skipping communication when the requested data
     /// is local". Remote sends charge the counters and sleep the calling
-    /// thread per the link model; with a fault plan attached they may also
-    /// be dropped, delayed or duplicated (decided purely from the plan's
-    /// seed and the message's per-edge sequence number). On a reliable
-    /// fabric the frame is additionally tracked until the receiver
-    /// acknowledges it, so an injected drop only costs a retransmission.
+    /// thread per the link model. With a fault plan attached, each physical
+    /// transmission is dropped, delayed or duplicated as the plan decides
+    /// from its seed and the transmission's per-edge sequence number, and
+    /// every fault is paid for by the sender alone: a lost copy is charged,
+    /// the sender waits one retransmission timeout (10 ms) and transmits
+    /// again; a delay is slept; a duplicate is charged and paced twice but
+    /// pushed once. Because the sender waits, each edge stays FIFO.
     pub fn send(&self, from: NodeId, to: NodeId, msg: M) -> Result<(), Disconnected> {
-        if from == to {
-            return self.push(to, Packet::Raw(msg));
-        }
-        match &self.reliable {
-            Some(rel) => {
-                let seq = rel.take_seq(from, to);
-                rel.inflight.lock().insert(
-                    (from, to, seq),
-                    InFlight {
-                        msg: msg.clone(),
-                        attempt: 0,
-                        due_ns: self.clock.now_ns() + rel.cfg.rto.as_nanos() as u64,
-                    },
-                );
-                let sent = self.transmit(
-                    from,
-                    to,
-                    Packet::Data {
-                        from,
-                        seq,
-                        payload: msg,
-                    },
-                    true,
-                );
-                if sent.is_err() {
-                    rel.inflight.lock().remove(&(from, to, seq));
-                }
-                sent
-            }
-            None => self.transmit(from, to, Packet::Raw(msg), true),
-        }
+        self.transmit(from, to, msg, true)
     }
 
-    /// Sends outside the reliable protocol: the message is accounted, paced
-    /// and fault-decided like any other, but never acked or retransmitted,
-    /// and bypasses the receiver's ordering buffer. This is what heartbeats
-    /// want — a lost heartbeat must stay lost (retrying a dead worker's
-    /// backlog would defeat the detector), and a heartbeat must not wait
-    /// behind buffered out-of-order data frames.
+    /// [`Fabric::send`], except that a lost copy stays lost. This is what
+    /// heartbeats want: a lost heartbeat is the failure detector's signal,
+    /// and resending a dead worker's backlog would defeat it.
     pub fn send_unreliable(&self, from: NodeId, to: NodeId, msg: M) -> Result<(), Disconnected> {
-        if from == to {
-            return self.push(to, Packet::Raw(msg));
-        }
-        self.transmit(from, to, Packet::Raw(msg), true)
+        self.transmit(from, to, msg, false)
     }
 
-    /// Acks are control frames: fault-droppable (the sender then simply
-    /// retransmits and gets re-acked) and byte-accounted, but not paced —
-    /// pacing models payload serialisation, and charging a 16-byte ack the
-    /// full per-message latency would stall the engine's receive threads.
-    fn send_ack(&self, from: NodeId, to: NodeId, seq: u64) {
-        let _ = self.transmit(from, to, Packet::Ack { from, seq }, false);
-    }
-
-    /// One physical transmission attempt: fault decision, accounting,
-    /// optional pacing, channel push.
     fn transmit(
         &self,
         from: NodeId,
         to: NodeId,
-        pkt: Packet<M>,
-        pace: bool,
+        msg: M,
+        retransmit: bool,
     ) -> Result<(), Disconnected> {
-        let mut copies = 1;
-        if let Some(faults) = &self.faults {
-            let seq = faults.next_seq(from, to);
-            match faults.plan.decide(from, to, seq) {
-                FaultDecision::Deliver => {}
-                FaultDecision::Drop => {
-                    #[cfg(feature = "obs")]
-                    if let Some(rec) = self.stats.recorder() {
-                        rec.record(
-                            from as u32,
-                            ts_obs::Event::MessageDropped {
-                                from: from as u32,
-                                to: to as u32,
-                                seq,
-                            },
-                        );
-                    }
-                    // The message is lost in transit: the sender still
-                    // paid for it, the receiver never sees it.
-                    self.stats.record_send(from, to, pkt.wire_bytes());
-                    return Ok(());
-                }
-                FaultDecision::Delay(extra) => {
-                    #[cfg(feature = "obs")]
-                    if let Some(rec) = self.stats.recorder() {
-                        rec.record(
-                            from as u32,
-                            ts_obs::Event::MessageDelayed {
-                                from: from as u32,
-                                to: to as u32,
-                                seq,
-                                delay_ns: extra.as_nanos() as u64,
-                            },
-                        );
-                    }
-                    self.clock.sleep(extra);
-                }
-                FaultDecision::Duplicate => copies = 2,
-            }
+        if from == to {
+            return self.push(to, msg);
         }
-        let bytes = pkt.wire_bytes();
-        for copy in 0..copies {
+        let copies = self.copies_on_the_wire(from, to, &msg, retransmit);
+        if copies == 0 {
+            return Ok(());
+        }
+        let bytes = msg.wire_bytes();
+        for _ in 0..copies {
             self.stats.record_send(from, to, bytes);
-            if pace {
-                let mut delay = self.model.delay_for(bytes);
-                // Link heterogeneity: a machine with a scripted bandwidth
-                // scale serialises its outbound traffic that much slower
-                // (or faster) than the uniform link model.
-                let scale = self.bw_scale.get(from).copied().unwrap_or(1.0);
-                if scale != 1.0 {
-                    delay = delay.mul_f64(scale);
-                }
-                if !delay.is_zero() {
-                    self.clock.sleep(delay);
-                }
+            let mut delay = self.model.delay_for(bytes);
+            // Link heterogeneity: a machine with a scripted bandwidth
+            // scale serialises its outbound traffic that much slower
+            // (or faster) than the uniform link model.
+            let scale = self.bw_scale[from];
+            if scale != 1.0 {
+                delay = delay.mul_f64(scale);
             }
-            let frame = if copy + 1 < copies {
-                pkt.clone()
-            } else {
-                // Last copy moves the original; `break` keeps the borrow
-                // checker happy about using `pkt` after this.
-                return self.push(to, pkt);
-            };
-            self.push(to, frame)?;
-        }
-        Ok(())
-    }
-
-    fn push(&self, to: NodeId, pkt: Packet<M>) -> Result<(), Disconnected> {
-        self.senders[to].send(pkt).map_err(|_| Disconnected { to })
-    }
-
-    /// Spawns the thread that retransmits overdue in-flight frames.
-    fn spawn_retry_driver(&self) -> RetryDriver
-    where
-        M: Send + 'static,
-    {
-        let fabric = self.clone();
-        let tick = self
-            .reliable
-            .as_ref()
-            .expect("retry driver needs a reliable fabric")
-            .cfg
-            .tick;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("fabric-retry".into())
-            .spawn(move || {
-                while !stop_flag.load(Ordering::Relaxed) {
-                    std::thread::sleep(tick);
-                    fabric.retransmit_due();
-                }
-            })
-            .expect("spawn fabric-retry");
-        RetryDriver {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// Retransmits every in-flight frame whose timer expired, bumping its
-    /// attempt count and pushing its next deadline out exponentially.
-    fn retransmit_due(&self) {
-        let Some(rel) = &self.reliable else { return };
-        let now = self.clock.now_ns();
-        let mut due = Vec::new();
-        {
-            let mut table = rel.inflight.lock();
-            for (&(from, to, seq), entry) in table.iter_mut() {
-                if entry.due_ns <= now {
-                    entry.attempt += 1;
-                    entry.due_ns = now + rel.cfg.backoff(entry.attempt).as_nanos() as u64;
-                    due.push((from, to, seq, entry.msg.clone(), entry.attempt));
-                }
+            if !delay.is_zero() {
+                self.clock.sleep(delay);
             }
         }
-        // HashMap iteration order is run-dependent; emit in edge/seq order
-        // so a seeded replay sees the same retransmission sequence.
-        due.sort_by_key(|&(from, to, seq, _, _)| (from, to, seq));
-        for (from, to, seq, msg, attempt) in due {
-            #[cfg(feature = "obs")]
-            if let Some(rec) = self.stats.recorder() {
-                rec.record(
-                    from as u32,
-                    ts_obs::Event::RetrySent {
-                        from: from as u32,
-                        to: to as u32,
+        self.push(to, msg)
+    }
+
+    /// Asks the fault plan about each physical transmission of `msg` until
+    /// one is not lost, and returns how many copies of it go on the wire:
+    /// 2 for a duplicate, 1 otherwise, 0 when an unreliable send is lost.
+    /// Each lost copy is charged here and, on a retransmitting send, costs
+    /// the sender one `RTO`.
+    fn copies_on_the_wire(&self, from: NodeId, to: NodeId, msg: &M, retransmit: bool) -> usize {
+        let Some(faults) = &self.faults else {
+            return 1;
+        };
+        let mut attempt = 0;
+        loop {
+            let seq = faults.next_seq(from, to);
+            let (f, t) = (from as u32, to as u32);
+            match faults.plan.decide(from, to, seq) {
+                FaultDecision::Deliver => return 1,
+                FaultDecision::Drop => {
+                    self.record(from, || ts_obs::Event::MessageDropped {
+                        from: f,
+                        to: t,
+                        seq,
+                    });
+                    self.stats.record_send(from, to, msg.wire_bytes());
+                    if !retransmit {
+                        return 0;
+                    }
+                    self.clock.sleep(RTO);
+                    attempt += 1;
+                    self.record(from, || ts_obs::Event::RetrySent {
+                        from: f,
+                        to: t,
                         seq,
                         attempt,
-                        // A retransmission stays attributed to the span of
-                        // the payload it re-carries.
                         span: msg.trace_ctx().span.0,
-                    },
-                );
-            }
-            #[cfg(not(feature = "obs"))]
-            let _ = attempt;
-            let frame = Packet::Data {
-                from,
-                seq,
-                payload: msg,
-            };
-            if self.transmit(from, to, frame, true).is_err() {
-                // The destination shut down; nothing will ever ack this.
-                rel.inflight.lock().remove(&(from, to, seq));
+                    });
+                }
+                FaultDecision::Delay(extra) => {
+                    self.record(from, || ts_obs::Event::MessageDelayed {
+                        from: f,
+                        to: t,
+                        seq,
+                        delay_ns: extra.as_nanos() as u64,
+                    });
+                    self.clock.sleep(extra);
+                    return 1;
+                }
+                FaultDecision::Duplicate => {
+                    self.record(to, || ts_obs::Event::DupDropped {
+                        node: t,
+                        from: f,
+                        seq,
+                        span: msg.trace_ctx().span.0,
+                    });
+                    return 2;
+                }
             }
         }
     }
 
-    /// Number of reliable frames currently awaiting acknowledgement
-    /// (0 on a raw fabric).
-    pub fn inflight_frames(&self) -> usize {
-        self.reliable
-            .as_ref()
-            .map_or(0, |rel| rel.inflight.lock().len())
+    /// Records a fault event on `node`'s track when a recorder is attached.
+    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
+    fn record(&self, node: NodeId, event: impl FnOnce() -> ts_obs::Event) {
+        #[cfg(feature = "obs")]
+        if let Some(rec) = self.stats.recorder() {
+            rec.record(node as u32, event());
+        }
+    }
+
+    fn push(&self, to: NodeId, msg: M) -> Result<(), Disconnected> {
+        self.senders[to].send(msg).map_err(|_| Disconnected { to })
     }
 
     /// The fabric's time base.
@@ -815,167 +542,44 @@ impl<M: WireSized + Clone> Fabric<M> {
         &self.clock
     }
 
-    /// The attached fault plan, if any message faults are enabled.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_deref().map(|f| &f.plan)
-    }
-
     /// The shared statistics.
     pub fn stats(&self) -> &Arc<NetStats> {
         &self.stats
     }
-
-    /// The link model.
-    pub fn model(&self) -> NetModel {
-        self.model
-    }
 }
 
-/// Per-sender reassembly state of one receiving machine.
-struct EdgeRecv<M> {
-    /// The next reliable sequence number to release to the application.
-    next_expected: u64,
-    /// Frames that arrived ahead of `next_expected` (retransmission races,
-    /// injected reorderings), held until the gap fills.
-    pending: BTreeMap<u64, M>,
-}
-
-struct RecvState<M> {
-    /// Messages ready for the application, in delivery order.
-    ready: VecDeque<M>,
-    /// Reassembly state per sending machine.
-    edges: Vec<EdgeRecv<M>>,
-}
-
-/// The receiving end of one machine's fabric channel.
-///
-/// On a raw fabric this is a thin pass-through. On a reliable fabric it
-/// acknowledges every data frame (including re-received ones — the previous
-/// ack may itself have been dropped), discards duplicates, and buffers
-/// out-of-order frames so the application observes each edge's messages
-/// exactly once, in send order.
+/// The receiving end of one machine's fabric channel: every message sent to
+/// the machine, once, in the order the senders pushed them.
 pub struct FabricReceiver<M> {
     node: NodeId,
-    rx: Receiver<Packet<M>>,
-    fabric: Fabric<M>,
-    state: Mutex<RecvState<M>>,
+    rx: Receiver<M>,
 }
 
-impl<M: WireSized + Clone> FabricReceiver<M> {
-    fn new(node: NodeId, n: usize, rx: Receiver<Packet<M>>, fabric: Fabric<M>) -> Self {
-        FabricReceiver {
-            node,
-            rx,
-            fabric,
-            state: Mutex::new(RecvState {
-                ready: VecDeque::new(),
-                edges: (0..n)
-                    .map(|_| EdgeRecv {
-                        next_expected: 0,
-                        pending: BTreeMap::new(),
-                    })
-                    .collect(),
-            }),
-        }
-    }
-
+impl<M> FabricReceiver<M> {
     /// The machine this receiver belongs to.
     pub fn node(&self) -> NodeId {
         self.node
     }
 
-    /// Takes the next application message, blocking while none is ready.
+    /// Takes the next message, blocking while none is queued.
     pub fn recv(&self) -> Result<M, RecvError> {
-        loop {
-            if let Some(m) = self.state.lock().ready.pop_front() {
-                return Ok(m);
-            }
-            let pkt = self.rx.recv()?;
-            self.process(pkt);
-        }
+        self.rx.recv()
     }
 
     /// [`FabricReceiver::recv`] that gives up after `timeout` (wall time):
-    /// `Ok(None)` when no application message became ready that long.
-    /// Frames that produce none — acks, duplicates, out-of-order data —
-    /// are processed and the wait goes on to the same deadline.
+    /// `Ok(None)` when no message arrived that long.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<M>, RecvError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(m) = self.state.lock().ready.pop_front() {
-                return Ok(Some(m));
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            match self.rx.recv_timeout(left)? {
-                Some(pkt) => self.process(pkt),
-                None => return Ok(None),
-            }
-        }
+        self.rx.recv_timeout(timeout)
     }
 
-    /// Takes the next application message if one can be produced without
-    /// blocking.
+    /// Takes the next message if one is queued.
     pub fn try_recv(&self) -> Option<M> {
-        loop {
-            if let Some(m) = self.state.lock().ready.pop_front() {
-                return Some(m);
-            }
-            let pkt = self.rx.try_iter().next()?;
-            self.process(pkt);
-        }
+        self.rx.try_iter().next()
     }
 
-    /// Drains currently-deliverable messages without blocking.
+    /// Drains the queued messages without blocking.
     pub fn try_iter(&self) -> impl Iterator<Item = M> + '_ {
-        std::iter::from_fn(move || self.try_recv())
-    }
-
-    fn process(&self, pkt: Packet<M>) {
-        match pkt {
-            Packet::Raw(m) => self.state.lock().ready.push_back(m),
-            Packet::Data { from, seq, payload } => {
-                // Ack unconditionally: for a re-received frame the original
-                // ack may have been lost in transit.
-                self.fabric.send_ack(self.node, from, seq);
-                let mut st = self.state.lock();
-                let RecvState { ready, edges } = &mut *st;
-                let edge = &mut edges[from];
-                if seq < edge.next_expected {
-                    self.note_duplicate(from, seq, payload.trace_ctx().span.0);
-                } else if seq == edge.next_expected {
-                    edge.next_expected += 1;
-                    ready.push_back(payload);
-                    while let Some(next) = edge.pending.remove(&edge.next_expected) {
-                        edge.next_expected += 1;
-                        ready.push_back(next);
-                    }
-                } else if let Some(old) = edge.pending.insert(seq, payload) {
-                    // Same (from, seq) => same frame => same span.
-                    self.note_duplicate(from, seq, old.trace_ctx().span.0);
-                }
-            }
-            Packet::Ack { from, seq } => {
-                if let Some(rel) = &self.fabric.reliable {
-                    rel.inflight.lock().remove(&(self.node, from, seq));
-                }
-            }
-        }
-    }
-
-    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
-    fn note_duplicate(&self, from: NodeId, seq: u64, span: u64) {
-        #[cfg(feature = "obs")]
-        if let Some(rec) = self.fabric.stats.recorder() {
-            rec.record(
-                self.node as u32,
-                ts_obs::Event::DupDropped {
-                    node: self.node as u32,
-                    from: from as u32,
-                    seq,
-                    span,
-                },
-            );
-        }
+        self.rx.try_iter()
     }
 }
 
@@ -1207,213 +811,217 @@ mod tests {
         let _ = Fabric::<Msg>::new(3, NetModel::instant(), stats);
     }
 
-    /// A reliable fabric setup with a fast retry clock for tests.
-    fn reliable(
+    /// A fabric over `n` machines running `plan` on a virtual clock.
+    fn faulty(
         n: usize,
+        model: NetModel,
         plan: FaultPlan,
     ) -> (
         Fabric<Msg>,
         Vec<FabricReceiver<Msg>>,
-        Option<RetryDriver>,
         Arc<NetStats>,
+        SimClock,
     ) {
         let stats = NetStats::new(n);
-        let retry = RetryConfig {
-            rto: Duration::from_millis(2),
-            max_rto: Duration::from_millis(20),
-            tick: Duration::from_millis(1),
-        };
-        let (f, r, d) = Fabric::new_reliable(
-            n,
-            NetModel::instant(),
-            Arc::clone(&stats),
-            Some(plan),
-            SimClock::wall(),
-            retry,
-        );
-        (f, r, d, stats)
+        let clock = SimClock::virtual_at(0);
+        let (f, r) = Fabric::new_faulty(n, model, Arc::clone(&stats), Some(plan), clock.clone());
+        (f, r, stats, clock)
     }
 
-    /// Drains `want` messages from `rx`, waiting out retransmission gaps.
-    fn drain(rx: &FabricReceiver<Msg>, want: usize) -> Vec<Msg> {
-        let deadline = Instant::now() + Duration::from_secs(20);
-        let mut got = Vec::new();
-        while got.len() < want {
-            match rx.try_recv() {
-                Some(m) => got.push(m),
-                None => {
-                    assert!(Instant::now() < deadline, "only {} of {want}", got.len());
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-        }
-        got
+    /// A plan on a lossy edge `0 → 1` whose first `k` transmissions are
+    /// dropped and whose next two get through.
+    fn first_frames_lost(k: u64) -> FaultPlan {
+        (0..)
+            .map(|seed| FaultPlan::new(seed).with_message_drops(0.5))
+            .find(|p| {
+                (0..k).all(|seq| p.decide(0, 1, seq) == FaultDecision::Drop)
+                    && (k..k + 2).all(|seq| p.decide(0, 1, seq) == FaultDecision::Deliver)
+            })
+            .expect("some seed drops exactly the first frames")
+    }
+
+    fn rto_ns(k: u64) -> u64 {
+        k * RTO.as_nanos() as u64
     }
 
     #[test]
     fn reliable_fabric_recovers_dropped_messages_in_order() {
         let plan = FaultPlan::new(0xD0D0).with_message_drops(0.3);
-        let (f, r, driver, _stats) = reliable(2, plan);
+        let (f, r, stats, clock) = faulty(2, NetModel::instant(), plan.clone());
         let n = 200;
         for i in 0..n {
             f.send(0, 1, Msg(vec![i as u8])).unwrap();
         }
-        let got = drain(&r[1], n);
+        let got: Vec<Msg> = r[1].try_iter().collect();
         let expect: Vec<Msg> = (0..n).map(|i| Msg(vec![i as u8])).collect();
         assert_eq!(got, expect, "every message exactly once, in send order");
-        // Acks flow back to node 0's receiver, and node 1 must keep
-        // re-acking retransmits whose acks were dropped; once both sides
-        // are serviced, the in-flight table drains and retransmission stops.
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while f.inflight_frames() > 0 {
-            let _ = r[0].try_recv();
-            let _ = r[1].try_recv();
-            assert!(
-                Instant::now() < deadline,
-                "{} frames stuck",
-                f.inflight_frames()
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        driver.unwrap().stop();
-        assert!(r[1].try_recv().is_none(), "no stray deliveries");
+        // Every physical transmission is charged: the delivered copies plus
+        // each lost one, and each lost one cost its sender one RTO.
+        let sent = stats.snapshot(0).sent_msgs;
+        let lost = (0..sent)
+            .filter(|&seq| plan.decide(0, 1, seq) == FaultDecision::Drop)
+            .count() as u64;
+        assert!(lost > 20, "a 30 % plan loses frames, lost {lost}");
+        assert_eq!(sent, n + lost);
+        assert_eq!(stats.snapshot(0).sent_bytes, n + lost);
+        assert_eq!(clock.now_ns(), rto_ns(lost));
     }
 
     #[test]
     fn reliable_fabric_dedups_duplicates() {
-        let plan = FaultPlan::new(0xDDDD).with_message_duplicates(0.5);
-        let (f, r, driver, stats) = reliable(2, plan);
-        let n = 100;
-        for i in 0..n {
-            f.send(0, 1, Msg(vec![i as u8; 2])).unwrap();
-        }
-        let got = drain(&r[1], n);
-        assert_eq!(got.len(), n);
-        assert!(got.iter().enumerate().all(|(i, m)| m.0[0] as usize == i));
-        assert!(r[1].try_recv().is_none(), "duplicates must not surface");
-        // Duplicates were really transmitted: more sends accounted than
-        // logical messages (n data frames + dups; acks land on node 1).
-        assert!(stats.snapshot(0).sent_msgs > n as u64);
-        driver.unwrap().stop();
-    }
-
-    #[test]
-    fn recv_timeout_reorders_late_frames_and_sleeps_through_acks() {
-        // Drive the reliable receiver by hand. The plan only switches the
-        // protocol on (every frame "delayed" by zero); the test pushes the
-        // frames in the order it wants them seen.
-        let plan = FaultPlan::new(5).with_message_delays(1.0, Duration::ZERO);
-        let (f, r, _driver, _stats) = reliable(2, plan);
-        let data = |seq: u64| Packet::Data {
-            from: 0,
-            seq,
-            payload: Msg(vec![seq as u8]),
-        };
-        // Frame 1 overtakes frame 0, which lands 20 ms into the wait: both
-        // come out, in send order.
-        f.push(1, data(1)).unwrap();
-        let late = {
-            let f = f.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                f.push(1, data(0)).unwrap();
-            })
-        };
-        let long = Duration::from_secs(10);
-        assert_eq!(r[1].recv_timeout(long), Ok(Some(Msg(vec![0]))));
-        assert_eq!(r[1].recv_timeout(long), Ok(Some(Msg(vec![1]))));
-        late.join().unwrap();
-        // An ack wakes the channel but is no application message: the wait
-        // runs to its deadline.
-        f.push(1, Packet::Ack { from: 0, seq: 9 }).unwrap();
-        let start = Instant::now();
-        assert_eq!(r[1].recv_timeout(Duration::from_millis(30)), Ok(None));
-        assert!(start.elapsed() >= Duration::from_millis(30));
-    }
-
-    #[test]
-    fn fault_free_reliable_request_is_a_raw_fabric() {
-        // No message faults => new_reliable degrades to the raw fast path:
-        // no driver thread, no acks, no per-frame overhead.
-        let stats = NetStats::new(2);
-        let (f, r, driver) = Fabric::<Msg>::new_reliable(
-            2,
-            NetModel::instant(),
-            Arc::clone(&stats),
-            Some(FaultPlan::new(7).with_crash_at_delegation(1)),
-            SimClock::wall(),
-            RetryConfig::default(),
-        );
-        assert!(driver.is_none());
-        f.send(0, 1, Msg(vec![0; 64])).unwrap();
-        assert_eq!(r[1].recv().unwrap().0.len(), 64);
-        assert_eq!(stats.snapshot(0).sent_bytes, 64, "no seq header added");
-        assert_eq!(f.inflight_frames(), 0);
-    }
-
-    /// A plan on a lossy edge `0 → 1` whose first transmission is dropped
-    /// and whose second gets through.
-    fn first_frame_lost() -> FaultPlan {
-        (0..)
-            .map(|seed| FaultPlan::new(seed).with_message_drops(0.5))
-            .find(|p| {
-                p.decide(0, 1, 0) == FaultDecision::Drop
-                    && p.decide(0, 1, 1) == FaultDecision::Deliver
-            })
-            .expect("some seed drops the first frame only")
+        // 1 B at 1 kB/s: each copy on the wire costs its sender 1 ms.
+        let model = NetModel::slow(1_000.0, Duration::ZERO);
+        let plan = FaultPlan::new(1).with_message_duplicates(1.0);
+        let (f, r, stats, clock) = faulty(2, model, plan);
+        f.send(0, 1, Msg(vec![7])).unwrap();
+        assert_eq!(r[1].try_iter().collect::<Vec<_>>(), [Msg(vec![7])]);
+        let (s0, s1) = (stats.snapshot(0), stats.snapshot(1));
+        assert_eq!((s0.sent_msgs, s0.sent_bytes), (2, 2), "both copies charged");
+        assert_eq!((s1.recv_msgs, s1.recv_bytes), (2, 2));
+        assert_eq!(clock.now_ns(), 2_000_000, "both copies paced");
     }
 
     #[test]
     fn a_frame_sent_after_a_lost_one_reaches_a_live_receiver_in_order() {
-        // The shape of a fence after a lost frame: the second frame arrives
-        // first and waits in the reorder buffer until the first one's
-        // retransmission fills the gap.
-        let (f, r, driver, _stats) = reliable(2, first_frame_lost());
+        // The shape of a fence after a lost frame: the sender waits out one
+        // RTO and sends the first frame again before it sends the second.
+        let (f, r, stats, clock) = faulty(2, NetModel::instant(), first_frames_lost(1));
         f.send(0, 1, Msg(vec![0])).unwrap();
+        assert_eq!(clock.now_ns(), rto_ns(1), "a lost frame costs one RTO");
         f.send(0, 1, Msg(vec![1])).unwrap();
-        assert_eq!(drain(&r[1], 2), [Msg(vec![0]), Msg(vec![1])]);
-        driver.unwrap().stop();
+        assert_eq!(clock.now_ns(), rto_ns(1), "a delivered frame costs none");
+        assert_eq!(
+            r[1].try_iter().collect::<Vec<_>>(),
+            [Msg(vec![0]), Msg(vec![1])]
+        );
+        assert_eq!(stats.snapshot(0).sent_msgs, 3);
     }
 
     #[test]
-    fn a_frame_to_a_dropped_receiver_leaves_the_inflight_table() {
-        // The first transmission is lost, so `send` cannot see that the
-        // receiver is gone; the first retransmission that is not lost fails
-        // to push, and the frame leaves the table for good.
-        let (f, r, driver, _stats) = reliable(2, first_frame_lost());
+    fn every_retransmission_waits_one_rto() {
+        // No backoff: three losses in a row cost three RTOs, not 1 + 2 + 4.
+        let (f, r, stats, clock) = faulty(2, NetModel::instant(), first_frames_lost(3));
+        f.send(0, 1, Msg(vec![5])).unwrap();
+        assert_eq!(clock.now_ns(), rto_ns(3));
+        assert_eq!(stats.snapshot(0).sent_msgs, 4);
+        assert_eq!(r[1].try_iter().collect::<Vec<_>>(), [Msg(vec![5])]);
+    }
+
+    #[test]
+    fn a_lost_frame_to_a_dropped_receiver_is_disconnected() {
+        // The first transmission is lost, so only the retransmission finds
+        // that the receiver is gone.
+        let (f, r, stats, clock) = faulty(2, NetModel::instant(), first_frames_lost(1));
         drop(r.into_iter().nth(1));
-        f.send(0, 1, Msg(vec![0])).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while f.inflight_frames() > 0 {
-            assert!(Instant::now() < deadline, "the frame is retried forever");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        driver.unwrap().stop();
+        assert_eq!(f.send(0, 1, Msg(vec![0])), Err(Disconnected { to: 1 }));
+        assert_eq!(clock.now_ns(), rto_ns(1));
+        assert_eq!(stats.snapshot(0).sent_msgs, 2);
     }
 
     #[test]
     fn unreliable_sends_bypass_the_protocol() {
-        let plan = FaultPlan::new(11).with_message_drops(1.0);
-        let (f, r, driver, _stats) = reliable(2, plan);
-        // A heartbeat-style send on an all-drop plan is simply gone: no
-        // in-flight entry, no retransmission.
+        // A heartbeat-style send whose copy is lost is simply gone: charged,
+        // never sent again, and the sender does not wait.
+        let (f, r, stats, clock) = faulty(2, NetModel::instant(), first_frames_lost(1));
         f.send_unreliable(0, 1, Msg(vec![9])).unwrap();
-        assert_eq!(f.inflight_frames(), 0);
-        std::thread::sleep(Duration::from_millis(10));
         assert!(r[1].try_recv().is_none());
-        driver.unwrap().stop();
+        assert_eq!(stats.snapshot(0).sent_msgs, 1);
+        assert_eq!(clock.now_ns(), 0);
+        // The next one gets through.
+        f.send_unreliable(0, 1, Msg(vec![8])).unwrap();
+        assert_eq!(r[1].try_recv(), Some(Msg(vec![8])));
     }
 
     #[test]
-    fn retry_backoff_is_exponential_and_capped() {
-        let cfg = RetryConfig {
-            rto: Duration::from_millis(10),
-            max_rto: Duration::from_millis(160),
-            tick: Duration::from_millis(1),
-        };
-        assert_eq!(cfg.backoff(1), Duration::from_millis(10));
-        assert_eq!(cfg.backoff(2), Duration::from_millis(20));
-        assert_eq!(cfg.backoff(5), Duration::from_millis(160));
-        assert_eq!(cfg.backoff(40), Duration::from_millis(160), "saturates");
+    fn a_plan_without_message_faults_adds_nothing_to_a_send() {
+        let plan = FaultPlan::new(7).with_crash_at_delegation(1);
+        let (f, r, stats, clock) = faulty(2, NetModel::instant(), plan);
+        f.send(0, 1, Msg(vec![0; 64])).unwrap();
+        assert_eq!(r[1].recv().unwrap().0.len(), 64);
+        assert_eq!(stats.snapshot(0).sent_bytes, 64);
+        assert_eq!(clock.now_ns(), 0);
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn a_traced_retransmission_and_a_duplicate_keep_their_span() {
+        #[derive(Debug)]
+        struct Traced(u64);
+        impl WireSized for Traced {
+            fn wire_bytes(&self) -> usize {
+                8
+            }
+            fn trace_ctx(&self) -> ts_obs::TraceCtx {
+                ts_obs::TraceCtx::new(1, ts_obs::SpanId(self.0))
+            }
+        }
+        use ts_obs::Event;
+        // Transmission 0 is lost, 1 is its retransmission, 2 is duplicated.
+        let plan = (0..)
+            .map(|seed| {
+                FaultPlan::new(seed)
+                    .with_message_drops(0.3)
+                    .with_message_duplicates(0.5)
+            })
+            .find(|p| {
+                p.decide(0, 1, 0) == FaultDecision::Drop
+                    && p.decide(0, 1, 1) == FaultDecision::Deliver
+                    && p.decide(0, 1, 2) == FaultDecision::Duplicate
+            })
+            .expect("some seed has the shape");
+        let stats = NetStats::new(2);
+        let clock = SimClock::virtual_at(0);
+        let rec = Arc::new(ts_obs::Recorder::with_time_source(
+            2,
+            &ts_obs::ObsConfig::enabled(),
+            clock.time_source().expect("virtual"),
+        ));
+        stats.set_recorder(Arc::clone(&rec));
+        let (f, r) = Fabric::new_faulty(2, NetModel::instant(), stats, Some(plan), clock);
+        f.send(0, 1, Traced(5)).unwrap();
+        f.send(0, 1, Traced(6)).unwrap();
+        let spans: Vec<u64> = r[1].try_iter().map(|m| m.0).collect();
+        assert_eq!(spans, [5, 6]);
+        let faults: Vec<(u64, Event)> = rec
+            .events()
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.event,
+                    Event::MessageDropped { .. }
+                        | Event::RetrySent { .. }
+                        | Event::DupDropped { .. }
+                )
+            })
+            .map(|e| (e.ts_ns, e.event))
+            .collect();
+        let rto = rto_ns(1);
+        let (from, to) = (0, 1);
+        let want = [
+            (0, Event::MessageDropped { from, to, seq: 0 }),
+            (
+                rto,
+                Event::RetrySent {
+                    from,
+                    to,
+                    seq: 0,
+                    attempt: 1,
+                    span: 5,
+                },
+            ),
+            (
+                rto,
+                Event::DupDropped {
+                    node: to,
+                    from,
+                    seq: 2,
+                    span: 6,
+                },
+            ),
+        ];
+        assert_eq!(faults.len(), want.len(), "{faults:?}");
+        for w in want {
+            assert!(faults.contains(&w), "{w:?} missing from {faults:?}");
+        }
     }
 }

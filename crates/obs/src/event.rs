@@ -158,14 +158,16 @@ pub enum Event {
         /// The worker now holding the columns.
         node: u32,
     },
-    /// A fault plan dropped a message in transit (the receiver never sees
-    /// it). Replayable: the same plan seed drops the same `(from, to, seq)`.
+    /// A fault plan dropped a transmission in transit (the receiver never
+    /// sees this copy; a `RetrySent` follows unless the send was a
+    /// heartbeat). Replayable: the same plan seed drops the same
+    /// `(from, to, seq)`.
     MessageDropped {
         /// Sender machine.
         from: u32,
         /// Intended receiver.
         to: u32,
-        /// The message's sequence number on the `(from, to)` edge.
+        /// The transmission's sequence number on the `(from, to)` edge.
         seq: u64,
     },
     /// A fault plan delayed a message before delivery.
@@ -174,18 +176,20 @@ pub enum Event {
         from: u32,
         /// Receiver machine.
         to: u32,
-        /// The message's sequence number on the `(from, to)` edge.
+        /// The transmission's sequence number on the `(from, to)` edge.
         seq: u64,
         /// The injected extra delay.
         delay_ns: u64,
     },
-    /// The reliable fabric retransmitted an unacknowledged frame.
+    /// A sender waited one retransmission timeout after a dropped
+    /// transmission and is sending the message again.
     RetrySent {
         /// Sender machine.
         from: u32,
         /// Receiver machine.
         to: u32,
-        /// The frame's reliable sequence number on the `(from, to)` edge.
+        /// The dropped transmission's sequence number on the `(from, to)`
+        /// edge (the `seq` of the `MessageDropped` it answers).
         seq: u64,
         /// Retransmission attempt (1 = first retry).
         attempt: u32,
@@ -193,14 +197,14 @@ pub enum Event {
         /// frames); a retry stays attributed to the originating span.
         span: u64,
     },
-    /// A receiver discarded a reliable frame it had already delivered (a
-    /// retransmit whose original made it through, or an injected duplicate).
+    /// A fault plan duplicated a transmission: both copies were charged and
+    /// paced, the receiver got one.
     DupDropped {
-        /// The deduplicating receiver.
+        /// The receiver the second copy was meant for.
         node: u32,
         /// The frame's sender.
         from: u32,
-        /// The frame's reliable sequence number on the `(from, node)` edge.
+        /// The transmission's sequence number on the `(from, node)` edge.
         seq: u64,
         /// The span of the discarded payload (0 for spanless frames).
         span: u64,
