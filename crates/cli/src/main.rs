@@ -460,6 +460,13 @@ fn cmd_train(opts: &Opts) -> Result<(), String> {
 
     let table = load_table(opts)?;
     let task = table.schema().task;
+    if let Task::Classification { n_classes } = task {
+        if kind == "gbt" && n_classes != 2 {
+            return Err(format!(
+                "--model gbt needs a 2-class or regression table, got {n_classes} classes"
+            ));
+        }
+    }
     let trees = opts.num("trees", 20usize)?;
     let dmax = opts.num("dmax", 10u32)?;
     let seed = opts.num("seed", 0u64)?;

@@ -211,3 +211,29 @@ fn train_rejects_a_certain_drop_by_name() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--drop-prob must be in [0, 1)"), "{stderr}");
 }
+
+#[test]
+fn train_rejects_gbt_on_a_multi_class_table_by_name() {
+    // GBT's objectives are squared error and 2-class logistic; a third
+    // class used to panic after the cluster had launched.
+    let dir = std::env::temp_dir().join(format!("ts-gbt-three-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mk temp dir");
+    let mut csv = String::from("f0,label\n");
+    for i in 0..60u32 {
+        csv.push_str(&format!("{i},{}\n", ["a", "b", "c"][i as usize % 3]));
+    }
+    let path = dir.join("three.csv");
+    std::fs::write(&path, csv).expect("write csv");
+    let out = Command::new(env!("CARGO_BIN_EXE_treeserver"))
+        .args(["train", "--csv", path.to_str().unwrap()])
+        .args(["--target", "label", "--task", "class", "--model", "gbt"])
+        .output()
+        .expect("run treeserver");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(1), "a named error, not a panic");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--model gbt needs a 2-class or regression table, got 3 classes"),
+        "{stderr}"
+    );
+}

@@ -60,6 +60,8 @@
 //! trees — the invariant behind the paper's "exact training" claim and this
 //! repo's strongest integration test.
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod condition;
 pub mod exact;
 pub mod hist;

@@ -13,7 +13,10 @@
 //!   `n / 64` words, and scatters each row's `(value, label)` to the number
 //!   of set bits below its own — its place in the node's sorted sequence.
 //!   `O(|Ix| + n / 64)`, sequential reads of `rank`, values and labels,
-//!   nothing per row outside the node. At the root the rank *is* the place;
+//!   nothing per row outside the node. The prefix and place counts use the
+//!   CPU's `popcnt` where it has one, chosen at run time: the workspace
+//!   targets baseline x86-64, where `count_ones` is a SWAR sequence. At the
+//!   root the rank *is* the place, and nothing is counted;
 //! - a trainer that grows a **whole subtree** keeps a [`NodeOrders`] — the
 //!   orders, derived by inverting the ranks, in which every open node owns a
 //!   contiguous segment, stable-partitioned at each split — and
@@ -555,30 +558,74 @@ fn select_by_rank<L: Copy>(
             n_positions
         }
         NodeRows::Subset(rows) => with_rank_bits(n_positions, |words, before| {
-            for &r in rows {
-                let p = rank[r as usize];
-                if p != MISSING_RANK {
-                    words[(p >> 6) as usize] |= 1 << (p & 63);
-                }
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("popcnt") {
+                // SAFETY: this CPU has `popcnt`, checked just above.
+                return unsafe {
+                    place_by_rank_popcnt(rank, rows, values, ys, words, before, present)
+                };
             }
-            let mut n_present = 0;
-            for (word, before) in words.iter().zip(before.iter_mut()) {
-                *before = n_present;
-                n_present += word.count_ones();
-            }
-            let present = &mut present[..n_present as usize];
-            for &r in rows {
-                let p = rank[r as usize];
-                if p != MISSING_RANK {
-                    let w = (p >> 6) as usize;
-                    let below = words[w] & ((1 << (p & 63)) - 1);
-                    let place = before[w] + below.count_ones();
-                    present[place as usize] = (values[r as usize], ys[r as usize]);
-                }
-            }
-            n_present as usize
+            place_by_rank(rank, rows, values, ys, words, before, present)
         }),
     }
+}
+
+/// The subset arm of [`select_by_rank`] over the borrowed bitmap (`words`,
+/// zeroed) and prefix counts: mark, prefix-count, scatter. One popcount per
+/// word and one per node row, so the instruction behind `count_ones`
+/// matters ([`place_by_rank_popcnt`]).
+#[inline(always)]
+fn place_by_rank<L: Copy>(
+    rank: &[u32],
+    rows: &[u32],
+    values: &[f64],
+    ys: &[L],
+    words: &mut [u64],
+    before: &mut [u32],
+    present: &mut [(f64, L)],
+) -> usize {
+    for &r in rows {
+        let p = rank[r as usize];
+        if p != MISSING_RANK {
+            words[(p >> 6) as usize] |= 1 << (p & 63);
+        }
+    }
+    let mut n_present = 0;
+    for (word, before) in words.iter().zip(before.iter_mut()) {
+        *before = n_present;
+        n_present += word.count_ones();
+    }
+    let present = &mut present[..n_present as usize];
+    for &r in rows {
+        let p = rank[r as usize];
+        if p != MISSING_RANK {
+            let w = (p >> 6) as usize;
+            let below = words[w] & ((1 << (p & 63)) - 1);
+            let place = before[w] + below.count_ones();
+            present[place as usize] = (values[r as usize], ys[r as usize]);
+        }
+    }
+    n_present as usize
+}
+
+/// [`place_by_rank`] compiled with the `popcnt` instruction. The workspace
+/// targets baseline x86-64, where `count_ones` is a dozen-instruction SWAR
+/// sequence; [`select_by_rank`] calls this instead when the CPU has one.
+///
+/// # Safety
+/// The CPU must support `popcnt`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+unsafe fn place_by_rank_popcnt<L: Copy>(
+    rank: &[u32],
+    rows: &[u32],
+    values: &[f64],
+    ys: &[L],
+    words: &mut [u64],
+    before: &mut [u32],
+    present: &mut [(f64, L)],
+) -> usize {
+    place_by_rank(rank, rows, values, ys, words, before, present)
 }
 
 /// The exact numeric kernel: the best `Ai <= v` split of a column over a
@@ -1166,21 +1213,55 @@ mod tests {
         assert_eq!(engine.right, legacy.right);
     }
 
+    /// The population counts the subset arm of rank selection can run on
+    /// here: the portable body (`false`) and, where the CPU has `popcnt`,
+    /// the build that uses it (`true`).
+    fn popcount_paths() -> Vec<bool> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            return vec![false, true];
+        }
+        vec![false]
+    }
+
+    /// The subset arm through one population count, in the pooled bitmap as
+    /// `select_by_rank` runs it: the sequence it writes for `rows`, labelled
+    /// by row id.
+    fn place_subset(values: &[f64], rows: &[u32], hardware: bool) -> Vec<(f64, u32)> {
+        let index = SortedColumn::from_numeric(values);
+        let rank = index.numeric_rank();
+        let ys: Vec<u32> = (0..values.len() as u32).collect();
+        let mut present = vec![(0.0, 0u32); rows.len()];
+        let n = with_rank_bits(index.numeric_present(), |words, before| {
+            #[cfg(target_arch = "x86_64")]
+            if hardware {
+                assert!(std::arch::is_x86_feature_detected!("popcnt"));
+                // SAFETY: this CPU has `popcnt`, asserted just above.
+                return unsafe {
+                    place_by_rank_popcnt(rank, rows, values, &ys, words, before, &mut present)
+                };
+            }
+            assert!(!hardware);
+            place_by_rank(rank, rows, values, &ys, words, before, &mut present)
+        });
+        present.truncate(n);
+        present
+    }
+
     #[test]
     fn rank_selection_writes_the_nodes_sorted_sequence() {
-        // 189 present rows: three bitmap words, the last one partly used.
-        // Eleven distinct values, so ties are ordered by row; the label of a
-        // row is its id, so the sequence shows which row landed where.
-        let n = 200usize;
-        let values: Vec<f64> = (0..n)
-            .map(|r| match r % 19 {
-                7 => f64::NAN,
-                _ => ((r * 37) % 11) as f64,
-            })
-            .collect();
-        let ys: Vec<u32> = (0..n as u32).collect();
-        let index = SortedColumn::from_numeric(&values);
-        let expect = |rows: &[u32]| -> Vec<(f64, u32)> {
+        // Every 19th row is missing; eleven distinct values, so ties are
+        // ordered by row; the label of a row is its id, so the sequence shows
+        // which row landed where.
+        let column = |n: usize| -> Vec<f64> {
+            (0..n)
+                .map(|r| match r % 19 {
+                    7 => f64::NAN,
+                    _ => ((r * 37) % 11) as f64,
+                })
+                .collect()
+        };
+        let expect = |values: &[f64], rows: &[u32]| -> Vec<(f64, u32)> {
             let mut pairs: Vec<(f64, u32)> = (rows.iter())
                 .filter(|&&r| !values[r as usize].is_nan())
                 .map(|&r| (values[r as usize], r))
@@ -1188,22 +1269,45 @@ mod tests {
             pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
             pairs
         };
+        // 189 present rows: three bitmap words, the last one partly used.
+        let n = 200usize;
+        let values = column(n);
+        let ys: Vec<u32> = (0..n as u32).collect();
+        let index = SortedColumn::from_numeric(&values);
         let all: Vec<u32> = (0..n as u32).collect();
         let mut present = vec![(0.0, 0u32); n];
         let got = select_by_rank(&values, &index, NodeRows::All(n), &ys, &mut present);
         assert_eq!(got, 189);
-        assert_eq!(present[..got], expect(&all)[..]);
-        for rows in [
-            (0..n as u32).step_by(3).collect::<Vec<u32>>(),
-            vec![n as u32 - 1],
-            vec![0, 63, 64, 65, 127, 128, n as u32 - 1],
-            vec![7, 26],
-            vec![],
-        ] {
-            let got = select_by_rank(&values, &index, NodeRows::Subset(&rows), &ys, &mut present);
-            assert_eq!(present[..got], expect(&rows)[..], "rows {rows:?}");
-            // The pooled bitmap comes back zeroed for the next borrower.
-            with_rank_bits(n, |words, _| assert!(words.iter().all(|&w| w == 0)));
+        assert_eq!(present[..got], expect(&values, &all)[..]);
+        // 18 947 present rows of 20 000 span 297 words; every 97th row leaves
+        // most of them empty, and one in 19 of its rows is missing.
+        let sparse = column(20_000);
+        let cases = [
+            (&values, (0..n as u32).step_by(3).collect::<Vec<u32>>()),
+            (&values, vec![n as u32 - 1]),
+            (&values, vec![0, 63, 64, 65, 127, 128, n as u32 - 1]),
+            (&values, vec![7, 26]),
+            (&values, vec![]),
+            (&sparse, (0..20_000).step_by(97).collect()),
+        ];
+        for (values, rows) in cases {
+            let want = expect(values, &rows);
+            let index = SortedColumn::from_numeric(values);
+            let ys: Vec<u32> = (0..values.len() as u32).collect();
+            let mut present = vec![(0.0, 0u32); rows.len()];
+            let got = select_by_rank(values, &index, NodeRows::Subset(&rows), &ys, &mut present);
+            assert_eq!(present[..got], want[..], "rows {rows:?}");
+            for hardware in popcount_paths() {
+                assert_eq!(
+                    place_subset(values, &rows, hardware),
+                    want,
+                    "popcnt {hardware}, rows {rows:?}"
+                );
+                // The pooled bitmap comes back zeroed for the next borrower.
+                with_rank_bits(values.len(), |words, _| {
+                    assert!(words.iter().all(|&w| w == 0))
+                });
+            }
         }
     }
 

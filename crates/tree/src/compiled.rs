@@ -758,7 +758,12 @@ impl CompiledTree {
     ///   `img.len() * n_cols` cells.
     #[inline(always)]
     fn step(&self, img: &BlockImage<'_, '_>, unified: &[u64], base: usize, n: u32) -> u32 {
+        // SAFETY: `n < n_nodes`: it starts at 0 and every step returns `n`
+        // or a child id `compile` baked in.
         let h = unsafe { self.hot.get_unchecked(n as usize) };
+        // SAFETY: `base + feature < unified.len()`: the caller checked
+        // `schema_consistent` (`feature < n_cols`), and `base` is a block
+        // row's first cell.
         let w = unsafe { *unified.get_unchecked(base + h.feature as usize) };
         if w & h.seen == 0 {
             if w == 0 && h.is_cat() {

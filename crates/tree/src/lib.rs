@@ -26,6 +26,8 @@
 //!   the reference traversal, and `ts-serve` adds serving options, the
 //!   GBT loss and latency metrics on top.
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod compiled;
 pub mod dataset;
 pub mod forest;
