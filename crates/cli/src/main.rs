@@ -92,8 +92,8 @@ split engine (train, see docs/HISTOGRAM.md):
 scheduling (train):
   --adaptive-tau        adapt the tau_D / tau_dfs thresholds from the rolling
                         task-latency feed instead of the static defaults
-                        (enables observability; changes which tasks run as
-                        subtrees, so extra-trees forests may differ)
+                        (changes which tasks run as subtrees, so extra-trees
+                        forests may differ)
 
 reliability (train):
   --drop-prob P         drop each transmission with probability P, P < 1
@@ -471,19 +471,13 @@ fn cmd_train(opts: &Opts) -> Result<(), String> {
     let dmax = opts.num("dmax", 10u32)?;
     let seed = opts.num("seed", 0u64)?;
     let mut cfg = cluster_config(opts, table.n_rows())?;
-    // Adaptive tau reads the rolling latency feed, which lives on the
-    // recorder — the flag implies observability.
     if trace_out.is_some()
         || trace_report.is_some()
         || metrics_out.is_some()
         || metrics_prom.is_some()
         || verbose
-        || cfg.adaptive_tau
     {
         cfg.obs = treeserver::obs::ObsConfig::enabled();
-        // --verbose also streams the rolling p50/p95 task-latency feed line
-        // the master prints as each job finishes.
-        cfg.obs.log_latency_feed = verbose;
     }
     if !quiet {
         eprintln!(
@@ -572,6 +566,16 @@ fn cmd_train(opts: &Opts) -> Result<(), String> {
                 "observed {} events ({} lost to ring overflow)",
                 rec.events_total(),
                 rec.events_lost()
+            );
+            let feed = rec.latency_feed().snapshot();
+            eprintln!(
+                "latency feed: column p50={}ns p95={}ns (n={}), subtree p50={}ns p95={}ns (n={})",
+                feed.column.p50_ns,
+                feed.column.p95_ns,
+                feed.column.count,
+                feed.subtree.p50_ns,
+                feed.subtree.p95_ns,
+                feed.subtree.count,
             );
         }
     }

@@ -108,44 +108,48 @@ fn train_with_histogram_splitter_exports_its_byte_counter() {
     let prom = dir.join("metrics.prom");
     let model = dir.join("model.json");
 
-    let out = Command::new(env!("CARGO_BIN_EXE_treeserver"))
-        .args([
-            "train",
-            "--csv",
-            csv.to_str().unwrap(),
-            "--target",
-            "label",
-            "--task",
-            "class",
-            "--model",
-            "dt",
-            "--workers",
-            "2",
-            "--splitter",
-            "hist",
-            "--hist-bins",
-            "16",
-            "--vote-k",
-            "2",
-            "--out",
-            model.to_str().unwrap(),
-            "--metrics-prom",
-            prom.to_str().unwrap(),
-        ])
-        .output()
-        .expect("run treeserver");
-    assert!(
-        out.status.success(),
-        "hist train failed:\nstdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    // The final cluster report breaks the histogram split plane out.
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("hist votes+fetch"),
-        "report lacks the histogram traffic line:\n{stderr}"
-    );
+    // The final cluster report breaks the histogram split plane out,
+    // whether or not the run is traced.
+    let train = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_treeserver"))
+            .args([
+                "train",
+                "--csv",
+                csv.to_str().unwrap(),
+                "--target",
+                "label",
+                "--task",
+                "class",
+                "--model",
+                "dt",
+                "--workers",
+                "2",
+                "--splitter",
+                "hist",
+                "--hist-bins",
+                "16",
+                "--vote-k",
+                "2",
+                "--out",
+                model.to_str().unwrap(),
+            ])
+            .args(extra)
+            .output()
+            .expect("run treeserver");
+        assert!(
+            out.status.success(),
+            "hist train failed:\nstdout: {}\nstderr: {}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("hist votes+fetch"),
+            "report lacks the histogram traffic line ({extra:?}):\n{stderr}"
+        );
+    };
+    train(&["--metrics-prom", prom.to_str().unwrap()]);
+    train(&[]);
 
     let prom_text = std::fs::read_to_string(&prom).expect("prom written");
     assert!(

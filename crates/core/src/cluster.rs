@@ -31,11 +31,11 @@ pub struct ClusterReport {
     /// their number follows thread timing, and without them the figure
     /// repeats for a fixed job. `per_node[0].sent_bytes` counts every byte.
     pub master_sent_bytes: u64,
-    /// Split-phase bytes that differ *by splitter mode* (requires `obs`):
-    /// full `ColumnResult` payloads received by the master in exact mode.
+    /// Split-phase bytes that differ *by splitter mode*: full
+    /// `ColumnResult` payloads received by the master in exact mode.
     pub split_bytes_sent: u64,
     /// Histogram-mode counterpart: nomination + fetch + elected-result
-    /// bytes on the master↔worker split plane (requires `obs`).
+    /// bytes on the master↔worker split plane.
     pub hist_bytes_sent: u64,
     /// Peak tracked memory per worker in bytes, averaged over workers.
     pub avg_peak_mem_bytes: f64,
@@ -45,7 +45,8 @@ pub struct ClusterReport {
 
 impl ClusterReport {
     /// Builds a report from raw statistics. Worker averages are over
-    /// machines `1..n`; with no workers they are 0, not NaN.
+    /// machines `1..n`; with no workers they are 0, not NaN. The split-plane
+    /// fields are the master's counts, so only `Cluster::report` fills them.
     pub fn from_stats(stats: &NetStats, elapsed: Duration) -> ClusterReport {
         let per_node = stats.snapshot_all();
         let n_workers = per_node.len().saturating_sub(1);
@@ -56,23 +57,13 @@ impl ClusterReport {
                 (1..per_node.len()).map(f).sum::<f64>() / n_workers as f64
             }
         };
-        #[cfg(feature = "obs")]
-        let (split_bytes_sent, hist_bytes_sent) = stats.recorder().map_or((0, 0), |r| {
-            let reg = r.registry();
-            (
-                reg.counter("split_bytes_sent").get(),
-                reg.counter("hist_bytes_sent").get(),
-            )
-        });
-        #[cfg(not(feature = "obs"))]
-        let (split_bytes_sent, hist_bytes_sent) = (0, 0);
         ClusterReport {
             elapsed,
             avg_cpu_percent: avg(&|w| stats.cpu_percent(w, elapsed)),
             avg_send_mbps: avg(&|w| stats.send_mbps(w, elapsed)),
             master_sent_bytes: per_node.first().map_or(0, |m| m.sent_bytes),
-            split_bytes_sent,
-            hist_bytes_sent,
+            split_bytes_sent: 0,
+            hist_bytes_sent: 0,
             avg_peak_mem_bytes: avg(&|w| per_node[w].mem_peak as f64),
             per_node,
         }
@@ -223,7 +214,6 @@ pub struct Cluster {
     /// Split-kernel counter snapshot at launch: the engine's counters are
     /// process-global, so reports fold in the delta since this cluster came
     /// up (see [`ts_splits::sorted::kernel_counters`]).
-    #[cfg(feature = "obs")]
     kernel_base: ts_splits::sorted::KernelCounters,
 }
 
@@ -242,8 +232,9 @@ impl Cluster {
         cfg.validate();
         let n_nodes = cfg.total_worker_slots() + 1;
         let stats = NetStats::new(n_nodes);
-        #[cfg(feature = "obs")]
-        if cfg.obs.enabled {
+        // Adaptive τ reads the rolling latency feed, which lives on the
+        // recorder.
+        if cfg.obs.enabled || cfg.adaptive_tau {
             stats.set_recorder(Arc::new(ts_obs::Recorder::new(n_nodes, &cfg.obs)));
         }
         let (fabric_task, mut task_rxs) = Fabric::<TaskMsg>::new_faulty(
@@ -278,19 +269,10 @@ impl Cluster {
         let mut data_rxs_opt: Vec<Option<FabricReceiver<DataMsg>>> =
             data_rxs.drain(..).map(Some).collect();
 
-        // Per-worker rate: `work_scale` (config) and the fault plan's
-        // `with_work_scale` both model heterogeneous machines (a slow
-        // worker is the target of stealing and the natural preemption
-        // victim). The plan's factor also covers spare slots, which the
-        // config vector (sized to the initial roster) cannot name.
-        let work_ns_for = |w: NodeId| -> u64 {
-            let plan_scale = cfg.faults.as_ref().map_or(1.0, |p| p.work_scale(w));
-            (cfg.worker_work_ns(w) as f64 * plan_scale).round() as u64
-        };
         for (w, held) in (1..).zip(residents) {
             handles.extend(Worker::spawn(
                 w,
-                work_ns_for(w),
+                cfg.worker_work_ns(w),
                 held,
                 Arc::clone(&labels),
                 Arc::clone(&attr_types),
@@ -348,7 +330,7 @@ impl Cluster {
             heartbeat_interval: cfg.heartbeat_interval,
             hist_bins: cfg.splitter.hist_bins(),
             work_ns: (1..=cfg.total_worker_slots())
-                .map(|w| (w, work_ns_for(w)))
+                .map(|w| (w, cfg.worker_work_ns(w)))
                 .collect(),
             spares: Mutex::new(spares),
             joined_handles: Mutex::new(Vec::new()),
@@ -415,7 +397,6 @@ impl Cluster {
             launched: Instant::now(),
             elastic,
             orch_stop,
-            #[cfg(feature = "obs")]
             kernel_base: ts_splits::sorted::kernel_counters(),
         }
     }
@@ -557,12 +538,12 @@ impl Cluster {
         &self.stats
     }
 
-    /// The attached event recorder, when `ClusterConfig::obs.enabled` was
-    /// set at launch. Split-kernel counters are synced into the registry on
-    /// every call, so `metrics_json()` always reflects the current deltas.
-    #[cfg(feature = "obs")]
+    /// The attached event recorder, when `ClusterConfig::obs.enabled` or
+    /// `adaptive_tau` was set at launch. Split-kernel and split-plane
+    /// counters are synced into the registry on every call, so
+    /// `metrics_json()` always reflects the current counts.
     pub fn obs(&self) -> Option<&Arc<ts_obs::Recorder>> {
-        self.sync_kernel_counters();
+        self.sync_counters();
         self.stats.recorder()
     }
 
@@ -570,7 +551,6 @@ impl Cluster {
     /// durations), when a recorder is attached. This is the read side of
     /// ROADMAP item 4's adaptive τ: schedulers can poll it cheaply while
     /// training runs.
-    #[cfg(feature = "obs")]
     pub fn latency_feed(&self) -> Option<ts_obs::LatencyFeedSnapshot> {
         self.stats.recorder().map(|r| r.latency_feed().snapshot())
     }
@@ -578,20 +558,20 @@ impl Cluster {
     /// Reconstructs the span DAG from the rings and builds a `TraceReport`
     /// for the most recently finished job (critical path + phase breakdown).
     /// `None` without a recorder or before any job span closed.
-    #[cfg(feature = "obs")]
     pub fn trace_report(&self) -> Option<ts_obs::TraceReport> {
         self.stats.recorder().and_then(|r| r.trace_report())
     }
 
     /// Folds the process-global split-kernel counters (delta since launch)
-    /// into the recorder's metrics registry. Monotone: only the missing
-    /// remainder is added, so repeated calls never double-count.
-    #[cfg(feature = "obs")]
-    fn sync_kernel_counters(&self) {
+    /// and the master's split-plane byte counts into the recorder's metrics
+    /// registry. Monotone: only the missing remainder is added, so repeated
+    /// calls never double-count.
+    fn sync_counters(&self) {
         let Some(rec) = self.stats.recorder() else {
             return;
         };
         let cur = ts_splits::sorted::kernel_counters();
+        let (split_bytes, hist_bytes) = self.master.lock().split_plane_bytes();
         let reg = rec.registry();
         let sync = |name: &'static str, base: u64, now: u64| {
             let target = now.saturating_sub(base);
@@ -616,15 +596,21 @@ impl Cluster {
             self.kernel_base.pool_misses,
             cur.pool_misses,
         );
+        sync("split_bytes_sent", 0, split_bytes);
+        sync("hist_bytes_sent", 0, hist_bytes);
     }
 
     /// A point-in-time report in the paper's units.
     pub fn report(&self) -> ClusterReport {
-        #[cfg(feature = "obs")]
-        self.sync_kernel_counters();
+        self.sync_counters();
         let mut report = ClusterReport::from_stats(&self.stats, self.launched.elapsed());
-        let steal_acks = self.master.lock().steal_ack_bytes();
+        let (steal_acks, (split_bytes, hist_bytes)) = {
+            let m = self.master.lock();
+            (m.steal_ack_bytes(), m.split_plane_bytes())
+        };
         report.master_sent_bytes = report.master_sent_bytes.saturating_sub(steal_acks);
+        report.split_bytes_sent = split_bytes;
+        report.hist_bytes_sent = hist_bytes;
         report
     }
 
@@ -700,6 +686,31 @@ mod tests {
             r.master_sent_bytes
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn adaptive_tau_attaches_the_latency_feed_it_reads() {
+        let t = ts_datatable::synth::generate(&ts_datatable::synth::SynthSpec {
+            rows: 2_000,
+            numeric: 3,
+            categorical: 1,
+            seed: 4,
+            ..Default::default()
+        });
+        let cfg = ClusterConfig {
+            n_workers: 2,
+            compers_per_worker: 1,
+            tau_d: 500,
+            adaptive_tau: true,
+            ..ClusterConfig::default()
+        };
+        assert!(!cfg.obs.enabled);
+        let cluster = Cluster::launch(cfg, &t);
+        cluster.train(JobSpec::decision_tree(t.schema().task).with_dmax(6));
+        let feed = cluster.latency_feed();
+        cluster.shutdown();
+        let feed = feed.expect("adaptive tau needs a recorder");
+        assert!(feed.column.count > 0, "no column-task samples: {feed:?}");
     }
 
     #[test]

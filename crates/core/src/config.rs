@@ -93,14 +93,11 @@ pub struct ClusterConfig {
     pub heartbeat_miss_threshold: u32,
     /// Observability: task-lifecycle tracing and metrics (see
     /// `docs/OBSERVABILITY.md`). Off by default; `Cluster::launch` builds a
-    /// recorder only when `obs.enabled` is set *and* the `obs` feature is
-    /// compiled in (the field itself is always present, so configs are
-    /// feature-independent).
+    /// recorder when `obs.enabled` or `adaptive_tau` is set.
     pub obs: ts_obs::ObsConfig,
     /// Adapt `τ_D`/`τ_dfs` at runtime from the rolling p50/p95 column- vs
-    /// subtree-task latencies in the obs `LatencyFeed` (requires
-    /// `obs.enabled`; without a recorder the thresholds silently stay at
-    /// the static values). The static `tau_d`/`tau_dfs` remain the
+    /// subtree-task latencies in the obs `LatencyFeed` (the launch attaches
+    /// the recorder that keeps it). The static `tau_d`/`tau_dfs` remain the
     /// starting point, fallback, and clamp anchors (`[τ/4, 4τ]`).
     pub adaptive_tau: bool,
     /// Per-worker compute-speed heterogeneity: multiplier applied to

@@ -43,12 +43,9 @@
 ///
 /// `$stats` is a `&NetStats` (everything in the engine already holds one),
 /// `$node` the observing machine id, and `$event` a `ts_obs::Event`
-/// expression. With the `obs` feature compiled in, this is a recorder
-/// lookup (`OnceLock` load) and, only when one is attached, an event
-/// record; with the feature off it expands to nothing — the argument
-/// tokens are discarded unexpanded, so call sites carry zero cost and no
-/// `ts_obs` dependency.
-#[cfg(feature = "obs")]
+/// expression. This is a recorder lookup (`OnceLock` load) and, only when
+/// one was attached at launch, an event record: the event expression is
+/// not evaluated when tracing is off.
 #[macro_export]
 macro_rules! obs_event {
     ($stats:expr, $node:expr, $event:expr) => {
@@ -56,13 +53,6 @@ macro_rules! obs_event {
             __rec.record($node as u32, $event);
         }
     };
-}
-
-/// Feature-off expansion: nothing.
-#[cfg(not(feature = "obs"))]
-#[macro_export]
-macro_rules! obs_event {
-    ($stats:expr, $node:expr, $event:expr) => {};
 }
 
 pub use ts_obs as obs;

@@ -84,7 +84,6 @@ struct PlanDesc {
     trace: u64,
     /// The plan's own span, opened when the plan is created; `SpanActive`
     /// when `pump` pops it, closed when its frames are in the outbox.
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     span: u64,
 }
 
@@ -120,15 +119,12 @@ struct MasterTask {
     touches: Vec<NodeId>,
     kind: TaskKind,
     /// The trace (job span id) the task belongs to.
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     trace: u64,
     /// The task's span (the one its plan/result frames carry).
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     span: u64,
     /// The `now` of the step that dispatched it, for the master-side
     /// task-latency histograms; virtual time under `SimClock::virtual_at`,
     /// so seeded replays measure identical latencies.
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     started_ns: u64,
 }
 
@@ -180,7 +176,6 @@ struct JobState {
     notify: Sender<JobResult>,
     /// The job's root span; doubles as the trace id for every span the job
     /// produces (plans, tasks, child plans, ...).
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     span: u64,
 }
 
@@ -263,7 +258,6 @@ pub struct Master {
     tau: TauController,
     /// Clock reading of the last controller update (throttles feed
     /// snapshots to about twice per heartbeat interval).
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     last_tau_update: u64,
     ttask: HashMap<TaskId, MasterTask>,
     mwork: LoadMatrix,
@@ -280,9 +274,13 @@ pub struct Master {
     /// follows worker timing, not the job, so `Cluster::report` keeps them
     /// out of `master_sent_bytes`, which then repeats for a fixed job.
     steal_ack_bytes: u64,
+    /// Split-plane bytes by splitter mode (`count_split_plane_bytes`):
+    /// exact full results, and histogram nominations, fetches and elected
+    /// results. Counted whether or not a recorder is attached.
+    split_bytes_sent: u64,
+    hist_bytes_sent: u64,
     /// Where obs events are recorded, in place (the recorder lives on the
     /// cluster's shared statistics).
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     stats: Arc<NetStats>,
     /// Frames and job notifications in the order the handlers made them;
     /// only the master thread delivers them ([`Master::run`]).
@@ -349,6 +347,8 @@ impl Master {
             next_span: 1,
             delegations: 0,
             steal_ack_bytes: 0,
+            split_bytes_sent: 0,
+            hist_bytes_sent: 0,
             stats,
             out: Vec::new(),
             last_hb,
@@ -551,6 +551,12 @@ impl Master {
         self.steal_ack_bytes
     }
 
+    /// Split-plane bytes so far: `(exact full results, histogram
+    /// nominations + fetches + elected results)`.
+    pub fn split_plane_bytes(&self) -> (u64, u64) {
+        (self.split_bytes_sent, self.hist_bytes_sent)
+    }
+
     /// Whether a worker is currently mid-drain.
     pub fn is_draining(&self, worker: NodeId) -> bool {
         self.draining.contains_key(&worker)
@@ -593,8 +599,8 @@ impl Master {
 
     /// Folds a fresh `LatencyFeed` snapshot into the τ controller, at most
     /// about twice per heartbeat interval. No-op unless `cfg.adaptive_tau`
-    /// is set and a recorder is attached (the feed lives on the recorder).
-    #[cfg(feature = "obs")]
+    /// is set and a recorder is attached (the feed lives on the recorder;
+    /// `Cluster::launch` attaches one for `adaptive_tau`).
     fn maybe_update_tau(&mut self, now: u64) {
         if !self.cfg.adaptive_tau {
             return;
@@ -610,9 +616,6 @@ impl Master {
         self.tau.update(&rec.latency_feed().snapshot());
     }
 
-    #[cfg(not(feature = "obs"))]
-    fn maybe_update_tau(&mut self, _now: u64) {}
-
     /// Inserts a plan into `Bplan` per the hybrid BFS/DFS rule. The plan
     /// lands on its parent worker's deque (§VI affinity); roots go to the
     /// shared global deque.
@@ -620,26 +623,22 @@ impl Master {
         let (_, tau_dfs) = self.current_tau();
         let head = desc.n_rows <= tau_dfs;
         let affinity = desc.parent_worker();
-        #[cfg(feature = "obs")]
         let (depth, rows) = (desc.depth, desc.n_rows);
-        let _qlen = self.plans.push(desc, affinity, head);
-        #[cfg(feature = "obs")]
-        {
-            obs_event!(
-                self.stats,
-                0,
-                ts_obs::Event::BplanPush {
-                    end: if head {
-                        ts_obs::DequeEnd::Head
-                    } else {
-                        ts_obs::DequeEnd::Tail
-                    },
-                    depth,
-                    rows,
-                    qlen: _qlen as u32,
-                }
-            );
-        }
+        let qlen = self.plans.push(desc, affinity, head);
+        obs_event!(
+            self.stats,
+            0,
+            ts_obs::Event::BplanPush {
+                end: if head {
+                    ts_obs::DequeEnd::Head
+                } else {
+                    ts_obs::DequeEnd::Tail
+                },
+                depth,
+                rows,
+                qlen: qlen as u32,
+            }
+        );
     }
 
     /// Starts (or, after a revocation, restarts) a tree: a fresh id, one
@@ -1011,7 +1010,6 @@ impl Master {
         let msgs = quota_frame.into_iter().chain(plans);
         for (to, msg) in msgs {
             let delegated_subtree = matches!(msg, TaskMsg::SubtreePlan(_));
-            #[cfg(feature = "obs")]
             if let Some(rec) = self.stats.recorder() {
                 match &msg {
                     TaskMsg::ColumnPlan(p) => rec.record(
@@ -1078,7 +1076,6 @@ impl Master {
 
     /// Folds one worker message into the master's state.
     fn handle(&mut self, now: u64, msg: TaskMsg) {
-        #[cfg(feature = "obs")]
         self.count_split_plane_bytes(&msg);
         match msg {
             TaskMsg::Heartbeat { worker } => self.on_heartbeat(now, worker),
@@ -1131,20 +1128,12 @@ impl Master {
     /// (plans, confirms, quotas) are deliberately excluded from both, so
     /// the two counters compare exactly the traffic the splitter choice
     /// changes (`docs/HISTOGRAM.md`).
-    #[cfg(feature = "obs")]
-    fn count_split_plane_bytes(&self, msg: &TaskMsg) {
-        let Some(rec) = self.stats.recorder() else {
-            return;
-        };
+    fn count_split_plane_bytes(&mut self, msg: &TaskMsg) {
         match msg {
-            TaskMsg::ColumnResult { .. } => rec
-                .registry()
-                .counter("split_bytes_sent")
-                .add(msg.wire_bytes() as u64),
-            TaskMsg::HistNominate { .. } | TaskMsg::HistBest { .. } => rec
-                .registry()
-                .counter("hist_bytes_sent")
-                .add(msg.wire_bytes() as u64),
+            TaskMsg::ColumnResult { .. } => self.split_bytes_sent += msg.wire_bytes() as u64,
+            TaskMsg::HistNominate { .. } | TaskMsg::HistBest { .. } => {
+                self.hist_bytes_sent += msg.wire_bytes() as u64
+            }
             _ => {}
         }
     }
@@ -1350,7 +1339,6 @@ impl Master {
         }
     }
 
-    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
     fn on_column_result(
         &mut self,
         now: u64,
@@ -1411,7 +1399,6 @@ impl Master {
     /// immediately, or the master elects the globally best candidate by
     /// `(gain desc, attr asc, worker asc)` and fetches the single full
     /// split it needs from the nominating worker.
-    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
     fn on_hist_nominate(
         &mut self,
         now: u64,
@@ -1477,12 +1464,7 @@ impl Master {
         *fetched = Some(w);
         let ctx = TraceCtx::new(entry.trace, SpanId(entry.span));
         let msg = TaskMsg::HistFetch { task, attr, ctx };
-        #[cfg(feature = "obs")]
-        if let Some(rec) = self.stats.recorder() {
-            rec.registry()
-                .counter("hist_bytes_sent")
-                .add(msg.wire_bytes() as u64);
-        }
+        self.hist_bytes_sent += msg.wire_bytes() as u64;
         self.send(w, msg);
     }
 
@@ -1666,7 +1648,6 @@ impl Master {
         }
     }
 
-    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
     fn on_subtree_result(&mut self, now: u64, task: TaskId, w: NodeId, subtree: DecisionTreeModel) {
         let Some(entry) = self.ttask.remove(&task) else {
             return; // revoked
@@ -1733,23 +1714,6 @@ impl Master {
         // and observers may snapshot the rings immediately after.
         obs_event!(self.stats, 0, ts_obs::Event::SpanClose { span: job.span });
         obs_event!(self.stats, 0, ts_obs::Event::JobFinished { job: tree.job });
-        #[cfg(feature = "obs")]
-        if let Some(rec) = self.stats.recorder() {
-            if rec.log_latency_feed() {
-                let feed = rec.latency_feed().snapshot();
-                eprintln!(
-                    "treeserver: job {} latency feed: column p50={}ns p95={}ns (n={}), \
-                     subtree p50={}ns p95={}ns (n={})",
-                    tree.job,
-                    feed.column.p50_ns,
-                    feed.column.p95_ns,
-                    feed.column.count,
-                    feed.subtree.p50_ns,
-                    feed.subtree.p95_ns,
-                    feed.subtree.count,
-                );
-            }
-        }
         // Behind every frame of the job in the outbox.
         self.out.push(Effect::Notify(job.notify, result));
     }

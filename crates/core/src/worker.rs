@@ -459,7 +459,6 @@ impl Worker {
     /// it up is queue wait.
     fn make_ready(&mut self, task: ReadyTask, out: &mut Out) {
         self.ready_backlog += 1;
-        #[cfg(feature = "obs")]
         if let ReadyTask::Subtree { plan, .. } = &task {
             obs_event!(
                 self.env.stats,
@@ -566,7 +565,7 @@ impl Worker {
                 self.maybe_goodbye(&mut out);
             }
             TaskMsg::Shutdown => self.alive = false,
-            TaskMsg::Donate { ctx: _ctx, .. } => {
+            TaskMsg::Donate { ctx, .. } => {
                 // The master answered our steal request: the stolen
                 // task's plan follows on this same FIFO channel. The
                 // SpanRecv here is the steal edge in the span DAG.
@@ -574,7 +573,7 @@ impl Worker {
                     self.env.stats,
                     self.env.id,
                     ts_obs::Event::SpanRecv {
-                        span: _ctx.span.0,
+                        span: ctx.span.0,
                         node: self.env.id as u32,
                     }
                 );
@@ -604,13 +603,13 @@ impl Worker {
     /// A plan arrived: the master is feeding us again — a lost steal request
     /// (or Donate) must not wedge the hunger signal — and the master's task
     /// span is now live here (cross-machine causality).
-    fn plan_arrived(&mut self, _ctx: TraceCtx) {
+    fn plan_arrived(&mut self, ctx: TraceCtx) {
         self.steal_outstanding = false;
         obs_event!(
             self.env.stats,
             self.env.id,
             ts_obs::Event::SpanRecv {
-                span: _ctx.span.0,
+                span: ctx.span.0,
                 node: self.env.id as u32,
             }
         );
@@ -1110,16 +1109,15 @@ impl Snapshot {
 
     /// Runs a comper's computation as this machine's busy time, traced from
     /// pick-up (queue wait ends here) to result.
-    fn timed<R>(&self, _task: TaskId, _ctx: TraceCtx, f: impl FnOnce() -> R) -> R {
+    fn timed<R>(&self, task: TaskId, ctx: TraceCtx, f: impl FnOnce() -> R) -> R {
         obs_event!(
             self.env.stats,
             self.env.id,
             ts_obs::Event::SpanActive {
-                span: _ctx.span.0,
+                span: ctx.span.0,
                 node: self.env.id as u32,
             }
         );
-        #[cfg(feature = "obs")]
         let t0 = std::time::Instant::now();
         let r = {
             let _busy = BusyGuard::start(&self.env.stats, self.env.id);
@@ -1129,7 +1127,7 @@ impl Snapshot {
             self.env.stats,
             self.env.id,
             ts_obs::Event::TaskComputed {
-                task: _task.0,
+                task: task.0,
                 node: self.env.id as u32,
                 busy_ns: t0.elapsed().as_nanos() as u64,
             }

@@ -83,7 +83,6 @@ fn forest_with_injected_crash_matches_fault_free_forest() {
 
 /// The trigger is observable: exactly one `CrashInjected` and one
 /// `WorkerCrashed`, and the recorded delegation index matches the plan.
-#[cfg(feature = "obs")]
 #[test]
 fn injected_crash_is_recorded_by_obs() {
     let t = table(29);
@@ -170,7 +169,6 @@ proptest! {
     /// dispatch events equals the multiset of worker-side executions
     /// equals the multiset of folded results, per `(task, node)` — and
     /// the model stays byte-identical to the fault-free golden run.
-    #[cfg(feature = "obs")]
     #[test]
     fn stealing_executes_every_planned_task_exactly_once(
         fault_seed in any::<u64>(),
@@ -302,7 +300,6 @@ fn losing_the_last_replica_fails_the_job_cleanly() {
 /// trigger just shuts the worker down). The master must *detect* the crash
 /// via missed heartbeats, recover, and still produce the exact model — with
 /// the detection and the fabric's retries visible in the obs event log.
-#[cfg(feature = "obs")]
 #[test]
 fn silent_crash_is_detected_by_heartbeats_and_recovered() {
     let t = table(37);
@@ -396,7 +393,6 @@ fn env_seed(default: u64) -> u64 {
 /// run must finish with zero crash-recovery activity (no `WorkerSuspected`,
 /// no `WorkerCrashed`, no `CrashInjected`, no tree revocation) and still
 /// produce the fault-free model byte for byte.
-#[cfg(feature = "obs")]
 #[test]
 fn graceful_preemption_drains_without_crash_recovery() {
     let t = table(17);
@@ -465,7 +461,6 @@ fn blown_grace_window_escalates_and_the_cluster_still_shuts_down() {
     // deadline first.
     cfg.work_ns_per_unit = 1_000;
     cfg.work_scale = vec![1.0, 1.0, 40.0, 1.0];
-    #[cfg(feature = "obs")]
     {
         cfg.obs = ts_obs::ObsConfig::enabled();
     }
@@ -476,7 +471,6 @@ fn blown_grace_window_escalates_and_the_cluster_still_shuts_down() {
     cluster.preempt_worker(3, Duration::ZERO);
     let model = cluster.wait(h).into_tree();
     assert_eq!(cluster.live_workers(), vec![1, 2, 4]);
-    #[cfg(feature = "obs")]
     {
         let m = cluster.obs().expect("obs enabled").metrics();
         assert_eq!(m.counter("workers_departed"), 0, "the drain cannot finish");
@@ -551,7 +545,6 @@ fn cluster_doubling_mid_run_beats_static_half_size() {
 // task still executes exactly once (dispatch = execution = fold multisets
 // per `(task, node)`), nothing is lost from the event rings, and the model
 // matches the fault-free golden run.
-#[cfg(feature = "obs")]
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
 

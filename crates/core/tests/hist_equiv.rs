@@ -136,7 +136,6 @@ fn hist_models_survive_mid_run_joins_unchanged() {
     assert_eq!(joined, base, "a mid-run join changed a histogram model");
 }
 
-#[cfg(feature = "obs")]
 #[test]
 fn hist_mode_at_least_halves_split_plane_bytes() {
     let t = covtype_like(5);

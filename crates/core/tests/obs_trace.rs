@@ -1,7 +1,6 @@
 //! Observability integration tests (tentpole acceptance): train a small
 //! forest with tracing enabled and check that the recorded task lifecycle
 //! is internally consistent and that both exporters emit valid JSON.
-#![cfg(feature = "obs")]
 
 use std::collections::HashSet;
 

@@ -3,7 +3,6 @@
 //! exactly (well within the 1% criterion), with spans correctly parented
 //! across machines — the task span opened on the master is received on a
 //! worker and still chains task → plan → job inside one trace.
-#![cfg(feature = "obs")]
 
 use std::time::Duration;
 

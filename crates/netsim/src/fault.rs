@@ -163,9 +163,6 @@ pub struct FaultPlan {
     /// Distinct from [`with_crash_at_delegation`](Self::with_crash_at_delegation):
     /// a preemption is *announced*, a crash is silent.
     preempt: Option<(u64, NodeId, u64)>,
-    /// Per-machine compute heterogeneity: `(machine, factor)` multiplies the
-    /// machine's modeled per-unit work cost (2.0 = half-speed CPU).
-    work_scales: Vec<(NodeId, f64)>,
     /// Per-machine link heterogeneity: `(machine, factor)` multiplies the
     /// machine's outbound transmission delay (2.0 = half-bandwidth NIC).
     bandwidth_scales: Vec<(NodeId, f64)>,
@@ -196,7 +193,6 @@ impl FaultPlan {
             crash_at_delegation: None,
             join: None,
             preempt: None,
-            work_scales: Vec::new(),
             bandwidth_scales: Vec::new(),
         }
     }
@@ -280,18 +276,6 @@ impl FaultPlan {
         self
     }
 
-    /// Scales `machine`'s modeled compute cost by `factor` (2.0 = a
-    /// half-speed CPU). Later calls for the same machine override.
-    pub fn with_work_scale(mut self, machine: NodeId, factor: f64) -> FaultPlan {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "work scale must be positive"
-        );
-        self.work_scales.retain(|&(m, _)| m != machine);
-        self.work_scales.push((machine, factor));
-        self
-    }
-
     /// Scales `machine`'s outbound transmission delay by `factor` (2.0 = a
     /// half-bandwidth NIC). Later calls for the same machine override.
     pub fn with_bandwidth_scale(mut self, machine: NodeId, factor: f64) -> FaultPlan {
@@ -312,14 +296,6 @@ impl FaultPlan {
     /// The scripted preemption `(at_ns, victim, grace_ns)`, if any.
     pub fn preemption(&self) -> Option<(u64, NodeId, u64)> {
         self.preempt
-    }
-
-    /// `machine`'s compute-cost multiplier (1.0 when unset).
-    pub fn work_scale(&self, machine: NodeId) -> f64 {
-        self.work_scales
-            .iter()
-            .find(|&&(m, _)| m == machine)
-            .map_or(1.0, |&(_, f)| f)
     }
 
     /// `machine`'s outbound-delay multiplier (1.0 when unset).
@@ -539,14 +515,11 @@ mod tests {
         let p = FaultPlan::new(3)
             .with_worker_join(Duration::from_millis(50), 2)
             .with_preemption(Duration::from_millis(80), 3, Duration::from_millis(200))
-            .with_work_scale(2, 2.0)
             .with_bandwidth_scale(1, 0.5);
         assert!(p.affects_membership());
         assert!(!p.affects_messages(), "membership alone needs no retries");
         assert_eq!(p.worker_join(), Some((50_000_000, 2)));
         assert_eq!(p.preemption(), Some((80_000_000, 3, 200_000_000)));
-        assert_eq!(p.work_scale(2), 2.0);
-        assert_eq!(p.work_scale(9), 1.0, "unset machines run at unit scale");
         assert_eq!(p.bandwidth_scale(1), 0.5);
         assert_eq!(p.bandwidth_scale(2), 1.0);
         // Pure value semantics: a clone replays the identical script, and
@@ -561,8 +534,8 @@ mod tests {
             assert_eq!(base.decide(0, 1, seq), scripted.decide(0, 1, seq));
         }
         // Re-scaling a machine overrides rather than accumulates.
-        let q = p.with_work_scale(2, 3.0);
-        assert_eq!(q.work_scale(2), 3.0);
+        let q = p.with_bandwidth_scale(1, 3.0);
+        assert_eq!(q.bandwidth_scale(1), 3.0);
     }
 
     #[test]

@@ -173,7 +173,6 @@ pub struct NetStats {
     /// The attached event recorder, set once by whoever launches the
     /// cluster. Living on `NetStats` lets every engine thread reach it
     /// without new constructor parameters: they all already share the stats.
-    #[cfg(feature = "obs")]
     recorder: std::sync::OnceLock<Arc<ts_obs::Recorder>>,
 }
 
@@ -183,19 +182,16 @@ impl NetStats {
         Arc::new(NetStats {
             nodes: (0..n).map(|_| NodeCounters::new()).collect(),
             started: Instant::now(),
-            #[cfg(feature = "obs")]
             recorder: std::sync::OnceLock::new(),
         })
     }
 
     /// Attaches an event recorder. Later calls are ignored (first one wins).
-    #[cfg(feature = "obs")]
     pub fn set_recorder(&self, rec: Arc<ts_obs::Recorder>) {
         let _ = self.recorder.set(rec);
     }
 
     /// The attached event recorder, if any.
-    #[cfg(feature = "obs")]
     pub fn recorder(&self) -> Option<&Arc<ts_obs::Recorder>> {
         self.recorder.get()
     }
@@ -215,7 +211,6 @@ impl NetStats {
             .recv_bytes
             .fetch_add(bytes as u64, Ordering::Relaxed);
         self.nodes[to].recv_msgs.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "obs")]
         if let Some(rec) = self.recorder.get() {
             rec.on_net_send(from as u32, to as u32, bytes as u64);
         }
@@ -525,9 +520,7 @@ impl<M: WireSized> Fabric<M> {
     }
 
     /// Records a fault event on `node`'s track when a recorder is attached.
-    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
     fn record(&self, node: NodeId, event: impl FnOnce() -> ts_obs::Event) {
-        #[cfg(feature = "obs")]
         if let Some(rec) = self.stats.recorder() {
             rec.record(node as u32, event());
         }
@@ -942,7 +935,6 @@ mod tests {
         assert_eq!(clock.now_ns(), 0);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn a_traced_retransmission_and_a_duplicate_keep_their_span() {
         #[derive(Debug)]

@@ -1,4 +1,3 @@
-#![cfg(feature = "obs")]
 //! Replayability acceptance: with a virtual clock and a fault plan, the obs
 //! event stream of a message sequence is a *pure function of the seed* —
 //! two runs produce byte-identical event logs, so any injected failure can
@@ -212,7 +211,6 @@ fn run_membership(seed: u64) -> String {
         .with_message_delays(0.20, Duration::from_millis(3))
         .with_worker_join(Duration::from_millis(2), 1)
         .with_preemption(Duration::from_millis(6), 2, Duration::from_millis(20))
-        .with_work_scale(3, 0.5)
         .with_bandwidth_scale(4, 2.0);
     let (join_at, joiners) = plan.worker_join().expect("join scripted");
     let (preempt_at, victim, _grace) = plan.preemption().expect("preemption scripted");

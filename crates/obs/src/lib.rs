@@ -8,13 +8,11 @@
 //! at any instant, and exportable as a Chrome trace-event JSON document
 //! (Perfetto-loadable) and a JSON metrics dump. See `docs/OBSERVABILITY.md`.
 //!
-//! Cost model: when the `obs` feature is off in `treeserver`, the
-//! `obs_event!` call sites expand to nothing. When compiled in but runtime
-//! disabled (`ObsConfig::enabled == false`), the engine never constructs a
-//! `Recorder`, so the per-event cost is one `OnceLock` load and a `None`
-//! branch. When enabled, a record is a monotonic-clock read, a handful of
-//! relaxed atomic ops on pre-resolved metric handles, and one lock-free
-//! ring push.
+//! Cost model: when disabled (`ObsConfig::enabled == false`), the engine
+//! never constructs a `Recorder`, so the per-event cost is one `OnceLock`
+//! load and a `None` branch. When enabled, a record is a monotonic-clock
+//! read, a handful of relaxed atomic ops on pre-resolved metric handles,
+//! and one lock-free ring push.
 
 mod chrome;
 mod event;
@@ -39,8 +37,9 @@ use std::time::Instant;
 /// Runtime observability configuration, carried in `ClusterConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Master switch: when false the cluster never builds a [`Recorder`]
-    /// and every record call is a load-and-branch.
+    /// Master switch: when false the cluster builds no [`Recorder`] (unless
+    /// adaptive τ needs its latency feed) and every record call is a
+    /// load-and-branch.
     pub enabled: bool,
     /// Per-machine event-ring capacity (rounded up to a power of two).
     pub ring_capacity: usize,
@@ -50,10 +49,6 @@ pub struct ObsConfig {
     /// counter and `net_send_bytes` histogram still see every send).
     /// 0 disables per-send ring events entirely.
     pub net_sample_every: u64,
-    /// When true, the master logs the [`LatencyFeed`] snapshot (rolling
-    /// p50/p95 of column-/subtree-task span durations) to stderr when a
-    /// job finishes. The feed itself is always maintained.
-    pub log_latency_feed: bool,
 }
 
 impl Default for ObsConfig {
@@ -62,7 +57,6 @@ impl Default for ObsConfig {
             enabled: false,
             ring_capacity: 1 << 16,
             net_sample_every: 64,
-            log_latency_feed: false,
         }
     }
 }
@@ -174,7 +168,6 @@ pub struct Recorder {
     net_seq: Vec<AtomicU64>,
     net_sample_every: u64,
     feed: LatencyFeed,
-    log_latency_feed: bool,
 }
 
 impl std::fmt::Debug for Recorder {
@@ -202,7 +195,6 @@ impl Recorder {
             net_seq: (0..n * n + 1).map(|_| AtomicU64::new(0)).collect(),
             net_sample_every: cfg.net_sample_every,
             feed: LatencyFeed::default(),
-            log_latency_feed: cfg.log_latency_feed,
         }
     }
 
@@ -325,11 +317,6 @@ impl Recorder {
     /// subtree-task spans) — the observation half of adaptive τ.
     pub fn latency_feed(&self) -> &LatencyFeed {
         &self.feed
-    }
-
-    /// Whether the master should log the latency feed at job finish.
-    pub fn log_latency_feed(&self) -> bool {
-        self.log_latency_feed
     }
 
     /// The span DAG reconstructed from the currently-readable events.

@@ -100,8 +100,7 @@ const FEED_WINDOW: usize = 512;
 /// τ_D / τ_dfs: the master reads p50/p95 of recent task durations at any
 /// instant, and the control half (`treeserver::sched::TauController`,
 /// enabled by `ClusterConfig::adaptive_tau`) folds these snapshots into
-/// the hybrid-scheduling thresholds; see `docs/SCHEDULING.md`. The feed
-/// can also be logged per job (`ObsConfig::log_latency_feed`).
+/// the hybrid-scheduling thresholds; see `docs/SCHEDULING.md`.
 #[derive(Debug, Default)]
 pub struct LatencyFeed {
     column_ns: Mutex<VecDeque<u64>>,
