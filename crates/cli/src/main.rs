@@ -109,8 +109,8 @@ reliability (train):
 
 elasticity (train, see docs/ELASTICITY.md):
   --join-at MS          script N fresh workers (see --join-count) joining the
-                        cluster MS milliseconds into training; they handshake
-                        via Hello/Welcome and receive column replicas
+                        cluster MS milliseconds into training; the master
+                        admits them and they receive column replicas
                         incrementally while training continues
   --join-count N        how many workers join at --join-at (default 1)
   --preempt-at MS       script a spot preemption of the highest-numbered

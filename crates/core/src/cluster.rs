@@ -8,11 +8,10 @@ use crate::master::Master;
 use crate::messages::{DataMsg, TaskMsg};
 use crate::worker::{residents, Worker};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use ts_datatable::{AttrType, DataTable, Labels, Task};
-use ts_netsim::{Fabric, FabricReceiver, NetStats, NodeId};
+use ts_datatable::{DataTable, Task};
+use ts_netsim::{Fabric, NetStats, NodeId};
 use tschan::sync::Mutex;
 use tschan::Receiver;
 
@@ -119,70 +118,6 @@ impl std::fmt::Display for ClusterReport {
     }
 }
 
-/// A pre-provisioned worker slot waiting for a mid-training join
-/// (`ts-elastic`): its fabric receivers are parked here until
-/// [`Cluster::join_worker`] spawns the machine.
-struct SpareSlot {
-    id: NodeId,
-    task_rx: FabricReceiver<TaskMsg>,
-    data_rx: FabricReceiver<DataMsg>,
-}
-
-/// Everything needed to spawn a joiner after launch. Shared (via `Arc`)
-/// between the cluster handle and the scripted-membership orchestrator
-/// thread.
-struct ElasticCtx {
-    labels: Arc<Labels>,
-    attr_types: Arc<Vec<AttrType>>,
-    task: Task,
-    compers_per_worker: usize,
-    heartbeat_interval: Duration,
-    /// Bin budget when the cluster runs the histogram splitter: joiners
-    /// must build the same bin indices the launch roster did.
-    hist_bins: Option<usize>,
-    /// Modeled per-unit compute cost per slot id (config × fault-plan
-    /// heterogeneity, resolved at launch).
-    work_ns: HashMap<NodeId, u64>,
-    /// Unused spare slots, lowest id last (so `pop` joins in id order).
-    spares: Mutex<Vec<SpareSlot>>,
-    /// Thread handles of workers spawned after launch.
-    joined_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-impl ElasticCtx {
-    /// Spawns the next spare slot as a live worker and fires its `Hello`
-    /// handshake at the master. Returns the node id, or `None` when all
-    /// spare slots are used up.
-    fn join_one(
-        &self,
-        fabric_task: &Fabric<TaskMsg>,
-        fabric_data: &Fabric<DataMsg>,
-    ) -> Option<NodeId> {
-        let slot = self.spares.lock().pop()?;
-        let w = slot.id;
-        // Joiners start column-less; the master's incremental rebalancing
-        // streams columns over once the handshake lands.
-        let handles = Worker::spawn(
-            w,
-            self.work_ns.get(&w).copied().unwrap_or(0),
-            HashMap::new(),
-            Arc::clone(&self.labels),
-            Arc::clone(&self.attr_types),
-            self.task,
-            self.compers_per_worker,
-            fabric_task.clone(),
-            fabric_data.clone(),
-            slot.task_rx,
-            slot.data_rx,
-            self.heartbeat_interval,
-            self.hist_bins,
-        );
-        self.joined_handles.lock().extend(handles);
-        let _ = fabric_task.send(w, 0, TaskMsg::Hello { worker: w });
-        Some(w)
-    }
-}
-
 /// A running TreeServer cluster.
 ///
 /// ```no_run
@@ -207,10 +142,6 @@ pub struct Cluster {
     task_kind: Task,
     n_rows: usize,
     launched: Instant,
-    /// Spawn context for mid-training joins (`ts-elastic`).
-    elastic: Arc<ElasticCtx>,
-    /// Stops the scripted-membership orchestrator thread at shutdown.
-    orch_stop: Arc<AtomicBool>,
     /// Split-kernel counter snapshot at launch: the engine's counters are
     /// process-global, so reports fold in the delta since this cluster came
     /// up (see [`ts_splits::sorted::kernel_counters`]).
@@ -220,15 +151,10 @@ pub struct Cluster {
 impl Cluster {
     /// Launches a cluster over an in-memory table: partitions the columns
     /// among workers (round-robin with replication `k`), replicates `Y`
-    /// everywhere, and starts the master and worker threads.
+    /// everywhere, and starts the master and worker threads. The spare
+    /// slots a scripted join will admit start too, holding no column and
+    /// off the roster until the master's join timer fires.
     pub fn launch(cfg: ClusterConfig, table: &DataTable) -> Cluster {
-        let mut cfg = cfg;
-        // A fault plan scripting joins raises the spare-slot provisioning
-        // implicitly: the fabric is fixed-size, so every future member needs
-        // its node id (and receivers) from the start.
-        if let Some((_, n)) = cfg.faults.as_ref().and_then(|p| p.worker_join()) {
-            cfg.join_capacity = cfg.join_capacity.max(n);
-        }
         cfg.validate();
         let n_nodes = cfg.total_worker_slots() + 1;
         let stats = NetStats::new(n_nodes);
@@ -237,14 +163,14 @@ impl Cluster {
         if cfg.obs.enabled || cfg.adaptive_tau {
             stats.set_recorder(Arc::new(ts_obs::Recorder::new(n_nodes, &cfg.obs)));
         }
-        let (fabric_task, mut task_rxs) = Fabric::<TaskMsg>::new_faulty(
+        let (fabric_task, task_rxs) = Fabric::<TaskMsg>::new_faulty(
             n_nodes,
             cfg.net,
             Arc::clone(&stats),
             cfg.faults.clone(),
             ts_netsim::SimClock::wall(),
         );
-        let (fabric_data, mut data_rxs) = Fabric::<DataMsg>::new_faulty(
+        let (fabric_data, data_rxs) = Fabric::<DataMsg>::new_faulty(
             n_nodes,
             cfg.net,
             Arc::clone(&stats),
@@ -260,15 +186,14 @@ impl Cluster {
                 .map(|a| table.schema().attr_type(a))
                 .collect::<Vec<_>>(),
         );
-        let residents = residents(table, &colmap, cfg.n_workers, cfg.splitter.hist_bins());
+        let residents = residents(table, &colmap, n_nodes - 1, cfg.splitter.hist_bins());
 
         let mut handles = Vec::new();
-        // Receivers must be taken in reverse so indices stay valid.
-        let mut task_rxs_opt: Vec<Option<FabricReceiver<TaskMsg>>> =
-            task_rxs.drain(..).map(Some).collect();
-        let mut data_rxs_opt: Vec<Option<FabricReceiver<DataMsg>>> =
-            data_rxs.drain(..).map(Some).collect();
-
+        let mut task_rxs = task_rxs.into_iter();
+        let master_rx = task_rxs.next().expect("master receiver");
+        // The master has no data-plane loop (§V: it never relays Ix);
+        // dropping its receiver is deliberate.
+        let mut data_rxs = data_rxs.into_iter().skip(1);
         for (w, held) in (1..).zip(residents) {
             handles.extend(Worker::spawn(
                 w,
@@ -280,8 +205,8 @@ impl Cluster {
                 cfg.compers_per_worker,
                 fabric_task.clone(),
                 fabric_data.clone(),
-                task_rxs_opt[w].take().expect("receiver taken once"),
-                data_rxs_opt[w].take().expect("receiver taken once"),
+                task_rxs.next().expect("a receiver per slot"),
+                data_rxs.next().expect("a receiver per slot"),
                 cfg.heartbeat_interval,
                 cfg.splitter.hist_bins(),
             ));
@@ -300,88 +225,11 @@ impl Cluster {
         {
             let m = Arc::clone(&master);
             let fabric = fabric_task.clone();
-            let rx = task_rxs_opt[0].take().expect("master receiver");
             handles.push(
                 std::thread::Builder::new()
                     .name("master".into())
-                    .spawn(move || Master::run(&m, &fabric, rx))
+                    .spawn(move || Master::run(&m, &fabric, master_rx))
                     .expect("spawn master"),
-            );
-        }
-        // The master has no data-plane loop (§V: it never relays Ix);
-        // dropping its receiver is deliberate.
-        drop(data_rxs_opt[0].take());
-
-        // Park the spare slots' receivers for mid-training joins, lowest id
-        // last so `join_one` pops them in id order.
-        let mut spares: Vec<SpareSlot> = (cfg.n_workers + 1..=cfg.total_worker_slots())
-            .map(|w| SpareSlot {
-                id: w,
-                task_rx: task_rxs_opt[w].take().expect("spare receiver taken once"),
-                data_rx: data_rxs_opt[w].take().expect("spare receiver taken once"),
-            })
-            .collect();
-        spares.reverse();
-        let elastic = Arc::new(ElasticCtx {
-            labels,
-            attr_types,
-            task: table.schema().task,
-            compers_per_worker: cfg.compers_per_worker,
-            heartbeat_interval: cfg.heartbeat_interval,
-            hist_bins: cfg.splitter.hist_bins(),
-            work_ns: (1..=cfg.total_worker_slots())
-                .map(|w| (w, cfg.worker_work_ns(w)))
-                .collect(),
-            spares: Mutex::new(spares),
-            joined_handles: Mutex::new(Vec::new()),
-        });
-
-        // Scripted membership events (`FaultPlan::with_worker_join` /
-        // `with_preemption`) fire from a small orchestrator thread that
-        // watches the fabric clock — real or virtual, the same comparison
-        // works, which keeps seeded replays deterministic.
-        let orch_stop = Arc::new(AtomicBool::new(false));
-        let membership = cfg
-            .faults
-            .as_ref()
-            .filter(|p| p.affects_membership())
-            .map(|p| (p.worker_join(), p.preemption()));
-        if let Some((mut join_ev, mut preempt_ev)) = membership {
-            let ctx = Arc::clone(&elastic);
-            let ft = fabric_task.clone();
-            let fd = fabric_data.clone();
-            let m = Arc::clone(&master);
-            let clock = fabric_task.clock().clone();
-            let stop = Arc::clone(&orch_stop);
-            handles.push(
-                std::thread::Builder::new()
-                    .name("membership-orch".into())
-                    .spawn(move || {
-                        while (join_ev.is_some() || preempt_ev.is_some())
-                            && !stop.load(Ordering::Acquire)
-                        {
-                            let now = clock.now_ns();
-                            if let Some((at, n)) = join_ev {
-                                if now >= at {
-                                    for _ in 0..n {
-                                        ctx.join_one(&ft, &fd);
-                                    }
-                                    join_ev = None;
-                                }
-                            }
-                            if let Some((at, victim, grace_ns)) = preempt_ev {
-                                if now >= at {
-                                    let grace = Duration::from_nanos(grace_ns);
-                                    Master::call(&m, &ft, |m| m.begin_drain(now, victim, grace));
-                                    preempt_ev = None;
-                                }
-                            }
-                            // Real sleep on purpose: under a virtual clock
-                            // the poll just re-reads the advanced time.
-                            std::thread::sleep(Duration::from_micros(200));
-                        }
-                    })
-                    .expect("spawn membership orchestrator"),
             );
         }
 
@@ -395,20 +243,8 @@ impl Cluster {
             task_kind: table.schema().task,
             n_rows: table.n_rows(),
             launched: Instant::now(),
-            elastic,
-            orch_stop,
             kernel_base: ts_splits::sorted::kernel_counters(),
         }
-    }
-
-    /// Brings one pre-provisioned spare slot online as a live worker
-    /// (`ts-elastic` mid-training join): the machine spawns column-less,
-    /// handshakes with the master (`Hello`/`Welcome`), receives its share
-    /// of columns by incremental migration, and starts taking plans
-    /// immediately. Returns the new worker's node id, or `None` when the
-    /// `join_capacity` spare slots are all used.
-    pub fn join_worker(&self) -> Option<NodeId> {
-        self.elastic.join_one(&self.fabric_task, &self.fabric_data)
     }
 
     /// Announces a spot preemption of `worker` with a grace window
@@ -504,10 +340,11 @@ impl Cluster {
                 ts_datatable::Labels::Real(_) => Task::Regression,
                 ts_datatable::Labels::Class(_) => self.task_kind,
             });
-            m.live_workers().to_vec()
+            m.label_targets()
         };
-        // One shared column for every worker. Sent with the master's lock
-        // dropped: the broadcast is paced.
+        // One shared column for every worker, and for every spare a
+        // scripted join will admit. Sent with the master's lock dropped:
+        // the broadcast is paced.
         let labels = Arc::new(labels.clone());
         for w in workers {
             let labels = Arc::clone(&labels);
@@ -622,12 +459,8 @@ impl Cluster {
             "shutdown with jobs still pending — wait() on them first"
         );
         let report = self.report();
-        self.orch_stop.store(true, Ordering::Release);
         Master::call(&self.master, &self.fabric_task, Master::shutdown);
         for h in self.handles {
-            let _ = h.join();
-        }
-        for h in self.elastic.joined_handles.lock().drain(..) {
             let _ = h.join();
         }
         report

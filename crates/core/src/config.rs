@@ -105,14 +105,6 @@ pub struct ClusterConfig {
     /// slows a worker down — the skewed-load scenario the scheduler's
     /// stealing rebalances (`docs/SCHEDULING.md`). Empty = homogeneous.
     pub work_scale: Vec<f64>,
-    /// Spare worker slots provisioned for mid-training joins (`ts-elastic`,
-    /// see `docs/ELASTICITY.md`). The fabric, load matrix and recorder are
-    /// sized for `n_workers + join_capacity` machines at launch; joiners
-    /// occupy the spare node ids `n_workers+1 ..= n_workers+join_capacity`
-    /// and enter via the `Hello`/`Welcome` handshake
-    /// (`Cluster::join_worker`). 0 = a fixed-size cluster. A fault plan
-    /// with `with_worker_join` raises this implicitly at launch.
-    pub join_capacity: usize,
     /// Split-finding strategy: exact sorted-scan kernels (the seed
     /// behaviour and accuracy oracle) or the quantized histogram path with
     /// top-k column voting (`docs/HISTOGRAM.md`). Subtree tasks and
@@ -138,7 +130,6 @@ impl Default for ClusterConfig {
             obs: ts_obs::ObsConfig::default(),
             adaptive_tau: false,
             work_scale: Vec::new(),
-            join_capacity: 0,
             splitter: Splitter::Exact,
         }
     }
@@ -193,9 +184,10 @@ impl ClusterConfig {
     }
 
     /// Total worker slots the fabric must provision: the initial roster
-    /// plus spare slots for mid-training joins.
+    /// plus one spare slot per worker the fault plan's join admits.
     pub fn total_worker_slots(&self) -> usize {
-        self.n_workers + self.join_capacity
+        let joiners = self.faults.as_ref().and_then(|p| p.worker_join());
+        self.n_workers + joiners.map_or(0, |(_, n)| n)
     }
 
     /// `work_ns_per_unit` for one worker, after heterogeneity scaling

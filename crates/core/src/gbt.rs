@@ -481,4 +481,34 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
+
+    #[test]
+    fn a_mid_run_join_keeps_the_boosted_model() {
+        // Every round relabels the cluster. A joiner admitted after some
+        // rounds must train on the current round's targets, not on the
+        // labels the cluster was launched with.
+        let t = generate(&SynthSpec {
+            rows: 3_000,
+            numeric: 5,
+            task: Task::Regression,
+            seed: 41,
+            ..Default::default()
+        });
+        let run = |faults: Option<ts_netsim::FaultPlan>| {
+            let cluster_cfg = ClusterConfig {
+                n_workers: 2,
+                work_ns_per_unit: 500,
+                faults,
+                ..cfg()
+            };
+            let boost = GbtConfig::for_task(Task::Regression).with_rounds(8);
+            train_gbt(cluster_cfg, &t, boost)
+        };
+        let static_model = run(None);
+        for at_ms in [5, 20, 60] {
+            let at = std::time::Duration::from_millis(at_ms);
+            let plan = ts_netsim::FaultPlan::new(1).with_worker_join(at, 2);
+            assert_eq!(run(Some(plan)), static_model, "join at {at_ms} ms");
+        }
+    }
 }

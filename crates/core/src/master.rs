@@ -17,7 +17,8 @@
 //!   confirming the winner as delegate worker, typing the child tasks from
 //!   the returned `|Ixl|`/`|Ixr|` counters), a completed subtree into its
 //!   tree, per-tree progress (Appendix C's `T_prog`) into finished trees
-//!   and completed jobs — or counts an idle tick; then runs the
+//!   and completed jobs — or counts an idle tick; then fires the fault
+//!   plan's scripted joins and preemptions that are due, and runs the
 //!   self-throttled lease, drain-deadline and τ sweeps.
 //! - `θ_main` ([`Master::pump`]): retires drains whose conditions all hold,
 //!   admits trees into the active pool (at most `n_pool` at a time), and
@@ -27,16 +28,16 @@
 //!
 //! Every step ends with `pump`, so a plan is dispatched in the step that
 //! made it dispatchable and nothing waits on a condition. Everyone else —
-//! `Cluster::submit`, `preempt_worker`, `kill_worker`, the membership
-//! orchestrator — comes in through [`Master::call`]: the same lock, the
-//! handler, and a loop-back frame left in the master's own mailbox, so the
-//! step that dispatches what the call queued starts now rather than a tick
-//! from now. Dispatch itself stays on the master thread (see `call` for
-//! why). And because one thread delivers the one outbox in order, the
-//! ordering rules of `docs/PROTOCOL.md` ("Confirm before quota", "Donate
-//! before plan traffic", "charge before send", "a task leaves the table in
-//! the step its children enter the queue") are program order, while no
-//! paced send sleeps with the lock held.
+//! `Cluster::submit`, `preempt_worker`, `kill_worker` — comes in through
+//! [`Master::call`]: the same lock, the handler, and a loop-back frame left
+//! in the master's own mailbox, so the step that dispatches what the call
+//! queued starts now rather than a tick from now. Dispatch itself stays on
+//! the master thread (see `call` for why). And because one thread delivers
+//! the one outbox in order, the ordering rules of `docs/PROTOCOL.md`
+//! ("Confirm before quota", "Donate before plan traffic", "charge before
+//! send", "a task leaves the table in the step its children enter the
+//! queue") are program order, while no paced send sleeps with the lock
+//! held.
 //!
 //! Hybrid scheduling (§III, Fig. 4/5): a new task goes to the **head** of
 //! `Bplan` when `|Dx| <= τ_dfs` (depth-first — reaches CPU-bound
@@ -300,6 +301,10 @@ pub struct Master {
     /// Distinguishes join/drain migrations from crash re-replication when
     /// a `ReplicateDone` arrives.
     migrations: HashMap<(usize, NodeId), NodeId>,
+    /// The fault plan's scripted join `(at_ns, n)` and preemption
+    /// `(at_ns, victim, grace_ns)`, until `step` fires them.
+    join: Option<(u64, usize)>,
+    preempt: Option<(u64, NodeId, u64)>,
 }
 
 impl Master {
@@ -323,6 +328,7 @@ impl Master {
         // flight; the rest waits master-side, where it can be re-routed.
         let mut plans = PlanQueue::new(2 * cfg.compers_per_worker + 2);
         plans.set_workers(&workers);
+        let faults = cfg.faults.as_ref();
         Master {
             n_rows,
             n_attrs,
@@ -356,6 +362,8 @@ impl Master {
             degraded: None,
             draining: HashMap::new(),
             migrations: HashMap::new(),
+            join: faults.and_then(|p| p.worker_join()),
+            preempt: faults.and_then(|p| p.preemption()),
             cfg,
         }
     }
@@ -436,13 +444,15 @@ impl Master {
         fabric.clock().now_ns() - delivering
     }
 
-    /// `θ_recv`: folds one message (`None`: the tick brought none), then
-    /// runs the self-throttled sweeps — leases, drain deadlines, τ.
+    /// `θ_recv`: folds one message (`None`: the tick brought none), fires
+    /// the scripted membership events that are due, then runs the
+    /// self-throttled sweeps — leases, drain deadlines, τ.
     pub fn step(&mut self, now: u64, msg: Option<TaskMsg>) {
         match msg {
             Some(msg) => self.handle(now, msg),
             None => self.plans.note_idle_tick(),
         }
+        self.fire_membership_timers(now);
         self.check_heartbeats(now);
         self.maybe_update_tau(now);
     }
@@ -457,14 +467,15 @@ impl Master {
         }
     }
 
-    /// Tells every machine to stop — the roster, the draining workers (off
-    /// the roster but alive, serving their data plane) and, by loop-back,
-    /// the master thread itself. Made through [`Master::call`].
+    /// Tells every machine the launch spawned to stop — the roster, the
+    /// draining and fenced workers, the spares never admitted — and, by
+    /// loop-back, the master thread itself. A machine that has stopped
+    /// already fails the send, which the master thread ignores. Made
+    /// through [`Master::call`].
     pub fn shutdown(&mut self) {
-        let machines = (self.workers.iter()).chain(self.draining.keys());
-        let stops = machines
-            .chain(&[0])
-            .map(|&w| Effect::Send(w, TaskMsg::Shutdown));
+        let stops = (1..=self.cfg.total_worker_slots())
+            .chain([0])
+            .map(|w| Effect::Send(w, TaskMsg::Shutdown));
         self.out.extend(stops);
     }
 
@@ -544,6 +555,14 @@ impl Master {
     /// The currently live workers.
     pub fn live_workers(&self) -> &[NodeId] {
         &self.workers
+    }
+
+    /// Who needs the next label column (`Cluster::update_labels`): the
+    /// roster, and the spares a join not yet fired will admit.
+    pub fn label_targets(&self) -> Vec<NodeId> {
+        let spares = self.join.map_or(0, |(_, n)| n);
+        let spares = self.cfg.n_workers + 1..=self.cfg.n_workers + spares;
+        self.workers.iter().copied().chain(spares).collect()
     }
 
     /// Bytes of steal acks (`Donate` frames) the master has sent.
@@ -1109,7 +1128,6 @@ impl Master {
             // re-triggers). The `StealRequested` event is recorded at the
             // origin (the worker), so the counter sees each request once.
             TaskMsg::StealRequest { worker } => self.plans.mark_hungry(worker),
-            TaskMsg::Hello { worker } => self.on_hello(now, worker),
             // The draining worker reports its task queue idle. Departure
             // still waits on column handoffs and on in-flight tasks that
             // reference the leaver on the data plane (`retire_ready_drains`).
@@ -1154,16 +1172,32 @@ impl Master {
         }
     }
 
-    /// A pre-provisioned spare slot handshakes in: add it to the roster,
-    /// arm its heartbeat lease, register its affinity deque, ack with
-    /// `Welcome`, and start incremental column migration toward it. The
-    /// joiner becomes a column holder only as each `ReplicateDone` lands,
-    /// so column tasks never target data still in flight — but subtree
-    /// tasks can pick it as key worker immediately (they fetch columns
-    /// remotely anyway).
-    fn on_hello(&mut self, now: u64, worker: NodeId) {
+    /// Fires the fault plan's scripted join and preemption, each once, at
+    /// the first step whose `now` reaches its time. A join admits the spare
+    /// slots `n_workers+1 ..= n_workers+n` in id order; a preemption starts
+    /// the victim's drain.
+    fn fire_membership_timers(&mut self, now: u64) {
+        if let Some((_, n)) = self.join.filter(|&(at, _)| now >= at) {
+            self.join = None;
+            for w in self.cfg.n_workers + 1..=self.cfg.n_workers + n {
+                self.admit(now, w);
+            }
+        }
+        if let Some((_, victim, grace_ns)) = self.preempt.filter(|&(at, ..)| now >= at) {
+            self.preempt = None;
+            self.begin_drain(now, victim, Duration::from_nanos(grace_ns));
+        }
+    }
+
+    /// Admits a spare slot, running since launch with no columns: add it to
+    /// the roster, arm its heartbeat lease, register its affinity deque,
+    /// and start incremental column migration toward it. The joiner becomes
+    /// a column holder only as each `ReplicateDone` lands, so column tasks
+    /// never target data still in flight — but subtree tasks can pick it as
+    /// key worker immediately (they fetch columns remotely anyway).
+    fn admit(&mut self, now: u64, worker: NodeId) {
         // A degraded cluster admits nobody; a draining node is on its way
-        // out; a roster member's Hello is a duplicate.
+        // out; a roster member is admitted already.
         if self.degraded.is_some()
             || self.draining.contains_key(&worker)
             || self.workers.contains(&worker)
@@ -1181,7 +1215,6 @@ impl Master {
                 node: worker as u32
             }
         );
-        self.send(worker, TaskMsg::Welcome { worker });
 
         // Plan the join top-up and route one ReplicateTo per source.
         let mut by_pair: BTreeMap<(NodeId, NodeId), Vec<usize>> = BTreeMap::new();
@@ -1229,9 +1262,7 @@ impl Master {
         //    completing is what retires it as holder (`migrating` set).
         let mut migrating: BTreeSet<usize> = BTreeSet::new();
         let mut by_pair: BTreeMap<(NodeId, NodeId), Vec<usize>> = BTreeMap::new();
-        let mut load: HashMap<NodeId, usize> = (self.workers.iter())
-            .map(|&w| (w, self.colmap.columns_of(w).len()))
-            .collect();
+        let mut load = self.column_loads();
         for attr in self.colmap.columns_of(worker) {
             let handed_over = self.colmap.drop_holder(attr, worker);
             let holders = self.colmap.holders(attr);
@@ -1240,17 +1271,13 @@ impl Master {
             if handed_over && holders.len() >= self.cfg.replication {
                 continue;
             }
-            let Some(&target) = (self.workers.iter())
-                .filter(|&w| !holders.contains(w))
-                .min_by_key(|&&w| (load[&w], w))
-            else {
+            let Some(target) = self.replica_target(&mut load, holders) else {
                 continue; // no live target; escalation will decide
             };
             let src = if handed_over { holders[0] } else { worker };
             if !handed_over {
                 migrating.insert(attr);
             }
-            *load.get_mut(&target).expect("live") += 1;
             self.migrations.insert((attr, target), src);
             by_pair.entry((src, target)).or_default().push(attr);
         }
@@ -1264,6 +1291,29 @@ impl Master {
             },
         );
         self.send(worker, TaskMsg::Drain);
+    }
+
+    /// How many columns each live worker holds: the load a re-replication
+    /// target is chosen by.
+    fn column_loads(&self) -> HashMap<NodeId, usize> {
+        (self.workers.iter())
+            .map(|&w| (w, self.colmap.columns_of(w).len()))
+            .collect()
+    }
+
+    /// The one re-replication target rule, for a crash and for a drain:
+    /// the live non-holder that holds the fewest columns (ties to the
+    /// lowest id), charged the copy it is about to receive.
+    fn replica_target(
+        &self,
+        load: &mut HashMap<NodeId, usize>,
+        holders: &[NodeId],
+    ) -> Option<NodeId> {
+        let target = (self.workers.iter().copied())
+            .filter(|w| !holders.contains(w))
+            .min_by_key(|w| (load[w], *w))?;
+        *load.get_mut(&target).expect("live") += 1;
+        Some(target)
     }
 
     /// Replicated columns landed at `worker`. Join/drain migrations are
@@ -1754,10 +1804,10 @@ impl Master {
         // 1. Membership: drop the worker from scheduling and liveness
         // tracking — then fence it. "Dead" is a verdict, not a fact: a
         // worker that blew its grace window or merely missed its lease is
-        // still running, and nothing else would ever tell it to stop
-        // (`Cluster::shutdown` only notifies the roster). Every earlier
-        // frame to it was pushed before its send returned, so a live worker
-        // gets the fence behind them; to a truly dead node the send fails.
+        // still running, and nothing else would tell it to stop before
+        // `Cluster::shutdown`. Every earlier frame to it was pushed before
+        // its send returned, so a live worker gets the fence behind them; to
+        // a truly dead node the send fails.
         self.workers.retain(|&w| w != dead);
         self.last_hb.remove(&dead);
         self.send(dead, TaskMsg::Shutdown);
@@ -1774,18 +1824,12 @@ impl Master {
         let mut transfer: BTreeMap<(NodeId, NodeId), Vec<usize>> = BTreeMap::new();
         let mut lost = self.colmap.remove_worker(dead)?;
         lost.sort_by_key(|&a| (self.colmap.holders(a).len(), a));
-        let mut load: HashMap<NodeId, usize> = (self.workers.iter())
-            .map(|&w| (w, self.colmap.columns_of(w).len()))
-            .collect();
+        let mut load = self.column_loads();
         for attr in lost {
             let holders = self.colmap.holders(attr);
-            let Some(&target) = (self.workers.iter())
-                .filter(|&w| !holders.contains(w))
-                .min_by_key(|&&w| (load[&w], w))
-            else {
+            let Some(target) = self.replica_target(&mut load, holders) else {
                 return Err(RecoveryError::NoReplicationTarget { attr });
             };
-            *load.get_mut(&target).expect("live") += 1;
             transfer.entry((holders[0], target)).or_default().push(attr);
         }
 
@@ -1840,7 +1884,7 @@ impl Master {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ts_netsim::{NetModel, SimClock};
+    use ts_netsim::{FaultPlan, NetModel, SimClock};
     use ts_splits::condition::SplitTest;
     use ts_splits::impurity::ClassCounts;
 
@@ -2560,34 +2604,111 @@ mod tests {
         assert!(m.out.is_empty(), "and sends nothing");
     }
 
-    #[test]
-    fn duplicate_hello_and_hello_from_a_draining_node_are_no_ops() {
-        let cfg = ClusterConfig {
-            join_capacity: 1,
+    const HOUR: u64 = 3_600_000_000_000;
+
+    /// `three_workers`, and a fault plan that scripts a join of `n` spares
+    /// `at` ns into the run.
+    fn joining(n: usize, at: u64) -> ClusterConfig {
+        let plan = FaultPlan::new(0).with_worker_join(Duration::from_nanos(at), n);
+        ClusterConfig {
+            faults: Some(plan),
             ..three_workers()
-        };
-        let mut m = master_of(cfg, 150, 4);
-        deliver(&mut m, TaskMsg::Hello { worker: 4 });
+        }
+    }
+
+    #[test]
+    fn admitting_a_member_or_a_draining_node_is_a_no_op() {
+        let mut m = master_of(joining(1, HOUR), 150, 4);
+        m.admit(0, 4);
         assert_eq!(m.live_workers(), [1, 2, 3, 4]);
-        assert!(matches!(
-            inboxes(&mut m)[4][..],
-            [TaskMsg::Welcome { worker: 4 }]
-        ));
         let migrations = m.migrations.len();
         assert!(migrations > 0, "the joiner is owed its share of columns");
+        inboxes(&mut m);
 
-        // A repeated Hello: no second Welcome, no second migration.
-        deliver(&mut m, TaskMsg::Hello { worker: 4 });
+        // A second admission: no second migration.
+        m.admit(0, 4);
         assert_eq!(m.live_workers(), [1, 2, 3, 4]);
         assert_eq!(m.migrations.len(), migrations);
         assert!(m.out.is_empty());
 
-        // A leaver cannot talk its way back onto the roster.
+        // A leaver cannot be admitted back onto the roster.
         m.begin_drain(0, 2, Duration::from_secs(30));
         inboxes(&mut m);
-        deliver(&mut m, TaskMsg::Hello { worker: 2 });
+        m.admit(0, 2);
         assert_eq!(m.live_workers(), [1, 3, 4]);
         assert!(m.is_draining(2));
         assert!(m.out.is_empty());
+    }
+
+    #[test]
+    fn a_scripted_join_admits_its_spares_at_its_time_and_once() {
+        let at = 5_000_000;
+        let mut m = master_of(joining(2, at), 150, 12);
+        m.step(at - 1, None);
+        assert_eq!(m.live_workers(), [1, 2, 3]);
+        assert!(m.out.is_empty(), "nobody admitted before the join's time");
+        assert_eq!(m.label_targets(), [1, 2, 3, 4, 5], "spares get labels");
+
+        m.step(at, None);
+        assert_eq!(m.live_workers(), [1, 2, 3, 4, 5]);
+        let mut joiners: Vec<NodeId> = (m.out.iter())
+            .filter_map(|e| match e {
+                Effect::Send(_, TaskMsg::ReplicateTo { to, .. }) => Some(*to),
+                _ => None,
+            })
+            .collect();
+        joiners.dedup();
+        assert_eq!(joiners, [4, 5], "both migrations started, in id order");
+
+        // Spare 5 is declared dead. A join that fired again would admit it
+        // back.
+        m.recover_or_degrade(5);
+        inboxes(&mut m);
+        m.step(at + 1, None);
+        assert_eq!(m.live_workers(), [1, 2, 3, 4]);
+        assert!(m.out.is_empty());
+        assert_eq!(m.label_targets(), [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_scripted_preemption_drains_its_victim_at_its_time_not_before() {
+        let at = 5_000_000;
+        let plan =
+            FaultPlan::new(0).with_preemption(Duration::from_nanos(at), 2, Duration::from_secs(30));
+        let cfg = ClusterConfig {
+            faults: Some(plan),
+            ..three_workers()
+        };
+        let mut m = master_of(cfg, 150, 4);
+        m.step(at - 1, None);
+        assert!(!m.is_draining(2));
+        assert!(m.out.is_empty());
+
+        m.step(at, None);
+        assert!(m.is_draining(2));
+        assert_eq!(m.live_workers(), [1, 3]);
+        assert!(matches!(inboxes(&mut m)[2].last(), Some(TaskMsg::Drain)));
+    }
+
+    #[test]
+    fn shutdown_stops_every_slot_the_launch_spawned() {
+        // Replication 1: losing worker 1 loses its columns for good, and the
+        // degraded cluster refuses the join of spare 4 when it fires.
+        let cfg = ClusterConfig {
+            replication: 1,
+            ..joining(1, 5)
+        };
+        let mut m = master_of(cfg, 150, 4);
+        m.recover_or_degrade(1);
+        assert!(m.degraded_reason().is_some());
+        m.step(5, None);
+        assert_eq!(m.live_workers(), [2, 3], "the join was refused");
+        inboxes(&mut m);
+
+        // Fenced worker 1, roster 2 and 3, spare 4, and the master itself.
+        m.shutdown();
+        for (w, frames) in inboxes(&mut m).iter().enumerate() {
+            assert!(matches!(frames[..], [TaskMsg::Shutdown]), "{w}: {frames:?}");
+        }
     }
 }

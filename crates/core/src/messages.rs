@@ -289,20 +289,6 @@ pub enum TaskMsg {
         /// The stolen task's span context.
         ctx: TraceCtx,
     },
-    /// Joining worker → master: membership handshake (`ts-elastic`). The
-    /// worker is spawned with no columns; the master adds it to the roster,
-    /// arms its heartbeat lease, registers its affinity deque and starts
-    /// incremental column migration toward it.
-    Hello {
-        /// The joining worker.
-        worker: NodeId,
-    },
-    /// Master → joining worker: the `Hello` was accepted. Purely an ack —
-    /// plans and migrated columns follow on their own frames.
-    Welcome {
-        /// The accepted worker.
-        worker: NodeId,
-    },
     /// Master → worker: a scripted preemption was announced — stop taking
     /// new work, finish or return what is in flight, hand your columns off
     /// and leave with `Goodbye` before the grace window expires.
@@ -360,8 +346,6 @@ impl WireSized for TaskMsg {
             | TaskMsg::Heartbeat { .. }
             | TaskMsg::StealRequest { .. }
             | TaskMsg::Donate { .. }
-            | TaskMsg::Hello { .. }
-            | TaskMsg::Welcome { .. }
             | TaskMsg::Drain
             | TaskMsg::Goodbye { .. }
             | TaskMsg::Shutdown => HDR,
@@ -704,12 +688,7 @@ mod tests {
     #[test]
     fn membership_frames_are_header_only_and_migrations_carry_spans() {
         use ts_obs::SpanId;
-        for m in [
-            TaskMsg::Hello { worker: 3 },
-            TaskMsg::Welcome { worker: 3 },
-            TaskMsg::Drain,
-            TaskMsg::Goodbye { worker: 3 },
-        ] {
+        for m in [TaskMsg::Drain, TaskMsg::Goodbye { worker: 3 }] {
             assert_eq!(m.wire_bytes(), 24, "membership frames are pure control");
             assert_eq!(m.trace_ctx(), TraceCtx::NONE);
         }

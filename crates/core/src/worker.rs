@@ -233,10 +233,11 @@ impl Held {
     }
 }
 
-/// The resident columns of launch-roster workers `1..=n_workers` (index
-/// `w - 1`), as `colmap` places them. Each column of `table` is indexed
-/// once and every holder shares that `Held`: the table's own column
-/// storage and one presorted (and binned) index.
+/// The resident columns of worker slots `1..=n_slots` (index `w - 1`), as
+/// `colmap` places them: a spare slot, which it places nothing on, starts
+/// empty. Each column of `table` is indexed once and every holder shares
+/// that `Held`: the table's own column storage and one presorted (and
+/// binned) index.
 ///
 /// The indexes are built on the launching thread. Built on a short-lived
 /// thread per worker, they would live in that thread's allocator arena,
@@ -246,13 +247,13 @@ impl Held {
 pub(crate) fn residents(
     table: &DataTable,
     colmap: &ColumnMap,
-    n_workers: usize,
+    n_slots: usize,
     hist_bins: Option<usize>,
 ) -> Vec<HashMap<usize, Held>> {
     let built: Vec<Held> = (0..table.n_attrs())
         .map(|a| Held::build(table.shared_column(a), hist_bins))
         .collect();
-    (1..=n_workers)
+    (1..=n_slots)
         .map(|w| {
             (colmap.columns_of(w).into_iter())
                 .map(|a| (a, built[a].clone()))
@@ -554,11 +555,6 @@ impl Worker {
                 };
                 out.frames.push(Frame::Copied(to, Box::new(copy)));
             }
-            TaskMsg::Welcome { .. } => {
-                // Join handshake ack. Nothing to set up here: columns
-                // arrive via `ReplicateCols` on the data plane, and the
-                // heartbeat thread has been beating since spawn.
-            }
             TaskMsg::Drain => {
                 self.draining = true;
                 // Maybe the pipeline is already dry.
@@ -591,7 +587,6 @@ impl Worker {
             | TaskMsg::SubtreeResult { .. }
             | TaskMsg::ReplicateDone { .. }
             | TaskMsg::StealRequest { .. }
-            | TaskMsg::Hello { .. }
             | TaskMsg::Goodbye { .. }
             | TaskMsg::Heartbeat { .. } => {
                 unreachable!("master-bound message delivered to a worker")

@@ -625,3 +625,62 @@ fn unfired_crash_trigger_is_inert() {
     let inert = run(Some(FaultPlan::new(1).with_crash_at_delegation(1_000_000)));
     assert_eq!(clean, inert);
 }
+
+/// Runs `cluster.shutdown()` under a watchdog: whether it returned within
+/// 20 s. `shutdown` joins every machine thread the launch spawned, so a
+/// machine nobody told to stop hangs it.
+fn shuts_down(cluster: Cluster) -> bool {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let watchdog = std::thread::spawn(move || {
+        cluster.shutdown();
+        let _ = done_tx.send(());
+    });
+    let done = done_rx.recv_timeout(Duration::from_secs(20)).is_ok();
+    if done {
+        watchdog.join().expect("shutdown returned");
+    }
+    done
+}
+
+/// A scripted join that never comes leaves the model as it was, and its
+/// spare slot, started at launch, stops with the cluster.
+#[test]
+fn an_unfired_join_is_inert() {
+    let t = table(31);
+    let run = |faults: Option<FaultPlan>| {
+        let cluster = Cluster::launch(faulty_cfg(faults), &t);
+        let m = cluster
+            .train(JobSpec::decision_tree(t.schema().task))
+            .into_tree();
+        assert!(shuts_down(cluster), "shutdown hung");
+        m.canonicalize()
+    };
+    let clean = run(None);
+    let join = FaultPlan::new(1).with_worker_join(Duration::from_secs(3_600), 1);
+    assert_eq!(clean, run(Some(join)));
+}
+
+/// A degraded cluster admits nobody. The spare its scripted join refused is
+/// neither on the roster nor draining, and `shutdown` must stop it all the
+/// same.
+#[test]
+fn a_join_refused_by_a_degraded_cluster_still_shuts_down() {
+    let t = table(17);
+    let join = FaultPlan::new(1).with_worker_join(Duration::from_millis(50), 1);
+    let cfg = ClusterConfig {
+        replication: 1,
+        ..faulty_cfg(Some(join))
+    };
+    let cluster = Cluster::launch(cfg, &t);
+    // Worker 1 held the last replica of its columns.
+    cluster.kill_worker(1);
+    // Past the join's time: a master step (one at least every 10 ms) has
+    // refused it.
+    std::thread::sleep(Duration::from_millis(150));
+    assert_eq!(
+        cluster.live_workers(),
+        vec![2, 3, 4],
+        "the join was refused"
+    );
+    assert!(shuts_down(cluster), "shutdown hung on the refused joiner");
+}

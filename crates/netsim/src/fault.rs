@@ -306,11 +306,6 @@ impl FaultPlan {
             .map_or(1.0, |&(_, f)| f)
     }
 
-    /// Whether any scripted membership event (join or preemption) is set.
-    pub fn affects_membership(&self) -> bool {
-        self.join.is_some() || self.preempt.is_some()
-    }
-
     /// The fate of message `seq` on the `(from, to)` edge. Pure: same plan,
     /// same arguments, same answer.
     pub fn decide(&self, from: NodeId, to: NodeId, seq: u64) -> FaultDecision {
@@ -516,7 +511,6 @@ mod tests {
             .with_worker_join(Duration::from_millis(50), 2)
             .with_preemption(Duration::from_millis(80), 3, Duration::from_millis(200))
             .with_bandwidth_scale(1, 0.5);
-        assert!(p.affects_membership());
         assert!(!p.affects_messages(), "membership alone needs no retries");
         assert_eq!(p.worker_join(), Some((50_000_000, 2)));
         assert_eq!(p.preemption(), Some((80_000_000, 3, 200_000_000)));

@@ -192,7 +192,7 @@ fn run_spans(seed: u64) -> (String, String) {
 /// heterogeneity, and a lossy fabric — entirely on the virtual clock, and
 /// returns the serialized obs event log. The membership schedule comes out
 /// of the [`FaultPlan`] accessors, so this exercises exactly the state the
-/// engine's `membership-orch` thread consumes.
+/// engine's master turns into membership timers.
 fn run_membership(seed: u64) -> String {
     use ts_obs::Event;
     let n = 5; // master + 3 initial workers + 1 pre-provisioned join slot

@@ -261,9 +261,9 @@ pub enum Event {
         /// The idle worker that requested the steal.
         thief: u32,
     },
-    /// A worker's `Hello` handshake was accepted: it is now in the roster,
-    /// its heartbeat lease is armed, and its column migration is under way
-    /// (`ts-elastic` membership, see `docs/ELASTICITY.md`).
+    /// The master admitted a spare slot at its scripted join: it is now in
+    /// the roster, its heartbeat lease is armed, and its column migration is
+    /// under way (`ts-elastic` membership, see `docs/ELASTICITY.md`).
     WorkerJoined {
         /// The joining worker.
         node: u32,
