@@ -56,7 +56,6 @@ usage:
   treeserver train      --csv FILE --target COL --task class|reg
                         [--model dt|rf|etc|gbt] [--trees N] [--dmax D]
                         [--workers W] [--compers C] [--seed S] [--out FILE]
-                        [--adaptive-tau]
                         [--splitter exact|hist] [--hist-bins N] [--vote-k K]
                         [--fault-seed S] [--drop-prob P] [--delay-prob P]
                         [--dup-prob P] [--heartbeat-ms N] [--heartbeat-misses N]
@@ -88,12 +87,6 @@ split engine (train, see docs/HISTOGRAM.md):
   --hist-bins N         bin budget per numeric column (default 64; lossless
                         when a column has at most N distinct values)
   --vote-k K            candidates each worker nominates per task (default 2)
-
-scheduling (train):
-  --adaptive-tau        adapt the tau_D / tau_dfs thresholds from the rolling
-                        task-latency feed instead of the static defaults
-                        (changes which tasks run as subtrees, so extra-trees
-                        forests may differ)
 
 reliability (train):
   --drop-prob P         drop each transmission with probability P, P < 1
@@ -134,8 +127,8 @@ observability (train):
                         as JSON alongside the cluster report
   --metrics-prom FILE   write the same registry in Prometheus text format
   --quiet               suppress all non-error output
-  --verbose             also print event/metric totals and the rolling
-                        task-latency feed (p50/p95) after training
+  --verbose             also print event totals and the last job's column- and
+                        subtree-task count, p50 and p95 from its trace report
 
 serving (predict):
   --threads N           threads for the compiled batch evaluator (0 = all
@@ -180,7 +173,6 @@ fn usage() -> String {
 /// rejects any other name. A unit test keeps this list and the `--name`
 /// tokens of [`USAGE`] the same set.
 const OPTIONS: &[(&str, bool)] = &[
-    ("adaptive-tau", false),
     ("arrival", true),
     ("block-rows", true),
     ("burst-off-qps", true),
@@ -361,7 +353,6 @@ fn cluster_config(opts: &Opts, n_rows: usize) -> Result<ClusterConfig, String> {
         replication: 2.min(workers),
         tau_d: (n_rows as u64 / 20).max(256),
         tau_dfs: (n_rows as u64 / 5).max(1_024),
-        adaptive_tau: opts.flag("adaptive-tau"),
         work_scale,
         faults: fault_plan(opts, workers)?,
         heartbeat_interval: std::time::Duration::from_millis(heartbeat_ms),
@@ -536,8 +527,11 @@ fn cmd_train(opts: &Opts) -> Result<(), String> {
                 eprintln!("trace written to {path} (load in Perfetto or chrome://tracing)");
             }
         }
+        let report = (trace_report.is_some() || verbose)
+            .then(|| rec.trace_report())
+            .flatten();
         if let Some(path) = &trace_report {
-            match rec.trace_report() {
+            match &report {
                 Some(report) => {
                     std::fs::write(path, report.to_json())
                         .map_err(|e| format!("writing {path}: {e}"))?;
@@ -567,16 +561,15 @@ fn cmd_train(opts: &Opts) -> Result<(), String> {
                 rec.events_total(),
                 rec.events_lost()
             );
-            let feed = rec.latency_feed().snapshot();
-            eprintln!(
-                "latency feed: column p50={}ns p95={}ns (n={}), subtree p50={}ns p95={}ns (n={})",
-                feed.column.p50_ns,
-                feed.column.p95_ns,
-                feed.column.count,
-                feed.subtree.p50_ns,
-                feed.subtree.p95_ns,
-                feed.subtree.count,
-            );
+            if let Some(report) = &report {
+                let [_, _, column, subtree, _] = report.kind_summaries;
+                for (name, k) in [("column", column), ("subtree", subtree)] {
+                    eprintln!(
+                        "{name} tasks: n={} p50={}ns p95={}ns",
+                        k.count, k.p50_ns, k.p95_ns
+                    );
+                }
+            }
         }
     }
     let report = cluster.shutdown();

@@ -241,3 +241,33 @@ fn train_rejects_gbt_on_a_multi_class_table_by_name() {
         "{stderr}"
     );
 }
+
+#[test]
+fn train_out_repeats_byte_for_byte_under_one_seed() {
+    // Results reach the master in scheduling order; the saved model must
+    // not show it. `--verbose` reads the task summaries off the trace.
+    let dir = std::env::temp_dir().join(format!("ts-same-bytes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mk temp dir");
+    let csv = write_csv(&dir);
+    let train = |model: &str, extra: &[&str], run: u32| {
+        let out_path = dir.join(format!("{model}-{run}.json"));
+        let out = Command::new(env!("CARGO_BIN_EXE_treeserver"))
+            .args(["train", "--csv", csv.to_str().unwrap()])
+            .args(["--target", "label", "--task", "class", "--model", model])
+            .args(["--workers", "3", "--seed", "5", "--out"])
+            .arg(&out_path)
+            .args(extra)
+            .output()
+            .expect("run treeserver");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "train failed:\n{stderr}");
+        (std::fs::read(&out_path).expect("model written"), stderr)
+    };
+    let (dt, stderr) = train("dt", &["--dmax", "12", "--verbose"], 0);
+    assert!(stderr.contains("column tasks: n="), "{stderr}");
+    assert_eq!(dt, train("dt", &["--dmax", "12"], 1).0);
+    let etc = train("etc", &["--trees", "6", "--quiet"], 0).0;
+    let again = train("etc", &["--trees", "6", "--quiet"], 1).0;
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(etc, again);
+}

@@ -158,9 +158,7 @@ impl Cluster {
         cfg.validate();
         let n_nodes = cfg.total_worker_slots() + 1;
         let stats = NetStats::new(n_nodes);
-        // Adaptive τ reads the rolling latency feed, which lives on the
-        // recorder.
-        if cfg.obs.enabled || cfg.adaptive_tau {
+        if cfg.obs.enabled {
             stats.set_recorder(Arc::new(ts_obs::Recorder::new(n_nodes, &cfg.obs)));
         }
         let (fabric_task, task_rxs) = Fabric::<TaskMsg>::new_faulty(
@@ -375,21 +373,13 @@ impl Cluster {
         &self.stats
     }
 
-    /// The attached event recorder, when `ClusterConfig::obs.enabled` or
-    /// `adaptive_tau` was set at launch. Split-kernel and split-plane
-    /// counters are synced into the registry on every call, so
-    /// `metrics_json()` always reflects the current counts.
+    /// The attached event recorder, when `ClusterConfig::obs.enabled` was
+    /// set at launch. Split-kernel and split-plane counters are synced into
+    /// the registry on every call, so `metrics_json()` always reflects the
+    /// current counts.
     pub fn obs(&self) -> Option<&Arc<ts_obs::Recorder>> {
         self.sync_counters();
         self.stats.recorder()
-    }
-
-    /// The rolling task-latency feed (p50/p95 of column- and subtree-task
-    /// durations), when a recorder is attached. This is the read side of
-    /// ROADMAP item 4's adaptive τ: schedulers can poll it cheaply while
-    /// training runs.
-    pub fn latency_feed(&self) -> Option<ts_obs::LatencyFeedSnapshot> {
-        self.stats.recorder().map(|r| r.latency_feed().snapshot())
     }
 
     /// Reconstructs the span DAG from the rings and builds a `TraceReport`
@@ -522,7 +512,9 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_tau_attaches_the_latency_feed_it_reads() {
+    fn a_finished_tree_leaves_the_master_in_canonical_order() {
+        // Column-task results fold in arrival order, and subtree-tasks graft
+        // whole arenas; the master still hands back depth-first pre-order.
         let t = ts_datatable::synth::generate(&ts_datatable::synth::SynthSpec {
             rows: 2_000,
             numeric: 3,
@@ -534,16 +526,15 @@ mod tests {
             n_workers: 2,
             compers_per_worker: 1,
             tau_d: 500,
-            adaptive_tau: true,
             ..ClusterConfig::default()
         };
-        assert!(!cfg.obs.enabled);
         let cluster = Cluster::launch(cfg, &t);
-        cluster.train(JobSpec::decision_tree(t.schema().task).with_dmax(6));
-        let feed = cluster.latency_feed();
+        let model = cluster
+            .train(JobSpec::decision_tree(t.schema().task).with_dmax(6))
+            .into_tree();
         cluster.shutdown();
-        let feed = feed.expect("adaptive tau needs a recorder");
-        assert!(feed.column.count > 0, "no column-task samples: {feed:?}");
+        assert!(model.nodes.len() > 7, "too small a tree to test the order");
+        assert_eq!(model.to_json(), model.canonicalize().to_json());
     }
 
     #[test]

@@ -93,13 +93,8 @@ pub struct ClusterConfig {
     pub heartbeat_miss_threshold: u32,
     /// Observability: task-lifecycle tracing and metrics (see
     /// `docs/OBSERVABILITY.md`). Off by default; `Cluster::launch` builds a
-    /// recorder when `obs.enabled` or `adaptive_tau` is set.
+    /// recorder when `obs.enabled` is set.
     pub obs: ts_obs::ObsConfig,
-    /// Adapt `τ_D`/`τ_dfs` at runtime from the rolling p50/p95 column- vs
-    /// subtree-task latencies in the obs `LatencyFeed` (the launch attaches
-    /// the recorder that keeps it). The static `tau_d`/`tau_dfs` remain the
-    /// starting point, fallback, and clamp anchors (`[τ/4, 4τ]`).
-    pub adaptive_tau: bool,
     /// Per-worker compute-speed heterogeneity: multiplier applied to
     /// `work_ns_per_unit` for each worker (index 0 = worker 1). `> 1.0`
     /// slows a worker down — the skewed-load scenario the scheduler's
@@ -128,7 +123,6 @@ impl Default for ClusterConfig {
             heartbeat_interval: Duration::from_millis(20),
             heartbeat_miss_threshold: 25,
             obs: ts_obs::ObsConfig::default(),
-            adaptive_tau: false,
             work_scale: Vec::new(),
             splitter: Splitter::Exact,
         }
@@ -216,7 +210,6 @@ mod tests {
         // The default heartbeat lease is generous: ~500 ms before a worker
         // is declared dead.
         assert!(c.heartbeat_interval * c.heartbeat_miss_threshold >= Duration::from_millis(400));
-        assert!(!c.adaptive_tau, "adaptive τ must default off");
         assert!(c.work_scale.is_empty());
         c.validate();
     }

@@ -228,10 +228,7 @@ pub fn train_gbt_on(cluster: &Cluster, table: &DataTable, cfg: GbtConfig) -> Gbt
                 round: round as u32
             }
         );
-        // Canonical node order makes the whole model deterministic (the
-        // cluster's arena order depends on result arrival, the tree itself
-        // does not).
-        let tree = cluster.train(tree_spec()).into_tree().canonicalize();
+        let tree = cluster.train(tree_spec()).into_tree();
         // Batched margin update; same per-row addition as the per-row walk,
         // so gradients (and hence the whole model) are unchanged.
         CompiledEnsemble::additive(std::slice::from_ref(&tree), base, cfg.eta).add_margins(

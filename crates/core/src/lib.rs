@@ -75,5 +75,5 @@ pub use gbt::{train_gbt, train_gbt_on, GbtConfig, GbtModel, GbtObjective};
 pub use ids::{ParentRef, RowSet, Side, TaskId, TreeId};
 pub use job::{JobHandle, JobKind, JobResult, JobSpec};
 pub use recovery::{AttrId, RecoveryError};
-pub use sched::{PlanQueue, StealInfo, TauController};
+pub use sched::{PlanQueue, StealInfo};
 pub use ts_netsim::{FaultPlan, NetModel};

@@ -50,7 +50,7 @@ use crate::ids::{ParentRef, Side, TaskId, TreeId};
 use crate::job::{JobHandle, JobKind, JobResult, JobSpec, TreeSpec};
 use crate::messages::{ColumnPlan, ColumnTaskBest, SubtreePlan, TaskMsg};
 use crate::recovery::RecoveryError;
-use crate::sched::{PlanQueue, StealInfo, TauController};
+use crate::sched::{PlanQueue, StealInfo};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
@@ -66,6 +66,37 @@ use tschan::sync::Mutex;
 use tschan::{Receiver, Sender};
 use tsrand::rngs::StdRng;
 use tsrand::{Rng, SeedableRng};
+
+/// The arena `nodes` put in depth-first pre-order (left before right),
+/// the order `DecisionTreeModel::canonicalize` gives, by permuting it in
+/// place: a finished tree keeps its arena and clones no node.
+fn preorder(mut nodes: Vec<Node>) -> Vec<Node> {
+    // `place[old]`: the node's index in pre-order.
+    let mut place = vec![0; nodes.len()];
+    let (mut next, mut stack) = (0, vec![0]);
+    while let Some(old) = stack.pop() {
+        place[old] = next;
+        next += 1;
+        if let Some((_, l, r)) = &nodes[old].split {
+            stack.extend([*r, *l]);
+        }
+    }
+    assert_eq!(next, nodes.len(), "every node hangs off the root");
+    for n in &mut nodes {
+        if let Some((_, l, r)) = &mut n.split {
+            (*l, *r) = (place[*l], place[*r]);
+        }
+    }
+    // Follow each cycle: the swap puts the node at `i` in its place.
+    for i in 0..nodes.len() {
+        while place[i] != i {
+            let j = place[i];
+            nodes.swap(i, j);
+            place.swap(i, j);
+        }
+    }
+    nodes
+}
 
 /// A task descriptor waiting in `Bplan` for worker assignment.
 #[derive(Debug, Clone)]
@@ -254,12 +285,6 @@ pub struct Master {
     /// The plan queue `Bplan` (`ts-sched`): per-worker affinity deques plus
     /// a global one, bounded in-flight dispatch, stealing for idle workers.
     plans: PlanQueue<PlanDesc>,
-    /// Adaptive `τ_D`/`τ_dfs` (`cfg.adaptive_tau`); holds the statics
-    /// until the `LatencyFeed` has enough samples of both task kinds.
-    tau: TauController,
-    /// Clock reading of the last controller update (throttles feed
-    /// snapshots to about twice per heartbeat interval).
-    last_tau_update: u64,
     ttask: HashMap<TaskId, MasterTask>,
     mwork: LoadMatrix,
     registry: Registry,
@@ -336,8 +361,6 @@ impl Master {
             workers,
             colmap,
             plans,
-            tau: TauController::new(cfg.tau_d, cfg.tau_dfs),
-            last_tau_update: 0,
             ttask: HashMap::new(),
             // One row per machine the fabric provisions: master, launch
             // roster, spare slots.
@@ -446,7 +469,7 @@ impl Master {
 
     /// `θ_recv`: folds one message (`None`: the tick brought none), fires
     /// the scripted membership events that are due, then runs the
-    /// self-throttled sweeps — leases, drain deadlines, τ.
+    /// self-throttled sweeps — leases and drain deadlines.
     pub fn step(&mut self, now: u64, msg: Option<TaskMsg>) {
         match msg {
             Some(msg) => self.handle(now, msg),
@@ -454,7 +477,6 @@ impl Master {
         }
         self.fire_membership_timers(now);
         self.check_heartbeats(now);
-        self.maybe_update_tau(now);
     }
 
     /// `θ_main`: retires ready drains, admits trees, and assigns plans
@@ -606,41 +628,11 @@ impl Master {
         }
     }
 
-    /// The thresholds in force right now: the adaptive controller's when
-    /// `cfg.adaptive_tau` is set, the static configuration otherwise.
-    fn current_tau(&self) -> (u64, u64) {
-        if self.cfg.adaptive_tau {
-            (self.tau.tau_d(), self.tau.tau_dfs())
-        } else {
-            (self.cfg.tau_d, self.cfg.tau_dfs)
-        }
-    }
-
-    /// Folds a fresh `LatencyFeed` snapshot into the τ controller, at most
-    /// about twice per heartbeat interval. No-op unless `cfg.adaptive_tau`
-    /// is set and a recorder is attached (the feed lives on the recorder;
-    /// `Cluster::launch` attaches one for `adaptive_tau`).
-    fn maybe_update_tau(&mut self, now: u64) {
-        if !self.cfg.adaptive_tau {
-            return;
-        }
-        let Some(rec) = self.stats.recorder() else {
-            return;
-        };
-        let interval = (self.cfg.heartbeat_interval.as_nanos() as u64).max(2);
-        if now.saturating_sub(self.last_tau_update) < interval / 2 {
-            return;
-        }
-        self.last_tau_update = now;
-        self.tau.update(&rec.latency_feed().snapshot());
-    }
-
     /// Inserts a plan into `Bplan` per the hybrid BFS/DFS rule. The plan
     /// lands on its parent worker's deque (§VI affinity); roots go to the
     /// shared global deque.
     fn enqueue_plan(&mut self, desc: PlanDesc) {
-        let (_, tau_dfs) = self.current_tau();
-        let head = desc.n_rows <= tau_dfs;
+        let head = desc.n_rows <= self.cfg.tau_dfs;
         let affinity = desc.parent_worker();
         let (depth, rows) = (desc.depth, desc.n_rows);
         let qlen = self.plans.push(desc, affinity, head);
@@ -814,7 +806,7 @@ impl Master {
         };
         let (candidates, params, tree_seed) =
             (t.spec.candidates.clone(), t.spec.params, t.spec.seed);
-        let (tau_d, _) = self.current_tau();
+        let tau_d = self.cfg.tau_d;
         let parent_worker = desc.parent_worker();
         // The plan span leaves the queue: open→active is queue wait,
         // active→close is assignment; the frames go out after the step.
@@ -1731,7 +1723,9 @@ impl Master {
         let reg = &mut self.registry;
         let tree = reg.active.remove(&tree_id).expect("tree just completed");
         debug_assert_eq!(tree.pending, 0);
-        let model = DecisionTreeModel::new(tree.nodes, self.data_task);
+        // Results arrive in scheduling order; the tree leaves in depth-first
+        // pre-order, so the same seed gives the same bytes.
+        let model = DecisionTreeModel::new(preorder(tree.nodes), self.data_task);
         if let Some(dir) = &self.cfg.model_dir {
             // Flush the finished tree immediately (paper §III); failures are
             // reported but do not abort training.

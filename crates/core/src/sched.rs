@@ -1,4 +1,4 @@
-//! ts-sched: the master's plan queue and the adaptive-τ controller.
+//! ts-sched: the master's plan queue.
 //!
 //! [`PlanQueue`] is the paper's plan buffer `Bplan` (§III, Fig. 4/5) kept
 //! as one deque per worker — keyed by each plan's *parent worker*, the
@@ -31,20 +31,15 @@
 //! root path (`mix_seed(tree_seed, path)`) and result folding is a total
 //! order — `core/tests/sched_equiv.rs` locks this down against the local
 //! trainer and against fingerprints pinned from the single-deque scheduler
-//! this queue replaced. The one exception is the τ_D boundary itself:
-//! extra-trees resampling differs between column- and subtree-tasks, so
-//! only *static*-τ runs are comparable for extra-trees models.
-//!
-//! [`TauController`] is the control half of the PR 6 `LatencyFeed`
-//! measurement loop: it nudges `τ_D` from the subtree/column p50 ratio and
-//! `τ_dfs` from column-latency dispersion, clamped to `[τ/4, 4τ]` around
-//! the static configuration, and falls back to the statics whenever the
-//! feed is too thin to trust.
+//! this queue replaced. The thresholds `τ_D` and `τ_dfs` are static
+//! configuration, as in the paper (§III), so the τ_D boundary — where
+//! extra-trees resampling differs between column- and subtree-tasks — is
+//! fixed by the config too, and an extra-trees forest depends only on its
+//! seed and config.
 
 use crate::assign::{LoadMatrix, COMP};
 use std::collections::{BTreeMap, VecDeque};
 use ts_netsim::NodeId;
-use ts_obs::LatencyFeedSnapshot;
 
 /// A steal performed by the scheduler: `thief` asked, `victim`'s deque
 /// gave up its tail plan.
@@ -307,119 +302,9 @@ impl<T> PlanQueue<T> {
     }
 }
 
-/// Bounds and step size of the τ controller, relative to the static values.
-const TAU_CLAMP: u64 = 4; // clamp to [static/4, static*4]
-const TAU_STEP_DIV: u64 = 8; // each nudge moves τ by ±τ/8
-
-/// Minimum samples of *each* task kind before the feed is trusted; below
-/// this the controller holds the static thresholds (degenerate-feed
-/// fallback).
-const TAU_MIN_SAMPLES: u64 = 16;
-
-/// Subtree-p50 : column-p50 ratio above which subtree tasks are considered
-/// too coarse (shrink `τ_D`), and below which too fine (grow `τ_D`).
-const RATIO_HI: u64 = 8;
-const RATIO_LO: u64 = 2;
-
-/// Column p95 : p50 dispersion above which the queue is congested (widen
-/// `τ_dfs`: more depth-first, reach CPU-bound subtree tasks sooner), and
-/// below which it is smooth (relax back towards breadth-first).
-const DISP_HI: u64 = 6;
-const DISP_LO: u64 = 2;
-
-/// Feedback controller for the hybrid-scheduling thresholds (`τ_D`,
-/// `τ_dfs`), driven by the obs `LatencyFeed` (PR 6).
-///
-/// Pure state machine — no clocks, no locks — so it is exactly
-/// reproducible from a feed-snapshot sequence. The master updates it
-/// periodically and reads the current thresholds instead of the static
-/// config when `ClusterConfig::adaptive_tau` is set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TauController {
-    static_d: u64,
-    static_dfs: u64,
-    tau_d: u64,
-    tau_dfs: u64,
-}
-
-impl TauController {
-    /// Starts at the static thresholds (which also anchor the clamps).
-    pub fn new(static_tau_d: u64, static_tau_dfs: u64) -> TauController {
-        assert!(static_tau_d >= 1 && static_tau_dfs >= 1);
-        TauController {
-            static_d: static_tau_d,
-            static_dfs: static_tau_dfs,
-            tau_d: static_tau_d,
-            tau_dfs: static_tau_dfs,
-        }
-    }
-
-    /// Current subtree-task threshold.
-    pub fn tau_d(&self) -> u64 {
-        self.tau_d
-    }
-
-    /// Current depth-first threshold.
-    pub fn tau_dfs(&self) -> u64 {
-        self.tau_dfs
-    }
-
-    fn clamp(v: u64, anchor: u64) -> u64 {
-        v.clamp(
-            (anchor / TAU_CLAMP).max(1),
-            anchor.saturating_mul(TAU_CLAMP),
-        )
-    }
-
-    fn step(v: u64) -> u64 {
-        (v / TAU_STEP_DIV).max(1)
-    }
-
-    /// Folds one feed snapshot into the thresholds.
-    ///
-    /// - Degenerate feed (fewer than [`TAU_MIN_SAMPLES`] of either kind):
-    ///   reset to the static thresholds — never extrapolate from one-sided
-    ///   or empty data.
-    /// - `τ_D`: subtree tasks running much longer than column tasks mean
-    ///   the `|Dx| <= τ_D` cut delegates too much work per task → shrink;
-    ///   subtree tasks barely more expensive than a single column scan
-    ///   mean delegation is too fine → grow.
-    /// - `τ_dfs`: high column-latency dispersion (p95 ≫ p50) means tasks
-    ///   are queueing behind each other → widen (depth-first reaches
-    ///   subtree tasks, which leave the column pipeline, sooner); low
-    ///   dispersion relaxes it back.
-    ///
-    /// Each call moves each threshold at most one step (±τ/8), clamped to
-    /// `[static/4, 4·static]`, so a burst of noisy snapshots cannot slam
-    /// the thresholds across their range.
-    pub fn update(&mut self, feed: &LatencyFeedSnapshot) {
-        if feed.column.count < TAU_MIN_SAMPLES || feed.subtree.count < TAU_MIN_SAMPLES {
-            self.tau_d = self.static_d;
-            self.tau_dfs = self.static_dfs;
-            return;
-        }
-        let ratio = feed.subtree.p50_ns / feed.column.p50_ns.max(1);
-        if ratio > RATIO_HI {
-            self.tau_d = self.tau_d.saturating_sub(Self::step(self.tau_d));
-        } else if ratio < RATIO_LO {
-            self.tau_d = self.tau_d.saturating_add(Self::step(self.tau_d));
-        }
-        self.tau_d = Self::clamp(self.tau_d, self.static_d);
-
-        let disp = feed.column.p95_ns / feed.column.p50_ns.max(1);
-        if disp > DISP_HI {
-            self.tau_dfs = self.tau_dfs.saturating_add(Self::step(self.tau_dfs));
-        } else if disp < DISP_LO {
-            self.tau_dfs = self.tau_dfs.saturating_sub(Self::step(self.tau_dfs));
-        }
-        self.tau_dfs = Self::clamp(self.tau_dfs, self.static_dfs);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ts_obs::KindLatency;
 
     /// A pop against an all-idle cluster (no `COMP` load to break ties).
     fn pop(q: &mut PlanQueue<u64>) -> Option<(u64, Option<StealInfo>)> {
@@ -629,113 +514,5 @@ mod tests {
         }
         q.note_idle_tick();
         assert_eq!(pop(&mut q), Some((5, None)), "failsafe must dispatch");
-    }
-
-    // ------------------------------------------------------------------
-    // TauController (satellite: adaptive-τ unit tests).
-    // ------------------------------------------------------------------
-
-    fn feed(col_p50: u64, col_p95: u64, sub_p50: u64) -> LatencyFeedSnapshot {
-        LatencyFeedSnapshot {
-            column: KindLatency {
-                count: 100,
-                p50_ns: col_p50,
-                p95_ns: col_p95,
-            },
-            subtree: KindLatency {
-                count: 100,
-                p50_ns: sub_p50,
-                p95_ns: sub_p50 * 2,
-            },
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn heavy_subtrees_drive_tau_d_down_monotonically_to_the_clamp() {
-        let mut c = TauController::new(10_000, 80_000);
-        // Subtree p50 is 100x column p50: delegation is far too coarse.
-        let f = feed(1_000, 3_000, 100_000);
-        let mut prev = c.tau_d();
-        for _ in 0..200 {
-            c.update(&f);
-            assert!(c.tau_d() <= prev, "τ_D must fall monotonically");
-            prev = c.tau_d();
-        }
-        assert_eq!(c.tau_d(), 10_000 / 4, "clamped at static/4");
-    }
-
-    #[test]
-    fn cheap_subtrees_drive_tau_d_up_monotonically_to_the_clamp() {
-        let mut c = TauController::new(10_000, 80_000);
-        // Subtree p50 == column p50: delegation far too fine.
-        let f = feed(1_000, 3_000, 1_000);
-        let mut prev = c.tau_d();
-        for _ in 0..200 {
-            c.update(&f);
-            assert!(c.tau_d() >= prev, "τ_D must rise monotonically");
-            prev = c.tau_d();
-        }
-        assert_eq!(c.tau_d(), 10_000 * 4, "clamped at 4x static");
-    }
-
-    #[test]
-    fn column_dispersion_widens_tau_dfs_and_smoothness_narrows_it() {
-        let mut c = TauController::new(10_000, 80_000);
-        // p95 = 20x p50: heavy queueing -> widen depth-first range.
-        for _ in 0..200 {
-            c.update(&feed(1_000, 20_000, 3_000));
-        }
-        assert_eq!(c.tau_dfs(), 80_000 * 4, "clamped at 4x static");
-        // Smooth latencies relax it back down to the lower clamp.
-        for _ in 0..400 {
-            c.update(&feed(1_000, 1_200, 3_000));
-        }
-        assert_eq!(c.tau_dfs(), 80_000 / 4, "clamped at static/4");
-    }
-
-    #[test]
-    fn balanced_feed_holds_thresholds_steady() {
-        let mut c = TauController::new(10_000, 80_000);
-        // Ratio 4 (between LO=2 and HI=8), dispersion 3 (between 2 and 6).
-        for _ in 0..50 {
-            c.update(&feed(1_000, 3_000, 4_000));
-        }
-        assert_eq!(c.tau_d(), 10_000);
-        assert_eq!(c.tau_dfs(), 80_000);
-    }
-
-    #[test]
-    fn degenerate_feed_falls_back_to_static_tau() {
-        let mut c = TauController::new(10_000, 80_000);
-        // Drive thresholds away from the statics first.
-        for _ in 0..10 {
-            c.update(&feed(1_000, 3_000, 100_000));
-        }
-        assert_ne!(c.tau_d(), 10_000);
-        // Empty feed: full reset, no panic.
-        c.update(&LatencyFeedSnapshot::default());
-        assert_eq!(c.tau_d(), 10_000);
-        assert_eq!(c.tau_dfs(), 80_000);
-        // One-sided feed (only column samples): also degenerate.
-        let one_sided = LatencyFeedSnapshot {
-            column: KindLatency {
-                count: 500,
-                p50_ns: 10,
-                p95_ns: 1_000_000,
-            },
-            ..Default::default()
-        };
-        c.update(&one_sided);
-        assert_eq!(c.tau_d(), 10_000);
-        assert_eq!(c.tau_dfs(), 80_000);
-        // Zero-latency samples must not divide by zero; the thresholds
-        // stay inside their clamps.
-        let zeros = feed(0, 0, 0);
-        for _ in 0..10 {
-            c.update(&zeros);
-        }
-        assert!((2_500..=40_000).contains(&c.tau_d()));
-        assert!((20_000..=320_000).contains(&c.tau_dfs()));
     }
 }

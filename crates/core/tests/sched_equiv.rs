@@ -1,6 +1,6 @@
-//! Scheduler-equivalence golden suite (`ts-sched`): work stealing and
-//! adaptive τ are *scheduling* changes, so the models they produce must not
-//! depend on them, over the same golden seed × dataset matrix as
+//! Scheduler-equivalence golden suite (`ts-sched`): work stealing is a
+//! *scheduling* change, so the models it produces must not depend on it,
+//! over the same golden seed × dataset matrix as
 //! `golden.rs`.
 //!
 //! Exact training is scheduling-order-invariant by construction (every
@@ -82,28 +82,6 @@ fn stealing_produces_bit_identical_trees() {
                 stolen,
                 baseline,
                 "seed {seed}, task {:?}: stealing changed the model",
-                t.schema().task
-            );
-        }
-    }
-}
-
-#[test]
-fn adaptive_tau_with_stealing_produces_bit_identical_trees() {
-    for seed in SEEDS {
-        for t in datasets(seed) {
-            let baseline = local_dt(&t);
-            let mut cfg = steal_cfg();
-            cfg.adaptive_tau = true;
-            // The controller reads the rolling latency feed off the
-            // recorder; without observability it falls back to static τ
-            // and the test would not exercise the adaptive path.
-            cfg.obs = treeserver::obs::ObsConfig::enabled();
-            let adaptive = train_dt(cfg, &t);
-            assert_eq!(
-                adaptive,
-                baseline,
-                "seed {seed}, task {:?}: adaptive τ changed the exact model",
                 t.schema().task
             );
         }

@@ -12,10 +12,10 @@
 //!   mould.
 //! - [`FrontServer`] — a discrete-event loop over `ts_netsim::SimClock`
 //!   that micro-batches requests under a latency budget (flush on
-//!   deadline-or-full, adaptive target from the ts-obs [`LatencyFeed`]
-//!   p95), sheds load with structured rejects, and scores every batch
-//!   with the real compiled engine — model outputs are bitwise real,
-//!   only *time* is virtual.
+//!   deadline-or-full, adaptive target from the p95 of the ts-obs
+//!   request-latency [`LatencyFeed`]), sheds load with structured
+//!   rejects, and scores every batch with the real compiled engine —
+//!   model outputs are bitwise real, only *time* is virtual.
 //! - [`ModelRegistry`] — epoch-versioned compiled artifacts with
 //!   zero-downtime hot swap, atomically flipped between batches; every
 //!   [`Response`] carries the epoch that scored it.

@@ -1,8 +1,7 @@
 //! Serving-tier metrics, in the `ServeStats` mould: a private
 //! [`MetricsRegistry`] with pre-resolved counter/histogram handles, plus
-//! the rolling [`LatencyFeed`] the adaptive batch sizer reads (the same
-//! ts-obs feed type the adaptive-τ scheduler consumes on the training
-//! side — the measurement plane is shared, only the controller differs).
+//! the rolling request-latency [`LatencyFeed`] the adaptive batch sizer
+//! reads.
 
 use std::sync::Arc;
 use ts_obs::{Counter, Histogram, LatencyFeed, MetricsRegistry, MetricsSnapshot};
@@ -91,6 +90,6 @@ mod tests {
         assert_eq!(snap.counter("front_admitted"), 1);
         assert_eq!(snap.counter("front_shed_queue_full"), 0);
         assert_eq!(snap.histogram("front_batch_rows").unwrap().count, 1);
-        assert_eq!(s.feed.snapshot().request.count, 1);
+        assert_eq!(s.feed.request().count, 1);
     }
 }

@@ -26,7 +26,7 @@ pub use event::{DequeEnd, Event, TimedEvent};
 pub use metrics::{
     Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, N_BUCKETS,
 };
-pub use span::{KindLatency, LatencyFeed, LatencyFeedSnapshot, SpanId, SpanKind, TraceCtx};
+pub use span::{KindLatency, LatencyFeed, SpanId, SpanKind, TraceCtx};
 pub use trace::{Phase, Segment, SpanDag, SpanInfo, TraceReport};
 
 use ring::Ring;
@@ -37,9 +37,8 @@ use std::time::Instant;
 /// Runtime observability configuration, carried in `ClusterConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Master switch: when false the cluster builds no [`Recorder`] (unless
-    /// adaptive τ needs its latency feed) and every record call is a
-    /// load-and-branch.
+    /// Master switch: when false the cluster builds no [`Recorder`] and
+    /// every record call is a load-and-branch.
     pub enabled: bool,
     /// Per-machine event-ring capacity (rounded up to a power of two).
     pub ring_capacity: usize,
@@ -167,7 +166,6 @@ pub struct Recorder {
     /// send on every edge lands a ring event (sampling is per edge).
     net_seq: Vec<AtomicU64>,
     net_sample_every: u64,
-    feed: LatencyFeed,
 }
 
 impl std::fmt::Debug for Recorder {
@@ -194,7 +192,6 @@ impl Recorder {
             hot,
             net_seq: (0..n * n + 1).map(|_| AtomicU64::new(0)).collect(),
             net_sample_every: cfg.net_sample_every,
-            feed: LatencyFeed::default(),
         }
     }
 
@@ -244,7 +241,6 @@ impl Recorder {
             Event::ColumnTaskCompleted { latency_ns, .. } => {
                 h.column_tasks_completed.inc();
                 h.column_task_latency_ns.observe(latency_ns);
-                self.feed.record_column(latency_ns);
             }
             Event::SubtreeTaskDelegated { rows, .. } => {
                 h.subtree_tasks_delegated.inc();
@@ -253,7 +249,6 @@ impl Recorder {
             Event::SubtreeTaskBuilt { latency_ns, .. } => {
                 h.subtree_tasks_built.inc();
                 h.subtree_task_latency_ns.observe(latency_ns);
-                self.feed.record_subtree(latency_ns);
             }
             Event::BplanPush { end, depth, .. } => {
                 match end {
@@ -311,12 +306,6 @@ impl Recorder {
     /// The metrics registry (for ad-hoc counters outside the hot set).
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
-    }
-
-    /// The rolling task-latency feed (p50/p95 of completed column- and
-    /// subtree-task spans) — the observation half of adaptive τ.
-    pub fn latency_feed(&self) -> &LatencyFeed {
-        &self.feed
     }
 
     /// The span DAG reconstructed from the currently-readable events.
@@ -487,33 +476,6 @@ mod tests {
         rec.on_net_send(0, 1, 64);
         assert_eq!(rec.metrics().counter("net_sends"), 1);
         assert!(rec.events().is_empty());
-    }
-
-    #[test]
-    fn task_completions_feed_the_latency_feed() {
-        let rec = Recorder::new(2, &ObsConfig::enabled());
-        rec.record(
-            0,
-            Event::ColumnTaskCompleted {
-                task: 1,
-                node: 1,
-                latency_ns: 1_000,
-            },
-        );
-        rec.record(
-            0,
-            Event::SubtreeTaskBuilt {
-                task: 2,
-                node: 1,
-                nodes: 3,
-                latency_ns: 9_000,
-            },
-        );
-        let snap = rec.latency_feed().snapshot();
-        assert_eq!(snap.column.count, 1);
-        assert_eq!(snap.column.p50_ns, 1_000);
-        assert_eq!(snap.subtree.count, 1);
-        assert_eq!(snap.subtree.p95_ns, 9_000);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! instrumentation (see `docs/PROTOCOL.md`).
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Identifies one span. `0` is reserved for "none".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -92,23 +92,18 @@ impl SpanKind {
     }
 }
 
-/// How many completed spans a [`LatencyFeed`] window retains per kind.
+/// How many completed spans a [`LatencyFeed`] window retains.
 const FEED_WINDOW: usize = 512;
 
-/// Rolling task-latency quantiles, fed from completed column-task and
-/// subtree-task spans. This is the observation half of adaptive
-/// τ_D / τ_dfs: the master reads p50/p95 of recent task durations at any
-/// instant, and the control half (`treeserver::sched::TauController`,
-/// enabled by `ClusterConfig::adaptive_tau`) folds these snapshots into
-/// the hybrid-scheduling thresholds; see `docs/SCHEDULING.md`.
+/// Rolling serving-request latency quantiles, fed from completed request
+/// spans: the front tier's adaptive batcher reads p50/p95 of recent
+/// request durations after every batch (`docs/SERVING.md`).
 #[derive(Debug, Default)]
 pub struct LatencyFeed {
-    column_ns: Mutex<VecDeque<u64>>,
-    subtree_ns: Mutex<VecDeque<u64>>,
     request_ns: Mutex<VecDeque<u64>>,
 }
 
-/// Quantiles of one kind's rolling window.
+/// Quantiles of a rolling window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KindLatency {
     /// Spans currently in the window.
@@ -119,87 +114,49 @@ pub struct KindLatency {
     pub p95_ns: u64,
 }
 
-/// A point-in-time read of the feed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LatencyFeedSnapshot {
-    /// Column-task span durations.
-    pub column: KindLatency,
-    /// Subtree-task span durations.
-    pub subtree: KindLatency,
-    /// Serving-request span durations (ts-front admission → response).
-    pub request: KindLatency,
-}
-
-fn push_window(win: &Mutex<VecDeque<u64>>, v: u64) {
-    let mut w = win.lock().unwrap_or_else(|e| e.into_inner());
-    if w.len() == FEED_WINDOW {
-        w.pop_front();
-    }
-    w.push_back(v);
-}
-
 /// Index of the `q`-quantile among `len >= 1` sorted samples.
 fn quantile_index(q: f64, len: usize) -> usize {
     ((q * (len - 1) as f64).round() as usize).min(len - 1)
 }
 
-/// The window's p50 and p95 — the values a full sort would put at
-/// [`quantile_index`] — found by selection: p95 first, then p50 inside the
-/// part selection left below it. The lock is held only for the copy.
-fn window_quantiles(win: &Mutex<VecDeque<u64>>) -> KindLatency {
-    let mut samples: Vec<u64> = {
-        let w = win.lock().unwrap_or_else(|e| e.into_inner());
-        w.iter().copied().collect()
-    };
-    if samples.is_empty() {
-        return KindLatency::default();
-    }
-    let (i50, i95) = (
-        quantile_index(0.5, samples.len()),
-        quantile_index(0.95, samples.len()),
-    );
-    let (below, &mut p95_ns, _) = samples.select_nth_unstable(i95);
-    let p50_ns = if i50 == i95 {
-        p95_ns
-    } else {
-        *below.select_nth_unstable(i50).1
-    };
-    KindLatency {
-        count: samples.len() as u64,
-        p50_ns,
-        p95_ns,
-    }
-}
-
 impl LatencyFeed {
-    /// Feeds one completed column-task span duration.
-    pub fn record_column(&self, latency_ns: u64) {
-        push_window(&self.column_ns, latency_ns);
+    fn window(&self) -> MutexGuard<'_, VecDeque<u64>> {
+        self.request_ns.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Feeds one completed subtree-task span duration.
-    pub fn record_subtree(&self, latency_ns: u64) {
-        push_window(&self.subtree_ns, latency_ns);
-    }
-
-    /// Feeds one completed serving-request span duration.
+    /// Feeds one completed serving-request span duration
+    /// (ts-front admission → response).
     pub fn record_request(&self, latency_ns: u64) {
-        push_window(&self.request_ns, latency_ns);
+        let mut w = self.window();
+        if w.len() == FEED_WINDOW {
+            w.pop_front();
+        }
+        w.push_back(latency_ns);
     }
 
-    /// Rolling p50/p95 of serving-request spans alone: what the front
-    /// tier's batcher reads after every batch, without touching the two
-    /// training windows.
+    /// Rolling p50 and p95 of the serving-request spans right now — the
+    /// values a full sort would put at [`quantile_index`] — found by
+    /// selection: p95 first, then p50 inside the part selection left below
+    /// it. The lock is held only for the copy.
     pub fn request(&self) -> KindLatency {
-        window_quantiles(&self.request_ns)
-    }
-
-    /// Rolling p50/p95 of every kind right now.
-    pub fn snapshot(&self) -> LatencyFeedSnapshot {
-        LatencyFeedSnapshot {
-            column: window_quantiles(&self.column_ns),
-            subtree: window_quantiles(&self.subtree_ns),
-            request: self.request(),
+        let mut samples: Vec<u64> = self.window().iter().copied().collect();
+        if samples.is_empty() {
+            return KindLatency::default();
+        }
+        let (i50, i95) = (
+            quantile_index(0.5, samples.len()),
+            quantile_index(0.95, samples.len()),
+        );
+        let (below, &mut p95_ns, _) = samples.select_nth_unstable(i95);
+        let p50_ns = if i50 == i95 {
+            p95_ns
+        } else {
+            *below.select_nth_unstable(i50).1
+        };
+        KindLatency {
+            count: samples.len() as u64,
+            p50_ns,
+            p95_ns,
         }
     }
 }
@@ -232,35 +189,33 @@ mod tests {
     #[test]
     fn feed_rolls_and_quantiles() {
         let feed = LatencyFeed::default();
-        assert_eq!(feed.snapshot(), LatencyFeedSnapshot::default());
-        for v in 1..=100u64 {
-            feed.record_column(v * 10);
-        }
-        feed.record_subtree(7);
+        assert_eq!(feed.request(), KindLatency::default());
         feed.record_request(42);
-        let snap = feed.snapshot();
-        assert_eq!(snap.column.count, 100);
-        assert_eq!(snap.column.p50_ns, 510);
-        assert_eq!(snap.column.p95_ns, 950);
-        assert_eq!(snap.subtree.count, 1);
-        assert_eq!(snap.subtree.p50_ns, 7);
-        assert_eq!(snap.subtree.p95_ns, 7);
-        assert_eq!(snap.request.count, 1);
-        assert_eq!(snap.request.p50_ns, 42);
-        assert_eq!(snap.request.p95_ns, 42);
+        let one = feed.request();
+        assert_eq!(one.count, 1);
+        assert_eq!(one.p50_ns, 42);
+        assert_eq!(one.p95_ns, 42);
+        let feed = LatencyFeed::default();
+        for v in 1..=100u64 {
+            feed.record_request(v * 10);
+        }
+        let snap = feed.request();
+        assert_eq!(snap.count, 100);
+        assert_eq!(snap.p50_ns, 510);
+        assert_eq!(snap.p95_ns, 950);
     }
 
     #[test]
     fn feed_window_is_bounded() {
         let feed = LatencyFeed::default();
         for _ in 0..600 {
-            feed.record_column(1);
+            feed.record_request(1);
         }
         // The window holds the newest 512; old samples rolled out.
-        feed.record_column(1_000_000);
-        let snap = feed.snapshot();
-        assert_eq!(snap.column.count, 512);
-        assert_eq!(snap.column.p50_ns, 1);
-        assert_eq!(snap.column.p95_ns, 1);
+        feed.record_request(1_000_000);
+        let snap = feed.request();
+        assert_eq!(snap.count, 512);
+        assert_eq!(snap.p50_ns, 1);
+        assert_eq!(snap.p95_ns, 1);
     }
 }
