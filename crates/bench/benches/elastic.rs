@@ -11,9 +11,9 @@
 //! 2. **Preemption overhead** — a 4-worker cluster that loses one worker
 //!    mid-run, either *gracefully* (scripted preemption: the victim drains,
 //!    hands its columns off inside the grace window, departs with Goodbye)
-//!    or *by crash* (silent death, lease expiry, §VI revoke-and-recover).
-//!    Both runs use the same fast lease settings so the comparison isolates
-//!    drain-vs-recovery, not detection latency.
+//!    or *by crash* (silent death, the master's suspicion timer, §VI
+//!    revoke-and-recover). Both runs use the same fast detection settings
+//!    so the comparison isolates drain-vs-recovery, not detection latency.
 //!
 //! Models are bit-identical across every configuration — membership churn
 //! never changes `mix_seed`-derived randomness (core/tests/faults.rs
@@ -52,8 +52,9 @@ fn main() {
     let cfg_for = |workers: usize, faults: Option<FaultPlan>| -> ClusterConfig {
         let mut cfg = ts_config(train.n_rows(), workers, 4);
         cfg.work_ns_per_unit = ELASTIC_WORK_NS;
-        // Fast lease so the crash row pays realistic detection latency, not
-        // the test-friendly 500 ms default; the graceful rows never use it.
+        // A 50 ms suspicion timer so the crash row pays realistic detection
+        // latency, not the test-friendly 500 ms default; the graceful rows
+        // never use it.
         cfg.heartbeat_interval = Duration::from_millis(5);
         cfg.heartbeat_miss_threshold = 10;
         cfg.faults = faults;

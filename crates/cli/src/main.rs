@@ -58,9 +58,9 @@ usage:
                         [--workers W] [--compers C] [--seed S] [--out FILE]
                         [--splitter exact|hist] [--hist-bins N] [--vote-k K]
                         [--fault-seed S] [--drop-prob P] [--delay-prob P]
-                        [--dup-prob P] [--heartbeat-ms N] [--heartbeat-misses N]
-                        [--join-at MS] [--join-count N] [--preempt-at MS]
-                        [--preempt-grace-ms MS] [--work-scale F1,F2,...]
+                        [--dup-prob P] [--join-at MS] [--join-count N]
+                        [--preempt-at MS] [--preempt-grace-ms MS]
+                        [--work-scale F1,F2,...]
                         [--trace-out FILE] [--trace-report FILE]
                         [--metrics-json FILE] [--metrics-prom FILE]
                         [--quiet] [--verbose]
@@ -96,9 +96,6 @@ reliability (train):
   --dup-prob P          duplicate each message with probability P (both
                         copies are charged and paced; one is delivered)
   --fault-seed S        seed of the fault plan (default: --seed)
-  --heartbeat-ms N      worker liveness heartbeat interval (default 20)
-  --heartbeat-misses N  missed intervals before a worker is declared dead
-                        and crash recovery runs (default 25)
 
 elasticity (train, see docs/ELASTICITY.md):
   --join-at MS          script N fresh workers (see --join-count) joining the
@@ -188,8 +185,6 @@ const OPTIONS: &[(&str, bool)] = &[
     ("dup-prob", true),
     ("fault-seed", true),
     ("fixed-batch", false),
-    ("heartbeat-misses", true),
-    ("heartbeat-ms", true),
     ("hist-bins", true),
     ("join-at", true),
     ("join-count", true),
@@ -295,14 +290,6 @@ fn cluster_config(opts: &Opts, n_rows: usize) -> Result<ClusterConfig, String> {
     if compers == 0 {
         return Err("--compers must be at least 1".into());
     }
-    let heartbeat_ms = opts.num("heartbeat-ms", 20u64)?;
-    if heartbeat_ms == 0 {
-        return Err("--heartbeat-ms must be at least 1".into());
-    }
-    let heartbeat_misses = opts.num("heartbeat-misses", 25u32)?;
-    if heartbeat_misses == 0 {
-        return Err("--heartbeat-misses must be at least 1".into());
-    }
     let work_scale = match opts.get("work-scale") {
         None => Vec::new(),
         Some(list) => {
@@ -355,8 +342,6 @@ fn cluster_config(opts: &Opts, n_rows: usize) -> Result<ClusterConfig, String> {
         tau_dfs: (n_rows as u64 / 5).max(1_024),
         work_scale,
         faults: fault_plan(opts, workers)?,
-        heartbeat_interval: std::time::Duration::from_millis(heartbeat_ms),
-        heartbeat_miss_threshold: heartbeat_misses,
         ..Default::default()
     })
 }

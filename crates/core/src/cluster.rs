@@ -205,7 +205,6 @@ impl Cluster {
                 fabric_data.clone(),
                 task_rxs.next().expect("a receiver per slot"),
                 data_rxs.next().expect("a receiver per slot"),
-                cfg.heartbeat_interval,
                 cfg.splitter.hist_bins(),
             ));
         }
@@ -217,7 +216,6 @@ impl Cluster {
             table.schema().task,
             colmap,
             Arc::clone(&stats),
-            fabric_task.clock().now_ns(),
         );
         let master = Arc::new(Mutex::new(master));
         {
@@ -354,7 +352,8 @@ impl Cluster {
     /// and the master immediately re-replicates its columns and restarts
     /// all in-flight trees. (A crash injected with
     /// `FaultPlan::with_crash_at_delegation` is the silent variant: the
-    /// worker just goes dark and the heartbeat detector must find it.)
+    /// worker just goes dark, and the master declares it dead when the
+    /// suspicion timer the injection armed fires.)
     ///
     /// If recovery is impossible (e.g. the worker held the last replica of
     /// a column), all pending jobs fail with a `JobResult::Failed` carrying
@@ -569,6 +568,47 @@ mod tests {
             .collect();
         cluster.shutdown();
         assert_eq!(peaks, [26_240, 26_240, 22_240]);
+    }
+
+    #[test]
+    fn a_worker_whose_compers_panic_is_recovered_as_a_crash() {
+        // Labels outside the table's classes, sent to worker 2 alone, make
+        // its compers panic on their first task. Each says so on its way
+        // out; the master fences worker 2 and restarts the tree on the
+        // other three, which hold a replica of every column.
+        let t = ts_datatable::synth::generate(&ts_datatable::synth::SynthSpec {
+            rows: 3_000,
+            numeric: 6,
+            categorical: 0,
+            seed: 41,
+            ..Default::default()
+        });
+        let cfg = ClusterConfig {
+            n_workers: 4,
+            compers_per_worker: 2,
+            replication: 2,
+            tau_d: 100,
+            ..ClusterConfig::default()
+        };
+        let train = |cluster: &Cluster| {
+            let spec = JobSpec::decision_tree(cluster.task());
+            cluster.train(spec).into_tree().canonicalize()
+        };
+        let cluster = Cluster::launch(cfg.clone(), &t);
+        let clean = train(&cluster);
+        cluster.shutdown();
+
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let cluster = Cluster::launch(cfg, &t);
+            let labels = Arc::new(ts_datatable::Labels::Class(vec![250; t.n_rows()]));
+            let _ = (cluster.fabric_task).send(0, 2, TaskMsg::LoadLabels { labels });
+            let model = train(&cluster);
+            cluster.shutdown();
+            let _ = done_tx.send(model);
+        });
+        let model = done_rx.recv_timeout(Duration::from_secs(20));
+        assert_eq!(model.expect("train or shutdown hung"), clean);
     }
 
     #[test]

@@ -79,17 +79,17 @@ pub struct ClusterConfig {
     /// `ts_netsim::Fabric::send`), so training still terminates with the
     /// fault-free model. A `with_crash_at_delegation` trigger makes the
     /// master silence a key worker right after the n-th subtree delegation
-    /// cluster-wide; the heartbeat detector then discovers the crash and
-    /// runs recovery.
+    /// cluster-wide; a timer then declares the silent worker dead and runs
+    /// recovery.
     pub faults: Option<ts_netsim::FaultPlan>,
-    /// How often each worker sends a liveness heartbeat to the master.
+    /// The master's idle tick is half of this (clamped to 1–50 ms), and an
+    /// injected crash is declared `heartbeat_interval ×
+    /// heartbeat_miss_threshold` after the delegation that injected it.
+    /// No worker sends heartbeats: a worker thread that panics announces
+    /// its machine lost itself.
     pub heartbeat_interval: Duration,
-    /// Consecutive missed heartbeat intervals before the master declares a
-    /// worker dead and runs crash recovery. The lease is
-    /// `heartbeat_interval * heartbeat_miss_threshold`; defaults are
-    /// generous (~500 ms) so loaded CI machines do not false-positive.
-    /// False positives are survivable anyway — recovery preserves the
-    /// model — but cost a round of re-replication.
+    /// How many `heartbeat_interval`s an injected crash stays silent
+    /// before the master declares it (default 25: 500 ms).
     pub heartbeat_miss_threshold: u32,
     /// Observability: task-lifecycle tracing and metrics (see
     /// `docs/OBSERVABILITY.md`). Off by default; `Cluster::launch` builds a
@@ -207,8 +207,7 @@ mod tests {
         assert_eq!(c.tau_dfs, 80_000);
         assert_eq!(c.n_pool, 200);
         assert_eq!(c.replication, 2);
-        // The default heartbeat lease is generous: ~500 ms before a worker
-        // is declared dead.
+        // An injected crash is declared ~500 ms after it by default.
         assert!(c.heartbeat_interval * c.heartbeat_miss_threshold >= Duration::from_millis(400));
         assert!(c.work_scale.is_empty());
         c.validate();

@@ -4,7 +4,7 @@
 //! [`Master`] is a plain state machine, a function of (state, `now`,
 //! message) to effects: it owns the roster, the column map, the plan queue
 //! `Bplan`, the task table `Ttask`, the load matrix `M_work`, the job
-//! registry, the leases and the drain/migration ledgers as ordinary fields,
+//! registry, the timers and the drain/migration ledgers as ordinary fields,
 //! every handler takes `&mut self` and the time it is given, and frames and
 //! job notifications join one outbox in program order. It holds no fabric
 //! and reads no clock. The cluster keeps it behind one lock; one `master`
@@ -17,9 +17,9 @@
 //!   confirming the winner as delegate worker, typing the child tasks from
 //!   the returned `|Ixl|`/`|Ixr|` counters), a completed subtree into its
 //!   tree, per-tree progress (Appendix C's `T_prog`) into finished trees
-//!   and completed jobs — or counts an idle tick; then fires the fault
-//!   plan's scripted joins and preemptions that are due, and runs the
-//!   self-throttled lease, drain-deadline and τ sweeps.
+//!   and completed jobs — or counts an idle tick; then fires the timers
+//!   that are due — the fault plan's scripted join and preemption, the
+//!   suspicion of an injected crash, and drain deadlines.
 //! - `θ_main` ([`Master::pump`]): retires drains whose conditions all hold,
 //!   admits trees into the active pool (at most `n_pool` at a time), and
 //!   pops plans from `Bplan`, running the §VI greedy assignment against
@@ -241,25 +241,6 @@ struct DrainState {
     goodbye: bool,
 }
 
-/// One worker's liveness lease.
-struct HbLease {
-    /// Clock reading of the most recent heartbeat (or lease creation).
-    last_ns: u64,
-    /// Missed-interval count already reported via `HeartbeatMissed`, so each
-    /// detector pass emits at most one event per worker.
-    reported: u64,
-}
-
-impl HbLease {
-    /// A lease renewed at `now`, with nothing missed.
-    fn fresh(now: u64) -> HbLease {
-        HbLease {
-            last_ns: now,
-            reported: 0,
-        }
-    }
-}
-
 /// One thing a handler leaves in the outbox for the master thread to do
 /// once the lock is dropped.
 enum Effect {
@@ -311,12 +292,6 @@ pub struct Master {
     /// Frames and job notifications in the order the handlers made them;
     /// only the master thread delivers them ([`Master::run`]).
     out: Vec<Effect>,
-    /// Liveness leases per worker, refreshed by `Heartbeat` messages and
-    /// swept by `check_heartbeats`.
-    last_hb: HashMap<NodeId, HbLease>,
-    /// Clock reading of the last detector sweep (throttles the sweep to
-    /// roughly twice per heartbeat interval).
-    last_hb_sweep: u64,
     /// Set once recovery proved impossible: every pending and future job
     /// fails with this reason instead of training.
     degraded: Option<RecoveryError>,
@@ -327,14 +302,16 @@ pub struct Master {
     /// a `ReplicateDone` arrives.
     migrations: HashMap<(usize, NodeId), NodeId>,
     /// The fault plan's scripted join `(at_ns, n)` and preemption
-    /// `(at_ns, victim, grace_ns)`, until `step` fires them.
+    /// `(at_ns, victim, grace_ns)`, and the suspicion `(at_ns, worker)` of
+    /// a crash it injected, until `step` fires them.
     join: Option<(u64, usize)>,
     preempt: Option<(u64, NodeId, u64)>,
+    suspicion: Option<(u64, NodeId)>,
 }
 
 impl Master {
-    /// Creates the master state at time `now`, recording obs events to
-    /// `stats`' recorder.
+    /// Creates the master state, recording obs events to `stats`'
+    /// recorder.
     pub fn new(
         cfg: ClusterConfig,
         n_rows: usize,
@@ -342,12 +319,8 @@ impl Master {
         data_task: Task,
         colmap: ColumnMap,
         stats: Arc<NetStats>,
-        now: u64,
     ) -> Master {
         let workers: Vec<NodeId> = (1..=cfg.n_workers).collect();
-        let last_hb = (workers.iter())
-            .map(|&w| (w, HbLease::fresh(now)))
-            .collect();
         // Per-worker in-flight window: enough dispatched work to keep every
         // comper busy while the next tasks' column/`Ix` fetches are in
         // flight; the rest waits master-side, where it can be re-routed.
@@ -380,13 +353,12 @@ impl Master {
             hist_bytes_sent: 0,
             stats,
             out: Vec::new(),
-            last_hb,
-            last_hb_sweep: 0,
             degraded: None,
             draining: HashMap::new(),
             migrations: HashMap::new(),
             join: faults.and_then(|p| p.worker_join()),
             preempt: faults.and_then(|p| p.preemption()),
+            suspicion: None,
             cfg,
         }
     }
@@ -396,9 +368,8 @@ impl Master {
     // ------------------------------------------------------------------
 
     /// A call from outside the master thread: runs the handler `f` on the
-    /// locked master, then posts a loop-back heartbeat from node 0 — the
-    /// master itself, which holds no lease, so all the frame does is make
-    /// the master thread take a step, and with it a `pump`, now. What `f`
+    /// locked master, then posts a loop-back `Wake`, which makes the master
+    /// thread take a step, and with it a `pump`, now. What `f`
     /// leaves in the outbox stays there: the master thread delivers it
     /// ahead of whatever that step adds, the order one lock held across
     /// both would give.
@@ -415,22 +386,21 @@ impl Master {
         f: impl FnOnce(&mut Master) -> R,
     ) -> R {
         let out = f(&mut shared.lock());
-        let _ = fabric.send(0, 0, TaskMsg::Heartbeat { worker: 0 });
+        let _ = fabric.send(0, 0, TaskMsg::Wake);
         out
     }
 
     /// The master thread: one turn per message or idle tick, until the
     /// loop-back `Shutdown` that [`Master::shutdown`] leaves arrives. The
-    /// tick is half a heartbeat interval, so the lease and drain-deadline
-    /// sweeps keep running on a silent cluster.
+    /// tick is half a heartbeat interval, so the timers fire on a silent
+    /// cluster too.
     pub fn run(shared: &Mutex<Master>, fabric: &Fabric<TaskMsg>, rx: FabricReceiver<TaskMsg>) {
         let half_beat = shared.lock().cfg.heartbeat_interval / 2;
         let tick = half_beat.clamp(Duration::from_millis(1), Duration::from_millis(50));
-        let mut deaf_ns = 0;
         loop {
             match rx.recv_timeout(tick) {
                 Ok(Some(TaskMsg::Shutdown)) | Err(_) => return,
-                Ok(msg) => deaf_ns = Master::turn(shared, fabric, msg, deaf_ns),
+                Ok(msg) => Master::turn(shared, fabric, msg),
             }
         }
     }
@@ -438,45 +408,30 @@ impl Master {
     /// One turn of the master thread: a step and its pump at one clock
     /// reading, under the lock, then — the lock dropped — the whole outbox
     /// delivered in order, beginning with whatever `call`s left in it.
-    ///
-    /// Returns how long the delivery took, for the next turn to excuse
-    /// every lease (`deaf_ns`): a send sleeps its sender — the link model,
-    /// and one retransmission timeout per lost copy — and heartbeats that
-    /// arrive meanwhile wait unread in the master's mailbox.
-    fn turn(
-        shared: &Mutex<Master>,
-        fabric: &Fabric<TaskMsg>,
-        msg: Option<TaskMsg>,
-        deaf_ns: u64,
-    ) -> u64 {
+    fn turn(shared: &Mutex<Master>, fabric: &Fabric<TaskMsg>, msg: Option<TaskMsg>) {
         let now = fabric.clock().now_ns();
         let effects = {
             let mut m = shared.lock();
-            m.excuse_leases(deaf_ns);
             m.step(now, msg);
             m.pump(now);
             std::mem::take(&mut m.out)
         };
-        let delivering = fabric.clock().now_ns();
         for effect in effects {
             let _ = match effect {
                 Effect::Send(to, msg) => fabric.send(0, to, msg).ok(),
                 Effect::Notify(client, result) => client.send(result).ok(),
             };
         }
-        fabric.clock().now_ns() - delivering
     }
 
-    /// `θ_recv`: folds one message (`None`: the tick brought none), fires
-    /// the scripted membership events that are due, then runs the
-    /// self-throttled sweeps — leases and drain deadlines.
+    /// `θ_recv`: folds one message (`None`: the tick brought none), then
+    /// fires the timers that are due.
     pub fn step(&mut self, now: u64, msg: Option<TaskMsg>) {
         match msg {
             Some(msg) => self.handle(now, msg),
             None => self.plans.note_idle_tick(),
         }
-        self.fire_membership_timers(now);
-        self.check_heartbeats(now);
+        self.fire_timers(now);
     }
 
     /// `θ_main`: retires ready drains, admits trees, and assigns plans
@@ -695,69 +650,8 @@ impl Master {
     }
 
     // ------------------------------------------------------------------
-    // The lease sweep, and θ_main: admission + assignment.
+    // θ_main: admission + assignment.
     // ------------------------------------------------------------------
-
-    /// Lease-based failure detector: a worker whose last heartbeat is older
-    /// than `heartbeat_interval * heartbeat_miss_threshold` is declared
-    /// dead and handed to the normal crash-recovery path. The sweep is
-    /// throttled to about twice per heartbeat interval.
-    ///
-    /// A false positive (e.g. a heavily descheduled but healthy worker) is
-    /// survivable: recovery revokes and restarts in-flight trees, which
-    /// preserves the trained model, and fences the declared-dead worker
-    /// with a `Shutdown`; its late results refer to revoked trees and are
-    /// silently dropped.
-    fn check_heartbeats(&mut self, now: u64) {
-        let interval = (self.cfg.heartbeat_interval.as_nanos() as u64).max(1);
-        if now.saturating_sub(self.last_hb_sweep) < interval / 2 {
-            return;
-        }
-        self.last_hb_sweep = now;
-        if self.degraded.is_some() {
-            return;
-        }
-        let threshold = u64::from(self.cfg.heartbeat_miss_threshold);
-        let mut suspects: Vec<NodeId> = Vec::new();
-        for &w in &self.workers {
-            let lease = self.last_hb.entry(w).or_insert_with(|| HbLease::fresh(now));
-            let missed = now.saturating_sub(lease.last_ns) / interval;
-            if missed > lease.reported {
-                lease.reported = missed;
-                obs_event!(
-                    self.stats,
-                    0,
-                    ts_obs::Event::HeartbeatMissed {
-                        worker: w as u32,
-                        missed,
-                    }
-                );
-            }
-            if missed >= threshold {
-                suspects.push(w);
-            }
-        }
-        for w in suspects {
-            self.suspect(w);
-        }
-        // Elastic drains piggyback on the same sweep: a drain that
-        // outlived its grace window stops being graceful. Its outbound
-        // handoffs die with it (survivor-sourced re-replications stay
-        // useful and complete normally), and the leaver is re-listed so
-        // the crash path accepts it — exactly as if it had gone silent
-        // (spot preemption fired before the handoff finished).
-        let expired: Vec<NodeId> = (self.draining.iter())
-            .filter(|&(_, st)| now >= st.deadline_ns)
-            .map(|(&w, _)| w)
-            .collect();
-        for w in expired {
-            self.draining.remove(&w);
-            self.migrations.retain(|_, &mut from| from != w);
-            self.workers.push(w);
-            self.workers.sort_unstable();
-            self.suspect(w);
-        }
-    }
 
     /// Declares `w` dead and runs crash recovery for it.
     fn suspect(&mut self, w: NodeId) {
@@ -767,22 +661,6 @@ impl Master {
             ts_obs::Event::WorkerSuspected { worker: w as u32 }
         );
         self.recover_or_degrade(w);
-    }
-
-    /// Moves every lease `deaf_ns` later: time the master spent not reading
-    /// its mailbox is not a worker's to miss.
-    fn excuse_leases(&mut self, deaf_ns: u64) {
-        for lease in self.last_hb.values_mut() {
-            lease.last_ns += deaf_ns;
-        }
-    }
-
-    /// Renews a worker's liveness lease at `now`. Heartbeats from
-    /// already-declared-dead workers carry no lease and are ignored.
-    fn on_heartbeat(&mut self, now: u64, worker: NodeId) {
-        if let Some(lease) = self.last_hb.get_mut(&worker) {
-            *lease = HbLease::fresh(now);
-        }
     }
 
     /// Admits queued trees while the active pool has room (`n_pool`).
@@ -1045,7 +923,7 @@ impl Master {
             }
             self.send(to, msg);
             if delegated_subtree {
-                self.note_delegation(to);
+                self.note_delegation(now, to);
             }
         }
         // Dispatch done: the plan span ends here; the task span stays open
@@ -1056,12 +934,13 @@ impl Master {
     /// Counts cluster-wide subtree delegations and fires the fault plan's
     /// crash trigger on the n-th one: the key worker that just received the
     /// plan is silenced with a task-channel `Shutdown` (the worker cascades
-    /// it into its own data loop and heartbeat thread — see
-    /// `Machine::task_loop` in `worker.rs`). Nothing here announces the crash to the
-    /// scheduler: the worker simply goes dark, and the heartbeat detector
-    /// (`check_heartbeats`) must *discover* it and run recovery.
-    /// `Cluster::kill_worker` remains the externally-announced variant.
-    fn note_delegation(&mut self, key_worker: NodeId) {
+    /// it into its own data loop and compers — see `Machine::task_loop` in
+    /// `worker.rs`). Nothing announces the crash to the scheduler: the
+    /// worker simply goes dark, and a suspicion timer armed for
+    /// `heartbeat_interval × heartbeat_miss_threshold` from now declares it
+    /// dead when it fires. `Cluster::kill_worker` remains the announced
+    /// variant.
+    fn note_delegation(&mut self, now: u64, key_worker: NodeId) {
         self.delegations += 1;
         let nth = self.delegations;
         let at = (self.cfg.faults.as_ref()).and_then(|p| p.crash_at_delegation());
@@ -1079,6 +958,11 @@ impl Master {
             }
         );
         self.send(key_worker, TaskMsg::Shutdown);
+        let silence = (self.cfg.heartbeat_interval)
+            .saturating_mul(self.cfg.heartbeat_miss_threshold)
+            .as_nanos();
+        let at = now.saturating_add(u64::try_from(silence).unwrap_or(u64::MAX));
+        self.suspicion = Some((at, key_worker));
     }
 
     // ------------------------------------------------------------------
@@ -1089,7 +973,10 @@ impl Master {
     fn handle(&mut self, now: u64, msg: TaskMsg) {
         self.count_split_plane_bytes(&msg);
         match msg {
-            TaskMsg::Heartbeat { worker } => self.on_heartbeat(now, worker),
+            TaskMsg::Wake => {}
+            // One of the worker's threads died mid-task: what it owed is
+            // lost, so it is a crash like any other.
+            TaskMsg::WorkerLost { worker } => self.recover_or_degrade(worker),
             TaskMsg::ColumnResult {
                 task,
                 worker,
@@ -1164,30 +1051,62 @@ impl Master {
         }
     }
 
-    /// Fires the fault plan's scripted join and preemption, each once, at
-    /// the first step whose `now` reaches its time. A join admits the spare
-    /// slots `n_workers+1 ..= n_workers+n` in id order; a preemption starts
-    /// the victim's drain.
-    fn fire_membership_timers(&mut self, now: u64) {
+    /// Fires every timer whose time `now` has reached, each once. A join
+    /// admits the spare slots `n_workers+1 ..= n_workers+n` in id order; a
+    /// preemption starts the victim's drain; the suspicion of an injected
+    /// crash declares its worker dead, if it is still on the roster; and a
+    /// drain that outlived its grace window stops being graceful.
+    fn fire_timers(&mut self, now: u64) {
         if let Some((_, n)) = self.join.filter(|&(at, _)| now >= at) {
             self.join = None;
             for w in self.cfg.n_workers + 1..=self.cfg.n_workers + n {
-                self.admit(now, w);
+                self.admit(w);
             }
         }
         if let Some((_, victim, grace_ns)) = self.preempt.filter(|&(at, ..)| now >= at) {
             self.preempt = None;
             self.begin_drain(now, victim, Duration::from_nanos(grace_ns));
         }
+        if self.degraded.is_some() {
+            return; // there is nothing left to recover
+        }
+        if let Some((_, w)) = self.suspicion.filter(|&(at, _)| now >= at) {
+            self.suspicion = None;
+            if self.workers.contains(&w) {
+                let missed = u64::from(self.cfg.heartbeat_miss_threshold);
+                let worker = w as u32;
+                obs_event!(
+                    self.stats,
+                    0,
+                    ts_obs::Event::HeartbeatMissed { worker, missed }
+                );
+                self.suspect(w);
+            }
+        }
+        // An expired drain's outbound handoffs die with it (survivor-sourced
+        // re-replications stay useful and complete normally), and the leaver
+        // is re-listed so the crash path accepts it — exactly as if it had
+        // gone silent (spot preemption fired before the handoff finished).
+        let expired: Vec<NodeId> = (self.draining.iter())
+            .filter(|&(_, st)| now >= st.deadline_ns)
+            .map(|(&w, _)| w)
+            .collect();
+        for w in expired {
+            self.draining.remove(&w);
+            self.migrations.retain(|_, &mut from| from != w);
+            self.workers.push(w);
+            self.workers.sort_unstable();
+            self.suspect(w);
+        }
     }
 
     /// Admits a spare slot, running since launch with no columns: add it to
-    /// the roster, arm its heartbeat lease, register its affinity deque,
-    /// and start incremental column migration toward it. The joiner becomes
-    /// a column holder only as each `ReplicateDone` lands, so column tasks
-    /// never target data still in flight — but subtree tasks can pick it as
-    /// key worker immediately (they fetch columns remotely anyway).
-    fn admit(&mut self, now: u64, worker: NodeId) {
+    /// the roster, register its affinity deque, and start incremental
+    /// column migration toward it. The joiner becomes a column holder only
+    /// as each `ReplicateDone` lands, so column tasks never target data
+    /// still in flight — but subtree tasks can pick it as key worker
+    /// immediately (they fetch columns remotely anyway).
+    fn admit(&mut self, worker: NodeId) {
         // A degraded cluster admits nobody; a draining node is on its way
         // out; a roster member is admitted already.
         if self.degraded.is_some()
@@ -1198,7 +1117,6 @@ impl Master {
         }
         self.workers.push(worker);
         self.workers.sort_unstable();
-        self.last_hb.insert(worker, HbLease::fresh(now));
         self.plans.set_workers(&self.workers);
         obs_event!(
             self.stats,
@@ -1219,7 +1137,7 @@ impl Master {
 
     /// Starts a graceful drain of `worker` ahead of an announced preemption
     /// with the given grace window, counted from `now`. The leaver is removed from scheduling
-    /// immediately (so the lease sweep and the assigner both skip it), its
+    /// immediately (so the suspicion timer and the assigner both skip it), its
     /// queued plans are reclaimed onto the global deque, its columns are
     /// handed off, and a `Drain` frame tells it to finish up and `Goodbye`.
     pub fn begin_drain(&mut self, now: u64, worker: NodeId, grace: Duration) {
@@ -1351,7 +1269,7 @@ impl Master {
     /// Finalises every drain whose conditions are all met: `Goodbye`
     /// received, no column still migrating off the leaver, no in-flight
     /// task touching it, and no queued plan that would fetch `Ix` from it.
-    /// Finalisation retires the lease and sends the final `Shutdown`; the
+    /// Finalisation sends the final `Shutdown`; the
     /// leaver exits through the ordinary shutdown cascade — zero crash
     /// recovery, zero tree revocation.
     ///
@@ -1368,7 +1286,6 @@ impl Master {
             .collect();
         for w in ready {
             self.draining.remove(&w);
-            self.last_hb.remove(&w);
             obs_event!(
                 self.stats,
                 0,
@@ -1768,9 +1685,9 @@ impl Master {
 
     /// Runs crash recovery for `dead`; if recovery is impossible, fails
     /// every pending (and future) job with the structured reason instead of
-    /// panicking. Called by the heartbeat detector, the drain-deadline
-    /// sweep and `Cluster::kill_worker` — duplicate declarations are
-    /// ignored.
+    /// panicking. Called for a fired suspicion timer, an expired drain, a
+    /// `WorkerLost` frame and `Cluster::kill_worker` — duplicate
+    /// declarations are ignored.
     pub fn recover_or_degrade(&mut self, dead: NodeId) {
         if let Err(e) = self.handle_worker_crash(dead) {
             self.fail_all_jobs(e);
@@ -1785,8 +1702,9 @@ impl Master {
     /// column died, no replication target, or no workers left); the caller
     /// should then fail all jobs — see [`Master::recover_or_degrade`].
     pub fn handle_worker_crash(&mut self, dead: NodeId) -> Result<(), RecoveryError> {
-        // Deduplicate: the detector and an explicit kill may both declare
-        // the same worker dead; a degraded cluster has nothing to recover.
+        // Deduplicate: several of a worker's threads, a timer and an
+        // explicit kill may all declare the same worker dead; a degraded
+        // cluster has nothing to recover.
         if self.degraded.is_some() || !self.workers.contains(&dead) {
             return Ok(());
         }
@@ -1795,15 +1713,13 @@ impl Master {
             0,
             ts_obs::Event::WorkerCrashed { node: dead as u32 }
         );
-        // 1. Membership: drop the worker from scheduling and liveness
-        // tracking — then fence it. "Dead" is a verdict, not a fact: a
-        // worker that blew its grace window or merely missed its lease is
-        // still running, and nothing else would tell it to stop before
-        // `Cluster::shutdown`. Every earlier frame to it was pushed before
+        // 1. Membership: drop the worker from scheduling — then fence it.
+        // "Dead" is a verdict, not a fact: a worker that blew its grace
+        // window, or whose comper alone died, is still running, and nothing
+        // else would tell it to stop before `Cluster::shutdown`. Every earlier frame to it was pushed before
         // its send returned, so a live worker gets the fence behind them; to
         // a truly dead node the send fails.
         self.workers.retain(|&w| w != dead);
-        self.last_hb.remove(&dead);
         self.send(dead, TaskMsg::Shutdown);
         // Elastic migrations headed for the dead worker will never land.
         self.migrations.retain(|&(_, to), _| to != dead);
@@ -1890,7 +1806,7 @@ mod tests {
     fn master_of(cfg: ClusterConfig, n_rows: usize, n_cols: usize) -> Master {
         let stats = NetStats::new(cfg.total_worker_slots() + 1);
         let colmap = ColumnMap::round_robin(n_cols, cfg.n_workers, cfg.replication);
-        Master::new(cfg, n_rows, n_cols, TASK, colmap, stats, 0)
+        Master::new(cfg, n_rows, n_cols, TASK, colmap, stats)
     }
 
     fn test_master(n_rows: usize, tau_dfs: u64) -> Master {
@@ -2088,38 +2004,44 @@ mod tests {
         }
     }
 
-    #[test]
-    fn heartbeat_refreshes_lease_and_fresh_workers_are_not_suspected() {
-        let mut m = test_master(10, 100);
-        m.on_heartbeat(0, 1);
-        m.on_heartbeat(0, 2);
-        m.check_heartbeats(0);
-        assert_eq!(m.live_workers(), [1, 2]);
-        assert!(m.degraded.is_none());
-    }
-
-    /// A 1 ms heartbeat with a 3 ms lease, for detector tests: the silence
-    /// is a later `now`, not a real sleep, so the verdict is deterministic
-    /// no matter how loaded the test host is.
-    fn short_lease(n_workers: usize) -> ClusterConfig {
+    /// A 1 ms heartbeat interval, a threshold of 3 and a crash injected at
+    /// the first delegation: the crash is suspected 3 ms after it. Times
+    /// are `now` arguments, not sleeps, so the verdict is deterministic no
+    /// matter how loaded the test host is.
+    fn short_silence(n_workers: usize) -> ClusterConfig {
         ClusterConfig {
             n_workers,
             heartbeat_interval: Duration::from_millis(1),
             heartbeat_miss_threshold: 3,
+            faults: Some(FaultPlan::new(0).with_crash_at_delegation(1)),
             ..ClusterConfig::default()
         }
     }
 
-    /// 10 ms: well past a `short_lease`.
+    /// 10 ms: well past a `short_silence`.
     const LATER: u64 = 10_000_000;
 
     #[test]
+    fn without_an_injected_crash_nobody_is_suspected() {
+        let cfg = ClusterConfig {
+            faults: None,
+            ..short_silence(2)
+        };
+        let mut m = master_of(cfg, 10, 4);
+        m.note_delegation(0, 1);
+        m.step(LATER, None);
+        assert_eq!(m.live_workers(), [1, 2]);
+        assert!(m.degraded.is_none());
+        assert!(m.out.is_empty());
+    }
+
+    #[test]
     fn silent_worker_is_suspected_and_impossible_recovery_degrades_cleanly() {
-        let mut m = master_of(short_lease(2), 1_000, 4);
+        let mut m = master_of(short_silence(2), 1_000, 4);
         let (_h, rx) = m.submit(JobSpec::decision_tree(TASK));
-        // Worker 2 keeps beating; worker 1 goes silent past the 3 ms lease.
-        m.on_heartbeat(LATER, 2);
-        m.check_heartbeats(LATER);
+        // The crash trigger silences worker 1; its suspicion is due at 3 ms.
+        m.note_delegation(0, 1);
+        m.step(LATER, None);
         // 2 workers at replication 2: every live worker already holds the
         // dead worker's columns, so no re-replication target exists and the
         // job must fail with the structured reason rather than panic.
@@ -2142,25 +2064,63 @@ mod tests {
 
     #[test]
     fn suspected_worker_is_fenced_with_a_shutdown() {
-        // "Dead" is a verdict: worker 3 only missed its lease. It must be
-        // told to stop, or it runs on past `Cluster::shutdown` — which
-        // notifies the roster it is no longer on — and is joined forever.
-        let mut m = master_of(short_lease(3), 1_000, 4);
-        m.on_heartbeat(LATER, 1);
-        m.on_heartbeat(LATER, 2);
-        m.step(LATER, None); // an idle tick runs the sweep
+        // "Dead" is a verdict: the master cannot tell a silenced worker
+        // from a slow one, so the suspect must be told to stop, or it runs
+        // on past `Cluster::shutdown` — which notifies the roster it is no
+        // longer on — and is joined forever.
+        let mut m = master_of(short_silence(3), 1_000, 4);
+        m.note_delegation(0, 3);
+        inboxes(&mut m); // the injection's own `Shutdown`
+        m.step(LATER, None); // an idle tick fires the timer
         assert_eq!(m.live_workers(), [1, 2], "worker 3 declared dead");
         assert!(m.degraded_reason().is_none(), "its columns had replicas");
         assert!(matches!(inboxes(&mut m)[3].last(), Some(TaskMsg::Shutdown)));
     }
 
     #[test]
-    fn a_lease_does_not_run_while_the_master_delivers() {
+    fn the_suspicion_timer_fires_at_its_time_and_not_before() {
+        let t0 = 1_000;
+        let at = t0 + 3_000_000;
+        let mut m = master_of(short_silence(3), 1_000, 4);
+        m.note_delegation(t0, 3);
+        inboxes(&mut m);
+        m.step(at - 1, None);
+        assert_eq!(m.live_workers(), [1, 2, 3]);
+        assert!(m.out.is_empty(), "nobody suspected before the timer's time");
+
+        m.step(at, None);
+        assert_eq!(m.live_workers(), [1, 2]);
+        assert!(matches!(inboxes(&mut m)[3][..], [TaskMsg::Shutdown]));
+
+        // It fires once: the next step has nothing to declare.
+        m.step(at + 1, None);
+        assert!(m.out.is_empty());
+    }
+
+    #[test]
+    fn a_suspicion_past_the_end_of_time_saturates() {
+        let cfg = ClusterConfig {
+            heartbeat_interval: Duration::MAX / 2,
+            heartbeat_miss_threshold: u32::MAX,
+            ..short_silence(3)
+        };
+        let mut m = master_of(cfg, 1_000, 4);
+        m.note_delegation(LATER, 3);
+        assert_eq!(m.suspicion, Some((u64::MAX, 3)));
+        m.step(u64::MAX - 1, None);
+        assert_eq!(m.live_workers(), [1, 2, 3]);
+    }
+
+    #[test]
+    fn a_slow_delivery_suspects_nobody() {
         // Every frame costs its sender 10 ms on the wire, more than a
-        // 3 ms lease: the turn that sends the root shards reads no
-        // heartbeat meanwhile, so the next turn's sweep must not count
-        // that time against the workers.
-        let m = master_of(short_lease(3), 1_000, 4);
+        // `short_silence`: the turn that sends the root shards reads no
+        // frame meanwhile, and the next turn still suspects nobody.
+        let cfg = ClusterConfig {
+            faults: None,
+            ..short_silence(3)
+        };
+        let m = master_of(cfg, 1_000, 4);
         let n = m.cfg.total_worker_slots() + 1;
         let link = NetModel::slow(f64::INFINITY, Duration::from_millis(10));
         let clock = SimClock::virtual_at(0);
@@ -2169,9 +2129,10 @@ mod tests {
         let job = JobSpec::decision_tree(TASK);
         let (_h, _done) = Master::call(&shared, &fabric, |m| m.submit(job));
         let loop_back = inbox(&rxs[0]).into_iter().next();
-        let deaf_ns = Master::turn(&shared, &fabric, loop_back, 0);
-        assert!(deaf_ns >= 10_000_000, "the shards took {deaf_ns} ns");
-        Master::turn(&shared, &fabric, None, deaf_ns);
+        Master::turn(&shared, &fabric, loop_back);
+        let took = fabric.clock().now_ns();
+        assert!(took >= 10_000_000, "the shards took {took} ns");
+        Master::turn(&shared, &fabric, None);
         assert_eq!(shared.lock().live_workers(), [1, 2, 3]);
     }
 
@@ -2283,8 +2244,8 @@ mod tests {
         let shared = Mutex::new(m);
         let (_h, _rx) = Master::call(&shared, &fabric, |m| m.submit(forest));
         let mut posted = inbox(&rxs[0]);
-        assert!(matches!(posted[..], [TaskMsg::Heartbeat { worker: 0 }]));
-        Master::turn(&shared, &fabric, Some(posted.remove(0)), 0);
+        assert!(matches!(posted[..], [TaskMsg::Wake]));
+        Master::turn(&shared, &fabric, Some(posted.remove(0)));
         let sent = plans_in(&[Vec::new(), inbox(&rxs[1])]);
         assert_eq!(sent.len(), 4, "a full window of root plans went out");
         assert_eq!(shared.lock().plans.len(), 2, "the rest is backlog");
@@ -2306,8 +2267,8 @@ mod tests {
         Master::call(&shared, &fabric, |m| m.begin_drain(0, 3, grace));
         assert!(rxs[1..].iter().all(|rx| inbox(rx).is_empty()));
         let loop_back = inbox(&rxs[0]).into_iter().next();
-        assert!(matches!(loop_back, Some(TaskMsg::Heartbeat { worker: 0 })));
-        Master::turn(&shared, &fabric, loop_back, 0);
+        assert!(matches!(loop_back, Some(TaskMsg::Wake)));
+        Master::turn(&shared, &fabric, loop_back);
         let frames: Vec<_> = rxs.iter().map(inbox).collect();
         assert!(matches!(frames[3][..], [TaskMsg::Drain]), "{:?}", frames[3]);
         for w in [1, 2] {
@@ -2422,17 +2383,11 @@ mod tests {
     #[test]
     fn a_drain_is_fenced_and_recovered_at_its_deadline_not_before() {
         // A drain of a worker that holds a root shard: its in-flight task
-        // keeps it from departing, so only the grace window decides. The
-        // lease is a second long, so nobody else is suspected meanwhile.
+        // keeps it from departing, so only the grace window decides.
         let grace = Duration::from_millis(10);
         let deadline = grace.as_nanos() as u64;
         let drained_until = |at: u64| {
-            let cfg = ClusterConfig {
-                heartbeat_interval: Duration::from_millis(1),
-                heartbeat_miss_threshold: 1_000,
-                ..three_workers()
-            };
-            let mut m = master_of(cfg, 150, 4);
+            let mut m = master_of(three_workers(), 150, 4);
             let (_h, _done) = m.submit(JobSpec::decision_tree(TASK));
             m.pump(0);
             let (leaver, _) = *plans_in(&inboxes(&mut m)).last().expect("root shards");
@@ -2613,14 +2568,14 @@ mod tests {
     #[test]
     fn admitting_a_member_or_a_draining_node_is_a_no_op() {
         let mut m = master_of(joining(1, HOUR), 150, 4);
-        m.admit(0, 4);
+        m.admit(4);
         assert_eq!(m.live_workers(), [1, 2, 3, 4]);
         let migrations = m.migrations.len();
         assert!(migrations > 0, "the joiner is owed its share of columns");
         inboxes(&mut m);
 
         // A second admission: no second migration.
-        m.admit(0, 4);
+        m.admit(4);
         assert_eq!(m.live_workers(), [1, 2, 3, 4]);
         assert_eq!(m.migrations.len(), migrations);
         assert!(m.out.is_empty());
@@ -2628,7 +2583,7 @@ mod tests {
         // A leaver cannot be admitted back onto the roster.
         m.begin_drain(0, 2, Duration::from_secs(30));
         inboxes(&mut m);
-        m.admit(0, 2);
+        m.admit(2);
         assert_eq!(m.live_workers(), [1, 3, 4]);
         assert!(m.is_draining(2));
         assert!(m.out.is_empty());

@@ -259,13 +259,16 @@ pub enum TaskMsg {
         /// The new target values (must match the table's row count).
         labels: std::sync::Arc<ts_datatable::Labels>,
     },
-    /// Worker → master: liveness beacon. Sent unreliably on a fixed
-    /// interval; the master's lease detector declares a worker dead after
-    /// `heartbeat_miss_threshold` consecutive missed intervals.
-    Heartbeat {
-        /// The beating worker.
+    /// Worker → master: one of the worker's threads is unwinding from a
+    /// panic, so the machine can no longer be trusted to finish its tasks.
+    /// The master runs crash recovery for it, as for any other dead worker.
+    WorkerLost {
+        /// The failing worker.
         worker: NodeId,
     },
+    /// Master → master: a `Master::call` left work in the outbox; the frame
+    /// only makes the master thread take a step now.
+    Wake,
     /// Worker → master: the worker's ready queue ran dry (`ts-sched`).
     /// The scheduler serves this worker next — from its own deque if
     /// non-empty, then the global deque, otherwise by stealing from the
@@ -294,7 +297,7 @@ pub enum TaskMsg {
     /// and leave with `Goodbye` before the grace window expires.
     Drain,
     /// Draining worker → master: all in-flight work is done and flushed;
-    /// retire my lease without invoking crash recovery. The worker keeps
+    /// retire me without invoking crash recovery. The worker keeps
     /// serving its data plane until the master sends the final `Shutdown`.
     Goodbye {
         /// The departing worker.
@@ -343,7 +346,8 @@ impl WireSized for TaskMsg {
             | TaskMsg::DropTask { .. }
             | TaskMsg::ServeQuota { .. }
             | TaskMsg::RevokeTree { .. }
-            | TaskMsg::Heartbeat { .. }
+            | TaskMsg::WorkerLost { .. }
+            | TaskMsg::Wake
             | TaskMsg::StealRequest { .. }
             | TaskMsg::Donate { .. }
             | TaskMsg::Drain

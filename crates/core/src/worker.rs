@@ -9,9 +9,13 @@
 //!   `Ix` requests against its delegate table, column requests against its
 //!   column store, and responses that complete its own pending tasks, and
 //! - a pool of **compers** pulling ready tasks from `Btask` and sending
-//!   results straight to the master,
+//!   results straight to the master.
 //!
-//! plus a heartbeat thread beaconing liveness until `Shutdown`.
+//! A thread that panics tells the master so on its way out: a guard in
+//! each loop sends `WorkerLost`, and the master runs crash recovery for
+//! the machine and fences it with a `Shutdown`. A task loop that panics
+//! also stops its data loop and compers, since no `Shutdown` can reach
+//! them through it any more.
 //!
 //! A column-task's row set `Ix` survives the result send in the *awaiting
 //! verdict* table; when the master confirms this worker's split as the
@@ -369,8 +373,7 @@ pub struct Worker {
     /// Set by the master's `Drain` frame (`ts-elastic`): stop advertising
     /// hunger, finish what is queued, and report `Goodbye` when the local
     /// compute pipeline runs dry. The worker stays fully alive — serving
-    /// its data plane and heartbeating — until the master's final
-    /// `Shutdown`.
+    /// its data plane — until the master's final `Shutdown`.
     draining: bool,
     /// `Goodbye` is sent exactly once per drain.
     goodbye_sent: bool,
@@ -396,7 +399,6 @@ impl Worker {
         fabric_data: Fabric<DataMsg>,
         task_rx: FabricReceiver<TaskMsg>,
         data_rx: FabricReceiver<DataMsg>,
-        heartbeat_interval: Duration,
         hist_bins: Option<usize>,
     ) -> Vec<std::thread::JoinHandle<()>> {
         let env = Env {
@@ -409,15 +411,12 @@ impl Worker {
             stats: Arc::clone(fabric_task.stats()),
         };
         let (machine, ready_rx) = Machine::new(env, residents, labels, fabric_task, fabric_data);
-        // The task loop holds the heartbeat's only sender and drops it at
-        // `Shutdown`, which ends the heartbeat's wait at once.
-        let (heartbeat, stop) = tschan::unbounded::<()>();
         fn thread(name: String, f: impl FnOnce() + Send + 'static) -> std::thread::JoinHandle<()> {
             (std::thread::Builder::new().name(name).spawn(f)).expect("spawn worker thread")
         }
         let m = machine.clone();
         let mut handles = vec![thread(format!("worker{id}-task"), move || {
-            m.task_loop(task_rx, compers, heartbeat)
+            m.task_loop(task_rx, compers)
         })];
         let m = machine.clone();
         handles.push(thread(format!("worker{id}-data"), move || {
@@ -429,10 +428,6 @@ impl Worker {
                 m.comper_loop(rx)
             }));
         }
-        let fabric = machine.fabric_task;
-        handles.push(thread(format!("worker{id}-hb"), move || {
-            heartbeat_loop(fabric, id, heartbeat_interval, stop)
-        }));
         handles
     }
 
@@ -588,7 +583,8 @@ impl Worker {
             | TaskMsg::ReplicateDone { .. }
             | TaskMsg::StealRequest { .. }
             | TaskMsg::Goodbye { .. }
-            | TaskMsg::Heartbeat { .. } => {
+            | TaskMsg::WorkerLost { .. }
+            | TaskMsg::Wake => {
                 unreachable!("master-bound message delivered to a worker")
             }
         }
@@ -1530,24 +1526,19 @@ impl Machine {
         }
     }
 
-    /// Worker `θ_main`: plans and control messages from the master.
-    fn task_loop(self, rx: FabricReceiver<TaskMsg>, compers: usize, heartbeat: Sender<()>) {
+    /// Worker `θ_main`: plans and control messages from the master. When
+    /// it ends — at `Shutdown`, or in a panic — its guard stops the compers
+    /// and the data loop too.
+    fn task_loop(self, rx: FabricReceiver<TaskMsg>, compers: usize) {
+        let _exit = Exit {
+            machine: &self,
+            compers: Some(compers),
+        };
         while let Ok(msg) = rx.recv() {
             let shutdown = matches!(msg, TaskMsg::Shutdown);
             let out = self.on_task(msg);
             self.deliver(out);
             if shutdown {
-                // Silence the heartbeat first: from the master's point of
-                // view this machine is now dark.
-                drop(heartbeat);
-                for _ in 0..compers {
-                    let _ = self.ready_tx.send(ReadyTask::Stop);
-                }
-                // Stop the data loop too (self-send is free and FIFO, so
-                // queued data messages drain first).
-                let _ = self
-                    .fabric_data
-                    .send(self.env.id, self.env.id, DataMsg::Shutdown);
                 return;
             }
         }
@@ -1555,6 +1546,7 @@ impl Machine {
 
     /// Worker `θ_recv`: the worker↔worker data plane.
     fn data_loop(self, rx: FabricReceiver<DataMsg>) {
+        let _exit = Exit::of(&self);
         while let Ok(msg) = rx.recv() {
             if matches!(msg, DataMsg::Shutdown) {
                 return;
@@ -1567,6 +1559,7 @@ impl Machine {
     /// A comper: the result goes out before the pipeline shrinks, so a
     /// drain's `Goodbye` always follows every result.
     fn comper_loop(self, rx: Receiver<ReadyTask>) {
+        let _exit = Exit::of(&self);
         while let Ok(task) = rx.recv() {
             if matches!(task, ReadyTask::Stop) {
                 return;
@@ -1579,13 +1572,38 @@ impl Machine {
     }
 }
 
-/// Liveness beacon: one unreliable `Heartbeat` to the master per interval
-/// until the task loop drops the stop channel's sender at `Shutdown`.
-/// Unreliable on purpose — a heartbeat that a fault plan drops must stay
-/// lost: that is the signal the detector reads.
-fn heartbeat_loop(fabric: Fabric<TaskMsg>, id: NodeId, interval: Duration, stop: Receiver<()>) {
-    while let Ok(None) = stop.recv_timeout(interval) {
-        let _ = fabric.send_unreliable(id, 0, TaskMsg::Heartbeat { worker: id });
+/// Held by a worker loop while it runs. Dropped as its thread unwinds
+/// from a panic, it sends the master one `WorkerLost`: whatever the thread
+/// was doing is lost, and only the master can restart it elsewhere. The
+/// task loop's guard also stops the `compers` and the data loop, whichever
+/// way the loop ends (self-sends are free and FIFO, so queued data
+/// messages drain first).
+struct Exit<'a> {
+    machine: &'a Machine,
+    compers: Option<usize>,
+}
+
+impl<'a> Exit<'a> {
+    fn of(machine: &'a Machine) -> Exit<'a> {
+        Exit {
+            machine,
+            compers: None,
+        }
+    }
+}
+
+impl Drop for Exit<'_> {
+    fn drop(&mut self) {
+        let (m, me) = (self.machine, self.machine.env.id);
+        if std::thread::panicking() {
+            let _ = (m.fabric_task).send(me, 0, TaskMsg::WorkerLost { worker: me });
+        }
+        if let Some(compers) = self.compers {
+            for _ in 0..compers {
+                let _ = m.ready_tx.send(ReadyTask::Stop);
+            }
+            let _ = m.fabric_data.send(me, me, DataMsg::Shutdown);
+        }
     }
 }
 

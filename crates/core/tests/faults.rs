@@ -684,3 +684,24 @@ fn a_join_refused_by_a_degraded_cluster_still_shuts_down() {
     );
     assert!(shuts_down(cluster), "shutdown hung on the refused joiner");
 }
+
+/// A worker thread that panics tells the master its machine is lost, and
+/// the master recovers as from any crash. Labels outside the table's
+/// classes make the compers of every worker panic on their first task, so
+/// recovery runs out of workers: the job fails as a value, and the cluster
+/// still shuts down.
+#[test]
+fn panicking_compers_fail_the_job_and_the_cluster_still_shuts_down() {
+    let t = table(41);
+    let task = t.schema().task;
+    let cluster = Cluster::launch(faulty_cfg(None), &t);
+    cluster.update_labels(&ts_datatable::Labels::Class(vec![250; t.n_rows()]));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let res = cluster.train(JobSpec::decision_tree(task));
+        let _ = done_tx.send((res, cluster));
+    });
+    let (res, cluster) = (done_rx.recv_timeout(Duration::from_secs(20))).expect("train hung");
+    assert!(matches!(res, JobResult::Failed(_)), "{res:?}");
+    assert!(shuts_down(cluster), "shutdown hung");
+}

@@ -127,7 +127,7 @@ pub enum FaultDecision {
     Deliver,
     /// Lose this transmission in transit. The sender is charged for it,
     /// waits one retransmission timeout and transmits again (a fresh
-    /// decision); an unreliable send (heartbeats) stays lost.
+    /// decision), so every send is delivered in the end.
     Drop,
     /// Deliver after an extra delay, slept by the sender, so per-edge FIFO
     /// order is preserved.

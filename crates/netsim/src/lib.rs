@@ -54,7 +54,7 @@ pub trait WireSized {
     /// reads it to attribute retransmissions and duplicates to the
     /// originating span; defaults to
     /// [`TraceCtx::NONE`](ts_obs::TraceCtx::NONE) for payloads outside any
-    /// trace (heartbeats, raw test messages).
+    /// trace (control frames, raw test messages).
     fn trace_ctx(&self) -> ts_obs::TraceCtx {
         ts_obs::TraceCtx::NONE
     }
@@ -419,30 +419,10 @@ impl<M: WireSized> Fabric<M> {
     /// again; a delay is slept; a duplicate is charged and paced twice but
     /// pushed once. Because the sender waits, each edge stays FIFO.
     pub fn send(&self, from: NodeId, to: NodeId, msg: M) -> Result<(), Disconnected> {
-        self.transmit(from, to, msg, true)
-    }
-
-    /// [`Fabric::send`], except that a lost copy stays lost. This is what
-    /// heartbeats want: a lost heartbeat is the failure detector's signal,
-    /// and resending a dead worker's backlog would defeat it.
-    pub fn send_unreliable(&self, from: NodeId, to: NodeId, msg: M) -> Result<(), Disconnected> {
-        self.transmit(from, to, msg, false)
-    }
-
-    fn transmit(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-        retransmit: bool,
-    ) -> Result<(), Disconnected> {
         if from == to {
             return self.push(to, msg);
         }
-        let copies = self.copies_on_the_wire(from, to, &msg, retransmit);
-        if copies == 0 {
-            return Ok(());
-        }
+        let copies = self.copies_on_the_wire(from, to, &msg);
         let bytes = msg.wire_bytes();
         for _ in 0..copies {
             self.stats.record_send(from, to, bytes);
@@ -463,10 +443,9 @@ impl<M: WireSized> Fabric<M> {
 
     /// Asks the fault plan about each physical transmission of `msg` until
     /// one is not lost, and returns how many copies of it go on the wire:
-    /// 2 for a duplicate, 1 otherwise, 0 when an unreliable send is lost.
-    /// Each lost copy is charged here and, on a retransmitting send, costs
-    /// the sender one `RTO`.
-    fn copies_on_the_wire(&self, from: NodeId, to: NodeId, msg: &M, retransmit: bool) -> usize {
+    /// 2 for a duplicate, 1 otherwise. Each lost copy is charged here and
+    /// costs the sender one `RTO`.
+    fn copies_on_the_wire(&self, from: NodeId, to: NodeId, msg: &M) -> usize {
         let Some(faults) = &self.faults else {
             return 1;
         };
@@ -483,9 +462,6 @@ impl<M: WireSized> Fabric<M> {
                         seq,
                     });
                     self.stats.record_send(from, to, msg.wire_bytes());
-                    if !retransmit {
-                        return 0;
-                    }
                     self.clock.sleep(RTO);
                     attempt += 1;
                     self.record(from, || ts_obs::Event::RetrySent {
@@ -909,20 +885,6 @@ mod tests {
         assert_eq!(f.send(0, 1, Msg(vec![0])), Err(Disconnected { to: 1 }));
         assert_eq!(clock.now_ns(), rto_ns(1));
         assert_eq!(stats.snapshot(0).sent_msgs, 2);
-    }
-
-    #[test]
-    fn unreliable_sends_bypass_the_protocol() {
-        // A heartbeat-style send whose copy is lost is simply gone: charged,
-        // never sent again, and the sender does not wait.
-        let (f, r, stats, clock) = faulty(2, NetModel::instant(), first_frames_lost(1));
-        f.send_unreliable(0, 1, Msg(vec![9])).unwrap();
-        assert!(r[1].try_recv().is_none());
-        assert_eq!(stats.snapshot(0).sent_msgs, 1);
-        assert_eq!(clock.now_ns(), 0);
-        // The next one gets through.
-        f.send_unreliable(0, 1, Msg(vec![8])).unwrap();
-        assert_eq!(r[1].try_recv(), Some(Msg(vec![8])));
     }
 
     #[test]

@@ -159,8 +159,7 @@ pub enum Event {
         node: u32,
     },
     /// A fault plan dropped a transmission in transit (the receiver never
-    /// sees this copy; a `RetrySent` follows unless the send was a
-    /// heartbeat). Replayable: the same plan seed drops the same
+    /// sees this copy; a `RetrySent` follows). Replayable: the same plan seed drops the same
     /// `(from, to, seq)`.
     MessageDropped {
         /// Sender machine.
@@ -209,16 +208,17 @@ pub enum Event {
         /// The span of the discarded payload (0 for spanless frames).
         span: u64,
     },
-    /// The master's lease detector noticed a worker heartbeat overdue by at
-    /// least one more interval.
+    /// The suspicion timer of a crash the fault plan injected fired: the
+    /// worker has been silent for `heartbeat_miss_threshold` intervals.
+    /// Recorded once per injected crash, just before `WorkerSuspected`.
     HeartbeatMissed {
         /// The silent worker.
         worker: u32,
-        /// Consecutive intervals without a heartbeat so far.
+        /// The intervals it was silent for: the threshold.
         missed: u64,
     },
-    /// A worker exhausted its heartbeat lease; the master declares it dead
-    /// and starts crash recovery.
+    /// The master declares a worker dead — its suspicion timer fired or its
+    /// drain outlived the grace window — and starts crash recovery.
     WorkerSuspected {
         /// The suspected worker.
         worker: u32,
@@ -262,8 +262,7 @@ pub enum Event {
         thief: u32,
     },
     /// The master admitted a spare slot at its scripted join: it is now in
-    /// the roster, its heartbeat lease is armed, and its column migration is
-    /// under way (`ts-elastic` membership, see `docs/ELASTICITY.md`).
+    /// the roster and its column migration is under way (`ts-elastic` membership, see `docs/ELASTICITY.md`).
     WorkerJoined {
         /// The joining worker.
         node: u32,
@@ -276,7 +275,7 @@ pub enum Event {
         node: u32,
     },
     /// A draining worker finished handing off and was retired gracefully —
-    /// its `Goodbye` cleared the lease without invoking crash recovery.
+    /// after its `Goodbye`, without invoking crash recovery.
     WorkerDeparted {
         /// The departed worker.
         node: u32,

@@ -36,7 +36,7 @@ impl SpanId {
 
 /// The causal context a frame carries: which trace (= job) it belongs to
 /// and which span originated it. [`TraceCtx::NONE`] marks control traffic
-/// outside any trace (heartbeats, shutdown, replication).
+/// outside any trace (shutdown, replication).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TraceCtx {
     /// The trace id — the span id of the job at the root of the DAG.
