@@ -975,7 +975,13 @@ impl Master {
         match msg {
             TaskMsg::Wake => {}
             // One of the worker's threads died mid-task: what it owed is
-            // lost, so it is a crash like any other.
+            // lost, so it is a crash like any other — a draining worker's
+            // too, whose grace window there is no point waiting out.
+            TaskMsg::WorkerLost { worker }
+                if self.draining.contains_key(&worker) && self.degraded.is_none() =>
+            {
+                self.escalate_drain(worker)
+            }
             TaskMsg::WorkerLost { worker } => self.recover_or_degrade(worker),
             TaskMsg::ColumnResult {
                 task,
@@ -1083,21 +1089,28 @@ impl Master {
                 self.suspect(w);
             }
         }
-        // An expired drain's outbound handoffs die with it (survivor-sourced
-        // re-replications stay useful and complete normally), and the leaver
-        // is re-listed so the crash path accepts it — exactly as if it had
-        // gone silent (spot preemption fired before the handoff finished).
+        // A drain whose grace window ran out before its handoff finished
+        // (spot preemption) ends as a crash.
         let expired: Vec<NodeId> = (self.draining.iter())
             .filter(|&(_, st)| now >= st.deadline_ns)
             .map(|(&w, _)| w)
             .collect();
         for w in expired {
-            self.draining.remove(&w);
-            self.migrations.retain(|_, &mut from| from != w);
-            self.workers.push(w);
-            self.workers.sort_unstable();
-            self.suspect(w);
+            self.escalate_drain(w);
         }
+    }
+
+    /// Ends `w`'s drain as a crash: its outbound handoffs die with it
+    /// (survivor-sourced re-replications stay useful and complete
+    /// normally), and the leaver is re-listed so the crash path accepts it
+    /// — exactly as if it had gone silent. Run when the grace window
+    /// expires, and at once when one of the leaver's threads dies.
+    fn escalate_drain(&mut self, w: NodeId) {
+        self.draining.remove(&w);
+        self.migrations.retain(|_, &mut from| from != w);
+        self.workers.push(w);
+        self.workers.sort_unstable();
+        self.suspect(w);
     }
 
     /// Admits a spare slot, running since launch with no columns: add it to
@@ -2403,6 +2416,32 @@ mod tests {
         assert!(m.out.is_empty(), "nothing fenced, revoked or restarted");
 
         let (mut m, leaver) = drained_until(deadline);
+        assert!(!m.is_draining(leaver));
+        assert!(!m.live_workers().contains(&leaver));
+        assert!(m.degraded_reason().is_none(), "every column had a survivor");
+        let frames = inboxes(&mut m);
+        assert!(matches!(frames[leaver][..], [TaskMsg::Shutdown]), "fenced");
+        for &w in m.live_workers() {
+            assert!(matches!(frames[w][0], TaskMsg::RevokeTree { .. }), "{w}");
+        }
+        let restarted = plans_in(&frames);
+        assert!(!restarted.is_empty(), "the tree starts over");
+        assert!(restarted.iter().all(|&(w, _)| w != leaver));
+    }
+
+    #[test]
+    fn a_draining_worker_that_reports_worker_lost_is_escalated_before_its_deadline() {
+        // As above, but one of the leaver's threads dies 1 ns into a 10 ms
+        // grace window: it is recovered then, as the expired drain is.
+        let mut m = master_of(three_workers(), 150, 4);
+        let (_h, _done) = m.submit(JobSpec::decision_tree(TASK));
+        m.pump(0);
+        let (leaver, _) = *plans_in(&inboxes(&mut m)).last().expect("root shards");
+        m.begin_drain(0, leaver, Duration::from_millis(10));
+        inboxes(&mut m);
+        let lost = TaskMsg::WorkerLost { worker: leaver };
+        m.step(1, Some(lost));
+        m.pump(1);
         assert!(!m.is_draining(leaver));
         assert!(!m.live_workers().contains(&leaver));
         assert!(m.degraded_reason().is_none(), "every column had a survivor");

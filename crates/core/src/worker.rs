@@ -212,19 +212,25 @@ pub(crate) struct Held {
 
 impl Held {
     /// Presorts the column — and, in histogram mode, bins a numeric column
-    /// off the same sort.
+    /// off the same sort — on this thread: the serial reference for
+    /// [`index`].
+    #[cfg(test)]
     fn build(column: SharedColumn, hist_bins: Option<usize>) -> Held {
         let (sorted, binned) = match (hist_bins, column.as_numeric()) {
             (Some(bins), Some(v)) => {
                 let (sorted, binned) = SortedColumn::from_numeric_binned(v, bins);
-                (sorted, Some(Arc::new(binned)))
+                (sorted, Some(binned))
             }
             _ => (SortedColumn::build(&column), None),
         };
+        Held::of(column, sorted, binned)
+    }
+
+    fn of(column: SharedColumn, sorted: SortedColumn, binned: Option<BinnedColumn>) -> Held {
         Held {
             column,
             sorted: Arc::new(sorted),
-            binned,
+            binned: binned.map(Arc::new),
         }
     }
 
@@ -237,26 +243,139 @@ impl Held {
     }
 }
 
+/// One column's index build in [`index`]: the buffers the calling thread
+/// allocated for it, which a loader fills.
+struct Load {
+    column: SharedColumn,
+    /// Becomes a numeric column's rank.
+    rank: Vec<u32>,
+    /// Becomes a binned column's `u8` bin ids.
+    ids: Vec<u8>,
+    /// The sort records of a numeric column, or a categorical column's
+    /// codes when they must be sorted; freed once the index is built.
+    records: Vec<u64>,
+    built: Option<(SortedColumn, Option<BinnedColumn>)>,
+}
+
+/// How many elements the buffers of `column`'s index build hold: the rank
+/// and the `u8` bin ids, which the index keeps, and the sort records, which
+/// it frees.
+fn room(column: &Column, hist_bins: Option<usize>) -> [usize; 3] {
+    let n = column.len();
+    match column {
+        Column::Numeric(_) => [
+            n,
+            hist_bins.map_or(0, |b| BinnedColumn::u8_ids_len(n, b)),
+            n,
+        ],
+        Column::Categorical(c) => [0, 0, SortedColumn::categorical_scratch_len(c)],
+    }
+}
+
+impl Load {
+    /// Builds the index into the buffers, allocating nothing that grows
+    /// with the rows (bin budgets of 256 and more aside: their id width is
+    /// known only once the cuts are).
+    fn fill(&mut self, hist_bins: Option<usize>) {
+        let rank = std::mem::take(&mut self.rank);
+        let ids = std::mem::take(&mut self.ids);
+        let records = &mut self.records;
+        self.built = Some(match (&*self.column, hist_bins) {
+            (Column::Numeric(v), Some(bins)) => {
+                let (sorted, binned) = SortedColumn::numeric_binned_in(v, bins, rank, ids, records);
+                (sorted, Some(binned))
+            }
+            (Column::Numeric(v), None) => (SortedColumn::numeric_in(v, rank, records), None),
+            (Column::Categorical(c), _) => (SortedColumn::categorical_in(c, records), None),
+        });
+    }
+}
+
+/// The `Held` of each of `columns`, in order: every column presorted — and,
+/// in histogram mode, a numeric one binned off the same sort — on up to one
+/// loader thread per available core, as the paper's machines each load
+/// their own columns at the same time.
+///
+/// Every buffer that grows with the rows is allocated on the calling
+/// thread, and the loaders only fill it. Memory a short-lived thread
+/// allocates stays in that thread's allocator arena, which the client's
+/// thread does not reuse once the cluster shuts down: a load whose loaders
+/// allocated the indexes measured 4–6 % more peak RSS on a train-then-serve
+/// process (CHANGES.md).
+///
+/// The columns go in rounds of at most one per loader, numeric before
+/// categorical. Before a round this thread allocates what the round's
+/// indexes keep, then their sort records, which it frees after the round —
+/// kept buffers before dropped ones, as [`SortedColumn::numeric_in`] asks.
+/// A round's sorts never reach further past what all the indexes keep than
+/// one serial sort does, so the build leaves no more free heap above its
+/// indexes than a serial build does. The last rounds therefore sort one
+/// numeric column each, beside the categorical columns, which a bitmap
+/// indexes with no sort. When every round sorted two columns, the build
+/// left one more records buffer of free heap resident, and `peak_rss_mb`
+/// @ `coltask_exact` read 1 MB higher (docs/PERF.md).
+pub(crate) fn index(columns: Vec<SharedColumn>, hist_bins: Option<usize>) -> Vec<Held> {
+    let loaders = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let rooms: Vec<[usize; 3]> = columns.iter().map(|c| room(c, hist_bins)).collect();
+    // In bytes: what a column's index keeps, and what its sort holds.
+    let keep = |i: usize| 4 * rooms[i][0] + rooms[i][1];
+    let sort = |i: usize| 8 * rooms[i][2];
+    let kept_at_end: usize = (0..columns.len()).map(keep).sum();
+    let one_sort = (0..columns.len()).map(sort).max().unwrap_or(0);
+    let mut pending: Vec<usize> = (0..columns.len()).collect();
+    pending.sort_by_key(|&i| columns[i].as_numeric().is_none());
+    let mut held: Vec<Option<Held>> = vec![None; columns.len()];
+    let mut kept = 0;
+    while !pending.is_empty() {
+        let mut round = Vec::new();
+        let mut sorting = 0;
+        pending.retain(|&i| {
+            let joins = round.is_empty()
+                || (round.len() < loaders
+                    && kept + keep(i) + sorting + sort(i) <= kept_at_end + one_sort);
+            if joins {
+                round.push(i);
+                kept += keep(i);
+                sorting += sort(i);
+            }
+            !joins
+        });
+        let mut loads: Vec<Load> = (round.iter())
+            .map(|&i| Load {
+                column: columns[i].clone(),
+                rank: Vec::with_capacity(rooms[i][0]),
+                ids: Vec::with_capacity(rooms[i][1]),
+                records: Vec::new(),
+                built: None,
+            })
+            .collect();
+        for (load, &i) in loads.iter_mut().zip(&round) {
+            load.records = Vec::with_capacity(rooms[i][2]);
+        }
+        tspar::par_for_each_mut(&mut loads, round.len(), |_, load| load.fill(hist_bins));
+        for (&i, load) in round.iter().zip(loads) {
+            let (sorted, binned) = load.built.expect("every load is filled");
+            held[i] = Some(Held::of(load.column, sorted, binned));
+        }
+    }
+    held.into_iter()
+        .map(|h| h.expect("every column is indexed"))
+        .collect()
+}
+
 /// The resident columns of worker slots `1..=n_slots` (index `w - 1`), as
 /// `colmap` places them: a spare slot, which it places nothing on, starts
-/// empty. Each column of `table` is indexed once and every holder shares
-/// that `Held`: the table's own column storage and one presorted (and
-/// binned) index.
-///
-/// The indexes are built on the launching thread. Built on a short-lived
-/// thread per worker, they would live in that thread's allocator arena,
-/// which the client's thread does not reuse once the cluster shuts down:
-/// that load measured 4–6 % more peak RSS on a train-then-serve process
-/// than this one (CHANGES.md).
+/// empty. Each column of `table` is indexed once ([`index`]) and every
+/// holder shares that `Held`: the table's own column storage and one
+/// presorted (and binned) index.
 pub(crate) fn residents(
     table: &DataTable,
     colmap: &ColumnMap,
     n_slots: usize,
     hist_bins: Option<usize>,
 ) -> Vec<HashMap<usize, Held>> {
-    let built: Vec<Held> = (0..table.n_attrs())
-        .map(|a| Held::build(table.shared_column(a), hist_bins))
-        .collect();
+    let columns = (0..table.n_attrs()).map(|a| table.shared_column(a));
+    let built = index(columns.collect(), hist_bins);
     (1..=n_slots)
         .map(|w| {
             (colmap.columns_of(w).into_iter())
@@ -1451,10 +1570,14 @@ impl Machine {
         }
     }
 
+    /// Indexes columns that arrived ([`index`]) on every core.
     fn build(&self, columns: Vec<(usize, Column)>) -> Vec<(usize, Held)> {
-        let bins = self.env.hist_bins;
-        (columns.into_iter())
-            .map(|(attr, col)| (attr, Held::build(SharedColumn::owned(col), bins)))
+        let (attrs, columns): (Vec<usize>, Vec<SharedColumn>) = (columns.into_iter())
+            .map(|(attr, col)| (attr, SharedColumn::owned(col)))
+            .unzip();
+        attrs
+            .into_iter()
+            .zip(index(columns, self.env.hist_bins))
             .collect()
     }
 
@@ -1736,6 +1859,72 @@ mod tests {
                 Arc::ptr_eq(bx.expect("binned"), by.expect("binned")),
                 "column {a} is binned twice"
             );
+        }
+    }
+
+    #[test]
+    fn the_parallel_build_gives_every_holder_the_serial_index() {
+        // Numeric and categorical columns interleaved, more of them than
+        // loaders: missing values, a constant column, coarse ties, and
+        // codes at and above the row count (the sorted categorical path).
+        let n = 3_000;
+        let num = |f: &dyn Fn(usize) -> f64| Column::Numeric((0..n).map(f).collect());
+        let cat = |f: &dyn Fn(usize) -> u32| Column::Categorical((0..n).map(f).collect());
+        let columns = vec![
+            num(&|r| ((r * 7919) % 1000) as f64 / 8.0),
+            cat(&|r| [3, 0, ts_datatable::MISSING_CAT, 5][r % 4]),
+            num(&|r| {
+                if r % 5 == 0 {
+                    f64::NAN
+                } else {
+                    (r % 13) as f64
+                }
+            }),
+            num(&|_| 4.25),
+            cat(&|r| {
+                if r % 3 == 0 {
+                    7_000 + (r % 2) as u32
+                } else {
+                    (r % 9) as u32
+                }
+            }),
+            num(&|r| ((r * 31) % 2_999) as f64 * -1e-3),
+            num(&|r| {
+                if r % 2 == 0 {
+                    f64::NAN
+                } else {
+                    (r / 100) as f64
+                }
+            }),
+        ];
+        let schema = ts_datatable::Schema::new(
+            (columns.iter().enumerate())
+                .map(|(a, c)| match c {
+                    Column::Numeric(_) => ts_datatable::AttrMeta::numeric(format!("x{a}")),
+                    Column::Categorical(_) => {
+                        ts_datatable::AttrMeta::categorical(format!("x{a}"), 7_002)
+                    }
+                })
+                .collect(),
+            Task::Classification { n_classes: 2 },
+        );
+        let labels = Labels::Class((0..n).map(|r| (r % 2) as u32).collect());
+        let table = DataTable::new(schema, columns, labels);
+        for bins in [None, Some(16), Some(300)] {
+            for replication in [1, 2] {
+                let colmap = ColumnMap::round_robin(table.n_attrs(), 3, replication);
+                let held = residents(&table, &colmap, 3, bins);
+                for (w, data) in (1..).zip(&held) {
+                    assert_eq!(data.len(), colmap.columns_of(w).len());
+                    for (&a, h) in data {
+                        let serial = Held::build(table.shared_column(a), bins);
+                        let at = format!("column {a} on worker {w}, bins {bins:?}");
+                        assert_eq!(values_ptr(&h.column), values_ptr(table.column(a)), "{at}");
+                        assert_eq!(*h.sorted, *serial.sorted, "{at}");
+                        assert_eq!(h.binned, serial.binned, "{at}");
+                    }
+                }
+            }
         }
     }
 

@@ -156,13 +156,26 @@ impl BinnedColumn {
         Self::from_records(values, &presorted_records(values), max_bins, Vec::new())
     }
 
+    /// The room for `u8` ids that a column of `n_rows` rows binned into at
+    /// most `max_bins` bins takes, allocated before it is sorted: every row
+    /// when fewer than 256 bins make every id a byte, none otherwise — the
+    /// width of wider budgets is known only once the cuts are.
+    pub fn u8_ids_len(n_rows: usize, max_bins: usize) -> usize {
+        if max_bins <= u8::MAX as usize {
+            n_rows
+        } else {
+            0
+        }
+    }
+
     /// [`Self::build`] off the column's presorted `records`, as a store that
     /// also indexes the column has them at hand
     /// ([`crate::SortedColumn::from_numeric_binned`]): the cuts are read off
     /// the records — the same values in the same order as a fresh sort,
     /// hence the same cuts — and the ids assigned by walking them, a bin's
     /// rows being a run of the order. `u8_ids` is where `u8` ids go: a
-    /// caller that knows they will fit can allocate it before it sorts.
+    /// caller that knows they will fit can allocate it before it sorts
+    /// ([`Self::u8_ids_len`]).
     pub(crate) fn from_records(
         values: &[f64],
         records: &[u64],
@@ -181,13 +194,21 @@ impl BinnedColumn {
         ) -> Vec<T> {
             ids.clear();
             ids.resize(values.len(), narrow(cuts.len() + 1));
-            let mut bin = 0;
-            for &record in records {
-                let row = record_row(record);
-                while bin < cuts.len() && cuts[bin] < values[row] {
-                    bin += 1;
+            // A bin's rows are a run of positions, found by a binary search
+            // per cut: the walk itself reads no value.
+            let mut start = 0;
+            for bin in 0..=cuts.len() {
+                let end = match cuts.get(bin) {
+                    Some(&cut) => {
+                        let rest = &records[start..];
+                        start + rest.partition_point(|&r| values[record_row(r)] <= cut)
+                    }
+                    None => records.len(),
+                };
+                for &record in &records[start..end] {
+                    ids[record_row(record)] = narrow(bin);
                 }
-                ids[row] = narrow(bin);
+                start = end;
             }
             ids
         }

@@ -59,13 +59,23 @@ pub enum SortedColumn {
 /// One integer sort instead of a comparison sort that loads two values per
 /// comparison: each row's record holds the high 32 bits of its value's place
 /// in the total order (sign, exponent, 20 mantissa bits) above its row id —
-/// the records are sorted as integers, and only the runs that share a high
-/// half, already in row order, are finished by the full `(value, row)`
-/// comparison. A run of one value is in order as it stands; a column whose
-/// values differ only below the 20th mantissa bit degrades to the comparison
-/// sort it always was. The records are the only order an index build
-/// holds: the rank and the bins are both read off them.
+/// the records are sorted as integers ([`sort_records`]), and only the runs
+/// that share a high half, already in row order, are finished by the full
+/// `(value, row)` comparison ([`finish_runs`]). A run of one value is in
+/// order as it stands; a column whose values differ only below the 20th
+/// mantissa bit degrades to the comparison sort it always was. The records
+/// are the only order an index build holds: the rank and the bins are both
+/// read off them.
 pub(crate) fn presorted_records(values: &[f64]) -> Vec<u64> {
+    let mut records = Vec::with_capacity(values.len());
+    sort_records(values, &mut records);
+    finish_runs(values, &mut records, |_, _| {});
+    records
+}
+
+/// The integer half of [`presorted_records`], into `records`: every present
+/// row's record, sorted by its value's high half, then by row.
+fn sort_records(values: &[f64], records: &mut Vec<u64>) {
     let high_key = |v: f64| {
         // `total_cmp`'s monotone map of the bits: a negative value has every
         // bit flipped, a positive one its sign bit.
@@ -73,13 +83,21 @@ pub(crate) fn presorted_records(values: &[f64]) -> Vec<u64> {
         let key = bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63));
         key & !u64::from(u32::MAX)
     };
-    let mut records: Vec<u64> = values
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| !v.is_nan())
-        .map(|(row, &v)| high_key(v) | row as u64)
-        .collect();
+    records.clear();
+    records.extend(
+        (values.iter().enumerate())
+            .filter(|(_, v)| !v.is_nan())
+            .map(|(row, &v)| high_key(v) | row as u64),
+    );
     records.sort_unstable();
+}
+
+/// The comparison half of [`presorted_records`]: sorts each run of
+/// `records` that shares a high half by `(value, row)`, and hands `each`
+/// every finished record with its position, in order — the rank is written
+/// in the same pass.
+fn finish_runs(values: &[f64], records: &mut [u64], mut each: impl FnMut(usize, u64)) {
+    let mut position = 0;
     for run in records.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
         if run.len() > 1 {
             run.sort_unstable_by(|&a, &b| {
@@ -87,8 +105,16 @@ pub(crate) fn presorted_records(values: &[f64]) -> Vec<u64> {
                 values[a].total_cmp(&values[b]).then(a.cmp(&b))
             });
         }
+        for &record in run.iter() {
+            each(position, record);
+            position += 1;
+        }
     }
-    records
+}
+
+/// The codes of `codes` that are not missing.
+fn present_codes(codes: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    codes.iter().copied().filter(|&c| c != MISSING_CAT)
 }
 
 /// The row id of a [`presorted_records`] record.
@@ -117,38 +143,64 @@ impl SortedColumn {
 
     /// Presorted index over a numeric slice.
     pub fn from_numeric(values: &[f64]) -> Self {
-        let rank = vec![MISSING_RANK; values.len()];
-        Self::ranked(rank, &presorted_records(values))
+        let rank = Vec::with_capacity(values.len());
+        Self::numeric_in(values, rank, &mut Vec::with_capacity(values.len()))
     }
 
     /// [`Self::from_numeric`] and [`BinnedColumn::build`] of one column off
     /// one sort: a store that bins its numeric columns (histogram mode)
     /// indexes and bins each of them with this.
     pub fn from_numeric_binned(values: &[f64], max_bins: usize) -> (Self, BinnedColumn) {
-        let rank = vec![MISSING_RANK; values.len()];
-        // At most `max_bins` bins: below 256 the ids are `u8`, known now.
-        let u8_ids = if max_bins <= u8::MAX as usize {
-            Vec::with_capacity(values.len())
-        } else {
-            Vec::new()
-        };
-        let records = presorted_records(values);
-        let binned = BinnedColumn::from_records(values, &records, max_bins, u8_ids);
-        (Self::ranked(rank, &records), binned)
+        let rank = Vec::with_capacity(values.len());
+        let u8_ids = Vec::with_capacity(BinnedColumn::u8_ids_len(values.len(), max_bins));
+        let mut records = Vec::with_capacity(values.len());
+        Self::numeric_binned_in(values, max_bins, rank, u8_ids, &mut records)
     }
 
-    /// The index whose order is `records`, written into `rank` (every row
-    /// [`MISSING_RANK`]). Callers allocate what the index keeps — the rank,
-    /// and the bin ids where they can — before they sort: the buffers that
-    /// stay before the one that goes. The other way round, the freed records
-    /// left holes below what stayed, glibc trimmed the main heap when the
-    /// cluster over the table shut down, and a process that then loaded its
-    /// next table faulted its pages in anew: `setup_s` read 12 % higher on
+    /// [`Self::from_numeric`] into buffers the caller allocated: `rank`
+    /// (room for every row) becomes the index's rank, and `records` (room
+    /// for every row) holds the sort while it runs and is left for the
+    /// caller to reuse or free. Nothing here allocates in proportion to the
+    /// rows, so a builder that fills indexes on other threads can allocate
+    /// every such buffer on its own.
+    ///
+    /// Callers allocate what the index keeps — the rank, and the bin ids
+    /// where they can — before the records: the buffers that stay before
+    /// the one that goes. The other way round, the freed records left holes
+    /// below what stayed, glibc trimmed the main heap when the cluster over
+    /// the table shut down, and a process that then loaded its next table
+    /// faulted its pages in anew: `setup_s` read 12 % higher on
     /// `coltask_exact` and up to 20 % on `coltask_hist` (docs/PERF.md).
-    fn ranked(mut rank: Vec<u32>, records: &[u64]) -> Self {
-        for (position, &record) in records.iter().enumerate() {
+    pub fn numeric_in(values: &[f64], rank: Vec<u32>, records: &mut Vec<u64>) -> Self {
+        sort_records(values, records);
+        Self::ranked(values, rank, records)
+    }
+
+    /// [`Self::from_numeric_binned`] into buffers the caller allocated, as
+    /// [`Self::numeric_in`]: `u8_ids` becomes the bin ids when they fit a
+    /// byte ([`BinnedColumn::u8_ids_len`]). The cuts are read off the
+    /// finished records, so the bins are [`BinnedColumn::build`]'s.
+    pub fn numeric_binned_in(
+        values: &[f64],
+        max_bins: usize,
+        rank: Vec<u32>,
+        u8_ids: Vec<u8>,
+        records: &mut Vec<u64>,
+    ) -> (Self, BinnedColumn) {
+        sort_records(values, records);
+        let sorted = Self::ranked(values, rank, records);
+        let binned = BinnedColumn::from_records(values, records, max_bins, u8_ids);
+        (sorted, binned)
+    }
+
+    /// The index whose order is the integer-sorted `records`, finished in
+    /// place while `rank` is written.
+    fn ranked(values: &[f64], mut rank: Vec<u32>, records: &mut [u64]) -> Self {
+        rank.clear();
+        rank.resize(values.len(), MISSING_RANK);
+        finish_runs(values, records, |position, record| {
             rank[record_row(record)] = position as u32;
-        }
+        });
         SortedColumn::Numeric {
             rank,
             present: records.len(),
@@ -158,13 +210,45 @@ impl SortedColumn {
     /// Distinct-code index over a categorical slice, holding the distinct
     /// set at its own size rather than the capacity of every present code.
     pub fn from_categorical(codes: &[u32]) -> Self {
-        let mut distinct: Vec<u32> = codes
-            .iter()
-            .copied()
-            .filter(|&c| c != MISSING_CAT)
-            .collect();
-        distinct.sort_unstable();
-        distinct.dedup();
+        let scratch_len = Self::categorical_scratch_len(codes);
+        Self::categorical_in(codes, &mut Vec::with_capacity(scratch_len))
+    }
+
+    /// The room [`Self::categorical_in`] sorts `codes` in: none when every
+    /// present code is below the row count, as a table's dictionary codes
+    /// are — the distinct set is then read off a bitmap of at most one bit
+    /// per row — and every row otherwise.
+    pub fn categorical_scratch_len(codes: &[u32]) -> usize {
+        match present_codes(codes).max() {
+            Some(top) if top as usize >= codes.len() => codes.len(),
+            _ => 0,
+        }
+    }
+
+    /// [`Self::from_categorical`] sorting, when it must, in `scratch`, a
+    /// buffer the caller allocated with room for
+    /// [`Self::categorical_scratch_len`] codes: only the distinct set is
+    /// allocated here.
+    pub fn categorical_in(codes: &[u32], scratch: &mut Vec<u64>) -> Self {
+        let mut distinct: Vec<u32> = match present_codes(codes).max() {
+            None => Vec::new(),
+            Some(top) if (top as usize) < codes.len() => {
+                let mut seen = vec![0u64; top as usize / 64 + 1];
+                for code in present_codes(codes) {
+                    seen[code as usize / 64] |= 1 << (code % 64);
+                }
+                (0..=top)
+                    .filter(|&code| seen[code as usize / 64] >> (code % 64) & 1 == 1)
+                    .collect()
+            }
+            Some(_) => {
+                scratch.clear();
+                scratch.extend(present_codes(codes).map(u64::from));
+                scratch.sort_unstable();
+                scratch.dedup();
+                scratch.iter().map(|&code| code as u32).collect()
+            }
+        };
         distinct.shrink_to_fit();
         SortedColumn::Categorical { distinct }
     }
@@ -290,7 +374,16 @@ mod tests {
                     .into_iter()
                     .map(|record| record_row(record) as u32)
                     .collect();
-                prop_assert_eq!(rows, want);
+                prop_assert_eq!(&rows, &want);
+                // The rank, written while the runs are finished, is that
+                // order's inverse.
+                let index = SortedColumn::from_numeric(&values);
+                let mut want_rank = vec![MISSING_RANK; values.len()];
+                for (position, &row) in want.iter().enumerate() {
+                    want_rank[row as usize] = position as u32;
+                }
+                prop_assert_eq!(index.numeric_rank(), &want_rank[..]);
+                prop_assert_eq!(index.numeric_present(), want.len());
             }
         }
     }
@@ -308,6 +401,47 @@ mod tests {
         };
         assert_eq!(distinct, [0, 2, 4, 7, 9]);
         assert_eq!(distinct.capacity(), distinct.len());
+    }
+
+    #[test]
+    fn codes_at_or_above_the_row_count_are_sorted_in_the_callers_scratch() {
+        // Below the row count the distinct set comes off a bitmap.
+        assert_eq!(
+            SortedColumn::categorical_scratch_len(&[2, 0, 2, MISSING_CAT]),
+            0
+        );
+        let codes = [70, 3, MISSING_CAT, 70, 9];
+        assert_eq!(SortedColumn::categorical_scratch_len(&codes), codes.len());
+        let mut scratch = Vec::with_capacity(codes.len());
+        let at = scratch.as_ptr();
+        let index = SortedColumn::categorical_in(&codes, &mut scratch);
+        assert_eq!(index.distinct(), &[3, 9, 70]);
+        assert_eq!(scratch.as_ptr(), at, "the scratch is filled, not regrown");
+        assert_eq!(SortedColumn::from_categorical(&codes), index);
+    }
+
+    #[test]
+    fn a_numeric_index_is_built_in_the_callers_buffers() {
+        let values = [2.5, f64::NAN, -1.0, 2.5, 0.0];
+        let (rank, ids) = (Vec::with_capacity(5), Vec::with_capacity(5));
+        let (rank_at, ids_at) = (rank.as_ptr(), ids.as_ptr());
+        let mut records = Vec::with_capacity(5);
+        let records_at = records.as_ptr();
+        let (sorted, binned) = SortedColumn::numeric_binned_in(&values, 4, rank, ids, &mut records);
+        assert_eq!(sorted.numeric_rank().as_ptr(), rank_at);
+        let crate::BinIds::U8(kept_ids) = binned.ids() else {
+            panic!("four bins are byte ids")
+        };
+        assert_eq!(kept_ids.as_ptr(), ids_at);
+        assert_eq!(records.as_ptr(), records_at, "the records are not regrown");
+        assert_eq!(
+            (sorted, binned),
+            SortedColumn::from_numeric_binned(&values, 4)
+        );
+        let rank = Vec::with_capacity(5);
+        let plain = SortedColumn::numeric_in(&values, rank, &mut records);
+        assert_eq!(plain, SortedColumn::from_numeric(&values));
+        assert_eq!(plain.numeric_rank(), &[2, MISSING_RANK, 0, 3, 1]);
     }
 
     #[test]
