@@ -136,7 +136,6 @@ pub struct Cluster {
     master: Arc<Mutex<Master>>,
     stats: Arc<NetStats>,
     fabric_task: Fabric<TaskMsg>,
-    fabric_data: Fabric<DataMsg>,
     handles: Vec<std::thread::JoinHandle<()>>,
     pending: Mutex<HashMap<JobHandle, Receiver<JobResult>>>,
     task_kind: Task,
@@ -233,7 +232,6 @@ impl Cluster {
             master,
             stats,
             fabric_task,
-            fabric_data,
             handles,
             pending: Mutex::new(HashMap::new()),
             task_kind: table.schema().task,
@@ -313,9 +311,10 @@ impl Cluster {
     /// Replaces the replicated target column `Y` on every worker — the
     /// re-labelling step between boosting rounds (see [`crate::gbt`]).
     ///
-    /// The broadcast is accounted and paced like any other transfer. Callers
-    /// must quiesce first (wait for all submitted jobs): in-flight tasks of
-    /// an old round would otherwise mix label versions.
+    /// The master thread sends the new column, accounted and paced like any
+    /// other transfer, ahead of every plan of a job submitted after this
+    /// returns. Callers must quiesce first (wait for all submitted jobs):
+    /// in-flight tasks of an old round would otherwise mix label versions.
     ///
     /// # Panics
     /// Panics if the length differs from the table's row count or jobs are
@@ -330,22 +329,12 @@ impl Cluster {
             self.n_rows,
             "label column length must match the table's row count"
         );
-        let workers = {
-            let mut m = self.master.lock();
-            m.set_data_task(match labels {
-                ts_datatable::Labels::Real(_) => Task::Regression,
-                ts_datatable::Labels::Class(_) => self.task_kind,
-            });
-            m.label_targets()
+        let task = match labels {
+            ts_datatable::Labels::Real(_) => Task::Regression,
+            ts_datatable::Labels::Class(_) => self.task_kind,
         };
-        // One shared column for every worker, and for every spare a
-        // scripted join will admit. Sent with the master's lock dropped:
-        // the broadcast is paced.
         let labels = Arc::new(labels.clone());
-        for w in workers {
-            let labels = Arc::clone(&labels);
-            let _ = self.fabric_task.send(0, w, TaskMsg::LoadLabels { labels });
-        }
+        Master::call(&self.master, &self.fabric_task, |m| m.relabel(task, labels));
     }
 
     /// Simulates an *announced* worker crash: the worker stops processing
@@ -360,11 +349,7 @@ impl Cluster {
     /// the structured reason.
     pub fn kill_worker(&self, worker: NodeId) {
         assert!(worker >= 1, "cannot kill the master");
-        let _ = self.fabric_task.send(0, worker, TaskMsg::Shutdown);
-        let _ = self.fabric_data.send(0, worker, DataMsg::Shutdown);
-        Master::call(&self.master, &self.fabric_task, |m| {
-            m.recover_or_degrade(worker)
-        });
+        Master::call(&self.master, &self.fabric_task, |m| m.kill(worker));
     }
 
     /// Live statistics handle.

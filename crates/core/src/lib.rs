@@ -65,6 +65,7 @@ pub mod ids;
 pub mod job;
 pub mod master;
 pub mod messages;
+mod post;
 pub mod recovery;
 pub mod sched;
 pub mod worker;

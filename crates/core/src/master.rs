@@ -5,12 +5,14 @@
 //! message) to effects: it owns the roster, the column map, the plan queue
 //! `Bplan`, the task table `Ttask`, the load matrix `M_work`, the job
 //! registry, the timers and the drain/migration ledgers as ordinary fields,
-//! every handler takes `&mut self` and the time it is given, and frames and
-//! job notifications join one outbox in program order. It holds no fabric
-//! and reads no clock. The cluster keeps it behind one lock; one `master`
-//! thread ([`Master::run`]) drives it and alone delivers the outbox, with
+//! every handler takes `&mut self` and the time it is given, and the frames
+//! and job notifications it makes join one outbox of `Post`s in program
+//! order. It holds no fabric and reads no clock. The cluster keeps it
+//! behind one lock, and the `master` thread ([`Master::run`]) drives it in
+//! the receive loop the workers' loops run too (`crate::post`): per message
+//! or idle tick, one turn under the lock, then the outbox delivered with
 //! the lock dropped. The paper's two master loops (§IV, Fig. 14(a)) are the
-//! two phases of one step:
+//! two phases of one turn:
 //!
 //! - `θ_recv` ([`Master::step`]): folds one message — a column-task result
 //!   into the task table `Ttask` (picking the overall best split,
@@ -28,16 +30,14 @@
 //!
 //! Every step ends with `pump`, so a plan is dispatched in the step that
 //! made it dispatchable and nothing waits on a condition. Everyone else —
-//! `Cluster::submit`, `preempt_worker`, `kill_worker` — comes in through
-//! [`Master::call`]: the same lock, the handler, and a loop-back frame left
-//! in the master's own mailbox, so the step that dispatches what the call
-//! queued starts now rather than a tick from now. Dispatch itself stays on
-//! the master thread (see `call` for why). And because one thread delivers
-//! the one outbox in order, the ordering rules of `docs/PROTOCOL.md`
-//! ("Confirm before quota", "Donate before plan traffic", "charge before
-//! send", "a task leaves the table in the step its children enter the
-//! queue") are program order, while no paced send sleeps with the lock
-//! held.
+//! `Cluster::submit`, `update_labels`, `preempt_worker`, `kill_worker`,
+//! `shutdown` — comes in through [`Master::call`]: the same lock, the
+//! handler, and a loop-back frame that makes the master thread take its
+//! next turn now. Dispatch stays on the master thread (see `call` for why),
+//! and node 0 has no other sender. So the ordering rules of
+//! `docs/PROTOCOL.md` ("Confirm before quota", "Donate before plan
+//! traffic", "charge before send", "a task leaves the table in the step its
+//! children enter the queue") are program order on one deliverer.
 //!
 //! Hybrid scheduling (§III, Fig. 4/5): a new task goes to the **head** of
 //! `Bplan` when `|Dx| <= τ_dfs` (depth-first — reaches CPU-bound
@@ -49,12 +49,13 @@ use crate::config::ClusterConfig;
 use crate::ids::{ParentRef, Side, TaskId, TreeId};
 use crate::job::{JobHandle, JobKind, JobResult, JobSpec, TreeSpec};
 use crate::messages::{ColumnPlan, ColumnTaskBest, SubtreePlan, TaskMsg};
+use crate::post::{Ends, Post};
 use crate::recovery::RecoveryError;
 use crate::sched::{PlanQueue, StealInfo};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
-use ts_datatable::Task;
+use ts_datatable::{Labels, Task};
 use ts_netsim::{Fabric, FabricReceiver, NetStats, NodeId, WireSized};
 use ts_obs::{SpanId, TraceCtx};
 use ts_splits::exact::ColumnSplit;
@@ -241,17 +242,6 @@ struct DrainState {
     goodbye: bool,
 }
 
-/// One thing a handler leaves in the outbox for the master thread to do
-/// once the lock is dropped.
-enum Effect {
-    /// A frame from the master to a machine on the task plane.
-    Send(NodeId, TaskMsg),
-    /// A job's result for the client waiting on it. It stays behind every
-    /// frame pushed before it, so a client back from `wait` finds every
-    /// byte of its job already sent and counted.
-    Notify(Sender<JobResult>, JobResult),
-}
-
 /// The master's whole state. One owner: the cluster shares it behind one
 /// `Mutex`, and every method here runs with that lock held.
 pub struct Master {
@@ -291,7 +281,7 @@ pub struct Master {
     stats: Arc<NetStats>,
     /// Frames and job notifications in the order the handlers made them;
     /// only the master thread delivers them ([`Master::run`]).
-    out: Vec<Effect>,
+    out: Vec<Post>,
     /// Set once recovery proved impossible: every pending and future job
     /// fails with this reason instead of training.
     degraded: Option<RecoveryError>,
@@ -368,18 +358,16 @@ impl Master {
     // ------------------------------------------------------------------
 
     /// A call from outside the master thread: runs the handler `f` on the
-    /// locked master, then posts a loop-back `Wake`, which makes the master
-    /// thread take a step, and with it a `pump`, now. What `f`
-    /// leaves in the outbox stays there: the master thread delivers it
-    /// ahead of whatever that step adds, the order one lock held across
-    /// both would give.
+    /// locked master and posts a loop-back `Wake`, so the master thread's
+    /// next turn starts now and delivers what `f` left in the outbox ahead
+    /// of whatever the turn adds, the order one lock held across both would
+    /// give.
     ///
-    /// The caller does not `pump` itself. `pump` admits trees, and the
-    /// arena a tree's nodes grow in would then be born in the *caller's*
-    /// malloc arena — for a client, the process's main heap — where the
-    /// model's buffers, freed once the client has its copy, leave holes
-    /// under everything allocated since: measured as +5 % peak RSS on the
-    /// ledger's serving set-up (CHANGES.md, PR 20).
+    /// The caller never `pump`s: `pump` admits trees, and a tree's arena
+    /// would then be born in the *caller's* malloc arena — for a client,
+    /// the main heap — where the model's buffers, freed once the client has
+    /// its copy, leave holes under everything allocated since: +5 % peak
+    /// RSS on the ledger's serving set-up (measured; see CHANGES.md).
     pub fn call<R>(
         shared: &Mutex<Master>,
         fabric: &Fabric<TaskMsg>,
@@ -397,31 +385,25 @@ impl Master {
     pub fn run(shared: &Mutex<Master>, fabric: &Fabric<TaskMsg>, rx: FabricReceiver<TaskMsg>) {
         let half_beat = shared.lock().cfg.heartbeat_interval / 2;
         let tick = half_beat.clamp(Duration::from_millis(1), Duration::from_millis(50));
-        loop {
-            match rx.recv_timeout(tick) {
-                Ok(Some(TaskMsg::Shutdown)) | Err(_) => return,
-                Ok(msg) => Master::turn(shared, fabric, msg),
-            }
-        }
+        let ends = Ends {
+            me: 0,
+            task: fabric.clone(),
+            worker: None,
+        };
+        ends.serve(&rx, Some(tick), |msg| match msg {
+            Some(TaskMsg::Shutdown) => None,
+            msg => Some(Master::turn(shared, fabric.clock().now_ns(), msg)),
+        });
     }
 
     /// One turn of the master thread: a step and its pump at one clock
-    /// reading, under the lock, then — the lock dropped — the whole outbox
-    /// delivered in order, beginning with whatever `call`s left in it.
-    fn turn(shared: &Mutex<Master>, fabric: &Fabric<TaskMsg>, msg: Option<TaskMsg>) {
-        let now = fabric.clock().now_ns();
-        let effects = {
-            let mut m = shared.lock();
-            m.step(now, msg);
-            m.pump(now);
-            std::mem::take(&mut m.out)
-        };
-        for effect in effects {
-            let _ = match effect {
-                Effect::Send(to, msg) => fabric.send(0, to, msg).ok(),
-                Effect::Notify(client, result) => client.send(result).ok(),
-            };
-        }
+    /// reading, under the lock, and the whole outbox taken for delivery,
+    /// beginning with whatever `call`s left in it.
+    fn turn(shared: &Mutex<Master>, now: u64, msg: Option<TaskMsg>) -> Vec<Post> {
+        let mut m = shared.lock();
+        m.step(now, msg);
+        m.pump(now);
+        std::mem::take(&mut m.out)
     }
 
     /// `θ_recv`: folds one message (`None`: the tick brought none), then
@@ -452,13 +434,13 @@ impl Master {
     pub fn shutdown(&mut self) {
         let stops = (1..=self.cfg.total_worker_slots())
             .chain([0])
-            .map(|w| Effect::Send(w, TaskMsg::Shutdown));
+            .map(|w| Post::Task(w, TaskMsg::Shutdown));
         self.out.extend(stops);
     }
 
     /// Leaves a frame to `to` in the outbox.
     fn send(&mut self, to: NodeId, msg: TaskMsg) {
-        self.out.push(Effect::Send(to, msg));
+        self.out.push(Post::Task(to, msg));
     }
 
     // ------------------------------------------------------------------
@@ -484,7 +466,7 @@ impl Master {
         let refused = (self.degraded.clone())
             .or_else(|| mismatch.then_some(RecoveryError::ImpurityMismatch { impurity, task }));
         if let Some(err) = refused {
-            self.out.push(Effect::Notify(tx, JobResult::Failed(err)));
+            self.out.push(Post::Notify(tx, JobResult::Failed(err)));
             return (JobHandle(job_id), rx);
         }
         // The job's root span doubles as the trace id: every descendant
@@ -524,9 +506,15 @@ impl Master {
         (JobHandle(job_id), rx)
     }
 
-    /// Retargets the prediction task (see `Cluster::update_labels`).
-    pub fn set_data_task(&mut self, task: Task) {
+    /// Retargets the prediction task and leaves one `LoadLabels` of the
+    /// new label column for each of the [`Master::label_targets`] (see
+    /// `Cluster::update_labels`). Made through [`Master::call`].
+    pub(crate) fn relabel(&mut self, task: Task, labels: Arc<Labels>) {
         self.data_task = task;
+        for w in self.label_targets() {
+            let labels = Arc::clone(&labels);
+            self.send(w, TaskMsg::LoadLabels { labels });
+        }
     }
 
     /// The currently live workers.
@@ -1208,7 +1196,8 @@ impl Master {
         self.draining.insert(
             worker,
             DrainState {
-                deadline_ns: now.saturating_add(grace.as_nanos() as u64),
+                deadline_ns: now
+                    .saturating_add(u64::try_from(grace.as_nanos()).unwrap_or(u64::MAX)),
                 migrating,
                 goodbye: false,
             },
@@ -1496,9 +1485,9 @@ impl Master {
         };
         let node_stats = node_stats.expect("at least one shard reported");
         // Every shard but the winner's (if any) drops its task object.
-        let drop_all_but = |out: &mut Vec<Effect>, winner: Option<NodeId>| {
+        let drop_all_but = |out: &mut Vec<Post>, winner: Option<NodeId>| {
             let losers = involved.iter().filter(|&&w| Some(w) != winner);
-            out.extend(losers.map(|&w| Effect::Send(w, TaskMsg::DropTask { task })));
+            out.extend(losers.map(|&w| Post::Task(w, TaskMsg::DropTask { task })));
         };
         let Some(tree) = self.registry.active.get_mut(&entry.tree) else {
             // Tree revoked while results were in flight: just tell the
@@ -1689,7 +1678,7 @@ impl Master {
         obs_event!(self.stats, 0, ts_obs::Event::SpanClose { span: job.span });
         obs_event!(self.stats, 0, ts_obs::Event::JobFinished { job: tree.job });
         // Behind every frame of the job in the outbox.
-        self.out.push(Effect::Notify(job.notify, result));
+        self.out.push(Post::Notify(job.notify, result));
     }
 
     // ------------------------------------------------------------------
@@ -1705,6 +1694,13 @@ impl Master {
         if let Err(e) = self.handle_worker_crash(dead) {
             self.fail_all_jobs(e);
         }
+    }
+
+    /// An announced crash (`Cluster::kill_worker`): stops `worker`, then
+    /// runs crash recovery for it. Made through [`Master::call`].
+    pub(crate) fn kill(&mut self, worker: NodeId) {
+        self.send(worker, TaskMsg::Shutdown);
+        self.recover_or_degrade(worker);
     }
 
     /// Handles a worker crash: re-replicates its columns from surviving
@@ -1776,7 +1772,7 @@ impl Master {
         // 4. Notify workers: revocations, then the transfers in pair order.
         for &w in &self.workers {
             for &tree in &revoked_ids {
-                self.out.push(Effect::Send(w, TaskMsg::RevokeTree { tree }));
+                self.out.push(Post::Task(w, TaskMsg::RevokeTree { tree }));
             }
         }
         for ((source, to), attrs) in transfer {
@@ -1798,7 +1794,7 @@ impl Master {
         self.plans.clear();
         for (_, j) in self.registry.jobs.drain() {
             let failed = JobResult::Failed(err.clone());
-            self.out.push(Effect::Notify(j.notify, failed));
+            self.out.push(Post::Notify(j.notify, failed));
         }
         self.degraded = Some(err);
     }
@@ -1847,10 +1843,11 @@ mod tests {
         let mut boxes = vec![Vec::new(); m.cfg.total_worker_slots() + 1];
         for effect in std::mem::take(&mut m.out) {
             match effect {
-                Effect::Send(to, msg) => boxes[to].push(msg),
-                Effect::Notify(client, result) => {
+                Post::Task(to, msg) => boxes[to].push(msg),
+                Post::Notify(client, result) => {
                     let _ = client.send(result);
                 }
+                _ => unreachable!("the master posts task frames and results only"),
             }
         }
         boxes
@@ -1863,6 +1860,18 @@ mod tests {
         let n = m.cfg.total_worker_slots() + 1;
         let clock = SimClock::virtual_at(0);
         Fabric::new_faulty(n, NetModel::instant(), NetStats::new(n), None, clock)
+    }
+
+    /// One master-thread turn at the fabric clock's time, delivered on
+    /// `fabric`, as [`Master::run`] takes it.
+    fn turn(shared: &Mutex<Master>, fabric: &Fabric<TaskMsg>, msg: Option<TaskMsg>) {
+        let posts = Master::turn(shared, fabric.clock().now_ns(), msg);
+        let ends = Ends {
+            me: 0,
+            task: fabric.clone(),
+            worker: None,
+        };
+        ends.deliver(posts);
     }
 
     /// Everything a machine has been delivered since the last look.
@@ -2142,10 +2151,10 @@ mod tests {
         let job = JobSpec::decision_tree(TASK);
         let (_h, _done) = Master::call(&shared, &fabric, |m| m.submit(job));
         let loop_back = inbox(&rxs[0]).into_iter().next();
-        Master::turn(&shared, &fabric, loop_back);
+        turn(&shared, &fabric, loop_back);
         let took = fabric.clock().now_ns();
         assert!(took >= 10_000_000, "the shards took {took} ns");
-        Master::turn(&shared, &fabric, None);
+        turn(&shared, &fabric, None);
         assert_eq!(shared.lock().live_workers(), [1, 2, 3]);
     }
 
@@ -2258,7 +2267,7 @@ mod tests {
         let (_h, _rx) = Master::call(&shared, &fabric, |m| m.submit(forest));
         let mut posted = inbox(&rxs[0]);
         assert!(matches!(posted[..], [TaskMsg::Wake]));
-        Master::turn(&shared, &fabric, Some(posted.remove(0)));
+        turn(&shared, &fabric, Some(posted.remove(0)));
         let sent = plans_in(&[Vec::new(), inbox(&rxs[1])]);
         assert_eq!(sent.len(), 4, "a full window of root plans went out");
         assert_eq!(shared.lock().plans.len(), 2, "the rest is backlog");
@@ -2281,7 +2290,7 @@ mod tests {
         assert!(rxs[1..].iter().all(|rx| inbox(rx).is_empty()));
         let loop_back = inbox(&rxs[0]).into_iter().next();
         assert!(matches!(loop_back, Some(TaskMsg::Wake)));
-        Master::turn(&shared, &fabric, loop_back);
+        turn(&shared, &fabric, loop_back);
         let frames: Vec<_> = rxs.iter().map(inbox).collect();
         assert!(matches!(frames[3][..], [TaskMsg::Drain]), "{:?}", frames[3]);
         for w in [1, 2] {
@@ -2333,12 +2342,13 @@ mod tests {
         deliver(&mut m, column_result(root, winner, best, stats(75, 75)));
         let order: Vec<&str> = (m.out.iter())
             .map(|e| match e {
-                Effect::Send(_, TaskMsg::ConfirmBest { .. }) => "confirm",
-                Effect::Send(_, TaskMsg::DropTask { .. }) => "drop",
-                Effect::Send(_, TaskMsg::ServeQuota { .. }) => "quota",
-                Effect::Send(..) => "other",
-                Effect::Notify(_, JobResult::Tree(_)) => "tree",
-                Effect::Notify(..) => "other result",
+                Post::Task(_, TaskMsg::ConfirmBest { .. }) => "confirm",
+                Post::Task(_, TaskMsg::DropTask { .. }) => "drop",
+                Post::Task(_, TaskMsg::ServeQuota { .. }) => "quota",
+                Post::Task(..) => "other",
+                Post::Notify(_, JobResult::Tree(_)) => "tree",
+                Post::Notify(..) => "other result",
+                _ => unreachable!("the master posts task frames and results only"),
             })
             .collect();
         let drops = vec!["drop"; shards.len() - 1];
@@ -2378,7 +2388,7 @@ mod tests {
         assert!(m.degraded_reason().is_none());
         let transfers: Vec<(NodeId, NodeId, Vec<usize>)> = (m.out.iter())
             .filter_map(|e| match e {
-                Effect::Send(src, TaskMsg::ReplicateTo { attrs, to, .. }) => {
+                Post::Task(src, TaskMsg::ReplicateTo { attrs, to, .. }) => {
                     Some((*src, *to, attrs.clone()))
                 }
                 _ => None,
@@ -2641,7 +2651,7 @@ mod tests {
         assert_eq!(m.live_workers(), [1, 2, 3, 4, 5]);
         let mut joiners: Vec<NodeId> = (m.out.iter())
             .filter_map(|e| match e {
-                Effect::Send(_, TaskMsg::ReplicateTo { to, .. }) => Some(*to),
+                Post::Task(_, TaskMsg::ReplicateTo { to, .. }) => Some(*to),
                 _ => None,
             })
             .collect();
@@ -2698,5 +2708,56 @@ mod tests {
         for (w, frames) in inboxes(&mut m).iter().enumerate() {
             assert!(matches!(frames[..], [TaskMsg::Shutdown]), "{w}: {frames:?}");
         }
+    }
+
+    #[test]
+    fn a_grace_window_past_the_end_of_time_saturates() {
+        // 18 446 744 074 s is 2^64 ns + 290 448 384 ns: truncated, the
+        // deadline would fall 0.29 s after the drain began.
+        let mut m = master_of(three_workers(), 150, 4);
+        m.begin_drain(0, 3, Duration::from_secs(18_446_744_074));
+        inboxes(&mut m);
+        m.step(1_000_000_000, None);
+        assert!(m.is_draining(3), "still inside its grace window");
+        assert!(m.out.is_empty(), "fenced by nothing");
+    }
+
+    #[test]
+    fn relabel_and_kill_calls_leave_their_frames_in_call_order() {
+        // A join not fired yet: its spares 4 and 5 get the labels too.
+        let mut m = master_of(joining(2, HOUR), 150, 4);
+        m.relabel(TASK, Arc::new(Labels::Class(vec![0; 150])));
+        let (_h, _done) = m.submit(JobSpec::decision_tree(TASK));
+        m.pump(0);
+        // `(to, is a LoadLabels)` of every label and plan frame, in order.
+        let kinds: Vec<(NodeId, bool)> = (m.out.iter())
+            .filter_map(|post| match post {
+                Post::Task(to, TaskMsg::LoadLabels { .. }) => Some((*to, true)),
+                Post::Task(to, TaskMsg::ColumnPlan(_) | TaskMsg::SubtreePlan(_)) => {
+                    Some((*to, false))
+                }
+                _ => None,
+            })
+            .collect();
+        let loads: Vec<NodeId> = (kinds.iter())
+            .take_while(|&&(_, load)| load)
+            .map(|&(to, _)| to)
+            .collect();
+        assert_eq!(loads, [1, 2, 3, 4, 5], "one LoadLabels per target, first");
+        assert!(kinds.len() > loads.len(), "the job was dispatched");
+        assert!(kinds[loads.len()..].iter().all(|&(_, load)| !load));
+        inboxes(&mut m);
+
+        // The victim is stopped before recovery revokes and re-replicates.
+        m.kill(2);
+        assert!(!m.live_workers().contains(&2));
+        assert!(matches!(m.out[0], Post::Task(2, TaskMsg::Shutdown)));
+        let rest = &m.out[1..];
+        assert!(rest
+            .iter()
+            .any(|p| matches!(p, Post::Task(_, TaskMsg::RevokeTree { .. }))));
+        assert!(rest
+            .iter()
+            .any(|p| matches!(p, Post::Task(_, TaskMsg::ReplicateTo { .. }))));
     }
 }

@@ -27,10 +27,13 @@
 //!
 //! One owner, one lock: `Worker` holds every table, the pipeline counters,
 //! the resident columns and the labels as plain fields, and every handler
-//! takes `&mut self` and *returns* what it wants done — frames to send and
-//! tasks made ready (`Out`). The threads (`Machine`) share the worker behind
-//! one mutex and each runs `recv → lock → handle → unlock → send`, so no
-//! frame is sent with the lock held (sends sleep under the link model). A
+//! takes `&mut self` and pushes what it wants done — frames to send, tasks
+//! made ready — onto its outbox of `Post`s, as the master's handlers do;
+//! the handler the lock was taken for returns the outbox. The threads
+//! (`Machine`) share the worker behind one mutex; the task and data loops
+//! are the master's receive loop (`crate::post`), and they and the compers
+//! deliver through the one deliverer with the lock dropped, so no frame is
+//! sent with the lock held (sends sleep under the link model). A
 //! computation — a comper's task, `ConfirmBest`'s partition, `HistFetch`'s
 //! recount — takes a `Snapshot` of `Arc` handles under the lock and runs
 //! with the lock free.
@@ -38,6 +41,7 @@
 use crate::assign::ColumnMap;
 use crate::ids::{ParentRef, RowSet, Side, TaskId, TreeId};
 use crate::messages::{ColumnPlan, ColumnTaskBest, DataMsg, HistPlanConf, SubtreePlan, TaskMsg};
+use crate::post::{Ends, Post};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,7 +59,7 @@ use ts_splits::sorted::{best_split_at, distinct_categories_at, ColumnRef, NodeRo
 use ts_splits::{partition_rows, SplitTest};
 use ts_tree::{train_subtree, LocalDataset, TrainMode, TrainParams};
 use tschan::sync::Mutex;
-use tschan::{Receiver, Sender};
+use tschan::Receiver;
 use tsrand::rngs::StdRng;
 use tsrand::seq::SliceRandom;
 use tsrand::SeedableRng;
@@ -74,7 +78,7 @@ fn bufs_bytes<'a>(bufs: impl IntoIterator<Item = &'a ValuesBuf>) -> usize {
 }
 
 /// A task whose data is complete, ready for a comper.
-enum ReadyTask {
+pub(crate) enum ReadyTask {
     Column {
         plan: ColumnPlan,
         ix: RowSet,
@@ -429,42 +433,6 @@ impl Env {
     }
 }
 
-/// What a handler leaves for its thread to do once the lock is dropped:
-/// tasks for the comper pool, then frames to send, in order.
-#[derive(Default)]
-struct Out {
-    ready: Vec<ReadyTask>,
-    frames: Vec<Frame>,
-}
-
-/// One frame a handler wants sent.
-enum Frame {
-    /// To the master, on the task plane.
-    Master(TaskMsg),
-    /// To a worker, on the data plane.
-    Peer(NodeId, DataMsg),
-    /// To a worker, on the data plane, with a payload copied out of held
-    /// columns by the sending thread once the lock is dropped.
-    Copied(NodeId, Box<dyn FnOnce() -> DataMsg>),
-}
-
-impl Out {
-    fn of(frame: Frame) -> Out {
-        Out {
-            frames: vec![frame],
-            ..Out::default()
-        }
-    }
-
-    fn master(&mut self, msg: TaskMsg) {
-        self.frames.push(Frame::Master(msg));
-    }
-
-    fn peer(&mut self, to: NodeId, msg: DataMsg) {
-        self.frames.push(Frame::Peer(to, msg));
-    }
-}
-
 /// One worker machine's state.
 pub struct Worker {
     env: Env,
@@ -499,6 +467,10 @@ pub struct Worker {
     /// Cleared on `Shutdown`: a silenced machine neither asks for work nor
     /// says goodbye.
     alive: bool,
+    /// Frames and ready tasks in the order the handlers made them; the
+    /// handler the lock was taken for returns them, for its thread to
+    /// deliver.
+    out: Vec<Post>,
 }
 
 impl Worker {
@@ -572,7 +544,7 @@ impl Worker {
     /// backlog in step. A subtree-task's trace span gets its "ready" mark
     /// here: its dataset is assembled, and what follows until a comper picks
     /// it up is queue wait.
-    fn make_ready(&mut self, task: ReadyTask, out: &mut Out) {
+    fn make_ready(&mut self, task: ReadyTask) {
         self.ready_backlog += 1;
         if let ReadyTask::Subtree { plan, .. } = &task {
             obs_event!(
@@ -584,14 +556,14 @@ impl Worker {
                 }
             );
         }
-        out.ready.push(task);
+        self.out.push(Post::Ready(task));
     }
 
     /// When the ready backlog is empty and no request is in flight,
     /// advertise hunger to the master. The request is an accelerator — if
     /// it (or its Donate) is lost, the latch is cleared by the next plan
     /// that arrives anyway.
-    fn maybe_request_steal(&mut self, out: &mut Out) {
+    fn maybe_request_steal(&mut self) {
         // A draining worker must wind down, not attract more work (the
         // master forgot its deque anyway).
         if !self.alive || self.draining || self.ready_backlog > 0 || self.steal_outstanding {
@@ -605,9 +577,9 @@ impl Worker {
                 worker: self.env.id as u32
             }
         );
-        out.master(TaskMsg::StealRequest {
-            worker: self.env.id,
-        });
+        let worker = self.env.id;
+        self.out
+            .push(Post::Task(0, TaskMsg::StealRequest { worker }));
     }
 
     /// Drain progress check: once the ready queue and the comper pipeline
@@ -616,7 +588,7 @@ impl Worker {
     /// parked for `Ix`/columns and the delegate table are in-flight state
     /// the *master* tracks (`touches`), and the worker keeps serving its
     /// data plane until the final `Shutdown` arrives.
-    fn maybe_goodbye(&mut self, out: &mut Out) {
+    fn maybe_goodbye(&mut self) {
         if self.draining
             && self.alive
             && !self.goodbye_sent
@@ -624,9 +596,8 @@ impl Worker {
             && self.computing == 0
         {
             self.goodbye_sent = true;
-            out.master(TaskMsg::Goodbye {
-                worker: self.env.id,
-            });
+            let worker = self.env.id;
+            self.out.push(Post::Task(0, TaskMsg::Goodbye { worker }));
         }
     }
 
@@ -637,11 +608,10 @@ impl Worker {
     /// A task-plane frame. `ConfirmBest`, `HistFetch` and `LoadColumns`
     /// compute outside the lock and come in through their halves instead
     /// (`Machine::on_task`).
-    fn on_task(&mut self, msg: TaskMsg) -> Out {
-        let mut out = Out::default();
+    fn on_task(&mut self, msg: TaskMsg) -> Vec<Post> {
         match msg {
-            TaskMsg::ColumnPlan(plan) => self.on_column_plan(plan, &mut out),
-            TaskMsg::SubtreePlan(plan) => self.on_subtree_plan(plan, &mut out),
+            TaskMsg::ColumnPlan(plan) => self.on_column_plan(plan),
+            TaskMsg::SubtreePlan(plan) => self.on_subtree_plan(plan),
             TaskMsg::DropTask { task } => {
                 if let Some(av) = self.awaiting.remove(&task) {
                     self.env.free(ix_bytes(&av.ix));
@@ -650,9 +620,8 @@ impl Worker {
             TaskMsg::ServeQuota { task, side, quota } => self.on_serve_quota(task, side, quota),
             TaskMsg::RevokeTree { tree } => self.on_revoke_tree(tree),
             TaskMsg::LoadLabels { labels } => {
-                // Boosting support: the client distributes a fresh target
-                // column between rounds (the cluster is quiesced — the
-                // caller waits for the previous round's job first).
+                // Boosting: a fresh target column between rounds, sent once
+                // the client has waited for the previous round's job.
                 assert_eq!(labels.len(), self.env.n_rows, "label column length");
                 self.labels = labels;
             }
@@ -667,14 +636,13 @@ impl Worker {
                     let columns = columns.collect();
                     DataMsg::ReplicateCols { columns, ctx }
                 };
-                out.frames.push(Frame::Copied(to, Box::new(copy)));
+                self.out.push(Post::Copied(to, Box::new(copy)));
             }
             TaskMsg::Drain => {
                 self.draining = true;
                 // Maybe the pipeline is already dry.
-                self.maybe_goodbye(&mut out);
+                self.maybe_goodbye();
             }
-            TaskMsg::Shutdown => self.alive = false,
             TaskMsg::Donate { ctx, .. } => {
                 // The master answered our steal request: the stolen
                 // task's plan follows on this same FIFO channel. The
@@ -691,8 +659,9 @@ impl Worker {
             }
             TaskMsg::ConfirmBest { .. }
             | TaskMsg::HistFetch { .. }
-            | TaskMsg::LoadColumns { .. } => {
-                unreachable!("computed outside the lock by Machine::on_task")
+            | TaskMsg::LoadColumns { .. }
+            | TaskMsg::Shutdown => {
+                unreachable!("handled outside the lock by Machine::on_task and the task loop")
             }
             // Master-only messages never reach workers.
             TaskMsg::ColumnResult { .. }
@@ -707,7 +676,7 @@ impl Worker {
                 unreachable!("master-bound message delivered to a worker")
             }
         }
-        out
+        std::mem::take(&mut self.out)
     }
 
     /// A plan arrived: the master is feeding us again — a lost steal request
@@ -725,7 +694,7 @@ impl Worker {
         );
     }
 
-    fn on_column_plan(&mut self, plan: ColumnPlan, out: &mut Out) {
+    fn on_column_plan(&mut self, plan: ColumnPlan) {
         self.plan_arrived(plan.ctx);
         match plan.parent {
             ParentRef::Root => {
@@ -733,16 +702,16 @@ impl Worker {
                     plan,
                     ix: RowSet::All,
                 };
-                self.make_ready(ready, out);
+                self.make_ready(ready);
             }
             parent => {
-                self.ask_for_ix(parent, plan.task, plan.tree, plan.ctx, out);
+                self.ask_for_ix(parent, plan.task, plan.tree, plan.ctx);
                 self.tasks.insert(plan.task, PendingTask::Column { plan });
             }
         }
     }
 
-    fn on_subtree_plan(&mut self, plan: SubtreePlan, out: &mut Out) {
+    fn on_subtree_plan(&mut self, plan: SubtreePlan) {
         self.plan_arrived(plan.ctx);
         let (me, task, tree, parent, ctx) =
             (self.env.id, plan.task, plan.tree, plan.parent, plan.ctx);
@@ -761,7 +730,7 @@ impl Worker {
             remote_bufs: HashMap::new(),
             remote_needed,
         };
-        self.provision(task, p, out);
+        self.provision(task, p);
         for (holder, attrs) in by_holder {
             let req = DataMsg::ReqCols {
                 for_task: task,
@@ -771,21 +740,14 @@ impl Worker {
                 tree,
                 ctx,
             };
-            out.peer(holder, req);
+            self.out.push(Post::Data(holder, req));
         }
-        self.ask_for_ix(parent, task, tree, ctx, out);
+        self.ask_for_ix(parent, task, tree, ctx);
     }
 
     /// Asks the parent worker for `for_task`'s half of its parent's rows; a
     /// root task's rows are implicit.
-    fn ask_for_ix(
-        &self,
-        parent: ParentRef,
-        for_task: TaskId,
-        tree: TreeId,
-        ctx: TraceCtx,
-        out: &mut Out,
-    ) {
+    fn ask_for_ix(&mut self, parent: ParentRef, for_task: TaskId, tree: TreeId, ctx: TraceCtx) {
         if let ParentRef::Node { worker, task, side } = parent {
             let req = DataMsg::ReqIx {
                 parent_task: task,
@@ -795,7 +757,7 @@ impl Worker {
                 tree,
                 ctx,
             };
-            out.peer(worker, req);
+            self.out.push(Post::Data(worker, req));
         }
     }
 
@@ -819,14 +781,13 @@ impl Worker {
         task: TaskId,
         av: AwaitingVerdict,
         (l, r): (Vec<u32>, Vec<u32>),
-    ) -> Out {
-        let mut out = Out::default();
+    ) -> Vec<Post> {
         self.env.free(ix_bytes(&av.ix));
         if self.revoked.contains(&av.tree) {
             // Revoked since the verdict was taken out: the revocation
             // dropped the tree's parked requests and saw no entry to
             // drop, so none may appear now.
-            return out;
+            return Vec::new();
         }
         self.env.alloc((l.len() + r.len()) * 4);
         let entry = DelegateEntry {
@@ -839,10 +800,10 @@ impl Worker {
         for (_tree, side, requester, for_task, ctx) in self.parked.remove(&task).unwrap_or_default()
         {
             if let Some(resp) = self.serve_ix(task, side, for_task, ctx) {
-                out.peer(requester, resp);
+                self.out.push(Post::Data(requester, resp));
             }
         }
-        out
+        std::mem::take(&mut self.out)
     }
 
     /// `HistFetch`, first half: the master elected one of our nominated
@@ -861,18 +822,19 @@ impl Worker {
         task: TaskId,
         best: Option<ColumnTaskBest>,
         ctx: TraceCtx,
-    ) -> Out {
+    ) -> Vec<Post> {
         let Some(av) = self.awaiting.get_mut(&task) else {
-            return Out::default(); // revoked during the recount: the master forgot us too
+            return Vec::new(); // revoked during the recount: the master forgot us too
         };
         av.winning = best.as_ref().map(winning);
         let worker = self.env.id;
-        Out::of(Frame::Master(TaskMsg::HistBest {
+        let best = TaskMsg::HistBest {
             task,
             worker,
             best,
             ctx,
-        }))
+        };
+        vec![Post::Task(0, best)]
     }
 
     fn on_serve_quota(&mut self, task: TaskId, side: Side, quota: u32) {
@@ -928,8 +890,7 @@ impl Worker {
 
     /// A data-plane frame. `ReplicateCols` builds its indexes outside the
     /// lock and comes in through `on_replicated` (`Machine::on_data`).
-    fn on_data(&mut self, msg: DataMsg) -> Out {
-        let mut out = Out::default();
+    fn on_data(&mut self, msg: DataMsg) -> Vec<Post> {
         match msg {
             DataMsg::ReqIx {
                 parent_task,
@@ -938,12 +899,8 @@ impl Worker {
                 for_task,
                 tree,
                 ctx,
-            } => self.on_req_ix(
-                parent_task,
-                (tree, side, requester, for_task, ctx),
-                &mut out,
-            ),
-            DataMsg::RespIx { for_task, rows, .. } => self.on_resp_ix(for_task, rows, &mut out),
+            } => self.on_req_ix(parent_task, (tree, side, requester, for_task, ctx)),
+            DataMsg::RespIx { for_task, rows, .. } => self.on_resp_ix(for_task, rows),
             DataMsg::ReqCols {
                 for_task,
                 attrs,
@@ -951,7 +908,7 @@ impl Worker {
                 parent: ParentRef::Root,
                 ctx,
                 ..
-            } => self.send_cols(for_task, attrs, key_worker, RowSet::All, ctx, &mut out),
+            } => self.send_cols(for_task, attrs, key_worker, RowSet::All, ctx),
             DataMsg::ReqCols {
                 for_task,
                 attrs,
@@ -968,7 +925,7 @@ impl Worker {
                         ctx,
                     };
                     self.tasks.insert(for_task, serve);
-                    self.ask_for_ix(parent, for_task, tree, ctx, &mut out);
+                    self.ask_for_ix(parent, for_task, tree, ctx);
                 }
             }
             DataMsg::RespCols {
@@ -976,30 +933,30 @@ impl Worker {
                 attrs,
                 bufs,
                 ..
-            } => self.on_resp_cols(for_task, attrs, bufs, &mut out),
+            } => self.on_resp_cols(for_task, attrs, bufs),
             DataMsg::ReplicateCols { .. } | DataMsg::Shutdown => {
                 unreachable!("handled by Machine::on_data and the data loop")
             }
         }
-        out
+        std::mem::take(&mut self.out)
     }
 
     /// The replicated columns are installed: the master may now list this
     /// worker as their holder.
-    fn on_replicated(&mut self, columns: Vec<(usize, Held)>, ctx: TraceCtx) -> Out {
+    fn on_replicated(&mut self, columns: Vec<(usize, Held)>, ctx: TraceCtx) -> Vec<Post> {
         let attrs = columns.iter().map(|&(a, _)| a).collect();
         self.install(columns);
         let worker = self.env.id;
-        Out::of(Frame::Master(TaskMsg::ReplicateDone { attrs, worker, ctx }))
+        vec![Post::Task(0, TaskMsg::ReplicateDone { attrs, worker, ctx })]
     }
 
     /// Serves one side of a delegate's `Ix`, or parks the request until the
     /// delegate entry exists.
-    fn on_req_ix(&mut self, parent_task: TaskId, req: ParkedIxReq, out: &mut Out) {
+    fn on_req_ix(&mut self, parent_task: TaskId, req: ParkedIxReq) {
         let (tree, side, requester, for_task, ctx) = req;
         if self.delegates.contains_key(&parent_task) {
             if let Some(resp) = self.serve_ix(parent_task, side, for_task, ctx) {
-                out.peer(requester, resp);
+                self.out.push(Post::Data(requester, resp));
             }
         } else if !self.revoked.contains(&tree) {
             // (A revoked tree's requester was revoked too.)
@@ -1036,38 +993,37 @@ impl Worker {
         })
     }
 
-    fn on_resp_ix(&mut self, for_task: TaskId, rows: Vec<u32>, out: &mut Out) {
+    fn on_resp_ix(&mut self, for_task: TaskId, rows: Vec<u32>) {
         let ix = RowSet::Ids(Arc::new(rows));
         match self.tasks.remove(&for_task) {
             None => {} // revoked
             Some(PendingTask::Column { plan }) => {
                 self.env.alloc(ix_bytes(&ix));
-                self.make_ready(ReadyTask::Column { plan, ix }, out);
+                self.make_ready(ReadyTask::Column { plan, ix });
             }
             Some(PendingTask::Subtree(mut p)) => {
                 self.env.alloc(ix_bytes(&ix));
                 p.ix = Some(ix);
-                self.provision(for_task, p, out);
+                self.provision(for_task, p);
             }
             Some(PendingTask::Serve {
                 attrs,
                 key_worker,
                 ctx,
                 ..
-            }) => self.send_cols(for_task, attrs, key_worker, ix, ctx, out),
+            }) => self.send_cols(for_task, attrs, key_worker, ix, ctx),
         }
     }
 
     /// Answers a `ReqCols` over `ix`; the columns are gathered once the lock
     /// is dropped.
     fn send_cols(
-        &self,
+        &mut self,
         for_task: TaskId,
         attrs: Vec<usize>,
         to: NodeId,
         ix: RowSet,
         ctx: TraceCtx,
-        out: &mut Out,
     ) {
         let cols: Vec<_> = (attrs.iter())
             .map(|&a| held(&self.data, a).column.clone())
@@ -1082,27 +1038,21 @@ impl Worker {
                 ctx,
             }
         };
-        out.frames.push(Frame::Copied(to, Box::new(gather)));
+        self.out.push(Post::Copied(to, Box::new(gather)));
     }
 
-    fn on_resp_cols(
-        &mut self,
-        for_task: TaskId,
-        attrs: Vec<usize>,
-        bufs: Vec<ValuesBuf>,
-        out: &mut Out,
-    ) {
+    fn on_resp_cols(&mut self, for_task: TaskId, attrs: Vec<usize>, bufs: Vec<ValuesBuf>) {
         let Some(PendingTask::Subtree(mut p)) = self.tasks.remove(&for_task) else {
             return; // revoked
         };
         self.env.alloc(bufs_bytes(&bufs));
         p.remote_bufs.extend(attrs.into_iter().zip(bufs));
-        self.provision(for_task, p, out);
+        self.provision(for_task, p);
     }
 
     /// Keeps a subtree-task in the task table until `Ix` and every remote
     /// column are in, then hands it to the compers.
-    fn provision(&mut self, task: TaskId, p: Provisioning, out: &mut Out) {
+    fn provision(&mut self, task: TaskId, p: Provisioning) {
         match p {
             Provisioning {
                 plan,
@@ -1115,7 +1065,7 @@ impl Worker {
                     ix,
                     remote_bufs,
                 };
-                self.make_ready(ready, out);
+                self.make_ready(ready);
             }
             p => {
                 self.tasks.insert(task, PendingTask::Subtree(p));
@@ -1154,10 +1104,10 @@ impl Worker {
     /// Keeps `Ix` (and the reported winning condition) of a computed
     /// column-task until the master's verdict — before its result goes out,
     /// so `ConfirmBest`, `HistFetch` and `DropTask` can never miss it.
-    fn finish_column(&mut self, plan: &ColumnPlan, ix: RowSet, msg: TaskMsg) -> Out {
+    fn finish_column(&mut self, plan: &ColumnPlan, ix: RowSet, msg: TaskMsg) -> Vec<Post> {
         if self.revoked.contains(&plan.tree) {
             self.env.free(ix_bytes(&ix));
-            return Out::default();
+            return Vec::new();
         }
         // A histogram nomination wins no condition until `HistFetch`.
         let winning = match &msg {
@@ -1171,17 +1121,16 @@ impl Worker {
             winning,
         };
         self.awaiting.insert(plan.task, av);
-        Out::of(Frame::Master(msg))
+        vec![Post::Task(0, msg)]
     }
 
     /// A comper sent its result: the pipeline shrinks, and if that left
     /// the worker idle it asks for work — or, draining, says goodbye.
-    fn idle(&mut self) -> Out {
-        let mut out = Out::default();
+    fn idle(&mut self) -> Vec<Post> {
         self.computing -= 1;
-        self.maybe_request_steal(&mut out);
-        self.maybe_goodbye(&mut out);
-        out
+        self.maybe_request_steal();
+        self.maybe_goodbye();
+        std::mem::take(&mut self.out)
     }
 }
 
@@ -1503,15 +1452,13 @@ impl Snapshot {
 }
 
 /// What a worker's threads share — the worker behind its one lock — and
-/// the ends they send on. Handlers return their frames; only a `Machine`
-/// sends, and only with the lock dropped.
+/// the ends they send on. Handlers return their posts; only a `Machine`
+/// delivers them, and only with the lock dropped.
 #[derive(Clone)]
 struct Machine {
     worker: Arc<Mutex<Worker>>,
     env: Env,
-    fabric_task: Fabric<TaskMsg>,
-    fabric_data: Fabric<DataMsg>,
-    ready_tx: Sender<ReadyTask>,
+    ends: Ends,
 }
 
 impl Machine {
@@ -1542,32 +1489,20 @@ impl Machine {
             draining: false,
             goodbye_sent: false,
             alive: true,
+            out: Vec::new(),
         };
         let (ready_tx, ready_rx) = tschan::unbounded();
+        let ends = Ends {
+            me: env.id,
+            task: fabric_task,
+            worker: Some((fabric_data, ready_tx)),
+        };
         let machine = Machine {
             worker: Arc::new(Mutex::new(worker)),
             env,
-            fabric_task,
-            fabric_data,
-            ready_tx,
+            ends,
         };
         (machine, ready_rx)
-    }
-
-    /// Sends what a handler returned: ready tasks to the compers, then its
-    /// frames in order.
-    fn deliver(&self, out: Out) {
-        let me = self.env.id;
-        for task in out.ready {
-            let _ = self.ready_tx.send(task);
-        }
-        for frame in out.frames {
-            let _ = match frame {
-                Frame::Master(msg) => self.fabric_task.send(me, 0, msg),
-                Frame::Peer(to, msg) => self.fabric_data.send(me, to, msg),
-                Frame::Copied(to, copy) => self.fabric_data.send(me, to, copy()),
-            };
-        }
     }
 
     /// Indexes columns that arrived ([`index`]) on every core.
@@ -1584,18 +1519,18 @@ impl Machine {
     /// One task-plane frame, as the task loop handles it. `ConfirmBest` and
     /// `HistFetch` take what they compute on, compute with the lock free and
     /// install the result; `LoadColumns` builds its indexes before it locks.
-    fn on_task(&self, msg: TaskMsg) -> Out {
+    fn on_task(&self, msg: TaskMsg) -> Vec<Post> {
         match msg {
             TaskMsg::ConfirmBest { task } => {
                 let Some((av, snap)) = self.worker.lock().take_verdict(task) else {
-                    return Out::default();
+                    return Vec::new();
                 };
                 let sides = snap.partition_ix(&av);
                 self.worker.lock().install_delegate(task, av, sides)
             }
             TaskMsg::HistFetch { task, attr, ctx } => {
                 let Some((ix, imp, snap)) = self.worker.lock().fetch_inputs(task) else {
-                    return Out::default();
+                    return Vec::new();
                 };
                 let best = snap.hist_recount(&ix, imp, attr);
                 self.worker.lock().set_hist_winner(task, best, ctx)
@@ -1603,14 +1538,14 @@ impl Machine {
             TaskMsg::LoadColumns { columns } => {
                 let columns = self.build(columns);
                 self.worker.lock().install(columns);
-                Out::default()
+                Vec::new()
             }
             msg => self.worker.lock().on_task(msg),
         }
     }
 
     /// One data-plane frame, as the data loop handles it.
-    fn on_data(&self, msg: DataMsg) -> Out {
+    fn on_data(&self, msg: DataMsg) -> Vec<Post> {
         match msg {
             DataMsg::ReplicateCols { columns, ctx } => {
                 let columns = self.build(columns);
@@ -1623,7 +1558,7 @@ impl Machine {
     /// One comper computation: pick-up, compute with the lock free, and —
     /// for a column-task — keep `Ix` for the verdict. The result frame is
     /// returned, not sent.
-    fn compute(&self, task: ReadyTask) -> Out {
+    fn compute(&self, task: ReadyTask) -> Vec<Post> {
         match task {
             ReadyTask::Column { plan, ix } => {
                 let snap = self.worker.lock().start();
@@ -1643,7 +1578,7 @@ impl Machine {
                 let msg = snap.timed(task, ctx, || {
                     wanted.then(|| snap.subtree_task(plan, ix, remote_bufs))
                 });
-                msg.map_or_else(Out::default, |msg| Out::of(Frame::Master(msg)))
+                msg.map_or_else(Vec::new, |msg| vec![Post::Task(0, msg)])
             }
             ReadyTask::Stop => unreachable!("the comper loop stops on Stop"),
         }
@@ -1657,26 +1592,24 @@ impl Machine {
             machine: &self,
             compers: Some(compers),
         };
-        while let Ok(msg) = rx.recv() {
-            let shutdown = matches!(msg, TaskMsg::Shutdown);
-            let out = self.on_task(msg);
-            self.deliver(out);
-            if shutdown {
-                return;
+        self.ends.serve(&rx, None, |msg| match msg? {
+            // Silenced: the compers still running ask for no work and say
+            // no goodbye.
+            TaskMsg::Shutdown => {
+                self.worker.lock().alive = false;
+                None
             }
-        }
+            msg => Some(self.on_task(msg)),
+        });
     }
 
     /// Worker `θ_recv`: the worker↔worker data plane.
     fn data_loop(self, rx: FabricReceiver<DataMsg>) {
         let _exit = Exit::of(&self);
-        while let Ok(msg) = rx.recv() {
-            if matches!(msg, DataMsg::Shutdown) {
-                return;
-            }
-            let out = self.on_data(msg);
-            self.deliver(out);
-        }
+        self.ends.serve(&rx, None, |msg| match msg? {
+            DataMsg::Shutdown => None,
+            msg => Some(self.on_data(msg)),
+        });
     }
 
     /// A comper: the result goes out before the pipeline shrinks, so a
@@ -1687,10 +1620,9 @@ impl Machine {
             if matches!(task, ReadyTask::Stop) {
                 return;
             }
-            let out = self.compute(task);
-            self.deliver(out);
+            self.ends.deliver(self.compute(task));
             let out = self.worker.lock().idle();
-            self.deliver(out);
+            self.ends.deliver(out);
         }
     }
 }
@@ -1717,15 +1649,16 @@ impl<'a> Exit<'a> {
 
 impl Drop for Exit<'_> {
     fn drop(&mut self) {
-        let (m, me) = (self.machine, self.machine.env.id);
+        let (ends, me) = (&self.machine.ends, self.machine.env.id);
+        let (fabric_data, ready_tx) = ends.worker.as_ref().expect("a worker's ends");
         if std::thread::panicking() {
-            let _ = (m.fabric_task).send(me, 0, TaskMsg::WorkerLost { worker: me });
+            let _ = (ends.task).send(me, 0, TaskMsg::WorkerLost { worker: me });
         }
         if let Some(compers) = self.compers {
             for _ in 0..compers {
-                let _ = m.ready_tx.send(ReadyTask::Stop);
+                let _ = ready_tx.send(ReadyTask::Stop);
             }
-            let _ = m.fabric_data.send(me, me, DataMsg::Shutdown);
+            let _ = fabric_data.send(me, me, DataMsg::Shutdown);
         }
     }
 }
@@ -1975,7 +1908,7 @@ mod tests {
         })
     }
 
-    fn rows_arrive(m: &Machine, task: u64, rows: Vec<u32>) -> Out {
+    fn rows_arrive(m: &Machine, task: u64, rows: Vec<u32>) -> Vec<Post> {
         m.on_data(DataMsg::RespIx {
             for_task: TaskId(task),
             rows,
@@ -1983,7 +1916,7 @@ mod tests {
         })
     }
 
-    fn column_arrives(m: &Machine, task: u64, attr: usize, values: Vec<f64>) -> Out {
+    fn column_arrives(m: &Machine, task: u64, attr: usize, values: Vec<f64>) -> Vec<Post> {
         m.on_data(DataMsg::RespCols {
             for_task: TaskId(task),
             attrs: vec![attr],
@@ -1992,26 +1925,36 @@ mod tests {
         })
     }
 
+    /// The comper tasks of `out`, in order.
+    fn ready_in(out: Vec<Post>) -> Vec<ReadyTask> {
+        (out.into_iter())
+            .filter_map(|p| match p {
+                Post::Ready(task) => Some(task),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// The task-plane frames of `out`, in order.
-    fn to_master(out: Out) -> Vec<TaskMsg> {
-        (out.frames.into_iter())
+    fn to_master(out: Vec<Post>) -> Vec<TaskMsg> {
+        (out.into_iter())
             .map(|f| match f {
-                Frame::Master(msg) => msg,
+                Post::Task(0, msg) => msg,
                 _ => panic!("expected only task-plane frames"),
             })
             .collect()
     }
 
     /// The `RespIx` rows `out` sends to `REQUESTER`, if any.
-    fn rows_for_requester(out: &Out) -> Option<&[u32]> {
-        match &out.frames[..] {
+    fn rows_for_requester(out: &[Post]) -> Option<&[u32]> {
+        match out {
             [] => None,
-            [Frame::Peer(REQUESTER, DataMsg::RespIx { rows, .. })] => Some(rows),
+            [Post::Data(REQUESTER, DataMsg::RespIx { rows, .. })] => Some(rows),
             _ => panic!("expected one RespIx to the requester"),
         }
     }
 
-    fn ask_for_the_left_rows(m: &Machine) -> Out {
+    fn ask_for_the_left_rows(m: &Machine) -> Vec<Post> {
         m.on_data(DataMsg::ReqIx {
             parent_task: TASK,
             side: Side::Left,
@@ -2042,7 +1985,7 @@ mod tests {
     /// `ConfirmBest` as `Machine::on_task` runs it, stopped between taking
     /// the verdict out and registering the delegate entry — where `Ix` is
     /// partitioned with the lock free — to let `in_the_gap` happen.
-    fn confirm_best_with(m: &Machine, in_the_gap: impl FnOnce()) -> Out {
+    fn confirm_best_with(m: &Machine, in_the_gap: impl FnOnce()) -> Vec<Post> {
         let (av, snap) = m.worker.lock().take_verdict(TASK).expect("verdict");
         let sides = snap.partition_ix(&av);
         in_the_gap();
@@ -2071,7 +2014,7 @@ mod tests {
             ask_for_the_left_rows(&m);
             m.on_task(TaskMsg::RevokeTree { tree: TREE });
         });
-        assert!(out.frames.is_empty());
+        assert!(out.is_empty());
         {
             let w = m.worker.lock();
             assert!(
@@ -2081,14 +2024,14 @@ mod tests {
             assert!(w.parked.is_empty() && w.awaiting.is_empty());
         }
         // A later request for the dead tree is dropped, not parked for ever.
-        assert!(ask_for_the_left_rows(&m).frames.is_empty());
+        assert!(ask_for_the_left_rows(&m).is_empty());
         assert!(m.worker.lock().parked.is_empty());
     }
 
     #[test]
     fn one_steal_request_until_a_plan_or_a_donate_clears_the_latch() {
         let m = eight_row_worker(None);
-        let is_steal = |out: Out| match &to_master(out)[..] {
+        let is_steal = |out: Vec<Post>| match &to_master(out)[..] {
             [] => false,
             [TaskMsg::StealRequest { worker: ME }] => true,
             other => panic!("expected a StealRequest or nothing, got {other:?}"),
@@ -2096,7 +2039,7 @@ mod tests {
         // Four compers pick up four tasks and compute them: the backlog is
         // empty, the pipeline is four deep.
         let ready: Vec<ReadyTask> = (1..=4)
-            .flat_map(|t| m.on_task(root_column_plan(t, None)).ready)
+            .flat_map(|t| ready_in(m.on_task(root_column_plan(t, None))))
             .collect();
         for task in ready {
             assert!(matches!(
@@ -2114,13 +2057,12 @@ mod tests {
             victim: PEER,
             ctx: TraceCtx::NONE,
         };
-        assert!(m.on_task(donate).frames.is_empty());
+        assert!(m.on_task(donate).is_empty());
         assert!(
             is_steal(m.worker.lock().idle()),
             "the Donate cleared the latch"
         );
-        let ready = m.on_task(root_column_plan(5, None)).ready;
-        for task in ready {
+        for task in ready_in(m.on_task(root_column_plan(5, None))) {
             m.compute(task);
         }
         assert!(
@@ -2145,7 +2087,7 @@ mod tests {
         // Two tasks are queued: the Goodbye follows the last result.
         let m = eight_row_worker(None);
         let mut ready: Vec<ReadyTask> = (1..=2)
-            .flat_map(|t| m.on_task(root_column_plan(t, None)).ready)
+            .flat_map(|t| ready_in(m.on_task(root_column_plan(t, None))))
             .collect();
         assert!(!is_goodbye(to_master(m.on_task(TaskMsg::Drain))));
         let second = ready.pop().expect("two ready tasks");
@@ -2173,8 +2115,7 @@ mod tests {
             vote_k: 2,
             want_stats: true,
         };
-        let ready = m.on_task(root_column_plan(TASK.0, Some(conf))).ready;
-        let task = ready
+        let task = ready_in(m.on_task(root_column_plan(TASK.0, Some(conf))))
             .into_iter()
             .next()
             .expect("a root plan is ready at once");
@@ -2196,10 +2137,7 @@ mod tests {
             other => panic!("expected the elected split, got {other:?}"),
         };
         assert_eq!(best.attr, 1);
-        assert!(m
-            .on_task(TaskMsg::ConfirmBest { task: TASK })
-            .frames
-            .is_empty());
+        assert!(m.on_task(TaskMsg::ConfirmBest { task: TASK }).is_empty());
         let all: Vec<u32> = (0..8).collect();
         let x = |attr: usize| m.worker.lock().data[&attr].column.clone();
         let (left, _) = partition_rows(&x(1), &all, &best.split.test, best.split.missing_left);
@@ -2222,8 +2160,8 @@ mod tests {
             task: TASK,
             side: Side::Right,
         };
-        assert!(m.on_task(column_plan(21, parent, None)).ready.is_empty());
-        assert!(m.on_task(child_subtree_plan(20, TREE)).ready.is_empty());
+        assert!(ready_in(m.on_task(column_plan(21, parent, None))).is_empty());
+        assert!(ready_in(m.on_task(child_subtree_plan(20, TREE))).is_empty());
         m.on_task(TaskMsg::RevokeTree { tree: TREE });
         for out in [
             rows_arrive(&m, 20, vec![0, 1, 2, 3]),
@@ -2231,7 +2169,7 @@ mod tests {
             column_arrives(&m, 20, 1, vec![1.0, 5.0, 2.0, 6.0]),
             column_arrives(&m, 20, 2, vec![0.0; 4]),
         ] {
-            assert!(out.ready.is_empty() && out.frames.is_empty());
+            assert!(out.is_empty());
         }
         let w = m.worker.lock();
         assert!(w.tasks.is_empty());
@@ -2245,10 +2183,8 @@ mod tests {
         // `Ix` and one of the two remote columns arrive; the task waits on.
         let provision = |task: u64, tree: TreeId| {
             m.on_task(child_subtree_plan(task, tree));
-            assert!(rows_arrive(&m, task, vec![0, 1, 2, 3]).ready.is_empty());
-            assert!(column_arrives(&m, task, 1, vec![1.0, 5.0, 2.0, 6.0])
-                .ready
-                .is_empty());
+            assert!(ready_in(rows_arrive(&m, task, vec![0, 1, 2, 3])).is_empty());
+            assert!(ready_in(column_arrives(&m, task, 1, vec![1.0, 5.0, 2.0, 6.0])).is_empty());
         };
         provision(20, TreeId(1));
         let first = peak();

@@ -442,9 +442,10 @@ fn graceful_preemption_drains_without_crash_recovery() {
 
 /// A drain that blows its grace window escalates to crash recovery — and
 /// the escalated worker is *alive*: it was only slow to leave. Recovery
-/// must fence it with a `Shutdown`, or it runs on off the roster, where
-/// `Cluster::shutdown` never reaches it, and is joined forever. The model
-/// must still be the exact trainer's.
+/// fences it with a `Shutdown` at once, and `Cluster::shutdown`, which
+/// stops every slot the launch spawned, on the roster or off it, must
+/// still join all of its threads. The model must still be the exact
+/// trainer's.
 #[test]
 fn blown_grace_window_escalates_and_the_cluster_still_shuts_down() {
     let t = table(17);

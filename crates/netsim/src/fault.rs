@@ -176,6 +176,12 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// `d` in nanoseconds, saturating: a scripted time past `u64::MAX` ns
+/// (about 584 years) means never, not a wrapped few seconds.
+fn saturating_ns(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// A unit float in `[0, 1)` from the top 53 bits of a hash.
 fn unit_f64(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -262,7 +268,7 @@ impl FaultPlan {
     /// so a seeded run replays them at the identical (virtual) instant.
     pub fn with_worker_join(mut self, at: Duration, n: usize) -> FaultPlan {
         assert!(n >= 1, "a join must add at least one worker");
-        self.join = Some((at.as_nanos() as u64, n));
+        self.join = Some((saturating_ns(at), n));
         self
     }
 
@@ -272,7 +278,7 @@ impl FaultPlan {
     /// silent-crash recovery path. Distinct from a crash: the kill is
     /// *announced*, so no work need be lost.
     pub fn with_preemption(mut self, at: Duration, victim: NodeId, grace: Duration) -> FaultPlan {
-        self.preempt = Some((at.as_nanos() as u64, victim, grace.as_nanos() as u64));
+        self.preempt = Some((saturating_ns(at), victim, saturating_ns(grace)));
         self
     }
 
@@ -530,6 +536,18 @@ mod tests {
         // Re-scaling a machine overrides rather than accumulates.
         let q = p.with_bandwidth_scale(1, 3.0);
         assert_eq!(q.bandwidth_scale(1), 3.0);
+    }
+
+    #[test]
+    fn scripted_times_past_the_end_of_time_saturate() {
+        // `Duration::from_millis(18_446_744_074_000)` in nanoseconds is
+        // 2^64 + 290 448 384: truncated, it would fire 0.29 s into the run.
+        let never = Duration::from_millis(18_446_744_074_000);
+        let p = FaultPlan::new(1)
+            .with_worker_join(never, 1)
+            .with_preemption(never, 2, never);
+        assert_eq!(p.worker_join(), Some((u64::MAX, 1)));
+        assert_eq!(p.preemption(), Some((u64::MAX, 2, u64::MAX)));
     }
 
     #[test]
