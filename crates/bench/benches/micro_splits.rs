@@ -129,6 +129,40 @@ fn main() {
         );
     }
 
+    // The column-task kernel on sparse nodes, the shape of a tree's deep
+    // levels: random ascending subsets of one 200 000-row column, four
+    // classes, ns per node row in `metric`. One node is timed over and over,
+    // so the lines of the column it touches stay cached between calls, as
+    // they do not when a column-task moves on through its columns.
+    {
+        let n = 200_000usize;
+        let (values, _) = data(n, 8);
+        let mut rng = StdRng::seed_from_u64(9);
+        let ys: Vec<u32> = (values.iter())
+            .map(|&v| (u32::from(v > 3.0) + rng.gen_range(0..3u32)) % 4)
+            .collect();
+        let index = SortedColumn::from_numeric(&values);
+        for every in [16u32, 128] {
+            let rows: Vec<u32> = (0..n as u32)
+                .filter(|_| rng.gen_range(0..every) == 0)
+                .collect();
+            let us = time_us(|| {
+                black_box(best_numeric_split_at(
+                    black_box(&values),
+                    &index,
+                    NodeRows::Subset(&rows),
+                    None,
+                    LabelView::Class(&ys, 4),
+                    Impurity::Gini,
+                ));
+            });
+            let name = format!("exact_numeric_split_node/{n}_1in{every}");
+            let ns_per_row = us * 1e3 / rows.len() as f64;
+            println!("{name:<48} {us:>12.1} us/iter {ns_per_row:>8.2} ns/row");
+            out.push(&name, us * 1e-6, rows.len(), 0, Some(ns_per_row));
+        }
+    }
+
     // Exact numeric splits, regression (variance impurity).
     for n in [10_000usize, 100_000] {
         let (values, raw) = data(n, 5);

@@ -1697,9 +1697,14 @@ impl Master {
     }
 
     /// An announced crash (`Cluster::kill_worker`): stops `worker`, then
-    /// runs crash recovery for it. Made through [`Master::call`].
+    /// runs crash recovery for it. Made through [`Master::call`]. Recovery
+    /// fences a worker on the roster with its first frame; a victim it
+    /// would pass over — declared dead before, or of a degraded cluster —
+    /// gets its one `Shutdown` here.
     pub(crate) fn kill(&mut self, worker: NodeId) {
-        self.send(worker, TaskMsg::Shutdown);
+        if self.degraded.is_some() || !self.workers.contains(&worker) {
+            self.send(worker, TaskMsg::Shutdown);
+        }
         self.recover_or_degrade(worker);
     }
 
@@ -2720,6 +2725,41 @@ mod tests {
         m.step(1_000_000_000, None);
         assert!(m.is_draining(3), "still inside its grace window");
         assert!(m.out.is_empty(), "fenced by nothing");
+    }
+
+    #[test]
+    fn kill_fences_the_victim_once() {
+        let shutdowns = |frames: &[TaskMsg]| {
+            (frames.iter())
+                .filter(|f| matches!(f, TaskMsg::Shutdown))
+                .count()
+        };
+        // On the roster: recovery's fence is the one.
+        let mut m = master_of(three_workers(), 150, 4);
+        inboxes(&mut m);
+        m.kill(2);
+        assert!(!m.live_workers().contains(&2));
+        assert_eq!(shutdowns(&inboxes(&mut m)[2]), 1);
+        // Declared dead before, and fenced then: the kill stops it again,
+        // once, and recovery does not run a second time.
+        m.kill(2);
+        let frames = inboxes(&mut m);
+        assert_eq!(shutdowns(&frames[2]), 1);
+        assert!(frames
+            .iter()
+            .enumerate()
+            .all(|(w, f)| w == 2 || f.is_empty()));
+        // A degraded cluster recovers nobody: the kill's own `Shutdown`.
+        let cfg = ClusterConfig {
+            replication: 1,
+            ..three_workers()
+        };
+        let mut m = master_of(cfg, 150, 4);
+        m.recover_or_degrade(1);
+        assert!(m.degraded_reason().is_some());
+        inboxes(&mut m);
+        m.kill(3);
+        assert_eq!(shutdowns(&inboxes(&mut m)[3]), 1);
     }
 
     #[test]

@@ -253,6 +253,8 @@ struct Load {
     column: SharedColumn,
     /// Becomes a numeric column's rank.
     rank: Vec<u32>,
+    /// Becomes a numeric column's step map.
+    steps: Vec<u64>,
     /// Becomes a binned column's `u8` bin ids.
     ids: Vec<u8>,
     /// The sort records of a numeric column, or a categorical column's
@@ -261,18 +263,19 @@ struct Load {
     built: Option<(SortedColumn, Option<BinnedColumn>)>,
 }
 
-/// How many elements the buffers of `column`'s index build hold: the rank
-/// and the `u8` bin ids, which the index keeps, and the sort records, which
-/// it frees.
-fn room(column: &Column, hist_bins: Option<usize>) -> [usize; 3] {
+/// How many elements the buffers of `column`'s index build hold: the rank,
+/// the step map and the `u8` bin ids, which the index keeps, and the sort
+/// records, which it frees.
+fn room(column: &Column, hist_bins: Option<usize>) -> [usize; 4] {
     let n = column.len();
     match column {
         Column::Numeric(_) => [
             n,
+            SortedColumn::step_words(n),
             hist_bins.map_or(0, |b| BinnedColumn::u8_ids_len(n, b)),
             n,
         ],
-        Column::Categorical(c) => [0, 0, SortedColumn::categorical_scratch_len(c)],
+        Column::Categorical(c) => [0, 0, 0, SortedColumn::categorical_scratch_len(c)],
     }
 }
 
@@ -282,14 +285,16 @@ impl Load {
     /// known only once the cuts are).
     fn fill(&mut self, hist_bins: Option<usize>) {
         let rank = std::mem::take(&mut self.rank);
+        let steps = std::mem::take(&mut self.steps);
         let ids = std::mem::take(&mut self.ids);
         let records = &mut self.records;
         self.built = Some(match (&*self.column, hist_bins) {
             (Column::Numeric(v), Some(bins)) => {
-                let (sorted, binned) = SortedColumn::numeric_binned_in(v, bins, rank, ids, records);
+                let (sorted, binned) =
+                    SortedColumn::numeric_binned_in(v, bins, rank, steps, ids, records);
                 (sorted, Some(binned))
             }
-            (Column::Numeric(v), None) => (SortedColumn::numeric_in(v, rank, records), None),
+            (Column::Numeric(v), None) => (SortedColumn::numeric_in(v, rank, steps, records), None),
             (Column::Categorical(c), _) => (SortedColumn::categorical_in(c, records), None),
         });
     }
@@ -320,10 +325,10 @@ impl Load {
 /// @ `coltask_exact` read 1 MB higher (docs/PERF.md).
 pub(crate) fn index(columns: Vec<SharedColumn>, hist_bins: Option<usize>) -> Vec<Held> {
     let loaders = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let rooms: Vec<[usize; 3]> = columns.iter().map(|c| room(c, hist_bins)).collect();
+    let rooms: Vec<[usize; 4]> = columns.iter().map(|c| room(c, hist_bins)).collect();
     // In bytes: what a column's index keeps, and what its sort holds.
-    let keep = |i: usize| 4 * rooms[i][0] + rooms[i][1];
-    let sort = |i: usize| 8 * rooms[i][2];
+    let keep = |i: usize| 4 * rooms[i][0] + 8 * rooms[i][1] + rooms[i][2];
+    let sort = |i: usize| 8 * rooms[i][3];
     let kept_at_end: usize = (0..columns.len()).map(keep).sum();
     let one_sort = (0..columns.len()).map(sort).max().unwrap_or(0);
     let mut pending: Vec<usize> = (0..columns.len()).collect();
@@ -348,13 +353,14 @@ pub(crate) fn index(columns: Vec<SharedColumn>, hist_bins: Option<usize>) -> Vec
             .map(|&i| Load {
                 column: columns[i].clone(),
                 rank: Vec::with_capacity(rooms[i][0]),
-                ids: Vec::with_capacity(rooms[i][1]),
+                steps: Vec::with_capacity(rooms[i][1]),
+                ids: Vec::with_capacity(rooms[i][2]),
                 records: Vec::new(),
                 built: None,
             })
             .collect();
         for (load, &i) in loads.iter_mut().zip(&round) {
-            load.records = Vec::with_capacity(rooms[i][2]);
+            load.records = Vec::with_capacity(rooms[i][3]);
         }
         tspar::par_for_each_mut(&mut loads, round.len(), |_, load| load.fill(hist_bins));
         for (&i, load) in round.iter().zip(loads) {
@@ -1785,8 +1791,14 @@ mod tests {
                 Arc::ptr_eq(&x.sorted, &y.sorted),
                 "column {a} is presorted twice"
             );
-            // The rank alone: 4 B a row, no order beside it.
-            assert_eq!(x.sorted.payload_bytes(), 4 * table.n_rows(), "column {a}");
+            // The rank and the step map: 4 B and a bit a row, no order
+            // beside them.
+            let steps = 8 * table.n_rows().div_ceil(64);
+            assert_eq!(
+                x.sorted.payload_bytes(),
+                4 * table.n_rows() + steps,
+                "column {a}"
+            );
             let (bx, by) = (x.binned.as_ref(), y.binned.as_ref());
             assert!(
                 Arc::ptr_eq(bx.expect("binned"), by.expect("binned")),

@@ -6,17 +6,20 @@
 //! sorted sequence off the index in `O(|Dx|)` — the structure the exact
 //! distributed Random Forest literature builds on (see PAPERS.md) and the
 //! hot-path optimization of docs/PERF.md. The index is read-only and shared
-//! by every tree and node; it holds every row's rank in the sorted order,
-//! 4 bytes per row, and not the order itself: a node selects its rows by
-//! rank, and a trainer that partitions the order by node
-//! (`ts_splits::sorted::NodeOrders`) derives its private copy by inverting
-//! the rank.
+//! by every tree and node; it holds every row's rank in the sorted order
+//! (4 bytes per row) and one bit per position of that order, and not the
+//! order itself: a node selects its rows by rank, a trainer that partitions
+//! the order by node (`ts_splits::sorted::NodeOrders`) derives its private
+//! copy by inverting the rank, and the boundary scan reads from the bits
+//! whether two positions hold different values — no kernel reads a value
+//! before it has chosen its boundary.
 //!
 //! Determinism contract: the numeric order sorts by `(value, row id)` with
 //! `f64::total_cmp`, exactly the order a stable sort of the node's gathered
 //! values produces. Because node row sets are always ascending, the node's
 //! rows taken in rank order are the *same* sequence the gather+sort
-//! reference kernel scans, so both pick byte-identical splits.
+//! reference kernel scans, and the step map marks the same boundaries its
+//! value comparisons do, so both pick byte-identical splits.
 
 use crate::binned::BinnedColumn;
 use crate::column::{Column, ValuesBuf, MISSING_CAT};
@@ -38,6 +41,14 @@ pub enum SortedColumn {
         /// the sorted sequence by reading its own rows' ranks — no pass over
         /// the rest of the column.
         rank: Vec<u32>,
+        /// The step map, one bit per position: bit `j % 64` of word
+        /// `j / 64` is set iff the value at position `j` is below the one at
+        /// `j + 1` under IEEE `<` — so `-0.0` and `+0.0` are one value, as
+        /// they are to a split test. Two of a node's positions `p < q` hold
+        /// different values iff a bit of `p..q` is set: the boundary scan
+        /// reads that instead of the values. [`SortedColumn::step_words`]
+        /// words, the bits past the last position clear.
+        steps: Vec<u64>,
         /// The number of present rows: the positions `rank` takes are
         /// `0..present`, each once.
         present: usize,
@@ -69,7 +80,7 @@ pub enum SortedColumn {
 pub(crate) fn presorted_records(values: &[f64]) -> Vec<u64> {
     let mut records = Vec::with_capacity(values.len());
     sort_records(values, &mut records);
-    finish_runs(values, &mut records, |_, _| {});
+    finish_runs(values, &mut records, |_, _| {}, |_| {});
     records
 }
 
@@ -94,23 +105,51 @@ fn sort_records(values: &[f64], records: &mut Vec<u64>) {
 
 /// The comparison half of [`presorted_records`]: sorts each run of
 /// `records` that shares a high half by `(value, row)`, and hands `each`
-/// every finished record with its position, in order — the rank is written
-/// in the same pass.
-fn finish_runs(values: &[f64], records: &mut [u64], mut each: impl FnMut(usize, u64)) {
+/// every finished record with its position, in order, and `tie` every
+/// position whose value equals the next one's under IEEE `==` — the rank
+/// and the step map are written in the same pass.
+///
+/// Ties are found where the values are at hand: two runs hold different
+/// values, but for the last `-0.0` of one and the first `+0.0` of the next
+/// (high halves [`NEG_ZERO_HIGH`] and the one after), and inside a run the
+/// values compared are the ones its sort has just loaded. A run of one row
+/// costs nothing more.
+fn finish_runs(
+    values: &[f64],
+    records: &mut [u64],
+    mut each: impl FnMut(usize, u64),
+    mut tie: impl FnMut(usize),
+) {
+    let value = |record: u64| values[record_row(record)];
     let mut position = 0;
+    let mut last = 0;
     for run in records.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
         if run.len() > 1 {
             run.sort_unstable_by(|&a, &b| {
                 let (a, b) = (record_row(a), record_row(b));
                 values[a].total_cmp(&values[b]).then(a.cmp(&b))
             });
+            for (i, pair) in run.windows(2).enumerate() {
+                if value(pair[0]) == value(pair[1]) {
+                    tie(position + i);
+                }
+            }
+        }
+        let zeros = (last >> 32, run[0] >> 32) == (NEG_ZERO_HIGH, NEG_ZERO_HIGH + 1);
+        if zeros && position > 0 && value(last) == value(run[0]) {
+            tie(position - 1);
         }
         for &record in run.iter() {
             each(position, record);
             position += 1;
         }
+        last = run[run.len() - 1];
     }
 }
+
+/// The high half of `-0.0`'s place in `total_cmp`'s order (its bits, every
+/// one flipped); `+0.0`'s is the next.
+const NEG_ZERO_HIGH: u64 = 0x7FFF_FFFF;
 
 /// The codes of `codes` that are not missing.
 fn present_codes(codes: &[u32]) -> impl Iterator<Item = u32> + '_ {
@@ -144,7 +183,14 @@ impl SortedColumn {
     /// Presorted index over a numeric slice.
     pub fn from_numeric(values: &[f64]) -> Self {
         let rank = Vec::with_capacity(values.len());
-        Self::numeric_in(values, rank, &mut Vec::with_capacity(values.len()))
+        let steps = Vec::with_capacity(Self::step_words(values.len()));
+        Self::numeric_in(values, rank, steps, &mut Vec::with_capacity(values.len()))
+    }
+
+    /// The length in words of the step map of a numeric column of `n_rows`
+    /// rows: one bit per row, as every row may be present.
+    pub fn step_words(n_rows: usize) -> usize {
+        n_rows.div_ceil(64)
     }
 
     /// [`Self::from_numeric`] and [`BinnedColumn::build`] of one column off
@@ -152,28 +198,36 @@ impl SortedColumn {
     /// indexes and bins each of them with this.
     pub fn from_numeric_binned(values: &[f64], max_bins: usize) -> (Self, BinnedColumn) {
         let rank = Vec::with_capacity(values.len());
+        let steps = Vec::with_capacity(Self::step_words(values.len()));
         let u8_ids = Vec::with_capacity(BinnedColumn::u8_ids_len(values.len(), max_bins));
         let mut records = Vec::with_capacity(values.len());
-        Self::numeric_binned_in(values, max_bins, rank, u8_ids, &mut records)
+        Self::numeric_binned_in(values, max_bins, rank, steps, u8_ids, &mut records)
     }
 
     /// [`Self::from_numeric`] into buffers the caller allocated: `rank`
-    /// (room for every row) becomes the index's rank, and `records` (room
-    /// for every row) holds the sort while it runs and is left for the
-    /// caller to reuse or free. Nothing here allocates in proportion to the
-    /// rows, so a builder that fills indexes on other threads can allocate
-    /// every such buffer on its own.
+    /// (room for every row) becomes the index's rank, `steps` (room for
+    /// [`Self::step_words`]) its step map, and `records` (room for every
+    /// row) holds the sort while it runs and is left for the caller to reuse
+    /// or free. Nothing here allocates in proportion to the rows, so a
+    /// builder that fills indexes on other threads can allocate every such
+    /// buffer on its own.
     ///
-    /// Callers allocate what the index keeps — the rank, and the bin ids
-    /// where they can — before the records: the buffers that stay before
-    /// the one that goes. The other way round, the freed records left holes
-    /// below what stayed, glibc trimmed the main heap when the cluster over
-    /// the table shut down, and a process that then loaded its next table
-    /// faulted its pages in anew: `setup_s` read 12 % higher on
-    /// `coltask_exact` and up to 20 % on `coltask_hist` (docs/PERF.md).
-    pub fn numeric_in(values: &[f64], rank: Vec<u32>, records: &mut Vec<u64>) -> Self {
+    /// Callers allocate what the index keeps — the rank, the step map, and
+    /// the bin ids where they can — before the records: the buffers that
+    /// stay before the one that goes. The other way round, the freed
+    /// records left holes below what stayed, glibc trimmed the main heap
+    /// when the cluster over the table shut down, and a process that then
+    /// loaded its next table faulted its pages in anew: `setup_s` read 12 %
+    /// higher on `coltask_exact` and up to 20 % on `coltask_hist`
+    /// (docs/PERF.md).
+    pub fn numeric_in(
+        values: &[f64],
+        rank: Vec<u32>,
+        steps: Vec<u64>,
+        records: &mut Vec<u64>,
+    ) -> Self {
         sort_records(values, records);
-        Self::ranked(values, rank, records)
+        Self::ranked(values, rank, steps, records)
     }
 
     /// [`Self::from_numeric_binned`] into buffers the caller allocated, as
@@ -184,25 +238,44 @@ impl SortedColumn {
         values: &[f64],
         max_bins: usize,
         rank: Vec<u32>,
+        steps: Vec<u64>,
         u8_ids: Vec<u8>,
         records: &mut Vec<u64>,
     ) -> (Self, BinnedColumn) {
         sort_records(values, records);
-        let sorted = Self::ranked(values, rank, records);
+        let sorted = Self::ranked(values, rank, steps, records);
         let binned = BinnedColumn::from_records(values, records, max_bins, u8_ids);
         (sorted, binned)
     }
 
     /// The index whose order is the integer-sorted `records`, finished in
-    /// place while `rank` is written.
-    fn ranked(values: &[f64], mut rank: Vec<u32>, records: &mut [u64]) -> Self {
+    /// place while `rank` and `steps` are written.
+    fn ranked(
+        values: &[f64],
+        mut rank: Vec<u32>,
+        mut steps: Vec<u64>,
+        records: &mut [u64],
+    ) -> Self {
         rank.clear();
         rank.resize(values.len(), MISSING_RANK);
-        finish_runs(values, records, |position, record| {
-            rank[record_row(record)] = position as u32;
-        });
+        // Every neighbour differs but for the ties the runs report.
+        let pairs = records.len().saturating_sub(1);
+        let (full, rest) = (pairs / 64, pairs % 64);
+        steps.clear();
+        steps.resize(Self::step_words(values.len()), 0);
+        steps[..full].fill(u64::MAX);
+        if rest > 0 {
+            steps[full] = (1 << rest) - 1;
+        }
+        finish_runs(
+            values,
+            records,
+            |position, record| rank[record_row(record)] = position as u32,
+            |tie| steps[tie / 64] &= !(1 << (tie % 64)),
+        );
         SortedColumn::Numeric {
             rank,
+            steps,
             present: records.len(),
         }
     }
@@ -268,6 +341,20 @@ impl SortedColumn {
         }
     }
 
+    /// The step map of a numeric index: bit `j` is set iff the value at
+    /// position `j` of the order is below the one at `j + 1` under IEEE `<`.
+    ///
+    /// # Panics
+    /// Panics when called on a categorical index.
+    pub fn numeric_steps(&self) -> &[u64] {
+        match self {
+            SortedColumn::Numeric { steps, .. } => steps,
+            SortedColumn::Categorical { .. } => {
+                panic!("numeric_steps on a categorical sorted index")
+            }
+        }
+    }
+
     /// The number of present rows of a numeric index — the length of its
     /// order, whose positions [`Self::numeric_rank`] hands out.
     ///
@@ -296,7 +383,9 @@ impl SortedColumn {
     /// In-memory size of the index payload (for memory accounting).
     pub fn payload_bytes(&self) -> usize {
         match self {
-            SortedColumn::Numeric { rank, .. } => std::mem::size_of_val(rank.as_slice()),
+            SortedColumn::Numeric { rank, steps, .. } => {
+                std::mem::size_of_val(rank.as_slice()) + std::mem::size_of_val(steps.as_slice())
+            }
             SortedColumn::Categorical { distinct } => std::mem::size_of_val(distinct.as_slice()),
         }
     }
@@ -319,8 +408,10 @@ mod tests {
         let s = SortedColumn::from_numeric(&[f64::NAN, 5.0, f64::NAN, 4.0]);
         assert_eq!(s.numeric_rank(), &[MISSING_RANK, 1, MISSING_RANK, 0]);
         assert_eq!(s.numeric_present(), 2);
-        // The rank spans the missing rows too, and is all the index holds.
-        assert_eq!(s.payload_bytes(), 4 * 4);
+        // The rank spans the missing rows too; beside it the index holds
+        // one word of steps, whose one step is between 4.0 and 5.0.
+        assert_eq!(s.numeric_steps(), &[0b1]);
+        assert_eq!(s.payload_bytes(), 4 * 4 + 8);
     }
 
     #[test]
@@ -329,6 +420,10 @@ mod tests {
         let s = SortedColumn::from_numeric(&[f64::INFINITY, 0.0, f64::NEG_INFINITY, f64::NAN]);
         assert_eq!(s.numeric_rank(), &[2, 1, 0, MISSING_RANK]);
         assert_eq!(s.numeric_present(), 3);
+        // -0.0 and +0.0 sort apart but are one value: no step between them.
+        let zeros = SortedColumn::from_numeric(&[0.0, -0.0, 1.0, -0.0]);
+        assert_eq!(zeros.numeric_rank(), &[2, 0, 3, 1]);
+        assert_eq!(zeros.numeric_steps(), &[0b100]);
     }
 
     mod integer_sort {
@@ -384,6 +479,15 @@ mod tests {
                 }
                 prop_assert_eq!(index.numeric_rank(), &want_rank[..]);
                 prop_assert_eq!(index.numeric_present(), want.len());
+                // The step map, written in the same pass, is IEEE `<`
+                // between neighbours in the order, and clear past its end.
+                let steps = index.numeric_steps();
+                prop_assert_eq!(steps.len(), values.len().div_ceil(64));
+                for j in 0..values.len() {
+                    let rises = j + 1 < want.len()
+                        && values[want[j] as usize] < values[want[j + 1] as usize];
+                    prop_assert_eq!(steps[j / 64] >> (j % 64) & 1 == 1, rises, "position {}", j);
+                }
             }
         }
     }
@@ -424,11 +528,14 @@ mod tests {
     fn a_numeric_index_is_built_in_the_callers_buffers() {
         let values = [2.5, f64::NAN, -1.0, 2.5, 0.0];
         let (rank, ids) = (Vec::with_capacity(5), Vec::with_capacity(5));
-        let (rank_at, ids_at) = (rank.as_ptr(), ids.as_ptr());
+        let steps = Vec::with_capacity(SortedColumn::step_words(5));
+        let (rank_at, ids_at, steps_at) = (rank.as_ptr(), ids.as_ptr(), steps.as_ptr());
         let mut records = Vec::with_capacity(5);
         let records_at = records.as_ptr();
-        let (sorted, binned) = SortedColumn::numeric_binned_in(&values, 4, rank, ids, &mut records);
+        let (sorted, binned) =
+            SortedColumn::numeric_binned_in(&values, 4, rank, steps, ids, &mut records);
         assert_eq!(sorted.numeric_rank().as_ptr(), rank_at);
+        assert_eq!(sorted.numeric_steps().as_ptr(), steps_at);
         let crate::BinIds::U8(kept_ids) = binned.ids() else {
             panic!("four bins are byte ids")
         };
@@ -438,10 +545,12 @@ mod tests {
             (sorted, binned),
             SortedColumn::from_numeric_binned(&values, 4)
         );
-        let rank = Vec::with_capacity(5);
-        let plain = SortedColumn::numeric_in(&values, rank, &mut records);
+        let (rank, steps) = (Vec::with_capacity(5), Vec::with_capacity(1));
+        let plain = SortedColumn::numeric_in(&values, rank, steps, &mut records);
         assert_eq!(plain, SortedColumn::from_numeric(&values));
         assert_eq!(plain.numeric_rank(), &[2, MISSING_RANK, 0, 3, 1]);
+        // -1.0 < 0.0 < 2.5 = 2.5: steps after positions 0 and 1.
+        assert_eq!(plain.numeric_steps(), &[0b11]);
     }
 
     #[test]

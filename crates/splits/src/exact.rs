@@ -19,9 +19,11 @@
 //! single-threaded subtree trainer pick identical splits.
 //!
 //! Work follows need (docs/PERF.md, "What a boundary costs"): a boundary
-//! costs a gain and a comparison, a column its winner's threshold and class
-//! counts, and a node one pass for the float children of a regression split
-//! — [`SplitCandidate::finish`], on the column that won the node's fold.
+//! costs a gain and a comparison, a column its winner's class counts (and
+//! threshold, where its rows are at hand), and a node one pass for the
+//! float children of a regression split and one for the rows of a threshold
+//! that rank selection found as two positions — [`SplitCandidate::finish`],
+//! on the column that won the node's fold.
 
 use crate::condition::SplitTest;
 use crate::impurity::{
@@ -30,7 +32,7 @@ use crate::impurity::{
 };
 use crate::sorted::{
     best_cat_split_classification_at, best_cat_split_regression_at, numeric_split, numeric_value,
-    route_children, with_class_pair, ColumnRef, NodeRows, Sequence,
+    route_children, rows_at, with_class_pair, ColumnRef, GatherSorted, NodeRows, Sequence,
 };
 use ts_datatable::{AttrType, Value, ValuesBuf, MISSING_CAT};
 use tsjson::{Deserialize, Serialize};
@@ -89,11 +91,23 @@ impl ColumnSplit {
 /// them anyway (integer class counts, read off the scan). Regression
 /// children are float sums over the node's rows in ascending row order, a
 /// pass only the fold's winner needs: [`SplitCandidate::finish`] makes it.
+/// So is a numeric threshold that rank selection found as two positions of
+/// the column's order: the rows there are one more pass to find.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SplitCandidate {
-    /// The split; its children are empty while `unrouted`.
+    /// The split; its children are empty while `unrouted`, its threshold
+    /// NaN while `between` holds the positions it lies between.
     split: ColumnSplit,
     pub(crate) unrouted: bool,
+    between: Option<(u32, u32)>,
+}
+
+/// Where a numeric split cuts its column: at a threshold, or between two
+/// positions of the column's order, whose rows' values make the threshold.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Cut {
+    At(f64),
+    Between(u32, u32),
 }
 
 impl SplitCandidate {
@@ -110,7 +124,17 @@ impl SplitCandidate {
                 right,
             },
             unrouted: true,
+            between: None,
         }
+    }
+
+    /// The candidate of a numeric column, cutting it at `cut`.
+    pub(crate) fn cut(mut self, cut: Cut) -> Self {
+        match cut {
+            Cut::At(threshold) => self.split.test = SplitTest::NumericLe(threshold),
+            Cut::Between(p, q) => self.between = Some((p, q)),
+        }
+        self
     }
 
     /// The candidate's impurity gain — all a histogram nomination reads.
@@ -132,17 +156,22 @@ impl SplitCandidate {
     }
 
     /// The finished split. `col`, `node` and `labels` are the ones the
-    /// candidate was found with; they are read only if the children are
-    /// still to be summed.
+    /// candidate was found with; they are read only if the threshold or the
+    /// children are still to be found.
     pub fn finish(
-        self,
+        mut self,
         col: ColumnRef<'_>,
         node: NodeRows<'_>,
         labels: LabelView<'_>,
     ) -> ColumnSplit {
         match col {
             // The common case, its column kind decided outside the row loop.
-            ColumnRef::Numeric { values, .. } => {
+            ColumnRef::Numeric { values, index } => {
+                if let Some((p, q)) = self.between.take() {
+                    let (below, above) = rows_at(index.numeric_rank(), node, p, q);
+                    let threshold = boundary_threshold(values[below], values[above]);
+                    self.split.test = SplitTest::NumericLe(threshold);
+                }
                 self.finish_by(node, labels, |row| numeric_value(values[row]))
             }
             ColumnRef::Categorical { .. } => self.finish_by(node, labels, |row| col.value(row)),
@@ -156,6 +185,7 @@ impl SplitCandidate {
         labels: LabelView<'_>,
         value: impl Fn(usize) -> Value,
     ) -> ColumnSplit {
+        debug_assert!(self.between.is_none(), "a threshold still to be found");
         if self.unrouted {
             let LabelView::Real(ys) = labels else {
                 panic!("class-label kernels count their children");
@@ -172,8 +202,12 @@ impl SplitCandidate {
 
 impl From<ColumnSplit> for SplitCandidate {
     fn from(split: ColumnSplit) -> Self {
-        let unrouted = false;
-        SplitCandidate { split, unrouted }
+        let (unrouted, between) = (false, None);
+        SplitCandidate {
+            split,
+            unrouted,
+            between,
+        }
     }
 }
 
@@ -205,32 +239,46 @@ pub fn best_numeric_split(
 ) -> Option<ColumnSplit> {
     let node = NodeRows::All(values.len());
     let stats = NodeStats::from_view(labels);
-    let best = numeric_split(Sequence::GatherSort, values, node, &stats, labels, imp)?;
+    let sorted = GatherSorted::new(values, node);
+    let best = numeric_split(
+        Sequence::GatherSort(&sorted),
+        values,
+        node,
+        &stats,
+        labels,
+        imp,
+    )?;
     Some(best.finish_by(node, labels, |row| numeric_value(values[row])))
 }
 
-/// Scan core 1 — one boundary scan over a node's present `(value, label)`
-/// pairs in `(value, row)` order, with `O(1)` incremental impurity per
-/// boundary. Returns the best `(gain, threshold, boundary index)` — the
-/// highest finite positive gain, the earliest boundary among equals — or
-/// `None`. `node_w` is the node's `impurity * n`, and `scan` arrives with
-/// every label of `present` right of the boundary; it is told to `keep` each
-/// boundary that becomes the best, so what it kept last is the winner's.
+/// Scan core 1 — one boundary scan over a node's present `(position,
+/// label)` pairs in `(value, row)` order, with `O(1)` incremental impurity
+/// per boundary. A position is a row's place in an order whose step map is
+/// `steps` ([`steps_between`]): two neighbours of the node are a boundary iff
+/// their values differ, and the map says so without a value. Returns the best
+/// `(gain, boundary index)` — the highest finite positive gain, the earliest
+/// boundary among equals — or `None`. `node_w` is the node's
+/// `impurity * n`, and `scan` arrives with every label of `present` right of
+/// the boundary; it is told to `keep` each boundary that becomes the best,
+/// so what it kept last is the winner's.
 ///
 /// Thresholds increase strictly along the scan (`boundary_threshold` lies in
 /// `[a, b)` and the next boundary starts at or after `b`), so "higher gain,
 /// then smaller threshold" is "strictly higher gain than any boundary
-/// before": no tie-break, and the threshold is computed for the winner alone.
+/// before": no tie-break, and the caller computes the threshold for the
+/// winner alone, from the values of its two rows.
 ///
-/// The scan compares values and accumulates labels in sequence order and
+/// The scan reads boundaries and accumulates labels in sequence order and
 /// nothing else, so any two sources of the same sequence — rank selection, a
 /// partitioned segment, a stable sort of the gathered node — produce
-/// bit-identical gains (docs/PERF.md).
+/// bit-identical gains (docs/PERF.md). It reads `O(|present| + n / 64)`
+/// words of the map: the positions increase, so each word is passed once.
 pub(crate) fn scan_boundaries<S: BoundaryScan>(
-    present: &[(f64, S::Label)],
+    present: &[(u32, S::Label)],
+    steps: &[u64],
     node_w: f64,
     mut scan: S,
-) -> Option<(f64, f64, usize)> {
+) -> Option<(f64, usize)> {
     if !node_w.is_finite() {
         // No gain would be finite. With a finite `node_w`, a gain above zero
         // is: the sides are never negative infinity.
@@ -238,9 +286,9 @@ pub(crate) fn scan_boundaries<S: BoundaryScan>(
     }
     let (mut best_gain, mut best_i) = (0.0, None);
     for (i, pair) in present.windows(2).enumerate() {
-        let ((value, y), (next, _)) = (pair[0], pair[1]);
+        let ((position, y), (next, _)) = (pair[0], pair[1]);
         scan.shift(y);
-        if value < next {
+        if steps_between(steps, position, next) {
             let (left_w, right_w) = scan.sides();
             let gain = node_w - left_w - right_w;
             if gain > best_gain {
@@ -249,23 +297,45 @@ pub(crate) fn scan_boundaries<S: BoundaryScan>(
             }
         }
     }
-    let i = best_i?;
-    let thr = boundary_threshold(present[i].0, present[i + 1].0);
-    Some((best_gain, thr, i))
+    Some((best_gain, best_i?))
 }
 
-/// [`scan_boundaries`] over class labels: the best `(gain, threshold)` and
-/// the class counts of the present rows on each side of it, `(left, right)`.
-/// `node` counts the labels of `present` — handed in, not counted here: the
-/// caller has the node's totals from whoever created the node. The left
-/// counts are the ones the scan held at the winning boundary and the right
-/// ones the rest of `node`; counts are integers, so both equal a recount of
-/// the children's rows in any order.
+/// Whether positions `p < q` of an order hold different values: whether
+/// `steps`, the order's step map (bit `j` set iff the value at `j` is below
+/// the one at `j + 1`), has a bit of `p..q` set. Bit `p` decides almost every
+/// pair of a node's neighbours — always when they are neighbours in the
+/// order too, and whenever `p`'s value is not repeated; only the rest look
+/// further.
+#[inline(always)]
+pub(crate) fn steps_between(steps: &[u64], p: u32, q: u32) -> bool {
+    debug_assert!(p < q, "positions of a sequence increase");
+    steps[(p >> 6) as usize] >> (p & 63) & 1 != 0 || (q - p > 1 && any_step(steps, p + 1, q))
+}
+
+/// Whether `steps` has a bit of `from..to` set (`from < to`).
+fn any_step(steps: &[u64], from: u32, to: u32) -> bool {
+    let (first, last) = ((from >> 6) as usize, ((to - 1) >> 6) as usize);
+    let head = steps[first] & (u64::MAX << (from & 63));
+    let tail = u64::MAX >> (63 - ((to - 1) & 63));
+    if first == last {
+        return head & tail != 0;
+    }
+    head != 0 || steps[first + 1..last].iter().any(|&w| w != 0) || steps[last] & tail != 0
+}
+
+/// [`scan_boundaries`] over class labels: the best `(gain, boundary index)`
+/// and the class counts of the present rows on each side of it, `(left,
+/// right)`. `node` counts the labels of `present` — handed in, not counted
+/// here: the caller has the node's totals from whoever created the node. The
+/// left counts are the ones the scan held at the winning boundary and the
+/// right ones the rest of `node`; counts are integers, so both equal a
+/// recount of the children's rows in any order.
 pub(crate) fn scan_class(
-    present: &[(f64, u32)],
+    present: &[(u32, u32)],
+    steps: &[u64],
     node: &ClassCounts,
     imp: Impurity,
-) -> Option<(f64, f64, ClassCounts, ClassCounts)> {
+) -> Option<(f64, usize, ClassCounts, ClassCounts)> {
     debug_assert!(
         {
             let mut recount = node.empty_like();
@@ -276,12 +346,16 @@ pub(crate) fn scan_class(
     );
     with_class_pair(node.n_classes() as u32, |left, best| {
         let node_w = node.weighted_impurity(imp);
-        let (gain, thr, _) = match imp {
-            Impurity::Gini => scan_boundaries(present, node_w, GiniScan::new(left, best, node)),
-            Impurity::Entropy => scan_boundaries(present, node_w, EntropyScan { left, best, node }),
+        let (gain, boundary) = match imp {
+            Impurity::Gini => {
+                scan_boundaries(present, steps, node_w, GiniScan::new(left, best, node))
+            }
+            Impurity::Entropy => {
+                scan_boundaries(present, steps, node_w, EntropyScan { left, best, node })
+            }
             Impurity::Variance => unreachable!("`weighted_impurity` refuses class labels"),
         }?;
-        Some((gain, thr, best.clone(), node.minus(best)))
+        Some((gain, boundary, best.clone(), node.minus(best)))
     })
 }
 
@@ -777,12 +851,71 @@ mod tests {
         best
     }
 
+    /// A value-keyed scan buffer as the engine numbers it: each pair's place
+    /// in the buffer is its position, and the step map is that of the
+    /// pairs' values.
+    fn by_position<L: Copy>(pairs: &[(f64, L)]) -> (Vec<(u32, L)>, Vec<u64>) {
+        let present = (0..).zip(pairs).map(|(p, &(_, y))| (p, y)).collect();
+        let mut steps = vec![0u64; pairs.len().div_ceil(64)];
+        for (j, pair) in pairs.windows(2).enumerate() {
+            steps[j / 64] |= u64::from(pair[0].0 < pair[1].0) << (j % 64);
+        }
+        (present, steps)
+    }
+
+    /// [`scan_class`] over value-keyed pairs in `(value, row)` order, the
+    /// winner's threshold read off their values as `numeric_split` reads it
+    /// off the winner's rows.
+    fn scan_class_by_value(
+        pairs: &[(f64, u32)],
+        node: &ClassCounts,
+        imp: Impurity,
+    ) -> Option<(f64, f64, ClassCounts, ClassCounts)> {
+        let (present, steps) = by_position(pairs);
+        let (gain, i, left, right) = scan_class(&present, &steps, node, imp)?;
+        Some((
+            gain,
+            boundary_threshold(pairs[i].0, pairs[i + 1].0),
+            left,
+            right,
+        ))
+    }
+
     /// The boundary scan under variance, as `numeric_split` runs it.
-    fn variance_scan(present: &[(f64, f64)]) -> Option<(f64, f64, usize)> {
+    fn variance_scan(pairs: &[(f64, f64)]) -> Option<(f64, f64, usize)> {
         let mut targets = RegAgg::default();
-        present.iter().for_each(|&(_, y)| targets.add(y));
+        pairs.iter().for_each(|&(_, y)| targets.add(y));
         let node_w = targets.weighted_impurity();
-        scan_boundaries(present, node_w, VarianceScan::new(targets))
+        let (present, steps) = by_position(pairs);
+        let (gain, i) = scan_boundaries(&present, &steps, node_w, VarianceScan::new(targets))?;
+        Some((gain, boundary_threshold(pairs[i].0, pairs[i + 1].0), i))
+    }
+
+    /// `steps_between` is "a bit of `p..q` is set", for every pair of
+    /// positions of three words: bit `p` alone, runs of clear bits inside a
+    /// word and across one or two word edges, and an empty map.
+    #[test]
+    fn steps_between_is_any_bit_of_the_range() {
+        let maps: [[u64; 3]; 5] = [
+            [0, 0, 0],
+            [u64::MAX; 3],
+            [1 << 63, 0, 1],
+            [0x8000_0000_0000_0001, 0, 1 << 40],
+            [
+                0x0123_4567_89ab_cdef,
+                0xfedc_ba98_7654_3210,
+                0x0f0f_0f0f_0f0f_0f0f,
+            ],
+        ];
+        for steps in &maps {
+            let bit = |j: u32| steps[(j / 64) as usize] >> (j % 64) & 1 == 1;
+            for p in 0..192 {
+                for q in p + 1..192 {
+                    let want = (p..q).any(bit);
+                    assert_eq!(steps_between(steps, p, q), want, "{steps:x?} {p}..{q}");
+                }
+            }
+        }
     }
 
     fn bits(best: Option<(f64, f64, usize)>) -> Option<(u64, u64, usize)> {
@@ -852,7 +985,7 @@ mod tests {
                     prop_assert!(want.is_some());
                     let count = |side: &[(f64, u32)]| count_of(side, K);
                     let (gain, thr, left, right) =
-                        scan_class(&labelled, &count(&labelled), imp).unwrap();
+                        scan_class_by_value(&labelled, &count(&labelled), imp).unwrap();
                     let boundary = left.total() as usize - 1;
                     prop_assert_eq!(bits(Some((gain, thr, boundary))), bits(want), "{:?}", imp);
                     let (below, above) = labelled.split_at(boundary + 1);
@@ -914,7 +1047,7 @@ mod tests {
                     if imp == Impurity::Gini {
                         prop_assert_eq!(bits(two_sided), bits(want));
                     }
-                    let got = scan_class(&labelled, &count(&labelled), imp);
+                    let got = scan_class_by_value(&labelled, &count(&labelled), imp);
                     let found = got.as_ref().map(|(gain, thr, left, _)| {
                         (*gain, *thr, left.total() as usize - 1)
                     });
@@ -969,7 +1102,7 @@ mod tests {
         let present = [(1.0, 0u32), (2.0, 1), (3.0, 0), (4.0, 1)];
         for imp in [Impurity::Gini, Impurity::Entropy] {
             let (gain, thr, left, right) =
-                scan_class(&present, &count_of(&present, 2), imp).unwrap();
+                scan_class_by_value(&present, &count_of(&present, 2), imp).unwrap();
             assert!(gain > 0.0);
             assert_eq!(
                 (thr, left.counts(), right.counts()),

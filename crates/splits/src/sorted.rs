@@ -4,15 +4,19 @@
 //! re-sorts it for every node: `O(|Dx| log |Dx|)` per node *per candidate
 //! column*, with fresh allocations throughout. This module pays the sort
 //! once — the [`SortedColumn`] index built at column-load time — and gives
-//! each node its presorted `(value, label)` sequence in `O(|Dx|)`:
+//! each node its presorted sequence in `O(|Dx|)`, as `(position, label)`
+//! pairs: a row's position is its place in the column's presorted order,
+//! and the index's step map (one bit per position) says which neighbouring
+//! positions hold different values. The scan reads boundaries off the map,
+//! so no source reads a value to fill the scan buffer:
 //!
 //! - a **column-task** sees one node of a resident column at a time, so
 //!   [`best_split_at`] selects the node **by rank**: it sets bit
 //!   `rank[r]` for each of the node's rows in a pooled bitmap over the
 //!   positions of the presorted order, prefix-popcounts the bitmap's
-//!   `n / 64` words, and scatters each row's `(value, label)` to the number
-//!   of set bits below its own — its place in the node's sorted sequence.
-//!   `O(|Ix| + n / 64)`, sequential reads of `rank`, values and labels,
+//!   `n / 64` words, and scatters each row's `(rank[r], label)` to the
+//!   number of set bits below its own — its place in the node's sorted
+//!   sequence. `O(|Ix| + n / 64)`, sequential reads of `rank` and labels,
 //!   nothing per row outside the node. The prefix and place counts use the
 //!   CPU's `popcnt` where it has one, chosen at run time: the workspace
 //!   targets baseline x86-64, where `count_ones` is a SWAR sequence. At the
@@ -20,17 +24,22 @@
 //! - a trainer that grows a **whole subtree** keeps a [`NodeOrders`] — the
 //!   orders, derived by inverting the ranks, in which every open node owns a
 //!   contiguous segment, stable-partitioned at each split — and
-//!   [`best_split_in`] reads the node's own segment: `O(rows)` per column
-//!   per tree level;
-//! - the reference [`crate::exact::best_numeric_split`] gathers the node
-//!   and sorts it.
+//!   [`best_split_in`] reads the node's own segment, writing each row's
+//!   `(rank[r], label)`: `O(rows)` per column per tree level;
+//! - the reference [`crate::exact::best_numeric_split`] gathers the node's
+//!   `(value, row)` pairs and sorts them, numbers them by their place in
+//!   that sort and builds a step map of its own.
 //!
 //! All three are sources of one kernel (`numeric_split`), which runs the
 //! one boundary scan (`crate::exact::scan_boundaries`) over the pooled
-//! buffer. The buffers, the bitmap and its prefix counts (`n / 8 + n / 16`
-//! bytes per thread for the longest column seen) come from a thread-local
-//! scratch arena, so the steady-state hot path allocates nothing but the
-//! split it returns.
+//! buffer. Its threshold takes two values, those of the rows at the winning
+//! boundary's positions: the segment and the reference have the rows at
+//! hand, and rank selection leaves them to [`SplitCandidate::finish`], which
+//! finds them in one pass over the node's rows for the column that wins the
+//! node's fold — the only values a column-task reads. The buffers, the bitmap and its prefix counts (`n / 8 + n / 16` bytes per
+//! thread for the longest column seen) come from a thread-local scratch
+//! arena, so the steady-state hot path allocates nothing but the split it
+//! returns.
 //!
 //! A categorical column needs no value order: one pass (`visit_rows`) counts
 //! the node's rows into a slot per category and the selectors of
@@ -46,9 +55,13 @@
 //!   partition preserves input order), so a stable sort of the gathered node
 //!   by value is a sort by `(value, row)` — the order of the index. The
 //!   node's rows taken in rank order, its partitioned segment and the sorted
-//!   gather are therefore the *same* sequence of values and labels, hence
-//!   bit-identical incremental gains. A stable partition of the presorted
-//!   order by child membership keeps that order on both sides.
+//!   gather are therefore the *same* sequence of rows and labels. Two
+//!   neighbours of the sequence are a boundary iff their values differ under
+//!   IEEE `<` (`-0.0` and `+0.0` are one value), which the index's step map
+//!   and the reference's own map record alike; so the boundaries, the
+//!   incremental gains and the winner's two values — hence its threshold —
+//!   are bit-identical. A stable partition of the presorted order by child
+//!   membership keeps that order on both sides.
 //! - Class totals are **handed down**, not counted: [`best_split_at`] and
 //!   [`best_split_in`] take the node's [`NodeStats`], the scan of a numeric
 //!   column starts from those class counts less the counts of the node's rows
@@ -86,8 +99,8 @@
 
 use crate::condition::SplitTest;
 use crate::exact::{
-    best_breiman_prefix, best_one_vs_rest, scan_boundaries, scan_class, split_from_children,
-    split_from_slots, ColumnSplit, SplitCandidate,
+    best_breiman_prefix, best_one_vs_rest, boundary_threshold, scan_boundaries, scan_class,
+    split_from_children, split_from_slots, ColumnSplit, Cut, SplitCandidate,
 };
 use crate::impurity::{
     ClassCounts, Impurity, LabelAgg, LabelView, NodeStats, RegAgg, VarianceScan,
@@ -289,8 +302,8 @@ fn debug_assert_ascending(node: &NodeRows<'_>) {
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    static PRESENT_CLASS: Cell<Vec<(f64, u32)>> = const { Cell::new(Vec::new()) };
-    static PRESENT_REAL: Cell<Vec<(f64, f64)>> = const { Cell::new(Vec::new()) };
+    static PRESENT_CLASS: Cell<Vec<(u32, u32)>> = const { Cell::new(Vec::new()) };
+    static PRESENT_REAL: Cell<Vec<(u32, f64)>> = const { Cell::new(Vec::new()) };
     static RANK_BITS: Cell<RankBits> =
         const { Cell::new(RankBits { words: Vec::new(), before: Vec::new() }) };
     static CLASS_PAIR: Cell<Vec<ClassCounts>> = const { Cell::new(Vec::new()) };
@@ -300,37 +313,37 @@ thread_local! {
     static MASK: Cell<RowBitmap> = const { Cell::new(RowBitmap { words: Vec::new() }) };
 }
 
-/// A label type with a pooled `(value, label)` scan buffer on every thread.
+/// A label type with a pooled `(position, label)` scan buffer on every thread.
 pub(crate) trait ScanLabel: Copy + Default + 'static {
     /// This thread's buffer for the label type.
-    fn pool() -> &'static LocalKey<Cell<Vec<(f64, Self)>>>;
+    fn pool() -> &'static LocalKey<Cell<Vec<(u32, Self)>>>;
 }
 
 impl ScanLabel for u32 {
-    fn pool() -> &'static LocalKey<Cell<Vec<(f64, u32)>>> {
+    fn pool() -> &'static LocalKey<Cell<Vec<(u32, u32)>>> {
         &PRESENT_CLASS
     }
 }
 
 impl ScanLabel for f64 {
-    fn pool() -> &'static LocalKey<Cell<Vec<(f64, f64)>>> {
+    fn pool() -> &'static LocalKey<Cell<Vec<(u32, f64)>>> {
         &PRESENT_REAL
     }
 }
 
-/// Borrows `len` slots of the pooled `(value, label)` scan buffer. Their
+/// Borrows `len` slots of the pooled `(position, label)` scan buffer. Their
 /// contents are whatever the previous borrower left — every source writes
 /// each slot it reports before the scan reads it — so a reused buffer is
 /// not cleared. The buffer is taken out of the cell for the duration of
 /// `f`, so nested borrows degrade to a pool miss instead of panicking.
-fn with_present<L: ScanLabel, R>(len: usize, f: impl FnOnce(&mut [(f64, L)]) -> R) -> R {
+fn with_present<L: ScanLabel, R>(len: usize, f: impl FnOnce(&mut [(u32, L)]) -> R) -> R {
     L::pool().with(|cell| {
         let mut buf = cell.take();
         if buf.len() >= len {
             pool_hit();
         } else {
             pool_miss();
-            buf.resize(len, (0.0, L::default()));
+            buf.resize(len, (0, L::default()));
         }
         let r = f(&mut buf[..len]);
         cell.set(buf);
@@ -481,78 +494,157 @@ pub fn with_node_mask<R>(n_rows: usize, rows: &[u32], f: impl FnOnce(&RowBitmap)
 // ---------------------------------------------------------------------------
 
 /// Where a node's present rows of a numeric column, in `(value, row)` order,
-/// come from. All three yield the same sequence (module docs), so the choice
-/// is the caller's data structure, not a tuning knob.
+/// come from, each row as its position in an order whose step map tells
+/// which neighbours differ. All three yield the same label sequence with the
+/// same boundaries (module docs), so the choice is the caller's data
+/// structure, not a tuning knob.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Sequence<'a> {
     /// The column's resident index: select the node's rows by rank.
     Rank(&'a SortedColumn),
-    /// The node's own [`NodeOrders`] segment of the column.
-    Segment(&'a [u32]),
-    /// Neither: gather the node's present rows and sort them (the reference).
-    GatherSort,
+    /// The node's own [`NodeOrders`] segment of the column, whose index
+    /// numbers its rows.
+    Segment(&'a SortedColumn, &'a [u32]),
+    /// Neither: the node's present rows gathered and sorted (the reference).
+    GatherSort(&'a GatherSorted),
+}
+
+/// The reference source's own order: a node's present `(value, row)` pairs,
+/// stably sorted by value, numbered by their place in that sort, and the
+/// step map of that numbering.
+#[derive(Debug)]
+pub(crate) struct GatherSorted {
+    pairs: Vec<(f64, u32)>,
+    steps: Vec<u64>,
+}
+
+impl GatherSorted {
+    /// Gathers and sorts the present rows of `node` in `values`.
+    pub(crate) fn new(values: &[f64], node: NodeRows<'_>) -> Self {
+        let mut pairs: Vec<(f64, u32)> = (node.iter())
+            .map(|r| (values[r as usize], r))
+            .filter(|(v, _)| !v.is_nan())
+            .collect();
+        // Stable, over rows gathered in ascending order: `(value, row)`.
+        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut steps = vec![0u64; pairs.len().div_ceil(64)];
+        for (j, pair) in pairs.windows(2).enumerate() {
+            steps[j / 64] |= u64::from(pair[0].0 < pair[1].0) << (j % 64);
+        }
+        GatherSorted { pairs, steps }
+    }
 }
 
 impl Sequence<'_> {
-    /// Writes the sequence's `(value, label)` pairs to the front of
-    /// `present` (at least `node.len()` slots) and returns their number.
-    fn fill<L: Copy>(
-        self,
-        values: &[f64],
-        node: NodeRows<'_>,
-        ys: &[L],
-        present: &mut [(f64, L)],
-    ) -> usize {
+    /// The step map of the positions the sequence's rows are numbered by.
+    fn steps(&self) -> &[u64] {
         match self {
-            Sequence::Rank(index) => select_by_rank(values, index, node, ys, present),
-            Sequence::Segment(segment) => {
+            Sequence::Rank(index) | Sequence::Segment(index, _) => index.numeric_steps(),
+            Sequence::GatherSort(sorted) => &sorted.steps,
+        }
+    }
+
+    /// Writes the sequence's `(position, label)` pairs to the front of
+    /// `present` (at least `node.len()` slots) and returns their number. No
+    /// source reads a value.
+    fn fill<L: Copy>(self, node: NodeRows<'_>, ys: &[L], present: &mut [(u32, L)]) -> usize {
+        match self {
+            Sequence::Rank(index) => select_by_rank(index, node, ys, present),
+            Sequence::Segment(index, segment) => {
+                let rank = index.numeric_rank();
                 for (slot, &r) in present[..segment.len()].iter_mut().zip(segment) {
-                    *slot = (values[r as usize], ys[r as usize]);
+                    *slot = (rank[r as usize], ys[r as usize]);
                 }
                 segment.len()
             }
-            Sequence::GatherSort => {
-                let mut n = 0;
-                for r in node.iter() {
-                    let v = values[r as usize];
-                    if !v.is_nan() {
-                        present[n] = (v, ys[r as usize]);
-                        n += 1;
-                    }
+            Sequence::GatherSort(sorted) => {
+                for (place, (slot, &(_, r))) in present.iter_mut().zip(&sorted.pairs).enumerate() {
+                    *slot = (place as u32, ys[r as usize]);
                 }
-                // Stable, over rows gathered in ascending order: `(value, row)`.
-                present[..n].sort_by(|a, b| a.0.total_cmp(&b.0));
-                n
+                sorted.pairs.len()
             }
+        }
+    }
+
+    /// Whether `row` of the column is missing: out of the order.
+    fn is_missing(&self, values: &[f64], row: usize) -> bool {
+        match self {
+            Sequence::Rank(index) | Sequence::Segment(index, _) => {
+                index.numeric_rank()[row] == MISSING_RANK
+            }
+            Sequence::GatherSort(_) => values[row].is_nan(),
+        }
+    }
+
+    /// The test of the winning boundary, between entries `boundary` and
+    /// `boundary + 1` of the node's sequence `present`: its threshold comes
+    /// from the values of the two rows there, the only values an index
+    /// source reads. The segment and the reference have the rows at hand;
+    /// the rank source has their positions only, and leaves the threshold
+    /// to [`SplitCandidate::finish`], which finds the rows for the node's
+    /// winning column alone.
+    fn cut<L: Copy>(&self, values: &[f64], present: &[(u32, L)], boundary: usize) -> Cut {
+        let (below, above) = match self {
+            Sequence::Rank(_) => return Cut::Between(present[boundary].0, present[boundary + 1].0),
+            Sequence::Segment(_, segment) => (
+                values[segment[boundary] as usize],
+                values[segment[boundary + 1] as usize],
+            ),
+            Sequence::GatherSort(sorted) => {
+                (sorted.pairs[boundary].0, sorted.pairs[boundary + 1].0)
+            }
+        };
+        Cut::At(boundary_threshold(below, above))
+    }
+}
+
+/// The rows of `node` that `rank` puts at positions `p` and `q`: one pass
+/// over the node's rows, which stops once both are found.
+pub(crate) fn rows_at(rank: &[u32], node: NodeRows<'_>, p: u32, q: u32) -> (usize, usize) {
+    fn first_two(mut hits: impl Iterator<Item = (usize, u32)>, p: u32) -> (usize, usize) {
+        let outside = "the scan's positions are the node's";
+        let (a, b) = (hits.next().expect(outside), hits.next().expect(outside));
+        if a.1 == p {
+            (a.0, b.0)
+        } else {
+            (b.0, a.0)
+        }
+    }
+    let wanted = |&(_, place): &(usize, u32)| place == p || place == q;
+    match node {
+        NodeRows::All(_) => first_two(rank.iter().copied().enumerate().filter(wanted), p),
+        NodeRows::Subset(rows) => {
+            let ranked = rows.iter().map(|&r| (r as usize, rank[r as usize]));
+            first_two(ranked.filter(wanted), p)
         }
     }
 }
 
-/// Rank selection: scatters the `(value, label)` of each of the node's
+/// Rank selection: scatters the `(position, label)` of each of the node's
 /// present rows to its place in the node's sorted sequence.
 ///
 /// At the root that place is the row's rank. For a subset it is the number
 /// of the node's rows ranked below it: set bit `rank[r]` for every row, count
 /// the set bits before each 64-bit word once, and a row's place is its word's
 /// count plus the set bits below its own in that word. The bitmap spans the
-/// column's presorted order, so the cost is `O(|node| + n / 64)`.
+/// column's presorted order, so the cost is `O(|node| + n / 64)`; the rows'
+/// values are not read.
 fn select_by_rank<L: Copy>(
-    values: &[f64],
     index: &SortedColumn,
     node: NodeRows<'_>,
     ys: &[L],
-    present: &mut [(f64, L)],
+    present: &mut [(u32, L)],
 ) -> usize {
     let rank = index.numeric_rank();
     let n_positions = index.numeric_present();
-    assert_eq!(rank.len(), values.len(), "index/values length mismatch");
+    assert_eq!(rank.len(), ys.len(), "index/labels length mismatch");
     match node {
         NodeRows::All(n) => {
-            debug_assert_eq!(n, values.len(), "All(n) must span the whole column");
+            debug_assert_eq!(n, ys.len(), "All(n) must span the whole column");
             let present = &mut present[..n_positions];
-            for ((&place, &v), &y) in rank.iter().zip(values).zip(ys) {
+            for (&place, &y) in rank.iter().zip(ys) {
                 if place != MISSING_RANK {
-                    present[place as usize] = (v, y);
+                    present[place as usize] = (place, y);
                 }
             }
             n_positions
@@ -561,11 +653,9 @@ fn select_by_rank<L: Copy>(
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("popcnt") {
                 // SAFETY: this CPU has `popcnt`, checked just above.
-                return unsafe {
-                    place_by_rank_popcnt(rank, rows, values, ys, words, before, present)
-                };
+                return unsafe { place_by_rank_popcnt(rank, rows, ys, words, before, present) };
             }
-            place_by_rank(rank, rows, values, ys, words, before, present)
+            place_by_rank(rank, rows, ys, words, before, present)
         }),
     }
 }
@@ -578,11 +668,10 @@ fn select_by_rank<L: Copy>(
 fn place_by_rank<L: Copy>(
     rank: &[u32],
     rows: &[u32],
-    values: &[f64],
     ys: &[L],
     words: &mut [u64],
     before: &mut [u32],
-    present: &mut [(f64, L)],
+    present: &mut [(u32, L)],
 ) -> usize {
     for &r in rows {
         let p = rank[r as usize];
@@ -602,7 +691,7 @@ fn place_by_rank<L: Copy>(
             let w = (p >> 6) as usize;
             let below = words[w] & ((1 << (p & 63)) - 1);
             let place = before[w] + below.count_ones();
-            present[place as usize] = (values[r as usize], ys[r as usize]);
+            present[place as usize] = (p, ys[r as usize]);
         }
     }
     n_present as usize
@@ -619,25 +708,27 @@ fn place_by_rank<L: Copy>(
 unsafe fn place_by_rank_popcnt<L: Copy>(
     rank: &[u32],
     rows: &[u32],
-    values: &[f64],
     ys: &[L],
     words: &mut [u64],
     before: &mut [u32],
-    present: &mut [(f64, L)],
+    present: &mut [(u32, L)],
 ) -> usize {
-    place_by_rank(rank, rows, values, ys, words, before, present)
+    place_by_rank(rank, rows, ys, words, before, present)
 }
 
 /// The exact numeric kernel: the best `Ai <= v` split of a column over a
 /// node's rows, reading the node's sorted sequence from `sequence`.
 ///
 /// `values` and `labels` span the full column store; `stats` are the node's
-/// label statistics. Missing rows take no part in the scan and join the
-/// larger child afterwards. Class labels are not counted here: the scan
-/// starts from the node's totals less its missing rows' (integers, so
-/// order-free), and the children come with the candidate. Regression sums its
-/// present targets in value order — the order is part of the bits of every
-/// gain — and its children wait for the candidate's `finish`.
+/// label statistics. The scan runs over positions and labels and reads the
+/// sequence's step map for its boundaries; `values` are read for the
+/// winner's threshold only (and by the reference source). Missing rows take
+/// no part in the scan and join the larger child afterwards. Class labels
+/// are not counted here: the scan starts from the node's totals less its
+/// missing rows' (integers, so order-free), and the children come with the
+/// candidate. Regression sums its present targets in value order — the
+/// order is part of the bits of every gain — and its children wait for the
+/// candidate's `finish`.
 pub(crate) fn numeric_split(
     sequence: Sequence<'_>,
     values: &[f64],
@@ -649,38 +740,43 @@ pub(crate) fn numeric_split(
     assert_eq!(values.len(), labels.len(), "values/labels length mismatch");
     debug_assert_ascending(&node);
     debug_assert_eq!(stats.n(), node.len() as u64, "statistics of another node");
-    if !matches!(sequence, Sequence::GatherSort) {
+    if !matches!(sequence, Sequence::GatherSort(_)) {
         NUMERIC_SORTED_SCANS.fetch_add(1, Relaxed);
     }
+    let steps = sequence.steps();
     match labels {
         LabelView::Class(ys, k) => with_present(node.len(), |present| {
             let NodeStats::Class(totals) = stats else {
                 panic!("class labels scanned with regression statistics");
             };
-            let n_present = sequence.fill(values, node, ys, present);
+            let n_present = sequence.fill(node, ys, present);
             if n_present < 2 {
                 return None;
             }
             let present = &present[..n_present];
-            let missing = missing_class_counts(node, n_present, ys, k, |i| values[i].is_nan());
-            let (gain, thr, left, right) = if missing.total() == 0 {
-                scan_class(present, totals, imp)?
+            let is_missing = |r| sequence.is_missing(values, r);
+            let missing = missing_class_counts(node, n_present, ys, k, is_missing);
+            let (gain, boundary, left, right) = if missing.total() == 0 {
+                scan_class(present, steps, totals, imp)?
             } else {
-                scan_class(present, &totals.minus(&missing), imp)?
+                scan_class(present, steps, &totals.minus(&missing), imp)?
             };
-            let test = SplitTest::NumericLe(thr);
-            Some(split_from_children(test, gain, left, right, &missing).into())
+            let test = SplitTest::NumericLe(f64::NAN);
+            let candidate =
+                SplitCandidate::from(split_from_children(test, gain, left, right, &missing));
+            Some(candidate.cut(sequence.cut(values, present, boundary)))
         }),
         LabelView::Real(ys) => with_present(node.len(), |present| {
-            let n_present = sequence.fill(values, node, ys, present);
+            let n_present = sequence.fill(node, ys, present);
             let present = &present[..n_present];
             let mut targets = RegAgg::default();
             present.iter().for_each(|&(_, y)| targets.add(y));
             let (node_w, scan) = (targets.weighted_impurity(), VarianceScan::new(targets));
-            let (gain, thr, boundary) = scan_boundaries(present, node_w, scan)?;
+            let (gain, boundary) = scan_boundaries(present, steps, node_w, scan)?;
             let missing_left = boundary + 1 >= n_present - (boundary + 1);
-            let test = SplitTest::NumericLe(thr);
-            Some(SplitCandidate::unrouted(test, gain, missing_left))
+            let candidate =
+                SplitCandidate::unrouted(SplitTest::NumericLe(f64::NAN), gain, missing_left);
+            Some(candidate.cut(sequence.cut(values, present, boundary)))
         }),
     }
 }
@@ -906,7 +1002,7 @@ impl NodeOrders {
         let orders: Vec<Vec<u32>> = indexes
             .into_iter()
             .map(|index| match index {
-                SortedColumn::Numeric { rank, present } => {
+                SortedColumn::Numeric { rank, present, .. } => {
                     let mut order = vec![0; *present];
                     for (row, &place) in (0..).zip(rank) {
                         if place != MISSING_RANK {
@@ -1089,8 +1185,9 @@ pub fn best_split_in(
     imp: Impurity,
 ) -> Option<SplitCandidate> {
     match col {
-        ColumnRef::Numeric { values, .. } => {
-            numeric_split(Sequence::Segment(segment), values, node, stats, labels, imp)
+        ColumnRef::Numeric { values, index } => {
+            let sequence = Sequence::Segment(index, segment);
+            numeric_split(sequence, values, node, stats, labels, imp)
         }
         ColumnRef::Categorical { codes, n_values } => {
             best_cat_split_at(codes, n_values, node, labels, imp)
@@ -1227,22 +1324,22 @@ mod tests {
     /// The subset arm through one population count, in the pooled bitmap as
     /// `select_by_rank` runs it: the sequence it writes for `rows`, labelled
     /// by row id.
-    fn place_subset(values: &[f64], rows: &[u32], hardware: bool) -> Vec<(f64, u32)> {
+    fn place_subset(values: &[f64], rows: &[u32], hardware: bool) -> Vec<(u32, u32)> {
         let index = SortedColumn::from_numeric(values);
         let rank = index.numeric_rank();
         let ys: Vec<u32> = (0..values.len() as u32).collect();
-        let mut present = vec![(0.0, 0u32); rows.len()];
+        let mut present = vec![(0, 0u32); rows.len()];
         let n = with_rank_bits(index.numeric_present(), |words, before| {
             #[cfg(target_arch = "x86_64")]
             if hardware {
                 assert!(std::arch::is_x86_feature_detected!("popcnt"));
                 // SAFETY: this CPU has `popcnt`, asserted just above.
                 return unsafe {
-                    place_by_rank_popcnt(rank, rows, values, &ys, words, before, &mut present)
+                    place_by_rank_popcnt(rank, rows, &ys, words, before, &mut present)
                 };
             }
             assert!(!hardware);
-            place_by_rank(rank, rows, values, &ys, words, before, &mut present)
+            place_by_rank(rank, rows, &ys, words, before, &mut present)
         });
         present.truncate(n);
         present
@@ -1252,7 +1349,8 @@ mod tests {
     fn rank_selection_writes_the_nodes_sorted_sequence() {
         // Every 19th row is missing; eleven distinct values, so ties are
         // ordered by row; the label of a row is its id, so the sequence shows
-        // which row landed where.
+        // which row landed where, and with which position in the column's
+        // order.
         let column = |n: usize| -> Vec<f64> {
             (0..n)
                 .map(|r| match r % 19 {
@@ -1261,12 +1359,21 @@ mod tests {
                 })
                 .collect()
         };
-        let expect = |values: &[f64], rows: &[u32]| -> Vec<(f64, u32)> {
-            let mut pairs: Vec<(f64, u32)> = (rows.iter())
-                .filter(|&&r| !values[r as usize].is_nan())
-                .map(|&r| (values[r as usize], r))
+        let expect = |values: &[f64], rows: &[u32]| -> Vec<(u32, u32)> {
+            // The column's present rows, stably sorted by value here.
+            let mut order: Vec<u32> = (0..values.len() as u32)
+                .filter(|&r| !values[r as usize].is_nan())
                 .collect();
-            pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+            order.sort_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
+            let mut position = vec![MISSING_RANK; values.len()];
+            for (p, &r) in (0..).zip(&order) {
+                position[r as usize] = p;
+            }
+            let mut pairs: Vec<(u32, u32)> = (rows.iter())
+                .filter(|&&r| !values[r as usize].is_nan())
+                .map(|&r| (position[r as usize], r))
+                .collect();
+            pairs.sort_unstable();
             pairs
         };
         // 189 present rows: three bitmap words, the last one partly used.
@@ -1275,8 +1382,8 @@ mod tests {
         let ys: Vec<u32> = (0..n as u32).collect();
         let index = SortedColumn::from_numeric(&values);
         let all: Vec<u32> = (0..n as u32).collect();
-        let mut present = vec![(0.0, 0u32); n];
-        let got = select_by_rank(&values, &index, NodeRows::All(n), &ys, &mut present);
+        let mut present = vec![(0, 0u32); n];
+        let got = select_by_rank(&index, NodeRows::All(n), &ys, &mut present);
         assert_eq!(got, 189);
         assert_eq!(present[..got], expect(&values, &all)[..]);
         // 18 947 present rows of 20 000 span 297 words; every 97th row leaves
@@ -1294,8 +1401,8 @@ mod tests {
             let want = expect(values, &rows);
             let index = SortedColumn::from_numeric(values);
             let ys: Vec<u32> = (0..values.len() as u32).collect();
-            let mut present = vec![(0.0, 0u32); rows.len()];
-            let got = select_by_rank(values, &index, NodeRows::Subset(&rows), &ys, &mut present);
+            let mut present = vec![(0, 0u32); rows.len()];
+            let got = select_by_rank(&index, NodeRows::Subset(&rows), &ys, &mut present);
             assert_eq!(present[..got], want[..], "rows {rows:?}");
             for hardware in popcount_paths() {
                 assert_eq!(
@@ -1520,10 +1627,13 @@ mod tests {
         let in_segment = best_split_in(col, segment, node, &stats, labels, Impurity::Variance);
         assert!(kernel_counters().numeric_sorted_scans > before.numeric_sorted_scans);
         assert!(in_segment.is_some());
+        // Rank selection leaves its threshold to `finish`: the same split
+        // once finished.
         let at = best_split_at(col, node, &stats, labels, Impurity::Variance);
-        assert_eq!(in_segment, at);
+        let finish = |c: Option<SplitCandidate>| c.map(|c| c.finish(col, node, labels));
+        assert_eq!(finish(in_segment.clone()), finish(at));
         let gathered = numeric_split(
-            Sequence::GatherSort,
+            Sequence::GatherSort(&GatherSorted::new(&values, node)),
             &values,
             node,
             &stats,

@@ -9,6 +9,7 @@
 //! whole column down to one row.
 
 use ts_datatable::{SortedColumn, MISSING_CAT, MISSING_RANK};
+use ts_splits::condition::SplitTest;
 use ts_splits::exact::{
     best_cat_split_classification, best_cat_split_regression, best_numeric_split,
     distinct_categories, ColumnSplit,
@@ -271,6 +272,90 @@ proptest! {
                 let within = best_split_in(col, orders.segment(0, &segs), node, &stats, labels, imp)
                     .map(|c| c.finish(col, node, labels));
                 assert_same_split(&reference, &within)?;
+            }
+        }
+    }
+}
+
+/// Columns whose step map has to do work: long tie runs across 64-bit
+/// words (a six-value grid, both zeros, both infinities), NaN rows, and one
+/// column in five a single value, all ties.
+fn awkward_column() -> impl Strategy<Value = Vec<f64>> {
+    (1_000usize..4_000).prop_flat_map(|n| {
+        prop_oneof![
+            4 => tscheck::collection::vec(
+                prop_oneof![
+                    6 => -40.0..40.0f64,
+                    6 => (-3..3i32).prop_map(f64::from),
+                    2 => Just(0.0),
+                    2 => Just(-0.0),
+                    1 => Just(f64::INFINITY),
+                    1 => Just(f64::NEG_INFINITY),
+                    2 => Just(f64::NAN),
+                ],
+                n,
+            ),
+            1 => prop_oneof![Just(2.5), Just(-0.0), Just(f64::NEG_INFINITY)]
+                .prop_map(move |v| vec![v; n]),
+        ]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// The index's step map is IEEE `<` between neighbours of the order a
+    /// stable sort of the present rows makes, and the three sources of the
+    /// numeric kernel — rank selection, a [`NodeOrders`] segment, and the
+    /// reference's own gather and sort — return the same split, gain and
+    /// threshold to the bit, at the root and on a node of one row in a
+    /// hundred, whose neighbours lie words apart in the order.
+    #[test]
+    fn step_map_and_the_three_sources_agree_on_awkward_columns(
+        (values, ys, reals, offset) in awkward_column().prop_flat_map(|values| {
+            let n = values.len();
+            (Just(values), class_labels(n), real_labels(n), 0u32..100)
+        })
+    ) {
+        let n = values.len();
+        let index = SortedColumn::from_numeric(&values);
+        let mut order: Vec<u32> = (0..n as u32).filter(|&r| !values[r as usize].is_nan()).collect();
+        order.sort_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
+        let steps = index.numeric_steps();
+        for j in 0..n {
+            let rises = j + 1 < order.len()
+                && values[order[j] as usize] < values[order[j + 1] as usize];
+            prop_assert_eq!(steps[j / 64] >> (j % 64) & 1 == 1, rises, "position {}", j);
+        }
+
+        let col = ColumnRef::Numeric { values: &values, index: &index };
+        let all: Vec<u32> = (0..n as u32).collect();
+        let sparse: Vec<u32> = (offset..n as u32).step_by(100).collect();
+        for (rows, node) in [(&all, NodeRows::All(n)), (&sparse, NodeRows::Subset(&sparse))] {
+            let mut orders = NodeOrders::new([&index], n);
+            let (segs, _) = orders.split(&orders.root(), rows);
+            let segment = orders.segment(0, &segs);
+            let (gys, greals) = (gather_u(&ys, rows), gather_f(&reals, rows));
+            let cases = [
+                (LabelView::Class(&ys, K), LabelView::Class(&gys, K), Impurity::Gini),
+                (LabelView::Class(&ys, K), LabelView::Class(&gys, K), Impurity::Entropy),
+                (LabelView::Real(&reals), LabelView::Real(&greals), Impurity::Variance),
+            ];
+            for (labels, gathered, imp) in cases {
+                let reference = best_numeric_split(&gather_f(&values, rows), gathered, imp);
+                let stats = node.stats(labels);
+                let at = best_split_at(col, node, &stats, labels, imp)
+                    .map(|c| c.finish(col, node, labels));
+                let within = best_split_in(col, segment, node, &stats, labels, imp)
+                    .map(|c| c.finish(col, node, labels));
+                for found in [&at, &within] {
+                    assert_same_split(&reference, found)?;
+                    let threshold = |s: &Option<ColumnSplit>| match s {
+                        Some(ColumnSplit { test: SplitTest::NumericLe(t), .. }) => Some(t.to_bits()),
+                        _ => None,
+                    };
+                    prop_assert_eq!(threshold(&reference), threshold(found), "{:?}", imp);
+                }
             }
         }
     }

@@ -114,8 +114,9 @@ impl LocalDataset {
 
     /// Bytes of the gathered data: column values plus labels. The presorted
     /// indexes (`SortedColumn::payload_bytes` — the rank, 4 per row of a
-    /// numeric column — where the dataset built them rather than sharing a
-    /// store's) and the exact trainer's working orders
+    /// numeric column, and its step map, a bit per row — where the dataset
+    /// built them rather than sharing a store's) and the exact trainer's
+    /// working orders
     /// ([`LocalDataset::order_bytes`]) come on top; the engine's task-memory
     /// accounting charges all three.
     pub fn payload_bytes(&self) -> usize {
