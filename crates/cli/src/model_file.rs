@@ -35,18 +35,13 @@ impl ModelFile {
             .and_then(|k| k.as_str())
             .ok_or("missing \"kind\" tag")?;
         let model = v.get("model").ok_or("missing \"model\" body")?.clone();
-        match kind {
-            "tree" => Ok(ModelFile::Tree(
-                tsjson::from_value(model).map_err(|e| e.to_string())?,
-            )),
-            "forest" => Ok(ModelFile::Forest(
-                tsjson::from_value(model).map_err(|e| e.to_string())?,
-            )),
-            "gbt" => Ok(ModelFile::Gbt(
-                tsjson::from_value(model).map_err(|e| e.to_string())?,
-            )),
-            other => Err(format!("unknown model kind {other:?}")),
-        }
+        let parsed = match kind {
+            "tree" => tsjson::from_value(model).map(ModelFile::Tree),
+            "forest" => tsjson::from_value(model).map(ModelFile::Forest),
+            "gbt" => tsjson::from_value(model).map(ModelFile::Gbt),
+            other => return Err(format!("unknown model kind {other:?}")),
+        };
+        parsed.map_err(|e| e.to_string())
     }
 
     /// Compiles the model for batched serving (see `ts-serve`).
@@ -59,24 +54,22 @@ impl ModelFile {
     }
 
     /// Class predictions on the per-row reference traversal (`--reference`).
-    pub fn predict_labels_reference(&self, table: &DataTable) -> Result<Vec<u32>, String> {
+    pub fn predict_labels_reference(&self, table: &DataTable) -> Vec<u32> {
         match self {
-            ModelFile::Tree(m) => Ok(m.predict_labels_reference(table)),
-            ModelFile::Forest(m) => Ok(m.predict_labels_reference(table)),
-            ModelFile::Gbt(m) => Ok(m
-                .predict_margins_reference(table)
-                .into_iter()
+            ModelFile::Tree(m) => m.predict_labels_reference(table),
+            ModelFile::Forest(m) => m.predict_labels_reference(table),
+            ModelFile::Gbt(m) => (m.predict_margins_reference(table).into_iter())
                 .map(|v| u32::from(v > 0.0))
-                .collect()),
+                .collect(),
         }
     }
 
     /// Value predictions on the per-row reference traversal (`--reference`).
-    pub fn predict_values_reference(&self, table: &DataTable) -> Result<Vec<f64>, String> {
+    pub fn predict_values_reference(&self, table: &DataTable) -> Vec<f64> {
         match self {
-            ModelFile::Tree(m) => Ok(m.predict_values_reference(table)),
-            ModelFile::Forest(m) => Ok(m.predict_values_reference(table)),
-            ModelFile::Gbt(m) => Ok(m.predict_margins_reference(table)),
+            ModelFile::Tree(m) => m.predict_values_reference(table),
+            ModelFile::Forest(m) => m.predict_values_reference(table),
+            ModelFile::Gbt(m) => m.predict_margins_reference(table),
         }
     }
 
@@ -95,21 +88,19 @@ impl ModelFile {
 
     /// The `index`-th tree of the model, if any.
     pub fn tree_at(&self, index: usize) -> Option<&DecisionTreeModel> {
+        self.trees().get(index)
+    }
+
+    fn trees(&self) -> &[DecisionTreeModel] {
         match self {
-            ModelFile::Tree(m) => (index == 0).then_some(m),
-            ModelFile::Forest(m) => m.trees.get(index),
-            ModelFile::Gbt(m) => m.trees.get(index),
+            ModelFile::Tree(m) => std::slice::from_ref(m),
+            ModelFile::Forest(m) => &m.trees,
+            ModelFile::Gbt(m) => &m.trees,
         }
     }
 
     fn max_attr(&self) -> usize {
-        let trees: Vec<&DecisionTreeModel> = match self {
-            ModelFile::Tree(m) => vec![m],
-            ModelFile::Forest(m) => m.trees.iter().collect(),
-            ModelFile::Gbt(m) => m.trees.iter().collect(),
-        };
-        trees
-            .iter()
+        (self.trees().iter())
             .flat_map(|t| t.nodes.iter())
             .filter_map(|n| n.split.as_ref().map(|(i, _, _)| i.attr))
             .max()
@@ -186,10 +177,7 @@ mod tests {
             let in_memory = mf.compile().predict_labels(&table);
             let reloaded = ModelFile::from_json(&mf.to_json()).unwrap();
             assert_eq!(reloaded.compile().predict_labels(&table), in_memory);
-            assert_eq!(
-                reloaded.predict_labels_reference(&table).unwrap(),
-                in_memory
-            );
+            assert_eq!(reloaded.predict_labels_reference(&table), in_memory);
         }
         let (gbt, reg_table) = sample_gbt();
         let mf = ModelFile::Gbt(gbt);
@@ -200,7 +188,7 @@ mod tests {
         for (a, b) in after.iter().zip(&in_memory) {
             assert_eq!(a.to_bits(), b.to_bits(), "round-trip changed a margin");
         }
-        let reference = reloaded.predict_values_reference(&reg_table).unwrap();
+        let reference = reloaded.predict_values_reference(&reg_table);
         for (a, b) in after.iter().zip(&reference) {
             assert_eq!(a.to_bits(), b.to_bits(), "compiled deviates from reference");
         }

@@ -451,7 +451,8 @@ impl Master {
     /// Submits a job; returns the handle and the result channel.
     ///
     /// On a degraded cluster (recovery proved impossible) the job fails
-    /// immediately with the stored reason.
+    /// immediately with the stored reason, and so does a job no worker can
+    /// compute (`ImpurityMismatch`) or one with no trees (`NoTrees`).
     pub fn submit(&mut self, spec: JobSpec) -> (JobHandle, Receiver<JobResult>) {
         let trees = spec.expand(self.n_attrs);
         let (tx, rx) = tschan::bounded(1);
@@ -464,7 +465,8 @@ impl Master {
         let mismatch =
             impurity == Impurity::Variance && matches!(task, Task::Classification { .. });
         let refused = (self.degraded.clone())
-            .or_else(|| mismatch.then_some(RecoveryError::ImpurityMismatch { impurity, task }));
+            .or_else(|| mismatch.then_some(RecoveryError::ImpurityMismatch { impurity, task }))
+            .or_else(|| trees.is_empty().then_some(RecoveryError::NoTrees));
         if let Some(err) = refused {
             self.out.push(Post::Notify(tx, JobResult::Failed(err)));
             return (JobHandle(job_id), rx);
@@ -2087,6 +2089,26 @@ mod tests {
         let (_h2, rx2) = m.submit(JobSpec::decision_tree(TASK));
         inboxes(&mut m);
         assert!(matches!(result_of(&rx2), Some(JobResult::Failed(_))));
+    }
+
+    /// A job that expands to no trees has nothing that could complete it:
+    /// up to commit 1a63857 it was registered with `total: 0` and its
+    /// client waited forever. It is refused at submit, and the master goes
+    /// on to dispatch the next job.
+    #[test]
+    fn a_job_of_no_trees_is_refused_at_submit() {
+        let mut m = master_of(three_workers(), 150, 4);
+        let (_h, rx) = m.submit(JobSpec::random_forest(TASK, 0));
+        inboxes(&mut m);
+        let res = result_of(&rx).expect("the job is answered at once");
+        assert!(
+            matches!(res, JobResult::Failed(RecoveryError::NoTrees)),
+            "unexpected result: {res:?}"
+        );
+        assert!(m.degraded_reason().is_none(), "the cluster stays healthy");
+        let (_h, _rx) = m.submit(JobSpec::decision_tree(TASK));
+        m.pump(0);
+        assert!(!plans_in(&inboxes(&mut m)).is_empty(), "the next job runs");
     }
 
     #[test]

@@ -61,6 +61,11 @@ pub enum RecoveryError {
         /// The task of the table the cluster holds.
         task: Task,
     },
+    /// Not a lost resource but a job with nothing to compute: it expands to
+    /// no trees, so no finished tree would ever complete it.
+    /// `Master::submit` refuses it before anything is dispatched; the
+    /// cluster stays healthy.
+    NoTrees,
 }
 
 impl fmt::Display for RecoveryError {
@@ -83,6 +88,7 @@ impl fmt::Display for RecoveryError {
                 f,
                 "impurity {impurity:?} is not defined on the labels of the loaded table ({task:?})"
             ),
+            RecoveryError::NoTrees => write!(f, "the job expands to no trees"),
         }
     }
 }

@@ -386,3 +386,38 @@ fn variance_on_class_labels_fails_the_job_not_the_cluster() {
         "the cluster trains a valid job afterwards"
     );
 }
+
+/// A forest of zero trees has nothing that could complete it: up to commit
+/// 1a63857 `train` waited for it forever. The master refuses it when it is
+/// submitted, and the cluster goes on to train a valid job.
+#[test]
+fn a_job_of_no_trees_fails_the_job_not_the_cluster() {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let task = Task::Classification { n_classes: 2 };
+        let t = generate(&SynthSpec {
+            rows: 300,
+            numeric: 3,
+            task,
+            seed: 43,
+            ..Default::default()
+        });
+        let cluster = Cluster::launch(tiny_cfg(), &t);
+        let refused = cluster.train(JobSpec::random_forest(task, 0));
+        let forest = cluster.train(JobSpec::random_forest(task, 2)).into_forest();
+        cluster.shutdown();
+        let _ = done_tx.send((refused, forest));
+    });
+    let (refused, forest) = done_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the job of no trees or the shutdown after it hung");
+    assert!(
+        matches!(refused, JobResult::Failed(RecoveryError::NoTrees)),
+        "expected a refusal, got {refused:?}"
+    );
+    assert_eq!(
+        forest.trees.len(),
+        2,
+        "the cluster trains a valid job afterwards"
+    );
+}

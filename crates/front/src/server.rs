@@ -418,7 +418,8 @@ impl FrontServer {
         supply: impl FnOnce() -> CompiledModel + Send + 'static,
     ) {
         self.swaps.push(SwapEntry {
-            at_ns: at.as_nanos() as u64,
+            // Saturate: a time past u64::MAX ns (~584 years) never comes.
+            at_ns: u64::try_from(at.as_nanos()).unwrap_or(u64::MAX),
             supply: Box::new(supply),
         });
     }
@@ -445,7 +446,9 @@ impl FrontServer {
 
         let mut st = RunState {
             cfg: self.cfg.clone(),
-            budget: self.cfg.latency_budget.as_nanos() as u64,
+            // Saturated like every sum built from it: a budget past
+            // u64::MAX ns is one that no deadline reaches.
+            budget: u64::try_from(self.cfg.latency_budget.as_nanos()).unwrap_or(u64::MAX),
             registry: Arc::clone(&self.registry),
             table: Arc::clone(&self.table),
             stats: Arc::clone(&self.stats),
@@ -472,9 +475,10 @@ impl FrontServer {
             // The three event sources; tie order: completion, then
             // deadline flush, then arrival — a flush at t never includes a
             // request arriving at the same instant.
+            let deadline = (st.queue.front()).map(|p| p.admit_ns.saturating_add(st.budget));
             let candidates = [
                 (st.in_flight.front().map(|f| f.done_ns), 0u8),
-                (st.queue.front().map(|p| p.admit_ns + st.budget), 1),
+                (deadline, 1),
                 (arrivals.get(i).map(|a| a.at_ns), 2),
             ];
             let Some((now, pri)) = candidates
@@ -537,7 +541,7 @@ impl RunState {
         if self.queue.len() >= self.cfg.queue_cap {
             // Next guaranteed drain of the forming queue: the oldest
             // request's deadline flush.
-            let drain = self.queue.front().map(|p| p.admit_ns + self.budget);
+            let drain = (self.queue.front()).map(|p| p.admit_ns.saturating_add(self.budget));
             self.shed(
                 a,
                 RejectReason::QueueFull,
@@ -559,10 +563,12 @@ impl RunState {
         let batch_service = self.cfg.service.service_ns(b);
         let mut chain = self.busy_until.max(now);
         for j in 0..self.queue.len() / b {
-            chain = chain.max(self.queue[j * b].admit_ns + self.budget) + batch_service;
+            let deadline = self.queue[j * b].admit_ns.saturating_add(self.budget);
+            chain = chain.max(deadline).saturating_add(batch_service);
         }
-        if chain > now + self.budget {
-            self.shed(a, RejectReason::Backpressure, chain - (now + self.budget));
+        let limit = now.saturating_add(self.budget);
+        if chain > limit {
+            self.shed(a, RejectReason::Backpressure, chain - limit);
             return;
         }
         self.stats.admitted.inc();
@@ -642,7 +648,7 @@ impl RunState {
         };
 
         let start = now.max(self.busy_until);
-        let done = start + self.cfg.service.service_ns(k);
+        let done = start.saturating_add(self.cfg.service.service_ns(k));
         self.busy_until = done;
         let batch = self.batch_seq;
         self.batch_seq += 1;

@@ -169,3 +169,60 @@ fn underfull_burst_flushes_at_the_oldest_deadline() {
         );
     }
 }
+
+/// A budget past `u64::MAX` ns (`serve --latency-budget-us
+/// 18446744073709551615`) is a deadline that never comes, not one that
+/// wraps around to the past: up to commit 1a63857 it wrapped, and every
+/// request was shed as backpressure.
+#[test]
+fn a_saturated_budget_sheds_nothing_the_default_budget_admits() {
+    let seed = base_seed() ^ 0x5A7;
+    let t = table(seed);
+    let arrivals =
+        ArrivalPlan::Poisson { qps: 100_000.0 }.generate(2_000, t.n_rows() as u32, 4, seed);
+    let run = |latency_budget: Duration| {
+        let cfg = FrontConfig {
+            latency_budget,
+            ..FrontConfig::default()
+        };
+        FrontServer::new(cfg, registry(&t, seed), Arc::clone(&t)).run(&arrivals)
+    };
+    let admitted: std::collections::HashSet<u64> = run(FrontConfig::default().latency_budget)
+        .responses
+        .iter()
+        .map(|r| r.id)
+        .collect();
+    assert!(!admitted.is_empty());
+    for budget in [Duration::from_micros(u64::MAX), Duration::MAX] {
+        let report = run(budget);
+        assert_eq!(report.responses.len() + report.sheds.len(), arrivals.len());
+        for shed in &report.sheds {
+            assert!(
+                !admitted.contains(&shed.id),
+                "request {} shed under a {budget:?} budget: {shed:?}",
+                shed.id
+            );
+        }
+    }
+}
+
+/// A swap scheduled past `u64::MAX` ns never fires; up to commit 1a63857
+/// its time wrapped to a small one and the swap fired on the first batch.
+#[test]
+fn a_swap_past_the_clock_range_never_fires() {
+    let seed = base_seed() ^ 0x5A4;
+    let t = table(seed);
+    let arrivals = ArrivalPlan::Poisson { qps: 50_000.0 }.generate(500, t.n_rows() as u32, 4, seed);
+    let mut server = FrontServer::new(FrontConfig::default(), registry(&t, seed), Arc::clone(&t));
+    for at in [
+        Duration::from_nanos(u64::MAX) + Duration::from_micros(1),
+        Duration::MAX,
+    ] {
+        let attrs: Vec<usize> = (0..t.n_attrs()).collect();
+        let tree = train_tree(&t, &attrs, &TrainParams::for_task(t.schema().task), seed);
+        server.schedule_swap(at, move || CompiledModel::from_tree(&tree));
+    }
+    let report = server.run(&arrivals);
+    assert_eq!(report.responses.len() + report.sheds.len(), arrivals.len());
+    assert!(report.swaps.is_empty(), "{:?}", report.swaps);
+}

@@ -23,7 +23,6 @@
 //! machine: pid 0 is the master, pid `n` is worker `n`.
 
 use crate::event::{DequeEnd, Event, TimedEvent};
-use crate::json;
 use crate::span::SpanKind;
 use std::collections::BTreeSet;
 use std::collections::{BTreeMap, HashMap};
@@ -59,10 +58,11 @@ impl Emitter {
         }
         self.first = false;
         self.pids.insert(pid);
+        self.out.push_str("{\"name\":");
+        tsjson::write_escaped(name, &mut self.out);
         let _ = write!(
             self.out,
-            "{{\"name\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":{}{}}}",
-            json::escape(name),
+            ",\"ph\":\"{}\",\"ts\":{},\"pid\":{}{}}}",
             ph,
             us(ts_ns),
             pid,
@@ -294,9 +294,10 @@ pub(crate) fn export(mut events: Vec<TimedEvent>) -> String {
                 "split_chosen",
                 ev.ts_ns,
                 node,
+                // JSON has no NaN or infinity.
                 &format!(
                     "\"task\":{task},\"attr\":{attr},\"gain\":{}",
-                    json::number(gain)
+                    if gain.is_finite() { gain } else { 0.0 }
                 ),
             ),
             Event::WorkerCrashed { node } => e.instant(
@@ -646,5 +647,23 @@ mod tests {
             "{trace}"
         );
         assert!(trace.contains("\"dur\":4.000"), "{trace}");
+    }
+
+    #[test]
+    fn a_gain_json_cannot_hold_is_written_as_zero() {
+        let split = |gain: f64| Event::SplitChosen {
+            task: 1,
+            node: 2,
+            attr: 3,
+            gain,
+        };
+        let trace = export(vec![
+            te(1_000, 0, split(1.5)),
+            te(2_000, 0, split(f64::NAN)),
+        ]);
+        assert!(trace.contains("\"gain\":1.5"), "{trace}");
+        assert!(trace.contains("\"gain\":0}"), "{trace}");
+        let inf = export(vec![te(1_000, 0, split(f64::INFINITY))]);
+        assert!(inf.contains("\"gain\":0}"), "{inf}");
     }
 }

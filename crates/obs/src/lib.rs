@@ -1,7 +1,8 @@
 //! `ts-obs` — task-lifecycle tracing, metrics and Chrome-trace export for
 //! the simulated TreeServer cluster.
 //!
-//! The crate is deliberately dependency-free (std only). The engine records
+//! The crate depends on nothing but the in-repo `tsjson`, whose string
+//! escaper the exporters share. The engine records
 //! typed [`Event`]s into per-machine lock-free rings via a shared
 //! [`Recorder`]; a [`MetricsRegistry`] of atomic counters and log-bucketed
 //! histograms is updated inline from the same events. Both are snapshotable
@@ -16,7 +17,6 @@
 
 mod chrome;
 mod event;
-mod json;
 mod metrics;
 mod ring;
 mod span;

@@ -219,17 +219,18 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{}", crate::json::escape(name), v);
+            tsjson::write_escaped(name, out);
+            let _ = write!(out, ":{v}");
         }
         out.push_str("},\"histograms\":{");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
+            tsjson::write_escaped(name, out);
             let _ = write!(
                 out,
-                "\"{}\":{{\"count\":{},\"sum\":{},\"mean\":{:.3},\"p50\":{},\"p99\":{},\"buckets\":[",
-                crate::json::escape(name),
+                ":{{\"count\":{},\"sum\":{},\"mean\":{:.3},\"p50\":{},\"p99\":{},\"buckets\":[",
                 h.count,
                 h.sum,
                 h.mean(),

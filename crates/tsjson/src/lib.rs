@@ -236,7 +236,8 @@ impl fmt::Display for Value {
 // ---------------------------------------------------------------------------
 // Printing
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a JSON string literal, quotes included.
+pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -702,6 +703,18 @@ macro_rules! json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escapes_specials() {
+        let escaped = |s: &str| {
+            let mut out = String::new();
+            write_escaped(s, &mut out);
+            out
+        };
+        assert_eq!(escaped("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(escaped("\u{1}"), "\"\\u0001\"");
+        assert_eq!(escaped("plain"), "\"plain\"");
+    }
 
     #[test]
     fn scalar_roundtrips() {
