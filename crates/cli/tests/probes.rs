@@ -1,6 +1,7 @@
 //! Bad input through the real `treeserver` binary: every probe must exit 1
 //! with an error that names the option at fault — never a panic (101),
-//! never a hang, never a silent exit 0.
+//! never a hang, never a silent exit 0. An extreme input the options admit
+//! must run to its end.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -133,4 +134,20 @@ fn an_option_of_another_command_fails_by_name() {
         "--workers",
     );
     refused(&["show", "--model", "m.json", "--trees", "5"], "--trees");
+}
+
+#[test]
+fn serving_at_a_vanishing_bursty_rate_finishes() {
+    // Bursty arrivals at this rate redrew phase after phase without end up
+    // to commit c0980b5; Poisson ones saturated at `u64::MAX` ns.
+    let dir = scratch("bursty");
+    let (csv, model) = (path(&dir, "f.csv"), path(&dir, "m.json"));
+    let data = ["--csv", &csv, "--target", "label", "--task", "class"];
+    let (code, stderr) = run(&[&["train"], &data[..], &["--out", &model]].concat());
+    assert_eq!(code, Some(0), "train:\n{stderr}");
+    let stream = ["--arrival", "bursty", "--qps", "1e-300", "--requests", "10"];
+    let serve = [&["serve", "--model", &model], &data[..], &stream[..]].concat();
+    let (code, stderr) = run(&serve);
+    assert_eq!(code, Some(0), "treeserver {serve:?}:\n{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,7 +2,6 @@
 
 use std::sync::Arc;
 use ts_datatable::Column;
-use ts_datatable::ValuesBuf;
 use ts_netsim::NodeId;
 use tsjson::{Deserialize, Serialize};
 
@@ -88,15 +87,14 @@ impl RowSet {
         }
     }
 
-    /// Gathers a column over this row set: over `All`, a copy of its values.
-    pub fn gather(&self, col: &Column, n: usize) -> ValuesBuf {
+    /// Gathers a column over this row set into a column of its own — over
+    /// `All`, a copy. A holder serving `ReqCols` sends this; a worker that
+    /// computes on its own column reads the resident one over `All` instead.
+    pub fn gather(&self, col: &Column, n: usize) -> Column {
         match self {
             RowSet::All => {
                 debug_assert_eq!(col.len(), n);
-                match col {
-                    Column::Numeric(v) => ValuesBuf::Numeric(v.clone()),
-                    Column::Categorical(c) => ValuesBuf::Categorical(c.clone()),
-                }
+                col.clone()
             }
             RowSet::Ids(v) => col.gather(v),
         }
@@ -136,16 +134,10 @@ mod tests {
     #[test]
     fn rowset_gather() {
         let col = Column::Numeric(vec![1.0, 2.0, 3.0]);
-        assert_eq!(
-            RowSet::All.gather(&col, 3),
-            ValuesBuf::Numeric(vec![1.0, 2.0, 3.0])
-        );
+        assert_eq!(RowSet::All.gather(&col, 3), col);
         let r = RowSet::Ids(Arc::new(vec![2, 0]));
-        assert_eq!(r.gather(&col, 3), ValuesBuf::Numeric(vec![3.0, 1.0]));
+        assert_eq!(r.gather(&col, 3), Column::Numeric(vec![3.0, 1.0]));
         let codes = Column::Categorical(vec![4, ts_datatable::MISSING_CAT, 0]);
-        assert_eq!(
-            RowSet::All.gather(&codes, 3),
-            ValuesBuf::Categorical(vec![4, ts_datatable::MISSING_CAT, 0])
-        );
+        assert_eq!(RowSet::All.gather(&codes, 3), codes);
     }
 }

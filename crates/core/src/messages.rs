@@ -23,7 +23,7 @@
 //! u64s ride inside the 24-byte frame header the sizes already charge.
 
 use crate::ids::{ParentRef, Side, TaskId, TreeId};
-use ts_datatable::{Column, ValuesBuf};
+use ts_datatable::Column;
 use ts_netsim::{NodeId, WireSized};
 use ts_obs::TraceCtx;
 use ts_splits::exact::ColumnSplit;
@@ -439,8 +439,8 @@ pub enum DataMsg {
         for_task: TaskId,
         /// Attribute ids, aligned with `bufs`.
         attrs: Vec<usize>,
-        /// Gathered values, aligned with the task's `Ix` order.
-        bufs: Vec<ValuesBuf>,
+        /// Each column gathered over the task's `Ix`, in its order.
+        bufs: Vec<Column>,
         /// The subtree task's span, echoed from the request.
         ctx: TraceCtx,
     },
@@ -563,7 +563,7 @@ mod tests {
         let m = DataMsg::RespCols {
             for_task: TaskId(1),
             attrs: vec![0],
-            bufs: vec![ValuesBuf::Numeric(vec![0.0; 100])],
+            bufs: vec![Column::Numeric(vec![0.0; 100])],
             ctx: TraceCtx::NONE,
         };
         assert!(m.wire_bytes() >= 800);

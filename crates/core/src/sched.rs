@@ -161,7 +161,7 @@ impl<T> PlanQueue<T> {
 
     /// The master heard nothing for a whole tick. With plans still queued
     /// that is a strike (the pump before it left them undispatchable);
-    /// [`STALL_STRIKES`] in a row make the next pop ignore the cap.
+    /// `STALL_STRIKES` in a row make the next pop ignore the cap.
     pub fn note_idle_tick(&mut self) {
         if self.len > 0 {
             self.stalls += 1;

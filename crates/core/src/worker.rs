@@ -46,7 +46,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 use ts_datatable::{
-    AttrType, BinnedColumn, Column, DataTable, Labels, SharedColumn, SortedColumn, Task, ValuesBuf,
+    AttrType, BinnedColumn, Column, DataTable, Labels, SharedColumn, SortedColumn, Task,
 };
 use ts_netsim::{BusyGuard, Fabric, FabricReceiver, NetStats, NodeId};
 use ts_obs::TraceCtx;
@@ -72,9 +72,9 @@ fn ix_bytes(ix: &RowSet) -> usize {
     }
 }
 
-/// Accounted bytes of gathered column buffers.
-fn bufs_bytes<'a>(bufs: impl IntoIterator<Item = &'a ValuesBuf>) -> usize {
-    bufs.into_iter().map(ValuesBuf::payload_bytes).sum()
+/// Accounted bytes of gathered columns.
+fn bufs_bytes<'a>(bufs: impl IntoIterator<Item = &'a Column>) -> usize {
+    bufs.into_iter().map(Column::payload_bytes).sum()
 }
 
 /// A task whose data is complete, ready for a comper.
@@ -86,8 +86,9 @@ pub(crate) enum ReadyTask {
     Subtree {
         plan: SubtreePlan,
         ix: RowSet,
-        /// Buffers received from remote holders, keyed by attribute.
-        remote_bufs: HashMap<usize, ValuesBuf>,
+        /// Columns received from remote holders, gathered over `Ix`, keyed
+        /// by attribute.
+        remote_bufs: HashMap<usize, Column>,
     },
     Stop,
 }
@@ -113,8 +114,9 @@ enum PendingTask {
 struct Provisioning {
     plan: SubtreePlan,
     ix: Option<RowSet>,
-    /// Buffers received from remote holders, keyed by attribute.
-    remote_bufs: HashMap<usize, ValuesBuf>,
+    /// Columns received from remote holders, gathered over `Ix`, keyed by
+    /// attribute.
+    remote_bufs: HashMap<usize, Column>,
     remote_needed: usize,
 }
 
@@ -1047,7 +1049,7 @@ impl Worker {
         self.out.push(Post::Copied(to, Box::new(gather)));
     }
 
-    fn on_resp_cols(&mut self, for_task: TaskId, attrs: Vec<usize>, bufs: Vec<ValuesBuf>) {
+    fn on_resp_cols(&mut self, for_task: TaskId, attrs: Vec<usize>, bufs: Vec<Column>) {
         let Some(PendingTask::Subtree(mut p)) = self.tasks.remove(&for_task) else {
             return; // revoked
         };
@@ -1097,7 +1099,7 @@ impl Worker {
         &self,
         tree: TreeId,
         ix: &RowSet,
-        remote_bufs: &HashMap<usize, ValuesBuf>,
+        remote_bufs: &HashMap<usize, Column>,
     ) -> bool {
         if !self.revoked.contains(&tree) {
             return true;
@@ -1278,17 +1280,29 @@ impl Snapshot {
             Some(seed) => {
                 // Extra-trees: try this worker's columns in seeded random
                 // order, accepting the first random split that separates
-                // anything. Random splits draw from the gathered node
-                // buffer, so this arm keeps the gather path (and a gathered
-                // label view to match).
-                let labels = ix.gather_labels(&self.labels, n);
-                let gathered_view = LabelView::of(&labels, self.env.n_classes());
+                // anything. Random splits read the node's values in row
+                // order: over every row the resident column and labels,
+                // over a subset a gather of each (labels once).
+                let labels;
+                let node_view = match &ix {
+                    RowSet::All => view,
+                    RowSet::Ids(rows) => {
+                        labels = self.labels.gather(rows);
+                        LabelView::of(&labels, self.env.n_classes())
+                    }
+                };
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut order = plan.cols.clone();
                 order.shuffle(&mut rng);
                 order.into_iter().find_map(|attr| {
-                    let buf = ix.gather(&self.held(attr).column, n);
-                    random_split_for_column(&buf, gathered_view, &mut rng).map(|s| (attr, s))
+                    let column = &self.held(attr).column;
+                    let split = match &ix {
+                        RowSet::All => random_split_for_column(column, node_view, &mut rng),
+                        RowSet::Ids(rows) => {
+                            random_split_for_column(&column.gather(rows), node_view, &mut rng)
+                        }
+                    };
+                    split.map(|s| (attr, s))
                 })
             }
             // Exact splits: run the sorted-column engine over the full
@@ -1375,12 +1389,15 @@ impl Snapshot {
         })
     }
 
-    /// A subtree-task's result frame for the master.
+    /// Trains a subtree-task's `∆x` over its `Dx` and returns the result
+    /// frame for the master. Over every row, the columns this worker holds
+    /// enter `Dx` as they are held, resident index included: no copy, no
+    /// sort and no charge beyond the trainer's orders.
     fn subtree_task(
         &self,
         plan: SubtreePlan,
         ix: RowSet,
-        mut remote_bufs: HashMap<usize, ValuesBuf>,
+        mut remote_bufs: HashMap<usize, Column>,
     ) -> TaskMsg {
         let n = self.env.n_rows;
         let remote_bytes = bufs_bytes(remote_bufs.values());
@@ -1388,10 +1405,10 @@ impl Snapshot {
         let log = 64 - n_ix.max(2).leading_zeros() as u64;
         self.env
             .model_work(n_ix * plan.col_sources.len() as u64 * log);
-        // Assemble Dx: columns in plan order (sorted by attr id), gathering
-        // locally-held columns now. Over `RowSet::All` a local column's copy
-        // is the resident column, so its resident presorted index is the
-        // copy's index too and is shared instead of sorted again.
+        // Assemble Dx: columns in plan order (sorted by attr id). Over
+        // `RowSet::All` a local column enters as it is held, with its
+        // resident presorted index; a local column over a row subset is
+        // gathered, and it and every remote column are presorted here.
         let mut attrs = Vec::with_capacity(plan.col_sources.len());
         let mut types = Vec::with_capacity(plan.col_sources.len());
         let mut columns = Vec::with_capacity(plan.col_sources.len());
@@ -1400,23 +1417,25 @@ impl Snapshot {
         let mut index_bytes = 0usize;
         for &(attr, holder) in &plan.col_sources {
             let local = holder == self.env.id;
-            let buf = if local {
-                let b = ix.gather(&self.held(attr).column, n);
-                local_bytes += b.payload_bytes();
-                b
+            let (column, index) = if local && matches!(ix, RowSet::All) {
+                let held = self.held(attr);
+                (held.column.clone(), Arc::clone(&held.sorted))
             } else {
-                remote_bufs.remove(&attr).expect("remote column buffered")
-            };
-            sorted.push(if local && matches!(ix, RowSet::All) {
-                Arc::clone(&self.held(attr).sorted)
-            } else {
-                let index = SortedColumn::build_buf(&buf);
+                let column = if local {
+                    let c = ix.gather(&self.held(attr).column, n);
+                    local_bytes += c.payload_bytes();
+                    c
+                } else {
+                    remote_bufs.remove(&attr).expect("remote column buffered")
+                };
+                let index = SortedColumn::build(&column);
                 index_bytes += index.payload_bytes();
-                Arc::new(index)
-            });
+                (SharedColumn::owned(column), Arc::new(index))
+            };
             attrs.push(attr);
             types.push(self.env.attr_types[attr]);
-            columns.push(buf);
+            columns.push(column);
+            sorted.push(index);
         }
         let labels = ix.gather_labels(&self.labels, n);
         let data =
@@ -1431,13 +1450,9 @@ impl Snapshot {
             } else {
                 TrainMode::Exact
             },
-            // Subtree-tasks stay single-threaded: parallelism in the
-            // simulated cluster comes from the comper pool, and the column
-            // loop must not oversubscribe it.
-            threads: 1,
         };
-        // On top of the gathered buffers the task holds the indexes it built
-        // and, for exact training, the trainer's numeric orders.
+        // On top of the columns it gathered the task holds the indexes it
+        // built and, for exact training, the trainer's numeric orders.
         let order_bytes = match params.mode {
             TrainMode::Exact => data.order_bytes(),
             TrainMode::ExtraTrees => 0,
@@ -1932,7 +1947,7 @@ mod tests {
         m.on_data(DataMsg::RespCols {
             for_task: TaskId(task),
             attrs: vec![attr],
-            bufs: vec![ValuesBuf::Numeric(values)],
+            bufs: vec![Column::Numeric(values)],
             ctx: TraceCtx::NONE,
         })
     }

@@ -298,22 +298,21 @@ fn report_collects_cpu_and_memory() {
 #[test]
 fn subtree_task_memory_counts_indexes_and_orders() {
     // tau_d >= rows on one worker: the job is a single subtree-task over
-    // every row, whose column copies share the worker's resident indexes.
-    // On top of the resident data the task holds its copies of the columns
-    // and the trainer's orders (4 B per row per numeric column).
+    // every row, which trains on the worker's resident columns and indexes
+    // in place. On top of the resident data the task holds the trainer's
+    // orders (4 B per row per numeric column) and nothing else: no copy of
+    // a column, no index.
     let t = table(4_000, 6, 0, 31);
     let cluster = Cluster::launch(small_cfg(1, 1, 4_000), &t);
     let resident = cluster.report().per_node[1].mem_peak;
     let _ = cluster.train(JobSpec::decision_tree(t.schema().task));
     let peak = cluster.report().per_node[1].mem_peak;
     cluster.shutdown();
-    let column_bytes: u64 = (0..t.n_attrs())
-        .map(|a| t.column(a).payload_bytes() as u64)
-        .sum();
     let order_bytes = 4 * 4_000 * 6;
-    assert!(
-        peak >= resident + column_bytes + order_bytes,
-        "peak {peak} < resident {resident} + columns {column_bytes} + orders {order_bytes}"
+    assert_eq!(
+        peak - resident,
+        order_bytes,
+        "peak {peak} - resident {resident} is not the orders' {order_bytes} B"
     );
 
     // A subtree-task below the root gathers a row subset and has to build

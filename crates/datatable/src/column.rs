@@ -1,4 +1,5 @@
-//! Column storage: whole columns and gathered column slices.
+//! Column storage: one attribute's values over a row set — a table's whole
+//! column or a slice of it gathered for the rows `Ix` of a task.
 
 use tsjson::{Deserialize, Serialize};
 
@@ -56,15 +57,16 @@ impl Column {
         }
     }
 
-    /// Gathers the values at the given row ids into a dense buffer, in order.
+    /// Gathers the values at the given row ids into a new column, in order:
+    /// its row `i` is this column's row `rows[i]`.
     ///
     /// This is the operation a data-serving worker performs when a key worker
     /// requests the rows `Ix` of a column it holds.
-    pub fn gather(&self, rows: &[u32]) -> ValuesBuf {
+    pub fn gather(&self, rows: &[u32]) -> Column {
         match self {
-            Column::Numeric(v) => ValuesBuf::Numeric(rows.iter().map(|&r| v[r as usize]).collect()),
+            Column::Numeric(v) => Column::Numeric(rows.iter().map(|&r| v[r as usize]).collect()),
             Column::Categorical(v) => {
-                ValuesBuf::Categorical(rows.iter().map(|&r| v[r as usize]).collect())
+                Column::Categorical(rows.iter().map(|&r| v[r as usize]).collect())
             }
         }
     }
@@ -121,99 +123,6 @@ impl Value {
     }
 }
 
-/// A dense, gathered buffer of values for a subset of rows of one column.
-///
-/// This is what crosses the (simulated) wire when a worker serves column data
-/// for the rows `Ix` of a subtree-task, and what subtree-tasks assemble into
-/// a local dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ValuesBuf {
-    /// Numeric values aligned with the requested row order.
-    Numeric(Vec<f64>),
-    /// Categorical codes aligned with the requested row order.
-    Categorical(Vec<u32>),
-}
-
-impl ValuesBuf {
-    /// Number of values in the buffer.
-    pub fn len(&self) -> usize {
-        match self {
-            ValuesBuf::Numeric(v) => v.len(),
-            ValuesBuf::Categorical(v) => v.len(),
-        }
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The value at position `i` (position in the gathered order, not a row id).
-    pub fn value(&self, i: usize) -> Value {
-        match self {
-            ValuesBuf::Numeric(v) => {
-                if v[i].is_nan() {
-                    Value::Missing
-                } else {
-                    Value::Num(v[i])
-                }
-            }
-            ValuesBuf::Categorical(v) => {
-                if v[i] == MISSING_CAT {
-                    Value::Missing
-                } else {
-                    Value::Cat(v[i])
-                }
-            }
-        }
-    }
-
-    /// Payload size in bytes (for wire accounting).
-    pub fn payload_bytes(&self) -> usize {
-        match self {
-            ValuesBuf::Numeric(v) => v.len() * std::mem::size_of::<f64>(),
-            ValuesBuf::Categorical(v) => v.len() * std::mem::size_of::<u32>(),
-        }
-    }
-
-    /// Converts the buffer into a full [`Column`] (used when a gathered subset
-    /// becomes a local table of its own, e.g. inside a subtree-task).
-    pub fn into_column(self) -> Column {
-        match self {
-            ValuesBuf::Numeric(v) => Column::Numeric(v),
-            ValuesBuf::Categorical(v) => Column::Categorical(v),
-        }
-    }
-
-    /// The raw numeric values, if this is a numeric buffer.
-    pub fn as_numeric(&self) -> Option<&[f64]> {
-        match self {
-            ValuesBuf::Numeric(v) => Some(v),
-            ValuesBuf::Categorical(_) => None,
-        }
-    }
-
-    /// The raw categorical codes, if this is a categorical buffer.
-    pub fn as_categorical(&self) -> Option<&[u32]> {
-        match self {
-            ValuesBuf::Categorical(v) => Some(v),
-            ValuesBuf::Numeric(_) => None,
-        }
-    }
-
-    /// Gathers a sub-subset by positions (not row ids).
-    pub fn gather_positions(&self, pos: &[u32]) -> ValuesBuf {
-        match self {
-            ValuesBuf::Numeric(v) => {
-                ValuesBuf::Numeric(pos.iter().map(|&p| v[p as usize]).collect())
-            }
-            ValuesBuf::Categorical(v) => {
-                ValuesBuf::Categorical(pos.iter().map(|&p| v[p as usize]).collect())
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,27 +150,22 @@ mod tests {
     fn gather_preserves_request_order() {
         let c = Column::Numeric(vec![10.0, 11.0, 12.0, 13.0]);
         let g = c.gather(&[3, 1]);
-        assert_eq!(g, ValuesBuf::Numeric(vec![13.0, 11.0]));
+        assert_eq!(g, Column::Numeric(vec![13.0, 11.0]));
         assert_eq!(g.value(0), Value::Num(13.0));
     }
 
     #[test]
     fn gather_positions_on_buffer() {
-        let b = ValuesBuf::Categorical(vec![5, 6, 7]);
-        let g = b.gather_positions(&[2, 0]);
-        assert_eq!(g, ValuesBuf::Categorical(vec![7, 5]));
-    }
-
-    #[test]
-    fn buffer_into_column_roundtrip() {
-        let b = ValuesBuf::Numeric(vec![1.0, 2.0]);
-        let c = b.clone().into_column();
-        assert_eq!(c.gather(&[0, 1]), b);
+        // A gathered slice is a column: gathering it again reads positions.
+        let b = Column::Categorical(vec![5, 6, 7, 8]).gather(&[1, 2, 3]);
+        let g = b.gather(&[2, 0]);
+        assert_eq!(g, Column::Categorical(vec![8, 6]));
     }
 
     #[test]
     fn empty_buffers() {
-        assert!(ValuesBuf::Numeric(vec![]).is_empty());
-        assert!(Column::Categorical(vec![]).is_empty());
+        assert!(Column::Numeric(vec![]).is_empty());
+        assert!(Column::Categorical(vec![]).gather(&[]).is_empty());
+        assert!(Column::Numeric(vec![1.0]).gather(&[]).is_empty());
     }
 }

@@ -29,7 +29,7 @@ pub mod synth;
 pub mod table;
 
 pub use binned::{BinCuts, BinIds, BinnedColumn};
-pub use column::{Column, Value, ValuesBuf, MISSING_CAT};
+pub use column::{Column, Value, MISSING_CAT};
 pub use schema::{AttrMeta, AttrType, Schema, Task};
 pub use sorted::{SortedColumn, MISSING_RANK};
 pub use table::{DataTable, Labels, SharedColumn, TableError};

@@ -22,7 +22,7 @@
 //! value comparisons do, so both pick byte-identical splits.
 
 use crate::binned::BinnedColumn;
-use crate::column::{Column, ValuesBuf, MISSING_CAT};
+use crate::column::{Column, MISSING_CAT};
 
 /// The [`SortedColumn::numeric_rank`] of a row whose value is missing.
 pub const MISSING_RANK: u32 = u32::MAX;
@@ -163,20 +163,12 @@ pub(crate) fn record_row(record: u64) -> usize {
 }
 
 impl SortedColumn {
-    /// Builds the index for a full column.
+    /// Builds the index for a column — a table's, or one gathered for a row
+    /// subset, whose positions then play the role of row ids.
     pub fn build(col: &Column) -> Self {
         match col {
             Column::Numeric(v) => Self::from_numeric(v),
             Column::Categorical(c) => Self::from_categorical(c),
-        }
-    }
-
-    /// Builds the index for a gathered buffer (positions play the role of
-    /// row ids).
-    pub fn build_buf(buf: &ValuesBuf) -> Self {
-        match buf {
-            ValuesBuf::Numeric(v) => Self::from_numeric(v),
-            ValuesBuf::Categorical(c) => Self::from_categorical(c),
         }
     }
 
@@ -557,7 +549,7 @@ mod tests {
     fn build_dispatches_on_column_kind() {
         let num = SortedColumn::build(&Column::Numeric(vec![2.0, 1.0]));
         assert_eq!(num.numeric_rank(), &[1, 0]);
-        let cat = SortedColumn::build_buf(&ValuesBuf::Categorical(vec![7, 7, 2]));
+        let cat = SortedColumn::build(&Column::Categorical(vec![7, 7, 2]));
         assert_eq!(cat.distinct(), &[2, 7]);
     }
 

@@ -1,6 +1,6 @@
 //! The column-major data table and its target labels.
 
-use crate::column::{Column, Value, ValuesBuf, MISSING_CAT};
+use crate::column::{Column, Value, MISSING_CAT};
 use crate::schema::{AttrType, Schema, Task};
 use std::sync::Arc;
 use tsjson::{Deserialize, Serialize};
@@ -110,6 +110,20 @@ impl std::ops::Deref for SharedColumn {
 
     fn deref(&self) -> &Column {
         &self.columns[self.index]
+    }
+}
+
+impl std::fmt::Debug for SharedColumn {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// Equality is by value, as the table's: two handles on different storage
+/// holding the same values are equal.
+impl PartialEq for SharedColumn {
+    fn eq(&self, other: &SharedColumn) -> bool {
+        **self == **other
     }
 }
 
@@ -295,17 +309,13 @@ impl DataTable {
     }
 
     /// Gathers a row subset of one column.
-    pub fn gather(&self, attr: usize, rows: &[u32]) -> ValuesBuf {
+    pub fn gather(&self, attr: usize, rows: &[u32]) -> Column {
         self.columns[attr].gather(rows)
     }
 
     /// Returns a new table containing only the given rows (in order).
     pub fn select_rows(&self, rows: &[u32]) -> DataTable {
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| c.gather(rows).into_column())
-            .collect();
+        let columns = self.columns.iter().map(|c| c.gather(rows)).collect();
         DataTable::new(self.schema.clone(), columns, self.labels.gather(rows))
     }
 
@@ -532,6 +542,10 @@ mod tests {
         assert_eq!(*t.shared_column(1), *t.column(1));
         let owned = SharedColumn::owned(Column::Numeric(vec![1.0]));
         assert_eq!(*owned, Column::Numeric(vec![1.0]));
+        // Handles compare and print as the column they read.
+        assert_eq!(owned, SharedColumn::owned(Column::Numeric(vec![1.0])));
+        assert_ne!(owned, SharedColumn::owned(Column::Numeric(vec![2.0])));
+        assert_eq!(format!("{age:?}"), format!("{:?}", t.column(0)));
     }
 
     #[test]

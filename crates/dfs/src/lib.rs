@@ -209,7 +209,7 @@ impl Dfs {
             for g in 0..meta.n_col_groups() {
                 let cols: Vec<Column> = meta
                     .col_group_attrs(g)
-                    .map(|a| table.gather(a, &rows).into_column())
+                    .map(|a| table.gather(a, &rows))
                     .collect();
                 self.charge_open();
                 std::fs::write(dir.join(format!("cg{g}_rg{r}.bin")), write_columns(&cols))?;

@@ -135,7 +135,7 @@ impl LatencyFeed {
     }
 
     /// Rolling p50 and p95 of the serving-request spans right now — the
-    /// values a full sort would put at [`quantile_index`] — found by
+    /// values a full sort would put at `quantile_index` — found by
     /// selection: p95 first, then p50 inside the part selection left below
     /// it. The lock is held only for the copy.
     pub fn request(&self) -> KindLatency {

@@ -4,10 +4,12 @@
 //! `Ai ∈ Sl` for categorical attributes (paper §II). [`partition_rows`] is
 //! the operation a *delegate worker* performs when the master confirms its
 //! column's condition as the overall best: splitting `Ix` into `Ixl`/`Ixr`
-//! with its locally-held column (paper §V).
+//! with its locally-held column (paper §V). [`partition_rows_buf`] is the
+//! subtree trainer's, over the positions of its dataset's column. Both take
+//! one [`Column`], whether a table's or one gathered for a task.
 
 use crate::exact::ColumnSplit;
-use ts_datatable::{Column, Value, ValuesBuf, MISSING_CAT};
+use ts_datatable::{Column, Value, MISSING_CAT};
 use tsjson::{Deserialize, Serialize};
 
 /// The test applied at an internal node.
@@ -70,43 +72,29 @@ pub fn partition_rows(
     test: &SplitTest,
     missing_left: bool,
 ) -> (Vec<u32>, Vec<u32>) {
-    let cells = match col {
-        Column::Numeric(xs) => Cells::Numeric(xs),
-        Column::Categorical(codes) => Cells::Categorical(codes),
-    };
     // The caller holds no child counts: either side may take every row.
-    let (mut left, mut right) = partition_cells(cells, ix, test, missing_left, [ix.len(); 2]);
+    let (mut left, mut right) = partition_cells(col, ix, test, missing_left, [ix.len(); 2]);
     left.shrink_to_fit();
     right.shrink_to_fit();
     (left, right)
 }
 
-/// [`partition_rows`] by a finished `split` over a full
-/// [`ts_datatable::ValuesBuf`] indexed by row ids: the sorted-column trainer
-/// partitions a node's row set directly against the full column instead of
-/// re-gathering it first, into buffers sized from the split's child counts.
-/// Preserves input order, so ascending row sets stay ascending.
+/// [`partition_rows`] by a finished `split` of the rows `ix` of `values`:
+/// the sorted-column trainer partitions a node's positions directly against
+/// its dataset's column instead of re-gathering it first, into buffers sized
+/// from the split's child counts. Preserves input order, so ascending row
+/// sets stay ascending.
 ///
 /// # Panics
-/// Panics when the split's kind is not the buffer's, or when `split` is not
+/// Panics when the split's kind is not the column's, or when `split` is not
 /// a split of `ix` over `values` — more rows on a side than it counted.
 pub fn partition_rows_buf(
-    values: &ValuesBuf,
+    values: &Column,
     ix: &[u32],
     split: &ColumnSplit,
 ) -> (Vec<u32>, Vec<u32>) {
-    let cells = match values {
-        ValuesBuf::Numeric(xs) => Cells::Numeric(xs),
-        ValuesBuf::Categorical(codes) => Cells::Categorical(codes),
-    };
     let sizes = [split.n_left() as usize, split.n_right() as usize];
-    partition_cells(cells, ix, &split.test, split.missing_left, sizes)
-}
-
-/// A column's cells, whichever container holds them.
-enum Cells<'a> {
-    Numeric(&'a [f64]),
-    Categorical(&'a [u32]),
+    partition_cells(values, ix, &split.test, split.missing_left, sizes)
 }
 
 /// The row partition behind [`partition_rows`] and [`partition_rows_buf`]:
@@ -115,18 +103,18 @@ enum Cells<'a> {
 /// membership table of the `CatIn` set with one trailing `false` slot that
 /// every code above the set's maximum (`MISSING_CAT` among them) clamps to.
 fn partition_cells(
-    cells: Cells<'_>,
+    col: &Column,
     ix: &[u32],
     test: &SplitTest,
     missing_left: bool,
     sizes: [usize; 2],
 ) -> (Vec<u32>, Vec<u32>) {
-    match (cells, test) {
-        (Cells::Numeric(xs), SplitTest::NumericLe(t)) => partition_by(ix, sizes, |row| {
+    match (col, test) {
+        (Column::Numeric(xs), SplitTest::NumericLe(t)) => partition_by(ix, sizes, |row| {
             let x = xs[row];
             (x <= *t) | (x.is_nan() & missing_left)
         }),
-        (Cells::Categorical(codes), SplitTest::CatIn(set)) => {
+        (Column::Categorical(codes), SplitTest::CatIn(set)) => {
             let above = set.iter().max().map_or(0, |&max| max as usize + 1);
             let mut in_set = vec![false; above + 1];
             set.iter().for_each(|&code| in_set[code as usize] = true);
@@ -135,10 +123,10 @@ fn partition_cells(
                 in_set[(code as usize).min(above)] | ((code == MISSING_CAT) & missing_left)
             })
         }
-        (Cells::Categorical(_), SplitTest::NumericLe(_)) => {
+        (Column::Categorical(_), SplitTest::NumericLe(_)) => {
             panic!("numeric split applied to categorical value")
         }
-        (Cells::Numeric(_), SplitTest::CatIn(_)) => {
+        (Column::Numeric(_), SplitTest::CatIn(_)) => {
             panic!("categorical split applied to numeric value")
         }
     }

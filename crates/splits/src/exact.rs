@@ -34,7 +34,7 @@ use crate::sorted::{
     best_cat_split_classification_at, best_cat_split_regression_at, numeric_split, numeric_value,
     route_children, rows_at, with_class_pair, ColumnRef, GatherSorted, NodeRows, Sequence,
 };
-use ts_datatable::{AttrType, Value, ValuesBuf, MISSING_CAT};
+use ts_datatable::{AttrType, Column, Value, MISSING_CAT};
 use tsjson::{Deserialize, Serialize};
 
 /// The best split found for one column, with exact child statistics.
@@ -527,24 +527,24 @@ impl RegAgg {
     }
 }
 
-/// Dispatches to the right exact kernel for a gathered column buffer.
+/// Dispatches to the right exact kernel for a column gathered over a node.
 ///
 /// This is the single entry point used both by the distributed column-tasks
 /// and by the local subtree trainer, which is what guarantees they find
 /// identical splits.
 pub fn best_split_for_column(
-    values: &ValuesBuf,
+    values: &Column,
     attr_ty: AttrType,
     labels: LabelView<'_>,
     imp: Impurity,
 ) -> Option<ColumnSplit> {
     match (values, attr_ty) {
-        (ValuesBuf::Numeric(v), AttrType::Numeric) => best_numeric_split(v, labels, imp),
-        (ValuesBuf::Categorical(c), AttrType::Categorical { n_values }) => match labels {
+        (Column::Numeric(v), AttrType::Numeric) => best_numeric_split(v, labels, imp),
+        (Column::Categorical(c), AttrType::Categorical { n_values }) => match labels {
             LabelView::Class(ys, k) => best_cat_split_classification(c, n_values, ys, k, imp),
             LabelView::Real(ys) => best_cat_split_regression(c, n_values, ys),
         },
-        _ => panic!("column buffer kind does not match attribute type"),
+        _ => panic!("column kind does not match attribute type"),
     }
 }
 
@@ -1064,7 +1064,7 @@ mod tests {
 
     #[test]
     fn dispatch_matches_kernel() {
-        let buf = ValuesBuf::Numeric(vec![1.0, 2.0, 3.0, 4.0]);
+        let buf = Column::Numeric(vec![1.0, 2.0, 3.0, 4.0]);
         let ys = [0u32, 0, 1, 1];
         let via_dispatch =
             best_split_for_column(&buf, AttrType::Numeric, class_view(&ys), Impurity::Gini);
@@ -1075,7 +1075,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not match")]
     fn dispatch_kind_mismatch_panics() {
-        let buf = ValuesBuf::Numeric(vec![1.0]);
+        let buf = Column::Numeric(vec![1.0]);
         best_split_for_column(
             &buf,
             AttrType::Categorical { n_values: 2 },

@@ -9,7 +9,7 @@ use crate::condition::SplitTest;
 use crate::exact::ColumnSplit;
 use crate::impurity::{ClassCounts, LabelView, RegAgg};
 use crate::sorted::{route_children, NodeRows};
-use ts_datatable::{ValuesBuf, MISSING_CAT};
+use ts_datatable::{Column, MISSING_CAT};
 use tsrand::Rng;
 
 /// Draws a random `Ai <= v` split with `v` uniform in `[min, max)` of the
@@ -56,15 +56,16 @@ pub fn random_cat_split<R: Rng>(
     build_split(SplitTest::CatIn(vec![pick]), codes.len(), side, labels)
 }
 
-/// Draws a random split for a gathered buffer, dispatching on its kind.
+/// Draws a random split for a column gathered over a node, dispatching on
+/// its kind.
 pub fn random_split_for_column<R: Rng>(
-    values: &ValuesBuf,
+    values: &Column,
     labels: LabelView<'_>,
     rng: &mut R,
 ) -> Option<ColumnSplit> {
     match values {
-        ValuesBuf::Numeric(v) => random_numeric_split(v, labels, rng),
-        ValuesBuf::Categorical(c) => random_cat_split(c, labels, rng),
+        Column::Numeric(v) => random_numeric_split(v, labels, rng),
+        Column::Categorical(c) => random_cat_split(c, labels, rng),
     }
 }
 
@@ -183,7 +184,7 @@ mod tests {
     #[test]
     fn dispatch_matches_buffer_kind() {
         let mut rng = StdRng::seed_from_u64(2);
-        let buf = ValuesBuf::Categorical(vec![0, 1, 0, 1]);
+        let buf = Column::Categorical(vec![0, 1, 0, 1]);
         let ys = [0u32, 1, 0, 1];
         let s = random_split_for_column(&buf, LabelView::Class(&ys, 2), &mut rng).unwrap();
         assert!(matches!(s.test, SplitTest::CatIn(_)));

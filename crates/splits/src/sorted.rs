@@ -109,7 +109,7 @@ use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::thread::LocalKey;
-use ts_datatable::{AttrType, Column, SortedColumn, Value, ValuesBuf, MISSING_CAT, MISSING_RANK};
+use ts_datatable::{AttrType, Column, SortedColumn, Value, MISSING_CAT, MISSING_RANK};
 
 // ---------------------------------------------------------------------------
 // Kernel/pool counters
@@ -1119,7 +1119,8 @@ impl<'a> ColumnRef<'a> {
         }
     }
 
-    /// Pairs a stored [`Column`] with its index (worker column store).
+    /// Pairs a column with its index: a worker's resident column, or a
+    /// `LocalDataset`'s (held or gathered).
     pub fn of_column(col: &'a Column, index: &'a SortedColumn, ty: AttrType) -> Self {
         match (col, ty) {
             (Column::Numeric(v), AttrType::Numeric) => ColumnRef::Numeric { values: v, index },
@@ -1127,17 +1128,6 @@ impl<'a> ColumnRef<'a> {
                 ColumnRef::Categorical { codes: c, n_values }
             }
             _ => panic!("column kind does not match attribute type"),
-        }
-    }
-
-    /// Pairs a full gathered buffer with its index (`LocalDataset` columns).
-    pub fn of_buf(buf: &'a ValuesBuf, index: &'a SortedColumn, ty: AttrType) -> Self {
-        match (buf, ty) {
-            (ValuesBuf::Numeric(v), AttrType::Numeric) => ColumnRef::Numeric { values: v, index },
-            (ValuesBuf::Categorical(c), AttrType::Categorical { n_values }) => {
-                ColumnRef::Categorical { codes: c, n_values }
-            }
-            _ => panic!("column buffer kind does not match attribute type"),
         }
     }
 }

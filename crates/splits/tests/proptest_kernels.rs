@@ -1,7 +1,7 @@
 //! Property-based tests for the split kernels: the invariants that make
 //! "exact training" exact, checked over randomised inputs.
 
-use ts_datatable::{Column, ValuesBuf, MISSING_CAT};
+use ts_datatable::{Column, MISSING_CAT};
 use ts_splits::condition::{partition_rows, partition_rows_buf};
 use ts_splits::exact::{best_numeric_split, best_split_for_column, ColumnSplit};
 use ts_splits::histogram::{BinCuts, NumericHistogram};
@@ -89,10 +89,6 @@ proptest! {
     ) {
         let all: Vec<u32> = (0..col.len() as u32).collect();
         let sparse: Vec<u32> = all.iter().copied().filter(|&r| keep[r as usize]).collect();
-        let buf = match &col {
-            Column::Numeric(xs) => ValuesBuf::Numeric(xs.clone()),
-            Column::Categorical(codes) => ValuesBuf::Categorical(codes.clone()),
-        };
         for ix in [&all, &sparse, &Vec::new()] {
             let want = push_loop_partition(&col, ix, &test, missing_left);
             prop_assert_eq!(&partition_rows(&col, ix, &test, missing_left), &want);
@@ -107,7 +103,7 @@ proptest! {
                 left: counted(&want.0),
                 right: counted(&want.1),
             };
-            prop_assert_eq!(&partition_rows_buf(&buf, ix, &split), &want);
+            prop_assert_eq!(&partition_rows_buf(&col, ix, &split), &want);
         }
     }
 
@@ -280,7 +276,7 @@ proptest! {
         }
     }
 
-    /// Categorical dispatch consistency between buffer kinds.
+    /// A categorical column's dispatched split partitions its rows as counted.
     #[test]
     fn categorical_split_children_partition_rows(
         codes in tscheck::collection::vec(0u32..6, 2..100),
@@ -288,16 +284,15 @@ proptest! {
     ) {
         let n = codes.len();
         let ys = &ys[..n];
-        let buf = ts_datatable::ValuesBuf::Categorical(codes.clone());
+        let col = Column::Categorical(codes.clone());
         let view = LabelView::Class(ys, 3);
         if let Some(s) = best_split_for_column(
-            &buf,
+            &col,
             ts_datatable::AttrType::Categorical { n_values: 6 },
             view,
             Impurity::Gini,
         ) {
             prop_assert_eq!(s.n_left() + s.n_right(), n as u64);
-            let col = Column::Categorical(codes.clone());
             let ix: Vec<u32> = (0..n as u32).collect();
             let (l, r) = partition_rows(&col, &ix, &s.test, s.missing_left);
             prop_assert_eq!(l.len() as u64, s.n_left());

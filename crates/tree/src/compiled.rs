@@ -15,7 +15,7 @@
 //!   record `{feature, left, mask, thr, seen}` that is the **same
 //!   computation for every node kind** — `next = left + ((w & mask) > thr)`
 //!   — so a traversal step never branches on what kind of node it is at
-//!   (see [`HotNode`]);
+//!   (see `HotNode`);
 //! - all categorical sets concatenated in one pool, and all node payloads
 //!   (labels, PMF rows, means) in contiguous buffers indexed by node id.
 //!
@@ -292,7 +292,7 @@ impl<'a> TableView<'a> {
 }
 
 /// The unified `u64` image of one row block of a [`TableView`], row-major:
-/// [`numeric_cell`]s and [`categorical_cell`]s, `0` wherever the value is
+/// `numeric_cell`s and `categorical_cell`s, `0` wherever the value is
 /// missing. It lets the traversal step load any column with one untyped
 /// 8-byte read instead of dispatching on the column kind.
 ///
@@ -581,17 +581,17 @@ impl CompiledTree {
     /// categorical code) into `out` (`out.len() == img.len()`).
     ///
     /// The uncapped case (`max_depth == u32::MAX`, the serving default)
-    /// walks [`INTERLEAVE`] rows in lockstep: a single row's walk is
+    /// walks `INTERLEAVE` rows in lockstep: a single row's walk is
     /// latency-bound — each step's node load depends on the previous one —
     /// so interleaving independent rows lets the chains pipeline. Every
-    /// stop state is an idempotent self-loop ([`Self::step`]), so the
+    /// stop state is an idempotent self-loop (`Self::step`), so the
     /// lockstep loop runs a fixed `max_node_depth` iterations with no
     /// divergence bookkeeping: rows that stopped early just re-observe
     /// their stop condition.
     ///
     /// The fast path requires every split's feature id to resolve to a
     /// column of the split's kind; that is checked once per call against
-    /// the tree's feature signature ([`Self::schema_consistent`]), so the
+    /// the tree's feature signature (`Self::schema_consistent`), so the
     /// check costs O(distinct features), not O(nodes) — a call's cost
     /// follows the rows it scores, not the size of the model. A mismatched
     /// table falls back to the per-row lazy walk, which panics only when a

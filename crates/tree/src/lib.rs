@@ -8,8 +8,9 @@
 //!   Appendix D features — stop-at-any-depth prediction, and graceful
 //!   handling of missing values and categorical values unseen during
 //!   training;
-//! - [`dataset`]: [`LocalDataset`], the gathered column buffers a
-//!   subtree-task assembles from the data it pulls off other workers;
+//! - [`dataset`]: [`LocalDataset`], the columns a subtree-task trains on —
+//!   its worker's held columns, shared, and the ones it gathers or pulls
+//!   off other workers;
 //! - [`trainer`]: the single-threaded exact recursive trainer. The
 //!   distributed engine calls this for every subtree-task, and uses the same
 //!   split kernels for column-tasks, so a TreeServer cluster and this

@@ -43,10 +43,6 @@ use tsrand::rngs::StdRng;
 use tsrand::seq::SliceRandom;
 use tsrand::SeedableRng;
 
-/// Below this node size the candidate-column loop stays sequential even when
-/// `TrainParams::threads > 1` — thread hand-off costs more than the scan.
-const PAR_COLS_MIN_ROWS: usize = 2_048;
-
 /// How splits are chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrainMode {
@@ -71,12 +67,6 @@ pub struct TrainParams {
     pub tau_leaf: u64,
     /// Split-selection mode.
     pub mode: TrainMode,
-    /// Threads for the candidate-column loop of large exact nodes (`tspar`);
-    /// 1 keeps training single-threaded (the default — subtree-tasks already
-    /// run on dedicated comper threads), 0 means "use the machine". The
-    /// reduction is in column order either way, so the trained tree is
-    /// identical at any thread count.
-    pub threads: usize,
 }
 
 impl Default for TrainParams {
@@ -86,7 +76,6 @@ impl Default for TrainParams {
             dmax: 10,
             tau_leaf: 1,
             mode: TrainMode::Exact,
-            threads: 1,
         }
     }
 }
@@ -306,24 +295,17 @@ impl Builder<'_> {
                     NodeRows::Subset(positions)
                 };
 
-                let col =
-                    |i: usize| ColumnRef::of_buf(&data.columns[i], &data.sorted[i], data.types[i]);
-                let eval = |i: usize| {
-                    best_split_in(col(i), orders.segment(i, segs), node, stats, view, imp)
+                let col = |i: usize| {
+                    ColumnRef::of_column(&data.columns[i], &data.sorted[i], data.types[i])
                 };
-                let threads = self.params.threads;
-                let results: Vec<Option<SplitCandidate>> =
-                    if threads != 1 && data.n_cols() > 1 && positions.len() >= PAR_COLS_MIN_ROWS {
-                        tspar::par_map_range(data.n_cols(), threads, eval)
-                    } else {
-                        (0..data.n_cols()).map(eval).collect()
-                    };
 
-                // Fold in column order — the same strict total order as the
-                // sequential loop, regardless of which thread found what.
+                // Fold in column order: the strict total order every
+                // trainer and the column-tasks share.
                 let mut best: Option<(usize, SplitCandidate)> = None;
-                for (i, s) in results.into_iter().enumerate() {
-                    let Some(s) = s else { continue };
+                for i in 0..data.n_cols() {
+                    let candidate =
+                        best_split_in(col(i), orders.segment(i, segs), node, stats, view, imp);
+                    let Some(s) = candidate else { continue };
                     let wins = match &best {
                         None => true,
                         Some((bi, bs)) => SplitCandidate::challenger_wins(
@@ -343,15 +325,15 @@ impl Builder<'_> {
             TrainMode::ExtraTrees => {
                 // Resample columns in random order until one can split; a
                 // column with a constant value in Dx cannot. Random splits
-                // work on gathered buffers (their thresholds come from the
-                // rng, not from a sorted order).
+                // work on the node's gathered values (their thresholds come
+                // from the rng, not from a sorted order).
                 let labels_sub = self.data.labels.gather(positions);
                 let n_classes = self.data.task.n_classes().unwrap_or(0);
                 let view = LabelView::of(&labels_sub, n_classes);
                 let mut order: Vec<usize> = (0..self.data.n_cols()).collect();
                 order.shuffle(self.rng);
                 for i in order {
-                    let sub = self.data.columns[i].gather_positions(positions);
+                    let sub = self.data.columns[i].gather(positions);
                     if let Some(s) = random_split_for_column(&sub, view, self.rng) {
                         return Some((i, s));
                     }
@@ -447,18 +429,6 @@ mod tests {
             if !n.is_leaf() {
                 assert!(n.n_rows > 100, "internal node with {} rows", n.n_rows);
             }
-        }
-    }
-
-    #[test]
-    fn parallel_column_loop_matches_sequential() {
-        let t = learnable_table(4_000, 11);
-        let c: Vec<usize> = (0..t.n_attrs()).collect();
-        let base = TrainParams::for_task(t.schema().task);
-        let seq = train_tree(&t, &c, &base, 0);
-        for threads in [0, 2, 4] {
-            let par = train_tree(&t, &c, &TrainParams { threads, ..base }, 0);
-            assert_eq!(seq, par, "threads={threads} must not change the tree");
         }
     }
 

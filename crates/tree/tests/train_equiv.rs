@@ -49,7 +49,7 @@ fn grow(
     }
     let mut best: Option<(usize, ColumnSplit)> = None;
     for i in 0..data.n_cols() {
-        let gathered = data.columns[i].gather_positions(rows);
+        let gathered = data.columns[i].gather(rows);
         let Some(s) = best_split_for_column(&gathered, data.types[i], view, p.impurity) else {
             continue;
         };
@@ -67,7 +67,7 @@ fn grow(
     };
     let (left, right): (Vec<u32>, Vec<u32>) = rows.iter().partition(|r| goes_left(r));
     let seen = data.columns[i]
-        .gather_positions(rows)
+        .gather(rows)
         .as_categorical()
         .map(distinct_categories);
     let info = SplitInfo {
@@ -92,30 +92,26 @@ struct Case {
     regression: bool,
     base_depth: u32,
     tau_leaf: u64,
-    threads: usize,
 }
 
 fn any_case() -> impl Strategy<Value = Case> {
     (
         any::<u64>(),
-        // Mostly small tables; some past the trainer's parallel-column
-        // threshold (2 048 rows) so `threads = 2` takes the tspar path.
+        // Mostly small tables, some of a few thousand rows.
         prop_oneof![3 => 20usize..400, 1 => 2_100usize..2_600],
         prop_oneof![Just(0.0f64), Just(0.1f64), Just(0.3f64)],
         any::<bool>(),
         0u32..3,
         prop_oneof![Just(1u64), Just(4u64), Just(25u64)],
-        prop_oneof![Just(1usize), Just(2usize)],
     )
         .prop_map(
-            |(seed, rows, missing_rate, regression, base_depth, tau_leaf, threads)| Case {
+            |(seed, rows, missing_rate, regression, base_depth, tau_leaf)| Case {
                 seed,
                 rows,
                 missing_rate,
                 regression,
                 base_depth,
                 tau_leaf,
-                threads,
             },
         )
 }
@@ -206,7 +202,6 @@ proptest! {
         let params = TrainParams {
             dmax: 9,
             tau_leaf: case.tau_leaf,
-            threads: case.threads,
             ..TrainParams::for_task(t.schema().task)
         };
         let model = train_subtree(&data, &params, case.base_depth, 0);
@@ -224,7 +219,6 @@ proptest! {
             impurity: if case.regression { Impurity::Variance } else { Impurity::Entropy },
             dmax: 7,
             tau_leaf: case.tau_leaf,
-            threads: case.threads,
             ..TrainParams::default()
         };
         let model = train_subtree(&data, &params, case.base_depth, 0);
@@ -241,7 +235,6 @@ fn generated_tables_have_the_awkward_columns() {
         regression: false,
         base_depth: 0,
         tau_leaf: 1,
-        threads: 1,
     });
     assert_eq!(t.schema().attr_type(4), AttrType::Numeric);
     assert_eq!(t.column(4).n_missing(), 0);
@@ -305,7 +298,6 @@ fn regression_fingerprint_is_pinned() {
     let params = TrainParams {
         dmax: 8,
         tau_leaf: 3,
-        threads: 2,
         ..TrainParams::for_task(Task::Regression)
     };
     let model = train_tree(&t, &all, &params, 0);
